@@ -10,9 +10,12 @@
 //!
 //! Blocking is the scheduler's job, not the channel's: receivers probe with
 //! [`FrameReceiver::try_recv`] and park in [`crate::sched::Scheduler`];
-//! each sender clone carries a *waker* — the destination's scheduler handle
-//! — so every enqueue (data, acks, retransmissions, poison) unparks the
-//! destination, whichever thread performed it.
+//! the channel carries a *waker* — the destination's scheduler handle,
+//! fixed at construction — so every enqueue reaches the scheduler,
+//! whichever thread performed it. Sequenced data, acks, retransmissions
+//! and poison unpark the destination unconditionally; an unsequenced
+//! [`Frame::Raw`] names its sender, and the scheduler leaves a receiver
+//! parked that awaits a different one (DESIGN.md §15, "Targeted wake-ups").
 //!
 //! The ring capacity is scale-aware (see [`default_capacity`]): the
 //! original fixed 1024-frame pre-reserve is kept through P=64 so small-P
@@ -62,9 +65,9 @@ struct Shared {
     /// Pre-reserved ring capacity (the charged quantity; the `VecDeque`
     /// may round up internally).
     capacity: usize,
-    /// Destination scheduler handle: set once at machine start, before any
-    /// sender clone escapes, so every enqueue can unpark the receiver.
-    waker: Mutex<Option<(Arc<Scheduler>, usize)>>,
+    /// The owning processor's scheduler handle and id, so every enqueue can
+    /// unpark the receiver; `None` only in unit tests of bare channels.
+    waker: Option<(Arc<Scheduler>, usize)>,
 }
 
 /// Sending half; cheaply cloneable, one clone per peer processor.
@@ -85,12 +88,16 @@ pub(crate) struct FrameReceiver {
     shared: Arc<Shared>,
 }
 
-/// A connected channel with `capacity` slots pre-reserved.
-pub(crate) fn frame_channel_with_capacity(capacity: usize) -> (FrameSender, FrameReceiver) {
+/// A connected channel with `capacity` slots pre-reserved, whose sends
+/// wake processor `waker.1` through scheduler `waker.0`.
+pub(crate) fn frame_channel_with_capacity(
+    capacity: usize,
+    waker: Option<(Arc<Scheduler>, usize)>,
+) -> (FrameSender, FrameReceiver) {
     let shared = Arc::new(Shared {
         queue: Mutex::new(VecDeque::with_capacity(capacity)),
         capacity,
-        waker: Mutex::new(None),
+        waker,
     });
     (
         FrameSender {
@@ -100,35 +107,36 @@ pub(crate) fn frame_channel_with_capacity(capacity: usize) -> (FrameSender, Fram
     )
 }
 
-/// A connected channel with the historic 1024-slot pre-reserve.
+/// A connected, waker-less channel with the historic 1024-slot pre-reserve.
 #[cfg(test)]
 pub(crate) fn frame_channel() -> (FrameSender, FrameReceiver) {
-    frame_channel_with_capacity(MAX_CAPACITY)
+    frame_channel_with_capacity(MAX_CAPACITY, None)
 }
 
 impl FrameSender {
-    /// Enqueue a frame and unpark the destination. Never blocks; receivers
-    /// may already be gone during teardown, in which case the frame is
-    /// silently parked in the queue (the stale unpark is harmless — a
-    /// finished task ignores wakes).
+    /// Enqueue a frame and tell the scheduler: one ring lock, one
+    /// scheduler call. Never blocks; receivers may already be gone during
+    /// teardown, in which case the frame is silently parked in the queue
+    /// (the stale unpark is harmless — a finished task ignores wakes).
     pub(crate) fn send(&self, frame: Frame) {
-        let mut q = self.shared.queue.lock().unwrap();
-        q.push_back(frame);
-        drop(q);
-        let waker = self.shared.waker.lock().unwrap().clone();
-        if let Some((sched, dst)) = waker {
-            sched.unpark(dst);
+        // Only a raw frame is matched by its sender alone; a sequenced one
+        // may release held-back packets from the same link, and control
+        // frames drive the transport, so those always wake.
+        let raw_src = match &frame {
+            Frame::Raw(pkt) => Some(pkt.src),
+            _ => None,
+        };
+        self.shared.queue.lock().unwrap().push_back(frame);
+        if let Some((sched, dst)) = &self.shared.waker {
+            match raw_src {
+                Some(src) => sched.unpark_from(*dst, src),
+                None => sched.unpark(*dst),
+            }
         }
     }
 }
 
 impl FrameReceiver {
-    /// Register the owning processor's scheduler handle so senders can
-    /// unpark it. Called by the machine driver before carriers start.
-    pub(crate) fn attach_waker(&self, sched: Arc<Scheduler>, owner: usize) {
-        *self.shared.waker.lock().unwrap() = Some((sched, owner));
-    }
-
     /// Dequeue the next frame if one is already queued.
     pub(crate) fn try_recv(&self) -> Option<Frame> {
         self.shared.queue.lock().unwrap().pop_front()
@@ -173,12 +181,11 @@ mod tests {
         // (releasing the permit to task 0's acquire), then a send through
         // the waker-attached channel wakes it.
         let sched = Arc::new(Scheduler::new(2, 1));
-        let (tx, rx) = frame_channel();
-        rx.attach_waker(Arc::clone(&sched), 1);
+        let (tx, rx) = frame_channel_with_capacity(MAX_CAPACITY, Some((Arc::clone(&sched), 1)));
         let s2 = Arc::clone(&sched);
         let parker = std::thread::spawn(move || {
             s2.acquire(1);
-            let out = s2.park(1, 0.0, Duration::from_secs(5));
+            let out = s2.park(1, 0.0, Duration::from_secs(5), None);
             s2.finish(1);
             out
         });
@@ -193,7 +200,7 @@ mod tests {
         // Task 0 parks long; the send wakes task 1, which finishes and
         // frees the permit... but nothing ever wakes task 0, so it times
         // out — proving the send woke exactly its addressee.
-        let out0 = s3.park(0, 0.0, Duration::from_millis(200));
+        let out0 = s3.park(0, 0.0, Duration::from_millis(200), None);
         assert_eq!(out0, crate::sched::ParkOutcome::TimedOut);
         assert_eq!(parker.join().unwrap(), crate::sched::ParkOutcome::Woken);
         assert!(t0.elapsed() >= Duration::from_millis(20));
@@ -214,7 +221,7 @@ mod tests {
         assert_eq!(default_capacity(1024), 64);
         assert_eq!(default_capacity(4096), 16);
         assert_eq!(default_capacity(1 << 20), 16, "floor holds");
-        let (_tx, rx) = frame_channel_with_capacity(default_capacity(4096));
+        let (_tx, rx) = frame_channel_with_capacity(default_capacity(4096), None);
         assert_eq!(rx.capacity(), 16);
         assert_eq!(ring_bytes(16), 16 * std::mem::size_of::<Frame>() as u64);
     }

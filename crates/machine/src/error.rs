@@ -47,6 +47,12 @@ pub enum MachineError {
         tag: u64,
         /// The configured timeout that expired.
         timeout: Duration,
+        /// Who was waiting on whom when the timeout fired, read from the
+        /// scheduler: `src` first, then the processor `src` was itself
+        /// parked awaiting, and so on. The chain ends at a processor that
+        /// was not blocked in a receive (running, finished or crashed) or
+        /// at the first one named twice — a cycle, i.e. a deadlock.
+        waiting_on: Vec<usize>,
     },
     /// The reliable transport exhausted its retries for one message: the
     /// destination never acknowledged despite repeated retransmission.
@@ -119,11 +125,18 @@ impl fmt::Display for MachineError {
                 src,
                 tag,
                 timeout,
-            } => write!(
-                f,
-                "proc {proc}: receive from {src} tag {tag} timed out after {timeout:?} — \
-                 deadlock or crashed peer?"
-            ),
+                waiting_on,
+            } => {
+                write!(
+                    f,
+                    "proc {proc}: receive from {src} tag {tag} timed out after {timeout:?} — \
+                     deadlock or crashed peer? waiting on: {proc}"
+                )?;
+                for p in waiting_on {
+                    write!(f, " → {p}")?;
+                }
+                Ok(())
+            }
             MachineError::Unreachable {
                 proc,
                 dst,
@@ -158,6 +171,7 @@ mod tests {
             src: 1,
             tag: 7,
             timeout: Duration::from_secs(5),
+            waiting_on: vec![1],
         };
         let poisoned = MachineError::Poisoned {
             proc: 0,
@@ -177,6 +191,7 @@ mod tests {
             src: 5,
             tag: 9,
             timeout: Duration::from_millis(50),
+            waiting_on: vec![5, 7, 5],
         };
         let s = e.to_string();
         assert!(
@@ -184,6 +199,7 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("deadlock"), "{s}");
+        assert!(s.ends_with("waiting on: 2 → 5 → 7 → 5"), "{s}");
         let u = MachineError::Unreachable {
             proc: 1,
             dst: 4,

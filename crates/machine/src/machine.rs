@@ -141,7 +141,7 @@ impl Machine {
     }
 
     /// Build the machine's channel set and scheduler: one frame channel per
-    /// processor with every receiver's waker attached, ready for carriers.
+    /// processor, each waking its owner through the scheduler.
     fn build_fabric(&self) -> (Vec<FrameSender>, Vec<FrameReceiver>, Arc<Scheduler>) {
         let p = self.nprocs();
         let cap = self.chan_capacity();
@@ -149,8 +149,7 @@ impl Machine {
         let mut txs = Vec::with_capacity(p);
         let mut rxs = Vec::with_capacity(p);
         for id in 0..p {
-            let (tx, rx) = frame_channel_with_capacity(cap);
-            rx.attach_waker(Arc::clone(&sched), id);
+            let (tx, rx) = frame_channel_with_capacity(cap, Some((Arc::clone(&sched), id)));
             txs.push(tx);
             rxs.push(rx);
         }
@@ -957,8 +956,15 @@ mod tests {
             })
             .expect_err("nobody sends; proc 1 must time out");
         match err {
-            MachineError::RecvTimeout { proc, src, tag, .. } => {
+            MachineError::RecvTimeout {
+                proc,
+                src,
+                tag,
+                waiting_on,
+                ..
+            } => {
                 assert_eq!((proc, src, tag), (1, 0, tags::USER + 9));
+                assert_eq!(waiting_on, [0], "proc 0 finished: the chain ends there");
             }
             other => panic!("expected RecvTimeout, got {other}"),
         }

@@ -18,6 +18,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::cost::Words;
@@ -206,18 +207,44 @@ pub(crate) enum Frame {
     Poison(crate::error::MachineError),
 }
 
-/// Per-key FIFO queues are kept (empty) after draining so steady-state
-/// traffic over a fixed set of `(src, tag)` pairs never re-allocates.
-const LANE_CAPACITY: usize = 16;
+/// Multiply-rotate hasher for the mailbox's `(src, tag)` keys. Both words
+/// come from the SPMD program, never from outside input, so SipHash's
+/// resistance to crafted collisions buys nothing on a path every held
+/// packet crosses twice.
+#[derive(Default, Clone, Copy)]
+struct LaneHasher(u64);
+
+impl Hasher for LaneHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Per-processor mailbox buffering packets that arrived before the matching
 /// `recv` was posted. Held packets are indexed by `(src, tag)` so matching
 /// is O(1) regardless of how many unrelated packets are queued; each lane
-/// is FIFO, preserving per-source channel order. Cloning (epoch
-/// checkpointing) copies the index but shares every payload by refcount.
+/// is FIFO, preserving per-source channel order. A lane allocates nothing
+/// until its first packet and then grows to the depth its traffic needs;
+/// it is kept (empty) after draining, so steady-state traffic over a fixed
+/// set of pairs never re-allocates. Cloning (epoch checkpointing) copies
+/// the index but shares every payload by refcount.
 #[derive(Default, Clone)]
 pub struct Mailbox {
-    lanes: HashMap<(usize, u64), VecDeque<Packet>>,
+    lanes: HashMap<(usize, u64), VecDeque<Packet>, BuildHasherDefault<LaneHasher>>,
     held: usize,
 }
 
@@ -237,10 +264,7 @@ impl Mailbox {
     /// Stash a non-matching packet for a later receive.
     pub fn hold(&mut self, p: Packet) {
         self.held += 1;
-        self.lanes
-            .entry((p.src, p.tag))
-            .or_insert_with(|| VecDeque::with_capacity(LANE_CAPACITY))
-            .push_back(p);
+        self.lanes.entry((p.src, p.tag)).or_default().push_back(p);
     }
 
     /// Number of held packets (used by the driver to detect leftover traffic).
@@ -338,6 +362,39 @@ mod tests {
         let p2 = m.take(100, 1000).unwrap();
         assert!(p1.arrival_ns < p2.arrival_ns);
         assert_eq!(m.len(), 9_998);
+    }
+
+    /// A lane costs nothing until used and little after: 512 lanes that
+    /// each held one packet once retain the hash index (at most 1024
+    /// buckets of key + empty-lane header) plus the four-slot minimum
+    /// `VecDeque` allocation per lane — under 320 bytes a lane, where the
+    /// 16-slot pre-reserve pinned 16 packets' worth (896 bytes) per lane
+    /// before the index.
+    #[test]
+    fn single_use_lanes_retain_bounded_memory() {
+        const LANES: usize = 512;
+        let mut m = Mailbox::new();
+        for src in 0..LANES {
+            m.hold(pkt(src, 9, 0.0));
+        }
+        for src in 0..LANES {
+            assert!(m.take(src, 9).is_some());
+        }
+        assert!(m.is_empty());
+        let index = m.lanes.capacity() * std::mem::size_of::<((usize, u64), VecDeque<Packet>)>();
+        let slots: usize = m.lanes.values().map(VecDeque::capacity).sum();
+        let retained = index + slots * std::mem::size_of::<Packet>();
+        assert!(
+            retained <= LANES * 320,
+            "{retained} bytes retained by {LANES} drained lanes"
+        );
+        // The retained-capacity rule: re-use of a drained lane does not
+        // grow it again.
+        m.hold(pkt(3, 9, 0.0));
+        assert_eq!(
+            m.lanes.values().map(VecDeque::capacity).sum::<usize>(),
+            slots
+        );
     }
 
     proptest::proptest! {

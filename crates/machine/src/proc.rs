@@ -25,7 +25,7 @@ use crate::obs::{
 use crate::pool::{BufferPool, PoolSlot, Reusable};
 use crate::recovery::{Checkpoint, EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::Transport;
-use crate::sched::Scheduler;
+use crate::sched::{ParkOutcome, Scheduler};
 use crate::topology::ProcGrid;
 
 /// Cap on the per-processor packet-scratch pre-reserve. Reserving a full
@@ -116,6 +116,13 @@ struct ProcMetrics {
     dup_drops: Arc<Counter>,
     retry_latency_us: Arc<Histogram>,
     clone_words: Arc<Counter>,
+    /// Scheduler traffic as this processor saw it: calls to [`Proc::park`],
+    /// the ones that slept and were woken, and the wake-ups after which a
+    /// receive drained its ring, still lacked its packet and parked again.
+    /// All three depend on the interleaving, not on the program alone.
+    parks: Arc<Counter>,
+    wakes: Arc<Counter>,
+    spurious_wakes: Arc<Counter>,
     /// Per-account memory gauges, indexed by `MemAccount as usize`
     /// (`last` = current bytes, `max` = peak; see DESIGN.md §13).
     mem: [Arc<Gauge>; MemAccount::ALL.len()],
@@ -133,6 +140,9 @@ impl ProcMetrics {
             dup_drops: registry.counter("transport.dup_drops"),
             retry_latency_us: registry.histogram("transport.retry_latency_us"),
             clone_words: registry.counter("payload.clone_words"),
+            parks: registry.counter("sched.parks"),
+            wakes: registry.counter("sched.wakes"),
+            spurious_wakes: registry.counter("sched.spurious_wakes"),
             mem: MemAccount::ALL.map(|a| registry.gauge(a.gauge_name())),
             registry,
         }
@@ -821,17 +831,24 @@ impl<'m> Proc<'m> {
     /// Park this virtual processor in the scheduler for at most `timeout`,
     /// keyed on the current simulated time (the deterministic wake-priority
     /// rule: among ready processors, the one furthest behind in simulated
-    /// time runs first). Woken early by any frame sent to this processor or
-    /// by a pool-slot return. The wait is attributed to the virtual
+    /// time runs first). `awaits` is the source a receive is blocked on:
+    /// raw frames from anyone else then leave the processor parked. Every
+    /// other wake — a sequenced or control frame, a pool-slot return —
+    /// ends the park regardless. The wait is attributed to the virtual
     /// processor's own wall profile under `sched.park` — carrier threads
     /// have no identity of their own.
-    fn park(&mut self, timeout: Duration) {
+    fn park(&mut self, timeout: Duration, awaits: Option<usize>) -> ParkOutcome {
         let key = self.clock.now_ns();
         let sched = Arc::clone(&self.sched);
         let id = self.id;
-        self.wall_span("sched.park", |_| {
-            sched.park(id, key, timeout);
-        });
+        let outcome = self.wall_span("sched.park", |_| sched.park(id, key, timeout, awaits));
+        if let Some(m) = self.metrics.as_ref() {
+            m.parks.inc();
+            if outcome == ParkOutcome::Woken {
+                m.wakes.inc();
+            }
+        }
+        outcome
     }
 
     /// How long a wait-for-frames park may sleep without starving the
@@ -839,7 +856,7 @@ impl<'m> Proc<'m> {
     /// park so [`crate::reliable::Transport::pump`] runs on time (this also
     /// bounds reordered-frame holdback, which retires through the same
     /// retransmit path). Fault-free machines sleep the full remainder —
-    /// every frame arrival unparks them.
+    /// the frame they wait for unparks them.
     fn park_wait(&self, remaining: Duration) -> Duration {
         match self
             .transport
@@ -851,46 +868,65 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// The frame-dispatch receive loop shared by every receive flavour.
-    /// The deadline restarts whenever *any* frame arrives (progress), which
-    /// matches the fault-free semantics where each successfully received
-    /// packet restarted the timeout.
+    /// The frame-dispatch receive loop shared by every receive flavour:
+    /// drain the ring, and park awaiting `src` when the packet is not in
+    /// it. The deadline restarts whenever *any* frame arrives (progress),
+    /// which matches the fault-free semantics where each successfully
+    /// received packet restarted the timeout — including frames from other
+    /// sources that queued up while this processor stayed parked, because
+    /// the ring is drained before the deadline is tested.
     fn try_recv_packet(&mut self, src: usize, tag: u64) -> Result<Packet, MachineError> {
         if let Some(p) = self.mailbox.take(src, tag) {
             return Ok(p);
         }
         let mut deadline = Instant::now() + self.recv_timeout;
+        let mut woken = false;
         loop {
             if let Some(t) = self.transport.as_mut() {
                 t.pump(self.id, self.senders)?;
                 self.drain_transport_events();
             }
-            match self.rx.try_recv() {
-                Some(frame) => {
-                    deadline = Instant::now() + self.recv_timeout;
-                    self.dispatch(frame)?;
+            let mut drained = false;
+            while let Some(frame) = self.rx.try_recv() {
+                drained = true;
+                // Only a raw frame under the awaited key, or a sequenced one
+                // (which may release held-back packets of any key), can put
+                // the awaited packet in the mailbox.
+                let may_match = match &frame {
+                    Frame::Raw(p) => p.src == src && p.tag == tag,
+                    Frame::Data { .. } => true,
+                    Frame::Ack { .. } | Frame::Poison(_) => false,
+                };
+                self.dispatch(frame)?;
+                if may_match {
                     if let Some(p) = self.mailbox.take(src, tag) {
                         return Ok(p);
                     }
                 }
-                None => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(MachineError::RecvTimeout {
-                            proc: self.id,
-                            src,
-                            tag,
-                            timeout: self.recv_timeout,
-                        });
-                    }
-                    // A frame enqueued between the probe above and this park
-                    // is covered by the scheduler's wake token: the sender's
-                    // unpark lands while we still run, and the park returns
-                    // immediately instead of sleeping.
-                    let wait = self.park_wait(deadline - now);
-                    self.park(wait);
+            }
+            let now = Instant::now();
+            if drained {
+                deadline = now + self.recv_timeout;
+            } else if now >= deadline {
+                return Err(MachineError::RecvTimeout {
+                    proc: self.id,
+                    src,
+                    tag,
+                    timeout: self.recv_timeout,
+                    waiting_on: self.sched.wait_chain(src),
+                });
+            }
+            if woken {
+                if let Some(m) = self.metrics.as_ref() {
+                    m.spurious_wakes.inc();
                 }
             }
+            // A frame enqueued between the last probe above and this park
+            // is covered by the scheduler's wake token: the sender's unpark
+            // lands while we still run — whoever it is — and the park
+            // returns immediately instead of sleeping.
+            let wait = self.park_wait(deadline - now);
+            woken = self.park(wait, Some(src)) == ParkOutcome::Woken;
         }
     }
 
@@ -1296,7 +1332,7 @@ impl<'m> Proc<'m> {
                     // retransmission is due (missing acks are exactly what
                     // the retry deadline tracks, so this never oversleeps).
                     let wait = self.park_wait(deadline - now);
-                    self.park(wait);
+                    self.park(wait, None);
                 }
             }
             if Instant::now() >= deadline {
@@ -1337,6 +1373,11 @@ impl<'m> Proc<'m> {
         self.drain_transport_events();
         if let Some(t) = self.transport.as_ref() {
             self.clock.note_transport(t.retransmits, t.dup_drops);
+        }
+        if let Some(m) = self.metrics.as_ref() {
+            m.registry
+                .counter("sched.wakes_filtered")
+                .add(self.sched.wakes_filtered(self.id));
         }
         let events = self.events.take().unwrap_or_default();
         let metrics = self
@@ -1422,7 +1463,7 @@ impl<'m> Proc<'m> {
                 );
             }
             let wait = self.park_wait(deadline - now);
-            self.park(wait);
+            self.park(wait, None);
         }
     }
 

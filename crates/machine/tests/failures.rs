@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use hpf_machine::{tags, CostModel, Group, Machine, ProcGrid};
+use hpf_machine::{tags, CostModel, Group, Machine, MachineError, ProcGrid};
 
 #[test]
 #[should_panic(expected = "payload type mismatch")]
@@ -30,6 +30,74 @@ fn receive_with_no_sender_times_out() {
             let _: Vec<i32> = p.recv(0, tags::USER); // nobody sends
         }
     });
+}
+
+/// The postmortem of a deadlock names both parties: each processor waits
+/// for the other's message before sending its own. One permit makes the
+/// order exact — proc 0 parks first, so its timeout fires first, and proc 1
+/// is still inside its park (awaiting 0) when the error is built.
+#[test]
+fn deadlocked_pair_reports_the_wait_cycle() {
+    let err = Machine::new(ProcGrid::line(2), CostModel::zero())
+        .with_recv_timeout(Duration::from_millis(50))
+        .with_workers(1)
+        .try_run(|p| {
+            let peer = 1 - p.id();
+            let _: Vec<i32> = p.recv(peer, tags::USER);
+            p.send(peer, tags::USER, vec![1i32]);
+        })
+        .expect_err("neither side ever sends");
+    match &err {
+        MachineError::RecvTimeout {
+            proc,
+            src,
+            waiting_on,
+            ..
+        } => {
+            assert_eq!((*proc, *src), (0, 1));
+            assert_eq!(waiting_on, &[1, 0], "1 awaits 0, which closes the cycle");
+        }
+        other => panic!("expected RecvTimeout, got {other}"),
+    }
+    assert!(err.to_string().ends_with("waiting on: 0 → 1 → 0"), "{err}");
+}
+
+/// The receive deadline restarts whenever *any* frame arrives, also a
+/// frame that did not wake the receiver: proc 0 awaits the slow proc 1 for
+/// several timeouts' worth of wall time while proc 2 keeps sending. Its
+/// park is only ever ended by its own deadline, and each time the ring is
+/// drained — and the deadline restarted — before the timeout is tested.
+#[test]
+fn frames_from_other_sources_keep_a_filtered_receive_alive() {
+    const TIMEOUT: Duration = Duration::from_millis(300);
+    const BEATS: u64 = 40;
+    let out = Machine::new(ProcGrid::line(3), CostModel::zero())
+        .with_recv_timeout(TIMEOUT)
+        .with_workers(3)
+        .try_run(|p| match p.id() {
+            0 => {
+                let slow: Vec<i32> = p.recv(1, tags::USER);
+                let beats: i32 = (0..BEATS)
+                    .map(|i| p.recv::<Vec<i32>>(2, tags::USER + 1 + i)[0])
+                    .sum();
+                slow[0] + beats
+            }
+            1 => {
+                std::thread::sleep(TIMEOUT * 3);
+                p.send(0, tags::USER, vec![1000i32]);
+                0
+            }
+            _ => {
+                // One frame every 30 ms for 1.2 s: never a silent TIMEOUT.
+                for i in 0..BEATS {
+                    p.send(0, tags::USER + 1 + i, vec![1i32]);
+                    std::thread::sleep(Duration::from_millis(30));
+                }
+                0
+            }
+        })
+        .expect("progress from any source must restart the deadline");
+    assert_eq!(out.results[0], 1000 + BEATS as i32);
 }
 
 #[test]

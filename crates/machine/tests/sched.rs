@@ -6,11 +6,12 @@
 //! never from OS scheduling (DESIGN.md §15).
 //!
 //! Wall-clock observables (retransmit counts under faults, `alloc.*`
-//! counters past the ring capacity, gauge *maxima* like `mailbox.depth`)
-//! legitimately vary with the interleaving, so the comparisons below are
-//! over the schedule-invariant set: per-processor event streams
-//! canonicalized by (timestamp, kind) and metric snapshots filtered to
-//! counters (minus `alloc.*`), gauge last-values (minus `mailbox.depth`
+//! counters past the ring capacity, the `sched.*` park/wake counters,
+//! gauge *maxima* like `mailbox.depth`) legitimately vary with the
+//! interleaving, so the comparisons below are over the schedule-invariant
+//! set: per-processor event streams canonicalized by (timestamp, kind) and
+//! metric snapshots filtered to counters (minus `alloc.*` and `sched.*`),
+//! gauge last-values (minus `mailbox.depth`
 //! and `mem.payload.cur`, whose final value depends on when the last
 //! Arc-shared packet copy drops at teardown), and histograms.
 
@@ -111,7 +112,7 @@ fn canonical_metrics<R>(
             let counters: Vec<(String, u64)> = m
                 .counters
                 .iter()
-                .filter(|(k, _)| !k.starts_with("alloc."))
+                .filter(|(k, _)| !k.starts_with("alloc.") && !k.starts_with("sched."))
                 .map(|(k, v)| (k.clone(), *v))
                 .collect();
             let gauges: Vec<(String, u64)> = m
@@ -255,6 +256,107 @@ fn p1024_smoke_is_identical_across_pool_sizes() {
     let b = build(ncores.max(2)).run(program);
     assert_eq!(a.results, b.results);
     assert_clocks_identical(&a, &b, "p1024");
+}
+
+/// Targeted wake-ups, by count. Under one permit the schedule is a pure
+/// function of the program, so the counts are exact: an all-pairs exchange
+/// of zero-word frames at P = 64 with every simulated clock equal. No
+/// wake-up finds its awaited frame still missing (each processor awaits
+/// one source under one tag), so every park is a receive whose frame had
+/// not been sent yet, or the token left by a frame already drained.
+///
+/// * `NaivePush` sends everything first: a processor blocks once, for the
+///   one peer that runs after it — 126 parks per exchange, 2 038 ≈ P²/2
+///   when every frame woke its destination.
+/// * `LinearPermutation` blocks for real: under lowest-id-first grants the
+///   round-`k` frame of `(r − k) mod P` has often not been sent when `r`
+///   asks for it, so the count is not linear in P — 1 262 parks per
+///   exchange, 3 335 when every frame woke its destination.
+#[test]
+fn all_pairs_exchange_parks_only_for_unsent_frames() {
+    const P: usize = 64;
+    const EXCHANGES: u64 = 3;
+    for (schedule, parks_per_exchange) in [
+        (A2aSchedule::NaivePush, 4 * P as u64),
+        (A2aSchedule::LinearPermutation, 20 * P as u64),
+    ] {
+        let out = Machine::new(ProcGrid::line(P), CostModel::cm5())
+            .with_test_preset()
+            .with_metrics(true)
+            .with_workers(1)
+            .run(move |p| {
+                let g = p.world();
+                for _ in 0..EXCHANGES {
+                    let got = alltoallv(p, &g, vec![Vec::<i32>::new(); P], schedule);
+                    assert_eq!(got.len(), P);
+                }
+            });
+        assert!(out.clocks.iter().all(|c| c.now_ms() == 0.0));
+        let m = out.merged_metrics();
+        let parks = m.counter("sched.parks");
+        assert!(
+            parks <= parks_per_exchange * EXCHANGES,
+            "{schedule:?}: {parks} parks for {EXCHANGES} exchanges at P={P}"
+        );
+        assert_eq!(m.counter("sched.spurious_wakes"), 0, "{schedule:?}");
+        assert!(m.counter("sched.wakes") <= parks, "{schedule:?}");
+        assert!(
+            m.counter("sched.wakes_filtered") > 0,
+            "{schedule:?}: frames from non-awaited sources must have been left in the ring"
+        );
+    }
+}
+
+/// No lost wake-up: every processor sends two frames (two tags) to every
+/// peer, then receives all of them in its own pseudo-random order — so it
+/// keeps parking for a source whose frame may already sit in the ring
+/// behind others, may arrive under the other tag first (a wake-up that
+/// must re-park), or may race the park. A lost wake-up would stall a
+/// receive into the 5 s timeout and fail the run.
+#[test]
+fn random_receive_orders_never_lose_a_wakeup() {
+    for p in [3usize, 8, 33] {
+        for workers in [1usize, 2, 4] {
+            for seed in 0..4u64 {
+                let out = Machine::new(ProcGrid::line(p), CostModel::cm5())
+                    .with_test_preset()
+                    .with_workers(workers)
+                    .try_run(move |proc| {
+                        let me = proc.id();
+                        let mut order: Vec<(usize, u64)> = (0..p)
+                            .filter(|&src| src != me)
+                            .flat_map(|src| [(src, 0u64), (src, 1)])
+                            .collect();
+                        // Fisher–Yates under a per-processor LCG.
+                        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (me as u64 + 1);
+                        for i in (1..order.len()).rev() {
+                            x = x
+                                .wrapping_mul(6_364_136_223_846_793_005)
+                                .wrapping_add(1_442_695_040_888_963_407);
+                            order.swap(i, (x >> 33) as usize % (i + 1));
+                        }
+                        for dst in (0..p).filter(|&dst| dst != me) {
+                            for t in 0..2u64 {
+                                proc.send(dst, tags::USER + t, vec![(me * 2) as u64 + t]);
+                            }
+                        }
+                        order
+                            .iter()
+                            .map(|&(src, t)| {
+                                let got: Vec<u64> = proc.recv(src, tags::USER + t);
+                                assert_eq!(got, [(src * 2) as u64 + t]);
+                                got[0]
+                            })
+                            .sum::<u64>()
+                    })
+                    .unwrap_or_else(|e| panic!("P={p} workers={workers} seed={seed}: {e}"));
+                let all: u64 = (0..2 * p as u64).sum();
+                for (me, &sum) in out.results.iter().enumerate() {
+                    assert_eq!(sum, all - (4 * me as u64 + 1));
+                }
+            }
+        }
+    }
 }
 
 fn any_algo() -> impl Strategy<Value = PrsAlgorithm> {

@@ -12,6 +12,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== repo benchmark smoke (benchmark/ is a package the root workspace does not build) =="
+# One short round of each of the six BENCHMARK.json workloads. The runner
+# exits non-zero on a failed op, a result that differs from the sequential
+# oracle, a simulated time that differs between rounds, or a metric name
+# that BENCHMARK.json and the runner do not share; its own unit tests run
+# from the package directory. Timings of a smoke round are not gated.
+benchmark/run.sh --smoke
+(cd benchmark && cargo test --offline -q)
+
 echo "== scheduler pool-identity gate (pool size 1 vs N, P=1024 smoke) =="
 # The cooperative scheduler's contract: results, simulated clocks, event
 # streams, and comm matrices are bit-identical for any worker-pool size.
