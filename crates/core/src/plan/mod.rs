@@ -85,17 +85,15 @@ pub struct PackPlan {
 }
 
 /// Build a [`PackPlan`]: initial scan, ranking collectives, route
-/// composition, copy-program lowering, and a one-round exchange of send
-/// flags so every processor also knows which peers will message it at
-/// execute time.
+/// composition, copy-program lowering, and the send-flag transposition
+/// that tells every processor which peers will message it at execute time.
 ///
 /// All work is wrapped in the `pack.plan` stage span. Scanning, ranking
 /// arithmetic, and composition charge [`Category::LocalComp`] (plus the
-/// ranking collectives under [`Category::PrefixReductionSum`]); the flag
-/// exchange charges [`Category::Other`] — it is plan-time metadata, not
-/// part of the paper's data redistribution, and is paid once however many
-/// times the plan is executed. The copy-program lowering charges nothing
-/// simulated at all (`plan.lower` wall span only): it changes how the
+/// ranking collectives under [`Category::PrefixReductionSum`]). The flag
+/// transposition rides the control plane: it charges nothing and moves no
+/// clock ([`A2aPlan::exchange`]). The copy-program lowering charges nothing
+/// simulated either (`plan.lower` wall span only): it changes how the
 /// executor's loops are shaped, never how many per-value operations the
 /// model counts.
 ///
@@ -140,10 +138,8 @@ pub fn plan_pack(
                 .collect()
         });
         let to: Vec<bool> = routes.iter().map(|r| !r.slots.is_empty()).collect();
-        let a2a = proc.with_category(Category::Other, |proc| {
-            let world = proc.world();
-            A2aPlan::exchange(proc, &world, to, opts.schedule)
-        });
+        let world = proc.world();
+        let a2a = A2aPlan::exchange(proc, &world, to);
         let plan = PackPlan {
             scheme: opts.scheme,
             schedule: opts.schedule,

@@ -127,3 +127,58 @@ fn compact_storage_roundtrip_survives_any_crash_step() {
 fn compact_message_pack_survives_any_crash_step() {
     sweep(PackScheme::CompactMessage, UnpackScheme::CompactStorage);
 }
+
+/// The retire barrier, by exhaustion: a program that calls no `Proc::epoch`
+/// on three one-element processors, where most of the 144 (mask × victim ×
+/// step × crash kind) cases leave some peer with nothing left to receive
+/// long before the victim's crash. Without the barrier such a peer retires,
+/// and the respawned victim — which re-sends its whole program — waits for
+/// acknowledgements that never come (`Unreachable` after 30 attempts).
+#[test]
+fn epochless_run_survives_every_crash_whoever_finishes_first() {
+    use hpf_core::{pack_redistributed, RedistScheme};
+    const P: usize = 3;
+    let program = |mask: [bool; P]| {
+        move |proc: &mut Proc| {
+            let grid = ProcGrid::line(P);
+            let desc = ArrayDesc::new(&[P], &grid, &[Dist::BlockCyclic(1)]).unwrap();
+            let a = local_from_fn(&desc, proc.id(), |g| data_at(g, 3));
+            let m = [mask[proc.id()]];
+            let opts = PackOptions::new(PackScheme::Simple);
+            let out =
+                pack_redistributed(proc, &desc, &a, &m, RedistScheme::SelectedData, &opts).unwrap();
+            (out.local_v, out.size)
+        }
+    };
+    let machine = |faults: FaultPlan| {
+        Machine::new(ProcGrid::line(P), CostModel::cm5())
+            .with_test_preset()
+            .with_faults(faults)
+    };
+    for bits in 0..1usize << P {
+        let mask: [bool; P] = std::array::from_fn(|i| bits >> i & 1 == 1);
+        let clean = machine(FaultPlan::new(0))
+            .run_recoverable(program(mask))
+            .expect("fault-free run");
+        for victim in 0..P {
+            for step in 1..=3u64 {
+                for recv_side in [false, true] {
+                    let plan = if recv_side {
+                        FaultPlan::new(0).with_crash_at_recv(victim, step)
+                    } else {
+                        FaultPlan::new(0).with_crash(victim, step)
+                    };
+                    let what =
+                        format!("mask {mask:?} victim {victim} step {step} recv={recv_side}");
+                    let crashed = machine(plan)
+                        .run_recoverable(program(mask))
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(clean.results, crashed.results, "{what}");
+                    for (ca, cb) in clean.clocks.iter().zip(&crashed.clocks) {
+                        assert_eq!(ca.now_ms(), cb.now_ms(), "{what}: clock diverged");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -13,6 +13,13 @@
 //! Under the contention-free two-level model of Section 2 the schedules
 //! cost nearly the same — which is itself the model's point; on a real
 //! network the permutation schedules avoid node contention.
+//!
+//! An empty slot is not sent. On the CM-5 a silent pair simply exchanges no
+//! active message and the control network tells everyone when they are
+//! done; here the pair population is learned by one uncharged control-plane
+//! collective ([`A2aPlan::exchange`], `2(P−1)` frames) and every exchange —
+//! one-shot or cached — then runs the same planned rounds over the
+//! populated pairs only (DESIGN.md §17).
 
 use crate::message::{Packet, Payload};
 use crate::pool::Reusable;
@@ -39,82 +46,36 @@ pub enum A2aSchedule {
 /// the local copy).
 ///
 /// Works for any [`Payload`] (plain element vectors, or structured message
-/// formats like the compact message scheme's segment stream). Empty slots
-/// (zero wire words) transmit for schedule regularity but charge nothing —
-/// a real implementation simply would not send a message.
+/// formats like the compact message scheme's segment stream). **A slot
+/// with zero wire words is not transmitted and arrives as `P::default()`**:
+/// the members first learn who sends to whom ([`A2aPlan::exchange`], free
+/// and clock-neutral), then run [`alltoallv_planned`] over the populated
+/// pairs. A processor with nothing to send or receive leaves with its clock
+/// untouched.
 ///
 /// # Panics
 /// Panics if `sends.len() != group.size()`.
 pub fn alltoallv<P: Payload + Default>(
     proc: &mut Proc,
     group: &Group,
-    mut sends: Vec<P>,
+    sends: Vec<P>,
     schedule: A2aSchedule,
 ) -> Vec<P> {
-    let n = group.size();
-    assert_eq!(sends.len(), n, "one send buffer per group member required");
-    let me = group.my_rank();
-
-    let mut recvs: Vec<P> = (0..n).map(|_| P::default()).collect();
-    recvs[me] = std::mem::take(&mut sends[me]);
-
-    match schedule {
-        A2aSchedule::LinearPermutation => proc.with_stage("a2a.linear", |proc| {
-            for k in 1..n {
-                let dst = (me + k) % n;
-                let src = (me + n - k) % n;
-                proc.send(
-                    group.id_of(dst),
-                    tags::ALLTOALL,
-                    std::mem::take(&mut sends[dst]),
-                );
-                recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL);
-            }
-        }),
-        A2aSchedule::NaivePush => proc.with_stage("a2a.naive", |proc| {
-            for k in 1..n {
-                let dst = (me + k) % n;
-                proc.send(
-                    group.id_of(dst),
-                    tags::ALLTOALL,
-                    std::mem::take(&mut sends[dst]),
-                );
-            }
-            for k in 1..n {
-                let src = (me + n - k) % n;
-                recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL);
-            }
-        }),
-        A2aSchedule::PairwiseExchange => {
-            if n.is_power_of_two() {
-                proc.with_stage("a2a.pairwise", |proc| {
-                    for k in 1..n {
-                        let partner = me ^ k;
-                        proc.send(
-                            group.id_of(partner),
-                            tags::ALLTOALL,
-                            std::mem::take(&mut sends[partner]),
-                        );
-                        recvs[partner] = proc.recv(group.id_of(partner), tags::ALLTOALL);
-                    }
-                })
-            } else {
-                // No perfect XOR matching exists; use the linear pairing.
-                return proc.with_stage("a2a.linear", |proc| {
-                    finish_linear(proc, group, sends, recvs)
-                });
-            }
-        }
-    }
-    recvs
+    assert_eq!(
+        sends.len(),
+        group.size(),
+        "one send buffer per group member required"
+    );
+    let to = sends.iter().map(|s| s.wire_words() > 0).collect();
+    let plan = A2aPlan::exchange(proc, group, to);
+    alltoallv_planned(proc, group, sends, &plan, schedule)
 }
 
-/// Which peers actually exchange data in a planned many-to-many: `to[j]`
-/// means this processor sends a (possibly empty) message to group rank `j`,
-/// `from[j]` means rank `j` sends one to us. Captured once at plan time so
-/// that [`alltoallv_planned`] can skip the send/recv rounds of silent pairs
-/// entirely — the count-exchange a fresh `alltoallv` would implicitly redo
-/// every call.
+/// Which peers actually exchange data in a many-to-many: `to[j]` means this
+/// processor sends a message to group rank `j`, `from[j]` means rank `j`
+/// sends one to us. A plain [`alltoallv`] derives it per call; a cached
+/// PACK/UNPACK plan captures it once so that every execute runs
+/// [`alltoallv_planned`] (or [`alltoallv_pooled`]) directly.
 ///
 /// The flags must be *pairwise consistent* across the group: `from[j]` here
 /// must equal `to[my_rank]` on rank `j`, or a planned exchange deadlocks
@@ -137,55 +98,127 @@ impl A2aPlan {
         A2aPlan { to, from }
     }
 
-    /// Collective: derive the receive flags by a one-round exchange of the
-    /// locally known send flags. The flags are single bits riding zero-word
-    /// messages, so the round is free under the word-granular cost model —
-    /// deliberately so: a fresh [`alltoallv`] gets the same pair-population
-    /// knowledge for free through its padding messages, and the planned
-    /// path must not cost more for learning once what the unplanned path
-    /// re-learns implicitly on every call.
-    pub fn exchange(proc: &mut Proc, group: &Group, to: Vec<bool>, schedule: A2aSchedule) -> Self {
+    /// Collective: derive the receive flags by transposing the group's
+    /// `P × P` send-flag matrix on the control plane. Every member sends its
+    /// `to` row as a `⌈P/64⌉`-word bitset to group rank 0, which returns each
+    /// member its `from` column — `2(P−1)` frames where an all-pairs flag
+    /// round moved `P(P−1)`.
+    ///
+    /// The traffic models the CM-5 control network, exactly like
+    /// [`Proc::clock_sync_max`]: uncharged, never fault-injected, invisible
+    /// to events and metrics (bar `msg.frames`), and **clock-neutral** — no
+    /// member's simulated clock moves, so learning the pair population
+    /// imposes no synchronisation the data rounds do not themselves need.
+    /// Under crash recovery the frames are sequenced and logged like all
+    /// control traffic.
+    pub fn exchange(proc: &mut Proc, group: &Group, to: Vec<bool>) -> Self {
         let n = group.size();
         assert_eq!(to.len(), n, "one send flag per group member required");
-        let sends: Vec<FlagMsg> = to.iter().map(|&t| FlagMsg(t)).collect();
-        let recvs = proc.with_stage("a2a.flags", |proc| alltoallv(proc, group, sends, schedule));
-        let from = recvs.iter().map(|r| r.0).collect();
+        let from = proc.with_stage("a2a.flags", |proc| {
+            if n == 1 {
+                return to.clone();
+            }
+            let row = pack_bits(&to);
+            let root = group.id_of(0);
+            if group.my_rank() != 0 {
+                proc.send_uncharged(root, tags::A2A_FLAGS, row);
+                let col: Vec<u64> = proc.recv_uncharged(root, tags::A2A_FLAGS);
+                return unpack_bits(&col, n);
+            }
+            // Rank 0: scatter each row's set bits into the columns as it
+            // arrives (work proportional to the populated pairs).
+            let mut cols = vec![vec![0u64; row.len()]; n];
+            scatter_row(&mut cols, 0, &row);
+            for i in 1..n {
+                let row_i: Vec<u64> = proc.recv_uncharged(group.id_of(i), tags::A2A_FLAGS);
+                scatter_row(&mut cols, i, &row_i);
+            }
+            let mut cols = cols.into_iter();
+            let mine = cols.next().expect("group is non-empty");
+            for (j, col) in cols.enumerate() {
+                proc.send_uncharged(group.id_of(j + 1), tags::A2A_FLAGS, col);
+            }
+            unpack_bits(&mine, n)
+        });
         A2aPlan { to, from }
     }
+}
 
-    /// True iff neither direction of the `(me → dst, src → me)` round pairing
-    /// moves data, i.e. the whole round can be skipped.
-    #[inline]
-    fn round_is_silent(&self, dst: usize, src: usize) -> bool {
-        !self.to[dst] && !self.from[src]
+/// Pack flags into a little-endian bitset, 64 per word.
+fn pack_bits(flags: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; flags.len().div_ceil(64)];
+    for (i, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
+        words[i / 64] |= 1 << (i % 64);
+    }
+    words
+}
+
+/// Transpose one row of the flag matrix: set bit `i` of column `j` for
+/// every set bit `j` of `row`.
+fn scatter_row(cols: &mut [Vec<u64>], i: usize, row: &[u64]) {
+    for (w, &word) in row.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let j = w * 64 + bits.trailing_zeros() as usize;
+            cols[j][i / 64] |= 1 << (i % 64);
+            bits &= bits - 1;
+        }
     }
 }
 
-/// A single send/no-send bit for [`A2aPlan::exchange`]: zero words on the
-/// wire (sub-word control information, like the empty padding slots of a
-/// plain [`alltoallv`]), but still distinguishable content on arrival.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlagMsg(bool);
+/// The first `n` flags of a [`pack_bits`] bitset.
+fn unpack_bits(words: &[u64], n: usize) -> Vec<bool> {
+    (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
+}
 
-impl Payload for FlagMsg {
-    fn wire_words(&self) -> crate::cost::Words {
-        0
+/// The one round engine behind every many-to-many: walk `schedule`'s
+/// rounds for group rank `me` of `n`, calling `send(dst)` / `recv(src)` for
+/// the populated directions only. A round whose pairing moves nothing in
+/// either direction costs two flag tests.
+fn planned_rounds(
+    proc: &mut Proc,
+    n: usize,
+    me: usize,
+    plan: &A2aPlan,
+    schedule: A2aSchedule,
+    mut send: impl FnMut(&mut Proc, usize),
+    mut recv: impl FnMut(&mut Proc, usize),
+) {
+    assert_eq!(plan.to.len(), n, "plan must cover the group");
+    assert_eq!(plan.from.len(), n, "plan must cover the group");
+    if schedule == A2aSchedule::NaivePush {
+        for dst in (1..n).map(|k| (me + k) % n).filter(|&dst| plan.to[dst]) {
+            send(proc, dst);
+        }
+        for src in (1..n)
+            .map(|k| (me + n - k) % n)
+            .filter(|&src| plan.from[src])
+        {
+            recv(proc, src);
+        }
+        return;
     }
-
-    fn clone_payload(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(*self)
+    // Round `k` pairs `me → dst` with `src → me`: the XOR matching when it
+    // exists, else linear permutation (also the pairwise fallback).
+    let xor = schedule == A2aSchedule::PairwiseExchange && n.is_power_of_two();
+    for k in 1..n {
+        let (dst, src) = if xor {
+            (me ^ k, me ^ k)
+        } else {
+            ((me + k) % n, (me + n - k) % n)
+        };
+        if plan.to[dst] {
+            send(proc, dst);
+        }
+        if plan.from[src] {
+            recv(proc, src);
+        }
     }
 }
 
-/// [`alltoallv`] with the pair population known in advance: rounds where
-/// neither direction moves data are skipped outright instead of exchanging
-/// empty padding messages. Delivery semantics are identical to
-/// [`alltoallv`]; slots whose flag is off come back as `P::default()`.
-///
-/// Under the cost model the padding messages were already free, so the
-/// simulated time matches the unplanned exchange — the savings are real
-/// messages, real synchronization, and the implicit per-call count knowledge
-/// that callers with a reusable plan (PACK/UNPACK execution) get for free.
+/// The data rounds of [`alltoallv`] with the pair population known in
+/// advance: only pairs whose flag is on exchange a message; slots whose
+/// flag is off come back as `P::default()`.
 ///
 /// # Panics
 /// Panics if `sends.len()`, `plan.to.len()`, or `plan.from.len()` disagree
@@ -200,13 +233,11 @@ pub fn alltoallv_planned<P: Payload + Default>(
 ) -> Vec<P> {
     let n = group.size();
     assert_eq!(sends.len(), n, "one send buffer per group member required");
-    assert_eq!(plan.to.len(), n, "plan must cover the group");
-    assert_eq!(plan.from.len(), n, "plan must cover the group");
     debug_assert!(
         sends
             .iter()
-            .enumerate()
-            .all(|(j, s)| plan.to[j] || s.wire_words() == 0),
+            .zip(&plan.to)
+            .all(|(s, &to)| to || s.wire_words() == 0),
         "send slot flagged silent carries data"
     );
     let me = group.my_rank();
@@ -214,60 +245,19 @@ pub fn alltoallv_planned<P: Payload + Default>(
     let mut recvs: Vec<P> = (0..n).map(|_| P::default()).collect();
     recvs[me] = std::mem::take(&mut sends[me]);
 
-    proc.with_stage("a2a.planned", |proc| match schedule {
-        A2aSchedule::NaivePush => {
-            for k in 1..n {
-                let dst = (me + k) % n;
-                if plan.to[dst] {
-                    proc.send(
-                        group.id_of(dst),
-                        tags::ALLTOALL,
-                        std::mem::take(&mut sends[dst]),
-                    );
-                }
-            }
-            for k in 1..n {
-                let src = (me + n - k) % n;
-                if plan.from[src] {
-                    recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL);
-                }
-            }
-        }
-        A2aSchedule::PairwiseExchange if n.is_power_of_two() => {
-            for k in 1..n {
-                let partner = me ^ k;
-                if plan.to[partner] {
-                    proc.send(
-                        group.id_of(partner),
-                        tags::ALLTOALL,
-                        std::mem::take(&mut sends[partner]),
-                    );
-                }
-                if plan.from[partner] {
-                    recvs[partner] = proc.recv(group.id_of(partner), tags::ALLTOALL);
-                }
-            }
-        }
-        // Linear permutation, and the non-power-of-two pairwise fallback.
-        _ => {
-            for k in 1..n {
-                let dst = (me + k) % n;
-                let src = (me + n - k) % n;
-                if plan.round_is_silent(dst, src) {
-                    continue;
-                }
-                if plan.to[dst] {
-                    proc.send(
-                        group.id_of(dst),
-                        tags::ALLTOALL,
-                        std::mem::take(&mut sends[dst]),
-                    );
-                }
-                if plan.from[src] {
-                    recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL);
-                }
-            }
-        }
+    proc.with_stage("a2a.planned", |proc| {
+        planned_rounds(
+            proc,
+            n,
+            me,
+            plan,
+            schedule,
+            |proc, dst| {
+                let data = std::mem::take(&mut sends[dst]);
+                proc.send(group.id_of(dst), tags::ALLTOALL, data);
+            },
+            |proc, src| recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL),
+        )
     });
     recvs
 }
@@ -285,9 +275,9 @@ pub fn alltoallv_planned<P: Payload + Default>(
 /// checkout.
 ///
 /// Always runs over the world communicator (group rank = processor id),
-/// and mirrors [`alltoallv_planned`]'s send/recv order, stage span, and
-/// charges exactly: the simulated accounting of a pooled execute is
-/// bit-identical to the boxed path (see DESIGN.md §11).
+/// and shares [`alltoallv_planned`]'s round engine and stage span: the
+/// simulated accounting of a pooled execute is bit-identical to the boxed
+/// path (see DESIGN.md §11).
 pub fn alltoallv_pooled<B: Reusable>(
     proc: &mut Proc,
     plan: &A2aPlan,
@@ -295,88 +285,30 @@ pub fn alltoallv_pooled<B: Reusable>(
     key: u64,
     out: &mut Vec<Packet>,
 ) {
-    let n = proc.nprocs();
-    assert_eq!(plan.to.len(), n, "plan must cover the world");
-    assert_eq!(plan.from.len(), n, "plan must cover the world");
-    let me = proc.id();
-
-    // Wall attribution: each received packet's charged wire words, so the
-    // profile reports the exchange's effective receive bandwidth.
-    fn recv_attributed(proc: &mut Proc, src: usize, out: &mut Vec<Packet>) {
-        let pkt = proc.recv_packet(src, tags::ALLTOALL);
-        proc.wall_bytes(pkt.words as u64 * 4);
-        out.push(pkt);
-    }
-
+    let (n, me) = (proc.nprocs(), proc.id());
     proc.wall_span("a2a.pooled", |proc| {
-        proc.with_stage("a2a.planned", |proc| match schedule {
-            A2aSchedule::NaivePush => {
-                for k in 1..n {
-                    let dst = (me + k) % n;
-                    if plan.to[dst] {
-                        let slot = proc.pool_current::<B>(key, dst);
-                        proc.send_pooled(dst, tags::ALLTOALL, &slot);
-                    }
-                }
-                for k in 1..n {
-                    let src = (me + n - k) % n;
-                    if plan.from[src] {
-                        recv_attributed(proc, src, out);
-                    }
-                }
-            }
-            A2aSchedule::PairwiseExchange if n.is_power_of_two() => {
-                for k in 1..n {
-                    let partner = me ^ k;
-                    if plan.to[partner] {
-                        let slot = proc.pool_current::<B>(key, partner);
-                        proc.send_pooled(partner, tags::ALLTOALL, &slot);
-                    }
-                    if plan.from[partner] {
-                        recv_attributed(proc, partner, out);
-                    }
-                }
-            }
-            // Linear permutation, and the non-power-of-two pairwise fallback.
-            _ => {
-                for k in 1..n {
-                    let dst = (me + k) % n;
-                    let src = (me + n - k) % n;
-                    if plan.round_is_silent(dst, src) {
-                        continue;
-                    }
-                    if plan.to[dst] {
-                        let slot = proc.pool_current::<B>(key, dst);
-                        proc.send_pooled(dst, tags::ALLTOALL, &slot);
-                    }
-                    if plan.from[src] {
-                        recv_attributed(proc, src, out);
-                    }
-                }
-            }
+        proc.with_stage("a2a.planned", |proc| {
+            planned_rounds(
+                proc,
+                n,
+                me,
+                plan,
+                schedule,
+                |proc, dst| {
+                    let slot = proc.pool_current::<B>(key, dst);
+                    proc.send_pooled(dst, tags::ALLTOALL, &slot);
+                },
+                // Wall attribution: each received packet's charged wire
+                // words, so the profile reports the exchange's effective
+                // receive bandwidth.
+                |proc, src| {
+                    let pkt = proc.recv_packet(src, tags::ALLTOALL);
+                    proc.wall_bytes(pkt.words as u64 * 4);
+                    out.push(pkt);
+                },
+            )
         });
     });
-}
-
-fn finish_linear<P: Payload + Default>(
-    proc: &mut Proc,
-    group: &Group,
-    mut sends: Vec<P>,
-    mut recvs: Vec<P>,
-) -> Vec<P> {
-    let n = group.size();
-    let me = group.my_rank();
-    for k in 1..n {
-        let dst = (me + k) % n;
-        let src = (me + n - k) % n;
-        proc.send(
-            group.id_of(dst),
-            tags::ALLTOALL,
-            std::mem::take(&mut sends[dst]),
-        );
-        recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL);
-    }
-    recvs
 }
 
 /// A bundle-carrying message for the two-phase schedule: each bundle is
@@ -626,7 +558,7 @@ mod tests {
                             .collect()
                     };
                     let to: Vec<bool> = build(proc.id()).iter().map(|s| !s.is_empty()).collect();
-                    let plan = A2aPlan::exchange(proc, &g, to, schedule);
+                    let plan = A2aPlan::exchange(proc, &g, to);
                     let planned = alltoallv_planned(proc, &g, build(proc.id()), &plan, schedule);
                     let plain = alltoallv(proc, &g, build(proc.id()), schedule);
                     (planned, plain)
@@ -638,8 +570,8 @@ mod tests {
         }
     }
 
-    /// The flag exchange is free on the wire and the planned rounds then
-    /// move no padding at all — words and time drop to the populated pairs.
+    /// The flag transposition is free on the wire and the planned rounds
+    /// move the populated pairs only.
     #[test]
     fn planned_exchange_skips_silent_pairs() {
         let p = 6usize;
@@ -652,13 +584,13 @@ mod tests {
             if proc.id() == 0 {
                 sends[1] = vec![7, 8, 9];
             }
-            let plan = A2aPlan::exchange(proc, &g, to.clone(), A2aSchedule::LinearPermutation);
+            let plan = A2aPlan::exchange(proc, &g, to);
             assert_eq!(plan.from.iter().filter(|&&f| f).count() > 0, proc.id() == 1);
             alltoallv_planned(proc, &g, sends, &plan, A2aSchedule::LinearPermutation)
         });
         assert_eq!(out.results[1][0], vec![7, 8, 9]);
-        // Flag exchange: zero-word flags charge nothing. Planned rounds:
-        // one 3-word message. Every other pair stays silent.
+        // Flag transposition: uncharged. Planned rounds: one 3-word
+        // message. Every other pair stays silent.
         assert_eq!(out.total_words_sent(), 3);
     }
 
@@ -741,55 +673,197 @@ mod tests {
         assert_eq!(out.total_startups(), 2);
     }
 
-    /// Flag-exchange edge case: with nothing to say anywhere, the derived
-    /// plan is all-silent on every rank and the exchange itself is free.
-    #[test]
-    fn plan_exchange_with_all_empty_sends() {
-        for schedule in [
-            A2aSchedule::LinearPermutation,
-            A2aSchedule::NaivePush,
-            A2aSchedule::PairwiseExchange,
-        ] {
-            let p = 5usize;
-            let machine = Machine::new(ProcGrid::line(p), CostModel::cm5());
-            let out = machine.run(move |proc| {
-                let g = proc.world();
-                let plan = A2aPlan::exchange(proc, &g, vec![false; p], schedule);
-                let recvs =
-                    alltoallv_planned(proc, &g, vec![Vec::<i32>::new(); p], &plan, schedule);
-                (plan.from, recvs)
-            });
-            assert_eq!(out.total_words_sent(), 0, "{schedule:?}");
-            for (from, recvs) in &out.results {
-                assert!(from.iter().all(|&f| !f), "{schedule:?}");
-                assert!(recvs.iter().all(Vec::is_empty));
+    /// Send-flag matrices for the transposition tests: `flag(i, j)` is
+    /// whether processor `i` sends to processor `j` (global ids).
+    #[derive(Clone, Copy, Debug)]
+    enum Flags {
+        AllFalse,
+        AllTrue,
+        /// Exactly one pair, `a → b`.
+        Single(usize, usize),
+        /// About half the pairs, from a multiply-shift hash of `(i, j)`.
+        Random(u64),
+    }
+
+    impl Flags {
+        fn at(self, i: usize, j: usize) -> bool {
+            match self {
+                Flags::AllFalse => false,
+                Flags::AllTrue => true,
+                Flags::Single(a, b) => (i, j) == (a, b),
+                Flags::Random(seed) => {
+                    let x =
+                        (seed ^ ((i as u64) << 32 | j as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    x >> 63 == 1
+                }
             }
         }
     }
 
-    /// Flag-exchange edge case: exactly one non-silent pair yields exactly
-    /// one raised flag per direction, on exactly the right ranks, under
-    /// every schedule.
-    #[test]
-    fn plan_exchange_with_single_pair_sets_one_flag() {
-        for schedule in [
-            A2aSchedule::LinearPermutation,
-            A2aSchedule::NaivePush,
-            A2aSchedule::PairwiseExchange,
-        ] {
-            let p = 8usize;
-            let machine = Machine::new(ProcGrid::line(p), CostModel::cm5());
-            let out = machine.run(move |proc| {
-                let g = proc.world();
-                let to: Vec<bool> = (0..p).map(|j| proc.id() == 3 && j == 6).collect();
-                A2aPlan::exchange(proc, &g, to, schedule).from
-            });
-            for (me, from) in out.results.iter().enumerate() {
-                let expect: Vec<bool> = (0..p).map(|j| me == 6 && j == 3).collect();
-                assert_eq!(from, &expect, "{schedule:?} rank {me}");
-            }
-            assert_eq!(out.total_words_sent(), 0, "flags ride zero-word frames");
+    /// `A2aPlan::exchange` over the group `pick` selects, on every
+    /// processor of `machine`: each member must get back exactly its column
+    /// of the transposed matrix, and nobody pays or waits for it.
+    fn check_transposition(
+        machine: &Machine,
+        flags: Flags,
+        recoverable: bool,
+        pick: impl Fn(&Proc) -> Group + Sync,
+    ) {
+        let program = |proc: &mut Proc| {
+            let g = pick(proc);
+            let to = (0..g.size())
+                .map(|j| flags.at(proc.id(), g.id_of(j)))
+                .collect();
+            let plan = A2aPlan::exchange(proc, &g, to);
+            (g, plan.from)
+        };
+        let out = if recoverable {
+            machine.run_recoverable(program)
+        } else {
+            machine.try_run(program)
         }
+        .unwrap_or_else(|e| panic!("{flags:?} P={}: {e}", machine.nprocs()));
+        for (me, (g, from)) in out.results.iter().enumerate() {
+            let want: Vec<bool> = (0..g.size()).map(|j| flags.at(g.id_of(j), me)).collect();
+            assert_eq!(from, &want, "{flags:?} P={} proc {me}", machine.nprocs());
+        }
+        assert_eq!(out.total_words_sent(), 0, "{flags:?}");
+        assert_eq!(out.total_startups(), 0, "{flags:?}");
+        assert!(out.clocks.iter().all(|c| c.now_ns == 0.0), "{flags:?}");
+    }
+
+    /// The control-plane transposition against the transposed matrix: group
+    /// sizes on both sides of the 64-bit word boundary, and the row and
+    /// column communicators of a 3×4 grid (member ids ≠ ranks).
+    #[test]
+    fn exchange_transposes_the_flag_matrix() {
+        for p in [1usize, 2, 3, 5, 8, 33, 65] {
+            let machine = Machine::new(ProcGrid::line(p), CostModel::cm5()).with_test_preset();
+            for flags in [
+                Flags::AllFalse,
+                Flags::AllTrue,
+                Flags::Single(p / 2, p - 1),
+                Flags::Random(p as u64),
+            ] {
+                check_transposition(&machine, flags, false, |proc| proc.world());
+            }
+        }
+        let grid = Machine::new(ProcGrid::new(&[3, 4]), CostModel::cm5()).with_test_preset();
+        for dim in 0..2 {
+            for flags in [
+                Flags::AllFalse,
+                Flags::AllTrue,
+                Flags::Single(1, 10),
+                Flags::Single(4, 5),
+                Flags::Random(7),
+            ] {
+                check_transposition(&grid, flags, false, |proc| proc.axis_group(dim));
+            }
+        }
+    }
+
+    /// Faults never reach the control plane of a plain run, and under crash
+    /// recovery — where control frames are sequenced like everything else —
+    /// the reliable transport hides them.
+    #[test]
+    fn exchange_is_exact_under_drop_dup_reorder() {
+        let plan = crate::fault::FaultPlan::new(41)
+            .with_drop(0.2)
+            .with_duplicate(0.2)
+            .with_reorder(0.2);
+        for p in [2usize, 5, 33] {
+            let machine = Machine::new(ProcGrid::line(p), CostModel::cm5())
+                .with_test_preset()
+                .with_faults(plan.clone());
+            for recoverable in [false, true] {
+                for flags in [Flags::AllTrue, Flags::Single(0, p - 1), Flags::Random(3)] {
+                    check_transposition(&machine, flags, recoverable, |proc| proc.world());
+                }
+            }
+        }
+    }
+
+    const ALL_SCHEDULES: [A2aSchedule; 3] = [
+        A2aSchedule::LinearPermutation,
+        A2aSchedule::NaivePush,
+        A2aSchedule::PairwiseExchange,
+    ];
+
+    /// No padding, no implicit barrier: with processor 3 a millisecond
+    /// ahead and sending only to processor 2, processors 0 and 1 — who have
+    /// no real traffic — leave the exchange with their clocks untouched.
+    #[test]
+    fn bystanders_keep_their_clocks() {
+        let model = CostModel::cm5();
+        for schedule in ALL_SCHEDULES {
+            let out = Machine::new(ProcGrid::line(4), model).run(move |proc| {
+                let g = proc.world();
+                let mut sends: Vec<Vec<i32>> = vec![Vec::new(); 4];
+                if proc.id() == 3 {
+                    proc.clock().fast_forward(1e6);
+                    sends[2] = vec![5, 6];
+                }
+                alltoallv(proc, &g, sends, schedule)
+            });
+            let sent = 1e6 + model.tau_ns + 2.0 * model.mu_ns;
+            let clocks: Vec<f64> = out.clocks.iter().map(|c| c.now_ns).collect();
+            assert_eq!(clocks, [0.0, 0.0, sent, sent], "{schedule:?}");
+            assert_eq!(out.results[2][3], vec![5, 6]);
+        }
+    }
+
+    /// A receiver ends at `max(own clock, arrivals of its real messages)`
+    /// and nothing else: three senders at skewed clocks, one of them behind
+    /// the receiver, and a silent bystander further ahead than all of them.
+    #[test]
+    fn receiver_waits_for_its_real_arrivals_only() {
+        let model = CostModel::cm5();
+        let entry = [250e3, 100e3, 200e3, 300e3, 900e3];
+        for schedule in ALL_SCHEDULES {
+            let out = Machine::new(ProcGrid::line(5), model).run(move |proc| {
+                let g = proc.world();
+                let t0 = entry[proc.id()];
+                proc.clock().fast_forward(t0);
+                let mut sends: Vec<Vec<i32>> = vec![Vec::new(); 5];
+                if (1..=3).contains(&proc.id()) {
+                    sends[0] = vec![proc.id() as i32; proc.id()];
+                }
+                alltoallv(proc, &g, sends, schedule)
+            });
+            let arrival = |i: usize| entry[i] + model.tau_ns + i as f64 * model.mu_ns;
+            let clocks: Vec<f64> = out.clocks.iter().map(|c| c.now_ns).collect();
+            let want = [arrival(3), arrival(1), arrival(2), arrival(3), entry[4]];
+            assert_eq!(clocks, want, "{schedule:?}");
+        }
+    }
+
+    /// The delivered contract: a slot with zero wire words is not
+    /// transmitted and arrives as `P::default()`. An all-empty exchange
+    /// therefore puts the `2(P−1)` frames of the flag transposition on the
+    /// rings and not one data frame.
+    #[test]
+    fn zero_word_slots_are_not_sent_and_arrive_as_default() {
+        let p = 4usize;
+        let machine = Machine::new(ProcGrid::line(p), CostModel::cm5()).with_metrics(true);
+        let out = machine.run(move |proc| {
+            let g = proc.world();
+            let mut vecs: Vec<Vec<i32>> = vec![Vec::new(); p];
+            vecs[(proc.id() + 1) % p] = vec![9];
+            let vecs = alltoallv(proc, &g, vecs, A2aSchedule::LinearPermutation);
+            let bundles: Vec<Bundled<i32>> = (0..p).map(|_| Bundled::default()).collect();
+            let bundles = alltoallv(proc, &g, bundles, A2aSchedule::LinearPermutation);
+            assert!(bundles.iter().all(|b| b.bundles.is_empty()));
+            vecs
+        });
+        for (me, vecs) in out.results.iter().enumerate() {
+            for (src, v) in vecs.iter().enumerate() {
+                let want: &[i32] = if (src + 1) % p == me { &[9] } else { &[] };
+                assert_eq!(v, want, "{src} -> {me}");
+            }
+        }
+        let m = out.merged_metrics();
+        assert_eq!(m.counter("msg.sent"), p as u64);
+        assert_eq!(m.counter("msg.frames"), (p + 2 * 2 * (p - 1)) as u64);
     }
 
     #[test]

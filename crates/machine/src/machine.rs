@@ -379,8 +379,12 @@ impl Machine {
                     let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
                     let (ac1, ab1) = crate::alloc_counter::thread_totals();
                     proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
+                    // No carrier retires before every processor has finished
+                    // its program: a respawned victim re-sends frames that
+                    // only a live peer can acknowledge.
                     let outcome: Result<R, Failure> = match result {
-                        Ok(r) => match proc.finish_transport() {
+                        Ok(r) => match proc.retire_barrier().and_then(|()| proc.finish_transport())
+                        {
                             Ok(()) => {
                                 let leftover = proc.leftover_messages();
                                 if leftover > 0 {

@@ -157,7 +157,7 @@ pub struct Packet {
     /// Memory-accounting charge against the sender's payload gauge, shared
     /// by every copy of the packet and released when the last drops. `None`
     /// when the sending machine has no metrics (or the send is free:
-    /// self-sends, zero-word padding, pooled slots charged to `pool`).
+    /// self-sends, zero-word messages, pooled slots charged to `pool`).
     pub(crate) charge: Option<Arc<PayloadCharge>>,
 }
 

@@ -50,10 +50,13 @@ pub mod tags {
     pub const GATHER: u64 = 4;
     /// Many-to-many personalized communication rounds.
     pub const ALLTOALL: u64 = 5;
-    /// Reserved for explicit barriers.
+    /// Explicit barriers: the retire barrier of a recoverable run.
     pub const BARRIER: u64 = 6;
     /// Uncharged clock-synchronisation control traffic.
     pub const CLOCK_SYNC: u64 = 7;
+    /// Uncharged send-flag transposition of a many-to-many
+    /// ([`crate::collectives::A2aPlan::exchange`]).
+    pub const A2A_FLAGS: u64 = 8;
     /// First tag available to user programs.
     pub const USER: u64 = 1 << 16;
 }
@@ -110,6 +113,11 @@ struct ProcMetrics {
     registry: Registry,
     msg_sent: Arc<Counter>,
     msg_recvd: Arc<Counter>,
+    /// Every frame this processor put on a ring — charged data, zero-word
+    /// data, uncharged control, transport acks and retransmissions — where
+    /// `msg.sent` counts charged messages only. The transport's share is
+    /// counted through its own handle to the same counter.
+    msg_frames: Arc<Counter>,
     msg_words: Arc<Histogram>,
     mailbox_depth: Arc<Gauge>,
     retransmits: Arc<Counter>,
@@ -134,6 +142,7 @@ impl ProcMetrics {
         ProcMetrics {
             msg_sent: registry.counter("msg.sent"),
             msg_recvd: registry.counter("msg.recvd"),
+            msg_frames: registry.counter("msg.frames"),
             msg_words: registry.histogram("msg.words"),
             mailbox_depth: registry.gauge("mailbox.depth"),
             retransmits: registry.counter("transport.retransmits"),
@@ -166,7 +175,7 @@ pub struct Proc<'m> {
     /// Reliable transport state; present iff the machine carries a
     /// non-benign fault plan.
     transport: Option<Transport>,
-    /// Charged words sent to each destination (self and padding excluded).
+    /// Charged words sent to each destination (self-sends excluded).
     words_to: Vec<u64>,
     /// Structured event log, present iff the machine traces.
     events: Option<Vec<Event>>,
@@ -210,8 +219,10 @@ impl<'m> Proc<'m> {
         let mut transport = plan
             .filter(|p| !p.is_benign())
             .map(|p| Transport::new(p, nprocs));
+        let metrics = obs.metrics.then(ProcMetrics::new);
         if let Some(t) = transport.as_mut() {
             t.record = !obs.is_off();
+            t.frames = metrics.as_ref().map(|m| Arc::clone(&m.msg_frames));
         }
         let mut proc = Proc {
             id,
@@ -225,7 +236,7 @@ impl<'m> Proc<'m> {
             transport,
             words_to: vec![0; nprocs],
             events: obs.events.then(Vec::new),
-            metrics: obs.metrics.then(ProcMetrics::new),
+            metrics,
             wall: obs.wall.then(WallProfiler::new),
             pool: BufferPool::default(),
             pkt_scratch: Vec::with_capacity(nprocs.min(PKT_SCRATCH_RESERVE)),
@@ -539,10 +550,11 @@ impl<'m> Proc<'m> {
     /// packet with its arrival time. A self-send moves the data but charges
     /// nothing, matching the paper's CM-5 implementation note that "local
     /// copy was not performed when a processor needed to send a message to
-    /// itself". Zero-word messages are schedule padding (a real
-    /// implementation would not send them at all) and are free of charge,
-    /// though they still travel (and are still delivered reliably under a
-    /// fault plan, since a receive may be posted for them).
+    /// itself". A zero-word message is free of charge but still travels
+    /// (reliably, under a fault plan) and still carries its sender's clock
+    /// to the receiver — a synchronisation the receiver pays for. The
+    /// many-to-many collectives therefore never send one: an empty slot is
+    /// not transmitted ([`crate::collectives::alltoallv`]).
     ///
     /// # Panics
     /// Panics with a typed [`MachineError::ProcCrashed`] when the machine's
@@ -602,9 +614,7 @@ impl<'m> Proc<'m> {
                     data,
                     charge,
                 };
-                // The receiver's endpoint lives as long as the run (the
-                // driver parks channel endpoints until every thread joins).
-                self.senders[dst].send(Frame::Raw(pkt));
+                self.send_raw(dst, pkt);
                 None
             }
             Some(t) => {
@@ -970,7 +980,7 @@ impl<'m> Proc<'m> {
     }
 
     /// Record one remote packet reaching the mailbox. Stamped with the
-    /// packet's simulated arrival time; zero-word padding and uncharged
+    /// packet's simulated arrival time; zero-word messages and uncharged
     /// control traffic (clock sync, `arrival = -∞`) are not observed.
     fn note_delivery(&mut self, pkt: &Packet, seq: Option<u64>) {
         if pkt.words == 0 || !pkt.arrival_ns.is_finite() {
@@ -1061,7 +1071,7 @@ impl<'m> Proc<'m> {
     /// consumed just before a crash could not be deduplicated against its
     /// replayed copy. Zero charged words and a `-∞` arrival keep them
     /// invisible to the cost model, events, and metrics either way.
-    fn send_uncharged<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
+    pub(crate) fn send_uncharged<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
         if dst != self.id {
             if let (Some(rec), Some(t)) = (self.recovery.as_ref(), self.transport.as_mut()) {
                 let data: Arc<dyn Any + Send + Sync> = Arc::new(data);
@@ -1108,12 +1118,22 @@ impl<'m> Proc<'m> {
         if dst == self.id {
             self.mailbox.hold(pkt);
         } else {
-            self.senders[dst].send(Frame::Raw(pkt));
+            self.send_raw(dst, pkt);
+        }
+    }
+
+    /// Put one unsequenced frame on `dst`'s ring. The receiver's endpoint
+    /// lives as long as the run (the driver parks channel endpoints until
+    /// every thread joins).
+    fn send_raw(&mut self, dst: usize, pkt: Packet) {
+        self.senders[dst].send(Frame::Raw(pkt));
+        if let Some(m) = self.metrics.as_ref() {
+            m.msg_frames.inc();
         }
     }
 
     /// Receive without touching the clock.
-    fn recv_uncharged<P: Payload>(&mut self, src: usize, tag: u64) -> P {
+    pub(crate) fn recv_uncharged<P: Payload>(&mut self, src: usize, tag: u64) -> P {
         let pkt = match self.try_recv_packet(src, tag) {
             Ok(p) => p,
             Err(e) => panic_any(e),
@@ -1300,6 +1320,39 @@ impl<'m> Proc<'m> {
         }
     }
 
+    /// The retire barrier of [`crate::Machine::run_recoverable`]: no carrier
+    /// retires before every processor has finished its program. A victim
+    /// respawned from scratch re-sends every frame of its program, and only
+    /// a live peer can acknowledge them — data rounds alone do not keep a
+    /// peer alive that has nothing left to receive (DESIGN.md §17).
+    ///
+    /// Flush first, so every own data frame is acknowledged while all peers
+    /// are provably still here (none passes the barrier without this
+    /// processor's frame); then an uncharged, clock-neutral dissemination
+    /// barrier on [`tags::BARRIER`], whose every frame is consumed — hence
+    /// acknowledged — before its receiver leaves.
+    ///
+    /// A processor waiting here has finished its program, so it must never
+    /// be the one that reports a hang: it waits twice the receive timeout,
+    /// and the stuck peer's own timeout (and poison) names the culprit.
+    pub(crate) fn retire_barrier(&mut self) -> Result<(), MachineError> {
+        self.finish_transport()?;
+        let n = self.nprocs();
+        let patience = self.recv_timeout;
+        self.recv_timeout = 2 * patience;
+        let mut outcome = Ok(());
+        let mut shift = 1;
+        while shift < n && outcome.is_ok() {
+            self.send_uncharged((self.id + shift) % n, tags::BARRIER, ());
+            outcome = self
+                .try_recv_packet((self.id + n - shift) % n, tags::BARRIER)
+                .map(drop);
+            shift *= 2;
+        }
+        self.recv_timeout = patience;
+        outcome
+    }
+
     /// After the program closure returns: keep pumping the transport until
     /// every one of this processor's sends has been acknowledged. Incoming
     /// data is still acked (and parked in the mailbox, where the leftover
@@ -1394,7 +1447,7 @@ impl<'m> Proc<'m> {
     }
 
     /// Charged words this processor has sent to each destination so far
-    /// (self-messages and zero-word padding excluded).
+    /// (self-messages excluded).
     pub fn words_sent_to(&self) -> &[u64] {
         &self.words_to
     }
@@ -1530,7 +1583,7 @@ impl<'m> Proc<'m> {
                     data,
                     charge: None,
                 };
-                self.senders[dst].send(Frame::Raw(pkt));
+                self.send_raw(dst, pkt);
                 None
             }
             Some(t) => Some(t.send(

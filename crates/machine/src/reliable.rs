@@ -32,7 +32,7 @@ use crate::chan::FrameSender;
 use crate::error::MachineError;
 use crate::fault::{FaultPlan, Verdict};
 use crate::message::{Frame, Packet};
-use crate::obs::TransportEvent;
+use crate::obs::{Counter, TransportEvent};
 
 /// First retransmit timeout.
 const RTO_INITIAL: Duration = Duration::from_millis(8);
@@ -95,6 +95,10 @@ pub(crate) struct Transport {
     /// drain and timestamp (the transport itself has no clock access).
     pub(crate) record: bool,
     events: Vec<TransportEvent>,
+    /// The owning processor's `msg.frames` counter, when it keeps metrics:
+    /// every data frame (first transmissions, duplicates, retransmissions)
+    /// and every ack this transport puts on a ring.
+    pub(crate) frames: Option<Arc<Counter>>,
 }
 
 impl Transport {
@@ -113,6 +117,7 @@ impl Transport {
             dup_drops: 0,
             record: false,
             events: Vec::new(),
+            frames: None,
         }
     }
 
@@ -156,6 +161,14 @@ impl Transport {
         seq
     }
 
+    /// Put one frame on `dst`'s ring.
+    fn put(&self, senders: &[FrameSender], dst: usize, frame: Frame) {
+        senders[dst].send(frame);
+        if let Some(c) = &self.frames {
+            c.inc();
+        }
+    }
+
     /// One transmission attempt of `(dst, seq)`, subject to the fault plan.
     fn transmit(&mut self, me: usize, senders: &[FrameSender], dst: usize, seq: u64, attempt: u32) {
         let verdict = self.plan.verdict(me, dst, seq, attempt);
@@ -191,7 +204,7 @@ impl Transport {
             let pkt = st.pkt.clone();
             // The channel outlives all sends (the driver parks receiver
             // endpoints until every processor has joined).
-            senders[dst].send(Frame::Data { seq: s, pkt });
+            self.put(senders, dst, Frame::Data { seq: s, pkt });
             self.tx_count[dst] += 1;
             let count = self.tx_count[dst];
             let held = &mut self.holdback[dst];
@@ -219,7 +232,7 @@ impl Transport {
         let src = pkt.src;
         // Always (re-)ack: the earlier ack may still be in flight while the
         // sender retransmits, and acks are idempotent.
-        senders[src].send(Frame::Ack { from: me, seq });
+        self.put(senders, src, Frame::Ack { from: me, seq });
         if seq < self.expected[src] {
             self.dup_drops += 1;
             if self.record {

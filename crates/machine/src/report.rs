@@ -18,7 +18,7 @@ pub struct RunOutput<R> {
     /// with tracing enabled).
     pub traces: Vec<Vec<crate::trace::Span>>,
     /// Charged words sent from each source (row) to each destination
-    /// (column); self-messages and padding are zero.
+    /// (column); self-messages are zero.
     pub comm_matrix: Vec<Vec<u64>>,
     /// Per-processor structured event logs (empty unless the machine was
     /// built with tracing enabled — see [`crate::obs`]).

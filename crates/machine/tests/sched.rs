@@ -260,39 +260,44 @@ fn p1024_smoke_is_identical_across_pool_sizes() {
 
 /// Targeted wake-ups, by count. Under one permit the schedule is a pure
 /// function of the program, so the counts are exact: an all-pairs exchange
-/// of zero-word frames at P = 64 with every simulated clock equal. No
-/// wake-up finds its awaited frame still missing (each processor awaits
-/// one source under one tag), so every park is a receive whose frame had
-/// not been sent yet, or the token left by a frame already drained.
+/// of one-word frames at P = 64 under the zero cost model, so every
+/// simulated clock stays equal. No wake-up finds its awaited frame still
+/// missing (each processor awaits one source under one tag), so every park
+/// is a receive whose frame had not been sent yet, or the token left by a
+/// frame already drained. The flag transposition ahead of each exchange
+/// adds 2(P − 1) parks — rank 0 once per row not yet sent, every other
+/// member once for its column — which is the 2·P on top of the data
+/// rounds' bounds below.
 ///
 /// * `NaivePush` sends everything first: a processor blocks once, for the
-///   one peer that runs after it — 126 parks per exchange, 2 038 ≈ P²/2
-///   when every frame woke its destination.
+///   one peer that runs after it — 126 parks per exchange, ≈ P²/2 when
+///   every frame woke its destination.
 /// * `LinearPermutation` blocks for real: under lowest-id-first grants the
 ///   round-`k` frame of `(r − k) mod P` has often not been sent when `r`
-///   asks for it, so the count is not linear in P — 1 262 parks per
-///   exchange, 3 335 when every frame woke its destination.
+///   asks for it, so the count is not linear in P — 1 261 parks per
+///   exchange.
 #[test]
 fn all_pairs_exchange_parks_only_for_unsent_frames() {
     const P: usize = 64;
     const EXCHANGES: u64 = 3;
     for (schedule, parks_per_exchange) in [
-        (A2aSchedule::NaivePush, 4 * P as u64),
-        (A2aSchedule::LinearPermutation, 20 * P as u64),
+        (A2aSchedule::NaivePush, (2 + 2) * P as u64),
+        (A2aSchedule::LinearPermutation, (20 + 2) * P as u64),
     ] {
-        let out = Machine::new(ProcGrid::line(P), CostModel::cm5())
+        let out = Machine::new(ProcGrid::line(P), CostModel::zero())
             .with_test_preset()
             .with_metrics(true)
             .with_workers(1)
             .run(move |p| {
                 let g = p.world();
                 for _ in 0..EXCHANGES {
-                    let got = alltoallv(p, &g, vec![Vec::<i32>::new(); P], schedule);
-                    assert_eq!(got.len(), P);
+                    let got = alltoallv(p, &g, vec![vec![p.id() as i32]; P], schedule);
+                    assert!(got.iter().enumerate().all(|(src, v)| v == &[src as i32]));
                 }
             });
         assert!(out.clocks.iter().all(|c| c.now_ms() == 0.0));
         let m = out.merged_metrics();
+        assert_eq!(m.counter("msg.sent"), EXCHANGES * (P * (P - 1)) as u64);
         let parks = m.counter("sched.parks");
         assert!(
             parks <= parks_per_exchange * EXCHANGES,

@@ -60,6 +60,12 @@ echo "== chaos smoke under a pinned two-permit worker pool =="
 # backpressure without deadlocking or perturbing the simulated run.
 cargo run -p hpf-bench --release --bin chaos -- --seed 5 --iters 4 --recover --workers 2
 
+echo "== longer crash-recovery drill (retire barrier: no peer leaves before the victim is back) =="
+# Twelve iterations draw enough crash points that some victim crashes after
+# a peer has nothing left to receive; that peer must still be there to
+# acknowledge the respawned victim's re-sent frames.
+cargo run -p hpf-bench --release --bin chaos -- --seed 9 --iters 12 --recover
+
 echo "== trace export parses as Chrome trace_event JSON =="
 python3 - "$chaos_trace" <<'EOF'
 import json, sys
@@ -78,8 +84,9 @@ echo "== perf smoke (machine-readable bench report + wall-profile gate) =="
 # Includes the `scale` group: P in {64, 1024, 4096} pack->unpack roundtrips,
 # each run under worker-pool sizes 1 and ncores and compared bit-exactly
 # (the perf binary exits nonzero on divergence; the validator re-checks the
-# emitted verdicts). The P=4096 leg is context-switch-bound and dominates
-# this step's wall time — several minutes on a small host is expected.
+# emitted verdicts). The P=4096 leg still dominates this step's wall time:
+# about 7 s of the step's 40 s on a two-core host, now that silent pairs
+# exchange no frames (it took two minutes while they did).
 perf_json="$(mktemp)"
 perf_folded="$(mktemp)"
 cargo run -p hpf-bench --release --bin perf -- --smoke --out "$perf_json" \
