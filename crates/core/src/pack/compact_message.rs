@@ -108,21 +108,6 @@ pub(crate) fn ensure_shape<T: Wire + Default>(
     );
 }
 
-/// Fill a message from a route's run list and gather slots with the scalar
-/// reference walk — the crash-recovery (owned-buffer) path, and the oracle
-/// the lowered fill is checked against.
-pub(crate) fn fill_segments<T: Wire + Default>(
-    msg: &mut CmsMessage<T>,
-    runs: &[(u32, u32)],
-    slots: &[u32],
-    a_local: &[T],
-) {
-    ensure_shape(msg, runs, slots.len());
-    for (v, &s) in msg.vals.iter_mut().zip(slots) {
-        *v = a_local[s as usize];
-    }
-}
-
 /// The CMS plan-time composer: counter-array storage, run-compressed
 /// ranks, two operations per destination run (the segment header); the
 /// per-value work is all execute-time.
@@ -146,8 +131,7 @@ pub(crate) fn composer(scan_method: ScanMethod) -> Box<dyn Composer> {
 /// composer, so its ranks map to **contiguous** local indices on this
 /// owner (`local_of(base + j) == local_of(base) + j` within one block) —
 /// one `local_of` division and one `copy_from_slice` per segment instead
-/// of one of each per value. The `scalar-ref` feature keeps the
-/// per-element reference walk.
+/// of one of each per value.
 pub(crate) fn place_segments<T: Wire + Default>(
     layout: &DimLayout,
     me: usize,
@@ -163,20 +147,13 @@ pub(crate) fn place_segments<T: Wire + Default>(
         off += len;
         debug_assert_eq!(layout.owner(base), me, "misrouted segment");
         debug_assert_eq!(layout.owner(base + len - 1), me, "segment crosses owners");
-        if cfg!(feature = "scalar-ref") {
-            for (j, &v) in vals.iter().enumerate() {
-                debug_assert_eq!(layout.owner(base + j), me, "misrouted segment");
-                out[layout.local_of(base + j)] = v;
-            }
-        } else {
-            let lo = layout.local_of(base);
-            debug_assert_eq!(
-                layout.local_of(base + len - 1),
-                lo + len - 1,
-                "segment is not locally contiguous"
-            );
-            out[lo..lo + len].copy_from_slice(vals);
-        }
+        let lo = layout.local_of(base);
+        debug_assert_eq!(
+            layout.local_of(base + len - 1),
+            lo + len - 1,
+            "segment is not locally contiguous"
+        );
+        out[lo..lo + len].copy_from_slice(vals);
     }
     debug_assert_eq!(off, msg.vals.len(), "headers disagree with value count");
     ops
@@ -211,20 +188,17 @@ mod tests {
     }
 
     #[test]
-    fn fill_reuses_the_shape_in_place() {
+    fn ensure_shape_reuses_the_skeleton_in_place() {
         let runs = [(4u32, 2u32), (9, 1)];
-        let slots = [0u32, 2, 3];
-        let a = [10i32, 20, 30, 40];
-        let mut msg = CmsMessage::default();
-        fill_segments(&mut msg, &runs, &slots, &a);
+        let mut msg = CmsMessage::<i32>::default();
+        ensure_shape(&mut msg, &runs, 3);
         assert_eq!(msg.heads, runs);
-        assert_eq!(msg.vals, vec![10, 30, 40]);
+        msg.vals.copy_from_slice(&[10, 30, 40]);
         let heads_ptr = msg.heads.as_ptr();
         let vals_ptr = msg.vals.as_ptr();
         msg.reset();
-        let b = [11i32, 21, 31, 41];
-        fill_segments(&mut msg, &runs, &slots, &b);
-        assert_eq!(msg.vals, vec![11, 31, 41]);
+        ensure_shape(&mut msg, &runs, 3);
+        assert_eq!(msg.vals, vec![10, 30, 40], "reset keeps the shaped values");
         assert_eq!(msg.heads.as_ptr(), heads_ptr, "skeleton survives reset");
         assert_eq!(msg.vals.as_ptr(), vals_ptr, "values refill in place");
     }
@@ -249,5 +223,42 @@ mod tests {
             off += len as usize;
         }
         assert_eq!(out, want);
+    }
+
+    proptest::proptest! {
+        /// The per-segment `copy_from_slice` equals the per-value
+        /// `out[local_of(base + j)] = v` loop on block (`t == 1`), cyclic
+        /// (`w == 1`) and block-cyclic layouts, for any sorted rank list of
+        /// one owner cut into segments the way the composer cuts them: at
+        /// every gap and at every result-block boundary.
+        #[test]
+        fn place_segments_matches_the_per_value_loop(
+            shape in (1usize..5, 1usize..6, 1usize..5),
+            me in 0usize..4,
+            keep in proptest::collection::vec(proptest::arbitrary::any::<bool>(), 100),
+        ) {
+            let (p, w, t) = shape;
+            let layout = DimLayout::new_general(p * w * t, p, w).unwrap();
+            let me = me % p;
+            let mut msg = CmsMessage::<i32>::default();
+            for r in (0..layout.n()).filter(|&r| layout.owner(r) == me && keep[r]) {
+                match msg.heads.last_mut() {
+                    Some((base, len)) if (*base + *len) as usize == r && r % w != 0 => *len += 1,
+                    _ => msg.heads.push((r as u32, 1)),
+                }
+                msg.vals.push(r as i32 * 7 + 1);
+            }
+            let mut out = vec![0; layout.local_len(me)];
+            let ops = place_segments(&layout, me, &msg, &mut out);
+            proptest::prop_assert_eq!(ops, 2 * msg.heads.len() + msg.vals.len());
+            let mut want = vec![0; out.len()];
+            let mut vals = msg.vals.iter();
+            for &(base, len) in &msg.heads {
+                for j in 0..len as usize {
+                    want[layout.local_of(base as usize + j)] = *vals.next().unwrap();
+                }
+            }
+            proptest::prop_assert_eq!(out, want);
+        }
     }
 }

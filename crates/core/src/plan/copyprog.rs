@@ -29,11 +29,9 @@
 //! scatter ranges under `copy.scatter`, making the shift from indexed to
 //! bulk movement visible in flamegraphs and the hotspot report.
 //!
-//! The `scalar-ref` cargo feature forces every walker back to the scalar
-//! reference loop — CI runs the full test sweep under both and the results
-//! must be bit-identical. The `simd` feature unrolls the strided walkers
-//! four wide (the contiguous ops are already `memcpy`, which the platform
-//! vectorizes).
+//! The scalar reference loops the walkers replace live on as the oracles of
+//! this module's tests, which check every walker against them over
+//! arbitrary index lists.
 
 /// Minimum run length worth a dedicated `Contig` op; shorter stride-1 runs
 /// fold into the surrounding `Scatter` range. A short `copy_from_slice`
@@ -85,8 +83,7 @@ pub(crate) enum CopyOp {
 pub(crate) enum Phase {
     /// `Contig` and `Strided` ops (the `copy.contig` wall frame).
     Bulk,
-    /// `Scatter` ranges (the `copy.scatter` wall frame). Under the
-    /// `scalar-ref` feature this phase runs the whole scalar walk.
+    /// `Scatter` ranges (the `copy.scatter` wall frame).
     Scatter,
 }
 
@@ -270,14 +267,6 @@ pub(crate) fn gather_fill<T: Copy>(
     phase: Phase,
 ) {
     debug_assert_eq!(dst.len(), idx.len());
-    if cfg!(feature = "scalar-ref") {
-        if phase == Phase::Scatter {
-            for (d, &i) in dst.iter_mut().zip(idx) {
-                *d = src[i as usize];
-            }
-        }
-        return;
-    }
     for op in &prog.ops {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
@@ -322,14 +311,6 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
     phase: Phase,
 ) {
     debug_assert_eq!(dst.len(), idx.len());
-    if cfg!(feature = "scalar-ref") {
-        if phase == Phase::Scatter {
-            for (d, &i) in dst.iter_mut().zip(idx) {
-                d.1 = src[i as usize];
-            }
-        }
-        return;
-    }
     for op in &prog.ops {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
@@ -378,14 +359,6 @@ pub(crate) fn scatter_apply<T: Copy>(
     phase: Phase,
 ) {
     debug_assert_eq!(vals.len(), idx.len());
-    if cfg!(feature = "scalar-ref") {
-        if phase == Phase::Scatter {
-            for (&i, &v) in idx.iter().zip(vals) {
-                out[i as usize] = v;
-            }
-        }
-        return;
-    }
     for op in &prog.ops {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
@@ -418,35 +391,12 @@ pub(crate) fn scatter_apply<T: Copy>(
     }
 }
 
-/// The strided gather inner loop. With the `simd` feature the body is
-/// unrolled four wide — four independent loads per iteration give the
-/// out-of-order core four address streams instead of a serial chain.
-#[cfg(not(feature = "simd"))]
+/// The strided gather inner loop.
 fn strided_gather<T: Copy>(src: &[T], at: u32, stride: i32, dst: &mut [T]) {
     let mut a = i64::from(at);
     for d in dst {
         *d = src[a as usize];
         a += i64::from(stride);
-    }
-}
-
-/// Four-wide unrolled strided gather (`simd` feature).
-#[cfg(feature = "simd")]
-fn strided_gather<T: Copy>(src: &[T], at: u32, stride: i32, dst: &mut [T]) {
-    let (at, stride) = (i64::from(at), i64::from(stride));
-    let mut chunks = dst.chunks_exact_mut(4);
-    let mut k = 0i64;
-    for quad in &mut chunks {
-        let base = at + k * stride;
-        quad[0] = src[base as usize];
-        quad[1] = src[(base + stride) as usize];
-        quad[2] = src[(base + 2 * stride) as usize];
-        quad[3] = src[(base + 3 * stride) as usize];
-        k += 4;
-    }
-    for d in chunks.into_remainder() {
-        *d = src[(at + k * stride) as usize];
-        k += 1;
     }
 }
 

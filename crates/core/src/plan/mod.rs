@@ -49,9 +49,7 @@ pub use cache::PlanCache;
 pub use copyprog::CopyStats;
 
 use hpf_distarray::{ArrayDesc, DimLayout};
-use hpf_machine::collectives::{
-    alltoallv, alltoallv_planned, alltoallv_pooled, A2aPlan, A2aSchedule,
-};
+use hpf_machine::collectives::{alltoallv, alltoallv_pooled, A2aPlan, A2aSchedule};
 use hpf_machine::{fresh_pool_key, Category, MemAccount, Packet, PoolSlot, Proc, Reusable, Wire};
 
 use crate::error::{PackError, UnpackError};
@@ -247,65 +245,32 @@ impl PackPlan {
             return Ok(());
         }
         let layout = self.v_layout.expect("size > 0");
-        // Under crash recovery, pooled (in-place reused) send buffers are
-        // off limits: a replayed packet must keep sharing its original
-        // payload. The owned-buffer path below makes identical charges in
-        // identical spans, so the simulated accounting does not change —
-        // only the wall-clock allocation behaviour does.
-        let recovery = proc.recovery_enabled();
         proc.with_stage("pack.execute", |proc| {
+            let mut recvs = proc.take_pkt_scratch();
             match self.scheme {
-                PackScheme::Simple | PackScheme::CompactStorage if recovery => {
-                    let sends = self.gather_pairs_owned(proc, a_local);
-                    let recvs = proc.with_category(Category::ManyToMany, |proc| {
-                        let world = proc.world();
-                        alltoallv_planned(proc, &world, sends, &self.a2a, self.schedule)
-                    });
-                    self.decode_pairs_owned(proc, &layout, &recvs, &mut out.local_v);
-                }
                 PackScheme::Simple | PackScheme::CompactStorage => {
                     self.gather_pairs(proc, a_local);
-                    let mut recvs = proc.take_pkt_scratch();
-                    proc.with_category(Category::ManyToMany, |proc| {
-                        alltoallv_pooled::<PairMsg<T>>(
-                            proc,
-                            &self.a2a,
-                            self.schedule,
-                            self.pool_key,
-                            &mut recvs,
-                        );
-                    });
+                    self.exchange::<PairMsg<T>>(proc, &mut recvs);
                     self.decode_pairs(proc, &layout, &mut recvs, &mut out.local_v);
-                    proc.restore_pkt_scratch(recvs);
-                }
-                PackScheme::CompactMessage if recovery => {
-                    let sends = self.gather_segments_owned(proc, a_local);
-                    let recvs = proc.with_category(Category::ManyToMany, |proc| {
-                        let world = proc.world();
-                        alltoallv_planned(proc, &world, sends, &self.a2a, self.schedule)
-                    });
-                    self.decode_segments_owned(proc, &layout, &recvs, &mut out.local_v);
                 }
                 PackScheme::CompactMessage => {
                     self.gather_segments(proc, a_local);
-                    let mut recvs = proc.take_pkt_scratch();
-                    proc.with_category(Category::ManyToMany, |proc| {
-                        alltoallv_pooled::<CmsMessage<T>>(
-                            proc,
-                            &self.a2a,
-                            self.schedule,
-                            self.pool_key,
-                            &mut recvs,
-                        );
-                    });
+                    self.exchange::<CmsMessage<T>>(proc, &mut recvs);
                     self.decode_segments(proc, &layout, &mut recvs, &mut out.local_v);
-                    proc.restore_pkt_scratch(recvs);
                 }
             }
+            proc.restore_pkt_scratch(recvs);
             out.size = self.size;
             out.v_layout = Some(layout);
         });
         Ok(())
+    }
+
+    /// The planned many-to-many over the buffers the gather left staged.
+    fn exchange<B: Reusable>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
+        proc.with_category(Category::ManyToMany, |proc| {
+            alltoallv_pooled::<B>(proc, &self.a2a, self.schedule, self.pool_key, recvs);
+        });
     }
 
     /// Gather `(rank, value)` pair messages into pooled per-destination
@@ -327,7 +292,7 @@ impl PackPlan {
                         unreachable!("pair schemes compose explicit ranks")
                     };
                     let (slot, mut buf) = proc.pool_checkout::<PairMsg<T>>(self.pool_key, dst);
-                    if buf.pairs.len() == ranks.len() && !cfg!(feature = "scalar-ref") {
+                    if buf.pairs.len() == ranks.len() {
                         debug_assert!(
                             buf.pairs.iter().zip(ranks).all(|(p, &r)| p.0 == r),
                             "stale rank skeleton in pooled pair buffer"
@@ -394,107 +359,6 @@ impl PackPlan {
         })
     }
 
-    /// [`PackPlan::gather_pairs`] into owned per-destination buffers — the
-    /// crash-recovery path (same operations, same charge, fresh
-    /// allocations instead of pool slots, scalar-reference gather).
-    fn gather_pairs_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        a_local: &[T],
-    ) -> Vec<Vec<(u32, T)>> {
-        proc.with_category(Category::LocalComp, |proc| {
-            let mut moved = 0usize;
-            let mut sends: Vec<Vec<(u32, T)>> = vec![Vec::new(); proc.nprocs()];
-            for (dst, route) in self.routes.iter().enumerate() {
-                if route.slots.is_empty() {
-                    continue;
-                }
-                let RankList::Explicit(ranks) = &route.ranks else {
-                    unreachable!("pair schemes compose explicit ranks")
-                };
-                sends[dst] = ranks
-                    .iter()
-                    .zip(&route.slots)
-                    .map(|(&r, &s)| (r, a_local[s as usize]))
-                    .collect();
-                moved += ranks.len();
-            }
-            proc.charge_ops(moved);
-            sends
-        })
-    }
-
-    /// [`PackPlan::gather_segments`] into owned buffers — the crash-recovery
-    /// path (scalar-reference fill).
-    fn gather_segments_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        a_local: &[T],
-    ) -> Vec<CmsMessage<T>> {
-        proc.with_category(Category::LocalComp, |proc| {
-            let mut moved = 0usize;
-            let mut sends: Vec<CmsMessage<T>> =
-                (0..proc.nprocs()).map(|_| CmsMessage::default()).collect();
-            for (dst, route) in self.routes.iter().enumerate() {
-                if route.slots.is_empty() {
-                    continue;
-                }
-                let RankList::Runs(runs) = &route.ranks else {
-                    unreachable!("compact message composes runs")
-                };
-                compact_message::fill_segments(&mut sends[dst], runs, &route.slots, a_local);
-                moved += route.slots.len();
-            }
-            proc.charge_ops(moved);
-            sends
-        })
-    }
-
-    /// [`PackPlan::decode_pairs`] over owned receive buffers — the
-    /// crash-recovery path (identical `2·E_a` charge).
-    fn decode_pairs_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        layout: &DimLayout,
-        recvs: &[Vec<(u32, T)>],
-        out: &mut Vec<T>,
-    ) {
-        proc.with_category(Category::LocalComp, |proc| {
-            let me = proc.id();
-            prepare_out(out, layout.local_len(me));
-            let mut placed = 0usize;
-            for (src, buf) in recvs.iter().enumerate() {
-                if src == me || self.a2a.from[src] {
-                    placed += place_pairs(layout, me, buf, out);
-                }
-            }
-            debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
-            proc.charge_ops(2 * placed);
-        })
-    }
-
-    /// [`PackPlan::decode_segments`] over owned receive buffers — the
-    /// crash-recovery path (identical `E_a + 2·Gr_i` charge).
-    fn decode_segments_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        layout: &DimLayout,
-        recvs: &[CmsMessage<T>],
-        out: &mut Vec<T>,
-    ) {
-        proc.with_category(Category::LocalComp, |proc| {
-            let me = proc.id();
-            prepare_out(out, layout.local_len(me));
-            let mut ops = 0usize;
-            for (src, msg) in recvs.iter().enumerate() {
-                if src == me || self.a2a.from[src] {
-                    ops += compact_message::place_segments(layout, me, msg, out);
-                }
-            }
-            proc.charge_ops(ops);
-        })
-    }
-
     /// Decode pooled pair messages into `out` (Section 6.4.1: `2·E_a`),
     /// returning each buffer to its sender's slot via [`decode_pooled`].
     fn decode_pairs<T: Wire + Default>(
@@ -544,7 +408,12 @@ impl PackPlan {
                     recvs,
                     |proc, _, msg| {
                         placed += msg.value_count();
-                        place_segments_walled(proc, layout, me, msg, out)
+                        // Wall bytes count the values only: the 2-word
+                        // segment headers are index work, not movement.
+                        proc.wall_span("place_segments", |proc| {
+                            proc.wall_bytes((msg.value_count() * std::mem::size_of::<T>()) as u64);
+                            compact_message::place_segments(layout, me, msg, out)
+                        })
                     },
                 );
                 debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
@@ -568,10 +437,8 @@ fn route_bytes(route: &Route) -> u64 {
 /// Shape the decode output. `V`'s local slice is fully overwritten by the
 /// decode — every result rank is routed to exactly one processor and every
 /// processor's routes tile `0..Size` — so a right-sized buffer from a
-/// previous execute is reused as-is; the old unconditional clear +
-/// zero-resize re-zeroed `local_len` elements per execute for nothing.
-/// Fresh (or wrongly sized) buffers are zero-filled once. The coverage
-/// invariant is `debug_assert`ed by every decode path.
+/// previous execute is reused as-is and only a fresh (or wrongly sized)
+/// one is zero-filled. Every decode path `debug_assert`s the coverage.
 fn prepare_out<T: Default + Clone>(out: &mut Vec<T>, local_len: usize) {
     if out.len() != local_len {
         out.clear();
@@ -678,24 +545,6 @@ fn walk_scatter<T: Wire>(
     });
 }
 
-/// [`compact_message::place_segments`] bracketed by a `place_segments`
-/// wall span, attributing the placed values' bytes (the 2-word segment
-/// headers are excluded from the byte count — they are index work, not
-/// value movement).
-fn place_segments_walled<T: Wire + Default>(
-    proc: &mut Proc,
-    layout: &DimLayout,
-    me: usize,
-    msg: &CmsMessage<T>,
-    out: &mut [T],
-) -> usize {
-    proc.wall_span("place_segments", |proc| {
-        let ops = compact_message::place_segments(layout, me, msg, out);
-        proc.wall_bytes((msg.value_count() * std::mem::size_of::<T>()) as u64);
-        ops
-    })
-}
-
 /// Place one pair message's `(global rank, value)` entries into the local
 /// slice of `V`; returns the number of values placed.
 ///
@@ -706,21 +555,13 @@ fn place_segments_walled<T: Wire + Default>(
 /// `local_of` division and a tight copy loop instead of one division per
 /// value. The block-boundary cap makes the in-block contiguity theorem
 /// apply; owner and contiguity are re-checked per run under
-/// `debug_assertions`. The `scalar-ref` feature keeps the per-element
-/// reference walk.
+/// `debug_assertions`.
 fn place_pairs<T: Wire + Default>(
     layout: &DimLayout,
     me: usize,
     pairs: &[(u32, T)],
     out: &mut [T],
 ) -> usize {
-    if cfg!(feature = "scalar-ref") {
-        for &(rank, value) in pairs {
-            debug_assert_eq!(layout.owner(rank as usize), me, "misrouted element");
-            out[layout.local_of(rank as usize)] = value;
-        }
-        return pairs.len();
-    }
     let w = layout.w();
     let mut i = 0usize;
     while i < pairs.len() {
@@ -969,10 +810,6 @@ impl UnpackPlan {
                 got: v_local.len(),
             });
         }
-        // Pooled buffers are unavailable under crash recovery (replayed
-        // packets must keep sharing their original payloads); the owned
-        // path charges identically. See `PackPlan::execute_into`.
-        let recovery = proc.recovery_enabled();
         proc.with_stage("unpack.execute", |proc| {
             // Field copy: local computation for every unselected element
             // (the selected ones are overwritten below).
@@ -985,10 +822,6 @@ impl UnpackPlan {
                 })
             });
             if self.size == 0 {
-                return;
-            }
-            if recovery {
-                self.exchange_owned(proc, v_local, out);
                 return;
             }
             // Serve: fill each requester's pooled reply buffer along the
@@ -1068,53 +901,6 @@ impl UnpackPlan {
         });
         Ok(())
     }
-
-    /// The serve → reply → scatter loop over owned buffers — the
-    /// crash-recovery path of [`UnpackPlan::execute_into`], all scalar
-    /// reference walks. Charges, spans, and wire words match the pooled
-    /// loop exactly.
-    fn exchange_owned<T: Wire + Default>(&self, proc: &mut Proc, v_local: &[T], out: &mut [T]) {
-        let sends = proc.with_category(Category::LocalComp, |proc| {
-            let mut ops = 0usize;
-            let mut sends: Vec<Vec<T>> = vec![Vec::new(); proc.nprocs()];
-            for (requester, idx) in self.serve_idx.iter().enumerate() {
-                if idx.is_empty() {
-                    continue;
-                }
-                sends[requester] = idx.iter().map(|&i| v_local[i as usize]).collect();
-                ops += idx.len();
-            }
-            proc.charge_ops(ops);
-            sends
-        });
-        let recvs = proc.with_stage("unpack.reply", |proc| {
-            proc.with_category(Category::ManyToMany, |proc| {
-                let world = proc.world();
-                alltoallv_planned(proc, &world, sends, &self.reply_a2a, self.schedule)
-            })
-        });
-        proc.with_category(Category::LocalComp, |proc| {
-            let me = proc.id();
-            let mut ops = 0usize;
-            for (owner, buf) in recvs.iter().enumerate() {
-                if owner == me || self.reply_a2a.from[owner] {
-                    ops += scatter_reply(&self.targets[owner], buf, out);
-                }
-            }
-            proc.charge_ops(ops);
-        });
-    }
-}
-
-/// Scatter one owner's reply values into the recorded element slots with
-/// the scalar reference walk (the crash-recovery path); returns the number
-/// of values scattered.
-fn scatter_reply<T: Wire>(slots: &[u32], values: &[T], out: &mut [T]) -> usize {
-    debug_assert_eq!(values.len(), slots.len(), "reply length mismatch");
-    for (&slot, &v) in slots.iter().zip(values) {
-        out[slot as usize] = v;
-    }
-    slots.len()
 }
 
 /// The scheme's plan-time composer for PACK (Section 6 storage schemes).
@@ -1131,5 +917,38 @@ fn unpack_composer(opts: &UnpackOptions) -> Box<dyn Composer> {
     match opts.scheme {
         UnpackScheme::Simple => crate::unpack::simple::composer(),
         UnpackScheme::CompactStorage => crate::unpack::compact_storage::composer(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    proptest::proptest! {
+        /// Run detection equals the per-element `out[local_of(rank)] = v`
+        /// loop on block (`t == 1`), cyclic (`w == 1`) and block-cyclic
+        /// layouts, for any sorted rank list of one owner (runs of a dense
+        /// `keep` end at block boundaries).
+        #[test]
+        fn place_pairs_matches_the_per_element_loop(
+            shape in (1usize..5, 1usize..6, 1usize..5),
+            me in 0usize..4,
+            keep in proptest::collection::vec(proptest::arbitrary::any::<bool>(), 100),
+        ) {
+            let (p, w, t) = shape;
+            let layout = DimLayout::new_general(p * w * t, p, w).unwrap();
+            let me = me % p;
+            let pairs: Vec<(u32, i32)> = (0..layout.n())
+                .filter(|&r| layout.owner(r) == me && keep[r])
+                .map(|r| (r as u32, r as i32 * 7 + 1))
+                .collect();
+            let mut out = vec![0; layout.local_len(me)];
+            proptest::prop_assert_eq!(place_pairs(&layout, me, &pairs, &mut out), pairs.len());
+            let mut want = vec![0; out.len()];
+            for &(r, v) in &pairs {
+                want[layout.local_of(r as usize)] = v;
+            }
+            proptest::prop_assert_eq!(out, want);
+        }
     }
 }

@@ -6,9 +6,10 @@
 //! pooled buffers, where the program-driven positional overwrite is the
 //! only thing touching the wire payloads.
 //!
-//! CI additionally runs the whole suite with `--features scalar-ref`,
-//! which forces every walker back to the per-element reference loop; both
-//! runs passing is the kernel-identity gate.
+//! This suite is the end-to-end half of the kernel-identity proof; the
+//! per-kernel half is the in-module proptests that check each walker and
+//! each decode against its per-element reference loop (`plan::copyprog`,
+//! `plan::place_pairs`, `pack::compact_message::place_segments`).
 
 use proptest::prelude::*;
 

@@ -23,10 +23,14 @@ fn data_at(gidx: &[usize], salt: i32) -> i32 {
 /// Epoch 0 packs a masked array; epoch 1 unpacks it back over a fresh
 /// field. A crash in epoch 0 exercises the from-scratch resume (no
 /// checkpoint exists yet); a crash in epoch 1 exercises snapshot restore
-/// plus replay.
+/// plus replay. Each plan executes `executes` times inside its epoch, on
+/// fresh values each time: from the third execute on, every pool slot is
+/// warm and the gathers are the positional refills of the lowered copy
+/// programs, with the whole epoch's frames still in the replay log.
 fn roundtrip(
     pack_opts: PackOptions,
     unpack_opts: UnpackOptions,
+    executes: i32,
 ) -> impl Fn(&mut Proc) -> (Vec<i32>, Vec<i32>) + Sync {
     move |proc: &mut Proc| {
         let grid = ProcGrid::line(P);
@@ -38,19 +42,23 @@ fn roundtrip(
         let mut st: St = (Vec::new(), 0, None, Vec::new());
         proc.epoch(&mut st, |proc, st| {
             let m = pattern.local(&desc, proc.id());
-            let a = local_from_fn(&desc, proc.id(), |g| data_at(g, 17));
             let plan = plan_pack(proc, &desc, &m, &pack_opts).unwrap();
-            let out = plan.execute(proc, &a).unwrap();
-            st.0 = out.local_v;
-            st.1 = out.size;
-            st.2 = out.v_layout;
+            for i in 0..executes {
+                let a = local_from_fn(&desc, proc.id(), |g| data_at(g, 17 + i));
+                let out = plan.execute(proc, &a).unwrap();
+                st.0 = out.local_v;
+                st.1 = out.size;
+                st.2 = out.v_layout;
+            }
         });
         proc.epoch(&mut st, |proc, st| {
             let vl = st.2.expect("mask selects elements");
             let m = pattern.local(&desc, proc.id());
-            let f = local_from_fn(&desc, proc.id(), |g| data_at(g, -5));
             let plan = plan_unpack(proc, &desc, &m, &vl, &unpack_opts).unwrap();
-            st.3 = plan.execute(proc, &f, &st.0).unwrap();
+            for i in 0..executes {
+                let f = local_from_fn(&desc, proc.id(), |g| data_at(g, -5 - i));
+                st.3 = plan.execute(proc, &f, &st.0).unwrap();
+            }
         });
         (st.0.clone(), st.3.clone())
     }
@@ -79,10 +87,11 @@ fn assert_bit_exact(
 /// Sweep the crash over every send step and every receive step of one
 /// victim until the schedule stops firing; each recovered run must match
 /// the fault-free run bit-exactly.
-fn sweep(pack_scheme: PackScheme, unpack_scheme: UnpackScheme) {
+fn sweep(pack_scheme: PackScheme, unpack_scheme: UnpackScheme, executes: i32) {
     let program = roundtrip(
         PackOptions::new(pack_scheme),
         UnpackOptions::new(unpack_scheme),
+        executes,
     );
     let clean = machine(FaultPlan::new(0))
         .run_recoverable(&program)
@@ -107,7 +116,8 @@ fn sweep(pack_scheme: PackScheme, unpack_scheme: UnpackScheme) {
             }
             fired += 1;
             assert_eq!(rec.replays, 1, "step {k}: one crash, one recovery");
-            assert_bit_exact(&clean, &crashed, &format!("step {k} recv={recv_side}"));
+            let what = format!("{executes} executes, step {k} recv={recv_side}");
+            assert_bit_exact(&clean, &crashed, &what);
         }
         assert!(fired < 499, "sweep did not terminate");
     }
@@ -115,17 +125,31 @@ fn sweep(pack_scheme: PackScheme, unpack_scheme: UnpackScheme) {
 
 #[test]
 fn simple_pack_simple_unpack_survive_any_crash_step() {
-    sweep(PackScheme::Simple, UnpackScheme::Simple);
+    for executes in [1, 3] {
+        sweep(PackScheme::Simple, UnpackScheme::Simple, executes);
+    }
 }
 
 #[test]
 fn compact_storage_roundtrip_survives_any_crash_step() {
-    sweep(PackScheme::CompactStorage, UnpackScheme::CompactStorage);
+    for executes in [1, 3] {
+        sweep(
+            PackScheme::CompactStorage,
+            UnpackScheme::CompactStorage,
+            executes,
+        );
+    }
 }
 
 #[test]
 fn compact_message_pack_survives_any_crash_step() {
-    sweep(PackScheme::CompactMessage, UnpackScheme::CompactStorage);
+    for executes in [1, 3] {
+        sweep(
+            PackScheme::CompactMessage,
+            UnpackScheme::CompactStorage,
+            executes,
+        );
+    }
 }
 
 /// The retire barrier, by exhaustion: a program that calls no `Proc::epoch`

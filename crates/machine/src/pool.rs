@@ -24,6 +24,13 @@
 //! instead of clobbering in-flight data. Each `(key, dst, type)` entry holds
 //! two slots used alternately, so a sender can compose iteration `n+1`
 //! while the receiver still holds iteration `n`.
+//!
+//! A recoverable run logs every frame until the receiver's next epoch
+//! boundary, and a logged payload must never alias a buffer its sender can
+//! refill. There the wire and the log carry a **frozen** slot
+//! ([`PoolSlot::freeze`]): a detached copy of the staged buffer that no
+//! pool hands out, whose `put_back` re-stages it untouched so a replayed
+//! frame decodes again. The live slot goes back to `Free` at the send.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -72,6 +79,9 @@ pub struct PoolSlot<B> {
     /// the receiver's `put_back` — which runs on a different carrier —
     /// unparks the owner instead of leaving it to spin or poll.
     waker: Mutex<Option<(Arc<Scheduler>, usize)>>,
+    /// A detached copy made by [`PoolSlot::freeze`]: never checked out
+    /// again, re-staged by every `put_back`.
+    frozen: bool,
 }
 
 impl<B: Reusable> PoolSlot<B> {
@@ -80,6 +90,24 @@ impl<B: Reusable> PoolSlot<B> {
             state: Mutex::new(SlotState::Free(B::default())),
             charged: AtomicU64::new(0),
             waker: Mutex::new(None),
+            frozen: false,
+        }
+    }
+
+    /// Copy the staged buffer into a frozen slot for the wire and the
+    /// replay log, and return this slot's own buffer to `Free` as the
+    /// receiver otherwise would (sender side, recoverable runs only).
+    pub(crate) fn freeze(&self) -> PoolSlot<B> {
+        let buf = self.take_staged();
+        let copy = buf
+            .clone_payload()
+            .downcast::<B>()
+            .expect("clone_payload must preserve the payload type");
+        self.put_back(buf);
+        PoolSlot {
+            state: Mutex::new(SlotState::Staged(*copy)),
+            frozen: true,
+            ..PoolSlot::new()
         }
     }
 
@@ -138,15 +166,22 @@ impl<B: Reusable> PoolSlot<B> {
     }
 
     /// Return a decoded buffer to the pool (receiver side), unparking the
-    /// owner if it is waiting on this slot's back-pressure.
+    /// owner if it is waiting on this slot's back-pressure. A frozen slot
+    /// keeps its contents and goes back to `Staged`: the replay log may
+    /// deliver it to the receiver's next incarnation.
     pub fn put_back(&self, mut buf: B) {
-        buf.reset();
+        let next = if self.frozen {
+            SlotState::Staged(buf)
+        } else {
+            buf.reset();
+            SlotState::Free(buf)
+        };
         let mut st = self.state.lock().unwrap();
         debug_assert!(
             matches!(*st, SlotState::Empty),
             "put_back into occupied slot"
         );
-        *st = SlotState::Free(buf);
+        *st = next;
         drop(st);
         let waker = self.waker.lock().unwrap().clone();
         if let Some((sched, owner)) = waker {
@@ -263,6 +298,29 @@ mod tests {
         let again = slot.try_checkout().expect("returned slot is free again");
         assert!(again.is_empty(), "put_back resets contents");
         assert!(again.capacity() >= 1, "put_back keeps capacity");
+    }
+
+    #[test]
+    fn frozen_copy_restages_and_frees_the_live_slot() {
+        let live = PoolSlot::<Vec<i32>>::new();
+        let mut b = live.try_checkout().unwrap();
+        b.extend([7, 8]);
+        live.stash(b);
+        let frozen = live.freeze();
+        // The sender may refill at once; the copy is not its buffer.
+        let mut again = live.try_checkout().expect("freeze frees the live slot");
+        again.push(99);
+        assert!(
+            frozen.try_checkout().is_none(),
+            "a frozen slot is never free"
+        );
+        // Decoded by the receiver, then once more by its respawn.
+        for _ in 0..2 {
+            assert_eq!(frozen.staged_words(), 2);
+            let got = frozen.take_staged();
+            assert_eq!(got, vec![7, 8]);
+            frozen.put_back(got);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::chan::{FrameReceiver, FrameSender};
-use crate::cost::{Category, SimClock};
+use crate::cost::{Category, SimClock, Words};
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::{Frame, Mailbox, Packet, Payload, PayloadCharge};
@@ -272,14 +272,6 @@ impl<'m> Proc<'m> {
                 self.resume = Some(r);
             }
         }
-    }
-
-    /// True iff this processor runs under [`crate::Machine::run_recoverable`].
-    /// Planned executes use this to fall back from pooled (in-place mutated)
-    /// send buffers to owned ones that a replayed packet can safely share.
-    #[inline]
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery.is_some()
     }
 
     /// Global processor id, `0 ≤ id < P`.
@@ -560,6 +552,25 @@ impl<'m> Proc<'m> {
     /// Panics with a typed [`MachineError::ProcCrashed`] when the machine's
     /// fault plan crashes this processor at this send step.
     pub fn send<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
+        let words = data.wire_words();
+        self.send_arc(dst, tag, words, Arc::new(data), true);
+    }
+
+    /// The one send path under [`Proc::send`] and [`Proc::send_pooled`]:
+    /// crash-step accounting, the `τ + μ·m` charge, the replay-log append,
+    /// the transport (or raw) send, events, memory samples and metrics.
+    /// `owned` says the payload is an allocation made for this message —
+    /// charged to the sender's `payload` account while any copy of the
+    /// packet lives — rather than a pool slot the sender keeps (charged to
+    /// `pool` as it grows).
+    fn send_arc(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        words: Words,
+        data: Arc<dyn Any + Send + Sync>,
+        owned: bool,
+    ) {
         if let Some(t) = self.transport.as_mut() {
             t.send_steps += 1;
             if self.crash_armed {
@@ -570,8 +581,6 @@ impl<'m> Proc<'m> {
                 }
             }
         }
-        let words = data.wire_words();
-        let data: Arc<dyn Any + Send + Sync> = Arc::new(data);
         if dst == self.id {
             let arrival_ns = self.clock.now_ns();
             let pkt = Packet {
@@ -597,23 +606,23 @@ impl<'m> Proc<'m> {
         // charged until the last copy drops — refcount-truthful, like the
         // memory it models.
         let charge = match self.metrics.as_ref() {
-            Some(m) if words > 0 => Some(Arc::new(PayloadCharge::new(
+            Some(m) if owned && words > 0 => Some(Arc::new(PayloadCharge::new(
                 Arc::clone(&m.mem[MemAccount::Payload as usize]),
                 words as u64 * 4,
             ))),
             _ => None,
         };
+        let pkt = Packet {
+            src: self.id,
+            tag,
+            arrival_ns,
+            words,
+            data,
+            charge,
+        };
         let mut logged_replay = false;
         let seq = match self.transport.as_mut() {
             None => {
-                let pkt = Packet {
-                    src: self.id,
-                    tag,
-                    arrival_ns,
-                    words,
-                    data,
-                    charge,
-                };
                 self.send_raw(dst, pkt);
                 None
             }
@@ -633,30 +642,13 @@ impl<'m> Proc<'m> {
                         dst,
                         s,
                         Packet {
-                            src: self.id,
-                            tag,
                             arrival_ns: arrival,
-                            words,
-                            data: Arc::clone(&data),
-                            charge: charge.clone(),
+                            ..pkt.clone()
                         },
                     );
                     logged_replay = true;
                 }
-                let s = t.send(
-                    self.id,
-                    self.senders,
-                    dst,
-                    Packet {
-                        src: self.id,
-                        tag,
-                        arrival_ns,
-                        words,
-                        data,
-                        charge,
-                    },
-                );
-                Some(s)
+                Some(t.send(self.id, self.senders, dst, pkt))
             }
         };
         if words > 0 {
@@ -673,26 +665,22 @@ impl<'m> Proc<'m> {
                         arrival_ns,
                     },
                 );
-                // In simulated time the in-flight payload occupies the
-                // sender from the send until the (pre-delay) arrival; the
-                // event pair brackets exactly that interval. Recorded
-                // directly — the gauge side is the guard's, not ours.
-                self.record(
-                    now,
-                    EventKind::MemSample {
-                        account: MemAccount::Payload,
-                        owner: self.id,
-                        delta_bytes: bytes,
-                    },
-                );
-                self.record(
-                    arrival_ns,
-                    EventKind::MemSample {
-                        account: MemAccount::Payload,
-                        owner: self.id,
-                        delta_bytes: -bytes,
-                    },
-                );
+                if owned {
+                    // In simulated time the in-flight payload occupies the
+                    // sender from the send until the (pre-delay) arrival;
+                    // the event pair brackets exactly that interval.
+                    // Recorded directly — the gauge side is the guard's.
+                    for (ts, delta_bytes) in [(now, bytes), (arrival_ns, -bytes)] {
+                        self.record(
+                            ts,
+                            EventKind::MemSample {
+                                account: MemAccount::Payload,
+                                owner: self.id,
+                                delta_bytes,
+                            },
+                        );
+                    }
+                }
             }
             if logged_replay {
                 // The replay log retains a copy of this frame on the
@@ -1529,37 +1517,21 @@ impl<'m> Proc<'m> {
 
     /// Send the staged contents of a pooled slot to `dst` under `tag`.
     ///
-    /// Identical to [`Proc::send`] in every charged and observed respect —
-    /// crash-step accounting, `τ + μ·m` charge, events, metrics — but the
-    /// packet payload is the `Arc`-shared slot itself: no buffer changes
-    /// hands, and the receiver returns it via [`PoolSlot::put_back`].
+    /// Identical to [`Proc::send`] in every charged and observed respect,
+    /// but the packet payload is the `Arc`-shared slot itself: no buffer
+    /// changes hands, and the receiver returns it via
+    /// [`PoolSlot::put_back`]. When the frame will be logged for replay,
+    /// what travels is a frozen copy ([`PoolSlot::freeze`]) and `slot` is
+    /// free again on return: a replayed frame must find the bytes it was
+    /// sent with, which a buffer the sender refills cannot promise.
     pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, slot: &Arc<PoolSlot<B>>) {
         debug_assert_ne!(dst, self.id, "self slots are decoded in place, never sent");
-        assert!(
-            self.recovery.is_none(),
-            "pooled sends are unavailable under crash recovery: a replayed \
-             packet must keep sharing its original payload, which an in-place \
-             reused pool buffer would have overwritten (planned executes fall \
-             back to the owned-buffer path; see Proc::recovery_enabled)"
-        );
-        if let Some(t) = self.transport.as_mut() {
-            t.send_steps += 1;
-            if self.crash_armed {
-                if let Some((proc, step)) = t.plan().crash() {
-                    if proc == self.id && t.send_steps == step {
-                        panic_any(MachineError::ProcCrashed { proc, step });
-                    }
-                }
-            }
-        }
         let words = slot.staged_words();
-        let data: Arc<dyn Any + Send + Sync> = Arc::clone(slot) as _;
         // A pooled buffer's footprint is its high-water capacity, charged
         // once to the pool account as it grows and never released (the
         // buffer is reused for the plan's lifetime). Steady-state sends
         // through a warm slot charge nothing, preserving the executor's
-        // allocation-free hot path — no `PayloadCharge` guard either, for
-        // the same reason: the slot, not the wire, owns these bytes.
+        // allocation-free hot path.
         if !(self.events.is_none() && self.metrics.is_none()) {
             let growth = slot.note_charged(words as u64 * 4);
             if growth > 0 {
@@ -1567,61 +1539,14 @@ impl<'m> Proc<'m> {
                 self.mem_sample(MemAccount::Pool, self.id, now, growth as i64);
             }
         }
-        let arrival_ns = if words == 0 {
-            self.clock.now_ns()
+        // Exactly when `send_arc` appends to the replay log.
+        let logged = self.recovery.is_some() && self.transport.is_some();
+        let data: Arc<dyn Any + Send + Sync> = if logged {
+            Arc::new(slot.freeze())
         } else {
-            self.words_to[dst] += words as u64;
-            self.clock.charge_send(words)
+            Arc::clone(slot) as _
         };
-        let seq = match self.transport.as_mut() {
-            None => {
-                let pkt = Packet {
-                    src: self.id,
-                    tag,
-                    arrival_ns,
-                    words,
-                    data,
-                    charge: None,
-                };
-                self.send_raw(dst, pkt);
-                None
-            }
-            Some(t) => Some(t.send(
-                self.id,
-                self.senders,
-                dst,
-                Packet {
-                    src: self.id,
-                    tag,
-                    arrival_ns,
-                    words,
-                    data,
-                    charge: None,
-                },
-            )),
-        };
-        if words > 0 {
-            if self.events.is_some() {
-                let now = self.clock.now_ns();
-                self.record(
-                    now,
-                    EventKind::Send {
-                        dst,
-                        tag,
-                        words,
-                        seq,
-                        arrival_ns,
-                    },
-                );
-            }
-            if let Some(m) = self.metrics.as_ref() {
-                m.msg_sent.inc();
-                m.msg_words.observe(words as u64);
-            }
-        }
-        if seq.is_some() {
-            self.drain_transport_events();
-        }
+        self.send_arc(dst, tag, words, data, logged);
     }
 
     /// Borrow the processor's pre-reserved packet scratch vector (empty,

@@ -35,7 +35,9 @@ fn receive_with_no_sender_times_out() {
 /// The postmortem of a deadlock names both parties: each processor waits
 /// for the other's message before sending its own. One permit makes the
 /// order exact — proc 0 parks first, so its timeout fires first, and proc 1
-/// is still inside its park (awaiting 0) when the error is built.
+/// is still inside its park (awaiting 0) when the error is built. Proc 1
+/// starts its receive 10 ms late: two deadlines microseconds apart fire in
+/// either order under timer jitter.
 #[test]
 fn deadlocked_pair_reports_the_wait_cycle() {
     let err = Machine::new(ProcGrid::line(2), CostModel::zero())
@@ -43,6 +45,7 @@ fn deadlocked_pair_reports_the_wait_cycle() {
         .with_workers(1)
         .try_run(|p| {
             let peer = 1 - p.id();
+            std::thread::sleep(Duration::from_millis(10 * p.id() as u64));
             let _: Vec<i32> = p.recv(peer, tags::USER);
             p.send(peer, tags::USER, vec![1i32]);
         })

@@ -3,7 +3,10 @@
 //! be bit-identical — results *and* simulated clocks — to the same program
 //! run without the crash.
 
-use hpf_machine::{tags, Category, CostModel, FaultPlan, Machine, Proc, ProcGrid, RunOutput};
+use hpf_machine::{
+    tags, Category, CostModel, EventKind, FaultPlan, Machine, MemAccount, PoolSlot, Proc, ProcGrid,
+    RunOutput,
+};
 
 const P: usize = 4;
 
@@ -244,4 +247,119 @@ fn unrecoverable_failures_still_surface_as_errors() {
         ),
         "{err}"
     );
+}
+
+/// Any key no `fresh_pool_key` of this process reaches; a constant, so a
+/// respawned processor finds its checkpointed slot rotation.
+const RING_KEY: u64 = 1 << 40;
+
+/// A ring over pooled `Vec<i64>` buffers — whose `reset` really clears,
+/// unlike the shape-keeping wrappers of `hpf-core` — sent 3× and then 4×
+/// through one `(key, dst)` entry, each inside a single epoch: twice round
+/// the entry's two slots while nothing truncates the replay log. When
+/// `logged`, the frame travels as a frozen copy, so the live slot must be
+/// free the moment the send returns — no checkout can park on it.
+fn pooled_ring(logged: bool) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
+    move |p| {
+        let mut st: Vec<i64> = vec![p.id() as i64 + 1];
+        let n = p.nprocs();
+        let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
+        for sends in [3u64, 4] {
+            p.epoch(&mut st, |p, st| {
+                for i in 0..sends {
+                    let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(RING_KEY, next);
+                    assert!(buf.is_empty(), "a returned buffer comes back cleared");
+                    buf.extend_from_slice(st);
+                    slot.stash(buf);
+                    p.send_pooled(next, tags::USER + i, &slot);
+                    if logged {
+                        let live = slot.try_checkout().expect("a logged send frees the slot");
+                        assert!(live.is_empty(), "the frozen copy took none of its bytes");
+                        slot.put_back(live);
+                    }
+                    let inbound = p
+                        .recv_packet(prev, tags::USER + i)
+                        .data
+                        .downcast::<PoolSlot<Vec<i64>>>()
+                        .expect("pooled send delivers a slot");
+                    let got = inbound.take_staged();
+                    st.push(got.iter().sum::<i64>() + i as i64);
+                    inbound.put_back(got);
+                }
+            });
+        }
+        st
+    }
+}
+
+#[test]
+fn pooled_sends_recover_from_a_crash_at_every_step() {
+    let clean = machine(FaultPlan::new(0))
+        .run_recoverable(pooled_ring(false))
+        .expect("fault-free run");
+    let gauge = |out: &RunOutput<Vec<i64>>, name: &str| out.merged_metrics().gauges[name];
+    assert_eq!(
+        gauge(&clean, "mem.payload.cur").max,
+        0,
+        "unlogged pooled sends ship the live slot: bytes stay on `pool`"
+    );
+
+    // A crash step the program never reaches arms the transport, and with
+    // it the replay log, without firing: the accounting of a logged pooled
+    // send, event side and gauge side.
+    let logged = machine(FaultPlan::new(0).with_crash(1, 99))
+        .with_tracing(true)
+        .run_recoverable(pooled_ring(true))
+        .expect("crash-free logged run");
+    assert_eq!(clean.results, logged.results);
+    assert_clocks_identical(&clean, &logged);
+    let largest = 8 * 8; // epoch 1's last message: 8 i64 values
+    assert!(gauge(&logged, "mem.pool.cur").max >= largest);
+    assert!(
+        gauge(&logged, "mem.payload.cur").max >= largest,
+        "the frozen copy is charged to the sender's payload account"
+    );
+    assert_eq!(gauge(&logged, "mem.payload.cur").last, 0);
+    assert!(gauge(&logged, "mem.replay_log.cur").max >= largest);
+    assert_eq!(gauge(&logged, "mem.replay_log.cur").last, 0);
+    // Every byte a boundary truncation releases was charged by a sender.
+    let mut log_bytes = [0i64; P];
+    for ev in logged.events.iter().flatten() {
+        if let EventKind::MemSample {
+            account: MemAccount::ReplayLog,
+            owner,
+            delta_bytes,
+        } = ev.kind
+        {
+            log_bytes[owner] += delta_bytes;
+        }
+    }
+    assert_eq!(log_bytes, [0; P], "replay-log charges and releases balance");
+
+    for recv_side in [false, true] {
+        let (mut fired, mut replayed) = (0, 0);
+        for k in 1u64..20 {
+            let plan = if recv_side {
+                FaultPlan::new(0).with_crash_at_recv(1, k)
+            } else {
+                FaultPlan::new(0).with_crash(1, k)
+            };
+            let crashed = machine(plan)
+                .run_recoverable(pooled_ring(true))
+                .unwrap_or_else(|e| panic!("step {k} (recv={recv_side}) unrecovered: {e}"));
+            if crashed.recovery.as_ref().unwrap().replays == 0 {
+                break; // past the last step
+            }
+            fired += 1;
+            replayed += crashed.recovery.as_ref().unwrap().replayed_frames;
+            assert_eq!(crashed.recovery.as_ref().unwrap().replays, 1);
+            assert_eq!(clean.results, crashed.results, "step {k} recv={recv_side}");
+            assert_clocks_identical(&clean, &crashed);
+            assert_eq!(gauge(&crashed, "mem.replay_log.cur").last, 0);
+        }
+        assert_eq!(fired, 7, "3 + 4 steps of either kind per processor");
+        // A crash at a later receive of an epoch finds frames the victim had
+        // decoded: its respawn decodes the same frozen slots once more.
+        assert!(!recv_side || replayed > 0, "no consumed frame was replayed");
+    }
 }

@@ -30,13 +30,10 @@ echo "== scheduler pool-identity gate (pool size 1 vs N, P=1024 smoke) =="
 cargo test -p hpf-machine --release -q --test sched
 cargo test -p hpf-core --release -q --test sched_determinism
 
-echo "== kernel-identity gate (scalar-ref reference walkers, release) =="
-# The whole core suite re-runs with the lowered bulk copy kernels compiled
-# out (--features scalar-ref forces every walker onto the per-element
-# reference loop). Both feature configurations passing the same tests is
-# the proof that Contig/Strided lowering is a pure execution-strategy
-# change: bit-identical results and identical simulated accounting.
-cargo test -p hpf-core --release -q --features scalar-ref
+echo "== one execute path (no mode fork, no build fork) =="
+if grep -rnE 'recovery_enabled|scalar-ref|feature = "simd"|(gather|decode)_[a-z]+_owned|exchange_owned' crates/ README.md; then
+  echo "ci: a second execute path is back (see DESIGN.md section 11)"; exit 1
+fi
 
 echo "== fuzz smoke via the plan-then-execute path =="
 cargo run -p hpf-bench --release --bin fuzz -- --cases 40 --seed 1 --reuse-plans
