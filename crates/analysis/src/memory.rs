@@ -180,9 +180,12 @@ fn enclosing_stage(events: &[Event], ts_ns: f64) -> String {
 // staged pool buffers, the plan, and the user arrays coexist):
 //
 //   user     what the workload registers: 4L data + L mask words→bytes
-//   plan     the retained route/flag buffers plus the lowered copy
-//            programs (PackPlan/UnpackPlan mem_bytes; the program bytes
-//            come exact from MaskStats, which runs the same lowering)
+//   plan     the retained peer-indexed rows (peer ids, row offsets, slots,
+//            ranks or runs), the exchange's two peer lists, and the
+//            lowered copy programs (PackPlan/UnpackPlan mem_bytes, byte
+//            for byte; the peer counts and program bytes come exact from
+//            MaskStats, which walks the same routes and runs the same
+//            lowering)
 //   pool     staged wire bytes (self-destined slot included: an upper
 //            bound — the executor never stages the self share, but that
 //            share has no closed form on block-cyclic layouts)
@@ -208,6 +211,12 @@ const INFLIGHT_MSGS: u64 = 2;
 /// split across `p` peers: [`INFLIGHT_MSGS`] average-size messages.
 fn allowance(volume_words: u64, p: u64) -> u64 {
     INFLIGHT_MSGS * W * volume_words.div_ceil(p)
+}
+
+/// Bytes of a peer-indexed CSR with `peers` rows over `items` 4-byte
+/// entries: one id per peer, `peers + 1` row offsets, the entries.
+fn csr_bytes(peers: u64, items: u64) -> u64 {
+    W * (peers + (peers + 1) + items)
 }
 
 /// Predicted peak bytes per processor for PACK under `scheme` (no
@@ -242,29 +251,31 @@ fn pack_exchange_bytes(
         stats.gs[i] as u64,
         stats.gr[i] as u64,
     );
+    let (ds, dr) = (stats.send_peers[i] as u64, stats.recv_peers[i] as u64);
+    // Slot rows by destination, the `to` / `from` peer lists, the programs.
+    let plan = csr_bytes(ds, e) + W * (ds + dr) + stats.pack_prog_bytes[i];
     match scheme {
         // Pair messages: (u32 rank, value) = 2 words per element. Routes
-        // keep 4 bytes per explicit rank + 4 per slot; staged buffers
-        // carry 2 words per element.
+        // keep 4 bytes per explicit rank (sharing the slot rows' offsets);
+        // staged buffers carry 2 words per element.
         PackScheme::Simple | PackScheme::CompactStorage => {
-            let plan = 2 * W * e + 2 * p + stats.pack_prog_bytes[i];
             let pool = 2 * W * (e - overlap);
-            plan + pool + allowance(2 * r, p)
+            plan + W * e + pool + allowance(2 * r, p)
         }
         // Compact messages: E values + 2-word header per segment. Routes
-        // keep 8 bytes per run + 4 per slot.
+        // keep 8 bytes per run under their own row offsets.
         PackScheme::CompactMessage => {
-            let plan = W * e + 2 * W * gs + 2 * p + stats.pack_prog_bytes[i];
             let pool = W * (e - overlap) + 2 * W * gs;
-            plan + pool + allowance(r + 2 * gr, p)
+            plan + W * (ds + 1) + 2 * W * gs + pool + allowance(r + 2 * gr, p)
         }
     }
 }
 
 /// Predicted peak bytes per processor for UNPACK under `scheme`. The
 /// workload registers field (4L), mask (L), and its local vector slice
-/// (4R_i); the plan keeps targets (4 per element) + serve indices (4 per
-/// owned rank); replies stage 4R_i out and deliver 4E_i back in. Both
+/// (4R_i); the plan keeps target rows (4 per element) + serve rows (4 per
+/// owned rank) with their peer ids and offsets, and the reply peer lists;
+/// replies stage 4R_i out and deliver 4E_i back in. Both
 /// schemes retain the same execute-phase structures — they differ only in
 /// the plan-time request encoding, a transient the peak never sees.
 pub fn predict_unpack_peak(stats: &MaskStats, _scheme: UnpackScheme) -> Vec<u64> {
@@ -272,8 +283,10 @@ pub fn predict_unpack_peak(stats: &MaskStats, _scheme: UnpackScheme) -> Vec<u64>
     (0..stats.e.len())
         .map(|i| {
             let (e, r) = (stats.e[i] as u64, stats.r[i] as u64);
+            let (ds, dr) = (stats.send_peers[i] as u64, stats.recv_peers[i] as u64);
             let user = 5 * stats.l as u64 + W * r;
-            let plan = W * e + W * r + 2 * p + stats.unpack_prog_bytes[i];
+            let plan =
+                csr_bytes(ds, e) + csr_bytes(dr, r) + W * (ds + dr) + stats.unpack_prog_bytes[i];
             let pool = W * r;
             user + plan + pool + allowance(e, p)
         })

@@ -23,12 +23,18 @@
 //! tiny smoke shapes and is noisy) — its job is to catch losing a bulk
 //! kernel outright (a 4× slowdown is +300%), not percent-level drift.
 //! Workloads without a hot measurement on either side are skipped.
+//! `--hot-retry RETRY.json` supplies a second read of the hot numbers (a
+//! `perf --filter exec_hot` report taken after a pause): the gate then
+//! judges the *quieter* of the two reads — the one with the smaller total
+//! ns/element — and prints both. Wall numbers on a shared host read several
+//! times high for seconds at a stretch on any commit; a lost kernel reads
+//! high in both.
 //!
 //! Usage:
 //! ```sh
 //! cargo run -p hpf-bench --bin perfdiff -- OLD.json NEW.json \
 //!     [--warn-above PCT] [--fail-above PCT] [--wall] [--wall-fixed-pct PCT] \
-//!     [--hot-band PCT]
+//!     [--hot-band PCT [--hot-retry RETRY.json]]
 //! ```
 //!
 //! Exit codes: 0 = clean (or warnings only), 1 = regression at or above
@@ -45,6 +51,7 @@ fn main() {
     let mut wall = false;
     let mut wall_fixed_pct = 10.0f64;
     let mut hot_band: Option<f64> = None;
+    let mut hot_retry: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -66,6 +73,11 @@ fn main() {
             }
             "--hot-band" => {
                 hot_band = Some(parse_pct(args.get(i + 1), "--hot-band"));
+                i += 2;
+            }
+            "--hot-retry" => {
+                let path = args.get(i + 1).cloned();
+                hot_retry = Some(path.unwrap_or_else(|| usage("--hot-retry requires a path")));
                 i += 2;
             }
             flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
@@ -124,7 +136,9 @@ fn main() {
     }
 
     if let Some(band) = hot_band {
-        let (table, worst, breaches) = hot_band_gate(&old, &new, band).unwrap_or_else(|e| {
+        let retry = hot_retry.as_deref().map(load);
+        let gate = hot_band_gate(&old, &new, retry.as_ref(), band);
+        let (table, worst, breaches) = gate.unwrap_or_else(|e| {
             eprintln!("perfdiff: {e}");
             std::process::exit(2);
         });
@@ -144,11 +158,17 @@ fn main() {
     }
 }
 
-/// Fixed-band comparison of `hot.ns_per_element` between two reports.
+/// Fixed-band comparison of `hot.ns_per_element` between two reports —
+/// with a `retry` read, between `old` and the quieter of `new` and `retry`.
 /// Returns `(markdown table, worst delta pct, breach count)`. Workloads
 /// lacking a finite hot measurement on either side are skipped (a
 /// *missing workload* is already an unconditional `DiffReport` failure).
-fn hot_band_gate(old: &Json, new: &Json, band_pct: f64) -> Result<(String, f64, usize), String> {
+fn hot_band_gate(
+    old: &Json,
+    new: &Json,
+    retry: Option<&Json>,
+    band_pct: f64,
+) -> Result<(String, f64, usize), String> {
     let hot_ns = |report: &Json, which: &str| -> Result<Vec<(String, f64)>, String> {
         let workloads = report
             .get("workloads")
@@ -173,16 +193,29 @@ fn hot_band_gate(old: &Json, new: &Json, band_pct: f64) -> Result<(String, f64, 
         Ok(out)
     };
     let old_hot = hot_ns(old, "old")?;
-    let new_hot = hot_ns(new, "new")?;
-
-    let mut table = String::from(
-        "| workload | old ns/elem | new ns/elem | delta | verdict |\n\
-         |---|---|---|---|---|\n",
+    let (first, second) = (hot_ns(new, "new")?, retry.map(|r| hot_ns(r, "retry")));
+    let second = second.transpose()?;
+    let total = |read: &[(String, f64)]| read.iter().map(|r| r.1).sum::<f64>();
+    let lookup = |read: &[(String, f64)], name: &str| {
+        let row = read.iter().find(|(nm, _)| nm == name);
+        row.map(|&(_, v)| v)
+    };
+    // The quieter read is the one the gate judges; the other is shown.
+    let (gated, other) = match &second {
+        Some(second) if total(second) < total(&first) => (second, Some(("first read", &first))),
+        Some(second) => (&first, Some(("second read", second))),
+        None => (&first, None),
+    };
+    let other_head = other.map_or(String::new(), |(which, _)| format!(" {which} |"));
+    let mut table = format!(
+        "| workload | old ns/elem | new ns/elem |{other_head} delta | verdict |\n\
+         |---|---|---|---|---|{}\n",
+        if other.is_some() { "---|" } else { "" }
     );
     let mut worst = f64::NEG_INFINITY;
     let mut breaches = 0usize;
     for (name, o) in &old_hot {
-        let Some(n) = new_hot.iter().find(|(nm, _)| nm == name).map(|&(_, v)| v) else {
+        let Some(n) = lookup(gated, name) else {
             continue;
         };
         let delta_pct = 100.0 * (n - o) / o;
@@ -193,10 +226,13 @@ fn hot_band_gate(old: &Json, new: &Json, band_pct: f64) -> Result<(String, f64, 
         } else {
             "ok"
         };
+        let other_cell = other.map_or(String::new(), |(_, read)| {
+            lookup(read, name).map_or(" - |".to_string(), |v| format!(" {v:.2} |"))
+        });
         use std::fmt::Write as _;
         let _ = writeln!(
             table,
-            "| {name} | {o:.2} | {n:.2} | {delta_pct:+.2}% | {verdict} |"
+            "| {name} | {o:.2} | {n:.2} |{other_cell} {delta_pct:+.2}% | {verdict} |"
         );
     }
     Ok((table, worst, breaches))
@@ -221,7 +257,8 @@ fn load(path: &str) -> Json {
 fn usage(msg: &str) -> ! {
     eprintln!(
         "perfdiff: {msg}\nusage: perfdiff OLD.json NEW.json [--warn-above PCT] \
-         [--fail-above PCT] [--wall] [--wall-fixed-pct PCT] [--hot-band PCT]"
+         [--fail-above PCT] [--wall] [--wall-fixed-pct PCT] \
+         [--hot-band PCT [--hot-retry RETRY.json]]"
     );
     std::process::exit(2);
 }

@@ -18,9 +18,49 @@ use std::fmt;
 
 use hpf_machine::MachineError;
 
+/// A descriptor too large for the plan IR's integers: local element slots,
+/// CSR offsets and peer ids are `u32`, and global ranks travel as `i32`
+/// words (the CM-5's 4-byte integers, [`hpf_machine::collectives::Num`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooLarge {
+    /// The descriptor's global element count (saturated at `usize::MAX`).
+    pub global_len: usize,
+}
+
+impl TooLarge {
+    /// The largest global element count a plan can index.
+    pub const LIMIT: usize = i32::MAX as usize;
+}
+
+impl fmt::Display for TooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (n, limit) = (self.global_len, TooLarge::LIMIT);
+        write!(
+            f,
+            "the array has {n} elements, more than the {limit} a plan can index"
+        )
+    }
+}
+
+/// The planners' one checked narrowing: `desc` fits the plan IR iff its
+/// global element count `N` fits an `i32`. Ranks are below `N`, a
+/// processor's local slots and every CSR offset are at most `N`, and
+/// `i32::MAX < u32::MAX` — so every plan-time `as u32` / `as i32` downstream
+/// casts a quantity this bound has put in range.
+pub(crate) fn plannable(desc: &hpf_distarray::ArrayDesc) -> Result<(), TooLarge> {
+    let dims = (0..desc.ndims()).map(|i| desc.dim(i).n());
+    let global_len = dims.fold(1usize, usize::saturating_mul);
+    match i32::try_from(global_len) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(TooLarge { global_len }),
+    }
+}
+
 /// Error from [`crate::pack`] and friends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PackError {
+    /// The descriptor exceeds the plan IR's numeric limits.
+    TooLarge(TooLarge),
     /// The input descriptor violates the paper's divisibility assumption
     /// `P_i·W_i | N_i` on some dimension.
     NotDivisible {
@@ -55,6 +95,7 @@ pub enum PackError {
 impl fmt::Display for PackError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PackError::TooLarge(e) => e.fmt(f),
             PackError::NotDivisible { dim } => write!(
                 f,
                 "dimension {dim} violates P*W | N; redistribute first or use a divisible layout"
@@ -78,9 +119,17 @@ impl fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
+impl From<TooLarge> for PackError {
+    fn from(e: TooLarge) -> Self {
+        PackError::TooLarge(e)
+    }
+}
+
 /// Error from [`crate::unpack`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UnpackError {
+    /// The descriptor exceeds the plan IR's numeric limits.
+    TooLarge(TooLarge),
     /// The mask/field descriptor violates the divisibility assumption.
     NotDivisible {
         /// The offending dimension.
@@ -121,6 +170,7 @@ pub enum UnpackError {
 impl fmt::Display for UnpackError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            UnpackError::TooLarge(e) => e.fmt(f),
             UnpackError::NotDivisible { dim } => write!(
                 f,
                 "dimension {dim} violates P*W | N; UNPACK requires a divisible layout"
@@ -146,6 +196,12 @@ impl fmt::Display for UnpackError {
 }
 
 impl std::error::Error for UnpackError {}
+
+impl From<TooLarge> for UnpackError {
+    fn from(e: TooLarge) -> Self {
+        UnpackError::TooLarge(e)
+    }
+}
 
 /// Any failure of a PACK/UNPACK pipeline: an argument-validation error from
 /// one of the entry points, or a machine-level failure of the simulated

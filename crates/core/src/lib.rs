@@ -60,7 +60,7 @@ mod schemes;
 pub mod seq;
 mod unpack;
 
-pub use error::{Error, PackError, UnpackError};
+pub use error::{Error, PackError, TooLarge, UnpackError};
 pub use mask::MaskPattern;
 pub use pack::{
     pack, pack_redistributed, pack_with_vector, predict, CmsMessage, MaskStats, PackOutput,

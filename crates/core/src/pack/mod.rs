@@ -80,6 +80,7 @@ pub(crate) fn validate(
             return Err(PackError::NotDivisible { dim: i });
         }
     }
+    crate::error::plannable(desc)?;
     let expected = desc.local_len(proc.id());
     if a_len_of.len() != expected {
         return Err(PackError::ArrayLenMismatch {
@@ -108,6 +109,7 @@ pub(crate) fn validate_mask(
             return Err(PackError::NotDivisible { dim: i });
         }
     }
+    crate::error::plannable(desc)?;
     let expected = desc.local_len(proc.id());
     if m_local.len() != expected {
         return Err(PackError::MaskLenMismatch {

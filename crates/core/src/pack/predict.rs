@@ -36,7 +36,7 @@
 
 use hpf_distarray::DimLayout;
 
-use crate::plan::copyprog::CopyProgram;
+use crate::plan::copyprog::CopyPrograms;
 use crate::schemes::{PackScheme, ScanMethod, UnpackScheme};
 
 /// Mask-derived per-processor quantities for one 1-D workload. Everything
@@ -66,16 +66,23 @@ pub struct MaskStats {
     /// Method-1 second-scan cost per processor
     /// (`Σ` over non-empty slices of last-selected offset + 1).
     pub scan_until: Vec<usize>,
+    /// `Ds_i`: processors (possibly `i` itself) that `i`'s selected elements
+    /// are routed to — the rows of its PACK routes and UNPACK targets.
+    pub send_peers: Vec<usize>,
+    /// `Dr_i`: processors whose selected elements `i` owns ranks of — its
+    /// PACK senders and UNPACK requesters.
+    pub recv_peers: Vec<usize>,
     /// Retained bytes of the PACK plan's lowered gather copy programs per
-    /// processor (DESIGN.md §16) — exact, reconstructed by running the
-    /// same [`CopyProgram::lower`] over the same per-destination slot
-    /// lists the composers produce. Identical for all three schemes (the
-    /// gather order is rank order regardless of message format).
+    /// processor (DESIGN.md §16), ops plus row offsets — exact,
+    /// reconstructed by running the same [`CopyPrograms::lower`] over the
+    /// same per-destination slot rows the composers produce. Identical for
+    /// all three schemes (the gather order is rank order regardless of
+    /// message format).
     pub pack_prog_bytes: Vec<u64>,
     /// Retained bytes of the UNPACK plan's lowered copy programs per
     /// processor: the serve programs (over the local `V` indices each
     /// requester is owed) plus the scatter programs (over the same
-    /// element-slot lists as the PACK gather).
+    /// element-slot rows as the PACK gather).
     pub unpack_prog_bytes: Vec<u64>,
 }
 
@@ -164,12 +171,17 @@ impl MaskStats {
             }
             rank = end;
         }
+        // One program row per populated peer, as in the plans' CSRs.
+        let peers = |lists: &[Vec<u32>]| lists.iter().filter(|l| !l.is_empty()).count();
         let prog_bytes = |lists: &[Vec<u32>]| -> u64 {
-            lists
-                .iter()
-                .map(|l| CopyProgram::lower(l).mem_bytes())
-                .sum()
+            let mut offs = vec![0u32];
+            for l in lists.iter().filter(|l| !l.is_empty()) {
+                offs.push(offs[offs.len() - 1] + l.len() as u32);
+            }
+            CopyPrograms::lower(&lists.concat(), &offs).mem_bytes()
         };
+        let send_peers = slots.iter().map(|per_dst| peers(per_dst)).collect();
+        let recv_peers = serve.iter().map(|per_req| peers(per_req)).collect();
         let pack_prog_bytes: Vec<u64> = slots.iter().map(|per_dst| prog_bytes(per_dst)).collect();
         let unpack_prog_bytes: Vec<u64> = (0..p)
             .map(|i| prog_bytes(&serve[i]) + pack_prog_bytes[i])
@@ -186,6 +198,8 @@ impl MaskStats {
             gs,
             gr,
             scan_until,
+            send_peers,
+            recv_peers,
             pack_prog_bytes,
             unpack_prog_bytes,
         }

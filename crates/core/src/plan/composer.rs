@@ -28,32 +28,203 @@ use crate::pack::dest_runs;
 use crate::ranking::Ranking;
 use crate::schemes::ScanMethod;
 
-/// Rank structure of one destination's route.
+/// Peer-indexed compressed rows: `items[offs[k]..offs[k + 1]]` belongs to
+/// `peers[k]`. Only populated peers have a row, so the structure costs
+/// `O(peers + items)` however many processors the machine has. `peers` is
+/// ascending — the order every consumer relies on: the exchange plans take
+/// it as their sorted peer list, and a received packet's row is found by
+/// binary search over it ([`PeerCsr::find`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum RankList {
-    /// One global rank per element (SSS-style pair messages / requests).
-    Explicit(Vec<u32>),
-    /// Run-compressed consecutive ranks (CMS segments / CSS requests).
-    Runs(Vec<(u32, u32)>),
+pub(crate) struct PeerCsr<T> {
+    /// Populated peers (processor ids), ascending.
+    pub peers: Vec<u32>,
+    /// Row boundaries into `items`; `peers.len() + 1` entries.
+    pub offs: Vec<u32>,
+    /// All rows, concatenated in peer order.
+    pub items: Vec<T>,
 }
 
-impl RankList {
-    fn new(emit: RankEmit) -> RankList {
-        match emit {
-            RankEmit::Explicit => RankList::Explicit(Vec::new()),
-            RankEmit::Runs => RankList::Runs(Vec::new()),
+impl<T> PeerCsr<T> {
+    /// No peers, no items.
+    pub(crate) fn empty() -> Self {
+        PeerCsr {
+            peers: Vec::new(),
+            offs: vec![0],
+            items: Vec::new(),
         }
+    }
+
+    /// The `k`-th populated peer's items.
+    pub(crate) fn row(&self, k: usize) -> &[T] {
+        &self.items[self.offs[k] as usize..self.offs[k + 1] as usize]
+    }
+
+    /// Row index of processor `peer`, if it is populated.
+    pub(crate) fn find(&self, peer: usize) -> Option<usize> {
+        self.peers.binary_search(&(peer as u32)).ok()
+    }
+
+    /// Bytes retained: peer ids, offsets and items.
+    pub(crate) fn mem_bytes(&self) -> u64 {
+        (4 * (self.peers.len() + self.offs.len()) + std::mem::size_of::<T>() * self.items.len())
+            as u64
     }
 }
 
-/// One destination's share of a communication plan: the global ranks it
-/// covers plus the aligned local element slots (one per rank, rank order).
+/// Rank structure of a plan's routes, flat across destinations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Route {
+pub(crate) enum RankList {
+    /// One global rank per slot, aligned with the slot rows (SSS-style pair
+    /// messages / requests).
+    Explicit(Vec<u32>),
+    /// Run-compressed consecutive ranks (CMS segments / CSS requests):
+    /// `runs[offs[k]..offs[k + 1]]` are destination `k`'s `(base, len)` runs.
+    Runs {
+        /// Row boundaries into `runs`, one row per populated destination.
+        offs: Vec<u32>,
+        /// All `(base rank, length)` runs in destination order.
+        runs: Vec<(u32, u32)>,
+    },
+}
+
+/// One processor's share of a communication plan: per populated
+/// destination, the aligned local element slots (one per rank, rank order)
+/// and the global ranks they cover.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Routes {
+    /// Local element indices by destination.
+    pub slots: PeerCsr<u32>,
     /// Global ranks covered, explicit or run-compressed.
     pub ranks: RankList,
-    /// Local element indices aligned with `ranks`.
-    pub slots: Vec<u32>,
+}
+
+impl Routes {
+    /// Destination `k`'s explicit ranks, aligned with its slot row.
+    pub(crate) fn explicit(&self, k: usize) -> &[u32] {
+        let RankList::Explicit(ranks) = &self.ranks else {
+            unreachable!("pair schemes compose explicit ranks")
+        };
+        &ranks[self.slots.offs[k] as usize..self.slots.offs[k + 1] as usize]
+    }
+
+    /// Destination `k`'s `(base, len)` runs.
+    pub(crate) fn runs(&self, k: usize) -> &[(u32, u32)] {
+        let RankList::Runs { offs, runs } = &self.ranks else {
+            unreachable!("compact message composes runs")
+        };
+        &runs[offs[k] as usize..offs[k + 1] as usize]
+    }
+
+    /// Bytes retained by the slot rows and the rank structure.
+    pub(crate) fn mem_bytes(&self) -> u64 {
+        let ranks = match &self.ranks {
+            RankList::Explicit(v) => 4 * v.len(),
+            RankList::Runs { offs, runs } => 4 * offs.len() + 8 * runs.len(),
+        };
+        self.slots.mem_bytes() + ranks as u64
+    }
+}
+
+/// Builds [`Routes`] from the stretches of consecutive ranks a composer
+/// emits, with no per-processor table: stretches arrive in rank order, so
+/// under the default block result layout their owners ascend and the
+/// arrival order *is* the CSR order. Otherwise (a block-cyclic `W'` revisits
+/// owners) the stretches are stably sorted by owner and the rows rebuilt —
+/// `O(items + stretches·log stretches)` either way.
+pub(crate) struct RoutesBuilder {
+    emit: RankEmit,
+    /// Owner of each maximal same-owner stretch, in arrival order.
+    owners: Vec<u32>,
+    /// Where each stretch starts in `slots` / `runs`; [`Self::seal`] appends
+    /// the ends, making them the CSR's row boundaries.
+    slot_offs: Vec<u32>,
+    run_offs: Vec<u32>,
+    slots: Vec<u32>,
+    ranks: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+}
+
+impl RoutesBuilder {
+    pub(crate) fn new(emit: RankEmit) -> Self {
+        RoutesBuilder {
+            emit,
+            owners: Vec::new(),
+            slot_offs: Vec::new(),
+            run_offs: Vec::new(),
+            slots: Vec::new(),
+            ranks: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+
+    /// Route the consecutive ranks `first_rank..first_rank + slots.len()`,
+    /// held in the local element `slots`, to `owner`.
+    pub(crate) fn push(&mut self, owner: usize, first_rank: usize, slots: &[u32]) {
+        self.open_row(owner as u32);
+        self.slots.extend_from_slice(slots);
+        match self.emit {
+            RankEmit::Explicit => self
+                .ranks
+                .extend((first_rank..first_rank + slots.len()).map(|r| r as u32)),
+            RankEmit::Runs => self.runs.push((first_rank as u32, slots.len() as u32)),
+        }
+    }
+
+    /// Start a stretch for `owner` unless the current one is already theirs.
+    fn open_row(&mut self, owner: u32) {
+        if self.owners.last() != Some(&owner) {
+            self.owners.push(owner);
+            self.slot_offs.push(self.slots.len() as u32);
+            self.run_offs.push(self.runs.len() as u32);
+        }
+    }
+
+    /// Close the last stretch.
+    fn seal(&mut self) {
+        self.slot_offs.push(self.slots.len() as u32);
+        self.run_offs.push(self.runs.len() as u32);
+    }
+
+    pub(crate) fn finish(mut self) -> Routes {
+        self.seal();
+        if !self.owners.windows(2).all(|w| w[0] < w[1]) {
+            self = self.regrouped();
+        }
+        Routes {
+            slots: PeerCsr {
+                peers: self.owners,
+                offs: self.slot_offs,
+                items: self.slots,
+            },
+            ranks: match self.emit {
+                RankEmit::Explicit => RankList::Explicit(self.ranks),
+                RankEmit::Runs => RankList::Runs {
+                    offs: self.run_offs,
+                    runs: self.runs,
+                },
+            },
+        }
+    }
+
+    /// The sealed stretches stably sorted by owner (each owner keeps rank
+    /// order), every owner's stretches merged into one row.
+    fn regrouped(&self) -> RoutesBuilder {
+        let mut order: Vec<usize> = (0..self.owners.len()).collect();
+        order.sort_by_key(|&i| self.owners[i]);
+        let mut out = RoutesBuilder::new(self.emit);
+        for i in order {
+            out.open_row(self.owners[i]);
+            let s = self.slot_offs[i] as usize..self.slot_offs[i + 1] as usize;
+            out.slots.extend_from_slice(&self.slots[s.clone()]);
+            if self.emit == RankEmit::Explicit {
+                out.ranks.extend_from_slice(&self.ranks[s]);
+            }
+            let r = self.run_offs[i] as usize..self.run_offs[i + 1] as usize;
+            out.runs.extend_from_slice(&self.runs[r]);
+        }
+        out.seal();
+        out
+    }
 }
 
 /// Which rank structure a compact composition emits.
@@ -84,9 +255,9 @@ pub(crate) trait Composer {
     /// storage retained in `self`.
     fn scan(&mut self, proc: &mut Proc, m_local: &[bool], w0: usize) -> Vec<i32>;
 
-    /// Compose the per-destination routes from the retained storage and
-    /// the final base ranks. `layout` is the result-vector layout whose
-    /// owners the routes target.
+    /// Compose the routes — one row per populated destination — from the
+    /// retained storage and the final base ranks. `layout` is the
+    /// result-vector layout whose owners the routes target.
     fn compose(
         &mut self,
         proc: &mut Proc,
@@ -94,7 +265,7 @@ pub(crate) trait Composer {
         m_local: &[bool],
         w0: usize,
         layout: &DimLayout,
-    ) -> Vec<Route>;
+    ) -> Routes;
 }
 
 /// Simple storage: per-element `(local, slice, initial rank)` records from
@@ -139,29 +310,17 @@ impl Composer for SimpleComposer {
         _m_local: &[bool],
         _w0: usize,
         layout: &DimLayout,
-    ) -> Vec<Route> {
-        let nprocs = proc.nprocs();
+    ) -> Routes {
         proc.wall_span("compose.simple", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
-                let mut routes: Vec<Route> = (0..nprocs)
-                    .map(|_| Route {
-                        ranks: RankList::new(RankEmit::Explicit),
-                        slots: Vec::new(),
-                    })
-                    .collect();
+                let mut routes = RoutesBuilder::new(RankEmit::Explicit);
                 for &(local, slice, init) in &self.records {
                     let rank = init as usize + ranking.ps_f[slice as usize] as usize;
-                    let owner = layout.owner(rank);
-                    let route = &mut routes[owner];
-                    match &mut route.ranks {
-                        RankList::Explicit(v) => v.push(rank as u32),
-                        RankList::Runs(_) => unreachable!("simple composition is explicit"),
-                    }
-                    route.slots.push(local);
+                    routes.push(layout.owner(rank), rank, &[local]);
                 }
                 proc.charge_ops(self.per_elem * self.records.len());
                 proc.wall_bytes(self.records.len() as u64 * 8);
-                routes
+                routes.finish()
             })
         })
     }
@@ -209,16 +368,10 @@ impl Composer for CompactComposer {
         m_local: &[bool],
         w0: usize,
         layout: &DimLayout,
-    ) -> Vec<Route> {
-        let nprocs = proc.nprocs();
+    ) -> Routes {
         proc.wall_span("compose.compact", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
-                let mut routes: Vec<Route> = (0..nprocs)
-                    .map(|_| Route {
-                        ranks: RankList::new(self.emit),
-                        slots: Vec::new(),
-                    })
-                    .collect();
+                let mut routes = RoutesBuilder::new(self.emit);
                 let mut ops = self.ps_c.len(); // one check per slice
                 let mut slots: Vec<u32> = Vec::with_capacity(w0);
                 for (k, &n) in self.ps_c.iter().enumerate() {
@@ -237,24 +390,14 @@ impl Composer for CompactComposer {
                     );
                     let mut taken = 0usize;
                     for (start, len) in dest_runs(r0, n, layout) {
-                        let owner = layout.owner(start);
-                        let route = &mut routes[owner];
-                        match &mut route.ranks {
-                            RankList::Explicit(v) => {
-                                for j in 0..len {
-                                    v.push((start + j) as u32);
-                                }
-                            }
-                            RankList::Runs(v) => v.push((start as u32, len as u32)),
-                        }
-                        route.slots.extend_from_slice(&slots[taken..taken + len]);
+                        routes.push(layout.owner(start), start, &slots[taken..taken + len]);
                         taken += len;
                         ops += self.cost.per_run + self.cost.per_elem * len;
                     }
                 }
                 proc.charge_ops(ops);
                 proc.wall_bytes(ops as u64 * 4);
-                routes
+                routes.finish()
             })
         })
     }
@@ -301,6 +444,71 @@ fn collect_slice_slots(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shapes of the CSR the builder emits: no peer at all, one peer, every
+    /// peer — and owners revisited out of order (a block-cyclic `W'`), which
+    /// must come out grouped by ascending owner with rank order kept.
+    #[test]
+    fn routes_builder_shapes() {
+        for emit in [RankEmit::Explicit, RankEmit::Runs] {
+            let empty = RoutesBuilder::new(emit).finish();
+            assert!(empty.slots.peers.is_empty() && empty.slots.items.is_empty());
+            assert_eq!(empty.slots.offs, [0]);
+            assert_eq!(empty.slots.find(0), None);
+
+            // One peer, fed element by element: the stretches coalesce.
+            let mut b = RoutesBuilder::new(emit);
+            for (rank, slot) in [(40, 3u32), (41, 5), (42, 9)] {
+                b.push(7, rank, &[slot]);
+            }
+            let one = b.finish();
+            assert_eq!(
+                (&one.slots.peers[..], &one.slots.offs[..]),
+                (&[7][..], &[0, 3][..])
+            );
+            assert_eq!(one.slots.row(0), [3, 5, 9]);
+            assert_eq!(one.slots.find(7), Some(0));
+            assert_eq!(one.slots.find(6), None);
+            match emit {
+                RankEmit::Explicit => assert_eq!(one.explicit(0), [40, 41, 42]),
+                RankEmit::Runs => assert_eq!(one.runs(0), [(40, 1), (41, 1), (42, 1)]),
+            }
+
+            // Every peer of four, two slots each, owners ascending.
+            let mut b = RoutesBuilder::new(emit);
+            for owner in 0..4u32 {
+                b.push(
+                    owner as usize,
+                    2 * owner as usize,
+                    &[10 * owner, 10 * owner + 1],
+                );
+            }
+            let all = b.finish();
+            assert_eq!(all.slots.peers, [0, 1, 2, 3]);
+            assert_eq!(all.slots.offs, [0, 2, 4, 6, 8]);
+            assert_eq!(all.slots.row(2), [20, 21]);
+
+            // Owners 1, 0, 1, 0 (cyclic result blocks): regrouped.
+            let mut b = RoutesBuilder::new(emit);
+            for (owner, rank, slot) in [(1, 2, 100u32), (0, 4, 101), (1, 6, 102), (0, 8, 103)] {
+                b.push(owner, rank, &[slot, slot + 10]);
+            }
+            let cyc = b.finish();
+            assert_eq!(cyc.slots.peers, [0, 1]);
+            assert_eq!(cyc.slots.offs, [0, 4, 8]);
+            assert_eq!(cyc.slots.row(0), [101, 111, 103, 113]);
+            assert_eq!(cyc.slots.row(1), [100, 110, 102, 112]);
+            match emit {
+                RankEmit::Explicit => assert_eq!(cyc.explicit(1), [2, 3, 6, 7]),
+                RankEmit::Runs => assert_eq!(cyc.runs(0), [(4, 2), (8, 2)]),
+            }
+            let ranks = match emit {
+                RankEmit::Explicit => 4 * 8,
+                RankEmit::Runs => 4 * 3 + 8 * 4,
+            };
+            assert_eq!(cyc.mem_bytes(), 4 * (2 + 3 + 8) + ranks);
+        }
+    }
 
     #[test]
     fn slot_scan_methods_agree_on_slots_but_not_cost() {

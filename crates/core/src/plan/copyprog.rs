@@ -124,152 +124,176 @@ impl CopyStats {
     }
 }
 
-/// A lowered copy program over one index list. Built once at plan time by
-/// [`CopyProgram::lower`]; walked on every execute by the kernels below,
-/// which take the original `idx` alongside the program (only `Scatter`
-/// ops still read it).
+/// The lowered copy programs of one plan family: one program per row of a
+/// peer-indexed index CSR, all in one flat op array with per-row offsets
+/// (only populated peers have a program). Built once at plan time by
+/// [`CopyPrograms::lower`]; walked on every execute by the kernels below,
+/// which take a row's ops alongside its index list (only `Scatter` ops
+/// still read it). `pos` counts from the start of the row — the dense side
+/// is that peer's message buffer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct CopyProgram {
+pub(crate) struct CopyPrograms {
     ops: Vec<CopyOp>,
+    /// `ops[offs[k]..offs[k + 1]]` is row `k`'s program.
+    offs: Vec<u32>,
     stats: CopyStats,
 }
 
-impl CopyProgram {
-    /// Lower an index list into copy ops: greedy maximal equal-delta runs,
-    /// emitted as `Contig` (delta 1) or `Strided` when long enough to pay
-    /// for themselves, everything else coalesced into `Scatter` ranges.
+impl CopyPrograms {
+    /// Lower every row `idx[offs[k]..offs[k + 1]]` into copy ops: greedy
+    /// maximal equal-delta runs, emitted as `Contig` (delta 1) or `Strided`
+    /// when long enough to pay for themselves, everything else coalesced
+    /// into `Scatter` ranges (never across a row boundary).
     ///
     /// An undersized run advances by a single element rather than being
     /// consumed whole — its tail may seed a full-length run with what
     /// follows (e.g. `[5, 100, 101, 102, 103]` keeps the 4-long contig).
-    pub(crate) fn lower(idx: &[u32]) -> CopyProgram {
-        let mut prog = CopyProgram {
-            ops: Vec::new(),
-            stats: CopyStats {
-                total_elements: idx.len() as u64,
-                ..CopyStats::default()
-            },
+    pub(crate) fn lower(idx: &[u32], offs: &[u32]) -> CopyPrograms {
+        let mut ops: Vec<CopyOp> = Vec::new();
+        let mut stats = CopyStats {
+            total_elements: idx.len() as u64,
+            ..CopyStats::default()
         };
-        let n = idx.len();
-        let mut i = 0usize;
-        while i < n {
-            let (delta, run) = if i + 1 < n {
-                let d = i64::from(idx[i + 1]) - i64::from(idx[i]);
-                let mut j = i + 1;
-                while j + 1 < n && i64::from(idx[j + 1]) - i64::from(idx[j]) == d {
-                    j += 1;
-                }
-                (d, j - i + 1)
-            } else {
-                (0, 1)
-            };
-            if delta == 1 && run >= MIN_CONTIG {
-                prog.ops.push(CopyOp::Contig {
-                    pos: i as u32,
-                    at: idx[i],
-                    len: run as u32,
-                });
-                prog.stats.contig += 1;
-                prog.stats.bulk_elements += run as u64;
-                i += run;
-            } else if run >= MIN_STRIDED && i32::try_from(delta).is_ok() {
-                prog.ops.push(CopyOp::Strided {
-                    pos: i as u32,
-                    at: idx[i],
-                    stride: delta as i32,
-                    count: run as u32,
-                });
-                prog.stats.strided += 1;
-                prog.stats.bulk_elements += run as u64;
-                i += run;
-            } else {
-                // Fold one element into the trailing scatter range; the
-                // rest of this run gets its own chance to anchor a
-                // full-length run.
-                match prog.ops.last_mut() {
-                    Some(CopyOp::Scatter { pos, len }) if *pos as usize + *len as usize == i => {
-                        *len += 1;
+        let mut op_offs = Vec::with_capacity(offs.len());
+        op_offs.push(0);
+        for row in offs.windows(2) {
+            let (first, idx) = (ops.len(), &idx[row[0] as usize..row[1] as usize]);
+            let n = idx.len();
+            let mut i = 0usize;
+            while i < n {
+                let (delta, run) = if i + 1 < n {
+                    let d = i64::from(idx[i + 1]) - i64::from(idx[i]);
+                    let mut j = i + 1;
+                    while j + 1 < n && i64::from(idx[j + 1]) - i64::from(idx[j]) == d {
+                        j += 1;
                     }
-                    _ => {
-                        prog.ops.push(CopyOp::Scatter {
-                            pos: i as u32,
-                            len: 1,
-                        });
-                        prog.stats.scatter += 1;
+                    (d, j - i + 1)
+                } else {
+                    (0, 1)
+                };
+                if delta == 1 && run >= MIN_CONTIG {
+                    ops.push(CopyOp::Contig {
+                        pos: i as u32,
+                        at: idx[i],
+                        len: run as u32,
+                    });
+                    stats.contig += 1;
+                    stats.bulk_elements += run as u64;
+                    i += run;
+                } else if run >= MIN_STRIDED && i32::try_from(delta).is_ok() {
+                    ops.push(CopyOp::Strided {
+                        pos: i as u32,
+                        at: idx[i],
+                        stride: delta as i32,
+                        count: run as u32,
+                    });
+                    stats.strided += 1;
+                    stats.bulk_elements += run as u64;
+                    i += run;
+                } else {
+                    // Fold one element into the row's trailing scatter
+                    // range; the rest of this run gets its own chance to
+                    // anchor a full-length run.
+                    match ops[first..].last_mut() {
+                        Some(CopyOp::Scatter { pos, len })
+                            if *pos as usize + *len as usize == i =>
+                        {
+                            *len += 1;
+                        }
+                        _ => {
+                            ops.push(CopyOp::Scatter {
+                                pos: i as u32,
+                                len: 1,
+                            });
+                            stats.scatter += 1;
+                        }
                     }
+                    i += 1;
                 }
-                i += 1;
             }
+            #[cfg(debug_assertions)]
+            check(&ops[first..], idx);
+            op_offs.push(ops.len() as u32);
         }
-        #[cfg(debug_assertions)]
-        prog.check(idx);
-        prog
+        CopyPrograms {
+            ops,
+            offs: op_offs,
+            stats,
+        }
     }
 
-    /// Bytes the program retains for the plan's lifetime (charged to
-    /// `mem.plan` next to the routes it annotates).
+    /// Row `k`'s program.
+    pub(crate) fn row(&self, k: usize) -> &[CopyOp] {
+        &self.ops[self.offs[k] as usize..self.offs[k + 1] as usize]
+    }
+
+    /// Bytes the programs retain for the plan's lifetime (charged to
+    /// `mem.plan` next to the rows they annotate): ops plus row offsets.
     pub(crate) fn mem_bytes(&self) -> u64 {
-        (self.ops.len() * std::mem::size_of::<CopyOp>()) as u64
+        (self.ops.len() * std::mem::size_of::<CopyOp>() + self.offs.len() * 4) as u64
     }
 
-    /// This program's op/element breakdown.
+    /// The op/element breakdown over all rows.
     pub(crate) fn stats(&self) -> &CopyStats {
         &self.stats
     }
+}
 
-    /// Verify the program against the index list it was lowered from —
-    /// every op must reproduce `idx` exactly and the ops must tile
-    /// `0..idx.len()` in order. Debug builds run this after lowering.
-    #[cfg(debug_assertions)]
-    fn check(&self, idx: &[u32]) {
-        let mut next = 0usize;
-        for op in &self.ops {
-            match *op {
-                CopyOp::Contig { pos, at, len } => {
-                    assert_eq!(pos as usize, next);
-                    for k in 0..len as usize {
-                        assert_eq!(idx[pos as usize + k] as usize, at as usize + k);
-                    }
-                    next += len as usize;
+/// Verify one row's program against the index list it was lowered from —
+/// every op must reproduce `idx` exactly and the ops must tile
+/// `0..idx.len()` in order. Debug builds run this after lowering.
+#[cfg(debug_assertions)]
+fn check(ops: &[CopyOp], idx: &[u32]) {
+    let mut next = 0usize;
+    for op in ops {
+        match *op {
+            CopyOp::Contig { pos, at, len } => {
+                assert_eq!(pos as usize, next);
+                for k in 0..len as usize {
+                    assert_eq!(idx[pos as usize + k] as usize, at as usize + k);
                 }
-                CopyOp::Strided {
-                    pos,
-                    at,
-                    stride,
-                    count,
-                } => {
-                    assert_eq!(pos as usize, next);
-                    for k in 0..count as usize {
-                        let want = i64::from(at) + k as i64 * i64::from(stride);
-                        assert_eq!(i64::from(idx[pos as usize + k]), want);
-                    }
-                    next += count as usize;
+                next += len as usize;
+            }
+            CopyOp::Strided {
+                pos,
+                at,
+                stride,
+                count,
+            } => {
+                assert_eq!(pos as usize, next);
+                for k in 0..count as usize {
+                    let want = i64::from(at) + k as i64 * i64::from(stride);
+                    assert_eq!(i64::from(idx[pos as usize + k]), want);
                 }
-                CopyOp::Scatter { pos, len } => {
-                    assert_eq!(pos as usize, next);
-                    next += len as usize;
-                }
+                next += count as usize;
+            }
+            CopyOp::Scatter { pos, len } => {
+                assert_eq!(pos as usize, next);
+                next += len as usize;
             }
         }
-        assert_eq!(next, idx.len(), "program does not tile the index list");
     }
+    assert_eq!(next, idx.len(), "program does not tile the index list");
 }
 
 /// Gather `dst[k] = src[idx[k]]` for the requested phase — the pooled
 /// segment-value / reply fill kernel. `dst` must already have `idx.len()`
 /// elements (the pooled buffers keep their shape across executes, so the
-/// steady state is a pure positional overwrite).
+/// steady state is a pure positional overwrite). Like every walker, returns
+/// the number of elements the phase moved.
 pub(crate) fn gather_fill<T: Copy>(
-    prog: &CopyProgram,
+    ops: &[CopyOp],
     idx: &[u32],
     src: &[T],
     dst: &mut [T],
     phase: Phase,
-) {
+) -> usize {
+    let mut moved = 0usize;
     debug_assert_eq!(dst.len(), idx.len());
-    for op in &prog.ops {
+    for op in ops {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
+                moved += len as usize;
                 dst[pos as usize..pos as usize + len as usize]
                     .copy_from_slice(&src[at as usize..at as usize + len as usize]);
             }
@@ -279,6 +303,7 @@ pub(crate) fn gather_fill<T: Copy>(
                 stride,
                 count,
             } if phase == Phase::Bulk => {
+                moved += count as usize;
                 strided_gather(
                     src,
                     at,
@@ -287,6 +312,7 @@ pub(crate) fn gather_fill<T: Copy>(
                 );
             }
             CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
+                moved += len as usize;
                 let ids = &idx[pos as usize..pos as usize + len as usize];
                 for (d, &i) in dst[pos as usize..pos as usize + len as usize]
                     .iter_mut()
@@ -298,22 +324,25 @@ pub(crate) fn gather_fill<T: Copy>(
             _ => {}
         }
     }
+    moved
 }
 
 /// Gather `dst[k].1 = src[idx[k]]` for the requested phase, ranks
 /// untouched — the steady-state pair-message refill (the rank skeleton
 /// survives in the pooled buffer, so only values move).
 pub(crate) fn gather_pairs_refill<T: Copy, R>(
-    prog: &CopyProgram,
+    ops: &[CopyOp],
     idx: &[u32],
     src: &[T],
     dst: &mut [(R, T)],
     phase: Phase,
-) {
+) -> usize {
+    let mut moved = 0usize;
     debug_assert_eq!(dst.len(), idx.len());
-    for op in &prog.ops {
+    for op in ops {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
+                moved += len as usize;
                 let vals = &src[at as usize..at as usize + len as usize];
                 for (d, &v) in dst[pos as usize..pos as usize + len as usize]
                     .iter_mut()
@@ -328,6 +357,7 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
                 stride,
                 count,
             } if phase == Phase::Bulk => {
+                moved += count as usize;
                 let mut a = i64::from(at);
                 for d in &mut dst[pos as usize..pos as usize + count as usize] {
                     d.1 = src[a as usize];
@@ -335,6 +365,7 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
                 }
             }
             CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
+                moved += len as usize;
                 let ids = &idx[pos as usize..pos as usize + len as usize];
                 for (d, &i) in dst[pos as usize..pos as usize + len as usize]
                     .iter_mut()
@@ -346,22 +377,25 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
             _ => {}
         }
     }
+    moved
 }
 
 /// Scatter dense `vals` through the index list for the requested phase:
 /// `out[idx[k]] = vals[k]` — the UNPACK reply-scatter kernel. `Contig` ops
 /// are one `copy_from_slice` into `out`.
 pub(crate) fn scatter_apply<T: Copy>(
-    prog: &CopyProgram,
+    ops: &[CopyOp],
     idx: &[u32],
     vals: &[T],
     out: &mut [T],
     phase: Phase,
-) {
+) -> usize {
+    let mut moved = 0usize;
     debug_assert_eq!(vals.len(), idx.len());
-    for op in &prog.ops {
+    for op in ops {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
+                moved += len as usize;
                 out[at as usize..at as usize + len as usize]
                     .copy_from_slice(&vals[pos as usize..pos as usize + len as usize]);
             }
@@ -371,6 +405,7 @@ pub(crate) fn scatter_apply<T: Copy>(
                 stride,
                 count,
             } if phase == Phase::Bulk => {
+                moved += count as usize;
                 let mut a = i64::from(at);
                 for &v in &vals[pos as usize..pos as usize + count as usize] {
                     out[a as usize] = v;
@@ -378,6 +413,7 @@ pub(crate) fn scatter_apply<T: Copy>(
                 }
             }
             CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
+                moved += len as usize;
                 let ids = &idx[pos as usize..pos as usize + len as usize];
                 for (&i, &v) in ids
                     .iter()
@@ -389,6 +425,7 @@ pub(crate) fn scatter_apply<T: Copy>(
             _ => {}
         }
     }
+    moved
 }
 
 /// The strided gather inner loop.
@@ -408,17 +445,25 @@ mod tests {
         idx.iter().map(|&i| src[i as usize]).collect()
     }
 
+    /// One list as a one-row family.
+    fn lower(idx: &[u32]) -> CopyPrograms {
+        CopyPrograms::lower(idx, &[0, idx.len() as u32])
+    }
+
     fn roundtrip(idx: &[u32]) {
-        let prog = CopyProgram::lower(idx);
+        let progs = lower(idx);
+        let prog = progs.row(0);
+        let bulk = progs.stats().bulk_elements as usize;
         let src: Vec<u32> = (0..4096).map(|x| x * 3 + 7).collect();
         let mut out = vec![0u32; idx.len()];
-        gather_fill(&prog, idx, &src, &mut out, Phase::Bulk);
-        gather_fill(&prog, idx, &src, &mut out, Phase::Scatter);
+        assert_eq!(gather_fill(prog, idx, &src, &mut out, Phase::Bulk), bulk);
+        let rest = gather_fill(prog, idx, &src, &mut out, Phase::Scatter);
+        assert_eq!(bulk + rest, idx.len(), "the phases cover the list");
         assert_eq!(out, scalar_gather(idx, &src));
 
         let mut pairs: Vec<(u32, u32)> = idx.iter().map(|&i| (i, 0)).collect();
-        gather_pairs_refill(&prog, idx, &src, &mut pairs, Phase::Bulk);
-        gather_pairs_refill(&prog, idx, &src, &mut pairs, Phase::Scatter);
+        gather_pairs_refill(prog, idx, &src, &mut pairs, Phase::Bulk);
+        gather_pairs_refill(prog, idx, &src, &mut pairs, Phase::Scatter);
         assert!(pairs.iter().zip(idx).all(|(p, &i)| p.0 == i));
         assert_eq!(
             pairs.iter().map(|p| p.1).collect::<Vec<_>>(),
@@ -429,8 +474,8 @@ mod tests {
         let vals: Vec<u32> = (0..idx.len() as u32).map(|x| x + 100).collect();
         let mut a = vec![0u32; 4096];
         let mut b = vec![0u32; 4096];
-        scatter_apply(&prog, idx, &vals, &mut a, Phase::Bulk);
-        scatter_apply(&prog, idx, &vals, &mut a, Phase::Scatter);
+        scatter_apply(prog, idx, &vals, &mut a, Phase::Bulk);
+        scatter_apply(prog, idx, &vals, &mut a, Phase::Scatter);
         for (&i, &v) in idx.iter().zip(&vals) {
             b[i as usize] = v;
         }
@@ -440,7 +485,7 @@ mod tests {
     #[test]
     fn dense_run_lowers_to_one_contig() {
         let idx: Vec<u32> = (100..400).collect();
-        let prog = CopyProgram::lower(&idx);
+        let prog = lower(&idx);
         assert_eq!(prog.ops.len(), 1);
         assert_eq!(prog.stats().contig, 1);
         assert_eq!(prog.stats().bulk_fraction(), 1.0);
@@ -450,7 +495,7 @@ mod tests {
     #[test]
     fn cyclic_run_lowers_to_one_stride() {
         let idx: Vec<u32> = (0..128).map(|k| 5 + 16 * k).collect();
-        let prog = CopyProgram::lower(&idx);
+        let prog = lower(&idx);
         assert_eq!(prog.stats().strided, 1);
         assert_eq!(prog.stats().bulk_fraction(), 1.0);
         roundtrip(&idx);
@@ -461,7 +506,7 @@ mod tests {
         // Alternating pairs: every equal-delta run is length 2 — too short
         // for either bulk op.
         let idx: Vec<u32> = (0..64).map(|k| (k % 2) * 1000 + k).collect();
-        let prog = CopyProgram::lower(&idx);
+        let prog = lower(&idx);
         assert_eq!(prog.stats().contig + prog.stats().strided, 0);
         assert_eq!(prog.stats().scatter, 1, "scatter ranges coalesce");
         assert_eq!(prog.stats().bulk_fraction(), 0.0);
@@ -473,7 +518,7 @@ mod tests {
         // [5, 100..104): the (5,100) delta-95 run is undersized; greedily
         // consuming it whole would orphan 100 from the contig that follows.
         let idx = [5u32, 100, 101, 102, 103];
-        let prog = CopyProgram::lower(&idx);
+        let prog = lower(&idx);
         assert_eq!(prog.stats().contig, 1);
         assert_eq!(prog.stats().bulk_elements, 4);
         roundtrip(&idx);
@@ -482,7 +527,7 @@ mod tests {
     #[test]
     fn negative_stride_is_lowered() {
         let idx: Vec<u32> = (0..32).map(|k| 1000 - 8 * k).collect();
-        let prog = CopyProgram::lower(&idx);
+        let prog = lower(&idx);
         assert_eq!(prog.stats().strided, 1);
         roundtrip(&idx);
     }
@@ -491,20 +536,41 @@ mod tests {
     fn empty_and_singleton_lists() {
         roundtrip(&[]);
         roundtrip(&[17]);
-        let prog = CopyProgram::lower(&[]);
-        assert_eq!(prog.mem_bytes(), 0);
+        let prog = lower(&[]);
+        assert_eq!(prog.mem_bytes(), 8, "two row offsets, no ops");
         assert_eq!(prog.stats().bulk_fraction(), 1.0);
     }
 
     #[test]
     fn mem_bytes_counts_ops() {
         let idx: Vec<u32> = (0..100).collect();
-        let prog = CopyProgram::lower(&idx);
+        let prog = lower(&idx);
         assert_eq!(
             prog.mem_bytes(),
-            (prog.ops.len() * std::mem::size_of::<CopyOp>()) as u64
+            (prog.ops.len() * std::mem::size_of::<CopyOp>() + 8) as u64
         );
-        assert!(prog.mem_bytes() > 0);
+    }
+
+    /// Rows lower independently: a family's row equals the same list
+    /// lowered alone (a scatter range never leaks across a row boundary),
+    /// empty rows get empty programs, and the stats are the rows' sum.
+    #[test]
+    fn rows_lower_independently() {
+        let rows: [&[u32]; 4] = [&[9, 3, 7], &[], &[20, 21, 22, 23, 24], &[1, 5]];
+        let flat: Vec<u32> = rows.concat();
+        let mut offs = vec![0u32];
+        for r in rows {
+            offs.push(offs.last().unwrap() + r.len() as u32);
+        }
+        let family = CopyPrograms::lower(&flat, &offs);
+        let mut sum = CopyStats::default();
+        for (k, r) in rows.iter().enumerate() {
+            let alone = lower(r);
+            assert_eq!(family.row(k), alone.row(0), "row {k}");
+            sum.merge(alone.stats());
+        }
+        assert_eq!(family.stats(), &sum);
+        assert_eq!(family.stats().scatter, 2, "rows 0 and 3 do not coalesce");
     }
 
     proptest::proptest! {

@@ -23,8 +23,8 @@
 //! (which are now thin wrappers doing exactly `plan` + `execute`).
 //!
 //! Since the copy-program lowering (DESIGN.md §16), a plan also carries,
-//! per destination, a compiled [`copyprog::CopyProgram`] over its index
-//! lists; the execute kernels walk the program — bulk `copy_from_slice`
+//! per populated peer, a compiled [`copyprog::CopyPrograms`] row over its
+//! index list; the execute kernels walk the program — bulk `copy_from_slice`
 //! runs and constant-stride loops where the mask allows, scalar ranges
 //! where it does not — instead of indexing element by element. Lowering is
 //! wall-clock-only: simulated operation charges are per *value moved* and
@@ -49,7 +49,7 @@ pub use cache::PlanCache;
 pub use copyprog::CopyStats;
 
 use hpf_distarray::{ArrayDesc, DimLayout};
-use hpf_machine::collectives::{alltoallv, alltoallv_pooled, A2aPlan, A2aSchedule};
+use hpf_machine::collectives::{alltoallv_pooled, alltoallv_sparse, A2aPlan, A2aSchedule};
 use hpf_machine::{fresh_pool_key, Category, MemAccount, Packet, PoolSlot, Proc, Reusable, Wire};
 
 use crate::error::{PackError, UnpackError};
@@ -58,8 +58,8 @@ use crate::ranking::rank_from_counts;
 use crate::schemes::{PackOptions, PackScheme, UnpackOptions, UnpackScheme};
 use crate::unpack::RankRequest;
 
-use composer::{Composer, RankList, Route};
-use copyprog::{CopyProgram, Phase};
+use composer::{Composer, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder};
+use copyprog::{gather_fill, gather_pairs_refill, scatter_apply, CopyPrograms, Phase};
 use poolmsg::{FlatMsg, PairMsg};
 
 /// A reusable, value-independent PACK plan for one `(descriptor, mask,
@@ -72,10 +72,11 @@ pub struct PackPlan {
     size: usize,
     v_layout: Option<DimLayout>,
     local_len: usize,
-    routes: Vec<Route>,
-    /// Per destination: the copy program lowered from the route's slot
-    /// list, driving the execute-time value gather (DESIGN.md §16).
-    gather: Vec<CopyProgram>,
+    /// One row per populated destination (DESIGN.md §10).
+    routes: Routes,
+    /// Per route row: the copy program lowered from its slot list, driving
+    /// the execute-time value gather (DESIGN.md §16).
+    gather: CopyPrograms,
     a2a: A2aPlan,
     /// Buffer-pool key: each plan owns a distinct family of reusable send
     /// buffers in every processor's pool (see DESIGN.md §11).
@@ -110,39 +111,25 @@ pub fn plan_pack(
         let mut composer = pack_composer(opts);
         let counts = composer.scan(proc, m_local, w0);
         let ranking = rank_from_counts(proc, &shape, counts, opts.prs);
-        if ranking.size == 0 {
-            let n = proc.nprocs();
-            let plan = PackPlan {
-                scheme: opts.scheme,
-                schedule: opts.schedule,
-                size: 0,
-                v_layout: None,
-                local_len,
-                routes: Vec::new(),
-                gather: Vec::new(),
-                a2a: A2aPlan::from_flags(vec![false; n], vec![false; n]),
-                pool_key: fresh_pool_key(),
-            };
-            proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
-            return plan;
-        }
-        let layout =
-            result_layout(ranking.size, proc.nprocs(), opts.result_block_size).expect("size > 0");
-        let routes = composer.compose(proc, &ranking, m_local, w0, &layout);
+        let layout = result_layout(ranking.size, proc.nprocs(), opts.result_block_size);
+        let routes = match &layout {
+            Some(layout) => composer.compose(proc, &ranking, m_local, w0, layout),
+            None => RoutesBuilder::new(RankEmit::Explicit).finish(),
+        };
         let gather = proc.wall_span("plan.lower", |_| {
-            routes
-                .iter()
-                .map(|r| CopyProgram::lower(&r.slots))
-                .collect()
+            CopyPrograms::lower(&routes.slots.items, &routes.slots.offs)
         });
-        let to: Vec<bool> = routes.iter().map(|r| !r.slots.is_empty()).collect();
-        let world = proc.world();
-        let a2a = A2aPlan::exchange(proc, &world, to);
+        let (to, world) = (routes.slots.peers.clone(), proc.world());
+        let a2a = match layout {
+            Some(_) => A2aPlan::exchange(proc, &world, to),
+            // `Size` is replicated: nobody sends, so nobody needs to ask.
+            None => A2aPlan::from_peers(proc.nprocs(), to, Vec::new()),
+        };
         let plan = PackPlan {
             scheme: opts.scheme,
             schedule: opts.schedule,
             size: ranking.size,
-            v_layout: Some(layout),
+            v_layout: layout,
             local_len,
             routes,
             gather,
@@ -160,24 +147,18 @@ impl PackPlan {
         self.scheme
     }
 
-    /// Bytes retained by the plan's index structures (routes, lowered copy
-    /// programs, and exchange flags), charged to the `plan` memory account
-    /// at build time and never released — plans live for the run, typically
-    /// cached across calls.
+    /// Bytes retained by the plan's index structures (route rows, lowered
+    /// copy programs, and the exchange's peer lists), charged to the `plan`
+    /// memory account at build time and never released — plans live for the
+    /// run, typically cached across calls.
     fn mem_bytes(&self) -> u64 {
-        let routes: u64 = self.routes.iter().map(route_bytes).sum();
-        let progs: u64 = self.gather.iter().map(CopyProgram::mem_bytes).sum();
-        routes + progs + 2 * self.a2a.to.len() as u64
+        self.routes.mem_bytes() + self.gather.mem_bytes() + self.a2a.mem_bytes()
     }
 
     /// Aggregate op breakdown of the plan's lowered gather programs —
     /// how much of the execute-time value movement runs as bulk copies.
     pub fn copy_stats(&self) -> CopyStats {
-        let mut s = CopyStats::default();
-        for p in &self.gather {
-            s.merge(p.stats());
-        }
-        s
+        *self.gather.stats()
     }
 
     /// Global number of packed elements (`Size`), replicated everywhere.
@@ -284,33 +265,26 @@ impl PackPlan {
         proc.wall_span("pack.gather", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
                 let mut moved = 0usize;
-                for (dst, route) in self.routes.iter().enumerate() {
-                    if route.slots.is_empty() {
-                        continue;
-                    }
-                    let RankList::Explicit(ranks) = &route.ranks else {
-                        unreachable!("pair schemes compose explicit ranks")
-                    };
-                    let (slot, mut buf) = proc.pool_checkout::<PairMsg<T>>(self.pool_key, dst);
+                for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
+                    let (slots, ranks) = (self.routes.slots.row(k), self.routes.explicit(k));
+                    let (slot, mut buf) =
+                        proc.pool_checkout::<PairMsg<T>>(self.pool_key, dst as usize);
                     if buf.pairs.len() == ranks.len() {
                         debug_assert!(
                             buf.pairs.iter().zip(ranks).all(|(p, &r)| p.0 == r),
                             "stale rank skeleton in pooled pair buffer"
                         );
-                        walk_pairs_refill(
-                            proc,
-                            &self.gather[dst],
-                            &route.slots,
-                            a_local,
-                            &mut buf.pairs,
-                        );
+                        let prog = self.gather.row(k);
+                        walk_phases::<T>(proc, |phase| {
+                            gather_pairs_refill(prog, slots, a_local, &mut buf.pairs, phase)
+                        });
                     } else {
                         proc.wall_span("copy.scatter", |proc| {
                             buf.pairs.clear();
                             buf.pairs.extend(
                                 ranks
                                     .iter()
-                                    .zip(&route.slots)
+                                    .zip(slots)
                                     .map(|(&r, &s)| (r, a_local[s as usize])),
                             );
                             proc.wall_bytes((ranks.len() * std::mem::size_of::<(u32, T)>()) as u64);
@@ -333,25 +307,18 @@ impl PackPlan {
         proc.wall_span("pack.gather", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
                 let mut moved = 0usize;
-                for (dst, route) in self.routes.iter().enumerate() {
-                    if route.slots.is_empty() {
-                        continue;
-                    }
-                    let RankList::Runs(runs) = &route.ranks else {
-                        unreachable!("compact message composes runs")
-                    };
-                    let (slot, mut msg) = proc.pool_checkout::<CmsMessage<T>>(self.pool_key, dst);
+                for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
+                    let slots = self.routes.slots.row(k);
+                    let (slot, mut msg) =
+                        proc.pool_checkout::<CmsMessage<T>>(self.pool_key, dst as usize);
                     proc.wall_span("fill_segments", |proc| {
-                        compact_message::ensure_shape(&mut msg, runs, route.slots.len());
-                        walk_gather(
-                            proc,
-                            &self.gather[dst],
-                            &route.slots,
-                            a_local,
-                            &mut msg.vals,
-                        );
+                        compact_message::ensure_shape(&mut msg, self.routes.runs(k), slots.len());
+                        let prog = self.gather.row(k);
+                        walk_phases::<T>(proc, |phase| {
+                            gather_fill(prog, slots, a_local, &mut msg.vals, phase)
+                        });
                     });
-                    moved += route.slots.len();
+                    moved += slots.len();
                     slot.stash(msg);
                 }
                 proc.charge_ops(moved);
@@ -375,7 +342,7 @@ impl PackPlan {
                 let placed = decode_pooled::<PairMsg<T>, _>(
                     proc,
                     self.pool_key,
-                    self.a2a.to[me],
+                    self.a2a.sends_to(me),
                     recvs,
                     |_, _, buf| place_pairs(layout, me, &buf.pairs, out),
                 );
@@ -404,7 +371,7 @@ impl PackPlan {
                 let ops = decode_pooled::<CmsMessage<T>, _>(
                     proc,
                     self.pool_key,
-                    self.a2a.to[me],
+                    self.a2a.sends_to(me),
                     recvs,
                     |proc, _, msg| {
                         placed += msg.value_count();
@@ -422,16 +389,6 @@ impl PackPlan {
             })
         })
     }
-}
-
-/// Retained bytes of one route's index buffers: 4 bytes per slot, plus 4
-/// per explicit rank or 8 per `(base, len)` run.
-fn route_bytes(route: &Route) -> u64 {
-    let ranks = match &route.ranks {
-        RankList::Explicit(v) => v.len() as u64 * 4,
-        RankList::Runs(v) => v.len() as u64 * 8,
-    };
-    ranks + route.slots.len() as u64 * 4
 }
 
 /// Shape the decode output. `V`'s local slice is fully overwritten by the
@@ -483,66 +440,20 @@ where
     acc
 }
 
-/// Walk a lowered gather program into a pre-shaped destination slice,
-/// splitting the bulk ops and the scalar ranges into their wall frames
-/// (`copy.contig` / `copy.scatter`) so hotspot attribution sees the shift
-/// from indexed to bulk movement.
-fn walk_gather<T: Wire>(
-    proc: &mut Proc,
-    prog: &CopyProgram,
-    idx: &[u32],
-    src: &[T],
-    dst: &mut [T],
-) {
-    let bulk = prog.stats().bulk_elements as usize;
-    proc.wall_span("copy.contig", |proc| {
-        copyprog::gather_fill(prog, idx, src, dst, Phase::Bulk);
-        proc.wall_bytes((bulk * std::mem::size_of::<T>()) as u64);
-    });
-    proc.wall_span("copy.scatter", |proc| {
-        copyprog::gather_fill(prog, idx, src, dst, Phase::Scatter);
-        proc.wall_bytes(((idx.len() - bulk) * std::mem::size_of::<T>()) as u64);
-    });
-}
-
-/// [`walk_gather`] for pair buffers: overwrite the value halves along the
-/// program, rank skeleton untouched.
-fn walk_pairs_refill<T: Wire>(
-    proc: &mut Proc,
-    prog: &CopyProgram,
-    idx: &[u32],
-    src: &[T],
-    dst: &mut [(u32, T)],
-) {
-    let bulk = prog.stats().bulk_elements as usize;
-    proc.wall_span("copy.contig", |proc| {
-        copyprog::gather_pairs_refill(prog, idx, src, dst, Phase::Bulk);
-        proc.wall_bytes((bulk * std::mem::size_of::<T>()) as u64);
-    });
-    proc.wall_span("copy.scatter", |proc| {
-        copyprog::gather_pairs_refill(prog, idx, src, dst, Phase::Scatter);
-        proc.wall_bytes(((idx.len() - bulk) * std::mem::size_of::<T>()) as u64);
-    });
-}
-
-/// Walk a lowered scatter program (`out[idx[k]] = vals[k]`) under the
-/// `copy.contig` / `copy.scatter` wall frames.
-fn walk_scatter<T: Wire>(
-    proc: &mut Proc,
-    prog: &CopyProgram,
-    idx: &[u32],
-    vals: &[T],
-    out: &mut [T],
-) {
-    let bulk = prog.stats().bulk_elements as usize;
-    proc.wall_span("copy.contig", |proc| {
-        copyprog::scatter_apply(prog, idx, vals, out, Phase::Bulk);
-        proc.wall_bytes((bulk * std::mem::size_of::<T>()) as u64);
-    });
-    proc.wall_span("copy.scatter", |proc| {
-        copyprog::scatter_apply(prog, idx, vals, out, Phase::Scatter);
-        proc.wall_bytes(((idx.len() - bulk) * std::mem::size_of::<T>()) as u64);
-    });
+/// Walk a lowered copy program: `walk` runs one phase of a `copyprog`
+/// kernel and returns the elements it moved. The bulk ops run under the
+/// `copy.contig` wall frame and the scalar ranges under `copy.scatter`, so
+/// hotspot attribution sees the shift from indexed to bulk movement.
+fn walk_phases<T>(proc: &mut Proc, mut walk: impl FnMut(Phase) -> usize) {
+    for (frame, phase) in [
+        ("copy.contig", Phase::Bulk),
+        ("copy.scatter", Phase::Scatter),
+    ] {
+        proc.wall_span(frame, |proc| {
+            let moved = walk(phase);
+            proc.wall_bytes((moved * std::mem::size_of::<T>()) as u64);
+        });
+    }
 }
 
 /// Place one pair message's `(global rank, value)` entries into the local
@@ -598,17 +509,15 @@ pub struct UnpackPlan {
     size: usize,
     local_len: usize,
     v_local_len: usize,
-    /// Per reply-sender: local element slots awaiting its values.
-    targets: Vec<Vec<u32>>,
-    /// Per requester: the local indices into my `V` slice to serve, in
-    /// request order.
-    serve_idx: Vec<Vec<u32>>,
-    /// Per requester: copy program lowered from `serve_idx` (the reply
-    /// fill).
-    serve_prog: Vec<CopyProgram>,
-    /// Per reply-sender: copy program lowered from `targets` (the reply
-    /// scatter).
-    scatter_prog: Vec<CopyProgram>,
+    /// One row per reply-sender: local element slots awaiting its values.
+    targets: PeerCsr<u32>,
+    /// One row per requester: the local indices into my `V` slice to serve,
+    /// in request order.
+    serve: PeerCsr<u32>,
+    /// Per `serve` row: its lowered copy program (the reply fill).
+    serve_prog: CopyPrograms,
+    /// Per `targets` row: its lowered copy program (the reply scatter).
+    scatter_prog: CopyPrograms,
     reply_a2a: A2aPlan,
     /// Buffer-pool key for the reply-round send buffers (DESIGN.md §11).
     pool_key: u64,
@@ -650,86 +559,72 @@ pub fn plan_unpack(
                 capacity: v_layout.n(),
             });
         }
-        let n = proc.nprocs();
-        if size == 0 {
-            let plan = UnpackPlan {
-                schedule: opts.schedule,
-                size: 0,
-                local_len,
-                v_local_len,
-                targets: vec![Vec::new(); n],
-                serve_idx: vec![Vec::new(); n],
-                serve_prog: Vec::new(),
-                scatter_prog: Vec::new(),
-                reply_a2a: A2aPlan::from_flags(vec![false; n], vec![false; n]),
-                pool_key: fresh_pool_key(),
-            };
-            proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
-            return Ok(plan);
-        }
-        let routes = composer.compose(proc, &ranking, m_local, w0, v_layout);
-        let mut requests: Vec<RankRequest> = Vec::with_capacity(n);
-        let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
-        for route in routes {
-            requests.push(match route.ranks {
-                RankList::Explicit(v) => RankRequest::Explicit(v),
-                RankList::Runs(v) => RankRequest::Runs(v),
+        // An empty mask composes and requests nothing (`Size` is replicated,
+        // so everyone skips the round together).
+        let (targets, incoming) = if size == 0 {
+            (PeerCsr::empty(), Vec::new())
+        } else {
+            let routes = composer.compose(proc, &ranking, m_local, w0, v_layout);
+            let requests = (routes.slots.peers.iter().enumerate())
+                .map(|(k, &owner)| match routes.ranks {
+                    RankList::Explicit(_) => {
+                        (owner, RankRequest::Explicit(routes.explicit(k).into()))
+                    }
+                    RankList::Runs { .. } => (owner, RankRequest::Runs(routes.runs(k).into())),
+                })
+                .collect();
+            // The request round: identical wire traffic to the one-shot
+            // path, paid once per plan instead of once per call.
+            let incoming = proc.with_stage("unpack.request", |proc| {
+                proc.with_category(Category::ManyToMany, |proc| {
+                    let world = proc.world();
+                    alltoallv_sparse(proc, &world, requests, opts.schedule)
+                })
             });
-            targets.push(route.slots);
-        }
-        // The request round: identical wire traffic to the one-shot path,
-        // paid once per plan instead of once per call.
-        let incoming = proc.with_stage("unpack.request", |proc| {
-            proc.with_category(Category::ManyToMany, |proc| {
-                let world = proc.world();
-                alltoallv(proc, &world, requests, opts.schedule)
-            })
-        });
+            (routes.slots, incoming)
+        };
         // Owner-side precompute: resolve each requested rank to a local
         // index into my slice of V (one operation per served rank; the
         // value fetch itself is charged at execute time).
-        let serve_idx = proc.with_category(Category::LocalComp, |proc| {
-            let mut serve: Vec<Vec<u32>> = Vec::with_capacity(incoming.len());
-            let mut ops = 0usize;
-            for req in &incoming {
-                let mut idx = Vec::with_capacity(req.expanded_len());
+        let serve = proc.with_category(Category::LocalComp, |proc| {
+            let mut serve = PeerCsr::empty();
+            for (requester, req) in &incoming {
+                serve.items.reserve(req.expanded_len());
                 req.for_each_rank(|r| {
                     debug_assert_eq!(v_layout.owner(r), proc.id(), "misrouted request");
-                    idx.push(v_layout.local_of(r) as u32);
+                    serve.items.push(v_layout.local_of(r) as u32);
                 });
-                ops += idx.len();
-                serve.push(idx);
+                serve.peers.push(*requester);
+                serve.offs.push(serve.items.len() as u32);
             }
-            proc.charge_ops(ops);
+            proc.charge_ops(serve.items.len());
             serve
         });
         let (serve_prog, scatter_prog) = proc.wall_span("plan.lower", |_| {
-            (lower_idx_lists(&serve_idx), lower_idx_lists(&targets))
+            (
+                CopyPrograms::lower(&serve.items, &serve.offs),
+                CopyPrograms::lower(&targets.items, &targets.offs),
+            )
         });
         // Reply directions are locally known: I reply to whoever asked,
         // and I await replies from whoever I asked.
-        let to: Vec<bool> = serve_idx.iter().map(|s| !s.is_empty()).collect();
-        let from: Vec<bool> = targets.iter().map(|t| !t.is_empty()).collect();
+        let reply_a2a =
+            A2aPlan::from_peers(proc.nprocs(), serve.peers.clone(), targets.peers.clone());
         let plan = UnpackPlan {
             schedule: opts.schedule,
             size,
             local_len,
             v_local_len,
             targets,
-            serve_idx,
+            serve,
             serve_prog,
             scatter_prog,
-            reply_a2a: A2aPlan::from_flags(to, from),
+            reply_a2a,
             pool_key: fresh_pool_key(),
         };
         proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
         Ok(plan)
     })
-}
-
-/// Lower each index list of a per-processor family into its copy program.
-fn lower_idx_lists(lists: &[Vec<u32>]) -> Vec<CopyProgram> {
-    lists.iter().map(|l| CopyProgram::lower(l)).collect()
 }
 
 impl UnpackPlan {
@@ -738,28 +633,20 @@ impl UnpackPlan {
         self.size
     }
 
-    /// Bytes retained by the plan's index structures (targets, serve
-    /// indices, lowered copy programs, reply flags); see
+    /// Bytes retained by the plan's index structures (target and serve
+    /// rows, lowered copy programs, reply peer lists); see
     /// [`PackPlan::mem_bytes`].
     fn mem_bytes(&self) -> u64 {
-        let targets: u64 = self.targets.iter().map(|v| v.len() as u64 * 4).sum();
-        let serve: u64 = self.serve_idx.iter().map(|v| v.len() as u64 * 4).sum();
-        let progs: u64 = self
-            .serve_prog
-            .iter()
-            .chain(&self.scatter_prog)
-            .map(CopyProgram::mem_bytes)
-            .sum();
-        targets + serve + progs + 2 * self.reply_a2a.to.len() as u64
+        let rows = self.targets.mem_bytes() + self.serve.mem_bytes();
+        let progs = self.serve_prog.mem_bytes() + self.scatter_prog.mem_bytes();
+        rows + progs + self.reply_a2a.mem_bytes()
     }
 
     /// Aggregate op breakdown of the plan's lowered serve + scatter
     /// programs; see [`PackPlan::copy_stats`].
     pub fn copy_stats(&self) -> CopyStats {
-        let mut s = CopyStats::default();
-        for p in self.serve_prog.iter().chain(&self.scatter_prog) {
-            s.merge(p.stats());
-        }
+        let mut s = *self.serve_prog.stats();
+        s.merge(self.scatter_prog.stats());
         s
     }
 
@@ -832,23 +719,18 @@ impl UnpackPlan {
             proc.wall_span("unpack.serve", |proc| {
                 proc.with_category(Category::LocalComp, |proc| {
                     let mut ops = 0usize;
-                    for (requester, idx) in self.serve_idx.iter().enumerate() {
-                        if idx.is_empty() {
-                            continue;
-                        }
+                    for (k, &requester) in self.serve.peers.iter().enumerate() {
+                        let idx = self.serve.row(k);
                         let (slot, mut buf) =
-                            proc.pool_checkout::<FlatMsg<T>>(self.pool_key, requester);
+                            proc.pool_checkout::<FlatMsg<T>>(self.pool_key, requester as usize);
                         if buf.vals.len() != idx.len() {
                             buf.vals.clear();
                             buf.vals.resize(idx.len(), T::default());
                         }
-                        walk_gather(
-                            proc,
-                            &self.serve_prog[requester],
-                            idx,
-                            v_local,
-                            &mut buf.vals,
-                        );
+                        walk_phases::<T>(proc, |phase| {
+                            let prog = self.serve_prog.row(k);
+                            gather_fill(prog, idx, v_local, &mut buf.vals, phase)
+                        });
                         ops += idx.len();
                         slot.stash(buf);
                     }
@@ -876,21 +758,16 @@ impl UnpackPlan {
                     let ops = decode_pooled::<FlatMsg<T>, _>(
                         proc,
                         self.pool_key,
-                        self.reply_a2a.to[me],
+                        self.reply_a2a.sends_to(me),
                         &mut recvs,
                         |proc, src, buf| {
-                            debug_assert_eq!(
-                                buf.vals.len(),
-                                self.targets[src].len(),
-                                "reply length mismatch"
-                            );
-                            walk_scatter(
-                                proc,
-                                &self.scatter_prog[src],
-                                &self.targets[src],
-                                &buf.vals,
-                                out,
-                            );
+                            let k = self.targets.find(src).expect("a reply I asked for");
+                            let idx = self.targets.row(k);
+                            debug_assert_eq!(buf.vals.len(), idx.len(), "reply length mismatch");
+                            walk_phases::<T>(proc, |phase| {
+                                let prog = self.scatter_prog.row(k);
+                                scatter_apply(prog, idx, &buf.vals, out, phase)
+                            });
                             buf.vals.len()
                         },
                     );

@@ -95,6 +95,7 @@ pub(crate) fn validate_mask(
             return Err(UnpackError::NotDivisible { dim: i });
         }
     }
+    crate::error::plannable(desc)?;
     let expected = desc.local_len(proc.id());
     if m_local.len() != expected {
         return Err(UnpackError::MaskLenMismatch {

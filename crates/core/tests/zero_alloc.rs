@@ -7,7 +7,10 @@
 //! The gate is exact and deterministic: the test installs the counting
 //! global allocator and asserts the per-thread allocation delta across the
 //! steady-state iterations is literally zero, for every PACK scheme and
-//! every UNPACK scheme, at both cyclic and wide block sizes.
+//! every UNPACK scheme, at both cyclic and wide block sizes — under
+//! `Machine::run` and under `Machine::run_recoverable` with no fault plan
+//! (a benign recoverable run has no transport, logs nothing and ships the
+//! live pool slots, so attaching recovery must cost the hot path nothing).
 
 use hpf_core::{
     plan_pack, plan_unpack, MaskPattern, PackOptions, PackOutput, PackScheme, UnpackOptions,
@@ -15,7 +18,7 @@ use hpf_core::{
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
-use hpf_machine::{CostModel, Machine, ProcGrid};
+use hpf_machine::{CostModel, Machine, Proc, ProcGrid, RunOutput};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -33,6 +36,30 @@ fn desc(w: usize) -> ArrayDesc {
     ArrayDesc::new(&[N], &ProcGrid::line(P), &[Dist::BlockCyclic(w)]).unwrap()
 }
 
+/// Block size × run mode of both sweeps.
+const CASES: [(usize, bool); 4] = [(1, false), (4, false), (1, true), (4, true)];
+
+/// Fence the measured window of a recoverable run. A recoverable run ends
+/// in a retire barrier, and a peer that finishes first would put its barrier
+/// frame — a first frame under a new `(source, tag)`, i.e. a new mailbox lane
+/// — into a slower processor's window. Two uncharged barriers keep the
+/// window clean: the one before it opens the lanes that the one after it
+/// reuses, and nobody retires until everybody has left the second.
+fn fence(proc: &mut Proc) {
+    let world = proc.world();
+    proc.clock_sync_max(&world);
+}
+
+/// `program` on a fault-free machine, plain or with recovery attached.
+fn run<R: Send>(recoverable: bool, program: impl Fn(&mut Proc) -> R + Sync) -> RunOutput<R> {
+    let machine = Machine::new(ProcGrid::line(P), CostModel::cm5());
+    if recoverable {
+        machine.run_recoverable(program).expect("benign run")
+    } else {
+        machine.run(program)
+    }
+}
+
 fn mask() -> MaskPattern {
     MaskPattern::Random {
         density: 0.5,
@@ -42,13 +69,12 @@ fn mask() -> MaskPattern {
 
 #[test]
 fn pack_execute_is_allocation_free_in_steady_state() {
-    for w in [1usize, 4] {
+    for (w, recoverable) in CASES {
         for scheme in PackScheme::ALL {
             let d = desc(w);
             let opts = PackOptions::new(scheme);
             let (dr, o, pattern) = (&d, &opts, mask());
-            let machine = Machine::new(ProcGrid::line(P), CostModel::cm5());
-            let out = machine.run(move |proc| {
+            let out = run(recoverable, move |proc| {
                 let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
                 let a = local_from_fn(dr, proc.id(), |g| g[0] as i32);
                 let plan = plan_pack(proc, dr, &m, o).unwrap();
@@ -61,11 +87,13 @@ fn pack_execute_is_allocation_free_in_steady_state() {
                     plan.execute_into(proc, &a, &mut out).unwrap();
                 }
                 let baseline = out.local_v.clone();
+                fence(proc);
                 let (c0, b0) = thread_totals();
                 for _ in 0..STEADY {
                     plan.execute_into(proc, &a, &mut out).unwrap();
                 }
                 let (c1, b1) = thread_totals();
+                fence(proc);
                 assert_eq!(out.local_v, baseline, "steady-state result drifted");
                 (c1 - c0, b1 - b0)
             });
@@ -73,8 +101,8 @@ fn pack_execute_is_allocation_free_in_steady_state() {
                 assert_eq!(
                     (allocs, bytes),
                     (0, 0),
-                    "{scheme:?} w={w}: proc {p} allocated {allocs} times \
-                     ({bytes} bytes) in {STEADY} steady-state executes"
+                    "{scheme:?} w={w} recoverable={recoverable}: proc {p} allocated \
+                     {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
                 );
             }
         }
@@ -83,7 +111,7 @@ fn pack_execute_is_allocation_free_in_steady_state() {
 
 #[test]
 fn unpack_execute_is_allocation_free_in_steady_state() {
-    for w in [1usize, 4] {
+    for (w, recoverable) in CASES {
         for scheme in UnpackScheme::ALL {
             let d = desc(w);
             let opts = UnpackOptions::new(scheme);
@@ -94,8 +122,7 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
             };
             let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
             let (dr, o, vlr) = (&d, &opts, &vl);
-            let machine = Machine::new(ProcGrid::line(P), CostModel::cm5());
-            let out = machine.run(move |proc| {
+            let out = run(recoverable, move |proc| {
                 let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
                 let f = local_from_fn(dr, proc.id(), |_| -1i32);
                 let v: Vec<i32> = (0..vlr.local_len(proc.id()))
@@ -107,11 +134,13 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
                     plan.execute_into(proc, &f, &v, &mut out).unwrap();
                 }
                 let baseline = out.clone();
+                fence(proc);
                 let (c0, b0) = thread_totals();
                 for _ in 0..STEADY {
                     plan.execute_into(proc, &f, &v, &mut out).unwrap();
                 }
                 let (c1, b1) = thread_totals();
+                fence(proc);
                 assert_eq!(out, baseline, "steady-state result drifted");
                 (c1 - c0, b1 - b0)
             });
@@ -119,8 +148,8 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
                 assert_eq!(
                     (allocs, bytes),
                     (0, 0),
-                    "{scheme:?} w={w}: proc {p} allocated {allocs} times \
-                     ({bytes} bytes) in {STEADY} steady-state executes"
+                    "{scheme:?} w={w} recoverable={recoverable}: proc {p} allocated \
+                     {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
                 );
             }
         }

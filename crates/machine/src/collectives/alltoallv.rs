@@ -47,11 +47,11 @@ pub enum A2aSchedule {
 ///
 /// Works for any [`Payload`] (plain element vectors, or structured message
 /// formats like the compact message scheme's segment stream). **A slot
-/// with zero wire words is not transmitted and arrives as `P::default()`**:
-/// the members first learn who sends to whom ([`A2aPlan::exchange`], free
-/// and clock-neutral), then run [`alltoallv_planned`] over the populated
-/// pairs. A processor with nothing to send or receive leaves with its clock
-/// untouched.
+/// with zero wire words is not transmitted and arrives as `P::default()`.**
+/// A dense-vector adapter over [`alltoallv_sparse`]: the populated slots go
+/// in as a peer list, and the received list is spread back over `P`
+/// defaults. A processor with nothing to send or receive leaves with its
+/// clock untouched.
 ///
 /// # Panics
 /// Panics if `sends.len() != group.size()`.
@@ -61,48 +61,115 @@ pub fn alltoallv<P: Payload + Default>(
     sends: Vec<P>,
     schedule: A2aSchedule,
 ) -> Vec<P> {
+    let n = sends.len();
+    let sends = populated(group, sends, |_, s| s.wire_words() > 0);
+    spread(n, alltoallv_sparse(proc, group, sends, schedule))
+}
+
+/// The dense slots that travel, as an ascending peer list: those `keep`
+/// selects, plus this rank's own (moved, never sent).
+fn populated<P>(group: &Group, sends: Vec<P>, keep: impl Fn(usize, &P) -> bool) -> Vec<(u32, P)> {
     assert_eq!(
         sends.len(),
         group.size(),
         "one send buffer per group member required"
     );
-    let to = sends.iter().map(|s| s.wire_words() > 0).collect();
-    let plan = A2aPlan::exchange(proc, group, to);
-    alltoallv_planned(proc, group, sends, &plan, schedule)
+    let me = group.my_rank();
+    let slots = sends.into_iter().enumerate();
+    let kept = slots.filter(|(j, s)| *j == me || keep(*j, s));
+    kept.map(|(j, s)| (j as u32, s)).collect()
 }
 
-/// Which peers actually exchange data in a many-to-many: `to[j]` means this
-/// processor sends a message to group rank `j`, `from[j]` means rank `j`
-/// sends one to us. A plain [`alltoallv`] derives it per call; a cached
-/// PACK/UNPACK plan captures it once so that every execute runs
-/// [`alltoallv_planned`] (or [`alltoallv_pooled`]) directly.
+/// A received peer list as a dense vector: `P::default()` where no message
+/// came.
+fn spread<P: Default>(n: usize, recvs: Vec<(u32, P)>) -> Vec<P> {
+    let mut dense: Vec<P> = (0..n).map(|_| P::default()).collect();
+    for (src, data) in recvs {
+        dense[src as usize] = data;
+    }
+    dense
+}
+
+/// The many-to-many over peer lists: `sends` holds `(group rank, payload)`
+/// ascending by rank — every entry is transmitted (so each must carry wire
+/// words), bar one for this rank itself, which is moved without charge —
+/// and the result lists `(source rank, payload)` ascending the same way.
+/// Work and memory are proportional to the populated peers plus the
+/// `⌈P/64⌉`-word flag row of [`A2aPlan::exchange`], which tells every member
+/// whom to expect.
+pub fn alltoallv_sparse<P: Payload + Default>(
+    proc: &mut Proc,
+    group: &Group,
+    sends: Vec<(u32, P)>,
+    schedule: A2aSchedule,
+) -> Vec<(u32, P)> {
+    let to = sends.iter().map(|s| s.0).collect();
+    let plan = A2aPlan::exchange(proc, group, to);
+    sparse_planned(proc, group, sends, &plan, schedule)
+}
+
+/// Which peers actually exchange data in a many-to-many, as sorted lists of
+/// group ranks: this processor sends a message to every rank in `to` and
+/// receives one from every rank in `from`. A plain [`alltoallv`] derives
+/// it per call; a cached PACK/UNPACK plan captures it once so that every
+/// execute runs [`alltoallv_pooled`] directly. This rank itself may appear
+/// in both (its slot is moved, never sent); the rounds skip it.
 ///
-/// The flags must be *pairwise consistent* across the group: `from[j]` here
-/// must equal `to[my_rank]` on rank `j`, or a planned exchange deadlocks
+/// The lists must be *pairwise consistent* across the group: `j ∈ from`
+/// here iff `my_rank ∈ to` on rank `j`, or a planned exchange deadlocks
 /// waiting for a message that is never sent. [`A2aPlan::exchange`]
-/// establishes that consistency collectively; [`A2aPlan::from_flags`] trusts
-/// the caller (for protocols where both directions are locally known, e.g. a
-/// request/reply pattern replying only to actual requesters).
+/// establishes that consistency collectively; [`A2aPlan::from_peers`] and
+/// [`A2aPlan::from_flags`] trust the caller (for protocols where both
+/// directions are locally known, e.g. a request/reply pattern replying only
+/// to actual requesters).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct A2aPlan {
-    /// `to[j]`: this rank sends to group rank `j`.
-    pub to: Vec<bool>,
-    /// `from[j]`: group rank `j` sends to this rank.
-    pub from: Vec<bool>,
+    /// Size of the group the lists index into.
+    n: usize,
+    to: Vec<u32>,
+    from: Vec<u32>,
 }
 
 impl A2aPlan {
-    /// Build from flags the caller already knows in both directions.
-    pub fn from_flags(to: Vec<bool>, from: Vec<bool>) -> A2aPlan {
-        assert_eq!(to.len(), from.len(), "direction flags must cover the group");
-        A2aPlan { to, from }
+    /// Build from ascending peer lists the caller already knows in both
+    /// directions, over a group of `n`.
+    pub fn from_peers(n: usize, to: Vec<u32>, from: Vec<u32>) -> A2aPlan {
+        for list in [&to, &from] {
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "peers must ascend");
+            assert!(list.last().is_none_or(|&p| (p as usize) < n), "peer ≥ n");
+        }
+        A2aPlan { n, to, from }
     }
 
-    /// Collective: derive the receive flags by transposing the group's
+    /// [`A2aPlan::from_peers`] from one flag per group member.
+    pub fn from_flags(to: Vec<bool>, from: Vec<bool>) -> A2aPlan {
+        assert_eq!(to.len(), from.len(), "direction flags must cover the group");
+        let set = |flags: Vec<bool>| (0u32..).zip(flags).filter(|f| f.1).map(|f| f.0);
+        A2aPlan::from_peers(to.len(), set(to).collect(), set(from).collect())
+    }
+
+    /// The ranks that send to this rank, ascending.
+    pub fn from(&self) -> &[u32] {
+        &self.from
+    }
+
+    /// Bytes the two peer lists retain.
+    pub fn mem_bytes(&self) -> u64 {
+        4 * (self.to.len() + self.from.len()) as u64
+    }
+
+    /// Whether this rank sends to `rank` (its own included: a staged self
+    /// slot).
+    pub fn sends_to(&self, rank: usize) -> bool {
+        self.to.binary_search(&(rank as u32)).is_ok()
+    }
+
+    /// Collective: derive the receive list by transposing the group's
     /// `P × P` send-flag matrix on the control plane. Every member sends its
-    /// `to` row as a `⌈P/64⌉`-word bitset to group rank 0, which returns each
-    /// member its `from` column — `2(P−1)` frames where an all-pairs flag
-    /// round moved `P(P−1)`.
+    /// `to` list as a `⌈P/64⌉`-word bitset row to group rank 0, which returns
+    /// each member its `from` column — `2(P−1)` frames where an all-pairs
+    /// flag round moved `P(P−1)`. Rows and columns are packed from and
+    /// unpacked to peer lists directly; only rank 0 ever holds more than one.
     ///
     /// The traffic models the CM-5 control network, exactly like
     /// [`Proc::clock_sync_max`]: uncharged, never fault-injected, invisible
@@ -111,19 +178,18 @@ impl A2aPlan {
     /// imposes no synchronisation the data rounds do not themselves need.
     /// Under crash recovery the frames are sequenced and logged like all
     /// control traffic.
-    pub fn exchange(proc: &mut Proc, group: &Group, to: Vec<bool>) -> Self {
+    pub fn exchange(proc: &mut Proc, group: &Group, to: Vec<u32>) -> Self {
         let n = group.size();
-        assert_eq!(to.len(), n, "one send flag per group member required");
         let from = proc.with_stage("a2a.flags", |proc| {
             if n == 1 {
                 return to.clone();
             }
-            let row = pack_bits(&to);
+            let row = pack_bits(&to, n);
             let root = group.id_of(0);
             if group.my_rank() != 0 {
                 proc.send_uncharged(root, tags::A2A_FLAGS, row);
                 let col: Vec<u64> = proc.recv_uncharged(root, tags::A2A_FLAGS);
-                return unpack_bits(&col, n);
+                return set_bits(&col).collect();
             }
             // Rank 0: scatter each row's set bits into the columns as it
             // arrives (work proportional to the populated pairs).
@@ -138,146 +204,223 @@ impl A2aPlan {
             for (j, col) in cols.enumerate() {
                 proc.send_uncharged(group.id_of(j + 1), tags::A2A_FLAGS, col);
             }
-            unpack_bits(&mine, n)
+            set_bits(&mine).collect()
         });
-        A2aPlan { to, from }
+        A2aPlan::from_peers(n, to, from)
     }
 }
 
-/// Pack flags into a little-endian bitset, 64 per word.
-fn pack_bits(flags: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; flags.len().div_ceil(64)];
-    for (i, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
-        words[i / 64] |= 1 << (i % 64);
+/// Pack a peer list into a little-endian bitset over `n` ranks, 64 per word.
+fn pack_bits(peers: &[u32], n: usize) -> Vec<u64> {
+    let mut words = vec![0u64; n.div_ceil(64)];
+    for &j in peers {
+        words[j as usize / 64] |= 1 << (j % 64);
     }
     words
+}
+
+/// The set bits of a [`pack_bits`] bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let j = w as u32 * 64 + bits.trailing_zeros();
+                bits &= bits - 1;
+                j
+            })
+        })
+    })
 }
 
 /// Transpose one row of the flag matrix: set bit `i` of column `j` for
 /// every set bit `j` of `row`.
 fn scatter_row(cols: &mut [Vec<u64>], i: usize, row: &[u64]) {
-    for (w, &word) in row.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let j = w * 64 + bits.trailing_zeros() as usize;
-            cols[j][i / 64] |= 1 << (i % 64);
-            bits &= bits - 1;
-        }
+    for j in set_bits(row) {
+        cols[j as usize][i / 64] |= 1 << (i % 64);
     }
-}
-
-/// The first `n` flags of a [`pack_bits`] bitset.
-fn unpack_bits(words: &[u64], n: usize) -> Vec<bool> {
-    (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
 }
 
 /// The one round engine behind every many-to-many: walk `schedule`'s
 /// rounds for group rank `me` of `n`, calling `send(dst)` / `recv(src)` for
-/// the populated directions only. A round whose pairing moves nothing in
-/// either direction costs two flag tests.
-fn planned_rounds(
-    proc: &mut Proc,
+/// the populated directions only — in exactly the order a walk over all
+/// `n − 1` rounds would reach them, but by merging the plan's two sorted
+/// peer lists, so a round whose pairing moves nothing costs nothing. (`C` is
+/// the processor; the tests record the call order in a plain vector.)
+fn planned_rounds<C>(
+    proc: &mut C,
     n: usize,
     me: usize,
     plan: &A2aPlan,
     schedule: A2aSchedule,
-    mut send: impl FnMut(&mut Proc, usize),
-    mut recv: impl FnMut(&mut Proc, usize),
+    mut send: impl FnMut(&mut C, usize),
+    mut recv: impl FnMut(&mut C, usize),
 ) {
-    assert_eq!(plan.to.len(), n, "plan must cover the group");
-    assert_eq!(plan.from.len(), n, "plan must cover the group");
+    assert_eq!(plan.n, n, "plan must cover the group");
+    if schedule == A2aSchedule::PairwiseExchange && n.is_power_of_two() {
+        // Round `k` pairs `me ↔ me XOR k`.
+        return xor_rounds(proc, me, n / 2, &plan.to, &plan.from, &mut send, &mut recv);
+    }
+    // Round `k` pairs `me → (me + k) mod n` with `(me − k) mod n → me`: the
+    // destinations are `to` read upwards from `me`, the sources `from` read
+    // downwards from it, both wrapping (also the pairwise fallback).
+    let (me32, n32) = (me as u32, n as u32);
+    let split = |list: &[u32]| {
+        let lo = list.partition_point(|&p| p < me32);
+        (lo, lo + usize::from(list.get(lo) == Some(&me32)))
+    };
+    let ((tl, th), (fl, fh)) = (split(&plan.to), split(&plan.from));
+    let mut dsts = plan.to[th..].iter().chain(&plan.to[..tl]).peekable();
+    let mut srcs = (plan.from[..fl].iter().rev())
+        .chain(plan.from[fh..].iter().rev())
+        .peekable();
     if schedule == A2aSchedule::NaivePush {
-        for dst in (1..n).map(|k| (me + k) % n).filter(|&dst| plan.to[dst]) {
-            send(proc, dst);
-        }
-        for src in (1..n)
-            .map(|k| (me + n - k) % n)
-            .filter(|&src| plan.from[src])
-        {
-            recv(proc, src);
-        }
+        dsts.for_each(|&dst| send(proc, dst as usize));
+        srcs.for_each(|&src| recv(proc, src as usize));
         return;
     }
-    // Round `k` pairs `me → dst` with `src → me`: the XOR matching when it
-    // exists, else linear permutation (also the pairwise fallback).
-    let xor = schedule == A2aSchedule::PairwiseExchange && n.is_power_of_two();
-    for k in 1..n {
-        let (dst, src) = if xor {
-            (me ^ k, me ^ k)
-        } else {
-            ((me + k) % n, (me + n - k) % n)
+    loop {
+        let k_send = dsts.peek().map(|&&dst| (dst + n32 - me32) % n32);
+        let k_recv = srcs.peek().map(|&&src| (me32 + n32 - src) % n32);
+        let Some(k) = k_send.into_iter().chain(k_recv).min() else {
+            return;
         };
-        if plan.to[dst] {
-            send(proc, dst);
+        if k_send == Some(k) {
+            send(proc, *dsts.next().expect("peeked") as usize);
         }
-        if plan.from[src] {
-            recv(proc, src);
+        if k_recv == Some(k) {
+            recv(proc, *srcs.next().expect("peeked") as usize);
         }
     }
 }
 
+/// The XOR matching's rounds over sorted peer lists. `to` and `from` hold
+/// the peers of one aligned block of `2·half` ranks; the block's lower half
+/// differs from `me` in the `half` bit or it does not, and whichever half
+/// does not comes first in `k = me XOR peer` order — recursively, down to
+/// single ranks, with no scratch and no sort.
+fn xor_rounds<C>(
+    proc: &mut C,
+    me: usize,
+    half: usize,
+    to: &[u32],
+    from: &[u32],
+    send: &mut impl FnMut(&mut C, usize),
+    recv: &mut impl FnMut(&mut C, usize),
+) {
+    if to.is_empty() && from.is_empty() {
+        return;
+    }
+    if half == 0 {
+        // One rank: `me` itself (round 0, which does not exist) or a partner.
+        if let Some(&dst) = to.first().filter(|&&p| p as usize != me) {
+            send(proc, dst as usize);
+        }
+        if let Some(&src) = from.first().filter(|&&p| p as usize != me) {
+            recv(proc, src as usize);
+        }
+        return;
+    }
+    let peer0 = to.first().or(from.first()).expect("not both empty");
+    let mid = (*peer0 as usize & !(2 * half - 1)) + half;
+    let cut = |list: &[u32]| list.partition_point(|&p| (p as usize) < mid);
+    let ((t_lo, t_hi), (f_lo, f_hi)) = (to.split_at(cut(to)), from.split_at(cut(from)));
+    if me & half == 0 {
+        xor_rounds(proc, me, half / 2, t_lo, f_lo, send, recv);
+        xor_rounds(proc, me, half / 2, t_hi, f_hi, send, recv);
+    } else {
+        xor_rounds(proc, me, half / 2, t_hi, f_hi, send, recv);
+        xor_rounds(proc, me, half / 2, t_lo, f_lo, send, recv);
+    }
+}
+
 /// The data rounds of [`alltoallv`] with the pair population known in
-/// advance: only pairs whose flag is on exchange a message; slots whose
-/// flag is off come back as `P::default()`.
+/// advance: only pairs on the plan's lists exchange a message; slots off
+/// them come back as `P::default()`. The dense adapter over the same sparse
+/// rounds as [`alltoallv`].
 ///
 /// # Panics
-/// Panics if `sends.len()`, `plan.to.len()`, or `plan.from.len()` disagree
-/// with the group size, or (in debug builds) if a send slot whose `to` flag
-/// is off carries wire words.
+/// Panics if `sends.len()` or the plan disagree with the group size, or (in
+/// debug builds) if a send slot off the plan's `to` list carries wire words.
 pub fn alltoallv_planned<P: Payload + Default>(
     proc: &mut Proc,
     group: &Group,
-    mut sends: Vec<P>,
+    sends: Vec<P>,
     plan: &A2aPlan,
     schedule: A2aSchedule,
 ) -> Vec<P> {
-    let n = group.size();
-    assert_eq!(sends.len(), n, "one send buffer per group member required");
-    debug_assert!(
-        sends
-            .iter()
-            .zip(&plan.to)
-            .all(|(s, &to)| to || s.wire_words() == 0),
-        "send slot flagged silent carries data"
-    );
+    let n = sends.len();
+    let sends = populated(group, sends, |j, s| {
+        let listed = plan.sends_to(j);
+        debug_assert!(
+            listed || s.wire_words() == 0,
+            "silent send slot carries data"
+        );
+        listed
+    });
+    spread(n, sparse_planned(proc, group, sends, plan, schedule))
+}
+
+/// The boxed data rounds: `sends` holds one entry per rank on `plan.to`
+/// (plus, optionally, this rank's own), ascending; returns one entry per
+/// rank on `plan.from` (plus the moved self entry), ascending.
+fn sparse_planned<P: Payload + Default>(
+    proc: &mut Proc,
+    group: &Group,
+    mut sends: Vec<(u32, P)>,
+    plan: &A2aPlan,
+    schedule: A2aSchedule,
+) -> Vec<(u32, P)> {
     let me = group.my_rank();
-
-    let mut recvs: Vec<P> = (0..n).map(|_| P::default()).collect();
-    recvs[me] = std::mem::take(&mut sends[me]);
-
+    let find = |list: &[(u32, P)], rank: usize| {
+        list.binary_search_by_key(&(rank as u32), |e| e.0)
+            .expect("an exchanged rank is on the plan's list")
+    };
+    let mut recvs: Vec<(u32, P)> = plan.from.iter().map(|&src| (src, P::default())).collect();
+    if let Ok(at) = sends.binary_search_by_key(&(me as u32), |e| e.0) {
+        let own = std::mem::take(&mut sends[at].1);
+        match recvs.binary_search_by_key(&(me as u32), |e| e.0) {
+            Ok(slot) => recvs[slot].1 = own,
+            Err(slot) => recvs.insert(slot, (me as u32, own)),
+        }
+    }
     proc.with_stage("a2a.planned", |proc| {
         planned_rounds(
             proc,
-            n,
+            group.size(),
             me,
             plan,
             schedule,
             |proc, dst| {
-                let data = std::mem::take(&mut sends[dst]);
+                let at = find(&sends, dst);
+                let data = std::mem::take(&mut sends[at].1);
                 proc.send(group.id_of(dst), tags::ALLTOALL, data);
             },
-            |proc, src| recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL),
+            |proc, src| {
+                let at = find(&recvs, src);
+                recvs[at].1 = proc.recv(group.id_of(src), tags::ALLTOALL);
+            },
         )
     });
     recvs
 }
 
-/// [`alltoallv_planned`] over pooled buffers: the allocation-free steady
+/// The planned rounds over pooled buffers: the allocation-free steady
 /// state of a cached plan's execute loop.
 ///
 /// The caller has already checked out, filled, and stashed the pool slot
-/// for every destination `dst` with `plan.to[dst]` — including its own rank,
-/// whose slot is never sent and is decoded in place (the uncharged
-/// self-move of the boxed variants). Received messages land in `out` as raw
+/// for every destination on `plan.to()` — including its own rank, whose
+/// slot is never sent and is decoded in place (the uncharged self-move of
+/// the boxed variants). Received messages land in `out` as raw
 /// [`Packet`]s whose payload is the *sender's* `Arc<PoolSlot<B>>`; the
 /// decoder downcasts, takes the staged buffer, and returns it with
 /// [`crate::PoolSlot::put_back`] — which is what un-blocks the sender's next
 /// checkout.
 ///
 /// Always runs over the world communicator (group rank = processor id),
-/// and shares [`alltoallv_planned`]'s round engine and stage span: the
-/// simulated accounting of a pooled execute is bit-identical to the boxed
-/// path (see DESIGN.md §11).
+/// and shares the boxed rounds' engine and stage span: the simulated
+/// accounting of a pooled execute is bit-identical to the boxed path (see
+/// DESIGN.md §11).
 pub fn alltoallv_pooled<B: Reusable>(
     proc: &mut Proc,
     plan: &A2aPlan,
@@ -557,7 +700,9 @@ mod tests {
                             })
                             .collect()
                     };
-                    let to: Vec<bool> = build(proc.id()).iter().map(|s| !s.is_empty()).collect();
+                    let to = (0..p as u32)
+                        .filter(|&j| !build(proc.id())[j as usize].is_empty())
+                        .collect();
                     let plan = A2aPlan::exchange(proc, &g, to);
                     let planned = alltoallv_planned(proc, &g, build(proc.id()), &plan, schedule);
                     let plain = alltoallv(proc, &g, build(proc.id()), schedule);
@@ -580,12 +725,13 @@ mod tests {
             let g = proc.world();
             // Only 0 -> 1 carries data.
             let mut sends: Vec<Vec<i32>> = vec![Vec::new(); p];
-            let to: Vec<bool> = (0..p).map(|j| proc.id() == 0 && j == 1).collect();
+            let mut to = Vec::new();
             if proc.id() == 0 {
                 sends[1] = vec![7, 8, 9];
+                to.push(1);
             }
             let plan = A2aPlan::exchange(proc, &g, to);
-            assert_eq!(plan.from.iter().filter(|&&f| f).count() > 0, proc.id() == 1);
+            assert_eq!(plan.from(), if proc.id() == 1 { &[0][..] } else { &[] });
             alltoallv_planned(proc, &g, sends, &plan, A2aSchedule::LinearPermutation)
         });
         assert_eq!(out.results[1][0], vec![7, 8, 9]);
@@ -711,11 +857,11 @@ mod tests {
     ) {
         let program = |proc: &mut Proc| {
             let g = pick(proc);
-            let to = (0..g.size())
-                .map(|j| flags.at(proc.id(), g.id_of(j)))
+            let to = (0..g.size() as u32)
+                .filter(|&j| flags.at(proc.id(), g.id_of(j as usize)))
                 .collect();
             let plan = A2aPlan::exchange(proc, &g, to);
-            (g, plan.from)
+            (g, plan.from().to_vec())
         };
         let out = if recoverable {
             machine.run_recoverable(program)
@@ -724,7 +870,9 @@ mod tests {
         }
         .unwrap_or_else(|e| panic!("{flags:?} P={}: {e}", machine.nprocs()));
         for (me, (g, from)) in out.results.iter().enumerate() {
-            let want: Vec<bool> = (0..g.size()).map(|j| flags.at(g.id_of(j), me)).collect();
+            let want: Vec<u32> = (0..g.size() as u32)
+                .filter(|&j| flags.at(g.id_of(j as usize), me))
+                .collect();
             assert_eq!(from, &want, "{flags:?} P={} proc {me}", machine.nprocs());
         }
         assert_eq!(out.total_words_sent(), 0, "{flags:?}");
@@ -778,6 +926,88 @@ mod tests {
             for recoverable in [false, true] {
                 for flags in [Flags::AllTrue, Flags::Single(0, p - 1), Flags::Random(3)] {
                     check_transposition(&machine, flags, recoverable, |proc| proc.world());
+                }
+            }
+        }
+    }
+
+    /// One call the round engine made.
+    #[derive(Debug, PartialEq, Clone, Copy)]
+    enum Step {
+        Send(usize),
+        Recv(usize),
+    }
+
+    /// The walk the engine replaced: every one of the `n − 1` rounds, one
+    /// flag test per direction.
+    fn dense_rounds(
+        n: usize,
+        me: usize,
+        to: &[bool],
+        from: &[bool],
+        schedule: A2aSchedule,
+    ) -> Vec<Step> {
+        let mut steps = Vec::new();
+        if schedule == A2aSchedule::NaivePush {
+            let dsts = (1..n).map(|k| (me + k) % n).filter(|&d| to[d]);
+            steps.extend(dsts.map(Step::Send));
+            let srcs = (1..n).map(|k| (me + n - k) % n).filter(|&s| from[s]);
+            steps.extend(srcs.map(Step::Recv));
+            return steps;
+        }
+        let xor = schedule == A2aSchedule::PairwiseExchange && n.is_power_of_two();
+        for k in 1..n {
+            let (dst, src) = if xor {
+                (me ^ k, me ^ k)
+            } else {
+                ((me + k) % n, (me + n - k) % n)
+            };
+            if to[dst] {
+                steps.push(Step::Send(dst));
+            }
+            if from[src] {
+                steps.push(Step::Recv(src));
+            }
+        }
+        steps
+    }
+
+    proptest::proptest! {
+        /// Merging the sorted peer lists reaches the populated pairs in
+        /// exactly the order the all-rounds flag walk does — for every
+        /// schedule, every rank, group sizes around the powers of two, and
+        /// populations from empty to all pairs (self flags included: the
+        /// rounds must skip them).
+        #[test]
+        fn peer_list_rounds_match_the_all_rounds_walk(
+            n in proptest::sample::select(vec![1usize, 2, 3, 4, 5, 8, 16, 33, 64, 65]),
+            density in proptest::sample::select(vec![0u64, 1, 8, 32, 64]),
+            seed in 0u64..1000,
+        ) {
+            for schedule in ALL_SCHEDULES {
+                for me in 0..n {
+                    let bit = |dir: u64, j: usize| {
+                        let x = seed ^ (dir << 40 | (me as u64) << 20 | j as u64);
+                        x.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58 < density
+                    };
+                    let to: Vec<bool> = (0..n).map(|j| bit(0, j)).collect();
+                    let from: Vec<bool> = (0..n).map(|j| bit(1, j)).collect();
+                    let plan = A2aPlan::from_flags(to.clone(), from.clone());
+                    let mut steps = Vec::new();
+                    planned_rounds(
+                        &mut steps,
+                        n,
+                        me,
+                        &plan,
+                        schedule,
+                        |steps, dst| steps.push(Step::Send(dst)),
+                        |steps, src| steps.push(Step::Recv(src)),
+                    );
+                    proptest::prop_assert_eq!(
+                        steps,
+                        dense_rounds(n, me, &to, &from, schedule),
+                        "{:?} n={} me={}", schedule, n, me
+                    );
                 }
             }
         }

@@ -66,10 +66,18 @@ pub mod tags {
 /// (the communicator a dimension-`i` prefix-reduction-sum runs over).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Group {
-    /// Global processor ids of the members, in rank order.
-    members: Vec<usize>,
-    /// This processor's rank within `members`.
+    members: Members,
+    /// This processor's rank among the members.
     my_rank: usize,
+}
+
+/// Global processor ids of a group's members, in rank order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Members {
+    /// The identity range `0..n` (rank = processor id): the world
+    /// communicator costs no memory however many processors there are.
+    All(usize),
+    Listed(Vec<usize>),
 }
 
 impl Group {
@@ -79,13 +87,19 @@ impl Group {
     /// Panics if `members[my_rank]` is out of bounds.
     pub fn new(members: Vec<usize>, my_rank: usize) -> Self {
         assert!(my_rank < members.len(), "my_rank out of range");
-        Group { members, my_rank }
+        Group {
+            members: Members::Listed(members),
+            my_rank,
+        }
     }
 
     /// Number of members.
     #[inline]
     pub fn size(&self) -> usize {
-        self.members.len()
+        match &self.members {
+            Members::All(n) => *n,
+            Members::Listed(ids) => ids.len(),
+        }
     }
 
     /// This processor's rank within the group.
@@ -97,13 +111,13 @@ impl Group {
     /// Global id of the member at `rank`.
     #[inline]
     pub fn id_of(&self, rank: usize) -> usize {
-        self.members[rank]
-    }
-
-    /// All member ids in rank order.
-    #[inline]
-    pub fn members(&self) -> &[usize] {
-        &self.members
+        match &self.members {
+            Members::All(n) => {
+                assert!(rank < *n, "rank out of range");
+                rank
+            }
+            Members::Listed(ids) => ids[rank],
+        }
     }
 }
 
@@ -526,7 +540,10 @@ impl<'m> Proc<'m> {
 
     /// The group of all processors (world communicator).
     pub fn world(&self) -> Group {
-        Group::new((0..self.nprocs()).collect(), self.id)
+        Group {
+            members: Members::All(self.nprocs()),
+            my_rank: self.id,
+        }
     }
 
     /// The communicator along grid dimension `dim`: all processors sharing

@@ -102,6 +102,10 @@ struct ReplayLog {
     frames: Vec<(u64, Packet)>,
     /// Charged words currently retained (the log's memory bound).
     words: u64,
+    /// Per sender (grown on demand): one past the highest sequence number
+    /// ever logged. A sender's numbers ascend, so only a frame below this
+    /// can be a repeat.
+    next_seq: Vec<u64>,
 }
 
 /// Shared recovery state for one `run_recoverable` call: replay logs and
@@ -142,10 +146,28 @@ impl RecoveryState {
         }
     }
 
-    /// Append one sequenced frame to `dst`'s replay log (an `Arc` bump).
+    /// Retain one sequenced frame in `dst`'s replay log (an `Arc` bump).
+    ///
+    /// A respawned sender re-executes its interrupted epoch and logs its
+    /// frames again, under sequence numbers it has used before. Such a frame
+    /// is never a second copy to retain: if `dst`'s log still holds the
+    /// number, it replaces that entry and the retained words do not move; if
+    /// not, a boundary truncation dropped it — `dst` consumed it, its
+    /// snapshot covers it, and the transport will discard the repeat.
     pub(crate) fn log_frame(&self, dst: usize, seq: u64, pkt: Packet) {
         let words = pkt.words as u64;
         let mut log = self.logs[dst].lock().unwrap();
+        if log.next_seq.len() <= pkt.src {
+            log.next_seq.resize(pkt.src + 1, 0);
+        }
+        if seq < log.next_seq[pkt.src] {
+            let held = |(s, p): &&mut (u64, Packet)| *s == seq && p.src == pkt.src;
+            if let Some(entry) = log.frames.iter_mut().find(held) {
+                entry.1 = pkt;
+            }
+            return;
+        }
+        log.next_seq[pkt.src] = seq + 1;
         log.frames.push((seq, pkt));
         log.words += words;
         drop(log);
@@ -232,4 +254,48 @@ pub struct RecoveryStats {
     /// recoveries, in milliseconds. Kept out of the simulated clocks so a
     /// recovered run stays bit-identical to the fault-free one.
     pub replay_ms: f64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    fn frame(src: usize, words: usize) -> Packet {
+        Packet {
+            src,
+            tag: 0,
+            arrival_ns: 0.0,
+            words,
+            data: Arc::new(()),
+            charge: None,
+        }
+    }
+
+    /// A frame logged again under a sequence number the log already holds
+    /// replaces its entry: retained words, the run-wide total and its
+    /// high-water mark all count it once. New numbers — and the same number
+    /// from another sender — still append.
+    #[test]
+    fn relogged_frames_replace_their_entry() {
+        let rec = RecoveryState::new(3);
+        rec.log_frame(2, 5, frame(0, 8));
+        rec.log_frame(2, 6, frame(0, 4));
+        rec.log_frame(2, 5, frame(1, 2));
+        let before = rec.stats().log_high_water_words;
+        assert_eq!(before, 14);
+        // Sender 0 respawns and re-executes: 5 and 6 again, then 7.
+        rec.log_frame(2, 5, frame(0, 8));
+        rec.log_frame(2, 6, frame(0, 4));
+        assert_eq!(rec.stats().log_high_water_words, before);
+        assert_eq!(rec.clone_log(2).len(), 3);
+        rec.log_frame(2, 7, frame(0, 1));
+        assert_eq!(rec.clone_log(2).len(), 4);
+        assert_eq!(rec.stats().log_high_water_words, 15);
+        // The boundary releases exactly what was retained.
+        assert_eq!(rec.truncate_log(2, Some(&[7, 6, 0])), (15, 1));
+        // A repeat of a frame the boundary dropped is not retained again.
+        rec.log_frame(2, 6, frame(0, 4));
+        assert_eq!(rec.truncate_log(2, None), (1, 0));
+    }
 }

@@ -88,15 +88,23 @@ fn send_crash_mid_epoch_recovers_bit_identically() {
 
 /// Like [`two_epoch_ring`] but with two ring exchanges per epoch, so a
 /// crash between them finds traffic the victim already consumed inside the
-/// interrupted epoch.
+/// interrupted epoch. Each epoch opens with a token passed *against* the
+/// ring: a processor sends its first data frame only once its successor has
+/// told it that it is inside the epoch body — past its previous boundary
+/// and the snapshot taken there. Without that, a fast predecessor's frame
+/// can land during the successor's boundary flush, where the snapshot's
+/// mailbox keeps it and the truncation rightly drops it from the log.
 fn two_epoch_double_ring(p: &mut Proc) -> Vec<i64> {
+    const GO: u64 = tags::USER + 100;
     let mut st: Vec<i64> = vec![p.id() as i64 + 1];
     for round in 0..2u64 {
         p.epoch(&mut st, |p, st| {
             p.with_category(Category::LocalComp, |p| p.charge_ops(10));
+            let next = (p.id() + 1) % p.nprocs();
+            let prev = (p.id() + p.nprocs() - 1) % p.nprocs();
+            p.send(prev, GO + round, vec![round as i64]);
+            let _: Vec<i64> = p.recv(next, GO + round);
             for half in 0..2u64 {
-                let next = (p.id() + 1) % p.nprocs();
-                let prev = (p.id() + p.nprocs() - 1) % p.nprocs();
                 p.send(next, tags::USER + round * 2 + half, st.clone());
                 let got: Vec<i64> = p.recv(prev, tags::USER + round * 2 + half);
                 st.extend(got);
@@ -109,16 +117,17 @@ fn two_epoch_double_ring(p: &mut Proc) -> Vec<i64> {
 
 #[test]
 fn mid_epoch_crash_replays_consumed_frames() {
-    // Proc 1's fourth program-level receive is the second exchange of
-    // epoch 1: by then it has consumed proc 0's first epoch-1 frame, whose
-    // logging happened strictly before it hit the wire. That frame is
-    // therefore guaranteed to be in the cloned replay log, with a sequence
-    // number at or above the restored snapshot's expectation — a non-empty
-    // replay on every schedule, no race required.
+    // Three program-level receives per epoch (token, exchange, exchange):
+    // proc 1's sixth is the second exchange of epoch 1. By then it has
+    // consumed proc 0's first epoch-1 frame, which proc 0 sent — and logged,
+    // strictly before it hit the wire — only after proc 1's token told it
+    // that proc 1's epoch-0 snapshot was taken. That frame is therefore in
+    // the cloned replay log with a sequence number at or above the restored
+    // snapshot's expectation: a non-empty replay on every schedule.
     let clean = machine(FaultPlan::new(7))
         .run_recoverable(two_epoch_double_ring)
         .expect("run");
-    let crashed = machine(FaultPlan::new(7).with_crash_at_recv(1, 4))
+    let crashed = machine(FaultPlan::new(7).with_crash_at_recv(1, 6))
         .run_recoverable(two_epoch_double_ring)
         .expect("run");
     assert_eq!(clean.results, crashed.results);
@@ -362,4 +371,45 @@ fn pooled_sends_recover_from_a_crash_at_every_step() {
         // decoded: its respawn decodes the same frozen slots once more.
         assert!(!recv_side || replayed > 0, "no consumed frame was replayed");
     }
+}
+
+/// The event-side balance of every processor's replay-log account: bytes
+/// senders charged minus bytes boundary truncations released.
+fn replay_log_balance<R>(out: &RunOutput<R>) -> [i64; P] {
+    let mut bytes = [0i64; P];
+    for ev in out.events.iter().flatten() {
+        if let EventKind::MemSample {
+            account: MemAccount::ReplayLog,
+            owner,
+            delta_bytes,
+        } = ev.kind
+        {
+            bytes[owner] += delta_bytes;
+        }
+    }
+    bytes
+}
+
+/// A respawned *sender* re-logs the frames of its interrupted epoch under
+/// the sequence numbers its destinations' logs already hold. Proc 1's sixth
+/// send is the second exchange of epoch 1: its token to proc 0 (8 B) and
+/// its first exchange to proc 2 (56 B) are logged twice. Appending the
+/// repeats made the boundary truncations release those bytes twice while
+/// the senders' surviving events — the crashed attempt's are rolled back
+/// with the snapshot — charge them once: owners 0 and 2 ended at −8 B and
+/// −56 B.
+#[test]
+fn relogged_frames_of_a_respawned_sender_are_charged_once() {
+    let run = |step: u64| {
+        machine(FaultPlan::new(0).with_crash(1, step))
+            .with_tracing(true)
+            .run_recoverable(two_epoch_double_ring)
+            .expect("run")
+    };
+    let (clean, crashed) = (run(99), run(6));
+    assert_eq!(clean.recovery.as_ref().unwrap().replays, 0);
+    assert_eq!(crashed.recovery.as_ref().unwrap().replays, 1);
+    assert_eq!(clean.results, crashed.results);
+    assert_eq!(replay_log_balance(&clean), [0; P]);
+    assert_eq!(replay_log_balance(&crashed), [0; P]);
 }
