@@ -743,20 +743,7 @@ fn main() {
             &[64, 256, 1024, 4096]
         };
         for &p in ps {
-            // The dense plan-time exchanges make the big shapes
-            // scheduler-handoff-bound (Θ(P²) frames; minutes of wall per
-            // run at P=4096 on one core): cap repetitions there so the
-            // sweep stays affordable. The simulated metrics are
-            // deterministic regardless of reps, and validate_bench.py
-            // knows large-P scale entries may be single-rep.
-            let (s_reps, s_warmup) = if p >= 2048 {
-                (1, 0)
-            } else if p >= 1024 {
-                (reps.min(3), warmup.min(1))
-            } else {
-                (reps, warmup)
-            };
-            entries.push(scale_workload(p, s_reps, s_warmup));
+            entries.push(scale_workload(p, reps, warmup));
         }
     }
 

@@ -177,35 +177,29 @@ mod tests {
 
     #[test]
     fn send_unparks_the_attached_owner() {
-        // A machine of two scheduled tasks with one permit: task 1 parks
-        // (releasing the permit to task 0's acquire), then a send through
-        // the waker-attached channel wakes it.
+        // Two scheduled tasks on one worker, both parked; a send through
+        // the waker-attached channel of task 1 wakes it. Nothing ever
+        // wakes task 0, so it times out — proving the send woke exactly
+        // its addressee.
         let sched = Arc::new(Scheduler::new(2, 1));
         let (tx, rx) = frame_channel_with_capacity(MAX_CAPACITY, Some((Arc::clone(&sched), 1)));
-        let s2 = Arc::clone(&sched);
-        let parker = std::thread::spawn(move || {
-            s2.acquire(1);
-            let out = s2.park(1, 0.0, Duration::from_secs(5), None);
-            s2.finish(1);
-            out
-        });
-        sched.acquire(0);
-        // Give task 1 the permit by parking task 0 until it is woken back.
-        let s3 = Arc::clone(&sched);
+        let outcomes = std::sync::Mutex::new([None; 2]);
         let t0 = Instant::now();
-        let waker_thread = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            tx.send(poison());
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                tx.send(poison());
+            });
+            sched.run_worker(0, &|id| {
+                let out = sched.park(id, 0.0, Duration::from_millis(200), None);
+                outcomes.lock().unwrap()[id] = Some((out, t0.elapsed()));
+            });
         });
-        // Task 0 parks long; the send wakes task 1, which finishes and
-        // frees the permit... but nothing ever wakes task 0, so it times
-        // out — proving the send woke exactly its addressee.
-        let out0 = s3.park(0, 0.0, Duration::from_millis(200), None);
-        assert_eq!(out0, crate::sched::ParkOutcome::TimedOut);
-        assert_eq!(parker.join().unwrap(), crate::sched::ParkOutcome::Woken);
-        assert!(t0.elapsed() >= Duration::from_millis(20));
+        let [slept, woken] = outcomes.into_inner().unwrap().map(Option::unwrap);
+        assert_eq!(slept.0, crate::sched::ParkOutcome::TimedOut);
+        assert_eq!(woken.0, crate::sched::ParkOutcome::Woken);
+        assert!(woken.1 >= Duration::from_millis(20) && woken.1 < slept.1);
         assert!(matches!(rx.try_recv(), Some(Frame::Poison(_))));
-        waker_thread.join().unwrap();
     }
 
     #[test]

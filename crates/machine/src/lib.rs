@@ -7,8 +7,9 @@
 //! `δ`, and the network behaves like a virtual crossbar (no distance or
 //! congestion effects). We implement that model directly:
 //!
-//! * a [`Machine`] runs an SPMD closure on `P` virtual processors (real OS
-//!   threads) arranged on a logical [`ProcGrid`];
+//! * a [`Machine`] runs an SPMD closure on `P` virtual processors (stackful
+//!   coroutines on a small pool of worker threads; `x86_64` Linux only)
+//!   arranged on a logical [`ProcGrid`];
 //! * each [`Proc`] owns a private [`SimClock`] charged by every send and by
 //!   explicit local-operation charges; packets carry arrival timestamps so
 //!   clock propagation is exact without global synchronisation;
@@ -38,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc_counter;
+mod carrier;
 mod chan;
 pub mod collectives;
 mod cost;

@@ -2,20 +2,20 @@
 //! processor, wiring up the message channels and collecting results and
 //! clock reports in processor order.
 //!
-//! Each virtual processor is a cooperatively scheduled task carried by its
-//! own (cheap, mostly-parked) OS thread, and at most
-//! [`Machine::with_workers`] of them hold a run permit at any instant (see
-//! [`crate::sched`] and DESIGN.md §15). Results, simulated clocks, events,
+//! Each virtual processor is a cooperatively scheduled task on its own
+//! stack, and [`Machine::with_workers`] OS threads — the caller's and
+//! `workers − 1` more — run them all (see [`crate::sched`] and DESIGN.md
+//! §15). Results, simulated clocks, events,
 //! and metrics are identical for every worker-pool size — determinism comes
 //! from (src, tag)-FIFO matching plus SPMD program order, never from
-//! scheduling — so a single pool carries P=4096 machines a thread-per-proc
+//! scheduling — so a small pool carries P=4096 machines a thread-per-proc
 //! design could not.
 //!
-//! Failure handling: each processor thread runs the program closure under
-//! `catch_unwind`. When any processor fails — a program panic, a
-//! fault-injected crash, a receive timeout, or an unreachable peer — the
-//! failing thread broadcasts a poison frame so that peers blocked in
-//! receives abort within one poll slice instead of waiting out their own
+//! Failure handling: each processor runs the program closure under
+//! `catch_unwind`, at the bottom of its own stack. When any processor
+//! fails — a program panic, a fault-injected crash, a receive timeout, or
+//! an unreachable peer — it broadcasts a poison frame so that peers
+//! blocked in receives abort at once instead of waiting out their own
 //! timeouts, and [`Machine::try_run`] returns the originating failure as a
 //! structured [`MachineError`]. [`Machine::run`] keeps the panicking
 //! interface (propagating program panics verbatim) for callers that treat
@@ -23,12 +23,12 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::chan::{default_capacity, frame_channel_with_capacity, FrameReceiver, FrameSender};
-
-use crate::cost::{CostModel, SimClock};
+use crate::cost::{ClockReport, CostModel, SimClock};
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::Frame;
@@ -44,31 +44,6 @@ use crate::topology::ProcGrid;
 /// limit is a backstop against looping, not a tunable.
 const MAX_RESPAWNS: u32 = 4;
 
-/// Above this processor count, carrier threads get a reduced stack instead
-/// of the platform default (typically 2–8 MiB of reserved address space
-/// each): at P=4096 the default would reserve gigabytes for stacks that are
-/// mostly parked. SPMD programs here recurse at most logarithmically, so
-/// 1 MiB is comfortable.
-const LARGE_P: usize = 256;
-const CARRIER_STACK_BYTES: usize = 1 << 20;
-
-/// Spawn one carrier thread in `scope`, honouring the large-P stack cap.
-fn spawn_carrier<'scope, 'env, F, T>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    nprocs: usize,
-    f: F,
-) -> std::thread::ScopedJoinHandle<'scope, T>
-where
-    F: FnOnce() -> T + Send + 'scope,
-    T: Send + 'scope,
-{
-    let mut b = std::thread::Builder::new();
-    if nprocs >= LARGE_P {
-        b = b.stack_size(CARRIER_STACK_BYTES);
-    }
-    b.spawn_scoped(scope, f).expect("spawn carrier thread")
-}
-
 /// A simulated coarse-grained distributed memory parallel machine: a logical
 /// processor grid plus the two-level cost model its clocks charge against.
 #[derive(Debug, Clone)]
@@ -80,17 +55,40 @@ pub struct Machine {
     metrics: bool,
     wall_profiling: bool,
     faults: Option<Arc<FaultPlan>>,
-    /// Worker-pool size (run permits); `None` = available parallelism.
+    /// Worker-pool size (OS threads); `None` = available parallelism.
     workers: Option<usize>,
     /// Per-processor frame-ring capacity override; `None` = scale-aware
     /// [`default_capacity`].
     chan_capacity: Option<usize>,
 }
 
-/// What one processor thread produced besides its result: the original
-/// panic payload is kept so [`Machine::run`] can re-raise program panics
-/// verbatim.
+/// What a failed processor leaves besides its error: the original panic
+/// payload is kept so [`Machine::run`] can re-raise program panics verbatim.
 type Failure = (MachineError, Option<Box<dyn Any + Send>>);
+
+/// Everything a processor that ran to completion hands back.
+type ProcOk<R> = (
+    R,
+    ClockReport,
+    Vec<crate::trace::Span>,
+    Vec<u64>,
+    Vec<crate::obs::Event>,
+    crate::obs::MetricsSnapshot,
+    crate::obs::WallProfile,
+);
+
+/// One processor's hand-over point between its carrier(s) and the driver.
+struct Slot<R> {
+    /// What its next carrier starts from: the channel endpoint and, after
+    /// a survived crash, the resume context. The endpoint outlives a crash
+    /// — frames peers sent meanwhile are still queued in it.
+    start: Option<(FrameReceiver, Option<ResumeCtx>)>,
+    respawns: u32,
+    /// Its final outcome. The endpoint is kept beside it until every
+    /// processor has finished, so a laggard's late sends (e.g.
+    /// retransmissions) never hit a closed channel.
+    done: Option<(Result<ProcOk<R>, Failure>, FrameReceiver)>,
+}
 
 impl Machine {
     /// Build a machine over `grid` with cost constants `cost`.
@@ -108,9 +106,9 @@ impl Machine {
         }
     }
 
-    /// Set the worker-pool size: how many virtual processors may run
-    /// simultaneously (clamped to at least 1). Defaults to the host's
-    /// available parallelism. A pure wall-clock/throughput knob — results,
+    /// Set the worker-pool size: how many OS threads run the virtual
+    /// processors, and so how many run simultaneously (clamped to
+    /// `1..=P`). Defaults to the host's available parallelism. A pure wall-clock/throughput knob — results,
     /// simulated clocks, events, and metrics are identical for every value.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
@@ -235,9 +233,11 @@ impl Machine {
     /// id.
     ///
     /// The closure receives a [`Proc`] handle carrying the processor's
-    /// identity, clock, and message endpoints. Real OS threads give real
+    /// identity, clock, and message endpoints. The worker pool gives real
     /// parallelism; determinism of results is up to the program (all
     /// algorithms in this workspace are deterministic given their inputs).
+    /// A processor that blocks its OS thread (`thread::sleep`, a lock)
+    /// holds its worker and every other processor that worker carries.
     ///
     /// # Panics
     /// Propagates the originating processor's panic verbatim if the program
@@ -250,12 +250,10 @@ impl Machine {
         R: Send,
         F: Fn(&mut Proc) -> R + Sync,
     {
-        match self.run_inner(program) {
+        match self.drive(program, None) {
             Ok(out) => out,
             Err(failures) => {
-                let idx = pick_primary(&failures);
-                let mut failures = failures;
-                let (err, payload) = failures.swap_remove(idx).1;
+                let (err, payload) = primary(failures);
                 if let Some(p) = payload {
                     resume_unwind(p);
                 }
@@ -274,11 +272,7 @@ impl Machine {
         R: Send,
         F: Fn(&mut Proc) -> R + Sync,
     {
-        self.run_inner(program).map_err(|failures| {
-            let idx = pick_primary(&failures);
-            let mut failures = failures;
-            failures.swap_remove(idx).1 .0
-        })
+        self.drive(program, None).map_err(|f| primary(f).0)
     }
 
     /// Like [`Machine::try_run`], but fault-injected processor crashes are
@@ -286,8 +280,8 @@ impl Machine {
     /// [`Proc::epoch`] calls, every epoch boundary checkpoints each
     /// processor's recoverable state, and peers keep an `Arc`-backed replay
     /// log of the frames they sent since the receiver's last boundary (see
-    /// [`crate::recovery`]). When a processor crashes, the driver respawns
-    /// its thread from the last checkpoint, replays the logged frames, and
+    /// [`crate::recovery`]). When a processor crashes, it is restarted on a
+    /// new stack from the last checkpoint, replays the logged frames, and
     /// resumes — the recovered run's results *and* simulated clocks are
     /// bit-identical to a fault-free run of the same program.
     ///
@@ -308,344 +302,145 @@ impl Machine {
         R: Send,
         F: Fn(&mut Proc) -> R + Sync,
     {
-        install_quiet_machine_error_hook();
-        let p = self.nprocs();
-        let rec = Arc::new(RecoveryState::new(p));
-        let (txs, rxs, sched) = self.build_fabric();
-
-        type ProcOk<R> = (
-            R,
-            crate::cost::ClockReport,
-            Vec<crate::trace::Span>,
-            Vec<u64>,
-            Vec<crate::obs::Event>,
-            crate::obs::MetricsSnapshot,
-            crate::obs::WallProfile,
-        );
-        let mut out: Vec<Option<Result<ProcOk<R>, Failure>>> = (0..p).map(|_| None).collect();
-        let mut failures: Vec<(usize, Failure)> = Vec::new();
-
-        std::thread::scope(|scope| {
-            // Unlike `run_inner`, workers report through a channel instead
-            // of in-order joins (the driver must react to a crash while the
-            // other workers are still parked in receives), and they never
-            // poison peers themselves — whether a failure is fatal is the
-            // driver's call.
-            let (done_tx, done_rx) =
-                std::sync::mpsc::channel::<(usize, Result<ProcOk<R>, Failure>, FrameReceiver)>();
-            let spawn_worker = |id: usize, rx: FrameReceiver, resume: Option<ResumeCtx>| {
-                let txs = &txs;
-                let grid = &self.grid;
-                let cost = self.cost;
-                let program = &program;
-                let timeout = self.recv_timeout;
-                let tracing = self.tracing;
-                let obs = crate::obs::ObsConfig {
-                    events: self.tracing,
-                    metrics: self.metrics,
-                    wall: self.wall_profiling,
-                };
-                let plan = self.faults.clone();
-                let rec = Arc::clone(&rec);
-                let done = done_tx.clone();
-                let sched = Arc::clone(&sched);
-                let respawned = resume.is_some();
-                spawn_carrier(scope, p, move || {
-                    // A respawned processor re-enters the scheduler: its
-                    // previous carrier called `finish` before reporting the
-                    // crash (the report the driver acted on), so the Done →
-                    // Ready transition here can never race the old carrier.
-                    if respawned {
-                        sched.enroll(id);
-                    }
-                    sched.acquire(id);
-                    let mut clock = SimClock::new(cost);
-                    if tracing {
-                        clock.enable_trace();
-                    }
-                    let mut proc = Proc::new(
-                        id,
-                        grid,
-                        clock,
-                        txs,
-                        rx,
-                        timeout,
-                        plan,
-                        obs,
-                        Arc::clone(&sched),
-                    );
-                    proc.attach_recovery(rec, resume);
-                    let (ac0, ab0) = crate::alloc_counter::thread_totals();
-                    let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-                    let (ac1, ab1) = crate::alloc_counter::thread_totals();
-                    proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
-                    // No carrier retires before every processor has finished
-                    // its program: a respawned victim re-sends frames that
-                    // only a live peer can acknowledge.
-                    let outcome: Result<R, Failure> = match result {
-                        Ok(r) => match proc.retire_barrier().and_then(|()| proc.finish_transport())
-                        {
-                            Ok(()) => {
-                                let leftover = proc.leftover_messages();
-                                if leftover > 0 {
-                                    Err((
-                                        MachineError::LeftoverMessages {
-                                            proc: id,
-                                            count: leftover,
-                                        },
-                                        None,
-                                    ))
-                                } else {
-                                    Ok(r)
-                                }
-                            }
-                            Err(e) => Err((e, None)),
-                        },
-                        Err(payload) => match payload.downcast::<MachineError>() {
-                            Ok(e) => Err((*e, None)),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
-                            }
-                        },
-                    };
-                    let (mut clock, comm_row, rx, events, metrics, wall) = proc.into_parts();
-                    let trace = clock.take_trace();
-                    // Release the run permit strictly before reporting: by
-                    // the time the driver sees this message (and possibly
-                    // respawns this processor), the scheduler slot is free.
-                    sched.finish(id);
-                    let _ = done.send((
-                        id,
-                        outcome
-                            .map(|r| (r, clock.report(), trace, comm_row, events, metrics, wall)),
-                        rx,
-                    ));
-                });
-            };
-            for (id, rx) in rxs.into_iter().enumerate() {
-                spawn_worker(id, rx, None);
-            }
-
-            let mut respawns = vec![0u32; p];
-            let mut poisoned = false;
-            let mut parked_rxs = Vec::with_capacity(p);
-            let mut pending = p;
-            while pending > 0 {
-                let (id, outcome, rx) = done_rx.recv().expect("workers outlive the driver loop");
-                match outcome {
-                    Err((MachineError::ProcCrashed { proc, step }, _))
-                        if !poisoned && respawns[proc] < MAX_RESPAWNS =>
-                    {
-                        respawns[proc] += 1;
-                        let resume = ResumeCtx {
-                            snapshot: rec.take_snapshot(proc),
-                            replay: rec.clone_log(proc),
-                        };
-                        debug_assert_eq!(proc, id, "a crash fails the crashing processor");
-                        let _ = step;
-                        // The victim's channel endpoint survives the crash:
-                        // frames peers sent meanwhile are still queued in it.
-                        spawn_worker(id, rx, Some(resume));
-                    }
-                    Err(failure) => {
-                        if !poisoned {
-                            // First fatal failure: abort the survivors.
-                            poisoned = true;
-                            for (pid, tx) in txs.iter().enumerate() {
-                                if pid != id {
-                                    tx.send(Frame::Poison(failure.0.clone()));
-                                }
-                            }
-                        }
-                        failures.push((id, failure));
-                        parked_rxs.push(rx);
-                        pending -= 1;
-                    }
-                    Ok(ok) => {
-                        out[id] = Some(Ok(ok));
-                        parked_rxs.push(rx);
-                        pending -= 1;
-                    }
-                }
-            }
-        });
-
-        if !failures.is_empty() {
-            let idx = pick_primary(&failures);
-            return Err(failures.swap_remove(idx).1 .0);
-        }
-        let mut results = Vec::with_capacity(p);
-        let mut clocks = Vec::with_capacity(p);
-        let mut traces = Vec::with_capacity(p);
-        let mut comm = Vec::with_capacity(p);
-        let mut events = Vec::with_capacity(p);
-        let mut metrics = Vec::with_capacity(p);
-        let mut wall = Vec::with_capacity(p);
-        for slot in out {
-            match slot.expect("every processor completed") {
-                Ok((r, c, trace, comm_row, evs, snap, wp)) => {
-                    results.push(r);
-                    clocks.push(c);
-                    traces.push(trace);
-                    comm.push(comm_row);
-                    events.push(evs);
-                    metrics.push(snap);
-                    wall.push(wp);
-                }
-                Err(_) => unreachable!("failures were returned above"),
-            }
-        }
-        let mut run = RunOutput::new(results, clocks);
-        run.traces = traces;
-        run.comm_matrix = comm;
-        run.events = events;
-        run.metrics = metrics;
-        if self.wall_profiling {
-            run.wall_profiles = wall;
-        }
-        run.recovery = Some(rec.stats());
-        Ok(run)
+        let rec = Arc::new(RecoveryState::new(self.nprocs()));
+        self.drive(program, Some(rec)).map_err(|f| primary(f).0)
     }
 
-    /// Shared driver. On failure returns every failing processor's error
-    /// (with original panic payloads where they exist), in processor order.
-    fn run_inner<R, F>(&self, program: F) -> Result<RunOutput<R>, Vec<(usize, Failure)>>
+    /// Shared driver. With `rec`, scheduled crashes are survived (see
+    /// [`Machine::run_recoverable`]). On failure returns every failing
+    /// processor's error (with original panic payloads where they exist),
+    /// in processor order.
+    fn drive<R, F>(
+        &self,
+        program: F,
+        rec: Option<Arc<RecoveryState>>,
+    ) -> Result<RunOutput<R>, Vec<(usize, Failure)>>
     where
         R: Send,
         F: Fn(&mut Proc) -> R + Sync,
     {
         install_quiet_machine_error_hook();
-        let p = self.nprocs();
         let (txs, rxs, sched) = self.build_fabric();
+        let slots: Vec<Mutex<Slot<R>>> = rxs
+            .into_iter()
+            .map(|rx| Slot {
+                start: Some((rx, None)),
+                respawns: 0,
+                done: None,
+            })
+            .map(Mutex::new)
+            .collect();
+        let obs = crate::obs::ObsConfig {
+            events: self.tracing,
+            metrics: self.metrics,
+            wall: self.wall_profiling,
+        };
+        // Set by the first fatal failure, which aborts the survivors.
+        let poisoned = AtomicBool::new(false);
 
-        type ProcOk<R> = (
-            R,
-            crate::cost::ClockReport,
-            Vec<crate::trace::Span>,
-            Vec<u64>,
-            Vec<crate::obs::Event>,
-            crate::obs::MetricsSnapshot,
-            crate::obs::WallProfile,
-        );
-        let mut out: Vec<Option<Result<ProcOk<R>, Failure>>> = (0..p).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (id, rx) in rxs.into_iter().enumerate() {
-                let txs = &txs;
-                let grid = &self.grid;
-                let cost = self.cost;
-                let program = &program;
-                let timeout = self.recv_timeout;
-                let tracing = self.tracing;
-                let obs = crate::obs::ObsConfig {
-                    events: self.tracing,
-                    metrics: self.metrics,
-                    wall: self.wall_profiling,
-                };
-                let plan = self.faults.clone();
-                let sched = Arc::clone(&sched);
-                handles.push(spawn_carrier(scope, p, move || {
-                    sched.acquire(id);
-                    let mut clock = SimClock::new(cost);
-                    if tracing {
-                        clock.enable_trace();
+        // One carrier's life, on its own stack: run the program, retire the
+        // transport, and leave the outcome (or a successor) in the slot.
+        let body = |id: usize| {
+            let slot = || slots[id].lock().expect("a slot is only ever assigned");
+            let (rx, resume) = slot().start.take().expect("a carrier starts from its slot");
+            let mut clock = SimClock::new(self.cost);
+            if self.tracing {
+                clock.enable_trace();
+            }
+            let mut proc = Proc::new(
+                id,
+                &self.grid,
+                clock,
+                &txs,
+                rx,
+                self.recv_timeout,
+                self.faults.clone(),
+                obs,
+                Arc::clone(&sched),
+            );
+            if let Some(rec) = &rec {
+                proc.attach_recovery(Arc::clone(rec), resume);
+            }
+            let (ac0, ab0) = crate::alloc_counter::thread_totals();
+            let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
+            let (ac1, ab1) = crate::alloc_counter::thread_totals();
+            proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
+            let outcome: Result<R, Failure> = match result {
+                Ok(r) => {
+                    // Under recovery no processor retires before every one
+                    // has finished its program: a respawned victim re-sends
+                    // frames that only a live peer can acknowledge.
+                    let barrier = rec.as_ref().map_or(Ok(()), |_| proc.retire_barrier());
+                    match barrier.and_then(|()| proc.finish_transport()) {
+                        Ok(()) => match proc.leftover_messages() {
+                            0 => Ok(r),
+                            count => {
+                                Err((MachineError::LeftoverMessages { proc: id, count }, None))
+                            }
+                        },
+                        Err(e) => Err((e, None)),
                     }
-                    let mut proc = Proc::new(
-                        id,
-                        grid,
-                        clock,
-                        txs,
-                        rx,
-                        timeout,
-                        plan,
-                        obs,
-                        Arc::clone(&sched),
-                    );
-                    let (ac0, ab0) = crate::alloc_counter::thread_totals();
-                    let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-                    let (ac1, ab1) = crate::alloc_counter::thread_totals();
-                    proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
-                    let outcome: Result<R, Failure> = match result {
-                        Ok(r) => match proc.finish_transport() {
-                            Ok(()) => {
-                                let leftover = proc.leftover_messages();
-                                if leftover > 0 {
-                                    Err((
-                                        MachineError::LeftoverMessages {
-                                            proc: id,
-                                            count: leftover,
-                                        },
-                                        None,
-                                    ))
-                                } else {
-                                    Ok(r)
-                                }
-                            }
-                            Err(e) => Err((e, None)),
-                        },
-                        Err(payload) => match payload.downcast::<MachineError>() {
-                            Ok(e) => Err((*e, None)),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
-                            }
-                        },
+                }
+                Err(payload) => match payload.downcast::<MachineError>() {
+                    Ok(e) => Err((*e, None)),
+                    Err(payload) => {
+                        let msg = panic_message(payload.as_ref());
+                        Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
+                    }
+                },
+            };
+            let (mut clock, comm_row, rx, events, metrics, wall) = proc.into_parts();
+            if let (Some(rec), Err((MachineError::ProcCrashed { .. }, _))) = (&rec, &outcome) {
+                let mut slot = slot();
+                if !poisoned.load(Ordering::SeqCst) && slot.respawns < MAX_RESPAWNS {
+                    slot.respawns += 1;
+                    let resume = ResumeCtx {
+                        snapshot: rec.take_snapshot(id),
+                        replay: rec.clone_log(id),
                     };
-                    // Retire from the scheduler on success and failure alike
-                    // — a permit leak would wedge every still-running peer.
-                    // Before the poison broadcast, so the woken peers find a
-                    // free slot to abort on.
-                    sched.finish(id);
-                    if let Err((e, _)) = &outcome {
-                        // Poison broadcast: peers blocked in receives abort
-                        // with this error as their cause instead of waiting
-                        // out their own timeouts.
-                        for (pid, tx) in txs.iter().enumerate() {
-                            if pid != id {
-                                tx.send(Frame::Poison(e.clone()));
-                            }
-                        }
+                    slot.start = Some((rx, Some(resume)));
+                    return sched.enroll(id);
+                }
+            }
+            if let Err((e, _)) = &outcome {
+                // Poison broadcast: peers blocked in receives abort with
+                // this error as their cause instead of waiting out their
+                // own timeouts.
+                if !poisoned.swap(true, Ordering::SeqCst) {
+                    for (_, tx) in txs.iter().enumerate().filter(|(pid, _)| *pid != id) {
+                        tx.send(Frame::Poison(e.clone()));
                     }
-                    let (mut clock, comm_row, rx, events, metrics, wall) = proc.into_parts();
-                    let trace = clock.take_trace();
-                    (
-                        outcome
-                            .map(|r| (r, clock.report(), trace, comm_row, events, metrics, wall)),
-                        rx,
-                    )
-                }));
+                }
             }
-            // Receiver endpoints come back from each joined thread and are
-            // parked here until every thread has joined, so a laggard's
-            // late sends (e.g. retransmissions) never hit a closed channel.
-            let mut parked_rxs = Vec::with_capacity(p);
-            for (id, h) in handles.into_iter().enumerate() {
-                let (outcome, rx) = h.join().expect("processor threads never panic themselves");
-                parked_rxs.push(rx);
-                out[id] = Some(outcome);
+            let trace = clock.take_trace();
+            let ok = outcome.map(|r| (r, clock.report(), trace, comm_row, events, metrics, wall));
+            slot().done = Some((ok, rx));
+        };
+        // The caller is worker 0: a one-worker run creates no thread at all
+        // (and allocates from one malloc arena, run after run).
+        std::thread::scope(|scope| {
+            for w in 1..sched.workers() {
+                let (sched, body) = (&sched, &body);
+                scope.spawn(move || sched.run_worker(w, body));
             }
+            sched.run_worker(0, &body);
         });
 
-        let mut results = Vec::with_capacity(p);
-        let mut clocks = Vec::with_capacity(p);
-        let mut traces = Vec::with_capacity(p);
-        let mut comm = Vec::with_capacity(p);
-        let mut events = Vec::with_capacity(p);
-        let mut metrics = Vec::with_capacity(p);
-        let mut wall = Vec::with_capacity(p);
+        let mut run = RunOutput::new(Vec::new(), Vec::new());
         let mut failures = Vec::new();
-        for (id, slot) in out.into_iter().enumerate() {
-            match slot.expect("every processor joined") {
+        for (id, slot) in slots.into_iter().enumerate() {
+            let slot = slot.into_inner().expect("a slot is only ever assigned");
+            match slot.done.expect("every processor finished").0 {
                 Ok((r, c, trace, comm_row, evs, snap, wp)) => {
-                    results.push(r);
-                    clocks.push(c);
-                    traces.push(trace);
-                    comm.push(comm_row);
-                    events.push(evs);
-                    metrics.push(snap);
-                    wall.push(wp);
+                    run.results.push(r);
+                    run.clocks.push(c);
+                    run.traces.push(trace);
+                    run.comm_matrix.push(comm_row);
+                    run.events.push(evs);
+                    run.metrics.push(snap);
+                    if self.wall_profiling {
+                        run.wall_profiles.push(wp);
+                    }
                 }
                 Err(failure) => failures.push((id, failure)),
             }
@@ -653,14 +448,7 @@ impl Machine {
         if !failures.is_empty() {
             return Err(failures);
         }
-        let mut run = RunOutput::new(results, clocks);
-        run.traces = traces;
-        run.comm_matrix = comm;
-        run.events = events;
-        run.metrics = metrics;
-        if self.wall_profiling {
-            run.wall_profiles = wall;
-        }
+        run.recovery = rec.map(|rec| rec.stats());
         Ok(run)
     }
 }
@@ -692,11 +480,11 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Index of the failure to report: the most root-cause-like one. Poisoned
+/// The failure to report: the most root-cause-like one. Poisoned
 /// bystanders rank last; active failures (panic/crash) rank before passive
 /// ones (unreachable peer, timeout, leftovers); ties break to the lowest
 /// processor id (the vector is already in processor order).
-fn pick_primary(failures: &[(usize, Failure)]) -> usize {
+fn primary(failures: Vec<(usize, Failure)>) -> Failure {
     fn severity(e: &MachineError) -> u8 {
         match e {
             MachineError::ProcPanicked { .. } | MachineError::ProcCrashed { .. } => 0,
@@ -706,12 +494,9 @@ fn pick_primary(failures: &[(usize, Failure)]) -> usize {
             MachineError::Poisoned { .. } => 4,
         }
     }
-    failures
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, (_, (e, _)))| severity(e))
-        .map(|(i, _)| i)
-        .expect("pick_primary called with failures")
+    // `min_by_key` keeps the first of equal minima.
+    let ranked = failures.into_iter().min_by_key(|(_, (e, _))| severity(e));
+    ranked.expect("a failed run has a failure").1
 }
 
 #[cfg(test)]

@@ -1147,7 +1147,7 @@ impl WallSpan {
     }
 }
 
-/// A per-thread wall-clock span recorder — the wall-side twin of the
+/// A per-processor wall-clock span recorder — the wall-side twin of the
 /// simulated stage tracer. Each [`crate::Proc`] optionally owns one (see
 /// [`crate::Machine::with_wall_profiling`]); when absent, every profiling
 /// hook is a single `Option` branch, so disabled runs pay ~zero overhead

@@ -180,9 +180,9 @@ pub struct Proc<'m> {
     senders: &'m [FrameSender],
     rx: FrameReceiver,
     /// The cooperative scheduler multiplexing virtual processors over the
-    /// machine's carrier-thread pool. Every wall-clock wait in this file
-    /// parks here instead of blocking or spinning, so a bounded pool can
-    /// carry thousands of processors (see DESIGN.md §15).
+    /// machine's worker threads. Every wall-clock wait in this file parks
+    /// here — a stack switch — instead of blocking or spinning, so a
+    /// bounded pool can carry thousands of processors (see DESIGN.md §15).
     sched: Arc<Scheduler>,
     mailbox: Mailbox,
     recv_timeout: Duration,
@@ -850,7 +850,7 @@ impl<'m> Proc<'m> {
     /// raw frames from anyone else then leave the processor parked. Every
     /// other wake — a sequenced or control frame, a pool-slot return —
     /// ends the park regardless. The wait is attributed to the virtual
-    /// processor's own wall profile under `sched.park` — carrier threads
+    /// processor's own wall profile under `sched.park` — worker threads
     /// have no identity of their own.
     fn park(&mut self, timeout: Duration, awaits: Option<usize>) -> ParkOutcome {
         let key = self.clock.now_ns();
@@ -1128,8 +1128,8 @@ impl<'m> Proc<'m> {
     }
 
     /// Put one unsequenced frame on `dst`'s ring. The receiver's endpoint
-    /// lives as long as the run (the driver parks channel endpoints until
-    /// every thread joins).
+    /// lives as long as the run (the driver keeps channel endpoints until
+    /// every processor has finished).
     fn send_raw(&mut self, dst: usize, pkt: Packet) {
         self.senders[dst].send(Frame::Raw(pkt));
         if let Some(m) = self.metrics.as_ref() {
@@ -1581,7 +1581,7 @@ impl<'m> Proc<'m> {
         self.pkt_scratch = scratch;
     }
 
-    /// Record the worker thread's allocation totals for this run in the
+    /// Record this processor's allocation totals for this run in the
     /// `alloc.count` / `alloc.bytes` counters (no-op without metrics; zeros
     /// unless the binary installs [`crate::alloc_counter::CountingAllocator`]).
     pub(crate) fn note_alloc_totals(&mut self, count: u64, bytes: u64) {

@@ -1,32 +1,35 @@
 //! Deterministic cooperative scheduler: virtual processors multiplexed
-//! over a bounded worker pool.
+//! over a bounded pool of worker threads.
 //!
-//! Each virtual processor keeps its own OS thread as a *stack carrier* (an
-//! arbitrary `Fn(&mut Proc) -> R` closure cannot be suspended any other way
-//! in stable Rust), but execution is gated by this scheduler: at most
-//! `workers` run permits exist, and a carrier may only execute its program
-//! while holding one. Every blocking point in [`crate::proc::Proc`] — frame
-//! receive, transport flush, clock-sync barrier, buffer-pool back-pressure
-//! — releases the permit and parks here; senders wake the destination
-//! through [`Scheduler::unpark_from`] (an unsequenced data frame, which
-//! only wakes a receiver awaiting that sender) or [`Scheduler::unpark`]
-//! (everything else, unconditionally).
+//! A virtual processor runs on a *carrier* — a stackful coroutine with its
+//! own `mmap`'d stack ([`crate::carrier`]) — and `min(workers, P)` OS
+//! threads, the caller's among them, run the carriers. Carrier `id` belongs to worker `id % workers`
+//! for life: only that thread ever starts, resumes or unmaps it, so a
+//! `Proc` and everything its program borrows stay on one OS thread. Every
+//! blocking point in [`crate::proc::Proc`] — frame receive, transport
+//! flush, clock-sync barrier, buffer-pool back-pressure — parks here, and
+//! a park is a user-space stack switch: straight to the next ready carrier
+//! of the same worker, or back to the worker's loop when it has none.
+//! Senders wake the destination through [`Scheduler::unpark_from`] (an
+//! unsequenced data frame, which only wakes a receiver awaiting that
+//! sender) or [`Scheduler::unpark`] (everything else, unconditionally).
 //!
-//! Permits are granted from a ready min-heap keyed on
+//! Each worker picks from its own ready min-heap keyed on
 //! `(simulated time, proc id)` — the lowest simulated clock runs first,
 //! ties break to the lowest id — never on OS wake-up order. With one worker
 //! the execution order is therefore a pure function of the program; with
-//! more workers the grant *order* is still drawn from the same keyed heap,
-//! and simulated results are schedule-invariant regardless (message
+//! more, simulated results are schedule-invariant regardless (message
 //! matching is by `(src, tag)` FIFO plus SPMD program order; see
 //! DESIGN.md §15).
 //!
 //! The missed-wakeup race (sender enqueues between a receiver's empty
 //! queue probe and its park) is closed by a per-processor wake token:
 //! an unpark aimed at a processor that is not parked sets the token, and
-//! the next park consumes the token and returns immediately without ever
-//! releasing its permit. All state transitions happen under one mutex, so
-//! the token handshake needs no memory-ordering subtlety.
+//! the next park consumes the token and returns immediately without
+//! switching. All state transitions happen under one mutex, so the token
+//! handshake needs no memory-ordering subtlety. The mutex is never held
+//! across a switch; nothing can resume a carrier between its unlock and
+//! its switch out — the only thread that may is the one running it.
 //!
 //! Wake-ups are *targeted*: a receive park records the source it awaits,
 //! and a raw frame from any other source leaves the processor parked — the
@@ -35,88 +38,121 @@
 //! (or between its last ring probe and its park) gets the token whoever
 //! sent the frame, so the probe→park race stays closed (DESIGN.md §15).
 //!
-//! Parks carry wall-clock deadlines: the existing no-hang guarantees
-//! (receive timeouts, reliable-transport retransmissions, pool-checkout
-//! stall detection) survive verbatim, re-expressed as scheduler deadlines
-//! instead of `Condvar` waits and `yield_now` spins. A timed-out processor
-//! re-enters the ready queue and *reacquires a permit before returning*,
-//! so the permit invariant (`running ≤ workers`) holds at every instant.
+//! Parks carry wall-clock deadlines (receive timeouts, retransmission
+//! pumps, pool-stall detection), checked by the owning worker at its
+//! scheduling points: every park compares the `Instant` it reads anyway
+//! against the worker's earliest deadline and requeues expired carriers as
+//! timed out, and an idle worker sleeps no longer than that instant. A
+//! program that never parks holds its worker, as it held a permit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+use crate::carrier::{self, Carriers};
+
+/// Why a poisoned scheduler mutex cannot happen.
+const POISON: &str = "no scheduler transition panics half-way";
 
 /// Why [`Scheduler::park`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ParkOutcome {
-    /// A wake token was already pending: the processor never slept and
-    /// never released its permit. The caller should re-probe.
+    /// A wake token was already pending: the processor never switched
+    /// out. The caller should re-probe.
     Token,
-    /// The processor slept and an unpark woke it. The caller should
-    /// re-probe whatever it was waiting for.
+    /// The processor was switched out and an unpark made it ready again.
+    /// The caller should re-probe whatever it was waiting for.
     Woken,
-    /// The wall-clock timeout expired first. The processor has already
-    /// reacquired a run permit; the caller owns its own deadline logic.
+    /// The wall-clock timeout expired first; the caller owns its own
+    /// deadline logic.
     TimedOut,
 }
 
-/// Task lifecycle. `Ready` tasks (and only they) have an entry in the
-/// ready heap; `Granted` is the handshake between the grant (made under
-/// the lock, possibly by another thread) and the carrier observing it.
+/// Task lifecycle. `Ready` tasks (and only they) have an entry in their
+/// worker's ready heap. There is no grant handshake: the worker that takes
+/// a task off its heap is the one that resumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    /// Wants to run; queued in the ready heap awaiting a permit.
+    /// Wants to run; queued in its worker's ready heap.
     Ready,
-    /// Holds a permit; its carrier has not yet resumed.
-    Granted,
-    /// Holds a permit and is executing on its carrier.
+    /// Executing on its carrier (or about to be switched in).
     Running,
-    /// Blocked at a park point; holds no permit and no heap entry.
+    /// Switched out at a park point; no heap entry.
     Parked,
-    /// Finished (or crashed); holds nothing. [`Scheduler::enroll`]
-    /// re-animates a `Done` task for a crash-recovery respawn.
+    /// Finished (or crashed); its stack is unmapped.
     Done,
 }
+
+/// Min-heap keyed by `(simulated-time bits, proc id)`. Simulated times are
+/// finite and non-negative, so the IEEE-754 bit pattern orders exactly like
+/// the float and the heap never sees NaN.
+type ReadyHeap = BinaryHeap<Reverse<(u64, usize)>>;
 
 struct Inner {
     state: Box<[State]>,
     /// Pending wake per processor: an unpark that arrived while the target
-    /// was not parked. Consumed (without sleeping) by the next park.
+    /// was not parked. Consumed (without switching) by the next park.
     token: Box<[bool]>,
-    /// Ready processors, keyed by `(simulated-time bits, proc id)`.
-    /// Simulated times are finite and non-negative, so the IEEE-754 bit
-    /// pattern orders exactly like the float and the heap never sees NaN.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// One heap per worker, of its ready processors.
+    ready: Box<[ReadyHeap]>,
     /// Each processor's last park key (its simulated clock at the park),
     /// re-used when an unpark or a respawn re-enqueues it.
     key: Box<[u64]>,
-    /// Permits currently held (`Granted` + `Running` states).
-    running: usize,
     /// The source each processor's current receive park awaits; `None`
     /// outside one. Set on park entry and cleared only when the park
-    /// returns, so a timed-out processor queued for a permit still shows
+    /// returns, so a timed-out processor queued behind others still shows
     /// whom it waits for ([`Scheduler::wait_chain`]).
     awaits: Box<[Option<usize>]>,
     /// Raw frames that reached each processor while it stayed parked
     /// awaiting another source (the `sched.wakes_filtered` metric).
     filtered: Box<[u64]>,
+    /// When each `Parked` processor's park expires, and whether the park
+    /// it is returning from ended that way.
+    deadline: Box<[Instant]>,
+    timed_out: Box<[bool]>,
+    /// Per worker: a lower bound on its parked processors' deadlines.
+    earliest: Box<[Option<Instant>]>,
+    /// Per worker: asleep on its condvar, so a wake must notify it.
+    idle: Box<[bool]>,
+    /// Per worker: processors not yet `Done`; it exits at zero.
+    live: Box<[usize]>,
+    /// Processors whose retiring carrier asked for a successor.
+    respawn: Box<[bool]>,
 }
 
 impl Inner {
-    /// Grant permits to the lowest-keyed ready processors while any are
-    /// free. Runs under the lock; every state transition that could free a
-    /// permit or add a ready task calls this before unlocking.
-    fn grant(&mut self, workers: usize, cvs: &[Condvar]) {
-        while self.running < workers {
-            let Some(Reverse((_, id))) = self.ready.pop() else {
-                return;
-            };
-            debug_assert_eq!(self.state[id], State::Ready, "heap holds only Ready tasks");
-            self.state[id] = State::Granted;
-            self.running += 1;
-            cvs[id].notify_one();
+    /// Queue `id` on its worker's heap at its last park key.
+    fn requeue(&mut self, id: usize) {
+        self.state[id] = State::Ready;
+        let w = id % self.ready.len();
+        self.ready[w].push(Reverse((self.key[id], id)));
+    }
+
+    /// Worker `w`'s scheduling point: requeue its processors whose park
+    /// deadline has passed as timed out, then take its lowest-keyed ready
+    /// one. The scan runs only when the cached bound has passed — a real
+    /// timeout, or once after the park that set the bound was woken.
+    fn pick(&mut self, w: usize, now: Instant) -> Option<usize> {
+        if self.earliest[w].is_some_and(|d| d <= now) {
+            self.earliest[w] = None;
+            for id in (w..self.state.len()).step_by(self.ready.len()) {
+                if self.state[id] != State::Parked {
+                    continue;
+                }
+                let d = self.deadline[id];
+                if d <= now {
+                    self.timed_out[id] = true;
+                    self.requeue(id);
+                } else {
+                    self.earliest[w] = Some(self.earliest[w].map_or(d, |e| e.min(d)));
+                }
+            }
         }
+        let Reverse((_, id)) = self.ready[w].pop()?;
+        debug_assert_eq!(self.state[id], State::Ready, "heap holds only Ready tasks");
+        self.state[id] = State::Running;
+        Some(id)
     }
 }
 
@@ -124,60 +160,107 @@ impl Inner {
 /// docs for the protocol.
 pub(crate) struct Scheduler {
     inner: Mutex<Inner>,
-    /// One condvar per processor: carriers only ever wait on their own.
-    cvs: Box<[Condvar]>,
+    /// One condvar per worker, waited on only while it has nothing ready.
+    idle_cv: Box<[Condvar]>,
+    nprocs: usize,
     workers: usize,
 }
 
 impl Scheduler {
     /// Build a scheduler for `nprocs` virtual processors over `workers`
-    /// permits (clamped to at least one). All processors are pre-enrolled
-    /// ready at key `(0, id)` and the first `workers` grants are issued
-    /// immediately, so the initial execution order is deterministic no
-    /// matter in which order the carrier threads happen to start.
+    /// worker threads (clamped to `1..=nprocs`). All processors are
+    /// pre-enrolled ready at key `(0, id)`, so each worker starts its
+    /// lowest id first whatever order the threads come up in.
     pub(crate) fn new(nprocs: usize, workers: usize) -> Scheduler {
-        let workers = workers.max(1);
-        let mut ready = BinaryHeap::with_capacity(nprocs + 1);
+        let workers = workers.clamp(1, nprocs.max(1));
+        let per_worker = nprocs.div_ceil(workers);
+        let mut ready: Box<[_]> = (0..workers)
+            .map(|_| BinaryHeap::with_capacity(per_worker + 1))
+            .collect();
+        let mut live = vec![0; workers].into_boxed_slice();
         for id in 0..nprocs {
-            ready.push(Reverse((0u64, id)));
+            ready[id % workers].push(Reverse((0u64, id)));
+            live[id % workers] += 1;
         }
-        let mut inner = Inner {
+        let inner = Inner {
             state: vec![State::Ready; nprocs].into_boxed_slice(),
             token: vec![false; nprocs].into_boxed_slice(),
             ready,
             key: vec![0u64; nprocs].into_boxed_slice(),
-            running: 0,
             awaits: vec![None; nprocs].into_boxed_slice(),
             filtered: vec![0; nprocs].into_boxed_slice(),
+            deadline: vec![Instant::now(); nprocs].into_boxed_slice(),
+            timed_out: vec![false; nprocs].into_boxed_slice(),
+            earliest: vec![None; workers].into_boxed_slice(),
+            idle: vec![false; workers].into_boxed_slice(),
+            live,
+            respawn: vec![false; nprocs].into_boxed_slice(),
         };
-        let cvs: Box<[Condvar]> = (0..nprocs).map(|_| Condvar::new()).collect();
-        inner.grant(workers, &cvs);
         Scheduler {
             inner: Mutex::new(inner),
-            cvs,
+            idle_cv: (0..workers).map(|_| Condvar::new()).collect(),
+            nprocs,
             workers,
         }
     }
 
-    /// Carrier entry: block until processor `id` is granted a permit, then
-    /// mark it running. Called once per carrier thread before the program
-    /// closure (and again after [`Scheduler::enroll`] on a respawn).
-    pub(crate) fn acquire(&self, id: usize) {
-        let mut g = self.inner.lock().unwrap();
-        while g.state[id] != State::Granted {
-            g = self.cvs[id].wait(g).unwrap();
-        }
-        g.state[id] = State::Running;
+    /// Worker threads the run needs: one [`Scheduler::run_worker`] each.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
     }
 
-    /// Release the permit and block until woken or `timeout` elapses.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect(POISON)
+    }
+
+    /// Worker `w`'s loop, one OS thread each: run `body(id)` for every
+    /// processor it owns, each on its own stack, switching among them as
+    /// they park, until all are done. A processor's first pick maps its
+    /// stack (and so does the first pick after [`Scheduler::enroll`]); its
+    /// last switch out unmaps it.
+    pub(crate) fn run_worker(&self, w: usize, body: &(dyn Fn(usize) + Sync)) {
+        let entry = |local: usize| body(local * self.workers + w);
+        let owned = (self.nprocs + self.workers - 1 - w) / self.workers;
+        let carriers = Carriers::new(owned, carrier::stack_bytes(self.nprocs), &entry);
+        while let Some(id) = self.next_ready(w) {
+            if let Some(local) = carriers.resume(id / self.workers) {
+                self.finish(local * self.workers + w);
+            }
+        }
+    }
+
+    /// Block worker `w` until one of its processors is ready (sleeping no
+    /// longer than its earliest park deadline); `None` once all are done.
+    fn next_ready(&self, w: usize) -> Option<usize> {
+        let mut g = self.lock();
+        loop {
+            let now = Instant::now();
+            if let Some(id) = g.pick(w, now) {
+                return Some(id);
+            }
+            if g.live[w] == 0 {
+                return None;
+            }
+            g.idle[w] = true;
+            let cv = &self.idle_cv[w];
+            g = match g.earliest[w] {
+                Some(d) => {
+                    let left = d.saturating_duration_since(now);
+                    cv.wait_timeout(g, left).expect(POISON).0
+                }
+                None => cv.wait(g).expect(POISON),
+            };
+            g.idle[w] = false;
+        }
+    }
+
+    /// Switch processor `id` out until woken or `timeout` elapses.
     /// `key_ns` is the processor's current simulated time — the ready-queue
     /// sort key if it must requeue. `awaits` names the one source whose raw
     /// frames should end the park (a receive); `None` lets any frame end it.
-    /// A pending wake token short-circuits the park entirely (permit kept,
-    /// no transition). On timeout the processor requeues itself ready and
-    /// *waits for a fresh grant* before returning, so the caller always
-    /// holds a permit again.
+    /// A pending wake token short-circuits the park entirely (no
+    /// transition, no switch). A timed-out processor requeues at its park
+    /// key like a woken one, behind lower-keyed ready processors.
     pub(crate) fn park(
         &self,
         id: usize,
@@ -185,46 +268,32 @@ impl Scheduler {
         timeout: Duration,
         awaits: Option<usize>,
     ) -> ParkOutcome {
-        let mut g = self.inner.lock().unwrap();
-        debug_assert_eq!(g.state[id], State::Running, "park from a non-running task");
-        if std::mem::replace(&mut g.token[id], false) {
-            return ParkOutcome::Token;
-        }
-        g.state[id] = State::Parked;
-        g.awaits[id] = awaits;
-        g.key[id] = key_ns.max(0.0).to_bits();
-        g.running -= 1;
-        g.grant(self.workers, &self.cvs);
-        let deadline = Instant::now() + timeout;
-        let mut timed_out = false;
-        loop {
-            if g.state[id] == State::Granted {
-                g.state[id] = State::Running;
-                g.awaits[id] = None;
-                return if timed_out {
-                    ParkOutcome::TimedOut
-                } else {
-                    ParkOutcome::Woken
-                };
-            }
-            if timed_out {
-                g = self.cvs[id].wait(g).unwrap();
-                continue;
+        let w = id % self.workers;
+        let next = {
+            let mut g = self.lock();
+            debug_assert_eq!(g.state[id], State::Running, "park from a non-running task");
+            if std::mem::replace(&mut g.token[id], false) {
+                return ParkOutcome::Token;
             }
             let now = Instant::now();
-            if now >= deadline {
-                timed_out = true;
-                if g.state[id] == State::Parked {
-                    // Nobody woke us: requeue ready at our park key. The
-                    // grant may well pick us right back (loop top).
-                    g.state[id] = State::Ready;
-                    let entry = Reverse((g.key[id], id));
-                    g.ready.push(entry);
-                    g.grant(self.workers, &self.cvs);
-                }
-                continue;
-            }
-            g = self.cvs[id].wait_timeout(g, deadline - now).unwrap().0;
+            let deadline = now + timeout;
+            g.state[id] = State::Parked;
+            g.awaits[id] = awaits;
+            g.key[id] = key_ns.max(0.0).to_bits();
+            g.deadline[id] = deadline;
+            g.timed_out[id] = false;
+            g.earliest[w] = Some(g.earliest[w].map_or(deadline, |e| e.min(deadline)));
+            g.pick(w, now)
+        };
+        // Direct hand-off to the next ready carrier of this worker, or back
+        // to its loop (which sleeps until a wake or a deadline).
+        carrier::switch_to(next.map(|n| n / self.workers));
+        let mut g = self.lock();
+        g.awaits[id] = None;
+        if g.timed_out[id] {
+            ParkOutcome::TimedOut
+        } else {
+            ParkOutcome::Woken
         }
     }
 
@@ -246,54 +315,54 @@ impl Scheduler {
     }
 
     fn wake(&self, id: usize, from: Option<usize>) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         match g.state[id] {
             State::Parked => {
                 if matches!((from, g.awaits[id]), (Some(s), Some(a)) if s != a) {
                     g.filtered[id] += 1;
                     return;
                 }
-                g.state[id] = State::Ready;
-                let entry = Reverse((g.key[id], id));
-                g.ready.push(entry);
-                g.grant(self.workers, &self.cvs);
+                g.requeue(id);
+                // The owner picks it up at its next scheduling point; only
+                // a sleeping one needs the kernel.
+                let w = id % self.workers;
+                if g.idle[w] {
+                    self.idle_cv[w].notify_one();
+                }
             }
             State::Done => {}
             _ => g.token[id] = true,
         }
     }
 
-    /// Carrier exit: release the permit for good (program finished,
-    /// errored, or crashed). Every carrier calls this exactly once per
-    /// (re)spawn, on success and failure paths alike — a leaked permit
-    /// would starve the pool.
-    pub(crate) fn finish(&self, id: usize) {
-        let mut g = self.inner.lock().unwrap();
-        debug_assert!(
-            matches!(g.state[id], State::Running | State::Granted),
-            "finish from a task not holding a permit"
-        );
-        g.state[id] = State::Done;
+    /// Processor `id`'s carrier made its last switch out (program
+    /// finished, errored, or crashed) and its stack is unmapped: retire
+    /// it, or queue it for a new carrier if it asked for one.
+    fn finish(&self, id: usize) {
+        let mut g = self.lock();
+        debug_assert_eq!(g.state[id], State::Running, "finish of a task not running");
         g.token[id] = false;
-        g.running -= 1;
-        g.grant(self.workers, &self.cvs);
+        if std::mem::replace(&mut g.respawn[id], false) {
+            g.requeue(id);
+        } else {
+            g.state[id] = State::Done;
+            g.live[id % self.workers] -= 1;
+        }
     }
 
-    /// Re-enroll a `Done` processor for a crash-recovery respawn: it
-    /// re-enters the ready queue at its last park key and its new carrier
-    /// then blocks in [`Scheduler::acquire`] like any other task.
+    /// Crash-recovery respawn, called by the victim's own retiring carrier:
+    /// once it has switched out, the processor re-enters its worker's ready
+    /// heap at its last park key and its next pick starts it on a new
+    /// stack.
     pub(crate) fn enroll(&self, id: usize) {
-        let mut g = self.inner.lock().unwrap();
-        debug_assert_eq!(g.state[id], State::Done, "enroll of a live task");
-        g.state[id] = State::Ready;
-        let entry = Reverse((g.key[id], id));
-        g.ready.push(entry);
-        g.grant(self.workers, &self.cvs);
+        let mut g = self.lock();
+        debug_assert_eq!(g.state[id], State::Running, "enroll from another task");
+        g.respawn[id] = true;
     }
 
     /// How many raw frames left processor `id` parked so far.
     pub(crate) fn wakes_filtered(&self, id: usize) -> u64 {
-        self.inner.lock().unwrap().filtered[id]
+        self.lock().filtered[id]
     }
 
     /// Who waits on whom, starting at `src`: each entry awaits the next.
@@ -301,7 +370,7 @@ impl Scheduler {
     /// (running, finished, crashed, or parked on a flush or a pool slot) or
     /// at the first one listed twice (a cycle).
     pub(crate) fn wait_chain(&self, src: usize) -> Vec<usize> {
-        let g = self.inner.lock().unwrap();
+        let g = self.lock();
         let mut seen = vec![false; g.awaits.len()];
         let mut chain = Vec::new();
         let mut at = Some(src);
@@ -319,124 +388,143 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    #[test]
-    fn initial_grants_go_to_lowest_ids() {
-        let s = Scheduler::new(3, 2);
-        // Procs 0 and 1 hold the two permits (not 2, despite all three
-        // being enrolled ready); acquiring them returns immediately, and a
-        // park by one hands the permit to the waiting proc 2.
-        s.acquire(0);
-        s.acquire(1);
-        assert_eq!(s.workers, 2);
-        let s = Arc::new(s);
-        let s2 = Arc::clone(&s);
-        let waiter = std::thread::spawn(move || s2.acquire(2));
-        // Parking 0 with a pending token returns immediately instead.
-        s.unpark(0);
-        assert_eq!(
-            s.park(0, 0.0, Duration::from_secs(5), None),
-            ParkOutcome::Token,
-            "a pending wake token short-circuits the park"
-        );
-        // A real park releases the permit to proc 2.
-        let s3 = Arc::clone(&s);
-        let parker = std::thread::spawn(move || s3.park(0, 1.0, Duration::from_secs(5), None));
-        waiter.join().unwrap();
-        // Retiring proc 1 frees a permit; waking 0 claims it.
-        s.finish(1);
-        s.unpark(0);
-        assert_eq!(parker.join().unwrap(), ParkOutcome::Woken);
-    }
+    const LONG: Duration = Duration::from_secs(5);
 
-    #[test]
-    fn timeout_reacquires_a_permit() {
-        let s = Scheduler::new(2, 1);
-        s.acquire(0);
-        let t0 = Instant::now();
-        // Proc 1 holds no permit yet; proc 0's timed-out park must hand
-        // the permit over and then win it back (key 0.0 < proc 1's never
-        // being parked means proc 0 requeues behind the grant to 1 — but 1
-        // never parks, so 0 only returns once 1 finishes).
-        let s = Arc::new(s);
-        let s2 = Arc::clone(&s);
-        let h = std::thread::spawn(move || {
-            s2.acquire(1);
-            std::thread::sleep(Duration::from_millis(30));
-            s2.finish(1);
+    /// Run `body(id)` for every processor of `s` on its worker threads.
+    fn run(s: &Scheduler, body: impl Fn(usize) + Sync) {
+        std::thread::scope(|scope| {
+            for w in 0..s.workers() {
+                let body = &body;
+                scope.spawn(move || s.run_worker(w, body));
+            }
         });
-        let out = s.park(0, 0.0, Duration::from_millis(5), None);
-        assert_eq!(out, ParkOutcome::TimedOut);
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-        h.join().unwrap();
-        s.finish(0);
     }
 
     #[test]
-    fn done_task_ignores_both_kinds_of_wake() {
-        let s = Scheduler::new(1, 1);
-        s.acquire(0);
-        s.finish(0);
-        s.unpark(0); // must not panic, grant, or leave a token
-        s.unpark_from(0, 0);
-        s.enroll(0);
-        s.acquire(0);
-        assert_eq!(
-            s.park(0, 0.0, Duration::from_millis(1), None),
-            ParkOutcome::TimedOut,
-            "a wake aimed at a finished task must not survive as a token"
-        );
-        s.finish(0);
+    fn each_worker_starts_its_lowest_id_first() {
+        // Worker 0 owns processors 0 and 2, worker 1 owns 1. Processor 2
+        // only ever runs because 0 parks and hands its worker over.
+        let s = Scheduler::new(3, 2);
+        let started = Mutex::new(Vec::new());
+        run(&s, |id| {
+            started.lock().unwrap().push(id);
+            match id {
+                0 => {
+                    // Parking with a pending token returns immediately.
+                    s.unpark(0);
+                    assert_eq!(
+                        s.park(0, 0.0, LONG, None),
+                        ParkOutcome::Token,
+                        "a pending wake token short-circuits the park"
+                    );
+                    assert!(!started.lock().unwrap().contains(&2));
+                    // A real park switches to processor 2, whose wake
+                    // brings 0 back once 2 has finished.
+                    assert_eq!(s.park(0, 1.0, LONG, None), ParkOutcome::Woken);
+                    assert!(started.lock().unwrap().contains(&2));
+                }
+                2 => s.unpark(0),
+                _ => {}
+            }
+        });
+        assert_eq!(s.lock().live[..], [0, 0]);
     }
 
-    /// Spin until processor `id` is parked (the tests below need the park
-    /// to have happened before they aim a wake at it).
-    fn wait_parked(s: &Scheduler, id: usize) {
-        while s.inner.lock().unwrap().state[id] != State::Parked {
-            std::thread::yield_now();
-        }
+    #[test]
+    fn timed_out_park_waits_for_its_worker() {
+        // Processor 0's park expires after 5 ms, but processor 1 holds the
+        // only worker for 30 ms without parking: 0 comes back, timed out,
+        // at the first scheduling point after its deadline.
+        let s = Scheduler::new(2, 1);
+        let t0 = Instant::now();
+        run(&s, |id| match id {
+            0 => {
+                let out = s.park(0, 0.0, Duration::from_millis(5), None);
+                assert_eq!(out, ParkOutcome::TimedOut);
+                assert!(t0.elapsed() >= Duration::from_millis(30));
+            }
+            _ => std::thread::sleep(Duration::from_millis(30)),
+        });
+    }
+
+    #[test]
+    fn retired_carrier_ignores_both_kinds_of_wake() {
+        let s = Scheduler::new(2, 1);
+        let incarnation = Mutex::new(0);
+        run(&s, |id| match id {
+            0 => {
+                // (No guard may live across a park: the next carrier runs
+                // on this very thread.)
+                let n = {
+                    let mut n = incarnation.lock().unwrap();
+                    *n += 1;
+                    *n
+                };
+                if n == 1 {
+                    // A token left for the first carrier dies with it.
+                    s.unpark(0);
+                    s.enroll(0);
+                } else {
+                    assert_eq!(
+                        s.park(0, 0.0, Duration::from_millis(1), None),
+                        ParkOutcome::TimedOut,
+                        "a wake aimed at a retired carrier must not survive as a token"
+                    );
+                }
+            }
+            _ => {
+                // Runs while 0's second carrier is parked; outlast it.
+                assert_eq!(*incarnation.lock().unwrap(), 2);
+                while s.lock().state[0] != State::Done {
+                    s.park(1, 0.0, Duration::from_millis(1), None);
+                }
+                s.unpark(0); // must not panic, queue, or leave a token
+                s.unpark_from(0, 1);
+                let g = s.lock();
+                assert_eq!(g.state[0], State::Done);
+                assert!(!g.token[0] && g.ready[0].is_empty());
+            }
+        });
     }
 
     /// The targeted-wake protocol, one transition at a time: parked
     /// awaiting source 7, a raw frame from 3 is filtered (and counted), one
-    /// from 7 wakes; an unfiltered wake ends a filtered park too.
+    /// from 7 wakes; an unfiltered wake ends a filtered park too. On one
+    /// worker the processors run in id order, so 3 and 7 find 0 parked.
     #[test]
     fn parked_processor_wakes_only_for_the_awaited_source() {
-        // One permit per processor, so waking 0 never queues behind the
-        // carrier-less bystanders 1..8.
-        let s = Arc::new(Scheduler::new(8, 8));
-        s.acquire(0);
         for unfiltered in [false, true] {
-            let s2 = Arc::clone(&s);
-            let parker =
-                std::thread::spawn(move || s2.park(0, 0.0, Duration::from_secs(5), Some(7)));
-            wait_parked(&s, 0);
-            assert_eq!(
-                s.wait_chain(0),
-                vec![0, 7],
-                "the park publishes whom it awaits"
-            );
-            let before = s.wakes_filtered(0);
-            s.unpark_from(0, 3);
-            assert_eq!(s.wakes_filtered(0), before + 1);
-            assert_eq!(s.inner.lock().unwrap().state[0], State::Parked);
-            if unfiltered {
-                s.unpark(0);
-            } else {
-                s.unpark_from(0, 7);
-            }
-            assert_eq!(parker.join().unwrap(), ParkOutcome::Woken);
-            assert_eq!(s.wakes_filtered(0), before + 1);
-            assert_eq!(s.wait_chain(0), vec![0], "a returned park awaits nobody");
+            let s = Scheduler::new(8, 1);
+            run(&s, |id| match id {
+                0 => {
+                    assert_eq!(s.park(0, 0.0, LONG, Some(7)), ParkOutcome::Woken);
+                    assert_eq!(s.wakes_filtered(0), 1);
+                    assert_eq!(s.wait_chain(0), vec![0], "a returned park awaits nobody");
+                }
+                3 => {
+                    assert_eq!(
+                        s.wait_chain(0),
+                        vec![0, 7],
+                        "the park publishes whom it awaits"
+                    );
+                    s.unpark_from(0, 3);
+                    assert_eq!(s.wakes_filtered(0), 1);
+                    assert_eq!(s.lock().state[0], State::Parked);
+                }
+                7 if unfiltered => s.unpark(0),
+                7 => s.unpark_from(0, 7),
+                _ => {}
+            });
         }
         // A park that awaits nobody in particular wakes for any source.
-        let s2 = Arc::clone(&s);
-        let parker = std::thread::spawn(move || s2.park(0, 0.0, Duration::from_secs(5), None));
-        wait_parked(&s, 0);
-        s.unpark_from(0, 3);
-        assert_eq!(parker.join().unwrap(), ParkOutcome::Woken);
-        s.finish(0);
+        let s = Scheduler::new(8, 1);
+        run(&s, |id| match id {
+            0 => assert_eq!(s.park(0, 0.0, LONG, None), ParkOutcome::Woken),
+            3 => s.unpark_from(0, 3),
+            _ => {}
+        });
+        assert_eq!(s.wakes_filtered(0), 0);
     }
 
     /// A wake that finds its target running leaves a token whoever sent
@@ -444,15 +532,32 @@ mod tests {
     /// closes the probe→park race for frames from the awaited source.
     #[test]
     fn wake_while_running_leaves_a_token_whoever_sent_it() {
-        let s = Scheduler::new(8, 8);
-        s.acquire(0);
-        s.unpark_from(0, 3);
-        assert_eq!(
-            s.park(0, 0.0, Duration::from_secs(5), Some(7)),
-            ParkOutcome::Token
-        );
+        let s = Scheduler::new(8, 1);
+        run(&s, |id| {
+            if id == 0 {
+                s.unpark_from(0, 3);
+                assert_eq!(s.park(0, 0.0, LONG, Some(7)), ParkOutcome::Token);
+            }
+        });
         assert_eq!(s.wakes_filtered(0), 0);
-        s.finish(0);
+    }
+
+    /// A wake from another worker's carrier reaches a worker that sleeps
+    /// because all of its own are parked.
+    #[test]
+    fn wake_rouses_an_idle_worker() {
+        let s = Scheduler::new(2, 2);
+        let t0 = Instant::now();
+        run(&s, |id| match id {
+            0 => assert_eq!(s.park(0, 0.0, LONG, None), ParkOutcome::Woken),
+            _ => {
+                while !s.lock().idle[0] {
+                    std::thread::yield_now();
+                }
+                s.unpark(0);
+            }
+        });
+        assert!(t0.elapsed() < LONG);
     }
 
     #[test]

@@ -15,14 +15,22 @@
 //! and `mem.payload.cur`, whose final value depends on when the last
 //! Arc-shared packet copy drops at teardown), and histograms.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
+use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
 use hpf_machine::collectives::{
     allreduce_sum, alltoallv, prefix_reduction_sum, A2aSchedule, PrsAlgorithm,
 };
 use hpf_machine::{
-    tags, Category, CostModel, FaultPlan, Machine, PoolSlot, Proc, ProcGrid, RunOutput,
+    tags, Category, CostModel, FaultPlan, Machine, MachineError, PoolSlot, Proc, ProcGrid,
+    RunOutput,
 };
+
+/// For `allocation_counters_follow_the_processor`; counting is all it does.
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Mixed workload touching every park point: ring traffic (frame receive),
 /// collectives (clock-sync barriers), pooled sends (buffer-pool
@@ -361,6 +369,154 @@ fn random_receive_orders_never_lose_a_wakeup() {
                 }
             }
         }
+    }
+}
+
+/// Allocation counters follow the virtual processor, not the worker thread
+/// it shares: processor 2 allocates a thousand boxes while the others sit
+/// parked in a receive on the same OS thread(s), and only its own totals
+/// move. A first, unmeasured round warms every mailbox lane.
+#[test]
+fn allocation_counters_follow_the_processor() {
+    for workers in [1usize, 2] {
+        let out = Machine::new(ProcGrid::line(4), CostModel::cm5())
+            .with_test_preset()
+            .with_workers(workers)
+            .run(|p| {
+                let mut delta = 0;
+                for _warm_then_measured in 0..2 {
+                    let world = p.world();
+                    p.clock_sync_max(&world);
+                    let before = thread_totals().0;
+                    if p.id() == 2 {
+                        let boxes: Vec<Box<u64>> = (0..1000).map(Box::new).collect();
+                        std::hint::black_box(&boxes);
+                        delta = thread_totals().0 - before;
+                        for dst in [0, 1, 3] {
+                            p.send(dst, tags::USER, vec![boxes.len() as i64]);
+                        }
+                    } else {
+                        let got: Vec<i64> = p.recv(2, tags::USER);
+                        assert_eq!(got, [1000]);
+                        delta = thread_totals().0 - before;
+                    }
+                }
+                delta
+            });
+        assert!(
+            out.results[2] >= 1000,
+            "workers={workers}: {:?}",
+            out.results
+        );
+        for id in [0, 1, 3] {
+            assert_eq!(out.results[id], 0, "workers={workers}: {:?}", out.results);
+        }
+    }
+}
+
+/// A park deadline fires while its worker is busy with others: processor
+/// 0's receive times out 20 ms in, at the first scheduling point after the
+/// deadline, although 1 and 2 keep the only worker busy with a ping-pong
+/// that would run for 200 ms.
+#[test]
+fn deadline_fires_while_the_worker_is_busy() {
+    let t0 = Instant::now();
+    let err = Machine::new(ProcGrid::line(3), CostModel::zero())
+        .with_recv_timeout(Duration::from_millis(20))
+        .with_workers(1)
+        .try_run(move |p| {
+            if p.id() == 0 {
+                let _: Vec<i32> = p.recv(1, tags::USER); // nobody sends
+                return;
+            }
+            let peer = 3 - p.id();
+            let mut round = 1u64;
+            while t0.elapsed() < Duration::from_millis(200) {
+                if p.id() == 1 {
+                    p.send(peer, tags::USER + round, vec![1i32]);
+                }
+                let _: Vec<i32> = p.recv(peer, tags::USER + round);
+                if p.id() == 2 {
+                    p.send(peer, tags::USER + round, vec![1i32]);
+                }
+                round += 1;
+            }
+        })
+        .expect_err("processor 0 must time out");
+    let waited = t0.elapsed();
+    match err {
+        MachineError::RecvTimeout { proc, src, .. } => assert_eq!((proc, src), (0, 1)),
+        other => panic!("expected RecvTimeout, got {other}"),
+    }
+    assert!(
+        waited >= Duration::from_millis(20) && waited < Duration::from_millis(150),
+        "timed out after {waited:?}: the deadline waited for the ping-pong to end"
+    );
+}
+
+/// Recurse `depth` frames of at least 1 KiB each, then run `leaf` with the
+/// number of stack bytes between the first frame and the last.
+fn recurse<T>(depth: usize, top: usize, p: &mut Proc, leaf: &dyn Fn(&mut Proc, usize) -> T) -> T {
+    let frame = std::hint::black_box([depth as u8; 1024]);
+    let here = frame.as_ptr() as usize;
+    let out = if depth == 0 {
+        leaf(p, top.wrapping_sub(here))
+    } else {
+        recurse(depth - 1, top, p, leaf)
+    };
+    std::hint::black_box(&frame);
+    out
+}
+
+/// Carrier stacks are deep enough for real programs, and parking at the
+/// bottom of a deep one is still just a switch: every processor recurses
+/// past 512 KiB (P = 16; 256 KiB at P = 512, where a stack is 1 MiB) and
+/// exchanges a ring message from the deepest frame.
+#[test]
+fn deep_stacks_park_and_resume() {
+    for (nprocs, frames) in [(16usize, 520usize), (512, 260)] {
+        let out = Machine::new(ProcGrid::line(nprocs), CostModel::cm5())
+            .with_test_preset()
+            .with_workers(2)
+            .run(move |p| {
+                let anchor = std::hint::black_box([0u8; 8]);
+                let top = anchor.as_ptr() as usize;
+                recurse(frames, top, p, &|p, used| {
+                    let n = p.nprocs();
+                    p.send((p.id() + 1) % n, tags::USER, vec![p.id() as i64]);
+                    let got: Vec<i64> = p.recv((p.id() + n - 1) % n, tags::USER);
+                    (got[0], used)
+                })
+            });
+        for (id, (from, used)) in out.results.into_iter().enumerate() {
+            assert_eq!(from as usize, (id + nprocs - 1) % nprocs);
+            assert!(
+                used >= frames * 1024 - 8192,
+                "P={nprocs}: only {used} B deep"
+            );
+        }
+    }
+}
+
+/// A panic thrown 200 frames deep unwinds to the bottom of its own carrier
+/// stack and comes back as `ProcPanicked` with its payload.
+#[test]
+fn deep_panic_comes_back_with_its_payload() {
+    let err = Machine::new(ProcGrid::line(4), CostModel::zero())
+        .with_test_preset()
+        .with_workers(1)
+        .try_run(|p| {
+            let world = p.world();
+            p.clock_sync_max(&world);
+            if p.id() == 1 {
+                recurse(200, 0, p, &|_, _| panic!("boom at depth 200"));
+            }
+            p.clock_sync_max(&world);
+        })
+        .expect_err("the panic must fail the run");
+    match err.root_cause() {
+        MachineError::ProcPanicked { proc: 1, msg } => assert!(msg.contains("boom at depth 200")),
+        other => panic!("expected ProcPanicked on 1, got {other}"),
     }
 }
 

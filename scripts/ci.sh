@@ -30,6 +30,15 @@ echo "== scheduler pool-identity gate (pool size 1 vs N, P=1024 smoke) =="
 cargo test -p hpf-machine --release -q --test sched
 cargo test -p hpf-core --release -q --test sched_determinism
 
+echo "== stack-switched carriers, both profiles =="
+# The switch must be right with and without frame pointers, and with debug
+# assertions on the scheduler's state machine, so the scheduler and failure
+# suites run unoptimised and optimised (sched just ran in release). The
+# stacks-are-returned test maps and unmaps 128 000 stacks; it has a test
+# binary to itself because it reads /proc/self.
+cargo test -p hpf-machine -q --test sched --test failures
+cargo test -p hpf-machine --release -q --test failures --test stacks_returned
+
 echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512) =="
 # Release mode for the same reason: the P=512 leg plans on 512 carriers.
 cargo test -p hpf-core --release -q --test plan_footprint
@@ -85,9 +94,9 @@ echo "== perf smoke (machine-readable bench report + wall-profile gate) =="
 # Includes the `scale` group: P in {64, 1024, 4096} pack->unpack roundtrips,
 # each run under worker-pool sizes 1 and ncores and compared bit-exactly
 # (the perf binary exits nonzero on divergence; the validator re-checks the
-# emitted verdicts). The P=4096 leg still dominates this step's wall time:
-# about 7 s of the step's 40 s on a two-core host, now that silent pairs
-# exchange no frames (it took two minutes while they did).
+# emitted verdicts). The P=4096 leg is about 1.7 s of wall on a two-core
+# host (two minutes while silent pairs exchanged frames, 7 s while a park
+# was a kernel hand-off).
 perf_json="$(mktemp)"
 perf_folded="$(mktemp)"
 cargo run -p hpf-bench --release --bin perf -- --smoke --out "$perf_json" \
@@ -143,12 +152,14 @@ if [[ -f results/BENCH_baseline.json ]]; then
     results/BENCH_baseline.json "$perf_json" --wall
     --warn-above 0.0001 --fail-above 0.001 --hot-band 75)
   if ! "${perfdiff[@]}"; then
-    # On this host, wall numbers read 3-6x high for ~10 s after a process
-    # that ran >= 1024 carrier threads exits (the perf step's own P = 4096
-    # leg is one), on any commit: every exec_hot row trips at once. perf's
-    # protocol for a polluted batch, applied here: wait, measure exec_hot
-    # once more, and judge the quieter of the two reads, showing both. A
-    # simulated-cost regression or a lost kernel fails the second time too.
+    # On this host, wall numbers of an unpinned run read several times (at
+    # worst 40-80x) high for some seconds after heavy host activity -- a
+    # long cargo build right before is enough; it is not the thread count,
+    # no run creates more threads than cores any more -- on any commit,
+    # several exec_hot rows at once. perf's protocol for a polluted batch,
+    # applied here: wait, measure exec_hot once more, and judge the quieter
+    # of the two reads, showing both. A simulated-cost regression or a lost
+    # kernel fails the second time too.
     echo "perfdiff tripped; re-measuring exec_hot once after 15 s"
     sleep 15
     retry_json="$(mktemp)"

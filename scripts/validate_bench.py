@@ -393,34 +393,21 @@ def coverage_checks(report, errors):
                         f"workload {name}: smoke report carries cv {cv} "
                         "(single-rep noise is unmeasured; must be null)"
                     )
-            else:
-                # Full-mode exemption: scale workloads at P >= 2048 are
-                # context-switch-bound and take minutes per rep, so they run
-                # single-rep even in full mode. Their gate is the bit-identity
-                # verdict, not wall noise — a single rep with cv unmeasured
-                # (null) is the honest report there.
-                procs = 1
-                for g in w.get("grid", []):
-                    if isinstance(g, int):
-                        procs *= g
-                big_scale = w.get("group") == "scale" and procs >= 2048
-                if big_scale and reps == 1 and cv is None:
-                    pass
-                elif not (isinstance(reps, int) and reps >= 2):
-                    errors.append(
-                        f"workload {name}: full report ran {reps} reps "
-                        "(need >= 2 to measure noise)"
-                    )
-                elif not isinstance(cv, (int, float)):
-                    errors.append(
-                        f"workload {name}: full report has cv {cv!r} "
-                        "(must be measured when reps >= 2)"
-                    )
-                elif cv > WALL_CV_GATE and wall.get("median_ms", 0) >= WALL_CV_MIN_MS:
-                    errors.append(
-                        f"workload {name}: wall cv {cv} exceeds {WALL_CV_GATE} — "
-                        "measurement too noisy to serve as a wall baseline"
-                    )
+            elif not (isinstance(reps, int) and reps >= 2):
+                errors.append(
+                    f"workload {name}: full report ran {reps} reps "
+                    "(need >= 2 to measure noise)"
+                )
+            elif not isinstance(cv, (int, float)):
+                errors.append(
+                    f"workload {name}: full report has cv {cv!r} "
+                    "(must be measured when reps >= 2)"
+                )
+            elif cv > WALL_CV_GATE and wall.get("median_ms", 0) >= WALL_CV_MIN_MS:
+                errors.append(
+                    f"workload {name}: wall cv {cv} exceeds {WALL_CV_GATE} — "
+                    "measurement too noisy to serve as a wall baseline"
+                )
             med = wall.get("median_ms")
             if not isinstance(med, (int, float)) or med <= 0:
                 errors.append(f"workload {name}: wall median_ms {med!r} not positive")
