@@ -74,6 +74,7 @@ impl SparseMatrix {
         let plan = plan_pack(proc, desc, &mask, opts)?;
         let packed_vals = plan.execute(proc, dense_local)?;
         let packed_idx = plan.execute(proc, &flat)?;
+        plan.retire(proc);
         debug_assert_eq!(packed_vals.size, packed_idx.size);
 
         Ok(SparseMatrix {

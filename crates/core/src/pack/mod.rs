@@ -44,10 +44,12 @@ pub struct PackOutput<T> {
 /// Every processor calls this with its local portions; each receives its
 /// local slice of `V` plus the replicated `Size` and the vector layout.
 ///
-/// Exactly equivalent to [`crate::plan_pack`] followed by one
-/// [`crate::PackPlan::execute`] — callers that pack repeatedly under an
-/// unchanged mask should hold the plan (or a [`crate::PlanCache`]) and
-/// execute it directly.
+/// Exactly equivalent to [`crate::plan_pack`], one
+/// [`crate::PackPlan::execute`] and [`crate::PackPlan::retire`]: the call
+/// owns its plan and gives the plan's pooled buffers and memory charges
+/// back before it returns. Callers that pack repeatedly under an unchanged
+/// mask should hold the plan (or a [`crate::PlanCache`]) and execute it
+/// directly.
 ///
 /// Work is charged to the calling processor's clock:
 /// [`Category::LocalComp`] for scanning, rank computation, and message
@@ -64,7 +66,9 @@ pub fn pack<T: Wire + Default>(
 ) -> Result<PackOutput<T>, PackError> {
     validate(proc, desc, a_local, m_local)?;
     let plan = crate::plan::plan_pack(proc, desc, m_local, opts)?;
-    plan.execute(proc, a_local)
+    let out = plan.execute(proc, a_local);
+    plan.retire(proc);
+    out
 }
 
 /// Validate inputs and extract the ranking shape. All checks use state that
@@ -155,28 +159,6 @@ pub(crate) fn decode_pairs<T: Wire + Default>(
         }
         proc.charge_ops(2 * placed);
         local_v
-    })
-}
-
-/// Split the consecutive ranks `r0 .. r0+n` into maximal runs with a single
-/// destination processor under `layout` (runs break at multiples of `W'`).
-/// Yields `(start_rank, len)` pairs.
-pub(crate) fn dest_runs(
-    r0: usize,
-    n: usize,
-    layout: &DimLayout,
-) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let w = layout.w();
-    let mut r = r0;
-    let end = r0 + n;
-    std::iter::from_fn(move || {
-        if r >= end {
-            return None;
-        }
-        let len = (w - r % w).min(end - r);
-        let out = (r, len);
-        r += len;
-        Some(out)
     })
 }
 
@@ -379,22 +361,6 @@ mod tests {
             )
         });
         assert!(out.results.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn dest_runs_split_at_block_boundaries() {
-        let layout = DimLayout::new_general(20, 4, 5).unwrap();
-        // ranks 3..12 with W'=5: runs (3,2), (5,5), (10,2).
-        let runs: Vec<_> = dest_runs(3, 9, &layout).collect();
-        assert_eq!(runs, vec![(3, 2), (5, 5), (10, 2)]);
-        // A run never crosses an owner boundary.
-        for (start, len) in runs {
-            let owner = layout.owner(start);
-            for r in start..start + len {
-                assert_eq!(layout.owner(r), owner);
-            }
-        }
-        assert_eq!(dest_runs(0, 0, &layout).count(), 0);
     }
 
     #[test]

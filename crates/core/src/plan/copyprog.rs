@@ -126,12 +126,12 @@ impl CopyStats {
 
 /// The lowered copy programs of one plan family: one program per row of a
 /// peer-indexed index CSR, all in one flat op array with per-row offsets
-/// (only populated peers have a program). Built once at plan time by
-/// [`CopyPrograms::lower`]; walked on every execute by the kernels below,
+/// (only populated peers have a program). Built once at plan time by a
+/// [`ProgramBuilder`]; walked on every execute by the kernels below,
 /// which take a row's ops alongside its index list (only `Scatter` ops
 /// still read it). `pos` counts from the start of the row — the dense side
 /// is that peer's message buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CopyPrograms {
     ops: Vec<CopyOp>,
     /// `ops[offs[k]..offs[k + 1]]` is row `k`'s program.
@@ -139,87 +139,31 @@ pub(crate) struct CopyPrograms {
     stats: CopyStats,
 }
 
-impl CopyPrograms {
-    /// Lower every row `idx[offs[k]..offs[k + 1]]` into copy ops: greedy
-    /// maximal equal-delta runs, emitted as `Contig` (delta 1) or `Strided`
-    /// when long enough to pay for themselves, everything else coalesced
-    /// into `Scatter` ranges (never across a row boundary).
-    ///
-    /// An undersized run advances by a single element rather than being
-    /// consumed whole — its tail may seed a full-length run with what
-    /// follows (e.g. `[5, 100, 101, 102, 103]` keeps the 4-long contig).
-    pub(crate) fn lower(idx: &[u32], offs: &[u32]) -> CopyPrograms {
-        let mut ops: Vec<CopyOp> = Vec::new();
-        let mut stats = CopyStats {
-            total_elements: idx.len() as u64,
-            ..CopyStats::default()
-        };
-        let mut op_offs = Vec::with_capacity(offs.len());
-        op_offs.push(0);
-        for row in offs.windows(2) {
-            let (first, idx) = (ops.len(), &idx[row[0] as usize..row[1] as usize]);
-            let n = idx.len();
-            let mut i = 0usize;
-            while i < n {
-                let (delta, run) = if i + 1 < n {
-                    let d = i64::from(idx[i + 1]) - i64::from(idx[i]);
-                    let mut j = i + 1;
-                    while j + 1 < n && i64::from(idx[j + 1]) - i64::from(idx[j]) == d {
-                        j += 1;
-                    }
-                    (d, j - i + 1)
-                } else {
-                    (0, 1)
-                };
-                if delta == 1 && run >= MIN_CONTIG {
-                    ops.push(CopyOp::Contig {
-                        pos: i as u32,
-                        at: idx[i],
-                        len: run as u32,
-                    });
-                    stats.contig += 1;
-                    stats.bulk_elements += run as u64;
-                    i += run;
-                } else if run >= MIN_STRIDED && i32::try_from(delta).is_ok() {
-                    ops.push(CopyOp::Strided {
-                        pos: i as u32,
-                        at: idx[i],
-                        stride: delta as i32,
-                        count: run as u32,
-                    });
-                    stats.strided += 1;
-                    stats.bulk_elements += run as u64;
-                    i += run;
-                } else {
-                    // Fold one element into the row's trailing scatter
-                    // range; the rest of this run gets its own chance to
-                    // anchor a full-length run.
-                    match ops[first..].last_mut() {
-                        Some(CopyOp::Scatter { pos, len })
-                            if *pos as usize + *len as usize == i =>
-                        {
-                            *len += 1;
-                        }
-                        _ => {
-                            ops.push(CopyOp::Scatter {
-                                pos: i as u32,
-                                len: 1,
-                            });
-                            stats.scatter += 1;
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            #[cfg(debug_assertions)]
-            check(&ops[first..], idx);
-            op_offs.push(ops.len() as u32);
-        }
+impl Default for CopyPrograms {
+    /// A family of no rows.
+    fn default() -> Self {
         CopyPrograms {
-            ops,
-            offs: op_offs,
-            stats,
+            ops: Vec::new(),
+            offs: vec![0],
+            stats: CopyStats::default(),
         }
+    }
+}
+
+impl CopyPrograms {
+    /// Lower every row `idx[offs[k]..offs[k + 1]]` of a finished list (the
+    /// memory predictor's, a regrouped route set's) through the
+    /// [`ProgramBuilder`] that planning streams its indices into.
+    pub(crate) fn lower(idx: &[u32], offs: &[u32]) -> CopyPrograms {
+        let mut b = ProgramBuilder::default();
+        for row in offs.windows(2) {
+            let row = &idx[row[0] as usize..row[1] as usize];
+            b.extend(row);
+            b.end_row();
+            #[cfg(debug_assertions)]
+            check(b.out.row(b.out.offs.len() - 2), row);
+        }
+        b.finish()
     }
 
     /// Row `k`'s program.
@@ -236,6 +180,111 @@ impl CopyPrograms {
     /// The op/element breakdown over all rows.
     pub(crate) fn stats(&self) -> &CopyStats {
         &self.stats
+    }
+}
+
+/// Streaming lowering: one program family built index by index, row by row.
+/// Greedy maximal equal-delta stretches become `Contig` (delta 1) or
+/// `Strided` ops when long enough to pay for themselves; everything else
+/// coalesces into `Scatter` ranges (never across a row boundary). Only the
+/// stretch the last index belongs to is remembered, so nothing is read
+/// twice; an undersized stretch leaves its last element to start the next
+/// one with what follows (`[5, 100, 101, 102, 103]` keeps the 4-long contig).
+#[derive(Debug, Default)]
+pub(crate) struct ProgramBuilder {
+    out: CopyPrograms,
+    /// Dense position of the next index in the open row.
+    pos: u32,
+    /// Positions before this are covered by emitted ops; `scattered..` up to
+    /// the current stretch is the pending scatter range.
+    scattered: u32,
+    /// The current stretch: `len` indices ending at `prev`, `delta` apart
+    /// (`delta` means nothing while `len < 2`).
+    prev: u32,
+    delta: i64,
+    len: u32,
+}
+
+impl ProgramBuilder {
+    /// Append `idx` to the open row. On a random mask two deltas in three
+    /// differ from the one before, so "the stretch goes on" must not become
+    /// a branch: it is a number the optimiser cannot read back as a
+    /// condition ([`std::hint::black_box`]; as a `bool` it compiles to a
+    /// branch mispredicted every third index) that rides in the length's top
+    /// bit — one range check finds a full-size stretch that ended — and
+    /// masks the length update.
+    pub(crate) fn extend(&mut self, idx: &[u32]) {
+        const TOP: u32 = 1 << 31;
+        let (mut pos, mut prev, mut delta, mut len) = (self.pos, self.prev, self.delta, self.len);
+        for &x in idx {
+            let d = i64::from(x) - i64::from(prev);
+            let goes_on = std::hint::black_box(u32::from(d == delta));
+            let ended = (len | (goes_on * TOP)).wrapping_sub(MIN_CONTIG as u32);
+            if ended < TOP - MIN_CONTIG as u32 && self.emit_bulk(pos, len, prev, delta) {
+                len = 0;
+            }
+            // Go on with the stretch, or restart it at its last element.
+            let keep = goes_on.wrapping_neg();
+            len = ((len & keep) | (len.min(1) & !keep)) + 1;
+            (prev, delta) = (x, d);
+            pos += 1;
+        }
+        (self.pos, self.prev, self.delta, self.len) = (pos, prev, delta, len);
+    }
+
+    /// Emit the stretch of `len ≥ MIN_CONTIG` indices `delta` apart that
+    /// ends at `prev`, before position `end`, if it makes a bulk op.
+    fn emit_bulk(&mut self, end: u32, len: u32, prev: u32, delta: i64) -> bool {
+        let pos = end - len;
+        let at = (i64::from(prev) - i64::from(len - 1) * delta) as u32;
+        let op = if delta == 1 {
+            self.out.stats.contig += 1;
+            CopyOp::Contig { pos, at, len }
+        } else if len >= MIN_STRIDED as u32 && i32::try_from(delta).is_ok() {
+            self.out.stats.strided += 1;
+            let stride = delta as i32;
+            CopyOp::Strided {
+                pos,
+                at,
+                stride,
+                count: len,
+            }
+        } else {
+            return false;
+        };
+        self.flush_scatter(pos);
+        self.out.ops.push(op);
+        self.out.stats.bulk_elements += u64::from(len);
+        self.scattered = end;
+        true
+    }
+
+    /// Emit the pending scatter range, which ends before position `end`.
+    fn flush_scatter(&mut self, end: u32) {
+        if self.scattered < end {
+            self.out.stats.scatter += 1;
+            self.out.ops.push(CopyOp::Scatter {
+                pos: self.scattered,
+                len: end - self.scattered,
+            });
+        }
+    }
+
+    /// Close the open row (possibly empty) and start the next.
+    pub(crate) fn end_row(&mut self) {
+        if self.len >= MIN_CONTIG as u32 {
+            self.emit_bulk(self.pos, self.len, self.prev, self.delta);
+        }
+        self.flush_scatter(self.pos);
+        self.out.stats.total_elements += u64::from(self.pos);
+        self.out.offs.push(self.out.ops.len() as u32);
+        (self.pos, self.scattered, self.len) = (0, 0, 0);
+    }
+
+    /// The programs of every closed row.
+    pub(crate) fn finish(self) -> CopyPrograms {
+        debug_assert_eq!(self.pos, 0, "finish with a row still open");
+        self.out
     }
 }
 
@@ -450,6 +499,122 @@ mod tests {
         CopyPrograms::lower(idx, &[0, idx.len() as u32])
     }
 
+    /// The greedy lowering the streaming builder replaced, kept as its
+    /// oracle: at every position the maximal equal-delta run is rescanned;
+    /// a full-size one becomes a bulk op, an undersized one gives up a
+    /// single element to the row's trailing scatter range.
+    fn lower_rescanning(idx: &[u32], offs: &[u32]) -> CopyPrograms {
+        let mut ops: Vec<CopyOp> = Vec::new();
+        let mut stats = CopyStats {
+            total_elements: idx.len() as u64,
+            ..CopyStats::default()
+        };
+        let mut op_offs = vec![0];
+        for row in offs.windows(2) {
+            let (first, idx) = (ops.len(), &idx[row[0] as usize..row[1] as usize]);
+            let n = idx.len();
+            let mut i = 0usize;
+            while i < n {
+                let (delta, run) = if i + 1 < n {
+                    let d = i64::from(idx[i + 1]) - i64::from(idx[i]);
+                    let mut j = i + 1;
+                    while j + 1 < n && i64::from(idx[j + 1]) - i64::from(idx[j]) == d {
+                        j += 1;
+                    }
+                    (d, j - i + 1)
+                } else {
+                    (0, 1)
+                };
+                if delta == 1 && run >= MIN_CONTIG {
+                    ops.push(CopyOp::Contig {
+                        pos: i as u32,
+                        at: idx[i],
+                        len: run as u32,
+                    });
+                    stats.contig += 1;
+                    stats.bulk_elements += run as u64;
+                    i += run;
+                } else if run >= MIN_STRIDED && i32::try_from(delta).is_ok() {
+                    ops.push(CopyOp::Strided {
+                        pos: i as u32,
+                        at: idx[i],
+                        stride: delta as i32,
+                        count: run as u32,
+                    });
+                    stats.strided += 1;
+                    stats.bulk_elements += run as u64;
+                    i += run;
+                } else {
+                    match ops[first..].last_mut() {
+                        Some(CopyOp::Scatter { pos, len })
+                            if *pos as usize + *len as usize == i =>
+                        {
+                            *len += 1;
+                        }
+                        _ => {
+                            ops.push(CopyOp::Scatter {
+                                pos: i as u32,
+                                len: 1,
+                            });
+                            stats.scatter += 1;
+                        }
+                    }
+                    i += 1;
+                }
+            }
+            op_offs.push(ops.len() as u32);
+        }
+        CopyPrograms {
+            ops,
+            offs: op_offs,
+            stats,
+        }
+    }
+
+    /// Index lists with structure to find: stretches of a random start,
+    /// stride (negative, zero, one, too wide for an `i32`) and length — a
+    /// stride-1 stretch may continue the previous one — cut into rows at
+    /// random places, some of them stretch ends, some rows empty.
+    fn stretchy_rows() -> impl proptest::strategy::Strategy<Value = (Vec<u32>, Vec<u32>)> {
+        use proptest::strategy::Strategy;
+        let strides = vec![1i64, 1, 1, 2, -1, -8, 0, 16, 1 << 31, -(1 << 31)];
+        let stretch = (
+            0u32..1000,
+            proptest::sample::select(strides),
+            1usize..12,
+            proptest::arbitrary::any::<bool>(),
+        );
+        let cuts =
+            proptest::collection::vec((0usize..400, proptest::arbitrary::any::<bool>()), 0..6);
+        (proptest::collection::vec(stretch, 0..20), cuts).prop_map(|(stretches, cuts)| {
+            let (mut idx, mut ends) = (Vec::new(), vec![0usize]);
+            for (start, stride, len, chain) in stretches {
+                let far = if stride.abs() > 1 << 30 {
+                    1u32 << 31
+                } else {
+                    1 << 12
+                };
+                let start = match idx.last() {
+                    Some(&last) if chain => i64::from(last) + 1,
+                    _ => i64::from(start) + i64::from(far),
+                };
+                let fits = |k: usize| u32::try_from(start + k as i64 * stride).ok();
+                idx.extend((0..len).map_while(fits));
+                ends.push(idx.len());
+            }
+            let mut offs: Vec<u32> = cuts
+                .iter()
+                .map(|&(at, at_end)| match at_end {
+                    true => ends[at % ends.len()] as u32,
+                    false => (at % (idx.len() + 1)) as u32,
+                })
+                .chain([0, idx.len() as u32])
+                .collect();
+            offs.sort_unstable();
+            (idx, offs)
+        })
+    }
+
     fn roundtrip(idx: &[u32]) {
         let progs = lower(idx);
         let prog = progs.row(0);
@@ -573,7 +738,59 @@ mod tests {
         assert_eq!(family.stats().scatter, 2, "rows 0 and 3 do not coalesce");
     }
 
+    /// The cases the streaming builder must not lose: a stretch whose last
+    /// element anchors the next one, rows of length 0 and 1, a negative
+    /// stride, and full-size runs that end exactly at a row boundary.
+    #[test]
+    fn streaming_builder_matches_the_rescanning_lowering() {
+        let lists: [(&[u32], &[u32]); 6] = [
+            (&[5, 100, 101, 102, 103], &[0, 5]),
+            (&[5, 100, 101, 102, 103], &[0, 1, 1, 5]),
+            (&[7], &[0, 0, 1, 1]),
+            (&[40, 32, 24, 16, 8, 0, 9, 9, 9], &[0, 6, 9]),
+            (&[1, 2, 3, 4, 5, 6, 7, 8], &[0, 4, 8]),
+            (
+                &[0, 1, 2, 3, 10, 20, 30, 40, 50, 60, 70, 80, 81, 82],
+                &[0, 14],
+            ),
+        ];
+        for (idx, offs) in lists {
+            let streamed = CopyPrograms::lower(idx, offs);
+            assert_eq!(
+                streamed,
+                lower_rescanning(idx, offs),
+                "{idx:?} cut at {offs:?}"
+            );
+        }
+        let halves = CopyPrograms::lower(lists[4].0, lists[4].1);
+        assert_eq!(
+            halves.stats().contig,
+            2,
+            "a run ending at its row's end is kept"
+        );
+    }
+
     proptest::proptest! {
+        /// The streaming builder emits exactly the ops of the rescanning
+        /// lowering, row offsets and statistics included.
+        #[test]
+        fn streaming_matches_rescanning_on_structured_rows(rows in stretchy_rows()) {
+            let (idx, offs) = rows;
+            proptest::prop_assert_eq!(CopyPrograms::lower(&idx, &offs), lower_rescanning(&idx, &offs));
+        }
+
+        /// … and on lists with no structure but what chance gives them.
+        #[test]
+        fn streaming_matches_rescanning_on_arbitrary_rows(
+            idx in proptest::collection::vec(0u32..6, 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..5),
+        ) {
+            let mut offs: Vec<u32> = cuts.iter().map(|c| (c % (idx.len() + 1)) as u32).collect();
+            offs.extend([0, idx.len() as u32]);
+            offs.sort_unstable();
+            proptest::prop_assert_eq!(CopyPrograms::lower(&idx, &offs), lower_rescanning(&idx, &offs));
+        }
+
         /// Lowered gather and scatter are bit-identical to the scalar
         /// reference for arbitrary index lists (the debug `check` inside
         /// `lower` additionally proves the ops tile the list exactly).

@@ -58,8 +58,12 @@ use crate::ranking::rank_from_counts;
 use crate::schemes::{PackOptions, PackScheme, UnpackOptions, UnpackScheme};
 use crate::unpack::RankRequest;
 
-use composer::{Composer, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder};
-use copyprog::{gather_fill, gather_pairs_refill, scatter_apply, CopyPrograms, Phase};
+use composer::{
+    into_rows, Composer, OwnerBlock, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder,
+};
+use copyprog::{
+    gather_fill, gather_pairs_refill, scatter_apply, CopyPrograms, Phase, ProgramBuilder,
+};
 use poolmsg::{FlatMsg, PairMsg};
 
 /// A reusable, value-independent PACK plan for one `(descriptor, mask,
@@ -112,13 +116,13 @@ pub fn plan_pack(
         let counts = composer.scan(proc, m_local, w0);
         let ranking = rank_from_counts(proc, &shape, counts, opts.prs);
         let layout = result_layout(ranking.size, proc.nprocs(), opts.result_block_size);
-        let routes = match &layout {
-            Some(layout) => composer.compose(proc, &ranking, m_local, w0, layout),
-            None => RoutesBuilder::new(RankEmit::Explicit).finish(),
+        let (routes, gather) = match &layout {
+            Some(layout) => {
+                let composed = composer.compose(proc, &ranking, m_local, w0, layout);
+                proc.wall_span("plan.lower", |_| composed.finish())
+            }
+            None => RoutesBuilder::new(RankEmit::Explicit, 0, 0).finish(),
         };
-        let gather = proc.wall_span("plan.lower", |_| {
-            CopyPrograms::lower(&routes.slots.items, &routes.slots.offs)
-        });
         let (to, world) = (routes.slots.peers.clone(), proc.world());
         let a2a = match layout {
             Some(_) => A2aPlan::exchange(proc, &world, to),
@@ -149,10 +153,21 @@ impl PackPlan {
 
     /// Bytes retained by the plan's index structures (route rows, lowered
     /// copy programs, and the exchange's peer lists), charged to the `plan`
-    /// memory account at build time and never released — plans live for the
-    /// run, typically cached across calls.
+    /// memory account at build time and released by [`PackPlan::retire`].
     fn mem_bytes(&self) -> u64 {
         self.routes.mem_bytes() + self.gather.mem_bytes() + self.a2a.mem_bytes()
+    }
+
+    /// Give the plan back once it will not execute again — what one-shot
+    /// [`crate::pack`] does after its execute: this processor's pool drops
+    /// the plan's send buffers (one still in flight is freed by its
+    /// receiver's decode) and the `pool` and `plan` memory accounts are
+    /// released of what the plan charged. Dropping a plan does none of this
+    /// (a plan has no [`Proc`] to tell). Local, not collective; clones share
+    /// the buffers, so retire the last one.
+    pub fn retire(self, proc: &mut Proc) {
+        proc.pool_retire(self.pool_key);
+        proc.mem_release(MemAccount::Plan, self.mem_bytes());
     }
 
     /// Aggregate op breakdown of the plan's lowered gather programs —
@@ -561,18 +576,24 @@ pub fn plan_unpack(
         }
         // An empty mask composes and requests nothing (`Size` is replicated,
         // so everyone skips the round together).
-        let (targets, incoming) = if size == 0 {
-            (PeerCsr::empty(), Vec::new())
+        let (targets, scatter_prog, incoming) = if size == 0 {
+            (PeerCsr::empty(), CopyPrograms::default(), Vec::new())
         } else {
-            let routes = composer.compose(proc, &ranking, m_local, w0, v_layout);
-            let requests = (routes.slots.peers.iter().enumerate())
-                .map(|(k, &owner)| match routes.ranks {
-                    RankList::Explicit(_) => {
-                        (owner, RankRequest::Explicit(routes.explicit(k).into()))
-                    }
-                    RankList::Runs { .. } => (owner, RankRequest::Runs(routes.runs(k).into())),
-                })
-                .collect();
+            let composed = composer.compose(proc, &ranking, m_local, w0, v_layout);
+            let (routes, scatter_prog) = proc.wall_span("plan.lower", |_| composed.finish());
+            let Routes { slots, ranks } = routes;
+            // Each owner's rank row moves out of the routes into its
+            // request; only the slot rows outlive the round.
+            let owners = slots.peers.iter().copied();
+            let requests = match ranks {
+                RankList::Explicit(all) => {
+                    let rows = into_rows(all, &slots.offs).map(RankRequest::Explicit);
+                    owners.zip(rows).collect()
+                }
+                RankList::Runs { offs, runs } => owners
+                    .zip(into_rows(runs, &offs).map(RankRequest::Runs))
+                    .collect(),
+            };
             // The request round: identical wire traffic to the one-shot
             // path, paid once per plan instead of once per call.
             let incoming = proc.with_stage("unpack.request", |proc| {
@@ -581,30 +602,36 @@ pub fn plan_unpack(
                     alltoallv_sparse(proc, &world, requests, opts.schedule)
                 })
             });
-            (routes.slots, incoming)
+            (slots, scatter_prog, incoming)
         };
         // Owner-side precompute: resolve each requested rank to a local
         // index into my slice of V (one operation per served rank; the
-        // value fetch itself is charged at execute time).
-        let serve = proc.with_category(Category::LocalComp, |proc| {
-            let mut serve = PeerCsr::empty();
+        // value fetch itself is charged at execute time), lowering each
+        // requester's row as it is resolved.
+        let (serve, serve_prog) = proc.with_category(Category::LocalComp, |proc| {
+            let (mut serve, mut prog) = (PeerCsr::empty(), ProgramBuilder::default());
+            let mut block = OwnerBlock::default();
             for (requester, req) in &incoming {
                 serve.items.reserve(req.expanded_len());
-                req.for_each_rank(|r| {
-                    debug_assert_eq!(v_layout.owner(r), proc.id(), "misrouted request");
-                    serve.items.push(v_layout.local_of(r) as u32);
+                req.for_each_run(|base, n| {
+                    if block.misses(base, n) {
+                        block.seek(v_layout, base);
+                    }
+                    // A composer never lets a run cross a block of `V`.
+                    assert!(
+                        !block.misses(base, n) && block.owner == proc.id(),
+                        "misrouted request"
+                    );
+                    let first = block.local_lo + (base - block.lo);
+                    serve.items.extend((first..first + n).map(|l| l as u32));
                 });
+                prog.extend(&serve.items[*serve.offs.last().expect("never empty") as usize..]);
+                prog.end_row();
                 serve.peers.push(*requester);
                 serve.offs.push(serve.items.len() as u32);
             }
             proc.charge_ops(serve.items.len());
-            serve
-        });
-        let (serve_prog, scatter_prog) = proc.wall_span("plan.lower", |_| {
-            (
-                CopyPrograms::lower(&serve.items, &serve.offs),
-                CopyPrograms::lower(&targets.items, &targets.offs),
-            )
+            (serve, prog.finish())
         });
         // Reply directions are locally known: I reply to whoever asked,
         // and I await replies from whoever I asked.
@@ -640,6 +667,14 @@ impl UnpackPlan {
         let rows = self.targets.mem_bytes() + self.serve.mem_bytes();
         let progs = self.serve_prog.mem_bytes() + self.scatter_prog.mem_bytes();
         rows + progs + self.reply_a2a.mem_bytes()
+    }
+
+    /// Give the plan back once it will not execute again; see
+    /// [`PackPlan::retire`]. It is what one-shot [`crate::unpack`] does
+    /// after its execute.
+    pub fn retire(self, proc: &mut Proc) {
+        proc.pool_retire(self.pool_key);
+        proc.mem_release(MemAccount::Plan, self.mem_bytes());
     }
 
     /// Aggregate op breakdown of the plan's lowered serve + scatter

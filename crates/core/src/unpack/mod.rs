@@ -38,11 +38,12 @@ use crate::schemes::UnpackOptions;
 ///
 /// Returns this processor's local portion of `A`.
 ///
-/// Exactly equivalent to [`crate::plan_unpack`] followed by one
-/// [`crate::UnpackPlan::execute`] — callers that unpack repeatedly under
-/// an unchanged mask should hold the plan (or a [`crate::PlanCache`]) and
-/// execute it directly, which skips the ranking collectives *and* the
-/// rank-request round.
+/// Exactly equivalent to [`crate::plan_unpack`], one
+/// [`crate::UnpackPlan::execute`] and [`crate::UnpackPlan::retire`] (the
+/// call owns its plan and gives its pooled buffers back) — callers that
+/// unpack repeatedly under an unchanged mask should hold the plan (or a
+/// [`crate::PlanCache`]) and execute it directly, which skips the ranking
+/// collectives *and* the rank-request round.
 pub fn unpack<T: Wire + Default>(
     proc: &mut Proc,
     desc: &ArrayDesc,
@@ -54,7 +55,9 @@ pub fn unpack<T: Wire + Default>(
 ) -> Result<Vec<T>, UnpackError> {
     validate(proc, desc, m_local, f_local, v_local, v_layout)?;
     let plan = crate::plan::plan_unpack(proc, desc, m_local, v_layout, opts)?;
-    plan.execute(proc, f_local, v_local)
+    let out = plan.execute(proc, f_local, v_local);
+    plan.retire(proc);
+    out
 }
 
 fn validate(

@@ -30,19 +30,15 @@ impl RankRequest {
 
     /// Visit every requested rank in request order.
     pub fn for_each_rank(&self, mut f: impl FnMut(usize)) {
+        self.for_each_run(|base, n| (base..base + n).for_each(&mut f));
+    }
+
+    /// Visit the requested ranks as `(base, count)` runs in request order;
+    /// an explicit rank is a run of one.
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize)) {
         match self {
-            RankRequest::Explicit(v) => {
-                for &r in v {
-                    f(r as usize);
-                }
-            }
-            RankRequest::Runs(runs) => {
-                for &(base, n) in runs {
-                    for r in base..base + n {
-                        f(r as usize);
-                    }
-                }
-            }
+            RankRequest::Explicit(v) => v.iter().for_each(|&r| f(r as usize, 1)),
+            RankRequest::Runs(runs) => runs.iter().for_each(|&(r, n)| f(r as usize, n as usize)),
         }
     }
 

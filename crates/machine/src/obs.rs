@@ -75,7 +75,8 @@ pub enum MemAccount {
     /// send until arrival (events) / until the last refcount drops (gauge).
     Payload = 1,
     /// Reusable pooled send buffers; each slot charges its high-water
-    /// capacity once and is never released (the buffer is reused forever).
+    /// capacity once, released when its plan retires
+    /// ([`crate::Proc::pool_retire`]) — until then the buffer is reused.
     Pool = 2,
     /// Crash-recovery replay-log frames retained on behalf of a
     /// destination, charged by the sender to the *destination's* account.

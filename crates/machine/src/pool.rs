@@ -190,10 +190,29 @@ impl<B: Reusable> PoolSlot<B> {
     }
 }
 
+/// What the pool needs of a slot whose buffer type it has forgotten.
+trait ErasedSlot: Any + Send + Sync {
+    /// The slot's charged high-water, bytes.
+    fn charged(&self) -> u64;
+}
+
+impl<B: Reusable> ErasedSlot for PoolSlot<B> {
+    fn charged(&self) -> u64 {
+        self.charged.load(Ordering::Relaxed)
+    }
+}
+
 /// Two slots per `(key, dst, type)`, used alternately.
 struct Entry {
-    slots: [Arc<dyn Any + Send + Sync>; 2],
+    slots: [Arc<dyn ErasedSlot>; 2],
     flip: usize,
+}
+
+impl Entry {
+    fn slot<B: Reusable>(&self, i: usize) -> Arc<PoolSlot<B>> {
+        let slot: Arc<dyn Any + Send + Sync> = Arc::clone(&self.slots[i]) as _;
+        slot.downcast().expect("pool entry type mismatch")
+    }
 }
 
 /// A per-processor pool of reusable send buffers.
@@ -223,10 +242,25 @@ impl BufferPool {
             ],
             flip: restored.get(&k).copied().unwrap_or(0),
         });
-        let slot = Arc::clone(&entry.slots[entry.flip]);
+        let slot = entry.slot(entry.flip);
         entry.flip ^= 1;
-        slot.downcast::<PoolSlot<B>>()
-            .expect("pool entry type mismatch")
+        slot
+    }
+
+    /// Drop every entry of plan `key` — the plan is gone and its buffers
+    /// with it — and forget the key's restored rotations. Returns the bytes
+    /// the dropped slots had charged to the `pool` account. A slot still in
+    /// flight lives on in its packet until the receiver has decoded it.
+    pub fn retire(&mut self, key: u64) -> u64 {
+        self.restored.retain(|k, _| k.0 != key);
+        let mut charged = 0;
+        self.entries.retain(|k, e| {
+            if k.0 == key {
+                charged += e.slots.iter().map(|s| s.charged()).sum::<u64>();
+            }
+            k.0 != key
+        });
+        charged
     }
 
     /// Freeze the pool's slot rotation for an epoch checkpoint. Rotations
@@ -255,9 +289,7 @@ impl BufferPool {
             .entries
             .get(&(key, dst, TypeId::of::<B>()))
             .expect("current_slot before any next_slot");
-        let slot = Arc::clone(&entry.slots[entry.flip ^ 1]);
-        slot.downcast::<PoolSlot<B>>()
-            .expect("pool entry type mismatch")
+        entry.slot(entry.flip ^ 1)
     }
 }
 
@@ -337,6 +369,53 @@ mod tests {
         let other = pool.next_slot::<Vec<i32>>(2, 0);
         assert!(!Arc::ptr_eq(&a, &other));
         let _typed = pool.next_slot::<Vec<(u32, i32)>>(1, 0);
+    }
+
+    /// Retiring a plan key drops its entries of every destination and type
+    /// (and only its), reports what their slots had charged, forgets the
+    /// key's restored rotations, and leaves a slot that is still in flight
+    /// to whoever holds it.
+    #[test]
+    fn retire_drops_one_key_and_reports_its_charge() {
+        let mut pool = BufferPool::default();
+        let restored = PoolSnapshot {
+            flips: HashMap::from([
+                ((1, 9, TypeId::of::<Vec<i32>>()), 1),
+                ((2, 9, TypeId::of::<Vec<i32>>()), 1),
+            ]),
+        };
+        pool.restore(&restored);
+        let in_flight = pool.next_slot::<Vec<i32>>(1, 0);
+        assert_eq!(in_flight.note_charged(40), 40);
+        assert_eq!(pool.next_slot::<Vec<i32>>(1, 0).note_charged(8), 8);
+        assert_eq!(
+            pool.next_slot::<Vec<(u32, i32)>>(1, 3).note_charged(100),
+            100
+        );
+        let kept = pool.next_slot::<Vec<i32>>(2, 0);
+        kept.note_charged(7);
+        in_flight.try_checkout().expect("a fresh slot is free");
+        in_flight.stash(vec![5]);
+
+        assert_eq!(pool.retire(1), 148);
+        assert_eq!(pool.retire(1), 0, "nothing left to give back");
+        assert!(pool.snapshot().flips.keys().all(|k| k.0 == 2));
+        assert_eq!(
+            pool.snapshot().flips.len(),
+            2,
+            "key 2: one live, one restored"
+        );
+        assert_eq!(
+            in_flight.take_staged(),
+            vec![5],
+            "the receiver still decodes it"
+        );
+        assert_eq!(Arc::strong_count(&in_flight), 1, "and frees it when done");
+        // The key starts over: a fresh entry at rotation 0, nothing charged.
+        let again = pool.next_slot::<Vec<i32>>(1, 0);
+        assert!(!Arc::ptr_eq(&again, &in_flight));
+        assert_eq!(again.note_charged(1), 1);
+        assert!(Arc::ptr_eq(&kept, &pool.current_slot::<Vec<i32>>(2, 0)));
     }
 
     #[test]

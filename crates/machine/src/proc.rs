@@ -1532,6 +1532,18 @@ impl<'m> Proc<'m> {
         self.pool.current_slot::<B>(key, dst)
     }
 
+    /// Give plan `key`'s send buffers back: its pool entries are dropped and
+    /// what they charged to the `pool` account is released. For a plan that
+    /// will not execute again (one-shot `pack` / `unpack`); every buffer it
+    /// sent must have been handed to the exchange already — one still in
+    /// flight is freed by its receiver's decode.
+    pub fn pool_retire(&mut self, key: u64) {
+        let charged = self.pool.retire(key);
+        if charged > 0 {
+            self.mem_release(MemAccount::Pool, charged);
+        }
+    }
+
     /// Send the staged contents of a pooled slot to `dst` under `tag`.
     ///
     /// Identical to [`Proc::send`] in every charged and observed respect,
@@ -1545,10 +1557,10 @@ impl<'m> Proc<'m> {
         debug_assert_ne!(dst, self.id, "self slots are decoded in place, never sent");
         let words = slot.staged_words();
         // A pooled buffer's footprint is its high-water capacity, charged
-        // once to the pool account as it grows and never released (the
-        // buffer is reused for the plan's lifetime). Steady-state sends
-        // through a warm slot charge nothing, preserving the executor's
-        // allocation-free hot path.
+        // once to the pool account as it grows and released when its plan
+        // retires ([`Proc::pool_retire`]); until then the buffer is reused.
+        // Steady-state sends through a warm slot charge nothing, preserving
+        // the executor's allocation-free hot path.
         if !(self.events.is_none() && self.metrics.is_none()) {
             let growth = slot.note_charged(words as u64 * 4);
             if growth > 0 {

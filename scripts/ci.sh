@@ -43,6 +43,13 @@ echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512) =="
 # Release mode for the same reason: the P=512 leg plans on 512 carriers.
 cargo test -p hpf-core --release -q --test plan_footprint
 
+echo "== one-shot footprint gate (200 one-shot roundtrips leave gauges, heap and allocation rate flat) =="
+# Release mode runs the full 200 ops per run (an unoptimised build does 50):
+# every mem.<account>.cur after op k equals its value after op 1, live heap
+# bytes and per-processor allocated bytes are flat from op 10 on, and a
+# mid-sequence crash under run_recoverable recovers bit-identically.
+cargo test -p hpf-core --release -q --test oneshot_footprint
+
 echo "== one execute path (no mode fork, no build fork) =="
 if grep -rnE 'recovery_enabled|scalar-ref|feature = "simd"|(gather|decode)_[a-z]+_owned|exchange_owned' crates/ README.md; then
   echo "ci: a second execute path is back (see DESIGN.md section 11)"; exit 1
