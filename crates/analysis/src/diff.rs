@@ -36,33 +36,34 @@ pub struct DiffRow {
 pub struct DiffReport {
     /// Per-metric rows, in report order.
     pub rows: Vec<DiffRow>,
-    /// Workloads present in the old report but missing from the new —
-    /// always a failure.
+    /// Workloads (`"pack.css.w1"`) and single compared metrics
+    /// (`"pack.css.w1 memory.measured_peak_bytes"`) present in the old
+    /// report but missing from the new — always a failure.
     pub missing: Vec<String>,
     /// Workloads new in the new report (informational).
     pub added: Vec<String>,
-    /// `(old_mode, new_mode)` when the two reports ran different workload
-    /// scales (smoke vs full) — deltas are then meaningless.
-    pub mode_mismatch: Option<(String, String)>,
 }
 
 /// Scalar metrics compared on every workload, besides the stage breakdown.
 const SCALARS: [&str; 3] = ["total_ms", "words", "startups"];
 
+/// Metrics compared inside a workload's `memory` object (schema v6+).
+const MEMORY: [&str; 2] = ["measured_peak_bytes", "predicted_peak_bytes"];
+
 impl DiffReport {
     /// Compare two parsed perf reports (any schema version carrying a
-    /// `workloads` array of named entries).
+    /// `workloads` array of named entries). Reports of different modes are
+    /// an error, not a comparison.
     pub fn from_reports(old: &Json, new: &Json) -> Result<DiffReport, String> {
         let old_w = workloads(old, "old")?;
         let new_w = workloads(new, "new")?;
-        let mode = |r: &Json| {
-            r.get("mode")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
         let (om, nm) = (mode(old), mode(new));
-        let mode_mismatch = (om != nm).then_some((om, nm));
+        if om != nm {
+            return Err(format!(
+                "old report is `{om}`, new report is `{nm}`: workload sizes differ, \
+                 nothing to compare"
+            ));
+        }
 
         let mut rows = Vec::new();
         let mut missing = Vec::new();
@@ -71,26 +72,17 @@ impl DiffReport {
                 missing.push(name.clone());
                 continue;
             };
-            for metric in SCALARS {
-                if let (Some(o), Some(n)) = (num(ow, metric), num(nw, metric)) {
-                    rows.push(row(name, metric, o, n));
-                }
-            }
-            if let (Some(os), Some(ns)) = (ow.get("stages_ms"), nw.get("stages_ms")) {
-                for (stage, ov) in os.as_obj().unwrap_or(&[]) {
-                    if let (Some(o), Some(n)) = (ov.as_f64(), ns.get(stage).and_then(Json::as_f64))
-                    {
-                        rows.push(row(name, &format!("stages_ms.{stage}"), o, n));
-                    }
-                }
-            }
-            // Peak-memory accounting (schema v6+) is simulated bookkeeping,
-            // so its byte counts diff like any other deterministic metric.
-            if let (Some(om), Some(nmem)) = (ow.get("memory"), nw.get("memory")) {
-                for metric in ["measured_peak_bytes", "predicted_peak_bytes"] {
-                    if let (Some(o), Some(n)) = (num(om, metric), num(nmem, metric)) {
-                        rows.push(row(name, &format!("memory.{metric}"), o, n));
-                    }
+            // Every compared metric the old entry carries: scalars, the stage
+            // breakdown, and the (simulated, deterministic) peak-memory bytes.
+            let stages = ow.get("stages_ms").and_then(Json::as_obj).unwrap_or(&[]);
+            let metrics = (SCALARS.iter().map(|m| m.to_string()))
+                .chain(stages.iter().map(|(k, _)| format!("stages_ms.{k}")))
+                .chain(MEMORY.iter().map(|m| format!("memory.{m}")));
+            for metric in metrics {
+                match (num(ow, &metric), num(nw, &metric)) {
+                    (Some(o), Some(n)) => rows.push(row(name, &metric, o, n)),
+                    (Some(_), None) => missing.push(format!("{name} {metric}")),
+                    (None, _) => {}
                 }
             }
         }
@@ -103,7 +95,6 @@ impl DiffReport {
             rows,
             missing,
             added,
-            mode_mismatch,
         })
     }
 
@@ -113,8 +104,8 @@ impl DiffReport {
         self.rows.iter().map(|r| r.delta_pct).fold(0.0f64, f64::max)
     }
 
-    /// Gate verdict: failed if any workload disappeared or any metric
-    /// regressed by at least `fail_pct` percent.
+    /// Gate verdict: failed if any workload or metric disappeared or any
+    /// metric regressed by at least `fail_pct` percent.
     pub fn failed(&self, fail_pct: f64) -> bool {
         !self.missing.is_empty() || self.max_regression_pct() >= fail_pct
     }
@@ -124,15 +115,8 @@ impl DiffReport {
     pub fn markdown(&self, warn_pct: f64, fail_pct: f64) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        if let Some((om, nm)) = &self.mode_mismatch {
-            let _ = writeln!(
-                s,
-                "> **warning**: comparing a `{om}` report against a `{nm}` report — \
-                 workload scales differ, deltas are not meaningful.\n"
-            );
-        }
         for name in &self.missing {
-            let _ = writeln!(s, "- **FAIL**: workload `{name}` missing from new report");
+            let _ = writeln!(s, "- **FAIL**: `{name}` missing from new report");
         }
         for name in &self.added {
             let _ = writeln!(s, "- new workload `{name}` (no baseline)");
@@ -194,8 +178,14 @@ fn row(workload: &str, metric: &str, old: f64, new: f64) -> DiffRow {
     }
 }
 
-fn num(w: &Json, key: &str) -> Option<f64> {
-    w.get(key).and_then(Json::as_f64)
+/// The number at a dotted path (`"memory.measured_peak_bytes"`) of a
+/// workload entry.
+fn num(w: &Json, path: &str) -> Option<f64> {
+    path.split('.').try_fold(w, |v, key| v.get(key))?.as_f64()
+}
+
+fn mode(report: &Json) -> &str {
+    report.get("mode").and_then(Json::as_str).unwrap_or("?")
 }
 
 fn fmt_val(x: f64) -> String {
@@ -232,7 +222,7 @@ mod tests {
             .map(|(n, t, w)| {
                 format!(
                     r#"{{"name":"{n}","total_ms":{t},"words":{w},"startups":10,
-                        "stages_ms":{{"local":{t}}},"wall_ms":999.0}}"#
+                        "stages_ms":{{"local":{t}}}}}"#
                 )
             })
             .collect();
@@ -291,8 +281,7 @@ mod tests {
                     {{"name":"memory.pack.cms.w8","total_ms":1.0,"words":1,"startups":1,
                      "stages_ms":{{"local":1.0}},
                      "memory":{{"measured_peak_bytes":{measured},
-                                "predicted_peak_bytes":3000,"ratio":1.1,"pass":true}},
-                     "wall_ms":1.0}}]}}"#
+                                "predicted_peak_bytes":3000,"ratio":1.1,"pass":true}}}}]}}"#
             ))
             .unwrap()
         };
@@ -307,16 +296,41 @@ mod tests {
     }
 
     #[test]
-    fn wall_ms_is_ignored() {
-        let old = report(&[("a", 1.0, 1.0)]);
+    fn a_vanished_metric_is_a_hard_fail() {
+        let old = Json::parse(
+            r#"{"mode":"smoke","workloads":[
+                {"name":"m","total_ms":1.0,"words":1,"startups":1,
+                 "stages_ms":{"local":0.5,"m2m":0.5},
+                 "memory":{"measured_peak_bytes":2000,"predicted_peak_bytes":3000}}]}"#,
+        )
+        .unwrap();
         let new = Json::parse(
-            r#"{"schema_version":2,"mode":"smoke","workloads":[
-                {"name":"a","total_ms":1.0,"words":1,"startups":10,
-                 "stages_ms":{"local":1.0},"wall_ms":123456.0}]}"#,
+            r#"{"mode":"smoke","workloads":[
+                {"name":"m","total_ms":0.5,"words":1,"startups":1,
+                 "stages_ms":{"local":0.5},"memory":null}]}"#,
         )
         .unwrap();
         let d = DiffReport::from_reports(&old, &new).unwrap();
-        assert_eq!(d.max_regression_pct(), 0.0);
-        assert!(d.rows.iter().all(|r| r.metric != "wall_ms"));
+        assert_eq!(
+            d.missing,
+            [
+                "m stages_ms.m2m",
+                "m memory.measured_peak_bytes",
+                "m memory.predicted_peak_bytes"
+            ]
+        );
+        assert_eq!(d.max_regression_pct(), 0.0, "every surviving row improved");
+        assert!(d.failed(f64::INFINITY));
+        assert!(d
+            .markdown(1.0, 5.0)
+            .contains("`m stages_ms.m2m` missing from new report"));
+    }
+
+    #[test]
+    fn smoke_against_full_is_an_error_not_a_comparison() {
+        let smoke = report(&[("a", 1.0, 1.0)]);
+        let full = Json::parse(r#"{"mode":"full","workloads":[]}"#).unwrap();
+        let err = DiffReport::from_reports(&smoke, &full).unwrap_err();
+        assert!(err.contains("`smoke`") && err.contains("`full`"), "{err}");
     }
 }

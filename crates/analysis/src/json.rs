@@ -1,11 +1,14 @@
-//! A minimal recursive-descent JSON parser — just enough to read the
-//! versioned perf reports (`results/BENCH_*.json`) back in. The repo
-//! deliberately carries no serde; reports are hand-rendered on the way
-//! out and hand-parsed on the way in.
+//! A minimal JSON value with a recursive-descent parser and a writer —
+//! just enough to write the versioned perf reports
+//! (`results/BENCH_*.json`) and read them back in. The repo deliberately
+//! carries no serde: `perf` builds a [`Json`] from its typed report and
+//! [`Json::render`]s it, and every reader ([`crate::diff`], the tests)
+//! [`Json::parse`]s exactly those bytes.
 //!
 //! Supports the full JSON value grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null). Numbers are read as `f64`, which is
-//! exact for every integer the reports emit (they stay far below 2^53).
+//! escapes, numbers, booleans, null). Numbers are `f64`, which is exact
+//! for every integer the reports emit (they stay far below 2^53) and is
+//! written in Rust's shortest round-trip form.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +79,129 @@ impl Json {
             Json::Obj(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` pairs, order kept.
+    pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
+    /// Serialize. Containers nested fewer than `expand` levels deep are
+    /// written one item per line, deeper ones on one line; a non-finite
+    /// number is written as `null` (JSON has no NaN / Infinity). The
+    /// output ends in a newline and parses back to an equal value.
+    pub fn render(&self, expand: usize) -> String {
+        let mut s = String::new();
+        self.write(&mut s, 0, expand);
+        s.push('\n');
+        s
+    }
+
+    fn write(&self, s: &mut String, depth: usize, expand: usize) {
+        match self {
+            Json::Null => s.push_str("null"),
+            Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) if x.is_finite() => s.push_str(&x.to_string()),
+            Json::Num(_) => s.push_str("null"),
+            Json::Str(t) => write_string(s, t),
+            Json::Arr(v) => write_items(s, ['[', ']'], v.len(), depth, expand, |s, i| {
+                v[i].write(s, depth + 1, expand)
+            }),
+            Json::Obj(v) => write_items(s, ['{', '}'], v.len(), depth, expand, |s, i| {
+                write_string(s, &v[i].0);
+                s.push_str(": ");
+                v[i].1.write(s, depth + 1, expand)
+            }),
+        }
+    }
+}
+
+/// The shared layout of arrays and objects: `len` items written by `item`
+/// between `brackets`, one per line while `depth < expand`.
+fn write_items(
+    s: &mut String,
+    brackets: [char; 2],
+    len: usize,
+    depth: usize,
+    expand: usize,
+    item: impl Fn(&mut String, usize),
+) {
+    let multiline = depth < expand && len > 0;
+    let newline = |s: &mut String, depth: usize| {
+        if multiline {
+            s.push('\n');
+            s.push_str(&"  ".repeat(depth));
+        }
+    };
+    s.push(brackets[0]);
+    for i in 0..len {
+        newline(s, depth + 1);
+        item(s, i);
+        if i + 1 < len {
+            s.push_str(if multiline { "," } else { ", " });
+        }
+    }
+    newline(s, depth);
+    s.push(brackets[1]);
+}
+
+fn write_string(s: &mut String, t: &str) {
+    s.push('"');
+    for c in t.chars() {
+        match c {
+            '"' => s.push_str("\\\""),
+            '\\' => s.push_str("\\\\"),
+            '\n' => s.push_str("\\n"),
+            '\t' => s.push_str("\\t"),
+            '\r' => s.push_str("\\r"),
+            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
+            c => s.push(c),
+        }
+    }
+    s.push('"');
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(x: u64) -> Json {
+        Json::Num(x as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(x: usize) -> Json {
+        Json::Num(x as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Json {
+        Json::Arr(iter.into_iter().map(Into::into).collect())
     }
 }
 
@@ -273,6 +399,43 @@ mod tests {
         let a = v.as_arr().unwrap();
         assert_eq!(a[0].as_f64(), Some(-1500.0));
         assert_eq!(a[1].as_f64(), Some(0.25));
+    }
+
+    #[test]
+    fn render_round_trips_through_parse() {
+        let report = Json::obj([
+            ("name", "a\"b\\c\n\u{1}é".into()),
+            ("section", Json::Null),
+            ("none", None::<u64>.into()),
+            ("empty", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            ("shape", [4usize, 2].into_iter().collect()),
+            (
+                "nested",
+                Json::obj([("x", 0.1.into()), ("ok", true.into())]),
+            ),
+            ("big", (1u64 << 52).into()),
+            ("tiny", (-1.5e-7).into()),
+        ]);
+        for expand in 0..4 {
+            let text = report.render(expand);
+            assert_eq!(
+                Json::parse(&text).unwrap(),
+                report,
+                "expand {expand}:\n{text}"
+            );
+        }
+        // Expanded one level: one top-level key per line, values inline.
+        let text = Json::obj([("a", [1u64, 2].into_iter().collect()), ("b", Json::Null)]).render(1);
+        assert_eq!(text, "{\n  \"a\": [1, 2],\n  \"b\": null\n}\n");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        let v = Json::obj([("nan", f64::NAN.into()), ("inf", f64::INFINITY.into())]);
+        let back = Json::parse(&v.render(0)).unwrap();
+        assert_eq!(back.get("nan"), Some(&Json::Null));
+        assert_eq!(back.get("inf"), Some(&Json::Null));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub const MEM_RATIO_GATE: f64 = 1.25;
 
 /// The machine-wide measured memory high-water mark of one traced run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredPeak {
+pub(crate) struct MeasuredPeak {
     /// Peak bytes on the peak processor (all accounts summed).
     pub bytes: u64,
     /// The processor that held the peak.
@@ -61,7 +61,7 @@ impl MeasuredPeak {
 /// peak matches what the trace viewer shows.
 ///
 /// [`RunOutput::events`]: hpf_machine::RunOutput
-pub fn measured_peak(events: &[Vec<Event>]) -> MeasuredPeak {
+pub(crate) fn measured_peak(events: &[Vec<Event>]) -> MeasuredPeak {
     let nprocs = events.len();
     // (ts, release?, account, delta) per owner; pooled across recorders.
     let mut samples: Vec<Vec<(f64, u8, MemAccount, i64)>> = vec![Vec::new(); nprocs];
@@ -119,7 +119,7 @@ pub fn measured_peak(events: &[Vec<Event>]) -> MeasuredPeak {
 /// constant pre-reserve, so unlike the workload peak (ratio-gated against
 /// a closed-form bound) it is asserted byte-exactly. Single-spawn runs
 /// only: a crash-recovery respawn charges its ring again.
-pub fn ring_accounting(events: &[Vec<Event>], expected_per_proc: u64) -> (u64, bool) {
+pub(crate) fn ring_accounting(events: &[Vec<Event>], expected_per_proc: u64) -> (u64, bool) {
     let mut per_proc = vec![0i64; events.len()];
     for evs in events {
         for e in evs {

@@ -1,43 +1,20 @@
-//! Wall-clock hotspot attribution and noise-aware wall-time regression
-//! gating — the real-time counterpart of [`crate::critpath`] (which ranks
-//! *simulated* time) and [`crate::diff`] (which gates *simulated*
-//! metrics).
+//! Wall-clock hotspot attribution — the real-time counterpart of
+//! [`crate::critpath`], which ranks *simulated* time.
 //!
-//! Two halves:
+//! [`HotspotReport`] folds the per-processor [`WallProfile`]s of a
+//! profiled run into per-stage *self* time (exclusive: a span's duration
+//! minus its direct children), ranked by wall share. Because self time
+//! partitions the measured total exactly, the ranked rows always account
+//! for 100% of the profiled wall time. Stages that moved bytes also report
+//! their effective copy bandwidth.
 //!
-//! 1. **Hotspot attribution.** [`HotspotReport`] folds the per-processor
-//!    [`WallProfile`]s of a profiled run into per-stage *self* time
-//!    (exclusive: a span's duration minus its direct children), ranked by
-//!    wall share. Because self time partitions the measured total exactly,
-//!    the ranked rows always account for 100% of the profiled wall time —
-//!    [`HotspotReport::top_share`] tells how few stages cover how much,
-//!    which is the worklist for local-operation kernel tuning. Stages that
-//!    moved bytes also report effective copy bandwidth against the
-//!    machine's [`memcpy_roof_gbps`] so "slow" separates into
-//!    "bandwidth-bound" vs "overhead-bound".
-//!
-//! 2. **Noise-aware wall diffing.** Wall-clock medians jitter run-to-run,
-//!    so a fixed-threshold gate is either deaf or flaky. [`WallDiffReport`]
-//!    compares the per-workload `wall` objects of two perf reports
-//!    (median/MAD/cv from repeated measurement) and fails only when the
-//!    median moved beyond **max(noise band, fixed floor)**, where the
-//!    noise band is [`WALL_NOISE_MADS`] robust deviations of the noisier
-//!    report. Workloads whose `cv` is `null` (single-rep, unmeasured
-//!    noise) are skipped, never failed; a workload that *disappeared*
-//!    fails unconditionally, exactly like the simulated diff.
+//! Nothing here gates or compares wall numbers across runs: the repo
+//! benchmark (`benchmark/`) owns every wall number a claim is made
+//! against, and borrows [`median`] for it.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use hpf_machine::WallProfile;
-
-use crate::json::Json;
-
-/// Robust deviations of tolerated drift: the noise band of a wall
-/// comparison is `WALL_NOISE_MADS * max(old MAD, new MAD)` around the old
-/// median. 5 MADs ≈ 3.4σ for Gaussian noise (σ ≈ 1.4826 · MAD), wide
-/// enough that a stable workload essentially never false-fails.
-pub const WALL_NOISE_MADS: f64 = 5.0;
 
 /// Median of a sample set (averaging the middle pair on even sizes).
 /// Returns 0 on an empty slice.
@@ -53,33 +30,6 @@ pub fn median(samples: &[f64]) -> f64 {
     } else {
         (v[n / 2 - 1] + v[n / 2]) / 2.0
     }
-}
-
-/// Median absolute deviation from the median — the robust spread estimate
-/// the wall gate's noise band is built from (unscaled: multiply by 1.4826
-/// for a Gaussian σ estimate).
-pub fn mad(samples: &[f64]) -> f64 {
-    let m = median(samples);
-    let dev: Vec<f64> = samples.iter().map(|x| (x - m).abs()).collect();
-    median(&dev)
-}
-
-/// Measure this machine's large-copy memcpy bandwidth in GB/s (bytes per
-/// nanosecond): best of a few 8 MiB `copy_from_slice` passes, which is the
-/// practical roof any gather/scatter/fill stage can hope to reach.
-pub fn memcpy_roof_gbps() -> f64 {
-    const BYTES: usize = 8 << 20;
-    let src = vec![0x5Au8; BYTES];
-    let mut dst = vec![0u8; BYTES];
-    let mut best = 0.0f64;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        dst.copy_from_slice(&src);
-        std::hint::black_box(&mut dst);
-        let ns = t0.elapsed().as_nanos().max(1) as f64;
-        best = best.max(BYTES as f64 / ns);
-    }
-    best
 }
 
 /// One stage's aggregate across all processors of a profiled run.
@@ -150,23 +100,15 @@ impl HotspotReport {
         }
     }
 
-    /// Wall share of the top `n` ranked stages combined — the coverage
-    /// statement "the top n stages account for this fraction of the run".
-    pub fn top_share(&self, n: usize) -> f64 {
-        self.hotspots.iter().take(n).map(|h| self.share(h)).sum()
-    }
-
     /// Human-readable ranked table. `elements` scales ns/element (pass the
-    /// workload's element count, or 0 to omit); `roof_gbps` adds a
-    /// percent-of-memcpy-roof column for byte-moving stages.
-    pub fn render(&self, title: &str, elements: u64, roof_gbps: f64) -> String {
+    /// workload's element count, or 0 to omit).
+    pub fn render(&self, title: &str, elements: u64) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "hotspots: {title}  total {:.3} ms  (memcpy roof {:.2} GB/s)",
+            "hotspots: {title}  total {:.3} ms",
             self.total_ns as f64 / 1e6,
-            roof_gbps,
         );
         for h in &self.hotspots {
             let _ = write!(
@@ -182,9 +124,6 @@ impl HotspotReport {
             }
             if let Some(g) = h.gbps() {
                 let _ = write!(s, "  {g:>6.2} GB/s");
-                if roof_gbps > 0.0 {
-                    let _ = write!(s, " ({:>4.1}% of roof)", g / roof_gbps * 100.0);
-                }
             }
             s.push('\n');
         }
@@ -192,276 +131,18 @@ impl HotspotReport {
     }
 }
 
-/// Verdict of one workload's wall comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WallVerdict {
-    /// Median moved within the noise band (or improved).
-    Pass,
-    /// Median regressed beyond max(noise band, fixed floor).
-    Fail,
-    /// Noise unmeasured (`cv` null on either side) — no basis to gate.
-    Skipped,
-}
-
-/// One workload's wall-time comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WallDiffRow {
-    /// Workload name.
-    pub workload: String,
-    /// Old median, milliseconds.
-    pub old_median_ms: f64,
-    /// New median, milliseconds.
-    pub new_median_ms: f64,
-    /// Relative median change in percent; positive = slower.
-    pub delta_pct: f64,
-    /// Tolerated band in percent: max(noise band, fixed floor).
-    pub allowed_pct: f64,
-    /// The gate's verdict for this row.
-    pub verdict: WallVerdict,
-}
-
-/// Noise-aware wall-time comparison of two perf reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WallDiffReport {
-    /// Per-workload rows, old-report order.
-    pub rows: Vec<WallDiffRow>,
-    /// Workloads with measured wall stats in the old report but missing
-    /// from the new — an unconditional failure.
-    pub missing: Vec<String>,
-    /// The fixed floor (percent) below which drift never fails.
-    pub fixed_pct: f64,
-}
-
-impl WallDiffReport {
-    /// Compare the `wall` objects of two parsed perf reports. `fixed_pct`
-    /// is the drift floor always tolerated regardless of how quiet the
-    /// noise measurement was.
-    ///
-    /// Gating rule per workload present in both reports:
-    /// * either side's `wall` or `cv` null → [`WallVerdict::Skipped`];
-    /// * else fail iff `delta_pct > max(fixed_pct, noise band)` where the
-    ///   noise band is `100 · WALL_NOISE_MADS · max(MADs) / old median`.
-    pub fn compare(old: &Json, new: &Json, fixed_pct: f64) -> Result<WallDiffReport, String> {
-        let old_w = workloads(old, "old")?;
-        let new_w = workloads(new, "new")?;
-        let mut rows = Vec::new();
-        let mut missing = Vec::new();
-        for (name, ow) in &old_w {
-            let Some(wall_old) = wall_stats(ow) else {
-                continue; // old side never measured wall: nothing to gate
-            };
-            let Some(nw) = new_w.iter().find(|(n, _)| n == name).map(|(_, w)| *w) else {
-                missing.push(name.clone());
-                continue;
-            };
-            let (o_med, o_mad, o_cv) = wall_old;
-            let row = match wall_stats(nw) {
-                Some((n_med, n_mad, n_cv)) if o_cv.is_some() && n_cv.is_some() => {
-                    let delta_pct = if o_med > 0.0 {
-                        (n_med - o_med) / o_med * 100.0
-                    } else if n_med > 0.0 {
-                        f64::INFINITY
-                    } else {
-                        0.0
-                    };
-                    let noise_pct = if o_med > 0.0 {
-                        100.0 * WALL_NOISE_MADS * o_mad.max(n_mad) / o_med
-                    } else {
-                        0.0
-                    };
-                    let allowed_pct = fixed_pct.max(noise_pct);
-                    WallDiffRow {
-                        workload: name.clone(),
-                        old_median_ms: o_med,
-                        new_median_ms: n_med,
-                        delta_pct,
-                        allowed_pct,
-                        verdict: if delta_pct > allowed_pct {
-                            WallVerdict::Fail
-                        } else {
-                            WallVerdict::Pass
-                        },
-                    }
-                }
-                Some((n_med, _, _)) => WallDiffRow {
-                    workload: name.clone(),
-                    old_median_ms: o_med,
-                    new_median_ms: n_med,
-                    delta_pct: 0.0,
-                    allowed_pct: fixed_pct,
-                    verdict: WallVerdict::Skipped,
-                },
-                None => WallDiffRow {
-                    workload: name.clone(),
-                    old_median_ms: o_med,
-                    new_median_ms: 0.0,
-                    delta_pct: 0.0,
-                    allowed_pct: fixed_pct,
-                    verdict: WallVerdict::Skipped,
-                },
-            };
-            rows.push(row);
-        }
-        Ok(WallDiffReport {
-            rows,
-            missing,
-            fixed_pct,
-        })
-    }
-
-    /// True when any row failed or any measured workload went missing.
-    pub fn failed(&self) -> bool {
-        !self.missing.is_empty() || self.rows.iter().any(|r| r.verdict == WallVerdict::Fail)
-    }
-
-    /// Worst (most positive) gated regression, percent; 0 when none.
-    pub fn max_regression_pct(&self) -> f64 {
-        self.rows
-            .iter()
-            .filter(|r| r.verdict != WallVerdict::Skipped)
-            .map(|r| r.delta_pct)
-            .fold(0.0, f64::max)
-    }
-
-    /// Markdown delta table for CI logs.
-    pub fn markdown(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        s.push_str("| workload | old ms | new ms | delta | allowed | verdict |\n");
-        s.push_str("|---|---:|---:|---:|---:|---|\n");
-        for r in &self.rows {
-            let verdict = match r.verdict {
-                WallVerdict::Pass => "pass",
-                WallVerdict::Fail => "**FAIL**",
-                WallVerdict::Skipped => "skip (cv null)",
-            };
-            let _ = writeln!(
-                s,
-                "| {} | {:.3} | {:.3} | {:+.2}% | {:.2}% | {} |",
-                r.workload, r.old_median_ms, r.new_median_ms, r.delta_pct, r.allowed_pct, verdict,
-            );
-        }
-        for m in &self.missing {
-            let _ = writeln!(s, "| {m} | — | — | — | — | **MISSING** |");
-        }
-        s
-    }
-}
-
-/// The `(name, workload)` pairs of a parsed report.
-fn workloads<'a>(report: &'a Json, which: &str) -> Result<Vec<(String, &'a Json)>, String> {
-    let arr = report
-        .get("workloads")
-        .and_then(|w| w.as_arr())
-        .ok_or_else(|| format!("{which} report has no workloads array"))?;
-    arr.iter()
-        .map(|w| {
-            w.get("name")
-                .and_then(|n| n.as_str())
-                .map(|n| (n.to_string(), w))
-                .ok_or_else(|| format!("{which} report has an unnamed workload"))
-        })
-        .collect()
-}
-
-/// A workload's `(median_ms, mad_ms, cv)` wall stats, `None` when the
-/// workload carries no measured `wall` object at all. `cv` stays `None`
-/// when the report marked it null (single-rep: noise unmeasured).
-fn wall_stats(w: &Json) -> Option<(f64, f64, Option<f64>)> {
-    let wall = w.get("wall")?;
-    let median = wall.get("median_ms")?.as_f64()?;
-    let mad = wall.get("mad_ms")?.as_f64()?;
-    let cv = wall.get("cv").and_then(|c| c.as_f64());
-    Some((median, mad, cv))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpf_machine::WallProfiler;
 
-    fn report(workloads: &str) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema_version": 7, "mode": "full", "workloads": [{workloads}]}}"#
-        ))
-        .unwrap()
-    }
-
-    fn wl(name: &str, median: f64, mad: f64, cv: &str) -> String {
-        format!(
-            r#"{{"name": "{name}", "wall": {{"reps": 5, "warmup": 1,
-                 "median_ms": {median}, "mad_ms": {mad}, "cv": {cv}}}}}"#
-        )
-    }
-
     #[test]
-    fn within_noise_drift_passes() {
-        // +4% drift, noise band 100·5·1.0/100 = 5% > fixed 2% → pass.
-        let old = report(&wl("pack.sss.w1", 100.0, 1.0, "0.01"));
-        let new = report(&wl("pack.sss.w1", 104.0, 1.0, "0.01"));
-        let d = WallDiffReport::compare(&old, &new, 2.0).unwrap();
-        assert_eq!(d.rows.len(), 1);
-        assert_eq!(d.rows[0].verdict, WallVerdict::Pass);
-        assert!(!d.failed());
-    }
-
-    #[test]
-    fn beyond_noise_regression_fails() {
-        // +20% drift against a 5% noise band and a 10% floor → fail.
-        let old = report(&wl("pack.sss.w1", 100.0, 1.0, "0.01"));
-        let new = report(&wl("pack.sss.w1", 120.0, 1.0, "0.01"));
-        let d = WallDiffReport::compare(&old, &new, 10.0).unwrap();
-        assert_eq!(d.rows[0].verdict, WallVerdict::Fail);
-        assert!(d.failed());
-        assert!((d.max_regression_pct() - 20.0).abs() < 1e-9);
-        assert!(d.markdown().contains("**FAIL**"));
-    }
-
-    #[test]
-    fn noisy_measurement_widens_the_band() {
-        // Same +20% drift, but MAD 10 ms → band 100·5·10/100 = 50% → pass.
-        let old = report(&wl("pack.sss.w1", 100.0, 10.0, "0.1"));
-        let new = report(&wl("pack.sss.w1", 120.0, 10.0, "0.1"));
-        let d = WallDiffReport::compare(&old, &new, 10.0).unwrap();
-        assert_eq!(d.rows[0].verdict, WallVerdict::Pass);
-    }
-
-    #[test]
-    fn missing_workload_fails_unconditionally() {
-        let old = report(&format!(
-            "{}, {}",
-            wl("pack.sss.w1", 100.0, 1.0, "0.01"),
-            wl("unpack.sss.w1", 50.0, 1.0, "0.01")
-        ));
-        let new = report(&wl("pack.sss.w1", 100.0, 1.0, "0.01"));
-        let d = WallDiffReport::compare(&old, &new, 10.0).unwrap();
-        assert_eq!(d.missing, vec!["unpack.sss.w1".to_string()]);
-        assert!(d.failed());
-        assert!(d.markdown().contains("**MISSING**"));
-    }
-
-    #[test]
-    fn null_cv_skips_the_gate() {
-        // Smoke reports mark cv null (reps=1): a 10x "regression" must
-        // skip, not fail — there is no noise measurement to gate against.
-        let old = report(&wl("pack.sss.w1", 10.0, 0.0, "null"));
-        let new = report(&wl("pack.sss.w1", 100.0, 0.0, "null"));
-        let d = WallDiffReport::compare(&old, &new, 10.0).unwrap();
-        assert_eq!(d.rows[0].verdict, WallVerdict::Skipped);
-        assert!(!d.failed());
-        assert_eq!(d.max_regression_pct(), 0.0);
-    }
-
-    #[test]
-    fn median_and_mad_are_robust() {
+    fn median_is_robust() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
-        // One wild outlier barely moves either statistic.
+        // One wild outlier does not move it.
         assert_eq!(median(&[10.0, 10.0, 10.0, 10.0, 500.0]), 10.0);
-        assert_eq!(mad(&[10.0, 10.0, 10.0, 10.0, 500.0]), 0.0);
-        assert_eq!(mad(&[9.0, 10.0, 11.0, 10.0, 10.0]), 0.0);
-        assert_eq!(mad(&[8.0, 10.0, 12.0]), 2.0);
     }
 
     #[test]
@@ -481,19 +162,13 @@ mod tests {
         assert_eq!(r.hotspots.len(), 3);
         let self_sum: u64 = r.hotspots.iter().map(|h| h.self_ns).sum();
         assert_eq!(self_sum, r.total_ns, "self time partitions the total");
-        assert!((r.top_share(3) - 1.0).abs() < 1e-12);
         let gather = r.hotspots.iter().find(|h| h.stage == "gather").unwrap();
         let decode = r.hotspots.iter().find(|h| h.stage == "decode").unwrap();
         assert!(gather.self_ns > decode.self_ns);
         assert_eq!(gather.bytes, 4096);
         assert!(gather.gbps().is_some());
-        let rendered = r.render("test", 1024, 10.0);
+        let rendered = r.render("test", 1024);
         assert!(rendered.contains("gather"));
         assert!(rendered.contains("GB/s"));
-    }
-
-    #[test]
-    fn memcpy_roof_is_positive() {
-        assert!(memcpy_roof_gbps() > 0.0);
     }
 }

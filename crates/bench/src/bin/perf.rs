@@ -1,62 +1,44 @@
 //! Machine-readable perf report: the paper's headline workloads (Table I /
-//! Table II / Figure 5 configurations) plus the four application kernels,
-//! measured on the simulated CM-5 cost model and emitted as versioned JSON
-//! for regression tracking across revisions.
+//! Table II / Figure 5 configurations), the plan-reuse, steady-state
+//! execute, crash-recovery, peak-memory and scale sweeps, and the four
+//! application kernels, measured on the simulated CM-5 cost model and
+//! emitted as versioned JSON for regression tracking across revisions.
 //!
-//! Every entry reports the simulated per-category stage times (the six
-//! [`Category`] labels), total simulated time, traffic volume (words and
-//! start-ups), reliable-transport overhead counters, the harness
-//! wall-clock time of the run, a **critical-path summary** extracted from
-//! the traced run, and (for the plain 1-D PACK/UNPACK workloads) the
-//! **Section 6.4 conformance** verdict of measured local-operation
-//! counters against the paper's closed-form model.
+//! The report holds **only what is a function of the commit**: simulated
+//! stage times and totals, traffic, operation and allocation counts,
+//! memory bytes, bit-identity verdicts. Every workload runs once, nothing
+//! is read from a clock, and two runs of one commit write byte-identical
+//! files. Host wall time has one owner, the repo benchmark (`benchmark/`).
 //!
 //! Usage:
 //! ```sh
 //! cargo run -p hpf-bench --release --bin perf -- \
-//!     [--smoke] [--filter GROUP] [--out FILE] [--critpath-out FILE] \
-//!     [--reps N] [--warmup M] [--folded-out FILE]
+//!     [--smoke] [--filter GROUP] [--out FILE] [--critpath-out FILE]
 //! # default output: results/BENCH_<rev>.json (rev = short git hash)
 //! # --filter runs only the named workload group (pack, redist, unpack,
 //! #   plan_reuse, exec_hot, recovery, apps, memory, scale) and records
 //! #   the filter in the report
 //! ```
 //!
-//! Wall-clock is measured statistically: every workload runs `--warmup`
-//! untimed passes then `--reps` timed ones (full default 5/1), and the
-//! report's per-workload `wall` object carries the median, the MAD, and
-//! the coefficient of variation — the noise model `perfdiff --wall`
-//! gates against. `--smoke` forces `reps=1` and marks `cv` null
-//! (unmeasured, not "perfectly stable"). Simulated metrics are untouched
-//! by repetition: the simulation is deterministic, so only the *last*
-//! rep's simulated measurement is reported and it is bit-identical to
-//! every other rep's.
-//!
 //! The binary installs the counting global allocator, so the `exec_hot`
-//! workloads report *real* per-thread heap allocation counts for the
-//! steady-state execute loop — `validate_bench.py` gates them at zero.
-//! Wall-span profiles come from a *separate* profiled pass of the same
-//! plan-once/execute-N program (profiling is off during the counted
-//! pass), aggregated into a ranked hotspot report on stdout and, with
-//! `--folded-out`, exported as flamegraph-compatible folded stacks.
+//! workloads report *real* per-processor heap allocation counts for the
+//! steady-state execute loop.
 //!
-//! Exits nonzero if any conformance check fails — the implementation
-//! drifted from the paper's cost model — or if a `memory` workload's
-//! measured peak escapes its predicted bound (DESIGN.md §13).
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! Before exiting, `perf` runs every gate of [`hpf_bench::report::GATES`]
+//! on its own report — Section 6.4 conformance exact, zero steady-state
+//! allocations, predicted peak memory bounding the measured one, pool-size
+//! invariance, a crash actually recovered, plan reuse amortizing — and
+//! exits nonzero naming the workload and the gate on any violation.
 
 use hpf_analysis::{
-    mad, median, memcpy_roof_gbps, predict_pack_peak, predict_pack_redist_peak,
-    predict_unpack_peak, Conformance, CritPath, HotspotReport, PeakMemory,
+    predict_pack_peak, predict_pack_redist_peak, predict_unpack_peak, Conformance, CritPath,
+    PeakMemory,
 };
 use hpf_apps::{gather_global, run_compaction, sample_sort, SparseMatrix};
+use hpf_bench::report::{Entry, Report, ScaleReport, Section, GROUPS};
 use hpf_bench::{
-    pack_plan_ops, profile_pack_hot, profile_unpack_hot, run_pack, run_pack_mem, run_pack_redist,
-    run_pack_redist_mem, run_unpack, run_unpack_mem, time_pack_hot, time_pack_reuse,
-    time_unpack_hot, time_unpack_reuse, unpack_plan_ops, ExpConfig, HotMeasurement, Measurement,
-    ReuseMeasurement,
+    measure_run, pack_plan_ops, run_pack, run_unpack, time_pack_hot, time_pack_reuse,
+    time_unpack_hot, time_unpack_reuse, unpack_plan_ops, ExpConfig, Measurement, Observe,
 };
 use hpf_core::{
     plan_pack, plan_unpack, MaskPattern, MaskStats, PackOptions, PackScheme, RedistScheme,
@@ -66,883 +48,321 @@ use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::alloc_counter::CountingAllocator;
 use hpf_machine::collectives::A2aSchedule;
 use hpf_machine::{
-    folded_stacks, tags, Category, CostModel, FaultPlan, Machine, ProcGrid, RecoveryStats,
-    RunOutput,
+    tags, Category, CostModel, Event, FaultPlan, Machine, Proc, ProcGrid, RunOutput,
 };
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Schema version of the emitted JSON (bump on breaking field changes;
-/// `scripts/bench-schema.json` must match).
-const SCHEMA_VERSION: u32 = 9;
-
-/// Timed wall-clock repetitions per workload in full mode (`--reps`
-/// overrides; `--smoke` forces 1). Seven reps keep the median/MAD
-/// estimate stable against a single preemption-hit rep, which five
-/// occasionally let past the validator's cv gate.
-const DEFAULT_REPS: usize = 7;
-
-/// Untimed warm-up passes per workload in full mode (`--warmup`
-/// overrides; `--smoke` forces 0).
-const DEFAULT_WARMUP: usize = 2;
-
 /// Executes per plan in the `plan_reuse` workloads (plan once, execute N).
 const REUSE_EXECUTES: usize = 16;
 
-/// Timed steady-state executes per `exec_hot` workload (after warm-up).
+/// Counted steady-state executes per `exec_hot` workload (after warm-up).
 const HOT_EXECUTES: usize = 16;
-
-/// The workload groups `--filter` accepts, in report order.
-const GROUPS: [&str; 9] = [
-    "pack",
-    "redist",
-    "unpack",
-    "plan_reuse",
-    "exec_hot",
-    "recovery",
-    "apps",
-    "memory",
-    "scale",
-];
 
 /// Conformance tolerance: the Section 6.4 formulas are exact, so any
 /// drift at all is a model violation.
 const CONFORMANCE_TOL: f64 = 0.0;
 
-struct Entry {
+/// Density of the random mask every masked workload uses (the dense
+/// `FirstHalf` mask of the `.dense` rows selects the same fraction).
+const DENSITY: f64 = 0.5;
+const PATTERN: MaskPattern = MaskPattern::Random {
+    density: DENSITY,
+    seed: 42,
+};
+
+/// Either direction's scheme; the workload's name says which.
+#[derive(Debug, Clone, Copy)]
+enum Scheme {
+    Pack(PackScheme),
+    Unpack(UnpackScheme),
+}
+
+impl Scheme {
+    /// Every scheme of the paper: three PACK, then two UNPACK.
+    fn all() -> impl Iterator<Item = Scheme> {
+        let pack = PackScheme::ALL.into_iter().map(Scheme::Pack);
+        pack.chain(UnpackScheme::ALL.into_iter().map(Scheme::Unpack))
+    }
+
+    /// The name fragment, e.g. `"pack.cms"`.
+    fn label(self) -> &'static str {
+        match self {
+            Scheme::Pack(PackScheme::Simple) => "pack.sss",
+            Scheme::Pack(PackScheme::CompactStorage) => "pack.css",
+            Scheme::Pack(PackScheme::CompactMessage) => "pack.cms",
+            Scheme::Unpack(UnpackScheme::Simple) => "unpack.sss",
+            Scheme::Unpack(UnpackScheme::CompactStorage) => "unpack.css",
+        }
+    }
+}
+
+/// The preliminary redistributions of Table II, by name fragment.
+const REDISTS: [(&str, RedistScheme); 2] = [
+    ("pack.red1", RedistScheme::SelectedData),
+    ("pack.red2", RedistScheme::WholeArrays),
+];
+
+#[derive(Debug, Clone, Copy)]
+enum App {
+    Compaction { steps: usize },
+    Sort,
+    Spmv,
+    Gather,
+}
+
+/// What a workload runs and which [`Section`] comes out of it.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// One traced call, phase-resolved Section 6.4 conformance, critical
+    /// path (Table I / Figures 3–5).
+    Conform(Scheme),
+    /// Traced PACK after a preliminary redistribution (Table II). No
+    /// conformance: the formulas do not model the redistribution phase.
+    Redist(RedistScheme),
+    /// Plan once, execute N, against N full calls.
+    Reuse(Scheme),
+    /// Steady-state execute loop under the counting allocator.
+    Hot(Scheme),
+    /// Two-epoch program, fault-free and crashed in the measured epoch.
+    Recover(Scheme),
+    /// Application kernel, traced.
+    App(App),
+    /// Memory-tracked call, measured peak against the predicted one.
+    Memory(Scheme),
+    /// Memory-tracked PACK after a preliminary redistribution.
+    MemoryRedist(RedistScheme),
+    /// PACK → UNPACK roundtrip under worker-pool sizes 1 and N.
+    Scale,
+}
+
+/// One row of the registry: everything `perf` knows about a workload
+/// before running it.
+#[derive(Debug)]
+struct Workload {
     name: String,
     group: &'static str,
     shape: Vec<usize>,
     grid: Vec<usize>,
+    /// Block size; `None` for the app kernels, which lay out their own data.
     w: Option<usize>,
-    density: Option<f64>,
-    m: Measurement,
-    wall: WallStats,
-    critpath: Option<CritPath>,
-    conformance: Option<Conformance>,
-    reuse: Option<ReuseMeasurement>,
-    hot: Option<HotMeasurement>,
-    recovery: Option<RecoveryReport>,
-    memory: Option<PeakMemory>,
-    scale: Option<ScaleReport>,
+    pattern: MaskPattern,
+    kind: Kind,
 }
 
-/// Scale-sweep verdict for one machine shape: the same program run under
-/// a single-permit worker pool and under `workers_high` permits, compared
-/// bit-exactly (results, per-processor simulated clocks, communication
-/// matrix), plus the wall-side scheduling cost of one simulated processor
-/// step (local op or message start-up) — the metric that says what a
-/// virtual processor costs the host as P grows.
-struct ScaleReport {
-    workers_low: usize,
-    workers_high: usize,
-    identical: bool,
-    ns_per_proc_step: f64,
-}
-
-/// Wall-clock samples of one workload's repeated measurement, summarized
-/// robustly (median/MAD) so one descheduled rep cannot skew the report.
-struct WallStats {
-    reps: usize,
-    warmup: usize,
-    samples_ms: Vec<f64>,
-}
-
-impl WallStats {
-    fn median_ms(&self) -> f64 {
-        median(&self.samples_ms)
-    }
-
-    fn mad_ms(&self) -> f64 {
-        mad(&self.samples_ms)
-    }
-
-    /// Coefficient of variation (MAD / median). `None` when only one rep
-    /// ran — noise was *unmeasured*, which the report must distinguish
-    /// from "measured and perfectly stable" (0.0).
-    fn cv(&self) -> Option<f64> {
-        let med = self.median_ms();
-        (self.reps > 1 && med > 0.0).then(|| self.mad_ms() / med)
+impl Workload {
+    fn cfg(&self) -> ExpConfig {
+        let w = self.w.expect("a block-cyclic workload");
+        ExpConfig::new(&self.shape, &self.grid, w, self.pattern)
     }
 }
 
-/// A measured batch whose cv lands above this is considered polluted by
-/// host noise (a preemption burst during the rep window) and re-measured;
-/// sits under the validator's 0.15 gate so an accepted batch has margin.
-const RETRY_CV: f64 = 0.12;
-
-/// Measurement batches attempted before accepting the quietest one.
-const MAX_BATCHES: usize = 3;
-
-/// Run `f` `warmup` untimed passes then `reps` timed ones; returns the
-/// last rep's value (the simulation is deterministic, so every rep's
-/// simulated outputs are identical) and the wall samples.
-///
-/// Noise rejection: when multiple reps run and the batch's cv exceeds
-/// [`RETRY_CV`], the whole batch is re-measured (up to [`MAX_BATCHES`]
-/// attempts) and the quietest batch is kept — a cv that high means the
-/// rep window caught a scheduler burst, not that the workload got slower,
-/// and re-running is the honest correction.
-fn timed<T>(reps: usize, warmup: usize, mut f: impl FnMut() -> T) -> (T, WallStats) {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut best: Option<(T, WallStats)> = None;
-    for _ in 0..MAX_BATCHES {
-        let mut samples_ms = Vec::with_capacity(reps);
-        let mut out = None;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let r = f();
-            samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            out = Some(r);
-        }
-        let stats = WallStats {
-            reps,
-            warmup,
-            samples_ms,
-        };
-        let cv = stats.cv();
-        let quieter = match &best {
-            Some((_, b)) => cv < b.cv(),
-            None => true,
-        };
-        if quieter {
-            best = Some((out.expect("reps >= 1"), stats));
-        }
-        match best.as_ref().and_then(|(_, b)| b.cv()) {
-            Some(c) if c > RETRY_CV => continue, // polluted batch; re-measure
-            _ => break,                          // quiet enough, or unmeasured (reps == 1)
-        }
-    }
-    best.expect("at least one batch ran")
-}
-
-/// Crash-recovery accounting for a `recovery` workload: the recovered run's
-/// replay statistics plus its wall-clock cost relative to the fault-free
-/// recoverable run of the same program.
-struct RecoveryReport {
-    stats: RecoveryStats,
-    overhead_wall_ms: f64,
-    clean_wall_ms: f64,
-}
-
-fn main() {
-    let mut smoke = false;
-    let mut filter: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut critpath_out: Option<String> = None;
-    let mut folded_out: Option<String> = None;
-    let mut reps_arg: Option<usize> = None;
-    let mut warmup_arg: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--reps" => {
-                let n = args.get(i + 1).and_then(|s| s.parse::<usize>().ok());
-                reps_arg = Some(n.filter(|&n| n >= 1).unwrap_or_else(|| {
-                    eprintln!("--reps requires an integer >= 1");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--warmup" => {
-                warmup_arg = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .unwrap_or_else(|| {
-                            eprintln!("--warmup requires a non-negative integer");
-                            std::process::exit(2);
-                        }),
-                );
-                i += 2;
-            }
-            "--folded-out" => {
-                folded_out = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--folded-out requires a path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--filter" => {
-                let g = args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--filter requires a group name ({})", GROUPS.join(", "));
-                    std::process::exit(2);
-                });
-                if !GROUPS.contains(&g.as_str()) {
-                    eprintln!("unknown group {g}; expected one of: {}", GROUPS.join(", "));
-                    std::process::exit(2);
-                }
-                filter = Some(g);
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--critpath-out" => {
-                critpath_out = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--critpath-out requires a path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; \
-                     usage: perf [--smoke] [--filter GROUP] [--out FILE] [--critpath-out FILE] \
-                     [--reps N] [--warmup M] [--folded-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let want = |g: &str| filter.as_deref().is_none_or(|f| f == g);
-
-    // Smoke explicitly pins reps=1 (cv comes out null: unmeasured, not
-    // "perfectly stable") so CI smoke runs stay single-pass and cheap.
-    let (reps, warmup) = if smoke {
-        (1, 0)
-    } else {
-        (
-            reps_arg.unwrap_or(DEFAULT_REPS),
-            warmup_arg.unwrap_or(DEFAULT_WARMUP),
-        )
+/// Every workload `perf` runs, in report order. The full sizes mirror the
+/// paper's Section 7 setup (local size 1024 on 16 processors); smoke mode
+/// shrinks everything so CI finishes in seconds.
+fn registry(smoke: bool) -> Vec<Workload> {
+    let (n, p, wide) = if smoke { (2048, 8, 8) } else { (16384, 16, 64) };
+    // The common case: `n` elements block-cyclic(`w`) over a line of `p`
+    // processors, under the random mask.
+    let line = |name: String, group, w, kind| Workload {
+        name,
+        group,
+        shape: vec![n],
+        grid: vec![p],
+        w: Some(w),
+        pattern: PATTERN,
+        kind,
     };
+    let is_pack = |s: &Scheme| matches!(s, Scheme::Pack(_));
+    let mut all = Vec::new();
 
-    let rev = git_rev();
-    let out_path = out_path.unwrap_or_else(|| format!("results/BENCH_{rev}.json"));
-
-    // Workload scale: the full sizes mirror the paper's Section 7 setup
-    // (local size 1024 on 16 processors); smoke mode shrinks everything so
-    // CI finishes in seconds.
-    let (n1d, p1d, wide_w) = if smoke { (2048, 8, 8) } else { (16384, 16, 64) };
-    let density = 0.5;
-    let pattern = MaskPattern::Random { density, seed: 42 };
-
-    let mut entries: Vec<Entry> = Vec::new();
-
-    // Wall-span profiles of the `exec_hot` workloads, from the separate
-    // profiled passes: `(workload name, elements, per-proc profiles)`.
-    // Aggregated after the run into the ranked hotspot report and the
-    // optional `--folded-out` flamegraph export.
-    let mut hot_profiles: Vec<(String, usize, Vec<hpf_machine::WallProfile>)> = Vec::new();
-
-    // ---- PACK schemes (Table I / Figures 3-4 workload) ------------------
-    // Cyclic (W = 1, worst ranking overhead) and wide blocks for each of
-    // SSS / CSS / CMS.
-    if want("pack") {
-        for w in [1usize, wide_w] {
-            let cfg = ExpConfig::new(&[n1d], &[p1d], w, pattern);
-            let stats = MaskStats::from_mask(pattern.global(&[n1d]).data(), p1d, w, None);
-            for scheme in PackScheme::ALL {
-                let label = match scheme {
-                    PackScheme::Simple => "sss",
-                    PackScheme::CompactStorage => "css",
-                    PackScheme::CompactMessage => "cms",
-                };
-                let opts = PackOptions::new(scheme);
-                let ((m, out), wall) = timed(reps, warmup, || run_pack(&cfg, &opts, true));
-                // Phase-resolved conformance: planner ops measured alone, the
-                // executor's are the full run's minus them (deterministic
-                // simulation), each checked against its own split prediction.
-                let plan_ops = pack_plan_ops(&cfg, &opts);
-                let exec_ops = sub_ops(&out.cat_ops_per_proc(Category::LocalComp), &plan_ops);
-                let (pred_plan, pred_exec) = stats.predict_pack_ops_split(scheme, opts.scan_method);
-                let conformance = Conformance::evaluate_split(
-                    &format!("pack.{label}"),
-                    (&pred_plan, &pred_exec),
-                    (&plan_ops, &exec_ops),
-                    CONFORMANCE_TOL,
-                );
-                entries.push(Entry {
-                    name: format!("pack.{label}.w{w}"),
-                    group: "pack",
-                    shape: cfg.shape.clone(),
-                    grid: cfg.grid.clone(),
-                    w: Some(w),
-                    density: Some(density),
-                    m,
-                    wall,
-                    critpath: Some(CritPath::from_run(&out)),
-                    conformance: Some(conformance),
-                    reuse: None,
-                    hot: None,
-                    recovery: None,
-                    memory: None,
-                    scale: None,
-                });
+    // Cyclic (W = 1, worst ranking overhead) and wide blocks per scheme.
+    for (group, pack) in [("pack", true), ("unpack", false)] {
+        for w in [1, wide] {
+            for s in Scheme::all().filter(|s| is_pack(s) == pack) {
+                let name = format!("{}.w{w}", s.label());
+                all.push(line(name, group, w, Kind::Conform(s)));
+            }
+        }
+        if pack {
+            // Cyclic input, the case redistribution exists for.
+            for (label, r) in REDISTS {
+                all.push(line(label.into(), "redist", 1, Kind::Redist(r)));
             }
         }
     }
+    for w in [1, wide] {
+        for s in Scheme::all() {
+            let name = format!("plan_reuse.{}.w{w}", s.label());
+            all.push(line(name, "plan_reuse", w, Kind::Reuse(s)));
+        }
+    }
+    // Random masks at cyclic and wide-block widths, plus a dense
+    // (contiguous-mask) wide-block variant: the `.dense` rows are where the
+    // copy-program lowering must reach its bulk-copy fraction.
+    for (w, pattern, suffix) in [
+        (1, PATTERN, ""),
+        (wide, PATTERN, ""),
+        (wide, MaskPattern::FirstHalf, ".dense"),
+    ] {
+        for s in Scheme::all() {
+            let name = format!("exec_hot.{}.w{w}{suffix}", s.label());
+            all.push(Workload {
+                pattern,
+                ..line(name, "exec_hot", w, Kind::Hot(s))
+            });
+        }
+    }
+    for s in Scheme::all() {
+        if ["pack.sss", "pack.cms", "unpack.sss"].contains(&s.label()) {
+            let name = format!("recovery.{}", s.label());
+            all.push(line(name, "recovery", 4, Kind::Recover(s)));
+        }
+    }
+    let (cp, steps) = if smoke { (4, 3) } else { (8, 6) };
+    let sort_n = 8 * if smoke { 256 } else { 2048 };
+    let spmv_n = if smoke { 64 } else { 256 };
+    let gather_n = if smoke { 512 } else { 4096 };
+    for (name, shape, grid, app) in [
+        (
+            "compaction",
+            vec![512 * cp],
+            vec![cp],
+            App::Compaction { steps },
+        ),
+        ("sort", vec![sort_n], vec![8], App::Sort),
+        ("spmv", vec![spmv_n, spmv_n], vec![4, 2], App::Spmv),
+        ("gather", vec![gather_n], vec![8], App::Gather),
+    ] {
+        all.push(Workload {
+            shape,
+            grid,
+            w: None,
+            ..line(format!("apps.{name}"), "apps", 0, Kind::App(app))
+        });
+    }
+    for s in Scheme::all() {
+        let name = format!("memory.{}.w{wide}", s.label());
+        all.push(line(name, "memory", wide, Kind::Memory(s)));
+    }
+    // Red.2's peak footprint is the whole point of tracking this group.
+    for (label, r) in REDISTS {
+        all.push(line(
+            format!("memory.{label}"),
+            "memory",
+            1,
+            Kind::MemoryRedist(r),
+        ));
+    }
+    // Machine shapes the paper could never run; the local extent is fixed,
+    // so P itself is the swept variable.
+    for sp in [64, 256, 1024, 4096] {
+        if !(smoke && sp == 256) {
+            all.push(Workload {
+                shape: vec![sp * 16],
+                grid: vec![sp],
+                ..line(format!("scale.roundtrip.p{sp}"), "scale", 4, Kind::Scale)
+            });
+        }
+    }
+    all
+}
 
-    // ---- Preliminary redistribution (Table II workload) -----------------
-    // Cyclic input, the case redistribution exists for. No conformance:
-    // the Section 6.4 formulas do not model the redistribution phase.
-    if want("redist") {
-        let cfg = ExpConfig::new(&[n1d], &[p1d], 1, pattern);
-        for (scheme, label) in [
-            (RedistScheme::SelectedData, "red1"),
-            (RedistScheme::WholeArrays, "red2"),
-        ] {
+type Ran = (Measurement, Option<CritPath>, Section);
+
+/// Run one workload: the one place an [`Entry`] is made.
+fn run(wl: &Workload) -> Entry {
+    let (m, critpath, section): Ran = match wl.kind {
+        Kind::Conform(scheme) => run_conform(wl, scheme),
+        Kind::Redist(scheme) => {
             let opts = PackOptions::default();
-            let ((m, out), wall) =
-                timed(reps, warmup, || run_pack_redist(&cfg, scheme, &opts, true));
-            entries.push(Entry {
-                name: format!("pack.{label}"),
-                group: "redist",
-                shape: cfg.shape.clone(),
-                grid: cfg.grid.clone(),
-                w: Some(1),
-                density: Some(density),
-                m,
-                wall,
-                critpath: Some(CritPath::from_run(&out)),
-                conformance: None,
-                reuse: None,
-                hot: None,
-                recovery: None,
-                memory: None,
-                scale: None,
-            });
+            let (m, out) = run_pack(&wl.cfg(), Some(scheme), &opts, Observe::Events);
+            (m, Some(CritPath::from_run(&out)), Section::None)
         }
-    }
-
-    // ---- UNPACK schemes (Figure 5 workload) -----------------------------
-    if want("unpack") {
-        for w in [1usize, wide_w] {
-            let cfg = ExpConfig::new(&[n1d], &[p1d], w, pattern);
-            let stats = MaskStats::from_mask(pattern.global(&[n1d]).data(), p1d, w, None);
-            for scheme in UnpackScheme::ALL {
-                let label = match scheme {
-                    UnpackScheme::Simple => "sss",
-                    UnpackScheme::CompactStorage => "css",
-                };
-                let opts = UnpackOptions::new(scheme);
-                let ((m, out), wall) = timed(reps, warmup, || run_unpack(&cfg, &opts, false, true));
-                let plan_ops = unpack_plan_ops(&cfg, &opts);
-                let exec_ops = sub_ops(&out.cat_ops_per_proc(Category::LocalComp), &plan_ops);
-                let (pred_plan, pred_exec) = stats.predict_unpack_ops_split(scheme);
-                let conformance = Conformance::evaluate_split(
-                    &format!("unpack.{label}"),
-                    (&pred_plan, &pred_exec),
-                    (&plan_ops, &exec_ops),
-                    CONFORMANCE_TOL,
-                );
-                entries.push(Entry {
-                    name: format!("unpack.{label}.w{w}"),
-                    group: "unpack",
-                    shape: cfg.shape.clone(),
-                    grid: cfg.grid.clone(),
-                    w: Some(w),
-                    density: Some(density),
-                    m,
-                    wall,
-                    critpath: Some(CritPath::from_run(&out)),
-                    conformance: Some(conformance),
-                    reuse: None,
-                    hot: None,
-                    recovery: None,
-                    memory: None,
-                    scale: None,
-                });
-            }
-        }
-    }
-
-    // ---- Plan reuse (plan once, execute N — the planner/executor split's
-    // payoff, amortized) --------------------------------------------------
-    if want("plan_reuse") {
-        for w in [1usize, wide_w] {
-            let cfg = ExpConfig::new(&[n1d], &[p1d], w, pattern);
-            let mut reuse_runs: Vec<(String, ReuseMeasurement, WallStats)> = Vec::new();
-            for scheme in PackScheme::ALL {
-                let label = match scheme {
-                    PackScheme::Simple => "sss",
-                    PackScheme::CompactStorage => "css",
-                    PackScheme::CompactMessage => "cms",
-                };
-                let (r, wall) = timed(reps, warmup, || {
-                    time_pack_reuse(&cfg, &PackOptions::new(scheme), REUSE_EXECUTES)
-                });
-                reuse_runs.push((format!("plan_reuse.pack.{label}.w{w}"), r, wall));
-            }
-            for scheme in UnpackScheme::ALL {
-                let label = match scheme {
-                    UnpackScheme::Simple => "sss",
-                    UnpackScheme::CompactStorage => "css",
-                };
-                let (r, wall) = timed(reps, warmup, || {
-                    time_unpack_reuse(&cfg, &UnpackOptions::new(scheme), REUSE_EXECUTES)
-                });
-                reuse_runs.push((format!("plan_reuse.unpack.{label}.w{w}"), r, wall));
-            }
-            for (name, r, wall) in reuse_runs {
-                entries.push(Entry {
-                    name,
-                    group: "plan_reuse",
-                    shape: cfg.shape.clone(),
-                    grid: cfg.grid.clone(),
-                    w: Some(w),
-                    density: Some(density),
-                    m: r.cached,
-                    wall,
-                    critpath: None,
-                    conformance: None,
-                    reuse: Some(r),
-                    hot: None,
-                    recovery: None,
-                    memory: None,
-                    scale: None,
-                });
-            }
-        }
-    }
-
-    // ---- Steady-state execute hot path (real time + real allocations) ---
-    // Plan once, execute N: wall-clock time per element and heap
-    // allocations per execute, measured under the counting global
-    // allocator. Steady-state allocations must be zero — the pooled
-    // buffers absorb the whole gather → exchange → decode loop.
-    if want("exec_hot") {
-        // Random-mask workloads at cyclic and wide-block widths, plus a
-        // dense (contiguous-mask) wide-block variant: the `.dense` rows
-        // are where the copy-program lowering must reach its bulk-copy
-        // fraction (gated >= 0.9 by validate_bench.py) and its memcpy-rate
-        // ns/element.
-        let hot_variants = [
-            (1usize, pattern, ""),
-            (wide_w, pattern, ""),
-            (wide_w, MaskPattern::FirstHalf, ".dense"),
-        ];
-        for (w, hot_pattern, suffix) in hot_variants {
-            let cfg = ExpConfig::new(&[n1d], &[p1d], w, hot_pattern);
-            for scheme in PackScheme::ALL {
-                let label = match scheme {
-                    PackScheme::Simple => "sss",
-                    PackScheme::CompactStorage => "css",
-                    PackScheme::CompactMessage => "cms",
-                };
-                let name = format!("exec_hot.pack.{label}.w{w}{suffix}");
-                let ((hot, m), wall) = timed(reps, warmup, || {
-                    time_pack_hot(&cfg, &PackOptions::new(scheme), HOT_EXECUTES)
-                });
-                // Wall-span attribution comes from its own profiled pass:
-                // the counted pass above must stay profiler-free so its
-                // zero-allocation and timing measurements are undisturbed.
-                let profiles = profile_pack_hot(&cfg, &PackOptions::new(scheme), HOT_EXECUTES);
-                hot_profiles.push((name.clone(), hot.elements, profiles));
-                entries.push(Entry {
-                    name,
-                    group: "exec_hot",
-                    shape: cfg.shape.clone(),
-                    grid: cfg.grid.clone(),
-                    w: Some(w),
-                    density: Some(density),
-                    m,
-                    wall,
-                    critpath: None,
-                    conformance: None,
-                    reuse: None,
-                    hot: Some(hot),
-                    recovery: None,
-                    memory: None,
-                    scale: None,
-                });
-            }
-            for scheme in UnpackScheme::ALL {
-                let label = match scheme {
-                    UnpackScheme::Simple => "sss",
-                    UnpackScheme::CompactStorage => "css",
-                };
-                let name = format!("exec_hot.unpack.{label}.w{w}{suffix}");
-                let ((hot, m), wall) = timed(reps, warmup, || {
-                    time_unpack_hot(&cfg, &UnpackOptions::new(scheme), HOT_EXECUTES)
-                });
-                let profiles = profile_unpack_hot(&cfg, &UnpackOptions::new(scheme), HOT_EXECUTES);
-                hot_profiles.push((name.clone(), hot.elements, profiles));
-                entries.push(Entry {
-                    name,
-                    group: "exec_hot",
-                    shape: cfg.shape.clone(),
-                    grid: cfg.grid.clone(),
-                    w: Some(w),
-                    density: Some(density),
-                    m,
-                    wall,
-                    critpath: None,
-                    conformance: None,
-                    reuse: None,
-                    hot: Some(hot),
-                    recovery: None,
-                    memory: None,
-                    scale: None,
-                });
-            }
-        }
-    }
-
-    // ---- Crash recovery (epoch checkpointing + deterministic replay) ----
-    // Each workload runs an epoch-structured program through the
-    // recoverable runner twice: fault-free, and with a crash scheduled
-    // inside the second epoch so the respawn restores the epoch-0
-    // checkpoint and replays the peers' logged frames. Results and
-    // simulated clocks must match bit-exactly; the report carries the
-    // replay accounting and the wall-clock price of recovering.
-    if want("recovery") {
-        for (name, kind) in [
-            ("recovery.pack.sss", RecKind::Pack(PackScheme::Simple)),
-            (
-                "recovery.pack.cms",
-                RecKind::Pack(PackScheme::CompactMessage),
-            ),
-            ("recovery.unpack.sss", RecKind::Unpack(UnpackScheme::Simple)),
-        ] {
-            entries.push(recovery_workload(
-                name, n1d, p1d, pattern, kind, reps, warmup,
-            ));
-        }
-    }
-
-    // ---- Application kernels --------------------------------------------
-    if want("apps") {
-        entries.push(app_compaction(smoke, reps, warmup));
-        entries.push(app_sort(smoke, reps, warmup));
-        entries.push(app_spmv(smoke, reps, warmup));
-        entries.push(app_gather(smoke, reps, warmup));
-    }
-
-    // ---- Peak memory (DESIGN.md §13) ------------------------------------
-    // Traced runs with the workload arrays registered against the `user`
-    // account; the measured machine-wide high-water mark is gated against
-    // the closed-form predicted peak (upper bound, over-estimation
-    // bounded by MEM_RATIO_GATE). Simulated times match the untracked
-    // runs bit-exactly — memory accounting is never clock-charged.
-    if want("memory") {
-        let mask = pattern.global(&[n1d]);
-        let cfg = ExpConfig::new(&[n1d], &[p1d], wide_w, pattern);
-        let stats = MaskStats::from_mask(mask.data(), p1d, wide_w, None);
-        // Constant per-proc mailbox-ring pre-reserve, asserted byte-exactly
-        // (it is excluded from the workload peak the ratio gate covers).
-        let ring = hpf_machine::ring_bytes(hpf_machine::default_capacity(p1d));
-        for scheme in PackScheme::ALL {
-            let label = match scheme {
-                PackScheme::Simple => "sss",
-                PackScheme::CompactStorage => "css",
-                PackScheme::CompactMessage => "cms",
+        Kind::Reuse(scheme) => {
+            let cfg = wl.cfg();
+            let r = match scheme {
+                Scheme::Pack(s) => time_pack_reuse(&cfg, &PackOptions::new(s), REUSE_EXECUTES),
+                Scheme::Unpack(s) => {
+                    time_unpack_reuse(&cfg, &UnpackOptions::new(s), REUSE_EXECUTES)
+                }
             };
-            let ((m, out), wall) = timed(reps, warmup, || {
-                run_pack_mem(&cfg, &PackOptions::new(scheme))
-            });
-            let predicted = predict_pack_peak(&stats, scheme);
-            let peak =
-                PeakMemory::evaluate(&format!("pack.{label}"), &predicted, &out.events, ring);
-            entries.push(Entry {
-                name: format!("memory.pack.{label}.w{wide_w}"),
-                group: "memory",
-                shape: cfg.shape.clone(),
-                grid: cfg.grid.clone(),
-                w: Some(wide_w),
-                density: Some(density),
-                m,
-                wall,
-                critpath: None,
-                conformance: None,
-                reuse: None,
-                hot: None,
-                recovery: None,
-                memory: Some(peak),
-                scale: None,
-            });
+            (r.cached, None, Section::Reuse(r))
         }
-        for scheme in UnpackScheme::ALL {
-            let label = match scheme {
-                UnpackScheme::Simple => "sss",
-                UnpackScheme::CompactStorage => "css",
+        Kind::Hot(scheme) => {
+            let cfg = wl.cfg();
+            let (hot, m) = match scheme {
+                Scheme::Pack(s) => time_pack_hot(&cfg, &PackOptions::new(s), HOT_EXECUTES),
+                Scheme::Unpack(s) => time_unpack_hot(&cfg, &UnpackOptions::new(s), HOT_EXECUTES),
             };
-            let ((m, out), wall) = timed(reps, warmup, || {
-                run_unpack_mem(&cfg, &UnpackOptions::new(scheme))
-            });
-            let predicted = predict_unpack_peak(&stats, scheme);
-            let peak =
-                PeakMemory::evaluate(&format!("unpack.{label}"), &predicted, &out.events, ring);
-            entries.push(Entry {
-                name: format!("memory.unpack.{label}.w{wide_w}"),
-                group: "memory",
-                shape: cfg.shape.clone(),
-                grid: cfg.grid.clone(),
-                w: Some(wide_w),
-                density: Some(density),
-                m,
-                wall,
-                critpath: None,
-                conformance: None,
-                reuse: None,
-                hot: None,
-                recovery: None,
-                memory: Some(peak),
-                scale: None,
-            });
+            (m, None, Section::Hot(hot))
         }
-        // Preliminary redistribution on cyclic input — Red.2's peak
-        // footprint is the whole point of tracking this group.
-        let cfg_cyc = ExpConfig::new(&[n1d], &[p1d], 1, pattern);
-        let src = MaskStats::from_mask(mask.data(), p1d, 1, None);
-        let blk = MaskStats::from_mask(mask.data(), p1d, n1d / p1d, None);
-        for (scheme, label) in [
-            (RedistScheme::SelectedData, "red1"),
-            (RedistScheme::WholeArrays, "red2"),
-        ] {
-            let opts = PackOptions::default();
-            let ((m, out), wall) = timed(reps, warmup, || {
-                run_pack_redist_mem(&cfg_cyc, scheme, &opts)
-            });
-            let predicted = predict_pack_redist_peak(&src, &blk, opts.scheme, scheme);
-            let peak =
-                PeakMemory::evaluate(&format!("pack.{label}"), &predicted, &out.events, ring);
-            entries.push(Entry {
-                name: format!("memory.pack.{label}"),
-                group: "memory",
-                shape: cfg_cyc.shape.clone(),
-                grid: cfg_cyc.grid.clone(),
-                w: Some(1),
-                density: Some(density),
-                m,
-                wall,
-                critpath: None,
-                conformance: None,
-                reuse: None,
-                hot: None,
-                recovery: None,
-                memory: Some(peak),
-                scale: None,
-            });
-        }
-    }
-
-    // ---- Scale sweep (DESIGN.md §15: worker-pool scheduler) -------------
-    // A Table-I-style masked PACK → UNPACK roundtrip swept to machine
-    // shapes the paper could never run. Every entry runs the identical
-    // program under worker-pool sizes 1 and max(2, ncores) and reports the
-    // bit-identity verdict — the pool-size-invariance gate — plus the
-    // wall cost per simulated proc step. The local extent is fixed, so P
-    // itself is the swept variable.
-    if want("scale") {
-        let ps: &[usize] = if smoke {
-            &[64, 1024, 4096]
-        } else {
-            &[64, 256, 1024, 4096]
-        };
-        for &p in ps {
-            entries.push(scale_workload(p, reps, warmup));
-        }
-    }
-
-    let json = render_json(&rev, smoke, filter.as_deref(), &entries);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write perf report");
-
-    if let Some(path) = &critpath_out {
-        let mut txt = String::new();
-        for e in &entries {
-            if let Some(cp) = &e.critpath {
-                txt.push_str(&cp.render(&e.name));
-                txt.push('\n');
-            }
-        }
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create critpath output directory");
-            }
-        }
-        std::fs::write(path, &txt).expect("write critical-path report");
-        println!("critical-path report -> {path}");
-    }
-
-    // Human summary on stdout, one line per workload.
-    println!("perf report ({} workloads) -> {out_path}", entries.len());
-    for e in &entries {
-        println!(
-            "  {:<18} total {:>9.3} ms  local {:>9.3}  prs {:>8.3}  m2m {:>8.3}  \
-             words {:>9}  wall {:>7.1} ms",
-            e.name,
-            e.m.total_ms(),
-            e.m.local_ms(),
-            e.m.prs_ms(),
-            e.m.m2m_ms(),
-            e.m.words,
-            e.wall.median_ms(),
-        );
-    }
-    for e in &entries {
-        if let Some(h) = &e.hot {
-            println!(
-                "  {:<26} {:>10.0} ns/exec  {:>7.2} ns/elem  allocs/exec {:>5.1}  \
-                 bytes/exec {:>7.0}  clone_words {}",
-                e.name,
-                h.wall_ns_per_exec,
-                h.ns_per_element(),
-                h.allocs_per_execute,
-                h.alloc_bytes_per_execute,
-                h.clone_words,
-            );
-        }
-    }
-
-    // Ranked hotspot attribution from the profiled exec_hot passes: the
-    // combined report is the kernel-tuning worklist; the per-workload
-    // lines say how concentrated each workload's wall time is.
-    if !hot_profiles.is_empty() {
-        let roof = memcpy_roof_gbps();
-        let all: Vec<hpf_machine::WallProfile> = hot_profiles
-            .iter()
-            .flat_map(|(_, _, p)| p.iter().cloned())
-            .collect();
-        let combined = HotspotReport::from_profiles(&all);
-        print!("{}", combined.render("exec_hot (all workloads)", 0, roof));
-        for (name, _, profiles) in &hot_profiles {
-            let r = HotspotReport::from_profiles(profiles);
-            let top = r.hotspots.first();
-            println!(
-                "  {:<26} wall {:>9.3} ms  top {} ({:.1}%)  top-3 cover {:.1}%",
-                name,
-                r.total_ns as f64 / 1e6,
-                top.map(|h| h.stage.as_str()).unwrap_or("-"),
-                top.map(|h| r.share(h) * 100.0).unwrap_or(0.0),
-                r.top_share(3) * 100.0,
-            );
-        }
-    }
-    if let Some(path) = &folded_out {
-        // Folded stacks, one export across every profiled workload, each
-        // stack prefixed with its workload name (flamegraph.pl/inferno
-        // merge identical lines, so the prefix keeps workloads separate).
-        let mut txt = String::new();
-        for (name, _, profiles) in &hot_profiles {
-            for line in folded_stacks(profiles).lines() {
-                txt.push_str(name);
-                txt.push(';');
-                txt.push_str(line);
-                txt.push('\n');
-            }
-        }
-        if hot_profiles.is_empty() {
-            eprintln!(
-                "--folded-out: no exec_hot workloads ran (filtered out?); writing empty file"
-            );
-        }
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create folded output directory");
-            }
-        }
-        std::fs::write(path, &txt).expect("write folded stacks");
-        println!("folded stacks -> {path}");
-    }
-
-    for e in &entries {
-        if let Some(r) = &e.reuse {
-            println!(
-                "  {:<26} fresh {:>8.3} ms/exec  cached {:>8.3} ms/exec  ratio {:.2}  \
-                 hits {}  misses {}",
-                e.name,
-                r.fresh_per_exec_ms(),
-                r.cached_per_exec_ms(),
-                r.reuse_ratio(),
-                r.cache_hits,
-                r.cache_misses,
-            );
-        }
-    }
-
-    for e in &entries {
-        if let Some(r) = &e.recovery {
-            println!(
-                "  {:<26} epochs {:>3}  replays {}  frames {:>3}  \
-                 log-high-water {:>6} words  replay {:>6.2} ms  \
-                 wall overhead {:>6.1} ms",
-                e.name,
-                r.stats.epochs,
-                r.stats.replays,
-                r.stats.replayed_frames,
-                r.stats.log_high_water_words,
-                r.stats.replay_ms,
-                r.overhead_wall_ms,
-            );
-        }
-    }
-
-    for e in &entries {
-        if let Some(p) = &e.memory {
-            println!("  {}", p.summary());
-        }
-    }
-
-    for e in &entries {
-        if let Some(sc) = &e.scale {
-            println!(
-                "  {:<26} workers {}→{}  identical {}  {:>8.1} ns/proc-step  \
-                 wall {:>9.1} ms",
-                e.name,
-                sc.workers_low,
-                sc.workers_high,
-                sc.identical,
-                sc.ns_per_proc_step,
-                e.wall.median_ms(),
-            );
-        }
-    }
-
-    // Conformance gate: any drift from the Section 6.4 model fails the run.
-    // The memory gate is its twin: the predicted peak must bound the
-    // measured one without over-estimating past MEM_RATIO_GATE. The scale
-    // gate is the scheduler's: pool sizes must be invisible bit-for-bit.
-    let mut drifted = false;
-    for e in &entries {
-        if let Some(c) = &e.conformance {
-            if !c.pass {
-                eprintln!("conformance FAIL: {}", c.summary());
-                drifted = true;
-            }
-        }
-        if let Some(p) = &e.memory {
-            if !p.pass {
-                eprintln!("memory FAIL: {}", p.summary());
-                drifted = true;
-            }
-        }
-        if let Some(sc) = &e.scale {
-            if !sc.identical {
-                eprintln!(
-                    "scale FAIL: {} diverged between worker-pool sizes {} and {}",
-                    e.name, sc.workers_low, sc.workers_high
-                );
-                drifted = true;
-            }
-        }
-    }
-    if drifted {
-        std::process::exit(1);
+        Kind::Recover(scheme) => run_recovery(wl, scheme),
+        Kind::App(app) => run_app(wl, app),
+        Kind::Memory(scheme) => run_memory(wl, scheme),
+        Kind::MemoryRedist(redist) => run_memory_redist(wl, redist),
+        Kind::Scale => run_scale(wl),
+    };
+    Entry {
+        name: wl.name.clone(),
+        group: wl.group,
+        shape: wl.shape.clone(),
+        grid: wl.grid.clone(),
+        w: wl.w,
+        density: wl.w.map(|_| DENSITY),
+        m,
+        critpath,
+        section,
     }
 }
 
-/// Which collective a `recovery` workload crashes and recovers.
-enum RecKind {
-    Pack(PackScheme),
-    Unpack(UnpackScheme),
+/// `MaskStats` of the workload's (1-D) mask under block size `w`.
+fn mask_stats(wl: &Workload, w: usize) -> MaskStats {
+    let mask = wl.pattern.global(&wl.shape);
+    MaskStats::from_mask(mask.data(), wl.grid[0], w, None)
+}
+
+/// Measurement, critical path and per-processor `LocalComp` op counts of
+/// a traced run.
+fn traced<R>((m, out): (Measurement, RunOutput<R>)) -> (Measurement, CritPath, Vec<u64>) {
+    let ops = out.cat_ops_per_proc(Category::LocalComp);
+    (m, CritPath::from_run(&out), ops)
+}
+
+/// One traced call with phase-resolved conformance: planner ops measured
+/// alone, the executor's are the full run's minus them (deterministic
+/// simulation), each checked against its own split prediction.
+fn run_conform(wl: &Workload, scheme: Scheme) -> Ran {
+    let cfg = wl.cfg();
+    let stats = mask_stats(wl, cfg.w);
+    let ((m, critpath, total_ops), plan_ops, predicted) = match scheme {
+        Scheme::Pack(s) => {
+            let opts = PackOptions::new(s);
+            let run = traced(run_pack(&cfg, None, &opts, Observe::Events));
+            let predicted = stats.predict_pack_ops_split(s, opts.scan_method);
+            (run, pack_plan_ops(&cfg, &opts), predicted)
+        }
+        Scheme::Unpack(s) => {
+            let opts = UnpackOptions::new(s);
+            let run = traced(run_unpack(&cfg, &opts, false, Observe::Events));
+            (
+                run,
+                unpack_plan_ops(&cfg, &opts),
+                stats.predict_unpack_ops_split(s),
+            )
+        }
+    };
+    let exec_ops: Vec<u64> = (total_ops.iter().zip(&plan_ops))
+        .map(|(t, p)| t - p)
+        .collect();
+    let conformance = Conformance::evaluate_split(
+        scheme.label(),
+        (&predicted.0, &predicted.1),
+        (&plan_ops, &exec_ops),
+        CONFORMANCE_TOL,
+    );
+    (m, Some(critpath), Section::Conformance(conformance))
 }
 
 /// One crash-recovery workload: a two-epoch program (a one-message ring
@@ -953,23 +373,16 @@ enum RecKind {
 /// replay, and the respawn exercises snapshot restore plus frame replay.
 /// The entry's simulated measurement comes from the crashed run;
 /// bit-identity with the fault-free run is asserted here, so a recovery
-/// bug fails the perf run itself.
-fn recovery_workload(
-    name: &str,
-    n: usize,
-    p: usize,
-    pattern: MaskPattern,
-    kind: RecKind,
-    reps: usize,
-    warmup: usize,
-) -> Entry {
-    let w = 4usize;
-    let grid = ProcGrid::line(p);
-    let desc = ArrayDesc::new(&[n], &grid, &[Dist::BlockCyclic(w)]).unwrap();
-    let size = pattern.global(&[n]).data().iter().filter(|&&b| b).count();
-    let v_layout = DimLayout::new_general(size.max(1), p, size.max(1).div_ceil(p)).unwrap();
-    let (d, vl, pat, kind) = (&desc, &v_layout, &pattern, &kind);
-    let program = move |proc: &mut hpf_machine::Proc<'_>| {
+/// bug fails the perf run itself. One worker: how many frames the peers
+/// had sent — so how many are replayed — when the victim crashes depends
+/// on the interleaving, which only a one-worker pool fixes.
+fn run_recovery(wl: &Workload, scheme: Scheme) -> Ran {
+    let name = &wl.name;
+    let grid = ProcGrid::line(wl.grid[0]);
+    let cfg = wl.cfg();
+    let (desc, (_, v_layout)) = (cfg.desc(), cfg.packed_layout());
+    let (d, vl, pat) = (&desc, &v_layout, &wl.pattern);
+    let program = move |proc: &mut Proc<'_>| {
         // The checkpointed state threads through every epoch (the epoch-0
         // snapshot is restored into the resume epoch's state argument, so
         // all epochs must share one state value).
@@ -985,39 +398,34 @@ fn recovery_workload(
         // Epoch 1: the measured PACK or UNPACK — the crash fires in here.
         proc.epoch(&mut st, |proc, st| {
             let m = pat.local(d, proc.id());
-            match kind {
-                RecKind::Pack(scheme) => {
+            match scheme {
+                Scheme::Pack(scheme) => {
                     let a = local_from_fn(d, proc.id(), |g| g[0] as i32 * 3 - 50);
-                    let plan = plan_pack(proc, d, &m, &PackOptions::new(*scheme)).unwrap();
+                    let plan = plan_pack(proc, d, &m, &PackOptions::new(scheme)).unwrap();
                     st.1 = plan.execute(proc, &a).unwrap().local_v;
                 }
-                RecKind::Unpack(scheme) => {
+                Scheme::Unpack(scheme) => {
                     let f = local_from_fn(d, proc.id(), |g| -(g[0] as i32));
                     let v_local: Vec<i32> = (0..vl.local_len(proc.id()))
                         .map(|l| vl.global_of(proc.id(), l) as i32 + 7000)
                         .collect();
-                    let plan = plan_unpack(proc, d, &m, vl, &UnpackOptions::new(*scheme)).unwrap();
+                    let plan = plan_unpack(proc, d, &m, vl, &UnpackOptions::new(scheme)).unwrap();
                     st.1 = plan.execute(proc, &f, &v_local).unwrap();
                 }
             }
         });
         st.1
     };
-    let machine = Machine::new(grid, CostModel::cm5());
-    let t0 = Instant::now();
+    let machine = Machine::new(grid, CostModel::cm5()).with_workers(1);
     let clean = machine
         .clone()
         .with_faults(FaultPlan::new(5))
         .run_recoverable(program)
         .expect("fault-free recoverable run");
-    let clean_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (crashed, wall) = timed(reps, warmup, || {
-        machine
-            .clone()
-            .with_faults(FaultPlan::new(5).with_crash(1, 4))
-            .run_recoverable(program)
-            .expect("scheduled crash must recover")
-    });
+    let crashed = machine
+        .with_faults(FaultPlan::new(5).with_crash(1, 4))
+        .run_recoverable(program)
+        .expect("scheduled crash must recover");
     assert_eq!(
         crashed.results, clean.results,
         "{name}: recovered results diverged from the fault-free run"
@@ -1032,81 +440,92 @@ fn recovery_workload(
         .recovery
         .clone()
         .expect("recoverable run reports stats");
-    assert!(
-        stats.replays >= 1,
-        "{name}: the scheduled crash never fired"
-    );
     let elems = crashed.results.iter().map(|v| v.len()).sum();
-    Entry {
-        name: name.into(),
-        group: "recovery",
-        shape: vec![n],
-        grid: vec![p],
-        w: Some(w),
-        density: Some(0.5),
-        m: measure(&crashed, elems),
-        critpath: None,
-        conformance: None,
-        reuse: None,
-        hot: None,
-        recovery: Some(RecoveryReport {
-            stats,
-            overhead_wall_ms: (wall.median_ms() - clean_wall_ms).max(0.0),
-            clean_wall_ms,
-        }),
-        wall,
-        memory: None,
-        scale: None,
-    }
+    (measure_run(&crashed, elems), None, Section::Recovery(stats))
 }
 
-/// One `scale` workload: a masked PACK → UNPACK roundtrip at `p`
-/// processors with a fixed local extent, run under worker-pool sizes 1
-/// and max(2, ncores) and compared bit-exactly. Tracing and metrics stay
-/// off (pure scheduler + algorithm cost), and the dense plan-time
-/// exchanges use the push schedule over a `p`-frame ring: round-paced
-/// schedules cost ~2.6× more wall for the same simulated numbers, because
-/// on a single host the sweep is bound by scheduler handoffs, not data.
-fn scale_workload(p: usize, reps: usize, warmup: usize) -> Entry {
-    let n = p * 16;
-    let w = 4usize;
-    let grid = ProcGrid::line(p);
-    let pattern = MaskPattern::Random {
-        density: 0.5,
-        seed: 42,
+/// A `memory` workload: a traced run with the workload arrays registered
+/// against the `user` account; the measured machine-wide high-water mark
+/// is gated against the closed-form predicted peak (DESIGN.md §13).
+/// Simulated times match the untracked runs bit-exactly — memory
+/// accounting is never clock-charged.
+fn run_memory(wl: &Workload, scheme: Scheme) -> Ran {
+    let cfg = wl.cfg();
+    let stats = mask_stats(wl, cfg.w);
+    let (m, events, predicted) = match scheme {
+        Scheme::Pack(s) => {
+            let (m, out) = run_pack(&cfg, None, &PackOptions::new(s), Observe::Memory);
+            (m, out.events, predict_pack_peak(&stats, s))
+        }
+        Scheme::Unpack(s) => {
+            let (m, out) = run_unpack(&cfg, &UnpackOptions::new(s), false, Observe::Memory);
+            (m, out.events, predict_unpack_peak(&stats, s))
+        }
     };
-    let g = grid.clone();
-    let program = move |proc: &mut hpf_machine::Proc<'_>| {
-        let desc = ArrayDesc::new(&[n], &g, &[Dist::BlockCyclic(w)]).unwrap();
-        let m = pattern.local(&desc, proc.id());
-        let a = local_from_fn(&desc, proc.id(), |gi| gi[0] as i32 * 3 - 50);
+    (
+        m,
+        None,
+        memory_section(wl, scheme.label(), &predicted, &events),
+    )
+}
+
+/// A `memory` workload with a preliminary redistribution; see [`run_memory`].
+fn run_memory_redist(wl: &Workload, redist: RedistScheme) -> Ran {
+    let opts = PackOptions::default();
+    let (m, out) = run_pack(&wl.cfg(), Some(redist), &opts, Observe::Memory);
+    let (src, blk) = (mask_stats(wl, 1), mask_stats(wl, wl.shape[0] / wl.grid[0]));
+    let predicted = predict_pack_redist_peak(&src, &blk, opts.scheme, redist);
+    let label = wl.name.strip_prefix("memory.").expect("a memory workload");
+    (m, None, memory_section(wl, label, &predicted, &out.events))
+}
+
+fn memory_section(wl: &Workload, label: &str, predicted: &[u64], events: &[Vec<Event>]) -> Section {
+    // Constant per-proc mailbox-ring pre-reserve, asserted byte-exactly (it
+    // is excluded from the workload peak the ratio gate covers).
+    let ring = hpf_machine::ring_bytes(hpf_machine::default_capacity(wl.grid[0]));
+    Section::Memory(PeakMemory::evaluate(label, predicted, events, ring))
+}
+
+/// One `scale` workload: a masked PACK → UNPACK roundtrip with a fixed
+/// local extent, run under worker-pool sizes 1 and max(2, ncores) and
+/// compared bit-exactly — the pool-size-invariance gate. Tracing and
+/// metrics stay off, and the dense plan-time exchanges use the push
+/// schedule over a `p`-frame ring (same simulated numbers as the
+/// round-paced schedules, fewer scheduler hand-offs on one host).
+fn run_scale(wl: &Workload) -> Ran {
+    let p = wl.grid[0];
+    let grid = ProcGrid::line(p);
+    let desc = wl.cfg().desc();
+    let (d, pattern) = (&desc, wl.pattern);
+    let program = move |proc: &mut Proc<'_>| {
+        let m = pattern.local(d, proc.id());
+        let a = local_from_fn(d, proc.id(), |gi| gi[0] as i32 * 3 - 50);
         let popts = PackOptions {
             schedule: A2aSchedule::NaivePush,
             ..PackOptions::new(PackScheme::Simple)
         };
-        let plan = plan_pack(proc, &desc, &m, &popts).unwrap();
+        let plan = plan_pack(proc, d, &m, &popts).unwrap();
         let out = plan.execute(proc, &a).unwrap();
         let vl = out.v_layout.expect("mask selects elements");
-        let f = local_from_fn(&desc, proc.id(), |gi| -(gi[0] as i32));
+        let f = local_from_fn(d, proc.id(), |gi| -(gi[0] as i32));
         let uopts = UnpackOptions {
             schedule: A2aSchedule::NaivePush,
             ..UnpackOptions::new(UnpackScheme::Simple)
         };
-        let uplan = plan_unpack(proc, &desc, &m, &vl, &uopts).unwrap();
+        let uplan = plan_unpack(proc, d, &m, &vl, &uopts).unwrap();
         let unpacked = uplan.execute(proc, &f, &out.local_v).unwrap();
         (out.local_v, unpacked)
     };
     let workers_high = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
+        .map_or(1, |c| c.get())
         .max(2);
-    let build = |workers: usize| {
+    let run = |workers: usize| {
         Machine::new(grid.clone(), CostModel::cm5())
             .with_workers(workers)
             .with_chan_capacity(p)
+            .run(program)
     };
-    let low = build(1).run(&program);
-    let (high, wall) = timed(reps, warmup, || build(workers_high).run(&program));
+    let (low, high) = (run(1), run(workers_high));
     let identical = low.results == high.results
         && low.comm_matrix == high.comm_matrix
         && low.clocks.iter().zip(&high.clocks).all(|(a, b)| {
@@ -1116,36 +535,224 @@ fn scale_workload(p: usize, reps: usize, warmup: usize) -> Entry {
                 && a.startups == b.startups
                 && Category::ALL.iter().all(|c| a.cat_ms(*c) == b.cat_ms(*c))
         });
-    let steps: u64 = high.clocks.iter().map(|c| c.ops).sum::<u64>() + high.total_startups();
     let elems: usize = high.results.iter().map(|r| r.0.len()).sum();
-    let ns_per_proc_step = wall.median_ms() * 1e6 / steps.max(1) as f64;
-    Entry {
-        name: format!("scale.roundtrip.p{p}"),
-        group: "scale",
-        shape: vec![n],
-        grid: vec![p],
-        w: Some(w),
-        density: Some(0.5),
-        m: measure(&high, elems),
-        wall,
-        critpath: None,
-        conformance: None,
-        reuse: None,
-        hot: None,
-        recovery: None,
-        memory: None,
-        scale: Some(ScaleReport {
-            workers_low: 1,
-            workers_high,
-            identical,
-            ns_per_proc_step,
-        }),
+    let scale = ScaleReport {
+        workers_low: 1,
+        workers_high,
+        identical,
+    };
+    (measure_run(&high, elems), None, Section::Scale(scale))
+}
+
+/// The four application kernels, traced for their critical path.
+fn run_app(wl: &Workload, app: App) -> Ran {
+    let grid = ProcGrid::new(&wl.grid);
+    let p = grid.nprocs();
+    let n = wl.shape[0];
+    let machine = Machine::new(grid.clone(), CostModel::cm5()).with_tracing(true);
+    let measured = |out: &RunOutput<usize>, size: usize| -> Ran {
+        let critpath = CritPath::from_run(out);
+        (measure_run(out, size), Some(critpath), Section::None)
+    };
+    match app {
+        App::Compaction { steps } => {
+            let out = machine.run(move |proc| {
+                let advance = |x: i64, _| x.wrapping_mul(31).wrapping_add(17) % 100_000;
+                let survive =
+                    |x: i64, step: usize| !(x.unsigned_abs() as usize + step).is_multiple_of(4);
+                let opts = PackOptions::new(PackScheme::CompactMessage);
+                let stats = run_compaction(proc, n, steps, advance, survive, &opts).unwrap();
+                stats.last().map(|s| s.alive).unwrap_or(0)
+            });
+            measured(&out, out.results[0])
+        }
+        App::Sort => {
+            let per_proc = n / p;
+            let out = machine.run(move |proc| {
+                // Deterministic pseudo-random keys, distinct per processor.
+                let mut x = 0x9E37_79B9u64.wrapping_mul(proc.id() as u64 + 1);
+                let v: Vec<i64> = (0..per_proc)
+                    .map(|_| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (x >> 33) as i64
+                    })
+                    .collect();
+                let (sorted, _) = sample_sort(proc, &v, true, A2aSchedule::LinearPermutation);
+                sorted.len()
+            });
+            measured(&out, out.results.iter().sum())
+        }
+        App::Spmv => {
+            let dists = [Dist::BlockCyclic(2), Dist::BlockCyclic(2)];
+            let desc = ArrayDesc::new(&wl.shape, &grid, &dists).unwrap();
+            let x_layout = DimLayout::new_general(n, p, n.div_ceil(p)).unwrap();
+            let (d, xl) = (&desc, &x_layout);
+            // Banded matrix: nonzero iff |row - col| <= 4 — the uneven-density
+            // pattern the module documentation motivates.
+            let entry = move |col: usize, row: usize| {
+                if row.abs_diff(col) <= 4 {
+                    (row * n + col + 1) as f64
+                } else {
+                    0.0
+                }
+            };
+            let out = machine.run(move |proc| {
+                let dense = local_from_fn(d, proc.id(), |g| entry(g[0], g[1]));
+                let a = SparseMatrix::compress(proc, d, &dense, &PackOptions::default()).unwrap();
+                let x_local: Vec<f64> = (0..xl.local_len(proc.id()))
+                    .map(|l| xl.global_of(proc.id(), l) as f64 * 0.25)
+                    .collect();
+                a.spmv(proc, &x_local, xl, A2aSchedule::LinearPermutation);
+                a.nnz
+            });
+            measured(&out, out.results[0])
+        }
+        App::Gather => {
+            let layout = DimLayout::new_general(n, p, n.div_ceil(p)).unwrap();
+            let l = &layout;
+            let out = machine.run(move |proc| {
+                let v_local: Vec<i64> = (0..l.local_len(proc.id()))
+                    .map(|k| l.global_of(proc.id(), k) as i64)
+                    .collect();
+                // Scattered request pattern touching every owner.
+                let indices: Vec<usize> = (0..n / p)
+                    .map(|k| (k * 2654435761 + proc.id() * 97) % n)
+                    .collect();
+                let got =
+                    gather_global(proc, &v_local, l, &indices, A2aSchedule::LinearPermutation);
+                for (k, &g) in indices.iter().enumerate() {
+                    assert_eq!(got[k], g as i64, "gather fetched the wrong element");
+                }
+                got.len()
+            });
+            measured(&out, out.results.iter().sum())
+        }
     }
 }
 
-/// Elementwise `total - plan` per-processor op counts (execute phase).
-fn sub_ops(total: &[u64], plan: &[u64]) -> Vec<u64> {
-    total.iter().zip(plan).map(|(&t, &p)| t - p).collect()
+fn main() {
+    let usage = "usage: perf [--smoke] [--filter GROUP] [--out FILE] [--critpath-out FILE]";
+    let fail = |msg: String| -> ! {
+        eprintln!("{msg}\n{usage}");
+        std::process::exit(2);
+    };
+    let mut smoke = false;
+    let (mut filter, mut out_path, mut critpath_out) = (None, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| fail(format!("{arg} requires {what}")))
+        };
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--filter" => filter = Some(value("a group name")),
+            "--out" => out_path = Some(value("a path")),
+            "--critpath-out" => critpath_out = Some(value("a path")),
+            other => fail(format!("unknown argument {other}")),
+        }
+    }
+    let groups = GROUPS.map(|(g, _)| g);
+    if let Some(f) = filter.as_deref().filter(|f| !groups.contains(f)) {
+        fail(format!(
+            "unknown group {f}; expected one of: {}",
+            groups.join(", ")
+        ));
+    }
+
+    let rev = git_rev();
+    let out_path = out_path.unwrap_or_else(|| format!("results/BENCH_{rev}.json"));
+    let entries = registry(smoke)
+        .iter()
+        .filter(|wl| filter.as_deref().is_none_or(|f| f == wl.group))
+        .map(run)
+        .collect();
+    let report = Report {
+        rev,
+        smoke,
+        filter,
+        entries,
+    };
+    write(&out_path, &report.render());
+    println!(
+        "perf report ({} workloads) -> {out_path}",
+        report.entries.len()
+    );
+    if let Some(path) = &critpath_out {
+        let rendered = report.entries.iter().filter_map(|e| {
+            let cp = e.critpath.as_ref()?;
+            Some(cp.render(&e.name) + "\n")
+        });
+        write(path, &rendered.collect::<String>());
+        println!("critical-path report -> {path}");
+    }
+    print_summary(&report.entries);
+
+    let violations = report.violations();
+    for v in &violations {
+        eprintln!("perf: FAIL {v}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// Write `text` to `path`, creating its directory.
+fn write(path: &str, text: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create output directory");
+    }
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
+/// Human summary on stdout: one line per workload, then one per section.
+fn print_summary(entries: &[Entry]) {
+    for e in entries {
+        println!(
+            "  {:<18} total {:>9.3} ms  local {:>9.3}  prs {:>8.3}  m2m {:>8.3}  words {:>9}",
+            e.name,
+            e.m.total_ms(),
+            e.m.local_ms(),
+            e.m.prs_ms(),
+            e.m.m2m_ms(),
+            e.m.words,
+        );
+    }
+    for e in entries {
+        let name = &e.name;
+        match &e.section {
+            Section::None | Section::Conformance(_) => {}
+            Section::Hot(h) => println!(
+                "  {name:<26} allocs/exec {:>5.1}  bytes/exec {:>7.0}  clone_words {}  \
+                 bulk {:.2}",
+                h.allocs_per_execute,
+                h.alloc_bytes_per_execute,
+                h.clone_words,
+                h.copy_ops.bulk_fraction(),
+            ),
+            Section::Reuse(r) => println!(
+                "  {name:<26} fresh {:>8.3} ms/exec  cached {:>8.3} ms/exec  ratio {:.2}  \
+                 hits {}  misses {}",
+                r.fresh_per_exec_ms(),
+                r.cached_per_exec_ms(),
+                r.reuse_ratio(),
+                r.cache_hits,
+                r.cache_misses,
+            ),
+            Section::Recovery(r) => println!(
+                "  {name:<26} epochs {:>3}  replays {}  frames {:>3}  \
+                 log-high-water {:>6} words  replay {:>6.2} ms",
+                r.epochs, r.replays, r.replayed_frames, r.log_high_water_words, r.replay_ms,
+            ),
+            Section::Memory(p) => println!("  {}", p.summary()),
+            Section::Scale(s) => println!(
+                "  {name:<26} workers {}→{}  identical {}",
+                s.workers_low, s.workers_high, s.identical,
+            ),
+        }
+    }
 }
 
 /// Short git revision, or "unknown" outside a git checkout.
@@ -1160,455 +767,100 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Measurement from a raw run (used by the app workloads, which don't go
-/// through the `ExpConfig` runners).
-fn measure<R>(out: &RunOutput<R>, size: usize) -> Measurement {
-    Measurement {
-        breakdown: out.breakdown(),
-        size,
-        words: out.total_words_sent(),
-        startups: out.total_startups(),
-        retransmits: out.total_retransmits(),
-        dup_drops: out.total_dup_drops(),
-        retry_overhead: out.retry_overhead(),
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn app_compaction(smoke: bool, reps: usize, warmup: usize) -> Entry {
-    let (p, steps) = if smoke { (4, 3) } else { (8, 6) };
-    let n = 512 * p;
-    let machine = Machine::new(ProcGrid::line(p), CostModel::cm5()).with_tracing(true);
-    let (out, wall) = timed(reps, warmup, || {
-        machine.clone().run(move |proc| {
-            let advance = |x: i64, _| x.wrapping_mul(31).wrapping_add(17) % 100_000;
-            let survive =
-                |x: i64, step: usize| !(x.unsigned_abs() as usize + step).is_multiple_of(4);
-            let stats = run_compaction(
-                proc,
-                n,
-                steps,
-                advance,
-                survive,
-                &PackOptions::new(PackScheme::CompactMessage),
-            )
-            .unwrap();
-            stats.last().map(|s| s.alive).unwrap_or(0)
-        })
-    });
-    let survivors = out.results[0];
-    Entry {
-        name: "apps.compaction".into(),
-        group: "apps",
-        shape: vec![n],
-        grid: vec![p],
-        w: None,
-        density: None,
-        m: measure(&out, survivors),
-        wall,
-        critpath: Some(CritPath::from_run(&out)),
-        conformance: None,
-        reuse: None,
-        hot: None,
-        recovery: None,
-        memory: None,
-        scale: None,
-    }
-}
+    /// What the deleted Python validator required of a report's names, now
+    /// a property of the registry: every paper scheme in every group.
+    const REQUIRED: [&str; 34] = [
+        "pack.sss",
+        "pack.css",
+        "pack.cms",
+        "pack.red1",
+        "pack.red2",
+        "unpack.sss",
+        "unpack.css",
+        "plan_reuse.pack.sss",
+        "plan_reuse.pack.css",
+        "plan_reuse.pack.cms",
+        "plan_reuse.unpack.sss",
+        "plan_reuse.unpack.css",
+        "exec_hot.pack.sss",
+        "exec_hot.pack.css",
+        "exec_hot.pack.cms",
+        "exec_hot.unpack.sss",
+        "exec_hot.unpack.css",
+        "recovery.pack.sss",
+        "recovery.pack.cms",
+        "recovery.unpack.sss",
+        "apps.compaction",
+        "apps.sort",
+        "apps.spmv",
+        "apps.gather",
+        "memory.pack.sss",
+        "memory.pack.css",
+        "memory.pack.cms",
+        "memory.unpack.sss",
+        "memory.unpack.css",
+        "memory.pack.red1",
+        "memory.pack.red2",
+        "scale.roundtrip.p64",
+        "scale.roundtrip.p1024",
+        "scale.roundtrip.p4096",
+    ];
 
-fn app_sort(smoke: bool, reps: usize, warmup: usize) -> Entry {
-    let p = 8usize;
-    let per_proc = if smoke { 256 } else { 2048 };
-    let machine = Machine::new(ProcGrid::line(p), CostModel::cm5()).with_tracing(true);
-    let (out, wall) = timed(reps, warmup, || {
-        machine.clone().run(move |proc| {
-            // Deterministic pseudo-random keys, distinct per processor.
-            let mut x = 0x9E37_79B9u64.wrapping_mul(proc.id() as u64 + 1);
-            let v: Vec<i64> = (0..per_proc)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    (x >> 33) as i64
-                })
-                .collect();
-            let (sorted, _) = sample_sort(proc, &v, true, A2aSchedule::LinearPermutation);
-            sorted.len()
-        })
-    });
-    let total: usize = out.results.iter().sum();
-    Entry {
-        name: "apps.sort".into(),
-        group: "apps",
-        shape: vec![p * per_proc],
-        grid: vec![p],
-        w: None,
-        density: None,
-        m: measure(&out, total),
-        wall,
-        critpath: Some(CritPath::from_run(&out)),
-        conformance: None,
-        reuse: None,
-        hot: None,
-        recovery: None,
-        memory: None,
-        scale: None,
-    }
-}
-
-fn app_spmv(smoke: bool, reps: usize, warmup: usize) -> Entry {
-    let dim = if smoke { 64 } else { 256 };
-    let (ncols, nrows) = (dim, dim);
-    let grid = ProcGrid::new(&[4, 2]);
-    let desc = ArrayDesc::new(
-        &[ncols, nrows],
-        &grid,
-        &[Dist::BlockCyclic(2), Dist::BlockCyclic(2)],
-    )
-    .unwrap();
-    let nprocs = grid.nprocs();
-    let x_layout = DimLayout::new_general(ncols, nprocs, ncols.div_ceil(nprocs)).unwrap();
-    let machine = Machine::new(grid, CostModel::cm5()).with_tracing(true);
-    let (d, xl) = (&desc, &x_layout);
-    // Banded matrix: nonzero iff |row - col| <= 4 — the uneven-density
-    // pattern the module documentation motivates.
-    let entry = move |col: usize, row: usize| {
-        if row.abs_diff(col) <= 4 {
-            (row * dim + col + 1) as f64
-        } else {
-            0.0
-        }
-    };
-    let (out, wall) = timed(reps, warmup, || {
-        machine.clone().run(move |proc| {
-            let dense = local_from_fn(d, proc.id(), |g| entry(g[0], g[1]));
-            let a = SparseMatrix::compress(proc, d, &dense, &PackOptions::default()).unwrap();
-            let x_local: Vec<f64> = (0..xl.local_len(proc.id()))
-                .map(|l| xl.global_of(proc.id(), l) as f64 * 0.25)
-                .collect();
-            let (y, _) = a.spmv(proc, &x_local, xl, A2aSchedule::LinearPermutation);
-            (a.nnz, y.len())
-        })
-    });
-    let nnz = out.results[0].0;
-    Entry {
-        name: "apps.spmv".into(),
-        group: "apps",
-        shape: vec![ncols, nrows],
-        grid: vec![4, 2],
-        w: None,
-        density: None,
-        m: measure(&out, nnz),
-        wall,
-        critpath: Some(CritPath::from_run(&out)),
-        conformance: None,
-        reuse: None,
-        hot: None,
-        recovery: None,
-        memory: None,
-        scale: None,
-    }
-}
-
-fn app_gather(smoke: bool, reps: usize, warmup: usize) -> Entry {
-    let p = 8usize;
-    let n = if smoke { 512 } else { 4096 };
-    let per_proc_requests = if smoke { 64 } else { 512 };
-    let layout = DimLayout::new_general(n, p, n.div_ceil(p)).unwrap();
-    let machine = Machine::new(ProcGrid::line(p), CostModel::cm5());
-    let l = &layout;
-    let (out, wall) = timed(reps, warmup, || {
-        machine.clone().run(move |proc| {
-            let v_local: Vec<i64> = (0..l.local_len(proc.id()))
-                .map(|k| l.global_of(proc.id(), k) as i64)
-                .collect();
-            // Scattered request pattern touching every owner.
-            let indices: Vec<usize> = (0..per_proc_requests)
-                .map(|k| (k * 2654435761 + proc.id() * 97) % n)
-                .collect();
-            let got = gather_global(proc, &v_local, l, &indices, A2aSchedule::LinearPermutation);
-            for (k, &g) in indices.iter().enumerate() {
-                assert_eq!(got[k], g as i64, "gather fetched the wrong element");
+    #[test]
+    fn registry_names_every_required_workload() {
+        for (smoke, count) in [(true, 54), (false, 55)] {
+            let all = registry(smoke);
+            assert_eq!(all.len(), count);
+            for prefix in REQUIRED {
+                let dotted = format!("{prefix}.");
+                let named = |wl: &Workload| wl.name == prefix || wl.name.starts_with(&dotted);
+                assert!(all.iter().any(named), "no workload named {prefix}[.*]");
             }
-            got.len()
-        })
-    });
-    let fetched: usize = out.results.iter().sum();
-    Entry {
-        name: "apps.gather".into(),
-        group: "apps",
-        shape: vec![n],
-        grid: vec![p],
-        w: None,
-        density: None,
-        m: measure(&out, fetched),
-        wall,
-        critpath: Some(CritPath::from_run(&out)),
-        conformance: None,
-        reuse: None,
-        hot: None,
-        recovery: None,
-        memory: None,
-        scale: None,
-    }
-}
-
-// ---- JSON rendering (hand-rolled; the repo carries no serde) -------------
-
-fn render_json(rev: &str, smoke: bool, filter: Option<&str>, entries: &[Entry]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(s, "  \"rev\": \"{rev}\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    match filter {
-        Some(f) => {
-            let _ = writeln!(s, "  \"filter\": \"{f}\",");
-        }
-        None => s.push_str("  \"filter\": null,\n"),
-    }
-    s.push_str("  \"cost_model\": \"cm5\",\n");
-    let _ = writeln!(
-        s,
-        "  \"memcpy_roof_gbps\": {},",
-        json_f64(memcpy_roof_gbps())
-    );
-    s.push_str("  \"workloads\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"name\": \"{}\",", e.name);
-        let _ = writeln!(s, "      \"group\": \"{}\",", e.group);
-        let _ = writeln!(s, "      \"shape\": {},", json_usize_array(&e.shape));
-        let _ = writeln!(s, "      \"grid\": {},", json_usize_array(&e.grid));
-        match e.w {
-            Some(w) => {
-                let _ = writeln!(s, "      \"w\": {w},");
-            }
-            None => s.push_str("      \"w\": null,\n"),
-        }
-        match e.density {
-            Some(d) => {
-                let _ = writeln!(s, "      \"density\": {d},");
-            }
-            None => s.push_str("      \"density\": null,\n"),
-        }
-        s.push_str("      \"stages_ms\": {");
-        for (j, cat) in Category::ALL.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(
-                s,
-                "\"{}\": {}",
-                cat.label(),
-                json_f64(e.m.breakdown.cat_ms(*cat))
+            let dense = |wl: &&Workload| wl.group == "exec_hot" && wl.name.ends_with(".dense");
+            assert_eq!(
+                all.iter().filter(dense).count(),
+                5,
+                "one .dense row per scheme"
             );
+            // Groups appear in GROUPS order, names are unique.
+            let order: Vec<usize> = all
+                .iter()
+                .map(|wl| GROUPS.iter().position(|(g, _)| *g == wl.group).unwrap())
+                .collect();
+            assert!(order.windows(2).all(|w| w[0] <= w[1]), "{order:?}");
+            let mut names: Vec<&str> = all.iter().map(|wl| wl.name.as_str()).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), count);
         }
-        s.push_str("},\n");
-        let _ = writeln!(s, "      \"total_ms\": {},", json_f64(e.m.total_ms()));
-        let _ = writeln!(s, "      \"size\": {},", e.m.size);
-        let _ = writeln!(s, "      \"words\": {},", e.m.words);
-        let _ = writeln!(s, "      \"startups\": {},", e.m.startups);
-        let _ = writeln!(s, "      \"retransmits\": {},", e.m.retransmits);
-        let _ = writeln!(s, "      \"dup_drops\": {},", e.m.dup_drops);
-        let _ = writeln!(
-            s,
-            "      \"retry_overhead\": {},",
-            json_f64(e.m.retry_overhead)
-        );
-        match &e.critpath {
-            Some(cp) => {
-                let (top, top_ns) = cp.top_stage().unwrap_or(("", 0.0));
-                let _ = writeln!(
-                    s,
-                    "      \"critpath\": {{\"total_ms\": {}, \"busy_ms\": {}, \
-                     \"transfer_ms\": {}, \"hops\": {}, \"barriers\": {}, \
-                     \"imbalance\": {}, \"top_stage\": \"{top}\", \
-                     \"top_stage_ms\": {}}},",
-                    json_f64(cp.total_ms()),
-                    json_f64(cp.busy_ms()),
-                    json_f64(cp.transfer_ms()),
-                    cp.hops,
-                    cp.barriers,
-                    json_f64(cp.imbalance()),
-                    json_f64(top_ns / 1e6),
-                );
-            }
-            None => s.push_str("      \"critpath\": null,\n"),
-        }
-        match &e.conformance {
-            Some(c) => {
-                // Every conformance the binary emits is phase-resolved;
-                // render zeros defensively if one ever is not.
-                let sum = |v: &[u64]| v.iter().sum::<u64>();
-                let (pp, pe, mp, me) = match &c.phases {
-                    Some(ph) => (
-                        sum(&ph.predicted_plan),
-                        sum(&ph.predicted_execute),
-                        sum(&ph.measured_plan),
-                        sum(&ph.measured_execute),
-                    ),
-                    None => (0, 0, 0, 0),
-                };
-                let _ = writeln!(
-                    s,
-                    "      \"conformance\": {{\"scheme\": \"{}\", \
-                     \"predicted_ops\": {}, \"measured_ops\": {}, \
-                     \"predicted_plan_ops\": {pp}, \"predicted_execute_ops\": {pe}, \
-                     \"measured_plan_ops\": {mp}, \"measured_execute_ops\": {me}, \
-                     \"rel_error\": {}, \"pass\": {}}},",
-                    c.scheme,
-                    c.predicted_total(),
-                    c.measured_total(),
-                    json_f64(c.rel_error),
-                    c.pass,
-                );
-            }
-            None => s.push_str("      \"conformance\": null,\n"),
-        }
-        match &e.reuse {
-            Some(r) => {
-                let _ = writeln!(
-                    s,
-                    "      \"reuse\": {{\"executes\": {}, \"fresh_total_ms\": {}, \
-                     \"cached_total_ms\": {}, \"fresh_per_exec_ms\": {}, \
-                     \"cached_per_exec_ms\": {}, \"ratio\": {}, \
-                     \"cache_hits\": {}, \"cache_misses\": {}}},",
-                    r.executes,
-                    json_f64(r.fresh.total_ms()),
-                    json_f64(r.cached.total_ms()),
-                    json_f64(r.fresh_per_exec_ms()),
-                    json_f64(r.cached_per_exec_ms()),
-                    json_f64(r.reuse_ratio()),
-                    r.cache_hits,
-                    r.cache_misses,
-                );
-            }
-            None => s.push_str("      \"reuse\": null,\n"),
-        }
-        match &e.hot {
-            Some(h) => {
-                let _ = writeln!(
-                    s,
-                    "      \"hot\": {{\"executes\": {}, \"elements\": {}, \
-                     \"wall_ns_per_exec\": {}, \"ns_per_element\": {}, \
-                     \"allocs_per_execute\": {}, \"alloc_bytes_per_execute\": {}, \
-                     \"clone_words\": {}, \"copy_ops\": {{\
-                     \"contig\": {}, \"strided\": {}, \"scatter\": {}, \
-                     \"bulk_elements\": {}, \"total_elements\": {}, \
-                     \"bulk_fraction\": {}}}}},",
-                    h.executes,
-                    h.elements,
-                    json_f64(h.wall_ns_per_exec),
-                    json_f64(h.ns_per_element()),
-                    json_f64(h.allocs_per_execute),
-                    json_f64(h.alloc_bytes_per_execute),
-                    h.clone_words,
-                    h.copy_ops.contig,
-                    h.copy_ops.strided,
-                    h.copy_ops.scatter,
-                    h.copy_ops.bulk_elements,
-                    h.copy_ops.total_elements,
-                    json_f64(h.copy_ops.bulk_fraction()),
-                );
-            }
-            None => s.push_str("      \"hot\": null,\n"),
-        }
-        match &e.recovery {
-            Some(r) => {
-                let _ = writeln!(
-                    s,
-                    "      \"recovery\": {{\"recovered\": true, \"epochs\": {}, \
-                     \"replays\": {}, \"replayed_frames\": {}, \
-                     \"replay_log_high_water_words\": {}, \"replay_ms\": {}, \
-                     \"overhead_wall_ms\": {}, \"clean_wall_ms\": {}}},",
-                    r.stats.epochs,
-                    r.stats.replays,
-                    r.stats.replayed_frames,
-                    r.stats.log_high_water_words,
-                    json_f64(r.stats.replay_ms),
-                    json_f64(r.overhead_wall_ms),
-                    json_f64(r.clean_wall_ms),
-                );
-            }
-            None => s.push_str("      \"recovery\": null,\n"),
-        }
-        match &e.memory {
-            Some(p) => {
-                let _ = writeln!(
-                    s,
-                    "      \"memory\": {{\"scheme\": \"{}\", \
-                     \"measured_peak_bytes\": {}, \"predicted_peak_bytes\": {}, \
-                     \"ratio\": {}, \"peak_proc\": {}, \
-                     \"peak_account\": \"{}\", \"peak_stage\": \"{}\", \
-                     \"ring_bytes\": {}, \"ring_exact\": {}, \
-                     \"pass\": {}}},",
-                    p.scheme,
-                    p.measured_bytes,
-                    p.predicted_bytes,
-                    json_f64(p.ratio),
-                    p.peak_proc,
-                    p.peak_account,
-                    p.peak_stage,
-                    p.ring_bytes,
-                    p.ring_exact,
-                    p.pass,
-                );
-            }
-            None => s.push_str("      \"memory\": null,\n"),
-        }
-        match &e.scale {
-            Some(sc) => {
-                let _ = writeln!(
-                    s,
-                    "      \"scale\": {{\"workers_low\": {}, \"workers_high\": {}, \
-                     \"identical\": {}, \"ns_per_proc_step\": {}}},",
-                    sc.workers_low,
-                    sc.workers_high,
-                    sc.identical,
-                    json_f64(sc.ns_per_proc_step),
-                );
-            }
-            None => s.push_str("      \"scale\": null,\n"),
-        }
-        let cv = match e.wall.cv() {
-            Some(c) => json_f64(c),
-            None => "null".into(),
-        };
-        let _ = writeln!(
-            s,
-            "      \"wall\": {{\"reps\": {}, \"warmup\": {}, \"median_ms\": {}, \
-             \"mad_ms\": {}, \"cv\": {}}},",
-            e.wall.reps,
-            e.wall.warmup,
-            json_f64(e.wall.median_ms()),
-            json_f64(e.wall.mad_ms()),
-            cv,
-        );
-        let _ = writeln!(s, "      \"wall_ms\": {}", json_f64(e.wall.median_ms()));
-        s.push_str(if i + 1 < entries.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
     }
-    s.push_str("  ]\n}\n");
-    s
-}
 
-fn json_usize_array(v: &[usize]) -> String {
-    let inner: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", inner.join(", "))
-}
-
-/// Finite float as JSON (JSON has no NaN/Infinity; clamp defensively).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
+    /// The report is a function of the commit: the group whose counters
+    /// used to follow the thread interleaving renders the same bytes twice,
+    /// and passes its gates.
+    #[test]
+    fn recovery_group_renders_identically_twice() {
+        let render = || {
+            let entries = registry(true)
+                .iter()
+                .filter(|wl| wl.group == "recovery")
+                .map(run)
+                .collect();
+            let report = Report {
+                rev: "test".into(),
+                smoke: true,
+                filter: Some("recovery".into()),
+                entries,
+            };
+            assert_eq!(report.violations(), [""; 0]);
+            report.render()
+        };
+        let first = render();
+        assert_eq!(first.matches("\"replays\": 1").count(), 3, "{first}");
+        assert_eq!(first, render());
     }
 }

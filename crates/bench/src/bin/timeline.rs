@@ -1,6 +1,8 @@
 //! Timeline view: per-processor Gantt charts of a PACK and an UNPACK run,
 //! showing where simulated time goes — the local scan, the per-dimension
-//! prefix-reduction-sum wavefront, and the many-to-many exchange.
+//! prefix-reduction-sum wavefront, and the many-to-many exchange — each
+//! followed by the ranked table of where the *host's* time went in that
+//! same run (wall-clock self time per stage; it varies from run to run).
 //!
 //! Usage:
 //! ```sh
@@ -11,6 +13,7 @@
 //! # (open in Perfetto / chrome://tracing)
 //! ```
 
+use hpf_analysis::HotspotReport;
 use hpf_core::{pack, unpack, MaskPattern, PackOptions, PackScheme, UnpackOptions, UnpackScheme};
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::{CostModel, Machine, ProcGrid};
@@ -48,7 +51,12 @@ fn main() {
     assert!(n.is_multiple_of(p * w), "need P*W | N");
 
     let grid = ProcGrid::line(p);
-    let machine = Machine::new(grid.clone(), CostModel::cm5()).with_tracing(true);
+    let machine = Machine::new(grid.clone(), CostModel::cm5())
+        .with_tracing(true)
+        .with_wall_profiling(true);
+    let hotspots = |title: &str, profiles: &[hpf_machine::WallProfile], elements: usize| {
+        HotspotReport::from_profiles(profiles).render(title, elements as u64)
+    };
     let desc = ArrayDesc::new(&[n], &grid, &[Dist::BlockCyclic(w)]).unwrap();
     let pattern = MaskPattern::Random {
         density: pct / 100.0,
@@ -71,12 +79,13 @@ fn main() {
         .size
     });
     print!("{}", out.gantt(100));
+    let size = out.results[0];
+    print!("{}", hotspots("PACK (CMS)", &out.wall_profiles, size));
     if let Some(path) = &trace_out {
         std::fs::write(path, out.chrome_trace_json()).expect("write trace file");
         println!("(PACK trace written to {path} — load in Perfetto or chrome://tracing)");
     }
 
-    let size = out.results[0];
     let v_layout = DimLayout::new_general(size, p, size.div_ceil(p)).unwrap();
     println!("\nUNPACK (CSS), same mask (note the doubled M phase — request + reply):");
     let vl = &v_layout;
@@ -97,4 +106,5 @@ fn main() {
         .len()
     });
     print!("{}", out2.gantt(100));
+    print!("{}", hotspots("UNPACK (CSS)", &out2.wall_profiles, size));
 }

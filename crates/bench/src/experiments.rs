@@ -6,7 +6,7 @@ use hpf_core::{
     PackScheme, PlanCache, RedistScheme, UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist, GlobalArray, TrackArray};
-use hpf_machine::{Breakdown, Category, CostModel, Machine, ProcGrid, RunOutput, WallProfile};
+use hpf_machine::{Category, CostModel, Machine, Proc, ProcGrid, RunOutput};
 
 /// One experiment point: an array shape distributed with a uniform block
 /// size over a grid, masked by a pattern.
@@ -42,11 +42,16 @@ impl ExpConfig {
         Machine::new(ProcGrid::new(&self.grid), self.cost)
     }
 
-    /// The machine for this config, optionally with event tracing enabled
-    /// (for critical-path extraction; tracing never changes simulated
-    /// time, only records it).
-    pub fn machine_traced(&self, traced: bool) -> Machine {
-        self.machine().with_tracing(traced)
+    /// `Size` of this config's mask and the block layout of a vector of
+    /// exactly that many elements (the paper's UNPACK input). `Size` is a
+    /// property of the mask alone, so it is computed harness-side.
+    pub fn packed_layout(&self) -> (usize, DimLayout) {
+        let mask = self.pattern.global(&self.shape);
+        let size = mask.data().iter().filter(|&&b| b).count();
+        let nprocs: usize = self.grid.iter().product();
+        let n_prime = size.max(1);
+        let layout = DimLayout::new_general(n_prime, nprocs, n_prime.div_ceil(nprocs));
+        (size, layout.expect("a block layout of the packed vector"))
     }
 
     /// The array descriptor for this config.
@@ -90,11 +95,15 @@ pub fn block_sizes(shape: &[usize], grid: &[usize]) -> Vec<usize> {
     sizes
 }
 
-/// Simulated-time measurement of one operation.
-#[derive(Debug, Clone, Copy)]
+/// Simulated-time measurement of one operation: plain data, so a report
+/// entry can be built by hand in a gate test.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
-    /// Per-category critical-path breakdown.
-    pub breakdown: Breakdown,
+    /// Max-over-processors time per [`Category`], in [`Category::ALL`]
+    /// order, ms.
+    pub stages_ms: [f64; Category::ALL.len()],
+    /// Machine completion time (what Figures 4 and 5 plot), ms.
+    pub total_ms: f64,
     /// `Size` (packed element count).
     pub size: usize,
     /// Total message words sent by all processors.
@@ -113,35 +122,38 @@ impl Measurement {
     /// Local computation time (what Figure 3 plots): ranking local work plus
     /// message composition/decomposition.
     pub fn local_ms(&self) -> f64 {
-        self.breakdown.cat_ms(Category::LocalComp)
+        self.stages_ms[Category::LocalComp.index()]
     }
 
     /// Prefix-reduction-sum time.
     pub fn prs_ms(&self) -> f64 {
-        self.breakdown.cat_ms(Category::PrefixReductionSum)
+        self.stages_ms[Category::PrefixReductionSum.index()]
     }
 
     /// Many-to-many personalized communication time.
     pub fn m2m_ms(&self) -> f64 {
-        self.breakdown.cat_ms(Category::ManyToMany)
+        self.stages_ms[Category::ManyToMany.index()]
     }
 
     /// Preliminary-redistribution time (detection + traffic).
     pub fn redist_ms(&self) -> f64 {
-        self.breakdown.cat_ms(Category::RedistDetect) + self.breakdown.cat_ms(Category::RedistComm)
+        self.stages_ms[Category::RedistDetect.index()]
+            + self.stages_ms[Category::RedistComm.index()]
     }
 
     /// Total execution time (what Figures 4 and 5 plot).
     pub fn total_ms(&self) -> f64 {
-        self.breakdown.total_ms()
+        self.total_ms
     }
 }
 
 /// Measurement from a finished run (`size` comes from the caller, since
 /// result types differ between runners).
 pub fn measure_run<R>(out: &RunOutput<R>, size: usize) -> Measurement {
+    let breakdown = out.breakdown();
     Measurement {
-        breakdown: out.breakdown(),
+        stages_ms: Category::ALL.map(|cat| breakdown.cat_ms(cat)),
+        total_ms: breakdown.total_ms(),
         size,
         words: out.total_words_sent(),
         startups: out.total_startups(),
@@ -154,7 +166,7 @@ pub fn measure_run<R>(out: &RunOutput<R>, size: usize) -> Measurement {
 /// Amortized plan-reuse measurement: one cached plan executed `executes`
 /// times (fresh data every iteration) versus `executes` independent full
 /// calls — the mask, and therefore the plan, is fixed across iterations.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReuseMeasurement {
     /// Number of operations in each arm.
     pub executes: usize,
@@ -246,13 +258,7 @@ pub fn time_unpack_reuse(
     executes: usize,
 ) -> ReuseMeasurement {
     let desc = cfg.desc();
-    let size = {
-        let m = cfg.pattern.global(&cfg.shape);
-        m.data().iter().filter(|&&b| b).count()
-    };
-    let nprocs: usize = cfg.grid.iter().product();
-    let n_prime = size.max(1);
-    let v_layout = DimLayout::new_general(n_prime, nprocs, n_prime.div_ceil(nprocs)).unwrap();
+    let (size, v_layout) = cfg.packed_layout();
     let (desc_ref, pattern, vl) = (&desc, cfg.pattern, &v_layout);
     let vdata = move |me: usize, it: usize, vl: &DimLayout| -> Vec<i32> {
         (0..vl.local_len(me))
@@ -302,24 +308,22 @@ pub fn time_unpack_reuse(
 /// and every later execute is allocation-free.
 pub const HOT_WARMUP: usize = 2;
 
-/// Real (wall-clock) measurement of the steady-state execute path: one plan,
-/// `executes` timed iterations after warm-up, with heap allocations counted
-/// per worker thread. Allocation counts are only non-zero when the harness
-/// binary installs [`hpf_machine::alloc_counter::CountingAllocator`] as its
-/// global allocator (the `perf` binary does).
-#[derive(Debug, Clone, Copy)]
+/// Counted measurement of the steady-state execute path: one plan,
+/// `executes` counted iterations after warm-up, with heap allocations
+/// counted per processor. Allocation counts are only non-zero when the
+/// harness binary installs [`hpf_machine::alloc_counter::CountingAllocator`]
+/// as its global allocator (the `perf` binary does). What an execute costs
+/// in host time is the repo benchmark's number (`benchmark/`), not this one's.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotMeasurement {
-    /// Timed executes (after [`HOT_WARMUP`] untimed ones).
+    /// Counted executes (after [`HOT_WARMUP`] uncounted ones).
     pub executes: usize,
     /// Packed element count moved per execute.
     pub elements: usize,
-    /// Wall-clock nanoseconds per execute: the slowest processor thread's
-    /// timed window divided by `executes`.
-    pub wall_ns_per_exec: f64,
-    /// Heap allocations per execute, summed over all processor threads.
-    /// Zero in steady state — gated by `validate_bench.py`.
+    /// Heap allocations per execute, summed over all processors.
+    /// Zero in steady state — the `hot_zero_allocs` gate.
     pub allocs_per_execute: f64,
-    /// Heap bytes allocated per execute, summed over all processor threads.
+    /// Heap bytes allocated per execute, summed over all processors.
     pub alloc_bytes_per_execute: f64,
     /// `payload.clone_words` from a separate metrics-enabled run of the
     /// same workload: deep-copied payload words, zero on fault-free runs.
@@ -330,73 +334,76 @@ pub struct HotMeasurement {
     pub copy_ops: CopyStats,
 }
 
-impl HotMeasurement {
-    /// Wall-clock nanoseconds per packed element per execute.
-    pub fn ns_per_element(&self) -> f64 {
-        self.wall_ns_per_exec / self.elements.max(1) as f64
+/// What one processor reports from a hot loop: allocations and allocated
+/// bytes inside the counted window, and its plan's copy-program stats.
+type HotCounts = (u64, u64, CopyStats);
+
+/// Run `executes` iterations of `step` and count what the window allocated.
+fn counted(executes: usize, mut step: impl FnMut()) -> (u64, u64) {
+    use hpf_machine::alloc_counter::thread_totals;
+    let (c0, b0) = thread_totals();
+    for _ in 0..executes {
+        step();
     }
+    let (c1, b1) = thread_totals();
+    (c1 - c0, b1 - b0)
 }
 
-/// Measure the PACK hot path: plan once, execute `executes` times after
-/// warm-up, timing the steady-state window and counting its allocations.
-/// Returns the real-time measurement plus the simulated [`Measurement`] of
-/// the whole plan + execute loop (deterministic, so usable as a perf-diff
-/// baseline). The timed run keeps metrics and tracing off — stage timers
-/// allocate their metric keys when metrics are on — and a second, small
-/// metrics-enabled run supplies the `payload.clone_words` counter.
+/// The two runs behind [`time_pack_hot`] / [`time_unpack_hot`], whose
+/// per-processor program is `hot(proc, executes)`.
+fn time_hot(
+    cfg: &ExpConfig,
+    elements: usize,
+    executes: usize,
+    hot: impl Fn(&mut Proc, usize) -> HotCounts + Sync,
+) -> (HotMeasurement, Measurement) {
+    let out = cfg.machine().run(|proc| hot(proc, executes));
+    let warm = cfg.machine().with_metrics(true).run(|proc| hot(proc, 0));
+    let per_exec = |total: u64| total as f64 / executes.max(1) as f64;
+    let mut copy_ops = CopyStats::default();
+    for r in &out.results {
+        copy_ops.merge(&r.2);
+    }
+    let hot = HotMeasurement {
+        executes,
+        elements,
+        allocs_per_execute: per_exec(out.results.iter().map(|r| r.0).sum()),
+        alloc_bytes_per_execute: per_exec(out.results.iter().map(|r| r.1).sum()),
+        clone_words: warm.merged_metrics().counter("payload.clone_words"),
+        copy_ops,
+    };
+    (hot, measure_run(&out, elements))
+}
+
+/// Measure the PACK hot path: plan once, warm up, count `executes`
+/// steady-state iterations. Returns the counted measurement plus the
+/// simulated [`Measurement`] of the whole plan + execute loop. The counted
+/// run keeps metrics and tracing off — stage timers allocate their metric
+/// keys when metrics are on — and a second, warm-up-only metrics-enabled
+/// run of the same program supplies the `payload.clone_words` counter.
 pub fn time_pack_hot(
     cfg: &ExpConfig,
     opts: &PackOptions,
     executes: usize,
 ) -> (HotMeasurement, Measurement) {
-    use hpf_core::PackOutput;
-    use hpf_machine::alloc_counter::thread_totals;
-
     let desc = cfg.desc();
-    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, cfg.shape.clone());
-    let out = cfg.machine().run(move |proc| {
+    let (size, _) = cfg.packed_layout();
+    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, &cfg.shape);
+    time_hot(cfg, size, executes, |proc, executes| {
         let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
+        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, shape));
         proc.clock().reset();
         let plan = plan_pack(proc, desc_ref, &m, opts).unwrap();
-        let mut out = PackOutput {
+        let mut out = hpf_core::PackOutput {
             local_v: Vec::new(),
             size: 0,
             v_layout: None,
         };
-        for _ in 0..HOT_WARMUP {
-            plan.execute_into(proc, &a, &mut out).unwrap();
-        }
-        let (c0, b0) = thread_totals();
-        let t0 = std::time::Instant::now();
-        for _ in 0..executes {
-            plan.execute_into(proc, &a, &mut out).unwrap();
-        }
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let (c1, b1) = thread_totals();
-        (out.size, wall_ns, c1 - c0, b1 - b0, plan.copy_stats())
-    });
-    let size = out.results[0].0;
-    let sim = measure_run(&out, size);
-    let hot = hot_from_runs(&out.results, size, executes, {
-        let shape = cfg.shape.clone();
-        let machine = cfg.machine().with_metrics(true);
-        let out = machine.run(move |proc| {
-            let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
-            let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-            let plan = plan_pack(proc, desc_ref, &m, opts).unwrap();
-            let mut out = PackOutput {
-                local_v: Vec::new(),
-                size: 0,
-                v_layout: None,
-            };
-            for _ in 0..HOT_WARMUP {
-                plan.execute_into(proc, &a, &mut out).unwrap();
-            }
-        });
-        out.merged_metrics().counter("payload.clone_words")
-    });
-    (hot, sim)
+        let mut step = || plan.execute_into(proc, &a, &mut out).unwrap();
+        counted(HOT_WARMUP, &mut step);
+        let (allocs, bytes) = counted(executes, step);
+        (allocs, bytes, plan.copy_stats())
+    })
 }
 
 /// Measure the UNPACK hot path; see [`time_pack_hot`].
@@ -405,19 +412,11 @@ pub fn time_unpack_hot(
     opts: &UnpackOptions,
     executes: usize,
 ) -> (HotMeasurement, Measurement) {
-    use hpf_machine::alloc_counter::thread_totals;
-
     let desc = cfg.desc();
-    let size = {
-        let m = cfg.pattern.global(&cfg.shape);
-        m.data().iter().filter(|&&b| b).count()
-    };
-    let nprocs: usize = cfg.grid.iter().product();
-    let n_prime = size.max(1);
-    let v_layout = DimLayout::new_general(n_prime, nprocs, n_prime.div_ceil(nprocs)).unwrap();
-    let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, cfg.shape.clone(), &v_layout);
-    let out = cfg.machine().run(move |proc| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
+    let (size, v_layout) = cfg.packed_layout();
+    let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, &cfg.shape, &v_layout);
+    time_hot(cfg, size, executes, |proc, executes| {
+        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, shape));
         let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
         let v: Vec<i32> = (0..vl.local_len(proc.id()))
             .map(|l| vl.global_of(proc.id(), l) as i32)
@@ -425,122 +424,11 @@ pub fn time_unpack_hot(
         proc.clock().reset();
         let plan = plan_unpack(proc, desc_ref, &m, vl, opts).unwrap();
         let mut out = Vec::new();
-        for _ in 0..HOT_WARMUP {
-            plan.execute_into(proc, &f, &v, &mut out).unwrap();
-        }
-        let (c0, b0) = thread_totals();
-        let t0 = std::time::Instant::now();
-        for _ in 0..executes {
-            plan.execute_into(proc, &f, &v, &mut out).unwrap();
-        }
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let (c1, b1) = thread_totals();
-        (out.len(), wall_ns, c1 - c0, b1 - b0, plan.copy_stats())
-    });
-    let sim = measure_run(&out, size);
-    let hot = hot_from_runs(&out.results, size, executes, {
-        let shape = cfg.shape.clone();
-        let machine = cfg.machine().with_metrics(true);
-        let out = machine.run(move |proc| {
-            let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-            let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
-            let v: Vec<i32> = (0..vl.local_len(proc.id()))
-                .map(|l| vl.global_of(proc.id(), l) as i32)
-                .collect();
-            let plan = plan_unpack(proc, desc_ref, &m, vl, opts).unwrap();
-            let mut out = Vec::new();
-            for _ in 0..HOT_WARMUP {
-                plan.execute_into(proc, &f, &v, &mut out).unwrap();
-            }
-        });
-        out.merged_metrics().counter("payload.clone_words")
-    });
-    (hot, sim)
-}
-
-/// Fold per-processor `(len, wall_ns, allocs, bytes, copy stats)` tuples
-/// into a [`HotMeasurement`]: slowest thread bounds the wall clock,
-/// allocations and copy-program stats are summed across threads.
-fn hot_from_runs(
-    results: &[(usize, u64, u64, u64, CopyStats)],
-    elements: usize,
-    executes: usize,
-    clone_words: u64,
-) -> HotMeasurement {
-    let wall = results.iter().map(|r| r.1).max().unwrap_or(0);
-    let allocs: u64 = results.iter().map(|r| r.2).sum();
-    let bytes: u64 = results.iter().map(|r| r.3).sum();
-    let mut copy_ops = CopyStats::default();
-    for r in results {
-        copy_ops.merge(&r.4);
-    }
-    HotMeasurement {
-        executes,
-        elements,
-        wall_ns_per_exec: wall as f64 / executes.max(1) as f64,
-        allocs_per_execute: allocs as f64 / executes.max(1) as f64,
-        alloc_bytes_per_execute: bytes as f64 / executes.max(1) as f64,
-        clone_words,
-        copy_ops,
-    }
-}
-
-/// Per-processor wall-clock span profiles of the steady-state PACK
-/// execute loop: the same plan-once / execute-N program as
-/// [`time_pack_hot`], re-run on a wall-profiling machine. Profiling is
-/// deliberately kept *out* of the timed, allocation-counted pass — the
-/// counting-allocator measurement stays pristine — so hotspot attribution
-/// always comes from this separate run.
-pub fn profile_pack_hot(cfg: &ExpConfig, opts: &PackOptions, executes: usize) -> Vec<WallProfile> {
-    use hpf_core::PackOutput;
-
-    let desc = cfg.desc();
-    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, cfg.shape.clone());
-    let out = cfg.machine().with_wall_profiling(true).run(move |proc| {
-        let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        let plan = plan_pack(proc, desc_ref, &m, opts).unwrap();
-        let mut out = PackOutput {
-            local_v: Vec::new(),
-            size: 0,
-            v_layout: None,
-        };
-        for _ in 0..HOT_WARMUP + executes {
-            plan.execute_into(proc, &a, &mut out).unwrap();
-        }
-    });
-    out.wall_profiles
-}
-
-/// Per-processor wall-clock span profiles of the steady-state UNPACK
-/// execute loop; see [`profile_pack_hot`].
-pub fn profile_unpack_hot(
-    cfg: &ExpConfig,
-    opts: &UnpackOptions,
-    executes: usize,
-) -> Vec<WallProfile> {
-    let desc = cfg.desc();
-    let size = {
-        let m = cfg.pattern.global(&cfg.shape);
-        m.data().iter().filter(|&&b| b).count()
-    };
-    let nprocs: usize = cfg.grid.iter().product();
-    let n_prime = size.max(1);
-    let v_layout = DimLayout::new_general(n_prime, nprocs, n_prime.div_ceil(nprocs)).unwrap();
-    let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, cfg.shape.clone(), &v_layout);
-    let out = cfg.machine().with_wall_profiling(true).run(move |proc| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
-        let v: Vec<i32> = (0..vl.local_len(proc.id()))
-            .map(|l| vl.global_of(proc.id(), l) as i32)
-            .collect();
-        let plan = plan_unpack(proc, desc_ref, &m, vl, opts).unwrap();
-        let mut out = Vec::new();
-        for _ in 0..HOT_WARMUP + executes {
-            plan.execute_into(proc, &f, &v, &mut out).unwrap();
-        }
-    });
-    out.wall_profiles
+        let mut step = || plan.execute_into(proc, &f, &v, &mut out).unwrap();
+        counted(HOT_WARMUP, &mut step);
+        let (allocs, bytes) = counted(executes, step);
+        (allocs, bytes, plan.copy_stats())
+    })
 }
 
 /// Per-processor `LocalComp` operation counts of the PACK planning phase
@@ -561,13 +449,7 @@ pub fn pack_plan_ops(cfg: &ExpConfig, opts: &PackOptions) -> Vec<u64> {
 /// phase alone; see [`pack_plan_ops`].
 pub fn unpack_plan_ops(cfg: &ExpConfig, opts: &UnpackOptions) -> Vec<u64> {
     let desc = cfg.desc();
-    let size = {
-        let m = cfg.pattern.global(&cfg.shape);
-        m.data().iter().filter(|&&b| b).count()
-    };
-    let nprocs: usize = cfg.grid.iter().product();
-    let n_prime = size.max(1);
-    let v_layout = DimLayout::new_general(n_prime, nprocs, n_prime.div_ceil(nprocs)).unwrap();
+    let (_, v_layout) = cfg.packed_layout();
     let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, cfg.shape.clone(), &v_layout);
     let out = cfg.machine().run(move |proc| {
         let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
@@ -576,133 +458,66 @@ pub fn unpack_plan_ops(cfg: &ExpConfig, opts: &UnpackOptions) -> Vec<u64> {
     out.cat_ops_per_proc(Category::LocalComp)
 }
 
+/// What a measured run records beside its clocks. None of it changes
+/// simulated time or traffic: the three modes of one call are bit-identical
+/// there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Observe {
+    /// Nothing.
+    Clocks,
+    /// Structured events, for critical-path extraction.
+    Events,
+    /// Events and metrics, with the workload's arrays registered against
+    /// the `user` memory account ([`TrackArray`]) at simulated time zero,
+    /// so the traced `MemSample` stream covers the full working set — user
+    /// arrays, plan buffers, pooled sends, mailbox backlog.
+    Memory,
+}
+
+impl Observe {
+    fn machine(self, cfg: &ExpConfig) -> Machine {
+        let machine = cfg.machine().with_tracing(self != Observe::Clocks);
+        machine.with_metrics(self == Observe::Memory)
+    }
+
+    fn track(self, proc: &mut Proc, arrays: &[&dyn TrackArray]) {
+        if self == Observe::Memory {
+            arrays.iter().for_each(|a| a.track(proc));
+        }
+    }
+}
+
 /// Run PACK under `opts` and measure.
 pub fn time_pack(cfg: &ExpConfig, opts: &PackOptions) -> Measurement {
-    run_pack(cfg, opts, false).0
-}
-
-/// Run PACK under `opts`, returning the measurement *and* the full run
-/// output (events, clocks, per-category op counters) for offline
-/// analysis. `traced` enables structured event recording.
-pub fn run_pack(
-    cfg: &ExpConfig,
-    opts: &PackOptions,
-    traced: bool,
-) -> (Measurement, RunOutput<usize>) {
-    let desc = cfg.desc();
-    let machine = cfg.machine_traced(traced);
-    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, cfg.shape.clone());
-    let out = machine.run(move |proc| {
-        let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        proc.clock().reset(); // setup is not part of the timed operation
-        pack(proc, desc_ref, &a, &m, opts)
-            .expect("valid experiment config")
-            .size
-    });
-    let m = measure_run(&out, out.results[0]);
-    (m, out)
-}
-
-/// Memory-accounting run of PACK: tracing and metrics on, with the
-/// workload's arrays registered against the `user` memory account
-/// ([`TrackArray`]) at simulated time zero, so the traced `MemSample`
-/// stream covers the full working set — user arrays, plan buffers, pooled
-/// sends, mailbox backlog. Simulated time and traffic are bit-identical
-/// to [`run_pack`]; memory accounting is never clock-charged.
-pub fn run_pack_mem(cfg: &ExpConfig, opts: &PackOptions) -> (Measurement, RunOutput<usize>) {
-    let desc = cfg.desc();
-    let machine = cfg.machine_traced(true).with_metrics(true);
-    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, cfg.shape.clone());
-    let out = machine.run(move |proc| {
-        let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        proc.clock().reset();
-        a.track(proc);
-        m.track(proc);
-        pack(proc, desc_ref, &a, &m, opts)
-            .expect("valid experiment config")
-            .size
-    });
-    let m = measure_run(&out, out.results[0]);
-    (m, out)
-}
-
-/// Memory-accounting run of PACK with a preliminary redistribution; see
-/// [`run_pack_mem`].
-pub fn run_pack_redist_mem(
-    cfg: &ExpConfig,
-    scheme: RedistScheme,
-    opts: &PackOptions,
-) -> (Measurement, RunOutput<usize>) {
-    let desc = cfg.desc();
-    let machine = cfg.machine_traced(true).with_metrics(true);
-    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, cfg.shape.clone());
-    let out = machine.run(move |proc| {
-        let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        proc.clock().reset();
-        a.track(proc);
-        m.track(proc);
-        pack_redistributed(proc, desc_ref, &a, &m, scheme, opts)
-            .expect("valid experiment config")
-            .size
-    });
-    let m = measure_run(&out, out.results[0]);
-    (m, out)
-}
-
-/// Memory-accounting run of UNPACK: field, mask, and the local vector
-/// slice are registered against the `user` account; see [`run_pack_mem`].
-pub fn run_unpack_mem(cfg: &ExpConfig, opts: &UnpackOptions) -> (Measurement, RunOutput<()>) {
-    let desc = cfg.desc();
-    let size = {
-        let m = cfg.pattern.global(&cfg.shape);
-        m.data().iter().filter(|&&b| b).count()
-    };
-    let nprocs: usize = cfg.grid.iter().product();
-    let n_prime = size.max(1);
-    let v_layout = DimLayout::new_general(n_prime, nprocs, n_prime.div_ceil(nprocs)).unwrap();
-    let machine = cfg.machine_traced(true).with_metrics(true);
-    let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, cfg.shape.clone(), &v_layout);
-    let out = machine.run(move |proc| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
-        let v: Vec<i32> = (0..vl.local_len(proc.id()))
-            .map(|l| vl.global_of(proc.id(), l) as i32)
-            .collect();
-        proc.clock().reset();
-        f.track(proc);
-        m.track(proc);
-        v.track(proc);
-        unpack(proc, desc_ref, &m, &f, &v, vl, opts).expect("valid experiment config");
-    });
-    let m = measure_run(&out, size);
-    (m, out)
+    run_pack(cfg, None, opts, Observe::Clocks).0
 }
 
 /// Run PACK with a preliminary redistribution (Red.1 / Red.2) and measure.
 pub fn time_pack_redist(cfg: &ExpConfig, scheme: RedistScheme, opts: &PackOptions) -> Measurement {
-    run_pack_redist(cfg, scheme, opts, false).0
+    run_pack(cfg, Some(scheme), opts, Observe::Clocks).0
 }
 
-/// Traced variant of [`time_pack_redist`]; see [`run_pack`].
-pub fn run_pack_redist(
+/// Run PACK under `opts` — after the preliminary redistribution `redist`,
+/// if any — returning the measurement *and* the full run output (events,
+/// clocks, per-category op counters) for offline analysis.
+pub fn run_pack(
     cfg: &ExpConfig,
-    scheme: RedistScheme,
+    redist: Option<RedistScheme>,
     opts: &PackOptions,
-    traced: bool,
+    observe: Observe,
 ) -> (Measurement, RunOutput<usize>) {
     let desc = cfg.desc();
-    let machine = cfg.machine_traced(traced);
     let (desc_ref, pattern, shape) = (&desc, cfg.pattern, cfg.shape.clone());
-    let out = machine.run(move |proc| {
+    let out = observe.machine(cfg).run(move |proc| {
         let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
         let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        proc.clock().reset();
-        pack_redistributed(proc, desc_ref, &a, &m, scheme, opts)
-            .expect("valid experiment config")
-            .size
+        proc.clock().reset(); // setup is not part of the timed operation
+        observe.track(proc, &[&a, &m]);
+        let packed = match redist {
+            Some(scheme) => pack_redistributed(proc, desc_ref, &a, &m, scheme, opts),
+            None => pack(proc, desc_ref, &a, &m, opts),
+        };
+        packed.expect("valid experiment config").size
     });
     let m = measure_run(&out, out.results[0]);
     (m, out)
@@ -712,48 +527,40 @@ pub fn run_pack_redist(
 /// redistribution and measure — used by the ablation that demonstrates the
 /// paper's "not a feasible option for UNPACK" claim.
 pub fn time_unpack_redist(cfg: &ExpConfig, opts: &UnpackOptions) -> Measurement {
-    run_unpack(cfg, opts, true, false).0
+    run_unpack(cfg, opts, true, Observe::Clocks).0
 }
 
 /// Run UNPACK under `opts` and measure. The input vector is sized exactly to
 /// the mask's selected count and block-distributed (the paper's setup).
 pub fn time_unpack(cfg: &ExpConfig, opts: &UnpackOptions) -> Measurement {
-    run_unpack(cfg, opts, false, false).0
+    run_unpack(cfg, opts, false, Observe::Clocks).0
 }
 
-/// Traced variant of [`time_unpack`] / [`time_unpack_redist`]; see
-/// [`run_pack`].
+/// Run UNPACK under `opts` — with the preliminary redistribution when
+/// `redist` — returning measurement and run output; see [`run_pack`].
 pub fn run_unpack(
     cfg: &ExpConfig,
     opts: &UnpackOptions,
     redist: bool,
-    traced: bool,
+    observe: Observe,
 ) -> (Measurement, RunOutput<()>) {
     let desc = cfg.desc();
-    // Size is a property of the mask alone; compute it harness-side.
-    let size = {
-        let m = cfg.pattern.global(&cfg.shape);
-        m.data().iter().filter(|&&b| b).count()
-    };
-    let nprocs: usize = cfg.grid.iter().product();
-    let n_prime = size.max(1);
-    let v_layout = DimLayout::new_general(n_prime, nprocs, n_prime.div_ceil(nprocs)).unwrap();
-
-    let machine = cfg.machine_traced(traced);
+    let (size, v_layout) = cfg.packed_layout();
     let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, cfg.shape.clone(), &v_layout);
-    let out = machine.run(move |proc| {
+    let out = observe.machine(cfg).run(move |proc| {
         let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
         let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
         let v: Vec<i32> = (0..vl.local_len(proc.id()))
             .map(|l| vl.global_of(proc.id(), l) as i32)
             .collect();
         proc.clock().reset();
-        if redist {
+        observe.track(proc, &[&f, &m, &v]);
+        let unpacked = if redist {
             hpf_core::unpack_redistributed(proc, desc_ref, &m, &f, &v, vl, opts)
-                .expect("valid experiment config");
         } else {
-            unpack(proc, desc_ref, &m, &f, &v, vl, opts).expect("valid experiment config");
-        }
+            unpack(proc, desc_ref, &m, &f, &v, vl, opts)
+        };
+        unpacked.expect("valid experiment config");
     });
     let m = measure_run(&out, size);
     (m, out)
@@ -915,56 +722,16 @@ mod tests {
         let (hot, sim) = time_pack_hot(&cfg, &PackOptions::default(), 4);
         assert_eq!(hot.executes, 4);
         assert!(hot.elements > 80 && hot.elements < 180, "{}", hot.elements);
-        assert!(hot.wall_ns_per_exec > 0.0);
-        assert!(hot.ns_per_element() > 0.0);
         assert_eq!(hot.clone_words, 0, "fault-free run deep-copied a payload");
+        assert!(hot.copy_ops.total_elements > 0);
         assert!(sim.total_ms() > 0.0);
         // This test binary does not install the counting allocator, so the
         // counters must read as trivially clean (the real gate runs in the
         // `perf` binary, which does install it).
         assert_eq!(hot.allocs_per_execute, 0.0);
         let (hot, sim) = time_unpack_hot(&cfg, &UnpackOptions::default(), 4);
-        assert!(hot.wall_ns_per_exec > 0.0);
         assert_eq!(hot.clone_words, 0);
         assert!(sim.total_ms() > 0.0);
-    }
-
-    #[test]
-    fn wall_profiling_is_opt_in_and_well_formed() {
-        let cfg = ExpConfig::new(
-            &[256],
-            &[4],
-            4,
-            MaskPattern::Random {
-                density: 0.5,
-                seed: 4,
-            },
-        );
-        // Off by default: no wall profiles may leak into a normal run's
-        // output, so the timed / allocation-counted passes stay pristine.
-        let (_, out) = run_pack(&cfg, &PackOptions::default(), false);
-        assert!(
-            out.wall_profiles.is_empty(),
-            "wall profiles leaked into an unprofiled run"
-        );
-        // The dedicated profiled pass: one profile per processor, spans
-        // recorded and properly nested, with execute frames in the folded
-        // export.
-        let profiles = profile_pack_hot(&cfg, &PackOptions::default(), 3);
-        assert_eq!(profiles.len(), 4);
-        for (pid, p) in profiles.iter().enumerate() {
-            assert!(p.total_ns() > 0, "proc {pid} recorded no wall time");
-            p.well_formed().expect("pack wall spans nest");
-        }
-        let folded = hpf_machine::folded_stacks(&profiles);
-        assert!(
-            folded.lines().any(|l| l.contains("pack.execute")),
-            "folded export missing execute frames:\n{folded}"
-        );
-        let profiles = profile_unpack_hot(&cfg, &UnpackOptions::default(), 3);
-        for p in &profiles {
-            p.well_formed().expect("unpack wall spans nest");
-        }
     }
 
     #[test]
@@ -980,7 +747,7 @@ mod tests {
         );
         for (_, opts) in pack_scheme_opts() {
             let plan = pack_plan_ops(&cfg, &opts);
-            let (_, out) = run_pack(&cfg, &opts, false);
+            let (_, out) = run_pack(&cfg, None, &opts, Observe::Clocks);
             let total = out.cat_ops_per_proc(Category::LocalComp);
             for (p, (&pl, &t)) in plan.iter().zip(&total).enumerate() {
                 assert!(pl > 0 && pl < t, "proc {p}: plan {pl} vs total {t}");
@@ -988,7 +755,7 @@ mod tests {
         }
         for (_, opts) in unpack_scheme_opts() {
             let plan = unpack_plan_ops(&cfg, &opts);
-            let (_, out) = run_unpack(&cfg, &opts, false, false);
+            let (_, out) = run_unpack(&cfg, &opts, false, Observe::Clocks);
             let total = out.cat_ops_per_proc(Category::LocalComp);
             for (p, (&pl, &t)) in plan.iter().zip(&total).enumerate() {
                 assert!(pl > 0 && pl < t, "proc {p}: plan {pl} vs total {t}");

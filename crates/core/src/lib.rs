@@ -63,8 +63,7 @@ mod unpack;
 pub use error::{Error, PackError, TooLarge, UnpackError};
 pub use mask::MaskPattern;
 pub use pack::{
-    pack, pack_redistributed, pack_with_vector, predict, CmsMessage, MaskStats, PackOutput,
-    RedistScheme,
+    pack, pack_redistributed, pack_with_vector, CmsMessage, MaskStats, PackOutput, RedistScheme,
 };
 pub use plan::{plan_pack, plan_unpack, CopyStats, PackPlan, PlanCache, UnpackPlan};
 pub use schemes::{PackOptions, PackScheme, ScanMethod, UnpackOptions, UnpackScheme};

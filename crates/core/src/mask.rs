@@ -119,27 +119,6 @@ impl MaskPattern {
     }
 }
 
-/// Fingerprint an explicit boolean mask slice. Only a valid
-/// [`crate::PlanCache`] key when every processor hashes the **same**
-/// global sequence (e.g. a replicated mask) — fingerprinting genuinely
-/// local slices produces different keys per processor and would deadlock
-/// the collective planner; prefer [`MaskPattern::fingerprint`] or an
-/// application step counter for distributed masks.
-pub fn local_fingerprint(mask: &[bool]) -> u64 {
-    let mut h = splitmix64(0x4c4d_4153_4b21 ^ mask.len() as u64);
-    let mut word = 0u64;
-    for (i, &b) in mask.iter().enumerate() {
-        if b {
-            word |= 1 << (i % 64);
-        }
-        if i % 64 == 63 {
-            h = splitmix64(h ^ word);
-            word = 0;
-        }
-    }
-    splitmix64(h ^ word)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,21 +224,5 @@ mod tests {
             MaskPattern::FirstHalf.fingerprint(),
             MaskPattern::FirstHalf.fingerprint()
         );
-    }
-
-    #[test]
-    fn local_fingerprints_separate_length_and_content() {
-        let a = local_fingerprint(&[true, false, true]);
-        let b = local_fingerprint(&[true, false, false]);
-        let c = local_fingerprint(&[true, false, true, false]);
-        assert_ne!(a, b, "content must matter");
-        assert_ne!(a, c, "length must matter");
-        assert_eq!(a, local_fingerprint(&[true, false, true]));
-        // Crosses the 64-bit word boundary without losing bits.
-        let mut long = vec![false; 130];
-        long[100] = true;
-        let mut long2 = long.clone();
-        long2[129] = true;
-        assert_ne!(local_fingerprint(&long), local_fingerprint(&long2));
     }
 }

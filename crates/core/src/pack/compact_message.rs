@@ -56,13 +56,8 @@ impl<T> Default for CmsMessage<T> {
 
 impl<T> CmsMessage<T> {
     /// Total number of values across all segments.
-    pub fn value_count(&self) -> usize {
+    pub(crate) fn value_count(&self) -> usize {
         self.vals.len()
-    }
-
-    /// Number of segments (`Gs`/`Gr` in the paper's model).
-    pub fn segment_count(&self) -> usize {
-        self.heads.len()
     }
 }
 
@@ -171,7 +166,6 @@ mod tests {
             vals: vec![1, 2, 3, 4, 5, 6],
         };
         assert_eq!(msg.value_count(), 6);
-        assert_eq!(msg.segment_count(), 3);
         assert_eq!(msg.wire_words(), 6 + 2 * 3);
         assert_eq!(CmsMessage::<i32>::default().wire_words(), 0);
     }

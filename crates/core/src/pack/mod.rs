@@ -8,7 +8,7 @@
 
 pub(crate) mod compact_message;
 pub(crate) mod compact_storage;
-pub mod predict;
+mod predict;
 mod redist;
 pub(crate) mod simple;
 mod vector_arg;

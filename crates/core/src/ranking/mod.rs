@@ -16,10 +16,11 @@ mod initial;
 mod intermediate;
 mod workspace;
 
-pub use final_step::combine_base_ranks;
-pub use initial::{in_slice_ranks, slice_counts};
-pub use intermediate::{intermediate_steps, BaseRanks};
-pub use workspace::{segmented_exclusive_prefix, RankShape};
+pub(crate) use final_step::combine_base_ranks;
+pub(crate) use initial::in_slice_ranks;
+pub use initial::slice_counts;
+pub(crate) use intermediate::{intermediate_steps, BaseRanks};
+pub use workspace::RankShape;
 
 use hpf_machine::collectives::PrsAlgorithm;
 use hpf_machine::Proc;

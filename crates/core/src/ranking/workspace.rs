@@ -70,18 +70,13 @@ impl RankShape {
     }
 
     /// `Π_{k>i} L_k` — the volume of the dimensions above `i`.
-    pub fn upper_vol(&self, i: usize) -> usize {
+    pub(crate) fn upper_vol(&self, i: usize) -> usize {
         self.l[i + 1..].iter().product()
     }
 
     /// Flat length of `PS_i`/`RS_i`: `T_i · Π_{k>i} L_k`.
-    pub fn ps_len(&self, i: usize) -> usize {
+    pub(crate) fn ps_len(&self, i: usize) -> usize {
         self.t[i] * self.upper_vol(i)
-    }
-
-    /// Number of slices `C = ps_len(0)` — one `PS_0`/`PS_f` slot per slice.
-    pub fn slice_count(&self) -> usize {
-        self.ps_len(0)
     }
 }
 
@@ -125,7 +120,6 @@ mod tests {
         assert_eq!(s.local_len(), 32);
         assert_eq!(s.ps_len(0), 2 * 8); // T_0 * L_1
         assert_eq!(s.ps_len(1), 2); // T_1
-        assert_eq!(s.slice_count(), 16);
         assert_eq!(s.upper_vol(0), 8);
         assert_eq!(s.upper_vol(1), 1);
     }

@@ -21,16 +21,11 @@ impl Default for RankRequest {
 
 impl RankRequest {
     /// Total number of ranks requested.
-    pub fn expanded_len(&self) -> usize {
+    pub(crate) fn expanded_len(&self) -> usize {
         match self {
             RankRequest::Explicit(v) => v.len(),
             RankRequest::Runs(runs) => runs.iter().map(|&(_, n)| n as usize).sum(),
         }
-    }
-
-    /// Visit every requested rank in request order.
-    pub fn for_each_rank(&self, mut f: impl FnMut(usize)) {
-        self.for_each_run(|base, n| (base..base + n).for_each(&mut f));
     }
 
     /// Visit the requested ranks as `(base, count)` runs in request order;
@@ -76,7 +71,7 @@ mod tests {
         assert_eq!(Payload::wire_words(&explicit), 6);
         assert_eq!(Payload::wire_words(&runs), 2);
         let mut a = Vec::new();
-        runs.for_each_rank(|r| a.push(r));
+        runs.for_each_run(|base, n| a.extend(base..base + n));
         assert_eq!(a, vec![1, 2, 3, 4, 5, 6]);
     }
 }

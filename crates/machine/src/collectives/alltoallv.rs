@@ -334,33 +334,6 @@ fn xor_rounds<C>(
     }
 }
 
-/// The data rounds of [`alltoallv`] with the pair population known in
-/// advance: only pairs on the plan's lists exchange a message; slots off
-/// them come back as `P::default()`. The dense adapter over the same sparse
-/// rounds as [`alltoallv`].
-///
-/// # Panics
-/// Panics if `sends.len()` or the plan disagree with the group size, or (in
-/// debug builds) if a send slot off the plan's `to` list carries wire words.
-pub fn alltoallv_planned<P: Payload + Default>(
-    proc: &mut Proc,
-    group: &Group,
-    sends: Vec<P>,
-    plan: &A2aPlan,
-    schedule: A2aSchedule,
-) -> Vec<P> {
-    let n = sends.len();
-    let sends = populated(group, sends, |j, s| {
-        let listed = plan.sends_to(j);
-        debug_assert!(
-            listed || s.wire_words() == 0,
-            "silent send slot carries data"
-        );
-        listed
-    });
-    spread(n, sparse_planned(proc, group, sends, plan, schedule))
-}
-
 /// The boxed data rounds: `sends` holds one entry per rank on `plan.to`
 /// (plus, optionally, this rank's own), ascending; returns one entry per
 /// rank on `plan.from` (plus the moved self entry), ascending.
@@ -576,6 +549,33 @@ mod tests {
     use crate::cost::CostModel;
     use crate::machine::Machine;
     use crate::topology::ProcGrid;
+
+    /// The data rounds of [`alltoallv`] with the pair population known in
+    /// advance: only pairs on the plan's lists exchange a message; slots off
+    /// them come back as `P::default()`. The dense adapter over the same sparse
+    /// rounds as [`alltoallv`].
+    ///
+    /// # Panics
+    /// Panics if `sends.len()` or the plan disagree with the group size, or (in
+    /// debug builds) if a send slot off the plan's `to` list carries wire words.
+    fn alltoallv_planned<P: Payload + Default>(
+        proc: &mut Proc,
+        group: &Group,
+        sends: Vec<P>,
+        plan: &A2aPlan,
+        schedule: A2aSchedule,
+    ) -> Vec<P> {
+        let n = sends.len();
+        let sends = populated(group, sends, |j, s| {
+            let listed = plan.sends_to(j);
+            debug_assert!(
+                listed || s.wire_words() == 0,
+                "silent send slot carries data"
+            );
+            listed
+        });
+        spread(n, sparse_planned(proc, group, sends, plan, schedule))
+    }
 
     fn run_exchange(p: usize, schedule: A2aSchedule) {
         let machine = Machine::new(ProcGrid::line(p), CostModel::zero());

@@ -16,8 +16,7 @@ mod reduce;
 mod scan;
 
 pub use alltoallv::{
-    alltoallv, alltoallv_planned, alltoallv_pooled, alltoallv_sparse, alltoallv_two_phase, A2aPlan,
-    A2aSchedule,
+    alltoallv, alltoallv_pooled, alltoallv_sparse, alltoallv_two_phase, A2aPlan, A2aSchedule,
 };
 pub use broadcast::broadcast;
 pub use gather::{allgather, gather_to_root, scatter_from_root};

@@ -93,13 +93,13 @@ impl CostModel {
 
     /// Full transfer time `τ + μ·m` for a message of `m` words.
     #[inline]
-    pub fn msg_ns(&self, words: Words) -> f64 {
+    pub(crate) fn msg_ns(&self, words: Words) -> f64 {
         self.tau_ns + self.mu_ns * words as f64
     }
 
     /// Time for `n` elementary local operations, `δ·n`.
     #[inline]
-    pub fn ops_ns(&self, ops: usize) -> f64 {
+    pub(crate) fn ops_ns(&self, ops: usize) -> f64 {
         self.delta_ns * ops as f64
     }
 }
@@ -234,18 +234,18 @@ impl SimClock {
 
     /// Fold reliable-transport diagnostics into the clock so they appear in
     /// the final [`ClockReport`]. These counters never affect `now_ns`.
-    pub fn note_transport(&mut self, retransmits: u64, dup_drops: u64) {
+    pub(crate) fn note_transport(&mut self, retransmits: u64, dup_drops: u64) {
         self.retransmits += retransmits;
         self.dup_drops += dup_drops;
     }
 
     /// Start recording category spans (see [`crate::trace`]).
-    pub fn enable_trace(&mut self) {
+    pub(crate) fn enable_trace(&mut self) {
         self.trace = Some((Vec::new(), self.now_ns));
     }
 
     /// Take the recorded spans, closing the open one at the current time.
-    pub fn take_trace(&mut self) -> Vec<crate::trace::Span> {
+    pub(crate) fn take_trace(&mut self) -> Vec<crate::trace::Span> {
         match self.trace.take() {
             Some((mut spans, start)) => {
                 if self.now_ns > start {
@@ -313,7 +313,7 @@ impl SimClock {
     /// `cn_τ + cn_μ·elems` (the paper's footnote 2 — on the CM-5 a scan
     /// primitive runs in `O(M)` time on the dedicated network).
     #[inline]
-    pub fn charge_hw_scan(&mut self, elems: usize) {
+    pub(crate) fn charge_hw_scan(&mut self, elems: usize) {
         if self.muted {
             return;
         }
@@ -323,13 +323,13 @@ impl SimClock {
 
     /// Suppress or restore charging; returns the previous state. While
     /// muted, sends, ops, and arrival waits cost nothing.
-    pub fn set_muted(&mut self, muted: bool) -> bool {
+    pub(crate) fn set_muted(&mut self, muted: bool) -> bool {
         std::mem::replace(&mut self.muted, muted)
     }
 
     /// Whether charging is currently suppressed.
     #[inline]
-    pub fn is_muted(&self) -> bool {
+    pub(crate) fn is_muted(&self) -> bool {
         self.muted
     }
 
@@ -339,7 +339,7 @@ impl SimClock {
     /// copy was not performed when a processor needed to send a message to
     /// itself".
     #[inline]
-    pub fn charge_send(&mut self, words: Words) -> f64 {
+    pub(crate) fn charge_send(&mut self, words: Words) -> f64 {
         if self.muted {
             return self.now_ns;
         }
@@ -354,7 +354,7 @@ impl SimClock {
     /// proceed before the message exists. Waiting time is attributed to the
     /// ambient category.
     #[inline]
-    pub fn observe_arrival(&mut self, arrival_ns: f64) {
+    pub(crate) fn observe_arrival(&mut self, arrival_ns: f64) {
         if self.muted {
             return;
         }
@@ -368,7 +368,7 @@ impl SimClock {
     /// any category (used for uncharged clock synchronisation at phase
     /// boundaries).
     #[inline]
-    pub fn fast_forward(&mut self, t_ns: f64) {
+    pub(crate) fn fast_forward(&mut self, t_ns: f64) {
         if t_ns > self.now_ns {
             self.now_ns = t_ns;
         }
@@ -452,7 +452,7 @@ impl ClockReport {
 
     /// Elementary operations charged to one category.
     #[inline]
-    pub fn cat_ops(&self, cat: Category) -> u64 {
+    pub(crate) fn cat_ops(&self, cat: Category) -> u64 {
         self.ops_by_cat[cat.index()]
     }
 

@@ -104,11 +104,6 @@ impl MachineError {
             other => other,
         }
     }
-
-    /// True iff this is a secondary (poison) abort rather than the origin.
-    pub fn is_poisoned(&self) -> bool {
-        matches!(self, MachineError::Poisoned { .. })
-    }
 }
 
 impl fmt::Display for MachineError {
@@ -179,8 +174,6 @@ mod tests {
         };
         assert_eq!(poisoned.proc(), 0);
         assert_eq!(poisoned.root_cause(), &origin);
-        assert!(poisoned.is_poisoned());
-        assert!(!origin.is_poisoned());
         assert_eq!(origin.proc(), 3);
     }
 

@@ -36,7 +36,7 @@ pub struct LinkFaults {
 
 impl LinkFaults {
     /// True iff this configuration can never inject anything.
-    pub fn is_benign(&self) -> bool {
+    pub(crate) fn is_benign(&self) -> bool {
         self.drop_p <= 0.0 && self.dup_p <= 0.0 && self.delay_p <= 0.0 && self.reorder_p <= 0.0
     }
 }
@@ -164,7 +164,7 @@ impl FaultPlan {
     }
 
     /// The configured receive-side crash, if any, as `(proc, recv_step)`.
-    pub fn crash_at_recv(&self) -> Option<(usize, u64)> {
+    pub(crate) fn crash_at_recv(&self) -> Option<(usize, u64)> {
         self.crash_at_recv
     }
 
@@ -178,7 +178,7 @@ impl FaultPlan {
     }
 
     /// True iff no link can ever inject a fault and no crash is scheduled.
-    pub fn is_benign(&self) -> bool {
+    pub(crate) fn is_benign(&self) -> bool {
         self.crash.is_none()
             && self.crash_at_recv.is_none()
             && self.everywhere.is_benign()

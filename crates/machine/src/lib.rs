@@ -47,15 +47,15 @@ mod error;
 pub mod fault;
 mod machine;
 mod message;
-pub mod obs;
-pub mod pool;
+mod obs;
+mod pool;
 mod proc;
-pub mod recovery;
+mod recovery;
 mod reliable;
 mod report;
 mod sched;
 mod topology;
-pub mod trace;
+mod trace;
 
 pub use chan::{default_capacity, ring_bytes};
 pub use cost::{Category, ClockReport, CostModel, SimClock, Words};
@@ -63,10 +63,7 @@ pub use error::MachineError;
 pub use fault::{FaultPlan, LinkFaults};
 pub use machine::Machine;
 pub use message::{Mailbox, Packet, Payload, Wire};
-pub use obs::{
-    folded_stacks, Event, EventKind, MemAccount, MetricsSnapshot, ObsConfig, WallProfile,
-    WallProfiler, WallSpan,
-};
+pub use obs::{Event, EventKind, MemAccount, MetricsSnapshot, WallProfile, WallProfiler, WallSpan};
 pub use pool::{fresh_pool_key, BufferPool, PoolSlot, Reusable};
 pub use proc::{tags, Group, Proc};
 pub use recovery::{Checkpoint, RecoveryStats};

@@ -208,11 +208,6 @@ impl Machine {
         self
     }
 
-    /// The attached fault plan, if any.
-    pub fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref()
-    }
-
     /// The logical processor grid.
     pub fn grid(&self) -> &ProcGrid {
         &self.grid

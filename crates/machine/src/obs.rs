@@ -11,7 +11,7 @@
 //! Perfetto or `chrome://tracing`, alongside the existing text Gantt.
 //!
 //! Independently, a machine built with metrics enabled gives each processor
-//! a [`Registry`] of named counters, gauges, and log₂-bucketed histograms
+//! a registry of named counters, gauges, and log₂-bucketed histograms
 //! (message sizes, retry latencies, mailbox depths, per-stage durations).
 //! Updates are lock-free (relaxed atomics; registration of a new name takes
 //! a short mutex, once). Per-processor snapshots are aggregated into
@@ -473,7 +473,7 @@ impl HistSnapshot {
 
     /// Approximate quantile (`q` in `[0, 1]`) from the bucket boundaries:
     /// returns the upper bound of the bucket containing the `q`-th sample.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -1287,20 +1287,6 @@ impl WallProfile {
         self.spans[i].dur_ns.saturating_sub(children)
     }
 
-    /// The dotted stack of span `i`, root-first, e.g.
-    /// `"pack.execute;a2a.planned"`.
-    pub fn stack_of(&self, i: usize) -> String {
-        let mut names = Vec::new();
-        let mut cur = Some(i as u32);
-        while let Some(c) = cur {
-            let s = &self.spans[c as usize];
-            names.push(s.name);
-            cur = s.parent;
-        }
-        names.reverse();
-        names.join(";")
-    }
-
     /// Nesting check: every `begin` had an `end`, every `end` a `begin`,
     /// and every child span lies within its parent's interval. Returns a
     /// diagnostic for the first violation.
@@ -1351,31 +1337,6 @@ impl WallProfile {
         }
         Ok(())
     }
-}
-
-/// Render per-processor wall profiles as folded stacks — the
-/// flamegraph.pl / inferno input format: one `stack;frames count` line per
-/// distinct stack, where the count is the stack's *self* wall time in
-/// nanoseconds. Stacks are rooted at `procN` and aggregated over all
-/// occurrences; lines are sorted, so the output is deterministic given the
-/// profiles.
-pub fn folded_stacks(profiles: &[WallProfile]) -> String {
-    let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-    for (pid, profile) in profiles.iter().enumerate() {
-        for i in 0..profile.spans.len() {
-            let self_ns = profile.self_ns(i);
-            if self_ns == 0 {
-                continue;
-            }
-            let stack = format!("proc{pid};{}", profile.stack_of(i));
-            *agg.entry(stack).or_insert(0) += self_ns;
-        }
-    }
-    let mut out = String::new();
-    for (stack, ns) in agg {
-        let _ = writeln!(out, "{stack} {ns}");
-    }
-    out
 }
 
 /// [`chrome_trace_json`] plus a dedicated per-processor wall-clock track:
@@ -1652,7 +1613,6 @@ mod tests {
         assert!(inner.start_ns >= outer.start_ns);
         assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
         assert_eq!(p.total_ns(), outer.dur_ns);
-        assert_eq!(p.stack_of(1), "outer;inner");
         assert_eq!(p.self_ns(0), outer.dur_ns - inner.dur_ns);
     }
 
@@ -1667,34 +1627,6 @@ mod tests {
         w.end();
         let p = w.finish();
         assert!(p.well_formed().is_err(), "stray end must be flagged");
-    }
-
-    #[test]
-    fn folded_stacks_aggregate_self_time() {
-        let profile = WallProfile {
-            spans: vec![
-                WallSpan {
-                    name: "execute",
-                    parent: None,
-                    depth: 0,
-                    start_ns: 0,
-                    dur_ns: 100,
-                    bytes: 0,
-                },
-                WallSpan {
-                    name: "gather",
-                    parent: Some(0),
-                    depth: 1,
-                    start_ns: 10,
-                    dur_ns: 60,
-                    bytes: 0,
-                },
-            ],
-            forced_closes: 0,
-            unmatched_ends: 0,
-        };
-        let folded = folded_stacks(&[profile]);
-        assert_eq!(folded, "proc0;execute 40\nproc0;execute;gather 60\n");
     }
 
     #[test]

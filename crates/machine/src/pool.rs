@@ -33,7 +33,7 @@
 //! frame decodes again. The live slot goes back to `Free` at the send.
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -157,7 +157,7 @@ impl<B: Reusable> PoolSlot<B> {
 
     /// Words the staged buffer will occupy on the wire (sender side,
     /// between `stash` and the actual send).
-    pub fn staged_words(&self) -> crate::cost::Words {
+    pub(crate) fn staged_words(&self) -> crate::cost::Words {
         let st = self.state.lock().unwrap();
         match &*st {
             SlotState::Staged(b) => b.wire_words(),
@@ -218,7 +218,11 @@ impl Entry {
 /// A per-processor pool of reusable send buffers.
 #[derive(Default)]
 pub struct BufferPool {
-    entries: HashMap<(u64, usize, TypeId), Entry>,
+    /// Ordered, not hashed: one-shot plans insert and retire their entries
+    /// every op, and a hash table re-allocates under that churn at moments
+    /// that follow its per-process random seed, so the bytes an op
+    /// allocates would not repeat from run to run.
+    entries: BTreeMap<(u64, usize, TypeId), Entry>,
     /// Slot rotations restored from an epoch checkpoint, consulted when an
     /// entry is first (re-)created after a crash respawn. Only the rotation
     /// survives a crash: at an epoch boundary every staged buffer has been
@@ -232,7 +236,7 @@ impl BufferPool {
     /// The slot to use for the next send of a `B` to `dst` under plan
     /// `key`, advancing the two-slot rotation. Creates (and allocates) the
     /// entry on first use; steady-state calls only flip an index.
-    pub fn next_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
+    pub(crate) fn next_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
         let k = (key, dst, TypeId::of::<B>());
         let restored = &self.restored;
         let entry = self.entries.entry(k).or_insert_with(|| Entry {
@@ -266,7 +270,7 @@ impl BufferPool {
     /// Freeze the pool's slot rotation for an epoch checkpoint. Rotations
     /// restored earlier but not yet re-materialised as live entries are
     /// carried through, so repeated snapshot/restore cycles are lossless.
-    pub fn snapshot(&self) -> PoolSnapshot {
+    pub(crate) fn snapshot(&self) -> PoolSnapshot {
         let mut flips = self.restored.clone();
         for (k, e) in &self.entries {
             flips.insert(*k, e.flip);
@@ -276,7 +280,7 @@ impl BufferPool {
 
     /// Reset this (fresh) pool to a checkpointed rotation — the inverse of
     /// [`BufferPool::snapshot`], used when a crashed processor is respawned.
-    pub fn restore(&mut self, snap: &PoolSnapshot) {
+    pub(crate) fn restore(&mut self, snap: &PoolSnapshot) {
         self.entries.clear();
         self.restored = snap.flips.clone();
     }
@@ -284,7 +288,7 @@ impl BufferPool {
     /// The slot handed out by the most recent [`BufferPool::next_slot`] for
     /// this `(key, dst, type)` — the one currently in flight. Used by the
     /// self-message path, where sender and receiver are the same processor.
-    pub fn current_slot<B: Reusable>(&self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
+    pub(crate) fn current_slot<B: Reusable>(&self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
         let entry = self
             .entries
             .get(&(key, dst, TypeId::of::<B>()))

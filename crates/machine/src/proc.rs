@@ -41,22 +41,22 @@ const PKT_SCRATCH_RESERVE: usize = 256;
 /// tag, per-sender FIFO order plus SPMD program order makes matching exact.
 pub mod tags {
     /// Prefix-reduction-sum rounds.
-    pub const SCAN: u64 = 1;
+    pub(crate) const SCAN: u64 = 1;
     /// Reduction rounds.
-    pub const REDUCE: u64 = 2;
+    pub(crate) const REDUCE: u64 = 2;
     /// Broadcast tree edges.
-    pub const BCAST: u64 = 3;
+    pub(crate) const BCAST: u64 = 3;
     /// Gather/scatter/allgather traffic.
-    pub const GATHER: u64 = 4;
+    pub(crate) const GATHER: u64 = 4;
     /// Many-to-many personalized communication rounds.
-    pub const ALLTOALL: u64 = 5;
+    pub(crate) const ALLTOALL: u64 = 5;
     /// Explicit barriers: the retire barrier of a recoverable run.
-    pub const BARRIER: u64 = 6;
+    pub(crate) const BARRIER: u64 = 6;
     /// Uncharged clock-synchronisation control traffic.
-    pub const CLOCK_SYNC: u64 = 7;
+    pub(crate) const CLOCK_SYNC: u64 = 7;
     /// Uncharged send-flag transposition of a many-to-many
     /// ([`crate::collectives::A2aPlan::exchange`]).
-    pub const A2A_FLAGS: u64 = 8;
+    pub(crate) const A2A_FLAGS: u64 = 8;
     /// First tag available to user programs.
     pub const USER: u64 = 1 << 16;
 }
@@ -348,7 +348,7 @@ impl<'m> Proc<'m> {
     /// Used to realise operations a modelled hardware unit would carry
     /// (e.g. CM-5 control-network scans), whose cost the caller then
     /// charges explicitly.
-    pub fn with_uncharged_comm<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+    pub(crate) fn with_uncharged_comm<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let prev = self.clock.set_muted(true);
         let out = f(self);
         self.clock.set_muted(prev);
@@ -730,9 +730,7 @@ impl<'m> Proc<'m> {
     /// the program), or with a typed [`MachineError`] if nothing arrives
     /// within the machine's receive timeout or a peer fails first; under
     /// [`crate::Machine::run`] that error becomes the run's panic, under
-    /// [`crate::Machine::try_run`] it becomes the returned `Err`. Programs
-    /// that want to handle transport failure locally use
-    /// [`Proc::try_recv`].
+    /// [`crate::Machine::try_run`] it becomes the returned `Err`.
     pub fn recv<P: Payload>(&mut self, src: usize, tag: u64) -> P {
         match self.try_recv(src, tag) {
             Ok(v) => v,
@@ -744,7 +742,7 @@ impl<'m> Proc<'m> {
     /// (timeout, poisoned run) as a typed [`MachineError`] instead of
     /// panicking. Payload type mismatch still panics — that is a program
     /// bug, not a machine failure.
-    pub fn try_recv<P: Payload>(&mut self, src: usize, tag: u64) -> Result<P, MachineError> {
+    pub(crate) fn try_recv<P: Payload>(&mut self, src: usize, tag: u64) -> Result<P, MachineError> {
         self.note_recv_step();
         let pkt = self.try_recv_packet(src, tag)?;
         self.observe_consume(&pkt);
@@ -796,18 +794,6 @@ impl<'m> Proc<'m> {
                 }
             }
         }
-    }
-
-    /// Receive and return the packet's charged word count alongside the data.
-    pub fn recv_with_words<P: Payload>(&mut self, src: usize, tag: u64) -> (P, usize) {
-        self.note_recv_step();
-        let pkt = match self.try_recv_packet(src, tag) {
-            Ok(p) => p,
-            Err(e) => panic_any(e),
-        };
-        self.observe_consume(&pkt);
-        let words = pkt.words;
-        (self.extract::<P>(pkt, src, tag), words)
     }
 
     /// Advance the clock to the packet's arrival (the shared receive-side
@@ -1449,12 +1435,6 @@ impl<'m> Proc<'m> {
             .map(WallProfiler::finish)
             .unwrap_or_default();
         (self.clock, self.words_to, self.rx, events, metrics, wall)
-    }
-
-    /// Charged words this processor has sent to each destination so far
-    /// (self-messages excluded).
-    pub fn words_sent_to(&self) -> &[u64] {
-        &self.words_to
     }
 
     /// Receive the raw packet from `src` under `tag`, leaving the payload

@@ -128,14 +128,6 @@ impl<R> RunOutput<R> {
             .fold(0.0, f64::max)
     }
 
-    /// Mean over processors of the time spent in `cat`, ms.
-    pub fn mean_cat_ms(&self, cat: Category) -> f64 {
-        if self.clocks.is_empty() {
-            return 0.0;
-        }
-        self.clocks.iter().map(|c| c.cat_ms(cat)).sum::<f64>() / self.clocks.len() as f64
-    }
-
     /// Total message words sent across all processors.
     pub fn total_words_sent(&self) -> u64 {
         self.clocks.iter().map(|c| c.words_sent).sum()
@@ -192,21 +184,6 @@ impl<R> RunOutput<R> {
             total_ms: self.max_time_ms(),
         }
     }
-
-    /// Drop the results, keeping only timing (useful when the result type is
-    /// not `Clone`).
-    pub fn timing_only(&self) -> RunOutput<()> {
-        RunOutput {
-            results: vec![(); self.results.len()],
-            clocks: self.clocks.clone(),
-            traces: self.traces.clone(),
-            comm_matrix: self.comm_matrix.clone(),
-            events: self.events.clone(),
-            metrics: self.metrics.clone(),
-            recovery: self.recovery.clone(),
-            wall_profiles: self.wall_profiles.clone(),
-        }
-    }
 }
 
 /// Critical-path milliseconds per category plus the overall completion time.
@@ -259,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn max_and_mean_over_procs() {
+    fn max_over_procs() {
         let out = RunOutput::new(
             vec![(), ()],
             vec![
@@ -268,7 +245,6 @@ mod tests {
             ],
         );
         assert_eq!(out.max_cat_ms(Category::LocalComp), 4.0);
-        assert_eq!(out.mean_cat_ms(Category::LocalComp), 3.0);
         assert_eq!(out.max_time_ms(), 4.0);
     }
 

@@ -109,7 +109,7 @@ impl ProcGrid {
     /// processor `id` except along dimension `dim`, in increasing coordinate
     /// order. This is the communicator for dimension-`dim` collectives; the
     /// position of `id` within the returned list equals `coord(id, dim)`.
-    pub fn axis_members(&self, id: usize, dim: usize) -> Vec<usize> {
+    pub(crate) fn axis_members(&self, id: usize, dim: usize) -> Vec<usize> {
         let my = self.coord(id, dim);
         let base = id - my * self.strides[dim];
         (0..self.dims[dim])

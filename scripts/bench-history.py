@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Tabulate wall-clock and simulated headline metrics across perf reports
-into a markdown trend table.
+"""Tabulate the simulated headline of every perf report into a markdown
+trend table.
 
 Walks the git history of results/BENCH_*.json (every committed revision of
 every per-revision report and the baseline), parses each version it can
@@ -8,13 +8,10 @@ read, dedupes by the report's own `rev` + mode (newest commit wins), adds
 any reports sitting uncommitted in the working tree, and renders one row
 per report ordered oldest-first. Stdlib only.
 
-Headline columns: the summed simulated total (deterministic; any drift is
-a behavioural change), the summed wall medians (noisy; trend only), the
-worst measured cv (how trustworthy the wall column is), the steady-state
-hot-path ns/element of the CMS pack kernel (the ROADMAP item-2 tuning
-target; the dense-mask variant when the report carries one), and that
-kernel's achieved GB/s as a fraction of the report's measured
-single-thread memcpy roof (schema v9+; em-dash for older reports).
+Headline column: the summed simulated total (deterministic; any drift is
+a behavioural change). Reports up to schema v9 also carried wall-clock
+fields; they are read and their wall fields ignored — wall numbers and
+their trend belong to the repo benchmark (`benchmark/`).
 
 Usage: bench-history.py [--out FILE]    (default: print to stdout)
 Exit code 0 even when no reports exist (prints an empty table) so the
@@ -81,61 +78,16 @@ def worktree_reports():
             continue
 
 
-def wall_median_ms(w):
-    """A workload's wall median: the schema-v7 `wall` object when present,
-    the legacy flat `wall_ms` otherwise."""
-    wall = w.get("wall")
-    if isinstance(wall, dict) and isinstance(wall.get("median_ms"), (int, float)):
-        return wall["median_ms"]
-    ms = w.get("wall_ms")
-    return ms if isinstance(ms, (int, float)) else 0.0
-
-
 def headline(report):
     workloads = [w for w in report.get("workloads", []) if isinstance(w, dict)]
     sim = sum(
         w["total_ms"] for w in workloads if isinstance(w.get("total_ms"), (int, float))
     )
-    wall = sum(wall_median_ms(w) for w in workloads)
-    cvs = [
-        w["wall"]["cv"]
-        for w in workloads
-        if isinstance(w.get("wall"), dict)
-        and isinstance(w["wall"].get("cv"), (int, float))
-    ]
-    # Headline kernel: the CMS pack hot path, preferring the dense-mask
-    # variant (the bulk-copy showcase) when the report carries one.
-    hot_ns = None
-    cms_hot = [
-        (w["name"], w["hot"].get("ns_per_element"))
-        for w in workloads
-        if w.get("name", "").startswith("exec_hot.pack.cms.")
-        and isinstance(w.get("hot"), dict)
-        and isinstance(w["hot"].get("ns_per_element"), (int, float))
-    ]
-    for name, ns in cms_hot:
-        if name.endswith(".dense"):
-            hot_ns = ns
-            break
-    if hot_ns is None and cms_hot:
-        hot_ns = cms_hot[0][1]
-    # Achieved throughput vs the memcpy roof: hot elements are i32, so
-    # 4 bytes / (ns/element) is GB/s; the roof is measured by the same
-    # report (schema v9+), making the ratio machine-relative.
-    roof = report.get("memcpy_roof_gbps")
-    roof_pct = None
-    if hot_ns and isinstance(roof, (int, float)) and roof > 0:
-        roof_pct = 100.0 * (4.0 / hot_ns) / roof
     return {
         "rev": report.get("rev", "?"),
         "mode": report.get("mode", "?"),
         "n": len(workloads),
         "sim_ms": sim,
-        "wall_ms": wall,
-        "max_cv": max(cvs) if cvs else None,
-        "hot_ns": hot_ns,
-        "hot_gbps": (4.0 / hot_ns) if hot_ns else None,
-        "roof_pct": roof_pct,
     }
 
 
@@ -166,22 +118,13 @@ def main():
     lines = [
         "# Bench history",
         "",
-        "| date | rev | mode | workloads | sim total (ms) | wall total (ms) | max cv | cms hot ns/elem | GB/s (% of memcpy roof) |",
-        "|---|---|---|---:|---:|---:|---:|---:|---:|",
+        "| date | rev | mode | workloads | sim total (ms) |",
+        "|---|---|---|---:|---:|",
     ]
     for when, h in rows:
         date = datetime.datetime.fromtimestamp(when).strftime("%Y-%m-%d")
-        cv = f"{h['max_cv']:.3f}" if h["max_cv"] is not None else "—"
-        hot = f"{h['hot_ns']:.2f}" if h["hot_ns"] is not None else "—"
-        if h["hot_gbps"] is not None and h["roof_pct"] is not None:
-            roof = f"{h['hot_gbps']:.2f} ({h['roof_pct']:.1f}%)"
-        elif h["hot_gbps"] is not None:
-            roof = f"{h['hot_gbps']:.2f} (—)"
-        else:
-            roof = "—"
         lines.append(
-            f"| {date} | {h['rev']} | {h['mode']} | {h['n']} "
-            f"| {h['sim_ms']:.3f} | {h['wall_ms']:.1f} | {cv} | {hot} | {roof} |"
+            f"| {date} | {h['rev']} | {h['mode']} | {h['n']} | {h['sim_ms']:.3f} |"
         )
     text = "\n".join(lines) + "\n"
 

@@ -22,7 +22,6 @@ for f in results/BENCH_*.json; do
   esac
 done
 cargo run -p hpf-bench --release --bin perf
-python3 scripts/validate_bench.py "results/BENCH_$rev.json"
 
 echo "== perf smoke baseline (perfdiff reference) + critical-path report =="
 # The committed baseline must be a --smoke run: that is what ci.sh compares
@@ -31,10 +30,9 @@ echo "== perf smoke baseline (perfdiff reference) + critical-path report =="
 # baseline only changes when the cost model or algorithms change.
 cargo run -p hpf-bench --release --bin perf -- --smoke \
   --out results/BENCH_baseline.json --critpath-out results/critpath.txt
-python3 scripts/validate_bench.py results/BENCH_baseline.json
 
-echo "== bench history (wall + simulated trend table) =="
-# Tabulates headline metrics from every committed BENCH_*.json revision
+echo "== bench history (simulated trend table) =="
+# Tabulates the simulated headline of every committed BENCH_*.json revision
 # plus the two reports regenerated above into a markdown trend table.
 python3 scripts/bench-history.py --out results/bench-history.md
 
