@@ -16,13 +16,18 @@
 //! `pos` addresses the *dense* side (the message buffer, tiled front to
 //! back); `at` addresses the *indexed* side (the local array slice the
 //! indices point into). A block-distributed section lowers to a handful of
-//! `Contig` ops — executed as `copy_from_slice`, i.e. `memcpy` — a cyclic
-//! distribution lowers to `Strided` ops with stride `P·W`, and a random
-//! mask degenerates to `Scatter` ranges that replay the original scalar
-//! loop. Lowering is wall-clock-only work: it charges **zero** simulated
-//! operations, so the Section 6.4 accounting is bit-identical to the
-//! scalar path (the op *counts* were always per value, never per loop
-//! shape).
+//! `Contig` ops — executed as `copy_from_slice`, i.e. `memcpy` — a long
+//! constant-stride section to `Strided` ops, and a random mask to one
+//! `Scatter` range per row, which is the branch-free index loop
+//! `dst[k] = src[idx[k]]`. That loop is the yardstick: it moves an element
+//! in 0.6–0.8 ns, every op costs about one mispredicted branch on top of
+//! its elements, and a bulk op is emitted only where the measured
+//! break-even says it beats the loop it replaces ([`MIN_CONTIG`],
+//! [`MIN_CONTIG_JOINED`], [`MIN_STRIDED`]; the table is in EXPERIMENTS.md,
+//! "Lower only what beats the index loop"). Lowering is wall-clock-only
+//! work: it charges **zero** simulated operations, so the Section 6.4
+//! accounting is bit-identical to the scalar path (the op *counts* were
+//! always per value, never per loop shape).
 //!
 //! The walkers take a [`Phase`]: ops write to disjoint dense positions, so
 //! the executor runs the bulk ops under a `copy.contig` wall span and the
@@ -33,15 +38,35 @@
 //! this module's tests, which check every walker against them over
 //! arbitrary index lists.
 
-/// Minimum run length worth a dedicated `Contig` op; shorter stride-1 runs
-/// fold into the surrounding `Scatter` range. A short `copy_from_slice`
-/// costs a call + bounds checks, and each emitted op costs
-/// `size_of::<CopyOp>()` plan bytes — below this length the scalar walk is
-/// both faster and smaller.
-const MIN_CONTIG: usize = 4;
+/// Shortest stride-1 run that becomes a `Contig` op when scattered elements
+/// are pending before it: the op ends their `Scatter` range — in the middle
+/// of a random stretch it splits the range in two — so it must carry the
+/// cost of the ops around it. Each op is a loop of unpredictable length,
+/// about one mispredicted branch; measured, `copy_from_slice` over
+/// random-mask (geometric) run lengths catches up with the index loop at
+/// 24–32 elements and is 0.1–0.2 ns per element ahead from 32 on, and on
+/// Bernoulli masks of density 0.5–0.9 every value from 24 up is level with
+/// the index loop where 4 was twice as slow (EXPERIMENTS.md, "Lower only
+/// what beats the index loop").
+const MIN_CONTIG: usize = 32;
 
-/// Minimum run length worth a `Strided` op, for the same trade-off.
-const MIN_STRIDED: usize = 8;
+/// Shortest stride-1 run that becomes a `Contig` op where it costs no op:
+/// between bulk ops or row ends on both sides, it stands where a `Scatter`
+/// op of its own would. Rows that are runs back to back — a dense mask on
+/// narrow blocks, UNPACK's serve rows over the dense `V` — stay all
+/// `memcpy`, which op for op beats the index loop from 8 elements on.
+const MIN_CONTIG_JOINED: usize = 8;
+
+/// Shortest equal-delta run that becomes a `Strided` op. The strided loop
+/// saves the index load and nothing else: it is level with the index loop
+/// from 48–64 elements, behind it below that when run lengths are
+/// unpredictable, and never more than 15 % ahead.
+const MIN_STRIDED: usize = 64;
+
+/// The shortest stretch any rule above can lower: what `extend` lets
+/// through to [`ProgramBuilder::emit_bulk`].
+const MIN_BULK: u32 = MIN_CONTIG_JOINED as u32;
+const _: () = assert!(MIN_CONTIG_JOINED <= MIN_CONTIG && MIN_CONTIG_JOINED <= MIN_STRIDED);
 
 /// One lowered copy instruction; see the module docs for the grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,11 +210,13 @@ impl CopyPrograms {
 
 /// Streaming lowering: one program family built index by index, row by row.
 /// Greedy maximal equal-delta stretches become `Contig` (delta 1) or
-/// `Strided` ops when long enough to pay for themselves; everything else
-/// coalesces into `Scatter` ranges (never across a row boundary). Only the
-/// stretch the last index belongs to is remembered, so nothing is read
-/// twice; an undersized stretch leaves its last element to start the next
-/// one with what follows (`[5, 100, 101, 102, 103]` keeps the 4-long contig).
+/// `Strided` ops when long enough to beat the index loop — how long depends
+/// on whether the op has scattered elements for a neighbour, see
+/// [`MIN_CONTIG`] and [`MIN_CONTIG_JOINED`] — and everything else coalesces
+/// into `Scatter` ranges (never across a row boundary). Only the stretch
+/// the last index belongs to is remembered, so nothing is read twice; an
+/// undersized stretch leaves its last element to start the next one with
+/// what follows (`[5, 100, 101, …]` keeps the whole contig).
 #[derive(Debug, Default)]
 pub(crate) struct ProgramBuilder {
     out: CopyPrograms,
@@ -219,8 +246,8 @@ impl ProgramBuilder {
         for &x in idx {
             let d = i64::from(x) - i64::from(prev);
             let goes_on = std::hint::black_box(u32::from(d == delta));
-            let ended = (len | (goes_on * TOP)).wrapping_sub(MIN_CONTIG as u32);
-            if ended < TOP - MIN_CONTIG as u32 && self.emit_bulk(pos, len, prev, delta) {
+            let ended = (len | (goes_on * TOP)).wrapping_sub(MIN_BULK);
+            if ended < TOP - MIN_BULK && self.emit_bulk(pos, len, prev, delta) {
                 len = 0;
             }
             // Go on with the stretch, or restart it at its last element.
@@ -232,15 +259,23 @@ impl ProgramBuilder {
         (self.pos, self.prev, self.delta, self.len) = (pos, prev, delta, len);
     }
 
-    /// Emit the stretch of `len ≥ MIN_CONTIG` indices `delta` apart that
-    /// ends at `prev`, before position `end`, if it makes a bulk op.
+    /// Emit the stretch of `len` indices `delta` apart that ends at `prev`,
+    /// before position `end`, if it makes a bulk op that pays for itself.
     fn emit_bulk(&mut self, end: u32, len: u32, prev: u32, delta: i64) -> bool {
         let pos = end - len;
         let at = (i64::from(prev) - i64::from(len - 1) * delta) as u32;
-        let op = if delta == 1 {
+        // No scattered element pending: the op follows a bulk op or starts
+        // the row (`flush_scatter` takes it back if scattered ones follow).
+        let joined = self.scattered == pos;
+        let min_contig = if joined {
+            MIN_CONTIG_JOINED
+        } else {
+            MIN_CONTIG
+        };
+        let op = if delta == 1 && len >= min_contig as u32 {
             self.out.stats.contig += 1;
             CopyOp::Contig { pos, at, len }
-        } else if len >= MIN_STRIDED as u32 && i32::try_from(delta).is_ok() {
+        } else if delta != 1 && len >= MIN_STRIDED as u32 && i32::try_from(delta).is_ok() {
             self.out.stats.strided += 1;
             let stride = delta as i32;
             CopyOp::Strided {
@@ -260,8 +295,21 @@ impl ProgramBuilder {
     }
 
     /// Emit the pending scatter range, which ends before position `end`.
+    /// Joined contigs right before it turn out to be followed by scattered
+    /// elements after all — they replaced no `Scatter` op, they split one
+    /// off — and fold back into the range.
     fn flush_scatter(&mut self, end: u32) {
         if self.scattered < end {
+            let row = *self.out.offs.last().expect("never empty") as usize;
+            while let Some(&CopyOp::Contig { pos, len, .. }) = self.out.ops[row..].last() {
+                if len >= MIN_CONTIG as u32 {
+                    break;
+                }
+                self.out.ops.pop();
+                self.out.stats.contig -= 1;
+                self.out.stats.bulk_elements -= u64::from(len);
+                self.scattered = pos;
+            }
             self.out.stats.scatter += 1;
             self.out.ops.push(CopyOp::Scatter {
                 pos: self.scattered,
@@ -272,7 +320,7 @@ impl ProgramBuilder {
 
     /// Close the open row (possibly empty) and start the next.
     pub(crate) fn end_row(&mut self) {
-        if self.len >= MIN_CONTIG as u32 {
+        if self.len >= MIN_BULK {
             self.emit_bulk(self.pos, self.len, self.prev, self.delta);
         }
         self.flush_scatter(self.pos);
@@ -487,7 +535,7 @@ fn strided_gather<T: Copy>(src: &[T], at: u32, stride: i32, dst: &mut [T]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     fn scalar_gather(idx: &[u32], src: &[u32]) -> Vec<u32> {
@@ -501,9 +549,22 @@ mod tests {
 
     /// The greedy lowering the streaming builder replaced, kept as its
     /// oracle: at every position the maximal equal-delta run is rescanned;
-    /// a full-size one becomes a bulk op, an undersized one gives up a
-    /// single element to the row's trailing scatter range.
+    /// a full-size one becomes a bulk op — full-size by the same rule, a
+    /// contig directly after a bulk op or at its row's start needs only
+    /// `MIN_CONTIG_JOINED` — an undersized one gives up a single element to
+    /// the row's trailing scatter range, which, where it opens, takes back
+    /// the joined contigs before it.
     fn lower_rescanning(idx: &[u32], offs: &[u32]) -> CopyPrograms {
+        lower_rescanning_with(idx, offs, [MIN_CONTIG, MIN_CONTIG_JOINED, MIN_STRIDED])
+    }
+
+    /// … under any `[MIN_CONTIG, MIN_CONTIG_JOINED, MIN_STRIDED]`: `[4, 4, 8]`
+    /// is the rule before the break-even was measured.
+    pub(in crate::plan) fn lower_rescanning_with(
+        idx: &[u32],
+        offs: &[u32],
+        [min_contig, min_joined, min_strided]: [usize; 3],
+    ) -> CopyPrograms {
         let mut ops: Vec<CopyOp> = Vec::new();
         let mut stats = CopyStats {
             total_elements: idx.len() as u64,
@@ -525,7 +586,9 @@ mod tests {
                 } else {
                     (0, 1)
                 };
-                if delta == 1 && run >= MIN_CONTIG {
+                let joined = !matches!(ops[first..].last(), Some(CopyOp::Scatter { .. }));
+                let min_here = if joined { min_joined } else { min_contig };
+                if delta == 1 && run >= min_here {
                     ops.push(CopyOp::Contig {
                         pos: i as u32,
                         at: idx[i],
@@ -534,7 +597,7 @@ mod tests {
                     stats.contig += 1;
                     stats.bulk_elements += run as u64;
                     i += run;
-                } else if run >= MIN_STRIDED && i32::try_from(delta).is_ok() {
+                } else if delta != 1 && run >= min_strided && i32::try_from(delta).is_ok() {
                     ops.push(CopyOp::Strided {
                         pos: i as u32,
                         at: idx[i],
@@ -552,9 +615,21 @@ mod tests {
                             *len += 1;
                         }
                         _ => {
+                            let mut pos = i as u32;
+                            while let Some(&CopyOp::Contig { pos: at, len, .. }) =
+                                ops[first..].last()
+                            {
+                                if len as usize >= min_contig {
+                                    break;
+                                }
+                                ops.pop();
+                                stats.contig -= 1;
+                                stats.bulk_elements -= u64::from(len);
+                                pos = at;
+                            }
                             ops.push(CopyOp::Scatter {
-                                pos: i as u32,
-                                len: 1,
+                                pos,
+                                len: i as u32 + 1 - pos,
                             });
                             stats.scatter += 1;
                         }
@@ -571,31 +646,43 @@ mod tests {
         }
     }
 
+    /// Run lengths on both sides of every minimum, plus a few short ones.
+    fn boundary_lens() -> Vec<usize> {
+        let mut lens = vec![1, 2, 3, 5, 2 * MIN_CONTIG];
+        for min in [MIN_CONTIG_JOINED, MIN_CONTIG, MIN_STRIDED] {
+            lens.extend([min - 1, min, min + 1]);
+        }
+        lens
+    }
+
     /// Index lists with structure to find: stretches of a random start,
-    /// stride (negative, zero, one, too wide for an `i32`) and length — a
-    /// stride-1 stretch may continue the previous one — cut into rows at
-    /// random places, some of them stretch ends, some rows empty.
+    /// stride (negative, zero, one, too wide for an `i32`) and length (short,
+    /// and one below, at and one above each minimum) — a stride-1 stretch may
+    /// continue the previous one or follow it after a one-slot hole — cut
+    /// into rows at random places, some of them stretch ends, some rows
+    /// empty.
     fn stretchy_rows() -> impl proptest::strategy::Strategy<Value = (Vec<u32>, Vec<u32>)> {
         use proptest::strategy::Strategy;
         let strides = vec![1i64, 1, 1, 2, -1, -8, 0, 16, 1 << 31, -(1 << 31)];
         let stretch = (
             0u32..1000,
             proptest::sample::select(strides),
-            1usize..12,
-            proptest::arbitrary::any::<bool>(),
+            proptest::sample::select(boundary_lens()),
+            0u8..3,
         );
         let cuts =
-            proptest::collection::vec((0usize..400, proptest::arbitrary::any::<bool>()), 0..6);
-        (proptest::collection::vec(stretch, 0..20), cuts).prop_map(|(stretches, cuts)| {
+            proptest::collection::vec((0usize..4000, proptest::arbitrary::any::<bool>()), 0..6);
+        (proptest::collection::vec(stretch, 0..12), cuts).prop_map(|(stretches, cuts)| {
             let (mut idx, mut ends) = (Vec::new(), vec![0usize]);
             for (start, stride, len, chain) in stretches {
                 let far = if stride.abs() > 1 << 30 {
                     1u32 << 31
                 } else {
-                    1 << 12
+                    1 << 14
                 };
                 let start = match idx.last() {
-                    Some(&last) if chain => i64::from(last) + 1,
+                    // Back to back: continuing the last stretch, or one hole on.
+                    Some(&last) if chain > 0 => i64::from(last) + i64::from(chain),
                     _ => i64::from(start) + i64::from(far),
                 };
                 let fits = |k: usize| u32::try_from(start + k as i64 * stride).ok();
@@ -619,7 +706,8 @@ mod tests {
         let progs = lower(idx);
         let prog = progs.row(0);
         let bulk = progs.stats().bulk_elements as usize;
-        let src: Vec<u32> = (0..4096).map(|x| x * 3 + 7).collect();
+        let span = idx.iter().max().map_or(0, |&m| m as usize + 1);
+        let src: Vec<u32> = (0..span as u32).map(|x| x * 3 + 7).collect();
         let mut out = vec![0u32; idx.len()];
         assert_eq!(gather_fill(prog, idx, &src, &mut out, Phase::Bulk), bulk);
         let rest = gather_fill(prog, idx, &src, &mut out, Phase::Scatter);
@@ -637,8 +725,8 @@ mod tests {
 
         // Scatter back: out[idx[k]] = vals[k] must equal the scalar loop.
         let vals: Vec<u32> = (0..idx.len() as u32).map(|x| x + 100).collect();
-        let mut a = vec![0u32; 4096];
-        let mut b = vec![0u32; 4096];
+        let mut a = vec![0u32; span];
+        let mut b = vec![0u32; span];
         scatter_apply(prog, idx, &vals, &mut a, Phase::Bulk);
         scatter_apply(prog, idx, &vals, &mut a, Phase::Scatter);
         for (&i, &v) in idx.iter().zip(&vals) {
@@ -680,18 +768,86 @@ mod tests {
 
     #[test]
     fn undersized_run_does_not_eat_the_next_contig() {
-        // [5, 100..104): the (5,100) delta-95 run is undersized; greedily
+        // [5, 100..): the (5, 100) delta-95 run is undersized; greedily
         // consuming it whole would orphan 100 from the contig that follows.
-        let idx = [5u32, 100, 101, 102, 103];
+        let idx: Vec<u32> = [5]
+            .into_iter()
+            .chain(100..100 + MIN_CONTIG as u32)
+            .collect();
         let prog = lower(&idx);
         assert_eq!(prog.stats().contig, 1);
-        assert_eq!(prog.stats().bulk_elements, 4);
+        assert_eq!(prog.stats().bulk_elements, MIN_CONTIG as u64);
         roundtrip(&idx);
+    }
+
+    /// The rule at its edges, one list each: what follows a scattered
+    /// element needs the full minimum, what starts a row or follows a bulk
+    /// op only the joined one, and a strided run its own.
+    #[test]
+    fn minima_are_exact() {
+        let bulk_of = |idx: &[u32]| {
+            roundtrip(idx);
+            let s = *lower(idx).stats();
+            (s.contig, s.strided, s.bulk_elements as usize)
+        };
+        let run = |at: u32, len: usize| at..at + len as u32;
+        let (full, joined) = (MIN_CONTIG, MIN_CONTIG_JOINED);
+        // Alone in its row: nothing to split.
+        assert_eq!(bulk_of(&run(7, joined - 1).collect::<Vec<_>>()), (0, 0, 0));
+        assert_eq!(bulk_of(&run(7, joined).collect::<Vec<_>>()), (1, 0, joined));
+        // After scattered elements (9000, 5000 and 7 are two undersized stretches).
+        for (len, lowered) in [(full - 1, false), (full, true), (full + 1, true)] {
+            let idx: Vec<u32> = [9000, 5000].into_iter().chain(run(7, len)).collect();
+            let want = if lowered { (1, 0, len) } else { (0, 0, 0) };
+            assert_eq!(bulk_of(&idx), want, "{len} after a scatter range");
+        }
+        // Directly after a bulk op, one hole on; then a scattered element
+        // makes the same run too short again.
+        for (len, lowered) in [(joined - 1, false), (joined, true), (joined + 1, true)] {
+            let second = full as u32 + 1;
+            let idx: Vec<u32> = run(0, full).chain(run(second, len)).collect();
+            let want = if lowered {
+                (2, 0, full + len)
+            } else {
+                (1, 0, full)
+            };
+            assert_eq!(bulk_of(&idx), want, "{len} after a contig");
+            let idx: Vec<u32> = run(0, full)
+                .chain([5000, 4000])
+                .chain(run(second, len))
+                .collect();
+            assert_eq!(bulk_of(&idx), (1, 0, full), "{len} after contig + scatter");
+        }
+        // A joined contig that scattered elements follow splits a range off
+        // after all and is taken back — with the joined ones before it, up
+        // to the last full-size one.
+        let chain: Vec<u32> = run(0, full)
+            .chain(run(100, joined))
+            .chain(run(200, full - 1))
+            .collect();
+        assert_eq!(bulk_of(&chain), (3, 0, 2 * full + joined - 1));
+        let followed: Vec<u32> = chain.iter().copied().chain([5000, 4000]).collect();
+        assert_eq!(bulk_of(&followed), (1, 0, full));
+        let led: Vec<u32> = run(0, full - 1).chain([5000, 4000]).collect();
+        assert_eq!(bulk_of(&led), (0, 0, 0), "a row that begins with a run");
+        // Strided, at a row's start and at its end.
+        for (len, lowered) in [(MIN_STRIDED - 1, 0), (MIN_STRIDED, 1), (MIN_STRIDED + 1, 1)] {
+            let strided: Vec<u32> = (0..len as u32).map(|k| 3 + 16 * k).collect();
+            assert_eq!(bulk_of(&strided), (0, lowered, lowered as usize * len));
+            let idx: Vec<u32> = [9000, 8000].into_iter().chain(strided).collect();
+            assert_eq!(bulk_of(&idx), (0, lowered, lowered as usize * len));
+        }
+        // A stride-1 run is never a `Strided` op, whatever the minima.
+        let idx: Vec<u32> = [9000, 5000]
+            .into_iter()
+            .chain(run(7, MIN_STRIDED))
+            .collect();
+        assert_eq!(bulk_of(&idx).1, 0);
     }
 
     #[test]
     fn negative_stride_is_lowered() {
-        let idx: Vec<u32> = (0..32).map(|k| 1000 - 8 * k).collect();
+        let idx: Vec<u32> = (0..MIN_STRIDED as u32).map(|k| 1000 - 8 * k).collect();
         let prog = lower(&idx);
         assert_eq!(prog.stats().strided, 1);
         roundtrip(&idx);
@@ -721,7 +877,8 @@ mod tests {
     /// empty rows get empty programs, and the stats are the rows' sum.
     #[test]
     fn rows_lower_independently() {
-        let rows: [&[u32]; 4] = [&[9, 3, 7], &[], &[20, 21, 22, 23, 24], &[1, 5]];
+        let contig: Vec<u32> = (20..21 + MIN_CONTIG_JOINED as u32).collect();
+        let rows: [&[u32]; 4] = [&[9, 3, 7], &[], &contig, &[1, 5]];
         let flat: Vec<u32> = rows.concat();
         let mut offs = vec![0u32];
         for r in rows {
@@ -735,24 +892,38 @@ mod tests {
             sum.merge(alone.stats());
         }
         assert_eq!(family.stats(), &sum);
+        assert_eq!(family.stats().contig, 1, "row 2 is one op");
         assert_eq!(family.stats().scatter, 2, "rows 0 and 3 do not coalesce");
     }
 
     /// The cases the streaming builder must not lose: a stretch whose last
     /// element anchors the next one, rows of length 0 and 1, a negative
-    /// stride, and full-size runs that end exactly at a row boundary.
+    /// stride one short of its minimum, full-size runs that end exactly at
+    /// a row boundary, and a full-size strided run between two contigs (a
+    /// gate on `MIN_CONTIG` alone would never offer it when `MIN_STRIDED` is
+    /// the smaller) — all built from the minima.
     #[test]
     fn streaming_builder_matches_the_rescanning_lowering() {
+        let (c, j, st) = (
+            MIN_CONTIG as u32,
+            MIN_CONTIG_JOINED as u32,
+            MIN_STRIDED as u32,
+        );
+        let anchored: Vec<u32> = [5].into_iter().chain(100..100 + c).collect();
+        let descending: Vec<u32> = (0..st - 1).rev().map(|k| 8 * k).chain([9, 9, 9]).collect();
+        let halves: Vec<u32> = (1..=2 * j).collect();
+        let last = 10 * st;
+        let sandwich: Vec<u32> = (0..c)
+            .chain((1..=st).map(|k| c + 10 * k))
+            .chain([c + last + 1, c + last + 2])
+            .collect();
         let lists: [(&[u32], &[u32]); 6] = [
-            (&[5, 100, 101, 102, 103], &[0, 5]),
-            (&[5, 100, 101, 102, 103], &[0, 1, 1, 5]),
+            (&anchored, &[0, 1 + c]),
+            (&anchored, &[0, 1, 1, 1 + c]),
             (&[7], &[0, 0, 1, 1]),
-            (&[40, 32, 24, 16, 8, 0, 9, 9, 9], &[0, 6, 9]),
-            (&[1, 2, 3, 4, 5, 6, 7, 8], &[0, 4, 8]),
-            (
-                &[0, 1, 2, 3, 10, 20, 30, 40, 50, 60, 70, 80, 81, 82],
-                &[0, 14],
-            ),
+            (&descending, &[0, st - 1, st + 2]),
+            (&halves, &[0, j, 2 * j]),
+            (&sandwich, &[0, c + st + 2]),
         ];
         for (idx, offs) in lists {
             let streamed = CopyPrograms::lower(idx, offs);
@@ -767,6 +938,12 @@ mod tests {
             halves.stats().contig,
             2,
             "a run ending at its row's end is kept"
+        );
+        let sandwich = CopyPrograms::lower(lists[5].0, lists[5].1);
+        assert_eq!(
+            (sandwich.stats().contig, sandwich.stats().strided),
+            (1, 1),
+            "a full-size strided stretch between contigs is lowered"
         );
     }
 
@@ -797,6 +974,41 @@ mod tests {
         #[test]
         fn lowering_matches_scalar(idx in proptest::collection::vec(0u32..4096, 0..300)) {
             roundtrip(&idx);
+        }
+
+        /// … and for rows made of runs one below, at and one above every
+        /// minimum — contiguous and strided, at the row's start, at its end
+        /// and back to back, with or without scattered elements between —
+        /// where all three walkers run their bulk kernels.
+        #[test]
+        fn boundary_runs_match_scalar(
+            runs in proptest::collection::vec(
+                (
+                    proptest::sample::select(boundary_lens()),
+                    proptest::sample::select(vec![1u32, 1, 2, 16]),
+                    proptest::arbitrary::any::<bool>(),
+                    0u32..3,
+                ),
+                1..6,
+            ),
+        ) {
+            let mut idx: Vec<u32> = Vec::new();
+            let mut next = 0u32;
+            for (len, stride, descending, junk) in runs {
+                // `junk` scattered elements (none: back to back), then the run.
+                idx.extend((0..junk).map(|k| next + 7 * k + 3));
+                next += 7 * junk + 1;
+                let run = (0..len as u32).map(|k| next + stride * k);
+                if descending && stride > 1 {
+                    idx.extend(run.rev());
+                } else {
+                    idx.extend(run);
+                }
+                next += stride * len as u32 + 1;
+            }
+            roundtrip(&idx);
+            let offs = [0, idx.len() as u32];
+            proptest::prop_assert_eq!(CopyPrograms::lower(&idx, &offs), lower_rescanning(&idx, &offs));
         }
     }
 }

@@ -475,42 +475,27 @@ fn walk_phases<T>(proc: &mut Proc, mut walk: impl FnMut(Phase) -> usize) {
 /// slice of `V`; returns the number of values placed.
 ///
 /// The receiver never learns the sender's rank lists at plan time (adding
-/// an exchange for them would change the simulated wire traffic), so runs
-/// are detected here at execute time: consecutive ranks within one result
-/// block map to consecutive local indices, so each run costs one
-/// `local_of` division and a tight copy loop instead of one division per
-/// value. The block-boundary cap makes the in-block contiguity theorem
-/// apply; owner and contiguity are re-checked per run under
-/// `debug_assertions`.
+/// an exchange for them would change the simulated wire traffic), so the
+/// local index is found here at execute time — with the carried
+/// [`OwnerBlock`] of the composers: ranks arrive in rank order, so a pair
+/// costs one sign test and a store, and `local_of`'s divisions are paid only
+/// when a rank leaves the result block. Nothing looks for runs: on a random
+/// mask they average two elements, and a probe loop per run costs more than
+/// it saves (EXPERIMENTS.md, "Lower only what beats the index loop").
 fn place_pairs<T: Wire + Default>(
     layout: &DimLayout,
     me: usize,
     pairs: &[(u32, T)],
     out: &mut [T],
 ) -> usize {
-    let w = layout.w();
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let r0 = pairs[i].0 as usize;
-        // A run of consecutive ranks stays locally contiguous only within
-        // one result block of size W'; cap the probe at the boundary.
-        let cap = w - r0 % w;
-        let mut len = 1usize;
-        while len < cap && i + len < pairs.len() && pairs[i + len].0 as usize == r0 + len {
-            len += 1;
+    let mut block = OwnerBlock::default();
+    for &(r, v) in pairs {
+        let r = r as usize;
+        if block.misses(r, 1) {
+            block.seek(layout, r);
+            debug_assert_eq!(block.owner, me, "misrouted element");
         }
-        debug_assert_eq!(layout.owner(r0), me, "misrouted element");
-        debug_assert_eq!(layout.owner(r0 + len - 1), me, "run crosses owners");
-        let base = layout.local_of(r0);
-        debug_assert_eq!(
-            layout.local_of(r0 + len - 1),
-            base + len - 1,
-            "run is not locally contiguous"
-        );
-        for (k, &(_, v)) in pairs[i..i + len].iter().enumerate() {
-            out[base + k] = v;
-        }
-        i += len;
+        out[block.local_lo + (r - block.lo)] = v;
     }
     pairs.len()
 }
@@ -835,12 +820,85 @@ fn unpack_composer(opts: &UnpackOptions) -> Box<dyn Composer> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MaskPattern;
+    use copyprog::CopyOp;
+    use hpf_distarray::Dist;
+    use hpf_machine::{CostModel, Machine, ProcGrid};
+
+    /// Every processor's CMS PACK and CSS UNPACK plan under `pattern` on the
+    /// shape of `benchmark/`'s `exec_small`: N = 8192, P = 16, blocks of 64.
+    fn plans(pattern: MaskPattern) -> Vec<(PackPlan, UnpackPlan)> {
+        let grid = ProcGrid::line(16);
+        let desc = ArrayDesc::new(&[8192], &grid, &[Dist::BlockCyclic(64)]).unwrap();
+        let d = &desc;
+        let out = Machine::new(grid, CostModel::cm5()).run(move |proc| {
+            let m = pattern.local(d, proc.id());
+            let pack = plan_pack(proc, d, &m, &PackOptions::new(PackScheme::CompactMessage));
+            let pack = pack.unwrap();
+            let opts = UnpackOptions::new(UnpackScheme::CompactStorage);
+            let unpack = plan_unpack(proc, d, &m, &pack.v_layout().unwrap(), &opts).unwrap();
+            (pack, unpack)
+        });
+        out.results
+    }
+
+    /// A Bernoulli-0.5 mask lowers every gather row and every scatter row to
+    /// the index loop: exactly one `Scatter` op over the whole row. The serve
+    /// rows read the dense `V` in runs of ~32, back to back, and stay
+    /// `memcpy` but for a ragged first or last piece.
+    #[test]
+    fn random_rows_lower_to_one_scatter() {
+        let pattern = MaskPattern::Random {
+            density: 0.5,
+            seed: 11,
+        };
+        let mut rows = 0;
+        for (pack, unpack) in plans(pattern) {
+            for (progs, idx) in [
+                (&pack.gather, &pack.routes.slots),
+                (&unpack.scatter_prog, &unpack.targets),
+            ] {
+                for k in 0..idx.peers.len() {
+                    let len = idx.row(k).len() as u32;
+                    assert_eq!(progs.row(k), [CopyOp::Scatter { pos: 0, len }]);
+                    rows += 1;
+                }
+            }
+            let serve = unpack.serve_prog.stats();
+            assert!(
+                serve.bulk_fraction() > 0.9,
+                "serve rows are runs: {serve:?}"
+            );
+        }
+        assert!(rows >= 64, "{rows} rows");
+    }
+
+    /// Dense rows are out of the break-even's reach: under a full and a
+    /// `FirstHalf` mask all three program families are op for op what the
+    /// rule before it — every 4-long contig, every 8-long stride — produced.
+    #[test]
+    fn dense_rows_lower_as_they_did() {
+        for pattern in [MaskPattern::Full, MaskPattern::FirstHalf] {
+            for (pack, unpack) in plans(pattern) {
+                for (progs, idx) in [
+                    (&pack.gather, &pack.routes.slots),
+                    (&unpack.serve_prog, &unpack.serve),
+                    (&unpack.scatter_prog, &unpack.targets),
+                ] {
+                    let before =
+                        copyprog::tests::lower_rescanning_with(&idx.items, &idx.offs, [4, 4, 8]);
+                    assert_eq!(progs, &before, "{pattern:?}");
+                    assert_eq!(progs.stats().bulk_fraction(), 1.0);
+                }
+            }
+        }
+    }
 
     proptest::proptest! {
-        /// Run detection equals the per-element `out[local_of(rank)] = v`
-        /// loop on block (`t == 1`), cyclic (`w == 1`) and block-cyclic
-        /// layouts, for any sorted rank list of one owner (runs of a dense
-        /// `keep` end at block boundaries).
+        /// The carried owner block equals the per-element
+        /// `out[local_of(rank)] = v` loop on block (`t == 1`), cyclic
+        /// (`w == 1`) and block-cyclic layouts, for any sorted rank list of
+        /// one owner.
         #[test]
         fn place_pairs_matches_the_per_element_loop(
             shape in (1usize..5, 1usize..6, 1usize..5),

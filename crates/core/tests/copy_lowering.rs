@@ -47,6 +47,30 @@ fn build(p: usize, w: usize, t: usize) -> (ProcGrid, ArrayDesc) {
     (grid, desc)
 }
 
+/// The `(P, W, T)` of `benchmark/`'s `exec_small` and of the `.dense` perf
+/// rows' shape: N = 8192 over 16 processors in blocks of 64.
+const EXEC_SMALL: (usize, usize, usize) = (16, 64, 8);
+
+/// Per-processor `(pack, unpack)` copy statistics of CMS PACK + CSS UNPACK
+/// plans under `pattern`.
+fn plan_stats(
+    (p, w, t): (usize, usize, usize),
+    pattern: MaskPattern,
+) -> Vec<(hpf_core::CopyStats, hpf_core::CopyStats)> {
+    let (grid, desc) = build(p, w, t);
+    let machine = Machine::new(grid, CostModel::cm5());
+    let d = &desc;
+    let out = machine.run(move |proc| {
+        let m = pattern.local(d, proc.id());
+        let pack = plan_pack(proc, d, &m, &PackOptions::new(PackScheme::CompactMessage)).unwrap();
+        let vl = pack.v_layout().unwrap();
+        let opts = UnpackOptions::new(UnpackScheme::CompactStorage);
+        let unpack = plan_unpack(proc, d, &m, &vl, &opts).unwrap();
+        (pack.copy_stats(), unpack.copy_stats())
+    });
+    out.results
+}
+
 /// Reassemble a distributed result vector into a dense global Vec.
 fn assemble<T: Copy + Default>(layout: &DimLayout, locals: &[Vec<T>], size: usize) -> Vec<T> {
     let mut v = vec![T::default(); size];
@@ -161,24 +185,7 @@ proptest! {
 /// 0.9` on dense workloads).
 #[test]
 fn dense_block_masks_lower_to_bulk() {
-    let (grid, desc) = build(4, 32, 2);
-    let machine = Machine::new(grid, CostModel::cm5());
-    let d = &desc;
-    let out = machine.run(move |proc| {
-        let m = MaskPattern::FirstHalf.local(d, proc.id());
-        let pack = plan_pack(proc, d, &m, &PackOptions::new(PackScheme::CompactMessage)).unwrap();
-        let vl = pack.v_layout().unwrap();
-        let unpack = plan_unpack(
-            proc,
-            d,
-            &m,
-            &vl,
-            &UnpackOptions::new(UnpackScheme::CompactStorage),
-        )
-        .unwrap();
-        (pack.copy_stats(), unpack.copy_stats())
-    });
-    for (ps, us) in out.results {
+    for (ps, us) in plan_stats((4, 32, 2), MaskPattern::FirstHalf) {
         assert!(ps.total_elements > 0, "dense mask must move elements");
         assert!(
             ps.bulk_fraction() >= 0.9,
@@ -194,18 +201,101 @@ fn dense_block_masks_lower_to_bulk() {
 }
 
 /// A periodic mask on a block layout gathers with a constant stride — the
-/// `Strided` op must actually fire (cyclic-style access without bulk runs).
+/// `Strided` op must actually fire (cyclic-style access without bulk runs)
+/// once the run is long enough to be level with the index loop: 128 selected
+/// elements per processor, all bound for one destination.
 #[test]
 fn periodic_masks_lower_to_strided() {
-    let (grid, desc) = build(2, 64, 1);
+    let (grid, desc) = build(2, 256, 1);
     let machine = Machine::new(grid, CostModel::cm5());
     let d = &desc;
     let out = machine.run(move |proc| {
-        let m: Vec<bool> = (0..64).map(|i| i % 2 == 0).collect();
+        let m: Vec<bool> = (0..256).map(|i| i % 2 == 0).collect();
         let plan = plan_pack(proc, d, &m, &PackOptions::new(PackScheme::Simple)).unwrap();
         plan.copy_stats()
     });
     for stats in out.results {
-        assert!(stats.strided > 0, "expected strided ops, got {stats:?}");
+        assert_eq!(
+            (stats.strided, stats.bulk_elements),
+            (1, 128),
+            "expected one strided op, got {stats:?}"
+        );
     }
 }
+
+/// A random mask lowers to the index loop: on a Bernoulli-0.5 mask in blocks
+/// of 64 every gather row is exactly one `Scatter` op — one per destination,
+/// counted from the mask — and nothing else. UNPACK's rows come in two
+/// families the public statistics add up: the scatter rows look like the
+/// gather rows, the serve rows read the dense `V` in runs of ~32 and stay
+/// `memcpy`; the in-crate test `plan::tests::random_rows_lower_to_one_scatter`
+/// holds the op arrays of all three against this row by row.
+#[test]
+fn random_masks_lower_to_the_index_loop() {
+    let (p, w, t) = EXEC_SMALL;
+    let pattern = MaskPattern::Random {
+        density: 0.5,
+        seed: 11,
+    };
+    let mask = pattern.global(&[p * w * t]);
+    let size = mask.data().iter().filter(|&&b| b).count();
+    let vl = DimLayout::new_general(size, p, size.div_ceil(p)).unwrap();
+    let desc = build(p, w, t).1;
+    // Destinations of each processor: the owners of its elements' ranks.
+    let mut dests = vec![std::collections::BTreeSet::new(); p];
+    let mut rank = 0usize;
+    for (g, &selected) in mask.data().iter().enumerate() {
+        if selected {
+            dests[desc.owner_of(&[g]).0].insert(vl.owner(rank));
+            rank += 1;
+        }
+    }
+    for (me, (ps, us)) in plan_stats(EXEC_SMALL, pattern).into_iter().enumerate() {
+        let rows = dests[me].len() as u64;
+        assert_eq!(
+            (ps.contig, ps.strided, ps.scatter, ps.bulk_elements),
+            (0, 0, rows, 0),
+            "proc {me}: one Scatter op per gather row and nothing else"
+        );
+        let served = vl.local_len(me) as u64;
+        assert_eq!(us.total_elements, ps.total_elements + served);
+        assert!(
+            us.bulk_elements <= served && us.bulk_elements * 10 > served * 9,
+            "proc {me}: the serve rows are bulk, the scatter rows are not: {us:?}"
+        );
+    }
+}
+
+/// Dense rows are not touched by the break-even: the `exec_small` shape
+/// under a full and under a `FirstHalf` mask lowers to the op arrays it
+/// lowered to when every 4-long run became an op — all `Contig`, no
+/// `Scatter`, the same number of ops moving the same elements. The counts
+/// were read at the commit before the rule changed and are identical on all
+/// 16 processors.
+#[test]
+fn dense_plans_keep_their_op_arrays() {
+    for (pattern, want_pack, want_unpack) in [
+        (MaskPattern::Full, DENSE_FULL.0, DENSE_FULL.1),
+        (MaskPattern::FirstHalf, DENSE_HALF.0, DENSE_HALF.1),
+    ] {
+        for (me, (ps, us)) in plan_stats(EXEC_SMALL, pattern).into_iter().enumerate() {
+            let flat = |s: hpf_core::CopyStats| {
+                (
+                    s.contig,
+                    s.strided,
+                    s.scatter,
+                    s.bulk_elements,
+                    s.total_elements,
+                )
+            };
+            assert_eq!(flat(ps), want_pack, "{pattern:?} pack, proc {me}");
+            assert_eq!(flat(us), want_unpack, "{pattern:?} unpack, proc {me}");
+        }
+    }
+}
+
+/// `(contig, strided, scatter, bulk_elements, total_elements)` of the pack
+/// and the unpack plan on every processor.
+type Flat = (u64, u64, u64, u64, u64);
+const DENSE_FULL: (Flat, Flat) = ((8, 0, 0, 512, 512), (16, 0, 0, 1024, 1024));
+const DENSE_HALF: (Flat, Flat) = ((4, 0, 0, 256, 256), (8, 0, 0, 512, 512));

@@ -192,7 +192,14 @@ impl ArrayDesc {
     /// Global linear index of a global multi-index.
     #[inline]
     pub fn global_linear(&self, gidx: &[usize]) -> usize {
-        linearize(gidx, &self.shape())
+        debug_assert_eq!(gidx.len(), self.dims.len());
+        let (mut lin, mut stride) = (0, 1);
+        for (&i, d) in gidx.iter().zip(&self.dims) {
+            debug_assert!(i < d.n(), "index {i} out of bounds {}", d.n());
+            lin += i * stride;
+            stride *= d.n();
+        }
+        lin
     }
 
     /// Stable 64-bit fingerprint of the whole descriptor — rank, every
