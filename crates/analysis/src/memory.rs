@@ -181,11 +181,12 @@ fn enclosing_stage(events: &[Event], ts_ns: f64) -> String {
 //
 //   user     what the workload registers: 4L data + L mask words→bytes
 //   plan     the retained peer-indexed rows (peer ids, row offsets, slots,
-//            ranks or runs), the exchange's two peer lists, and the
-//            lowered copy programs (PackPlan/UnpackPlan mem_bytes, byte
-//            for byte; the peer counts and program bytes come exact from
-//            MaskStats, which walks the same routes and runs the same
-//            lowering)
+//            ranks or runs), the exchange's two peer lists, the lowered
+//            copy programs and, for UNPACK, the field spans at 8 bytes each
+//            (PackPlan/UnpackPlan mem_bytes, byte for byte; the peer counts
+//            and program bytes come exact from MaskStats, which walks the
+//            same routes and runs the same lowering and the same span
+//            derivation)
 //   pool     staged wire bytes (self-destined slot included: an upper
 //            bound — the executor never stages the self share, but that
 //            share has no closed form on block-cyclic layouts)
@@ -274,7 +275,8 @@ fn pack_exchange_bytes(
 /// Predicted peak bytes per processor for UNPACK under `scheme`. The
 /// workload registers field (4L), mask (L), and its local vector slice
 /// (4R_i); the plan keeps target rows (4 per element) + serve rows (4 per
-/// owned rank) with their peer ids and offsets, and the reply peer lists;
+/// owned rank) with their peer ids and offsets, the reply peer lists, and
+/// the copy programs and field spans of `unpack_prog_bytes`;
 /// replies stage 4R_i out and deliver 4E_i back in. Both
 /// schemes retain the same execute-phase structures — they differ only in
 /// the plan-time request encoding, a transient the peak never sees.

@@ -21,15 +21,26 @@ use hpf_machine::MachineError;
 /// A descriptor too large for the plan IR's integers: local element slots,
 /// CSR offsets and peer ids are `u32`, and global ranks travel as `i32`
 /// words (the CM-5's 4-byte integers, [`hpf_machine::collectives::Num`]).
+/// [`crate::pack_with_vector`] returns it for its `VECTOR` layout as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TooLarge {
-    /// The descriptor's global element count (saturated at `usize::MAX`).
+    /// The global element count of the array — or of `VECTOR` — that is over
+    /// the limit (a descriptor's saturates at `usize::MAX`).
     pub global_len: usize,
 }
 
 impl TooLarge {
     /// The largest global element count a plan can index.
     pub const LIMIT: usize = i32::MAX as usize;
+
+    /// The one checked narrowing: `global_len` elements fit iff the count
+    /// fits an `i32`.
+    pub(crate) fn check(global_len: usize) -> Result<(), TooLarge> {
+        match i32::try_from(global_len) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(TooLarge { global_len }),
+        }
+    }
 }
 
 impl fmt::Display for TooLarge {
@@ -49,11 +60,7 @@ impl fmt::Display for TooLarge {
 /// casts a quantity this bound has put in range.
 pub(crate) fn plannable(desc: &hpf_distarray::ArrayDesc) -> Result<(), TooLarge> {
     let dims = (0..desc.ndims()).map(|i| desc.dim(i).n());
-    let global_len = dims.fold(1usize, usize::saturating_mul);
-    match i32::try_from(global_len) {
-        Ok(_) => Ok(()),
-        Err(_) => Err(TooLarge { global_len }),
-    }
+    TooLarge::check(dims.fold(1usize, usize::saturating_mul))
 }
 
 /// Error from [`crate::pack`] and friends.

@@ -37,6 +37,7 @@
 use hpf_distarray::DimLayout;
 
 use crate::plan::copyprog::CopyPrograms;
+use crate::plan::field_spans;
 use crate::schemes::{PackScheme, ScanMethod, UnpackScheme};
 
 /// Mask-derived per-processor quantities for one 1-D workload. Everything
@@ -82,7 +83,8 @@ pub struct MaskStats {
     /// Retained bytes of the UNPACK plan's lowered copy programs per
     /// processor: the serve programs (over the local `V` indices each
     /// requester is owed) plus the scatter programs (over the same
-    /// element-slot rows as the PACK gather).
+    /// element-slot rows as the PACK gather), plus the field spans (8 bytes
+    /// each, from the same [`field_spans`] over the processor's local mask).
     pub unpack_prog_bytes: Vec<u64>,
 }
 
@@ -183,8 +185,13 @@ impl MaskStats {
         let send_peers = slots.iter().map(|per_dst| peers(per_dst)).collect();
         let recv_peers = serve.iter().map(|per_req| peers(per_req)).collect();
         let pack_prog_bytes: Vec<u64> = slots.iter().map(|per_dst| prog_bytes(per_dst)).collect();
+        // Processor `i`'s local mask: its slices `i, i + P, …` back to back.
+        let span_bytes = |i: usize| {
+            let slices = mask.chunks_exact(w).skip(i).step_by(p);
+            8 * field_spans(&slices.flatten().copied().collect::<Vec<_>>()).len() as u64
+        };
         let unpack_prog_bytes: Vec<u64> = (0..p)
-            .map(|i| prog_bytes(&serve[i]) + pack_prog_bytes[i])
+            .map(|i| prog_bytes(&serve[i]) + pack_prog_bytes[i] + span_bytes(i))
             .collect();
         MaskStats {
             l,

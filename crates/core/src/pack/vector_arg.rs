@@ -14,7 +14,7 @@ use hpf_distarray::{ArrayDesc, DimLayout};
 use hpf_machine::collectives::alltoallv;
 use hpf_machine::{Category, Proc, Wire};
 
-use crate::error::PackError;
+use crate::error::{PackError, TooLarge};
 use crate::ranking::{rank_from_counts, slice_counts};
 use crate::schemes::PackOptions;
 
@@ -29,7 +29,10 @@ use super::{decode_pairs, PackOutput};
 ///
 /// # Errors
 /// Returns [`PackError::VectorTooShort`] (collectively) if `VECTOR` is
-/// shorter than the number of selected elements.
+/// shorter than the number of selected elements, and
+/// [`PackError::TooLarge`] if it is longer than [`TooLarge::LIMIT`]: its
+/// positions travel as `u32` pair ranks, and nothing else bounds them (the
+/// array's own size does not).
 pub fn pack_with_vector<T: Wire + Default>(
     proc: &mut Proc,
     desc: &ArrayDesc,
@@ -41,6 +44,7 @@ pub fn pack_with_vector<T: Wire + Default>(
 ) -> Result<PackOutput<T>, PackError> {
     let shape = super::validate(proc, desc, a_local, m_local)?;
     let me = proc.id();
+    TooLarge::check(vec_layout.n())?;
     if vec_local.len() != vec_layout.local_len(me) {
         return Err(PackError::ArrayLenMismatch {
             expected: vec_layout.local_len(me),

@@ -500,6 +500,63 @@ fn place_pairs<T: Wire + Default>(
     pairs.len()
 }
 
+/// Chunk size of the UNPACK field pass, in elements. Read from the kernel
+/// table in EXPERIMENTS.md, "UNPACK writes each result element once": the
+/// smallest size at which a mask alternating wholly selected and empty chunks
+/// — the worst fragmentation — copies its half of a 16 MiB `i32` array within
+/// 5 % of the time of the whole-array `memcpy` (64 is 9–17 % over it).
+pub(crate) const FIELD_CHUNK: usize = 128;
+
+/// The *field spans* of a local mask (DESIGN.md §16, "The field pass"): the
+/// stretches of local memory UNPACK takes from `FIELD`, as sorted,
+/// non-adjacent `(start, len)` pairs. A whole [`FIELD_CHUNK`] of selected
+/// elements is left out — the reply scatter writes every one of them —, any
+/// other chunk and the tail are covered, neighbours merge. One branch-free
+/// all-true test and one predictable branch per chunk, no run detection.
+pub(crate) fn field_spans(m_local: &[bool]) -> Vec<(u32, u32)> {
+    let mut spans: Vec<(u32, u32)> = Vec::new();
+    let mut cover = |start: usize, len: usize| match spans.last_mut() {
+        Some((s, n)) if (*s + *n) as usize == start => *n += len as u32,
+        _ => spans.push((start as u32, len as u32)),
+    };
+    let chunks = m_local.chunks_exact(FIELD_CHUNK);
+    let tail = chunks.remainder().len();
+    for (c, chunk) in chunks.enumerate() {
+        if !chunk.iter().fold(true, |all, &selected| all & selected) {
+            cover(c * FIELD_CHUNK, FIELD_CHUNK);
+        }
+    }
+    if tail > 0 {
+        cover(m_local.len() - tail, tail);
+    }
+    spans
+}
+
+/// The field pass: bring `out` to `f_local`'s length with `f_local`'s values
+/// inside every span, and return the elements copied. A right-sized `out` is
+/// written in place and keeps whatever it held between the spans; any other is
+/// rebuilt front to back, zero-filled there — the reply scatter defines those.
+fn copy_field<T: Copy + Default>(spans: &[(u32, u32)], f_local: &[T], out: &mut Vec<T>) -> usize {
+    let in_place = out.len() == f_local.len();
+    if !in_place {
+        out.clear();
+        out.reserve(f_local.len());
+    }
+    let mut copied = 0usize;
+    for &(start, len) in spans {
+        let span = start as usize..(start + len) as usize;
+        if in_place {
+            out[span.clone()].copy_from_slice(&f_local[span]);
+        } else {
+            out.resize(span.start, T::default());
+            out.extend_from_slice(&f_local[span]);
+        }
+        copied += len as usize;
+    }
+    out.resize(f_local.len(), T::default());
+    copied
+}
+
 /// A reusable, value-independent UNPACK plan. The rank *requests* of the
 /// READ direction are exchanged once at plan time; each execute only moves
 /// values (the reply round plus local copies).
@@ -518,6 +575,9 @@ pub struct UnpackPlan {
     serve_prog: CopyPrograms,
     /// Per `targets` row: its lowered copy program (the reply scatter).
     scatter_prog: CopyPrograms,
+    /// What the field pass copies: sorted `(start, len)` stretches of local
+    /// memory, everything but the wholly selected chunks ([`field_spans`]).
+    field_spans: Vec<(u32, u32)>,
     reply_a2a: A2aPlan,
     /// Buffer-pool key for the reply-round send buffers (DESIGN.md §11).
     pool_key: u64,
@@ -631,6 +691,7 @@ pub fn plan_unpack(
             serve,
             serve_prog,
             scatter_prog,
+            field_spans: field_spans(m_local),
             reply_a2a,
             pool_key: fresh_pool_key(),
         };
@@ -646,12 +707,13 @@ impl UnpackPlan {
     }
 
     /// Bytes retained by the plan's index structures (target and serve
-    /// rows, lowered copy programs, reply peer lists); see
+    /// rows, lowered copy programs, field spans, reply peer lists); see
     /// [`PackPlan::mem_bytes`].
     fn mem_bytes(&self) -> u64 {
         let rows = self.targets.mem_bytes() + self.serve.mem_bytes();
         let progs = self.serve_prog.mem_bytes() + self.scatter_prog.mem_bytes();
-        rows + progs + self.reply_a2a.mem_bytes()
+        let spans = std::mem::size_of_val(&self.field_spans[..]) as u64;
+        rows + progs + spans + self.reply_a2a.mem_bytes()
     }
 
     /// Give the plan back once it will not execute again; see
@@ -671,9 +733,11 @@ impl UnpackPlan {
     }
 
     /// Execute the plan against fresh field and vector values: copy the
-    /// field, serve the precomputed value requests, run the planned reply
-    /// exchange, and scatter into the recorded slots. Returns this
-    /// processor's local portion of the result array `A`.
+    /// field where the mask leaves elements unselected, serve the
+    /// precomputed value requests, run the planned reply exchange, and
+    /// scatter into the recorded slots. Returns this processor's local
+    /// portion of the result array `A`, every element written — from `FIELD`
+    /// or from `V`, the wholly selected chunks from `V` alone.
     ///
     /// Collective; wrapped in the `unpack.execute` stage span (the reply
     /// round keeps its `unpack.reply` span).
@@ -693,11 +757,15 @@ impl UnpackPlan {
     }
 
     /// [`UnpackPlan::execute`] writing into a caller-owned output vector.
-    /// `out` is cleared and refilled; from the second call with the same
-    /// `out` onward the copy → serve → reply → scatter loop performs zero
-    /// heap allocations — reply buffers come from the per-processor pool
-    /// and the output reuses its capacity. Simulated accounting is
-    /// bit-identical to `execute`.
+    /// On return `out` is the result whatever it held before: an `out` of
+    /// the local length is overwritten in place — the field spans from
+    /// `f_local`, every other element by the reply scatter, each element
+    /// once — and keeps its allocation; any other `out` is cleared and
+    /// rebuilt. From the second call with the same `out` onward the copy →
+    /// serve → reply → scatter loop performs zero heap allocations — reply
+    /// buffers come from the per-processor pool. Simulated accounting is
+    /// bit-identical to `execute`: the model charges the field pass one
+    /// operation per local element however few the host copies.
     pub fn execute_into<T: Wire + Default>(
         &self,
         proc: &mut Proc,
@@ -718,14 +786,13 @@ impl UnpackPlan {
             });
         }
         proc.with_stage("unpack.execute", |proc| {
-            // Field copy: local computation for every unselected element
-            // (the selected ones are overwritten below).
+            // Field pass: one model operation per local element; the host
+            // copies the spans only (the scatter below writes the rest).
             proc.wall_span("unpack.fieldcopy", |proc| {
                 proc.with_category(Category::LocalComp, |proc| {
                     proc.charge_ops(f_local.len());
-                    out.clear();
-                    out.extend_from_slice(f_local);
-                    proc.wall_bytes(std::mem::size_of_val(f_local) as u64);
+                    let copied = copy_field(&self.field_spans, f_local, out);
+                    proc.wall_bytes((copied * std::mem::size_of::<T>()) as u64);
                 })
             });
             if self.size == 0 {
@@ -894,7 +961,162 @@ mod tests {
         }
     }
 
+    /// The span rule, stated index by index: sorted, non-adjacent, non-empty
+    /// spans inside `0..L` that cover an index unless its chunk is a whole
+    /// chunk of selected elements — so every unselected index is inside a
+    /// span and every index outside one is selected.
+    fn assert_spans_follow_the_rule(mask: &[bool]) {
+        let spans = field_spans(mask);
+        let mut covered = vec![false; mask.len()];
+        for &(start, len) in &spans {
+            assert!(len > 0, "{spans:?}");
+            covered[start as usize..(start + len) as usize].fill(true);
+        }
+        for pair in spans.windows(2) {
+            assert!(pair[0].0 + pair[0].1 < pair[1].0, "{spans:?}");
+        }
+        for (i, &c) in covered.iter().enumerate() {
+            let chunk =
+                &mask[i - i % FIELD_CHUNK..mask.len().min(i - i % FIELD_CHUNK + FIELD_CHUNK)];
+            let skipped = chunk.len() == FIELD_CHUNK && chunk.iter().all(|&b| b);
+            assert_eq!(c, !skipped, "index {i} of {}: {spans:?}", mask.len());
+            assert!(c || mask[i], "unselected index {i} left to the scatter");
+        }
+    }
+
+    #[test]
+    fn field_spans_at_the_edges() {
+        const C: u32 = FIELD_CHUNK as u32;
+        let full = |l: usize| field_spans(&vec![true; l]);
+        assert_eq!(full(0), []);
+        assert_eq!(full(FIELD_CHUNK - 1), [(0, C - 1)], "L < chunk is all tail");
+        assert_eq!(full(3 * FIELD_CHUNK), []);
+        assert_eq!(
+            full(2 * FIELD_CHUNK + 5),
+            [(2 * C, 5)],
+            "the tail is copied"
+        );
+        let l = 2 * FIELD_CHUNK + FIELD_CHUNK / 2;
+        assert_eq!(
+            field_spans(&vec![false; l]),
+            [(0, l as u32)],
+            "neighbours merge"
+        );
+        for hole in [0, FIELD_CHUNK - 1, FIELD_CHUNK, l - 1] {
+            let mut mask = vec![true; l];
+            mask[hole] = false;
+            assert_spans_follow_the_rule(&mask);
+        }
+    }
+
+    /// One reused `out` across plans of one local length: under every mask
+    /// the result equals the sequential oracle when `out` arrives full of
+    /// poison, when it arrives from the previous mask's plan, and when it is
+    /// fresh — both UNPACK schemes, 1-D (four whole chunks, and two and a
+    /// half on a block-cyclic layout) and 2-D.
+    #[test]
+    fn unpack_into_a_reused_out_matches_the_oracle() {
+        use hpf_distarray::GlobalArray;
+        const POISON: i64 = i64::MIN + 7;
+        const C: usize = FIELD_CHUNK;
+        // Bernoulli by local index, a mask of its own per processor.
+        let bernoulli = |density: f64| {
+            move |me: usize, l: usize, len: usize| {
+                let seed = me as u64;
+                MaskPattern::Random { density, seed }.value(&[l], &[len])
+            }
+        };
+        type LocalMask = Box<dyn Fn(usize, usize, usize) -> bool + Sync>;
+        let masks: Vec<(&str, LocalMask)> = vec![
+            ("full", Box::new(|_, _, _| true)),
+            ("empty", Box::new(|_, _, _| false)),
+            ("first half", Box::new(|_, l, len| l < len / 2)),
+            (
+                "alternating chunks",
+                Box::new(|me, l, _| (l / C + me).is_multiple_of(2)),
+            ),
+            ("hole at 0", Box::new(|_, l, _| l != 0)),
+            ("hole at chunk - 1", Box::new(|_, l, _| l != C - 1)),
+            ("hole at chunk", Box::new(|_, l, _| l != C)),
+            ("bernoulli 0.5", Box::new(bernoulli(0.5))),
+            ("bernoulli 0.98", Box::new(bernoulli(0.98))),
+        ];
+        let cases: [(&[usize], &[usize], Vec<Dist>); 3] = [
+            (&[4 * 4 * C], &[4], vec![Dist::Block]),
+            (&[4 * 5 * C / 2], &[4], vec![Dist::BlockCyclic(C / 8)]),
+            (
+                &[C / 2, 20],
+                &[2, 2],
+                vec![Dist::BlockCyclic(4), Dist::Block],
+            ),
+        ];
+        for (shape, grid_dims, dists) in cases {
+            let grid = ProcGrid::new(grid_dims);
+            let desc = ArrayDesc::new(shape, &grid, &dists).unwrap();
+            let p = grid.nprocs();
+            // Per mask: every processor's local mask, and the oracle.
+            let inputs: Vec<_> = masks
+                .iter()
+                .map(|(name, select)| {
+                    let locals: Vec<Vec<bool>> = (0..p)
+                        .map(|me| {
+                            let len = desc.local_len(me);
+                            (0..len).map(|l| select(me, l, len)).collect()
+                        })
+                        .collect();
+                    let global = GlobalArray::assemble(&desc, &locals);
+                    let size = global.data().iter().filter(|&&b| b).count();
+                    let vl = DimLayout::new_general(size.max(1), p, size.div_ceil(p).max(1));
+                    let v: Vec<i64> = (0..size.max(1) as i64).map(|r| -1 - r).collect();
+                    let field = GlobalArray::from_fn(shape, |g| 1000 * g[0] as i64 + 1);
+                    let want = crate::seq::unpack_seq(&v, &global, &field);
+                    (*name, locals, vl.unwrap(), want.partition(&desc))
+                })
+                .collect();
+            for scheme in UnpackScheme::ALL {
+                let (d, inputs) = (&desc, &inputs);
+                Machine::new(grid.clone(), CostModel::cm5()).run(move |proc| {
+                    let me = proc.id();
+                    let f = hpf_distarray::local_from_fn(d, me, |g| 1000 * g[0] as i64 + 1);
+                    let mut carried = vec![POISON; f.len()];
+                    for (name, locals, vl, want) in inputs {
+                        let v: Vec<i64> = (0..vl.local_len(me))
+                            .map(|l| -1 - vl.global_of(me, l) as i64)
+                            .collect();
+                        let opts = UnpackOptions::new(scheme);
+                        let plan = plan_unpack(proc, d, &locals[me], vl, &opts).unwrap();
+                        let mut poisoned = vec![POISON; f.len()];
+                        let at = poisoned.as_ptr();
+                        plan.execute_into(proc, &f, &v, &mut poisoned).unwrap();
+                        assert_eq!(poisoned.as_ptr(), at, "{name}: a right-sized out moved");
+                        plan.execute_into(proc, &f, &v, &mut carried).unwrap();
+                        let fresh = plan.execute(proc, &f, &v).unwrap();
+                        for got in [&poisoned, &carried, &fresh] {
+                            assert_eq!(got, &want[me], "{name}, {scheme:?}, {shape:?}, proc {me}");
+                        }
+                    }
+                });
+            }
+        }
+    }
+
     proptest::proptest! {
+        /// The span derivation alone, on masks made of runs long enough to
+        /// hold whole selected chunks and short enough to break them.
+        #[test]
+        fn field_spans_follow_the_rule(
+            runs in proptest::collection::vec(
+                (proptest::arbitrary::any::<bool>(), 1usize..3 * FIELD_CHUNK),
+                0..8,
+            ),
+        ) {
+            let mask: Vec<bool> = runs
+                .iter()
+                .flat_map(|&(selected, n)| std::iter::repeat_n(selected, n))
+                .collect();
+            assert_spans_follow_the_rule(&mask);
+        }
+
         /// The carried owner block equals the per-element
         /// `out[local_of(rank)] = v` loop on block (`t == 1`), cyclic
         /// (`w == 1`) and block-cyclic layouts, for any sorted rank list of

@@ -22,11 +22,12 @@ use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist, GlobalArray};
 use hpf_machine::{CostModel, Machine, ProcGrid};
 
 /// 1-D layout sweep: `(P, W, T)` with `N = P·W·T`. `T = 1` is a block
-/// distribution, `W = 1` is cyclic, anything else is block-cyclic.
+/// distribution, `W = 1` is cyclic, anything else is block-cyclic. `W = 64`
+/// makes local arrays of up to two whole field-pass chunks.
 fn any_layout() -> impl Strategy<Value = (usize, usize, usize)> {
     (
         1usize..=4,
-        prop::sample::select(vec![1usize, 2, 3, 8]),
+        prop::sample::select(vec![1usize, 2, 3, 8, 64]),
         1usize..=4,
     )
 }
@@ -139,7 +140,8 @@ proptest! {
     }
 
     /// Planned UNPACK through the lowered serve/scatter kernels equals the
-    /// sequential oracle, cold and warm.
+    /// sequential oracle, cold and warm, and into a right-sized `out` that
+    /// arrives full of poison (the field pass writes only its spans).
     #[test]
     fn lowered_unpack_matches_oracle(
         layout in any_layout(),
@@ -169,14 +171,18 @@ proptest! {
             let mut got = plan.execute(proc, &f, &va).unwrap();
             plan.execute_into(proc, &f, &va, &mut got).unwrap();
             plan.execute_into(proc, &f, &vb, &mut got).unwrap();
-            got
+            let mut poisoned = vec![i64::MIN; f.len()];
+            plan.execute_into(proc, &f, &vb, &mut poisoned).unwrap();
+            (got, poisoned)
         });
         let m = pattern.global(&[n]);
         let f_global = GlobalArray::from_fn(&[n], |g| g[0] as i64 + 7000);
         let vb_global: Vec<i64> = (0..v_layout.n()).map(|g| 90_000 + g as i64).collect();
         let want = unpack_seq(&vb_global, &m, &f_global);
-        let got = GlobalArray::assemble(&desc, &out.results);
-        prop_assert_eq!(got.data(), want.data());
+        let (warm, poisoned): (Vec<_>, Vec<_>) = out.results.into_iter().unzip();
+        for got in [warm, poisoned] {
+            prop_assert_eq!(GlobalArray::assemble(&desc, &got).data(), want.data());
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! ever allocated, and the mask slices are empty.
 
 use hpf_core::{
-    pack, plan_pack, plan_unpack, unpack, PackError, PackOptions, TooLarge, UnpackError,
-    UnpackOptions,
+    pack, pack_with_vector, plan_pack, plan_unpack, unpack, PackError, PackOptions, TooLarge,
+    UnpackError, UnpackOptions,
 };
 use hpf_distarray::{ArrayDesc, DimLayout, Dist};
 use hpf_machine::{CostModel, Machine, ProcGrid};
@@ -63,4 +63,32 @@ fn the_limit_itself_is_plannable() {
         got: 0,
     };
     assert_eq!(out.results[0], Some(want));
+}
+
+/// `pack_with_vector` sends VECTOR's tail as `(position as u32, value)`
+/// pairs, and the array's size bounds nothing about VECTOR's: a layout of
+/// 2³² positions over a 16-element array used to wrap them silently. It is
+/// refused before the VECTOR slice's length is looked at (it is empty here;
+/// nothing of the layout's size exists), and `LIMIT` positions are not.
+#[test]
+fn an_oversized_vector_argument_is_refused() {
+    let grid = ProcGrid::line(4);
+    let desc = ArrayDesc::new(&[16], &grid, &[Dist::Block]).unwrap();
+    for (n, refused) in [(1usize << 32, true), (LIMIT + 1, true), (LIMIT, false)] {
+        let vl = DimLayout::new_general(n, 4, n.div_ceil(4)).unwrap();
+        let out = Machine::new(grid.clone(), CostModel::cm5()).run(|proc| {
+            let (a, m, none) = ([1i32; 4], [true; 4], [0i32; 0]);
+            pack_with_vector(proc, &desc, &a, &m, &none, &vl, &PackOptions::default()).err()
+        });
+        for (me, err) in out.results.into_iter().enumerate() {
+            let want = match refused {
+                true => PackError::TooLarge(TooLarge { global_len: n }),
+                false => PackError::ArrayLenMismatch {
+                    expected: vl.local_len(me),
+                    got: 0,
+                },
+            };
+            assert_eq!(err, Some(want), "VECTOR of {n}");
+        }
+    }
 }

@@ -79,3 +79,57 @@ fn wall_profiling_is_opt_in_and_well_formed() {
         p.well_formed().expect("unpack wall spans nest");
     }
 }
+
+/// The `unpack.fieldcopy` span reports the bytes the field pass copied, not
+/// the local array's size: nothing under a full mask (the reply scatter
+/// writes every element), everything under an empty and under a random one,
+/// and under `FirstHalf` on a cyclic layout — locally the first 256 of 512
+/// elements, whole chunks of selected elements — the unselected half. The
+/// first execute (fresh `out`, built front to back) and the in-place ones
+/// after it copy the same spans.
+#[test]
+fn fieldcopy_span_counts_the_bytes_it_copies() {
+    const L: usize = 512;
+    let grid = ProcGrid::line(P);
+    let desc = ArrayDesc::new(&[P * L], &grid, &[Dist::Cyclic]).unwrap();
+    let random = MaskPattern::Random {
+        density: 0.5,
+        seed: 4,
+    };
+    let elem = std::mem::size_of::<i32>() as u64;
+    for (pattern, want) in [
+        (MaskPattern::Full, 0),
+        (MaskPattern::Empty, elem * L as u64),
+        (random, elem * L as u64),
+        (MaskPattern::FirstHalf, elem * (L - L / 2) as u64),
+    ] {
+        let size = pattern
+            .global(&[P * L])
+            .data()
+            .iter()
+            .filter(|&&b| b)
+            .count();
+        let v_layout = DimLayout::new_general(size.max(1), P, size.div_ceil(P).max(1)).unwrap();
+        let (d, vl) = (&desc, &v_layout);
+        let machine = Machine::new(grid.clone(), CostModel::cm5()).with_wall_profiling(true);
+        let out = machine.run(move |proc| {
+            let m = pattern.local(d, proc.id());
+            let f = local_from_fn(d, proc.id(), |_| -1i32);
+            let v = vec![7i32; vl.local_len(proc.id())];
+            let plan = plan_unpack(proc, d, &m, vl, &UnpackOptions::default()).unwrap();
+            let mut out = Vec::new();
+            for _ in 0..EXECUTES {
+                plan.execute_into(proc, &f, &v, &mut out).unwrap();
+            }
+        });
+        for (pid, p) in out.wall_profiles.iter().enumerate() {
+            let bytes: Vec<u64> = p
+                .spans
+                .iter()
+                .filter(|s| s.name == "unpack.fieldcopy")
+                .map(|s| s.bytes)
+                .collect();
+            assert_eq!(bytes, [want; EXECUTES], "{pattern:?}, proc {pid}");
+        }
+    }
+}

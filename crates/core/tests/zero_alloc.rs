@@ -29,7 +29,9 @@ const WARMUP: usize = 2;
 /// Measured steady-state executes.
 const STEADY: usize = 4;
 
-const N: usize = 256;
+/// 256 elements per processor: two whole chunks of the UNPACK field pass,
+/// so `Full` skips both and `FirstHalf` one of them.
+const N: usize = 1024;
 const P: usize = 4;
 
 fn desc(w: usize) -> ArrayDesc {
@@ -109,48 +111,55 @@ fn pack_execute_is_allocation_free_in_steady_state() {
     }
 }
 
+/// UNPACK under the random mask (one field span: the whole local array), a
+/// full one (no span: the scatter writes everything) and `FirstHalf` (spans
+/// and skipped chunks mixed). The field pass runs in place from the second
+/// execute on: no allocation, and `out` keeps its pointer and capacity.
 #[test]
 fn unpack_execute_is_allocation_free_in_steady_state() {
-    for (w, recoverable) in CASES {
-        for scheme in UnpackScheme::ALL {
-            let d = desc(w);
-            let opts = UnpackOptions::new(scheme);
-            let pattern = mask();
-            let size = {
-                let m = pattern.global(&[N]);
-                m.data().iter().filter(|&&b| b).count()
-            };
-            let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
-            let (dr, o, vlr) = (&d, &opts, &vl);
-            let out = run(recoverable, move |proc| {
-                let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
-                let f = local_from_fn(dr, proc.id(), |_| -1i32);
-                let v: Vec<i32> = (0..vlr.local_len(proc.id()))
-                    .map(|l| vlr.global_of(proc.id(), l) as i32)
-                    .collect();
-                let plan = plan_unpack(proc, dr, &m, vlr, o).unwrap();
-                let mut out = Vec::new();
-                for _ in 0..WARMUP {
-                    plan.execute_into(proc, &f, &v, &mut out).unwrap();
+    for pattern in [mask(), MaskPattern::Full, MaskPattern::FirstHalf] {
+        for (w, recoverable) in CASES {
+            for scheme in UnpackScheme::ALL {
+                let d = desc(w);
+                let opts = UnpackOptions::new(scheme);
+                let size = {
+                    let m = pattern.global(&[N]);
+                    m.data().iter().filter(|&&b| b).count()
+                };
+                let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
+                let (dr, o, vlr) = (&d, &opts, &vl);
+                let out = run(recoverable, move |proc| {
+                    let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
+                    let f = local_from_fn(dr, proc.id(), |_| -1i32);
+                    let v: Vec<i32> = (0..vlr.local_len(proc.id()))
+                        .map(|l| vlr.global_of(proc.id(), l) as i32)
+                        .collect();
+                    let plan = plan_unpack(proc, dr, &m, vlr, o).unwrap();
+                    let mut out = Vec::new();
+                    for _ in 0..WARMUP {
+                        plan.execute_into(proc, &f, &v, &mut out).unwrap();
+                    }
+                    let baseline = out.clone();
+                    let held = (out.as_ptr(), out.capacity());
+                    fence(proc);
+                    let (c0, b0) = thread_totals();
+                    for _ in 0..STEADY {
+                        plan.execute_into(proc, &f, &v, &mut out).unwrap();
+                    }
+                    let (c1, b1) = thread_totals();
+                    fence(proc);
+                    assert_eq!(out, baseline, "steady-state result drifted");
+                    assert_eq!((out.as_ptr(), out.capacity()), held, "`out` was rebuilt");
+                    (c1 - c0, b1 - b0)
+                });
+                for (p, &(allocs, bytes)) in out.results.iter().enumerate() {
+                    assert_eq!(
+                        (allocs, bytes),
+                        (0, 0),
+                        "{pattern:?} {scheme:?} w={w} recoverable={recoverable}: proc {p} \
+                         allocated {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
+                    );
                 }
-                let baseline = out.clone();
-                fence(proc);
-                let (c0, b0) = thread_totals();
-                for _ in 0..STEADY {
-                    plan.execute_into(proc, &f, &v, &mut out).unwrap();
-                }
-                let (c1, b1) = thread_totals();
-                fence(proc);
-                assert_eq!(out, baseline, "steady-state result drifted");
-                (c1 - c0, b1 - b0)
-            });
-            for (p, &(allocs, bytes)) in out.results.iter().enumerate() {
-                assert_eq!(
-                    (allocs, bytes),
-                    (0, 0),
-                    "{scheme:?} w={w} recoverable={recoverable}: proc {p} allocated \
-                     {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
-                );
             }
         }
     }
