@@ -52,8 +52,8 @@ const MEMORY: [&str; 2] = ["measured_peak_bytes", "predicted_peak_bytes"];
 
 impl DiffReport {
     /// Compare two parsed perf reports (any schema version carrying a
-    /// `workloads` array of named entries). Reports of different modes are
-    /// an error, not a comparison.
+    /// `workloads` array of named entries). Reports up to schema v10 name a
+    /// `mode`; two of different modes are an error, not a comparison.
     pub fn from_reports(old: &Json, new: &Json) -> Result<DiffReport, String> {
         let old_w = workloads(old, "old")?;
         let new_w = workloads(new, "new")?;
@@ -184,8 +184,10 @@ fn num(w: &Json, path: &str) -> Option<f64> {
     path.split('.').try_fold(w, |v, key| v.get(key))?.as_f64()
 }
 
+/// The sizes a report was run at. Since schema v11 there is one size, the
+/// one older reports call `full`, and no `mode` field.
 fn mode(report: &Json) -> &str {
-    report.get("mode").and_then(Json::as_str).unwrap_or("?")
+    report.get("mode").and_then(Json::as_str).unwrap_or("full")
 }
 
 fn fmt_val(x: f64) -> String {
@@ -330,7 +332,11 @@ mod tests {
     fn smoke_against_full_is_an_error_not_a_comparison() {
         let smoke = report(&[("a", 1.0, 1.0)]);
         let full = Json::parse(r#"{"mode":"full","workloads":[]}"#).unwrap();
-        let err = DiffReport::from_reports(&smoke, &full).unwrap_err();
-        assert!(err.contains("`smoke`") && err.contains("`full`"), "{err}");
+        let modeless = Json::parse(r#"{"schema_version":11,"workloads":[]}"#).unwrap();
+        for new in [&full, &modeless] {
+            let err = DiffReport::from_reports(&smoke, new).unwrap_err();
+            assert!(err.contains("`smoke`") && err.contains("`full`"), "{err}");
+        }
+        assert!(DiffReport::from_reports(&full, &modeless).is_ok());
     }
 }

@@ -26,7 +26,7 @@
 //!     [--reuse-plans] [--recover] [--workers N] [--trace-out FILE]
 //! # defaults: seed 1, 20 iterations
 //! # --workers pins the cooperative scheduler's pool size for every machine
-//! # in the sweep (default: one permit per core); results and simulated
+//! # in the sweep (default: one worker per core); results and simulated
 //! # clocks are pool-size-invariant, so running the same seed under
 //! # --workers 1 and --workers N is itself a determinism drill
 //! # --recover replaces the fail-fast crash drill with a recovery drill on
@@ -46,101 +46,28 @@
 //! # annotations.
 //! ```
 
+use hpf_bench::cases::{assemble_packed, random_array, random_vector, Rng};
+use hpf_bench::cli::Args;
 use hpf_core::seq::{count_seq, pack_seq, unpack_seq};
 use hpf_core::{
     pack, pack_redistributed, plan_pack, plan_unpack, unpack, PackOptions, PackScheme,
     RedistScheme, UnpackOptions, UnpackScheme,
 };
-use hpf_distarray::{ArrayDesc, DimLayout, Dist, GlobalArray};
+use hpf_distarray::{local_from_fn, ArrayDesc, Dist, GlobalArray};
 use hpf_machine::{CostModel, FaultPlan, Machine, MachineError, ProcGrid, RunOutput};
 
-/// SplitMix64 for reproducible pseudo-random draws.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    /// Uniform draw in `[0, hi]`.
-    fn prob(&mut self, hi: f64) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64 * hi
-    }
-}
-
 fn main() {
-    let mut seed: u64 = 1;
-    let mut iters: usize = 20;
-    let mut reuse_plans = false;
-    let mut recover = false;
-    let mut workers: Option<usize> = None;
-    let mut trace_out: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed requires an integer");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--iters" => {
-                iters = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--iters requires an integer");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--reuse-plans" => {
-                reuse_plans = true;
-                i += 1;
-            }
-            "--recover" => {
-                recover = true;
-                i += 1;
-            }
-            "--workers" => {
-                workers = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| {
-                            eprintln!("--workers requires an integer");
-                            std::process::exit(2);
-                        }),
-                );
-                i += 2;
-            }
-            "--trace-out" => {
-                trace_out = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--trace-out requires a path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; usage: \
-                     chaos [--seed N] [--iters N] [--reuse-plans] [--recover] \
-                     [--workers N] [--trace-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut args = Args::from_env(
+        "usage: chaos [--seed N] [--iters N] [--reuse-plans] [--recover] [--workers N] \
+         [--trace-out FILE]",
+    );
+    let seed: u64 = args.value("--seed").unwrap_or(1);
+    let iters: usize = args.value("--iters").unwrap_or(20);
+    let reuse_plans = args.flag("--reuse-plans");
+    let recover = args.flag("--recover");
+    let workers: Option<usize> = args.value("--workers");
+    let trace_out: Option<String> = args.value("--trace-out");
+    args.positionals(0);
 
     let mut rng = Rng(seed);
     let mut stats = Stats::default();
@@ -197,20 +124,9 @@ fn run_iteration(
     workers: Option<usize>,
     stats: &mut Stats,
 ) {
-    // Random rank-1 or rank-2 configuration; every dimension P·W | N.
-    let rank = 1 + rng.below(2);
-    let mut grid_dims = Vec::new();
-    let mut dists = Vec::new();
-    let mut shape = Vec::new();
-    for _ in 0..rank {
-        let (p, w, t) = (1 + rng.below(3), 1 + rng.below(3), 1 + rng.below(3));
-        grid_dims.push(p);
-        dists.push(Dist::BlockCyclic(w));
-        shape.push(p * w * t);
-    }
+    let (grid, desc) = random_array(rng, 2);
+    let (shape, grid_dims) = (desc.shape(), grid.dims());
     let n: usize = shape.iter().product();
-    let grid = ProcGrid::new(&grid_dims);
-    let desc = ArrayDesc::new(&shape, &grid, &dists).unwrap();
     let density = 10 + rng.below(80);
     let mask_bits: Vec<bool> = (0..n).map(|_| rng.below(100) < density).collect();
     let values: Vec<i32> = (0..n).map(|_| rng.below(2000) as i32 - 1000).collect();
@@ -231,7 +147,7 @@ fn run_iteration(
 
     // A non-crash fault plan: every probability ≤ 20 %.
     let has_delay = rng.below(2) == 0;
-    let plan = FaultPlan::new(rng.next())
+    let plan = FaultPlan::new(rng.next_u64())
         .with_drop(rng.prob(0.2))
         .with_duplicate(rng.prob(0.2))
         .with_reorder(rng.prob(0.2))
@@ -248,7 +164,7 @@ fn run_iteration(
     }
     let faulty = clean.clone().with_faults(plan.clone());
 
-    // ---- PACK: oracle, clean, faulted, faulted-again (determinism) ------
+    // ---- PACK: clean, faulted, faulted again (determinism), oracle ------
     let want_v = pack_seq(&a, &m, None);
     let (ap, mp) = (a.partition(&desc), m.partition(&desc));
     let (d, apr, mpr, o) = (&desc, &ap, &mp, &opts);
@@ -274,82 +190,37 @@ fn run_iteration(
         None => pack(proc, d, &apr[proc.id()], &mpr[proc.id()], o).unwrap(),
         Some(r) => pack_redistributed(proc, d, &apr[proc.id()], &mpr[proc.id()], r, o).unwrap(),
     };
-    let pack_base = clean
-        .try_run(pack_prog)
-        .unwrap_or_else(|e| panic!("clean PACK failed: {e}\n{ctx}"));
+    let machines = (&clean, &faulty);
+    let pack_base = run_clean_and_faulted("PACK", machines, pack_prog, has_delay, &ctx, stats);
     let got = assemble_packed(&pack_base);
     assert_eq!(got, want_v, "clean PACK diverged from oracle\n{ctx}");
-    let fa = faulty
-        .try_run(pack_prog)
-        .unwrap_or_else(|e| panic!("faulted PACK failed: {e}\n{ctx}"));
-    let fb = faulty
-        .try_run(pack_prog)
-        .unwrap_or_else(|e| panic!("faulted PACK failed: {e}\n{ctx}"));
-    check_against_clean(&pack_base, &fa, &fb, has_delay, &ctx, stats);
-    assert_eq!(
-        fa.results, pack_base.results,
-        "faults changed PACK results\n{ctx}"
-    );
 
     // ---- UNPACK the packed vector back under the same mask --------------
     let size = count_seq(&m);
-    let n_prime = (size + rng.below(4)).max(1);
-    let w_prime = 1 + rng.below(6);
-    let v: Vec<i32> = (0..n_prime as i32).map(|i| 7000 + i).collect();
+    let (v, v_layout, v_locals) = random_vector(rng, size, grid.nprocs());
     let want_u = unpack_seq(&v, &m, &a);
-    let v_layout = DimLayout::new_general(n_prime, grid.nprocs(), w_prime).unwrap();
-    let v_locals: Vec<Vec<i32>> = (0..grid.nprocs())
-        .map(|p| {
-            (0..v_layout.local_len(p))
-                .map(|l| v[v_layout.global_of(p, l)])
-                .collect()
-        })
-        .collect();
     let (vpr, vl, uo) = (&v_locals, &v_layout, &uopts);
     let unpack_prog = move |proc: &mut hpf_machine::Proc<'_>| {
+        let (m, f, v) = (&mpr[proc.id()], &apr[proc.id()], &vpr[proc.id()]);
         if reuse_plans {
-            let plan = plan_unpack(proc, d, &mpr[proc.id()], vl, uo).unwrap();
+            let plan = plan_unpack(proc, d, m, vl, uo).unwrap();
             let mut out = Vec::new();
-            plan.execute_into(proc, &apr[proc.id()], &vpr[proc.id()], &mut out)
-                .unwrap();
+            plan.execute_into(proc, f, v, &mut out).unwrap();
             let first = out.clone();
             for _ in 0..2 {
-                plan.execute_into(proc, &apr[proc.id()], &vpr[proc.id()], &mut out)
-                    .unwrap();
+                plan.execute_into(proc, f, v, &mut out).unwrap();
                 assert_eq!(out, first, "re-execute diverged under faults");
             }
             out
         } else {
-            unpack(
-                proc,
-                d,
-                &mpr[proc.id()],
-                &apr[proc.id()],
-                &vpr[proc.id()],
-                vl,
-                uo,
-            )
-            .unwrap()
+            unpack(proc, d, m, f, v, vl, uo).unwrap()
         }
     };
-    let base = clean
-        .try_run(unpack_prog)
-        .unwrap_or_else(|e| panic!("clean UNPACK failed: {e}\n{ctx}"));
+    let base = run_clean_and_faulted("UNPACK", machines, unpack_prog, has_delay, &ctx, stats);
     assert_eq!(
         GlobalArray::assemble(&desc, &base.results),
         want_u,
         "clean UNPACK diverged from oracle\n{ctx}"
-    );
-    let fa = faulty
-        .try_run(unpack_prog)
-        .unwrap_or_else(|e| panic!("faulted UNPACK failed: {e}\n{ctx}"));
-    let fb = faulty
-        .try_run(unpack_prog)
-        .unwrap_or_else(|e| panic!("faulted UNPACK failed: {e}\n{ctx}"));
-    check_against_clean(&base, &fa, &fb, has_delay, &ctx, stats);
-    assert_eq!(
-        fa.results, base.results,
-        "faults changed UNPACK results\n{ctx}"
     );
     stats.roundtrips += 1;
 
@@ -441,18 +312,15 @@ fn run_iteration(
     }
 }
 
-/// Run one dedicated fault-injected PACK with event tracing and metrics on,
-/// and write it as Chrome trace_event JSON. The plan's drop and duplicate
-/// rates are high enough that retransmit / dup-drop / fault-verdict
-/// annotations are guaranteed to appear alongside the send/recv events.
+/// Run one fault-injected PACK (CMS; 64 elements block-cyclic(2) on four
+/// processors, two in three selected) with tracing and metrics on, and write
+/// it to `path` as Chrome trace_event JSON (open in Perfetto /
+/// chrome://tracing). Drop and duplicate rates are high enough that
+/// retransmit, dup-drop and fault-verdict annotations appear beside the
+/// send/recv events.
 fn write_trace(seed: u64, path: &str) {
     let grid = ProcGrid::line(4);
-    let desc = ArrayDesc::new(&[64], &grid, &[Dist::BlockCyclic(2)]).unwrap();
-    let n = 64usize;
-    let values: Vec<i32> = (0..n as i32).map(|i| i * 3 - 50).collect();
-    let mask_bits: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
-    let a = GlobalArray::from_vec(&[n], values);
-    let m = GlobalArray::from_vec(&[n], mask_bits);
+    let desc = ArrayDesc::new(&[64], &grid, &[Dist::BlockCyclic(2)]).expect("4 * 2 divides 64");
     let plan = FaultPlan::new(seed)
         .with_drop(0.3)
         .with_duplicate(0.3)
@@ -462,49 +330,48 @@ fn write_trace(seed: u64, path: &str) {
         .with_tracing(true)
         .with_metrics(true)
         .with_faults(plan);
-    let (ap, mp) = (a.partition(&desc), m.partition(&desc));
-    let (d, apr, mpr) = (&desc, &ap, &mp);
-    let opts = PackOptions::new(PackScheme::CompactMessage);
-    let o = &opts;
+    let d = &desc;
     let out = machine.run(move |proc| {
-        pack(proc, d, &apr[proc.id()], &mpr[proc.id()], o)
-            .unwrap()
-            .size
+        let a = local_from_fn(d, proc.id(), |g| g[0] as i32 * 3 - 50);
+        let m = local_from_fn(d, proc.id(), |g| g[0] % 3 != 0);
+        let opts = PackOptions::new(PackScheme::CompactMessage);
+        pack(proc, d, &a, &m, &opts).expect("a valid PACK").size
     });
-    std::fs::write(path, out.chrome_trace_json()).expect("write trace file");
+    std::fs::write(path, out.chrome_trace_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     let metrics = out.merged_metrics();
     println!(
-        "trace written to {path} ({} events, {} retransmits, {} dup drops) — \
-         load in Perfetto or chrome://tracing",
+        "trace written to {path} ({} events, {} retransmits, {} dup drops)",
         out.total_events(),
         metrics.counter("transport.retransmits"),
         metrics.counter("transport.dup_drops"),
     );
 }
 
-/// Gather a distributed PACK result into the global vector.
-fn assemble_packed(out: &RunOutput<hpf_core::PackOutput<i32>>) -> Vec<i32> {
-    let mut got = vec![0i32; out.results[0].size];
-    if let Some(layout) = out.results[0].v_layout {
-        for (p, r) in out.results.iter().enumerate() {
-            for (l, &x) in r.local_v.iter().enumerate() {
-                got[layout.global_of(p, l)] = x;
-            }
-        }
-    }
-    got
-}
-
-/// Shared assertions for a pair of faulted runs against the clean run:
-/// deterministic clocks, and bit-identical clocks when no delay is injected.
-fn check_against_clean<R: PartialEq + std::fmt::Debug>(
-    base: &RunOutput<R>,
-    fa: &RunOutput<R>,
-    fb: &RunOutput<R>,
+/// Run `prog` on the clean machine and twice on the faulted one, and return
+/// the clean run: faults must not change the results, the two faulted runs
+/// must agree on results and simulated clocks, and without an injected delay
+/// their clocks must be the clean run's.
+fn run_clean_and_faulted<R: Send + PartialEq + std::fmt::Debug>(
+    what: &str,
+    (clean, faulty): (&Machine, &Machine),
+    prog: impl Fn(&mut hpf_machine::Proc<'_>) -> R + Sync,
     has_delay: bool,
     ctx: &str,
     stats: &mut Stats,
-) {
+) -> RunOutput<R> {
+    let run = |machine: &Machine, kind: &str| {
+        let out = machine.try_run(&prog);
+        out.unwrap_or_else(|e| panic!("{kind} {what} failed: {e}\n{ctx}"))
+    };
+    let (base, fa, fb) = (
+        run(clean, "clean"),
+        run(faulty, "faulted"),
+        run(faulty, "faulted"),
+    );
+    assert_eq!(
+        fa.results, base.results,
+        "faults changed {what} results\n{ctx}"
+    );
     assert_eq!(
         fa.results, fb.results,
         "faulted runs disagree with each other\n{ctx}"
@@ -530,4 +397,5 @@ fn check_against_clean<R: PartialEq + std::fmt::Debug>(
     if base_ms > 0.0 {
         stats.latency_overhead_sum += (fa.max_time_ms() - base_ms) / base_ms;
     }
+    base
 }

@@ -4,14 +4,11 @@
 //!
 //! Usage:
 //! ```sh
-//! cargo run -p hpf-bench --release --bin fuzz -- [--cases N] [--seed N] \
-//!     [--reuse-plans] [--trace-out FILE]
-//! # defaults: 500 cases, seed 1; bare positionals [cases] [seed] also work
+//! cargo run -p hpf-bench --release --bin fuzz -- [--cases N] [--seed N] [--reuse-plans]
+//! # defaults: 500 cases, seed 1
 //! # --reuse-plans routes every operation through the explicit
 //! # plan-then-execute path (hpf_core::plan) instead of the one-shot
 //! # wrappers — results must stay bit-identical to the oracle either way
-//! # --trace-out additionally traces one representative PACK and writes it
-//! # as Chrome trace_event JSON (open in Perfetto / chrome://tracing)
 //! ```
 //!
 //! Every failure message names the seed, so any reported mismatch is
@@ -20,89 +17,22 @@
 //! Complements the proptest suites with a long-running, user-controllable
 //! sweep (proptest shrinks nicely but runs a fixed case budget in CI).
 
+use hpf_bench::cases::{assemble_packed, random_array, random_vector, Rng};
+use hpf_bench::cli::Args;
 use hpf_core::seq::{count_seq, pack_seq, unpack_seq};
 use hpf_core::{
     pack, plan_pack, plan_unpack, unpack, PackOptions, PackScheme, UnpackOptions, UnpackScheme,
 };
-use hpf_distarray::{ArrayDesc, DimLayout, Dist, GlobalArray};
+use hpf_distarray::GlobalArray;
 use hpf_machine::collectives::A2aSchedule;
-use hpf_machine::{CostModel, Machine, ProcGrid};
-
-/// SplitMix64 for reproducible pseudo-random draws.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
+use hpf_machine::{CostModel, Machine};
 
 fn main() {
-    let mut cases: usize = 500;
-    let mut seed: u64 = 1;
-    let mut reuse_plans = false;
-    let mut trace_out: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cases" => {
-                cases = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--cases requires an integer");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed requires an integer");
-                        std::process::exit(2);
-                    });
-                i += 2;
-            }
-            "--reuse-plans" => {
-                reuse_plans = true;
-                i += 1;
-            }
-            "--trace-out" => {
-                trace_out = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--trace-out requires a path");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            bare => {
-                // Back-compat positionals: [cases] [seed].
-                match (positional, bare.parse::<u64>()) {
-                    (0, Ok(v)) => cases = v as usize,
-                    (1, Ok(v)) => seed = v,
-                    _ => {
-                        eprintln!(
-                            "unknown argument {bare}; usage: \
-                             fuzz [--cases N] [--seed N] [--reuse-plans] [--trace-out FILE]"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-                positional += 1;
-                i += 1;
-            }
-        }
-    }
+    let mut args = Args::from_env("usage: fuzz [--cases N] [--seed N] [--reuse-plans]");
+    let cases: usize = args.value("--cases").unwrap_or(500);
+    let seed: u64 = args.value("--seed").unwrap_or(1);
+    let reuse_plans = args.flag("--reuse-plans");
+    args.positionals(0);
     let mut rng = Rng(seed);
 
     let schemes = PackScheme::ALL;
@@ -115,20 +45,9 @@ fn main() {
     let mut pack_cases = 0usize;
     let mut unpack_cases = 0usize;
     for case in 0..cases {
-        // Random rank 1..=3, per-dim (P, W, T) in 1..=3.
-        let rank = 1 + rng.below(3);
-        let mut grid_dims = Vec::new();
-        let mut dists = Vec::new();
-        let mut shape = Vec::new();
-        for _ in 0..rank {
-            let (p, w, t) = (1 + rng.below(3), 1 + rng.below(3), 1 + rng.below(3));
-            grid_dims.push(p);
-            dists.push(Dist::BlockCyclic(w));
-            shape.push(p * w * t);
-        }
+        let (grid, desc) = random_array(&mut rng, 3);
+        let (shape, grid_dims) = (desc.shape(), grid.dims());
         let n: usize = shape.iter().product();
-        let grid = ProcGrid::new(&grid_dims);
-        let desc = ArrayDesc::new(&shape, &grid, &dists).unwrap();
 
         let mask_bits: Vec<bool> = (0..n).map(|_| rng.below(100) < 35 + case % 50).collect();
         let values: Vec<i32> = (0..n).map(|_| rng.below(2000) as i32 - 1000).collect();
@@ -154,16 +73,9 @@ fn main() {
                 pack(proc, d, &apr[proc.id()], &mpr[proc.id()], o).unwrap()
             }
         });
-        let mut got = vec![0i32; out.results[0].size];
-        if let Some(layout) = out.results[0].v_layout {
-            for (p, r) in out.results.iter().enumerate() {
-                for (l, &x) in r.local_v.iter().enumerate() {
-                    got[layout.global_of(p, l)] = x;
-                }
-            }
-        }
         assert_eq!(
-            got, want,
+            assemble_packed(&out),
+            want,
             "PACK mismatch at case {case} (reproduce with --seed {seed}): shape {shape:?}, \
              grid {grid_dims:?}, opts {opts:?}"
         );
@@ -171,53 +83,31 @@ fn main() {
 
         // UNPACK differential check on the same mask.
         let size = count_seq(&m);
-        let n_prime = (size + rng.below(4)).max(1);
-        let w_prime = 1 + rng.below(6);
-        let v: Vec<i32> = (0..n_prime as i32).map(|i| 7000 + i).collect();
+        let (v, v_layout, v_locals) = random_vector(&mut rng, size, grid.nprocs());
         let want = unpack_seq(&v, &m, &a);
-        let v_layout = DimLayout::new_general(n_prime, grid.nprocs(), w_prime).unwrap();
-        let v_locals: Vec<Vec<i32>> = (0..grid.nprocs())
-            .map(|p| {
-                (0..v_layout.local_len(p))
-                    .map(|l| v[v_layout.global_of(p, l)])
-                    .collect()
-            })
-            .collect();
         let uscheme = UnpackScheme::ALL[rng.below(2)];
         let uopts = UnpackOptions::new(uscheme);
         let (vpr, vl, uo) = (&v_locals, &v_layout, &uopts);
         let out = machine.run(move |proc| {
+            let (m, f, v) = (&mpr[proc.id()], &apr[proc.id()], &vpr[proc.id()]);
             if reuse_plans {
-                let plan = plan_unpack(proc, d, &mpr[proc.id()], vl, uo).unwrap();
-                plan.execute(proc, &apr[proc.id()], &vpr[proc.id()])
-                    .unwrap()
+                let plan = plan_unpack(proc, d, m, vl, uo).unwrap();
+                plan.execute(proc, f, v).unwrap()
             } else {
-                unpack(
-                    proc,
-                    d,
-                    &mpr[proc.id()],
-                    &apr[proc.id()],
-                    &vpr[proc.id()],
-                    vl,
-                    uo,
-                )
-                .unwrap()
+                unpack(proc, d, m, f, v, vl, uo).unwrap()
             }
         });
         assert_eq!(
             GlobalArray::assemble(&desc, &out.results),
             want,
             "UNPACK mismatch at case {case} (reproduce with --seed {seed}): shape {shape:?}, \
-             scheme {uscheme:?}, W'={w_prime}"
+             scheme {uscheme:?}, V {v_layout:?}"
         );
         unpack_cases += 1;
 
         if (case + 1) % 100 == 0 {
             println!("  {} / {cases} cases passed", case + 1);
         }
-    }
-    if let Some(path) = &trace_out {
-        write_trace(path);
     }
     println!(
         "fuzz: all {pack_cases} PACK and {unpack_cases} UNPACK differential cases passed \
@@ -227,31 +117,5 @@ fn main() {
         } else {
             ""
         }
-    );
-}
-
-/// Trace one representative PACK (CMS, cyclic-ish layout on 4 processors)
-/// and write it as Chrome trace_event JSON.
-fn write_trace(path: &str) {
-    let grid = ProcGrid::new(&[4]);
-    let desc = ArrayDesc::new(&[96], &grid, &[Dist::BlockCyclic(2)]).unwrap();
-    let a = GlobalArray::from_fn(&[96], |g| g[0] as i32);
-    let m = GlobalArray::from_fn(&[96], |g| g[0] % 2 == 0);
-    let machine = Machine::new(grid, CostModel::cm5())
-        .with_tracing(true)
-        .with_metrics(true);
-    let (ap, mp) = (a.partition(&desc), m.partition(&desc));
-    let (d, apr, mpr) = (&desc, &ap, &mp);
-    let opts = PackOptions::new(PackScheme::CompactMessage);
-    let o = &opts;
-    let out = machine.run(move |proc| {
-        pack(proc, d, &apr[proc.id()], &mpr[proc.id()], o)
-            .unwrap()
-            .size
-    });
-    std::fs::write(path, out.chrome_trace_json()).expect("write trace file");
-    println!(
-        "trace written to {path} ({} events) — load in Perfetto or chrome://tracing",
-        out.total_events()
     );
 }

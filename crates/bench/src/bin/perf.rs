@@ -13,11 +13,13 @@
 //! Usage:
 //! ```sh
 //! cargo run -p hpf-bench --release --bin perf -- \
-//!     [--smoke] [--filter GROUP] [--out FILE] [--critpath-out FILE]
-//! # default output: results/BENCH_<rev>.json (rev = short git hash)
+//!     [--filter GROUP] [--out FILE] [--critpath-out FILE]
+//! # default output: results/BENCH.json, the committed report
 //! # --filter runs only the named workload group (pack, redist, unpack,
 //! #   plan_reuse, exec_hot, recovery, apps, memory, scale) and records
 //! #   the filter in the report
+//! # --critpath-out also writes every traced workload's critical path
+//! #   (results/critpath.txt is that file)
 //! ```
 //!
 //! The binary installs the counting global allocator, so the `exec_hot`
@@ -35,6 +37,7 @@ use hpf_analysis::{
     PeakMemory,
 };
 use hpf_apps::{gather_global, run_compaction, sample_sort, SparseMatrix};
+use hpf_bench::cli::Args;
 use hpf_bench::report::{Entry, Report, ScaleReport, Section, GROUPS};
 use hpf_bench::{
     measure_run, pack_plan_ops, run_pack, run_unpack, time_pack_hot, time_pack_reuse,
@@ -59,6 +62,11 @@ const REUSE_EXECUTES: usize = 16;
 
 /// Counted steady-state executes per `exec_hot` workload (after warm-up).
 const HOT_EXECUTES: usize = 16;
+
+/// Pool size the `scale` workloads compare a one-worker pool with. A
+/// constant, not the host's core count: the report names it, and the report
+/// is a function of the tree.
+const SCALE_WORKERS: usize = 2;
 
 /// Conformance tolerance: the Section 6.4 formulas are exact, so any
 /// drift at all is a model violation.
@@ -158,11 +166,11 @@ impl Workload {
     }
 }
 
-/// Every workload `perf` runs, in report order. The full sizes mirror the
-/// paper's Section 7 setup (local size 1024 on 16 processors); smoke mode
-/// shrinks everything so CI finishes in seconds.
-fn registry(smoke: bool) -> Vec<Workload> {
-    let (n, p, wide) = if smoke { (2048, 8, 8) } else { (16384, 16, 64) };
+/// Every workload `perf` runs, in report order. The sizes mirror the
+/// paper's Section 7 setup (local size 1024 on 16 processors); the whole
+/// registry runs in about five seconds.
+fn registry() -> Vec<Workload> {
+    let (n, p, wide) = (16384, 16, 64);
     // The common case: `n` elements block-cyclic(`w`) over a line of `p`
     // processors, under the random mask.
     let line = |name: String, group, w, kind| Workload {
@@ -220,20 +228,16 @@ fn registry(smoke: bool) -> Vec<Workload> {
             all.push(line(name, "recovery", 4, Kind::Recover(s)));
         }
     }
-    let (cp, steps) = if smoke { (4, 3) } else { (8, 6) };
-    let sort_n = 8 * if smoke { 256 } else { 2048 };
-    let spmv_n = if smoke { 64 } else { 256 };
-    let gather_n = if smoke { 512 } else { 4096 };
     for (name, shape, grid, app) in [
         (
             "compaction",
-            vec![512 * cp],
-            vec![cp],
-            App::Compaction { steps },
+            vec![4096],
+            vec![8],
+            App::Compaction { steps: 6 },
         ),
-        ("sort", vec![sort_n], vec![8], App::Sort),
-        ("spmv", vec![spmv_n, spmv_n], vec![4, 2], App::Spmv),
-        ("gather", vec![gather_n], vec![8], App::Gather),
+        ("sort", vec![16384], vec![8], App::Sort),
+        ("spmv", vec![256, 256], vec![4, 2], App::Spmv),
+        ("gather", vec![4096], vec![8], App::Gather),
     ] {
         all.push(Workload {
             shape,
@@ -258,13 +262,11 @@ fn registry(smoke: bool) -> Vec<Workload> {
     // Machine shapes the paper could never run; the local extent is fixed,
     // so P itself is the swept variable.
     for sp in [64, 256, 1024, 4096] {
-        if !(smoke && sp == 256) {
-            all.push(Workload {
-                shape: vec![sp * 16],
-                grid: vec![sp],
-                ..line(format!("scale.roundtrip.p{sp}"), "scale", 4, Kind::Scale)
-            });
-        }
+        all.push(Workload {
+            shape: vec![sp * 16],
+            grid: vec![sp],
+            ..line(format!("scale.roundtrip.p{sp}"), "scale", 4, Kind::Scale)
+        });
     }
     all
 }
@@ -487,7 +489,7 @@ fn memory_section(wl: &Workload, label: &str, predicted: &[u64], events: &[Vec<E
 }
 
 /// One `scale` workload: a masked PACK → UNPACK roundtrip with a fixed
-/// local extent, run under worker-pool sizes 1 and max(2, ncores) and
+/// local extent, run under worker-pool sizes 1 and [`SCALE_WORKERS`] and
 /// compared bit-exactly — the pool-size-invariance gate. Tracing and
 /// metrics stay off, and the dense plan-time exchanges use the push
 /// schedule over a `p`-frame ring (same simulated numbers as the
@@ -516,16 +518,13 @@ fn run_scale(wl: &Workload) -> Ran {
         let unpacked = uplan.execute(proc, &f, &out.local_v).unwrap();
         (out.local_v, unpacked)
     };
-    let workers_high = std::thread::available_parallelism()
-        .map_or(1, |c| c.get())
-        .max(2);
     let run = |workers: usize| {
         Machine::new(grid.clone(), CostModel::cm5())
             .with_workers(workers)
             .with_chan_capacity(p)
             .run(program)
     };
-    let (low, high) = (run(1), run(workers_high));
+    let (low, high) = (run(1), run(SCALE_WORKERS));
     let identical = low.results == high.results
         && low.comm_matrix == high.comm_matrix
         && low.clocks.iter().zip(&high.clocks).all(|(a, b)| {
@@ -538,7 +537,7 @@ fn run_scale(wl: &Workload) -> Ran {
     let elems: usize = high.results.iter().map(|r| r.0.len()).sum();
     let scale = ScaleReport {
         workers_low: 1,
-        workers_high,
+        workers_high: SCALE_WORKERS,
         identical,
     };
     (measure_run(&high, elems), None, Section::Scale(scale))
@@ -633,48 +632,26 @@ fn run_app(wl: &Workload, app: App) -> Ran {
 }
 
 fn main() {
-    let usage = "usage: perf [--smoke] [--filter GROUP] [--out FILE] [--critpath-out FILE]";
-    let fail = |msg: String| -> ! {
-        eprintln!("{msg}\n{usage}");
-        std::process::exit(2);
-    };
-    let mut smoke = false;
-    let (mut filter, mut out_path, mut critpath_out) = (None, None, None);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(format!("{arg} requires {what}")))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--filter" => filter = Some(value("a group name")),
-            "--out" => out_path = Some(value("a path")),
-            "--critpath-out" => critpath_out = Some(value("a path")),
-            other => fail(format!("unknown argument {other}")),
-        }
-    }
+    let mut args =
+        Args::from_env("usage: perf [--filter GROUP] [--out FILE] [--critpath-out FILE]");
+    let filter: Option<String> = args.value("--filter");
+    let out_path: String = (args.value("--out")).unwrap_or_else(|| "results/BENCH.json".into());
+    let critpath_out: Option<String> = args.value("--critpath-out");
     let groups = GROUPS.map(|(g, _)| g);
     if let Some(f) = filter.as_deref().filter(|f| !groups.contains(f)) {
-        fail(format!(
+        args.fail(&format!(
             "unknown group {f}; expected one of: {}",
             groups.join(", ")
         ));
     }
+    args.positionals(0);
 
-    let rev = git_rev();
-    let out_path = out_path.unwrap_or_else(|| format!("results/BENCH_{rev}.json"));
-    let entries = registry(smoke)
+    let entries = registry()
         .iter()
         .filter(|wl| filter.as_deref().is_none_or(|f| f == wl.group))
         .map(run)
         .collect();
-    let report = Report {
-        rev,
-        smoke,
-        filter,
-        entries,
-    };
+    let report = Report { filter, entries };
     write(&out_path, &report.render());
     println!(
         "perf report ({} workloads) -> {out_path}",
@@ -707,7 +684,8 @@ fn write(path: &str, text: &str) {
     std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
-/// Human summary on stdout: one line per workload, then one per section.
+/// Human summary on stdout: one line per workload, then each workload's
+/// section as the report writes it.
 fn print_summary(entries: &[Entry]) {
     for e in entries {
         println!(
@@ -720,51 +698,10 @@ fn print_summary(entries: &[Entry]) {
             e.m.words,
         );
     }
-    for e in entries {
-        let name = &e.name;
-        match &e.section {
-            Section::None | Section::Conformance(_) => {}
-            Section::Hot(h) => println!(
-                "  {name:<26} allocs/exec {:>5.1}  bytes/exec {:>7.0}  clone_words {}  \
-                 bulk {:.2}",
-                h.allocs_per_execute,
-                h.alloc_bytes_per_execute,
-                h.clone_words,
-                h.copy_ops.bulk_fraction(),
-            ),
-            Section::Reuse(r) => println!(
-                "  {name:<26} fresh {:>8.3} ms/exec  cached {:>8.3} ms/exec  ratio {:.2}  \
-                 hits {}  misses {}",
-                r.fresh_per_exec_ms(),
-                r.cached_per_exec_ms(),
-                r.reuse_ratio(),
-                r.cache_hits,
-                r.cache_misses,
-            ),
-            Section::Recovery(r) => println!(
-                "  {name:<26} epochs {:>3}  replays {}  frames {:>3}  \
-                 log-high-water {:>6} words  replay {:>6.2} ms",
-                r.epochs, r.replays, r.replayed_frames, r.log_high_water_words, r.replay_ms,
-            ),
-            Section::Memory(p) => println!("  {}", p.summary()),
-            Section::Scale(s) => println!(
-                "  {name:<26} workers {}→{}  identical {}",
-                s.workers_low, s.workers_high, s.identical,
-            ),
-        }
+    for e in entries.iter().filter(|e| e.section != Section::None) {
+        let section = e.section.to_json().render(0);
+        println!("  {:<26} {}", e.name, section.trim_end());
     }
-}
-
-/// Short git revision, or "unknown" outside a git checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 #[cfg(test)]
@@ -812,47 +749,51 @@ mod tests {
 
     #[test]
     fn registry_names_every_required_workload() {
-        for (smoke, count) in [(true, 54), (false, 55)] {
-            let all = registry(smoke);
-            assert_eq!(all.len(), count);
-            for prefix in REQUIRED {
-                let dotted = format!("{prefix}.");
-                let named = |wl: &Workload| wl.name == prefix || wl.name.starts_with(&dotted);
-                assert!(all.iter().any(named), "no workload named {prefix}[.*]");
-            }
-            let dense = |wl: &&Workload| wl.group == "exec_hot" && wl.name.ends_with(".dense");
-            assert_eq!(
-                all.iter().filter(dense).count(),
-                5,
-                "one .dense row per scheme"
-            );
-            // Groups appear in GROUPS order, names are unique.
-            let order: Vec<usize> = all
-                .iter()
-                .map(|wl| GROUPS.iter().position(|(g, _)| *g == wl.group).unwrap())
-                .collect();
-            assert!(order.windows(2).all(|w| w[0] <= w[1]), "{order:?}");
-            let mut names: Vec<&str> = all.iter().map(|wl| wl.name.as_str()).collect();
-            names.sort_unstable();
-            names.dedup();
-            assert_eq!(names.len(), count);
+        let all = registry();
+        assert_eq!(all.len(), 55);
+        for prefix in REQUIRED {
+            let dotted = format!("{prefix}.");
+            let named = |wl: &Workload| wl.name == prefix || wl.name.starts_with(&dotted);
+            assert!(all.iter().any(named), "no workload named {prefix}[.*]");
         }
+        let dense = |wl: &&Workload| wl.group == "exec_hot" && wl.name.ends_with(".dense");
+        assert_eq!(
+            all.iter().filter(dense).count(),
+            5,
+            "one .dense row per scheme"
+        );
+        // Groups appear in GROUPS order, names are unique.
+        let order: Vec<usize> = all
+            .iter()
+            .map(|wl| GROUPS.iter().position(|(g, _)| *g == wl.group).unwrap())
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] <= w[1]), "{order:?}");
+        let mut names: Vec<&str> = all.iter().map(|wl| wl.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all.len());
     }
 
     /// The report is a function of the commit: the group whose counters
     /// used to follow the thread interleaving renders the same bytes twice,
-    /// and passes its gates.
+    /// and passes its gates. Run at an eighth of the registry's size, where
+    /// an unoptimised build stays clear of the transport's wall-clock
+    /// retransmission timer (the one thing in a report that reads a clock).
     #[test]
     fn recovery_group_renders_identically_twice() {
         let render = || {
-            let entries = registry(true)
-                .iter()
+            let entries = registry()
+                .into_iter()
                 .filter(|wl| wl.group == "recovery")
-                .map(run)
+                .map(|wl| {
+                    run(&Workload {
+                        shape: vec![2048],
+                        grid: vec![8],
+                        ..wl
+                    })
+                })
                 .collect();
             let report = Report {
-                rev: "test".into(),
-                smoke: true,
                 filter: Some("recovery".into()),
                 entries,
             };

@@ -16,36 +16,17 @@
 //!
 //! Exit codes: 0 = clean (or warnings only), 1 = regression at or above
 //! the fail threshold / missing workload or metric, 2 = usage or parse
-//! error, or a smoke report compared against a full one.
+//! error.
 
 use hpf_analysis::{DiffReport, Json};
+use hpf_bench::cli::Args;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<String> = Vec::new();
-    let mut warn_above = 2.0f64;
-    let mut fail_above = 10.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--warn-above" => {
-                warn_above = parse_pct(args.get(i + 1), "--warn-above");
-                i += 2;
-            }
-            "--fail-above" => {
-                fail_above = parse_pct(args.get(i + 1), "--fail-above");
-                i += 2;
-            }
-            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
-            path => {
-                paths.push(path.to_string());
-                i += 1;
-            }
-        }
-    }
-    if paths.len() != 2 {
-        usage("expected exactly two report paths");
-    }
+    let mut args =
+        Args::from_env("usage: perfdiff OLD.json NEW.json [--warn-above PCT] [--fail-above PCT]");
+    let warn_above: f64 = args.value("--warn-above").unwrap_or(2.0);
+    let fail_above: f64 = args.value("--fail-above").unwrap_or(10.0);
+    let paths = args.positionals(2);
 
     let old = load(&paths[0]);
     let new = load(&paths[1]);
@@ -73,11 +54,6 @@ fn main() {
     }
 }
 
-fn parse_pct(arg: Option<&String>, flag: &str) -> f64 {
-    arg.and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} requires a numeric percent")))
-}
-
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("perfdiff: cannot read {path}: {e}");
@@ -87,11 +63,4 @@ fn load(path: &str) -> Json {
         eprintln!("perfdiff: {path} is not valid JSON: {e}");
         std::process::exit(2);
     })
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "perfdiff: {msg}\nusage: perfdiff OLD.json NEW.json [--warn-above PCT] [--fail-above PCT]"
-    );
-    std::process::exit(2);
 }

@@ -5,7 +5,7 @@ use hpf_core::{
     pack, pack_redistributed, plan_pack, plan_unpack, unpack, CopyStats, MaskPattern, PackOptions,
     PackScheme, PlanCache, RedistScheme, UnpackOptions, UnpackScheme,
 };
-use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist, GlobalArray, TrackArray};
+use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist, TrackArray};
 use hpf_machine::{Category, CostModel, Machine, Proc, ProcGrid, RunOutput};
 
 /// One experiment point: an array shape distributed with a uniform block
@@ -64,15 +64,6 @@ impl ExpConfig {
             .collect();
         ArrayDesc::new(&self.shape, &grid, &dists)
             .unwrap_or_else(|e| panic!("invalid experiment config {self:?}: {e}"))
-    }
-
-    /// Local extent per processor along each dimension.
-    pub fn local_len(&self) -> usize {
-        self.shape
-            .iter()
-            .zip(&self.grid)
-            .map(|(n, p)| n / p)
-            .product()
     }
 
     /// Deterministic element value at a global index.
@@ -135,12 +126,6 @@ impl Measurement {
         self.stages_ms[Category::ManyToMany.index()]
     }
 
-    /// Preliminary-redistribution time (detection + traffic).
-    pub fn redist_ms(&self) -> f64 {
-        self.stages_ms[Category::RedistDetect.index()]
-            + self.stages_ms[Category::RedistComm.index()]
-    }
-
     /// Total execution time (what Figures 4 and 5 plot).
     pub fn total_ms(&self) -> f64 {
         self.total_ms
@@ -198,56 +183,57 @@ impl ReuseMeasurement {
     }
 }
 
-/// Measure PACK plan reuse under `opts`: `executes` fresh `pack` calls
-/// versus one [`PlanCache`]d plan executed `executes` times, each
-/// iteration on different element values. The cached arm runs with
-/// metrics so the `plan.cache.{hit,miss}` counters are observable.
-pub fn time_pack_reuse(cfg: &ExpConfig, opts: &PackOptions, executes: usize) -> ReuseMeasurement {
-    let desc = cfg.desc();
-    let (desc_ref, pattern) = (&desc, cfg.pattern);
-    let data_at = move |it: usize, g: &[usize]| ExpConfig::value_at(g).wrapping_add(it as i32);
-
-    let shape = cfg.shape.clone();
-    let out = cfg.machine().run(move |proc| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        let data: Vec<Vec<i32>> = (0..executes)
-            .map(|it| local_from_fn(desc_ref, proc.id(), |g| data_at(it, g)))
-            .collect();
-        proc.clock().reset();
-        let mut size = 0;
-        for a in &data {
-            size = pack(proc, desc_ref, a, &m, opts).unwrap().size;
-        }
-        size
-    });
-    let fresh = measure_run(&out, out.results[0]);
-
-    let shape = cfg.shape.clone();
-    let out = cfg.machine().with_metrics(true).run(move |proc| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        let data: Vec<Vec<i32>> = (0..executes)
-            .map(|it| local_from_fn(desc_ref, proc.id(), |g| data_at(it, g)))
-            .collect();
-        let mut plans = PlanCache::new();
-        proc.clock().reset();
-        let mut size = 0;
-        for a in &data {
-            let plan = plans
-                .pack_plan(proc, desc_ref, &m, pattern.fingerprint(), opts)
-                .unwrap();
-            size = plan.execute(proc, a).unwrap().size;
-        }
-        size
-    });
-    let cached = measure_run(&out, out.results[0]);
-    let metrics = out.merged_metrics();
+/// The two arms of a reuse measurement: `arm(cached)` runs the loop once
+/// with full calls and once through a [`PlanCache`]. Only the cached arm
+/// runs with metrics, so its `plan.cache.{hit,miss}` counters are observable.
+fn time_reuse<R: Send>(
+    cfg: &ExpConfig,
+    size: impl Fn(&RunOutput<R>) -> usize,
+    executes: usize,
+    arm: impl Fn(&mut Proc, bool) -> R + Sync,
+) -> ReuseMeasurement {
+    let fresh = cfg.machine().run(|proc| arm(proc, false));
+    let cached = cfg.machine().with_metrics(true).run(|proc| arm(proc, true));
+    let metrics = cached.merged_metrics();
     ReuseMeasurement {
         executes,
-        fresh,
-        cached,
+        fresh: measure_run(&fresh, size(&fresh)),
+        cached: measure_run(&cached, size(&cached)),
         cache_hits: metrics.counter("plan.cache.hit"),
         cache_misses: metrics.counter("plan.cache.miss"),
     }
+}
+
+/// Measure PACK plan reuse under `opts`: `executes` fresh `pack` calls
+/// versus one [`PlanCache`]d plan executed `executes` times, each
+/// iteration on different element values.
+pub fn time_pack_reuse(cfg: &ExpConfig, opts: &PackOptions, executes: usize) -> ReuseMeasurement {
+    let desc = cfg.desc();
+    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, &cfg.shape);
+    time_reuse(
+        cfg,
+        |out| out.results[0],
+        executes,
+        |proc, cached| {
+            let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, shape));
+            let data_at = |it: usize, g: &[usize]| ExpConfig::value_at(g).wrapping_add(it as i32);
+            let data: Vec<Vec<i32>> = (0..executes)
+                .map(|it| local_from_fn(desc_ref, proc.id(), |g| data_at(it, g)))
+                .collect();
+            let mut plans = PlanCache::new();
+            proc.clock().reset();
+            let mut size = 0;
+            for a in &data {
+                size = if cached {
+                    let plan = plans.pack_plan(proc, desc_ref, &m, pattern.fingerprint(), opts);
+                    plan.unwrap().execute(proc, a).unwrap().size
+                } else {
+                    pack(proc, desc_ref, a, &m, opts).unwrap().size
+                };
+            }
+            size
+        },
+    )
 }
 
 /// Measure UNPACK plan reuse under `opts`; see [`time_pack_reuse`]. Each
@@ -259,48 +245,33 @@ pub fn time_unpack_reuse(
 ) -> ReuseMeasurement {
     let desc = cfg.desc();
     let (size, v_layout) = cfg.packed_layout();
-    let (desc_ref, pattern, vl) = (&desc, cfg.pattern, &v_layout);
-    let vdata = move |me: usize, it: usize, vl: &DimLayout| -> Vec<i32> {
-        (0..vl.local_len(me))
-            .map(|l| (vl.global_of(me, l) as i32).wrapping_add(1000 * it as i32))
-            .collect()
-    };
-
-    let shape = cfg.shape.clone();
-    let out = cfg.machine().run(move |proc| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
-        let vs: Vec<Vec<i32>> = (0..executes).map(|it| vdata(proc.id(), it, vl)).collect();
-        proc.clock().reset();
-        for v in &vs {
-            unpack(proc, desc_ref, &m, &f, v, vl, opts).unwrap();
-        }
-    });
-    let fresh = measure_run(&out, size);
-
-    let shape = cfg.shape.clone();
-    let out = cfg.machine().with_metrics(true).run(move |proc| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, &shape));
-        let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
-        let vs: Vec<Vec<i32>> = (0..executes).map(|it| vdata(proc.id(), it, vl)).collect();
-        let mut plans = PlanCache::new();
-        proc.clock().reset();
-        for v in &vs {
-            let plan = plans
-                .unpack_plan(proc, desc_ref, &m, pattern.fingerprint(), vl, opts)
-                .unwrap();
-            plan.execute(proc, &f, v).unwrap();
-        }
-    });
-    let cached = measure_run(&out, size);
-    let metrics = out.merged_metrics();
-    ReuseMeasurement {
+    let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, &cfg.shape, &v_layout);
+    time_reuse(
+        cfg,
+        |_| size,
         executes,
-        fresh,
-        cached,
-        cache_hits: metrics.counter("plan.cache.hit"),
-        cache_misses: metrics.counter("plan.cache.miss"),
-    }
+        |proc, cached| {
+            let me = proc.id();
+            let m = local_from_fn(desc_ref, me, |g| pattern.value(g, shape));
+            let f = local_from_fn(desc_ref, me, |_| -1i32);
+            let v_at =
+                |it: usize, l: usize| (vl.global_of(me, l) as i32).wrapping_add(1000 * it as i32);
+            let vs: Vec<Vec<i32>> = (0..executes)
+                .map(|it| (0..vl.local_len(me)).map(|l| v_at(it, l)).collect())
+                .collect();
+            let mut plans = PlanCache::new();
+            proc.clock().reset();
+            for v in &vs {
+                if cached {
+                    let plan =
+                        plans.unpack_plan(proc, desc_ref, &m, pattern.fingerprint(), vl, opts);
+                    plan.unwrap().execute(proc, &f, v).unwrap();
+                } else {
+                    unpack(proc, desc_ref, &m, &f, v, vl, opts).unwrap();
+                }
+            }
+        },
+    )
 }
 
 /// Warm-up executes before the hot window: the two pool slots per
@@ -465,8 +436,10 @@ pub fn unpack_plan_ops(cfg: &ExpConfig, opts: &UnpackOptions) -> Vec<u64> {
 pub enum Observe {
     /// Nothing.
     Clocks,
-    /// Structured events, for critical-path extraction.
+    /// Structured events, for critical-path extraction and Gantt charts.
     Events,
+    /// Events, and the host's wall-clock self time per stage.
+    Host,
     /// Events and metrics, with the workload's arrays registered against
     /// the `user` memory account ([`TrackArray`]) at simulated time zero,
     /// so the traced `MemSample` stream covers the full working set — user
@@ -477,6 +450,7 @@ pub enum Observe {
 impl Observe {
     fn machine(self, cfg: &ExpConfig) -> Machine {
         let machine = cfg.machine().with_tracing(self != Observe::Clocks);
+        let machine = machine.with_wall_profiling(self == Observe::Host);
         machine.with_metrics(self == Observe::Memory)
     }
 
@@ -586,45 +560,14 @@ pub fn ms(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Correctness backstop used by the binaries: PACK result equals the
-/// sequential oracle for this config (cheap insurance that the numbers
-/// describe a *correct* run).
-pub fn verify_pack(cfg: &ExpConfig, opts: &PackOptions) {
-    let desc = cfg.desc();
-    let a = GlobalArray::from_fn(&cfg.shape, ExpConfig::value_at);
-    let m = cfg.pattern.global(&cfg.shape);
-    let want = hpf_core::seq::pack_seq(&a, &m, None);
-    let a_parts = a.partition(&desc);
-    let m_parts = m.partition(&desc);
-    let machine = cfg.machine();
-    let (desc_ref, a_ref, m_ref) = (&desc, &a_parts, &m_parts);
-    let out = machine
-        .run(move |proc| pack(proc, desc_ref, &a_ref[proc.id()], &m_ref[proc.id()], opts).unwrap());
-    let mut got = vec![0i32; want.len()];
-    if let Some(layout) = out.results[0].v_layout {
-        for (p, o) in out.results.iter().enumerate() {
-            for (l, &x) in o.local_v.iter().enumerate() {
-                got[layout.global_of(p, l)] = x;
-            }
-        }
-    }
-    assert_eq!(got, want, "pack verification failed for {cfg:?}");
-}
-
 /// All three pack schemes with default options.
-pub fn pack_scheme_opts() -> Vec<(PackScheme, PackOptions)> {
-    PackScheme::ALL
-        .iter()
-        .map(|&s| (s, PackOptions::new(s)))
-        .collect()
+pub fn pack_scheme_opts() -> [(PackScheme, PackOptions); 3] {
+    PackScheme::ALL.map(|s| (s, PackOptions::new(s)))
 }
 
 /// Both unpack schemes with default options.
-pub fn unpack_scheme_opts() -> Vec<(UnpackScheme, UnpackOptions)> {
-    UnpackScheme::ALL
-        .iter()
-        .map(|&s| (s, UnpackOptions::new(s)))
-        .collect()
+pub fn unpack_scheme_opts() -> [(UnpackScheme, UnpackOptions); 2] {
+    UnpackScheme::ALL.map(|s| (s, UnpackOptions::new(s)))
 }
 
 #[cfg(test)]
@@ -653,22 +596,6 @@ mod tests {
         assert!(m.local_ms() > 0.0);
         assert!(m.prs_ms() > 0.0);
         assert!(m.total_ms() >= m.local_ms());
-    }
-
-    #[test]
-    fn verify_pack_passes_for_all_schemes() {
-        let cfg = ExpConfig::new(
-            &[16, 16],
-            &[2, 2],
-            2,
-            MaskPattern::Random {
-                density: 0.4,
-                seed: 2,
-            },
-        );
-        for (_, opts) in pack_scheme_opts() {
-            verify_pack(&cfg, &opts);
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The perf report (`results/BENCH_*.json`): one typed value, one
+//! The perf report (`results/BENCH.json`): one typed value, one
 //! serializer, and the gates `perf` runs on its own report before exiting.
 //!
 //! Every field is a function of the commit — simulated time, traffic,
@@ -21,7 +21,7 @@ use hpf_machine::{Category, RecoveryStats};
 use crate::{HotMeasurement, Measurement, ReuseMeasurement};
 
 /// Schema version of the emitted JSON (bump on breaking field changes).
-pub const SCHEMA_VERSION: u64 = 10;
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// The workload groups `perf --filter` accepts, in report order, each with
 /// the JSON key of the [`Section`] its entries carry.
@@ -88,7 +88,8 @@ impl Section {
         }
     }
 
-    fn to_json(&self) -> Json {
+    /// This section as the report writes it.
+    pub fn to_json(&self) -> Json {
         match self {
             Section::None => Json::Null,
             Section::Conformance(c) => {
@@ -129,7 +130,6 @@ impl Section {
                     "copy_ops",
                     Json::obj([
                         ("contig", h.copy_ops.contig.into()),
-                        ("strided", h.copy_ops.strided.into()),
                         ("scatter", h.copy_ops.scatter.into()),
                         ("bulk_elements", h.copy_ops.bulk_elements.into()),
                         ("total_elements", h.copy_ops.total_elements.into()),
@@ -245,10 +245,6 @@ impl Entry {
 /// A whole perf report.
 #[derive(Debug)]
 pub struct Report {
-    /// Short git revision the report was measured at.
-    pub rev: String,
-    /// Smoke sizes (CI) rather than the paper's full sizes.
-    pub smoke: bool,
     /// The one group `--filter` restricted the run to.
     pub filter: Option<String>,
     /// The workloads, in registry order.
@@ -260,8 +256,6 @@ impl Report {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("schema_version", SCHEMA_VERSION.into()),
-            ("rev", self.rev.as_str().into()),
-            ("mode", if self.smoke { "smoke" } else { "full" }.into()),
             ("filter", self.filter.as_deref().into()),
             ("cost_model", "cm5".into()),
             (
@@ -391,7 +385,7 @@ pub const GATES: [Gate; 21] = [
     ),
     (
         // On a contiguous mask the plan must move nearly everything through
-        // Contig / Strided ops, or the lowering stopped finding the runs.
+        // Contig ops, or the lowering stopped finding the runs.
         "dense_is_bulk",
         "a .dense workload moves under 90 % of its elements in bulk copy ops",
         |e| {
@@ -501,8 +495,6 @@ mod tests {
 
     fn broken_in(filter: Option<&str>, e: Entry) -> Vec<String> {
         let report = Report {
-            rev: "test".into(),
-            smoke: true,
             filter: filter.map(String::from),
             entries: vec![e],
         };
@@ -531,7 +523,6 @@ mod tests {
         clone_words: 0,
         copy_ops: CopyStats {
             contig: 4,
-            strided: 0,
             scatter: 1,
             bulk_elements: 89,
             total_elements: 100,
@@ -817,18 +808,17 @@ mod tests {
     #[test]
     fn rendered_report_parses_back_to_what_was_built() {
         let report = Report {
-            rev: "abc\"1234\\".into(),
-            smoke: true,
-            filter: None,
+            filter: Some("a\"b\\".into()),
             entries: vec![with_m("apps", |_| {}), hot("exec_hot.pack.sss.w8", HOT)],
         };
         let text = report.render();
         let back = Json::parse(&text).expect("rendered report is JSON");
         assert_eq!(back, report.to_json());
-        // The escaped rev, a null section beside a present one, and the
-        // one-field-per-line layout.
-        assert_eq!(back.get("rev").and_then(Json::as_str), Some("abc\"1234\\"));
-        assert_eq!(back.get("schema_version"), Some(&Json::Num(10.0)));
+        // An escaped string, a null section beside a present one, and the
+        // one-field-per-line layout; nothing that names a commit or a mode.
+        assert_eq!(back.get("filter").and_then(Json::as_str), Some("a\"b\\"));
+        assert_eq!(back.get("schema_version"), Some(&Json::Num(11.0)));
+        assert!(back.get("rev").is_none() && back.get("mode").is_none());
         let w = back.get("workloads").and_then(Json::as_arr).unwrap();
         assert_eq!(w[0].get("hot"), Some(&Json::Null));
         let executes = w[1].get("hot").and_then(|h| h.get("executes"));

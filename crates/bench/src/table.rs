@@ -8,17 +8,16 @@ pub struct Table {
 }
 
 impl Table {
-    /// Start a table with the given column headers.
-    pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
+    /// Start a table whose column headers are `headers` split at `|`.
+    pub fn new(headers: &str) -> Self {
         Table {
-            headers: headers.into_iter().map(Into::into).collect(),
+            headers: headers.split('|').map(String::from).collect(),
             rows: Vec::new(),
         }
     }
 
     /// Append a row (must match the header count).
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
-        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
+    pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
     }
@@ -59,11 +58,6 @@ impl Table {
         }
         out
     }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]
@@ -72,9 +66,9 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new(vec!["name", "ms"]);
-        t.row(vec!["a", "1.00"]);
-        t.row(vec!["longer", "12.34"]);
+        let mut t = Table::new("name|ms");
+        t.row(vec!["a".into(), "1.00".into()]);
+        t.row(vec!["longer".into(), "12.34".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -87,7 +81,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width")]
     fn row_width_checked() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["only one"]);
+        let mut t = Table::new("a|b");
+        t.row(vec!["only one".into()]);
     }
 }

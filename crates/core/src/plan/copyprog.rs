@@ -8,23 +8,22 @@
 //!
 //! ```text
 //! program  = op*
-//! op       = Contig  { pos, at, len }             idx[pos+k] == at + k
-//!          | Strided { pos, at, stride, count }   idx[pos+k] == at + k·stride
-//!          | Scatter { pos, len }                 defer to the scalar walk
+//! op       = Contig  { pos, at, len }   idx[pos+k] == at + k
+//!          | Scatter { pos, len }       defer to the scalar walk
 //! ```
 //!
 //! `pos` addresses the *dense* side (the message buffer, tiled front to
 //! back); `at` addresses the *indexed* side (the local array slice the
 //! indices point into). A block-distributed section lowers to a handful of
-//! `Contig` ops — executed as `copy_from_slice`, i.e. `memcpy` — a long
-//! constant-stride section to `Strided` ops, and a random mask to one
+//! `Contig` ops — executed as `copy_from_slice`, i.e. `memcpy` — and
+//! everything else (a random mask, a constant stride other than 1) to one
 //! `Scatter` range per row, which is the branch-free index loop
 //! `dst[k] = src[idx[k]]`. That loop is the yardstick: it moves an element
 //! in 0.6–0.8 ns, every op costs about one mispredicted branch on top of
 //! its elements, and a bulk op is emitted only where the measured
 //! break-even says it beats the loop it replaces ([`MIN_CONTIG`],
-//! [`MIN_CONTIG_JOINED`], [`MIN_STRIDED`]; the table is in EXPERIMENTS.md,
-//! "Lower only what beats the index loop"). Lowering is wall-clock-only
+//! [`MIN_CONTIG_JOINED`]; the table is in EXPERIMENTS.md, "Lower only what
+//! beats the index loop"). Lowering is wall-clock-only
 //! work: it charges **zero** simulated operations, so the Section 6.4
 //! accounting is bit-identical to the scalar path (the op *counts* were
 //! always per value, never per loop shape).
@@ -57,16 +56,10 @@ const MIN_CONTIG: usize = 32;
 /// `memcpy`, which op for op beats the index loop from 8 elements on.
 const MIN_CONTIG_JOINED: usize = 8;
 
-/// Shortest equal-delta run that becomes a `Strided` op. The strided loop
-/// saves the index load and nothing else: it is level with the index loop
-/// from 48–64 elements, behind it below that when run lengths are
-/// unpredictable, and never more than 15 % ahead.
-const MIN_STRIDED: usize = 64;
-
-/// The shortest stretch any rule above can lower: what `extend` lets
-/// through to [`ProgramBuilder::emit_bulk`].
+/// The shortest run either rule above can lower: what `extend` lets through
+/// to [`ProgramBuilder::emit_bulk`].
 const MIN_BULK: u32 = MIN_CONTIG_JOINED as u32;
-const _: () = assert!(MIN_CONTIG_JOINED <= MIN_CONTIG && MIN_CONTIG_JOINED <= MIN_STRIDED);
+const _: () = assert!(MIN_CONTIG_JOINED <= MIN_CONTIG);
 
 /// One lowered copy instruction; see the module docs for the grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,19 +72,6 @@ pub(crate) enum CopyOp {
         at: u32,
         /// Run length.
         len: u32,
-    },
-    /// `idx[pos + k] == at + k·stride` for `k < count`: a constant-stride
-    /// walk with no index loads. `stride` is signed — a block-cyclic result
-    /// layout served against an ascending request list can step backwards.
-    Strided {
-        /// Start position on the dense side.
-        pos: u32,
-        /// First index on the indexed side.
-        at: u32,
-        /// Signed step between consecutive indexed-side elements.
-        stride: i32,
-        /// Number of elements.
-        count: u32,
     },
     /// No exploitable structure: walk `idx[pos .. pos+len]` scalar.
     Scatter {
@@ -106,7 +86,7 @@ pub(crate) enum CopyOp {
 /// positions, so the two phases compose to the full copy in either order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
-    /// `Contig` and `Strided` ops (the `copy.contig` wall frame).
+    /// `Contig` ops (the `copy.contig` wall frame).
     Bulk,
     /// `Scatter` ranges (the `copy.scatter` wall frame).
     Scatter,
@@ -118,11 +98,9 @@ pub(crate) enum Phase {
 pub struct CopyStats {
     /// Number of `Contig` ops.
     pub contig: u64,
-    /// Number of `Strided` ops.
-    pub strided: u64,
     /// Number of `Scatter` ops.
     pub scatter: u64,
-    /// Elements moved by `Contig`/`Strided` ops.
+    /// Elements moved by `Contig` ops.
     pub bulk_elements: u64,
     /// Total elements covered by the program(s).
     pub total_elements: u64,
@@ -132,13 +110,12 @@ impl CopyStats {
     /// Fold another program's stats into this one.
     pub fn merge(&mut self, other: &CopyStats) {
         self.contig += other.contig;
-        self.strided += other.strided;
         self.scatter += other.scatter;
         self.bulk_elements += other.bulk_elements;
         self.total_elements += other.total_elements;
     }
 
-    /// Fraction of elements moved by bulk (`Contig`/`Strided`) ops;
+    /// Fraction of elements moved by bulk (`Contig`) ops;
     /// 1.0 for an empty program.
     pub fn bulk_fraction(&self) -> f64 {
         if self.total_elements == 0 {
@@ -209,61 +186,53 @@ impl CopyPrograms {
 }
 
 /// Streaming lowering: one program family built index by index, row by row.
-/// Greedy maximal equal-delta stretches become `Contig` (delta 1) or
-/// `Strided` ops when long enough to beat the index loop — how long depends
-/// on whether the op has scattered elements for a neighbour, see
-/// [`MIN_CONTIG`] and [`MIN_CONTIG_JOINED`] — and everything else coalesces
-/// into `Scatter` ranges (never across a row boundary). Only the stretch
-/// the last index belongs to is remembered, so nothing is read twice; an
-/// undersized stretch leaves its last element to start the next one with
-/// what follows (`[5, 100, 101, …]` keeps the whole contig).
+/// Greedy maximal stride-1 runs become `Contig` ops when long enough to beat
+/// the index loop — how long depends on whether the op has scattered
+/// elements for a neighbour, see [`MIN_CONTIG`] and [`MIN_CONTIG_JOINED`] —
+/// and everything else coalesces into `Scatter` ranges (never across a row
+/// boundary). Only the run the last index belongs to is remembered, so
+/// nothing is read twice.
 #[derive(Debug, Default)]
 pub(crate) struct ProgramBuilder {
     out: CopyPrograms,
     /// Dense position of the next index in the open row.
     pos: u32,
     /// Positions before this are covered by emitted ops; `scattered..` up to
-    /// the current stretch is the pending scatter range.
+    /// the current run is the pending scatter range.
     scattered: u32,
-    /// The current stretch: `len` indices ending at `prev`, `delta` apart
-    /// (`delta` means nothing while `len < 2`).
+    /// The current run: `len` consecutive indices ending at `prev`.
     prev: u32,
-    delta: i64,
     len: u32,
 }
 
 impl ProgramBuilder {
-    /// Append `idx` to the open row. On a random mask two deltas in three
-    /// differ from the one before, so "the stretch goes on" must not become
-    /// a branch: it is a number the optimiser cannot read back as a
-    /// condition ([`std::hint::black_box`]; as a `bool` it compiles to a
-    /// branch mispredicted every third index) that rides in the length's top
-    /// bit — one range check finds a full-size stretch that ended — and
-    /// masks the length update.
+    /// Append `idx` to the open row. On a random mask every other index
+    /// ends a run, so "the run goes on" must not become a branch: it is a
+    /// number the optimiser cannot read back as a condition
+    /// ([`std::hint::black_box`]; as a `bool` it compiles to a mispredicted
+    /// branch) that rides in the length's top bit — one range check finds a
+    /// full-size run that ended — and masks the length update.
     pub(crate) fn extend(&mut self, idx: &[u32]) {
         const TOP: u32 = 1 << 31;
-        let (mut pos, mut prev, mut delta, mut len) = (self.pos, self.prev, self.delta, self.len);
+        let (mut pos, mut prev, mut len) = (self.pos, self.prev, self.len);
         for &x in idx {
-            let d = i64::from(x) - i64::from(prev);
-            let goes_on = std::hint::black_box(u32::from(d == delta));
+            let goes_on = std::hint::black_box(u32::from(i64::from(x) - i64::from(prev) == 1));
             let ended = (len | (goes_on * TOP)).wrapping_sub(MIN_BULK);
-            if ended < TOP - MIN_BULK && self.emit_bulk(pos, len, prev, delta) {
+            if ended < TOP - MIN_BULK && self.emit_bulk(pos, len, prev) {
                 len = 0;
             }
-            // Go on with the stretch, or restart it at its last element.
-            let keep = goes_on.wrapping_neg();
-            len = ((len & keep) | (len.min(1) & !keep)) + 1;
-            (prev, delta) = (x, d);
+            // Go on with the run, or start the next one at `x`.
+            len = (len & goes_on.wrapping_neg()) + 1;
+            prev = x;
             pos += 1;
         }
-        (self.pos, self.prev, self.delta, self.len) = (pos, prev, delta, len);
+        (self.pos, self.prev, self.len) = (pos, prev, len);
     }
 
-    /// Emit the stretch of `len` indices `delta` apart that ends at `prev`,
-    /// before position `end`, if it makes a bulk op that pays for itself.
-    fn emit_bulk(&mut self, end: u32, len: u32, prev: u32, delta: i64) -> bool {
+    /// Emit the run of `len` consecutive indices that ends at `prev`, before
+    /// position `end`, if it makes a `Contig` op that pays for itself.
+    fn emit_bulk(&mut self, end: u32, len: u32, prev: u32) -> bool {
         let pos = end - len;
-        let at = (i64::from(prev) - i64::from(len - 1) * delta) as u32;
         // No scattered element pending: the op follows a bulk op or starts
         // the row (`flush_scatter` takes it back if scattered ones follow).
         let joined = self.scattered == pos;
@@ -272,23 +241,13 @@ impl ProgramBuilder {
         } else {
             MIN_CONTIG
         };
-        let op = if delta == 1 && len >= min_contig as u32 {
-            self.out.stats.contig += 1;
-            CopyOp::Contig { pos, at, len }
-        } else if delta != 1 && len >= MIN_STRIDED as u32 && i32::try_from(delta).is_ok() {
-            self.out.stats.strided += 1;
-            let stride = delta as i32;
-            CopyOp::Strided {
-                pos,
-                at,
-                stride,
-                count: len,
-            }
-        } else {
+        if len < min_contig as u32 {
             return false;
-        };
+        }
         self.flush_scatter(pos);
-        self.out.ops.push(op);
+        let at = prev - (len - 1);
+        self.out.ops.push(CopyOp::Contig { pos, at, len });
+        self.out.stats.contig += 1;
         self.out.stats.bulk_elements += u64::from(len);
         self.scattered = end;
         true
@@ -321,7 +280,7 @@ impl ProgramBuilder {
     /// Close the open row (possibly empty) and start the next.
     pub(crate) fn end_row(&mut self) {
         if self.len >= MIN_BULK {
-            self.emit_bulk(self.pos, self.len, self.prev, self.delta);
+            self.emit_bulk(self.pos, self.len, self.prev);
         }
         self.flush_scatter(self.pos);
         self.out.stats.total_elements += u64::from(self.pos);
@@ -350,19 +309,6 @@ fn check(ops: &[CopyOp], idx: &[u32]) {
                     assert_eq!(idx[pos as usize + k] as usize, at as usize + k);
                 }
                 next += len as usize;
-            }
-            CopyOp::Strided {
-                pos,
-                at,
-                stride,
-                count,
-            } => {
-                assert_eq!(pos as usize, next);
-                for k in 0..count as usize {
-                    let want = i64::from(at) + k as i64 * i64::from(stride);
-                    assert_eq!(i64::from(idx[pos as usize + k]), want);
-                }
-                next += count as usize;
             }
             CopyOp::Scatter { pos, len } => {
                 assert_eq!(pos as usize, next);
@@ -393,20 +339,6 @@ pub(crate) fn gather_fill<T: Copy>(
                 moved += len as usize;
                 dst[pos as usize..pos as usize + len as usize]
                     .copy_from_slice(&src[at as usize..at as usize + len as usize]);
-            }
-            CopyOp::Strided {
-                pos,
-                at,
-                stride,
-                count,
-            } if phase == Phase::Bulk => {
-                moved += count as usize;
-                strided_gather(
-                    src,
-                    at,
-                    stride,
-                    &mut dst[pos as usize..(pos + count) as usize],
-                );
             }
             CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
                 moved += len as usize;
@@ -448,19 +380,6 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
                     d.1 = v;
                 }
             }
-            CopyOp::Strided {
-                pos,
-                at,
-                stride,
-                count,
-            } if phase == Phase::Bulk => {
-                moved += count as usize;
-                let mut a = i64::from(at);
-                for d in &mut dst[pos as usize..pos as usize + count as usize] {
-                    d.1 = src[a as usize];
-                    a += i64::from(stride);
-                }
-            }
             CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
                 moved += len as usize;
                 let ids = &idx[pos as usize..pos as usize + len as usize];
@@ -496,19 +415,6 @@ pub(crate) fn scatter_apply<T: Copy>(
                 out[at as usize..at as usize + len as usize]
                     .copy_from_slice(&vals[pos as usize..pos as usize + len as usize]);
             }
-            CopyOp::Strided {
-                pos,
-                at,
-                stride,
-                count,
-            } if phase == Phase::Bulk => {
-                moved += count as usize;
-                let mut a = i64::from(at);
-                for &v in &vals[pos as usize..pos as usize + count as usize] {
-                    out[a as usize] = v;
-                    a += i64::from(stride);
-                }
-            }
             CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
                 moved += len as usize;
                 let ids = &idx[pos as usize..pos as usize + len as usize];
@@ -525,15 +431,6 @@ pub(crate) fn scatter_apply<T: Copy>(
     moved
 }
 
-/// The strided gather inner loop.
-fn strided_gather<T: Copy>(src: &[T], at: u32, stride: i32, dst: &mut [T]) {
-    let mut a = i64::from(at);
-    for d in dst {
-        *d = src[a as usize];
-        a += i64::from(stride);
-    }
-}
-
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
@@ -548,22 +445,22 @@ pub(super) mod tests {
     }
 
     /// The greedy lowering the streaming builder replaced, kept as its
-    /// oracle: at every position the maximal equal-delta run is rescanned;
-    /// a full-size one becomes a bulk op — full-size by the same rule, a
-    /// contig directly after a bulk op or at its row's start needs only
+    /// oracle: at every position the maximal stride-1 run is rescanned; a
+    /// full-size one becomes a `Contig` op — full-size by the same rule, one
+    /// directly after a bulk op or at its row's start needs only
     /// `MIN_CONTIG_JOINED` — an undersized one gives up a single element to
     /// the row's trailing scatter range, which, where it opens, takes back
     /// the joined contigs before it.
     fn lower_rescanning(idx: &[u32], offs: &[u32]) -> CopyPrograms {
-        lower_rescanning_with(idx, offs, [MIN_CONTIG, MIN_CONTIG_JOINED, MIN_STRIDED])
+        lower_rescanning_with(idx, offs, [MIN_CONTIG, MIN_CONTIG_JOINED])
     }
 
-    /// … under any `[MIN_CONTIG, MIN_CONTIG_JOINED, MIN_STRIDED]`: `[4, 4, 8]`
-    /// is the rule before the break-even was measured.
+    /// … under any `[MIN_CONTIG, MIN_CONTIG_JOINED]`: `[4, 4]` is the rule
+    /// before the break-even was measured.
     pub(in crate::plan) fn lower_rescanning_with(
         idx: &[u32],
         offs: &[u32],
-        [min_contig, min_joined, min_strided]: [usize; 3],
+        [min_contig, min_joined]: [usize; 2],
     ) -> CopyPrograms {
         let mut ops: Vec<CopyOp> = Vec::new();
         let mut stats = CopyStats {
@@ -576,35 +473,19 @@ pub(super) mod tests {
             let n = idx.len();
             let mut i = 0usize;
             while i < n {
-                let (delta, run) = if i + 1 < n {
-                    let d = i64::from(idx[i + 1]) - i64::from(idx[i]);
-                    let mut j = i + 1;
-                    while j + 1 < n && i64::from(idx[j + 1]) - i64::from(idx[j]) == d {
-                        j += 1;
-                    }
-                    (d, j - i + 1)
-                } else {
-                    (0, 1)
-                };
+                let mut run = 1;
+                while i + run < n && i64::from(idx[i + run]) - i64::from(idx[i + run - 1]) == 1 {
+                    run += 1;
+                }
                 let joined = !matches!(ops[first..].last(), Some(CopyOp::Scatter { .. }));
                 let min_here = if joined { min_joined } else { min_contig };
-                if delta == 1 && run >= min_here {
+                if run >= min_here {
                     ops.push(CopyOp::Contig {
                         pos: i as u32,
                         at: idx[i],
                         len: run as u32,
                     });
                     stats.contig += 1;
-                    stats.bulk_elements += run as u64;
-                    i += run;
-                } else if delta != 1 && run >= min_strided && i32::try_from(delta).is_ok() {
-                    ops.push(CopyOp::Strided {
-                        pos: i as u32,
-                        at: idx[i],
-                        stride: delta as i32,
-                        count: run as u32,
-                    });
-                    stats.strided += 1;
                     stats.bulk_elements += run as u64;
                     i += run;
                 } else {
@@ -649,7 +530,7 @@ pub(super) mod tests {
     /// Run lengths on both sides of every minimum, plus a few short ones.
     fn boundary_lens() -> Vec<usize> {
         let mut lens = vec![1, 2, 3, 5, 2 * MIN_CONTIG];
-        for min in [MIN_CONTIG_JOINED, MIN_CONTIG, MIN_STRIDED] {
+        for min in [MIN_CONTIG_JOINED, MIN_CONTIG] {
             lens.extend([min - 1, min, min + 1]);
         }
         lens
@@ -660,7 +541,7 @@ pub(super) mod tests {
     /// and one below, at and one above each minimum) — a stride-1 stretch may
     /// continue the previous one or follow it after a one-slot hole — cut
     /// into rows at random places, some of them stretch ends, some rows
-    /// empty.
+    /// empty. Only the stride-1 stretches may come out as bulk ops.
     fn stretchy_rows() -> impl proptest::strategy::Strategy<Value = (Vec<u32>, Vec<u32>)> {
         use proptest::strategy::Strategy;
         let strides = vec![1i64, 1, 1, 2, -1, -8, 0, 16, 1 << 31, -(1 << 31)];
@@ -745,22 +626,27 @@ pub(super) mod tests {
         roundtrip(&idx);
     }
 
+    /// A constant stride other than 1 — cyclic, descending — is no
+    /// structure the lowering uses: one `Scatter` range, however long.
     #[test]
-    fn cyclic_run_lowers_to_one_stride() {
-        let idx: Vec<u32> = (0..128).map(|k| 5 + 16 * k).collect();
-        let prog = lower(&idx);
-        assert_eq!(prog.stats().strided, 1);
-        assert_eq!(prog.stats().bulk_fraction(), 1.0);
-        roundtrip(&idx);
+    fn constant_strides_lower_to_one_scatter() {
+        let cyclic: Vec<u32> = (0..128).map(|k| 5 + 16 * k).collect();
+        let descending: Vec<u32> = (0..128).map(|k| 1100 - 8 * k).collect();
+        for idx in [cyclic, descending] {
+            let prog = lower(&idx);
+            assert_eq!(prog.row(0), [CopyOp::Scatter { pos: 0, len: 128 }]);
+            assert_eq!(prog.stats().bulk_fraction(), 0.0);
+            roundtrip(&idx);
+        }
     }
 
     #[test]
     fn short_runs_coalesce_into_scatter() {
-        // Alternating pairs: every equal-delta run is length 2 — too short
-        // for either bulk op.
+        // Alternating pairs: every stride-1 run is length 2 — too short for
+        // a bulk op.
         let idx: Vec<u32> = (0..64).map(|k| (k % 2) * 1000 + k).collect();
         let prog = lower(&idx);
-        assert_eq!(prog.stats().contig + prog.stats().strided, 0);
+        assert_eq!(prog.stats().contig, 0);
         assert_eq!(prog.stats().scatter, 1, "scatter ranges coalesce");
         assert_eq!(prog.stats().bulk_fraction(), 0.0);
         roundtrip(&idx);
@@ -768,8 +654,8 @@ pub(super) mod tests {
 
     #[test]
     fn undersized_run_does_not_eat_the_next_contig() {
-        // [5, 100..): the (5, 100) delta-95 run is undersized; greedily
-        // consuming it whole would orphan 100 from the contig that follows.
+        // [5, 100..): the scattered 5 must not take 100 with it, away from
+        // the contig that follows.
         let idx: Vec<u32> = [5]
             .into_iter()
             .chain(100..100 + MIN_CONTIG as u32)
@@ -782,23 +668,23 @@ pub(super) mod tests {
 
     /// The rule at its edges, one list each: what follows a scattered
     /// element needs the full minimum, what starts a row or follows a bulk
-    /// op only the joined one, and a strided run its own.
+    /// op only the joined one.
     #[test]
     fn minima_are_exact() {
         let bulk_of = |idx: &[u32]| {
             roundtrip(idx);
             let s = *lower(idx).stats();
-            (s.contig, s.strided, s.bulk_elements as usize)
+            (s.contig, s.bulk_elements as usize)
         };
         let run = |at: u32, len: usize| at..at + len as u32;
         let (full, joined) = (MIN_CONTIG, MIN_CONTIG_JOINED);
         // Alone in its row: nothing to split.
-        assert_eq!(bulk_of(&run(7, joined - 1).collect::<Vec<_>>()), (0, 0, 0));
-        assert_eq!(bulk_of(&run(7, joined).collect::<Vec<_>>()), (1, 0, joined));
+        assert_eq!(bulk_of(&run(7, joined - 1).collect::<Vec<_>>()), (0, 0));
+        assert_eq!(bulk_of(&run(7, joined).collect::<Vec<_>>()), (1, joined));
         // After scattered elements (9000, 5000 and 7 are two undersized stretches).
         for (len, lowered) in [(full - 1, false), (full, true), (full + 1, true)] {
             let idx: Vec<u32> = [9000, 5000].into_iter().chain(run(7, len)).collect();
-            let want = if lowered { (1, 0, len) } else { (0, 0, 0) };
+            let want = if lowered { (1, len) } else { (0, 0) };
             assert_eq!(bulk_of(&idx), want, "{len} after a scatter range");
         }
         // Directly after a bulk op, one hole on; then a scattered element
@@ -806,17 +692,13 @@ pub(super) mod tests {
         for (len, lowered) in [(joined - 1, false), (joined, true), (joined + 1, true)] {
             let second = full as u32 + 1;
             let idx: Vec<u32> = run(0, full).chain(run(second, len)).collect();
-            let want = if lowered {
-                (2, 0, full + len)
-            } else {
-                (1, 0, full)
-            };
+            let want = if lowered { (2, full + len) } else { (1, full) };
             assert_eq!(bulk_of(&idx), want, "{len} after a contig");
             let idx: Vec<u32> = run(0, full)
                 .chain([5000, 4000])
                 .chain(run(second, len))
                 .collect();
-            assert_eq!(bulk_of(&idx), (1, 0, full), "{len} after contig + scatter");
+            assert_eq!(bulk_of(&idx), (1, full), "{len} after contig + scatter");
         }
         // A joined contig that scattered elements follow splits a range off
         // after all and is taken back — with the joined ones before it, up
@@ -825,32 +707,11 @@ pub(super) mod tests {
             .chain(run(100, joined))
             .chain(run(200, full - 1))
             .collect();
-        assert_eq!(bulk_of(&chain), (3, 0, 2 * full + joined - 1));
+        assert_eq!(bulk_of(&chain), (3, 2 * full + joined - 1));
         let followed: Vec<u32> = chain.iter().copied().chain([5000, 4000]).collect();
-        assert_eq!(bulk_of(&followed), (1, 0, full));
+        assert_eq!(bulk_of(&followed), (1, full));
         let led: Vec<u32> = run(0, full - 1).chain([5000, 4000]).collect();
-        assert_eq!(bulk_of(&led), (0, 0, 0), "a row that begins with a run");
-        // Strided, at a row's start and at its end.
-        for (len, lowered) in [(MIN_STRIDED - 1, 0), (MIN_STRIDED, 1), (MIN_STRIDED + 1, 1)] {
-            let strided: Vec<u32> = (0..len as u32).map(|k| 3 + 16 * k).collect();
-            assert_eq!(bulk_of(&strided), (0, lowered, lowered as usize * len));
-            let idx: Vec<u32> = [9000, 8000].into_iter().chain(strided).collect();
-            assert_eq!(bulk_of(&idx), (0, lowered, lowered as usize * len));
-        }
-        // A stride-1 run is never a `Strided` op, whatever the minima.
-        let idx: Vec<u32> = [9000, 5000]
-            .into_iter()
-            .chain(run(7, MIN_STRIDED))
-            .collect();
-        assert_eq!(bulk_of(&idx).1, 0);
-    }
-
-    #[test]
-    fn negative_stride_is_lowered() {
-        let idx: Vec<u32> = (0..MIN_STRIDED as u32).map(|k| 1000 - 8 * k).collect();
-        let prog = lower(&idx);
-        assert_eq!(prog.stats().strided, 1);
-        roundtrip(&idx);
+        assert_eq!(bulk_of(&led), (0, 0), "a row that begins with a run");
     }
 
     #[test]
@@ -896,19 +757,14 @@ pub(super) mod tests {
         assert_eq!(family.stats().scatter, 2, "rows 0 and 3 do not coalesce");
     }
 
-    /// The cases the streaming builder must not lose: a stretch whose last
-    /// element anchors the next one, rows of length 0 and 1, a negative
-    /// stride one short of its minimum, full-size runs that end exactly at
-    /// a row boundary, and a full-size strided run between two contigs (a
-    /// gate on `MIN_CONTIG` alone would never offer it when `MIN_STRIDED` is
-    /// the smaller) — all built from the minima.
+    /// The cases the streaming builder must not lose: a contig right after
+    /// a scattered element, rows of length 0 and 1, a long descending
+    /// stretch, full-size runs that end exactly at a row boundary, and a
+    /// long strided stretch between a contig and the row's end — all built
+    /// from the minima.
     #[test]
     fn streaming_builder_matches_the_rescanning_lowering() {
-        let (c, j, st) = (
-            MIN_CONTIG as u32,
-            MIN_CONTIG_JOINED as u32,
-            MIN_STRIDED as u32,
-        );
+        let (c, j, st) = (MIN_CONTIG as u32, MIN_CONTIG_JOINED as u32, 64);
         let anchored: Vec<u32> = [5].into_iter().chain(100..100 + c).collect();
         let descending: Vec<u32> = (0..st - 1).rev().map(|k| 8 * k).chain([9, 9, 9]).collect();
         let halves: Vec<u32> = (1..=2 * j).collect();
@@ -941,9 +797,9 @@ pub(super) mod tests {
         );
         let sandwich = CopyPrograms::lower(lists[5].0, lists[5].1);
         assert_eq!(
-            (sandwich.stats().contig, sandwich.stats().strided),
+            (sandwich.stats().contig, sandwich.stats().scatter),
             (1, 1),
-            "a full-size strided stretch between contigs is lowered"
+            "a strided stretch after a contig is one scatter range"
         );
     }
 
@@ -979,7 +835,7 @@ pub(super) mod tests {
         /// … and for rows made of runs one below, at and one above every
         /// minimum — contiguous and strided, at the row's start, at its end
         /// and back to back, with or without scattered elements between —
-        /// where all three walkers run their bulk kernels.
+        /// where all three walkers run both their kernels.
         #[test]
         fn boundary_runs_match_scalar(
             runs in proptest::collection::vec(

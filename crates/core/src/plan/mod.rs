@@ -942,7 +942,7 @@ mod tests {
 
     /// Dense rows are out of the break-even's reach: under a full and a
     /// `FirstHalf` mask all three program families are op for op what the
-    /// rule before it — every 4-long contig, every 8-long stride — produced.
+    /// rule before it — every 4-long contig — produced.
     #[test]
     fn dense_rows_lower_as_they_did() {
         for pattern in [MaskPattern::Full, MaskPattern::FirstHalf] {
@@ -953,7 +953,7 @@ mod tests {
                     (&unpack.scatter_prog, &unpack.targets),
                 ] {
                     let before =
-                        copyprog::tests::lower_rescanning_with(&idx.items, &idx.offs, [4, 4, 8]);
+                        copyprog::tests::lower_rescanning_with(&idx.items, &idx.offs, [4, 4]);
                     assert_eq!(progs, &before, "{pattern:?}");
                     assert_eq!(progs.stats().bulk_fraction(), 1.0);
                 }

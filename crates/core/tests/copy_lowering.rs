@@ -206,27 +206,33 @@ fn dense_block_masks_lower_to_bulk() {
     }
 }
 
-/// A periodic mask on a block layout gathers with a constant stride — the
-/// `Strided` op must actually fire (cyclic-style access without bulk runs)
-/// once the run is long enough to be level with the index loop: 128 selected
-/// elements per processor, all bound for one destination.
+/// A periodic mask on a block layout gathers with a constant stride of 2:
+/// no stride-1 run, so every gather row is one `Scatter` op — 128 selected
+/// elements per processor, all bound for one destination — and the packed
+/// vector is the oracle's.
 #[test]
-fn periodic_masks_lower_to_strided() {
+fn periodic_masks_lower_to_scatter_rows_and_match_the_oracle() {
     let (grid, desc) = build(2, 256, 1);
     let machine = Machine::new(grid, CostModel::cm5());
     let d = &desc;
     let out = machine.run(move |proc| {
         let m: Vec<bool> = (0..256).map(|i| i % 2 == 0).collect();
+        let a = local_from_fn(d, proc.id(), |g| g[0] as i64 + 1);
         let plan = plan_pack(proc, d, &m, &PackOptions::new(PackScheme::Simple)).unwrap();
-        plan.copy_stats()
+        (plan.copy_stats(), plan.execute(proc, &a).unwrap())
     });
-    for stats in out.results {
+    for (stats, _) in &out.results {
         assert_eq!(
-            (stats.strided, stats.bulk_elements),
-            (1, 128),
-            "expected one strided op, got {stats:?}"
+            (stats.contig, stats.scatter, stats.bulk_elements),
+            (0, 1, 0),
+            "expected one scatter op, got {stats:?}"
         );
     }
+    let layout = out.results[0].1.v_layout.unwrap();
+    let locals: Vec<Vec<i64>> = (out.results.into_iter().map(|(_, o)| o.local_v)).collect();
+    let a = GlobalArray::from_fn(&[512], |g| g[0] as i64 + 1);
+    let m = GlobalArray::from_fn(&[512], |g| g[0] % 2 == 0);
+    assert_eq!(assemble(&layout, &locals, 256), pack_seq(&a, &m, None));
 }
 
 /// A random mask lowers to the index loop: on a Bernoulli-0.5 mask in blocks
@@ -259,8 +265,8 @@ fn random_masks_lower_to_the_index_loop() {
     for (me, (ps, us)) in plan_stats(EXEC_SMALL, pattern).into_iter().enumerate() {
         let rows = dests[me].len() as u64;
         assert_eq!(
-            (ps.contig, ps.strided, ps.scatter, ps.bulk_elements),
-            (0, 0, rows, 0),
+            (ps.contig, ps.scatter, ps.bulk_elements),
+            (0, rows, 0),
             "proc {me}: one Scatter op per gather row and nothing else"
         );
         let served = vl.local_len(me) as u64;
@@ -285,23 +291,16 @@ fn dense_plans_keep_their_op_arrays() {
         (MaskPattern::FirstHalf, DENSE_HALF.0, DENSE_HALF.1),
     ] {
         for (me, (ps, us)) in plan_stats(EXEC_SMALL, pattern).into_iter().enumerate() {
-            let flat = |s: hpf_core::CopyStats| {
-                (
-                    s.contig,
-                    s.strided,
-                    s.scatter,
-                    s.bulk_elements,
-                    s.total_elements,
-                )
-            };
+            let flat =
+                |s: hpf_core::CopyStats| (s.contig, s.scatter, s.bulk_elements, s.total_elements);
             assert_eq!(flat(ps), want_pack, "{pattern:?} pack, proc {me}");
             assert_eq!(flat(us), want_unpack, "{pattern:?} unpack, proc {me}");
         }
     }
 }
 
-/// `(contig, strided, scatter, bulk_elements, total_elements)` of the pack
-/// and the unpack plan on every processor.
-type Flat = (u64, u64, u64, u64, u64);
-const DENSE_FULL: (Flat, Flat) = ((8, 0, 0, 512, 512), (16, 0, 0, 1024, 1024));
-const DENSE_HALF: (Flat, Flat) = ((4, 0, 0, 256, 256), (8, 0, 0, 512, 512));
+/// `(contig, scatter, bulk_elements, total_elements)` of the pack and the
+/// unpack plan on every processor.
+type Flat = (u64, u64, u64, u64);
+const DENSE_FULL: (Flat, Flat) = ((8, 0, 512, 512), (16, 0, 1024, 1024));
+const DENSE_HALF: (Flat, Flat) = ((4, 0, 256, 256), (8, 0, 512, 512));

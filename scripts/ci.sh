@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, tests, and a chaos smoke run.
+# Full CI gate: formatting, lints, tests, the smoke drills, and results/
+# proved to be what this tree prints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,9 +79,17 @@ echo "== one-shot footprint gate (200 one-shot roundtrips leave gauges, heap and
 cargo test -p hpf-core --release -q --test oneshot_footprint
 
 echo "== one execute path (no mode fork, no build fork) =="
-if grep -rnE 'recovery_enabled|scalar-ref|feature = "simd"|(gather|decode)_[a-z]+_owned|exchange_owned' crates/ README.md; then
-  echo "ci: a second execute path is back (see DESIGN.md section 11)"; exit 1
+if grep -rnE 'recovery_enabled|scalar-ref|feature = "simd"|(gather|decode)_[a-z]+_owned|exchange_owned|CopyOp::Strided' crates/ README.md; then
+  echo "ci: a second execute path is back (see DESIGN.md sections 11 and 16)"; exit 1
 fi
+if grep -rnE 'perf.*--smoke|BENCH_<rev>|BENCH_baseline' crates/ README.md DESIGN.md .claude/ scripts/regen-results.sh; then
+  echo "ci: a second perf report is back (results/BENCH.json is the only one)"; exit 1
+fi
+
+echo "== the examples run (README's quick tour) =="
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
 
 echo "== fuzz smoke via the plan-then-execute path =="
 cargo run -p hpf-bench --release --bin fuzz -- --cases 40 --seed 1 --reuse-plans
@@ -98,7 +107,7 @@ cargo run -p hpf-bench --release --bin chaos -- --seed 3 --iters 6 --recover
 echo "== chaos smoke with crash recovery over cached plans =="
 cargo run -p hpf-bench --release --bin chaos -- --seed 4 --iters 4 --recover --reuse-plans
 
-echo "== chaos smoke under a pinned two-permit worker pool =="
+echo "== chaos smoke under a pinned two-worker pool =="
 # Fault injection + crash recovery with the pool artificially constrained:
 # parks, respawn re-enrollment, and replay all have to coexist with pool
 # backpressure without deadlocking or perturbing the simulated run.
@@ -124,23 +133,27 @@ print(f"trace check: {len(events)} events OK")
 EOF
 rm -f "$chaos_trace"
 
-echo "== perf smoke (simulated report; exits non-zero on any gate) =="
-# One run of all nine groups. The binary checks its own report before it
-# exits (hpf_bench::report::GATES): Section 6.4 conformance exact, zero
-# steady-state allocations under the counting allocator, predicted peak
-# memory bounding the measured one within 1.25x, bit-identical results
-# under worker-pool sizes 1 and ncores at P in {64, 1024, 4096}, a crash
-# actually recovered, plan reuse amortizing. The report holds no wall
-# number; host time is benchmark/'s.
-perf_json="$(mktemp)"
-cargo run -p hpf-bench --release --bin perf -- --smoke --out "$perf_json"
+echo "== results/*.txt are what this tree prints =="
+# All ten paper artefacts (~40 s); a failure names the artefact and its first
+# differing line, a deliberate change runs scripts/regen-results.sh.
+cargo run -p hpf-bench --release --bin repro -- --check results
 
-echo "== perfdiff (simulated-cost regression gate vs committed baseline) =="
-# Simulated costs are deterministic, so the gate is effectively zero drift
-# (0.001% absorbs only float formatting). An intentional cost-model change
-# must refresh the baseline via scripts/regen-results.sh in the same commit.
-cargo run -p hpf-bench --release --bin perfdiff -- \
-  results/BENCH_baseline.json "$perf_json" --warn-above 0.0001 --fail-above 0.001
+echo "== perf (simulated report; its own gates, then byte-identity with results/BENCH.json) =="
+# The binary checks its own report before it exits (hpf_bench::report::GATES):
+# Section 6.4 conformance exact, zero steady-state allocations, predicted
+# peak memory bounding the measured one within 1.25x, bit-identical results
+# under worker-pool sizes 1 and 2 at P up to 4096, a crash actually
+# recovered, plan reuse amortizing. The report holds no wall number and names
+# no commit, so the committed copy is compared byte for byte; on a mismatch
+# perfdiff names what moved (at threshold 0 it would flag every row: 0 >= 0).
+perf_json="$(mktemp)"
+cargo run -p hpf-bench --release --bin perf -- --out "$perf_json"
+if ! cmp -s results/BENCH.json "$perf_json"; then
+  cargo run -p hpf-bench --release --bin perfdiff -- \
+    results/BENCH.json "$perf_json" --warn-above 0.0001 --fail-above 0.001 || true
+  echo "ci: results/BENCH.json is not what perf writes at this tree (scripts/regen-results.sh)"
+  exit 1
+fi
 rm -f "$perf_json"
 
 echo "ci: all gates passed"
