@@ -158,7 +158,7 @@ fn run_iteration(
     );
     println!("  {ctx}");
 
-    let mut clean = Machine::new(grid.clone(), CostModel::cm5()).with_test_preset();
+    let mut clean = Machine::new(grid.clone(), CostModel::cm5());
     if let Some(w) = workers {
         clean = clean.with_workers(w);
     }
@@ -326,7 +326,6 @@ fn write_trace(seed: u64, path: &str) {
         .with_duplicate(0.3)
         .with_reorder(0.2);
     let machine = Machine::new(grid, CostModel::cm5())
-        .with_test_preset()
         .with_tracing(true)
         .with_metrics(true)
         .with_faults(plan);

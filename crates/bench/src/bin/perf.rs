@@ -135,6 +135,8 @@ enum Kind {
     Hot(Scheme),
     /// Two-epoch program, fault-free and crashed in the measured epoch.
     Recover(Scheme),
+    /// The same program, fault-free and over a lossy network.
+    Faulted(Scheme),
     /// Application kernel, traced.
     App(App),
     /// Memory-tracked call, measured peak against the predicted one.
@@ -228,6 +230,11 @@ fn registry() -> Vec<Workload> {
             all.push(line(name, "recovery", 4, Kind::Recover(s)));
         }
     }
+    // No crash, a lossy network: what the transport retransmitted and
+    // discarded is as much a function of the tree as the simulated time.
+    let sss = Scheme::Pack(PackScheme::Simple);
+    let name = "recovery.pack.sss.faulted".into();
+    all.push(line(name, "recovery", 4, Kind::Faulted(sss)));
     for (name, shape, grid, app) in [
         (
             "compaction",
@@ -300,7 +307,14 @@ fn run(wl: &Workload) -> Entry {
             };
             (m, None, Section::Hot(hot))
         }
-        Kind::Recover(scheme) => run_recovery(wl, scheme),
+        Kind::Recover(scheme) => run_recovery(wl, scheme, FaultPlan::new(5).with_crash(1, 4)),
+        Kind::Faulted(scheme) => {
+            let lossy = FaultPlan::new(5)
+                .with_drop(0.2)
+                .with_duplicate(0.1)
+                .with_reorder(0.1);
+            run_recovery(wl, scheme, lossy)
+        }
         Kind::App(app) => run_app(wl, app),
         Kind::Memory(scheme) => run_memory(wl, scheme),
         Kind::MemoryRedist(redist) => run_memory_redist(wl, redist),
@@ -367,18 +381,21 @@ fn run_conform(wl: &Workload, scheme: Scheme) -> Ran {
     (m, Some(critpath), Section::Conformance(conformance))
 }
 
-/// One crash-recovery workload: a two-epoch program (a one-message ring
+/// One `recovery` workload: a two-epoch program (a one-message ring
 /// warm-up establishing the checkpoint, then the measured collective) run
-/// fault-free and with processor 1 crashing at its fourth program-level
-/// send — the first send is the warm-up message, so the crash always lands
-/// inside the measured epoch, deep enough that peers have logged frames to
-/// replay, and the respawn exercises snapshot restore plus frame replay.
-/// The entry's simulated measurement comes from the crashed run;
-/// bit-identity with the fault-free run is asserted here, so a recovery
-/// bug fails the perf run itself. One worker: how many frames the peers
-/// had sent — so how many are replayed — when the victim crashes depends
-/// on the interleaving, which only a one-worker pool fixes.
-fn run_recovery(wl: &Workload, scheme: Scheme) -> Ran {
+/// fault-free and under `hazard`. For the crash rows that is processor 1
+/// crashing at its fourth program-level send — the first send is the
+/// warm-up message, so the crash always lands inside the measured epoch,
+/// deep enough that peers have logged frames to replay, and the respawn
+/// exercises snapshot restore plus frame replay. For the `.faulted` row it
+/// is a network that drops, duplicates and reorders (never delays: that
+/// alone moves simulated time). The entry's simulated measurement comes
+/// from the run under hazard; bit-identity with the fault-free run is
+/// asserted here, so a recovery bug fails the perf run itself. One worker:
+/// how many frames the peers had sent — so how many are replayed — when the
+/// victim crashes depends on the interleaving, which only a one-worker pool
+/// fixes.
+fn run_recovery(wl: &Workload, scheme: Scheme, hazard: FaultPlan) -> Ran {
     let name = &wl.name;
     let grid = ProcGrid::line(wl.grid[0]);
     let cfg = wl.cfg();
@@ -425,9 +442,9 @@ fn run_recovery(wl: &Workload, scheme: Scheme) -> Ran {
         .run_recoverable(program)
         .expect("fault-free recoverable run");
     let crashed = machine
-        .with_faults(FaultPlan::new(5).with_crash(1, 4))
+        .with_faults(hazard)
         .run_recoverable(program)
-        .expect("scheduled crash must recover");
+        .expect("the run must come through its hazard");
     assert_eq!(
         crashed.results, clean.results,
         "{name}: recovered results diverged from the fault-free run"
@@ -710,7 +727,7 @@ mod tests {
 
     /// What the deleted Python validator required of a report's names, now
     /// a property of the registry: every paper scheme in every group.
-    const REQUIRED: [&str; 34] = [
+    const REQUIRED: [&str; 35] = [
         "pack.sss",
         "pack.css",
         "pack.cms",
@@ -731,6 +748,7 @@ mod tests {
         "recovery.pack.sss",
         "recovery.pack.cms",
         "recovery.unpack.sss",
+        "recovery.pack.sss.faulted",
         "apps.compaction",
         "apps.sort",
         "apps.spmv",
@@ -750,7 +768,7 @@ mod tests {
     #[test]
     fn registry_names_every_required_workload() {
         let all = registry();
-        assert_eq!(all.len(), 55);
+        assert_eq!(all.len(), 56);
         for prefix in REQUIRED {
             let dotted = format!("{prefix}.");
             let named = |wl: &Workload| wl.name == prefix || wl.name.starts_with(&dotted);
@@ -775,33 +793,23 @@ mod tests {
     }
 
     /// The report is a function of the commit: the group whose counters
-    /// used to follow the thread interleaving renders the same bytes twice,
-    /// and passes its gates. Run at an eighth of the registry's size, where
-    /// an unoptimised build stays clear of the transport's wall-clock
-    /// retransmission timer (the one thing in a report that reads a clock).
+    /// could follow the thread interleaving (one worker fixes that) renders
+    /// the same bytes twice, in any build profile, and passes its gates.
     #[test]
     fn recovery_group_renders_identically_twice() {
         let render = || {
-            let entries = registry()
-                .into_iter()
-                .filter(|wl| wl.group == "recovery")
-                .map(|wl| {
-                    run(&Workload {
-                        shape: vec![2048],
-                        grid: vec![8],
-                        ..wl
-                    })
-                })
-                .collect();
+            let registry = registry();
+            let recovery = registry.iter().filter(|wl| wl.group == "recovery");
             let report = Report {
                 filter: Some("recovery".into()),
-                entries,
+                entries: recovery.map(run).collect(),
             };
             assert_eq!(report.violations(), [""; 0]);
             report.render()
         };
         let first = render();
         assert_eq!(first.matches("\"replays\": 1").count(), 3, "{first}");
+        assert_eq!(first.matches("\"replays\": 0").count(), 1, "{first}");
         assert_eq!(first, render());
     }
 }

@@ -21,7 +21,7 @@ use hpf_machine::{Category, RecoveryStats};
 use crate::{HotMeasurement, Measurement, ReuseMeasurement};
 
 /// Schema version of the emitted JSON (bump on breaking field changes).
-pub const SCHEMA_VERSION: u64 = 11;
+pub const SCHEMA_VERSION: u64 = 12;
 
 /// The workload groups `perf --filter` accepts, in report order, each with
 /// the JSON key of the [`Section`] its entries carry.
@@ -61,8 +61,10 @@ pub enum Section {
     Reuse(ReuseMeasurement),
     /// Counted steady-state execute loop (`exec_hot`).
     Hot(HotMeasurement),
-    /// Replay accounting of a run that crashed and recovered (`recovery`).
-    /// Only a recovered run has one, so there is no `recovered` flag.
+    /// Replay accounting of a run that met its hazard and came through
+    /// bit-identical (`recovery`): a crash recovered, or — the `.faulted`
+    /// rows — a lossy network retransmitted over. Only such a run has one,
+    /// so there is no `recovered` flag.
     Recovery(RecoveryStats),
     /// Predicted against measured peak memory (`memory`).
     Memory(PeakMemory),
@@ -318,7 +320,7 @@ pub type Gate = (&'static str, &'static str, fn(&Entry) -> bool);
 
 /// The gates, entry by entry. (`filter_is_respected` is the one gate that
 /// needs the report as well; it lives in [`Report::violations`].)
-pub const GATES: [Gate; 21] = [
+pub const GATES: [Gate; 22] = [
     (
         "group_has_its_section",
         "the entry does not carry exactly the section its group measures",
@@ -396,7 +398,16 @@ pub const GATES: [Gate; 21] = [
     (
         "recovery_replayed",
         "the scheduled crash never fired (no replay)",
-        |e| !matches!(&e.section, Section::Recovery(r) if r.replays == 0),
+        |e| {
+            !matches!(&e.section, Section::Recovery(r)
+                if r.replays == 0 && !e.name.ends_with(".faulted"))
+        },
+    ),
+    (
+        // A lossy plan that drew no drop and no duplicate measured nothing.
+        "faulted_was_lossy",
+        "a .faulted workload retransmitted nothing or dropped no duplicate",
+        |e| !(e.name.ends_with(".faulted") && (e.m.retransmits == 0 || e.m.dup_drops == 0)),
     ),
     (
         "recovery_log_was_live",
@@ -728,6 +739,19 @@ mod tests {
     }
 
     #[test]
+    fn faulted_was_lossy() {
+        let faulted = |retransmits, dup_drops| {
+            let mut e = recovery(|r| r.replays = 0);
+            e.name.push_str(".faulted");
+            (e.m.retransmits, e.m.dup_drops) = (retransmits, dup_drops);
+            broken(e)
+        };
+        assert_eq!(faulted(0, 3), ["faulted_was_lossy"]);
+        assert_eq!(faulted(3, 0), ["faulted_was_lossy"]);
+        assert_eq!(faulted(3, 3), [""; 0], "crash-free: no replay is owed");
+    }
+
+    #[test]
     fn recovery_log_was_live() {
         let e = recovery(|r| r.log_high_water_words = 0);
         assert_eq!(broken(e), ["recovery_log_was_live"]);
@@ -817,7 +841,7 @@ mod tests {
         // An escaped string, a null section beside a present one, and the
         // one-field-per-line layout; nothing that names a commit or a mode.
         assert_eq!(back.get("filter").and_then(Json::as_str), Some("a\"b\\"));
-        assert_eq!(back.get("schema_version"), Some(&Json::Num(11.0)));
+        assert_eq!(back.get("schema_version"), Some(&Json::Num(12.0)));
         assert!(back.get("rev").is_none() && back.get("mode").is_none());
         let w = back.get("workloads").and_then(Json::as_arr).unwrap();
         assert_eq!(w[0].get("hot"), Some(&Json::Null));

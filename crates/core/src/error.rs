@@ -6,7 +6,7 @@
 //! returns an error, all of them do — no communication structure is left
 //! half-executed.
 //!
-//! Machine-level failures (receive timeouts, fault-injected crashes,
+//! Machine-level failures (deadlocks, fault-injected crashes,
 //! unreachable peers — see [`hpf_machine::MachineError`]) are a different
 //! layer: they come out of [`hpf_machine::Machine::try_run`] rather than
 //! from `pack`/`unpack` themselves, because a machine failure aborts the
@@ -212,7 +212,7 @@ impl From<TooLarge> for UnpackError {
 
 /// Any failure of a PACK/UNPACK pipeline: an argument-validation error from
 /// one of the entry points, or a machine-level failure of the simulated
-/// run itself (timeout, crash, unreachable peer).
+/// run itself (deadlock, crash, unreachable peer).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// Argument validation failed in [`crate::pack`] (and friends).

@@ -174,11 +174,8 @@ fn epochless_run_survives_every_crash_whoever_finishes_first() {
             (out.local_v, out.size)
         }
     };
-    let machine = |faults: FaultPlan| {
-        Machine::new(ProcGrid::line(P), CostModel::cm5())
-            .with_test_preset()
-            .with_faults(faults)
-    };
+    let machine =
+        |faults: FaultPlan| Machine::new(ProcGrid::line(P), CostModel::cm5()).with_faults(faults);
     for bits in 0..1usize << P {
         let mask: [bool; P] = std::array::from_fn(|i| bits >> i & 1 == 1);
         let clean = machine(FaultPlan::new(0))

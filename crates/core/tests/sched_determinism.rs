@@ -3,13 +3,14 @@
 //! bit-identical results and simulated clocks whatever the worker-pool
 //! size. The machine-level suite (hpf-machine `tests/sched.rs`) covers the
 //! substrate; this one covers the paper's actual algorithms end to end,
-//! including their pooled exchanges and plan-phase collectives.
+//! including their pooled exchanges and plan-phase collectives — and, over
+//! a lossy network, what the reliable transport did to get them through.
 
 use hpf_core::{
     pack, plan_unpack, MaskPattern, PackOptions, PackScheme, UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, Dist};
-use hpf_machine::{Category, CostModel, Machine, Proc, ProcGrid, RunOutput};
+use hpf_machine::{Category, CostModel, FaultPlan, Machine, Proc, ProcGrid, RunOutput};
 
 fn data_at(gidx: &[usize], salt: i32) -> i32 {
     gidx.iter()
@@ -61,8 +62,10 @@ fn assert_identical(
     assert_eq!(a.comm_matrix, b.comm_matrix, "{what}: comm matrix diverged");
 }
 
-#[test]
-fn every_scheme_and_grid_is_identical_across_pool_sizes() {
+/// Every scheme pair on a 1-D and a 2-D grid: `check(what, grid, program)`.
+fn for_every_scheme_and_grid(
+    mut check: impl FnMut(String, &ProcGrid, &(dyn Fn(&mut Proc) -> (Vec<i32>, Vec<i32>) + Sync)),
+) {
     let grids: Vec<(ProcGrid, Vec<Dist>, Vec<usize>)> = vec![
         (ProcGrid::line(4), vec![Dist::BlockCyclic(2)], vec![24]),
         (
@@ -81,24 +84,82 @@ fn every_scheme_and_grid_is_identical_across_pool_sizes() {
                     PackOptions::new(pack_scheme),
                     UnpackOptions::new(unpack_scheme),
                 );
-                let build = |workers: usize| {
-                    Machine::new(grid.clone(), CostModel::cm5())
-                        .with_test_preset()
-                        .with_workers(workers)
-                };
-                let reference = build(1).run(&program);
-                for workers in [3usize, 8] {
-                    let out = build(workers).run(&program);
-                    assert_identical(
-                        &reference,
-                        &out,
-                        &format!(
-                            "{pack_scheme:?}/{unpack_scheme:?} on {:?} workers={workers}",
-                            grid.dims()
-                        ),
-                    );
-                }
+                let what = format!("{pack_scheme:?}/{unpack_scheme:?} on {:?}", grid.dims());
+                check(what, &grid, &program);
             }
         }
     }
+}
+
+#[test]
+fn every_scheme_and_grid_is_identical_across_pool_sizes() {
+    for_every_scheme_and_grid(|what, grid, program| {
+        let build =
+            |workers: usize| Machine::new(grid.clone(), CostModel::cm5()).with_workers(workers);
+        let reference = build(1).run(program);
+        for workers in [3usize, 8] {
+            let out = build(workers).run(program);
+            assert_identical(&reference, &out, &format!("{what} workers={workers}"));
+        }
+    });
+}
+
+/// The transport has no clock, so under a fixed fault plan — drops,
+/// duplicates, reordering and delay all at once — what it retransmitted
+/// and what it discarded is as much a function of the program as the
+/// results are: the counters and every processor's event stream
+/// (`Retransmit`, `DupDrop` and `FaultVerdict` included, compared as sets
+/// of `(timestamp, event)` since a log's record order follows the
+/// interleaving) are equal across pool sizes, in either build profile.
+#[test]
+fn a_lossy_network_is_identical_across_pool_sizes() {
+    let canonical_events = |out: &RunOutput<(Vec<i32>, Vec<i32>)>| -> Vec<Vec<(u64, String)>> {
+        let canon = |evs: &Vec<hpf_machine::Event>| {
+            let mut v: Vec<(u64, String)> = evs
+                .iter()
+                .map(|e| (e.ts_ns.to_bits(), format!("{:?}", e.kind)))
+                .collect();
+            v.sort();
+            v
+        };
+        out.events.iter().map(canon).collect()
+    };
+    let (mut retransmits, mut dup_drops) = (0, 0);
+    for_every_scheme_and_grid(|what, grid, program| {
+        let build = |workers: usize| {
+            let plan = FaultPlan::new(11)
+                .with_drop(0.2)
+                .with_duplicate(0.1)
+                .with_reorder(0.1)
+                .with_delay(0.3, 40_000.0);
+            Machine::new(grid.clone(), CostModel::cm5())
+                .with_tracing(true)
+                .with_workers(workers)
+                .with_faults(plan)
+        };
+        let reference = build(1).try_run(program).expect("the transport recovers");
+        for workers in [2usize, 4] {
+            let what = format!("{what} workers={workers}");
+            let out = build(workers)
+                .try_run(program)
+                .expect("the transport recovers");
+            assert_identical(&reference, &out, &what);
+            assert_eq!(
+                (reference.total_retransmits(), reference.total_dup_drops()),
+                (out.total_retransmits(), out.total_dup_drops()),
+                "{what}: retransmits / dup_drops diverged"
+            );
+            assert_eq!(
+                canonical_events(&reference),
+                canonical_events(&out),
+                "{what}: event streams diverged"
+            );
+        }
+        retransmits += reference.total_retransmits();
+        dup_drops += reference.total_dup_drops();
+    });
+    assert!(
+        retransmits > 0 && dup_drops > 0,
+        "the plan injected nothing"
+    );
 }

@@ -27,7 +27,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::message::Frame;
+use crate::message::{Frame, Packet};
 use crate::sched::Scheduler;
 
 /// Per-processor frames pre-reserved across the whole machine, the budget
@@ -114,25 +114,38 @@ pub(crate) fn frame_channel() -> (FrameSender, FrameReceiver) {
 }
 
 impl FrameSender {
-    /// Enqueue a frame and tell the scheduler: one ring lock, one
-    /// scheduler call. Never blocks; receivers may already be gone during
-    /// teardown, in which case the frame is silently parked in the queue
-    /// (the stale unpark is harmless — a finished task ignores wakes).
-    pub(crate) fn send(&self, frame: Frame) {
-        // Only a raw frame is matched by its sender alone; a sequenced one
-        // may release held-back packets from the same link, and control
-        // frames drive the transport, so those always wake.
-        let raw_src = match &frame {
-            Frame::Raw(pkt) => Some(pkt.src),
-            _ => None,
-        };
-        self.shared.queue.lock().unwrap().push_back(frame);
+    /// Enqueue an unsequenced packet and tell the scheduler: one ring lock,
+    /// one scheduler call. Never blocks; receivers may already be gone
+    /// during teardown, in which case the frame is silently parked in the
+    /// queue (the stale unpark is harmless — a finished task ignores
+    /// wakes). A raw frame is matched by its sender alone, so it wakes only
+    /// a receiver that awaits that sender.
+    pub(crate) fn send_raw(&self, pkt: Packet) {
+        let src = pkt.src;
+        self.shared.queue.lock().unwrap().push_back(Frame::Raw(pkt));
         if let Some((sched, dst)) = &self.shared.waker {
-            match raw_src {
-                Some(src) => sched.unpark_from(*dst, src),
-                None => sched.unpark(*dst),
+            sched.unpark_from(*dst, src);
+        }
+    }
+
+    /// Enqueue sequenced or control `frames` under one ring lock — a
+    /// receiver that dequeues the first finds the rest queued — and wake
+    /// the destination once, unconditionally: a sequenced frame may release
+    /// held-back packets of any key, and control frames drive the
+    /// transport. Returns how many there were.
+    pub(crate) fn send_all(&self, frames: impl IntoIterator<Item = Frame>) -> usize {
+        let n = {
+            let mut queue = self.shared.queue.lock().unwrap();
+            let before = queue.len();
+            queue.extend(frames);
+            queue.len() - before
+        };
+        if n > 0 {
+            if let Some((sched, dst)) = &self.shared.waker {
+                sched.unpark(*dst);
             }
         }
+        n
     }
 }
 
@@ -152,7 +165,6 @@ impl FrameReceiver {
 mod tests {
     use super::*;
     use crate::error::MachineError;
-    use std::time::{Duration, Instant};
 
     fn poison() -> Frame {
         Frame::Poison(MachineError::ProcPanicked {
@@ -164,8 +176,8 @@ mod tests {
     #[test]
     fn frames_arrive_in_order() {
         let (tx, rx) = frame_channel();
-        tx.send(Frame::Ack { from: 1, seq: 10 });
-        tx.send(Frame::Ack { from: 2, seq: 20 });
+        tx.send_all([Frame::Ack { from: 1, seq: 10 }]);
+        tx.send_all([Frame::Ack { from: 2, seq: 20 }]);
         for expect in [(1, 10), (2, 20)] {
             match rx.try_recv().unwrap() {
                 Frame::Ack { from, seq } => assert_eq!((from, seq), expect),
@@ -177,29 +189,26 @@ mod tests {
 
     #[test]
     fn send_unparks_the_attached_owner() {
-        // Two scheduled tasks on one worker, both parked; a send through
-        // the waker-attached channel of task 1 wakes it. Nothing ever
-        // wakes task 0, so it times out — proving the send woke exactly
-        // its addressee.
-        let sched = Arc::new(Scheduler::new(2, 1));
+        // Three scheduled tasks on one worker: 0 and 1 park, then 2 sends
+        // through the waker-attached channel of task 1, which wakes.
+        // Nothing ever wakes task 0 — once the others are done it is told
+        // it is stuck — proving the send woke exactly its addressee.
+        let sched = Arc::new(Scheduler::new(3, 1));
         let (tx, rx) = frame_channel_with_capacity(MAX_CAPACITY, Some((Arc::clone(&sched), 1)));
         let outcomes = std::sync::Mutex::new([None; 2]);
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                tx.send(poison());
-            });
-            sched.run_worker(0, &|id| {
-                let out = sched.park(id, 0.0, Duration::from_millis(200), None);
-                outcomes.lock().unwrap()[id] = Some((out, t0.elapsed()));
-            });
+        sched.run_worker(0, &|id| {
+            if id == 2 {
+                assert_eq!(tx.send_all([poison()]), 1);
+                assert_eq!(tx.send_all([]), 0);
+            } else {
+                let out = sched.park(id, 0.0, false, None);
+                outcomes.lock().unwrap()[id] = Some(out);
+            }
         });
-        let [slept, woken] = outcomes.into_inner().unwrap().map(Option::unwrap);
-        assert_eq!(slept.0, crate::sched::ParkOutcome::TimedOut);
-        assert_eq!(woken.0, crate::sched::ParkOutcome::Woken);
-        assert!(woken.1 >= Duration::from_millis(20) && woken.1 < slept.1);
+        use crate::sched::ParkOutcome::{Stuck, Woken};
+        assert_eq!(outcomes.into_inner().unwrap(), [Some(Stuck), Some(Woken)]);
         assert!(matches!(rx.try_recv(), Some(Frame::Poison(_))));
+        assert!(rx.try_recv().is_none());
     }
 
     #[test]

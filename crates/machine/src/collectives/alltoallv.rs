@@ -886,7 +886,7 @@ mod tests {
     #[test]
     fn exchange_transposes_the_flag_matrix() {
         for p in [1usize, 2, 3, 5, 8, 33, 65] {
-            let machine = Machine::new(ProcGrid::line(p), CostModel::cm5()).with_test_preset();
+            let machine = Machine::new(ProcGrid::line(p), CostModel::cm5());
             for flags in [
                 Flags::AllFalse,
                 Flags::AllTrue,
@@ -896,7 +896,7 @@ mod tests {
                 check_transposition(&machine, flags, false, |proc| proc.world());
             }
         }
-        let grid = Machine::new(ProcGrid::new(&[3, 4]), CostModel::cm5()).with_test_preset();
+        let grid = Machine::new(ProcGrid::new(&[3, 4]), CostModel::cm5());
         for dim in 0..2 {
             for flags in [
                 Flags::AllFalse,
@@ -920,9 +920,8 @@ mod tests {
             .with_duplicate(0.2)
             .with_reorder(0.2);
         for p in [2usize, 5, 33] {
-            let machine = Machine::new(ProcGrid::line(p), CostModel::cm5())
-                .with_test_preset()
-                .with_faults(plan.clone());
+            let machine =
+                Machine::new(ProcGrid::line(p), CostModel::cm5()).with_faults(plan.clone());
             for recoverable in [false, true] {
                 for flags in [Flags::AllTrue, Flags::Single(0, p - 1), Flags::Random(3)] {
                     check_transposition(&machine, flags, recoverable, |proc| proc.world());

@@ -200,8 +200,8 @@ pub struct SimClock {
     words_sent: u64,
     /// Total message start-ups paid (diagnostics).
     startups: u64,
-    /// Reliable-transport retransmissions (diagnostic only: wall-clock
-    /// dependent, never charged to simulated time).
+    /// Reliable-transport retransmissions (diagnostic only: never charged
+    /// to simulated time).
     retransmits: u64,
     /// Duplicate frames discarded by the reliable transport (diagnostic).
     dup_drops: u64,
@@ -424,7 +424,8 @@ pub struct ClockReport {
     /// Total message start-ups paid.
     pub startups: u64,
     /// Reliable-transport retransmissions performed (0 without a fault
-    /// plan). Wall-clock dependent: a diagnostic, not a simulated cost.
+    /// plan). A diagnostic, not a simulated cost — but, like one, a
+    /// function of the program and the fault plan.
     pub retransmits: u64,
     /// Duplicate frames the reliable transport discarded (0 without a
     /// fault plan).

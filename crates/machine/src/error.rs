@@ -10,7 +10,6 @@
 //! structured `Err` after aborting all peers via a poison broadcast.
 
 use std::fmt;
-use std::time::Duration;
 
 /// A structured machine-level failure, as returned by
 /// [`crate::Machine::try_run`].
@@ -35,24 +34,35 @@ pub enum MachineError {
         /// The 1-based send or receive count at which the crash fired.
         step: u64,
     },
-    /// A receive posted by `proc` saw nothing matching from `src` within the
-    /// machine's receive timeout — almost always a deadlocked or mismatched
-    /// program, or a crashed peer.
-    RecvTimeout {
+    /// A receive posted by `proc` can never complete: every live processor
+    /// is parked, nothing is left to retransmit, and nothing matching from
+    /// `src` has arrived — a deadlocked or mismatched program, or a peer
+    /// that finished without sending. Reported by the lowest-id parked
+    /// processor, at the instant the machine went quiescent.
+    Deadlock {
         /// The waiting processor.
         proc: usize,
         /// The expected source processor.
         src: usize,
         /// The expected tag.
         tag: u64,
-        /// The configured timeout that expired.
-        timeout: Duration,
-        /// Who was waiting on whom when the timeout fired, read from the
+        /// Who was waiting on whom at that instant, read from the
         /// scheduler: `src` first, then the processor `src` was itself
         /// parked awaiting, and so on. The chain ends at a processor that
-        /// was not blocked in a receive (running, finished or crashed) or
-        /// at the first one named twice — a cycle, i.e. a deadlock.
+        /// was not blocked in a receive (finished, or parked on a pool
+        /// slot) or at the first one named twice — a cycle.
         waiting_on: Vec<usize>,
+    },
+    /// `proc` waited for the pooled send buffer of plan `key` towards `dst`
+    /// to come back and it never can: every live processor is parked. The
+    /// receiver stalled, or the plan was executed unevenly.
+    PoolStall {
+        /// The processor waiting for its buffer.
+        proc: usize,
+        /// The plan's pool key.
+        key: u64,
+        /// The destination that holds the buffer.
+        dst: usize,
     },
     /// The reliable transport exhausted its retries for one message: the
     /// destination never acknowledged despite repeated retransmission.
@@ -90,7 +100,8 @@ impl MachineError {
         match *self {
             MachineError::ProcPanicked { proc, .. }
             | MachineError::ProcCrashed { proc, .. }
-            | MachineError::RecvTimeout { proc, .. }
+            | MachineError::Deadlock { proc, .. }
+            | MachineError::PoolStall { proc, .. }
             | MachineError::Unreachable { proc, .. }
             | MachineError::LeftoverMessages { proc, .. }
             | MachineError::Poisoned { proc, .. } => proc,
@@ -115,23 +126,28 @@ impl fmt::Display for MachineError {
             MachineError::ProcCrashed { proc, step } => {
                 write!(f, "proc {proc} crashed (fault-injected) at step {step}")
             }
-            MachineError::RecvTimeout {
+            MachineError::Deadlock {
                 proc,
                 src,
                 tag,
-                timeout,
                 waiting_on,
             } => {
                 write!(
                     f,
-                    "proc {proc}: receive from {src} tag {tag} timed out after {timeout:?} — \
-                     deadlock or crashed peer? waiting on: {proc}"
+                    "proc {proc}: receive from {src} tag {tag} can never complete (every \
+                     processor is parked) — deadlock, or a peer finished without sending. \
+                     waiting on: {proc}"
                 )?;
                 for p in waiting_on {
                     write!(f, " → {p}")?;
                 }
                 Ok(())
             }
+            MachineError::PoolStall { proc, key, dst } => write!(
+                f,
+                "proc {proc}: pool slot (key {key}, dst {dst}) can never come back (every \
+                 processor is parked) — receiver {dst} stalled or plan executed unevenly"
+            ),
             MachineError::Unreachable {
                 proc,
                 dst,
@@ -161,11 +177,10 @@ mod tests {
 
     #[test]
     fn proc_and_root_cause_unwrap_poison_chains() {
-        let origin = MachineError::RecvTimeout {
+        let origin = MachineError::Deadlock {
             proc: 3,
             src: 1,
             tag: 7,
-            timeout: Duration::from_secs(5),
             waiting_on: vec![1],
         };
         let poisoned = MachineError::Poisoned {
@@ -179,11 +194,10 @@ mod tests {
 
     #[test]
     fn displays_name_the_failing_parties() {
-        let e = MachineError::RecvTimeout {
+        let e = MachineError::Deadlock {
             proc: 2,
             src: 5,
             tag: 9,
-            timeout: Duration::from_millis(50),
             waiting_on: vec![5, 7, 5],
         };
         let s = e.to_string();
@@ -201,6 +215,16 @@ mod tests {
         }
         .to_string();
         assert!(u.contains("seq 17") && u.contains("unreachable"), "{u}");
+        let s = MachineError::PoolStall {
+            proc: 1,
+            key: 6,
+            dst: 4,
+        }
+        .to_string();
+        assert!(
+            s.contains("proc 1") && s.contains("key 6") && s.contains("receiver 4"),
+            "{s}"
+        );
         let l = MachineError::LeftoverMessages { proc: 0, count: 2 }.to_string();
         assert!(l.contains("unconsumed"), "{l}");
     }

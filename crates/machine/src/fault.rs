@@ -10,11 +10,12 @@
 //!
 //! Every decision is a pure hash of `(seed, src, dst, seq, attempt)`: two
 //! runs with the same plan see the *same* faults on the same messages no
-//! matter how the OS schedules the processor threads. Retry timing is the
-//! only wall-clock-dependent quantity, and it affects only retry counters,
-//! never results or simulated clocks: the simulated arrival time of a
-//! message (including its injected delay) is drawn once, at first
-//! transmission, keyed by sequence number alone.
+//! matter how the OS schedules the processor threads. Retries happen when
+//! the machine goes quiescent, not on a timer, so the retry counters are as
+//! reproducible as the faults; and they never touch results or simulated
+//! clocks: the simulated arrival time of a message (including its injected
+//! delay) is drawn once, at first transmission, keyed by sequence number
+//! alone.
 
 /// Per-link fault probabilities. All probabilities are clamped to `[0, 1]`
 /// at decision time; a default-constructed `LinkFaults` injects nothing.
@@ -46,7 +47,7 @@ impl LinkFaults {
 pub(crate) enum Verdict {
     /// Transmit normally.
     Deliver,
-    /// Do not transmit; the sender's retry timer will fire later.
+    /// Do not transmit; the sender retries once the machine goes quiescent.
     Drop,
     /// Transmit two copies.
     Duplicate,

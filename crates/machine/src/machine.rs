@@ -13,10 +13,10 @@
 //!
 //! Failure handling: each processor runs the program closure under
 //! `catch_unwind`, at the bottom of its own stack. When any processor
-//! fails — a program panic, a fault-injected crash, a receive timeout, or
-//! an unreachable peer — it broadcasts a poison frame so that peers
-//! blocked in receives abort at once instead of waiting out their own
-//! timeouts, and [`Machine::try_run`] returns the originating failure as a
+//! fails — a program panic, a fault-injected crash, a deadlock, a stalled
+//! pool slot or an unreachable peer — it broadcasts a poison frame so that
+//! peers blocked in receives abort at once, each naming that failure as
+//! its cause, and [`Machine::try_run`] returns the originating failure as a
 //! structured [`MachineError`]. [`Machine::run`] keeps the panicking
 //! interface (propagating program panics verbatim) for callers that treat
 //! any failure as fatal.
@@ -25,7 +25,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::chan::{default_capacity, frame_channel_with_capacity, FrameReceiver, FrameSender};
 use crate::cost::{ClockReport, CostModel, SimClock};
@@ -50,7 +49,6 @@ const MAX_RESPAWNS: u32 = 4;
 pub struct Machine {
     grid: ProcGrid,
     cost: CostModel,
-    recv_timeout: Duration,
     tracing: bool,
     metrics: bool,
     wall_profiling: bool,
@@ -96,7 +94,6 @@ impl Machine {
         Machine {
             grid,
             cost,
-            recv_timeout: Duration::from_secs(120),
             tracing: false,
             metrics: false,
             wall_profiling: false,
@@ -187,18 +184,6 @@ impl Machine {
         Self::new(ProcGrid::line(p), CostModel::cm5())
     }
 
-    /// Override the deadlock-detection receive timeout (default 120 s).
-    pub fn with_recv_timeout(mut self, t: Duration) -> Self {
-        self.recv_timeout = t;
-        self
-    }
-
-    /// Test-friendly settings: a 5-second receive timeout, so that a
-    /// deadlocked or faulted test run fails in seconds instead of minutes.
-    pub fn with_test_preset(self) -> Self {
-        self.with_recv_timeout(Duration::from_secs(5))
-    }
-
     /// Attach a fault-injection plan. All charged point-to-point traffic is
     /// then routed over the reliable transport, which recovers from every
     /// non-crash fault in the plan (see [`crate::fault`]); a scheduled crash
@@ -232,13 +217,14 @@ impl Machine {
     /// parallelism; determinism of results is up to the program (all
     /// algorithms in this workspace are deterministic given their inputs).
     /// A processor that blocks its OS thread (`thread::sleep`, a lock)
-    /// holds its worker and every other processor that worker carries.
+    /// holds its worker and every other processor that worker carries —
+    /// and, being `Running`, is never taken for a hang.
     ///
     /// # Panics
     /// Propagates the originating processor's panic verbatim if the program
     /// closure panicked; panics with the [`MachineError`] message for
-    /// machine-level failures (receive timeout, fault-injected crash,
-    /// unreachable peer, unconsumed messages). Use [`Machine::try_run`] for
+    /// machine-level failures (deadlock, fault-injected crash, unreachable
+    /// peer, unconsumed messages). Use [`Machine::try_run`] for
     /// a structured error instead.
     pub fn run<R, F>(&self, program: F) -> RunOutput<R>
     where
@@ -286,7 +272,7 @@ impl Machine {
     /// and replays everything), and epoch structure must be identical across
     /// processors — each `epoch` ends in a machine-wide barrier.
     ///
-    /// Failures other than a scheduled crash (timeouts, panics, unreachable
+    /// Failures other than a scheduled crash (deadlocks, panics, unreachable
     /// peers) are not recoverable and come back as `Err`, as in
     /// [`Machine::try_run`]. [`RunOutput::recovery`] carries the recovery
     /// accounting ([`crate::RecoveryStats`]); the modelled recovery cost is
@@ -348,7 +334,6 @@ impl Machine {
                 clock,
                 &txs,
                 rx,
-                self.recv_timeout,
                 self.faults.clone(),
                 obs,
                 Arc::clone(&sched),
@@ -366,7 +351,7 @@ impl Machine {
                     // has finished its program: a respawned victim re-sends
                     // frames that only a live peer can acknowledge.
                     let barrier = rec.as_ref().map_or(Ok(()), |_| proc.retire_barrier());
-                    match barrier.and_then(|()| proc.finish_transport()) {
+                    match barrier.and_then(|()| proc.retire()) {
                         Ok(()) => match proc.leftover_messages() {
                             0 => Ok(r),
                             count => {
@@ -399,11 +384,10 @@ impl Machine {
             }
             if let Err((e, _)) = &outcome {
                 // Poison broadcast: peers blocked in receives abort with
-                // this error as their cause instead of waiting out their
-                // own timeouts.
+                // this error as their cause.
                 if !poisoned.swap(true, Ordering::SeqCst) {
                     for (_, tx) in txs.iter().enumerate().filter(|(pid, _)| *pid != id) {
-                        tx.send(Frame::Poison(e.clone()));
+                        tx.send_all([Frame::Poison(e.clone())]);
                     }
                 }
             }
@@ -477,14 +461,14 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// The failure to report: the most root-cause-like one. Poisoned
 /// bystanders rank last; active failures (panic/crash) rank before passive
-/// ones (unreachable peer, timeout, leftovers); ties break to the lowest
+/// ones (unreachable peer, deadlock or pool stall, leftovers); ties break to the lowest
 /// processor id (the vector is already in processor order).
 fn primary(failures: Vec<(usize, Failure)>) -> Failure {
     fn severity(e: &MachineError) -> u8 {
         match e {
             MachineError::ProcPanicked { .. } | MachineError::ProcCrashed { .. } => 0,
             MachineError::Unreachable { .. } => 1,
-            MachineError::RecvTimeout { .. } => 2,
+            MachineError::Deadlock { .. } | MachineError::PoolStall { .. } => 2,
             MachineError::LeftoverMessages { .. } => 3,
             MachineError::Poisoned { .. } => 4,
         }
@@ -653,7 +637,6 @@ mod tests {
     // ---- failure-path and fault-injection coverage ----------------------
 
     use crate::fault::FaultPlan;
-    use std::time::Duration;
 
     fn ring_program(p: &mut Proc) -> i32 {
         let n = p.nprocs();
@@ -676,7 +659,7 @@ mod tests {
     #[test]
     fn faulty_run_is_bit_identical_to_clean_run() {
         let clean = Machine::new(ProcGrid::line(4), CostModel::cm5());
-        let faulty = clean.clone().with_test_preset().with_faults(
+        let faulty = clean.clone().with_faults(
             FaultPlan::new(99)
                 .with_drop(0.2)
                 .with_duplicate(0.2)
@@ -705,7 +688,6 @@ mod tests {
                 ..CostModel::zero()
             },
         )
-        .with_test_preset()
         .with_faults(plan);
         let a = m.try_run(ring_program).unwrap();
         let b = m.try_run(ring_program).unwrap();
@@ -720,7 +702,6 @@ mod tests {
     #[test]
     fn crash_surfaces_as_typed_error_and_poisons_peers() {
         let m = Machine::new(ProcGrid::line(4), CostModel::zero())
-            .with_test_preset()
             .with_faults(FaultPlan::new(0).with_crash(2, 1));
         let err = m
             .try_run(ring_program)
@@ -729,34 +710,32 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_is_a_typed_error_naming_the_stuck_proc() {
-        let m = Machine::new(ProcGrid::line(2), CostModel::zero())
-            .with_recv_timeout(Duration::from_millis(50));
-        let err = m
-            .try_run(|p| {
-                if p.id() == 1 {
-                    let _: Vec<i32> = p.recv(0, tags::USER + 9);
-                }
-            })
-            .expect_err("nobody sends; proc 1 must time out");
-        match err {
-            MachineError::RecvTimeout {
-                proc,
-                src,
-                tag,
-                waiting_on,
-                ..
-            } => {
-                assert_eq!((proc, src, tag), (1, 0, tags::USER + 9));
-                assert_eq!(waiting_on, [0], "proc 0 finished: the chain ends there");
+    fn deadlock_is_a_typed_error_naming_the_stuck_proc() {
+        for workers in 1..=3 {
+            for _ in 0..20 {
+                let err = Machine::new(ProcGrid::line(2), CostModel::zero())
+                    .with_workers(workers)
+                    .try_run(|p| {
+                        if p.id() == 1 {
+                            let _: Vec<i32> = p.recv(0, tags::USER + 9);
+                        }
+                    })
+                    .expect_err("nobody sends; proc 1 can never receive");
+                let expected = MachineError::Deadlock {
+                    proc: 1,
+                    src: 0,
+                    tag: tags::USER + 9,
+                    // Proc 0 finished: the chain ends there.
+                    waiting_on: vec![0],
+                };
+                assert_eq!(err, expected, "workers={workers}");
             }
-            other => panic!("expected RecvTimeout, got {other}"),
         }
     }
 
     #[test]
     fn program_panic_becomes_proc_panicked() {
-        let m = Machine::new(ProcGrid::line(2), CostModel::zero()).with_test_preset();
+        let m = Machine::new(ProcGrid::line(2), CostModel::zero());
         let err = m
             .try_run(|p| {
                 if p.id() == 0 {
@@ -773,34 +752,42 @@ mod tests {
     }
 
     #[test]
-    fn poison_aborts_blocked_peers_quickly() {
-        // Without poison, proc 1 would wait out its full 60 s timeout.
-        let m = Machine::new(ProcGrid::line(2), CostModel::zero())
-            .with_recv_timeout(Duration::from_secs(60))
-            .with_faults(FaultPlan::new(0).with_crash(0, 1));
-        let t0 = std::time::Instant::now();
-        let err = m
-            .try_run(|p| {
-                if p.id() == 0 {
-                    p.send(1, tags::USER, vec![1i32]);
-                } else {
-                    let _: Vec<i32> = p.recv(0, tags::USER);
-                }
-            })
-            .expect_err("crash must fail the run");
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "poison must beat the timeout"
-        );
-        assert_eq!(
-            *err.root_cause(),
-            MachineError::ProcCrashed { proc: 0, step: 1 }
-        );
+    fn poison_reaches_blocked_peers_before_they_are_called_stuck() {
+        // Proc 0 crashes on its first send and is gone; proc 1, blocked on
+        // that message, must fail as its bystander — never with a deadlock
+        // of its own, which would only hide the cause.
+        let crash = MachineError::ProcCrashed { proc: 0, step: 1 };
+        for workers in 1..=3 {
+            for _ in 0..20 {
+                let m = Machine::new(ProcGrid::line(2), CostModel::zero())
+                    .with_workers(workers)
+                    .with_faults(FaultPlan::new(0).with_crash(0, 1));
+                let failures = m
+                    .drive(
+                        |p| {
+                            if p.id() == 0 {
+                                p.send(1, tags::USER, vec![1i32]);
+                            } else {
+                                let _: Vec<i32> = p.recv(0, tags::USER);
+                            }
+                        },
+                        None,
+                    )
+                    .map(|_| ())
+                    .expect_err("crash must fail the run");
+                let errors: Vec<MachineError> = failures.into_iter().map(|(_, (e, _))| e).collect();
+                let poisoned = MachineError::Poisoned {
+                    proc: 1,
+                    cause: Box::new(crash.clone()),
+                };
+                assert_eq!(errors, [crash.clone(), poisoned], "workers={workers}");
+            }
+        }
     }
 
     #[test]
     fn leftover_messages_become_a_typed_error_in_try_run() {
-        let m = Machine::new(ProcGrid::line(2), CostModel::zero()).with_test_preset();
+        let m = Machine::new(ProcGrid::line(2), CostModel::zero());
         let err = m
             .try_run(|p| {
                 if p.id() == 0 {
@@ -820,7 +807,6 @@ mod tests {
     #[test]
     fn faulty_runs_report_retransmissions() {
         let m = Machine::new(ProcGrid::line(4), CostModel::zero())
-            .with_test_preset()
             .with_faults(FaultPlan::new(3).with_drop(0.4));
         let out = m
             .try_run(|p| {

@@ -203,7 +203,7 @@ pub(crate) enum Frame {
         seq: u64,
     },
     /// Abort broadcast: some processor failed with the carried error; all
-    /// receivers must stop promptly instead of waiting out their timeouts.
+    /// receivers must stop at once, naming it as their cause.
     Poison(crate::error::MachineError),
 }
 

@@ -254,15 +254,15 @@ pub enum EventKind {
 
 /// Transport-side observations buffered inside [`crate::reliable`] (which
 /// has no clock access) and drained by the owning processor, which stamps
-/// them with its current simulated time. Retransmit timing is wall-clock
-/// driven, so these annotations carry the only wall-clock-derived quantity
-/// in the event log (`latency_us`).
+/// them: its current simulated time for what it did itself, the frame's
+/// arrival time for a duplicate that reached it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TransportEvent {
-    /// A retry fired: `(dst, seq, attempt, wall-clock µs since first send)`.
-    Retransmit(usize, u64, u32, u64),
-    /// A duplicate frame from `src` with sequence `seq` was discarded.
-    DupDrop(usize, u64),
+    /// A retry fired: `(dst, seq, attempt)`.
+    Retransmit(usize, u64, u32),
+    /// A duplicate frame `(src, seq)` was discarded; it had arrived at the
+    /// simulated time `arrival_ns`.
+    DupDrop(usize, u64, f64),
     /// The injector returned a non-`Deliver` verdict for `(dst, seq)`.
     Verdict(usize, u64, &'static str),
 }

@@ -11,7 +11,6 @@
 use std::any::Any;
 use std::panic::panic_any;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::chan::{FrameReceiver, FrameSender};
 use crate::cost::{Category, SimClock, Words};
@@ -136,12 +135,12 @@ struct ProcMetrics {
     mailbox_depth: Arc<Gauge>,
     retransmits: Arc<Counter>,
     dup_drops: Arc<Counter>,
-    retry_latency_us: Arc<Histogram>,
     clone_words: Arc<Counter>,
     /// Scheduler traffic as this processor saw it: calls to [`Proc::park`],
     /// the ones that slept and were woken, and the wake-ups after which a
-    /// receive drained its ring, still lacked its packet and parked again.
-    /// All three depend on the interleaving, not on the program alone.
+    /// wait drained its ring, still lacked what it waits for and parked
+    /// again. All three depend on the interleaving, not on the program
+    /// alone.
     parks: Arc<Counter>,
     wakes: Arc<Counter>,
     spurious_wakes: Arc<Counter>,
@@ -161,7 +160,6 @@ impl ProcMetrics {
             mailbox_depth: registry.gauge("mailbox.depth"),
             retransmits: registry.counter("transport.retransmits"),
             dup_drops: registry.counter("transport.dup_drops"),
-            retry_latency_us: registry.histogram("transport.retry_latency_us"),
             clone_words: registry.counter("payload.clone_words"),
             parks: registry.counter("sched.parks"),
             wakes: registry.counter("sched.wakes"),
@@ -180,12 +178,11 @@ pub struct Proc<'m> {
     senders: &'m [FrameSender],
     rx: FrameReceiver,
     /// The cooperative scheduler multiplexing virtual processors over the
-    /// machine's worker threads. Every wall-clock wait in this file parks
-    /// here — a stack switch — instead of blocking or spinning, so a
-    /// bounded pool can carry thousands of processors (see DESIGN.md §15).
+    /// machine's worker threads. Every wait in this file parks here — a
+    /// stack switch — instead of blocking or spinning, so a bounded pool
+    /// can carry thousands of processors (see DESIGN.md §15).
     sched: Arc<Scheduler>,
     mailbox: Mailbox,
-    recv_timeout: Duration,
     /// Reliable transport state; present iff the machine carries a
     /// non-benign fault plan.
     transport: Option<Transport>,
@@ -224,7 +221,6 @@ impl<'m> Proc<'m> {
         clock: SimClock,
         senders: &'m [FrameSender],
         rx: FrameReceiver,
-        recv_timeout: Duration,
         plan: Option<Arc<FaultPlan>>,
         obs: ObsConfig,
         sched: Arc<Scheduler>,
@@ -246,7 +242,6 @@ impl<'m> Proc<'m> {
             rx,
             sched,
             mailbox: Mailbox::new(),
-            recv_timeout,
             transport,
             words_to: vec![0; nprocs],
             events: obs.events.then(Vec::new),
@@ -504,9 +499,12 @@ impl<'m> Proc<'m> {
     }
 
     /// Timestamp and fold the transport's buffered observations into the
-    /// event log and metrics. Retransmit timing is wall-clock driven, so
-    /// these events carry the *current* simulated time — the instant the
-    /// processor noticed, which is the honest simulated-time statement.
+    /// event log and metrics. What this processor did — a verdict drawn, a
+    /// retransmission — carries its current simulated time (it drains right
+    /// after acting); a dropped duplicate carries the frame's own arrival
+    /// time, since *when* this processor looked at its ring follows the
+    /// interleaving. (Uncharged control frames have no arrival time; theirs
+    /// are stamped now.)
     fn drain_transport_events(&mut self) {
         let evs = match self.transport.as_mut() {
             Some(t) if t.record => t.take_events(),
@@ -518,15 +516,19 @@ impl<'m> Proc<'m> {
         let now = self.clock.now_ns();
         for ev in evs {
             match ev {
-                TransportEvent::Retransmit(dst, seq, attempt, waited_us) => {
+                TransportEvent::Retransmit(dst, seq, attempt) => {
                     self.record(now, EventKind::Retransmit { dst, seq, attempt });
                     if let Some(m) = self.metrics.as_ref() {
                         m.retransmits.inc();
-                        m.retry_latency_us.observe(waited_us);
                     }
                 }
-                TransportEvent::DupDrop(src, seq) => {
-                    self.record(now, EventKind::DupDrop { src, seq });
+                TransportEvent::DupDrop(src, seq, arrival_ns) => {
+                    let at = if arrival_ns.is_finite() {
+                        arrival_ns
+                    } else {
+                        now
+                    };
+                    self.record(at, EventKind::DupDrop { src, seq });
                     if let Some(m) = self.metrics.as_ref() {
                         m.dup_drops.inc();
                     }
@@ -727,8 +729,8 @@ impl<'m> Proc<'m> {
     ///
     /// # Panics
     /// Panics if the payload type does not match `P` (processors disagree on
-    /// the program), or with a typed [`MachineError`] if nothing arrives
-    /// within the machine's receive timeout or a peer fails first; under
+    /// the program), or with a typed [`MachineError`] if the machine goes
+    /// quiescent before anything arrives or a peer fails first; under
     /// [`crate::Machine::run`] that error becomes the run's panic, under
     /// [`crate::Machine::try_run`] it becomes the returned `Err`.
     pub fn recv<P: Payload>(&mut self, src: usize, tag: u64) -> P {
@@ -739,7 +741,7 @@ impl<'m> Proc<'m> {
     }
 
     /// Fallible receive: like [`Proc::recv`] but surfacing machine failures
-    /// (timeout, poisoned run) as a typed [`MachineError`] instead of
+    /// (deadlock, poisoned run) as a typed [`MachineError`] instead of
     /// panicking. Payload type mismatch still panics — that is a program
     /// bug, not a machine failure.
     pub(crate) fn try_recv<P: Payload>(&mut self, src: usize, tag: u64) -> Result<P, MachineError> {
@@ -829,20 +831,22 @@ impl<'m> Proc<'m> {
         self.mem_sample(MemAccount::Mailbox, self.id, ts, -(pkt.words as i64 * 4));
     }
 
-    /// Park this virtual processor in the scheduler for at most `timeout`,
-    /// keyed on the current simulated time (the deterministic wake-priority
-    /// rule: among ready processors, the one furthest behind in simulated
-    /// time runs first). `awaits` is the source a receive is blocked on:
-    /// raw frames from anyone else then leave the processor parked. Every
-    /// other wake — a sequenced or control frame, a pool-slot return —
-    /// ends the park regardless. The wait is attributed to the virtual
-    /// processor's own wall profile under `sched.park` — worker threads
-    /// have no identity of their own.
-    fn park(&mut self, timeout: Duration, awaits: Option<usize>) -> ParkOutcome {
+    /// Park this virtual processor in the scheduler, keyed on the current
+    /// simulated time (the deterministic wake-priority rule: among ready
+    /// processors, the one furthest behind in simulated time runs first),
+    /// telling it whether this processor holds unacknowledged frames — what
+    /// a quiescent machine then owes it is a retry, not a verdict. `awaits`
+    /// is the source a receive is blocked on: raw frames from anyone else
+    /// then leave the processor parked. Every other wake — a sequenced or
+    /// control frame, a pool-slot return — ends the park regardless. The
+    /// wait is attributed to the virtual processor's own wall profile under
+    /// `sched.park` — worker threads have no identity of their own.
+    fn park(&mut self, awaits: Option<usize>) -> ParkOutcome {
         let key = self.clock.now_ns();
+        let retry = self.transport.as_ref().is_some_and(|t| t.has_unacked());
         let sched = Arc::clone(&self.sched);
         let id = self.id;
-        let outcome = self.wall_span("sched.park", |_| sched.park(id, key, timeout, awaits));
+        let outcome = self.wall_span("sched.park", |_| sched.park(id, key, retry, awaits));
         if let Some(m) = self.metrics.as_ref() {
             m.parks.inc();
             if outcome == ParkOutcome::Woken {
@@ -852,83 +856,78 @@ impl<'m> Proc<'m> {
         outcome
     }
 
-    /// How long a wait-for-frames park may sleep without starving the
-    /// reliable transport: the earliest retransmission deadline caps the
-    /// park so [`crate::reliable::Transport::pump`] runs on time (this also
-    /// bounds reordered-frame holdback, which retires through the same
-    /// retransmit path). Fault-free machines sleep the full remainder —
-    /// the frame they wait for unparks them.
-    fn park_wait(&self, remaining: Duration) -> Duration {
-        match self
-            .transport
-            .as_ref()
-            .and_then(|t| t.next_retry_deadline())
-        {
-            Some(d) => remaining.min(d.saturating_duration_since(Instant::now())),
-            None => remaining,
-        }
-    }
-
-    /// The frame-dispatch receive loop shared by every receive flavour:
-    /// drain the ring, and park awaiting `src` when the packet is not in
-    /// it. The deadline restarts whenever *any* frame arrives (progress),
-    /// which matches the fault-free semantics where each successfully
-    /// received packet restarted the timeout — including frames from other
-    /// sources that queued up while this processor stayed parked, because
-    /// the ring is drained before the deadline is tested.
-    fn try_recv_packet(&mut self, src: usize, tag: u64) -> Result<Packet, MachineError> {
-        if let Some(p) = self.mailbox.take(src, tag) {
-            return Ok(p);
-        }
-        let mut deadline = Instant::now() + self.recv_timeout;
-        let mut woken = false;
+    /// The one blocking wait, under every receive flavour, the transport
+    /// flush and pool back-pressure: dispatch incoming frames until `probe`
+    /// yields, parking whenever the ring has run dry. `awaits` is the
+    /// `(src, tag)` a receive waits for — only a raw frame under that key,
+    /// or a sequenced one (which may release held-back packets of any key),
+    /// is worth a probe; `None` probes after every frame and lets any frame
+    /// end a park.
+    ///
+    /// No clock decides when to give up. A park ends because something
+    /// arrived, or because the machine went quiescent: then whatever this
+    /// processor has unacknowledged was lost and is transmitted once more,
+    /// or — nobody having anything to retransmit — this wait can never end
+    /// and `stuck` says what it was for.
+    fn wait_for<T>(
+        &mut self,
+        awaits: Option<(usize, u64)>,
+        mut probe: impl FnMut(&mut Self) -> Option<T>,
+        stuck: impl FnOnce(&Self) -> MachineError,
+    ) -> Result<T, MachineError> {
+        let mut outcome = ParkOutcome::Token;
         loop {
-            if let Some(t) = self.transport.as_mut() {
-                t.pump(self.id, self.senders)?;
-                self.drain_transport_events();
+            if let Some(v) = probe(self) {
+                return Ok(v);
             }
-            let mut drained = false;
             while let Some(frame) = self.rx.try_recv() {
-                drained = true;
-                // Only a raw frame under the awaited key, or a sequenced one
-                // (which may release held-back packets of any key), can put
-                // the awaited packet in the mailbox.
-                let may_match = match &frame {
-                    Frame::Raw(p) => p.src == src && p.tag == tag,
-                    Frame::Data { .. } => true,
-                    Frame::Ack { .. } | Frame::Poison(_) => false,
+                let worth_a_probe = match (&frame, awaits) {
+                    (_, None) | (Frame::Data { .. }, _) => true,
+                    (Frame::Raw(p), Some(key)) => (p.src, p.tag) == key,
+                    (Frame::Ack { .. } | Frame::Poison(_), _) => false,
                 };
                 self.dispatch(frame)?;
-                if may_match {
-                    if let Some(p) = self.mailbox.take(src, tag) {
-                        return Ok(p);
+                if worth_a_probe {
+                    if let Some(v) = probe(self) {
+                        return Ok(v);
                     }
                 }
             }
-            let now = Instant::now();
-            if drained {
-                deadline = now + self.recv_timeout;
-            } else if now >= deadline {
-                return Err(MachineError::RecvTimeout {
-                    proc: self.id,
-                    src,
-                    tag,
-                    timeout: self.recv_timeout,
-                    waiting_on: self.sched.wait_chain(src),
-                });
-            }
-            if woken {
+            if outcome == ParkOutcome::Woken {
                 if let Some(m) = self.metrics.as_ref() {
                     m.spurious_wakes.inc();
                 }
             }
-            // A frame enqueued between the last probe above and this park
-            // is covered by the scheduler's wake token: the sender's unpark
-            // lands while we still run — whoever it is — and the park
-            // returns immediately instead of sleeping.
-            let wait = self.park_wait(deadline - now);
-            woken = self.park(wait, Some(src)) == ParkOutcome::Woken;
+            // A frame enqueued (or a slot returned) between the last probe
+            // above and this park is covered by the scheduler's wake token:
+            // the unpark lands while we still run and the park returns
+            // immediately instead of sleeping.
+            outcome = self.park(awaits.map(|(src, _)| src));
+            match outcome {
+                ParkOutcome::Token | ParkOutcome::Woken => {}
+                ParkOutcome::Retry => {
+                    let t = self.transport.as_mut().expect("only a transport retries");
+                    t.pump(self.id, self.senders)?;
+                    self.drain_transport_events();
+                }
+                ParkOutcome::Stuck => return Err(stuck(self)),
+            }
         }
+    }
+
+    /// The receive under every receive flavour: the packet from `src` under
+    /// `tag`, out of the mailbox or off the ring.
+    fn try_recv_packet(&mut self, src: usize, tag: u64) -> Result<Packet, MachineError> {
+        self.wait_for(
+            Some((src, tag)),
+            |p| p.mailbox.take(src, tag),
+            |p| MachineError::Deadlock {
+                proc: p.id,
+                src,
+                tag,
+                waiting_on: p.sched.wait_chain(src),
+            },
+        )
     }
 
     /// Route one incoming frame: data lands in the mailbox (via the
@@ -1094,6 +1093,7 @@ impl<'m> Proc<'m> {
                         charge: None,
                     },
                 );
+                self.drain_transport_events();
                 return;
             }
         }
@@ -1117,7 +1117,7 @@ impl<'m> Proc<'m> {
     /// lives as long as the run (the driver keeps channel endpoints until
     /// every processor has finished).
     fn send_raw(&mut self, dst: usize, pkt: Packet) {
-        self.senders[dst].send(Frame::Raw(pkt));
+        self.senders[dst].send_raw(pkt);
         if let Some(m) = self.metrics.as_ref() {
             m.msg_frames.inc();
         }
@@ -1323,76 +1323,46 @@ impl<'m> Proc<'m> {
     /// barrier on [`tags::BARRIER`], whose every frame is consumed — hence
     /// acknowledged — before its receiver leaves.
     ///
-    /// A processor waiting here has finished its program, so it must never
-    /// be the one that reports a hang: it waits twice the receive timeout,
-    /// and the stuck peer's own timeout (and poison) names the culprit.
+    /// Should a peer hang, whoever the quiescent scheduler names reports it
+    /// — possibly a processor waiting here; its wait chain leads on to the
+    /// one that never arrived.
     pub(crate) fn retire_barrier(&mut self) -> Result<(), MachineError> {
         self.finish_transport()?;
         let n = self.nprocs();
-        let patience = self.recv_timeout;
-        self.recv_timeout = 2 * patience;
-        let mut outcome = Ok(());
         let mut shift = 1;
-        while shift < n && outcome.is_ok() {
+        while shift < n {
             self.send_uncharged((self.id + shift) % n, tags::BARRIER, ());
-            outcome = self
-                .try_recv_packet((self.id + n - shift) % n, tags::BARRIER)
-                .map(drop);
+            self.try_recv_packet((self.id + n - shift) % n, tags::BARRIER)?;
             shift *= 2;
         }
-        self.recv_timeout = patience;
-        outcome
+        Ok(())
     }
 
-    /// After the program closure returns: keep pumping the transport until
-    /// every one of this processor's sends has been acknowledged. Incoming
-    /// data is still acked (and parked in the mailbox, where the leftover
-    /// check will see it); a poison frame aborts the flush with the peer's
-    /// failure.
+    /// Wait until every one of this processor's sends has been acknowledged
+    /// (at every epoch boundary, and before retiring). Incoming data is
+    /// still acked (and parked in the mailbox, where the leftover check will
+    /// see it); a poison frame aborts the flush with the peer's failure.
     pub(crate) fn finish_transport(&mut self) -> Result<(), MachineError> {
-        let Some(t) = self.transport.as_mut() else {
-            return Ok(());
+        let acked = |p: &mut Self| {
+            let t = p.transport.as_ref();
+            t.is_none_or(|t| !t.has_unacked()).then_some(())
         };
-        if !t.has_unacked() {
-            return Ok(());
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            let mut all_acked = false;
-            if let Some(t) = self.transport.as_mut() {
-                t.pump(self.id, self.senders)?;
-                all_acked = !t.has_unacked();
-            }
-            self.drain_transport_events();
-            if all_acked {
-                return Ok(());
-            }
-            if let Some(frame) = self.rx.try_recv() {
+        self.wait_for(None, acked, |_| {
+            unreachable!("a park with unacknowledged frames is owed a retry")
+        })
+    }
+
+    /// After the program closure returns: flush, then dispatch what is still
+    /// in the ring — a late duplicate is counted by the processor it
+    /// reached, whether or not that processor had reason to look again.
+    pub(crate) fn retire(&mut self) -> Result<(), MachineError> {
+        self.finish_transport()?;
+        if self.transport.is_some() {
+            while let Some(frame) = self.rx.try_recv() {
                 self.dispatch(frame)?;
-            } else {
-                let now = Instant::now();
-                if now < deadline {
-                    // Park until the awaited ack arrives or the next
-                    // retransmission is due (missing acks are exactly what
-                    // the retry deadline tracks, so this never oversleeps).
-                    let wait = self.park_wait(deadline - now);
-                    self.park(wait, None);
-                }
-            }
-            if Instant::now() >= deadline {
-                let (dst, seq, attempts) = self
-                    .transport
-                    .as_ref()
-                    .and_then(|t| t.oldest_unacked())
-                    .expect("flush loop only runs while something is unacked");
-                return Err(MachineError::Unreachable {
-                    proc: self.id,
-                    dst,
-                    seq,
-                    attempts,
-                });
             }
         }
+        Ok(())
     }
 
     /// Number of unconsumed packets left in the mailbox (should be zero when
@@ -1459,49 +1429,36 @@ impl<'m> Proc<'m> {
     /// If the slot is still staged or checked out — the receiver has not
     /// finished with the *previous* execute's send through it — this blocks
     /// (wall-clock only; the simulated clock is untouched) until the
-    /// receiver returns the buffer, pumping the reliable transport and
-    /// draining incoming frames meanwhile so progress is never stalled by
-    /// the wait itself.
+    /// receiver returns the buffer, dispatching incoming frames meanwhile
+    /// so progress is never stalled by the wait itself.
+    ///
+    /// # Panics
+    /// With a typed [`MachineError::PoolStall`] when the machine goes
+    /// quiescent first: the receiver stalled, or the plan was executed
+    /// unevenly.
     pub fn pool_checkout<B: Reusable>(&mut self, key: u64, dst: usize) -> (Arc<PoolSlot<B>>, B) {
         let slot = self.pool.next_slot::<B>(key, dst);
         if let Some(buf) = slot.try_checkout() {
             return (slot, buf);
         }
-        // Slow path: register as the slot's waker and park. The receiver's
+        // Slow path: register as the slot's waker and wait. The receiver's
         // `put_back` — on whatever carrier it runs — unparks this processor
         // directly, as does any incoming frame; there is no spinning or
         // polling anywhere on this path.
         slot.set_waker(Some((Arc::clone(&self.sched), self.id)));
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            if let Some(t) = self.transport.as_mut() {
-                if let Err(e) = t.pump(self.id, self.senders) {
-                    slot.set_waker(None);
-                    panic_any(e);
-                }
-                self.drain_transport_events();
-            }
-            while let Some(frame) = self.rx.try_recv() {
-                if let Err(e) = self.dispatch(frame) {
-                    slot.set_waker(None);
-                    panic_any(e);
-                }
-            }
-            if let Some(buf) = slot.try_checkout() {
-                slot.set_waker(None);
-                return (slot, buf);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                slot.set_waker(None);
-                panic!(
-                    "proc {}: pool slot (key {key}, dst {dst}) was never returned \
-                     within {:?} — receiver stalled or plan executed unevenly",
-                    self.id, self.recv_timeout
-                );
-            }
-            let wait = self.park_wait(deadline - now);
-            self.park(wait, None);
+        let got = self.wait_for(
+            None,
+            |_| slot.try_checkout(),
+            |p| MachineError::PoolStall {
+                proc: p.id,
+                key,
+                dst,
+            },
+        );
+        slot.set_waker(None);
+        match got {
+            Ok(buf) => (slot, buf),
+            Err(e) => panic_any(e),
         }
     }
 

@@ -3,13 +3,21 @@
 //! When a [`crate::fault::FaultPlan`] is attached to a machine, every
 //! charged point-to-point message travels as a sequence-numbered
 //! [`Frame::Data`] and must be acknowledged by the receiver. The sender
-//! keeps a retransmit buffer of unacknowledged messages and retries on a
-//! per-message timer with exponential backoff; the receiver delivers data
-//! strictly in per-sender sequence order (restoring the per-link FIFO
-//! guarantee the fault-free channel gives for free) and drops duplicates.
-//! Together this makes any non-crash fault schedule invisible to the
-//! program: results and simulated clocks are bit-identical to the
+//! keeps a retransmit buffer of unacknowledged messages; the receiver
+//! delivers data strictly in per-sender sequence order (restoring the
+//! per-link FIFO guarantee the fault-free channel gives for free) and drops
+//! duplicates. Together this makes any non-crash fault schedule invisible
+//! to the program: results and simulated clocks are bit-identical to the
 //! fault-free run.
+//!
+//! There is no retransmission timer. The scheduler tells a parked processor
+//! when the machine has gone quiescent ([`crate::sched`]): at that instant
+//! every frame that reached a ring has been dispatched and every ack
+//! consumed, so what is still unacknowledged was dropped or is held back,
+//! and [`Transport::pump`] transmits each such message once more. What a
+//! link carries therefore depends on the program and the fault plan alone —
+//! never on when an ack happened to arrive — and the retransmit and
+//! duplicate counters are as reproducible as the simulated clocks.
 //!
 //! Acknowledgements and poison broadcasts are *control frames*: they model
 //! the CM-5's separate, reliable control network, so they are never
@@ -18,15 +26,13 @@
 //! local: once a processor has seen acks for all of its own sends it can
 //! stop, because every ack it owes others has already been posted.
 //!
-//! Simulated time stays deterministic under retries because a message's
-//! arrival timestamp (including any injected delay) is drawn once, at
-//! first transmission, and replayed verbatim by every retransmission; only
-//! the wall-clock retry *counters* depend on OS scheduling, and they are
-//! reported as diagnostics, never charged to the simulated clock.
+//! A message's arrival timestamp (including any injected delay) is drawn
+//! once, at first transmission, and replayed verbatim by every
+//! retransmission; the retry counters are reported as diagnostics, never
+//! charged to the simulated clock.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::chan::FrameSender;
 use crate::error::MachineError;
@@ -34,10 +40,6 @@ use crate::fault::{FaultPlan, Verdict};
 use crate::message::{Frame, Packet};
 use crate::obs::{Counter, TransportEvent};
 
-/// First retransmit timeout.
-const RTO_INITIAL: Duration = Duration::from_millis(8);
-/// Backoff ceiling.
-const RTO_CAP: Duration = Duration::from_millis(160);
 /// Transmission attempts (original + retries) before declaring the peer
 /// unreachable. With the ≤20 % per-attempt drop rates the chaos harness
 /// uses, the probability of 30 consecutive losses is ≈ 10⁻²¹.
@@ -52,19 +54,15 @@ struct Stored {
     pkt: Packet,
     /// Transmissions so far (1 after the original send).
     attempts: u32,
-    /// Wall-clock instant of the original send (retry-latency diagnostic).
-    first_sent: Instant,
-    /// Wall-clock deadline for the next retransmission.
-    deadline: Instant,
-    /// Current backoff interval.
-    backoff: Duration,
 }
 
-/// A transmission of `seq` deferred until `release_at` total data
-/// transmissions have happened on its link (fault-injected reordering).
+/// A transmission deferred until `release_at` total data transmissions have
+/// happened on its link (fault-injected reordering). The frame is in the
+/// network: it goes out when due whether or not a retry got through first.
 struct HeldBack {
     release_at: u64,
     seq: u64,
+    pkt: Packet,
 }
 
 /// Per-processor reliable-transport state (sender and receiver sides).
@@ -87,7 +85,7 @@ pub(crate) struct Transport {
     /// `Proc::recv` family calls so far (drives the recv-side crash
     /// schedule; uncharged control receives are excluded).
     pub(crate) recv_steps: u64,
-    /// Retransmissions performed (diagnostic; wall-clock dependent).
+    /// Retransmissions performed (diagnostic).
     pub(crate) retransmits: u64,
     /// Duplicate frames discarded by the receiver (diagnostic).
     pub(crate) dup_drops: u64,
@@ -146,76 +144,69 @@ impl Transport {
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
         pkt.arrival_ns += self.plan.delay_ns(me, dst, seq);
-        let now = Instant::now();
-        self.unacked.insert(
-            (dst, seq),
-            Stored {
-                pkt,
-                attempts: 1,
-                first_sent: now,
-                deadline: now + RTO_INITIAL,
-                backoff: RTO_INITIAL,
-            },
-        );
+        self.unacked.insert((dst, seq), Stored { pkt, attempts: 1 });
         self.transmit(me, senders, dst, seq, 0);
         seq
     }
 
-    /// Put one frame on `dst`'s ring.
-    fn put(&self, senders: &[FrameSender], dst: usize, frame: Frame) {
-        senders[dst].send(frame);
-        if let Some(c) = &self.frames {
-            c.inc();
-        }
-    }
-
-    /// One transmission attempt of `(dst, seq)`, subject to the fault plan.
+    /// One transmission attempt of the unacknowledged `(dst, seq)`, subject
+    /// to the fault plan: zero, one or two copies, then every held-back
+    /// frame the advancing link counter makes due (each itself a
+    /// transmission that advances it). The frames reach `dst`'s ring
+    /// together, so a receiver that has seen the first has the rest queued.
     fn transmit(&mut self, me: usize, senders: &[FrameSender], dst: usize, seq: u64, attempt: u32) {
         let verdict = self.plan.verdict(me, dst, seq, attempt);
         if self.record && verdict != Verdict::Deliver {
             self.events
                 .push(TransportEvent::Verdict(dst, seq, verdict.label()));
         }
-        match verdict {
-            Verdict::Drop => {}
-            Verdict::Deliver => self.phys_send(senders, dst, seq),
-            Verdict::Duplicate => {
-                self.phys_send(senders, dst, seq);
-                self.phys_send(senders, dst, seq);
-            }
+        let pkt = self.unacked[&(dst, seq)].pkt.clone();
+        let copies = match verdict {
+            Verdict::Drop => 0,
+            Verdict::Deliver => 1,
+            Verdict::Duplicate => 2,
             Verdict::HoldBack(n) => {
                 let release_at = self.tx_count[dst] + n as u64;
-                self.holdback[dst].push(HeldBack { release_at, seq });
+                self.holdback[dst].push(HeldBack {
+                    release_at,
+                    seq,
+                    pkt: pkt.clone(),
+                });
+                0
             }
-        }
-    }
-
-    /// Physically put one `Data` frame of `(dst, seq)` on the wire (if it is
-    /// still unacknowledged), then release any held-back transmissions that
-    /// the advancing link counter makes due.
-    fn phys_send(&mut self, senders: &[FrameSender], dst: usize, seq: u64) {
-        let mut queue = vec![seq];
-        while let Some(s) = queue.pop() {
-            let Some(st) = self.unacked.get(&(dst, s)) else {
-                // Acked while held back or between duplicate copies: the
-                // message already got through, nothing left to send.
-                continue;
-            };
-            let pkt = st.pkt.clone();
-            // The channel outlives all sends (the driver parks receiver
-            // endpoints until every processor has joined).
-            self.put(senders, dst, Frame::Data { seq: s, pkt });
+        };
+        let mut wire: Vec<Frame> = (0..copies)
+            .map(|_| Frame::Data {
+                seq,
+                pkt: pkt.clone(),
+            })
+            .collect();
+        let mut counted = 0;
+        while counted < wire.len() {
+            counted += 1;
             self.tx_count[dst] += 1;
             let count = self.tx_count[dst];
-            let held = &mut self.holdback[dst];
-            let mut i = 0;
-            while i < held.len() {
-                if held[i].release_at <= count {
-                    queue.push(held.swap_remove(i).seq);
-                } else {
-                    i += 1;
+            self.holdback[dst].retain(|h| {
+                let due = h.release_at <= count;
+                if due {
+                    wire.push(Frame::Data {
+                        seq: h.seq,
+                        pkt: h.pkt.clone(),
+                    });
                 }
-            }
+                !due
+            });
+        }
+        self.put(senders, dst, wire);
+    }
+
+    /// Put `frames` on `dst`'s ring together. The channel outlives all
+    /// sends (the driver keeps receiver endpoints until every processor has
+    /// finished).
+    fn put(&self, senders: &[FrameSender], dst: usize, frames: impl IntoIterator<Item = Frame>) {
+        let n = senders[dst].send_all(frames);
+        if let Some(c) = &self.frames {
+            c.add(n as u64);
         }
     }
 
@@ -229,14 +220,15 @@ impl Transport {
         seq: u64,
         pkt: Packet,
     ) -> Vec<(u64, Packet)> {
-        let src = pkt.src;
-        // Always (re-)ack: the earlier ack may still be in flight while the
-        // sender retransmits, and acks are idempotent.
-        self.put(senders, src, Frame::Ack { from: me, seq });
+        let (src, arrival_ns) = (pkt.src, pkt.arrival_ns);
+        // Always (re-)ack: acks are idempotent, and a respawned sender
+        // knows nothing of the one its predecessor got.
+        self.put(senders, src, [Frame::Ack { from: me, seq }]);
         if seq < self.expected[src] {
             self.dup_drops += 1;
             if self.record {
-                self.events.push(TransportEvent::DupDrop(src, seq));
+                self.events
+                    .push(TransportEvent::DupDrop(src, seq, arrival_ns));
             }
             return Vec::new();
         }
@@ -248,7 +240,8 @@ impl Transport {
                 std::collections::btree_map::Entry::Occupied(_) => {
                     self.dup_drops += 1;
                     if self.record {
-                        self.events.push(TransportEvent::DupDrop(src, seq));
+                        self.events
+                            .push(TransportEvent::DupDrop(src, seq, arrival_ns));
                     }
                 }
             }
@@ -268,42 +261,27 @@ impl Transport {
         self.unacked.remove(&(from, seq));
     }
 
-    /// Retransmit every message whose retry timer has expired. Errors with
+    /// Transmit every unacknowledged message once more: the machine went
+    /// quiescent, so each was dropped or is held back. Errors with
     /// [`MachineError::Unreachable`] once a message exhausts its attempts.
     pub(crate) fn pump(&mut self, me: usize, senders: &[FrameSender]) -> Result<(), MachineError> {
-        let now = Instant::now();
-        let due: Vec<(usize, u64)> = self
-            .unacked
-            .iter()
-            .filter(|(_, st)| st.deadline <= now)
-            .map(|(&k, _)| k)
-            .collect();
-        for (dst, seq) in due {
-            let attempt;
-            let waited_us;
-            {
-                let st = self
-                    .unacked
-                    .get_mut(&(dst, seq))
-                    .expect("due key still present");
-                if st.attempts >= MAX_ATTEMPTS {
-                    return Err(MachineError::Unreachable {
-                        proc: me,
-                        dst,
-                        seq,
-                        attempts: st.attempts,
-                    });
-                }
-                attempt = st.attempts;
-                waited_us = st.first_sent.elapsed().as_micros() as u64;
-                st.attempts += 1;
-                st.backoff = (st.backoff * 2).min(RTO_CAP);
-                st.deadline = now + st.backoff;
+        let lost: Vec<(usize, u64)> = self.unacked.keys().copied().collect();
+        for (dst, seq) in lost {
+            let st = self.unacked.get_mut(&(dst, seq)).expect("only acks retire");
+            let attempt = st.attempts;
+            if attempt >= MAX_ATTEMPTS {
+                return Err(MachineError::Unreachable {
+                    proc: me,
+                    dst,
+                    seq,
+                    attempts: attempt,
+                });
             }
+            st.attempts += 1;
             self.retransmits += 1;
             if self.record {
                 self.events
-                    .push(TransportEvent::Retransmit(dst, seq, attempt, waited_us));
+                    .push(TransportEvent::Retransmit(dst, seq, attempt));
             }
             self.transmit(me, senders, dst, seq, attempt);
         }
@@ -313,25 +291,6 @@ impl Transport {
     /// True while any of this processor's sends is unacknowledged.
     pub(crate) fn has_unacked(&self) -> bool {
         !self.unacked.is_empty()
-    }
-
-    /// The earliest wall-clock instant at which [`Transport::pump`] has
-    /// retransmission work, or `None` while everything is acked. Receive
-    /// loops park exactly until this deadline instead of polling on a
-    /// fixed slice — the no-hang guarantee re-expressed as a scheduler
-    /// deadline (a held-back reordered frame is also `unacked`, so its
-    /// release is covered too).
-    pub(crate) fn next_retry_deadline(&self) -> Option<Instant> {
-        self.unacked.values().map(|st| st.deadline).min()
-    }
-
-    /// The oldest unacknowledged send, as `(dst, seq, attempts)` — named in
-    /// the error when a final flush gives up.
-    pub(crate) fn oldest_unacked(&self) -> Option<(usize, u64, u32)> {
-        self.unacked
-            .iter()
-            .next()
-            .map(|(&(dst, seq), st)| (dst, seq, st.attempts))
     }
 
     /// Sequence number the next [`ReliableTransport::send`] to `dst` will
@@ -462,10 +421,6 @@ mod tests {
         let mut t = Transport::new(Arc::new(plan_dropping_first()), 2);
         t.send(0, &txs, 1, out_pkt(0, 7, 42.0, 1, Arc::new(vec![9i32])));
         assert!(data_frames(&rxs[1]).is_empty(), "attempt 0 must be dropped");
-        // Force the retry timer.
-        for st in t.unacked.values_mut() {
-            st.deadline = Instant::now() - Duration::from_millis(1);
-        }
         t.pump(0, &txs).unwrap();
         let got = data_frames(&rxs[1]);
         assert_eq!(got.len(), 1);
@@ -483,9 +438,6 @@ mod tests {
         let mut t = Transport::new(Arc::new(FaultPlan::new(0)), 2);
         let buf: Arc<dyn Any + Send + Sync> = Arc::new(vec![5i32, 6]);
         t.send(0, &txs, 1, out_pkt(0, 7, 1.0, 2, Arc::clone(&buf)));
-        for st in t.unacked.values_mut() {
-            st.deadline = Instant::now() - Duration::from_millis(1);
-        }
         t.pump(0, &txs).unwrap();
         let got = data_frames(&rxs[1]);
         assert_eq!(got.len(), 2, "original plus one retransmission");
@@ -504,13 +456,10 @@ mod tests {
         t.record = true;
         let seq = t.send(0, &txs, 1, out_pkt(0, 7, 0.0, 1, Arc::new(vec![1i32])));
         assert_eq!(seq, 0);
-        for st in t.unacked.values_mut() {
-            st.deadline = Instant::now() - Duration::from_millis(1);
-        }
         t.pump(0, &txs).unwrap();
         // Stale duplicate on the receive side of the same transport.
         t.expected[1] = 5;
-        let dup = out_pkt(1, 7, 0.0, 1, Arc::new(vec![0i32]));
+        let dup = out_pkt(1, 7, 3.5, 1, Arc::new(vec![0i32]));
         assert!(t.on_data(0, &txs, 2, dup).is_empty());
         let evs = t.take_events();
         assert!(
@@ -519,10 +468,10 @@ mod tests {
         );
         assert!(evs
             .iter()
-            .any(|e| matches!(e, TransportEvent::Retransmit(1, 0, 1, _))));
+            .any(|e| matches!(e, TransportEvent::Retransmit(1, 0, 1))));
         assert!(evs
             .iter()
-            .any(|e| matches!(e, TransportEvent::DupDrop(1, 2))));
+            .any(|e| matches!(e, TransportEvent::DupDrop(1, 2, at) if *at == 3.5)));
         assert!(t.take_events().is_empty(), "drain must consume the buffer");
     }
 
@@ -536,6 +485,33 @@ mod tests {
             }
             seed += 1;
         }
+    }
+
+    /// A held-back frame is in the network: it goes out when the link
+    /// counter makes it due — in one batch with the frame that made it so —
+    /// although a retransmission got through and was acknowledged
+    /// meanwhile. What a link carries never depends on when an ack came.
+    #[test]
+    fn held_back_frame_goes_out_when_due_acked_or_not() {
+        use Verdict::{Deliver, HoldBack};
+        let plan = (0u64..)
+            .map(|seed| FaultPlan::new(seed).with_reorder(0.5))
+            .find(|p| {
+                let v = |seq, attempt| p.verdict(0, 1, seq, attempt);
+                (v(0, 0), v(0, 1), v(1, 0)) == (HoldBack(2), Deliver, Deliver)
+            })
+            .unwrap();
+        let (txs, rxs) = wires(2);
+        let mut t = Transport::new(Arc::new(plan), 2);
+        let seqs = |rx| -> Vec<u64> { data_frames(rx).iter().map(|(s, _)| *s).collect() };
+        t.send(0, &txs, 1, out_pkt(0, 7, 1.0, 1, Arc::new(vec![1i32])));
+        assert_eq!(seqs(&rxs[1]), [0u64; 0], "held back");
+        t.pump(0, &txs).unwrap();
+        assert_eq!(seqs(&rxs[1]), [0], "the retry overtakes it");
+        t.on_ack(1, 0);
+        assert!(!t.has_unacked());
+        t.send(0, &txs, 1, out_pkt(0, 7, 2.0, 1, Arc::new(vec![2i32])));
+        assert_eq!(seqs(&rxs[1]), [1, 0], "due after two transmissions");
     }
 
     #[test]
@@ -579,13 +555,11 @@ mod tests {
         let mut t = Transport::new(Arc::new(plan), 2);
         t.send(0, &txs, 1, out_pkt(0, 7, 0.0, 1, Arc::new(vec![1i32])));
         let err = loop {
-            for st in t.unacked.values_mut() {
-                st.deadline = Instant::now() - Duration::from_millis(1);
-            }
             if let Err(e) = t.pump(0, &txs) {
                 break e;
             }
         };
+        assert_eq!(t.retransmits, u64::from(MAX_ATTEMPTS) - 1);
         match err {
             MachineError::Unreachable {
                 proc: 0,

@@ -151,8 +151,8 @@ impl<R> RunOutput<R> {
     }
 
     /// Total reliable-transport retransmissions across all processors
-    /// (0 on a machine without a fault plan). A wall-clock diagnostic of
-    /// how hard the transport had to work; simulated time is unaffected.
+    /// (0 on a machine without a fault plan). A diagnostic of how hard the
+    /// transport had to work; simulated time is unaffected.
     pub fn total_retransmits(&self) -> u64 {
         self.clocks.iter().map(|c| c.retransmits).sum()
     }

@@ -38,17 +38,18 @@
 //! (or between its last ring probe and its park) gets the token whoever
 //! sent the frame, so the probe→park race stays closed (DESIGN.md §15).
 //!
-//! Parks carry wall-clock deadlines (receive timeouts, retransmission
-//! pumps, pool-stall detection), checked by the owning worker at its
-//! scheduling points: every park compares the `Instant` it reads anyway
-//! against the worker's earliest deadline and requeues expired carriers as
-//! timed out, and an idle worker sleeps no longer than that instant. A
-//! program that never parks holds its worker, as it held a permit.
+//! There is no clock in here: "lost" and "stuck" are told by *quiescence*.
+//! The scheduler counts the processors that are `Ready` or `Running`; a
+//! worker that finds nothing to run while that count is zero knows every
+//! live processor is parked, every frame that reached a ring dispatched and
+//! every ack consumed. Parked processors holding unacknowledged frames are
+//! then requeued to retransmit; if there is none, the lowest-id parked one
+//! is requeued to report the hang. A processor that blocks its OS thread is
+//! `Running`, never a hang — it holds its worker, as it held a permit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use crate::carrier::{self, Carriers};
 
@@ -64,9 +65,12 @@ pub(crate) enum ParkOutcome {
     /// The processor was switched out and an unpark made it ready again.
     /// The caller should re-probe whatever it was waiting for.
     Woken,
-    /// The wall-clock timeout expired first; the caller owns its own
-    /// deadline logic.
-    TimedOut,
+    /// The machine went quiescent and this processor holds unacknowledged
+    /// frames: they were lost or held back; transmit each once more.
+    Retry,
+    /// The machine went quiescent with nothing to retransmit: this park
+    /// can never end, and the caller should report what it waits for.
+    Stuck,
 }
 
 /// Task lifecycle. `Ready` tasks (and only they) have an entry in their
@@ -101,18 +105,18 @@ struct Inner {
     key: Box<[u64]>,
     /// The source each processor's current receive park awaits; `None`
     /// outside one. Set on park entry and cleared only when the park
-    /// returns, so a timed-out processor queued behind others still shows
-    /// whom it waits for ([`Scheduler::wait_chain`]).
+    /// returns, so the processor told it is stuck still shows whom it
+    /// waits for ([`Scheduler::wait_chain`]).
     awaits: Box<[Option<usize>]>,
     /// Raw frames that reached each processor while it stayed parked
     /// awaiting another source (the `sched.wakes_filtered` metric).
     filtered: Box<[u64]>,
-    /// When each `Parked` processor's park expires, and whether the park
-    /// it is returning from ended that way.
-    deadline: Box<[Instant]>,
-    timed_out: Box<[bool]>,
-    /// Per worker: a lower bound on its parked processors' deadlines.
-    earliest: Box<[Option<Instant>]>,
+    /// Whether each `Parked` processor holds unacknowledged frames, and
+    /// how the park it is returning from ended.
+    retry: Box<[bool]>,
+    outcome: Box<[ParkOutcome]>,
+    /// Processors `Ready` or `Running`, machine-wide; zero is quiescence.
+    active: usize,
     /// Per worker: asleep on its condvar, so a wake must notify it.
     idle: Box<[bool]>,
     /// Per worker: processors not yet `Done`; it exits at zero.
@@ -122,37 +126,31 @@ struct Inner {
 }
 
 impl Inner {
-    /// Queue `id` on its worker's heap at its last park key.
-    fn requeue(&mut self, id: usize) {
+    /// Queue `id` on its worker's heap at its last park key; the park it
+    /// returns from (if any) ends with `outcome`.
+    fn requeue(&mut self, id: usize, outcome: ParkOutcome) {
         self.state[id] = State::Ready;
+        self.outcome[id] = outcome;
+        self.active += 1;
         let w = id % self.ready.len();
         self.ready[w].push(Reverse((self.key[id], id)));
     }
 
-    /// Worker `w`'s scheduling point: requeue its processors whose park
-    /// deadline has passed as timed out, then take its lowest-keyed ready
-    /// one. The scan runs only when the cached bound has passed — a real
-    /// timeout, or once after the park that set the bound was woken.
-    fn pick(&mut self, w: usize, now: Instant) -> Option<usize> {
-        if self.earliest[w].is_some_and(|d| d <= now) {
-            self.earliest[w] = None;
-            for id in (w..self.state.len()).step_by(self.ready.len()) {
-                if self.state[id] != State::Parked {
-                    continue;
-                }
-                let d = self.deadline[id];
-                if d <= now {
-                    self.timed_out[id] = true;
-                    self.requeue(id);
-                } else {
-                    self.earliest[w] = Some(self.earliest[w].map_or(d, |e| e.min(d)));
-                }
+    /// Nothing is ready or running anywhere: requeue every parked processor
+    /// that asked for a retry, or — if none did — the lowest-id parked one
+    /// as stuck. (Nothing is parked once every processor is done.)
+    fn quiesce(&mut self) {
+        let mut stuck = None;
+        for id in 0..self.state.len() {
+            match (self.state[id], self.retry[id]) {
+                (State::Parked, true) => self.requeue(id, ParkOutcome::Retry),
+                (State::Parked, false) => stuck = stuck.or(Some(id)),
+                _ => {}
             }
         }
-        let Reverse((_, id)) = self.ready[w].pop()?;
-        debug_assert_eq!(self.state[id], State::Ready, "heap holds only Ready tasks");
-        self.state[id] = State::Running;
-        Some(id)
+        if let (0, Some(id)) = (self.active, stuck) {
+            self.requeue(id, ParkOutcome::Stuck);
+        }
     }
 }
 
@@ -189,9 +187,9 @@ impl Scheduler {
             key: vec![0u64; nprocs].into_boxed_slice(),
             awaits: vec![None; nprocs].into_boxed_slice(),
             filtered: vec![0; nprocs].into_boxed_slice(),
-            deadline: vec![Instant::now(); nprocs].into_boxed_slice(),
-            timed_out: vec![false; nprocs].into_boxed_slice(),
-            earliest: vec![None; workers].into_boxed_slice(),
+            retry: vec![false; nprocs].into_boxed_slice(),
+            outcome: vec![ParkOutcome::Woken; nprocs].into_boxed_slice(),
+            active: nprocs,
             idle: vec![false; workers].into_boxed_slice(),
             live,
             respawn: vec![false; nprocs].into_boxed_slice(),
@@ -229,43 +227,49 @@ impl Scheduler {
         }
     }
 
-    /// Block worker `w` until one of its processors is ready (sleeping no
-    /// longer than its earliest park deadline); `None` once all are done.
+    /// Worker `w`'s scheduling point: take its lowest-keyed ready processor
+    /// — once a machine just gone quiescent has requeued whoever must
+    /// retransmit or report the hang, on whichever worker.
+    fn pick(&self, g: &mut Inner, w: usize) -> Option<usize> {
+        if g.active == 0 {
+            g.quiesce();
+            let roused = (0..self.workers).filter(|&v| g.idle[v] && !g.ready[v].is_empty());
+            roused.for_each(|v| self.idle_cv[v].notify_one());
+        }
+        let Reverse((_, id)) = g.ready[w].pop()?;
+        debug_assert_eq!(g.state[id], State::Ready, "heap holds only Ready tasks");
+        g.state[id] = State::Running;
+        Some(id)
+    }
+
+    /// Block worker `w` until one of its processors is ready; `None` once
+    /// all are done.
     fn next_ready(&self, w: usize) -> Option<usize> {
         let mut g = self.lock();
         loop {
-            let now = Instant::now();
-            if let Some(id) = g.pick(w, now) {
+            if let Some(id) = self.pick(&mut g, w) {
                 return Some(id);
             }
             if g.live[w] == 0 {
                 return None;
             }
             g.idle[w] = true;
-            let cv = &self.idle_cv[w];
-            g = match g.earliest[w] {
-                Some(d) => {
-                    let left = d.saturating_duration_since(now);
-                    cv.wait_timeout(g, left).expect(POISON).0
-                }
-                None => cv.wait(g).expect(POISON),
-            };
+            g = self.idle_cv[w].wait(g).expect(POISON);
             g.idle[w] = false;
         }
     }
 
-    /// Switch processor `id` out until woken or `timeout` elapses.
+    /// Switch processor `id` out until woken or the machine goes quiescent.
     /// `key_ns` is the processor's current simulated time — the ready-queue
-    /// sort key if it must requeue. `awaits` names the one source whose raw
-    /// frames should end the park (a receive); `None` lets any frame end it.
-    /// A pending wake token short-circuits the park entirely (no
-    /// transition, no switch). A timed-out processor requeues at its park
-    /// key like a woken one, behind lower-keyed ready processors.
+    /// sort key when it requeues. `retry` says it holds unacknowledged
+    /// frames. `awaits` names the one source whose raw frames should end
+    /// the park (a receive); `None` lets any frame end it. A pending wake
+    /// token short-circuits the park entirely (no transition, no switch).
     pub(crate) fn park(
         &self,
         id: usize,
         key_ns: f64,
-        timeout: Duration,
+        retry: bool,
         awaits: Option<usize>,
     ) -> ParkOutcome {
         let w = id % self.workers;
@@ -275,26 +279,19 @@ impl Scheduler {
             if std::mem::replace(&mut g.token[id], false) {
                 return ParkOutcome::Token;
             }
-            let now = Instant::now();
-            let deadline = now + timeout;
             g.state[id] = State::Parked;
+            g.active -= 1;
             g.awaits[id] = awaits;
+            g.retry[id] = retry;
             g.key[id] = key_ns.max(0.0).to_bits();
-            g.deadline[id] = deadline;
-            g.timed_out[id] = false;
-            g.earliest[w] = Some(g.earliest[w].map_or(deadline, |e| e.min(deadline)));
-            g.pick(w, now)
+            self.pick(&mut g, w)
         };
         // Direct hand-off to the next ready carrier of this worker, or back
-        // to its loop (which sleeps until a wake or a deadline).
+        // to its loop (which sleeps until a wake).
         carrier::switch_to(next.map(|n| n / self.workers));
         let mut g = self.lock();
         g.awaits[id] = None;
-        if g.timed_out[id] {
-            ParkOutcome::TimedOut
-        } else {
-            ParkOutcome::Woken
-        }
+        g.outcome[id]
     }
 
     /// Wake processor `id` unconditionally: sequenced frames, acks and
@@ -322,7 +319,7 @@ impl Scheduler {
                     g.filtered[id] += 1;
                     return;
                 }
-                g.requeue(id);
+                g.requeue(id, ParkOutcome::Woken);
                 // The owner picks it up at its next scheduling point; only
                 // a sleeping one needs the kernel.
                 let w = id % self.workers;
@@ -342,8 +339,9 @@ impl Scheduler {
         let mut g = self.lock();
         debug_assert_eq!(g.state[id], State::Running, "finish of a task not running");
         g.token[id] = false;
+        g.active -= 1;
         if std::mem::replace(&mut g.respawn[id], false) {
-            g.requeue(id);
+            g.requeue(id, ParkOutcome::Woken);
         } else {
             g.state[id] = State::Done;
             g.live[id % self.workers] -= 1;
@@ -389,8 +387,6 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    const LONG: Duration = Duration::from_secs(5);
-
     /// Run `body(id)` for every processor of `s` on its worker threads.
     fn run(s: &Scheduler, body: impl Fn(usize) + Sync) {
         std::thread::scope(|scope| {
@@ -414,38 +410,62 @@ mod tests {
                     // Parking with a pending token returns immediately.
                     s.unpark(0);
                     assert_eq!(
-                        s.park(0, 0.0, LONG, None),
+                        s.park(0, 0.0, false, None),
                         ParkOutcome::Token,
                         "a pending wake token short-circuits the park"
                     );
                     assert!(!started.lock().unwrap().contains(&2));
                     // A real park switches to processor 2, whose wake
                     // brings 0 back once 2 has finished.
-                    assert_eq!(s.park(0, 1.0, LONG, None), ParkOutcome::Woken);
+                    assert_eq!(s.park(0, 1.0, false, None), ParkOutcome::Woken);
                     assert!(started.lock().unwrap().contains(&2));
                 }
                 2 => s.unpark(0),
                 _ => {}
             }
         });
-        assert_eq!(s.lock().live[..], [0, 0]);
+        let g = s.lock();
+        assert_eq!((&g.live[..], g.active), (&[0, 0][..], 0));
     }
 
+    /// Quiescence, one transition at a time, on every pool size: with all
+    /// four processors parked, exactly those that asked are told to retry —
+    /// every time the machine runs dry again — and only once nobody asks is
+    /// one told it is stuck: the lowest id, which then wakes the rest.
     #[test]
-    fn timed_out_park_waits_for_its_worker() {
-        // Processor 0's park expires after 5 ms, but processor 1 holds the
-        // only worker for 30 ms without parking: 0 comes back, timed out,
-        // at the first scheduling point after its deadline.
-        let s = Scheduler::new(2, 1);
-        let t0 = Instant::now();
-        run(&s, |id| match id {
-            0 => {
-                let out = s.park(0, 0.0, Duration::from_millis(5), None);
-                assert_eq!(out, ParkOutcome::TimedOut);
-                assert!(t0.elapsed() >= Duration::from_millis(30));
+    fn a_quiescent_machine_retries_then_names_the_lowest_id_stuck() {
+        for workers in 1..=3 {
+            for _ in 0..20 {
+                let s = Scheduler::new(4, workers);
+                let log = Mutex::new(Vec::new());
+                run(&s, |id| {
+                    let asks = if id % 2 == 1 { 2 } else { 0 };
+                    for round in 0.. {
+                        let out = s.park(id, 0.0, round < asks, None);
+                        log.lock().unwrap().push((round, id, out));
+                        match out {
+                            ParkOutcome::Retry => {}
+                            ParkOutcome::Stuck => (0..4).for_each(|peer| s.unpark(peer)),
+                            _ => break,
+                        }
+                    }
+                });
+                let mut log = log.into_inner().unwrap();
+                log.sort_by_key(|&(round, id, _)| (round, id));
+                let expected = [
+                    (0, 0, ParkOutcome::Stuck),
+                    (0, 1, ParkOutcome::Retry),
+                    (0, 2, ParkOutcome::Woken),
+                    (0, 3, ParkOutcome::Retry),
+                    (1, 0, ParkOutcome::Token),
+                    (1, 1, ParkOutcome::Retry),
+                    (1, 3, ParkOutcome::Retry),
+                    (2, 1, ParkOutcome::Woken),
+                    (2, 3, ParkOutcome::Woken),
+                ];
+                assert_eq!(log, expected, "workers={workers}");
             }
-            _ => std::thread::sleep(Duration::from_millis(30)),
-        });
+        }
     }
 
     #[test]
@@ -467,18 +487,17 @@ mod tests {
                     s.enroll(0);
                 } else {
                     assert_eq!(
-                        s.park(0, 0.0, Duration::from_millis(1), None),
-                        ParkOutcome::TimedOut,
+                        s.park(0, 0.0, false, None),
+                        ParkOutcome::Stuck,
                         "a wake aimed at a retired carrier must not survive as a token"
                     );
                 }
             }
             _ => {
-                // Runs while 0's second carrier is parked; outlast it.
+                // Runs while 0's second carrier is parked; outlast it: this
+                // park leaves the machine quiescent, 0 is the lowest id.
                 assert_eq!(*incarnation.lock().unwrap(), 2);
-                while s.lock().state[0] != State::Done {
-                    s.park(1, 0.0, Duration::from_millis(1), None);
-                }
+                assert_eq!(s.park(1, 0.0, false, None), ParkOutcome::Stuck);
                 s.unpark(0); // must not panic, queue, or leave a token
                 s.unpark_from(0, 1);
                 let g = s.lock();
@@ -498,7 +517,7 @@ mod tests {
             let s = Scheduler::new(8, 1);
             run(&s, |id| match id {
                 0 => {
-                    assert_eq!(s.park(0, 0.0, LONG, Some(7)), ParkOutcome::Woken);
+                    assert_eq!(s.park(0, 0.0, false, Some(7)), ParkOutcome::Woken);
                     assert_eq!(s.wakes_filtered(0), 1);
                     assert_eq!(s.wait_chain(0), vec![0], "a returned park awaits nobody");
                 }
@@ -520,7 +539,7 @@ mod tests {
         // A park that awaits nobody in particular wakes for any source.
         let s = Scheduler::new(8, 1);
         run(&s, |id| match id {
-            0 => assert_eq!(s.park(0, 0.0, LONG, None), ParkOutcome::Woken),
+            0 => assert_eq!(s.park(0, 0.0, false, None), ParkOutcome::Woken),
             3 => s.unpark_from(0, 3),
             _ => {}
         });
@@ -536,20 +555,20 @@ mod tests {
         run(&s, |id| {
             if id == 0 {
                 s.unpark_from(0, 3);
-                assert_eq!(s.park(0, 0.0, LONG, Some(7)), ParkOutcome::Token);
+                assert_eq!(s.park(0, 0.0, false, Some(7)), ParkOutcome::Token);
             }
         });
         assert_eq!(s.wakes_filtered(0), 0);
     }
 
     /// A wake from another worker's carrier reaches a worker that sleeps
-    /// because all of its own are parked.
+    /// because all of its own are parked — and while that carrier runs, the
+    /// parked one is not stuck.
     #[test]
     fn wake_rouses_an_idle_worker() {
         let s = Scheduler::new(2, 2);
-        let t0 = Instant::now();
         run(&s, |id| match id {
-            0 => assert_eq!(s.park(0, 0.0, LONG, None), ParkOutcome::Woken),
+            0 => assert_eq!(s.park(0, 0.0, false, None), ParkOutcome::Woken),
             _ => {
                 while !s.lock().idle[0] {
                     std::thread::yield_now();
@@ -557,7 +576,6 @@ mod tests {
                 s.unpark(0);
             }
         });
-        assert!(t0.elapsed() < LONG);
     }
 
     #[test]

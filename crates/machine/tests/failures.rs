@@ -2,9 +2,10 @@
 //! program errors — mismatched payload types, deadlocks, malformed groups —
 //! rather than corrupting data or hanging forever.
 
-use std::time::Duration;
-
-use hpf_machine::{tags, CostModel, Group, Machine, MachineError, ProcGrid};
+use hpf_machine::{
+    fresh_pool_key, tags, CostModel, FaultPlan, Group, LinkFaults, Machine, MachineError, PoolSlot,
+    ProcGrid,
+};
 
 #[test]
 #[should_panic(expected = "payload type mismatch")]
@@ -20,11 +21,21 @@ fn mismatched_payload_types_panic() {
     });
 }
 
+/// Every hang below is reported at the instant the machine goes quiescent,
+/// as the same value on every run: `error(workers)` is asked twenty times
+/// at each pool size.
+fn assert_always(expected: &MachineError, error: impl Fn(usize) -> MachineError) {
+    for workers in 1..=3 {
+        for _ in 0..20 {
+            assert_eq!(&error(workers), expected, "workers={workers}");
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "deadlock")]
-fn receive_with_no_sender_times_out() {
-    let m = Machine::new(ProcGrid::line(2), CostModel::zero())
-        .with_recv_timeout(Duration::from_millis(50));
+fn receive_with_no_sender_is_a_deadlock() {
+    let m = Machine::new(ProcGrid::line(2), CostModel::zero());
     m.run(|p| {
         if p.id() == 1 {
             let _: Vec<i32> = p.recv(0, tags::USER); // nobody sends
@@ -33,74 +44,133 @@ fn receive_with_no_sender_times_out() {
 }
 
 /// The postmortem of a deadlock names both parties: each processor waits
-/// for the other's message before sending its own. One permit makes the
-/// order exact — proc 0 parks first, so its timeout fires first, and proc 1
-/// is still inside its park (awaiting 0) when the error is built. Proc 1
-/// starts its receive 10 ms late: two deadlines microseconds apart fire in
-/// either order under timer jitter.
+/// for the other's message before sending its own. The lowest-id parked
+/// processor reports, and its peer is still inside its park (awaiting 0)
+/// when the error is built.
 #[test]
 fn deadlocked_pair_reports_the_wait_cycle() {
-    let err = Machine::new(ProcGrid::line(2), CostModel::zero())
-        .with_recv_timeout(Duration::from_millis(50))
-        .with_workers(1)
-        .try_run(|p| {
-            let peer = 1 - p.id();
-            std::thread::sleep(Duration::from_millis(10 * p.id() as u64));
-            let _: Vec<i32> = p.recv(peer, tags::USER);
-            p.send(peer, tags::USER, vec![1i32]);
-        })
-        .expect_err("neither side ever sends");
-    match &err {
-        MachineError::RecvTimeout {
-            proc,
-            src,
-            waiting_on,
-            ..
-        } => {
-            assert_eq!((*proc, *src), (0, 1));
-            assert_eq!(waiting_on, &[1, 0], "1 awaits 0, which closes the cycle");
-        }
-        other => panic!("expected RecvTimeout, got {other}"),
-    }
-    assert!(err.to_string().ends_with("waiting on: 0 → 1 → 0"), "{err}");
+    let expected = MachineError::Deadlock {
+        proc: 0,
+        src: 1,
+        tag: tags::USER,
+        waiting_on: vec![1, 0], // 1 awaits 0, which closes the cycle
+    };
+    assert!(
+        expected.to_string().ends_with("waiting on: 0 → 1 → 0"),
+        "{expected}"
+    );
+    assert_always(&expected, |workers| {
+        Machine::new(ProcGrid::line(2), CostModel::zero())
+            .with_workers(workers)
+            .try_run(|p| {
+                let peer = 1 - p.id();
+                let _: Vec<i32> = p.recv(peer, tags::USER);
+                p.send(peer, tags::USER, vec![1i32]);
+            })
+            .expect_err("neither side ever sends")
+    });
 }
 
-/// The receive deadline restarts whenever *any* frame arrives, also a
-/// frame that did not wake the receiver: proc 0 awaits the slow proc 1 for
-/// several timeouts' worth of wall time while proc 2 keeps sending. Its
-/// park is only ever ended by its own deadline, and each time the ring is
-/// drained — and the deadline restarted — before the timeout is tested.
+/// Three parties, each awaiting the next, and a fourth that has nothing to
+/// do with it and finishes: the cycle comes back whole.
 #[test]
-fn frames_from_other_sources_keep_a_filtered_receive_alive() {
-    const TIMEOUT: Duration = Duration::from_millis(300);
-    const BEATS: u64 = 40;
-    let out = Machine::new(ProcGrid::line(3), CostModel::zero())
-        .with_recv_timeout(TIMEOUT)
-        .with_workers(3)
-        .try_run(|p| match p.id() {
-            0 => {
-                let slow: Vec<i32> = p.recv(1, tags::USER);
-                let beats: i32 = (0..BEATS)
-                    .map(|i| p.recv::<Vec<i32>>(2, tags::USER + 1 + i)[0])
-                    .sum();
-                slow[0] + beats
-            }
-            1 => {
-                std::thread::sleep(TIMEOUT * 3);
-                p.send(0, tags::USER, vec![1000i32]);
-                0
-            }
-            _ => {
-                // One frame every 30 ms for 1.2 s: never a silent TIMEOUT.
-                for i in 0..BEATS {
-                    p.send(0, tags::USER + 1 + i, vec![1i32]);
-                    std::thread::sleep(Duration::from_millis(30));
+fn three_party_cycle_is_named_whole() {
+    let expected = MachineError::Deadlock {
+        proc: 0,
+        src: 1,
+        tag: tags::USER,
+        waiting_on: vec![1, 2, 0],
+    };
+    assert_always(&expected, |workers| {
+        Machine::new(ProcGrid::line(4), CostModel::zero())
+            .with_workers(workers)
+            .try_run(|p| {
+                if p.id() < 3 {
+                    let _: Vec<i32> = p.recv((p.id() + 1) % 3, tags::USER);
                 }
-                0
-            }
-        })
-        .expect("progress from any source must restart the deadline");
-    assert_eq!(out.results[0], 1000 + BEATS as i32);
+            })
+            .expect_err("nobody ever sends")
+    });
+}
+
+/// A link that drops everything: the sender retransmits each time the
+/// machine runs dry, thirty transmissions in all, and then says so.
+#[test]
+fn a_dead_link_is_unreachable_after_thirty_attempts() {
+    let dead = LinkFaults {
+        drop_p: 1.0,
+        ..LinkFaults::default()
+    };
+    let expected = MachineError::Unreachable {
+        proc: 0,
+        dst: 1,
+        seq: 0,
+        attempts: 30,
+    };
+    assert_always(&expected, |workers| {
+        Machine::new(ProcGrid::line(3), CostModel::zero())
+            .with_workers(workers)
+            .with_faults(FaultPlan::new(1).with_link(0, 1, dead))
+            .try_run(|p| {
+                let n = p.nprocs();
+                p.send((p.id() + 1) % n, tags::USER, vec![p.id() as i32]);
+                let _: Vec<i32> = p.recv((p.id() + n - 1) % n, tags::USER);
+            })
+            .expect_err("0 → 1 never gets through")
+    });
+}
+
+/// A plan executed unevenly: proc 0 sends three times through one pool
+/// entry's two slots, proc 1 takes delivery of one and returns nothing.
+/// The third checkout can never be served, and the error names both.
+#[test]
+fn unevenly_executed_plan_is_a_pool_stall() {
+    let key = fresh_pool_key();
+    let expected = MachineError::PoolStall {
+        proc: 0,
+        key,
+        dst: 1,
+    };
+    assert_always(&expected, |workers| {
+        Machine::new(ProcGrid::line(2), CostModel::zero())
+            .with_workers(workers)
+            .try_run(|p| {
+                if p.id() == 0 {
+                    for i in 0..3u64 {
+                        let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, 1);
+                        buf.push(i as i64);
+                        slot.stash(buf);
+                        p.send_pooled(1, tags::USER + i, &slot);
+                    }
+                } else {
+                    let pkt = p.recv_packet(0, tags::USER);
+                    assert!(pkt.data.downcast::<PoolSlot<Vec<i64>>>().is_ok());
+                }
+            })
+            .expect_err("the third checkout waits for a buffer nobody returns")
+    });
+}
+
+/// The one thing only a clock can show: a processor that blocks its OS
+/// thread is running, not parked, so the others — all parked, waiting for
+/// it — are not stuck, however long it takes.
+#[test]
+fn a_sleeping_processor_is_not_a_hang() {
+    for workers in 1..=3 {
+        let out = Machine::new(ProcGrid::line(3), CostModel::zero())
+            .with_workers(workers)
+            .run(|p| {
+                if p.id() == 2 {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    p.send(0, tags::USER, vec![7i32]);
+                    p.send(1, tags::USER, vec![7i32]);
+                    0
+                } else {
+                    p.recv::<Vec<i32>>(2, tags::USER)[0]
+                }
+            });
+        assert_eq!(out.results, [7, 7, 0], "workers={workers}");
+    }
 }
 
 #[test]

@@ -197,7 +197,7 @@ fn assert_sparse_equals_dense(
     seed: u64,
     density: u64,
 ) {
-    let machine = machine.with_test_preset().with_tracing(true);
+    let machine = machine.with_tracing(true);
     let slot = |proc: &Proc, g: &Group, j: usize| sparse_slot(seed, density, proc.id(), g.id_of(j));
     let dense = traced_exchange(&machine, &pick, |proc, g| {
         let sends = (0..g.size()).map(|j| slot(proc, g, j)).collect();

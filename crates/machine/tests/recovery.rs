@@ -234,28 +234,35 @@ fn fault_free_recoverable_run_reports_zero_replays() {
 #[test]
 fn unrecoverable_failures_still_surface_as_errors() {
     // A deadlock (receive with no sender) is not a crash and must come back
-    // as the usual typed error even in recoverable mode.
-    let m = Machine::new(ProcGrid::line(2), CostModel::zero())
-        .with_faults(FaultPlan::new(0))
-        .with_recv_timeout(std::time::Duration::from_millis(50));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        m.run_recoverable(|p| {
-            if p.id() == 1 {
-                let _: Vec<i32> = p.recv(0, tags::USER);
-            }
-        })
-    }));
-    // run_recoverable returns Result; no panic expected.
-    let err = result
-        .expect("driver must not panic")
-        .expect_err("deadlock must surface");
-    assert!(
-        matches!(
-            err.root_cause(),
-            hpf_machine::MachineError::RecvTimeout { proc: 1, .. }
-        ),
-        "{err}"
-    );
+    // as the usual typed error even in recoverable mode — the same value on
+    // every run and pool size. Proc 0 has nothing to receive and waits at
+    // the retire barrier: parked, with the lowest id, so it is the one that
+    // reports, and its wait chain leads to proc 1 and back.
+    let mut errors = Vec::new();
+    for workers in 1..=3 {
+        for _ in 0..20 {
+            let err = Machine::new(ProcGrid::line(2), CostModel::zero())
+                .with_workers(workers)
+                .with_faults(FaultPlan::new(0))
+                .run_recoverable(|p| {
+                    if p.id() == 1 {
+                        let _: Vec<i32> = p.recv(0, tags::USER);
+                    }
+                })
+                .expect_err("deadlock must surface");
+            errors.push(err);
+        }
+    }
+    match &errors[0] {
+        hpf_machine::MachineError::Deadlock {
+            proc: 0,
+            src: 1,
+            waiting_on,
+            ..
+        } => assert_eq!(waiting_on, &[1, 0]),
+        other => panic!("expected a deadlock reported by proc 0, got {other}"),
+    }
+    assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
 }
 
 /// Any key no `fresh_pool_key` of this process reaches; a constant, so a

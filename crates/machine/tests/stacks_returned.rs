@@ -26,9 +26,7 @@ fn footprint() -> (usize, u64) {
 /// tenth run.
 #[test]
 fn consecutive_runs_leave_no_stacks_behind() {
-    let m = Machine::new(ProcGrid::line(64), CostModel::cm5())
-        .with_test_preset()
-        .with_workers(2);
+    let m = Machine::new(ProcGrid::line(64), CostModel::cm5()).with_workers(2);
     let mut settled = None;
     for run in 1..=2000 {
         let out = m.run(|p| {

@@ -238,7 +238,6 @@ proptest! {
             .with_delay(delay_p, 100_000.0);
         let (ap, mp) = (a.partition(&desc), m.partition(&desc));
         let machine = Machine::new(grid.clone(), CostModel::cm5())
-            .with_test_preset()
             .with_faults(plan);
         let (d, apr, mpr) = (&desc, &ap, &mp);
         let popts = PackOptions::new(pscheme);
