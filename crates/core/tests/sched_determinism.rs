@@ -104,6 +104,20 @@ fn every_scheme_and_grid_is_identical_across_pool_sizes() {
     });
 }
 
+/// A machine keeps its carriers' stacks from one run to the next, whatever
+/// the last run left on them; nothing a run shows may depend on it. Runs 1,
+/// 2 and 5 of the roundtrip on one `Machine` are identical.
+#[test]
+fn every_run_on_one_machine_is_identical() {
+    for_every_scheme_and_grid(|what, grid, program| {
+        let machine = Machine::new(grid.clone(), CostModel::cm5()).with_workers(2);
+        let runs: Vec<_> = (0..5).map(|_| machine.run(program)).collect();
+        for k in [2, 5] {
+            assert_identical(&runs[0], &runs[k - 1], &format!("{what} run {k}"));
+        }
+    });
+}
+
 /// The transport has no clock, so under a fixed fault plan — drops,
 /// duplicates, reordering and delay all at once — what it retransmitted
 /// and what it discarded is as much a function of the program as the

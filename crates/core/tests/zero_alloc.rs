@@ -69,36 +69,44 @@ fn mask() -> MaskPattern {
     }
 }
 
+/// Plan a PACK, warm it up, and return what `STEADY` more executes
+/// allocated on this processor: `(count, bytes)`.
+fn steady_pack<'a>(
+    d: &'a ArrayDesc,
+    opts: &'a PackOptions,
+) -> impl Fn(&mut Proc) -> (u64, u64) + Sync + 'a {
+    let pattern = mask();
+    move |proc| {
+        let m = local_from_fn(d, proc.id(), |g| pattern.value(g, &[N]));
+        let a = local_from_fn(d, proc.id(), |g| g[0] as i32);
+        let plan = plan_pack(proc, d, &m, opts).unwrap();
+        let mut out = PackOutput {
+            local_v: Vec::new(),
+            size: 0,
+            v_layout: None,
+        };
+        for _ in 0..WARMUP {
+            plan.execute_into(proc, &a, &mut out).unwrap();
+        }
+        let baseline = out.local_v.clone();
+        fence(proc);
+        let (c0, b0) = thread_totals();
+        for _ in 0..STEADY {
+            plan.execute_into(proc, &a, &mut out).unwrap();
+        }
+        let (c1, b1) = thread_totals();
+        fence(proc);
+        assert_eq!(out.local_v, baseline, "steady-state result drifted");
+        (c1 - c0, b1 - b0)
+    }
+}
+
 #[test]
 fn pack_execute_is_allocation_free_in_steady_state() {
     for (w, recoverable) in CASES {
         for scheme in PackScheme::ALL {
-            let d = desc(w);
-            let opts = PackOptions::new(scheme);
-            let (dr, o, pattern) = (&d, &opts, mask());
-            let out = run(recoverable, move |proc| {
-                let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
-                let a = local_from_fn(dr, proc.id(), |g| g[0] as i32);
-                let plan = plan_pack(proc, dr, &m, o).unwrap();
-                let mut out = PackOutput {
-                    local_v: Vec::new(),
-                    size: 0,
-                    v_layout: None,
-                };
-                for _ in 0..WARMUP {
-                    plan.execute_into(proc, &a, &mut out).unwrap();
-                }
-                let baseline = out.local_v.clone();
-                fence(proc);
-                let (c0, b0) = thread_totals();
-                for _ in 0..STEADY {
-                    plan.execute_into(proc, &a, &mut out).unwrap();
-                }
-                let (c1, b1) = thread_totals();
-                fence(proc);
-                assert_eq!(out.local_v, baseline, "steady-state result drifted");
-                (c1 - c0, b1 - b0)
-            });
+            let (d, opts) = (desc(w), PackOptions::new(scheme));
+            let out = run(recoverable, steady_pack(&d, &opts));
             for (p, &(allocs, bytes)) in out.results.iter().enumerate() {
                 assert_eq!(
                     (allocs, bytes),
@@ -108,6 +116,32 @@ fn pack_execute_is_allocation_free_in_steady_state() {
                 );
             }
         }
+    }
+}
+
+/// A machine keeps its carriers' stacks between runs, in a pool it hands
+/// them back to; that must not cost the caller's thread an allocation per
+/// run (a pool that grew, a reservation rebuilt), nor warm or cool anything
+/// a processor's execute loop sees.
+#[test]
+fn a_reused_machine_stays_allocation_quiet() {
+    let machine = Machine::new(ProcGrid::line(P), CostModel::cm5()).with_workers(1);
+    let (d, opts) = (desc(4), PackOptions::new(PackScheme::CompactMessage));
+    // Carriers count their own allocations: the caller's delta is the
+    // driver's — fabric, worker loop, result collection.
+    let driver_allocs = || {
+        let (c0, _) = thread_totals();
+        let out = machine.run(steady_pack(&d, &opts));
+        (thread_totals().0 - c0, out.results)
+    };
+    let (first, _) = driver_allocs();
+    for run in 2..=4 {
+        let (again, steady) = driver_allocs();
+        assert!(
+            again <= first,
+            "run {run} allocated {again} times on the driver, run 1 {first}"
+        );
+        assert_eq!(steady, [(0, 0); P], "run {run}: steady-state executes");
     }
 }
 

@@ -2,14 +2,17 @@
 //! them.
 //!
 //! A carrier is a stackful coroutine — a lazily committed stack with a
-//! guard page below it, cut from its worker's one `mmap` reservation — and
-//! a switch is a save of the six SysV callee-saved registers plus an `rsp`
-//! swap, about 10 ns. Each worker thread keeps the carriers it owns in one
-//! [`Carriers`] table on its own stack and publishes it in a thread-local
-//! for as long as one of them runs; the table never leaves the thread, so
-//! a carrier is resumed only by the worker that started it. Nothing unwinds across a switch: a
-//! carrier's entry runs in an `extern "C"` frame (which aborts on an
-//! escaping panic), and the scheduler's driver catches program panics
+//! guard page below it, cut from the [`Stacks`] reservation its worker
+//! holds for the run — and a switch is a save of the six SysV callee-saved
+//! registers plus an `rsp` swap, about 10 ns. Each worker thread keeps the
+//! carriers it owns in one [`Carriers`] table on its own stack and
+//! publishes it in a thread-local for as long as one of them runs; the
+//! table never leaves the thread, so a carrier is resumed only by the
+//! worker that started it. The reservation, pages touched and all, goes
+//! back to the machine's pool once nothing is suspended on it, and is
+//! unmapped when the machine's last clone drops. Nothing unwinds across a
+//! switch: a carrier's entry runs in an `extern "C"` frame (which aborts on
+//! an escaping panic), and the scheduler's driver catches program panics
 //! above it, at the bottom of the carrier's own stack.
 //!
 //! This is the crate's only `unsafe` outside the allocator shim.
@@ -21,7 +24,9 @@ compile_error!(
 );
 
 use std::cell::Cell;
+use std::fmt;
 use std::ptr;
+use std::sync::Mutex;
 
 use crate::alloc_counter;
 
@@ -110,16 +115,75 @@ thread_local! {
     static ACTIVE: Cell<*const Carriers<'static>> = const { Cell::new(ptr::null()) };
 }
 
+/// One worker's stacks, a value that outlives the run: one `PROT_NONE`
+/// mapping of `slice` bytes per carrier — a guard page that stays that way,
+/// then the stack, made writable at its first start on any run.
+pub(crate) struct Stacks {
+    region: *mut u8,
+    slice: usize,
+    /// Per carrier: its stack is writable, so a start makes no syscall.
+    committed: Box<[Cell<bool>]>,
+}
+
+/// A machine's reservations between runs. Locked only to push or remove,
+/// so never poisoned.
+pub(crate) type StackPool = Mutex<Vec<Stacks>>;
+const POOL: &str = "no pool operation panics";
+
+// SAFETY: `region` is a private mapping that only this value points into,
+// and `mprotect` and `munmap` may be called from any thread; the other
+// fields are plain data. A `Stacks` changes threads only through a pool,
+// and `Carriers::retire` pools it only when no context is suspended on it:
+// no frame on these stacks is ever resumed by a thread that did not push it.
+unsafe impl Send for Stacks {}
+
+impl Stacks {
+    /// A reservation for `n` carriers of `stack_bytes` each: `pool`'s, if
+    /// it holds one of that shape, else a new mapping.
+    pub(crate) fn checkout(pool: &StackPool, n: usize, stack_bytes: usize) -> Stacks {
+        let slice = stack_bytes + PAGE;
+        let mut pooled = pool.lock().expect(POOL);
+        let fits = |s: &Stacks| s.committed.len() == n && s.slice == slice;
+        if let Some(at) = pooled.iter().position(fits) {
+            return pooled.swap_remove(at);
+        }
+        drop(pooled);
+        // SAFETY: an anonymous private mapping at an address the kernel
+        // picks aliases no existing memory.
+        let region = unsafe { mmap(ptr::null_mut(), n * slice, PROT_NONE, MAP_FLAGS, -1, 0) };
+        if region as isize == -1 {
+            out_of_stacks(n * slice);
+        }
+        Stacks {
+            region,
+            slice,
+            committed: vec![Cell::new(false); n].into(),
+        }
+    }
+}
+
+impl Drop for Stacks {
+    fn drop(&mut self) {
+        // SAFETY: exactly the mapping `checkout` made. A table gives its
+        // reservation up after every carrier's last switch out, so no
+        // context runs on it (one dropped while suspended leaks its frames).
+        unsafe { munmap(self.region, self.committed.len() * self.slice) };
+    }
+}
+
+/// Shape only: the address differs run to run.
+impl fmt::Debug for Stacks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Stacks({} x {} B)", self.committed.len(), self.slice)
+    }
+}
+
 /// The carriers of one worker thread, by local index. Neither `Send` nor
 /// `Sync`: a stack is resumed only by its owning worker.
 pub(crate) struct Carriers<'a> {
     /// Body of carrier `idx`, run to completion on its own stack.
     entry: &'a (dyn Fn(usize) + Sync),
-    /// One `PROT_NONE` reservation of `slice` bytes per carrier: a guard
-    /// page that stays that way, then the stack, made writable at its
-    /// first start.
-    region: *mut u8,
-    slice: usize,
+    stacks: Stacks,
     /// Each suspended carrier's saved `rsp`; null while it runs, before
     /// its first start and after its last switch out.
     sps: Box<[Cell<*mut u8>]>,
@@ -139,19 +203,11 @@ fn out_of_stacks(bytes: usize) -> ! {
 }
 
 impl<'a> Carriers<'a> {
-    pub(crate) fn new(n: usize, stack_bytes: usize, entry: &'a (dyn Fn(usize) + Sync)) -> Self {
-        let slice = stack_bytes + PAGE;
-        // SAFETY: an anonymous private mapping at an address the kernel
-        // picks aliases no existing memory.
-        let region = unsafe { mmap(ptr::null_mut(), n * slice, PROT_NONE, MAP_FLAGS, -1, 0) };
-        if region as isize == -1 {
-            out_of_stacks(n * slice);
-        }
+    pub(crate) fn new(stacks: Stacks, entry: &'a (dyn Fn(usize) + Sync)) -> Self {
         Carriers {
             entry,
-            region,
-            slice,
-            sps: (0..n).map(|_| Cell::new(ptr::null_mut())).collect(),
+            sps: vec![Cell::new(ptr::null_mut()); stacks.committed.len()].into(),
+            stacks,
             loop_sp: Cell::new(ptr::null_mut()),
             current: Cell::new(None),
             finished: Cell::new(None),
@@ -173,20 +229,22 @@ impl<'a> Carriers<'a> {
         Some(done)
     }
 
-    /// Commit carrier `idx`'s stack and build the frame whose first
-    /// switch-in enters [`trampoline`]; returns the `rsp` to switch to.
+    /// Commit carrier `idx`'s stack, unless an earlier start did, and build
+    /// the frame that enters [`trampoline`]; returns the `rsp` to switch to.
     fn start(&self, idx: usize) -> *mut u8 {
+        let (region, slice) = (self.stacks.region, self.stacks.slice);
+        let fresh = !self.stacks.committed[idx].replace(true);
         // SAFETY: carrier `idx`'s slice of the reservation minus its guard
         // page; it is not suspended (its `rsp` was null), so nothing runs
-        // on it. The frame is nine words below the top: six popped
-        // registers, the return address, and 16 bytes (zero, which ends a
-        // backtrace) the trampoline's frame starts above.
+        // on it, whatever lies there. The frame is nine words below the
+        // top: six popped registers, the return address, and 16 bytes (zero,
+        // which ends a backtrace) the trampoline's frame starts above.
         unsafe {
-            let stack = self.region.add(idx * self.slice + PAGE);
-            if mprotect(stack, self.slice - PAGE, PROT_READ_WRITE) != 0 {
-                out_of_stacks(self.slice);
+            let stack = region.add(idx * slice + PAGE);
+            if fresh && mprotect(stack, slice - PAGE, PROT_READ_WRITE) != 0 {
+                out_of_stacks(slice);
             }
-            let sp = stack.add(self.slice - PAGE).cast::<usize>().sub(9);
+            let sp = stack.add(slice - PAGE).cast::<usize>().sub(9);
             sp.write_bytes(0, 9);
             sp.add(3).write(idx); // popped into r12
             sp.add(6).write(trampoline as *const () as usize);
@@ -210,18 +268,20 @@ impl<'a> Carriers<'a> {
         // SAFETY: `to` was saved by this function for a context of this
         // thread's table (or built by `start`) and taken out of its slot
         // above, so it is suspended and is resumed exactly once; its stack
-        // is mapped until the table drops.
+        // is mapped for as long as the table holds the reservation.
         unsafe { switch(save.as_ptr(), to) };
         alloc_counter::set_thread_totals(counts);
     }
-}
 
-impl Drop for Carriers<'_> {
-    fn drop(&mut self) {
-        // SAFETY: exactly the mapping `new` made. The worker loop drops its
-        // table after every carrier's last switch out, so no context still
-        // runs on it (one dropped while suspended merely leaks its frames).
-        unsafe { munmap(self.region, self.sps.len() * self.slice) };
+    /// The worker loop is over: the reservation goes to `pool` for the
+    /// next run — or is unmapped, should a context still be suspended on
+    /// it, so that its dead frames are neither resumed nor overwritten.
+    pub(crate) fn retire(self, pool: &StackPool) {
+        let idle = self.sps.iter().all(|sp| sp.get().is_null());
+        debug_assert!(idle, "a worker loop ended with a carrier suspended");
+        if idle {
+            pool.lock().expect(POOL).push(self.stacks);
+        }
     }
 }
 

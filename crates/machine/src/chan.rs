@@ -196,7 +196,7 @@ mod tests {
         let sched = Arc::new(Scheduler::new(3, 1));
         let (tx, rx) = frame_channel_with_capacity(MAX_CAPACITY, Some((Arc::clone(&sched), 1)));
         let outcomes = std::sync::Mutex::new([None; 2]);
-        sched.run_worker(0, &|id| {
+        sched.run_worker(0, &Default::default(), &|id| {
             if id == 2 {
                 assert_eq!(tx.send_all([poison()]), 1);
                 assert_eq!(tx.send_all([]), 0);

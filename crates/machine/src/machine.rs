@@ -26,6 +26,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::carrier::StackPool;
 use crate::chan::{default_capacity, frame_channel_with_capacity, FrameReceiver, FrameSender};
 use crate::cost::{ClockReport, CostModel, SimClock};
 use crate::error::MachineError;
@@ -58,6 +59,9 @@ pub struct Machine {
     /// Per-processor frame-ring capacity override; `None` = scale-aware
     /// [`default_capacity`].
     chan_capacity: Option<usize>,
+    /// Stack reservations between runs, one per worker of each run in
+    /// flight at once; shared with clones, unmapped when the last drops.
+    stacks: Arc<StackPool>,
 }
 
 /// What a failed processor leaves besides its error: the original panic
@@ -100,6 +104,7 @@ impl Machine {
             faults: None,
             workers: None,
             chan_capacity: None,
+            stacks: Arc::default(),
         }
     }
 
@@ -109,6 +114,8 @@ impl Machine {
     /// simulated clocks, events, and metrics are identical for every value.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
+        // Reservations are cut per worker: the old pool's would fit no run.
+        self.stacks = Arc::default();
         self
     }
 
@@ -400,9 +407,9 @@ impl Machine {
         std::thread::scope(|scope| {
             for w in 1..sched.workers() {
                 let (sched, body) = (&sched, &body);
-                scope.spawn(move || sched.run_worker(w, body));
+                scope.spawn(move || sched.run_worker(w, &self.stacks, body));
             }
-            sched.run_worker(0, &body);
+            sched.run_worker(0, &self.stacks, &body);
         });
 
         let mut run = RunOutput::new(Vec::new(), Vec::new());
@@ -645,6 +652,37 @@ mod tests {
         p.send(next, tags::USER, vec![p.id() as i32]);
         let got: Vec<i32> = p.recv(prev, tags::USER);
         got[0]
+    }
+
+    /// The pool holds one reservation per worker between runs, cut for the
+    /// carriers that worker owns; clones draw on it, a machine with another
+    /// worker count starts its own.
+    #[test]
+    fn stack_reservations_follow_the_machine_and_its_clones() {
+        fn pooled(m: &Machine) -> Vec<String> {
+            let pool = m.stacks.lock().unwrap();
+            let mut shapes: Vec<String> = pool.iter().map(|s| format!("{s:?}")).collect();
+            shapes.sort();
+            shapes
+        }
+        let m = Machine::new(ProcGrid::line(5), CostModel::zero()).with_workers(2);
+        assert!(pooled(&m).is_empty());
+        let per_worker = ["Stacks(2 x 2101248 B)", "Stacks(3 x 2101248 B)"];
+        for _ in 0..3 {
+            m.run(ring_program);
+            assert_eq!(pooled(&m), per_worker);
+        }
+        // A crash respawn restarts on the slice its predecessor left.
+        let crashing = m.clone().with_faults(FaultPlan::new(0).with_crash(2, 1));
+        assert!(Arc::ptr_eq(&m.stacks, &crashing.stacks));
+        crashing.run_recoverable(ring_program).expect("recovers");
+        assert_eq!(pooled(&m), per_worker);
+
+        let wider = m.clone().with_workers(3);
+        assert!(pooled(&wider).is_empty());
+        wider.run(ring_program);
+        assert_eq!(pooled(&wider).len(), 3);
+        assert_eq!(pooled(&m), per_worker);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic cooperative scheduler: virtual processors multiplexed
 //! over a bounded pool of worker threads.
 //!
-//! A virtual processor runs on a *carrier* — a stackful coroutine with its
-//! own `mmap`'d stack ([`crate::carrier`]) — and `min(workers, P)` OS
-//! threads, the caller's among them, run the carriers. Carrier `id` belongs to worker `id % workers`
-//! for life: only that thread ever starts, resumes or unmaps it, so a
+//! A virtual processor runs on a *carrier* — a stackful coroutine on its
+//! own stack ([`crate::carrier`]) — and `min(workers, P)` OS threads, the
+//! caller's among them, run the carriers. Carrier `id` is worker
+//! `id % workers`'s for the run: only that thread starts or resumes it, so a
 //! `Proc` and everything its program borrows stay on one OS thread. Every
 //! blocking point in [`crate::proc::Proc`] — frame receive, transport
 //! flush, clock-sync barrier, buffer-pool back-pressure — parks here, and
@@ -51,7 +51,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use crate::carrier::{self, Carriers};
+use crate::carrier::{self, Carriers, StackPool, Stacks};
 
 /// Why a poisoned scheduler mutex cannot happen.
 const POISON: &str = "no scheduler transition panics half-way";
@@ -84,7 +84,7 @@ enum State {
     Running,
     /// Switched out at a park point; no heap entry.
     Parked,
-    /// Finished (or crashed); its stack is unmapped.
+    /// Finished (or crashed); nothing is left on its stack.
     Done,
 }
 
@@ -213,18 +213,20 @@ impl Scheduler {
 
     /// Worker `w`'s loop, one OS thread each: run `body(id)` for every
     /// processor it owns, each on its own stack, switching among them as
-    /// they park, until all are done. A processor's first pick maps its
-    /// stack (and so does the first pick after [`Scheduler::enroll`]); its
-    /// last switch out unmaps it.
-    pub(crate) fn run_worker(&self, w: usize, body: &(dyn Fn(usize) + Sync)) {
+    /// they park, until all are done. Their stacks are a reservation from
+    /// `pool`, returned to it at the end; a processor's first pick, and its
+    /// first after [`Scheduler::enroll`], starts at the top of its stack.
+    pub(crate) fn run_worker(&self, w: usize, pool: &StackPool, body: &(dyn Fn(usize) + Sync)) {
         let entry = |local: usize| body(local * self.workers + w);
         let owned = (self.nprocs + self.workers - 1 - w) / self.workers;
-        let carriers = Carriers::new(owned, carrier::stack_bytes(self.nprocs), &entry);
+        let stacks = Stacks::checkout(pool, owned, carrier::stack_bytes(self.nprocs));
+        let carriers = Carriers::new(stacks, &entry);
         while let Some(id) = self.next_ready(w) {
             if let Some(local) = carriers.resume(id / self.workers) {
                 self.finish(local * self.workers + w);
             }
         }
+        carriers.retire(pool);
     }
 
     /// Worker `w`'s scheduling point: take its lowest-keyed ready processor
@@ -333,7 +335,7 @@ impl Scheduler {
     }
 
     /// Processor `id`'s carrier made its last switch out (program
-    /// finished, errored, or crashed) and its stack is unmapped: retire
+    /// finished, errored, or crashed) and its stack holds nothing: retire
     /// it, or queue it for a new carrier if it asked for one.
     fn finish(&self, id: usize) {
         let mut g = self.lock();
@@ -350,8 +352,8 @@ impl Scheduler {
 
     /// Crash-recovery respawn, called by the victim's own retiring carrier:
     /// once it has switched out, the processor re-enters its worker's ready
-    /// heap at its last park key and its next pick starts it on a new
-    /// stack.
+    /// heap at its last park key and its next pick starts it over, on the
+    /// same stack.
     pub(crate) fn enroll(&self, id: usize) {
         let mut g = self.lock();
         debug_assert_eq!(g.state[id], State::Running, "enroll from another task");
@@ -389,10 +391,11 @@ mod tests {
 
     /// Run `body(id)` for every processor of `s` on its worker threads.
     fn run(s: &Scheduler, body: impl Fn(usize) + Sync) {
+        let pool = StackPool::default();
         std::thread::scope(|scope| {
             for w in 0..s.workers() {
-                let body = &body;
-                scope.spawn(move || s.run_worker(w, body));
+                let (pool, body) = (&pool, &body);
+                scope.spawn(move || s.run_worker(w, pool, body));
             }
         });
     }

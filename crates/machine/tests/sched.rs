@@ -192,34 +192,37 @@ fn pool_backpressure_parks_under_a_single_permit() {
     assert_eq!(out.results, vec![0, 21]);
 }
 
+/// Two epochs of ring traffic, for the crash-recovery legs.
+fn epoch_ring(p: &mut Proc) -> Vec<i64> {
+    let mut st: Vec<i64> = vec![p.id() as i64 + 1];
+    for round in 0..2u64 {
+        p.epoch(&mut st, |p, st| {
+            let next = (p.id() + 1) % p.nprocs();
+            let prev = (p.id() + p.nprocs() - 1) % p.nprocs();
+            p.send(next, tags::USER + round, st.clone());
+            let got: Vec<i64> = p.recv(prev, tags::USER + round);
+            st.extend(got);
+        });
+    }
+    st
+}
+
 /// Crash recovery on a small pool: the respawned victim re-enrolls with
 /// the scheduler on a fresh carrier and the recovered run stays
 /// bit-identical, for a pool smaller than the machine.
 #[test]
 fn recovery_respawn_re_enrolls_on_a_small_pool() {
-    const P: usize = 4;
-    fn ring(p: &mut Proc) -> Vec<i64> {
-        let mut st: Vec<i64> = vec![p.id() as i64 + 1];
-        for round in 0..2u64 {
-            p.epoch(&mut st, |p, st| {
-                let next = (p.id() + 1) % p.nprocs();
-                let prev = (p.id() + p.nprocs() - 1) % p.nprocs();
-                p.send(next, tags::USER + round, st.clone());
-                let got: Vec<i64> = p.recv(prev, tags::USER + round);
-                st.extend(got);
-            });
-        }
-        st
-    }
     let m = |faults: FaultPlan, workers: usize| {
-        Machine::new(ProcGrid::line(P), CostModel::cm5())
+        Machine::new(ProcGrid::line(4), CostModel::cm5())
             .with_workers(workers)
             .with_faults(faults)
     };
-    let clean = m(FaultPlan::new(7), 1).run_recoverable(ring).expect("run");
+    let clean = m(FaultPlan::new(7), 1)
+        .run_recoverable(epoch_ring)
+        .expect("run");
     for workers in [1usize, 2] {
         let crashed = m(FaultPlan::new(7).with_crash(1, 2), workers)
-            .run_recoverable(ring)
+            .run_recoverable(epoch_ring)
             .expect("run");
         assert_eq!(clean.results, crashed.results, "workers={workers}");
         assert_clocks_identical(&clean, &crashed, &format!("workers={workers}"));
@@ -464,6 +467,83 @@ fn deep_panic_comes_back_with_its_payload() {
     match err.root_cause() {
         MachineError::ProcPanicked { proc: 1, msg } => assert!(msg.contains("boom at depth 200")),
         other => panic!("expected ProcPanicked on 1, got {other}"),
+    }
+}
+
+/// A machine keeps its stacks from run to run, whatever the last run left
+/// on them: deep frames, a panic's unwound ones, carriers that ended in a
+/// typed error, a crashed carrier and its successor on the same slice. One
+/// machine (its fault-plan clone shares the reservations) runs the sequence;
+/// every run shows what the same program shows on a machine built for it.
+#[test]
+fn a_reused_machine_runs_every_program_as_a_fresh_one_does() {
+    type Program<'a> = &'a (dyn Fn(&mut Proc) -> Vec<i64> + Sync);
+    let deep: Program = &|p| {
+        recurse(520, 0, p, &|p, _| {
+            let n = p.nprocs();
+            p.send((p.id() + 1) % n, tags::USER, vec![p.id() as i64]);
+            p.recv((p.id() + n - 1) % n, tags::USER)
+        })
+    };
+    let panics: Program = &|p| {
+        let world = p.world();
+        p.clock_sync_max(&world);
+        if p.id() == 1 {
+            recurse(200, 0, p, &|_, _| panic!("boom at depth 200"));
+        }
+        p.clock_sync_max(&world);
+        Vec::new()
+    };
+    let unanswered: Program = &|p| match p.id() {
+        1 => p.recv(0, tags::USER + 9),
+        _ => Vec::new(),
+    };
+    // `true`: under `run_recoverable`, with processor 1 crashing.
+    let legs: [(&str, bool, Program); 7] = [
+        ("deep ring", false, deep),
+        ("mixed", false, &mixed_workload),
+        ("panic", false, panics),
+        ("deadlock", false, unanswered),
+        ("crash", true, &epoch_ring),
+        ("crash again", true, &epoch_ring),
+        ("mixed again", false, &mixed_workload),
+    ];
+    for workers in 1..=3 {
+        let observe = |m: &Machine, crash: bool, program: Program| {
+            let out = if crash {
+                m.clone()
+                    .with_faults(FaultPlan::new(7).with_crash(1, 2))
+                    .run_recoverable(program)
+            } else {
+                m.try_run(program)
+            };
+            out.map(|mut out| {
+                let mut events = canonical_events(&out);
+                if crash && workers > 1 {
+                    // Which frames a replay re-injects, and so which arrive
+                    // twice, follows the interleaving on several workers.
+                    out.clocks.iter_mut().for_each(|c| c.dup_drops = 0);
+                    events.clear();
+                    out.recovery = None;
+                }
+                (
+                    out.results,
+                    out.clocks,
+                    out.comm_matrix,
+                    events,
+                    out.recovery,
+                )
+            })
+        };
+        let reused = machine(16, workers);
+        for (name, crash, program) in legs {
+            let fresh = machine(16, workers);
+            assert_eq!(
+                observe(&reused, crash, program),
+                observe(&fresh, crash, program),
+                "workers={workers}, leg {name:?}"
+            );
+        }
     }
 }
 
