@@ -43,9 +43,11 @@
 //! # --trace-out additionally runs one traced fault-injected PACK and writes
 //! # it as Chrome trace_event JSON (open in Perfetto / chrome://tracing);
 //! # the trace carries send/recv, retransmit, dup-drop, and fault-verdict
-//! # annotations.
+//! # annotations, and chaos reads the file back and exits 1 unless it
+//! # parses and holds them.
 //! ```
 
+use hpf_analysis::Json;
 use hpf_bench::cases::{assemble_packed, random_array, random_vector, Rng};
 use hpf_bench::cli::Args;
 use hpf_core::seq::{count_seq, pack_seq, unpack_seq};
@@ -317,7 +319,7 @@ fn run_iteration(
 /// it to `path` as Chrome trace_event JSON (open in Perfetto /
 /// chrome://tracing). Drop and duplicate rates are high enough that
 /// retransmit, dup-drop and fault-verdict annotations appear beside the
-/// send/recv events.
+/// send/recv events; the file is read back and checked for them.
 fn write_trace(seed: u64, path: &str) {
     let grid = ProcGrid::line(4);
     let desc = ArrayDesc::new(&[64], &grid, &[Dist::BlockCyclic(2)]).expect("4 * 2 divides 64");
@@ -344,6 +346,35 @@ fn write_trace(seed: u64, path: &str) {
         metrics.counter("transport.retransmits"),
         metrics.counter("transport.dup_drops"),
     );
+    match check_trace(path) {
+        Ok(events) => println!("trace check: {events} events OK"),
+        Err(why) => {
+            eprintln!("chaos: {path}: {why}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// What a viewer needs of the file at `path`: Chrome trace_event JSON with
+/// span events and every message and fault annotation by name. Returns the
+/// event count.
+fn check_trace(path: &str) -> Result<usize, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read back: {e}"))?;
+    let trace = Json::parse(&text)?;
+    let events = (trace.get("traceEvents").and_then(Json::as_arr)).ok_or("no traceEvents array")?;
+    let has = |key: &str, want: &str| {
+        let field = |e: &Json| e.get(key).and_then(Json::as_str).is_some_and(|v| v == want);
+        events.iter().any(field)
+    };
+    for name in ["send", "recv", "retransmit", "dup-drop", "fault-verdict"] {
+        if !has("name", name) {
+            return Err(format!("trace is missing {name} events"));
+        }
+    }
+    if !has("ph", "X") {
+        return Err("trace has no span events".into());
+    }
+    Ok(events.len())
 }
 
 /// Run `prog` on the clean machine and twice on the faulted one, and return

@@ -296,8 +296,8 @@ pub struct HotMeasurement {
     pub allocs_per_execute: f64,
     /// Heap bytes allocated per execute, summed over all processors.
     pub alloc_bytes_per_execute: f64,
-    /// `payload.clone_words` from a separate metrics-enabled run of the
-    /// same workload: deep-copied payload words, zero on fault-free runs.
+    /// The run's `payload.clone_words`: deep-copied payload words, zero on
+    /// fault-free runs.
     pub clone_words: u64,
     /// Op breakdown of the plan's lowered copy programs, merged across
     /// processors (DESIGN.md §16): how much of the hot loop's value
@@ -320,16 +320,17 @@ fn counted(executes: usize, mut step: impl FnMut()) -> (u64, u64) {
     (c1 - c0, b1 - b0)
 }
 
-/// The two runs behind [`time_pack_hot`] / [`time_unpack_hot`], whose
-/// per-processor program is `hot(proc, executes)`.
+/// The run behind [`time_pack_hot`] / [`time_unpack_hot`], whose
+/// per-processor program is `hot(proc, executes)`. Metrics are on — a
+/// counter is a field, so the counted window still allocates nothing.
 fn time_hot(
     cfg: &ExpConfig,
     elements: usize,
     executes: usize,
     hot: impl Fn(&mut Proc, usize) -> HotCounts + Sync,
 ) -> (HotMeasurement, Measurement) {
-    let out = cfg.machine().run(|proc| hot(proc, executes));
-    let warm = cfg.machine().with_metrics(true).run(|proc| hot(proc, 0));
+    let machine = cfg.machine().with_metrics(true);
+    let out = machine.run(|proc| hot(proc, executes));
     let per_exec = |total: u64| total as f64 / executes.max(1) as f64;
     let mut copy_ops = CopyStats::default();
     for r in &out.results {
@@ -340,7 +341,7 @@ fn time_hot(
         elements,
         allocs_per_execute: per_exec(out.results.iter().map(|r| r.0).sum()),
         alloc_bytes_per_execute: per_exec(out.results.iter().map(|r| r.1).sum()),
-        clone_words: warm.merged_metrics().counter("payload.clone_words"),
+        clone_words: out.merged_metrics().counter("payload.clone_words"),
         copy_ops,
     };
     (hot, measure_run(&out, elements))
@@ -348,10 +349,7 @@ fn time_hot(
 
 /// Measure the PACK hot path: plan once, warm up, count `executes`
 /// steady-state iterations. Returns the counted measurement plus the
-/// simulated [`Measurement`] of the whole plan + execute loop. The counted
-/// run keeps metrics and tracing off — stage timers allocate their metric
-/// keys when metrics are on — and a second, warm-up-only metrics-enabled
-/// run of the same program supplies the `payload.clone_words` counter.
+/// simulated [`Measurement`] of the whole plan + execute loop.
 pub fn time_pack_hot(
     cfg: &ExpConfig,
     opts: &PackOptions,

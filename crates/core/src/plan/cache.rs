@@ -12,7 +12,7 @@
 //! general (one processor's portion can stay identical while another's
 //! changes, which would deadlock the ranking collectives).
 //!
-//! Hits and misses are counted on the machine's metrics registry as
+//! Hits and misses are counted in the machine's metrics as
 //! `plan.cache.hit` / `plan.cache.miss` (no-ops unless the machine was
 //! built with metrics).
 

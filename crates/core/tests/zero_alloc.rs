@@ -8,9 +8,11 @@
 //! global allocator and asserts the per-thread allocation delta across the
 //! steady-state iterations is literally zero, for every PACK scheme and
 //! every UNPACK scheme, at both cyclic and wide block sizes — under
-//! `Machine::run` and under `Machine::run_recoverable` with no fault plan
+//! `Machine::run`, under `Machine::run_recoverable` with no fault plan
 //! (a benign recoverable run has no transport, logs nothing and ships the
-//! live pool slots, so attaching recovery must cost the hot path nothing).
+//! live pool slots, so attaching recovery must cost the hot path nothing)
+//! and with metrics on (counters and gauges are plain fields: a stage or a
+//! message costs an add, never a name).
 
 use hpf_core::{
     plan_pack, plan_unpack, MaskPattern, PackOptions, PackOutput, PackScheme, UnpackOptions,
@@ -38,8 +40,24 @@ fn desc(w: usize) -> ArrayDesc {
     ArrayDesc::new(&[N], &ProcGrid::line(P), &[Dist::BlockCyclic(w)]).unwrap()
 }
 
+/// How a sweep's machine is built and run.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Plain,
+    Recoverable,
+    /// `with_metrics(true)`, tracing off.
+    Metrics,
+}
+
 /// Block size × run mode of both sweeps.
-const CASES: [(usize, bool); 4] = [(1, false), (4, false), (1, true), (4, true)];
+const CASES: [(usize, Mode); 6] = [
+    (1, Mode::Plain),
+    (4, Mode::Plain),
+    (1, Mode::Recoverable),
+    (4, Mode::Recoverable),
+    (1, Mode::Metrics),
+    (4, Mode::Metrics),
+];
 
 /// Fence the measured window of a recoverable run. A recoverable run ends
 /// in a retire barrier, and a peer that finishes first would put its barrier
@@ -52,13 +70,13 @@ fn fence(proc: &mut Proc) {
     proc.clock_sync_max(&world);
 }
 
-/// `program` on a fault-free machine, plain or with recovery attached.
-fn run<R: Send>(recoverable: bool, program: impl Fn(&mut Proc) -> R + Sync) -> RunOutput<R> {
+/// `program` on a fault-free machine in `mode`.
+fn run<R: Send>(mode: Mode, program: impl Fn(&mut Proc) -> R + Sync) -> RunOutput<R> {
     let machine = Machine::new(ProcGrid::line(P), CostModel::cm5());
-    if recoverable {
-        machine.run_recoverable(program).expect("benign run")
-    } else {
-        machine.run(program)
+    match mode {
+        Mode::Plain => machine.run(program),
+        Mode::Recoverable => machine.run_recoverable(program).expect("benign run"),
+        Mode::Metrics => machine.with_metrics(true).run(program),
     }
 }
 
@@ -103,15 +121,15 @@ fn steady_pack<'a>(
 
 #[test]
 fn pack_execute_is_allocation_free_in_steady_state() {
-    for (w, recoverable) in CASES {
+    for (w, mode) in CASES {
         for scheme in PackScheme::ALL {
             let (d, opts) = (desc(w), PackOptions::new(scheme));
-            let out = run(recoverable, steady_pack(&d, &opts));
+            let out = run(mode, steady_pack(&d, &opts));
             for (p, &(allocs, bytes)) in out.results.iter().enumerate() {
                 assert_eq!(
                     (allocs, bytes),
                     (0, 0),
-                    "{scheme:?} w={w} recoverable={recoverable}: proc {p} allocated \
+                    "{scheme:?} w={w} {mode:?}: proc {p} allocated \
                      {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
                 );
             }
@@ -152,7 +170,7 @@ fn a_reused_machine_stays_allocation_quiet() {
 #[test]
 fn unpack_execute_is_allocation_free_in_steady_state() {
     for pattern in [mask(), MaskPattern::Full, MaskPattern::FirstHalf] {
-        for (w, recoverable) in CASES {
+        for (w, mode) in CASES {
             for scheme in UnpackScheme::ALL {
                 let d = desc(w);
                 let opts = UnpackOptions::new(scheme);
@@ -162,7 +180,7 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
                 };
                 let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
                 let (dr, o, vlr) = (&d, &opts, &vl);
-                let out = run(recoverable, move |proc| {
+                let out = run(mode, move |proc| {
                     let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
                     let f = local_from_fn(dr, proc.id(), |_| -1i32);
                     let v: Vec<i32> = (0..vlr.local_len(proc.id()))
@@ -190,7 +208,7 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
                     assert_eq!(
                         (allocs, bytes),
                         (0, 0),
-                        "{pattern:?} {scheme:?} w={w} recoverable={recoverable}: proc {p} \
+                        "{pattern:?} {scheme:?} w={w} {mode:?}: proc {p} \
                          allocated {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
                     );
                 }
@@ -200,9 +218,7 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
 }
 
 /// Fault-free pooled execution never deep-copies a payload: the
-/// `payload.clone_words` counter stays zero even with metrics on (metrics
-/// runs allocate for bookkeeping, so this is a separate, counter-only
-/// assertion).
+/// `payload.clone_words` counter stays zero.
 #[test]
 fn fault_free_execution_never_clones_payloads() {
     let d = desc(4);

@@ -30,6 +30,10 @@ pub enum RedistMode {
     Detected,
 }
 
+/// The largest global element count [`RedistMode::Indexed`] can move: its
+/// pairs carry the global linear index as one `u32` word.
+const INDEXED_LIMIT: u64 = 1 << 32;
+
 /// Move a distributed array from layout `src` to layout `dst`.
 ///
 /// Every processor calls this with its local data under `src`; it returns
@@ -41,8 +45,9 @@ pub enum RedistMode {
 /// exchange to [`Category::RedistComm`].
 ///
 /// # Panics
-/// Panics on shape or processor-count mismatch, or if `local`'s length is
-/// not `src.local_len(proc.id())`.
+/// Panics on shape or processor-count mismatch, if `local`'s length is
+/// not `src.local_len(proc.id())`, or in [`RedistMode::Indexed`] on an
+/// array of more than 2³² elements.
 pub fn redistribute<T: Wire + Default>(
     proc: &mut Proc,
     src: &ArrayDesc,
@@ -61,6 +66,17 @@ pub fn redistribute<T: Wire + Default>(
         dst.grid().nprocs(),
         "source and target must use the same processor count"
     );
+    if mode == RedistMode::Indexed {
+        // The one checked narrowing: every `glin as u32` below casts an
+        // index this bound has put in range.
+        let dims = (0..src.ndims()).map(|i| src.dim(i).n());
+        let n = dims.fold(1usize, usize::saturating_mul) as u64;
+        assert!(
+            n <= INDEXED_LIMIT,
+            "the array has {n} elements, more than the {INDEXED_LIMIT} \
+             RedistMode::Indexed can index with a u32"
+        );
+    }
     let me = proc.id();
     assert_eq!(local.len(), src.local_len(me), "local data length mismatch");
 
@@ -313,6 +329,20 @@ mod tests {
             )
         });
         assert_eq!(GlobalArray::assemble(&dst, &out.results), a);
+    }
+
+    /// Descriptor only: the count is checked before anything is sized by it.
+    #[test]
+    #[should_panic(expected = "more than the 4294967296 RedistMode::Indexed can index")]
+    fn indexed_mode_refuses_what_a_u32_index_cannot_reach() {
+        let grid = ProcGrid::line(2);
+        let src = ArrayDesc::new(&[1 << 33], &grid, &[Dist::Block]).unwrap();
+        let dst = ArrayDesc::new(&[1 << 33], &grid, &[Dist::Cyclic]).unwrap();
+        Machine::new(grid.clone(), CostModel::cm5()).run(|proc| {
+            let none: [i32; 0] = [];
+            let (mode, schedule) = (RedistMode::Indexed, A2aSchedule::LinearPermutation);
+            redistribute(proc, &src, &dst, &none, mode, schedule)
+        });
     }
 
     #[test]

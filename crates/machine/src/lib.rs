@@ -63,9 +63,9 @@ pub use error::MachineError;
 pub use fault::{FaultPlan, LinkFaults};
 pub use machine::Machine;
 pub use message::{Mailbox, Packet, Payload, Wire};
-pub use obs::{Event, EventKind, MemAccount, MetricsSnapshot, WallProfile, WallProfiler, WallSpan};
+pub use obs::{Event, EventKind, MemAccount, WallProfile, WallProfiler, WallSpan};
 pub use pool::{fresh_pool_key, BufferPool, PoolSlot, Reusable};
 pub use proc::{tags, Group, Proc};
 pub use recovery::{Checkpoint, RecoveryStats};
-pub use report::{Breakdown, RunOutput};
+pub use report::{Breakdown, MetricsSnapshot, RunOutput};
 pub use topology::ProcGrid;

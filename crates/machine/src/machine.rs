@@ -75,7 +75,7 @@ type ProcOk<R> = (
     Vec<crate::trace::Span>,
     Vec<u64>,
     Vec<crate::obs::Event>,
-    crate::obs::MetricsSnapshot,
+    crate::report::MetricsSnapshot,
     crate::obs::WallProfile,
 );
 
@@ -167,9 +167,8 @@ impl Machine {
         self
     }
 
-    /// Enable per-processor metric registries (counters, gauges, log₂
-    /// histograms — see [`crate::obs`]), collected into
-    /// [`RunOutput::metrics`].
+    /// Keep per-processor metrics (counters and gauges — see
+    /// [`crate::obs`]), collected into [`RunOutput::metrics`].
     pub fn with_metrics(mut self, metrics: bool) -> Self {
         self.metrics = metrics;
         self

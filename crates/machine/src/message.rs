@@ -19,10 +19,11 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cost::Words;
-use crate::obs::Gauge;
+use crate::obs::{MemAccount, ProcMetrics};
 
 /// A sender-side memory charge riding with a packet: the payload's bytes
 /// are added to the owning sender's `mem.payload.cur` gauge on creation
@@ -31,21 +32,28 @@ use crate::obs::Gauge;
 /// checkpoints all share it by refcount, so the payload is charged exactly
 /// once, at the owning sender, for exactly as long as any copy is alive.
 pub(crate) struct PayloadCharge {
-    gauge: Arc<Gauge>,
+    released: Arc<AtomicU64>,
     bytes: u64,
 }
 
 impl PayloadCharge {
-    /// Charge `bytes` against `gauge`, releasing on drop.
-    pub(crate) fn new(gauge: Arc<Gauge>, bytes: u64) -> Self {
-        gauge.add(bytes);
-        PayloadCharge { gauge, bytes }
+    /// Charge `bytes` to the payload account of `metrics`, releasing on
+    /// drop. Only a charge can raise the peak and only the owner charges,
+    /// so the releases since the last one are folded in here.
+    pub(crate) fn new(metrics: &mut ProcMetrics, bytes: u64) -> Self {
+        let released = metrics.payload_released.swap(0, Ordering::Relaxed);
+        let gauge = &mut metrics.mem[MemAccount::Payload as usize];
+        gauge.set(gauge.last.saturating_sub(released) + bytes);
+        PayloadCharge {
+            released: Arc::clone(&metrics.payload_released),
+            bytes,
+        }
     }
 }
 
 impl Drop for PayloadCharge {
     fn drop(&mut self) {
-        self.gauge.sub(self.bytes);
+        self.released.fetch_add(self.bytes, Ordering::Relaxed);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Observability: structured event tracing and a metrics registry.
+//! Observability: structured event tracing and per-processor metrics.
 //!
 //! The category spans of [`crate::trace`] answer *where did simulated time
 //! go*; this module answers *what happened*. When a machine is built with
@@ -11,11 +11,10 @@
 //! Perfetto or `chrome://tracing`, alongside the existing text Gantt.
 //!
 //! Independently, a machine built with metrics enabled gives each processor
-//! a registry of named counters, gauges, and log₂-bucketed histograms
-//! (message sizes, retry latencies, mailbox depths, per-stage durations).
-//! Updates are lock-free (relaxed atomics; registration of a new name takes
-//! a short mutex, once). Per-processor snapshots are aggregated into
-//! [`crate::RunOutput`] and rendered as a human summary or JSON.
+//! one plain struct of counters and gauges ([`ProcMetrics`]): a processor
+//! is run by one carrier at a time, so an update is an add through `&mut`.
+//! Each is frozen into a [`MetricsSnapshot`] when its processor retires,
+//! and [`crate::RunOutput`] holds and merges them.
 //!
 //! Both facilities are disabled by default and cost one branch per send /
 //! receive / stage transition when off.
@@ -23,8 +22,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use crate::report::{GaugeValue, MetricsSnapshot};
 use crate::trace::Span;
 
 /// Which observability facilities a machine enables. Both default to off;
@@ -33,7 +33,7 @@ use crate::trace::Span;
 pub struct ObsConfig {
     /// Record structured [`Event`]s (alongside the clock's category spans).
     pub events: bool,
-    /// Maintain per-processor metric registries.
+    /// Keep per-processor metrics.
     pub metrics: bool,
     /// Record wall-clock spans with a per-processor [`WallProfiler`]; see
     /// [`crate::Machine::with_wall_profiling`].
@@ -118,7 +118,7 @@ impl MemAccount {
         }
     }
 
-    /// Registry gauge name: `last` is the current bytes, `max` the peak.
+    /// Gauge name: `last` is the current bytes, `max` the peak.
     pub fn gauge_name(self) -> &'static str {
         match self {
             MemAccount::Mailbox => "mem.mailbox.cur",
@@ -268,467 +268,118 @@ pub(crate) enum TransportEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics primitives
+// Metrics
 // ---------------------------------------------------------------------------
 
-/// A monotonically increasing counter. Increments are single relaxed
-/// atomic adds — lock-free and wait-free.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+/// Counters named by the code that bumps them ([`ProcMetrics::add`]); a
+/// snapshot holds the ones its processor touched.
+const NAMED_COUNTERS: [&str; 9] = [
+    "alloc.bytes",
+    "alloc.count",
+    "plan.cache.hit",
+    "plan.cache.miss",
+    "recovery.epochs",
+    "recovery.replayed_frames",
+    "recovery.replay_ms",
+    "recovery.replays",
+    "sched.wakes_filtered",
+];
 
-impl Counter {
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Overwrite the value — only for checkpoint restore, where the
-    /// counter must return to exactly its boundary value even if the
-    /// respawned processor already re-incremented it.
-    pub(crate) fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
+/// One processor's metrics: plain fields, updated through `&mut` by
+/// whichever carrier runs the processor. A checkpoint is a copy, a restore
+/// an assignment, and the names appear once, in [`ProcMetrics::snapshot`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProcMetrics {
+    pub(crate) msg_sent: u64,
+    pub(crate) msg_recvd: u64,
+    /// Every frame this processor put on a ring, where `msg_sent` counts
+    /// charged messages only: zero-word data and uncharged control too,
+    /// and — added when the processor retires — what its transport sent.
+    pub(crate) msg_frames: u64,
+    pub(crate) mailbox_depth: GaugeValue,
+    pub(crate) retransmits: u64,
+    pub(crate) dup_drops: u64,
+    pub(crate) clone_words: u64,
+    /// Calls to `Proc::park`, the ones that slept and were woken, and the
+    /// wake-ups after which a wait still lacked what it waits for and
+    /// parked again: the interleaving as this processor saw it.
+    pub(crate) parks: u64,
+    pub(crate) wakes: u64,
+    pub(crate) spurious_wakes: u64,
+    /// Memory gauges by `MemAccount as usize`: `last` = current bytes,
+    /// `max` = peak (DESIGN.md §13). The payload slot's `last` is the level
+    /// as of the latest charge; what was released since is in
+    /// `payload_released`.
+    pub(crate) mem: [GaugeValue; MemAccount::ALL.len()],
+    /// Payload bytes released since the latest charge: the one value
+    /// written from other carriers, because the last copy of a packet — and
+    /// with it the sender's [`crate::message::PayloadCharge`] — drops
+    /// wherever it was consumed last. Relaxed: a statistic that publishes
+    /// no other data.
+    pub(crate) payload_released: Arc<AtomicU64>,
+    named: BTreeMap<&'static str, u64>,
 }
 
-/// A gauge: remembers the last value set and the maximum ever set.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    last: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Gauge {
-    /// Record the instantaneous value `v`.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.last.store(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+impl ProcMetrics {
+    /// Add `n` to the library-named counter `name`, which from then on
+    /// appears in the snapshot (a zero included).
+    pub(crate) fn add(&mut self, name: &'static str, n: u64) {
+        debug_assert!(NAMED_COUNTERS.contains(&name), "{name}: not in the table");
+        *self.named.entry(name).or_insert(0) += n;
     }
 
-    /// `(last, max)` as currently recorded.
-    pub fn get(&self) -> (u64, u64) {
-        (
-            self.last.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
+    /// The memory gauges, the payload account at its current level.
+    fn mem_now(&self) -> [GaugeValue; MemAccount::ALL.len()] {
+        let mut mem = self.mem;
+        let payload = &mut mem[MemAccount::Payload as usize].last;
+        *payload = payload.saturating_sub(self.payload_released.load(Ordering::Relaxed));
+        mem
     }
 
-    /// Add `n` to the current value (memory-account charging). One relaxed
-    /// fetch-add plus a max update — lock-free like `set`.
-    #[inline]
-    pub(crate) fn add(&self, n: u64) {
-        let now = self.last.fetch_add(n, Ordering::Relaxed) + n;
-        self.max.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Subtract `n` from the current value, saturating at zero (a release
-    /// may race a checkpoint restore that already zeroed the gauge).
-    #[inline]
-    pub(crate) fn sub(&self, n: u64) {
-        let _ = self
-            .last
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-    }
-
-    /// Overwrite both fields — only for checkpoint restore (a `set` could
-    /// not lower `max` back to its boundary value).
-    pub(crate) fn restore(&self, last: u64, max: u64) {
-        self.last.store(last, Ordering::Relaxed);
-        self.max.store(max, Ordering::Relaxed);
-    }
-}
-
-/// Number of log₂ buckets: bucket 0 holds the value 0; bucket `b ≥ 1` holds
-/// values in `[2^(b-1), 2^b)`; the last bucket additionally absorbs
-/// everything at or above `2^63`.
-pub const HIST_BUCKETS: usize = 65;
-
-/// A log₂-scaled histogram of `u64` samples (message words, latencies in
-/// µs, queue depths, stage durations). Observation is one relaxed atomic
-/// add into the sample's bucket plus count/sum upkeep — lock-free.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Bucket index of a sample: 0 for 0, else `1 + floor(log₂ v)`.
-#[inline]
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
-}
-
-impl Histogram {
-    /// Record one sample.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Reload a snapshot into this histogram — the inverse of
-    /// [`Histogram::snapshot`], used when a crashed processor's registry is
-    /// rebuilt from its epoch checkpoint. A true overwrite: buckets absent
-    /// from the snapshot are zeroed, so samples observed by a respawned
-    /// processor's pre-restore re-execution don't survive.
-    pub(crate) fn restore(&self, s: &HistSnapshot) {
-        self.count.store(s.count, Ordering::Relaxed);
-        self.sum.store(s.sum, Ordering::Relaxed);
-        self.max.store(s.max, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        for &(b, n) in &s.buckets {
-            self.buckets[b as usize].store(n, Ordering::Relaxed);
+    /// A copy for an epoch checkpoint, complete in itself: the payload
+    /// account at its current level over a release counter of its own, so
+    /// charges the crashed incarnation left behind release into the old one.
+    pub(crate) fn checkpoint(&self) -> ProcMetrics {
+        ProcMetrics {
+            mem: self.mem_now(),
+            payload_released: Arc::default(),
+            ..self.clone()
         }
     }
 
-    /// Freeze into a snapshot.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then_some((i as u8, n))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Immutable histogram snapshot: only non-empty buckets are kept.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// `(bucket index, sample count)` for each non-empty bucket, ascending.
-    pub buckets: Vec<(u8, u64)>,
-}
-
-impl HistSnapshot {
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Merge another snapshot into this one, bucket-wise.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for &(b, n) in &other.buckets {
-            match self.buckets.binary_search_by_key(&b, |&(i, _)| i) {
-                Ok(pos) => self.buckets[pos].1 += n,
-                Err(pos) => self.buckets.insert(pos, (b, n)),
-            }
-        }
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`) from the bucket boundaries:
-    /// returns the upper bound of the bucket containing the `q`-th sample.
-    pub(crate) fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(b, n) in &self.buckets {
-            seen += n;
-            if seen >= target {
-                return if b == 0 { 0 } else { 1u64 << b.min(63) };
-            }
-        }
-        self.max
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-/// A named-metric registry. Looking up (or creating) a metric by name takes
-/// a short mutex; the returned handle updates lock-free, so hot paths hold
-/// handles and never touch the maps. One registry per processor — snapshots
-/// are merged across processors by [`MetricsSnapshot::merge`].
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or create the counter `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("registry poisoned");
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::default());
-        map.insert(name.to_string(), Arc::clone(&c));
-        c
-    }
-
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("registry poisoned");
-        if let Some(g) = map.get(name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::default());
-        map.insert(name.to_string(), Arc::clone(&g));
-        g
-    }
-
-    /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("registry poisoned");
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::default());
-        map.insert(name.to_string(), Arc::clone(&h));
-        h
-    }
-
-    /// Reload a snapshot into this registry — the inverse of
-    /// [`Registry::snapshot`], used when a crashed processor is respawned
-    /// from its epoch checkpoint so its metrics resume from the boundary
-    /// values instead of zero. A true overwrite: every already-registered
-    /// metric is zeroed first, because a respawned processor re-executes
-    /// (and re-counts) work preceding its restore point.
-    pub(crate) fn restore(&self, s: &MetricsSnapshot) {
-        for c in self.counters.lock().expect("registry poisoned").values() {
-            c.set(0);
-        }
-        for g in self.gauges.lock().expect("registry poisoned").values() {
-            g.restore(0, 0);
-        }
-        for h in self.histograms.lock().expect("registry poisoned").values() {
-            h.restore(&HistSnapshot::default());
-        }
-        for (k, v) in &s.counters {
-            self.counter(k).set(*v);
-        }
-        for (k, v) in &s.gauges {
-            self.gauge(k).restore(v.last, v.max);
-        }
-        for (k, h) in &s.histograms {
-            self.histogram(k).restore(h);
-        }
-    }
-
-    /// Freeze every registered metric into a snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Freeze into the exported form. This is the name table: every metric
+    /// name a run can report is written here or in [`NAMED_COUNTERS`], and
+    /// DESIGN.md §8 lists exactly these.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let fixed = [
+            ("msg.sent", self.msg_sent),
+            ("msg.recvd", self.msg_recvd),
+            ("msg.frames", self.msg_frames),
+            ("transport.retransmits", self.retransmits),
+            ("transport.dup_drops", self.dup_drops),
+            ("payload.clone_words", self.clone_words),
+            ("sched.parks", self.parks),
+            ("sched.wakes", self.wakes),
+            ("sched.spurious_wakes", self.spurious_wakes),
+        ];
+        let mem = self.mem_now();
+        let gauges = MemAccount::ALL.map(|a| (a.gauge_name(), mem[a as usize]));
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+            counters: (fixed.iter().copied())
+                .chain(self.named.iter().map(|(k, v)| (*k, *v)))
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| {
-                    let (last, max) = v.get();
-                    (k.clone(), GaugeValue { last, max })
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+            gauges: (gauges.iter().copied())
+                .chain([("mailbox.depth", self.mailbox_depth)])
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
         }
-    }
-}
-
-/// A gauge's frozen state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaugeValue {
-    /// Last value set.
-    pub last: u64,
-    /// Maximum value ever set.
-    pub max: u64,
-}
-
-/// All of one processor's metrics, frozen at the end of a run (or the merge
-/// of several processors' snapshots).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, GaugeValue>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Merge `other` into `self`: counters add, gauges keep the overall
-    /// maximum (and the maximum of lasts), histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k.clone()).or_default();
-            e.last = e.last.max(v.last);
-            e.max = e.max.max(v.max);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(v);
-        }
-    }
-
-    /// Value of counter `name` (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Human-readable multi-line summary, stable order.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "{k} = {v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(out, "{k} = {} (max {})", v.last, v.max);
-        }
-        for (k, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{k}: n={} mean={:.1} p50~{} p99~{} max={}",
-                h.count,
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                h.max
-            );
-        }
-        out
-    }
-
-    /// Render as a JSON object (stable key order; no external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        push_map(&mut out, &self.counters, |out, v| {
-            let _ = write!(out, "{v}");
-        });
-        out.push_str("},\"gauges\":{");
-        push_map(&mut out, &self.gauges, |out, v| {
-            let _ = write!(out, "{{\"last\":{},\"max\":{}}}", v.last, v.max);
-        });
-        out.push_str("},\"histograms\":{");
-        push_map(&mut out, &self.histograms, |out, h| {
-            let _ = write!(
-                out,
-                "{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[",
-                h.count, h.sum, h.max
-            );
-            for (i, (b, n)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{b},{n}]");
-            }
-            out.push_str("]}");
-        });
-        out.push_str("}}");
-        out
-    }
-}
-
-fn push_map<V>(out: &mut String, map: &BTreeMap<String, V>, mut val: impl FnMut(&mut String, &V)) {
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(out, k);
-        out.push_str("\":");
-        val(out, v);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Chrome trace_event export
 // ---------------------------------------------------------------------------
-
-/// Escape a string into a JSON string body (quotes not included).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Microseconds (the trace_event unit) from nanoseconds.
 #[inline]
@@ -1395,90 +1046,100 @@ pub fn chrome_trace_json_with_wall(
 mod tests {
     use super::*;
     use crate::cost::Category;
+    use crate::message::PayloadCharge;
 
     #[test]
-    fn buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
+    fn snapshot_reports_fields_gauges_and_touched_names() {
+        let mut m = ProcMetrics {
+            msg_sent: 3,
+            ..ProcMetrics::default()
+        };
+        m.mailbox_depth.set(5);
+        m.mailbox_depth.set(2);
+        let first = PayloadCharge::new(&mut m, 64);
+        drop(first);
+        let _held = PayloadCharge::new(&mut m, 40);
+        m.add("plan.cache.hit", 0);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("msg.sent"), 3);
+        assert_eq!(snap.counters.get("plan.cache.hit"), Some(&0));
+        assert!(!snap.counters.contains_key("plan.cache.miss"));
+        assert_eq!(snap.gauges["mailbox.depth"], GaugeValue { last: 2, max: 5 });
+        assert_eq!(
+            snap.gauges["mem.payload.cur"],
+            GaugeValue { last: 40, max: 64 }
+        );
     }
 
+    /// A checkpoint stands alone: what the crashed incarnation still held
+    /// releases into the crashed incarnation's counter, not into the copy
+    /// its successor resumes from.
     #[test]
-    fn histogram_snapshot_and_merge() {
-        let h = Histogram::default();
-        for v in [0, 1, 1, 5, 1000] {
-            h.observe(v);
-        }
-        let mut a = h.snapshot();
-        assert_eq!(a.count, 5);
-        assert_eq!(a.sum, 1007);
-        assert_eq!(a.max, 1000);
-        assert_eq!(a.buckets, vec![(0, 1), (1, 2), (3, 1), (10, 1)]);
-
-        let h2 = Histogram::default();
-        h2.observe(6);
-        h2.observe(2000);
-        a.merge(&h2.snapshot());
-        assert_eq!(a.count, 7);
-        assert_eq!(a.max, 2000);
-        assert_eq!(a.buckets, vec![(0, 1), (1, 2), (3, 2), (10, 1), (11, 1)]);
-        // Median of {0,1,1,5,6,1000,2000} is 5 → bucket 3 upper bound 8.
-        assert_eq!(a.quantile(0.5), 8);
-        assert_eq!(a.quantile(0.0), 0);
-    }
-
-    #[test]
-    fn registry_handles_are_shared() {
-        let r = Registry::new();
-        let c1 = r.counter("x");
-        let c2 = r.counter("x");
-        c1.inc();
-        c2.add(2);
-        assert_eq!(r.snapshot().counter("x"), 3);
-        let g = r.gauge("depth");
-        g.set(5);
-        g.set(2);
-        let snap = r.snapshot();
-        assert_eq!(snap.gauges["depth"], GaugeValue { last: 2, max: 5 });
+    fn a_checkpoint_shares_nothing_with_the_metrics_it_copied() {
+        let mut old = ProcMetrics {
+            msg_sent: 7,
+            ..ProcMetrics::default()
+        };
+        old.add("recovery.epochs", 1);
+        let held = PayloadCharge::new(&mut old, 100);
+        let resumed = old.checkpoint();
+        drop(held);
+        assert_eq!(old.snapshot().gauges["mem.payload.cur"].last, 0);
+        let snap = resumed.snapshot();
+        assert_eq!(snap.counter("msg.sent"), 7);
+        assert_eq!(snap.counter("recovery.epochs"), 1);
+        assert_eq!(
+            snap.gauges["mem.payload.cur"],
+            GaugeValue {
+                last: 100,
+                max: 100
+            }
+        );
     }
 
     #[test]
     fn snapshot_merge_adds_counters_and_maxes_gauges() {
-        let a = Registry::new();
-        a.counter("n").add(2);
-        a.gauge("g").set(7);
-        let b = Registry::new();
-        b.counter("n").add(3);
-        b.counter("only_b").inc();
-        b.gauge("g").set(4);
+        let sent = |msg_sent| ProcMetrics {
+            msg_sent,
+            ..ProcMetrics::default()
+        };
+        let (mut a, mut b) = (sent(2), sent(3));
+        a.mailbox_depth.set(7);
+        b.add("plan.cache.hit", 1);
+        b.mailbox_depth.set(4);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
-        assert_eq!(m.counter("n"), 5);
-        assert_eq!(m.counter("only_b"), 1);
-        assert_eq!(m.gauges["g"].max, 7);
+        assert_eq!(m.counter("msg.sent"), 5);
+        assert_eq!(m.counter("plan.cache.hit"), 1);
+        assert_eq!(m.gauges["mailbox.depth"].max, 7);
     }
 
+    /// DESIGN.md §8 "Metrics taxonomy" and the name table agree: every
+    /// backticked name in the first column of its table is a name a
+    /// snapshot can hold, and the other way round.
     #[test]
-    fn metrics_json_is_well_formed() {
-        let r = Registry::new();
-        r.counter("msg.sent").add(4);
-        r.histogram("msg.words").observe(16);
-        let json = r.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"msg.sent\":4"), "{json}");
-        assert!(json.contains("\"buckets\":[[5,1]]"), "{json}");
-        // Balanced braces/brackets (cheap structural check without a parser).
-        let depth = json.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+    fn design_doc_lists_exactly_the_name_table() {
+        let doc = include_str!("../../../DESIGN.md");
+        let section = doc
+            .split("### Metrics taxonomy")
+            .nth(1)
+            .and_then(|rest| rest.split("\n### ").next())
+            .expect("DESIGN.md has a Metrics taxonomy section");
+        let documented: std::collections::BTreeSet<&str> = section
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .flat_map(|l| {
+                let cell = l.split('|').nth(1).expect("a table row has a first cell");
+                cell.split('`').skip(1).step_by(2)
+            })
+            .collect();
+        let fresh = ProcMetrics::default().snapshot();
+        let table: std::collections::BTreeSet<&str> = (fresh.counters.keys())
+            .chain(fresh.gauges.keys())
+            .map(String::as_str)
+            .chain(NAMED_COUNTERS)
+            .collect();
+        assert_eq!(documented, table);
     }
 
     #[test]
@@ -1579,13 +1240,6 @@ mod tests {
             }
         }
         assert_eq!(ids.len(), 4 * 4 * 8);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -18,8 +18,7 @@ use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::{Frame, Mailbox, Packet, Payload, PayloadCharge};
 use crate::obs::{
-    Counter, Event, EventKind, Gauge, Histogram, MemAccount, MetricsSnapshot, ObsConfig, Registry,
-    TransportEvent, WallProfile, WallProfiler,
+    Event, EventKind, MemAccount, ObsConfig, ProcMetrics, TransportEvent, WallProfile, WallProfiler,
 };
 use crate::pool::{BufferPool, PoolSlot, Reusable};
 use crate::recovery::{Checkpoint, EpochSnapshot, RecoveryState, ResumeCtx};
@@ -120,56 +119,6 @@ impl Group {
     }
 }
 
-/// Hot-path metric handles, resolved once at processor start so that every
-/// update is a single lock-free atomic operation (see [`crate::obs`]).
-struct ProcMetrics {
-    registry: Registry,
-    msg_sent: Arc<Counter>,
-    msg_recvd: Arc<Counter>,
-    /// Every frame this processor put on a ring — charged data, zero-word
-    /// data, uncharged control, transport acks and retransmissions — where
-    /// `msg.sent` counts charged messages only. The transport's share is
-    /// counted through its own handle to the same counter.
-    msg_frames: Arc<Counter>,
-    msg_words: Arc<Histogram>,
-    mailbox_depth: Arc<Gauge>,
-    retransmits: Arc<Counter>,
-    dup_drops: Arc<Counter>,
-    clone_words: Arc<Counter>,
-    /// Scheduler traffic as this processor saw it: calls to [`Proc::park`],
-    /// the ones that slept and were woken, and the wake-ups after which a
-    /// wait drained its ring, still lacked what it waits for and parked
-    /// again. All three depend on the interleaving, not on the program
-    /// alone.
-    parks: Arc<Counter>,
-    wakes: Arc<Counter>,
-    spurious_wakes: Arc<Counter>,
-    /// Per-account memory gauges, indexed by `MemAccount as usize`
-    /// (`last` = current bytes, `max` = peak; see DESIGN.md §13).
-    mem: [Arc<Gauge>; MemAccount::ALL.len()],
-}
-
-impl ProcMetrics {
-    fn new() -> Self {
-        let registry = Registry::new();
-        ProcMetrics {
-            msg_sent: registry.counter("msg.sent"),
-            msg_recvd: registry.counter("msg.recvd"),
-            msg_frames: registry.counter("msg.frames"),
-            msg_words: registry.histogram("msg.words"),
-            mailbox_depth: registry.gauge("mailbox.depth"),
-            retransmits: registry.counter("transport.retransmits"),
-            dup_drops: registry.counter("transport.dup_drops"),
-            clone_words: registry.counter("payload.clone_words"),
-            parks: registry.counter("sched.parks"),
-            wakes: registry.counter("sched.wakes"),
-            spurious_wakes: registry.counter("sched.spurious_wakes"),
-            mem: MemAccount::ALL.map(|a| registry.gauge(a.gauge_name())),
-            registry,
-        }
-    }
-}
-
 /// Handle to one virtual processor inside a running SPMD program.
 pub struct Proc<'m> {
     id: usize,
@@ -190,7 +139,7 @@ pub struct Proc<'m> {
     words_to: Vec<u64>,
     /// Structured event log, present iff the machine traces.
     events: Option<Vec<Event>>,
-    /// Metric registry + cached hot-path handles, present iff enabled.
+    /// Counters and gauges, present iff the machine keeps metrics.
     metrics: Option<ProcMetrics>,
     /// Wall-clock span recorder, present iff wall profiling is enabled.
     /// Strictly wall-side: it never reads or charges the simulated clock.
@@ -229,10 +178,8 @@ impl<'m> Proc<'m> {
         let mut transport = plan
             .filter(|p| !p.is_benign())
             .map(|p| Transport::new(p, nprocs));
-        let metrics = obs.metrics.then(ProcMetrics::new);
         if let Some(t) = transport.as_mut() {
             t.record = !obs.is_off();
-            t.frames = metrics.as_ref().map(|m| Arc::clone(&m.msg_frames));
         }
         let mut proc = Proc {
             id,
@@ -245,7 +192,7 @@ impl<'m> Proc<'m> {
             transport,
             words_to: vec![0; nprocs],
             events: obs.events.then(Vec::new),
-            metrics,
+            metrics: obs.metrics.then(ProcMetrics::default),
             wall: obs.wall.then(WallProfiler::new),
             pool: BufferPool::default(),
             pkt_scratch: Vec::with_capacity(nprocs.min(PKT_SCRATCH_RESERVE)),
@@ -374,12 +321,12 @@ impl<'m> Proc<'m> {
             },
         );
         if owner == self.id {
-            if let Some(m) = self.metrics.as_ref() {
-                let g = &m.mem[account as usize];
+            if let Some(m) = self.metrics.as_mut() {
+                let g = &mut m.mem[account as usize];
                 if delta_bytes >= 0 {
-                    g.add(delta_bytes as u64);
+                    g.set(g.last + delta_bytes as u64);
                 } else {
-                    g.sub(delta_bytes.unsigned_abs());
+                    g.last = g.last.saturating_sub(delta_bytes.unsigned_abs());
                 }
             }
         }
@@ -410,8 +357,7 @@ impl<'m> Proc<'m> {
 
     /// Run `f` as the named algorithm stage. When tracing is on, the stage
     /// is bracketed by [`EventKind::SpanBegin`]/[`EventKind::SpanEnd`]
-    /// events; when metrics are on, its simulated duration is observed in
-    /// the `stage.<name>.us` histogram. One branch each when both are off.
+    /// events; one branch when it is off.
     ///
     /// Stage names are `"."`-separated and stable — they are the join key
     /// between traces, metrics, perf reports, and the paper's section
@@ -427,10 +373,9 @@ impl<'m> Proc<'m> {
         self.wall_span(name, |p| p.with_stage_sim(name, f))
     }
 
-    /// The simulated half of [`Proc::with_stage`]: event spans and the
-    /// stage-duration histogram.
+    /// The simulated half of [`Proc::with_stage`]: the event span.
     fn with_stage_sim<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        if self.events.is_none() && self.metrics.is_none() {
+        if self.events.is_none() {
             return f(self);
         }
         let t0 = self.clock.now_ns();
@@ -438,12 +383,6 @@ impl<'m> Proc<'m> {
         let out = f(self);
         let t1 = self.clock.now_ns();
         self.record(t1, EventKind::SpanEnd { name });
-        if let Some(m) = self.metrics.as_ref() {
-            let us = ((t1 - t0) / 1000.0).max(0.0) as u64;
-            m.registry
-                .histogram(&format!("stage.{name}.us"))
-                .observe(us);
-        }
         out
     }
 
@@ -488,13 +427,14 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// Increment the named counter in the metrics registry by `n` (no-op
-    /// unless the machine was built with metrics). Library layers use this
-    /// for algorithm-level counters (e.g. `plan.cache.hit`) that surface in
-    /// [`crate::RunOutput::merged_metrics`] next to the transport counters.
-    pub fn inc_counter(&mut self, name: &str, n: u64) {
-        if let Some(m) = self.metrics.as_ref() {
-            m.registry.counter(name).add(n);
+    /// Increment the named counter by `n` (no-op unless the machine was
+    /// built with metrics). Library layers use this for algorithm-level
+    /// counters (e.g. `plan.cache.hit`) that surface in
+    /// [`crate::RunOutput::merged_metrics`] next to the transport counters;
+    /// `name` must be one DESIGN.md §8 lists.
+    pub fn inc_counter(&mut self, name: &'static str, n: u64) {
+        if let Some(m) = self.metrics.as_mut() {
+            m.add(name, n);
         }
     }
 
@@ -518,8 +458,8 @@ impl<'m> Proc<'m> {
             match ev {
                 TransportEvent::Retransmit(dst, seq, attempt) => {
                     self.record(now, EventKind::Retransmit { dst, seq, attempt });
-                    if let Some(m) = self.metrics.as_ref() {
-                        m.retransmits.inc();
+                    if let Some(m) = self.metrics.as_mut() {
+                        m.retransmits += 1;
                     }
                 }
                 TransportEvent::DupDrop(src, seq, arrival_ns) => {
@@ -529,8 +469,8 @@ impl<'m> Proc<'m> {
                         now
                     };
                     self.record(at, EventKind::DupDrop { src, seq });
-                    if let Some(m) = self.metrics.as_ref() {
-                        m.dup_drops.inc();
+                    if let Some(m) = self.metrics.as_mut() {
+                        m.dup_drops += 1;
                     }
                 }
                 TransportEvent::Verdict(dst, seq, verdict) => {
@@ -624,11 +564,10 @@ impl<'m> Proc<'m> {
         // replay log) shares one `Arc<PayloadCharge>`, so the sender stays
         // charged until the last copy drops — refcount-truthful, like the
         // memory it models.
-        let charge = match self.metrics.as_ref() {
-            Some(m) if owned && words > 0 => Some(Arc::new(PayloadCharge::new(
-                Arc::clone(&m.mem[MemAccount::Payload as usize]),
-                words as u64 * 4,
-            ))),
+        let charge = match self.metrics.as_mut() {
+            Some(m) if owned && words > 0 => {
+                Some(Arc::new(PayloadCharge::new(m, words as u64 * 4)))
+            }
             _ => None,
         };
         let pkt = Packet {
@@ -710,9 +649,8 @@ impl<'m> Proc<'m> {
                 let now = self.clock.now_ns();
                 self.mem_sample(MemAccount::ReplayLog, dst, now, bytes);
             }
-            if let Some(m) = self.metrics.as_ref() {
-                m.msg_sent.inc();
-                m.msg_words.observe(words as u64);
+            if let Some(m) = self.metrics.as_mut() {
+                m.msg_sent += 1;
             }
         }
         // The first transmission attempt may already have drawn a fault
@@ -762,8 +700,8 @@ impl<'m> Proc<'m> {
             Ok(arc) => match Arc::try_unwrap(arc) {
                 Ok(v) => v,
                 Err(shared) => {
-                    if let Some(m) = self.metrics.as_ref() {
-                        m.clone_words.add(words as u64);
+                    if let Some(m) = self.metrics.as_mut() {
+                        m.clone_words += words as u64;
                     }
                     *(*shared)
                         .clone_payload()
@@ -847,10 +785,10 @@ impl<'m> Proc<'m> {
         let sched = Arc::clone(&self.sched);
         let id = self.id;
         let outcome = self.wall_span("sched.park", |_| sched.park(id, key, retry, awaits));
-        if let Some(m) = self.metrics.as_ref() {
-            m.parks.inc();
+        if let Some(m) = self.metrics.as_mut() {
+            m.parks += 1;
             if outcome == ParkOutcome::Woken {
-                m.wakes.inc();
+                m.wakes += 1;
             }
         }
         outcome
@@ -894,8 +832,8 @@ impl<'m> Proc<'m> {
                 }
             }
             if outcome == ParkOutcome::Woken {
-                if let Some(m) = self.metrics.as_ref() {
-                    m.spurious_wakes.inc();
+                if let Some(m) = self.metrics.as_mut() {
+                    m.spurious_wakes += 1;
                 }
             }
             // A frame enqueued (or a slot returned) between the last probe
@@ -987,8 +925,8 @@ impl<'m> Proc<'m> {
                 },
             );
         }
-        if let Some(m) = self.metrics.as_ref() {
-            m.msg_recvd.inc();
+        if let Some(m) = self.metrics.as_mut() {
+            m.msg_recvd += 1;
         }
         // Packet bytes now sit in the mailbox until a program-level receive
         // consumes them (released in `observe_consume`), charged at the
@@ -1004,7 +942,7 @@ impl<'m> Proc<'m> {
     /// Sample the mailbox backlog gauge (after a delivery).
     #[inline]
     fn note_mailbox_depth(&mut self) {
-        if let Some(m) = self.metrics.as_ref() {
+        if let Some(m) = self.metrics.as_mut() {
             m.mailbox_depth.set(self.mailbox.len() as u64);
         }
     }
@@ -1118,8 +1056,8 @@ impl<'m> Proc<'m> {
     /// every processor has finished).
     fn send_raw(&mut self, dst: usize, pkt: Packet) {
         self.senders[dst].send_raw(pkt);
-        if let Some(m) = self.metrics.as_ref() {
-            m.msg_frames.inc();
+        if let Some(m) = self.metrics.as_mut() {
+            m.msg_frames += 1;
         }
     }
 
@@ -1204,8 +1142,8 @@ impl<'m> Proc<'m> {
                 },
             );
         }
-        if let Some(m) = self.metrics.as_ref() {
-            let g = &m.mem[MemAccount::ReplayLog as usize];
+        if let Some(m) = self.metrics.as_mut() {
+            let g = &mut m.mem[MemAccount::ReplayLog as usize];
             g.set(log_before * 4);
             g.set(log_after * 4);
         }
@@ -1218,13 +1156,13 @@ impl<'m> Proc<'m> {
                 transport: self.transport.as_ref().map(|t| t.snapshot()),
                 words_to: self.words_to.clone(),
                 events: self.events.clone().unwrap_or_default(),
-                metrics: self.metrics.as_ref().map(|m| m.registry.snapshot()),
+                metrics: self.metrics.as_ref().map(ProcMetrics::checkpoint),
                 pool: self.pool.snapshot(),
                 user: state.snapshot(),
             },
         );
-        if let Some(m) = self.metrics.as_ref() {
-            m.registry.counter("recovery.epochs").inc();
+        if let Some(m) = self.metrics.as_mut() {
+            m.add("recovery.epochs", 1);
         }
     }
 
@@ -1245,8 +1183,8 @@ impl<'m> Proc<'m> {
         if let Some(ev) = self.events.as_mut() {
             *ev = snap.events;
         }
-        if let (Some(m), Some(ms)) = (self.metrics.as_ref(), snap.metrics.as_ref()) {
-            m.registry.restore(ms);
+        if let (Some(m), Some(ms)) = (self.metrics.as_mut(), snap.metrics) {
+            *m = ms;
         }
         self.pool.restore(&snap.pool);
         state.restore(snap.user);
@@ -1302,12 +1240,10 @@ impl<'m> Proc<'m> {
                 name: "recovery.replay",
             },
         );
-        if let Some(mtr) = self.metrics.as_ref() {
-            mtr.registry.counter("recovery.replays").inc();
-            mtr.registry.counter("recovery.replayed_frames").add(frames);
-            mtr.registry
-                .counter("recovery.replay_ms")
-                .add((modelled_ns / 1e6).round() as u64);
+        if let Some(mtr) = self.metrics.as_mut() {
+            mtr.add("recovery.replays", 1);
+            mtr.add("recovery.replayed_frames", frames);
+            mtr.add("recovery.replay_ms", (modelled_ns / 1e6).round() as u64);
         }
     }
 
@@ -1381,23 +1317,22 @@ impl<'m> Proc<'m> {
         Vec<u64>,
         FrameReceiver,
         Vec<Event>,
-        MetricsSnapshot,
+        crate::report::MetricsSnapshot,
         WallProfile,
     ) {
         self.drain_transport_events();
         if let Some(t) = self.transport.as_ref() {
             self.clock.note_transport(t.retransmits, t.dup_drops);
         }
-        if let Some(m) = self.metrics.as_ref() {
-            m.registry
-                .counter("sched.wakes_filtered")
-                .add(self.sched.wakes_filtered(self.id));
+        if let Some(m) = self.metrics.as_mut() {
+            m.msg_frames += self.transport.as_ref().map_or(0, |t| t.frames);
+            m.add("sched.wakes_filtered", self.sched.wakes_filtered(self.id));
         }
         let events = self.events.take().unwrap_or_default();
         let metrics = self
             .metrics
             .take()
-            .map(|m| m.registry.snapshot())
+            .map(|m| m.snapshot())
             .unwrap_or_default();
         let wall = self
             .wall
@@ -1534,9 +1469,9 @@ impl<'m> Proc<'m> {
     /// `alloc.count` / `alloc.bytes` counters (no-op without metrics; zeros
     /// unless the binary installs [`crate::alloc_counter::CountingAllocator`]).
     pub(crate) fn note_alloc_totals(&mut self, count: u64, bytes: u64) {
-        if let Some(m) = self.metrics.as_ref() {
-            m.registry.counter("alloc.count").add(count);
-            m.registry.counter("alloc.bytes").add(bytes);
+        if let Some(m) = self.metrics.as_mut() {
+            m.add("alloc.count", count);
+            m.add("alloc.bytes", bytes);
         }
     }
 }

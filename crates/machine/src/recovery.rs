@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 use crate::cost::SimClock;
 use crate::message::{Mailbox, Packet};
-use crate::obs::{Event, MetricsSnapshot};
+use crate::obs::{Event, ProcMetrics};
 use crate::pool::PoolSnapshot;
 use crate::reliable::TransportSnapshot;
 
@@ -72,8 +72,8 @@ pub(crate) struct EpochSnapshot {
     pub(crate) words_to: Vec<u64>,
     /// Structured event log so far (empty unless tracing).
     pub(crate) events: Vec<Event>,
-    /// Metric registry snapshot (None unless metrics are on).
-    pub(crate) metrics: Option<MetricsSnapshot>,
+    /// A copy of the metrics (None unless metrics are on).
+    pub(crate) metrics: Option<ProcMetrics>,
     /// Buffer-pool slot rotation (which slot each entry hands out next).
     pub(crate) pool: PoolSnapshot,
     /// The program's own state, captured through [`Checkpoint`].

@@ -38,7 +38,7 @@ use crate::chan::FrameSender;
 use crate::error::MachineError;
 use crate::fault::{FaultPlan, Verdict};
 use crate::message::{Frame, Packet};
-use crate::obs::{Counter, TransportEvent};
+use crate::obs::TransportEvent;
 
 /// Transmission attempts (original + retries) before declaring the peer
 /// unreachable. With the ≤20 % per-attempt drop rates the chaos harness
@@ -93,10 +93,10 @@ pub(crate) struct Transport {
     /// drain and timestamp (the transport itself has no clock access).
     pub(crate) record: bool,
     events: Vec<TransportEvent>,
-    /// The owning processor's `msg.frames` counter, when it keeps metrics:
-    /// every data frame (first transmissions, duplicates, retransmissions)
-    /// and every ack this transport puts on a ring.
-    pub(crate) frames: Option<Arc<Counter>>,
+    /// Frames this transport put on a ring — every data frame (first
+    /// transmissions, duplicates, retransmissions) and every ack: its share
+    /// of the owning processor's `msg.frames`.
+    pub(crate) frames: u64,
 }
 
 impl Transport {
@@ -115,7 +115,7 @@ impl Transport {
             dup_drops: 0,
             record: false,
             events: Vec::new(),
-            frames: None,
+            frames: 0,
         }
     }
 
@@ -203,11 +203,13 @@ impl Transport {
     /// Put `frames` on `dst`'s ring together. The channel outlives all
     /// sends (the driver keeps receiver endpoints until every processor has
     /// finished).
-    fn put(&self, senders: &[FrameSender], dst: usize, frames: impl IntoIterator<Item = Frame>) {
-        let n = senders[dst].send_all(frames);
-        if let Some(c) = &self.frames {
-            c.add(n as u64);
-        }
+    fn put(
+        &mut self,
+        senders: &[FrameSender],
+        dst: usize,
+        frames: impl IntoIterator<Item = Frame>,
+    ) {
+        self.frames += senders[dst].send_all(frames) as u64;
     }
 
     /// Receiver side: acknowledge and order one incoming data frame.
@@ -323,6 +325,7 @@ impl Transport {
             tx_count: self.tx_count.clone(),
             send_steps: self.send_steps,
             recv_steps: self.recv_steps,
+            frames: self.frames,
         }
     }
 
@@ -336,6 +339,7 @@ impl Transport {
         self.tx_count = s.tx_count.clone();
         self.send_steps = s.send_steps;
         self.recv_steps = s.recv_steps;
+        self.frames = s.frames;
         self.unacked.clear();
         for r in &mut self.reorder {
             r.clear();
@@ -346,9 +350,9 @@ impl Transport {
     }
 }
 
-/// The reliable transport's checkpointable state: sequence counters only —
-/// see [`Transport::snapshot`] for why the retransmit machinery needs no
-/// capture at an epoch boundary.
+/// The reliable transport's checkpointable state: counters only — see
+/// [`Transport::snapshot`] for why the retransmit machinery needs no capture
+/// at an epoch boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TransportSnapshot {
     next_seq: Vec<u64>,
@@ -356,6 +360,7 @@ pub(crate) struct TransportSnapshot {
     tx_count: Vec<u64>,
     send_steps: u64,
     recv_steps: u64,
+    frames: u64,
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
-//! Aggregation of per-processor clock reports into the quantities the
-//! paper's tables report: maximum (i.e. critical-path) time per category and
-//! in total, in milliseconds.
+//! What a run reports: the aggregation of per-processor clock reports into
+//! the quantities the paper's tables report — maximum (i.e. critical-path)
+//! time per category and in total, in milliseconds — and each processor's
+//! metrics in their exported form.
+
+use std::collections::BTreeMap;
 
 use crate::cost::{Category, ClockReport};
-use crate::obs::{Event, MetricsSnapshot, WallProfile};
+use crate::obs::{Event, WallProfile};
 use crate::recovery::RecoveryStats;
 
 /// Everything a [`crate::Machine::run`] call produced: per-processor results
@@ -76,8 +79,7 @@ impl<R> RunOutput<R> {
     }
 
     /// All processors' metric snapshots merged into one (counters add,
-    /// gauges keep maxima, histograms merge bucket-wise). Empty when the
-    /// machine ran without metrics.
+    /// gauges keep maxima). Empty when the machine ran without metrics.
     pub fn merged_metrics(&self) -> MetricsSnapshot {
         let mut merged = MetricsSnapshot::default();
         for m in &self.metrics {
@@ -214,6 +216,53 @@ impl Breakdown {
             }
         }
         format!("total={:.3}ms [{}]", self.total_ms, parts.join(" "))
+    }
+}
+
+/// A gauge's value: the last level set and the highest ever set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GaugeValue {
+    /// Last value set.
+    pub last: u64,
+    /// Maximum value ever set.
+    pub max: u64,
+}
+
+impl GaugeValue {
+    /// Record the instantaneous level `v`.
+    pub(crate) fn set(&mut self, v: u64) {
+        self.last = v;
+        self.max = self.max.max(v);
+    }
+}
+
+/// All of one processor's metrics, frozen at the end of a run (or the merge
+/// of several processors' snapshots).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MetricsSnapshot {
+    /// Counter values by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauge values by name.
+    pub gauges: BTreeMap<String, GaugeValue>,
+}
+
+impl MetricsSnapshot {
+    /// Merge `other` into `self`: counters add, gauges keep the overall
+    /// maximum (and the maximum of lasts).
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        for (k, v) in &other.counters {
+            *self.counters.entry(k.clone()).or_insert(0) += v;
+        }
+        for (k, v) in &other.gauges {
+            let e = self.gauges.entry(k.clone()).or_default();
+            e.last = e.last.max(v.last);
+            e.max = e.max.max(v.max);
+        }
+    }
+
+    /// Value of counter `name` (0 when absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
     }
 }
 

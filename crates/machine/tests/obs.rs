@@ -30,7 +30,7 @@ fn faulted_machine(seed: u64) -> Machine {
         )
 }
 
-/// The metrics registry and the event log are independent observers of the
+/// The metrics and the event log are independent observers of the
 /// same transport; both must agree with the clock's fold-in counters for a
 /// seeded plan.
 #[test]
@@ -109,9 +109,6 @@ fn send_and_recv_events_are_exactly_once_under_faults() {
     let merged = out.merged_metrics();
     assert_eq!(merged.counter("msg.sent"), 32);
     assert_eq!(merged.counter("msg.recvd"), 32);
-    // 4-word payloads land in the [4, 8) log₂ bucket.
-    assert_eq!(merged.histograms["msg.words"].count, 32);
-    assert_eq!(merged.histograms["msg.words"].buckets, vec![(3, 32)]);
 }
 
 /// Every delivery is eventually consumed, and each consume's `arrival_ns`
@@ -189,9 +186,9 @@ fn clock_sync_records_barrier_owned_by_slowest() {
     }
 }
 
-/// Stage spans must nest (begin/end balance) and feed duration histograms.
+/// Stage spans must nest (begin/end balance).
 #[test]
-fn stage_spans_balance_and_feed_histograms() {
+fn stage_spans_balance() {
     let out = faulted_machine(3).try_run(ring_rounds).expect("recovers");
     for evs in &out.events {
         let mut depth = 0i64;
@@ -207,12 +204,6 @@ fn stage_spans_balance_and_feed_histograms() {
         }
         assert_eq!(depth, 0, "unbalanced stage spans");
     }
-    let merged = out.merged_metrics();
-    assert_eq!(
-        merged.histograms["stage.test.ring.us"].count,
-        4 * 8,
-        "each proc observes each of its 8 stage executions"
-    );
 }
 
 /// The faulted-run Chrome export must carry the acceptance-criteria event

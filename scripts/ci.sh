@@ -82,9 +82,13 @@ done
 echo "== fuzz smoke via the plan-then-execute path =="
 cargo run -p hpf-bench --release --bin fuzz -- --cases 40 --seed 1 --reuse-plans
 
-echo "== chaos smoke (fault-injected PACK/UNPACK roundtrips) =="
+echo "== chaos smoke (fault-injected PACK/UNPACK roundtrips; the trace export parses) =="
+# chaos reads the trace it wrote back and exits 1 unless it is Chrome
+# trace_event JSON with span events and send / recv / retransmit / dup-drop /
+# fault-verdict annotations.
 chaos_trace="$(mktemp)"
 cargo run -p hpf-bench --release --bin chaos -- --seed 1 --iters 5 --trace-out "$chaos_trace"
+rm -f "$chaos_trace"
 
 echo "== chaos smoke with cached-plan execution =="
 cargo run -p hpf-bench --release --bin chaos -- --seed 2 --iters 3 --reuse-plans
@@ -106,20 +110,6 @@ echo "== longer crash-recovery drill (retire barrier: no peer leaves before the 
 # a peer has nothing left to receive; that peer must still be there to
 # acknowledge the respawned victim's re-sent frames.
 cargo run -p hpf-bench --release --bin chaos -- --seed 9 --iters 12 --recover
-
-echo "== trace export parses as Chrome trace_event JSON =="
-python3 - "$chaos_trace" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    trace = json.load(f)
-events = trace["traceEvents"]
-names = {e.get("name", "") for e in events}
-for want in ("send", "recv", "retransmit", "dup-drop", "fault-verdict"):
-    assert any(want in n for n in names), f"trace is missing {want} events"
-assert any(e.get("ph") == "X" for e in events), "trace has no span events"
-print(f"trace check: {len(events)} events OK")
-EOF
-rm -f "$chaos_trace"
 
 echo "== results/*.txt are what this tree prints =="
 # All ten paper artefacts (~40 s); a failure names the artefact and its first
