@@ -1,8 +1,8 @@
 //! A minimal JSON value with a recursive-descent parser and a writer —
-//! just enough to write the versioned perf reports
-//! (`results/BENCH_*.json`) and read them back in. The repo deliberately
-//! carries no serde: `perf` builds a [`Json`] from its typed report and
-//! [`Json::render`]s it, and every reader ([`crate::diff`], the tests)
+//! just enough to write the versioned perf report (`results/BENCH.json`)
+//! and read it, or a Chrome trace, back in. The repo deliberately carries
+//! no serde: `repro` builds a [`Json`] from its typed report and
+//! [`Json::render`]s it, and every reader (`chaos`, the tests)
 //! [`Json::parse`]s exactly those bytes.
 //!
 //! Supports the full JSON value grammar (objects, arrays, strings with

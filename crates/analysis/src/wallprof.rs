@@ -151,7 +151,9 @@ mod tests {
         w.begin("execute");
         w.begin("gather");
         w.add_bytes(4096);
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        // Ten times the sibling's sleep: a busy host oversleeps by
+        // milliseconds, and the ranking must not depend on it.
+        std::thread::sleep(std::time::Duration::from_millis(10));
         w.end();
         w.begin("decode");
         std::thread::sleep(std::time::Duration::from_millis(1));

@@ -6,6 +6,7 @@
 //! communication, exactly the Section 4.2 pattern with explicit per-element
 //! requests.
 
+use hpf_distarray::index::assert_u32_indexable;
 use hpf_distarray::DimLayout;
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{Category, Proc, Wire};
@@ -15,6 +16,10 @@ use hpf_machine::{Category, Proc, Wire};
 ///
 /// Every processor must call this (collectively), each with its own index
 /// list (possibly empty).
+///
+/// # Panics
+/// Panics if the vector has more than 2³² elements: requests carry a
+/// global index as one `u32` word.
 pub fn gather_global<T: Wire + Default>(
     proc: &mut Proc,
     v_local: &[T],
@@ -22,6 +27,7 @@ pub fn gather_global<T: Wire + Default>(
     indices: &[usize],
     schedule: A2aSchedule,
 ) -> Vec<T> {
+    assert_u32_indexable(v_layout.n(), "gather_global");
     debug_assert_eq!(v_local.len(), v_layout.local_len(proc.id()));
     let nprocs = proc.nprocs();
 
@@ -82,6 +88,10 @@ pub fn gather_global<T: Wire + Default>(
 /// The WRITE counterpart: scatter-add `values[k]` into global positions
 /// `indices[k]` of a distributed accumulator (under `y_layout`), combining
 /// collisions with `+`. One many-to-many round of `(index, value)` pairs.
+///
+/// # Panics
+/// Panics if the accumulator has more than 2³² elements (the pairs carry
+/// its global index as one `u32` word), or on one value per index missing.
 pub fn scatter_add_global<T: Wire + Default + std::ops::AddAssign>(
     proc: &mut Proc,
     y_local: &mut [T],
@@ -90,6 +100,7 @@ pub fn scatter_add_global<T: Wire + Default + std::ops::AddAssign>(
     values: &[T],
     schedule: A2aSchedule,
 ) {
+    assert_u32_indexable(y_layout.n(), "scatter_add_global");
     assert_eq!(indices.len(), values.len(), "one value per index");
     debug_assert_eq!(y_local.len(), y_layout.local_len(proc.id()));
     let nprocs = proc.nprocs();
@@ -179,6 +190,33 @@ mod tests {
                 assert_eq!(v, want, "global {g}");
             }
         }
+    }
+
+    /// Descriptor only: 2³³ elements on one processor, none of them held,
+    /// and the index width is refused before any length is looked at.
+    fn oversized(run: impl Fn(&mut hpf_machine::Proc, &DimLayout) + Sync) {
+        let layout = DimLayout::new_general(1 << 33, 1, 1 << 33).unwrap();
+        let machine = Machine::new(ProcGrid::line(1), CostModel::cm5());
+        machine.run(|proc| run(proc, &layout));
+    }
+
+    #[test]
+    #[should_panic(expected = "gather_global: 8589934592 indices, more than the 4294967296")]
+    fn gather_refuses_what_a_u32_index_cannot_reach() {
+        oversized(|proc, l| {
+            let none: [i32; 0] = [];
+            gather_global(proc, &none, l, &[], A2aSchedule::LinearPermutation);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter_add_global: 8589934592 indices, more than the 4294967296")]
+    fn scatter_add_refuses_what_a_u32_index_cannot_reach() {
+        oversized(|proc, l| {
+            let mut none: [i32; 0] = [];
+            let schedule = A2aSchedule::LinearPermutation;
+            scatter_add_global(proc, &mut none, l, &[], &[], schedule);
+        });
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The paper artefacts: every table, figure and Section 7 study this
-//! repository reproduces, as one registry of named text renderers. `repro`
-//! is its command line; `results/<name>.txt` is what each renders, byte for
-//! byte, at the commit that holds it.
+//! The artefacts: every table, figure and Section 7 study this repository
+//! reproduces, and the perf report with its critical paths, as one registry
+//! of renderers keyed by file name. `repro` is its command line;
+//! `results/<file>` is what each renders, byte for byte, at the commit that
+//! holds it.
 //!
 //! Every number is simulated time (msec on the CM-5 cost model) or a count,
 //! so an artefact is a function of the tree. The set-ups of Section 7 are
@@ -23,32 +24,34 @@ use hpf_machine::{Category, CostModel, Machine, ProcGrid};
 
 use crate::{
     block_sizes, ms, pack_scheme_opts, paper_masks, run_pack, run_unpack, time_pack,
-    time_pack_redist, time_unpack, time_unpack_redist, unpack_scheme_opts, ExpConfig, Measurement,
-    Observe, Table,
+    time_pack_redist, time_unpack, time_unpack_redist, unpack_scheme_opts, workloads, ExpConfig,
+    Measurement, Observe, Table,
 };
 
 /// Appends an artefact's text.
 pub type Render = fn(&mut String);
 
-/// Every artefact as `(name, renderer)`, in the order `repro --all` writes
-/// them: `repro <name>` prints it, `results/<name>.txt` is the committed
-/// copy, and the renderer's doc comment says what of the paper it is.
-pub const ARTEFACTS: [(&str, Render); 10] = [
-    ("table1", table1),
-    ("table2", table2),
-    ("fig3", fig3),
-    ("fig4", fig4),
-    ("fig5", fig5),
-    ("prs", prs),
-    ("scaling", scaling),
-    ("ablations", ablations),
-    ("balance", balance),
-    ("timeline", |out| timeline(out, None)),
+/// Every artefact as `(file, renderer)`, in the order `repro --all` writes
+/// them: `repro <file>` prints it, `results/<file>` is the committed copy,
+/// and the renderer's doc comment says what it is.
+pub const ARTEFACTS: [(&str, Render); 12] = [
+    ("table1.txt", table1),
+    ("table2.txt", table2),
+    ("fig3.txt", fig3),
+    ("fig4.txt", fig4),
+    ("fig5.txt", fig5),
+    ("prs.txt", prs),
+    ("scaling.txt", scaling),
+    ("ablations.txt", ablations),
+    ("balance.txt", balance),
+    ("timeline.txt", |out| timeline(out, None)),
+    ("BENCH.json", bench_json),
+    ("critpath.txt", critpath),
 ];
 
 /// `Err` naming the first line at which `rendered` and the `committed` copy
-/// of the artefact `name` differ.
-pub fn first_difference(name: &str, committed: &str, rendered: &str) -> Result<(), String> {
+/// of `file` differ, and the workload whose JSON object holds that line.
+pub fn first_difference(file: &str, committed: &str, rendered: &str) -> Result<(), String> {
     if committed == rendered {
         return Ok(());
     }
@@ -56,13 +59,17 @@ pub fn first_difference(name: &str, committed: &str, rendered: &str) -> Result<(
         (committed.lines().collect(), rendered.lines().collect());
     // `lines` forgives a missing final newline; the bytes compared above do not.
     let Some(at) = (0..old.len().max(new.len())).find(|&i| old.get(i) != new.get(i)) else {
-        return Err(format!("{name}: {name}.txt differs in its final newline"));
+        return Err(format!("{file} differs in its final newline"));
     };
+    // A report entry opens with its `"name"` field, one field per line.
+    let workload = (old.iter().take(at + 1).rev())
+        .find_map(|l| l.trim().strip_prefix("\"name\": \"")?.strip_suffix("\","))
+        .map_or(String::new(), |w| format!(" (workload {w})"));
     let show = |l: Option<&&str>| l.map_or("<end of file>".into(), |l| format!("`{l}`"));
     let (old, new) = (show(old.get(at)), show(new.get(at)));
     let line = at + 1;
     Err(format!(
-        "{name}: {name}.txt line {line} differs\n  committed: {old}\n  rendered:  {new}"
+        "{file} line {line}{workload} differs\n  committed: {old}\n  rendered:  {new}"
     ))
 }
 
@@ -689,20 +696,36 @@ pub fn timeline(out: &mut String, trace_out: Option<&str>) {
     host("UNPACK (CSS)", &run.wall_profiles, m.size);
 }
 
+/// The perf report (DESIGN.md §9.3): every workload of [`workloads`] — the
+/// paper's schemes plus the reuse, steady-state, recovery, memory and scale
+/// sweeps and the application kernels — as typed JSON, one field per line.
+/// `repro` renders it only when every gate of [`crate::report::GATES`]
+/// holds.
+fn bench_json(out: &mut String) {
+    out.push_str(&workloads::report().render());
+}
+
+/// The critical path of every traced workload of the perf report (§9.1),
+/// from the same run as `BENCH.json`, under the same gates.
+fn critpath(out: &mut String) {
+    for e in &workloads::report().entries {
+        if let Some(cp) = &e.critpath {
+            out.push_str(&cp.render(&e.name));
+            out.push('\n');
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `results/` holds one file per artefact plus the two `perf` writes,
-    /// and nothing else: a stray or a missing artefact fails here.
+    /// `results/` holds one file per artefact and nothing else: a stray or a
+    /// missing artefact fails here.
     #[test]
-    fn results_holds_what_the_registry_and_perf_own() {
-        let mut owned: Vec<String> = (ARTEFACTS.iter())
-            .map(|(name, _)| name.to_string() + ".txt")
-            .collect();
-        owned.extend(["BENCH.json", "critpath.txt"].map(String::from));
+    fn results_holds_what_the_registry_owns() {
+        let mut owned: Vec<&str> = ARTEFACTS.iter().map(|(file, _)| *file).collect();
         owned.sort_unstable();
-        assert!(owned.windows(2).all(|w| w[0] != w[1]), "names are unique");
         let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
         let mut found: Vec<String> = (std::fs::read_dir(results).expect("results/ exists"))
             .map(|f| f.unwrap().file_name().into_string().unwrap())
@@ -713,18 +736,43 @@ mod tests {
 
     #[test]
     fn first_difference_names_artefact_and_line() {
-        let same = first_difference("fig3", "a\nb\n", "a\nb\n");
+        let same = first_difference("fig3.txt", "a\nb\n", "a\nb\n");
         assert_eq!(same, Ok(()));
-        let err = first_difference("fig3", "a\nb\nc\n", "a\nB\nc\n").unwrap_err();
+        let err = first_difference("fig3.txt", "a\nb\nc\n", "a\nB\nc\n").unwrap_err();
         assert!(
-            err.contains("fig3.txt line 2") && err.contains("`b`"),
+            err.contains("fig3.txt line 2 differs") && err.contains("`b`"),
             "{err}"
         );
-        let err = first_difference("fig3", "a\n", "a\nb\n").unwrap_err();
+        let err = first_difference("fig3.txt", "a\n", "a\nb\n").unwrap_err();
         assert!(
             err.contains("line 2") && err.contains("<end of file>"),
             "{err}"
         );
-        assert!(first_difference("fig3", "a\nb", "a\nb\n").is_err());
+        assert!(first_difference("fig3.txt", "a\nb", "a\nb\n").is_err());
+    }
+
+    /// The committed report with one number edited by hand, as `repro
+    /// --check` compares it: the verdict names the file, the line and the
+    /// workload that line belongs to.
+    #[test]
+    fn first_difference_names_the_workload_of_a_report_line() {
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let rendered = std::fs::read_to_string(format!("{results}/BENCH.json")).unwrap();
+        let mut lines: Vec<&str> = rendered.lines().collect();
+        let entry = lines
+            .iter()
+            .position(|l| l.trim() == "\"name\": \"unpack.css.w64\",");
+        let entry = entry.expect("the report has unpack.css.w64");
+        let words = lines[entry..]
+            .iter()
+            .position(|l| l.contains("\"words\": "));
+        let words = entry + words.expect("the entry has a words field");
+        let edited = lines[words].replacen("\"words\": ", "\"words\": 1", 1);
+        lines[words] = &edited;
+        let committed = lines.join("\n") + "\n";
+        let err = first_difference("BENCH.json", &committed, &rendered).unwrap_err();
+        let line = words + 1;
+        let named = format!("BENCH.json line {line} (workload unpack.css.w64) differs");
+        assert!(err.contains(&named), "{err}");
     }
 }

@@ -1,11 +1,13 @@
-//! Chaos harness: PACK→UNPACK roundtrips under randomized fault schedules.
+//! Chaos harness: PACK→UNPACK roundtrips of random configurations against
+//! the sequential Fortran 90 oracle, under randomized fault schedules.
 //!
-//! Each iteration draws a random array configuration and a random
-//! [`FaultPlan`] (per-link drop / duplicate / delay / reorder, all ≤ 20 %),
-//! runs the full pipeline on a clean machine and on a faulted machine, and
-//! asserts that
+//! Each iteration draws a random array configuration (rank 1–3, per
+//! dimension 1–3 processors, block size and tiles), a random mask, an
+//! optional result-vector block size `W'` and a random [`FaultPlan`]
+//! (per-link drop / duplicate / delay / reorder, all ≤ 20 %), runs the full
+//! pipeline on a clean machine and on a faulted machine, and asserts that
 //!
-//! * both runs agree bit-exactly with the sequential Fortran 90 oracle,
+//! * both runs agree bit-exactly with [`hpf_core::seq`], the oracle,
 //! * drop/duplicate/reorder faults leave the *simulated* clocks bit-identical
 //!   to the clean run (the reliable transport hides them completely),
 //! * injected delays change simulated time deterministically (two faulted
@@ -16,9 +18,12 @@
 //!   [`hpf_machine::Machine::run_recoverable`] with results bit-identical to
 //!   the clean run and clocks bit-identical between recovered runs.
 //!
-//! The sweep cycles through all three PACK schemes (SSS / CSS / CMS), both
-//! UNPACK schemes, and both redistribution variants (Red.1 / Red.2), and
-//! reports the transport's retry/latency overhead at the end.
+//! The sweep cycles through all three PACK schemes (SSS / CSS / CMS) under
+//! each of the three many-to-many schedules — every nine iterations cover
+//! the product, one-shot or (`--reuse-plans`) through plans — both UNPACK
+//! schemes, and, on the one-shot path, both redistribution variants
+//! (Red.1 / Red.2), and reports the transport's retry/latency overhead at
+//! the end.
 //!
 //! Usage:
 //! ```sh
@@ -34,12 +39,12 @@
 //! # receive-side on odd), the run goes through run_recoverable, and the
 //! # recovered results must match the clean run bit-exactly while two
 //! # recovered runs must also agree on their simulated clocks
-//! # --reuse-plans routes plain PACK/UNPACK through the explicit
+//! # --reuse-plans routes every PACK/UNPACK through the explicit
 //! # plan-then-execute path, executing each plan three times through the
-//! # pooled zero-copy buffers (the redistribution variants keep their
-//! # one-shot entry points); every execute must produce bit-identical
-//! # results even when the fault schedule forces retransmission of
-//! # Arc-shared pooled payloads
+//! # pooled zero-copy buffers (the redistribution variants, which have no
+//! # plan, are left to the one-shot sweep); every execute must produce
+//! # bit-identical results even when the fault schedule forces
+//! # retransmission of Arc-shared pooled payloads
 //! # --trace-out additionally runs one traced fault-injected PACK and writes
 //! # it as Chrome trace_event JSON (open in Perfetto / chrome://tracing);
 //! # the trace carries send/recv, retransmit, dup-drop, and fault-verdict
@@ -56,7 +61,15 @@ use hpf_core::{
     RedistScheme, UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, Dist, GlobalArray};
+use hpf_machine::collectives::A2aSchedule;
 use hpf_machine::{CostModel, FaultPlan, Machine, MachineError, ProcGrid, RunOutput};
+
+/// The many-to-many schedules the sweep runs each PACK scheme under.
+const SCHEDULES: [A2aSchedule; 3] = [
+    A2aSchedule::LinearPermutation,
+    A2aSchedule::NaivePush,
+    A2aSchedule::PairwiseExchange,
+];
 
 fn main() {
     let mut args = Args::from_env(
@@ -126,7 +139,7 @@ fn run_iteration(
     workers: Option<usize>,
     stats: &mut Stats,
 ) {
-    let (grid, desc) = random_array(rng, 2);
+    let (grid, desc) = random_array(rng, 3);
     let (shape, grid_dims) = (desc.shape(), grid.dims());
     let n: usize = shape.iter().product();
     let density = 10 + rng.below(80);
@@ -135,17 +148,31 @@ fn run_iteration(
     let a = GlobalArray::from_vec(&shape, values);
     let m = GlobalArray::from_vec(&shape, mask_bits);
 
-    // Sweep the schemes: each iteration exercises one PACK scheme, one
-    // UNPACK scheme, and (on redistribution iterations) one Red variant.
+    // Sweep the schemes: each iteration exercises one PACK scheme under one
+    // schedule, one UNPACK scheme, and (on redistribution iterations) one
+    // Red variant.
     let pscheme = PackScheme::ALL[iter % PackScheme::ALL.len()];
+    let schedule = SCHEDULES[iter / PackScheme::ALL.len() % SCHEDULES.len()];
     let uscheme = UnpackScheme::ALL[iter % UnpackScheme::ALL.len()];
+    // Under --reuse-plans every PACK goes through a plan, so nine
+    // iterations take the whole scheme × schedule product through plans too;
+    // the redistribution variants have no plan path and run one-shot only.
     let redist = match iter % 4 {
+        _ if reuse_plans => None,
         1 => Some(RedistScheme::SelectedData),
         3 => Some(RedistScheme::WholeArrays),
         _ => None,
     };
-    let opts = PackOptions::new(pscheme);
-    let uopts = UnpackOptions::new(uscheme);
+    let result_block_size = (rng.below(2) == 0).then(|| 1 + rng.below(7));
+    let opts = PackOptions {
+        schedule,
+        result_block_size,
+        ..PackOptions::new(pscheme)
+    };
+    let uopts = UnpackOptions {
+        schedule,
+        ..UnpackOptions::new(uscheme)
+    };
 
     // A non-crash fault plan: every probability ≤ 20 %.
     let has_delay = rng.below(2) == 0;
@@ -156,7 +183,8 @@ fn run_iteration(
         .with_delay(if has_delay { rng.prob(0.2) } else { 0.0 }, 200_000.0);
     let ctx = format!(
         "seed {seed} iter {iter}: shape {shape:?}, grid {grid_dims:?}, density {density}%, \
-         {pscheme:?}/{uscheme:?}, redist {redist:?}, plan {plan:?}"
+         {pscheme:?}/{uscheme:?} via {schedule:?}, W' {result_block_size:?}, redist {redist:?}, \
+         plan {plan:?}"
     );
     println!("  {ctx}");
 

@@ -1,6 +1,6 @@
-//! Seeded random cases for the differential drivers (`fuzz`, `chaos`): one
-//! generator, one way to draw a layout and an UNPACK input, one way to
-//! gather a packed vector.
+//! Seeded random cases for the differential driver, `chaos`: one generator,
+//! one way to draw a layout and an UNPACK input, one way to gather a packed
+//! vector.
 
 use hpf_core::PackOutput;
 use hpf_distarray::{ArrayDesc, DimLayout, Dist};

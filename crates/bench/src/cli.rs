@@ -1,4 +1,4 @@
-//! The one flag parser of the five binaries. A bad command line prints the
+//! The one flag parser of the two binaries. A bad command line prints the
 //! reason and the binary's usage line and exits 2.
 
 use std::str::FromStr;
@@ -69,15 +69,15 @@ mod tests {
 
     #[test]
     fn flags_and_values_are_consumed_wherever_they_stand() {
-        let rest = ["old.json", "--fail-above", "0.5", "--recover", "new.json"];
+        let rest = ["fig3", "--iters", "5", "--recover", "fig4"];
         let mut args = Args {
             usage: "usage",
             rest: rest.map(String::from).to_vec(),
         };
         assert!(args.flag("--recover"));
         assert!(!args.flag("--recover"), "consumed");
-        assert_eq!(args.value::<f64>("--fail-above"), Some(0.5));
+        assert_eq!(args.value::<usize>("--iters"), Some(5));
         assert_eq!(args.value::<u64>("--seed"), None);
-        assert_eq!(args.positionals(2), ["old.json", "new.json"]);
+        assert_eq!(args.positionals(2), ["fig3", "fig4"]);
     }
 }

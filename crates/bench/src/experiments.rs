@@ -283,14 +283,20 @@ pub const HOT_WARMUP: usize = 2;
 /// `executes` counted iterations after warm-up, with heap allocations
 /// counted per processor. Allocation counts are only non-zero when the
 /// harness binary installs [`hpf_machine::alloc_counter::CountingAllocator`]
-/// as its global allocator (the `perf` binary does). What an execute costs
-/// in host time is the repo benchmark's number (`benchmark/`), not this one's.
+/// as its global allocator (`repro` does); `counter_live` says whether it
+/// did. What an execute costs in host time is the repo benchmark's number
+/// (`benchmark/`), not this one's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotMeasurement {
     /// Counted executes (after [`HOT_WARMUP`] uncounted ones).
     pub executes: usize,
     /// Packed element count moved per execute.
     pub elements: usize,
+    /// The [`HOT_WARMUP`] executes allocated: they grow the pool slots, so
+    /// `false` means nothing counts — the `hot_counter_is_live` gate. A
+    /// flag, not the count, because the count follows the pool's
+    /// interleaving and the report is a function of the tree.
+    pub counter_live: bool,
     /// Heap allocations per execute, summed over all processors.
     /// Zero in steady state — the `hot_zero_allocs` gate.
     pub allocs_per_execute: f64,
@@ -305,9 +311,10 @@ pub struct HotMeasurement {
     pub copy_ops: CopyStats,
 }
 
-/// What one processor reports from a hot loop: allocations and allocated
-/// bytes inside the counted window, and its plan's copy-program stats.
-type HotCounts = (u64, u64, CopyStats);
+/// What one processor reports from a hot loop: warm-up allocations,
+/// allocations and allocated bytes inside the counted window, and its plan's
+/// copy-program stats.
+type HotCounts = (u64, u64, u64, CopyStats);
 
 /// Run `executes` iterations of `step` and count what the window allocated.
 fn counted(executes: usize, mut step: impl FnMut()) -> (u64, u64) {
@@ -334,13 +341,14 @@ fn time_hot(
     let per_exec = |total: u64| total as f64 / executes.max(1) as f64;
     let mut copy_ops = CopyStats::default();
     for r in &out.results {
-        copy_ops.merge(&r.2);
+        copy_ops.merge(&r.3);
     }
     let hot = HotMeasurement {
         executes,
         elements,
-        allocs_per_execute: per_exec(out.results.iter().map(|r| r.0).sum()),
-        alloc_bytes_per_execute: per_exec(out.results.iter().map(|r| r.1).sum()),
+        counter_live: out.results.iter().any(|r| r.0 > 0),
+        allocs_per_execute: per_exec(out.results.iter().map(|r| r.1).sum()),
+        alloc_bytes_per_execute: per_exec(out.results.iter().map(|r| r.2).sum()),
         clone_words: out.merged_metrics().counter("payload.clone_words"),
         copy_ops,
     };
@@ -369,9 +377,9 @@ pub fn time_pack_hot(
             v_layout: None,
         };
         let mut step = || plan.execute_into(proc, &a, &mut out).unwrap();
-        counted(HOT_WARMUP, &mut step);
+        let (warmup, _) = counted(HOT_WARMUP, &mut step);
         let (allocs, bytes) = counted(executes, step);
-        (allocs, bytes, plan.copy_stats())
+        (warmup, allocs, bytes, plan.copy_stats())
     })
 }
 
@@ -394,9 +402,9 @@ pub fn time_unpack_hot(
         let plan = plan_unpack(proc, desc_ref, &m, vl, opts).unwrap();
         let mut out = Vec::new();
         let mut step = || plan.execute_into(proc, &f, &v, &mut out).unwrap();
-        counted(HOT_WARMUP, &mut step);
+        let (warmup, _) = counted(HOT_WARMUP, &mut step);
         let (allocs, bytes) = counted(executes, step);
-        (allocs, bytes, plan.copy_stats())
+        (warmup, allocs, bytes, plan.copy_stats())
     })
 }
 
@@ -650,10 +658,6 @@ mod tests {
         assert_eq!(hot.clone_words, 0, "fault-free run deep-copied a payload");
         assert!(hot.copy_ops.total_elements > 0);
         assert!(sim.total_ms() > 0.0);
-        // This test binary does not install the counting allocator, so the
-        // counters must read as trivially clean (the real gate runs in the
-        // `perf` binary, which does install it).
-        assert_eq!(hot.allocs_per_execute, 0.0);
         let (hot, sim) = time_unpack_hot(&cfg, &UnpackOptions::default(), 4);
         assert_eq!(hot.clone_words, 0);
         assert!(sim.total_ms() > 0.0);

@@ -1,10 +1,10 @@
 //! # hpf-bench — experiment harness for the PACK/UNPACK paper
 //!
-//! Five binaries over one library: `repro` renders the paper's tables,
-//! figures and Section 7 studies from the registry in [`artefacts`];
-//! `perf` writes the typed report and runs the gates of [`report`], and
-//! `perfdiff` compares two such reports; `fuzz` and `chaos` are the
-//! differential drivers over [`cases`]. [`experiments`] holds the measured
+//! Two binaries over one library, one per job: `repro` renders every file
+//! of `results/` from the registry in [`artefacts`] — the paper's tables,
+//! figures and Section 7 studies, and the typed perf report of
+//! [`workloads`] with the gates of [`report`]; `chaos` is the randomised
+//! differential driver over [`cases`]. [`experiments`] holds the measured
 //! runners they share, [`cli`] the one flag parser.
 //!
 //! All numbers come from the **simulated clock** (milliseconds under the
@@ -19,6 +19,7 @@ pub mod cli;
 pub mod experiments;
 pub mod report;
 pub mod table;
+pub mod workloads;
 
 pub use experiments::*;
 pub use table::Table;

@@ -1,5 +1,5 @@
 //! The perf report (`results/BENCH.json`): one typed value, one
-//! serializer, and the gates `perf` runs on its own report before exiting.
+//! serializer, and the gates a report must pass before `repro` renders it.
 //!
 //! Every field is a function of the commit — simulated time, traffic,
 //! operation counts, allocation counts, memory bytes — so two runs of one
@@ -9,10 +9,10 @@
 //! A report is a list of [`Entry`]s. Each carries the simulated
 //! [`Measurement`] every workload has, plus the one [`Section`] its group
 //! measures. [`Report::render`] goes through [`hpf_analysis::Json`], which
-//! is also what `perfdiff` and the tests parse, so writer and readers
-//! cannot disagree about the format. [`GATES`] are the cross-field
-//! conditions a healthy report satisfies; each has a unit test below that
-//! feeds it a hand-built entry violating exactly it.
+//! is also what the tests parse, so writer and readers cannot disagree
+//! about the format. [`GATES`] are the cross-field conditions a healthy
+//! report satisfies; each has a unit test below that feeds it a hand-built
+//! entry violating exactly it.
 
 use hpf_analysis::conformance::ConformancePhases;
 use hpf_analysis::{Conformance, CritPath, Json, PeakMemory, MEM_RATIO_GATE};
@@ -21,10 +21,10 @@ use hpf_machine::{Category, RecoveryStats};
 use crate::{HotMeasurement, Measurement, ReuseMeasurement};
 
 /// Schema version of the emitted JSON (bump on breaking field changes).
-pub const SCHEMA_VERSION: u64 = 12;
+pub const SCHEMA_VERSION: u64 = 13;
 
-/// The workload groups `perf --filter` accepts, in report order, each with
-/// the JSON key of the [`Section`] its entries carry.
+/// The workload groups, in report order, each with the JSON key of the
+/// [`Section`] its entries carry.
 pub const GROUPS: [(&str, Option<&str>); 9] = [
     ("pack", Some("conformance")),
     ("redist", None),
@@ -125,6 +125,7 @@ impl Section {
             Section::Hot(h) => Json::obj([
                 ("executes", h.executes.into()),
                 ("elements", h.elements.into()),
+                ("counter_live", h.counter_live.into()),
                 ("allocs_per_execute", h.allocs_per_execute.into()),
                 ("alloc_bytes_per_execute", h.alloc_bytes_per_execute.into()),
                 ("clone_words", h.clone_words.into()),
@@ -247,8 +248,6 @@ impl Entry {
 /// A whole perf report.
 #[derive(Debug)]
 pub struct Report {
-    /// The one group `--filter` restricted the run to.
-    pub filter: Option<String>,
     /// The workloads, in registry order.
     pub entries: Vec<Entry>,
 }
@@ -258,7 +257,6 @@ impl Report {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("schema_version", SCHEMA_VERSION.into()),
-            ("filter", self.filter.as_deref().into()),
             ("cost_model", "cm5".into()),
             (
                 "workloads",
@@ -267,7 +265,7 @@ impl Report {
         ])
     }
 
-    /// The bytes `perf` writes: one field of each workload per line.
+    /// The bytes of `results/BENCH.json`: one field of each workload per line.
     pub fn render(&self) -> String {
         self.to_json().render(3)
     }
@@ -286,12 +284,6 @@ impl Report {
                     entry.trim_end()
                 ));
             };
-            if self.filter.as_deref().is_some_and(|f| f != e.group) {
-                fail(
-                    "filter_is_respected",
-                    "its group is not the one the report is filtered to",
-                );
-            }
             for (gate, what, holds) in GATES {
                 if !holds(e) {
                     fail(gate, what);
@@ -299,6 +291,16 @@ impl Report {
             }
         }
         out
+    }
+
+    /// `Err` holding every gate violation, one per line.
+    pub fn gated(&self) -> Result<(), String> {
+        let violations = self.violations();
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(violations.join("\n"))
+        }
     }
 }
 
@@ -318,9 +320,8 @@ fn stage_slack(group: &str) -> f64 {
 /// `(name, what a failure means, predicate)`.
 pub type Gate = (&'static str, &'static str, fn(&Entry) -> bool);
 
-/// The gates, entry by entry. (`filter_is_respected` is the one gate that
-/// needs the report as well; it lives in [`Report::violations`].)
-pub const GATES: [Gate; 22] = [
+/// The gates, entry by entry. DESIGN.md §9.3 lists exactly these.
+pub const GATES: [Gate; 23] = [
     (
         "group_has_its_section",
         "the entry does not carry exactly the section its group measures",
@@ -367,6 +368,14 @@ pub const GATES: [Gate; 22] = [
                     && sum(&p.measured_plan) + sum(&p.measured_execute) == c.measured_total()
             })
         },
+    ),
+    (
+        // The warm-up executes grow the pool slots, so a counter that saw
+        // them allocate nothing is not counting: the two gates below would
+        // pass without measuring anything.
+        "hot_counter_is_live",
+        "the warm-up executes allocated nothing: no counting allocator is installed",
+        |e| !matches!(&e.section, Section::Hot(h) if !h.counter_live),
     ),
     (
         // From the third execute of a plan on, the pooled buffers absorb
@@ -499,16 +508,9 @@ mod tests {
         }
     }
 
-    /// Names of the gates `e` fails, alone in an unfiltered report.
+    /// Names of the gates `e` fails, alone in a report.
     fn broken(e: Entry) -> Vec<String> {
-        broken_in(None, e)
-    }
-
-    fn broken_in(filter: Option<&str>, e: Entry) -> Vec<String> {
-        let report = Report {
-            filter: filter.map(String::from),
-            entries: vec![e],
-        };
+        let report = Report { entries: vec![e] };
         let gate = |line: String| line.split('`').nth(1).expect("names its gate").to_string();
         report.violations().into_iter().map(gate).collect()
     }
@@ -529,6 +531,7 @@ mod tests {
     const HOT: HotMeasurement = HotMeasurement {
         executes: 16,
         elements: 100,
+        counter_live: true,
         allocs_per_execute: 0.0,
         alloc_bytes_per_execute: 0.0,
         clone_words: 0,
@@ -616,7 +619,7 @@ mod tests {
         ];
         for e in healthy {
             let group = e.group;
-            assert_eq!(broken_in(Some(group), e), [""; 0], "{group}");
+            assert_eq!(broken(e), [""; 0], "{group}");
         }
     }
 
@@ -636,12 +639,6 @@ mod tests {
         let foreign = entry("pack.red1", "redist", Section::Hot(HOT));
         assert_eq!(broken(foreign), ["group_has_its_section"]);
         assert_eq!(GROUPS.map(|(_, key)| key).iter().flatten().count(), 7);
-    }
-
-    #[test]
-    fn filter_is_respected() {
-        let e = with_m("redist", |_| {});
-        assert_eq!(broken_in(Some("apps"), e), ["filter_is_respected"]);
     }
 
     #[test]
@@ -684,6 +681,35 @@ mod tests {
         assert_eq!(broken(conformance(|c| c.predicted[0] += 1)), gate);
         assert_eq!(broken(conformance(|c| c.measured[1] -= 1)), gate);
         assert_eq!(broken(conformance(|c| c.phases = None)), gate);
+    }
+
+    #[test]
+    fn hot_counter_is_live() {
+        let h = HotMeasurement {
+            counter_live: false,
+            ..HOT
+        };
+        assert_eq!(
+            broken(hot("exec_hot.pack.sss.w8", h)),
+            ["hot_counter_is_live"]
+        );
+    }
+
+    /// This test binary installs no counting allocator, so a real hot loop
+    /// counts nothing at all — and the liveness gate is the one that says so.
+    #[test]
+    fn hot_counter_is_live_fails_without_the_counting_allocator() {
+        let pattern = hpf_core::MaskPattern::Random {
+            density: 0.5,
+            seed: 4,
+        };
+        let cfg = crate::ExpConfig::new(&[256], &[4], 4, pattern);
+        let (h, _) = crate::time_pack_hot(&cfg, &hpf_core::PackOptions::default(), 4);
+        assert_eq!((h.counter_live, h.allocs_per_execute), (false, 0.0));
+        assert_eq!(
+            broken(hot("exec_hot.pack.sss.w8", h)),
+            ["hot_counter_is_live"]
+        );
     }
 
     #[test]
@@ -829,21 +855,66 @@ mod tests {
         assert_eq!(names.len(), GATES.len());
     }
 
+    /// What `repro` prints instead of the report when a gate fails: every
+    /// violation, naming its workload and its gate.
+    #[test]
+    fn gated_names_the_workload_and_the_gate() {
+        let healthy = Report {
+            entries: vec![reuse(|_| {})],
+        };
+        assert!(healthy.gated().is_ok());
+        let report = Report {
+            entries: vec![reuse(|_| {}), reuse(|r| r.cache_hits = 0)],
+        };
+        let err = report.gated().unwrap_err();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        let named = "plan_reuse.pack.sss.w8: gate `reuse_hits_cache` failed";
+        assert!(err.starts_with(named), "{err}");
+    }
+
+    /// DESIGN.md §9.3's gate table and [`GATES`] agree: every backticked
+    /// name in the table's first column is a gate, every gate is named, and
+    /// every row names one.
+    #[test]
+    fn design_doc_lists_exactly_the_gates() {
+        let doc = include_str!("../../../DESIGN.md");
+        let section = doc
+            .split("### 9.3 ")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("DESIGN.md has a section 9.3");
+        let rows: Vec<Vec<&str>> = section
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .map(|l| {
+                let cell = l.split('|').nth(1).expect("a table row has a first cell");
+                cell.split('`').skip(1).step_by(2).collect()
+            })
+            .collect();
+        assert!(rows.iter().all(|names| !names.is_empty()), "{rows:?}");
+        let mut documented: Vec<&str> = rows.concat();
+        let mut gates: Vec<&str> = GATES.iter().map(|g| g.0).collect();
+        documented.sort_unstable();
+        gates.sort_unstable();
+        assert_eq!(documented, gates);
+    }
+
     #[test]
     fn rendered_report_parses_back_to_what_was_built() {
+        let mut named = with_m("apps", |_| {});
+        named.name = "a\"b\\".into();
         let report = Report {
-            filter: Some("a\"b\\".into()),
-            entries: vec![with_m("apps", |_| {}), hot("exec_hot.pack.sss.w8", HOT)],
+            entries: vec![named, hot("exec_hot.pack.sss.w8", HOT)],
         };
         let text = report.render();
         let back = Json::parse(&text).expect("rendered report is JSON");
         assert_eq!(back, report.to_json());
         // An escaped string, a null section beside a present one, and the
         // one-field-per-line layout; nothing that names a commit or a mode.
-        assert_eq!(back.get("filter").and_then(Json::as_str), Some("a\"b\\"));
-        assert_eq!(back.get("schema_version"), Some(&Json::Num(12.0)));
+        assert_eq!(back.get("schema_version"), Some(&Json::Num(13.0)));
         assert!(back.get("rev").is_none() && back.get("mode").is_none());
         let w = back.get("workloads").and_then(Json::as_arr).unwrap();
+        assert_eq!(w[0].get("name").and_then(Json::as_str), Some("a\"b\\"));
         assert_eq!(w[0].get("hot"), Some(&Json::Null));
         let executes = w[1].get("hot").and_then(|h| h.get("executes"));
         assert_eq!(executes, Some(&Json::Num(16.0)));

@@ -1,61 +1,47 @@
-//! Machine-readable perf report: the paper's headline workloads (Table I /
-//! Table II / Figure 5 configurations), the plan-reuse, steady-state
-//! execute, crash-recovery, peak-memory and scale sweeps, and the four
-//! application kernels, measured on the simulated CM-5 cost model and
-//! emitted as versioned JSON for regression tracking across revisions.
+//! The perf report's workloads: the paper's headline configurations
+//! (Table I / Table II / Figure 5), the plan-reuse, steady-state execute,
+//! crash-recovery, peak-memory and scale sweeps, and the four application
+//! kernels, measured on the simulated CM-5 cost model. [`report`] runs the
+//! registry once per process; `results/BENCH.json` and
+//! `results/critpath.txt` are two artefacts of it (`repro`, DESIGN.md §9.3).
 //!
 //! The report holds **only what is a function of the commit**: simulated
 //! stage times and totals, traffic, operation and allocation counts,
-//! memory bytes, bit-identity verdicts. Every workload runs once, nothing
-//! is read from a clock, and two runs of one commit write byte-identical
-//! files. Host wall time has one owner, the repo benchmark (`benchmark/`).
-//!
-//! Usage:
-//! ```sh
-//! cargo run -p hpf-bench --release --bin perf -- \
-//!     [--filter GROUP] [--out FILE] [--critpath-out FILE]
-//! # default output: results/BENCH.json, the committed report
-//! # --filter runs only the named workload group (pack, redist, unpack,
-//! #   plan_reuse, exec_hot, recovery, apps, memory, scale) and records
-//! #   the filter in the report
-//! # --critpath-out also writes every traced workload's critical path
-//! #   (results/critpath.txt is that file)
-//! ```
-//!
-//! The binary installs the counting global allocator, so the `exec_hot`
-//! workloads report *real* per-processor heap allocation counts for the
-//! steady-state execute loop.
-//!
-//! Before exiting, `perf` runs every gate of [`hpf_bench::report::GATES`]
-//! on its own report — Section 6.4 conformance exact, zero steady-state
-//! allocations, predicted peak memory bounding the measured one, pool-size
-//! invariance, a crash actually recovered, plan reuse amortizing — and
-//! exits nonzero naming the workload and the gate on any violation.
+//! memory bytes, bit-identity verdicts. Every workload runs once and
+//! nothing is read from a clock. The `exec_hot` allocation counts are real
+//! only in a binary that installs the counting global allocator, as `repro`
+//! does; the `hot_counter_is_live` gate fails everywhere else.
+
+use std::sync::OnceLock;
 
 use hpf_analysis::{
     predict_pack_peak, predict_pack_redist_peak, predict_unpack_peak, Conformance, CritPath,
     PeakMemory,
 };
 use hpf_apps::{gather_global, run_compaction, sample_sort, SparseMatrix};
-use hpf_bench::cli::Args;
-use hpf_bench::report::{Entry, Report, ScaleReport, Section, GROUPS};
-use hpf_bench::{
-    measure_run, pack_plan_ops, run_pack, run_unpack, time_pack_hot, time_pack_reuse,
-    time_unpack_hot, time_unpack_reuse, unpack_plan_ops, ExpConfig, Measurement, Observe,
-};
 use hpf_core::{
     plan_pack, plan_unpack, MaskPattern, MaskStats, PackOptions, PackScheme, RedistScheme,
     UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
-use hpf_machine::alloc_counter::CountingAllocator;
 use hpf_machine::collectives::A2aSchedule;
 use hpf_machine::{
     tags, Category, CostModel, Event, FaultPlan, Machine, Proc, ProcGrid, RunOutput,
 };
 
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
+use crate::report::{Entry, Report, ScaleReport, Section};
+use crate::{
+    measure_run, pack_plan_ops, run_pack, run_unpack, time_pack_hot, time_pack_reuse,
+    time_unpack_hot, time_unpack_reuse, unpack_plan_ops, ExpConfig, Measurement, Observe,
+};
+
+/// Every workload of the registry, run once per process and kept.
+pub fn report() -> &'static Report {
+    static REPORT: OnceLock<Report> = OnceLock::new();
+    REPORT.get_or_init(|| Report {
+        entries: registry().iter().map(run).collect(),
+    })
+}
 
 /// Executes per plan in the `plan_reuse` workloads (plan once, execute N).
 const REUSE_EXECUTES: usize = 16;
@@ -147,7 +133,7 @@ enum Kind {
     Scale,
 }
 
-/// One row of the registry: everything `perf` knows about a workload
+/// One row of the registry: everything the report knows about a workload
 /// before running it.
 #[derive(Debug)]
 struct Workload {
@@ -168,7 +154,7 @@ impl Workload {
     }
 }
 
-/// Every workload `perf` runs, in report order. The sizes mirror the
+/// Every workload of the report, in report order. The sizes mirror the
 /// paper's Section 7 setup (local size 1024 on 16 processors); the whole
 /// registry runs in about five seconds.
 fn registry() -> Vec<Workload> {
@@ -391,7 +377,7 @@ fn run_conform(wl: &Workload, scheme: Scheme) -> Ran {
 /// is a network that drops, duplicates and reorders (never delays: that
 /// alone moves simulated time). The entry's simulated measurement comes
 /// from the run under hazard; bit-identity with the fault-free run is
-/// asserted here, so a recovery bug fails the perf run itself. One worker:
+/// asserted here, so a recovery bug fails the report run itself. One worker:
 /// how many frames the peers had sent — so how many are replayed — when the
 /// victim crashes depends on the interleaving, which only a one-worker pool
 /// fixes.
@@ -648,82 +634,10 @@ fn run_app(wl: &Workload, app: App) -> Ran {
     }
 }
 
-fn main() {
-    let mut args =
-        Args::from_env("usage: perf [--filter GROUP] [--out FILE] [--critpath-out FILE]");
-    let filter: Option<String> = args.value("--filter");
-    let out_path: String = (args.value("--out")).unwrap_or_else(|| "results/BENCH.json".into());
-    let critpath_out: Option<String> = args.value("--critpath-out");
-    let groups = GROUPS.map(|(g, _)| g);
-    if let Some(f) = filter.as_deref().filter(|f| !groups.contains(f)) {
-        args.fail(&format!(
-            "unknown group {f}; expected one of: {}",
-            groups.join(", ")
-        ));
-    }
-    args.positionals(0);
-
-    let entries = registry()
-        .iter()
-        .filter(|wl| filter.as_deref().is_none_or(|f| f == wl.group))
-        .map(run)
-        .collect();
-    let report = Report { filter, entries };
-    write(&out_path, &report.render());
-    println!(
-        "perf report ({} workloads) -> {out_path}",
-        report.entries.len()
-    );
-    if let Some(path) = &critpath_out {
-        let rendered = report.entries.iter().filter_map(|e| {
-            let cp = e.critpath.as_ref()?;
-            Some(cp.render(&e.name) + "\n")
-        });
-        write(path, &rendered.collect::<String>());
-        println!("critical-path report -> {path}");
-    }
-    print_summary(&report.entries);
-
-    let violations = report.violations();
-    for v in &violations {
-        eprintln!("perf: FAIL {v}");
-    }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
-}
-
-/// Write `text` to `path`, creating its directory.
-fn write(path: &str, text: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-}
-
-/// Human summary on stdout: one line per workload, then each workload's
-/// section as the report writes it.
-fn print_summary(entries: &[Entry]) {
-    for e in entries {
-        println!(
-            "  {:<18} total {:>9.3} ms  local {:>9.3}  prs {:>8.3}  m2m {:>8.3}  words {:>9}",
-            e.name,
-            e.m.total_ms(),
-            e.m.local_ms(),
-            e.m.prs_ms(),
-            e.m.m2m_ms(),
-            e.m.words,
-        );
-    }
-    for e in entries.iter().filter(|e| e.section != Section::None) {
-        let section = e.section.to_json().render(0);
-        println!("  {:<26} {}", e.name, section.trim_end());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::GROUPS;
 
     /// What the deleted Python validator required of a report's names, now
     /// a property of the registry: every paper scheme in every group.
@@ -801,7 +715,6 @@ mod tests {
             let registry = registry();
             let recovery = registry.iter().filter(|wl| wl.group == "recovery");
             let report = Report {
-                filter: Some("recovery".into()),
                 entries: recovery.map(run).collect(),
             };
             assert_eq!(report.violations(), [""; 0]);

@@ -7,7 +7,7 @@ fn check(dir: &std::path::Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("--check")
         .arg(dir)
-        .args(["timeline", "balance"])
+        .args(["timeline.txt", "balance.txt"])
         .output()
         .expect("run repro")
 }
@@ -43,7 +43,7 @@ fn check_passes_on_the_committed_copies_and_names_a_tampered_line() {
         String::from_utf8_lossy(&tampered.stdout),
         String::from_utf8_lossy(&tampered.stderr),
     );
-    assert!(out.contains("timeline: ok"), "{out}");
+    assert!(out.contains("timeline.txt: ok"), "{out}");
     assert!(err.contains("balance.txt line 7 differs"), "{err}");
     assert!(err.contains("276637") && err.contains("276636"), "{err}");
 }

@@ -20,6 +20,7 @@ use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{Category, Proc, Wire};
 
 use crate::descriptor::ArrayDesc;
+use crate::index::assert_u32_indexable;
 
 /// Wire format / detection strategy for [`redistribute`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,10 +30,6 @@ pub enum RedistMode {
     /// Value-only messages in canonical order; detection on both sides.
     Detected,
 }
-
-/// The largest global element count [`RedistMode::Indexed`] can move: its
-/// pairs carry the global linear index as one `u32` word.
-const INDEXED_LIMIT: u64 = 1 << 32;
 
 /// Move a distributed array from layout `src` to layout `dst`.
 ///
@@ -67,15 +64,10 @@ pub fn redistribute<T: Wire + Default>(
         "source and target must use the same processor count"
     );
     if mode == RedistMode::Indexed {
-        // The one checked narrowing: every `glin as u32` below casts an
-        // index this bound has put in range.
+        // Its pairs carry the global linear index as one `u32` word: every
+        // `glin as u32` below casts an index this check has put in range.
         let dims = (0..src.ndims()).map(|i| src.dim(i).n());
-        let n = dims.fold(1usize, usize::saturating_mul) as u64;
-        assert!(
-            n <= INDEXED_LIMIT,
-            "the array has {n} elements, more than the {INDEXED_LIMIT} \
-             RedistMode::Indexed can index with a u32"
-        );
+        assert_u32_indexable(dims.fold(1, usize::saturating_mul), "RedistMode::Indexed");
     }
     let me = proc.id();
     assert_eq!(local.len(), src.local_len(me), "local data length mismatch");
@@ -333,7 +325,7 @@ mod tests {
 
     /// Descriptor only: the count is checked before anything is sized by it.
     #[test]
-    #[should_panic(expected = "more than the 4294967296 RedistMode::Indexed can index")]
+    #[should_panic(expected = "RedistMode::Indexed: 8589934592 indices, more than the 4294967296")]
     fn indexed_mode_refuses_what_a_u32_index_cannot_reach() {
         let grid = ProcGrid::line(2);
         let src = ArrayDesc::new(&[1 << 33], &grid, &[Dist::Block]).unwrap();

@@ -5,6 +5,7 @@
 //! destination the sender can compute, so each is a single many-to-many
 //! round of `(destination local index, value)` pairs, like the shifts.
 
+use hpf_distarray::index::assert_u32_indexable;
 use hpf_distarray::ArrayDesc;
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{Category, Proc, Wire};
@@ -72,6 +73,9 @@ fn move_by<T: Wire + Default>(
         dst.grid().nprocs(),
         "source and target must use the same processor count"
     );
+    // Pairs carry a destination local index as one `u32` word; processor 0
+    // holds the most elements (the first block of every dimension).
+    assert_u32_indexable(dst.local_len(0), "TRANSPOSE / RESHAPE");
     let me = proc.id();
     debug_assert_eq!(local.len(), src.local_len(me));
     let nprocs = src.grid().nprocs();

@@ -7,6 +7,7 @@
 //! carry `(destination local index, value)` pairs; the receiver places
 //! elements directly.
 
+use hpf_distarray::index::assert_u32_indexable;
 use hpf_distarray::ArrayDesc;
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{Category, Proc, Wire};
@@ -51,6 +52,9 @@ fn shift_impl<T: Wire + Default>(
     schedule: A2aSchedule,
 ) -> Vec<T> {
     assert!(dim < desc.ndims(), "DIM out of range");
+    // Pairs carry a destination local index as one `u32` word; processor 0
+    // holds the most elements (the first block of every dimension).
+    assert_u32_indexable(desc.local_len(0), "a shift");
     let me = proc.id();
     debug_assert_eq!(local.len(), desc.local_len(me));
     let n = desc.dim(dim).n() as isize;
@@ -225,5 +229,18 @@ mod tests {
         assert_eq!(out.total_words_sent(), 2);
         assert_eq!(out.results[0], vec![1, 2, 3, 4]);
         assert_eq!(out.results[1], vec![5, 6, 7, -1]);
+    }
+
+    /// Descriptor only: the index width is refused before any length is
+    /// looked at.
+    #[test]
+    #[should_panic(expected = "a shift: 8589934592 indices, more than the 4294967296")]
+    fn shift_refuses_what_a_u32_index_cannot_reach() {
+        let grid = ProcGrid::line(1);
+        let desc = ArrayDesc::new(&[1 << 33], &grid, &[Dist::Block]).unwrap();
+        Machine::new(grid, CostModel::cm5()).run(|proc| {
+            let none: [i32; 0] = [];
+            cshift_dim(proc, &desc, &none, 0, 1, A2aSchedule::LinearPermutation)
+        });
     }
 }

@@ -6,6 +6,7 @@
 //! descriptor, so the communication is a single many-to-many round of
 //! `(destination local index, value)` pairs, like the shifts.
 
+use hpf_distarray::index::assert_u32_indexable;
 use hpf_distarray::ArrayDesc;
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{Category, Proc, Wire};
@@ -46,6 +47,9 @@ pub fn spread_dim<T: Wire + Default>(
             assert_eq!(dst_shape[j], n, "non-DIM extents must match (dim {i})");
         }
     }
+    // Pairs carry a destination local index as one `u32` word; processor 0
+    // holds the most elements (the first block of every dimension).
+    assert_u32_indexable(dst.local_len(0), "SPREAD");
     let me = proc.id();
     debug_assert_eq!(local.len(), src.local_len(me));
     let ncopies = dst.dim(dim).n();

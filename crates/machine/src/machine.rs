@@ -347,10 +347,7 @@ impl Machine {
             if let Some(rec) = &rec {
                 proc.attach_recovery(Arc::clone(rec), resume);
             }
-            let (ac0, ab0) = crate::alloc_counter::thread_totals();
             let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-            let (ac1, ab1) = crate::alloc_counter::thread_totals();
-            proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
             let outcome: Result<R, Failure> = match result {
                 Ok(r) => {
                     // Under recovery no processor retires before every one

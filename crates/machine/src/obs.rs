@@ -273,9 +273,7 @@ pub(crate) enum TransportEvent {
 
 /// Counters named by the code that bumps them ([`ProcMetrics::add`]); a
 /// snapshot holds the ones its processor touched.
-const NAMED_COUNTERS: [&str; 9] = [
-    "alloc.bytes",
-    "alloc.count",
+const NAMED_COUNTERS: [&str; 7] = [
     "plan.cache.hit",
     "plan.cache.miss",
     "recovery.epochs",
@@ -296,7 +294,6 @@ pub(crate) struct ProcMetrics {
     /// charged messages only: zero-word data and uncharged control too,
     /// and — added when the processor retires — what its transport sent.
     pub(crate) msg_frames: u64,
-    pub(crate) mailbox_depth: GaugeValue,
     pub(crate) retransmits: u64,
     pub(crate) dup_drops: u64,
     pub(crate) clone_words: u64,
@@ -369,10 +366,7 @@ impl ProcMetrics {
                 .chain(self.named.iter().map(|(k, v)| (*k, *v)))
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            gauges: (gauges.iter().copied())
-                .chain([("mailbox.depth", self.mailbox_depth)])
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            gauges: (gauges.iter()).map(|(k, v)| (k.to_string(), *v)).collect(),
         }
     }
 }
@@ -493,8 +487,8 @@ fn counter_track(
     }
 }
 
-/// Export category spans and structured events as Chrome `trace_event`
-/// JSON, loadable in Perfetto or `chrome://tracing`.
+/// Export category spans, structured events and wall profiles as Chrome
+/// `trace_event` JSON, loadable in Perfetto or `chrome://tracing`.
 ///
 /// Each simulated processor becomes one trace *process* with three threads:
 /// `categories` (the clock-category spans of [`crate::trace`], as complete
@@ -506,9 +500,17 @@ fn counter_track(
 /// after all per-processor sections in deterministic (processor, account)
 /// order.
 ///
-/// Timestamps are *simulated* microseconds; `traces` and `events` are
-/// indexed by processor id (either may be empty).
-pub fn chrome_trace_json(traces: &[Vec<Span>], events: &[Vec<Event>]) -> String {
+/// Timestamps are *simulated* microseconds; `traces`, `events` and `wall`
+/// are indexed by processor id (any may be empty). A non-empty wall profile
+/// adds a fourth thread, `wall`, last: its spans as `X` slices with the
+/// moved bytes and effective GB/s as args. Their timestamps are monotonic
+/// nanoseconds since the profiler's origin — a different timebase, which is
+/// why they live on their own thread and never mix with the simulated rows.
+pub fn chrome_trace_json(
+    traces: &[Vec<Span>],
+    events: &[Vec<Event>],
+    wall: &[WallProfile],
+) -> String {
     let nprocs = traces.len().max(events.len());
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
@@ -752,6 +754,33 @@ pub fn chrome_trace_json(traces: &[Vec<Span>], events: &[Vec<Event>]) -> String 
         let name = format!("mem.{}", account.name());
         counter_track(&mut out, &mut first, *pid, &name, "bytes", "mem", deltas);
     }
+    for (pid, profile) in wall.iter().enumerate() {
+        if profile.spans.is_empty() {
+            continue;
+        }
+        buf.clear();
+        let _ = write!(
+            buf,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":3,\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"wall\"}}}}"
+        );
+        emit(&mut out, &mut first, &buf);
+        for s in &profile.spans {
+            buf.clear();
+            let _ = write!(
+                buf,
+                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":3,\"ts\":{:.3},\"dur\":{:.3},\
+                 \"name\":\"{}\",\"cat\":\"wall\",\"args\":{{\"bytes\":{},\
+                 \"gbps\":{:.3}}}}}",
+                s.start_ns as f64 / 1000.0,
+                s.dur_ns as f64 / 1000.0,
+                s.name,
+                s.bytes,
+                s.gbps()
+            );
+            emit(&mut out, &mut first, &buf);
+        }
+    }
     out.push_str("]}");
     out
 }
@@ -990,58 +1019,6 @@ impl WallProfile {
     }
 }
 
-/// [`chrome_trace_json`] plus a dedicated per-processor wall-clock track:
-/// each profile's spans are emitted as complete `X` slices on `tid` 3
-/// (thread name `wall`), with the span's moved bytes and effective GB/s as
-/// args. Wall timestamps are monotonic nanoseconds since the profiler's
-/// origin — a different timebase from the simulated tracks, which is why
-/// they live on their own thread and are never mixed into the simulated
-/// rows.
-pub fn chrome_trace_json_with_wall(
-    traces: &[Vec<Span>],
-    events: &[Vec<Event>],
-    wall: &[WallProfile],
-) -> String {
-    let mut out = chrome_trace_json(traces, events);
-    debug_assert!(out.ends_with("]}"));
-    out.truncate(out.len() - 2);
-    let mut extra = String::new();
-    for (pid, profile) in wall.iter().enumerate() {
-        if profile.spans.is_empty() {
-            continue;
-        }
-        let _ = write!(
-            extra,
-            ",{{\"ph\":\"M\",\"pid\":{pid},\"tid\":3,\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"wall\"}}}}"
-        );
-        for s in &profile.spans {
-            let _ = write!(
-                extra,
-                ",{{\"ph\":\"X\",\"pid\":{pid},\"tid\":3,\"ts\":{:.3},\"dur\":{:.3},\
-                 \"name\":\"{}\",\"cat\":\"wall\",\"args\":{{\"bytes\":{},\
-                 \"gbps\":{:.3}}}}}",
-                s.start_ns as f64 / 1000.0,
-                s.dur_ns as f64 / 1000.0,
-                s.name,
-                s.bytes,
-                s.gbps()
-            );
-        }
-    }
-    if !extra.is_empty() {
-        // Skip the leading comma if the simulated export had no events at
-        // all (a zero-processor run).
-        if out.ends_with('[') {
-            out.push_str(&extra[1..]);
-        } else {
-            out.push_str(&extra);
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1054,8 +1031,6 @@ mod tests {
             msg_sent: 3,
             ..ProcMetrics::default()
         };
-        m.mailbox_depth.set(5);
-        m.mailbox_depth.set(2);
         let first = PayloadCharge::new(&mut m, 64);
         drop(first);
         let _held = PayloadCharge::new(&mut m, 40);
@@ -1064,7 +1039,6 @@ mod tests {
         assert_eq!(snap.counter("msg.sent"), 3);
         assert_eq!(snap.counters.get("plan.cache.hit"), Some(&0));
         assert!(!snap.counters.contains_key("plan.cache.miss"));
-        assert_eq!(snap.gauges["mailbox.depth"], GaugeValue { last: 2, max: 5 });
         assert_eq!(
             snap.gauges["mem.payload.cur"],
             GaugeValue { last: 40, max: 64 }
@@ -1104,14 +1078,14 @@ mod tests {
             ..ProcMetrics::default()
         };
         let (mut a, mut b) = (sent(2), sent(3));
-        a.mailbox_depth.set(7);
+        a.mem[MemAccount::Pool as usize].set(7);
         b.add("plan.cache.hit", 1);
-        b.mailbox_depth.set(4);
+        b.mem[MemAccount::Pool as usize].set(4);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.counter("msg.sent"), 5);
         assert_eq!(m.counter("plan.cache.hit"), 1);
-        assert_eq!(m.gauges["mailbox.depth"].max, 7);
+        assert_eq!(m.gauges["mem.pool.cur"].max, 7);
     }
 
     /// DESIGN.md §8 "Metrics taxonomy" and the name table agree: every
@@ -1169,7 +1143,7 @@ mod tests {
                 kind: EventKind::SpanEnd { name: "rank" },
             },
         ]];
-        let json = chrome_trace_json(&traces, &events);
+        let json = chrome_trace_json(&traces, &events, &[]);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"name\":\"send\""), "{json}");
@@ -1215,7 +1189,7 @@ mod tests {
                 },
             },
         ]];
-        let json = chrome_trace_json(&[], &events);
+        let json = chrome_trace_json(&[], &events, &[]);
         // Depth rises to 2 after both deliveries, drops to 1 at the consume.
         assert!(json.contains("\"ph\":\"C\""), "{json}");
         assert!(json.contains("\"name\":\"mailbox_depth\""), "{json}");
@@ -1287,16 +1261,12 @@ mod tests {
     fn wall_track_extends_trace_without_touching_simulated_rows() {
         let traces: Vec<Vec<Span>> = vec![Vec::new()];
         let events: Vec<Vec<Event>> = vec![Vec::new()];
-        let base = chrome_trace_json(&traces, &events);
-        // No profiles, or only empty profiles: export is byte-identical.
+        let base = chrome_trace_json(&traces, &events, &[]);
+        // Only empty profiles: the export is byte-identical.
         assert_eq!(
-            chrome_trace_json_with_wall(&traces, &events, &[]),
+            chrome_trace_json(&traces, &events, &[WallProfile::default()]),
             base,
             "empty wall must not change the export"
-        );
-        assert_eq!(
-            chrome_trace_json_with_wall(&traces, &events, &[WallProfile::default()]),
-            base
         );
 
         let profile = WallProfile {
@@ -1311,7 +1281,7 @@ mod tests {
             forced_closes: 0,
             unmatched_ends: 0,
         };
-        let json = chrome_trace_json_with_wall(&traces, &events, &[profile]);
+        let json = chrome_trace_json(&traces, &events, std::slice::from_ref(&profile));
         assert!(json.starts_with(&base[..base.len() - 2]), "{json}");
         assert!(json.contains("\"tid\":3"), "{json}");
         assert!(json.contains("\"name\":\"wall\""), "{json}");
@@ -1323,5 +1293,8 @@ mod tests {
             _ => d,
         });
         assert_eq!(depth, 0);
+        // Wall spans alone: the first event takes no leading comma.
+        let alone = chrome_trace_json(&[], &[], &[profile]);
+        assert!(alone.contains("\"traceEvents\":[{\"ph\":\"M\""), "{alone}");
     }
 }

@@ -876,7 +876,6 @@ impl<'m> Proc<'m> {
             Frame::Raw(p) => {
                 self.note_delivery(&p, None);
                 self.mailbox.hold(p);
-                self.note_mailbox_depth();
             }
             Frame::Data { seq, pkt } => {
                 let ready = self
@@ -890,7 +889,6 @@ impl<'m> Proc<'m> {
                     self.note_delivery(&p, Some(s));
                     self.mailbox.hold(p);
                 }
-                self.note_mailbox_depth();
             }
             Frame::Ack { from, seq } => {
                 if let Some(t) = self.transport.as_mut() {
@@ -937,14 +935,6 @@ impl<'m> Proc<'m> {
             pkt.arrival_ns,
             pkt.words as i64 * 4,
         );
-    }
-
-    /// Sample the mailbox backlog gauge (after a delivery).
-    #[inline]
-    fn note_mailbox_depth(&mut self) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.mailbox_depth.set(self.mailbox.len() as u64);
-        }
     }
 
     /// Synchronise the clocks of all group members to the maximum member
@@ -1463,15 +1453,5 @@ impl<'m> Proc<'m> {
     pub fn restore_pkt_scratch(&mut self, mut scratch: Vec<Packet>) {
         scratch.clear();
         self.pkt_scratch = scratch;
-    }
-
-    /// Record this processor's allocation totals for this run in the
-    /// `alloc.count` / `alloc.bytes` counters (no-op without metrics; zeros
-    /// unless the binary installs [`crate::alloc_counter::CountingAllocator`]).
-    pub(crate) fn note_alloc_totals(&mut self, count: u64, bytes: u64) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.add("alloc.count", count);
-            m.add("alloc.bytes", bytes);
-        }
     }
 }

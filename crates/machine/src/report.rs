@@ -75,7 +75,7 @@ impl<R> RunOutput<R> {
     /// `trace_event` JSON, loadable in [Perfetto](https://ui.perfetto.dev)
     /// or `chrome://tracing` (see [`crate::obs::chrome_trace_json`]).
     pub fn chrome_trace_json(&self) -> String {
-        crate::obs::chrome_trace_json_with_wall(&self.traces, &self.events, &self.wall_profiles)
+        crate::obs::chrome_trace_json(&self.traces, &self.events, &self.wall_profiles)
     }
 
     /// All processors' metric snapshots merged into one (counters add,

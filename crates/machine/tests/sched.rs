@@ -5,13 +5,12 @@
 //! is drawn from the deterministic ready-queue (simulated time, proc id),
 //! never from OS scheduling (DESIGN.md §15).
 //!
-//! Some observables (`alloc.*` counters past the ring capacity, the
-//! `sched.*` park/wake counters, gauge *maxima* like `mailbox.depth`)
+//! Some observables (the `sched.*` park/wake counters, gauge *maxima*)
 //! legitimately vary with the interleaving, so the comparisons below are
-//! over the schedule-invariant set: per-processor event streams canonicalized by (timestamp, kind) and
-//! metric snapshots filtered to counters (minus `alloc.*` and `sched.*`),
-//! gauge last-values (minus `mailbox.depth`
-//! and `mem.payload.cur`, whose final value depends on when the last
+//! over the schedule-invariant set: per-processor event streams
+//! canonicalized by (timestamp, kind) and metric snapshots filtered to
+//! counters (minus `sched.*`) and gauge last-values (minus
+//! `mem.payload.cur`, whose final value depends on when the last
 //! Arc-shared packet copy drops at teardown).
 
 use proptest::prelude::*;
@@ -114,13 +113,13 @@ fn canonical_metrics<R>(out: &RunOutput<R>) -> Vec<(Vec<(String, u64)>, Vec<(Str
             let counters: Vec<(String, u64)> = m
                 .counters
                 .iter()
-                .filter(|(k, _)| !k.starts_with("alloc.") && !k.starts_with("sched."))
+                .filter(|(k, _)| !k.starts_with("sched."))
                 .map(|(k, v)| (k.clone(), *v))
                 .collect();
             let gauges: Vec<(String, u64)> = m
                 .gauges
                 .iter()
-                .filter(|(k, _)| k.as_str() != "mailbox.depth" && k.as_str() != "mem.payload.cur")
+                .filter(|(k, _)| k.as_str() != "mem.payload.cur")
                 .map(|(k, v)| (k.clone(), v.last))
                 .collect();
             (counters, gauges)

@@ -5,4 +5,3 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo run -p hpf-bench --release --bin repro -- --all --out-dir results
-cargo run -p hpf-bench --release --bin perf -- --out results/BENCH.json --critpath-out results/critpath.txt

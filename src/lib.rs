@@ -6,7 +6,7 @@
 //! parallel machine, [`hpf_intrinsics`] for the companion F90/HPF
 //! transformational intrinsics, [`hpf_apps`] for mini-applications
 //! built on the runtime, and [`hpf_analysis`] for offline trace analysis
-//! (critical paths, cost-model conformance, perf regression diffing).
+//! (critical paths, cost-model conformance, peak memory, wall hotspots).
 pub use hpf_analysis as analysis;
 pub use hpf_apps as apps;
 pub use hpf_core as core;
