@@ -20,18 +20,16 @@
 //! #   Chrome trace_event JSON to FILE, wall-clock hotspots to stderr
 //! ```
 //!
-//! The binary installs the counting global allocator, so the report's
-//! `exec_hot` rows count the steady-state execute loop's real allocations.
+//! The report holds simulated numbers and counts only. Allocation-freedom
+//! and worker-pool identity are the test suites' to prove (`hpf-core`'s
+//! `zero_alloc` and `sched_determinism`), so the binary runs on the system
+//! allocator.
 
 use std::path::Path;
 
 use hpf_bench::artefacts::{first_difference, timeline, Render, ARTEFACTS};
 use hpf_bench::cli::Args;
 use hpf_bench::workloads;
-use hpf_machine::alloc_counter::CountingAllocator;
-
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
 
 /// The text of `file`. The perf report's two files render only if every
 /// gate of `report::GATES` holds; otherwise `Err` names each violation.

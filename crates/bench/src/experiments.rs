@@ -163,6 +163,10 @@ pub struct ReuseMeasurement {
     pub cache_hits: u64,
     /// `plan.cache.miss` summed over all processors after the cached arm.
     pub cache_misses: u64,
+    /// Op breakdown of the cached plan's lowered copy programs, merged
+    /// across processors (DESIGN.md §16): how much of an execute's value
+    /// movement runs as bulk copies instead of scalar indexing.
+    pub copy_ops: CopyStats,
 }
 
 impl ReuseMeasurement {
@@ -184,23 +188,28 @@ impl ReuseMeasurement {
 }
 
 /// The two arms of a reuse measurement: `arm(cached)` runs the loop once
-/// with full calls and once through a [`PlanCache`]. Only the cached arm
+/// with full calls and once through a [`PlanCache`], returning `Size` and —
+/// in the cached arm — its plan's copy-program stats. Only the cached arm
 /// runs with metrics, so its `plan.cache.{hit,miss}` counters are observable.
-fn time_reuse<R: Send>(
+fn time_reuse(
     cfg: &ExpConfig,
-    size: impl Fn(&RunOutput<R>) -> usize,
     executes: usize,
-    arm: impl Fn(&mut Proc, bool) -> R + Sync,
+    arm: impl Fn(&mut Proc, bool) -> (usize, CopyStats) + Sync,
 ) -> ReuseMeasurement {
     let fresh = cfg.machine().run(|proc| arm(proc, false));
     let cached = cfg.machine().with_metrics(true).run(|proc| arm(proc, true));
     let metrics = cached.merged_metrics();
+    let mut copy_ops = CopyStats::default();
+    for (_, stats) in &cached.results {
+        copy_ops.merge(stats);
+    }
     ReuseMeasurement {
         executes,
-        fresh: measure_run(&fresh, size(&fresh)),
-        cached: measure_run(&cached, size(&cached)),
+        fresh: measure_run(&fresh, fresh.results[0].0),
+        cached: measure_run(&cached, cached.results[0].0),
         cache_hits: metrics.counter("plan.cache.hit"),
         cache_misses: metrics.counter("plan.cache.miss"),
+        copy_ops,
     }
 }
 
@@ -210,30 +219,27 @@ fn time_reuse<R: Send>(
 pub fn time_pack_reuse(cfg: &ExpConfig, opts: &PackOptions, executes: usize) -> ReuseMeasurement {
     let desc = cfg.desc();
     let (desc_ref, pattern, shape) = (&desc, cfg.pattern, &cfg.shape);
-    time_reuse(
-        cfg,
-        |out| out.results[0],
-        executes,
-        |proc, cached| {
-            let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, shape));
-            let data_at = |it: usize, g: &[usize]| ExpConfig::value_at(g).wrapping_add(it as i32);
-            let data: Vec<Vec<i32>> = (0..executes)
-                .map(|it| local_from_fn(desc_ref, proc.id(), |g| data_at(it, g)))
-                .collect();
-            let mut plans = PlanCache::new();
-            proc.clock().reset();
-            let mut size = 0;
-            for a in &data {
-                size = if cached {
-                    let plan = plans.pack_plan(proc, desc_ref, &m, pattern.fingerprint(), opts);
-                    plan.unwrap().execute(proc, a).unwrap().size
-                } else {
-                    pack(proc, desc_ref, a, &m, opts).unwrap().size
-                };
-            }
-            size
-        },
-    )
+    time_reuse(cfg, executes, |proc, cached| {
+        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, shape));
+        let data_at = |it: usize, g: &[usize]| ExpConfig::value_at(g).wrapping_add(it as i32);
+        let data: Vec<Vec<i32>> = (0..executes)
+            .map(|it| local_from_fn(desc_ref, proc.id(), |g| data_at(it, g)))
+            .collect();
+        let mut plans = PlanCache::new();
+        proc.clock().reset();
+        let (mut size, mut stats) = (0, CopyStats::default());
+        for a in &data {
+            size = if cached {
+                let plan = plans.pack_plan(proc, desc_ref, &m, pattern.fingerprint(), opts);
+                let plan = plan.unwrap();
+                stats = plan.copy_stats();
+                plan.execute(proc, a).unwrap().size
+            } else {
+                pack(proc, desc_ref, a, &m, opts).unwrap().size
+            };
+        }
+        (size, stats)
+    })
 }
 
 /// Measure UNPACK plan reuse under `opts`; see [`time_pack_reuse`]. Each
@@ -246,165 +252,29 @@ pub fn time_unpack_reuse(
     let desc = cfg.desc();
     let (size, v_layout) = cfg.packed_layout();
     let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, &cfg.shape, &v_layout);
-    time_reuse(
-        cfg,
-        |_| size,
-        executes,
-        |proc, cached| {
-            let me = proc.id();
-            let m = local_from_fn(desc_ref, me, |g| pattern.value(g, shape));
-            let f = local_from_fn(desc_ref, me, |_| -1i32);
-            let v_at =
-                |it: usize, l: usize| (vl.global_of(me, l) as i32).wrapping_add(1000 * it as i32);
-            let vs: Vec<Vec<i32>> = (0..executes)
-                .map(|it| (0..vl.local_len(me)).map(|l| v_at(it, l)).collect())
-                .collect();
-            let mut plans = PlanCache::new();
-            proc.clock().reset();
-            for v in &vs {
-                if cached {
-                    let plan =
-                        plans.unpack_plan(proc, desc_ref, &m, pattern.fingerprint(), vl, opts);
-                    plan.unwrap().execute(proc, &f, v).unwrap();
-                } else {
-                    unpack(proc, desc_ref, &m, &f, v, vl, opts).unwrap();
-                }
-            }
-        },
-    )
-}
-
-/// Warm-up executes before the hot window: the two pool slots per
-/// destination alternate, so both are grown after exactly two iterations
-/// and every later execute is allocation-free.
-pub const HOT_WARMUP: usize = 2;
-
-/// Counted measurement of the steady-state execute path: one plan,
-/// `executes` counted iterations after warm-up, with heap allocations
-/// counted per processor. Allocation counts are only non-zero when the
-/// harness binary installs [`hpf_machine::alloc_counter::CountingAllocator`]
-/// as its global allocator (`repro` does); `counter_live` says whether it
-/// did. What an execute costs in host time is the repo benchmark's number
-/// (`benchmark/`), not this one's.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotMeasurement {
-    /// Counted executes (after [`HOT_WARMUP`] uncounted ones).
-    pub executes: usize,
-    /// Packed element count moved per execute.
-    pub elements: usize,
-    /// The [`HOT_WARMUP`] executes allocated: they grow the pool slots, so
-    /// `false` means nothing counts — the `hot_counter_is_live` gate. A
-    /// flag, not the count, because the count follows the pool's
-    /// interleaving and the report is a function of the tree.
-    pub counter_live: bool,
-    /// Heap allocations per execute, summed over all processors.
-    /// Zero in steady state — the `hot_zero_allocs` gate.
-    pub allocs_per_execute: f64,
-    /// Heap bytes allocated per execute, summed over all processors.
-    pub alloc_bytes_per_execute: f64,
-    /// The run's `payload.clone_words`: deep-copied payload words, zero on
-    /// fault-free runs.
-    pub clone_words: u64,
-    /// Op breakdown of the plan's lowered copy programs, merged across
-    /// processors (DESIGN.md §16): how much of the hot loop's value
-    /// movement runs as bulk copies instead of scalar indexing.
-    pub copy_ops: CopyStats,
-}
-
-/// What one processor reports from a hot loop: warm-up allocations,
-/// allocations and allocated bytes inside the counted window, and its plan's
-/// copy-program stats.
-type HotCounts = (u64, u64, u64, CopyStats);
-
-/// Run `executes` iterations of `step` and count what the window allocated.
-fn counted(executes: usize, mut step: impl FnMut()) -> (u64, u64) {
-    use hpf_machine::alloc_counter::thread_totals;
-    let (c0, b0) = thread_totals();
-    for _ in 0..executes {
-        step();
-    }
-    let (c1, b1) = thread_totals();
-    (c1 - c0, b1 - b0)
-}
-
-/// The run behind [`time_pack_hot`] / [`time_unpack_hot`], whose
-/// per-processor program is `hot(proc, executes)`. Metrics are on — a
-/// counter is a field, so the counted window still allocates nothing.
-fn time_hot(
-    cfg: &ExpConfig,
-    elements: usize,
-    executes: usize,
-    hot: impl Fn(&mut Proc, usize) -> HotCounts + Sync,
-) -> (HotMeasurement, Measurement) {
-    let machine = cfg.machine().with_metrics(true);
-    let out = machine.run(|proc| hot(proc, executes));
-    let per_exec = |total: u64| total as f64 / executes.max(1) as f64;
-    let mut copy_ops = CopyStats::default();
-    for r in &out.results {
-        copy_ops.merge(&r.3);
-    }
-    let hot = HotMeasurement {
-        executes,
-        elements,
-        counter_live: out.results.iter().any(|r| r.0 > 0),
-        allocs_per_execute: per_exec(out.results.iter().map(|r| r.1).sum()),
-        alloc_bytes_per_execute: per_exec(out.results.iter().map(|r| r.2).sum()),
-        clone_words: out.merged_metrics().counter("payload.clone_words"),
-        copy_ops,
-    };
-    (hot, measure_run(&out, elements))
-}
-
-/// Measure the PACK hot path: plan once, warm up, count `executes`
-/// steady-state iterations. Returns the counted measurement plus the
-/// simulated [`Measurement`] of the whole plan + execute loop.
-pub fn time_pack_hot(
-    cfg: &ExpConfig,
-    opts: &PackOptions,
-    executes: usize,
-) -> (HotMeasurement, Measurement) {
-    let desc = cfg.desc();
-    let (size, _) = cfg.packed_layout();
-    let (desc_ref, pattern, shape) = (&desc, cfg.pattern, &cfg.shape);
-    time_hot(cfg, size, executes, |proc, executes| {
-        let a = local_from_fn(desc_ref, proc.id(), ExpConfig::value_at);
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, shape));
-        proc.clock().reset();
-        let plan = plan_pack(proc, desc_ref, &m, opts).unwrap();
-        let mut out = hpf_core::PackOutput {
-            local_v: Vec::new(),
-            size: 0,
-            v_layout: None,
-        };
-        let mut step = || plan.execute_into(proc, &a, &mut out).unwrap();
-        let (warmup, _) = counted(HOT_WARMUP, &mut step);
-        let (allocs, bytes) = counted(executes, step);
-        (warmup, allocs, bytes, plan.copy_stats())
-    })
-}
-
-/// Measure the UNPACK hot path; see [`time_pack_hot`].
-pub fn time_unpack_hot(
-    cfg: &ExpConfig,
-    opts: &UnpackOptions,
-    executes: usize,
-) -> (HotMeasurement, Measurement) {
-    let desc = cfg.desc();
-    let (size, v_layout) = cfg.packed_layout();
-    let (desc_ref, pattern, shape, vl) = (&desc, cfg.pattern, &cfg.shape, &v_layout);
-    time_hot(cfg, size, executes, |proc, executes| {
-        let m = local_from_fn(desc_ref, proc.id(), |g| pattern.value(g, shape));
-        let f = local_from_fn(desc_ref, proc.id(), |_| -1i32);
-        let v: Vec<i32> = (0..vl.local_len(proc.id()))
-            .map(|l| vl.global_of(proc.id(), l) as i32)
+    time_reuse(cfg, executes, |proc, cached| {
+        let me = proc.id();
+        let m = local_from_fn(desc_ref, me, |g| pattern.value(g, shape));
+        let f = local_from_fn(desc_ref, me, |_| -1i32);
+        let v_at =
+            |it: usize, l: usize| (vl.global_of(me, l) as i32).wrapping_add(1000 * it as i32);
+        let vs: Vec<Vec<i32>> = (0..executes)
+            .map(|it| (0..vl.local_len(me)).map(|l| v_at(it, l)).collect())
             .collect();
+        let mut plans = PlanCache::new();
         proc.clock().reset();
-        let plan = plan_unpack(proc, desc_ref, &m, vl, opts).unwrap();
-        let mut out = Vec::new();
-        let mut step = || plan.execute_into(proc, &f, &v, &mut out).unwrap();
-        let (warmup, _) = counted(HOT_WARMUP, &mut step);
-        let (allocs, bytes) = counted(executes, step);
-        (warmup, allocs, bytes, plan.copy_stats())
+        let mut stats = CopyStats::default();
+        for v in &vs {
+            if cached {
+                let plan = plans.unpack_plan(proc, desc_ref, &m, pattern.fingerprint(), vl, opts);
+                let plan = plan.unwrap();
+                stats = plan.copy_stats();
+                plan.execute(proc, &f, v).unwrap();
+            } else {
+                unpack(proc, desc_ref, &m, &f, v, vl, opts).unwrap();
+            }
+        }
+        (size, stats)
     })
 }
 
@@ -635,32 +505,14 @@ mod tests {
         assert_eq!(r.cache_misses, 4, "one planning miss per processor");
         assert_eq!(r.cache_hits, 7 * 4, "executes-1 hits per processor");
         assert!(r.reuse_ratio() < 1.0, "ratio {}", r.reuse_ratio());
+        // Every packed element leaves through one gather op.
+        assert_eq!(r.copy_ops.total_elements, r.cached.size as u64);
         let r = time_unpack_reuse(&cfg, &UnpackOptions::new(UnpackScheme::CompactStorage), 8);
         assert_eq!(r.cache_misses, 4);
         assert_eq!(r.cache_hits, 7 * 4);
         assert!(r.reuse_ratio() < 1.0, "ratio {}", r.reuse_ratio());
-    }
-
-    #[test]
-    fn hot_measurements_report_clean_steady_state() {
-        let cfg = ExpConfig::new(
-            &[256],
-            &[4],
-            4,
-            MaskPattern::Random {
-                density: 0.5,
-                seed: 4,
-            },
-        );
-        let (hot, sim) = time_pack_hot(&cfg, &PackOptions::default(), 4);
-        assert_eq!(hot.executes, 4);
-        assert!(hot.elements > 80 && hot.elements < 180, "{}", hot.elements);
-        assert_eq!(hot.clone_words, 0, "fault-free run deep-copied a payload");
-        assert!(hot.copy_ops.total_elements > 0);
-        assert!(sim.total_ms() > 0.0);
-        let (hot, sim) = time_unpack_hot(&cfg, &UnpackOptions::default(), 4);
-        assert_eq!(hot.clone_words, 0);
-        assert!(sim.total_ms() > 0.0);
+        // Served from `V` and scattered into the field: twice over.
+        assert_eq!(r.copy_ops.total_elements, 2 * r.cached.size as u64);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! serializer, and the gates a report must pass before `repro` renders it.
 //!
 //! Every field is a function of the commit — simulated time, traffic,
-//! operation counts, allocation counts, memory bytes — so two runs of one
+//! operation and copy-op counts, memory bytes — so two runs of one
 //! commit render byte-identical files. Host time is not in here; the repo
 //! benchmark (`benchmark/`) owns every wall number.
 //!
@@ -18,49 +18,33 @@ use hpf_analysis::conformance::ConformancePhases;
 use hpf_analysis::{Conformance, CritPath, Json, PeakMemory, MEM_RATIO_GATE};
 use hpf_machine::{Category, RecoveryStats};
 
-use crate::{HotMeasurement, Measurement, ReuseMeasurement};
+use crate::{Measurement, ReuseMeasurement};
 
 /// Schema version of the emitted JSON (bump on breaking field changes).
-pub const SCHEMA_VERSION: u64 = 13;
+pub const SCHEMA_VERSION: u64 = 14;
 
 /// The workload groups, in report order, each with the JSON key of the
 /// [`Section`] its entries carry.
-pub const GROUPS: [(&str, Option<&str>); 9] = [
+pub const GROUPS: [(&str, Option<&str>); 8] = [
     ("pack", Some("conformance")),
     ("redist", None),
     ("unpack", Some("conformance")),
     ("plan_reuse", Some("reuse")),
-    ("exec_hot", Some("hot")),
     ("recovery", Some("recovery")),
     ("apps", None),
     ("memory", Some("memory")),
-    ("scale", Some("scale")),
+    ("scale", None),
 ];
-
-/// Scale-sweep verdict for one machine shape: the same program run under a
-/// one-worker pool and under `workers_high` workers, compared bit-exactly
-/// (results, per-processor simulated clocks, communication matrix).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaleReport {
-    /// Pool size of the reference run.
-    pub workers_low: usize,
-    /// Pool size of the compared run.
-    pub workers_high: usize,
-    /// The two runs agreed bit for bit.
-    pub identical: bool,
-}
 
 /// What a workload measures beyond its simulated [`Measurement`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Section {
-    /// Nothing more (`redist`, `apps`).
+    /// Nothing more (`redist`, `apps`, `scale`).
     None,
     /// Section 6.4 op-count conformance, phase-resolved (`pack`, `unpack`).
     Conformance(Conformance),
     /// Plan-once / execute-N against N full calls (`plan_reuse`).
     Reuse(ReuseMeasurement),
-    /// Counted steady-state execute loop (`exec_hot`).
-    Hot(HotMeasurement),
     /// Replay accounting of a run that met its hazard and came through
     /// bit-identical (`recovery`): a crash recovered, or — the `.faulted`
     /// rows — a lossy network retransmitted over. Only such a run has one,
@@ -68,14 +52,12 @@ pub enum Section {
     Recovery(RecoveryStats),
     /// Predicted against measured peak memory (`memory`).
     Memory(PeakMemory),
-    /// Worker-pool-size invariance (`scale`).
-    Scale(ScaleReport),
 }
 
 impl Section {
     /// The section keys of an entry's JSON object, in order; all but the
     /// entry's own are `null`.
-    const KEYS: [&'static str; 6] = ["conformance", "reuse", "hot", "recovery", "memory", "scale"];
+    const KEYS: [&'static str; 4] = ["conformance", "reuse", "recovery", "memory"];
 
     /// This section's JSON key.
     pub fn key(&self) -> Option<&'static str> {
@@ -83,10 +65,8 @@ impl Section {
             Section::None => None,
             Section::Conformance(_) => Some("conformance"),
             Section::Reuse(_) => Some("reuse"),
-            Section::Hot(_) => Some("hot"),
             Section::Recovery(_) => Some("recovery"),
             Section::Memory(_) => Some("memory"),
-            Section::Scale(_) => Some("scale"),
         }
     }
 
@@ -121,22 +101,14 @@ impl Section {
                 ("ratio", r.reuse_ratio().into()),
                 ("cache_hits", r.cache_hits.into()),
                 ("cache_misses", r.cache_misses.into()),
-            ]),
-            Section::Hot(h) => Json::obj([
-                ("executes", h.executes.into()),
-                ("elements", h.elements.into()),
-                ("counter_live", h.counter_live.into()),
-                ("allocs_per_execute", h.allocs_per_execute.into()),
-                ("alloc_bytes_per_execute", h.alloc_bytes_per_execute.into()),
-                ("clone_words", h.clone_words.into()),
                 (
                     "copy_ops",
                     Json::obj([
-                        ("contig", h.copy_ops.contig.into()),
-                        ("scatter", h.copy_ops.scatter.into()),
-                        ("bulk_elements", h.copy_ops.bulk_elements.into()),
-                        ("total_elements", h.copy_ops.total_elements.into()),
-                        ("bulk_fraction", h.copy_ops.bulk_fraction().into()),
+                        ("contig", r.copy_ops.contig.into()),
+                        ("scatter", r.copy_ops.scatter.into()),
+                        ("bulk_elements", r.copy_ops.bulk_elements.into()),
+                        ("total_elements", r.copy_ops.total_elements.into()),
+                        ("bulk_fraction", r.copy_ops.bulk_fraction().into()),
                     ]),
                 ),
             ]),
@@ -158,11 +130,6 @@ impl Section {
                 ("ring_bytes", p.ring_bytes.into()),
                 ("ring_exact", p.ring_exact.into()),
                 ("pass", p.pass.into()),
-            ]),
-            Section::Scale(s) => Json::obj([
-                ("workers_low", s.workers_low.into()),
-                ("workers_high", s.workers_high.into()),
-                ("identical", s.identical.into()),
             ]),
         }
     }
@@ -321,7 +288,7 @@ fn stage_slack(group: &str) -> f64 {
 pub type Gate = (&'static str, &'static str, fn(&Entry) -> bool);
 
 /// The gates, entry by entry. DESIGN.md §9.3 lists exactly these.
-pub const GATES: [Gate; 23] = [
+pub const GATES: [Gate; 15] = [
     (
         "group_has_its_section",
         "the entry does not carry exactly the section its group measures",
@@ -367,41 +334,6 @@ pub const GATES: [Gate; 23] = [
                 sum(&p.predicted_plan) + sum(&p.predicted_execute) == c.predicted_total()
                     && sum(&p.measured_plan) + sum(&p.measured_execute) == c.measured_total()
             })
-        },
-    ),
-    (
-        // The warm-up executes grow the pool slots, so a counter that saw
-        // them allocate nothing is not counting: the two gates below would
-        // pass without measuring anything.
-        "hot_counter_is_live",
-        "the warm-up executes allocated nothing: no counting allocator is installed",
-        |e| !matches!(&e.section, Section::Hot(h) if !h.counter_live),
-    ),
-    (
-        // From the third execute of a plan on, the pooled buffers absorb
-        // the whole loop: the counting allocator must see nothing.
-        "hot_zero_allocs",
-        "a steady-state execute allocated",
-        |e| !matches!(&e.section, Section::Hot(h) if h.allocs_per_execute != 0.0),
-    ),
-    (
-        "hot_zero_alloc_bytes",
-        "a steady-state execute allocated bytes",
-        |e| !matches!(&e.section, Section::Hot(h) if h.alloc_bytes_per_execute != 0.0),
-    ),
-    (
-        "hot_zero_clone_words",
-        "a fault-free run deep-copied payload words",
-        |e| !matches!(&e.section, Section::Hot(h) if h.clone_words != 0),
-    ),
-    (
-        // On a contiguous mask the plan must move nearly everything through
-        // Contig ops, or the lowering stopped finding the runs.
-        "dense_is_bulk",
-        "a .dense workload moves under 90 % of its elements in bulk copy ops",
-        |e| {
-            !matches!(&e.section, Section::Hot(h)
-                if e.name.ends_with(".dense") && h.copy_ops.bulk_fraction() < 0.9)
         },
     ),
     (
@@ -458,21 +390,6 @@ pub const GATES: [Gate; 23] = [
         "the memory verdict is a fail",
         |e| !matches!(&e.section, Section::Memory(p) if !p.pass),
     ),
-    (
-        "scale_identical",
-        "results, clocks or traffic differ between worker-pool sizes",
-        |e| !matches!(&e.section, Section::Scale(s) if !s.identical),
-    ),
-    (
-        "scale_baseline_is_one_worker",
-        "the reference run did not use a one-worker pool",
-        |e| !matches!(&e.section, Section::Scale(s) if s.workers_low != 1),
-    ),
-    (
-        "scale_compares_a_real_pool",
-        "the compared pool has fewer than 2 workers, so nothing interleaved",
-        |e| !matches!(&e.section, Section::Scale(s) if s.workers_high < 2),
-    ),
 ];
 
 #[cfg(test)]
@@ -528,25 +445,6 @@ mod tests {
         entry("pack.sss.w8", "pack", Section::Conformance(c))
     }
 
-    const HOT: HotMeasurement = HotMeasurement {
-        executes: 16,
-        elements: 100,
-        counter_live: true,
-        allocs_per_execute: 0.0,
-        alloc_bytes_per_execute: 0.0,
-        clone_words: 0,
-        copy_ops: CopyStats {
-            contig: 4,
-            scatter: 1,
-            bulk_elements: 89,
-            total_elements: 100,
-        },
-    };
-
-    fn hot(name: &str, h: HotMeasurement) -> Entry {
-        entry(name, "exec_hot", Section::Hot(h))
-    }
-
     fn recovery(edit: impl FnOnce(&mut RecoveryStats)) -> Entry {
         let mut r = RecoveryStats {
             epochs: 16,
@@ -573,6 +471,12 @@ mod tests {
             },
             cache_hits: 60,
             cache_misses: 4,
+            copy_ops: CopyStats {
+                contig: 4,
+                scatter: 1,
+                bulk_elements: 89,
+                total_elements: 100,
+            },
         };
         edit(&mut r);
         entry("plan_reuse.pack.sss.w8", "plan_reuse", Section::Reuse(r))
@@ -595,27 +499,16 @@ mod tests {
         entry("memory.pack.sss.w8", "memory", Section::Memory(p))
     }
 
-    fn scale(edit: impl FnOnce(&mut ScaleReport)) -> Entry {
-        let mut s = ScaleReport {
-            workers_low: 1,
-            workers_high: 2,
-            identical: true,
-        };
-        edit(&mut s);
-        entry("scale.roundtrip.p64", "scale", Section::Scale(s))
-    }
-
     #[test]
     fn healthy_entries_of_every_group_pass_every_gate() {
         let healthy = [
             with_m("redist", |_| {}),
             with_m("apps", |_| {}),
+            with_m("scale", |_| {}),
             conformance(|_| {}),
-            hot("exec_hot.pack.sss.w8", HOT),
             recovery(|_| {}),
             reuse(|_| {}),
             memory(|_| {}),
-            scale(|_| {}),
         ];
         for e in healthy {
             let group = e.group;
@@ -625,20 +518,16 @@ mod tests {
 
     #[test]
     fn group_has_its_section() {
-        for group in [
-            "recovery",
-            "memory",
-            "scale",
-            "exec_hot",
-            "plan_reuse",
-            "pack",
-        ] {
+        for group in ["recovery", "memory", "plan_reuse", "pack"] {
             let bare = entry("x", group, Section::None);
             assert_eq!(broken(bare), ["group_has_its_section"], "{group}");
         }
-        let foreign = entry("pack.red1", "redist", Section::Hot(HOT));
+        let foreign = Entry {
+            group: "scale",
+            ..reuse(|_| {})
+        };
         assert_eq!(broken(foreign), ["group_has_its_section"]);
-        assert_eq!(GROUPS.map(|(_, key)| key).iter().flatten().count(), 7);
+        assert_eq!(GROUPS.map(|(_, key)| key).iter().flatten().count(), 5);
     }
 
     #[test]
@@ -681,82 +570,6 @@ mod tests {
         assert_eq!(broken(conformance(|c| c.predicted[0] += 1)), gate);
         assert_eq!(broken(conformance(|c| c.measured[1] -= 1)), gate);
         assert_eq!(broken(conformance(|c| c.phases = None)), gate);
-    }
-
-    #[test]
-    fn hot_counter_is_live() {
-        let h = HotMeasurement {
-            counter_live: false,
-            ..HOT
-        };
-        assert_eq!(
-            broken(hot("exec_hot.pack.sss.w8", h)),
-            ["hot_counter_is_live"]
-        );
-    }
-
-    /// This test binary installs no counting allocator, so a real hot loop
-    /// counts nothing at all — and the liveness gate is the one that says so.
-    #[test]
-    fn hot_counter_is_live_fails_without_the_counting_allocator() {
-        let pattern = hpf_core::MaskPattern::Random {
-            density: 0.5,
-            seed: 4,
-        };
-        let cfg = crate::ExpConfig::new(&[256], &[4], 4, pattern);
-        let (h, _) = crate::time_pack_hot(&cfg, &hpf_core::PackOptions::default(), 4);
-        assert_eq!((h.counter_live, h.allocs_per_execute), (false, 0.0));
-        assert_eq!(
-            broken(hot("exec_hot.pack.sss.w8", h)),
-            ["hot_counter_is_live"]
-        );
-    }
-
-    #[test]
-    fn hot_zero_allocs() {
-        let h = HotMeasurement {
-            allocs_per_execute: 1.0,
-            ..HOT
-        };
-        assert_eq!(broken(hot("exec_hot.pack.sss.w8", h)), ["hot_zero_allocs"]);
-    }
-
-    #[test]
-    fn hot_zero_alloc_bytes() {
-        let h = HotMeasurement {
-            alloc_bytes_per_execute: 0.5,
-            ..HOT
-        };
-        assert_eq!(
-            broken(hot("exec_hot.pack.sss.w8", h)),
-            ["hot_zero_alloc_bytes"]
-        );
-    }
-
-    #[test]
-    fn hot_zero_clone_words() {
-        let h = HotMeasurement {
-            clone_words: 1,
-            ..HOT
-        };
-        assert_eq!(
-            broken(hot("exec_hot.pack.sss.w8", h)),
-            ["hot_zero_clone_words"]
-        );
-    }
-
-    #[test]
-    fn dense_is_bulk() {
-        assert_eq!(HOT.copy_ops.bulk_fraction(), 0.89);
-        assert_eq!(
-            broken(hot("exec_hot.pack.sss.w8.dense", HOT)),
-            ["dense_is_bulk"]
-        );
-        assert_eq!(
-            broken(hot("exec_hot.pack.sss.w8", HOT)),
-            [""; 0],
-            "random masks are not held to it"
-        );
     }
 
     #[test]
@@ -831,23 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_identical() {
-        assert_eq!(broken(scale(|s| s.identical = false)), ["scale_identical"]);
-    }
-
-    #[test]
-    fn scale_baseline_is_one_worker() {
-        let e = scale(|s| s.workers_low = 2);
-        assert_eq!(broken(e), ["scale_baseline_is_one_worker"]);
-    }
-
-    #[test]
-    fn scale_compares_a_real_pool() {
-        let e = scale(|s| s.workers_high = 1);
-        assert_eq!(broken(e), ["scale_compares_a_real_pool"]);
-    }
-
-    #[test]
     fn every_gate_has_a_distinct_name() {
         let mut names: Vec<&str> = GATES.iter().map(|g| g.0).collect();
         names.sort_unstable();
@@ -904,20 +700,21 @@ mod tests {
         let mut named = with_m("apps", |_| {});
         named.name = "a\"b\\".into();
         let report = Report {
-            entries: vec![named, hot("exec_hot.pack.sss.w8", HOT)],
+            entries: vec![named, reuse(|_| {})],
         };
         let text = report.render();
         let back = Json::parse(&text).expect("rendered report is JSON");
         assert_eq!(back, report.to_json());
         // An escaped string, a null section beside a present one, and the
         // one-field-per-line layout; nothing that names a commit or a mode.
-        assert_eq!(back.get("schema_version"), Some(&Json::Num(13.0)));
+        assert_eq!(back.get("schema_version"), Some(&Json::Num(14.0)));
         assert!(back.get("rev").is_none() && back.get("mode").is_none());
         let w = back.get("workloads").and_then(Json::as_arr).unwrap();
         assert_eq!(w[0].get("name").and_then(Json::as_str), Some("a\"b\\"));
-        assert_eq!(w[0].get("hot"), Some(&Json::Null));
-        let executes = w[1].get("hot").and_then(|h| h.get("executes"));
-        assert_eq!(executes, Some(&Json::Num(16.0)));
+        assert_eq!(w[0].get("reuse"), Some(&Json::Null));
+        let copy_ops = w[1].get("reuse").and_then(|r| r.get("copy_ops"));
+        let bulk = copy_ops.and_then(|c| c.get("bulk_fraction"));
+        assert_eq!(bulk, Some(&Json::Num(0.89)));
         assert!(text.contains("\n      \"shape\": [256],\n"), "{text}");
     }
 }

@@ -1,16 +1,14 @@
 //! The perf report's workloads: the paper's headline configurations
-//! (Table I / Table II / Figure 5), the plan-reuse, steady-state execute,
-//! crash-recovery, peak-memory and scale sweeps, and the four application
-//! kernels, measured on the simulated CM-5 cost model. [`report`] runs the
-//! registry once per process; `results/BENCH.json` and
-//! `results/critpath.txt` are two artefacts of it (`repro`, DESIGN.md §9.3).
+//! (Table I / Table II / Figure 5), the plan-reuse, crash-recovery,
+//! peak-memory and scale sweeps, and the four application kernels,
+//! measured on the simulated CM-5 cost model. [`report`] runs the registry
+//! once per process; `results/BENCH.json` and `results/critpath.txt` are
+//! two artefacts of it (`repro`, DESIGN.md §9.3).
 //!
 //! The report holds **only what is a function of the commit**: simulated
-//! stage times and totals, traffic, operation and allocation counts,
-//! memory bytes, bit-identity verdicts. Every workload runs once and
-//! nothing is read from a clock. The `exec_hot` allocation counts are real
-//! only in a binary that installs the counting global allocator, as `repro`
-//! does; the `hot_counter_is_live` gate fails everywhere else.
+//! stage times and totals, traffic, operation and copy-op counts, memory
+//! bytes, conformance and memory verdicts. Every workload runs once and
+//! nothing is read from a clock.
 
 use std::sync::OnceLock;
 
@@ -29,10 +27,10 @@ use hpf_machine::{
     tags, Category, CostModel, Event, FaultPlan, Machine, Proc, ProcGrid, RunOutput,
 };
 
-use crate::report::{Entry, Report, ScaleReport, Section};
+use crate::report::{Entry, Report, Section};
 use crate::{
-    measure_run, pack_plan_ops, run_pack, run_unpack, time_pack_hot, time_pack_reuse,
-    time_unpack_hot, time_unpack_reuse, unpack_plan_ops, ExpConfig, Measurement, Observe,
+    measure_run, pack_plan_ops, run_pack, run_unpack, time_pack_reuse, time_unpack_reuse,
+    unpack_plan_ops, ExpConfig, Measurement, Observe,
 };
 
 /// Every workload of the registry, run once per process and kept.
@@ -46,20 +44,11 @@ pub fn report() -> &'static Report {
 /// Executes per plan in the `plan_reuse` workloads (plan once, execute N).
 const REUSE_EXECUTES: usize = 16;
 
-/// Counted steady-state executes per `exec_hot` workload (after warm-up).
-const HOT_EXECUTES: usize = 16;
-
-/// Pool size the `scale` workloads compare a one-worker pool with. A
-/// constant, not the host's core count: the report names it, and the report
-/// is a function of the tree.
-const SCALE_WORKERS: usize = 2;
-
 /// Conformance tolerance: the Section 6.4 formulas are exact, so any
 /// drift at all is a model violation.
 const CONFORMANCE_TOL: f64 = 0.0;
 
-/// Density of the random mask every masked workload uses (the dense
-/// `FirstHalf` mask of the `.dense` rows selects the same fraction).
+/// Density of the random mask every masked workload uses.
 const DENSITY: f64 = 0.5;
 const PATTERN: MaskPattern = MaskPattern::Random {
     density: DENSITY,
@@ -117,8 +106,6 @@ enum Kind {
     Redist(RedistScheme),
     /// Plan once, execute N, against N full calls.
     Reuse(Scheme),
-    /// Steady-state execute loop under the counting allocator.
-    Hot(Scheme),
     /// Two-epoch program, fault-free and crashed in the measured epoch.
     Recover(Scheme),
     /// The same program, fault-free and over a lossy network.
@@ -129,7 +116,7 @@ enum Kind {
     Memory(Scheme),
     /// Memory-tracked PACK after a preliminary redistribution.
     MemoryRedist(RedistScheme),
-    /// PACK → UNPACK roundtrip under worker-pool sizes 1 and N.
+    /// PACK → UNPACK roundtrip at large P.
     Scale,
 }
 
@@ -192,22 +179,6 @@ fn registry() -> Vec<Workload> {
         for s in Scheme::all() {
             let name = format!("plan_reuse.{}.w{w}", s.label());
             all.push(line(name, "plan_reuse", w, Kind::Reuse(s)));
-        }
-    }
-    // Random masks at cyclic and wide-block widths, plus a dense
-    // (contiguous-mask) wide-block variant: the `.dense` rows are where the
-    // copy-program lowering must reach its bulk-copy fraction.
-    for (w, pattern, suffix) in [
-        (1, PATTERN, ""),
-        (wide, PATTERN, ""),
-        (wide, MaskPattern::FirstHalf, ".dense"),
-    ] {
-        for s in Scheme::all() {
-            let name = format!("exec_hot.{}.w{w}{suffix}", s.label());
-            all.push(Workload {
-                pattern,
-                ..line(name, "exec_hot", w, Kind::Hot(s))
-            });
         }
     }
     for s in Scheme::all() {
@@ -284,14 +255,6 @@ fn run(wl: &Workload) -> Entry {
                 }
             };
             (r.cached, None, Section::Reuse(r))
-        }
-        Kind::Hot(scheme) => {
-            let cfg = wl.cfg();
-            let (hot, m) = match scheme {
-                Scheme::Pack(s) => time_pack_hot(&cfg, &PackOptions::new(s), HOT_EXECUTES),
-                Scheme::Unpack(s) => time_unpack_hot(&cfg, &UnpackOptions::new(s), HOT_EXECUTES),
-            };
-            (m, None, Section::Hot(hot))
         }
         Kind::Recover(scheme) => run_recovery(wl, scheme, FaultPlan::new(5).with_crash(1, 4)),
         Kind::Faulted(scheme) => {
@@ -492,10 +455,10 @@ fn memory_section(wl: &Workload, label: &str, predicted: &[u64], events: &[Vec<E
 }
 
 /// One `scale` workload: a masked PACK → UNPACK roundtrip with a fixed
-/// local extent, run under worker-pool sizes 1 and [`SCALE_WORKERS`] and
-/// compared bit-exactly — the pool-size-invariance gate. Tracing and
-/// metrics stay off, and the dense plan-time exchanges use the push
-/// schedule over a `p`-frame ring (same simulated numbers as the
+/// local extent, on one worker. That it is the same on any pool size is
+/// `hpf-core`'s `sched_determinism` suite's to prove, on this program.
+/// Tracing and metrics stay off, and the dense plan-time exchanges use the
+/// push schedule over a `p`-frame ring (same simulated numbers as the
 /// round-paced schedules, fewer scheduler hand-offs on one host).
 fn run_scale(wl: &Workload) -> Ran {
     let p = wl.grid[0];
@@ -521,29 +484,12 @@ fn run_scale(wl: &Workload) -> Ran {
         let unpacked = uplan.execute(proc, &f, &out.local_v).unwrap();
         (out.local_v, unpacked)
     };
-    let run = |workers: usize| {
-        Machine::new(grid.clone(), CostModel::cm5())
-            .with_workers(workers)
-            .with_chan_capacity(p)
-            .run(program)
-    };
-    let (low, high) = (run(1), run(SCALE_WORKERS));
-    let identical = low.results == high.results
-        && low.comm_matrix == high.comm_matrix
-        && low.clocks.iter().zip(&high.clocks).all(|(a, b)| {
-            a.now_ns == b.now_ns
-                && a.ops == b.ops
-                && a.words_sent == b.words_sent
-                && a.startups == b.startups
-                && Category::ALL.iter().all(|c| a.cat_ms(*c) == b.cat_ms(*c))
-        });
-    let elems: usize = high.results.iter().map(|r| r.0.len()).sum();
-    let scale = ScaleReport {
-        workers_low: 1,
-        workers_high: SCALE_WORKERS,
-        identical,
-    };
-    (measure_run(&high, elems), None, Section::Scale(scale))
+    let out = Machine::new(grid, CostModel::cm5())
+        .with_workers(1)
+        .with_chan_capacity(p)
+        .run(program);
+    let elems: usize = out.results.iter().map(|r| r.0.len()).sum();
+    (measure_run(&out, elems), None, Section::None)
 }
 
 /// The four application kernels, traced for their critical path.
@@ -641,7 +587,7 @@ mod tests {
 
     /// What the deleted Python validator required of a report's names, now
     /// a property of the registry: every paper scheme in every group.
-    const REQUIRED: [&str; 35] = [
+    const REQUIRED: [&str; 30] = [
         "pack.sss",
         "pack.css",
         "pack.cms",
@@ -654,11 +600,6 @@ mod tests {
         "plan_reuse.pack.cms",
         "plan_reuse.unpack.sss",
         "plan_reuse.unpack.css",
-        "exec_hot.pack.sss",
-        "exec_hot.pack.css",
-        "exec_hot.pack.cms",
-        "exec_hot.unpack.sss",
-        "exec_hot.unpack.css",
         "recovery.pack.sss",
         "recovery.pack.cms",
         "recovery.unpack.sss",
@@ -682,18 +623,12 @@ mod tests {
     #[test]
     fn registry_names_every_required_workload() {
         let all = registry();
-        assert_eq!(all.len(), 56);
+        assert_eq!(all.len(), 41);
         for prefix in REQUIRED {
             let dotted = format!("{prefix}.");
             let named = |wl: &Workload| wl.name == prefix || wl.name.starts_with(&dotted);
             assert!(all.iter().any(named), "no workload named {prefix}[.*]");
         }
-        let dense = |wl: &&Workload| wl.group == "exec_hot" && wl.name.ends_with(".dense");
-        assert_eq!(
-            all.iter().filter(dense).count(),
-            5,
-            "one .dense row per scheme"
-        );
         // Groups appear in GROUPS order, names are unique.
         let order: Vec<usize> = all
             .iter()

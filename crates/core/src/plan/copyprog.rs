@@ -93,7 +93,7 @@ pub(crate) enum Phase {
 }
 
 /// Aggregate shape of one or more lowered programs — exported through the
-/// plans into the `exec_hot` perf reports (`copy_ops` breakdown).
+/// plans into the perf report's `plan_reuse` rows (`copy_ops` breakdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CopyStats {
     /// Number of `Contig` ops.

@@ -48,8 +48,8 @@ fn build(p: usize, w: usize, t: usize) -> (ProcGrid, ArrayDesc) {
     (grid, desc)
 }
 
-/// The `(P, W, T)` of `benchmark/`'s `exec_small` and of the `.dense` perf
-/// rows' shape: N = 8192 over 16 processors in blocks of 64.
+/// The `(P, W, T)` of `benchmark/`'s `exec_small`: N = 8192 over 16
+/// processors in blocks of 64.
 const EXEC_SMALL: (usize, usize, usize) = (16, 64, 8);
 
 /// Per-processor `(pack, unpack)` copy statistics of CMS PACK + CSS UNPACK
@@ -187,8 +187,8 @@ proptest! {
 }
 
 /// Dense masks on block-dominant layouts must lower almost entirely to
-/// bulk ops — the invariant the perf layer gates (`bulk-copy fraction ≥
-/// 0.9` on dense workloads).
+/// bulk ops: a bulk-copy fraction ≥ 0.9, or the lowering stopped finding
+/// the runs. This test is the one owner of that invariant.
 #[test]
 fn dense_block_masks_lower_to_bulk() {
     for (ps, us) in plan_stats((4, 32, 2), MaskPattern::FirstHalf) {

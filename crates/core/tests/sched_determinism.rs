@@ -4,12 +4,14 @@
 //! size. The machine-level suite (hpf-machine `tests/sched.rs`) covers the
 //! substrate; this one covers the paper's actual algorithms end to end,
 //! including their pooled exchanges and plan-phase collectives — and, over
-//! a lossy network, what the reliable transport did to get them through.
+//! a lossy network, what the reliable transport did to get them through;
+//! and at the perf report's large machine shapes, up to P = 4096.
 
 use hpf_core::{
-    pack, plan_unpack, MaskPattern, PackOptions, PackScheme, UnpackOptions, UnpackScheme,
+    pack, plan_pack, plan_unpack, MaskPattern, PackOptions, PackScheme, UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, Dist};
+use hpf_machine::collectives::A2aSchedule;
 use hpf_machine::{Category, CostModel, FaultPlan, Machine, Proc, ProcGrid, RunOutput};
 
 fn data_at(gidx: &[usize], salt: i32) -> i32 {
@@ -102,6 +104,57 @@ fn every_scheme_and_grid_is_identical_across_pool_sizes() {
             assert_identical(&reference, &out, &format!("{what} workers={workers}"));
         }
     });
+}
+
+/// The perf report's `scale.roundtrip` program at the machine shapes it
+/// records: an SSS PACK → UNPACK roundtrip, `NaivePush` both ways, n = 16·P
+/// in blocks of 4 at density 0.5, over a P-frame channel ring. One worker
+/// and two agree bit for bit at P up to 4096 in release, which is how
+/// `scripts/ci.sh` runs this suite; an unoptimised build stops at 256.
+#[test]
+fn the_scale_roundtrip_is_identical_across_pool_sizes() {
+    let shapes: &[usize] = if cfg!(debug_assertions) {
+        &[64, 256]
+    } else {
+        &[64, 256, 1024, 4096]
+    };
+    let pattern = MaskPattern::Random {
+        density: 0.5,
+        seed: 42,
+    };
+    for &p in shapes {
+        let grid = ProcGrid::line(p);
+        let desc = ArrayDesc::new(&[16 * p], &grid, &[Dist::BlockCyclic(4)]).unwrap();
+        let d = &desc;
+        let program = move |proc: &mut Proc| {
+            let m = pattern.local(d, proc.id());
+            let a = local_from_fn(d, proc.id(), |g| g[0] as i32 * 3 - 50);
+            let popts = PackOptions {
+                schedule: A2aSchedule::NaivePush,
+                ..PackOptions::new(PackScheme::Simple)
+            };
+            let out = plan_pack(proc, d, &m, &popts)
+                .unwrap()
+                .execute(proc, &a)
+                .unwrap();
+            let vl = out.v_layout.expect("mask selects elements");
+            let f = local_from_fn(d, proc.id(), |g| -(g[0] as i32));
+            let uopts = UnpackOptions {
+                schedule: A2aSchedule::NaivePush,
+                ..UnpackOptions::new(UnpackScheme::Simple)
+            };
+            let uplan = plan_unpack(proc, d, &m, &vl, &uopts).unwrap();
+            let unpacked = uplan.execute(proc, &f, &out.local_v).unwrap();
+            (out.local_v, unpacked)
+        };
+        let run = |workers: usize| {
+            Machine::new(grid.clone(), CostModel::cm5())
+                .with_workers(workers)
+                .with_chan_capacity(p)
+                .run(program)
+        };
+        assert_identical(&run(1), &run(2), &format!("scale.roundtrip P={p}"));
+    }
 }
 
 /// A machine keeps its carriers' stacks from one run to the next, whatever

@@ -7,16 +7,19 @@
 //! The gate is exact and deterministic: the test installs the counting
 //! global allocator and asserts the per-thread allocation delta across the
 //! steady-state iterations is literally zero, for every PACK scheme and
-//! every UNPACK scheme, at both cyclic and wide block sizes — under
-//! `Machine::run`, under `Machine::run_recoverable` with no fault plan
-//! (a benign recoverable run has no transport, logs nothing and ships the
-//! live pool slots, so attaching recovery must cost the hot path nothing)
-//! and with metrics on (counters and gauges are plain fields: a stage or a
-//! message costs an add, never a name).
+//! every UNPACK scheme, at both cyclic and wide block sizes, on the index
+//! loop and on the bulk `Contig` path — under `Machine::run`, under
+//! `Machine::run_recoverable` with no fault plan (a benign recoverable run
+//! has no transport, logs nothing and ships the live pool slots, so
+//! attaching recovery must cost the hot path nothing) and with metrics on
+//! (counters and gauges are plain fields: a stage or a message costs an
+//! add, never a name). The metrics runs also show that fault-free pooled
+//! execution never deep-copies a payload: `payload.clone_words` stays zero.
+//! `scripts/ci.sh` runs this suite in both build profiles.
 
 use hpf_core::{
-    plan_pack, plan_unpack, MaskPattern, PackOptions, PackOutput, PackScheme, UnpackOptions,
-    UnpackScheme,
+    plan_pack, plan_unpack, CopyStats, MaskPattern, PackOptions, PackOutput, PackScheme,
+    UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
@@ -49,6 +52,8 @@ enum Mode {
     Metrics,
 }
 
+const MODES: [Mode; 3] = [Mode::Plain, Mode::Recoverable, Mode::Metrics];
+
 /// Block size × run mode of both sweeps.
 const CASES: [(usize, Mode); 6] = [
     (1, Mode::Plain),
@@ -70,13 +75,19 @@ fn fence(proc: &mut Proc) {
     proc.clock_sync_max(&world);
 }
 
-/// `program` on a fault-free machine in `mode`.
-fn run<R: Send>(mode: Mode, program: impl Fn(&mut Proc) -> R + Sync) -> RunOutput<R> {
+/// `program` on a fault-free machine in `mode`; a metrics run must not
+/// have deep-copied a payload word.
+fn run<R: Send>(mode: Mode, what: &str, program: impl Fn(&mut Proc) -> R + Sync) -> RunOutput<R> {
     let machine = Machine::new(ProcGrid::line(P), CostModel::cm5());
     match mode {
         Mode::Plain => machine.run(program),
         Mode::Recoverable => machine.run_recoverable(program).expect("benign run"),
-        Mode::Metrics => machine.with_metrics(true).run(program),
+        Mode::Metrics => {
+            let out = machine.with_metrics(true).run(program);
+            let cloned = out.merged_metrics().counter("payload.clone_words");
+            assert_eq!(cloned, 0, "{what}: a fault-free run deep-copied a payload");
+            out
+        }
     }
 }
 
@@ -87,13 +98,14 @@ fn mask() -> MaskPattern {
     }
 }
 
-/// Plan a PACK, warm it up, and return what `STEADY` more executes
-/// allocated on this processor: `(count, bytes)`.
+/// Plan a PACK under `pattern`, warm it up, and return what `STEADY` more
+/// executes allocated on this processor, `(count, bytes)`, with the plan's
+/// copy-program statistics.
 fn steady_pack<'a>(
     d: &'a ArrayDesc,
     opts: &'a PackOptions,
-) -> impl Fn(&mut Proc) -> (u64, u64) + Sync + 'a {
-    let pattern = mask();
+    pattern: MaskPattern,
+) -> impl Fn(&mut Proc) -> ((u64, u64), CopyStats) + Sync + 'a {
     move |proc| {
         let m = local_from_fn(d, proc.id(), |g| pattern.value(g, &[N]));
         let a = local_from_fn(d, proc.id(), |g| g[0] as i32);
@@ -115,23 +127,33 @@ fn steady_pack<'a>(
         let (c1, b1) = thread_totals();
         fence(proc);
         assert_eq!(out.local_v, baseline, "steady-state result drifted");
-        (c1 - c0, b1 - b0)
+        ((c1 - c0, b1 - b0), plan.copy_stats())
     }
 }
 
+/// The random mask's runs are too short to lower, so its plans walk the
+/// index loop; `FirstHalf` in blocks of 64 gives every processor two
+/// selected 64-long runs, one per destination, which lower to `Contig` ops
+/// — the bulk path, asserted walked.
 #[test]
 fn pack_execute_is_allocation_free_in_steady_state() {
-    for (w, mode) in CASES {
+    let random = CASES.map(|(w, mode)| (mask(), w, mode));
+    let bulk = MODES.map(|mode| (MaskPattern::FirstHalf, 64, mode));
+    for (pattern, w, mode) in random.into_iter().chain(bulk) {
         for scheme in PackScheme::ALL {
             let (d, opts) = (desc(w), PackOptions::new(scheme));
-            let out = run(mode, steady_pack(&d, &opts));
-            for (p, &(allocs, bytes)) in out.results.iter().enumerate() {
+            let what = format!("{pattern:?} {scheme:?} w={w} {mode:?}");
+            let out = run(mode, &what, steady_pack(&d, &opts, pattern));
+            for (p, &((allocs, bytes), stats)) in out.results.iter().enumerate() {
                 assert_eq!(
                     (allocs, bytes),
                     (0, 0),
-                    "{scheme:?} w={w} {mode:?}: proc {p} allocated \
+                    "{what}: proc {p} allocated \
                      {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
                 );
+                if pattern == MaskPattern::FirstHalf {
+                    assert!(stats.bulk_elements > 0, "{what}: proc {p} {stats:?}");
+                }
             }
         }
     }
@@ -149,7 +171,7 @@ fn a_reused_machine_stays_allocation_quiet() {
     // driver's — fabric, worker loop, result collection.
     let driver_allocs = || {
         let (c0, _) = thread_totals();
-        let out = machine.run(steady_pack(&d, &opts));
+        let out = machine.run(steady_pack(&d, &opts, mask()));
         (thread_totals().0 - c0, out.results)
     };
     let (first, _) = driver_allocs();
@@ -159,7 +181,8 @@ fn a_reused_machine_stays_allocation_quiet() {
             again <= first,
             "run {run} allocated {again} times on the driver, run 1 {first}"
         );
-        assert_eq!(steady, [(0, 0); P], "run {run}: steady-state executes");
+        let counts: Vec<(u64, u64)> = steady.iter().map(|r| r.0).collect();
+        assert_eq!(counts, [(0, 0); P], "run {run}: steady-state executes");
     }
 }
 
@@ -180,7 +203,8 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
                 };
                 let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
                 let (dr, o, vlr) = (&d, &opts, &vl);
-                let out = run(mode, move |proc| {
+                let what = format!("{pattern:?} {scheme:?} w={w} {mode:?}");
+                let out = run(mode, &what, move |proc| {
                     let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
                     let f = local_from_fn(dr, proc.id(), |_| -1i32);
                     let v: Vec<i32> = (0..vlr.local_len(proc.id()))
@@ -208,43 +232,13 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
                     assert_eq!(
                         (allocs, bytes),
                         (0, 0),
-                        "{pattern:?} {scheme:?} w={w} {mode:?}: proc {p} \
-                         allocated {allocs} times ({bytes} bytes) in {STEADY} steady-state executes"
+                        "{what}: proc {p} allocated {allocs} times ({bytes} bytes) \
+                         in {STEADY} steady-state executes"
                     );
                 }
             }
         }
     }
-}
-
-/// Fault-free pooled execution never deep-copies a payload: the
-/// `payload.clone_words` counter stays zero.
-#[test]
-fn fault_free_execution_never_clones_payloads() {
-    let d = desc(4);
-    let opts = PackOptions::new(PackScheme::CompactStorage);
-    let (dr, o, pattern) = (&d, &opts, mask());
-    let machine = Machine::new(ProcGrid::line(P), CostModel::cm5()).with_metrics(true);
-    let out = machine.run(move |proc| {
-        let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
-        let a = local_from_fn(dr, proc.id(), |g| g[0] as i32);
-        let plan = plan_pack(proc, dr, &m, o).unwrap();
-        let mut out = PackOutput {
-            local_v: Vec::new(),
-            size: 0,
-            v_layout: None,
-        };
-        for _ in 0..4 {
-            plan.execute_into(proc, &a, &mut out).unwrap();
-        }
-        out.size
-    });
-    assert!(out.results[0] > 0);
-    assert_eq!(
-        out.merged_metrics().counter("payload.clone_words"),
-        0,
-        "fault-free run deep-copied a payload"
-    );
 }
 
 /// Enumerating a processor's elements by global linear index — what the

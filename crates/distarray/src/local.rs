@@ -64,16 +64,6 @@ impl<T: Copy> LocalArray<T> {
         &self.data
     }
 
-    /// Mutable backing data.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consume into the backing vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Iterate the paper's *slices*: contiguous runs of `w0` dimension-0
     /// elements. Slice `k` of processor-local data corresponds to the
     /// `PS_0`/`RS_0` slot `k`.

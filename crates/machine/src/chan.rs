@@ -41,7 +41,7 @@ const TOTAL_FRAME_BUDGET: usize = 65_536;
 const MIN_CAPACITY: usize = 16;
 
 /// Historic per-processor pre-reserve, kept verbatim for P ≤ 64 so the
-/// small-P allocation behaviour (and the `exec_hot` zero-alloc gate) is
+/// small-P allocation behaviour (and the `zero_alloc` gate) is
 /// byte-for-byte unchanged.
 const MAX_CAPACITY: usize = 1024;
 

@@ -7,7 +7,8 @@
 //! place, and ships them as [`Arc`]-shared packets; the *receiver* returns
 //! each buffer to the sender's slot after decoding. From the second
 //! execution onward the whole compose+redistribute loop touches no
-//! allocator (verified by the counting allocator in the bench harness).
+//! allocator (verified by the counting allocator in `hpf-core`'s
+//! `zero_alloc` suite).
 //!
 //! Ownership protocol (see DESIGN.md §11): every slot is a tiny state
 //! machine —

@@ -22,14 +22,21 @@ echo "== repo benchmark smoke (benchmark/ is a package the root workspace does n
 benchmark/run.sh --smoke
 (cd benchmark && cargo test --offline -q)
 
-echo "== scheduler pool-identity gate (pool size 1 vs N, P=1024 smoke) =="
+echo "== scheduler pool-identity gate (pool size 1 vs N, P up to 4096) =="
 # The cooperative scheduler's contract: results, simulated clocks, event
 # streams, and comm matrices are bit-identical for any worker-pool size.
 # Release mode so the P=1024 virtual-processor smoke inside the machine
 # suite runs at full speed; the core suite replays the contract through
-# the paper's actual PACK/UNPACK algorithms.
+# the paper's actual PACK/UNPACK algorithms, and through the perf report's
+# scale.roundtrip program at P = 64 ... 4096 (an unoptimised build stops at
+# 256).
 cargo test -p hpf-machine --release -q --test sched
 cargo test -p hpf-core --release -q --test sched_determinism
+
+echo "== zero-allocation gate, release profile =="
+# cargo test above ran it unoptimised; steady-state executes must allocate
+# nothing in the profile the benchmark and repro run in, too.
+cargo test -p hpf-core --release -q --test zero_alloc
 
 echo "== stack-switched carriers, both profiles =="
 # The switch must be right with and without frame pointers, and with debug
@@ -78,6 +85,11 @@ if grep -rnE 'unsafe|extern "C"|mmap|mprotect|munmap' crates/machine/src \
   --exclude=carrier.rs --exclude=alloc_counter.rs; then
   echo "ci: unsafe code or a mapping call outside carrier.rs"; exit 1
 fi
+# One harness per property: allocation counting belongs to the test suites
+# that install the counting allocator, so no library or binary does.
+if grep -rn 'global_allocator' crates/*/src --exclude=alloc_counter.rs; then
+  echo "ci: a global allocator outside the test suites"; exit 1
+fi
 
 echo "== the examples run (README's quick tour) =="
 for example in examples/*.rs; do
@@ -117,13 +129,14 @@ cargo run -p hpf-bench --release --bin chaos -- --seed 9 --iters 12 --recover
 
 echo "== results/ is what this tree prints (the ten artefacts, BENCH.json, critpath.txt) =="
 # ~40 s. The perf report renders only if its gates hold
-# (hpf_bench::report::GATES): Section 6.4 conformance exact, the allocation
-# counter live and zero steady-state allocations, predicted peak memory
-# bounding the measured one within 1.25x, bit-identical results under
-# worker-pool sizes 1 and 2 at P up to 4096, a crash actually recovered,
-# plan reuse amortizing. A failure names the file and its first differing
-# line (in BENCH.json also the workload) or the workload and the broken
-# gate; a deliberate change runs scripts/regen-results.sh.
+# (hpf_bench::report::GATES): Section 6.4 conformance exact, predicted peak
+# memory bounding the measured one within 1.25x, a crash actually
+# recovered, plan reuse amortizing. Zero steady-state allocations are
+# zero_alloc's to prove, a dense mask lowering to bulk copies
+# copy_lowering's, and pool identity at P up to 4096 sched_determinism's
+# (all above). A failure names the file and its first differing line (in
+# BENCH.json also the workload) or the workload and the broken gate; a
+# deliberate change runs scripts/regen-results.sh.
 cargo run -p hpf-bench --release --bin repro -- --check results
 
 echo "ci: all gates passed"
