@@ -180,13 +180,13 @@ fn enclosing_stage(events: &[Event], ts_ns: f64) -> String {
 // staged pool buffers, the plan, and the user arrays coexist):
 //
 //   user     what the workload registers: 4L data + L mask words→bytes
-//   plan     the retained peer-indexed rows (peer ids, row offsets, slots,
-//            ranks or runs), the exchange's two peer lists, the lowered
-//            copy programs and, for UNPACK, the field spans at 8 bytes each
-//            (PackPlan/UnpackPlan mem_bytes, byte for byte; the peer counts
-//            and program bytes come exact from MaskStats, which walks the
-//            same routes and runs the same lowering and the same span
-//            derivation)
+//   plan     the retained peer-indexed rows (peer ids, row offsets, ranks
+//            or runs), the exchange's two peer lists, the lowered copy
+//            programs with their `Scatter` indices and, for UNPACK, the
+//            field spans at 8 bytes each (PackPlan/UnpackPlan mem_bytes,
+//            byte for byte; the peer counts and program bytes come exact
+//            from MaskStats, which walks the same routes and runs the same
+//            lowering and the same span derivation)
 //   pool     staged wire bytes (self-destined slot included: an upper
 //            bound — the executor never stages the self share, but that
 //            share has no closed form on block-cyclic layouts)
@@ -214,10 +214,33 @@ fn allowance(volume_words: u64, p: u64) -> u64 {
     INFLIGHT_MSGS * W * volume_words.div_ceil(p)
 }
 
-/// Bytes of a peer-indexed CSR with `peers` rows over `items` 4-byte
-/// entries: one id per peer, `peers + 1` row offsets, the entries.
-fn csr_bytes(peers: u64, items: u64) -> u64 {
-    W * (peers + (peers + 1) + items)
+/// Bytes of a peer-indexed CSR with `peers` rows: one id per peer,
+/// `peers + 1` row offsets. The rows' indices are their copy programs'.
+fn csr_bytes(peers: u64) -> u64 {
+    W * (peers + (peers + 1))
+}
+
+/// The plan term of PACK under `scheme` on processor `i` —
+/// `PackPlan::mem_bytes`, byte for byte: slot rows by destination, the
+/// `to` / `from` peer lists, the programs, and the ranks — 4 bytes per
+/// explicit rank (sharing the slot rows' offsets) for pair messages, 8 bytes
+/// per run under their own row offsets for compact messages.
+fn pack_plan_bytes(stats: &MaskStats, scheme: PackScheme, i: usize) -> u64 {
+    let (ds, dr) = (stats.send_peers[i] as u64, stats.recv_peers[i] as u64);
+    let rows = csr_bytes(ds) + W * (ds + dr) + stats.pack_prog_bytes[i];
+    match scheme {
+        PackScheme::Simple | PackScheme::CompactStorage => rows + W * stats.e[i] as u64,
+        PackScheme::CompactMessage => rows + W * (ds + 1) + 2 * W * stats.gs[i] as u64,
+    }
+}
+
+/// The plan term of UNPACK on processor `i` — `UnpackPlan::mem_bytes`, byte
+/// for byte: the peer ids and offsets of its target and serve rows, the
+/// reply peer lists, and the copy programs and field spans of
+/// `unpack_prog_bytes`.
+fn unpack_plan_bytes(stats: &MaskStats, i: usize) -> u64 {
+    let (ds, dr) = (stats.send_peers[i] as u64, stats.recv_peers[i] as u64);
+    csr_bytes(ds) + csr_bytes(dr) + W * (ds + dr) + stats.unpack_prog_bytes[i]
 }
 
 /// Predicted peak bytes per processor for PACK under `scheme` (no
@@ -252,45 +275,33 @@ fn pack_exchange_bytes(
         stats.gs[i] as u64,
         stats.gr[i] as u64,
     );
-    let (ds, dr) = (stats.send_peers[i] as u64, stats.recv_peers[i] as u64);
-    // Slot rows by destination, the `to` / `from` peer lists, the programs.
-    let plan = csr_bytes(ds, e) + W * (ds + dr) + stats.pack_prog_bytes[i];
+    let plan = pack_plan_bytes(stats, scheme, i);
     match scheme {
-        // Pair messages: (u32 rank, value) = 2 words per element. Routes
-        // keep 4 bytes per explicit rank (sharing the slot rows' offsets);
-        // staged buffers carry 2 words per element.
+        // Pair messages: (u32 rank, value) = 2 words per element.
         PackScheme::Simple | PackScheme::CompactStorage => {
-            let pool = 2 * W * (e - overlap);
-            plan + W * e + pool + allowance(2 * r, p)
+            plan + 2 * W * (e - overlap) + allowance(2 * r, p)
         }
-        // Compact messages: E values + 2-word header per segment. Routes
-        // keep 8 bytes per run under their own row offsets.
+        // Compact messages: E values + 2-word header per segment.
         PackScheme::CompactMessage => {
-            let pool = W * (e - overlap) + 2 * W * gs;
-            plan + W * (ds + 1) + 2 * W * gs + pool + allowance(r + 2 * gr, p)
+            plan + W * (e - overlap) + 2 * W * gs + allowance(r + 2 * gr, p)
         }
     }
 }
 
 /// Predicted peak bytes per processor for UNPACK under `scheme`. The
 /// workload registers field (4L), mask (L), and its local vector slice
-/// (4R_i); the plan keeps target rows (4 per element) + serve rows (4 per
-/// owned rank) with their peer ids and offsets, the reply peer lists, and
-/// the copy programs and field spans of `unpack_prog_bytes`;
-/// replies stage 4R_i out and deliver 4E_i back in. Both
-/// schemes retain the same execute-phase structures — they differ only in
-/// the plan-time request encoding, a transient the peak never sees.
+/// (4R_i); the plan is [`unpack_plan_bytes`]; replies stage 4R_i out and
+/// deliver 4E_i back in. Both schemes retain the same execute-phase
+/// structures — they differ only in the plan-time request encoding, a
+/// transient the peak never sees.
 pub fn predict_unpack_peak(stats: &MaskStats, _scheme: UnpackScheme) -> Vec<u64> {
     let p = stats.e.len() as u64;
     (0..stats.e.len())
         .map(|i| {
             let (e, r) = (stats.e[i] as u64, stats.r[i] as u64);
-            let (ds, dr) = (stats.send_peers[i] as u64, stats.recv_peers[i] as u64);
             let user = 5 * stats.l as u64 + W * r;
-            let plan =
-                csr_bytes(ds, e) + csr_bytes(dr, r) + W * (ds + dr) + stats.unpack_prog_bytes[i];
             let pool = W * r;
-            user + plan + pool + allowance(e, p)
+            user + unpack_plan_bytes(stats, i) + pool + allowance(e, p)
         })
         .collect()
 }
@@ -531,6 +542,20 @@ mod tests {
         let u = predict_unpack_peak(&sd, UnpackScheme::Simple);
         assert_eq!(u, predict_unpack_peak(&sd, UnpackScheme::CompactStorage));
         assert!(u.iter().all(|&b| b > 5 * sd.l as u64));
+
+        // A full mask's plans are bulk rows, which keep no index list: the
+        // plan term of compact-message PACK and of UNPACK is the same at
+        // L = 256 and at L = 4096 (four slices per processor at both), while
+        // pair messages keep one explicit rank per element.
+        let full = |l: usize| MaskStats::from_mask(&vec![true; 4 * l], 4, l / 4, None);
+        let (small, large) = (full(256), full(4096));
+        for i in 0..4 {
+            let cms = |s: &MaskStats| pack_plan_bytes(s, PackScheme::CompactMessage, i);
+            assert_eq!(cms(&small), cms(&large), "processor {i}");
+            assert_eq!(unpack_plan_bytes(&small, i), unpack_plan_bytes(&large, i));
+            let css = |s: &MaskStats| pack_plan_bytes(s, PackScheme::CompactStorage, i);
+            assert_eq!(css(&large) - css(&small), W * (4096 - 256));
+        }
     }
 
     #[test]

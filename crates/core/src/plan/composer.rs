@@ -28,35 +28,33 @@ use crate::plan::copyprog::{CopyPrograms, ProgramBuilder};
 use crate::ranking::Ranking;
 use crate::schemes::ScanMethod;
 
-/// Peer-indexed compressed rows: `items[offs[k]..offs[k + 1]]` belongs to
-/// `peers[k]`. Only populated peers have a row, so the structure costs
-/// `O(peers + items)` however many processors the machine has. `peers` is
-/// ascending — the order every consumer relies on: the exchange plans take
-/// it as their sorted peer list, and a received packet's row is found by
-/// binary search over it ([`PeerCsr::find`]).
+/// Peer-indexed compressed rows: elements `offs[k]..offs[k + 1]` of a flat
+/// list whose copy programs keep what of it an execute reads (DESIGN.md
+/// §16) belong to `peers[k]`. Only populated peers have a row, so the
+/// structure costs `O(peers)` however many processors the machine has.
+/// `peers` is ascending — the order every consumer relies on: the exchange
+/// plans take it as their sorted peer list, and a received packet's row is
+/// found by binary search over it ([`PeerCsr::find`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PeerCsr<T> {
+pub(crate) struct PeerCsr {
     /// Populated peers (processor ids), ascending.
     pub peers: Vec<u32>,
-    /// Row boundaries into `items`; `peers.len() + 1` entries.
+    /// Row boundaries; `peers.len() + 1` entries.
     pub offs: Vec<u32>,
-    /// All rows, concatenated in peer order.
-    pub items: Vec<T>,
 }
 
-impl<T> PeerCsr<T> {
-    /// No peers, no items.
+impl PeerCsr {
+    /// No peers.
     pub(crate) fn empty() -> Self {
         PeerCsr {
             peers: Vec::new(),
             offs: vec![0],
-            items: Vec::new(),
         }
     }
 
-    /// The `k`-th populated peer's items.
-    pub(crate) fn row(&self, k: usize) -> &[T] {
-        &self.items[self.offs[k] as usize..self.offs[k + 1] as usize]
+    /// The `k`-th populated peer's number of elements.
+    pub(crate) fn len(&self, k: usize) -> usize {
+        (self.offs[k + 1] - self.offs[k]) as usize
     }
 
     /// Row index of processor `peer`, if it is populated.
@@ -64,10 +62,9 @@ impl<T> PeerCsr<T> {
         self.peers.binary_search(&(peer as u32)).ok()
     }
 
-    /// Bytes retained: peer ids, offsets and items.
+    /// Bytes retained: peer ids and offsets.
     pub(crate) fn mem_bytes(&self) -> u64 {
-        (4 * (self.peers.len() + self.offs.len()) + std::mem::size_of::<T>() * self.items.len())
-            as u64
+        (4 * (self.peers.len() + self.offs.len())) as u64
     }
 }
 
@@ -98,12 +95,12 @@ pub(crate) fn into_rows<T: 'static>(
 }
 
 /// One processor's share of a communication plan: per populated
-/// destination, the aligned local element slots (one per rank, rank order)
-/// and the global ranks they cover.
+/// destination, its row of local element slots (one per rank, rank order;
+/// the slots are the row's copy program's) and the global ranks they cover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Routes {
-    /// Local element indices by destination.
-    pub slots: PeerCsr<u32>,
+    /// Rows of local element indices by destination.
+    pub slots: PeerCsr,
     /// Global ranks covered, explicit or run-compressed.
     pub ranks: RankList,
 }
@@ -263,7 +260,8 @@ impl RoutesBuilder {
         self.lowered = end;
     }
 
-    /// Seal the rows: the routes and the copy programs of their slot rows.
+    /// Seal the rows: the routes and the copy programs of their slot rows,
+    /// which take over the slot vector ([`ProgramBuilder::finish`]).
     pub(crate) fn finish(mut self) -> (Routes, CopyPrograms) {
         self.slots.truncate(self.filled);
         self.ranks.truncate(self.filled);
@@ -276,11 +274,17 @@ impl RoutesBuilder {
         if !self.owners.windows(2).all(|w| w[0] < w[1]) {
             return self.regrouped().finish();
         }
+        // Debug builds lower the finished rows again, which also checks
+        // every program against its index list.
+        #[cfg(debug_assertions)]
+        let relowered = CopyPrograms::lower(&self.slots, &self.slot_offs);
+        let prog = self.prog.finish(self.slots);
+        #[cfg(debug_assertions)]
+        assert_eq!(prog, relowered);
         let routes = Routes {
             slots: PeerCsr {
                 peers: self.owners,
                 offs: self.slot_offs,
-                items: self.slots,
             },
             ranks: match self.emit {
                 RankEmit::Explicit => RankList::Explicit(self.ranks),
@@ -290,13 +294,6 @@ impl RoutesBuilder {
                 },
             },
         };
-        let prog = self.prog.finish();
-        // Debug builds lower the finished rows again, which also checks
-        // every program against its index list.
-        debug_assert_eq!(
-            prog,
-            CopyPrograms::lower(&routes.slots.items, &routes.slots.offs)
-        );
         (routes, prog)
     }
 
@@ -538,14 +535,15 @@ mod tests {
     /// The slice-by-slice composition the one-pass composers replaced, kept
     /// as their oracle: `dest_runs` and `collect_slice_slots` as they were,
     /// an owner lookup per run, and a per-owner table where the builder
-    /// streams. Returns the routes and the operations charged.
+    /// streams. Returns the routes, the programs of their slot rows (lowered
+    /// from the slot list) and the operations charged.
     fn compose_by_slice(
         (emit, cost, method): (RankEmit, ComposeCost, ScanMethod),
         (ps_c, ps_f): (&[i32], &[i32]),
         m_local: &[bool],
         w0: usize,
         layout: &DimLayout,
-    ) -> (Routes, usize) {
+    ) -> (Routes, CopyPrograms, usize) {
         /// One owner's slots, explicit ranks and runs.
         type Row = (Vec<u32>, Vec<u32>, Vec<(u32, u32)>);
         let mut rows: BTreeMap<u32, Row> = BTreeMap::new();
@@ -567,12 +565,12 @@ mod tests {
                 ops += cost.per_run + cost.per_elem * len;
             }
         }
-        let mut slots = PeerCsr::empty();
+        let (mut slots, mut items) = (PeerCsr::empty(), Vec::new());
         let (mut ranks, mut run_offs, mut runs) = (Vec::new(), vec![0], Vec::new());
         for (owner, (s, r, g)) in rows {
             slots.peers.push(owner);
-            slots.items.extend(s);
-            slots.offs.push(slots.items.len() as u32);
+            items.extend(s);
+            slots.offs.push(items.len() as u32);
             ranks.extend(r);
             runs.extend(g);
             run_offs.push(runs.len() as u32);
@@ -584,7 +582,8 @@ mod tests {
                 runs,
             },
         };
-        (Routes { slots, ranks }, ops)
+        let prog = CopyPrograms::lower(&items, &slots.offs);
+        (Routes { slots, ranks }, prog, ops)
     }
 
     /// Split the consecutive ranks `r0 .. r0+n` into maximal runs with a
@@ -709,8 +708,12 @@ mod tests {
     #[test]
     fn routes_builder_shapes() {
         /// Route `(first rank, slots)` stretches one after the other, the
-        /// way a compose loop does.
-        fn build(emit: RankEmit, layout: &DimLayout, stretches: &[(usize, &[u32])]) -> Routes {
+        /// way a compose loop does; the routes, and each row's slots.
+        fn build(
+            emit: RankEmit,
+            layout: &DimLayout,
+            stretches: &[(usize, &[u32])],
+        ) -> (Routes, Vec<Vec<u32>>) {
             let elems = stretches.iter().map(|s| s.1.len()).sum();
             let mut b = RoutesBuilder::new(emit, elems, stretches.len());
             for &(rank, slots) in stretches {
@@ -729,24 +732,25 @@ mod tests {
                 b.filled += slots.len();
             }
             let (routes, prog) = b.finish();
-            let relowered = CopyPrograms::lower(&routes.slots.items, &routes.slots.offs);
-            assert_eq!(prog, relowered, "streamed programs are the rows' programs");
-            routes
+            let rows = (0..routes.slots.peers.len())
+                .map(|k| prog.indices(k))
+                .collect();
+            (routes, rows)
         }
         for emit in [RankEmit::Explicit, RankEmit::Runs] {
             let block = DimLayout::new_general(64, 8, 8).unwrap();
-            let empty = build(emit, &block, &[]);
-            assert!(empty.slots.peers.is_empty() && empty.slots.items.is_empty());
+            let (empty, _) = build(emit, &block, &[]);
+            assert!(empty.slots.peers.is_empty());
             assert_eq!(empty.slots.offs, [0]);
             assert_eq!(empty.slots.find(0), None);
 
             // One peer, fed element by element: the stretches coalesce.
-            let one = build(emit, &block, &[(56, &[3]), (57, &[5]), (58, &[9])]);
+            let (one, rows) = build(emit, &block, &[(56, &[3]), (57, &[5]), (58, &[9])]);
             assert_eq!(
                 (&one.slots.peers[..], &one.slots.offs[..]),
                 (&[7][..], &[0, 3][..])
             );
-            assert_eq!(one.slots.row(0), [3, 5, 9]);
+            assert_eq!(rows, [[3, 5, 9]]);
             assert_eq!(one.slots.find(7), Some(0));
             assert_eq!(one.slots.find(6), None);
             match emit {
@@ -757,14 +761,14 @@ mod tests {
             // Every peer of four, two slots each, owners ascending; the
             // last stretch starts in owner 2's block and ends in owner 3's.
             let pairs = DimLayout::new_general(8, 4, 2).unwrap();
-            let all = build(
+            let (all, rows) = build(
                 emit,
                 &pairs,
                 &[(0, &[0, 1]), (2, &[10, 11]), (4, &[20]), (5, &[21, 30, 31])],
             );
             assert_eq!(all.slots.peers, [0, 1, 2, 3]);
             assert_eq!(all.slots.offs, [0, 2, 4, 6, 8]);
-            assert_eq!(all.slots.row(2), [20, 21]);
+            assert_eq!(rows[2], [20, 21]);
             if emit == RankEmit::Runs {
                 assert_eq!(all.runs(2), [(4, 1), (5, 1)]);
                 assert_eq!(all.runs(3), [(6, 2)]);
@@ -772,7 +776,7 @@ mod tests {
 
             // Owners 1, 0, 1, 0 (cyclic result blocks): regrouped.
             let cyclic = DimLayout::new_general(10, 2, 2).unwrap();
-            let cyc = build(
+            let (cyc, rows) = build(
                 emit,
                 &cyclic,
                 &[
@@ -784,8 +788,7 @@ mod tests {
             );
             assert_eq!(cyc.slots.peers, [0, 1]);
             assert_eq!(cyc.slots.offs, [0, 4, 8]);
-            assert_eq!(cyc.slots.row(0), [101, 111, 103, 113]);
-            assert_eq!(cyc.slots.row(1), [100, 110, 102, 112]);
+            assert_eq!(rows, [[101, 111, 103, 113], [100, 110, 102, 112]]);
             match emit {
                 RankEmit::Explicit => assert_eq!(cyc.explicit(1), [2, 3, 6, 7]),
                 RankEmit::Runs => assert_eq!(cyc.runs(0), [(4, 2), (8, 2)]),
@@ -794,7 +797,7 @@ mod tests {
                 RankEmit::Explicit => 4 * 8,
                 RankEmit::Runs => 4 * 3 + 8 * 4,
             };
-            assert_eq!(cyc.mem_bytes(), 4 * (2 + 3 + 8) + ranks);
+            assert_eq!(cyc.mem_bytes(), 4 * (2 + 3) + ranks);
         }
     }
 
@@ -826,12 +829,11 @@ mod tests {
                 let (routes, prog) = composer.compose(proc, &ranking, &m_local, w0, &layout).finish();
                 (counts, routes, prog)
             });
-            let (want, want_ops) =
+            let (want, want_prog, want_ops) =
                 compose_by_slice((emit, cost, method), (&counts, &ranking.ps_f), &m_local, w0, &layout);
             proptest::prop_assert_eq!(&routes, &want);
             proptest::prop_assert_eq!(ops, want_ops as u64);
-            let relowered = CopyPrograms::lower(&routes.slots.items, &routes.slots.offs);
-            proptest::prop_assert_eq!(prog, relowered);
+            proptest::prop_assert_eq!(prog, want_prog);
         }
 
         /// The simple composition with its carried owner block equals a
@@ -855,7 +857,7 @@ mod tests {
             // Per element, the compact oracle's runs of one are the simple
             // scheme's records; it charges 1 + w0 per non-empty slice on top.
             let cost = ComposeCost { per_run: 0, per_elem: 2 };
-            let (want, want_ops) = compose_by_slice(
+            let (want, want_prog, want_ops) = compose_by_slice(
                 (RankEmit::Explicit, cost, ScanMethod::WholeSlice),
                 (&counts, &ranking.ps_f),
                 &m_local,
@@ -865,8 +867,7 @@ mod tests {
             let scans = counts.len() + w0 * counts.iter().filter(|&&n| n != 0).count();
             proptest::prop_assert_eq!(&routes, &want);
             proptest::prop_assert_eq!(ops, (want_ops - scans) as u64);
-            let relowered = CopyPrograms::lower(&routes.slots.items, &routes.slots.offs);
-            proptest::prop_assert_eq!(prog, relowered);
+            proptest::prop_assert_eq!(prog, want_prog);
         }
     }
 }

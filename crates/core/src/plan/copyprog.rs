@@ -8,19 +8,20 @@
 //!
 //! ```text
 //! program  = op*
-//! op       = Contig  { pos, at, len }   idx[pos+k] == at + k
-//!          | Scatter { pos, len }       defer to the scalar walk
+//! op       = Contig  { pos, at, len }   list[pos+k] == at + k
+//!          | Scatter { pos, at, len }   list[pos+k] == idx[at+k]
 //! ```
 //!
 //! `pos` addresses the *dense* side (the message buffer, tiled front to
-//! back); `at` addresses the *indexed* side (the local array slice the
-//! indices point into). A block-distributed section lowers to a handful of
-//! `Contig` ops — executed as `copy_from_slice`, i.e. `memcpy` — and
+//! back); `at` the *indexed* side (the local array slice the indices point
+//! into) or, for `Scatter`, the family's own `idx`, which keeps only those
+//! ranges' indices. A block-distributed section lowers to a handful of
+//! `Contig` ops — `copy_from_slice`, i.e. `memcpy` — and keeps no index;
 //! everything else (a random mask, a constant stride other than 1) to one
 //! `Scatter` range per row, which is the branch-free index loop
-//! `dst[k] = src[idx[k]]`. That loop is the yardstick: it moves an element
-//! in 0.6–0.8 ns, every op costs about one mispredicted branch on top of
-//! its elements, and a bulk op is emitted only where the measured
+//! `dst[k] = src[idx[at + k]]`. That loop is the yardstick: it moves an
+//! element in 0.6–0.8 ns, every op costs about one mispredicted branch on
+//! top of its elements, and a bulk op is emitted only where the measured
 //! break-even says it beats the loop it replaces ([`MIN_CONTIG`],
 //! [`MIN_CONTIG_JOINED`]; the table is in EXPERIMENTS.md, "Lower only what
 //! beats the index loop"). Lowering is wall-clock-only
@@ -61,26 +62,17 @@ const MIN_CONTIG_JOINED: usize = 8;
 const MIN_BULK: u32 = MIN_CONTIG_JOINED as u32;
 const _: () = assert!(MIN_CONTIG_JOINED <= MIN_CONTIG);
 
-/// One lowered copy instruction; see the module docs for the grammar.
+/// One lowered copy instruction over the `len` dense positions from `pos`;
+/// see the module docs for the grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CopyOp {
-    /// `idx[pos + k] == at + k` for `k < len`: one `copy_from_slice`.
-    Contig {
-        /// Start position on the dense side.
-        pos: u32,
-        /// First index on the indexed side.
-        at: u32,
-        /// Run length.
-        len: u32,
-    },
-    /// No exploitable structure: walk `idx[pos .. pos+len]` scalar.
-    Scatter {
-        /// Start position on the dense side.
-        pos: u32,
-        /// Range length.
-        len: u32,
-    },
+    /// The indices are the run `at..at + len`: one `copy_from_slice`.
+    Contig { pos: u32, at: u32, len: u32 },
+    /// No exploitable structure: the index loop over the family's
+    /// `idx[at..at + len]`.
+    Scatter { pos: u32, at: u32, len: u32 },
 }
+const _: () = assert!(std::mem::size_of::<CopyOp>() == 16);
 
 /// Which half of a program a walker executes. Ops touch disjoint dense
 /// positions, so the two phases compose to the full copy in either order.
@@ -128,16 +120,18 @@ impl CopyStats {
 
 /// The lowered copy programs of one plan family: one program per row of a
 /// peer-indexed index CSR, all in one flat op array with per-row offsets
-/// (only populated peers have a program). Built once at plan time by a
-/// [`ProgramBuilder`]; walked on every execute by the kernels below,
-/// which take a row's ops alongside its index list (only `Scatter` ops
-/// still read it). `pos` counts from the start of the row — the dense side
-/// is that peer's message buffer.
+/// (only populated peers have a program), and the indices of the `Scatter`
+/// ranges in one flat array in op order. Built once at plan time by a
+/// [`ProgramBuilder`]; walked on every execute by the kernels below, which
+/// take the family and a row number and nothing else. `pos` counts from the start
+/// of the row — the dense side is that peer's message buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CopyPrograms {
     ops: Vec<CopyOp>,
     /// `ops[offs[k]..offs[k + 1]]` is row `k`'s program.
     offs: Vec<u32>,
+    /// The indices the `Scatter` ops walk; no other index is kept.
+    idx: Vec<u32>,
     stats: CopyStats,
 }
 
@@ -147,6 +141,7 @@ impl Default for CopyPrograms {
         CopyPrograms {
             ops: Vec::new(),
             offs: vec![0],
+            idx: Vec::new(),
             stats: CopyStats::default(),
         }
     }
@@ -154,18 +149,22 @@ impl Default for CopyPrograms {
 
 impl CopyPrograms {
     /// Lower every row `idx[offs[k]..offs[k + 1]]` of a finished list (the
-    /// memory predictor's, a regrouped route set's) through the
-    /// [`ProgramBuilder`] that planning streams its indices into.
+    /// memory predictor's, the tests') through the [`ProgramBuilder`] that
+    /// planning streams its indices into.
     pub(crate) fn lower(idx: &[u32], offs: &[u32]) -> CopyPrograms {
         let mut b = ProgramBuilder::default();
         for row in offs.windows(2) {
-            let row = &idx[row[0] as usize..row[1] as usize];
-            b.extend(row);
+            b.extend(&idx[row[0] as usize..row[1] as usize]);
             b.end_row();
-            #[cfg(debug_assertions)]
-            check(b.out.row(b.out.offs.len() - 2), row);
         }
-        b.finish()
+        let progs = b.finish(idx.to_vec());
+        // Debug builds check that every row's program spells it out, a
+        // `Scatter` op from its own indices.
+        #[cfg(debug_assertions)]
+        for (k, row) in offs.windows(2).enumerate() {
+            assert_eq!(progs.indices(k), idx[row[0] as usize..row[1] as usize]);
+        }
+        progs
     }
 
     /// Row `k`'s program.
@@ -174,9 +173,11 @@ impl CopyPrograms {
     }
 
     /// Bytes the programs retain for the plan's lifetime (charged to
-    /// `mem.plan` next to the rows they annotate): ops plus row offsets.
+    /// `mem.plan` next to the rows they annotate): ops, row offsets and
+    /// `Scatter` indices.
     pub(crate) fn mem_bytes(&self) -> u64 {
-        (self.ops.len() * std::mem::size_of::<CopyOp>() + self.offs.len() * 4) as u64
+        let ops = self.ops.len() * std::mem::size_of::<CopyOp>();
+        (ops + 4 * (self.offs.len() + self.idx.len())) as u64
     }
 
     /// The op/element breakdown over all rows.
@@ -272,6 +273,8 @@ impl ProgramBuilder {
             self.out.stats.scatter += 1;
             self.out.ops.push(CopyOp::Scatter {
                 pos: self.scattered,
+                // Its place in what `extend` was fed; `finish` moves it.
+                at: self.out.stats.total_elements as u32 + self.scattered,
                 len: end - self.scattered,
             });
         }
@@ -288,61 +291,74 @@ impl ProgramBuilder {
         (self.pos, self.scattered, self.len) = (0, 0, 0);
     }
 
-    /// The programs of every closed row.
-    pub(crate) fn finish(self) -> CopyPrograms {
+    /// The programs of every closed row. `fed` is everything `extend` was
+    /// given, in order; the programs keep of it the indices of their
+    /// `Scatter` ranges, moved to its front in op order. A family with no
+    /// `Contig` op keeps `fed` as it is, not a copy of it.
+    pub(crate) fn finish(mut self, mut fed: Vec<u32>) -> CopyPrograms {
         debug_assert_eq!(self.pos, 0, "finish with a row still open");
+        debug_assert_eq!(fed.len() as u64, self.out.stats.total_elements);
+        let mut kept = 0u32;
+        for op in &mut self.out.ops {
+            if let CopyOp::Scatter { at, len, .. } = op {
+                if *at != kept {
+                    fed.copy_within(*at as usize..(*at + *len) as usize, kept as usize);
+                    *at = kept;
+                }
+                kept += *len;
+            }
+        }
+        if self.out.stats.contig > 0 {
+            fed.truncate(kept as usize);
+            fed.shrink_to_fit();
+        }
+        self.out.idx = fed;
         self.out
     }
 }
 
-/// Verify one row's program against the index list it was lowered from —
-/// every op must reproduce `idx` exactly and the ops must tile
-/// `0..idx.len()` in order. Debug builds run this after lowering.
-#[cfg(debug_assertions)]
-fn check(ops: &[CopyOp], idx: &[u32]) {
-    let mut next = 0usize;
-    for op in ops {
-        match *op {
-            CopyOp::Contig { pos, at, len } => {
-                assert_eq!(pos as usize, next);
-                for k in 0..len as usize {
-                    assert_eq!(idx[pos as usize + k] as usize, at as usize + k);
+impl CopyPrograms {
+    /// The index list row `k`'s program walks; its ops must tile it in order.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn indices(&self, k: usize) -> Vec<u32> {
+        let mut list = Vec::new();
+        for op in self.row(k) {
+            let (CopyOp::Contig { pos, at, len } | CopyOp::Scatter { pos, at, len }) = *op;
+            assert_eq!(pos as usize, list.len(), "the ops do not tile the list");
+            match op {
+                CopyOp::Contig { .. } => list.extend(at..at + len),
+                CopyOp::Scatter { .. } => {
+                    list.extend_from_slice(&self.idx[at as usize..][..len as usize])
                 }
-                next += len as usize;
-            }
-            CopyOp::Scatter { pos, len } => {
-                assert_eq!(pos as usize, next);
-                next += len as usize;
             }
         }
+        list
     }
-    assert_eq!(next, idx.len(), "program does not tile the index list");
 }
 
-/// Gather `dst[k] = src[idx[k]]` for the requested phase — the pooled
-/// segment-value / reply fill kernel. `dst` must already have `idx.len()`
-/// elements (the pooled buffers keep their shape across executes, so the
+/// Gather `dst[k] = src[list[k]]` for the requested phase — the pooled
+/// segment-value / reply fill kernel. `dst` must already have the row's
+/// length (the pooled buffers keep their shape across executes, so the
 /// steady state is a pure positional overwrite). Like every walker, returns
 /// the number of elements the phase moved.
 pub(crate) fn gather_fill<T: Copy>(
-    ops: &[CopyOp],
-    idx: &[u32],
+    progs: &CopyPrograms,
+    k: usize,
     src: &[T],
     dst: &mut [T],
     phase: Phase,
 ) -> usize {
     let mut moved = 0usize;
-    debug_assert_eq!(dst.len(), idx.len());
-    for op in ops {
+    for op in progs.row(k) {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
                 moved += len as usize;
                 dst[pos as usize..pos as usize + len as usize]
                     .copy_from_slice(&src[at as usize..at as usize + len as usize]);
             }
-            CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
+            CopyOp::Scatter { pos, at, len } if phase == Phase::Scatter => {
                 moved += len as usize;
-                let ids = &idx[pos as usize..pos as usize + len as usize];
+                let ids = &progs.idx[at as usize..at as usize + len as usize];
                 for (d, &i) in dst[pos as usize..pos as usize + len as usize]
                     .iter_mut()
                     .zip(ids)
@@ -356,19 +372,18 @@ pub(crate) fn gather_fill<T: Copy>(
     moved
 }
 
-/// Gather `dst[k].1 = src[idx[k]]` for the requested phase, ranks
-/// untouched — the steady-state pair-message refill (the rank skeleton
-/// survives in the pooled buffer, so only values move).
+/// Gather `dst[k].1 = src[list[k]]` for the requested phase, ranks
+/// untouched — the pair-message fill (the rank skeleton is plan-constant
+/// and survives in the pooled buffer, so only values move).
 pub(crate) fn gather_pairs_refill<T: Copy, R>(
-    ops: &[CopyOp],
-    idx: &[u32],
+    progs: &CopyPrograms,
+    k: usize,
     src: &[T],
     dst: &mut [(R, T)],
     phase: Phase,
 ) -> usize {
     let mut moved = 0usize;
-    debug_assert_eq!(dst.len(), idx.len());
-    for op in ops {
+    for op in progs.row(k) {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
                 moved += len as usize;
@@ -380,9 +395,9 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
                     d.1 = v;
                 }
             }
-            CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
+            CopyOp::Scatter { pos, at, len } if phase == Phase::Scatter => {
                 moved += len as usize;
-                let ids = &idx[pos as usize..pos as usize + len as usize];
+                let ids = &progs.idx[at as usize..at as usize + len as usize];
                 for (d, &i) in dst[pos as usize..pos as usize + len as usize]
                     .iter_mut()
                     .zip(ids)
@@ -397,27 +412,26 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
 }
 
 /// Scatter dense `vals` through the index list for the requested phase:
-/// `out[idx[k]] = vals[k]` — the UNPACK reply-scatter kernel. `Contig` ops
+/// `out[list[k]] = vals[k]` — the UNPACK reply-scatter kernel. `Contig` ops
 /// are one `copy_from_slice` into `out`.
 pub(crate) fn scatter_apply<T: Copy>(
-    ops: &[CopyOp],
-    idx: &[u32],
+    progs: &CopyPrograms,
+    k: usize,
     vals: &[T],
     out: &mut [T],
     phase: Phase,
 ) -> usize {
     let mut moved = 0usize;
-    debug_assert_eq!(vals.len(), idx.len());
-    for op in ops {
+    for op in progs.row(k) {
         match *op {
             CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
                 moved += len as usize;
                 out[at as usize..at as usize + len as usize]
                     .copy_from_slice(&vals[pos as usize..pos as usize + len as usize]);
             }
-            CopyOp::Scatter { pos, len } if phase == Phase::Scatter => {
+            CopyOp::Scatter { pos, at, len } if phase == Phase::Scatter => {
                 moved += len as usize;
-                let ids = &idx[pos as usize..pos as usize + len as usize];
+                let ids = &progs.idx[at as usize..at as usize + len as usize];
                 for (&i, &v) in ids
                     .iter()
                     .zip(&vals[pos as usize..pos as usize + len as usize])
@@ -467,7 +481,7 @@ pub(super) mod tests {
             total_elements: idx.len() as u64,
             ..CopyStats::default()
         };
-        let mut op_offs = vec![0];
+        let (mut op_offs, mut kept) = (vec![0], Vec::new());
         for row in offs.windows(2) {
             let (first, idx) = (ops.len(), &idx[row[0] as usize..row[1] as usize]);
             let n = idx.len();
@@ -490,7 +504,7 @@ pub(super) mod tests {
                     i += run;
                 } else {
                     match ops[first..].last_mut() {
-                        Some(CopyOp::Scatter { pos, len })
+                        Some(CopyOp::Scatter { pos, len, .. })
                             if *pos as usize + *len as usize == i =>
                         {
                             *len += 1;
@@ -510,6 +524,7 @@ pub(super) mod tests {
                             }
                             ops.push(CopyOp::Scatter {
                                 pos,
+                                at: 0,
                                 len: i as u32 + 1 - pos,
                             });
                             stats.scatter += 1;
@@ -518,13 +533,38 @@ pub(super) mod tests {
                     i += 1;
                 }
             }
+            // The row's `Scatter` indices, appended in op order.
+            for op in &mut ops[first..] {
+                if let CopyOp::Scatter { pos, at, len } = op {
+                    *at = kept.len() as u32;
+                    kept.extend_from_slice(&idx[*pos as usize..(*pos + *len) as usize]);
+                }
+            }
             op_offs.push(ops.len() as u32);
         }
         CopyPrograms {
             ops,
             offs: op_offs,
+            idx: kept,
             stats,
         }
+    }
+
+    /// Row `k`'s ops with its `Scatter` ops' `at` counted from the row's
+    /// first index, and the list it walks: what the row is, wherever in its
+    /// family it stands.
+    fn alone(progs: &CopyPrograms, k: usize) -> (Vec<CopyOp>, Vec<u32>) {
+        let mut first = None;
+        let ops = (progs.row(k).iter())
+            .map(|&op| match op {
+                CopyOp::Scatter { pos, at, len } => {
+                    let at = at - *first.get_or_insert(at);
+                    CopyOp::Scatter { pos, at, len }
+                }
+                contig => contig,
+            })
+            .collect();
+        (ops, progs.indices(k))
     }
 
     /// Run lengths on both sides of every minimum, plus a few short ones.
@@ -585,19 +625,18 @@ pub(super) mod tests {
 
     fn roundtrip(idx: &[u32]) {
         let progs = lower(idx);
-        let prog = progs.row(0);
         let bulk = progs.stats().bulk_elements as usize;
         let span = idx.iter().max().map_or(0, |&m| m as usize + 1);
         let src: Vec<u32> = (0..span as u32).map(|x| x * 3 + 7).collect();
         let mut out = vec![0u32; idx.len()];
-        assert_eq!(gather_fill(prog, idx, &src, &mut out, Phase::Bulk), bulk);
-        let rest = gather_fill(prog, idx, &src, &mut out, Phase::Scatter);
+        assert_eq!(gather_fill(&progs, 0, &src, &mut out, Phase::Bulk), bulk);
+        let rest = gather_fill(&progs, 0, &src, &mut out, Phase::Scatter);
         assert_eq!(bulk + rest, idx.len(), "the phases cover the list");
         assert_eq!(out, scalar_gather(idx, &src));
 
         let mut pairs: Vec<(u32, u32)> = idx.iter().map(|&i| (i, 0)).collect();
-        gather_pairs_refill(prog, idx, &src, &mut pairs, Phase::Bulk);
-        gather_pairs_refill(prog, idx, &src, &mut pairs, Phase::Scatter);
+        gather_pairs_refill(&progs, 0, &src, &mut pairs, Phase::Bulk);
+        gather_pairs_refill(&progs, 0, &src, &mut pairs, Phase::Scatter);
         assert!(pairs.iter().zip(idx).all(|(p, &i)| p.0 == i));
         assert_eq!(
             pairs.iter().map(|p| p.1).collect::<Vec<_>>(),
@@ -608,8 +647,8 @@ pub(super) mod tests {
         let vals: Vec<u32> = (0..idx.len() as u32).map(|x| x + 100).collect();
         let mut a = vec![0u32; span];
         let mut b = vec![0u32; span];
-        scatter_apply(prog, idx, &vals, &mut a, Phase::Bulk);
-        scatter_apply(prog, idx, &vals, &mut a, Phase::Scatter);
+        scatter_apply(&progs, 0, &vals, &mut a, Phase::Bulk);
+        scatter_apply(&progs, 0, &vals, &mut a, Phase::Scatter);
         for (&i, &v) in idx.iter().zip(&vals) {
             b[i as usize] = v;
         }
@@ -634,7 +673,13 @@ pub(super) mod tests {
         let descending: Vec<u32> = (0..128).map(|k| 1100 - 8 * k).collect();
         for idx in [cyclic, descending] {
             let prog = lower(&idx);
-            assert_eq!(prog.row(0), [CopyOp::Scatter { pos: 0, len: 128 }]);
+            let whole = CopyOp::Scatter {
+                pos: 0,
+                at: 0,
+                len: 128,
+            };
+            assert_eq!(prog.row(0), [whole]);
+            assert_eq!(prog.idx, idx, "the list is the program's");
             assert_eq!(prog.stats().bulk_fraction(), 0.0);
             roundtrip(&idx);
         }
@@ -723,14 +768,19 @@ pub(super) mod tests {
         assert_eq!(prog.stats().bulk_fraction(), 1.0);
     }
 
+    /// Ops, row offsets and the `Scatter` indices: a dense row keeps no
+    /// index, a row with a `Scatter` range keeps that range's and no other.
     #[test]
-    fn mem_bytes_counts_ops() {
-        let idx: Vec<u32> = (0..100).collect();
-        let prog = lower(&idx);
-        assert_eq!(
-            prog.mem_bytes(),
-            (prog.ops.len() * std::mem::size_of::<CopyOp>() + 8) as u64
-        );
+    fn mem_bytes_counts_ops_and_scatter_indices() {
+        let dense: Vec<u32> = (0..100).collect();
+        let prog = lower(&dense);
+        assert!(prog.idx.is_empty());
+        assert_eq!(prog.mem_bytes(), 16 + 8);
+        let mixed: Vec<u32> = [900, 7, 500].into_iter().chain(0..100).collect();
+        let prog = lower(&mixed);
+        assert_eq!((prog.stats().contig, prog.stats().scatter), (1, 1));
+        assert_eq!(prog.idx, [900, 7, 500]);
+        assert_eq!(prog.mem_bytes(), 2 * 16 + 8 + 3 * 4);
     }
 
     /// Rows lower independently: a family's row equals the same list
@@ -748,9 +798,9 @@ pub(super) mod tests {
         let family = CopyPrograms::lower(&flat, &offs);
         let mut sum = CopyStats::default();
         for (k, r) in rows.iter().enumerate() {
-            let alone = lower(r);
-            assert_eq!(family.row(k), alone.row(0), "row {k}");
-            sum.merge(alone.stats());
+            let single = lower(r);
+            assert_eq!(alone(&family, k), alone(&single, 0), "row {k}");
+            sum.merge(single.stats());
         }
         assert_eq!(family.stats(), &sum);
         assert_eq!(family.stats().contig, 1, "row 2 is one op");
@@ -825,8 +875,9 @@ pub(super) mod tests {
         }
 
         /// Lowered gather and scatter are bit-identical to the scalar
-        /// reference for arbitrary index lists (the debug `check` inside
-        /// `lower` additionally proves the ops tile the list exactly).
+        /// reference for arbitrary index lists (the debug self-check inside
+        /// `lower` additionally proves the ops tile the list exactly and
+        /// spell it out, `Scatter` ops from their own indices).
         #[test]
         fn lowering_matches_scalar(idx in proptest::collection::vec(0u32..4096, 0..300)) {
             roundtrip(&idx);

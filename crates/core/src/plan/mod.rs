@@ -22,14 +22,12 @@
 //! `plan().execute(data)` is bit-identical to the one-shot entry points
 //! (which are now thin wrappers doing exactly `plan` + `execute`).
 //!
-//! Since the copy-program lowering (DESIGN.md §16), a plan also carries,
-//! per populated peer, a compiled [`copyprog::CopyPrograms`] row over its
-//! index list; the execute kernels walk the program — bulk `copy_from_slice`
-//! runs and constant-stride loops where the mask allows, scalar ranges
-//! where it does not — instead of indexing element by element. Lowering is
-//! wall-clock-only: simulated operation charges are per *value moved* and
-//! do not depend on the loop shape, so every Section 6.4 metric is
-//! unchanged to the bit.
+//! Since the copy-program lowering (DESIGN.md §16), a plan's index lists are
+//! [`copyprog::CopyPrograms`], one row per populated peer, which the execute
+//! kernels walk: `copy_from_slice` runs where the mask allows, the index
+//! loop over the program's own indices where it does not. Lowering is
+//! wall-clock-only: simulated charges are per *value moved*, so every
+//! Section 6.4 metric is unchanged to the bit.
 //!
 //! Plans are generic over the element type at execute time: one
 //! [`PackPlan`] built for a mask/layout packs `f64` values and `u32`
@@ -271,40 +269,30 @@ impl PackPlan {
 
     /// Gather `(rank, value)` pair messages into pooled per-destination
     /// buffers (one operation per moved element). A warm buffer already
-    /// holds the plan-constant rank skeleton, so the refill walks the
-    /// lowered copy program and overwrites **values only**; cold buffers
-    /// (the first two executes, one per pool slot) build the skeleton
-    /// scalar. The buffer for each destination — this processor's own rank
-    /// included — is left staged in its slot for the exchange.
+    /// holds the plan-constant rank skeleton; a cold one (the first two
+    /// executes, one per pool slot) gets it first. Either way the lowered
+    /// copy program then overwrites **values only**. The buffer for each
+    /// destination — this processor's own rank included — is left staged in
+    /// its slot for the exchange.
     fn gather_pairs<T: Wire + Default>(&self, proc: &mut Proc, a_local: &[T]) {
         proc.wall_span("pack.gather", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
                 let mut moved = 0usize;
                 for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
-                    let (slots, ranks) = (self.routes.slots.row(k), self.routes.explicit(k));
+                    let ranks = self.routes.explicit(k);
                     let (slot, mut buf) =
                         proc.pool_checkout::<PairMsg<T>>(self.pool_key, dst as usize);
-                    if buf.pairs.len() == ranks.len() {
-                        debug_assert!(
-                            buf.pairs.iter().zip(ranks).all(|(p, &r)| p.0 == r),
-                            "stale rank skeleton in pooled pair buffer"
-                        );
-                        let prog = self.gather.row(k);
-                        walk_phases::<T>(proc, |phase| {
-                            gather_pairs_refill(prog, slots, a_local, &mut buf.pairs, phase)
-                        });
-                    } else {
-                        proc.wall_span("copy.scatter", |proc| {
-                            buf.pairs.clear();
-                            buf.pairs.extend(
-                                ranks
-                                    .iter()
-                                    .zip(slots)
-                                    .map(|(&r, &s)| (r, a_local[s as usize])),
-                            );
-                            proc.wall_bytes((ranks.len() * std::mem::size_of::<(u32, T)>()) as u64);
-                        });
+                    if buf.pairs.len() != ranks.len() {
+                        buf.pairs.clear();
+                        buf.pairs.extend(ranks.iter().map(|&r| (r, T::default())));
                     }
+                    debug_assert!(
+                        buf.pairs.iter().zip(ranks).all(|(p, &r)| p.0 == r),
+                        "stale rank skeleton in pooled pair buffer"
+                    );
+                    walk_phases::<T>(proc, |phase| {
+                        gather_pairs_refill(&self.gather, k, a_local, &mut buf.pairs, phase)
+                    });
                     moved += ranks.len();
                     slot.stash(buf);
                 }
@@ -323,17 +311,16 @@ impl PackPlan {
             proc.with_category(Category::LocalComp, |proc| {
                 let mut moved = 0usize;
                 for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
-                    let slots = self.routes.slots.row(k);
+                    let len = self.routes.slots.len(k);
                     let (slot, mut msg) =
                         proc.pool_checkout::<CmsMessage<T>>(self.pool_key, dst as usize);
                     proc.wall_span("fill_segments", |proc| {
-                        compact_message::ensure_shape(&mut msg, self.routes.runs(k), slots.len());
-                        let prog = self.gather.row(k);
+                        compact_message::ensure_shape(&mut msg, self.routes.runs(k), len);
                         walk_phases::<T>(proc, |phase| {
-                            gather_fill(prog, slots, a_local, &mut msg.vals, phase)
+                            gather_fill(&self.gather, k, a_local, &mut msg.vals, phase)
                         });
                     });
-                    moved += slots.len();
+                    moved += len;
                     slot.stash(msg);
                 }
                 proc.charge_ops(moved);
@@ -567,10 +554,10 @@ pub struct UnpackPlan {
     local_len: usize,
     v_local_len: usize,
     /// One row per reply-sender: local element slots awaiting its values.
-    targets: PeerCsr<u32>,
+    targets: PeerCsr,
     /// One row per requester: the local indices into my `V` slice to serve,
     /// in request order.
-    serve: PeerCsr<u32>,
+    serve: PeerCsr,
     /// Per `serve` row: its lowered copy program (the reply fill).
     serve_prog: CopyPrograms,
     /// Per `targets` row: its lowered copy program (the reply scatter).
@@ -655,9 +642,10 @@ pub fn plan_unpack(
         // requester's row as it is resolved.
         let (serve, serve_prog) = proc.with_category(Category::LocalComp, |proc| {
             let (mut serve, mut prog) = (PeerCsr::empty(), ProgramBuilder::default());
-            let mut block = OwnerBlock::default();
+            let (mut idx, mut block) = (Vec::new(), OwnerBlock::default());
             for (requester, req) in &incoming {
-                serve.items.reserve(req.expanded_len());
+                let row = idx.len();
+                idx.reserve(req.expanded_len());
                 req.for_each_run(|base, n| {
                     if block.misses(base, n) {
                         block.seek(v_layout, base);
@@ -668,15 +656,15 @@ pub fn plan_unpack(
                         "misrouted request"
                     );
                     let first = block.local_lo + (base - block.lo);
-                    serve.items.extend((first..first + n).map(|l| l as u32));
+                    idx.extend((first..first + n).map(|l| l as u32));
                 });
-                prog.extend(&serve.items[*serve.offs.last().expect("never empty") as usize..]);
+                prog.extend(&idx[row..]);
                 prog.end_row();
                 serve.peers.push(*requester);
-                serve.offs.push(serve.items.len() as u32);
+                serve.offs.push(idx.len() as u32);
             }
-            proc.charge_ops(serve.items.len());
-            (serve, prog.finish())
+            proc.charge_ops(idx.len());
+            (serve, prog.finish(idx))
         });
         // Reply directions are locally known: I reply to whoever asked,
         // and I await replies from whoever I asked.
@@ -807,18 +795,17 @@ impl UnpackPlan {
                 proc.with_category(Category::LocalComp, |proc| {
                     let mut ops = 0usize;
                     for (k, &requester) in self.serve.peers.iter().enumerate() {
-                        let idx = self.serve.row(k);
+                        let len = self.serve.len(k);
                         let (slot, mut buf) =
                             proc.pool_checkout::<FlatMsg<T>>(self.pool_key, requester as usize);
-                        if buf.vals.len() != idx.len() {
+                        if buf.vals.len() != len {
                             buf.vals.clear();
-                            buf.vals.resize(idx.len(), T::default());
+                            buf.vals.resize(len, T::default());
                         }
                         walk_phases::<T>(proc, |phase| {
-                            let prog = self.serve_prog.row(k);
-                            gather_fill(prog, idx, v_local, &mut buf.vals, phase)
+                            gather_fill(&self.serve_prog, k, v_local, &mut buf.vals, phase)
                         });
-                        ops += idx.len();
+                        ops += len;
                         slot.stash(buf);
                     }
                     proc.charge_ops(ops);
@@ -849,11 +836,10 @@ impl UnpackPlan {
                         &mut recvs,
                         |proc, src, buf| {
                             let k = self.targets.find(src).expect("a reply I asked for");
-                            let idx = self.targets.row(k);
-                            debug_assert_eq!(buf.vals.len(), idx.len(), "reply length mismatch");
+                            let len = self.targets.len(k);
+                            debug_assert_eq!(buf.vals.len(), len, "reply length mismatch");
                             walk_phases::<T>(proc, |phase| {
-                                let prog = self.scatter_prog.row(k);
-                                scatter_apply(prog, idx, &buf.vals, out, phase)
+                                scatter_apply(&self.scatter_prog, k, &buf.vals, out, phase)
                             });
                             buf.vals.len()
                         },
@@ -921,13 +907,14 @@ mod tests {
         };
         let mut rows = 0;
         for (pack, unpack) in plans(pattern) {
-            for (progs, idx) in [
+            for (progs, csr) in [
                 (&pack.gather, &pack.routes.slots),
                 (&unpack.scatter_prog, &unpack.targets),
             ] {
-                for k in 0..idx.peers.len() {
-                    let len = idx.row(k).len() as u32;
-                    assert_eq!(progs.row(k), [CopyOp::Scatter { pos: 0, len }]);
+                for k in 0..csr.peers.len() {
+                    let (len, at) = (csr.len(k) as u32, csr.offs[k]);
+                    let whole = CopyOp::Scatter { pos: 0, at, len };
+                    assert_eq!(progs.row(k), [whole]);
                     rows += 1;
                 }
             }
@@ -947,13 +934,15 @@ mod tests {
     fn dense_rows_lower_as_they_did() {
         for pattern in [MaskPattern::Full, MaskPattern::FirstHalf] {
             for (pack, unpack) in plans(pattern) {
-                for (progs, idx) in [
+                for (progs, csr) in [
                     (&pack.gather, &pack.routes.slots),
                     (&unpack.serve_prog, &unpack.serve),
                     (&unpack.scatter_prog, &unpack.targets),
                 ] {
-                    let before =
-                        copyprog::tests::lower_rescanning_with(&idx.items, &idx.offs, [4, 4]);
+                    let list: Vec<u32> = (0..csr.peers.len())
+                        .flat_map(|k| progs.indices(k))
+                        .collect();
+                    let before = copyprog::tests::lower_rescanning_with(&list, &csr.offs, [4, 4]);
                     assert_eq!(progs, &before, "{pattern:?}");
                     assert_eq!(progs.stats().bulk_fraction(), 1.0);
                 }

@@ -304,3 +304,72 @@ fn dense_plans_keep_their_op_arrays() {
 type Flat = (u64, u64, u64, u64);
 const DENSE_FULL: (Flat, Flat) = ((8, 0, 512, 512), (16, 0, 1024, 1024));
 const DENSE_HALF: (Flat, Flat) = ((4, 0, 256, 256), (8, 0, 512, 512));
+
+/// Rows that mix both op kinds: a Bernoulli-0.97 mask in blocks of 256 has
+/// selected runs on both sides of the minima, so every processor's gather
+/// rows lower to `Contig` and `Scatter` ops alike and a program keeps the
+/// indices of its `Scatter` ranges only — compacted at every op boundary.
+/// All five schemes, cold and warm, equal the sequential oracle.
+#[test]
+fn mixed_rows_keep_their_scatter_indices_and_match_the_oracle() {
+    let (p, w, t) = (4, 256, 4);
+    let n = p * w * t;
+    let (grid, desc) = build(p, w, t);
+    let pattern = MaskPattern::Random {
+        density: 0.97,
+        seed: 5,
+    };
+    let m = pattern.global(&[n]);
+    let values = |salt: i64| GlobalArray::from_fn(&[n], move |g| salt + 3 * g[0] as i64);
+    let mixed = |s: &hpf_core::CopyStats| s.contig > 0 && s.scatter > 0;
+    let d = &desc;
+
+    let want = pack_seq(&values(-9), &m, None);
+    for scheme in PackScheme::ALL {
+        let out = Machine::new(grid.clone(), CostModel::cm5()).run(move |proc| {
+            let mask = pattern.local(d, proc.id());
+            let a = local_from_fn(d, proc.id(), |g| 5 + 3 * g[0] as i64);
+            let b = local_from_fn(d, proc.id(), |g| -9 + 3 * g[0] as i64);
+            let plan = plan_pack(proc, d, &mask, &PackOptions::new(scheme)).unwrap();
+            let mut got = plan.execute(proc, &a).unwrap();
+            plan.execute_into(proc, &a, &mut got).unwrap();
+            plan.execute_into(proc, &b, &mut got).unwrap();
+            (plan.copy_stats(), got.local_v)
+        });
+        let layout = DimLayout::new_general(want.len(), p, want.len().div_ceil(p)).unwrap();
+        for (me, (stats, _)) in out.results.iter().enumerate() {
+            assert!(mixed(stats), "{scheme:?}, processor {me}: {stats:?}");
+        }
+        let locals: Vec<Vec<i64>> = out.results.into_iter().map(|r| r.1).collect();
+        assert_eq!(assemble(&layout, &locals, want.len()), want, "{scheme:?}");
+    }
+
+    let size = want.len();
+    let vl = DimLayout::new_general(size, p, size.div_ceil(p)).unwrap();
+    let v: Vec<i64> = (0..size as i64).map(|r| 40_000 + r).collect();
+    let want = unpack_seq(&v, &m, &values(7));
+    for scheme in UnpackScheme::ALL {
+        let out = Machine::new(grid.clone(), CostModel::cm5()).run(move |proc| {
+            let me = proc.id();
+            let mask = pattern.local(d, me);
+            let f = local_from_fn(d, me, |g| 7 + 3 * g[0] as i64);
+            let local_v = |salt: i64| -> Vec<i64> {
+                (0..vl.local_len(me))
+                    .map(|l| salt + vl.global_of(me, l) as i64)
+                    .collect()
+            };
+            let plan = plan_unpack(proc, d, &mask, &vl, &UnpackOptions::new(scheme)).unwrap();
+            let mut got = plan.execute(proc, &f, &local_v(-1)).unwrap();
+            plan.execute_into(proc, &f, &local_v(-1), &mut got).unwrap();
+            plan.execute_into(proc, &f, &local_v(40_000), &mut got)
+                .unwrap();
+            (plan.copy_stats(), got)
+        });
+        for (me, (stats, _)) in out.results.iter().enumerate() {
+            assert!(mixed(stats), "{scheme:?}, processor {me}: {stats:?}");
+        }
+        let locals: Vec<Vec<i64>> = out.results.into_iter().map(|r| r.1).collect();
+        let got = GlobalArray::assemble(&desc, &locals);
+        assert_eq!(got.data(), want.data(), "{scheme:?}");
+    }
+}

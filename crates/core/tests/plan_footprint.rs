@@ -19,12 +19,19 @@
 //!   grow under the P − 1 rows — growth the allocator bills to whichever
 //!   *sender's* push triggered it. Hence the median over processors and
 //!   not the maximum: a handful of senders read tens of KB high.
+//!
+//! What a plan *retains* — its `mem.plan` charge — depends on its peers and
+//! its copy ops, and on its elements only where a `Scatter` op walks them
+//! (DESIGN.md §16): a bulk row keeps no index list.
 
 use hpf_core::ranking::{rank_from_counts, slice_counts, RankShape};
-use hpf_core::{plan_pack, plan_unpack, MaskPattern, PackOptions, UnpackOptions};
+use hpf_core::{
+    plan_pack, plan_unpack, CopyStats, MaskPattern, MaskStats, PackOptions, PackScheme,
+    UnpackOptions, UnpackScheme,
+};
 use hpf_distarray::{ArrayDesc, Dist};
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
-use hpf_machine::{CostModel, Machine, ProcGrid};
+use hpf_machine::{CostModel, Machine, MemAccount, ProcGrid};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -87,4 +94,80 @@ fn plan_allocation_does_not_grow_with_the_machine() {
         gross512 <= 2 * gross64,
         "with ranking: {gross64} B per processor at P = 64 but {gross512} B at P = 512"
     );
+}
+
+/// Per processor: the `mem.plan` charge of a CMS PACK plan plus a CSS UNPACK
+/// plan over `l` elements per processor on four processors, in four slices
+/// each, and the plans' copy statistics merged.
+fn retained(l: usize, pattern: MaskPattern) -> Vec<(u64, CopyStats)> {
+    let grid = ProcGrid::line(4);
+    let desc = ArrayDesc::new(&[4 * l], &grid, &[Dist::BlockCyclic(l / 4)]).unwrap();
+    let popts = PackOptions::new(PackScheme::CompactMessage);
+    let uopts = UnpackOptions::new(UnpackScheme::CompactStorage);
+    let machine = Machine::new(grid, CostModel::cm5()).with_metrics(true);
+    let out = machine.run(|proc| {
+        let m = pattern.local(&desc, proc.id());
+        let pack = plan_pack(proc, &desc, &m, &popts).unwrap();
+        let vl = pack.v_layout().expect("the mask selects elements");
+        let unpack = plan_unpack(proc, &desc, &m, &vl, &uopts).unwrap();
+        let mut copy = pack.copy_stats();
+        copy.merge(&unpack.copy_stats());
+        copy
+    });
+    let gauge = MemAccount::Plan.gauge_name();
+    (out.metrics.iter().map(|m| m.gauges[gauge].last))
+        .zip(out.results)
+        .collect()
+}
+
+/// A full mask's plans are bulk rows and keep no index list: their charge
+/// is the same at L = 2¹² and at L = 2¹⁶ elements per processor. (Four
+/// slices per processor at both sizes — `BlockCyclic(1024)` at the smaller
+/// — so that the runs and ops, which a fixed block would multiply with L,
+/// stay put.) Under a Bernoulli-0.5 mask the charge is the plans' ops,
+/// offsets, peers, runs and field span, plus exactly 4 B per index a
+/// `Scatter` op walks.
+#[test]
+fn bulk_rows_retain_no_index_list() {
+    let (small, large) = (
+        retained(1 << 12, MaskPattern::Full),
+        retained(1 << 16, MaskPattern::Full),
+    );
+    for (p, ((a, sa), (b, sb))) in small.iter().zip(&large).enumerate() {
+        assert_eq!(sa.bulk_fraction(), 1.0, "processor {p}: {sa:?}");
+        assert_eq!((sa.contig, sa.scatter), (sb.contig, sb.scatter));
+        assert_eq!(a, b, "processor {p}: mem.plan grows with L");
+    }
+
+    for l in [1 << 12, 1 << 16] {
+        let pattern = MaskPattern::Random {
+            density: 0.5,
+            seed: 3,
+        };
+        let mask = pattern.global(&[4 * l]);
+        let stats = MaskStats::from_mask(mask.data(), 4, l / 4, None);
+        for (p, (charged, copy)) in retained(l, pattern).into_iter().enumerate() {
+            let (ds, dr, gs) = (
+                stats.send_peers[p] as u64,
+                stats.recv_peers[p] as u64,
+                stats.gs[p] as u64,
+            );
+            // A CSR of `d` rows: peer ids and offsets.
+            let csr = |d: u64| 4 * (d + d + 1);
+            // PACK: slot rows, run rows and runs, the gather program's
+            // offsets, the exchange's peer lists. UNPACK: target and serve
+            // rows, both programs' offsets, one field span (no 128-element
+            // chunk of this mask is wholly selected), the reply peer lists.
+            let pack = csr(ds) + 4 * (ds + 1) + 8 * gs + 4 * (ds + 1) + 4 * (ds + dr);
+            let unpack = csr(ds) + csr(dr) + 4 * (dr + 1) + 4 * (ds + 1) + 8 + 4 * (ds + dr);
+            let ops = 16 * (copy.contig + copy.scatter);
+            let walked = copy.total_elements - copy.bulk_elements;
+            assert!(walked > 0, "processor {p}: {copy:?}");
+            assert_eq!(
+                charged,
+                pack + unpack + ops + 4 * walked,
+                "L = {l}, processor {p}: {copy:?}"
+            );
+        }
+    }
 }

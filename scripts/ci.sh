@@ -48,8 +48,11 @@ echo "== stack-switched carriers, both profiles =="
 cargo test -p hpf-machine -q --test sched --test failures
 cargo test -p hpf-machine --release -q --test failures --test stacks_returned
 
-echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512) =="
+echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retained bytes vs L) =="
 # Release mode for the same reason: the P=512 leg plans on 512 carriers.
+# bulk_rows_retain_no_index_list: a full mask's mem.plan charge is the same
+# at L = 2^12 and 2^16, and under a Bernoulli-0.5 mask it is the plans' ops,
+# offsets and peers plus exactly 4 B per index a Scatter op walks.
 cargo test -p hpf-core --release -q --test plan_footprint
 
 echo "== one-shot footprint gate (200 one-shot roundtrips leave gauges, heap and allocation rate flat) =="
