@@ -200,11 +200,6 @@ pub struct SimClock {
     words_sent: u64,
     /// Total message start-ups paid (diagnostics).
     startups: u64,
-    /// Reliable-transport retransmissions (diagnostic only: never charged
-    /// to simulated time).
-    retransmits: u64,
-    /// Duplicate frames discarded by the reliable transport (diagnostic).
-    dup_drops: u64,
     /// When muted, all charges are suppressed (used to move data that a
     /// modelled hardware unit would carry, then charge the model instead).
     muted: bool,
@@ -225,18 +220,9 @@ impl SimClock {
             ops_by_cat: [0; Category::ALL.len()],
             words_sent: 0,
             startups: 0,
-            retransmits: 0,
-            dup_drops: 0,
             muted: false,
             trace: None,
         }
-    }
-
-    /// Fold reliable-transport diagnostics into the clock so they appear in
-    /// the final [`ClockReport`]. These counters never affect `now_ns`.
-    pub(crate) fn note_transport(&mut self, retransmits: u64, dup_drops: u64) {
-        self.retransmits += retransmits;
-        self.dup_drops += dup_drops;
     }
 
     /// Start recording category spans (see [`crate::trace`]).
@@ -380,7 +366,9 @@ impl SimClock {
         self.by_cat[self.category.index()] += ns;
     }
 
-    /// Freeze this clock into a report.
+    /// Freeze this clock into a report. The transport counters read zero:
+    /// the clock does not keep them, and a machine fills them in from each
+    /// processor's reliable transport.
     pub fn report(&self) -> ClockReport {
         ClockReport {
             now_ns: self.now_ns,
@@ -389,8 +377,8 @@ impl SimClock {
             ops_by_cat: self.ops_by_cat,
             words_sent: self.words_sent,
             startups: self.startups,
-            retransmits: self.retransmits,
-            dup_drops: self.dup_drops,
+            retransmits: 0,
+            dup_drops: 0,
         }
     }
 
@@ -402,8 +390,6 @@ impl SimClock {
         self.ops_by_cat = [0; Category::ALL.len()];
         self.words_sent = 0;
         self.startups = 0;
-        self.retransmits = 0;
-        self.dup_drops = 0;
     }
 }
 
@@ -425,10 +411,12 @@ pub struct ClockReport {
     pub startups: u64,
     /// Reliable-transport retransmissions performed (0 without a fault
     /// plan). A diagnostic, not a simulated cost — but, like one, a
-    /// function of the program and the fault plan.
+    /// function of the program and the fault plan. The processor's
+    /// transport owns the count; this and its `transport.retransmits`
+    /// metric are read from it once, when the processor retires.
     pub retransmits: u64,
     /// Duplicate frames the reliable transport discarded (0 without a
-    /// fault plan).
+    /// fault plan); owned and read like `retransmits`.
     pub dup_drops: u64,
 }
 

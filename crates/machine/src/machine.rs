@@ -28,11 +28,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::carrier::StackPool;
 use crate::chan::{default_capacity, frame_channel_with_capacity, FrameReceiver, FrameSender};
-use crate::cost::{ClockReport, CostModel, SimClock};
+use crate::cost::{CostModel, SimClock};
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::Frame;
-use crate::proc::Proc;
+use crate::proc::{Proc, ProcParts};
 use crate::recovery::{RecoveryState, ResumeCtx};
 use crate::report::RunOutput;
 use crate::sched::Scheduler;
@@ -69,15 +69,7 @@ pub struct Machine {
 type Failure = (MachineError, Option<Box<dyn Any + Send>>);
 
 /// Everything a processor that ran to completion hands back.
-type ProcOk<R> = (
-    R,
-    ClockReport,
-    Vec<crate::trace::Span>,
-    Vec<u64>,
-    Vec<crate::obs::Event>,
-    crate::report::MetricsSnapshot,
-    crate::obs::WallProfile,
-);
+type ProcOk<R> = (R, ProcParts);
 
 /// One processor's hand-over point between its carrier(s) and the driver.
 struct Slot<R> {
@@ -372,7 +364,7 @@ impl Machine {
                     }
                 },
             };
-            let (mut clock, comm_row, rx, events, metrics, wall) = proc.into_parts();
+            let (rx, parts) = proc.into_parts();
             if let (Some(rec), Err((MachineError::ProcCrashed { .. }, _))) = (&rec, &outcome) {
                 let mut slot = slot();
                 if !poisoned.load(Ordering::SeqCst) && slot.respawns < MAX_RESPAWNS {
@@ -394,9 +386,7 @@ impl Machine {
                     }
                 }
             }
-            let trace = clock.take_trace();
-            let ok = outcome.map(|r| (r, clock.report(), trace, comm_row, events, metrics, wall));
-            slot().done = Some((ok, rx));
+            slot().done = Some((outcome.map(|r| (r, parts)), rx));
         };
         // The caller is worker 0: a one-worker run creates no thread at all
         // (and allocates from one malloc arena, run after run).
@@ -413,7 +403,7 @@ impl Machine {
         for (id, slot) in slots.into_iter().enumerate() {
             let slot = slot.into_inner().expect("a slot is only ever assigned");
             match slot.done.expect("every processor finished").0 {
-                Ok((r, c, trace, comm_row, evs, snap, wp)) => {
+                Ok((r, (c, trace, comm_row, evs, snap, wp))) => {
                     run.results.push(r);
                     run.clocks.push(c);
                     run.traces.push(trace);

@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::cost::ClockReport;
 use crate::report::{GaugeValue, MetricsSnapshot};
 use crate::trace::Span;
 
@@ -38,15 +39,6 @@ pub struct ObsConfig {
     /// Record wall-clock spans with a per-processor [`WallProfiler`]; see
     /// [`crate::Machine::with_wall_profiling`].
     pub wall: bool,
-}
-
-impl ObsConfig {
-    /// True iff no *simulated* observability is enabled (the zero-overhead
-    /// fast path for event/metric recording). Wall profiling is deliberately
-    /// excluded: it has its own gate and never feeds the simulated streams.
-    pub fn is_off(&self) -> bool {
-        !self.events && !self.metrics
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,19 +244,14 @@ pub enum EventKind {
     },
 }
 
-/// Transport-side observations buffered inside [`crate::reliable`] (which
-/// has no clock access) and drained by the owning processor, which stamps
-/// them: its current simulated time for what it did itself, the frame's
-/// arrival time for a duplicate that reached it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TransportEvent {
-    /// A retry fired: `(dst, seq, attempt)`.
-    Retransmit(usize, u64, u32),
-    /// A duplicate frame `(src, seq)` was discarded; it had arrived at the
-    /// simulated time `arrival_ns`.
-    DupDrop(usize, u64, f64),
-    /// The injector returned a non-`Deliver` verdict for `(dst, seq)`.
-    Verdict(usize, u64, &'static str),
+/// Append one event to a processor's log, if it keeps one. The processor
+/// and its reliable transport both record through this, each borrowing the
+/// log for the call.
+#[inline]
+pub(crate) fn record(log: &mut Option<Vec<Event>>, ts_ns: f64, kind: EventKind) {
+    if let Some(events) = log {
+        events.push(Event { ts_ns, kind });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -294,8 +281,6 @@ pub(crate) struct ProcMetrics {
     /// charged messages only: zero-word data and uncharged control too,
     /// and — added when the processor retires — what its transport sent.
     pub(crate) msg_frames: u64,
-    pub(crate) retransmits: u64,
-    pub(crate) dup_drops: u64,
     pub(crate) clone_words: u64,
     /// Calls to `Proc::park`, the ones that slept and were woken, and the
     /// wake-ups after which a wait still lacked what it waits for and
@@ -346,14 +331,16 @@ impl ProcMetrics {
 
     /// Freeze into the exported form. This is the name table: every metric
     /// name a run can report is written here or in [`NAMED_COUNTERS`], and
-    /// DESIGN.md §8 lists exactly these.
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    /// DESIGN.md §8 lists exactly these. The transport's two counters are
+    /// not kept here but read from `clock`, the processor's final report,
+    /// which took them from the transport that owns them.
+    pub(crate) fn snapshot(&self, clock: &ClockReport) -> MetricsSnapshot {
         let fixed = [
             ("msg.sent", self.msg_sent),
             ("msg.recvd", self.msg_recvd),
             ("msg.frames", self.msg_frames),
-            ("transport.retransmits", self.retransmits),
-            ("transport.dup_drops", self.dup_drops),
+            ("transport.retransmits", clock.retransmits),
+            ("transport.dup_drops", clock.dup_drops),
             ("payload.clone_words", self.clone_words),
             ("sched.parks", self.parks),
             ("sched.wakes", self.wakes),
@@ -1035,7 +1022,7 @@ mod tests {
         drop(first);
         let _held = PayloadCharge::new(&mut m, 40);
         m.add("plan.cache.hit", 0);
-        let snap = m.snapshot();
+        let snap = m.snapshot(&ClockReport::zero());
         assert_eq!(snap.counter("msg.sent"), 3);
         assert_eq!(snap.counters.get("plan.cache.hit"), Some(&0));
         assert!(!snap.counters.contains_key("plan.cache.miss"));
@@ -1058,8 +1045,11 @@ mod tests {
         let held = PayloadCharge::new(&mut old, 100);
         let resumed = old.checkpoint();
         drop(held);
-        assert_eq!(old.snapshot().gauges["mem.payload.cur"].last, 0);
-        let snap = resumed.snapshot();
+        assert_eq!(
+            old.snapshot(&ClockReport::zero()).gauges["mem.payload.cur"].last,
+            0
+        );
+        let snap = resumed.snapshot(&ClockReport::zero());
         assert_eq!(snap.counter("msg.sent"), 7);
         assert_eq!(snap.counter("recovery.epochs"), 1);
         assert_eq!(
@@ -1081,8 +1071,8 @@ mod tests {
         a.mem[MemAccount::Pool as usize].set(7);
         b.add("plan.cache.hit", 1);
         b.mem[MemAccount::Pool as usize].set(4);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
+        let mut m = a.snapshot(&ClockReport::zero());
+        m.merge(&b.snapshot(&ClockReport::zero()));
         assert_eq!(m.counter("msg.sent"), 5);
         assert_eq!(m.counter("plan.cache.hit"), 1);
         assert_eq!(m.gauges["mem.pool.cur"].max, 7);
@@ -1107,7 +1097,7 @@ mod tests {
                 cell.split('`').skip(1).step_by(2)
             })
             .collect();
-        let fresh = ProcMetrics::default().snapshot();
+        let fresh = ProcMetrics::default().snapshot(&ClockReport::zero());
         let table: std::collections::BTreeSet<&str> = (fresh.counters.keys())
             .chain(fresh.gauges.keys())
             .map(String::as_str)

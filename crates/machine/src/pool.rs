@@ -218,7 +218,7 @@ impl Entry {
 
 /// A per-processor pool of reusable send buffers.
 #[derive(Default)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     /// Ordered, not hashed: one-shot plans insert and retire their entries
     /// every op, and a hash table re-allocates under that churn at moments
     /// that follow its per-process random seed, so the bytes an op
@@ -256,7 +256,7 @@ impl BufferPool {
     /// with it — and forget the key's restored rotations. Returns the bytes
     /// the dropped slots had charged to the `pool` account. A slot still in
     /// flight lives on in its packet until the receiver has decoded it.
-    pub fn retire(&mut self, key: u64) -> u64 {
+    pub(crate) fn retire(&mut self, key: u64) -> u64 {
         self.restored.retain(|k, _| k.0 != key);
         let mut charged = 0;
         self.entries.retain(|k, e| {

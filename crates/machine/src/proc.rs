@@ -13,18 +13,32 @@ use std::panic::panic_any;
 use std::sync::Arc;
 
 use crate::chan::{FrameReceiver, FrameSender};
-use crate::cost::{Category, SimClock, Words};
+use crate::cost::{Category, ClockReport, SimClock, Words};
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::{Frame, Mailbox, Packet, Payload, PayloadCharge};
 use crate::obs::{
-    Event, EventKind, MemAccount, ObsConfig, ProcMetrics, TransportEvent, WallProfile, WallProfiler,
+    record, Event, EventKind, MemAccount, ObsConfig, ProcMetrics, WallProfile, WallProfiler,
 };
 use crate::pool::{BufferPool, PoolSlot, Reusable};
 use crate::recovery::{Checkpoint, EpochSnapshot, RecoveryState, ResumeCtx};
-use crate::reliable::Transport;
+use crate::reliable::{Step, Transport};
+use crate::report::MetricsSnapshot;
 use crate::sched::{ParkOutcome, Scheduler};
 use crate::topology::ProcGrid;
+use crate::trace::Span;
+
+/// What a processor hands the driver when it retires: its clock report
+/// and category spans, charged words per destination, event log, metrics
+/// and wall profile.
+pub(crate) type ProcParts = (
+    ClockReport,
+    Vec<Span>,
+    Vec<u64>,
+    Vec<Event>,
+    MetricsSnapshot,
+    WallProfile,
+);
 
 /// Cap on the per-processor packet-scratch pre-reserve. Reserving a full
 /// P-length scratch on every processor is P² machine-wide (~1 GB at
@@ -134,7 +148,7 @@ pub struct Proc<'m> {
     mailbox: Mailbox,
     /// Reliable transport state; present iff the machine carries a
     /// non-benign fault plan.
-    transport: Option<Transport>,
+    transport: Option<Transport<'m>>,
     /// Charged words sent to each destination (self-sends excluded).
     words_to: Vec<u64>,
     /// Structured event log, present iff the machine traces.
@@ -157,9 +171,6 @@ pub struct Proc<'m> {
     resume: Option<ResumeCtx>,
     /// Index of the next epoch this processor will enter.
     epoch_idx: usize,
-    /// False on a respawned processor: the crash schedule already fired once
-    /// and must not fire again during re-execution.
-    crash_armed: bool,
 }
 
 impl<'m> Proc<'m> {
@@ -175,12 +186,9 @@ impl<'m> Proc<'m> {
         sched: Arc<Scheduler>,
     ) -> Self {
         let nprocs = grid.nprocs();
-        let mut transport = plan
+        let transport = plan
             .filter(|p| !p.is_benign())
-            .map(|p| Transport::new(p, nprocs));
-        if let Some(t) = transport.as_mut() {
-            t.record = !obs.is_off();
-        }
+            .map(|p| Transport::new(id, p, senders));
         let mut proc = Proc {
             id,
             grid,
@@ -199,7 +207,6 @@ impl<'m> Proc<'m> {
             recovery: None,
             resume: None,
             epoch_idx: 0,
-            crash_armed: true,
         };
         // The frame ring pinned for this processor's lifetime, charged up
         // front at simulated t=0 (a machine-shape constant, never released;
@@ -212,15 +219,18 @@ impl<'m> Proc<'m> {
 
     /// Attach shared crash-recovery state (and, on a respawned processor,
     /// the resume context). Called by the driver before the program closure
-    /// runs. A respawned processor disarms the crash schedule — it already
-    /// fired — and, when no epoch had completed before the crash, performs
-    /// its replay immediately: the program restarts from scratch, peers
-    /// dedup its re-sent frames by sequence number, and the (never
-    /// truncated) replay log re-supplies everything peers had sent it.
+    /// runs. The transport gets the replay log; a respawned processor's
+    /// also disarms the crash schedule — it already fired. When no epoch
+    /// had completed before the crash, the respawn performs its replay
+    /// immediately: the program restarts from scratch, peers dedup its
+    /// re-sent frames by sequence number, and the (never truncated) replay
+    /// log re-supplies everything peers had sent it.
     pub(crate) fn attach_recovery(&mut self, state: Arc<RecoveryState>, resume: Option<ResumeCtx>) {
+        if let Some(t) = self.transport.as_mut() {
+            t.attach_log(Arc::clone(&state), resume.is_some());
+        }
         self.recovery = Some(state);
         if let Some(r) = resume {
-            self.crash_armed = false;
             if r.snapshot.is_none() {
                 let rec = Arc::clone(self.recovery.as_ref().expect("just attached"));
                 self.inject_replay(r.replay, &rec);
@@ -300,9 +310,7 @@ impl<'m> Proc<'m> {
     /// Append one structured event (no-op unless the machine traces).
     #[inline]
     fn record(&mut self, ts_ns: f64, kind: EventKind) {
-        if let Some(ev) = self.events.as_mut() {
-            ev.push(Event { ts_ns, kind });
-        }
+        record(&mut self.events, ts_ns, kind);
     }
 
     /// Record one memory-accounting sample: a [`EventKind::MemSample`]
@@ -438,48 +446,6 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// Timestamp and fold the transport's buffered observations into the
-    /// event log and metrics. What this processor did — a verdict drawn, a
-    /// retransmission — carries its current simulated time (it drains right
-    /// after acting); a dropped duplicate carries the frame's own arrival
-    /// time, since *when* this processor looked at its ring follows the
-    /// interleaving. (Uncharged control frames have no arrival time; theirs
-    /// are stamped now.)
-    fn drain_transport_events(&mut self) {
-        let evs = match self.transport.as_mut() {
-            Some(t) if t.record => t.take_events(),
-            _ => return,
-        };
-        if evs.is_empty() {
-            return;
-        }
-        let now = self.clock.now_ns();
-        for ev in evs {
-            match ev {
-                TransportEvent::Retransmit(dst, seq, attempt) => {
-                    self.record(now, EventKind::Retransmit { dst, seq, attempt });
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.retransmits += 1;
-                    }
-                }
-                TransportEvent::DupDrop(src, seq, arrival_ns) => {
-                    let at = if arrival_ns.is_finite() {
-                        arrival_ns
-                    } else {
-                        now
-                    };
-                    self.record(at, EventKind::DupDrop { src, seq });
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.dup_drops += 1;
-                    }
-                }
-                TransportEvent::Verdict(dst, seq, verdict) => {
-                    self.record(now, EventKind::FaultVerdict { dst, seq, verdict });
-                }
-            }
-        }
-    }
-
     /// The group of all processors (world communicator).
     pub fn world(&self) -> Group {
         Group {
@@ -516,12 +482,11 @@ impl<'m> Proc<'m> {
     }
 
     /// The one send path under [`Proc::send`] and [`Proc::send_pooled`]:
-    /// crash-step accounting, the `τ + μ·m` charge, the replay-log append,
-    /// the transport (or raw) send, events, memory samples and metrics.
-    /// `owned` says the payload is an allocation made for this message —
-    /// charged to the sender's `payload` account while any copy of the
-    /// packet lives — rather than a pool slot the sender keeps (charged to
-    /// `pool` as it grows).
+    /// the crash step, the `τ + μ·m` charge, the transport (or raw) send,
+    /// events, memory samples and metrics. `owned` says the payload is an
+    /// allocation made for this message — charged to the sender's `payload`
+    /// account while any copy of the packet lives — rather than a pool slot
+    /// the sender keeps (charged to `pool` as it grows).
     fn send_arc(
         &mut self,
         dst: usize,
@@ -530,16 +495,7 @@ impl<'m> Proc<'m> {
         data: Arc<dyn Any + Send + Sync>,
         owned: bool,
     ) {
-        if let Some(t) = self.transport.as_mut() {
-            t.send_steps += 1;
-            if self.crash_armed {
-                if let Some((proc, step)) = t.plan().crash() {
-                    if proc == self.id && t.send_steps == step {
-                        panic_any(MachineError::ProcCrashed { proc, step });
-                    }
-                }
-            }
-        }
+        self.step(Step::Send);
         if dst == self.id {
             let arrival_ns = self.clock.now_ns();
             let pkt = Packet {
@@ -578,41 +534,17 @@ impl<'m> Proc<'m> {
             data,
             charge,
         };
-        let mut logged_replay = false;
-        let seq = match self.transport.as_mut() {
+        let now = self.clock.now_ns();
+        let (seq, logged) = match self.transport.as_mut() {
             None => {
                 self.send_raw(dst, pkt);
-                None
+                (None, false)
             }
-            Some(t) => {
-                // Log *before* transmitting, under the sequence number the
-                // send will assign: once the frame is on the wire the
-                // receiver may consume it and crash at any moment, and the
-                // recovery driver's log clone must already hold everything
-                // the victim consumed. The logged arrival is the *delayed*
-                // one — the replayed packet must be bit-identical to the one
-                // the transport puts on the wire (the delay is keyed by
-                // sequence number alone).
-                if let Some(rec) = self.recovery.as_ref() {
-                    let s = t.next_seq_for(dst);
-                    let arrival = arrival_ns + t.plan().delay_ns(self.id, dst, s);
-                    rec.log_frame(
-                        dst,
-                        s,
-                        Packet {
-                            arrival_ns: arrival,
-                            ..pkt.clone()
-                        },
-                    );
-                    logged_replay = true;
-                }
-                Some(t.send(self.id, self.senders, dst, pkt))
-            }
+            Some(t) => (Some(t.send(dst, pkt, now, &mut self.events)), t.logs()),
         };
         if words > 0 {
             let bytes = words as i64 * 4;
             if self.events.is_some() {
-                let now = self.clock.now_ns();
                 self.record(
                     now,
                     EventKind::Send {
@@ -640,23 +572,17 @@ impl<'m> Proc<'m> {
                     }
                 }
             }
-            if logged_replay {
+            if logged {
                 // The replay log retains a copy of this frame on the
                 // destination's behalf until *its* next epoch boundary:
                 // charged to the destination's account (owner ≠ recorder —
                 // event only; the destination squares its own gauge with
                 // the truncation at the boundary).
-                let now = self.clock.now_ns();
                 self.mem_sample(MemAccount::ReplayLog, dst, now, bytes);
             }
             if let Some(m) = self.metrics.as_mut() {
                 m.msg_sent += 1;
             }
-        }
-        // The first transmission attempt may already have drawn a fault
-        // verdict worth annotating.
-        if seq.is_some() {
-            self.drain_transport_events();
         }
     }
 
@@ -683,7 +609,7 @@ impl<'m> Proc<'m> {
     /// panicking. Payload type mismatch still panics — that is a program
     /// bug, not a machine failure.
     pub(crate) fn try_recv<P: Payload>(&mut self, src: usize, tag: u64) -> Result<P, MachineError> {
-        self.note_recv_step();
+        self.step(Step::Recv);
         let pkt = self.try_recv_packet(src, tag)?;
         self.observe_consume(&pkt);
         Ok(self.extract::<P>(pkt, src, tag))
@@ -719,20 +645,13 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// Count one program-level receive and fire the fault plan's recv-side
-    /// crash schedule when armed. Uncharged control receives (clock sync)
-    /// and the transport's internal pumping never reach this counter, so
-    /// epoch boundaries are crash-free by construction.
-    fn note_recv_step(&mut self) {
-        if let Some(t) = self.transport.as_mut() {
-            t.recv_steps += 1;
-            if self.crash_armed {
-                if let Some((proc, step)) = t.plan().crash_at_recv() {
-                    if proc == self.id && t.recv_steps == step {
-                        panic_any(MachineError::ProcCrashed { proc, step });
-                    }
-                }
-            }
+    /// Count one program-level send or receive against the fault plan's
+    /// crash schedule, and crash here if it says so. Uncharged control
+    /// traffic (clock sync) and the transport's internal pumping never
+    /// count, so epoch boundaries are crash-free by construction.
+    fn step(&mut self, step: Step) {
+        if let Some(Err(e)) = self.transport.as_mut().map(|t| t.step(step)) {
+            panic_any(e);
         }
     }
 
@@ -845,8 +764,7 @@ impl<'m> Proc<'m> {
                 ParkOutcome::Token | ParkOutcome::Woken => {}
                 ParkOutcome::Retry => {
                     let t = self.transport.as_mut().expect("only a transport retries");
-                    t.pump(self.id, self.senders)?;
-                    self.drain_transport_events();
+                    t.pump(self.clock.now_ns(), &mut self.events)?;
                 }
                 ParkOutcome::Stuck => return Err(stuck(self)),
             }
@@ -878,13 +796,9 @@ impl<'m> Proc<'m> {
                 self.mailbox.hold(p);
             }
             Frame::Data { seq, pkt } => {
-                let ready = self
-                    .transport
-                    .as_mut()
-                    .expect("sequenced frame on a machine without a fault plan")
-                    .on_data(self.id, self.senders, seq, pkt);
-                // Surface any duplicate-drop annotation the frame produced.
-                self.drain_transport_events();
+                let t = (self.transport.as_mut())
+                    .expect("sequenced frame on a machine without a fault plan");
+                let ready = t.on_data(seq, pkt, self.clock.now_ns(), &mut self.events);
                 for (s, p) in ready {
                     self.note_delivery(&p, Some(s));
                     self.mailbox.hold(p);
@@ -981,63 +895,34 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// Send without touching the clock (simulator-internal control traffic,
-    /// carried by the modelled control network: never fault-injected).
+    /// Send without touching the clock: simulator-internal control traffic
+    /// (clock sync, flag transposition, retire barrier), carried by the
+    /// modelled control network and raw on a plain or faulted run.
     ///
     /// Under crash recovery, remote control frames are sequenced through
     /// the reliable transport like everything else — an unsequenced frame
     /// consumed just before a crash could not be deduplicated against its
-    /// replayed copy. Zero charged words and a `-∞` arrival keep them
-    /// invisible to the cost model, events, and metrics either way.
+    /// replayed copy — and so they are logged, and fault-injected, like
+    /// data. Zero charged words and a `-∞` arrival keep them out of the
+    /// cost model and of the send, receive and memory events either way;
+    /// only `msg.frames` and, when sequenced, the transport's verdict, retry
+    /// and duplicate records see them.
     pub(crate) fn send_uncharged<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
-        if dst != self.id {
-            if let (Some(rec), Some(t)) = (self.recovery.as_ref(), self.transport.as_mut()) {
-                let data: Arc<dyn Any + Send + Sync> = Arc::new(data);
-                // Log before transmitting (see `Proc::send`): the receiver
-                // may consume the frame and crash before a post-send log
-                // append would land, and the replay clone must not miss it.
-                rec.log_frame(
-                    dst,
-                    t.next_seq_for(dst),
-                    Packet {
-                        src: self.id,
-                        tag,
-                        arrival_ns: f64::NEG_INFINITY,
-                        words: 0,
-                        data: Arc::clone(&data),
-                        charge: None,
-                    },
-                );
-                t.send(
-                    self.id,
-                    self.senders,
-                    dst,
-                    Packet {
-                        src: self.id,
-                        tag,
-                        arrival_ns: f64::NEG_INFINITY,
-                        words: 0,
-                        data,
-                        charge: None,
-                    },
-                );
-                self.drain_transport_events();
-                return;
-            }
-        }
-        let words = data.wire_words();
         let pkt = Packet {
             src: self.id,
             tag,
             arrival_ns: f64::NEG_INFINITY,
-            words,
+            words: 0,
             data: Arc::new(data),
             charge: None,
         };
-        if dst == self.id {
-            self.mailbox.hold(pkt);
-        } else {
-            self.send_raw(dst, pkt);
+        let now = self.clock.now_ns();
+        match self.transport.as_mut() {
+            _ if dst == self.id => self.mailbox.hold(pkt),
+            Some(t) if t.logs() => {
+                t.send(dst, pkt, now, &mut self.events);
+            }
+            _ => self.send_raw(dst, pkt),
         }
     }
 
@@ -1112,8 +997,11 @@ impl<'m> Proc<'m> {
         let Some(rec) = self.recovery.clone() else {
             return;
         };
-        let expected = self.transport.as_ref().map(|t| t.expected_all().to_vec());
-        let (log_before, log_after) = rec.truncate_log(self.id, expected.as_deref());
+        // Only a transport logs: without one, the log is empty.
+        let (log_before, log_after) = self
+            .transport
+            .as_ref()
+            .map_or((0, 0), Transport::truncate_log);
         // Square this processor's replay-log account with the truncation.
         // Senders charged the account event-side only (owner ≠ recorder),
         // so the gauge learns the interval peak here — an absolute `set` to
@@ -1297,39 +1185,32 @@ impl<'m> Proc<'m> {
         self.mailbox.len()
     }
 
-    /// Tear down: fold transport diagnostics into the clock, freeze the
-    /// event log and metrics, and hand the channel endpoint back so the
-    /// driver can keep it alive until all processors have joined.
-    pub(crate) fn into_parts(
-        mut self,
-    ) -> (
-        SimClock,
-        Vec<u64>,
-        FrameReceiver,
-        Vec<Event>,
-        crate::report::MetricsSnapshot,
-        WallProfile,
-    ) {
-        self.drain_transport_events();
-        if let Some(t) = self.transport.as_ref() {
-            self.clock.note_transport(t.retransmits, t.dup_drops);
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.msg_frames += self.transport.as_ref().map_or(0, |t| t.frames);
+    /// Tear down: read the transport's counters once, into the clock report
+    /// and the `transport.*` metrics, freeze the event log and metrics, and
+    /// hand the channel endpoint back so the driver can keep it alive until
+    /// all processors have joined.
+    pub(crate) fn into_parts(mut self) -> (FrameReceiver, ProcParts) {
+        let t = self.transport.as_ref();
+        let clock = ClockReport {
+            retransmits: t.map_or(0, |t| t.retransmits),
+            dup_drops: t.map_or(0, |t| t.dup_drops),
+            ..self.clock.report()
+        };
+        let metrics = self.metrics.take().map(|mut m| {
+            m.msg_frames += t.map_or(0, |t| t.frames);
             m.add("sched.wakes_filtered", self.sched.wakes_filtered(self.id));
-        }
-        let events = self.events.take().unwrap_or_default();
-        let metrics = self
-            .metrics
-            .take()
-            .map(|m| m.snapshot())
-            .unwrap_or_default();
-        let wall = self
-            .wall
-            .take()
-            .map(WallProfiler::finish)
-            .unwrap_or_default();
-        (self.clock, self.words_to, self.rx, events, metrics, wall)
+            m.snapshot(&clock)
+        });
+        let wall = self.wall.take().map(WallProfiler::finish);
+        let parts = (
+            clock,
+            self.clock.take_trace(),
+            self.words_to,
+            self.events.take().unwrap_or_default(),
+            metrics.unwrap_or_default(),
+            wall.unwrap_or_default(),
+        );
+        (self.rx, parts)
     }
 
     /// Receive the raw packet from `src` under `tag`, leaving the payload
@@ -1339,7 +1220,7 @@ impl<'m> Proc<'m> {
     /// # Panics
     /// As [`Proc::recv`].
     pub fn recv_packet(&mut self, src: usize, tag: u64) -> Packet {
-        self.note_recv_step();
+        self.step(Step::Recv);
         let pkt = match self.try_recv_packet(src, tag) {
             Ok(p) => p,
             Err(e) => panic_any(e),
@@ -1430,8 +1311,7 @@ impl<'m> Proc<'m> {
                 self.mem_sample(MemAccount::Pool, self.id, now, growth as i64);
             }
         }
-        // Exactly when `send_arc` appends to the replay log.
-        let logged = self.recovery.is_some() && self.transport.is_some();
+        let logged = self.transport.as_ref().is_some_and(Transport::logs);
         let data: Arc<dyn Any + Send + Sync> = if logged {
             Arc::new(slot.freeze())
         } else {

@@ -4,11 +4,14 @@
 //! **epochs**: a program threads one piece of user state through
 //! [`crate::Proc::epoch`] calls, and every epoch ends with a machine-wide
 //! barrier after which each processor publishes a snapshot of its
-//! recoverable state (simulated clock, mailbox, reliable-transport sequence
-//! state, buffer-pool rotation, metrics, and the user state via the
-//! [`Checkpoint`] trait). Peers additionally retain an `Arc`-backed
-//! **replay log** of every sequenced frame sent since the receiver's last
-//! epoch boundary — a refcount bump per frame, truncated at each boundary.
+//! recoverable state (simulated clock, mailbox, the reliable transport's
+//! sequence, step and retry counters, buffer-pool rotation, metrics, and
+//! the user state via the [`Checkpoint`] trait). Peers additionally retain
+//! an `Arc`-backed **replay log** of every sequenced frame sent since the
+//! receiver's last epoch boundary — a refcount bump per frame, truncated at
+//! each boundary. The sender's transport is the log's one writer: its
+//! [`crate::reliable::Transport::send`] appends each frame, with the
+//! arrival it has just drawn, before the frame reaches the wire.
 //!
 //! When a processor crashes (a scheduled [`crate::FaultPlan`] crash), the
 //! driver respawns its thread from the last published snapshot, re-injects
@@ -66,7 +69,7 @@ pub(crate) struct EpochSnapshot {
     pub(crate) clock: SimClock,
     /// Unconsumed packets (self-sends and early next-epoch arrivals).
     pub(crate) mailbox: Mailbox,
-    /// Sequence/ack counters of the reliable transport, when one exists.
+    /// The reliable transport's counters, when one exists.
     pub(crate) transport: Option<TransportSnapshot>,
     /// Charged words sent per destination so far.
     pub(crate) words_to: Vec<u64>,
@@ -178,17 +181,13 @@ impl RecoveryState {
     /// Drop every logged frame `dst` has provably consumed: with the
     /// boundary flush complete, anything below the receiver's next expected
     /// sequence per sender is covered by the snapshot taken at this
-    /// boundary. `expected[src]` comes from `dst`'s own transport; `None`
-    /// (no transport, hence no sequenced traffic) clears the log. Returns
+    /// boundary. `expected[src]` comes from `dst`'s own transport. Returns
     /// the log's charged words `(before, after)` truncation — the interval
     /// peak and the truncation floor the caller's memory accounting records.
-    pub(crate) fn truncate_log(&self, dst: usize, expected: Option<&[u64]>) -> (u64, u64) {
+    pub(crate) fn truncate_log(&self, dst: usize, expected: &[u64]) -> (u64, u64) {
         let mut log = self.logs[dst].lock().unwrap();
         let before = log.words;
-        match expected {
-            None => log.frames.clear(),
-            Some(exp) => log.frames.retain(|(seq, pkt)| *seq >= exp[pkt.src]),
-        }
+        log.frames.retain(|(seq, pkt)| *seq >= expected[pkt.src]);
         log.words = log.frames.iter().map(|(_, p)| p.words as u64).sum();
         let after = log.words;
         let freed = before - after;
@@ -254,48 +253,4 @@ pub struct RecoveryStats {
     /// recoveries, in milliseconds. Kept out of the simulated clocks so a
     /// recovered run stays bit-identical to the fault-free one.
     pub replay_ms: f64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    fn frame(src: usize, words: usize) -> Packet {
-        Packet {
-            src,
-            tag: 0,
-            arrival_ns: 0.0,
-            words,
-            data: Arc::new(()),
-            charge: None,
-        }
-    }
-
-    /// A frame logged again under a sequence number the log already holds
-    /// replaces its entry: retained words, the run-wide total and its
-    /// high-water mark all count it once. New numbers — and the same number
-    /// from another sender — still append.
-    #[test]
-    fn relogged_frames_replace_their_entry() {
-        let rec = RecoveryState::new(3);
-        rec.log_frame(2, 5, frame(0, 8));
-        rec.log_frame(2, 6, frame(0, 4));
-        rec.log_frame(2, 5, frame(1, 2));
-        let before = rec.stats().log_high_water_words;
-        assert_eq!(before, 14);
-        // Sender 0 respawns and re-executes: 5 and 6 again, then 7.
-        rec.log_frame(2, 5, frame(0, 8));
-        rec.log_frame(2, 6, frame(0, 4));
-        assert_eq!(rec.stats().log_high_water_words, before);
-        assert_eq!(rec.clone_log(2).len(), 3);
-        rec.log_frame(2, 7, frame(0, 1));
-        assert_eq!(rec.clone_log(2).len(), 4);
-        assert_eq!(rec.stats().log_high_water_words, 15);
-        // The boundary releases exactly what was retained.
-        assert_eq!(rec.truncate_log(2, Some(&[7, 6, 0])), (15, 1));
-        // A repeat of a frame the boundary dropped is not retained again.
-        rec.log_frame(2, 6, frame(0, 4));
-        assert_eq!(rec.truncate_log(2, None), (1, 0));
-    }
 }

@@ -36,8 +36,10 @@ fn machine(faults: FaultPlan) -> Machine {
 }
 
 /// Clocks must agree exactly: same final time, same per-category split,
-/// same charged ops/words/startups. Wall-clock diagnostics (retransmits,
-/// dup drops) are excluded — recovery inevitably perturbs those.
+/// same charged ops/words/startups. The transport counters (retransmits,
+/// dup drops) are excluded: a respawned victim re-sends, and its peers drop
+/// the repeats, so a crash adds to them — see
+/// `transport_counters_have_one_owner_across_a_respawn`.
 fn assert_clocks_identical<R>(a: &RunOutput<R>, b: &RunOutput<R>) {
     for (ca, cb) in a.clocks.iter().zip(&b.clocks) {
         assert_eq!(ca.now_ms(), cb.now_ms(), "final clock differs");
@@ -140,6 +142,57 @@ fn mid_epoch_crash_replays_consumed_frames() {
     );
     assert!(rec.replayed_words > 0, "{rec:?}");
     assert!(rec.replay_ms > 0.0, "{rec:?}");
+}
+
+/// A ring of P − 1 rounds of eight `i64`s in each of four epochs: round
+/// `k` sends to `id + k` and receives from `id − k`.
+fn four_epoch_ring(p: &mut Proc) -> Vec<i64> {
+    let n = p.nprocs();
+    let mut st = vec![p.id() as i64 + 1; 8];
+    for epoch in 0..4u64 {
+        p.epoch(&mut st, |p, st| {
+            for k in 1..n {
+                let tag = tags::USER + epoch * 8 + k as u64;
+                p.send((p.id() + k) % n, tag, st.clone());
+                let got: Vec<i64> = p.recv((p.id() + n - k) % n, tag);
+                for (s, g) in st.iter_mut().zip(got) {
+                    *s = s.wrapping_mul(31).wrapping_add(g);
+                }
+            }
+        });
+    }
+    st
+}
+
+/// Each processor's `ClockReport` and its `transport.*` metrics read one
+/// pair of counters. Proc 1 crashes at its ninth send, in epoch 2, and
+/// resumes from its epoch-1 checkpoint: the counts it had reached by then
+/// must survive the respawn in both reports.
+#[test]
+fn transport_counters_have_one_owner_across_a_respawn() {
+    let plan = || FaultPlan::new(7).with_drop(0.2).with_duplicate(0.1);
+    let run = |plan: FaultPlan| {
+        machine(plan)
+            .with_workers(1)
+            .run_recoverable(four_epoch_ring)
+            .expect("run")
+    };
+    let (clean, crashed) = (run(plan()), run(plan().with_crash(1, 9)));
+    assert_eq!(crashed.recovery.as_ref().unwrap().replays, 1);
+    assert_eq!(clean.results, crashed.results);
+    assert_clocks_identical(&clean, &crashed);
+    for out in [&clean, &crashed] {
+        for (pid, (clock, m)) in out.clocks.iter().zip(&out.metrics).enumerate() {
+            assert_eq!(
+                (clock.retransmits, clock.dup_drops),
+                (
+                    m.counter("transport.retransmits"),
+                    m.counter("transport.dup_drops")
+                ),
+                "proc {pid}: clock report vs transport.* metrics"
+            );
+        }
+    }
 }
 
 #[test]

@@ -93,6 +93,14 @@ fi
 if grep -rn 'global_allocator' crates/*/src --exclude=alloc_counter.rs; then
   echo "ci: a global allocator outside the test suites"; exit 1
 fi
+# The reliable transport keeps its own books (DESIGN.md section 7): it records
+# its own observations, owns its counters, and is the replay log's one writer.
+if grep -rnE 'TransportEvent|drain_transport_events|next_seq_for|note_transport' crates/machine/src; then
+  echo "ci: transport bookkeeping outside the transport"; exit 1
+fi
+if grep -rn 'log_frame(' crates/ --exclude=reliable.rs | grep -v 'recovery.rs:[0-9]*: *pub(crate) fn log_frame('; then
+  echo "ci: a replay-log append outside Transport::send"; exit 1
+fi
 
 echo "== the examples run (README's quick tour) =="
 for example in examples/*.rs; do
