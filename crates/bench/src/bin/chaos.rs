@@ -38,7 +38,9 @@
 //! # every iteration: a crash is scheduled (send-side on even iterations,
 //! # receive-side on odd), the run goes through run_recoverable, and the
 //! # recovered results must match the clean run bit-exactly while two
-//! # recovered runs must also agree on their simulated clocks
+//! # recovered runs must also agree on their simulated clocks; every third
+//! # iteration (iter % 3 == 2) draws a plan that neither drops nor
+//! # reorders, whose links carry no acknowledgement
 //! # --reuse-plans routes every PACK/UNPACK through the explicit
 //! # plan-then-execute path, executing each plan three times through the
 //! # pooled zero-copy buffers (the redistribution variants, which have no
@@ -174,12 +176,17 @@ fn run_iteration(
         ..UnpackOptions::new(uscheme)
     };
 
-    // A non-crash fault plan: every probability ≤ 20 %.
+    // A non-crash fault plan: every probability ≤ 20 %. Every third
+    // recovery drill forces drop and reorder to zero (the draws are still
+    // taken): a lossless plan, whose links the transport does not
+    // acknowledge.
     let has_delay = rng.below(2) == 0;
+    let lossless = recover && iter % 3 == 2;
+    let lossy = |p: f64| if lossless { 0.0 } else { p };
     let plan = FaultPlan::new(rng.next_u64())
-        .with_drop(rng.prob(0.2))
+        .with_drop(lossy(rng.prob(0.2)))
         .with_duplicate(rng.prob(0.2))
-        .with_reorder(rng.prob(0.2))
+        .with_reorder(lossy(rng.prob(0.2)))
         .with_delay(if has_delay { rng.prob(0.2) } else { 0.0 }, 200_000.0);
     let ctx = format!(
         "seed {seed} iter {iter}: shape {shape:?}, grid {grid_dims:?}, density {density}%, \

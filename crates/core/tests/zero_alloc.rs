@@ -11,11 +11,15 @@
 //! loop and on the bulk `Contig` path — under `Machine::run`, under
 //! `Machine::run_recoverable` with no fault plan (a benign recoverable run
 //! has no transport, logs nothing and ships the live pool slots, so
-//! attaching recovery must cost the hot path nothing) and with metrics on
+//! attaching recovery must cost the hot path nothing), with metrics on
 //! (counters and gauges are plain fields: a stage or a message costs an
-//! add, never a name). The metrics runs also show that fault-free pooled
-//! execution never deep-copies a payload: `payload.clone_words` stays zero.
-//! `scripts/ci.sh` runs this suite in both build profiles.
+//! add, never a name), and under a fault plan that duplicates and delays but
+//! neither drops nor holds back (every message sequenced by the reliable
+//! transport, no link acknowledged: nothing is kept for a retry and the
+//! receiver's delivery buffer is reused). The metrics runs also show that
+//! fault-free pooled execution never deep-copies a payload:
+//! `payload.clone_words` stays zero. `scripts/ci.sh` runs this suite in both
+//! build profiles.
 
 use hpf_core::{
     plan_pack, plan_unpack, CopyStats, MaskPattern, PackOptions, PackOutput, PackScheme,
@@ -23,7 +27,7 @@ use hpf_core::{
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
-use hpf_machine::{CostModel, Machine, Proc, ProcGrid, RunOutput};
+use hpf_machine::{CostModel, FaultPlan, Machine, Proc, ProcGrid, RunOutput};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -50,18 +54,23 @@ enum Mode {
     Recoverable,
     /// `with_metrics(true)`, tracing off.
     Metrics,
+    /// `Machine::run` under a lossless fault plan: duplicates and delays,
+    /// no drop, no hold-back, no crash.
+    Faulted,
 }
 
-const MODES: [Mode; 3] = [Mode::Plain, Mode::Recoverable, Mode::Metrics];
+const MODES: [Mode; 4] = [Mode::Plain, Mode::Recoverable, Mode::Metrics, Mode::Faulted];
 
 /// Block size × run mode of both sweeps.
-const CASES: [(usize, Mode); 6] = [
+const CASES: [(usize, Mode); 8] = [
     (1, Mode::Plain),
     (4, Mode::Plain),
     (1, Mode::Recoverable),
     (4, Mode::Recoverable),
     (1, Mode::Metrics),
     (4, Mode::Metrics),
+    (1, Mode::Faulted),
+    (4, Mode::Faulted),
 ];
 
 /// Fence the measured window of a recoverable run. A recoverable run ends
@@ -75,8 +84,8 @@ fn fence(proc: &mut Proc) {
     proc.clock_sync_max(&world);
 }
 
-/// `program` on a fault-free machine in `mode`; a metrics run must not
-/// have deep-copied a payload word.
+/// `program` on a machine in `mode`; a metrics run must not have
+/// deep-copied a payload word.
 fn run<R: Send>(mode: Mode, what: &str, program: impl Fn(&mut Proc) -> R + Sync) -> RunOutput<R> {
     let machine = Machine::new(ProcGrid::line(P), CostModel::cm5());
     match mode {
@@ -87,6 +96,12 @@ fn run<R: Send>(mode: Mode, what: &str, program: impl Fn(&mut Proc) -> R + Sync)
             let cloned = out.merged_metrics().counter("payload.clone_words");
             assert_eq!(cloned, 0, "{what}: a fault-free run deep-copied a payload");
             out
+        }
+        Mode::Faulted => {
+            let plan = FaultPlan::new(5)
+                .with_duplicate(0.2)
+                .with_delay(0.3, 40_000.0);
+            machine.with_faults(plan).run(program)
         }
     }
 }

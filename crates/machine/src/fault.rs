@@ -40,6 +40,13 @@ impl LinkFaults {
     pub(crate) fn is_benign(&self) -> bool {
         self.drop_p <= 0.0 && self.dup_p <= 0.0 && self.delay_p <= 0.0 && self.reorder_p <= 0.0
     }
+
+    /// True iff a frame on this link can be lost or held back — the links
+    /// the reliable transport acknowledges. Duplicates and delays cannot
+    /// keep a frame from its destination's ring.
+    pub(crate) fn is_lossy(&self) -> bool {
+        self.drop_p > 0.0 || self.reorder_p > 0.0
+    }
 }
 
 /// What the injector decided for one transmission attempt.

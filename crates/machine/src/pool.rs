@@ -42,8 +42,9 @@ use crate::message::Payload;
 use crate::sched::Scheduler;
 
 /// A pool-managed payload: resettable to an empty-but-capacitated state so
-/// the next fill reuses the allocation.
-pub trait Reusable: Payload + Default {
+/// the next fill reuses the allocation, and cloneable so that a logged send
+/// can freeze a copy ([`PoolSlot::freeze`]).
+pub trait Reusable: Payload + Default + Clone {
     /// Clear contents, keeping capacity.
     fn reset(&mut self);
 }
@@ -97,16 +98,20 @@ impl<B: Reusable> PoolSlot<B> {
 
     /// Copy the staged buffer into a frozen slot for the wire and the
     /// replay log, and return this slot's own buffer to `Free` as the
-    /// receiver otherwise would (sender side, recoverable runs only).
+    /// receiver otherwise would (sender side, recoverable runs only) — in
+    /// one step under the slot's lock. The caller is the slot's owner, so
+    /// there is no parked owner to wake.
     pub(crate) fn freeze(&self) -> PoolSlot<B> {
-        let buf = self.take_staged();
-        let copy = buf
-            .clone_payload()
-            .downcast::<B>()
-            .expect("clone_payload must preserve the payload type");
-        self.put_back(buf);
+        let mut st = self.state.lock().unwrap();
+        let SlotState::Staged(mut buf) = std::mem::replace(&mut *st, SlotState::Empty) else {
+            panic!("froze a pool slot that is not staged");
+        };
+        let copy = buf.clone();
+        buf.reset();
+        *st = SlotState::Free(buf);
+        drop(st);
         PoolSlot {
-            state: Mutex::new(SlotState::Staged(*copy)),
+            state: Mutex::new(SlotState::Staged(copy)),
             frozen: true,
             ..PoolSlot::new()
         }

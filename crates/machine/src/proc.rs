@@ -798,11 +798,13 @@ impl<'m> Proc<'m> {
             Frame::Data { seq, pkt } => {
                 let t = (self.transport.as_mut())
                     .expect("sequenced frame on a machine without a fault plan");
-                let ready = t.on_data(seq, pkt, self.clock.now_ns(), &mut self.events);
-                for (s, p) in ready {
+                let mut ready = t.on_data(seq, pkt, self.clock.now_ns(), &mut self.events);
+                for (s, p) in ready.drain(..) {
                     self.note_delivery(&p, Some(s));
                     self.mailbox.hold(p);
                 }
+                let t = self.transport.as_mut().expect("checked above");
+                t.recycle(ready);
             }
             Frame::Ack { from, seq } => {
                 if let Some(t) = self.transport.as_mut() {
@@ -980,11 +982,16 @@ impl<'m> Proc<'m> {
     }
 
     /// The barrier + snapshot protocol ending every epoch. The flush before
-    /// the sync guarantees every peer has acked this processor's sends; the
-    /// barrier then implies *all* processors have flushed, so the transport's
-    /// `expected` counters are final for the epoch and the replay log can be
-    /// truncated to frames at or above them. The second flush covers the
-    /// sync frames themselves, which travel sequenced under recovery.
+    /// the sync guarantees every peer has acked this processor's sends on
+    /// lossy links; a frame on any other link is already in its
+    /// destination's ring. The sync is a dissemination barrier over the same
+    /// FIFO rings, and each of its frames is enqueued causally after every
+    /// epoch frame its transitive senders put there, so no processor leaves
+    /// it before dispatching every frame of the epoch addressed to it: the
+    /// transport's `expected` counters are final for the epoch and the
+    /// replay log can be truncated to frames at or above them. The second
+    /// flush covers sync frames on lossy links, which travel sequenced
+    /// under recovery.
     fn epoch_boundary<S: Checkpoint>(&mut self, idx: usize, state: &S) {
         if let Err(e) = self.finish_transport() {
             panic_any(e);
@@ -1072,11 +1079,11 @@ impl<'m> Proc<'m> {
     /// Re-inject logged peer frames through the normal sequenced dispatch
     /// path: stale entries (already covered by the restored snapshot) are
     /// skipped, ordering and deduplication apply as if the frames had just
-    /// arrived, and the acks posted by dispatch un-block peers parked in
-    /// their boundary flush. The modelled recovery cost (`recovery_*` terms
-    /// of the cost model) is recorded in metrics and stats only — never
-    /// added to the simulated clock, which must stay bit-identical to the
-    /// fault-free run.
+    /// arrived, and the acks dispatch posts on lossy links un-block peers
+    /// parked in their boundary flush. The modelled recovery cost
+    /// (`recovery_*` terms of the cost model) is recorded in metrics and
+    /// stats only — never added to the simulated clock, which must stay
+    /// bit-identical to the fault-free run.
     fn inject_replay(&mut self, replay: Vec<(u64, Packet)>, rec: &Arc<RecoveryState>) {
         let now = self.clock.now_ns();
         self.record(
@@ -1127,15 +1134,18 @@ impl<'m> Proc<'m> {
 
     /// The retire barrier of [`crate::Machine::run_recoverable`]: no carrier
     /// retires before every processor has finished its program. A victim
-    /// respawned from scratch re-sends every frame of its program, and only
-    /// a live peer can acknowledge them — data rounds alone do not keep a
-    /// peer alive that has nothing left to receive (DESIGN.md §17).
+    /// respawned from scratch re-sends every frame of its program; on a
+    /// lossy link only a live peer can acknowledge them, and on any link
+    /// only a live peer drains and counts the duplicates — data rounds
+    /// alone do not keep a peer alive that has nothing left to receive
+    /// (DESIGN.md §17).
     ///
-    /// Flush first, so every own data frame is acknowledged while all peers
-    /// are provably still here (none passes the barrier without this
-    /// processor's frame); then an uncharged, clock-neutral dissemination
-    /// barrier on [`tags::BARRIER`], whose every frame is consumed — hence
-    /// acknowledged — before its receiver leaves.
+    /// Flush first, so every own data frame on a lossy link is
+    /// acknowledged while all peers are provably still here (none passes
+    /// the barrier without this processor's frame); then an uncharged,
+    /// clock-neutral dissemination barrier on [`tags::BARRIER`], whose every
+    /// frame is consumed — hence, on a lossy link, acknowledged — before its
+    /// receiver leaves.
     ///
     /// Should a peer hang, whoever the quiescent scheduler names reports it
     /// — possibly a processor waiting here; its wait chain leads on to the
@@ -1152,10 +1162,13 @@ impl<'m> Proc<'m> {
         Ok(())
     }
 
-    /// Wait until every one of this processor's sends has been acknowledged
-    /// (at every epoch boundary, and before retiring). Incoming data is
-    /// still acked (and parked in the mailbox, where the leftover check will
-    /// see it); a poison frame aborts the flush with the peer's failure.
+    /// Wait until every one of this processor's sends on a lossy link has
+    /// been acknowledged (at every epoch boundary, and before retiring);
+    /// sends on other links are in their destinations' rings already, so on
+    /// a plan with no lossy link this returns at once. Incoming data is
+    /// still dispatched (acked where its link is lossy, and parked in the
+    /// mailbox, where the leftover check will see it); a poison frame aborts
+    /// the flush with the peer's failure.
     pub(crate) fn finish_transport(&mut self) -> Result<(), MachineError> {
         let acked = |p: &mut Self| {
             let t = p.transport.as_ref();

@@ -13,6 +13,14 @@
 //! [`crate::reliable::Transport::send`] appends each frame, with the
 //! arrival it has just drawn, before the frame reaches the wire.
 //!
+//! Truncation needs no acknowledgement. A link the fault plan cannot lose a
+//! frame on is not acknowledged (see [`crate::reliable`]), so its sender
+//! never waits for its frames to be consumed; but the boundary's
+//! clock-sync barrier travels the same FIFO
+//! rings behind every frame of the epoch, so a receiver has dispatched all
+//! of them — and its `expected` counters cover them — by the time it
+//! leaves the barrier and truncates (DESIGN.md §12).
+//!
 //! When a processor crashes (a scheduled [`crate::FaultPlan`] crash), the
 //! driver respawns its thread from the last published snapshot, re-injects
 //! the logged frames through the normal transport dispatch path (sequence

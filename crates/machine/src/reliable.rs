@@ -2,13 +2,21 @@
 //!
 //! When a [`crate::fault::FaultPlan`] is attached to a machine, every
 //! charged point-to-point message travels as a sequence-numbered
-//! [`Frame::Data`] and must be acknowledged by the receiver. The sender
-//! keeps a retransmit buffer of unacknowledged messages; the receiver
-//! delivers data strictly in per-sender sequence order (restoring the
-//! per-link FIFO guarantee the fault-free channel gives for free) and drops
-//! duplicates. Together this makes any non-crash fault schedule invisible
-//! to the program: results and simulated clocks are bit-identical to the
-//! fault-free run.
+//! [`Frame::Data`]. The receiver delivers data strictly in per-sender
+//! sequence order (restoring the per-link FIFO guarantee the fault-free
+//! channel gives for free) and drops duplicates. Together this makes any
+//! non-crash fault schedule invisible to the program: results and simulated
+//! clocks are bit-identical to the fault-free run.
+//!
+//! Only a **lossy** link is acknowledged: one whose plan may drop a frame or
+//! hold it back ([`crate::fault::LinkFaults`] with `drop_p > 0` or
+//! `reorder_p > 0`). There the receiver acks every frame and the sender
+//! keeps a retransmit buffer of what is unacknowledged. On any other link a
+//! frame is in its destination's ring, in order, by the time
+//! [`Transport::send`] returns — duplicates and delays cannot change that —
+//! so, like the paper's CM-5 data network, the link delivers every send and
+//! there is nothing to acknowledge and nothing to keep for a retry. Both
+//! ends derive the rule from the same plan.
 //!
 //! There is no retransmission timer. The scheduler tells a parked processor
 //! when the machine has gone quiescent ([`crate::sched`]): at that instant
@@ -23,13 +31,13 @@
 //! the CM-5's separate, reliable control network, so they are never
 //! fault-injected, never charged to the cost model, and never counted as
 //! application traffic. This keeps the protocol's termination argument
-//! local: once a processor has seen acks for all of its own sends it can
-//! stop, because every ack it owes others has already been posted. The
-//! simulator's other control traffic — clock sync, the flag transposition
-//! of a many-to-many, the retire barrier — is uncharged too, but under
-//! [`crate::Machine::run_recoverable`] it is sequenced through
-//! [`Transport::send`] like data, so that it can be logged and deduplicated,
-//! and it then draws fault verdicts like data.
+//! local: once a processor has seen acks for all of its own sends on lossy
+//! links it can stop, because every ack it owes others has already been
+//! posted. The simulator's other control traffic — clock sync, the flag
+//! transposition of a many-to-many, the retire barrier — is uncharged too,
+//! but under [`crate::Machine::run_recoverable`] it is sequenced through
+//! [`Transport::send`] like data, so that it can be logged and
+//! deduplicated, and it then draws fault verdicts like data.
 //!
 //! The transport keeps its own books. Under crash recovery it appends every
 //! frame it sequences to the replay log ([`crate::recovery`]) before the
@@ -102,7 +110,10 @@ pub(crate) struct Transport<'m> {
     expected: Vec<u64>,
     /// Out-of-order arrivals per source, keyed by sequence number.
     reorder: Vec<BTreeMap<u64, Packet>>,
-    /// Unacknowledged sends, keyed by `(dst, seq)`.
+    /// The deliverable packets [`Transport::on_data`] hands out, kept
+    /// between frames so that an in-order delivery allocates nothing.
+    ready: Vec<(u64, Packet)>,
+    /// Unacknowledged sends on lossy links, keyed by `(dst, seq)`.
     unacked: BTreeMap<(usize, u64), Stored>,
     /// Physical data transmissions per destination link (drives holdback).
     tx_count: Vec<u64>,
@@ -119,8 +130,8 @@ pub(crate) struct Transport<'m> {
     /// Duplicate frames discarded by the receiver (diagnostic).
     pub(crate) dup_drops: u64,
     /// Frames this transport put on a ring — every data frame (first
-    /// transmissions, duplicates, retransmissions) and every ack: its share
-    /// of the owning processor's `msg.frames`.
+    /// transmissions, duplicates, retransmissions) and every ack it posted:
+    /// its share of the owning processor's `msg.frames`.
     pub(crate) frames: u64,
 }
 
@@ -135,6 +146,7 @@ impl<'m> Transport<'m> {
             next_seq: vec![0; nprocs],
             expected: vec![0; nprocs],
             reorder: (0..nprocs).map(|_| BTreeMap::new()).collect(),
+            ready: Vec::new(),
             unacked: BTreeMap::new(),
             tx_count: vec![0; nprocs],
             holdback: (0..nprocs).map(|_| Vec::new()).collect(),
@@ -176,11 +188,12 @@ impl<'m> Transport<'m> {
         }
     }
 
-    /// Sender side: enqueue a packet for reliable delivery and make the
-    /// first transmission attempt. The packet carries the fault-free
-    /// arrival time; the plan's per-message delay is added here, once,
-    /// keyed by sequence number, so retries replay the same timestamp.
-    /// Returns the sequence number assigned to the message.
+    /// Sender side: sequence a packet and make its first transmission
+    /// attempt. The packet carries the fault-free arrival time; the plan's
+    /// per-message delay is added here, once, keyed by sequence number, so
+    /// retries replay the same timestamp. On a lossy link the packet is also
+    /// kept for retransmission until acknowledged. Returns the sequence
+    /// number assigned to the message.
     ///
     /// Under crash recovery the frame is logged *before* it reaches the
     /// wire: once it is there the receiver may consume it and crash at any
@@ -201,20 +214,27 @@ impl<'m> Transport<'m> {
         if let Some(log) = &self.log {
             log.log_frame(dst, seq, pkt.clone());
         }
-        self.unacked.insert((dst, seq), Stored { pkt, attempts: 1 });
-        self.transmit(dst, seq, 0, now_ns, events);
+        if self.plan.link(self.me, dst).is_lossy() {
+            let stored = Stored {
+                pkt: pkt.clone(),
+                attempts: 1,
+            };
+            self.unacked.insert((dst, seq), stored);
+        }
+        self.transmit(dst, seq, pkt, 0, now_ns, events);
         seq
     }
 
-    /// One transmission attempt of the unacknowledged `(dst, seq)`, subject
-    /// to the fault plan: zero, one or two copies, then every held-back
-    /// frame the advancing link counter makes due (each itself a
-    /// transmission that advances it). The frames reach `dst`'s ring
-    /// together, so a receiver that has seen the first has the rest queued.
+    /// Transmission `attempt` of `(dst, seq)`, subject to the fault plan:
+    /// zero, one or two copies, then every held-back frame the advancing
+    /// link counter makes due (each itself a transmission that advances
+    /// it). The frames reach `dst`'s ring together, so a receiver that has
+    /// seen the first has the rest queued.
     fn transmit(
         &mut self,
         dst: usize,
         seq: u64,
+        pkt: Packet,
         attempt: u32,
         now_ns: f64,
         events: &mut Option<Vec<Event>>,
@@ -228,27 +248,32 @@ impl<'m> Transport<'m> {
                 EventKind::FaultVerdict { dst, seq, verdict },
             );
         }
-        let pkt = self.unacked[&(dst, seq)].pkt.clone();
-        let copies = match verdict {
-            Verdict::Drop => 0,
-            Verdict::Deliver => 1,
-            Verdict::Duplicate => 2,
+        let twin = match verdict {
+            Verdict::Drop => return,
             Verdict::HoldBack(n) => {
                 let release_at = self.tx_count[dst] + n as u64;
                 self.holdback[dst].push(HeldBack {
                     release_at,
                     seq,
-                    pkt: pkt.clone(),
+                    pkt,
                 });
-                0
+                return;
             }
-        };
-        let mut wire: Vec<Frame> = (0..copies)
-            .map(|_| Frame::Data {
+            Verdict::Deliver => None,
+            Verdict::Duplicate => Some(Frame::Data {
                 seq,
                 pkt: pkt.clone(),
-            })
-            .collect();
+            }),
+        };
+        let n = 1 + u64::from(twin.is_some());
+        let copies = std::iter::once(Frame::Data { seq, pkt }).chain(twin);
+        if self.holdback[dst].is_empty() {
+            // Nothing is held back on this link, so nothing can fall due.
+            self.tx_count[dst] += n;
+            self.put(dst, copies);
+            return;
+        }
+        let mut wire: Vec<Frame> = copies.collect();
         let mut counted = 0;
         while counted < wire.len() {
             counted += 1;
@@ -273,9 +298,11 @@ impl<'m> Transport<'m> {
         self.frames += self.senders[dst].send_all(frames) as u64;
     }
 
-    /// Receiver side: acknowledge and order one incoming data frame.
-    /// Returns the `(seq, packet)` pairs that became deliverable, in
-    /// sequence order (empty for duplicates and out-of-order arrivals). A
+    /// Receiver side: order one incoming data frame, and acknowledge it if
+    /// it came over a lossy link. Returns the `(seq, packet)` pairs that
+    /// became deliverable, in sequence order (empty for duplicates and
+    /// out-of-order arrivals), in the transport's one delivery buffer: the
+    /// caller drains it and hands it back with [`Transport::recycle`]. A
     /// dropped duplicate is recorded at its own arrival time — *when* this
     /// processor looked at its ring follows the interleaving — or at
     /// `now_ns` for an uncharged control frame, which has none.
@@ -287,9 +314,13 @@ impl<'m> Transport<'m> {
         events: &mut Option<Vec<Event>>,
     ) -> Vec<(u64, Packet)> {
         let src = pkt.src;
-        // Always (re-)ack: acks are idempotent, and a respawned sender
-        // knows nothing of the one its predecessor got.
-        self.put(src, [Frame::Ack { from: self.me, seq }]);
+        if self.plan.link(src, self.me).is_lossy() {
+            // Always (re-)ack: acks are idempotent, and a respawned sender
+            // knows nothing of the one its predecessor got.
+            self.put(src, [Frame::Ack { from: self.me, seq }]);
+        }
+        let mut ready = std::mem::take(&mut self.ready);
+        debug_assert!(ready.is_empty(), "the delivery buffer was not drained");
         let duplicate = seq < self.expected[src] || self.reorder[src].contains_key(&seq);
         if duplicate {
             self.dup_drops += 1;
@@ -299,13 +330,13 @@ impl<'m> Transport<'m> {
                 now_ns
             };
             record(events, at, EventKind::DupDrop { src, seq });
-            return Vec::new();
+            return ready;
         }
         if seq > self.expected[src] {
             self.reorder[src].insert(seq, pkt);
-            return Vec::new();
+            return ready;
         }
-        let mut ready = vec![(seq, pkt)];
+        ready.push((seq, pkt));
         self.expected[src] += 1;
         while let Some(p) = self.reorder[src].remove(&self.expected[src]) {
             ready.push((self.expected[src], p));
@@ -314,14 +345,22 @@ impl<'m> Transport<'m> {
         ready
     }
 
+    /// Take back the drained delivery buffer [`Transport::on_data`] handed
+    /// out, keeping its capacity for the next frame.
+    pub(crate) fn recycle(&mut self, ready: Vec<(u64, Packet)>) {
+        debug_assert!(ready.is_empty(), "recycled a buffer still holding packets");
+        self.ready = ready;
+    }
+
     /// Sender side: an ack arrived; retire the message.
     pub(crate) fn on_ack(&mut self, from: usize, seq: u64) {
         self.unacked.remove(&(from, seq));
     }
 
     /// Transmit every unacknowledged message once more: the machine went
-    /// quiescent, so each was dropped or is held back. Errors with
-    /// [`MachineError::Unreachable`] once a message exhausts its attempts.
+    /// quiescent, so each was dropped or is held back (on a lossy link; no
+    /// other link keeps any). Errors with [`MachineError::Unreachable`]
+    /// once a message exhausts its attempts.
     pub(crate) fn pump(
         &mut self,
         now_ns: f64,
@@ -340,14 +379,16 @@ impl<'m> Transport<'m> {
                 });
             }
             st.attempts += 1;
+            let pkt = st.pkt.clone();
             self.retransmits += 1;
             record(events, now_ns, EventKind::Retransmit { dst, seq, attempt });
-            self.transmit(dst, seq, attempt, now_ns, events);
+            self.transmit(dst, seq, pkt, attempt, now_ns, events);
         }
         Ok(())
     }
 
-    /// True while any of this processor's sends is unacknowledged.
+    /// True while any of this processor's sends on a lossy link is
+    /// unacknowledged — the only sends it ever waits for.
     pub(crate) fn has_unacked(&self) -> bool {
         !self.unacked.is_empty()
     }
@@ -367,8 +408,9 @@ impl<'m> Transport<'m> {
 
     /// Capture the transport's state for an epoch checkpoint. Taken after a
     /// boundary flush, so no unacked/reordered/held-back state needs
-    /// capturing: every own send is acked and every delivery consumed into
-    /// the mailbox (which is checkpointed separately).
+    /// capturing: every own send on a lossy link is acked, no other link
+    /// keeps or reorders anything, and every delivery is consumed into the
+    /// mailbox (which is checkpointed separately).
     pub(crate) fn snapshot(&self) -> TransportSnapshot {
         TransportSnapshot {
             next_seq: self.next_seq.clone(),
@@ -457,10 +499,27 @@ mod tests {
         out
     }
 
+    fn acks(rx: &FrameReceiver) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        while let Some(f) = rx.try_recv() {
+            if let Frame::Ack { from, seq } = f {
+                out.push((from, seq));
+            }
+        }
+        out
+    }
+
+    /// A plan whose every link is lossy by the rule, yet whose drop draw
+    /// (`k / 2⁵³`) falls below its rate only at `k = 0`: every attempt is
+    /// delivered.
+    fn lossy_but_clean() -> FaultPlan {
+        FaultPlan::new(0).with_drop(f64::MIN_POSITIVE)
+    }
+
     #[test]
     fn clean_link_sends_exactly_once_in_order() {
         let (txs, rxs) = wires(2);
-        let mut t = Transport::new(0, Arc::new(FaultPlan::new(0)), &txs);
+        let mut t = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
         for i in 0..4i32 {
             t.send(
                 1,
@@ -506,7 +565,7 @@ mod tests {
     #[test]
     fn retransmit_shares_the_original_buffer() {
         let (txs, rxs) = wires(2);
-        let mut t = Transport::new(0, Arc::new(FaultPlan::new(0)), &txs);
+        let mut t = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
         let buf: Arc<dyn Any + Send + Sync> = Arc::new(vec![5i32, 6]);
         t.send(1, out_pkt(0, 7, 1.0, 2, Arc::clone(&buf)), 0.0, &mut None);
         t.pump(0.0, &mut None).unwrap();
@@ -518,6 +577,72 @@ mod tests {
                 "every copy on the wire must share the one buffer"
             );
         }
+    }
+
+    /// A link that neither drops nor holds back is not acknowledged: every
+    /// frame (duplicates included) is on the ring when `send` returns, the
+    /// sender keeps nothing to retransmit, and the receiver, ordering and
+    /// deduplicating as ever, posts no ack.
+    #[test]
+    fn a_lossless_link_is_not_acknowledged() {
+        let plan = Arc::new(FaultPlan::new(3).with_duplicate(0.5).with_delay(0.5, 1e3));
+        let (txs, rxs) = wires(2);
+        let (mut a, mut b) = (
+            Transport::new(0, Arc::clone(&plan), &txs),
+            Transport::new(1, plan, &txs),
+        );
+        for i in 0..8i32 {
+            a.send(1, out_pkt(0, 7, 0.0, 1, Arc::new(vec![i])), 0.0, &mut None);
+        }
+        assert!(!a.has_unacked());
+        a.pump(0.0, &mut None).unwrap();
+        assert_eq!(a.retransmits, 0, "nothing is kept, so nothing is retried");
+        let wire = data_frames(&rxs[1]);
+        assert!(wire.len() > 8, "the plan duplicated some frames");
+        assert_eq!(a.frames, wire.len() as u64);
+        let mut delivered = Vec::new();
+        for (seq, pkt) in wire {
+            let mut ready = b.on_data(seq, pkt, 0.0, &mut None);
+            delivered.extend(ready.drain(..).map(|(s, _)| s));
+            b.recycle(ready);
+        }
+        assert_eq!(delivered, (0..8).collect::<Vec<u64>>());
+        assert_eq!(b.dup_drops, a.frames - 8);
+        assert_eq!((acks(&rxs[0]), b.frames), (vec![], 0), "no ack was posted");
+    }
+
+    /// One lossy override in a lossless plan: exactly that link is
+    /// acknowledged and retransmitted — on both ends, and not in reverse.
+    #[test]
+    fn only_the_lossy_link_is_acknowledged_and_retransmitted() {
+        let dead = crate::fault::LinkFaults {
+            drop_p: 1.0,
+            ..Default::default()
+        };
+        let plan = Arc::new(FaultPlan::new(4).with_duplicate(0.2).with_link(0, 1, dead));
+        let (txs, rxs) = wires(3);
+        let mut t: Vec<Transport> = (0..3)
+            .map(|me| Transport::new(me, Arc::clone(&plan), &txs))
+            .collect();
+        let pkt = |src| out_pkt(src, 7, 0.0, 1, Arc::new(vec![1i32]));
+        for dst in [1, 2] {
+            t[0].send(dst, pkt(0), 0.0, &mut None);
+        }
+        assert!(t[0].has_unacked(), "0 → 1 keeps its frame");
+        t[0].pump(0.0, &mut None).unwrap();
+        assert_eq!(t[0].retransmits, 1, "only 0 → 1 is retried");
+        assert!(data_frames(&rxs[1]).is_empty(), "0 → 1 drops every attempt");
+        // The receiver of the lossy link acks; the lossless 0 → 2 and the
+        // reverse 1 → 0 post nothing.
+        for (seq, pkt) in data_frames(&rxs[2]) {
+            t[2].on_data(seq, pkt, 0.0, &mut None);
+        }
+        t[1].on_data(0, pkt(0), 0.0, &mut None);
+        t[0].on_data(0, pkt(1), 0.0, &mut None);
+        assert_eq!(acks(&rxs[0]), [(1, 0)]);
+        assert!(acks(&rxs[1]).is_empty());
+        t[0].on_ack(1, 0);
+        assert!(!t[0].has_unacked());
     }
 
     /// Verdicts and retries carry the caller's time; a dropped duplicate
@@ -769,7 +894,8 @@ mod tests {
             retries in (0u64..50, 0u64..50),
         ) {
             let (txs, _rxs) = wires(3);
-            let mut t = Transport::new(0, Arc::new(FaultPlan::new(0)), &txs);
+            // Lossy links, so that the sends leave in-flight state behind.
+            let mut t = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
             for &(dst, words) in &sends {
                 t.send(dst, out_pkt(0, 7, 1e6, words, Arc::new(vec![1i32; words])), 0.0, &mut None);
             }

@@ -195,6 +195,39 @@ fn transport_counters_have_one_owner_across_a_respawn() {
     }
 }
 
+/// A crash-only plan drops nothing and holds nothing back, so no link is
+/// acknowledged: each processor puts exactly its sequenced frames on the
+/// rings — per epoch three data rounds and ⌈log₂ P⌉ = 2 clock-sync frames,
+/// then 2 retire-barrier frames — whether or not the crash fires, on any
+/// pool size. And although no sender waits for its frames to be consumed,
+/// every boundary truncation finds its epoch's frames dispatched: the
+/// barrier's frames ride the same FIFO rings behind them, so each
+/// processor's replay log ends empty.
+#[test]
+fn a_crash_only_plan_posts_no_ack_and_truncates_every_log() {
+    const EPOCHS: u64 = 4;
+    let per_proc = EPOCHS * ((P as u64 - 1) + 2) + 2;
+    for workers in [1, 2] {
+        for step in [9, 99] {
+            let out = machine(FaultPlan::new(7).with_crash(1, step))
+                .with_workers(workers)
+                .run_recoverable(four_epoch_ring)
+                .expect("run");
+            let replays = u64::from(step == 9);
+            assert_eq!(out.recovery.as_ref().unwrap().replays, replays);
+            let what = format!("workers {workers}, crash step {step}");
+            assert_eq!(
+                out.merged_metrics().counter("msg.frames"),
+                P as u64 * per_proc,
+                "{what}"
+            );
+            for (pid, m) in out.metrics.iter().enumerate() {
+                assert_eq!(m.gauges["mem.replay_log.cur"].last, 0, "{what}: proc {pid}");
+            }
+        }
+    }
+}
+
 #[test]
 fn recv_crash_mid_epoch_recovers_bit_identically() {
     // Proc 2's second program-level receive fires in epoch 1.
