@@ -10,7 +10,7 @@
 //! every UNPACK scheme, at both cyclic and wide block sizes, on the index
 //! loop and on the bulk `Contig` path — under `Machine::run`, under
 //! `Machine::run_recoverable` with no fault plan (a benign recoverable run
-//! has no transport, logs nothing and ships the live pool slots, so
+//! sends raw, logs nothing and ships the live pool slots, so
 //! attaching recovery must cost the hot path nothing), with metrics on
 //! (counters and gauges are plain fields: a stage or a message costs an
 //! add, never a name), and under a fault plan that duplicates and delays but

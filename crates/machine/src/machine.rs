@@ -53,7 +53,7 @@ pub struct Machine {
     tracing: bool,
     metrics: bool,
     wall_profiling: bool,
-    faults: Option<Arc<FaultPlan>>,
+    faults: Arc<FaultPlan>,
     /// Worker-pool size (OS threads); `None` = available parallelism.
     workers: Option<usize>,
     /// Per-processor frame-ring capacity override; `None` = scale-aware
@@ -93,7 +93,7 @@ impl Machine {
             tracing: false,
             metrics: false,
             wall_profiling: false,
-            faults: None,
+            faults: Arc::new(FaultPlan::new(0)),
             workers: None,
             chan_capacity: None,
             stacks: Arc::default(),
@@ -182,12 +182,13 @@ impl Machine {
         Self::new(ProcGrid::line(p), CostModel::cm5())
     }
 
-    /// Attach a fault-injection plan. All charged point-to-point traffic is
-    /// then routed over the reliable transport, which recovers from every
-    /// non-crash fault in the plan (see [`crate::fault`]); a scheduled crash
-    /// surfaces as [`MachineError::ProcCrashed`] from [`Machine::try_run`].
+    /// Attach a fault-injection plan in place of the empty one. Unless it is
+    /// benign, all charged point-to-point traffic then travels sequenced
+    /// over the reliable transport, which recovers from every non-crash
+    /// fault in the plan (see [`crate::fault`]); a scheduled crash surfaces
+    /// as [`MachineError::ProcCrashed`] from [`Machine::try_run`].
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(plan));
+        self.faults = Arc::new(plan);
         self
     }
 
@@ -332,7 +333,7 @@ impl Machine {
                 clock,
                 &txs,
                 rx,
-                self.faults.clone(),
+                Arc::clone(&self.faults),
                 obs,
                 Arc::clone(&sched),
             );
@@ -826,6 +827,26 @@ mod tests {
             err.root_cause(),
             &MachineError::LeftoverMessages { proc: 1, count: 1 }
         );
+    }
+
+    /// A message its receiver never asked for is still found when the
+    /// processor retires: the receive returns as soon as it dispatches
+    /// `USER`, with `USER + 1` still behind it in the ring, so only the
+    /// retire drain puts that one where the leftover check sees it.
+    #[test]
+    fn an_unasked_message_left_in_the_ring_is_a_leftover() {
+        let err = Machine::new(ProcGrid::line(2), CostModel::zero())
+            .with_workers(1)
+            .try_run(|p| {
+                if p.id() == 0 {
+                    p.send(1, tags::USER, vec![1i32]);
+                    p.send(1, tags::USER + 1, vec![2i32]);
+                } else {
+                    let _: Vec<i32> = p.recv(0, tags::USER);
+                }
+            })
+            .expect_err("the unreceived message must fail the run");
+        assert_eq!(err, MachineError::LeftoverMessages { proc: 1, count: 1 });
     }
 
     #[test]

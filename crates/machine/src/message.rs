@@ -186,13 +186,13 @@ impl Clone for Packet {
 }
 
 /// What actually travels on a processor's channel: either a data packet
-/// (raw on the fault-free fast path, sequence-numbered under a
-/// [`crate::fault::FaultPlan`]) or control traffic. Control frames model the
-/// CM-5's separate control network: they are never fault-injected, never
-/// charged, and never counted as application traffic.
+/// (raw under a benign [`crate::fault::FaultPlan`], sequence-numbered under
+/// any other) or control traffic. Control frames model the CM-5's separate
+/// control network: they are never fault-injected, never charged, and never
+/// counted as application traffic.
 pub(crate) enum Frame {
-    /// An unsequenced data packet (fault-free fast path; also carries the
-    /// uncharged clock-synchronisation traffic).
+    /// An unsequenced packet: data under a benign plan, and uncharged
+    /// control traffic unless the transport logs.
     Raw(Packet),
     /// A sequence-numbered data packet on the reliable transport. `seq`
     /// orders all data from one sender, across tags.

@@ -126,8 +126,8 @@ impl MemAccount {
 
 /// The event vocabulary. Message volume is in 4-byte words (the unit the
 /// cost model charges `μ` per); `seq` is the reliable transport's per-link
-/// sequence number and is `None` on a fault-free machine, whose fast path
-/// does not sequence frames.
+/// sequence number and is `None` for a frame that travels raw, as every
+/// frame does under a benign fault plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A named algorithm stage began (see [`crate::Proc::with_stage`]).
@@ -153,7 +153,7 @@ pub enum EventKind {
         tag: u64,
         /// Charged volume in words.
         words: usize,
-        /// Transport sequence number (`None` on the fault-free fast path).
+        /// Transport sequence number (`None` for a raw frame).
         seq: Option<u64>,
         /// Simulated arrival time at the receiver (injected delay included).
         arrival_ns: f64,
@@ -166,7 +166,7 @@ pub enum EventKind {
         tag: u64,
         /// Charged volume in words.
         words: usize,
-        /// Transport sequence number (`None` on the fault-free fast path).
+        /// Transport sequence number (`None` for a raw frame).
         seq: Option<u64>,
     },
     /// A program-level receive consumed a message from this processor's
@@ -277,10 +277,6 @@ const NAMED_COUNTERS: [&str; 7] = [
 pub(crate) struct ProcMetrics {
     pub(crate) msg_sent: u64,
     pub(crate) msg_recvd: u64,
-    /// Every frame this processor put on a ring, where `msg_sent` counts
-    /// charged messages only: zero-word data and uncharged control too,
-    /// and — added when the processor retires — what its transport sent.
-    pub(crate) msg_frames: u64,
     pub(crate) clone_words: u64,
     /// Calls to `Proc::park`, the ones that slept and were woken, and the
     /// wake-ups after which a wait still lacked what it waits for and
@@ -331,14 +327,15 @@ impl ProcMetrics {
 
     /// Freeze into the exported form. This is the name table: every metric
     /// name a run can report is written here or in [`NAMED_COUNTERS`], and
-    /// DESIGN.md §8 lists exactly these. The transport's two counters are
-    /// not kept here but read from `clock`, the processor's final report,
-    /// which took them from the transport that owns them.
-    pub(crate) fn snapshot(&self, clock: &ClockReport) -> MetricsSnapshot {
+    /// DESIGN.md §8 lists exactly these. The transport's counters are not
+    /// kept here: `frames` — every frame the processor put on a ring, where
+    /// `msg.sent` counts charged messages only — and `clock`'s retransmit
+    /// and duplicate counts come from the transport that owns them.
+    pub(crate) fn snapshot(&self, clock: &ClockReport, frames: u64) -> MetricsSnapshot {
         let fixed = [
             ("msg.sent", self.msg_sent),
             ("msg.recvd", self.msg_recvd),
-            ("msg.frames", self.msg_frames),
+            ("msg.frames", frames),
             ("transport.retransmits", clock.retransmits),
             ("transport.dup_drops", clock.dup_drops),
             ("payload.clone_words", self.clone_words),
@@ -1022,7 +1019,7 @@ mod tests {
         drop(first);
         let _held = PayloadCharge::new(&mut m, 40);
         m.add("plan.cache.hit", 0);
-        let snap = m.snapshot(&ClockReport::zero());
+        let snap = m.snapshot(&ClockReport::zero(), 0);
         assert_eq!(snap.counter("msg.sent"), 3);
         assert_eq!(snap.counters.get("plan.cache.hit"), Some(&0));
         assert!(!snap.counters.contains_key("plan.cache.miss"));
@@ -1046,10 +1043,10 @@ mod tests {
         let resumed = old.checkpoint();
         drop(held);
         assert_eq!(
-            old.snapshot(&ClockReport::zero()).gauges["mem.payload.cur"].last,
+            old.snapshot(&ClockReport::zero(), 0).gauges["mem.payload.cur"].last,
             0
         );
-        let snap = resumed.snapshot(&ClockReport::zero());
+        let snap = resumed.snapshot(&ClockReport::zero(), 0);
         assert_eq!(snap.counter("msg.sent"), 7);
         assert_eq!(snap.counter("recovery.epochs"), 1);
         assert_eq!(
@@ -1071,8 +1068,8 @@ mod tests {
         a.mem[MemAccount::Pool as usize].set(7);
         b.add("plan.cache.hit", 1);
         b.mem[MemAccount::Pool as usize].set(4);
-        let mut m = a.snapshot(&ClockReport::zero());
-        m.merge(&b.snapshot(&ClockReport::zero()));
+        let mut m = a.snapshot(&ClockReport::zero(), 0);
+        m.merge(&b.snapshot(&ClockReport::zero(), 0));
         assert_eq!(m.counter("msg.sent"), 5);
         assert_eq!(m.counter("plan.cache.hit"), 1);
         assert_eq!(m.gauges["mem.pool.cur"].max, 7);
@@ -1097,7 +1094,7 @@ mod tests {
                 cell.split('`').skip(1).step_by(2)
             })
             .collect();
-        let fresh = ProcMetrics::default().snapshot(&ClockReport::zero());
+        let fresh = ProcMetrics::default().snapshot(&ClockReport::zero(), 0);
         let table: std::collections::BTreeSet<&str> = (fresh.counters.keys())
             .chain(fresh.gauges.keys())
             .map(String::as_str)

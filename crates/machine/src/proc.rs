@@ -4,9 +4,9 @@
 //! private simulated clock, and its message endpoints. All communication —
 //! point-to-point sends and the collectives built on top of them — flows
 //! through this handle, which is how every byte gets charged to the cost
-//! model. When the machine carries a [`crate::fault::FaultPlan`], the same
-//! handle transparently routes charged traffic over the reliable transport
-//! (see [`crate::reliable`]).
+//! model. Every frame leaves through the processor's transport, which the
+//! machine's [`crate::fault::FaultPlan`] tells whether to sequence it (see
+//! [`crate::reliable`]).
 
 use std::any::Any;
 use std::panic::panic_any;
@@ -138,7 +138,6 @@ pub struct Proc<'m> {
     id: usize,
     grid: &'m ProcGrid,
     clock: SimClock,
-    senders: &'m [FrameSender],
     rx: FrameReceiver,
     /// The cooperative scheduler multiplexing virtual processors over the
     /// machine's worker threads. Every wait in this file parks here — a
@@ -146,9 +145,8 @@ pub struct Proc<'m> {
     /// can carry thousands of processors (see DESIGN.md §15).
     sched: Arc<Scheduler>,
     mailbox: Mailbox,
-    /// Reliable transport state; present iff the machine carries a
-    /// non-benign fault plan.
-    transport: Option<Transport<'m>>,
+    /// The one way onto the network, for every frame this processor sends.
+    transport: Transport<'m>,
     /// Charged words sent to each destination (self-sends excluded).
     words_to: Vec<u64>,
     /// Structured event log, present iff the machine traces.
@@ -181,23 +179,19 @@ impl<'m> Proc<'m> {
         clock: SimClock,
         senders: &'m [FrameSender],
         rx: FrameReceiver,
-        plan: Option<Arc<FaultPlan>>,
+        plan: Arc<FaultPlan>,
         obs: ObsConfig,
         sched: Arc<Scheduler>,
     ) -> Self {
         let nprocs = grid.nprocs();
-        let transport = plan
-            .filter(|p| !p.is_benign())
-            .map(|p| Transport::new(id, p, senders));
         let mut proc = Proc {
             id,
             grid,
             clock,
-            senders,
             rx,
             sched,
             mailbox: Mailbox::new(),
-            transport,
+            transport: Transport::new(id, plan, senders),
             words_to: vec![0; nprocs],
             events: obs.events.then(Vec::new),
             metrics: obs.metrics.then(ProcMetrics::default),
@@ -219,16 +213,16 @@ impl<'m> Proc<'m> {
 
     /// Attach shared crash-recovery state (and, on a respawned processor,
     /// the resume context). Called by the driver before the program closure
-    /// runs. The transport gets the replay log; a respawned processor's
-    /// also disarms the crash schedule — it already fired. When no epoch
-    /// had completed before the crash, the respawn performs its replay
-    /// immediately: the program restarts from scratch, peers dedup its
-    /// re-sent frames by sequence number, and the (never truncated) replay
-    /// log re-supplies everything peers had sent it.
+    /// runs. The transport gets the replay log (and logs to it unless the
+    /// plan is benign); a respawned processor's also disarms the crash
+    /// schedule — it already fired. When no epoch had completed before the
+    /// crash, the respawn performs its replay immediately: the program
+    /// restarts from scratch, peers dedup its re-sent frames by sequence
+    /// number, and the (never truncated) replay log re-supplies everything
+    /// peers had sent it.
     pub(crate) fn attach_recovery(&mut self, state: Arc<RecoveryState>, resume: Option<ResumeCtx>) {
-        if let Some(t) = self.transport.as_mut() {
-            t.attach_log(Arc::clone(&state), resume.is_some());
-        }
+        self.transport
+            .attach_log(Arc::clone(&state), resume.is_some());
         self.recovery = Some(state);
         if let Some(r) = resume {
             if r.snapshot.is_none() {
@@ -482,7 +476,7 @@ impl<'m> Proc<'m> {
     }
 
     /// The one send path under [`Proc::send`] and [`Proc::send_pooled`]:
-    /// the crash step, the `τ + μ·m` charge, the transport (or raw) send,
+    /// the crash step, the `τ + μ·m` charge, the transport send,
     /// events, memory samples and metrics. `owned` says the payload is an
     /// allocation made for this message — charged to the sender's `payload`
     /// account while any copy of the packet lives — rather than a pool slot
@@ -535,13 +529,7 @@ impl<'m> Proc<'m> {
             charge,
         };
         let now = self.clock.now_ns();
-        let (seq, logged) = match self.transport.as_mut() {
-            None => {
-                self.send_raw(dst, pkt);
-                (None, false)
-            }
-            Some(t) => (Some(t.send(dst, pkt, now, &mut self.events)), t.logs()),
-        };
+        let seq = self.transport.send(dst, pkt, now, &mut self.events);
         if words > 0 {
             let bytes = words as i64 * 4;
             if self.events.is_some() {
@@ -572,7 +560,7 @@ impl<'m> Proc<'m> {
                     }
                 }
             }
-            if logged {
+            if self.transport.logs() {
                 // The replay log retains a copy of this frame on the
                 // destination's behalf until *its* next epoch boundary:
                 // charged to the destination's account (owner ≠ recorder —
@@ -650,7 +638,7 @@ impl<'m> Proc<'m> {
     /// traffic (clock sync) and the transport's internal pumping never
     /// count, so epoch boundaries are crash-free by construction.
     fn step(&mut self, step: Step) {
-        if let Some(Err(e)) = self.transport.as_mut().map(|t| t.step(step)) {
+        if let Err(e) = self.transport.step(step) {
             panic_any(e);
         }
     }
@@ -700,7 +688,7 @@ impl<'m> Proc<'m> {
     /// `sched.park` — worker threads have no identity of their own.
     fn park(&mut self, awaits: Option<usize>) -> ParkOutcome {
         let key = self.clock.now_ns();
-        let retry = self.transport.as_ref().is_some_and(|t| t.has_unacked());
+        let retry = self.transport.has_unacked();
         let sched = Arc::clone(&self.sched);
         let id = self.id;
         let outcome = self.wall_span("sched.park", |_| sched.park(id, key, retry, awaits));
@@ -763,8 +751,7 @@ impl<'m> Proc<'m> {
             match outcome {
                 ParkOutcome::Token | ParkOutcome::Woken => {}
                 ParkOutcome::Retry => {
-                    let t = self.transport.as_mut().expect("only a transport retries");
-                    t.pump(self.clock.now_ns(), &mut self.events)?;
+                    self.transport.pump(self.clock.now_ns(), &mut self.events)?;
                 }
                 ParkOutcome::Stuck => return Err(stuck(self)),
             }
@@ -796,21 +783,15 @@ impl<'m> Proc<'m> {
                 self.mailbox.hold(p);
             }
             Frame::Data { seq, pkt } => {
-                let t = (self.transport.as_mut())
-                    .expect("sequenced frame on a machine without a fault plan");
-                let mut ready = t.on_data(seq, pkt, self.clock.now_ns(), &mut self.events);
+                let now = self.clock.now_ns();
+                let mut ready = self.transport.on_data(seq, pkt, now, &mut self.events);
                 for (s, p) in ready.drain(..) {
                     self.note_delivery(&p, Some(s));
                     self.mailbox.hold(p);
                 }
-                let t = self.transport.as_mut().expect("checked above");
-                t.recycle(ready);
+                self.transport.recycle(ready);
             }
-            Frame::Ack { from, seq } => {
-                if let Some(t) = self.transport.as_mut() {
-                    t.on_ack(from, seq);
-                }
-            }
+            Frame::Ack { from, seq } => self.transport.on_ack(from, seq),
             Frame::Poison(cause) => {
                 return Err(MachineError::Poisoned {
                     proc: self.id,
@@ -899,16 +880,11 @@ impl<'m> Proc<'m> {
 
     /// Send without touching the clock: simulator-internal control traffic
     /// (clock sync, flag transposition, retire barrier), carried by the
-    /// modelled control network and raw on a plain or faulted run.
-    ///
-    /// Under crash recovery, remote control frames are sequenced through
-    /// the reliable transport like everything else — an unsequenced frame
-    /// consumed just before a crash could not be deduplicated against its
-    /// replayed copy — and so they are logged, and fault-injected, like
-    /// data. Zero charged words and a `-∞` arrival keep them out of the
-    /// cost model and of the send, receive and memory events either way;
-    /// only `msg.frames` and, when sequenced, the transport's verdict, retry
-    /// and duplicate records see them.
+    /// modelled control network — sequenced only when the transport logs
+    /// ([`Transport::send_control`]). Zero charged words and a `-∞` arrival
+    /// keep it out of the cost model and of the send, receive and memory
+    /// events; only `msg.frames` and, when sequenced, the transport's
+    /// verdict, retry and duplicate records see it.
     pub(crate) fn send_uncharged<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
         let pkt = Packet {
             src: self.id,
@@ -918,23 +894,11 @@ impl<'m> Proc<'m> {
             data: Arc::new(data),
             charge: None,
         };
-        let now = self.clock.now_ns();
-        match self.transport.as_mut() {
-            _ if dst == self.id => self.mailbox.hold(pkt),
-            Some(t) if t.logs() => {
-                t.send(dst, pkt, now, &mut self.events);
-            }
-            _ => self.send_raw(dst, pkt),
-        }
-    }
-
-    /// Put one unsequenced frame on `dst`'s ring. The receiver's endpoint
-    /// lives as long as the run (the driver keeps channel endpoints until
-    /// every processor has finished).
-    fn send_raw(&mut self, dst: usize, pkt: Packet) {
-        self.senders[dst].send_raw(pkt);
-        if let Some(m) = self.metrics.as_mut() {
-            m.msg_frames += 1;
+        if dst == self.id {
+            self.mailbox.hold(pkt);
+        } else {
+            let now = self.clock.now_ns();
+            self.transport.send_control(dst, pkt, now, &mut self.events);
         }
     }
 
@@ -1004,11 +968,7 @@ impl<'m> Proc<'m> {
         let Some(rec) = self.recovery.clone() else {
             return;
         };
-        // Only a transport logs: without one, the log is empty.
-        let (log_before, log_after) = self
-            .transport
-            .as_ref()
-            .map_or((0, 0), Transport::truncate_log);
+        let (log_before, log_after) = self.transport.truncate_log();
         // Square this processor's replay-log account with the truncation.
         // Senders charged the account event-side only (owner ≠ recorder),
         // so the gauge learns the interval peak here — an absolute `set` to
@@ -1038,7 +998,7 @@ impl<'m> Proc<'m> {
                 completed: idx,
                 clock: self.clock.clone(),
                 mailbox: self.mailbox.clone(),
-                transport: self.transport.as_ref().map(|t| t.snapshot()),
+                transport: self.transport.snapshot(),
                 words_to: self.words_to.clone(),
                 events: self.events.clone().unwrap_or_default(),
                 metrics: self.metrics.as_ref().map(ProcMetrics::checkpoint),
@@ -1061,9 +1021,7 @@ impl<'m> Proc<'m> {
             .expect("snapshot-less resume handled at attach");
         self.clock = snap.clock;
         self.mailbox = snap.mailbox;
-        if let (Some(t), Some(ts)) = (self.transport.as_mut(), snap.transport.as_ref()) {
-            t.restore(ts);
-        }
+        self.transport.restore(&snap.transport);
         self.words_to = snap.words_to;
         if let Some(ev) = self.events.as_mut() {
             *ev = snap.events;
@@ -1101,11 +1059,7 @@ impl<'m> Proc<'m> {
         let mut frames = 0u64;
         let mut words = 0u64;
         for (seq, pkt) in replay {
-            let live = match self.transport.as_ref() {
-                Some(t) => seq >= t.expected_from(pkt.src),
-                None => true,
-            };
-            if !live {
+            if seq < self.transport.expected_from(pkt.src) {
                 continue;
             }
             frames += 1;
@@ -1170,10 +1124,7 @@ impl<'m> Proc<'m> {
     /// mailbox, where the leftover check will see it); a poison frame aborts
     /// the flush with the peer's failure.
     pub(crate) fn finish_transport(&mut self) -> Result<(), MachineError> {
-        let acked = |p: &mut Self| {
-            let t = p.transport.as_ref();
-            t.is_none_or(|t| !t.has_unacked()).then_some(())
-        };
+        let acked = |p: &mut Self| (!p.transport.has_unacked()).then_some(());
         self.wait_for(None, acked, |_| {
             unreachable!("a park with unacknowledged frames is owed a retry")
         })
@@ -1181,13 +1132,13 @@ impl<'m> Proc<'m> {
 
     /// After the program closure returns: flush, then dispatch what is still
     /// in the ring — a late duplicate is counted by the processor it
-    /// reached, whether or not that processor had reason to look again.
+    /// reached, and a message nobody received is in the mailbox, where the
+    /// leftover check sees it, whether or not this processor had reason to
+    /// look again.
     pub(crate) fn retire(&mut self) -> Result<(), MachineError> {
         self.finish_transport()?;
-        if self.transport.is_some() {
-            while let Some(frame) = self.rx.try_recv() {
-                self.dispatch(frame)?;
-            }
+        while let Some(frame) = self.rx.try_recv() {
+            self.dispatch(frame)?;
         }
         Ok(())
     }
@@ -1203,16 +1154,15 @@ impl<'m> Proc<'m> {
     /// hand the channel endpoint back so the driver can keep it alive until
     /// all processors have joined.
     pub(crate) fn into_parts(mut self) -> (FrameReceiver, ProcParts) {
-        let t = self.transport.as_ref();
+        let t = &self.transport;
         let clock = ClockReport {
-            retransmits: t.map_or(0, |t| t.retransmits),
-            dup_drops: t.map_or(0, |t| t.dup_drops),
+            retransmits: t.retransmits,
+            dup_drops: t.dup_drops,
             ..self.clock.report()
         };
         let metrics = self.metrics.take().map(|mut m| {
-            m.msg_frames += t.map_or(0, |t| t.frames);
             m.add("sched.wakes_filtered", self.sched.wakes_filtered(self.id));
-            m.snapshot(&clock)
+            m.snapshot(&clock, t.frames)
         });
         let wall = self.wall.take().map(WallProfiler::finish);
         let parts = (
@@ -1324,7 +1274,7 @@ impl<'m> Proc<'m> {
                 self.mem_sample(MemAccount::Pool, self.id, now, growth as i64);
             }
         }
-        let logged = self.transport.as_ref().is_some_and(Transport::logs);
+        let logged = self.transport.logs();
         let data: Arc<dyn Any + Send + Sync> = if logged {
             Arc::new(slot.freeze())
         } else {

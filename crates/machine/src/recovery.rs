@@ -77,8 +77,8 @@ pub(crate) struct EpochSnapshot {
     pub(crate) clock: SimClock,
     /// Unconsumed packets (self-sends and early next-epoch arrivals).
     pub(crate) mailbox: Mailbox,
-    /// The reliable transport's counters, when one exists.
-    pub(crate) transport: Option<TransportSnapshot>,
+    /// The transport's counters.
+    pub(crate) transport: TransportSnapshot,
     /// Charged words sent per destination so far.
     pub(crate) words_to: Vec<u64>,
     /// Structured event log so far (empty unless tracing).

@@ -1,12 +1,16 @@
-//! Reliable transport over the faulty simulated network.
+//! The transport: every frame a processor puts on a ring goes through it.
 //!
-//! When a [`crate::fault::FaultPlan`] is attached to a machine, every
-//! charged point-to-point message travels as a sequence-numbered
-//! [`Frame::Data`]. The receiver delivers data strictly in per-sender
-//! sequence order (restoring the per-link FIFO guarantee the fault-free
-//! channel gives for free) and drops duplicates. Together this makes any
-//! non-crash fault schedule invisible to the program: results and simulated
-//! clocks are bit-identical to the fault-free run.
+//! Every machine runs a [`crate::fault::FaultPlan`], the empty one unless
+//! built `.with_faults(plan)`, and the plan decides how frames travel. Under
+//! a plan that can inject nothing they travel raw ([`Frame::Raw`]): the ring,
+//! like the paper's CM-5 data network, delivers every send once and in
+//! order, and the transport keeps no per-peer state. Under any other plan
+//! every charged message travels as a sequence-numbered [`Frame::Data`],
+//! which the receiver delivers in per-sender sequence order, dropping
+//! duplicates: any non-crash fault schedule is invisible to the program.
+//! Results and simulated clocks are bit-identical to the fault-free run
+//! (a message's delay is drawn once, at first transmission, and replayed by
+//! every retransmission and by the replay log).
 //!
 //! Only a **lossy** link is acknowledged: one whose plan may drop a frame or
 //! hold it back ([`crate::fault::LinkFaults`] with `drop_p > 0` or
@@ -14,8 +18,7 @@
 //! keeps a retransmit buffer of what is unacknowledged. On any other link a
 //! frame is in its destination's ring, in order, by the time
 //! [`Transport::send`] returns — duplicates and delays cannot change that —
-//! so, like the paper's CM-5 data network, the link delivers every send and
-//! there is nothing to acknowledge and nothing to keep for a retry. Both
+//! so there is nothing to acknowledge and nothing to keep for a retry. Both
 //! ends derive the rule from the same plan.
 //!
 //! There is no retransmission timer. The scheduler tells a parked processor
@@ -23,34 +26,25 @@
 //! every frame that reached a ring has been dispatched and every ack
 //! consumed, so what is still unacknowledged was dropped or is held back,
 //! and [`Transport::pump`] transmits each such message once more. What a
-//! link carries therefore depends on the program and the fault plan alone —
-//! never on when an ack happened to arrive — and the retransmit and
-//! duplicate counters are as reproducible as the simulated clocks.
+//! link carries therefore depends on the program and the fault plan alone,
+//! and the retransmit and duplicate counters are as reproducible as the
+//! simulated clocks.
 //!
 //! Acknowledgements and poison broadcasts are *control frames*: they model
 //! the CM-5's separate, reliable control network, so they are never
 //! fault-injected, never charged to the cost model, and never counted as
-//! application traffic. This keeps the protocol's termination argument
-//! local: once a processor has seen acks for all of its own sends on lossy
-//! links it can stop, because every ack it owes others has already been
-//! posted. The simulator's other control traffic — clock sync, the flag
+//! application traffic. Once a processor has seen acks for all of its own
+//! sends on lossy links it can stop: every ack it owes others is posted.
+//! The simulator's other control traffic — clock sync, the flag
 //! transposition of a many-to-many, the retire barrier — is uncharged too,
-//! but under [`crate::Machine::run_recoverable`] it is sequenced through
-//! [`Transport::send`] like data, so that it can be logged and
-//! deduplicated, and it then draws fault verdicts like data.
+//! and sequenced only when the transport logs ([`Transport::send_control`]).
 //!
-//! The transport keeps its own books. Under crash recovery it appends every
-//! frame it sequences to the replay log ([`crate::recovery`]) before the
-//! frame reaches the wire; it records its fault verdicts, retransmissions
-//! and duplicate drops in the owning processor's event log at the simulated
-//! time the caller passes in; it counts the program-level steps the crash
-//! schedule fires at; and it owns the retransmit and duplicate-drop
-//! counters, which its snapshot carries across a respawn.
-//!
-//! A message's arrival timestamp (including any injected delay) is drawn
-//! once, at first transmission, and replayed verbatim by every
-//! retransmission and by the replay log; the retry counters are reported as
-//! diagnostics, never charged to the simulated clock.
+//! The transport keeps its own books: it appends every frame it sequences
+//! to the replay log ([`crate::recovery`]) before the frame reaches the
+//! wire, records its fault verdicts, retransmissions and duplicate drops in
+//! the owning processor's event log, counts the program-level steps the
+//! crash schedule fires at, and owns the frame, retransmit and
+//! duplicate-drop counters, which its snapshot carries across a respawn.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -95,10 +89,13 @@ pub(crate) enum Step {
     Recv,
 }
 
-/// Per-processor reliable-transport state (sender and receiver sides).
+/// Per-processor transport state (sender and receiver sides).
 pub(crate) struct Transport<'m> {
     me: usize,
     plan: Arc<FaultPlan>,
+    /// True iff data frames travel sequenced: the plan can inject a fault.
+    /// Otherwise the five per-peer vectors below stay empty.
+    sequenced: bool,
     /// Every processor's ring; the channels outlive all sends (the driver
     /// keeps receiver endpoints until every processor has finished).
     senders: &'m [FrameSender],
@@ -129,27 +126,29 @@ pub(crate) struct Transport<'m> {
     pub(crate) retransmits: u64,
     /// Duplicate frames discarded by the receiver (diagnostic).
     pub(crate) dup_drops: u64,
-    /// Frames this transport put on a ring — every data frame (first
-    /// transmissions, duplicates, retransmissions) and every ack it posted:
-    /// its share of the owning processor's `msg.frames`.
+    /// Frames this transport put on a ring — raw and sequenced data (first
+    /// transmissions, duplicates, retransmissions), control frames and acks:
+    /// the owning processor's `msg.frames`.
     pub(crate) frames: u64,
 }
 
 impl<'m> Transport<'m> {
     pub(crate) fn new(me: usize, plan: Arc<FaultPlan>, senders: &'m [FrameSender]) -> Self {
-        let nprocs = senders.len();
+        let sequenced = !plan.is_benign();
+        let peers = if sequenced { senders.len() } else { 0 };
         Transport {
             me,
             plan,
+            sequenced,
             senders,
             log: None,
-            next_seq: vec![0; nprocs],
-            expected: vec![0; nprocs],
-            reorder: (0..nprocs).map(|_| BTreeMap::new()).collect(),
+            next_seq: vec![0; peers],
+            expected: vec![0; peers],
+            reorder: (0..peers).map(|_| BTreeMap::new()).collect(),
             ready: Vec::new(),
             unacked: BTreeMap::new(),
-            tx_count: vec![0; nprocs],
-            holdback: (0..nprocs).map(|_| Vec::new()).collect(),
+            tx_count: vec![0; peers],
+            holdback: (0..peers).map(|_| Vec::new()).collect(),
             send_steps: 0,
             recv_steps: 0,
             crash_armed: true,
@@ -159,14 +158,19 @@ impl<'m> Transport<'m> {
         }
     }
 
-    /// Log every frame sequenced from now on to `log`. A `respawned`
-    /// processor also disarms the crash schedule: it fired once already.
+    /// Log every frame sequenced from now on to `log`, unless the plan is
+    /// benign: it crashes nothing, so there is nothing to replay. A
+    /// `respawned` processor also disarms the crash schedule: it fired once.
     pub(crate) fn attach_log(&mut self, log: Arc<RecoveryState>, respawned: bool) {
-        self.log = Some(log);
+        if self.sequenced {
+            self.log = Some(log);
+        }
         self.crash_armed = !respawned;
     }
 
-    /// True iff frames sent through this transport go to a replay log.
+    /// True iff frames sent through this transport go to a replay log:
+    /// recovery is attached and the plan is not benign. Control frames are
+    /// sequenced iff this holds.
     pub(crate) fn logs(&self) -> bool {
         self.log.is_some()
     }
@@ -188,25 +192,56 @@ impl<'m> Transport<'m> {
         }
     }
 
-    /// Sender side: sequence a packet and make its first transmission
-    /// attempt. The packet carries the fault-free arrival time; the plan's
-    /// per-message delay is added here, once, keyed by sequence number, so
-    /// retries replay the same timestamp. On a lossy link the packet is also
-    /// kept for retransmission until acknowledged. Returns the sequence
-    /// number assigned to the message.
+    /// Send one data packet to `dst`: sequenced iff the plan is not benign.
+    /// Returns the sequence number, if one was assigned.
+    pub(crate) fn send(
+        &mut self,
+        dst: usize,
+        pkt: Packet,
+        now_ns: f64,
+        events: &mut Option<Vec<Event>>,
+    ) -> Option<u64> {
+        self.send_as(self.sequenced, dst, pkt, now_ns, events)
+    }
+
+    /// Send one uncharged control packet to `dst`: sequenced iff the
+    /// transport logs, since an unsequenced frame consumed just before a
+    /// crash could not be deduplicated against its replayed copy.
+    pub(crate) fn send_control(
+        &mut self,
+        dst: usize,
+        pkt: Packet,
+        now_ns: f64,
+        events: &mut Option<Vec<Event>>,
+    ) {
+        self.send_as(self.logs(), dst, pkt, now_ns, events);
+    }
+
+    /// Put a packet on `dst`'s ring: raw unless `sequenced`. A sequenced
+    /// packet gets the next sequence number on its link and makes its first
+    /// transmission attempt. The packet carries the fault-free arrival time;
+    /// the plan's per-message delay is added here, once, keyed by sequence
+    /// number, so retries replay the same timestamp. On a lossy link the
+    /// packet is also kept for retransmission until acknowledged.
     ///
     /// Under crash recovery the frame is logged *before* it reaches the
     /// wire: once it is there the receiver may consume it and crash at any
     /// moment, and the driver's clone of the log must already hold
     /// everything the victim consumed. The logged copy carries the delayed
     /// arrival, so a replayed frame is bit-identical to the transmitted one.
-    pub(crate) fn send(
+    fn send_as(
         &mut self,
+        sequenced: bool,
         dst: usize,
         mut pkt: Packet,
         now_ns: f64,
         events: &mut Option<Vec<Event>>,
-    ) -> u64 {
+    ) -> Option<u64> {
+        if !sequenced {
+            self.senders[dst].send_raw(pkt);
+            self.frames += 1;
+            return None;
+        }
         debug_assert_eq!(pkt.src, self.me, "a processor only sends its own packets");
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
@@ -222,7 +257,7 @@ impl<'m> Transport<'m> {
             self.unacked.insert((dst, seq), stored);
         }
         self.transmit(dst, seq, pkt, 0, now_ns, events);
-        seq
+        Some(seq)
     }
 
     /// Transmission `attempt` of `(dst, seq)`, subject to the fault plan:
@@ -400,10 +435,12 @@ impl<'m> Transport<'m> {
 
     /// At an epoch boundary, drop from this processor's replay log every
     /// frame it has consumed; returns the log's charged words `(before,
-    /// after)`, as [`RecoveryState::truncate_log`].
+    /// after)`, as [`RecoveryState::truncate_log`] — `(0, 0)` when the
+    /// transport does not log.
     pub(crate) fn truncate_log(&self) -> (u64, u64) {
-        let log = self.log.as_ref().expect("truncation under recovery only");
-        log.truncate_log(self.me, &self.expected)
+        self.log
+            .as_ref()
+            .map_or((0, 0), |log| log.truncate_log(self.me, &self.expected))
     }
 
     /// Capture the transport's state for an epoch checkpoint. Taken after a
@@ -579,6 +616,42 @@ mod tests {
         }
     }
 
+    /// On the empty plan a frame travels raw: no sequence number, no
+    /// verdict, nothing kept per peer — yet counted, and its snapshot
+    /// carries the counters alone. Recovery attached, it still logs nothing,
+    /// and control traffic travels raw too.
+    #[test]
+    fn a_fault_free_transport_sends_raw_and_keeps_no_per_peer_state() {
+        let (txs, rxs) = wires(2);
+        let mut t = Transport::new(0, Arc::new(FaultPlan::new(0)), &txs);
+        let rec = Arc::new(RecoveryState::new(2));
+        t.attach_log(Arc::clone(&rec), false);
+        assert!(!t.logs());
+        let mut log = Some(Vec::new());
+        let pkt = || out_pkt(0, 7, 5.0, 1, Arc::new(vec![1i32]));
+        assert_eq!(t.send(1, pkt(), 0.0, &mut log), None);
+        t.send_control(1, pkt(), 0.0, &mut log);
+        for _ in 0..2 {
+            match rxs[1].try_recv() {
+                Some(Frame::Raw(p)) => assert_eq!((p.src, p.arrival_ns), (0, 5.0)),
+                _ => panic!("expected a raw frame"),
+            }
+        }
+        assert!(rxs[1].try_recv().is_none());
+        assert_eq!((t.frames, log.unwrap().len()), (2, 0));
+        assert!(!t.has_unacked());
+        assert_eq!(t.truncate_log(), (0, 0));
+        assert!(rec.clone_log(1).is_empty());
+        let snap = t.snapshot();
+        let empty: &[u64] = &[];
+        assert_eq!(
+            (&snap.next_seq[..], &snap.expected[..], &snap.tx_count[..]),
+            (empty, empty, empty)
+        );
+        assert!(t.reorder.is_empty() && t.holdback.is_empty());
+        assert_eq!(snap.frames, 2);
+    }
+
     /// A link that neither drops nor holds back is not acknowledged: every
     /// frame (duplicates included) is on the ring when `send` returns, the
     /// sender keeps nothing to retransmit, and the receiver, ordering and
@@ -658,6 +731,7 @@ mod tests {
             1.0,
             &mut log,
         );
+        let seq = seq.expect("a faulted plan sequences");
         assert_eq!(seq, 0);
         t.pump(2.0, &mut log).unwrap();
         // Stale duplicate on the receive side of the same transport.
@@ -729,7 +803,7 @@ mod tests {
         let (txs, _rxs) = wires(3);
         let rec = Arc::new(RecoveryState::new(3));
         let logging = |me, next_seq| {
-            let mut t = Transport::new(me, Arc::new(FaultPlan::new(0)), &txs);
+            let mut t = Transport::new(me, Arc::new(lossy_but_clean()), &txs);
             t.attach_log(Arc::clone(&rec), false);
             t.next_seq[2] = next_seq;
             t
@@ -817,7 +891,7 @@ mod tests {
     #[test]
     fn receiver_orders_and_deduplicates() {
         let (txs, _rxs) = wires(2);
-        let mut t = Transport::new(0, Arc::new(FaultPlan::new(0)), &txs);
+        let mut t = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
         let pkt = |v: i32| out_pkt(1, 7, 0.0, 1, Arc::new(vec![v]));
         // seq 1 arrives early: buffered.
         assert!(t.on_data(1, pkt(1), 0.0, &mut None).is_empty());
@@ -910,7 +984,7 @@ mod tests {
             (t.retransmits, t.dup_drops) = retries;
             let snap = t.snapshot();
 
-            let mut fresh = Transport::new(0, Arc::new(FaultPlan::new(0)), &txs);
+            let mut fresh = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
             fresh.restore(&snap);
             proptest::prop_assert_eq!(&fresh.snapshot(), &snap);
             proptest::prop_assert!(fresh.unacked.is_empty());

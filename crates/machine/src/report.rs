@@ -153,14 +153,14 @@ impl<R> RunOutput<R> {
     }
 
     /// Total reliable-transport retransmissions across all processors
-    /// (0 on a machine without a fault plan). A diagnostic of how hard the
+    /// (0 under a benign fault plan). A diagnostic of how hard the
     /// transport had to work; simulated time is unaffected.
     pub fn total_retransmits(&self) -> u64 {
         self.clocks.iter().map(|c| c.retransmits).sum()
     }
 
     /// Total duplicate frames discarded by receivers across all processors
-    /// (0 on a machine without a fault plan).
+    /// (0 under a benign fault plan).
     pub fn total_dup_drops(&self) -> u64 {
         self.clocks.iter().map(|c| c.dup_drops).sum()
     }

@@ -121,7 +121,7 @@ fn a_dead_link_is_unreachable_after_thirty_attempts() {
 }
 
 /// A plan executed unevenly: proc 0 sends three times through one pool
-/// entry's two slots, proc 1 takes delivery of one and returns nothing.
+/// entry's two slots, proc 1 takes delivery of two and returns nothing.
 /// The third checkout can never be served, and the error names both.
 #[test]
 fn unevenly_executed_plan_is_a_pool_stall() {
@@ -143,8 +143,10 @@ fn unevenly_executed_plan_is_a_pool_stall() {
                         p.send_pooled(1, tags::USER + i, &slot);
                     }
                 } else {
-                    let pkt = p.recv_packet(0, tags::USER);
-                    assert!(pkt.data.downcast::<PoolSlot<Vec<i64>>>().is_ok());
+                    for i in 0..2 {
+                        let pkt = p.recv_packet(0, tags::USER + i);
+                        assert!(pkt.data.downcast::<PoolSlot<Vec<i64>>>().is_ok());
+                    }
                 }
             })
             .expect_err("the third checkout waits for a buffer nobody returns")

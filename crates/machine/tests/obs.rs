@@ -430,10 +430,9 @@ fn mem_gauge_peaks_survive_restore_without_double_counting() {
         );
     };
 
-    // The crash-free baseline still needs a non-benign plan: a benign one
-    // skips the sequenced transport entirely, and with it the replay log.
-    // A crash step the program never reaches arms the transport without
-    // ever firing.
+    // The crash-free baseline still needs a non-benign plan: under a benign
+    // one the transport sends raw and logs nothing. A crash step the
+    // program never reaches makes it sequence and log without ever firing.
     let clean = observed()
         .with_faults(FaultPlan::new(5).with_crash(1, 99))
         .run_recoverable(lopsided_epoch_ring)

@@ -406,9 +406,9 @@ fn pooled_sends_recover_from_a_crash_at_every_step() {
         "unlogged pooled sends ship the live slot: bytes stay on `pool`"
     );
 
-    // A crash step the program never reaches arms the transport, and with
-    // it the replay log, without firing: the accounting of a logged pooled
-    // send, event side and gauge side.
+    // A crash step the program never reaches makes the transport sequence
+    // and log without firing: the accounting of a logged pooled send, event
+    // side and gauge side.
     let logged = machine(FaultPlan::new(0).with_crash(1, 99))
         .with_tracing(true)
         .run_recoverable(pooled_ring(true))

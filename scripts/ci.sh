@@ -101,6 +101,11 @@ fi
 if grep -rn 'log_frame(' crates/ --exclude=reliable.rs | grep -v 'recovery.rs:[0-9]*: *pub(crate) fn log_frame('; then
   echo "ci: a replay-log append outside Transport::send"; exit 1
 fi
+# One transport on every machine: a machine without a fault plan runs the
+# empty one, and its transport sends raw (DESIGN.md section 7).
+if grep -rnE 'Option<Transport|Option<TransportSnapshot>|transport\.as_(ref|mut)\(\)|transport\.is_(some|none)\(\)' crates/machine/src; then
+  echo "ci: a processor without a transport is back"; exit 1
+fi
 
 echo "== the examples run (README's quick tour) =="
 for example in examples/*.rs; do
