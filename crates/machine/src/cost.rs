@@ -38,8 +38,8 @@ pub struct CostModel {
     pub cn_mu_ns: f64,
     /// Crash recovery: fixed cost of restoring a checkpoint on a respawned
     /// processor, in nanoseconds. These three `recovery_*` terms price the
-    /// recovery protocol (see [`crate::recovery`]) for the
-    /// `recovery.replay_ms` metric and [`crate::RunOutput::recovery`] — they
+    /// recovery protocol (see [`crate::recovery`]) for
+    /// [`crate::RecoveryStats::replay_ms`] — they
     /// are *never* added to the simulated clock, so a recovered run stays
     /// bit-identical to the fault-free one.
     pub recovery_restore_ns: f64,

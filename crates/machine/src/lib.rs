@@ -66,6 +66,6 @@ pub use message::{Mailbox, Packet, Payload, Wire};
 pub use obs::{Event, EventKind, MemAccount, WallProfile, WallProfiler, WallSpan};
 pub use pool::{fresh_pool_key, PoolSlot, Reusable};
 pub use proc::{tags, Group, Proc};
-pub use recovery::{Checkpoint, RecoveryStats};
+pub use recovery::RecoveryStats;
 pub use report::{Breakdown, MetricsSnapshot, RunOutput};
 pub use topology::ProcGrid;

@@ -275,8 +275,7 @@ impl Machine {
     /// peers) are not recoverable and come back as `Err`, as in
     /// [`Machine::try_run`]. [`RunOutput::recovery`] carries the recovery
     /// accounting ([`crate::RecoveryStats`]); the modelled recovery cost is
-    /// reported there and in the `recovery.*` metrics, never added to the
-    /// simulated clocks.
+    /// reported there alone, never added to the simulated clocks.
     pub fn run_recoverable<R, F>(&self, program: F) -> Result<RunOutput<R>, MachineError>
     where
         R: Send,

@@ -259,16 +259,9 @@ pub(crate) fn record(log: &mut Option<Vec<Event>>, ts_ns: f64, kind: EventKind) 
 // ---------------------------------------------------------------------------
 
 /// Counters named by the code that bumps them ([`ProcMetrics::add`]); a
-/// snapshot holds the ones its processor touched.
-const NAMED_COUNTERS: [&str; 7] = [
-    "plan.cache.hit",
-    "plan.cache.miss",
-    "recovery.epochs",
-    "recovery.replayed_frames",
-    "recovery.replay_ms",
-    "recovery.replays",
-    "sched.wakes_filtered",
-];
+/// snapshot holds the ones its processor touched. What recovery did is a
+/// run-wide count, kept once, in [`crate::RecoveryStats`].
+const NAMED_COUNTERS: [&str; 3] = ["plan.cache.hit", "plan.cache.miss", "sched.wakes_filtered"];
 
 /// One processor's metrics: plain fields, updated through `&mut` by
 /// whichever carrier runs the processor. A checkpoint is a copy, a restore
@@ -1038,7 +1031,7 @@ mod tests {
             msg_sent: 7,
             ..ProcMetrics::default()
         };
-        old.add("recovery.epochs", 1);
+        old.add("plan.cache.hit", 1);
         let held = PayloadCharge::new(&mut old, 100);
         let resumed = old.checkpoint();
         drop(held);
@@ -1048,7 +1041,7 @@ mod tests {
         );
         let snap = resumed.snapshot(&ClockReport::zero(), 0);
         assert_eq!(snap.counter("msg.sent"), 7);
-        assert_eq!(snap.counter("recovery.epochs"), 1);
+        assert_eq!(snap.counter("plan.cache.hit"), 1);
         assert_eq!(
             snap.gauges["mem.payload.cur"],
             GaugeValue {

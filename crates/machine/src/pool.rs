@@ -32,9 +32,13 @@
 //! ([`PoolSlot::freeze`]): a detached copy of the staged buffer that no
 //! pool hands out, whose `put_back` re-stages it untouched so a replayed
 //! frame decodes again. The live slot goes back to `Free` at the send.
+//! That is also why an epoch checkpoint holds nothing of the pool: only a
+//! logging transport can crash, its live slots are free whenever a send
+//! returns, so a respawned processor's empty pool behaves exactly as the
+//! crashed one's would have.
 
 use std::any::{Any, TypeId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -229,13 +233,6 @@ pub(crate) struct BufferPool {
     /// that follow its per-process random seed, so the bytes an op
     /// allocates would not repeat from run to run.
     entries: BTreeMap<(u64, usize, TypeId), Entry>,
-    /// Slot rotations restored from an epoch checkpoint, consulted when an
-    /// entry is first (re-)created after a crash respawn. Only the rotation
-    /// survives a crash: at an epoch boundary every staged buffer has been
-    /// consumed and returned (the boundary flush guarantees it), so fresh
-    /// default buffers with the checkpointed flip reproduce the pool's
-    /// observable behaviour exactly.
-    restored: HashMap<(u64, usize, TypeId), usize>,
 }
 
 impl BufferPool {
@@ -243,26 +240,26 @@ impl BufferPool {
     /// `key`, advancing the two-slot rotation. Creates (and allocates) the
     /// entry on first use; steady-state calls only flip an index.
     pub(crate) fn next_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
-        let k = (key, dst, TypeId::of::<B>());
-        let restored = &self.restored;
-        let entry = self.entries.entry(k).or_insert_with(|| Entry {
-            slots: [
-                Arc::new(PoolSlot::<B>::new()),
-                Arc::new(PoolSlot::<B>::new()),
-            ],
-            flip: restored.get(&k).copied().unwrap_or(0),
-        });
+        let entry = self
+            .entries
+            .entry((key, dst, TypeId::of::<B>()))
+            .or_insert_with(|| Entry {
+                slots: [
+                    Arc::new(PoolSlot::<B>::new()),
+                    Arc::new(PoolSlot::<B>::new()),
+                ],
+                flip: 0,
+            });
         let slot = entry.slot(entry.flip);
         entry.flip ^= 1;
         slot
     }
 
     /// Drop every entry of plan `key` — the plan is gone and its buffers
-    /// with it — and forget the key's restored rotations. Returns the bytes
-    /// the dropped slots had charged to the `pool` account. A slot still in
-    /// flight lives on in its packet until the receiver has decoded it.
+    /// with it. Returns the bytes the dropped slots had charged to the
+    /// `pool` account. A slot still in flight lives on in its packet until
+    /// the receiver has decoded it.
     pub(crate) fn retire(&mut self, key: u64) -> u64 {
-        self.restored.retain(|k, _| k.0 != key);
         let mut charged = 0;
         self.entries.retain(|k, e| {
             if k.0 == key {
@@ -271,24 +268,6 @@ impl BufferPool {
             k.0 != key
         });
         charged
-    }
-
-    /// Freeze the pool's slot rotation for an epoch checkpoint. Rotations
-    /// restored earlier but not yet re-materialised as live entries are
-    /// carried through, so repeated snapshot/restore cycles are lossless.
-    pub(crate) fn snapshot(&self) -> PoolSnapshot {
-        let mut flips = self.restored.clone();
-        for (k, e) in &self.entries {
-            flips.insert(*k, e.flip);
-        }
-        PoolSnapshot { flips }
-    }
-
-    /// Reset this (fresh) pool to a checkpointed rotation — the inverse of
-    /// [`BufferPool::snapshot`], used when a crashed processor is respawned.
-    pub(crate) fn restore(&mut self, snap: &PoolSnapshot) {
-        self.entries.clear();
-        self.restored = snap.flips.clone();
     }
 
     /// The slot handed out by the most recent [`BufferPool::next_slot`] for
@@ -301,15 +280,6 @@ impl BufferPool {
             .expect("current_slot before any next_slot");
         entry.slot(entry.flip ^ 1)
     }
-}
-
-/// Opaque checkpoint of a [`BufferPool`]'s slot rotation (which of the two
-/// slots each `(plan key, destination, payload type)` entry hands out next).
-/// Captured at epoch boundaries by the crash-recovery machinery; see
-/// [`crate::recovery`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolSnapshot {
-    flips: HashMap<(u64, usize, TypeId), usize>,
 }
 
 static NEXT_POOL_KEY: AtomicU64 = AtomicU64::new(1);
@@ -382,19 +352,11 @@ mod tests {
     }
 
     /// Retiring a plan key drops its entries of every destination and type
-    /// (and only its), reports what their slots had charged, forgets the
-    /// key's restored rotations, and leaves a slot that is still in flight
-    /// to whoever holds it.
+    /// (and only its), reports what their slots had charged, and leaves a
+    /// slot that is still in flight to whoever holds it.
     #[test]
     fn retire_drops_one_key_and_reports_its_charge() {
         let mut pool = BufferPool::default();
-        let restored = PoolSnapshot {
-            flips: HashMap::from([
-                ((1, 9, TypeId::of::<Vec<i32>>()), 1),
-                ((2, 9, TypeId::of::<Vec<i32>>()), 1),
-            ]),
-        };
-        pool.restore(&restored);
         let in_flight = pool.next_slot::<Vec<i32>>(1, 0);
         assert_eq!(in_flight.note_charged(40), 40);
         assert_eq!(pool.next_slot::<Vec<i32>>(1, 0).note_charged(8), 8);
@@ -409,12 +371,7 @@ mod tests {
 
         assert_eq!(pool.retire(1), 148);
         assert_eq!(pool.retire(1), 0, "nothing left to give back");
-        assert!(pool.snapshot().flips.keys().all(|k| k.0 == 2));
-        assert_eq!(
-            pool.snapshot().flips.len(),
-            2,
-            "key 2: one live, one restored"
-        );
+        assert!(pool.entries.keys().all(|k| k.0 == 2));
         assert_eq!(
             in_flight.take_staged(),
             vec![5],
@@ -433,39 +390,5 @@ mod tests {
         let a = fresh_pool_key();
         let b = fresh_pool_key();
         assert_ne!(a, b);
-    }
-
-    proptest::proptest! {
-        /// The pool's checkpoint captures exactly its observable state (the
-        /// per-entry slot rotation): after an arbitrary checkout history,
-        /// restoring a fresh pool from the snapshot must make it
-        /// indistinguishable — identical re-snapshot, and identical slot
-        /// parity on every subsequent checkout.
-        #[test]
-        fn pool_snapshot_restore_roundtrip(
-            history in proptest::collection::vec((0u64..3, 0usize..3), 0..40),
-            future in proptest::collection::vec((0u64..3, 0usize..3), 0..10),
-        ) {
-            let mut pool = BufferPool::default();
-            for &(key, dst) in &history {
-                pool.next_slot::<Vec<i32>>(key, dst);
-            }
-            let snap = pool.snapshot();
-
-            let mut respawned = BufferPool::default();
-            respawned.restore(&snap);
-            proptest::prop_assert_eq!(&respawned.snapshot(), &snap,
-                "restore must reproduce the checkpointed rotation");
-
-            // Both pools rotate in lockstep from here on. Slot *identity*
-            // differs (the respawned pool allocates fresh slots) but the
-            // parity — which of the two slots each checkout yields — must
-            // match, which we observe through a second snapshot.
-            for &(key, dst) in &future {
-                pool.next_slot::<Vec<i32>>(key, dst);
-                respawned.next_slot::<Vec<i32>>(key, dst);
-            }
-            proptest::prop_assert_eq!(&respawned.snapshot(), &pool.snapshot());
-        }
     }
 }

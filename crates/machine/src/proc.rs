@@ -21,7 +21,7 @@ use crate::obs::{
     record, Event, EventKind, MemAccount, ObsConfig, ProcMetrics, WallProfile, WallProfiler,
 };
 use crate::pool::{BufferPool, PoolSlot, Reusable};
-use crate::recovery::{Checkpoint, EpochSnapshot, RecoveryState, ResumeCtx};
+use crate::recovery::{EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::{Step, Transport};
 use crate::report::MetricsSnapshot;
 use crate::sched::{ParkOutcome, Scheduler};
@@ -915,9 +915,11 @@ impl<'m> Proc<'m> {
     /// [`crate::recovery`]). The epoch ends with a machine-wide barrier
     /// (transport flush + uncharged clock sync, identical whether or not
     /// recovery is attached), after which the processor's recoverable state
-    /// — clock, mailbox, transport counters, pool rotation, metrics, and
-    /// `state` via [`Checkpoint`] — is snapshotted under
-    /// [`crate::Machine::run_recoverable`].
+    /// — clock, mailbox, transport counters, metrics, and a clone of
+    /// `state` — is snapshotted under [`crate::Machine::run_recoverable`].
+    /// Any `Clone + Send + 'static` value can be the state; the same value
+    /// must thread through every epoch, since a respawn restores epoch
+    /// *k*'s snapshot into epoch *k*+1's `state` argument.
     ///
     /// On a respawned processor, epochs that completed before the crash are
     /// skipped (their effects live in the restored snapshot), the resume
@@ -928,7 +930,11 @@ impl<'m> Proc<'m> {
     /// epoch bodies: traffic between epochs is covered by neither the
     /// snapshot nor the replay log, and a respawned processor would hang
     /// waiting for it.
-    pub fn epoch<S: Checkpoint>(&mut self, state: &mut S, body: impl FnOnce(&mut Self, &mut S)) {
+    pub fn epoch<S: Clone + Send + 'static>(
+        &mut self,
+        state: &mut S,
+        body: impl FnOnce(&mut Self, &mut S),
+    ) {
         let idx = self.epoch_idx;
         self.epoch_idx += 1;
         if let Some(r) = self.resume.as_ref() {
@@ -956,7 +962,7 @@ impl<'m> Proc<'m> {
     /// replay log can be truncated to frames at or above them. The second
     /// flush covers sync frames on lossy links, which travel sequenced
     /// under recovery.
-    fn epoch_boundary<S: Checkpoint>(&mut self, idx: usize, state: &S) {
+    fn epoch_boundary<S: Clone + Send + 'static>(&mut self, idx: usize, state: &S) {
         if let Err(e) = self.finish_transport() {
             panic_any(e);
         }
@@ -1002,26 +1008,24 @@ impl<'m> Proc<'m> {
                 words_to: self.words_to.clone(),
                 events: self.events.clone().unwrap_or_default(),
                 metrics: self.metrics.as_ref().map(ProcMetrics::checkpoint),
-                pool: self.pool.snapshot(),
-                user: state.snapshot(),
+                user: Box::new(state.clone()),
             },
         );
-        if let Some(m) = self.metrics.as_mut() {
-            m.add("recovery.epochs", 1);
-        }
     }
 
-    /// Respawn restoration: load the boundary snapshot into this processor,
+    /// Respawn restoration: move the boundary snapshot into this processor,
     /// then replay the logged peer frames. Runs at the top of the resume
-    /// epoch, after any (re-executed, about-to-be-overwritten) earlier work.
-    fn prepare_resume<S: Checkpoint>(&mut self, ctx: ResumeCtx, state: &mut S) {
+    /// epoch; the epochs before it were skipped, so nothing here is
+    /// overwritten but the fresh state the respawn started with — its
+    /// buffer pool included, which stays empty (see [`crate::pool`]).
+    fn prepare_resume<S: Clone + Send + 'static>(&mut self, ctx: ResumeCtx, state: &mut S) {
         let rec = Arc::clone(self.recovery.as_ref().expect("resume without recovery"));
         let snap = ctx
             .snapshot
             .expect("snapshot-less resume handled at attach");
         self.clock = snap.clock;
         self.mailbox = snap.mailbox;
-        self.transport.restore(&snap.transport);
+        self.transport.restore(snap.transport);
         self.words_to = snap.words_to;
         if let Some(ev) = self.events.as_mut() {
             *ev = snap.events;
@@ -1029,8 +1033,10 @@ impl<'m> Proc<'m> {
         if let (Some(m), Some(ms)) = (self.metrics.as_mut(), snap.metrics) {
             *m = ms;
         }
-        self.pool.restore(&snap.pool);
-        state.restore(snap.user);
+        *state = *snap
+            .user
+            .downcast::<S>()
+            .expect("every epoch threads the same state type");
         self.inject_replay(ctx.replay, &rec);
     }
 
@@ -1039,9 +1045,9 @@ impl<'m> Proc<'m> {
     /// skipped, ordering and deduplication apply as if the frames had just
     /// arrived, and the acks dispatch posts on lossy links un-block peers
     /// parked in their boundary flush. The modelled recovery cost
-    /// (`recovery_*` terms of the cost model) is recorded in metrics and
-    /// stats only — never added to the simulated clock, which must stay
-    /// bit-identical to the fault-free run.
+    /// (`recovery_*` terms of the cost model) is recorded in the run's
+    /// [`crate::RecoveryStats`] only — never added to the simulated clock,
+    /// which must stay bit-identical to the fault-free run.
     fn inject_replay(&mut self, replay: Vec<(u64, Packet)>, rec: &Arc<RecoveryState>) {
         let now = self.clock.now_ns();
         self.record(
@@ -1079,11 +1085,6 @@ impl<'m> Proc<'m> {
                 name: "recovery.replay",
             },
         );
-        if let Some(mtr) = self.metrics.as_mut() {
-            mtr.add("recovery.replays", 1);
-            mtr.add("recovery.replayed_frames", frames);
-            mtr.add("recovery.replay_ms", (modelled_ns / 1e6).round() as u64);
-        }
     }
 
     /// The retire barrier of [`crate::Machine::run_recoverable`]: no carrier

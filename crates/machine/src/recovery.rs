@@ -5,8 +5,9 @@
 //! [`crate::Proc::epoch`] calls, and every epoch ends with a machine-wide
 //! barrier after which each processor publishes a snapshot of its
 //! recoverable state (simulated clock, mailbox, the reliable transport's
-//! sequence, step and retry counters, buffer-pool rotation, metrics, and
-//! the user state via the [`Checkpoint`] trait). Peers additionally retain
+//! sequence, step and retry counters, metrics, and a clone of the user
+//! state) — exactly what a respawn restores, each piece once; run-wide
+//! counts live in [`RecoveryStats`] alone. Peers additionally retain
 //! an `Arc`-backed **replay log** of every sequenced frame sent since the
 //! receiver's last epoch boundary — a refcount bump per frame, truncated at
 //! each boundary. The sender's transport is the log's one writer: its
@@ -37,37 +38,7 @@ use std::sync::Mutex;
 use crate::cost::SimClock;
 use crate::message::{Mailbox, Packet};
 use crate::obs::{Event, ProcMetrics};
-use crate::pool::PoolSnapshot;
 use crate::reliable::TransportSnapshot;
-
-/// User state that can be checkpointed at epoch boundaries.
-///
-/// A blanket implementation covers every `Clone + Send + 'static` type, so
-/// ordinary program state (vectors, structs of plain data) checkpoints with
-/// no ceremony. The snapshot is taken *after* the epoch's barrier, so it is
-/// globally consistent with every peer's snapshot of the same epoch.
-pub trait Checkpoint: 'static {
-    /// Capture the state as an owned, type-erased snapshot.
-    fn snapshot(&self) -> Box<dyn Any + Send>;
-    /// Replace `self` with a previously captured snapshot.
-    ///
-    /// # Panics
-    /// Panics if `snap` was not produced by `Self::snapshot` (the program
-    /// changed between crash and respawn — a harness bug, not a data bug).
-    fn restore(&mut self, snap: Box<dyn Any + Send>);
-}
-
-impl<T: Clone + Send + 'static> Checkpoint for T {
-    fn snapshot(&self) -> Box<dyn Any + Send> {
-        Box::new(self.clone())
-    }
-
-    fn restore(&mut self, snap: Box<dyn Any + Send>) {
-        *self = *snap
-            .downcast::<T>()
-            .expect("checkpoint snapshot type does not match the state it restores");
-    }
-}
 
 /// One processor's recoverable state as published at an epoch boundary.
 pub(crate) struct EpochSnapshot {
@@ -85,9 +56,9 @@ pub(crate) struct EpochSnapshot {
     pub(crate) events: Vec<Event>,
     /// A copy of the metrics (None unless metrics are on).
     pub(crate) metrics: Option<ProcMetrics>,
-    /// Buffer-pool slot rotation (which slot each entry hands out next).
-    pub(crate) pool: PoolSnapshot,
-    /// The program's own state, captured through [`Checkpoint`].
+    /// A clone of the `state` the program threads through
+    /// [`crate::Proc::epoch`], taken after the boundary's barrier so it is
+    /// consistent with every peer's snapshot of the same epoch.
     pub(crate) user: Box<dyn Any + Send>,
 }
 

@@ -465,10 +465,10 @@ impl<'m> Transport<'m> {
     /// sender state is cleared: the re-execution re-sends (with the same
     /// sequence numbers, so receivers dedup), and the replay log re-injects
     /// whatever peers had sent.
-    pub(crate) fn restore(&mut self, s: &TransportSnapshot) {
-        self.next_seq = s.next_seq.clone();
-        self.expected = s.expected.clone();
-        self.tx_count = s.tx_count.clone();
+    pub(crate) fn restore(&mut self, s: TransportSnapshot) {
+        self.next_seq = s.next_seq;
+        self.expected = s.expected;
+        self.tx_count = s.tx_count;
         self.send_steps = s.send_steps;
         self.recv_steps = s.recv_steps;
         self.retransmits = s.retransmits;
@@ -824,7 +824,7 @@ mod tests {
         assert_eq!(rec.stats().log_high_water_words, 14);
         // Sender 0 respawns from its boundary: 5 and 6 again, then 7.
         let mut a = logging(0, 0);
-        a.restore(&boundary);
+        a.restore(boundary);
         send(&mut a, 8);
         send(&mut a, 4);
         assert_eq!(rec.stats().log_high_water_words, 14);
@@ -985,7 +985,7 @@ mod tests {
             let snap = t.snapshot();
 
             let mut fresh = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
-            fresh.restore(&snap);
+            fresh.restore(snap.clone());
             proptest::prop_assert_eq!(&fresh.snapshot(), &snap);
             proptest::prop_assert!(fresh.unacked.is_empty());
             proptest::prop_assert!(fresh.reorder.iter().all(|r| r.is_empty()));
@@ -994,7 +994,7 @@ mod tests {
             // Restoring over live in-flight state clears it too: the
             // respawned re-execution re-sends under the same sequence
             // numbers and the replay log re-supplies incoming frames.
-            t.restore(&snap);
+            t.restore(snap.clone());
             proptest::prop_assert!(t.unacked.is_empty());
             proptest::prop_assert_eq!(&t.snapshot(), &snap);
         }

@@ -267,8 +267,10 @@ fn two_epoch_ring(p: &mut Proc) -> i32 {
 }
 
 /// Recovery telemetry is strictly opt-in: plain runs and fault-free
-/// recoverable runs must leave no replay counters, spans, or markers behind;
-/// only an actual crash-and-recover emits them.
+/// recoverable runs must leave no replay spans or markers behind; only an
+/// actual crash-and-recover emits them. What recovery did is counted once,
+/// run-wide, in `RunOutput::recovery`: no processor's metrics carry a
+/// `recovery.*` counter.
 #[test]
 fn recovery_telemetry_appears_only_when_recovery_happens() {
     let observed = || {
@@ -276,15 +278,14 @@ fn recovery_telemetry_appears_only_when_recovery_happens() {
             .with_tracing(true)
             .with_metrics(true)
     };
-    let assert_no_replay_residue = |out: &hpf_machine::RunOutput<i32>, what: &str| {
+    let assert_no_recovery_counter = |out: &hpf_machine::RunOutput<i32>, what: &str| {
         let merged = out.merged_metrics();
-        for c in [
-            "recovery.replays",
-            "recovery.replayed_frames",
-            "recovery.replay_ms",
-        ] {
-            assert_eq!(merged.counter(c), 0, "{what}: spurious {c}");
-        }
+        let named: Vec<&String> = (merged.counters.keys())
+            .filter(|name| name.starts_with("recovery."))
+            .collect();
+        assert!(named.is_empty(), "{what}: per-processor {named:?}");
+    };
+    let assert_no_replay_residue = |out: &hpf_machine::RunOutput<i32>, what: &str| {
         let json = out.chrome_trace_json();
         assert!(
             !json.contains("recovery.replay"),
@@ -294,16 +295,15 @@ fn recovery_telemetry_appears_only_when_recovery_happens() {
             !json.contains("recovery.resume"),
             "{what}: resume marker in trace"
         );
+        assert_no_recovery_counter(out, what);
     };
 
-    // Plain run of the same epoch-structured program: no recovery residue,
-    // not even epoch counters.
+    // Plain run of the same epoch-structured program: no recovery residue.
     let plain = observed().run(two_epoch_ring);
     assert!(
         plain.recovery.is_none(),
         "plain run must not report recovery stats"
     );
-    assert_eq!(plain.merged_metrics().counter("recovery.epochs"), 0);
     assert_no_replay_residue(&plain, "plain run");
 
     // Fault-free recoverable run: epoch checkpoints are counted, but there
@@ -316,15 +316,11 @@ fn recovery_telemetry_appears_only_when_recovery_happens() {
         .recovery
         .as_ref()
         .expect("recoverable run reports stats");
-    assert_eq!(rec.replays, 0, "fault-free run must not replay");
-    assert_eq!(
-        fault_free.merged_metrics().counter("recovery.epochs"),
-        2 * 4
-    );
+    assert_eq!((rec.epochs, rec.replays), (2 * 4, 0));
     assert_no_replay_residue(&fault_free, "fault-free recoverable run");
 
-    // A crashed run emits the replay counters, the replay span, and the
-    // resume marker — while results stay bit-identical to the clean run.
+    // A crashed run emits the replay span and the resume marker — while
+    // results stay bit-identical to the clean run.
     let crashed = observed()
         .with_faults(FaultPlan::new(7).with_crash(1, 1))
         .run_recoverable(two_epoch_ring)
@@ -333,17 +329,10 @@ fn recovery_telemetry_appears_only_when_recovery_happens() {
         .recovery
         .as_ref()
         .expect("recoverable run reports stats");
-    assert_eq!(rec.replays, 1);
+    assert_eq!((rec.epochs, rec.replays), (2 * 4, 1));
+    assert!(rec.replay_ms > 0.0, "{rec:?}");
+    assert_no_recovery_counter(&crashed, "crashed run");
     let merged = crashed.merged_metrics();
-    assert_eq!(merged.counter("recovery.replays"), 1);
-    // How many frames the replay re-injects is wall-clock dependent (it
-    // can be zero when the respawn wins the race against the peers'
-    // sends), so only the counter's consistency is asserted here.
-    assert_eq!(
-        merged.counter("recovery.replayed_frames"),
-        rec.replayed_frames
-    );
-    assert!(merged.counter("recovery.replay_ms") >= 1);
     let json = crashed.chrome_trace_json();
     assert!(
         json.contains("recovery.replay"),

@@ -352,7 +352,8 @@ fn unrecoverable_failures_still_surface_as_errors() {
 }
 
 /// Any key no `fresh_pool_key` of this process reaches; a constant, so a
-/// respawned processor finds its checkpointed slot rotation.
+/// respawned processor, whose pool starts empty, re-creates the crashed
+/// one's entry under the same key.
 const RING_KEY: u64 = 1 << 40;
 
 /// A ring over pooled `Vec<i64>` buffers — whose `reset` really clears,

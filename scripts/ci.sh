@@ -106,6 +106,11 @@ fi
 if grep -rnE 'Option<Transport|Option<TransportSnapshot>|transport\.as_(ref|mut)\(\)|transport\.is_(some|none)\(\)' crates/machine/src; then
   echo "ci: a processor without a transport is back"; exit 1
 fi
+# A checkpoint holds what a respawn reads, once (DESIGN.md section 12): no
+# pool rotation, no checkpoint trait, no per-processor recovery counter.
+if grep -rnE 'PoolSnapshot|Checkpoint\b|"recovery\.(epochs|replays|replayed_frames|replay_ms)"' crates/machine/src; then
+  echo "ci: a second copy of recovery state is back"; exit 1
+fi
 
 echo "== the examples run (README's quick tour) =="
 for example in examples/*.rs; do
