@@ -115,10 +115,11 @@ pub(crate) fn measured_peak(events: &[Vec<Event>]) -> MeasuredPeak {
 /// Mailbox-ring accounting of one traced run: total `MailboxRing` bytes
 /// charged across all processors, and whether every processor charged
 /// exactly `expected_per_proc` — `capacity × size_of::<Frame>()`, i.e.
-/// `hpf_machine::ring_bytes(machine.chan_capacity())`. The ring is a
-/// constant pre-reserve, so unlike the workload peak (ratio-gated against
-/// a closed-form bound) it is asserted byte-exactly. Single-spawn runs
-/// only: a crash-recovery respawn charges its ring again.
+/// `hpf_machine::ring_bytes(hpf_machine::default_capacity(p))` on `p`
+/// processors. The ring is a constant pre-reserve, so unlike the workload
+/// peak (ratio-gated against a closed-form bound) it is asserted
+/// byte-exactly. Single-spawn runs only: a crash-recovery respawn charges
+/// its ring again.
 pub(crate) fn ring_accounting(events: &[Vec<Event>], expected_per_proc: u64) -> (u64, bool) {
     let mut per_proc = vec![0i64; events.len()];
     for evs in events {
@@ -383,7 +384,8 @@ impl PeakMemory {
     /// Gate a traced run's measured peak against per-processor predictions,
     /// and the constant mailbox-ring pre-reserve against its byte-exact
     /// expectation (`ring_bytes_per_proc`, from
-    /// `hpf_machine::ring_bytes(machine.chan_capacity())`).
+    /// `hpf_machine::ring_bytes(hpf_machine::default_capacity(p))` on `p`
+    /// processors).
     pub fn evaluate(
         scheme: &str,
         predicted: &[u64],

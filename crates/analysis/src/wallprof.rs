@@ -134,7 +134,7 @@ impl HotspotReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_machine::WallProfiler;
+    use hpf_machine::{WallProfile, WallSpan};
 
     #[test]
     fn median_is_robust() {
@@ -147,19 +147,24 @@ mod tests {
 
     #[test]
     fn hotspots_rank_by_self_time_and_partition_the_total() {
-        let mut w = WallProfiler::new();
-        w.begin("execute");
-        w.begin("gather");
-        w.add_bytes(4096);
-        // Ten times the sibling's sleep: a busy host oversleeps by
-        // milliseconds, and the ranking must not depend on it.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        w.end();
-        w.begin("decode");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        w.end();
-        w.end();
-        let profile = w.finish();
+        // execute [0, 12 ms) holds gather [0, 10 ms) and decode [10, 11 ms).
+        let span = |name, parent, start_ns, dur_ns, bytes| WallSpan {
+            name,
+            parent,
+            depth: parent.map_or(0, |_| 1),
+            start_ns,
+            dur_ns,
+            bytes,
+        };
+        let profile = WallProfile {
+            spans: vec![
+                span("execute", None, 0, 12_000_000, 0),
+                span("gather", Some(0), 0, 10_000_000, 4096),
+                span("decode", Some(0), 10_000_000, 1_000_000, 0),
+            ],
+            ..WallProfile::default()
+        };
+        assert_eq!(profile.well_formed(), Ok(()));
         let r = HotspotReport::from_profiles(std::slice::from_ref(&profile));
         assert_eq!(r.hotspots.len(), 3);
         let self_sum: u64 = r.hotspots.iter().map(|h| h.self_ns).sum();

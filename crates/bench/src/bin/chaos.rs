@@ -11,42 +11,27 @@
 //! * drop/duplicate/reorder faults leave the *simulated* clocks bit-identical
 //!   to the clean run (the reliable transport hides them completely),
 //! * injected delays change simulated time deterministically (two faulted
-//!   runs agree with each other), and
-//! * a scheduled processor crash surfaces as a typed
+//!   runs agree with each other),
+//! * a scheduled crash is absorbed by
+//!   [`hpf_machine::Machine::run_recoverable`], with results bit-identical to
+//!   the clean run, clocks bit-identical between two recovered runs and every
+//!   replay log empty at the end, and
+//! * on every third iteration, a scheduled crash under
+//!   [`hpf_machine::Machine::try_run`] surfaces as a typed
 //!   [`hpf_machine::MachineError`] naming the crashed processor, never as a
-//!   hang — or, under `--recover`, is absorbed by
-//!   [`hpf_machine::Machine::run_recoverable`] with results bit-identical to
-//!   the clean run and clocks bit-identical between recovered runs.
+//!   hang.
 //!
-//! The sweep cycles through all three PACK schemes (SSS / CSS / CMS) under
-//! each of the three many-to-many schedules — every nine iterations cover
-//! the product, one-shot or (`--reuse-plans`) through plans — both UNPACK
-//! schemes, and, on the one-shot path, both redistribution variants
-//! (Red.1 / Red.2), and reports the transport's retry/latency overhead at
-//! the end.
+//! What else an iteration runs is a pure function of its number, [`mode`]:
+//! the PACK scheme × many-to-many schedule, one-shot or through plans
+//! executed three times, Red.1 / Red.2, the UNPACK scheme, a worker pool of
+//! one or two, and a lossy or lossless fault plan. The first 36 iterations
+//! cover every value of each. The transport's retry/latency overhead is
+//! reported at the end.
 //!
 //! Usage:
 //! ```sh
-//! cargo run -p hpf-bench --release --bin chaos -- [--seed N] [--iters N] \
-//!     [--reuse-plans] [--recover] [--workers N] [--trace-out FILE]
-//! # defaults: seed 1, 20 iterations
-//! # --workers pins the cooperative scheduler's pool size for every machine
-//! # in the sweep (default: one worker per core); results and simulated
-//! # clocks are pool-size-invariant, so running the same seed under
-//! # --workers 1 and --workers N is itself a determinism drill
-//! # --recover replaces the fail-fast crash drill with a recovery drill on
-//! # every iteration: a crash is scheduled (send-side on even iterations,
-//! # receive-side on odd), the run goes through run_recoverable, and the
-//! # recovered results must match the clean run bit-exactly while two
-//! # recovered runs must also agree on their simulated clocks; every third
-//! # iteration (iter % 3 == 2) draws a plan that neither drops nor
-//! # reorders, whose links carry no acknowledgement
-//! # --reuse-plans routes every PACK/UNPACK through the explicit
-//! # plan-then-execute path, executing each plan three times through the
-//! # pooled zero-copy buffers (the redistribution variants, which have no
-//! # plan, are left to the one-shot sweep); every execute must produce
-//! # bit-identical results even when the fault schedule forces
-//! # retransmission of Arc-shared pooled payloads
+//! cargo run -p hpf-bench --release --bin chaos -- [--seed N] [--iters N] [--trace-out FILE]
+//! # defaults: seed 1, 36 iterations
 //! # --trace-out additionally runs one traced fault-injected PACK and writes
 //! # it as Chrome trace_event JSON (open in Perfetto / chrome://tracing);
 //! # the trace carries send/recv, retransmit, dup-drop, and fault-verdict
@@ -73,16 +58,51 @@ const SCHEDULES: [A2aSchedule; 3] = [
     A2aSchedule::PairwiseExchange,
 ];
 
+/// What one iteration runs, beside its random draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Mode {
+    pscheme: PackScheme,
+    schedule: A2aSchedule,
+    uscheme: UnpackScheme,
+    /// PACK and UNPACK go through plans, each executed three times.
+    planned: bool,
+    /// A preliminary redistribution before a one-shot PACK.
+    redist: Option<RedistScheme>,
+    /// Worker-pool size of every machine in the iteration.
+    workers: usize,
+    /// The fault plan neither drops nor reorders, so its links carry no
+    /// acknowledgement.
+    lossless: bool,
+    /// Also run the fail-fast crash drill.
+    fail_fast: bool,
+}
+
+/// The mode of iteration `iter`. Nine iterations cover PACK scheme ×
+/// schedule; of each four blocks of nine, the first runs them one-shot, the
+/// second and fourth through plans, and the third one-shot after Red.1 or
+/// Red.2.
+fn mode(iter: usize) -> Mode {
+    let block = iter / 9;
+    Mode {
+        pscheme: PackScheme::ALL[iter % 3],
+        schedule: SCHEDULES[iter / 3 % 3],
+        uscheme: UnpackScheme::ALL[iter % 2],
+        planned: block % 2 == 1,
+        redist: (block % 4 == 2).then_some(if iter.is_multiple_of(2) {
+            RedistScheme::SelectedData
+        } else {
+            RedistScheme::WholeArrays
+        }),
+        workers: 1 + iter / 2 % 2,
+        lossless: iter % 3 == 2,
+        fail_fast: iter.is_multiple_of(3),
+    }
+}
+
 fn main() {
-    let mut args = Args::from_env(
-        "usage: chaos [--seed N] [--iters N] [--reuse-plans] [--recover] [--workers N] \
-         [--trace-out FILE]",
-    );
+    let mut args = Args::from_env("usage: chaos [--seed N] [--iters N] [--trace-out FILE]");
     let seed: u64 = args.value("--seed").unwrap_or(1);
-    let iters: usize = args.value("--iters").unwrap_or(20);
-    let reuse_plans = args.flag("--reuse-plans");
-    let recover = args.flag("--recover");
-    let workers: Option<usize> = args.value("--workers");
+    let iters: usize = args.value("--iters").unwrap_or(36);
     let trace_out: Option<String> = args.value("--trace-out");
     args.positionals(0);
 
@@ -92,15 +112,7 @@ fn main() {
         // On any panic the iteration context is printed first, so a failure
         // is reproducible with `--seed`.
         println!("iter {iter} (seed {seed}):");
-        run_iteration(
-            &mut rng,
-            seed,
-            iter,
-            reuse_plans,
-            recover,
-            workers,
-            &mut stats,
-        );
+        run_iteration(&mut rng, seed, iter, &mut stats);
     }
     if let Some(path) = &trace_out {
         write_trace(seed, path);
@@ -132,15 +144,15 @@ struct Stats {
     latency_overhead_sum: f64,
 }
 
-fn run_iteration(
-    rng: &mut Rng,
-    seed: u64,
-    iter: usize,
-    reuse_plans: bool,
-    recover: bool,
-    workers: Option<usize>,
-    stats: &mut Stats,
-) {
+fn run_iteration(rng: &mut Rng, seed: u64, iter: usize, stats: &mut Stats) {
+    let mode @ Mode {
+        pscheme,
+        schedule,
+        uscheme,
+        planned,
+        redist,
+        ..
+    } = mode(iter);
     let (grid, desc) = random_array(rng, 3);
     let (shape, grid_dims) = (desc.shape(), grid.dims());
     let n: usize = shape.iter().product();
@@ -150,21 +162,6 @@ fn run_iteration(
     let a = GlobalArray::from_vec(&shape, values);
     let m = GlobalArray::from_vec(&shape, mask_bits);
 
-    // Sweep the schemes: each iteration exercises one PACK scheme under one
-    // schedule, one UNPACK scheme, and (on redistribution iterations) one
-    // Red variant.
-    let pscheme = PackScheme::ALL[iter % PackScheme::ALL.len()];
-    let schedule = SCHEDULES[iter / PackScheme::ALL.len() % SCHEDULES.len()];
-    let uscheme = UnpackScheme::ALL[iter % UnpackScheme::ALL.len()];
-    // Under --reuse-plans every PACK goes through a plan, so nine
-    // iterations take the whole scheme × schedule product through plans too;
-    // the redistribution variants have no plan path and run one-shot only.
-    let redist = match iter % 4 {
-        _ if reuse_plans => None,
-        1 => Some(RedistScheme::SelectedData),
-        3 => Some(RedistScheme::WholeArrays),
-        _ => None,
-    };
     let result_block_size = (rng.below(2) == 0).then(|| 1 + rng.below(7));
     let opts = PackOptions {
         schedule,
@@ -176,13 +173,10 @@ fn run_iteration(
         ..UnpackOptions::new(uscheme)
     };
 
-    // A non-crash fault plan: every probability ≤ 20 %. Every third
-    // recovery drill forces drop and reorder to zero (the draws are still
-    // taken): a lossless plan, whose links the transport does not
-    // acknowledge.
+    // A non-crash fault plan: every probability ≤ 20 %. A lossless mode
+    // forces drop and reorder to zero (the draws are still taken).
     let has_delay = rng.below(2) == 0;
-    let lossless = recover && iter % 3 == 2;
-    let lossy = |p: f64| if lossless { 0.0 } else { p };
+    let lossy = |p: f64| if mode.lossless { 0.0 } else { p };
     let plan = FaultPlan::new(rng.next_u64())
         .with_drop(lossy(rng.prob(0.2)))
         .with_duplicate(rng.prob(0.2))
@@ -190,15 +184,11 @@ fn run_iteration(
         .with_delay(if has_delay { rng.prob(0.2) } else { 0.0 }, 200_000.0);
     let ctx = format!(
         "seed {seed} iter {iter}: shape {shape:?}, grid {grid_dims:?}, density {density}%, \
-         {pscheme:?}/{uscheme:?} via {schedule:?}, W' {result_block_size:?}, redist {redist:?}, \
-         plan {plan:?}"
+         W' {result_block_size:?}, {mode:?}, plan {plan:?}"
     );
     println!("  {ctx}");
 
-    let mut clean = Machine::new(grid.clone(), CostModel::cm5());
-    if let Some(w) = workers {
-        clean = clean.with_workers(w);
-    }
+    let clean = Machine::new(grid.clone(), CostModel::cm5()).with_workers(mode.workers);
     let faulty = clean.clone().with_faults(plan.clone());
 
     // ---- PACK: clean, faulted, faulted again (determinism), oracle ------
@@ -206,7 +196,7 @@ fn run_iteration(
     let (ap, mp) = (a.partition(&desc), m.partition(&desc));
     let (d, apr, mpr, o) = (&desc, &ap, &mp, &opts);
     let pack_prog = move |proc: &mut hpf_machine::Proc<'_>| match redist {
-        None if reuse_plans => {
+        None if planned => {
             let plan = plan_pack(proc, d, &mpr[proc.id()], o).unwrap();
             let mut out = hpf_core::PackOutput {
                 local_v: Vec::new(),
@@ -239,7 +229,7 @@ fn run_iteration(
     let (vpr, vl, uo) = (&v_locals, &v_layout, &uopts);
     let unpack_prog = move |proc: &mut hpf_machine::Proc<'_>| {
         let (m, f, v) = (&mpr[proc.id()], &apr[proc.id()], &vpr[proc.id()]);
-        if reuse_plans {
+        if planned {
             let plan = plan_unpack(proc, d, m, vl, uo).unwrap();
             let mut out = Vec::new();
             plan.execute_into(proc, f, v, &mut out).unwrap();
@@ -261,69 +251,64 @@ fn run_iteration(
     );
     stats.roundtrips += 1;
 
-    // ---- crash drill ----------------------------------------------------
-    if recover {
-        // Recovery drill, every iteration: a scheduled crash (send-side on
-        // even iterations, receive-side on odd) goes through the
-        // recoverable runner. Recovered results must match the clean run
-        // bit-exactly; two recovered runs must also agree on their
-        // simulated clocks (clocks are not compared against the
-        // non-recoverable run because recovery routes sync frames through
-        // the sequenced transport, shifting the per-sequence delay draws).
-        let victim = rng.below(grid.nprocs());
-        let step = 1 + rng.below(3) as u64;
-        let crash_plan = if iter.is_multiple_of(2) {
-            plan.with_crash(victim, step)
-        } else {
-            plan.with_crash_at_recv(victim, step)
-        };
-        // Metrics ride along so the drill can check the replay-log memory
-        // floor below; they are bookkeeping only and must not perturb the
-        // simulated clocks or results.
-        let crashing = clean.clone().with_faults(crash_plan).with_metrics(true);
-        let ra = crashing
-            .run_recoverable(pack_prog)
-            .unwrap_or_else(|e| panic!("recovery drill failed: {e}\n{ctx}"));
-        let rb = crashing
-            .run_recoverable(pack_prog)
-            .unwrap_or_else(|e| panic!("recovery drill failed: {e}\n{ctx}"));
+    // ---- recovery drill -------------------------------------------------
+    // A scheduled crash (send-side on even iterations, receive-side on odd)
+    // goes through the recoverable runner. Recovered results must match the
+    // clean run bit-exactly; two recovered runs must also agree on their
+    // simulated clocks (clocks are not compared against the non-recoverable
+    // run because recovery routes sync frames through the sequenced
+    // transport, shifting the per-sequence delay draws).
+    let victim = rng.below(grid.nprocs());
+    let step = 1 + rng.below(3) as u64;
+    let crash_plan = if iter.is_multiple_of(2) {
+        plan.clone().with_crash(victim, step)
+    } else {
+        plan.clone().with_crash_at_recv(victim, step)
+    };
+    // Metrics ride along so the drill can check the replay-log memory floor
+    // below; they are bookkeeping only and must not perturb the simulated
+    // clocks or results.
+    let crashing = clean.clone().with_faults(crash_plan).with_metrics(true);
+    let recover = || {
+        (crashing.run_recoverable(pack_prog))
+            .unwrap_or_else(|e| panic!("recovery drill failed: {e}\n{ctx}"))
+    };
+    let (ra, rb) = (recover(), recover());
+    assert_eq!(
+        ra.results, pack_base.results,
+        "recovered PACK diverged from the clean run\n{ctx}"
+    );
+    assert_eq!(ra.results, rb.results, "recovered runs disagree\n{ctx}");
+    for (ca, cb) in ra.clocks.iter().zip(&rb.clocks) {
         assert_eq!(
-            ra.results, pack_base.results,
-            "recovered PACK diverged from the clean run\n{ctx}"
+            ca.now_ns, cb.now_ns,
+            "recovered runs' simulated clocks diverged\n{ctx}"
         );
-        assert_eq!(ra.results, rb.results, "recovered runs disagree\n{ctx}");
-        for (ca, cb) in ra.clocks.iter().zip(&rb.clocks) {
-            assert_eq!(
-                ca.now_ns, cb.now_ns,
-                "recovered runs' simulated clocks diverged\n{ctx}"
-            );
-        }
-        // Post-recovery memory floor: every epoch boundary truncates the
-        // replay log down to the frames its fresh checkpoint does not yet
-        // cover, so once the run completes — crash or no crash — each
-        // processor's `mem.replay_log.cur` gauge must sit at zero. A
-        // nonzero residue means a replay re-charged frames it never
-        // released (double-counting) or a boundary skipped truncation.
-        for (pid, snap) in ra.metrics.iter().enumerate() {
-            let g = &snap.gauges["mem.replay_log.cur"];
-            assert_eq!(
-                g.last, 0,
-                "proc {pid}: replay log retains {} bytes past its \
-                 truncation floor after recovery\n{ctx}",
-                g.last
-            );
-        }
-        let rec = ra.recovery.as_ref().expect("recoverable run reports stats");
-        if rec.replays > 0 {
-            stats.recoveries += 1;
-            stats.replayed_frames += rec.replayed_frames;
-        }
-        return;
+    }
+    // Post-recovery memory floor: every epoch boundary truncates the replay
+    // log down to the frames its fresh checkpoint does not yet cover, so
+    // once the run completes — crash or no crash — each processor's
+    // `mem.replay_log.cur` gauge must sit at zero. A nonzero residue means a
+    // replay re-charged frames it never released (double-counting) or a
+    // boundary skipped truncation.
+    for (pid, snap) in ra.metrics.iter().enumerate() {
+        let g = &snap.gauges["mem.replay_log.cur"];
+        assert_eq!(
+            g.last, 0,
+            "proc {pid}: replay log retains {} bytes past its \
+             truncation floor after recovery\n{ctx}",
+            g.last
+        );
+    }
+    let rec = ra.recovery.as_ref().expect("recoverable run reports stats");
+    if rec.replays > 0 {
+        stats.recoveries += 1;
+        stats.replayed_frames += rec.replayed_frames;
     }
 
-    // Fail-fast drill: a scheduled crash must surface as a typed error,
-    // never as a hang.
-    if iter.is_multiple_of(3) {
+    // ---- fail-fast drill: a scheduled crash must surface as a typed
+    // error, never as a hang.
+    if mode.fail_fast {
         let victim = rng.below(grid.nprocs());
         let step = 1 + rng.below(3) as u64;
         let crashing = clean.clone().with_faults(plan.with_crash(victim, step));
@@ -463,4 +448,35 @@ fn run_clean_and_faulted<R: Send + PartialEq + std::fmt::Debug>(
         stats.latency_overhead_sum += (fa.max_time_ms() - base_ms) / base_ms;
     }
     base
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The first 36 iterations reach every mode the drill has: PACK scheme
+    /// × schedule one-shot and through plans, both Red variants one-shot,
+    /// both UNPACK schemes, both pool sizes under recovery, and lossy and
+    /// lossless plans, with the fail-fast drill on every third.
+    #[test]
+    fn thirty_six_iterations_cover_every_mode() {
+        let modes: Vec<Mode> = (0..36).map(mode).collect();
+        let pack_paths: BTreeSet<_> = (modes.iter().filter(|m| m.redist.is_none()))
+            .map(|m| (m.pscheme as usize, m.schedule as usize, m.planned))
+            .collect();
+        assert_eq!(pack_paths.len(), 3 * 3 * 2);
+        let reds: BTreeSet<_> = (modes.iter().filter(|m| !m.planned))
+            .filter_map(|m| m.redist.map(|r| r as usize))
+            .collect();
+        assert_eq!(reds.len(), 2);
+        assert!(modes.iter().all(|m| !(m.planned && m.redist.is_some())));
+        let unpacks: BTreeSet<_> = modes.iter().map(|m| m.uscheme as usize).collect();
+        assert_eq!(unpacks.len(), 2);
+        let pools: BTreeSet<_> = modes.iter().map(|m| m.workers).collect();
+        assert_eq!(pools, BTreeSet::from([1, 2]));
+        let plans: BTreeSet<_> = modes.iter().map(|m| m.lossless).collect();
+        assert_eq!(plans, BTreeSet::from([false, true]));
+        assert_eq!(modes.iter().filter(|m| m.fail_fast).count(), 12);
+    }
 }

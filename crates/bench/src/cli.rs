@@ -69,13 +69,13 @@ mod tests {
 
     #[test]
     fn flags_and_values_are_consumed_wherever_they_stand() {
-        let rest = ["fig3", "--iters", "5", "--recover", "fig4"];
+        let rest = ["fig3", "--iters", "5", "--all", "fig4"];
         let mut args = Args {
             usage: "usage",
             rest: rest.map(String::from).to_vec(),
         };
-        assert!(args.flag("--recover"));
-        assert!(!args.flag("--recover"), "consumed");
+        assert!(args.flag("--all"));
+        assert!(!args.flag("--all"), "consumed");
         assert_eq!(args.value::<usize>("--iters"), Some(5));
         assert_eq!(args.value::<u64>("--seed"), None);
         assert_eq!(args.positionals(2), ["fig3", "fig4"]);

@@ -18,7 +18,7 @@
 //! (the paper adds the redistribution time to the compact message scheme's
 //! block-distribution time; we default `opts.scheme` accordingly).
 
-use hpf_distarray::{redistribute, ArrayDesc, Dist, RedistMode};
+use hpf_distarray::{redistribute, ArrayDesc, Dist};
 use hpf_machine::collectives::alltoallv;
 use hpf_machine::{Category, Proc, Wire};
 
@@ -73,22 +73,8 @@ pub fn pack_redistributed<T: Wire + Default>(
             pack(proc, &block_desc, &a_tmp, &m_tmp, opts)
         }
         RedistScheme::WholeArrays => {
-            let a_tmp = redistribute(
-                proc,
-                desc,
-                &block_desc,
-                a_local,
-                RedistMode::Detected,
-                opts.schedule,
-            );
-            let m_tmp = redistribute(
-                proc,
-                desc,
-                &block_desc,
-                m_local,
-                RedistMode::Detected,
-                opts.schedule,
-            );
+            let a_tmp = redistribute(proc, desc, &block_desc, a_local, opts.schedule);
+            let m_tmp = redistribute(proc, desc, &block_desc, m_local, opts.schedule);
             pack(proc, &block_desc, &a_tmp, &m_tmp, opts)
         }
     }

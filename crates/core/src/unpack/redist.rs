@@ -23,7 +23,7 @@ pub fn unpack_redistributed<T: Wire + Default>(
     v_layout: &DimLayout,
     opts: &UnpackOptions,
 ) -> Result<Vec<T>, UnpackError> {
-    use hpf_distarray::{redistribute, Dist, RedistMode};
+    use hpf_distarray::{redistribute, Dist};
 
     // Validate against the original layout first (collective).
     super::validate(proc, desc, m_local, f_local, v_local, v_layout)?;
@@ -34,36 +34,15 @@ pub fn unpack_redistributed<T: Wire + Default>(
         .expect("block layout of a divisible descriptor");
 
     // Forward moves: M and F to the block layout.
-    let m_tmp = redistribute(
-        proc,
-        desc,
-        &block_desc,
-        m_local,
-        RedistMode::Detected,
-        opts.schedule,
-    );
-    let f_tmp = redistribute(
-        proc,
-        desc,
-        &block_desc,
-        f_local,
-        RedistMode::Detected,
-        opts.schedule,
-    );
+    let m_tmp = redistribute(proc, desc, &block_desc, m_local, opts.schedule);
+    let f_tmp = redistribute(proc, desc, &block_desc, f_local, opts.schedule);
 
     // UNPACK on the block layout (minimal ranking overhead).
     let a_tmp = super::unpack(proc, &block_desc, &m_tmp, &f_tmp, v_local, v_layout, opts)?;
 
     // Backward move: the result array must return in its original
     // distribution (UNPACK is a READ; the caller keeps computing on `desc`).
-    Ok(redistribute(
-        proc,
-        &block_desc,
-        desc,
-        &a_tmp,
-        RedistMode::Detected,
-        opts.schedule,
-    ))
+    Ok(redistribute(proc, &block_desc, desc, &a_tmp, opts.schedule))
 }
 
 #[cfg(test)]

@@ -44,5 +44,5 @@ pub use dist::Dist;
 pub use global::{global_index_of_linear, local_from_fn, local_global_indices, GlobalArray};
 pub use layout::{DimLayout, LayoutError};
 pub use local::LocalArray;
-pub use redistribute::{redistribute, RedistMode};
+pub use redistribute::redistribute;
 pub use track::TrackArray;

@@ -4,32 +4,17 @@
 //! Changing a distributed array's layout (e.g. cyclic → block before a PACK,
 //! to minimise the tile count the ranking algorithm pays for) requires
 //! *communication detection* — computing which local elements go where — and
-//! a many-to-many personalized exchange. Two wire formats are provided:
-//!
-//! * [`RedistMode::Indexed`] — each element travels as an
-//!   `(global index, value)` pair (2 words). Only the sender runs detection;
-//!   the receiver places elements by decoding the carried index. This is the
-//!   format the paper's *redistribution of selected data* scheme uses.
-//! * [`RedistMode::Detected`] — elements travel value-only (1 word) in a
-//!   canonical order (ascending global linear index). Both sender and
-//!   receiver run a detection phase — "two phases of communication
-//!   detection" exactly as the paper notes for *redistribution of whole
-//!   arrays* — trading detection time for halved message volume.
+//! a many-to-many personalized exchange. Elements travel value-only (1 word)
+//! in a canonical order (ascending global linear index), so both sender and
+//! receiver run a detection phase: the "two phases of communication
+//! detection" the paper notes for *redistribution of whole arrays*. The
+//! `(index, value)` pair format of *redistribution of selected data* lives
+//! with its one caller, `hpf_core`'s Red.1.
 
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{Category, Proc, Wire};
 
 use crate::descriptor::ArrayDesc;
-use crate::index::assert_u32_indexable;
-
-/// Wire format / detection strategy for [`redistribute`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RedistMode {
-    /// `(global index, value)` pairs; sender-side detection only.
-    Indexed,
-    /// Value-only messages in canonical order; detection on both sides.
-    Detected,
-}
 
 /// Move a distributed array from layout `src` to layout `dst`.
 ///
@@ -42,15 +27,13 @@ pub enum RedistMode {
 /// exchange to [`Category::RedistComm`].
 ///
 /// # Panics
-/// Panics on shape or processor-count mismatch, if `local`'s length is
-/// not `src.local_len(proc.id())`, or in [`RedistMode::Indexed`] on an
-/// array of more than 2³² elements.
+/// Panics on shape or processor-count mismatch, or if `local`'s length is
+/// not `src.local_len(proc.id())`.
 pub fn redistribute<T: Wire + Default>(
     proc: &mut Proc,
     src: &ArrayDesc,
     dst: &ArrayDesc,
     local: &[T],
-    mode: RedistMode,
     schedule: A2aSchedule,
 ) -> Vec<T> {
     assert_eq!(
@@ -63,83 +46,10 @@ pub fn redistribute<T: Wire + Default>(
         dst.grid().nprocs(),
         "source and target must use the same processor count"
     );
-    if mode == RedistMode::Indexed {
-        // Its pairs carry the global linear index as one `u32` word: every
-        // `glin as u32` below casts an index this check has put in range.
-        let dims = (0..src.ndims()).map(|i| src.dim(i).n());
-        assert_u32_indexable(dims.fold(1, usize::saturating_mul), "RedistMode::Indexed");
-    }
     let me = proc.id();
     assert_eq!(local.len(), src.local_len(me), "local data length mismatch");
 
-    match mode {
-        RedistMode::Indexed => indexed(proc, src, dst, local, schedule),
-        RedistMode::Detected => detected(proc, src, dst, local, schedule),
-    }
-}
-
-fn indexed<T: Wire + Default>(
-    proc: &mut Proc,
-    src: &ArrayDesc,
-    dst: &ArrayDesc,
-    local: &[T],
-    schedule: A2aSchedule,
-) -> Vec<T> {
-    let me = proc.id();
     let nprocs = src.grid().nprocs();
-
-    // Sender-side detection + message composition: one pass over the local
-    // data, computing each element's target and bucketing an
-    // (index, value) pair.
-    let sends = proc.with_stage("redist.detect", |proc| {
-        proc.with_category(Category::RedistDetect, |proc| {
-            let mut sends: Vec<Vec<(u32, T)>> = (0..nprocs).map(|_| Vec::new()).collect();
-            src.for_each_local_global(me, |l, g| {
-                let glin = src.global_linear(g);
-                let (target, _) = dst.owner_of(g);
-                sends[target].push((glin as u32, local[l]));
-            });
-            proc.charge_ops(2 * local.len()); // destination computation + pair store
-            sends
-        })
-    });
-
-    let recvs = proc.with_stage("redist.comm", |proc| {
-        proc.with_category(Category::RedistComm, |proc| {
-            let world = proc.world();
-            alltoallv(proc, &world, sends, schedule)
-        })
-    });
-
-    // Placement by decoding carried indices.
-    proc.with_stage("redist.detect", |proc| {
-        proc.with_category(Category::RedistDetect, |proc| {
-            let mut out = vec![T::default(); dst.local_len(me)];
-            let mut placed = 0usize;
-            for msg in recvs {
-                for (glin, v) in msg {
-                    let (owner, llin) = dst.owner_of_linear(glin as usize);
-                    debug_assert_eq!(owner, me, "misrouted element");
-                    out[llin] = v;
-                    placed += 1;
-                }
-            }
-            proc.charge_ops(2 * placed); // index decode + store
-            out
-        })
-    })
-}
-
-fn detected<T: Wire + Default>(
-    proc: &mut Proc,
-    src: &ArrayDesc,
-    dst: &ArrayDesc,
-    local: &[T],
-    schedule: A2aSchedule,
-) -> Vec<T> {
-    let me = proc.id();
-    let nprocs = src.grid().nprocs();
-
     // Phase 1 detection (send side): enumerate my elements in ascending
     // global linear order and bucket the bare values.
     let sends = proc.with_stage("redist.detect", |proc| {
@@ -201,7 +111,6 @@ mod tests {
         grid_dims: &[usize],
         src_dists: &[Dist],
         dst_dists: &[Dist],
-        mode: RedistMode,
     ) {
         let grid = ProcGrid::new(grid_dims);
         let src = ArrayDesc::new_general(shape, &grid, src_dists).unwrap();
@@ -223,49 +132,28 @@ mod tests {
                 src_ref,
                 dst_ref,
                 &local,
-                mode,
                 A2aSchedule::LinearPermutation,
             )
         });
         let back = GlobalArray::assemble(&dst, &out.results);
-        assert_eq!(back, a, "{mode:?} {shape:?} {src_dists:?} -> {dst_dists:?}");
+        assert_eq!(back, a, "{shape:?} {src_dists:?} -> {dst_dists:?}");
         // Detection work must have been charged.
         assert!(out.max_cat_ms(Category::RedistDetect) > 0.0);
     }
 
     #[test]
-    fn cyclic_to_block_1d_indexed() {
-        roundtrip_case(
-            &[32],
-            &[4],
-            &[Dist::Cyclic],
-            &[Dist::Block],
-            RedistMode::Indexed,
-        );
+    fn cyclic_to_block_1d() {
+        roundtrip_case(&[32], &[4], &[Dist::Cyclic], &[Dist::Block]);
     }
 
     #[test]
-    fn cyclic_to_block_1d_detected() {
+    fn block_cyclic_to_block_cyclic_2d() {
         roundtrip_case(
-            &[32],
-            &[4],
-            &[Dist::Cyclic],
-            &[Dist::Block],
-            RedistMode::Detected,
+            &[8, 12],
+            &[2, 3],
+            &[Dist::BlockCyclic(2), Dist::Cyclic],
+            &[Dist::Block, Dist::BlockCyclic(2)],
         );
-    }
-
-    #[test]
-    fn block_cyclic_to_block_cyclic_2d_both_modes() {
-        for mode in [RedistMode::Indexed, RedistMode::Detected] {
-            roundtrip_case(
-                &[8, 12],
-                &[2, 3],
-                &[Dist::BlockCyclic(2), Dist::Cyclic],
-                &[Dist::Block, Dist::BlockCyclic(2)],
-                mode,
-            );
-        }
     }
 
     #[test]
@@ -275,26 +163,39 @@ mod tests {
             &[4],
             &[Dist::BlockCyclic(2)],
             &[Dist::BlockCyclic(2)],
-            RedistMode::Detected,
         );
     }
 
     #[test]
     fn non_divisible_extents_work() {
-        roundtrip_case(
-            &[19],
-            &[4],
-            &[Dist::Cyclic],
-            &[Dist::Block],
-            RedistMode::Indexed,
-        );
-        roundtrip_case(
-            &[19],
-            &[4],
-            &[Dist::Cyclic],
-            &[Dist::Block],
-            RedistMode::Detected,
-        );
+        roundtrip_case(&[19], &[4], &[Dist::Cyclic], &[Dist::Block]);
+    }
+
+    /// Value-only messages: every element crosses the network as one word.
+    #[test]
+    fn each_moved_element_is_one_word() {
+        let shape = [64];
+        let grid = ProcGrid::line(4);
+        let src = ArrayDesc::new(&shape, &grid, &[Dist::Cyclic]).unwrap();
+        let dst = ArrayDesc::new(&shape, &grid, &[Dist::Block]).unwrap();
+        let a = GlobalArray::from_fn(&shape, |idx| idx[0] as i32);
+        let locals = a.partition(&src);
+        let (locals_ref, src_ref, dst_ref) = (&locals, &src, &dst);
+        let words = Machine::new(grid.clone(), CostModel::cm5())
+            .run(move |proc| {
+                let local = locals_ref[proc.id()].clone();
+                redistribute(
+                    proc,
+                    src_ref,
+                    dst_ref,
+                    &local,
+                    A2aSchedule::LinearPermutation,
+                );
+            })
+            .total_words_sent();
+        // Cyclic -> block on four processors keeps a quarter of the elements
+        // at home; the other three quarters travel.
+        assert_eq!(words, 48);
     }
 
     #[test]
@@ -316,54 +217,9 @@ mod tests {
                 src_ref,
                 dst_ref,
                 &local,
-                RedistMode::Indexed,
                 A2aSchedule::LinearPermutation,
             )
         });
         assert_eq!(GlobalArray::assemble(&dst, &out.results), a);
-    }
-
-    /// Descriptor only: the count is checked before anything is sized by it.
-    #[test]
-    #[should_panic(expected = "RedistMode::Indexed: 8589934592 indices, more than the 4294967296")]
-    fn indexed_mode_refuses_what_a_u32_index_cannot_reach() {
-        let grid = ProcGrid::line(2);
-        let src = ArrayDesc::new(&[1 << 33], &grid, &[Dist::Block]).unwrap();
-        let dst = ArrayDesc::new(&[1 << 33], &grid, &[Dist::Cyclic]).unwrap();
-        Machine::new(grid.clone(), CostModel::cm5()).run(|proc| {
-            let none: [i32; 0] = [];
-            let (mode, schedule) = (RedistMode::Indexed, A2aSchedule::LinearPermutation);
-            redistribute(proc, &src, &dst, &none, mode, schedule)
-        });
-    }
-
-    #[test]
-    fn detected_mode_sends_half_the_words_of_indexed() {
-        let shape = [64];
-        let grid = ProcGrid::line(4);
-        let src = ArrayDesc::new(&shape, &grid, &[Dist::Cyclic]).unwrap();
-        let dst = ArrayDesc::new(&shape, &grid, &[Dist::Block]).unwrap();
-        let a = GlobalArray::from_fn(&shape, |idx| idx[0] as i32);
-        let locals = a.partition(&src);
-        let words = |mode: RedistMode| {
-            let machine = Machine::new(grid.clone(), CostModel::cm5());
-            let (locals_ref, src_ref, dst_ref) = (&locals, &src, &dst);
-            machine
-                .run(move |proc| {
-                    let local = locals_ref[proc.id()].clone();
-                    redistribute(
-                        proc,
-                        src_ref,
-                        dst_ref,
-                        &local,
-                        mode,
-                        A2aSchedule::LinearPermutation,
-                    );
-                })
-                .total_words_sent()
-        };
-        let w_idx = words(RedistMode::Indexed);
-        let w_det = words(RedistMode::Detected);
-        assert_eq!(w_idx, 2 * w_det, "indexed pairs are twice the volume");
     }
 }

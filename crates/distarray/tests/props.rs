@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 
-use hpf_distarray::{
-    redistribute, ArrayDesc, DimLayout, Dist, GlobalArray, LocalArray, RedistMode,
-};
+use hpf_distarray::{redistribute, ArrayDesc, DimLayout, Dist, GlobalArray, LocalArray};
 use hpf_machine::collectives::A2aSchedule;
 use hpf_machine::{CostModel, Machine, ProcGrid};
 
@@ -79,7 +77,6 @@ proptest! {
         p in 1usize..5,
         src_dist in any_dist(),
         dst_dist in any_dist(),
-        indexed in any::<bool>(),
     ) {
         let grid = ProcGrid::line(p);
         let src = ArrayDesc::new_general(&[n], &grid, &[src_dist]).unwrap();
@@ -88,9 +85,8 @@ proptest! {
         let parts = a.partition(&src);
         let machine = Machine::new(grid, CostModel::cm5());
         let (s, d, pp) = (&src, &dst, &parts);
-        let mode = if indexed { RedistMode::Indexed } else { RedistMode::Detected };
         let out = machine.run(move |proc| {
-            redistribute(proc, s, d, &pp[proc.id()], mode, A2aSchedule::LinearPermutation)
+            redistribute(proc, s, d, &pp[proc.id()], A2aSchedule::LinearPermutation)
         });
         prop_assert_eq!(GlobalArray::assemble(&dst, &out.results), a);
     }

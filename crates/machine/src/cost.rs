@@ -249,7 +249,7 @@ impl SimClock {
 
     /// The cost model this clock charges against.
     #[inline]
-    pub fn model(&self) -> &CostModel {
+    pub(crate) fn model(&self) -> &CostModel {
         &self.model
     }
 
@@ -275,12 +275,6 @@ impl SimClock {
             }
         }
         std::mem::replace(&mut self.category, cat)
-    }
-
-    /// The ambient category.
-    #[inline]
-    pub fn category(&self) -> Category {
-        self.category
     }
 
     /// Charge `n` elementary local operations (`δ·n`) to the ambient category.

@@ -3,7 +3,7 @@
 //! The paper's two-level model assumes a perfect network and immortal
 //! processors; this module is what the simulator reports when those
 //! assumptions are deliberately broken (fault injection, see
-//! [`crate::fault`]) or when an SPMD program misbehaves. Every failure mode
+//! [`crate::FaultPlan`]) or when an SPMD program misbehaves. Every failure mode
 //! that used to hang or panic deep inside a processor thread is converted
 //! into a [`MachineError`] naming the processor (and, where it exists, the
 //! peer/tag) at fault, and [`crate::Machine::try_run`] returns it as a
@@ -14,8 +14,8 @@ use std::fmt;
 /// A structured machine-level failure, as returned by
 /// [`crate::Machine::try_run`].
 ///
-/// The variant always names the processor where the failure originated;
-/// [`MachineError::proc`] extracts it uniformly.
+/// Every variant names, in its `proc` field, the processor where the
+/// failure originated.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MachineError {
     /// The SPMD program closure panicked on one processor.
@@ -95,19 +95,6 @@ pub enum MachineError {
 }
 
 impl MachineError {
-    /// The processor on which this error was raised.
-    pub fn proc(&self) -> usize {
-        match *self {
-            MachineError::ProcPanicked { proc, .. }
-            | MachineError::ProcCrashed { proc, .. }
-            | MachineError::Deadlock { proc, .. }
-            | MachineError::PoolStall { proc, .. }
-            | MachineError::Unreachable { proc, .. }
-            | MachineError::LeftoverMessages { proc, .. }
-            | MachineError::Poisoned { proc, .. } => proc,
-        }
-    }
-
     /// Follow [`MachineError::Poisoned`] links to the originating failure.
     pub fn root_cause(&self) -> &MachineError {
         match self {
@@ -176,7 +163,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn proc_and_root_cause_unwrap_poison_chains() {
+    fn root_cause_unwraps_poison_chains() {
         let origin = MachineError::Deadlock {
             proc: 3,
             src: 1,
@@ -187,9 +174,8 @@ mod tests {
             proc: 0,
             cause: Box::new(origin.clone()),
         };
-        assert_eq!(poisoned.proc(), 0);
         assert_eq!(poisoned.root_cause(), &origin);
-        assert_eq!(origin.proc(), 3);
+        assert_eq!(origin.root_cause(), &origin);
     }
 
     #[test]

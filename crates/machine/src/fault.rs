@@ -83,9 +83,11 @@ impl Verdict {
 ///
 /// # Example
 /// ```
-/// use hpf_machine::fault::FaultPlan;
+/// use hpf_machine::{CostModel, FaultPlan, Machine, ProcGrid};
 /// let plan = FaultPlan::new(42).with_drop(0.2).with_duplicate(0.1).with_reorder(0.15);
-/// assert_eq!(plan.seed(), 42);
+/// let machine = Machine::new(ProcGrid::line(2), CostModel::cm5()).with_faults(plan);
+/// let out = machine.run(|proc| proc.id());
+/// assert_eq!(out.results, vec![0, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -110,11 +112,6 @@ impl FaultPlan {
             crash: None,
             crash_at_recv: None,
         }
-    }
-
-    /// The plan's seed, for reproduction lines in harness output.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Drop each transmission attempt with probability `p`, on every link.
@@ -167,7 +164,7 @@ impl FaultPlan {
     }
 
     /// The configured crash, if any, as `(proc, send_step)`.
-    pub fn crash(&self) -> Option<(usize, u64)> {
+    pub(crate) fn crash(&self) -> Option<(usize, u64)> {
         self.crash
     }
 
@@ -177,7 +174,7 @@ impl FaultPlan {
     }
 
     /// Faults configured for the link `src → dst`.
-    pub fn link(&self, src: usize, dst: usize) -> LinkFaults {
+    pub(crate) fn link(&self, src: usize, dst: usize) -> LinkFaults {
         self.overrides
             .iter()
             .find(|((s, d), _)| (*s, *d) == (src, dst))

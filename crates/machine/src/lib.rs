@@ -44,7 +44,7 @@ mod chan;
 pub mod collectives;
 mod cost;
 mod error;
-pub mod fault;
+mod fault;
 mod machine;
 mod message;
 mod obs;
@@ -62,8 +62,8 @@ pub use cost::{Category, ClockReport, CostModel, SimClock, Words};
 pub use error::MachineError;
 pub use fault::{FaultPlan, LinkFaults};
 pub use machine::Machine;
-pub use message::{Mailbox, Packet, Payload, Wire};
-pub use obs::{Event, EventKind, MemAccount, WallProfile, WallProfiler, WallSpan};
+pub use message::{Packet, Payload, Wire};
+pub use obs::{Event, EventKind, MemAccount, WallProfile, WallSpan};
 pub use pool::{fresh_pool_key, PoolSlot, Reusable};
 pub use proc::{tags, Group, Proc};
 pub use recovery::RecoveryStats;

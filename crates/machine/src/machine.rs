@@ -112,7 +112,7 @@ impl Machine {
     }
 
     /// The effective worker-pool size this machine will run with.
-    pub fn workers(&self) -> usize {
+    fn workers(&self) -> usize {
         self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -129,7 +129,7 @@ impl Machine {
     }
 
     /// The effective per-processor frame-ring capacity.
-    pub fn chan_capacity(&self) -> usize {
+    fn chan_capacity(&self) -> usize {
         self.chan_capacity
             .unwrap_or_else(|| default_capacity(self.nprocs()))
     }
@@ -176,16 +176,10 @@ impl Machine {
         self
     }
 
-    /// Convenience: a one-dimensional machine of `p` processors with the
-    /// CM-5-flavoured default cost model.
-    pub fn line(p: usize) -> Self {
-        Self::new(ProcGrid::line(p), CostModel::cm5())
-    }
-
     /// Attach a fault-injection plan in place of the empty one. Unless it is
     /// benign, all charged point-to-point traffic then travels sequenced
     /// over the reliable transport, which recovers from every non-crash
-    /// fault in the plan (see [`crate::fault`]); a scheduled crash surfaces
+    /// fault in the plan (see [`FaultPlan`]); a scheduled crash surfaces
     /// as [`MachineError::ProcCrashed`] from [`Machine::try_run`].
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Arc::new(plan);
@@ -195,11 +189,6 @@ impl Machine {
     /// The logical processor grid.
     pub fn grid(&self) -> &ProcGrid {
         &self.grid
-    }
-
-    /// The cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Total processor count.
@@ -768,9 +757,8 @@ mod tests {
                 let _: Vec<i32> = p.recv(0, tags::USER);
             })
             .expect_err("panic must fail the run");
-        assert_eq!(err.root_cause().proc(), 0);
         match err.root_cause() {
-            MachineError::ProcPanicked { msg, .. } => assert!(msg.contains("boom"), "{msg}"),
+            MachineError::ProcPanicked { proc: 0, msg } => assert!(msg.contains("boom"), "{msg}"),
             other => panic!("expected ProcPanicked, got {other}"),
         }
     }

@@ -251,38 +251,28 @@ impl Hasher for LaneHasher {
 /// set of pairs never re-allocates. Cloning (epoch checkpointing) copies
 /// the index but shares every payload by refcount.
 #[derive(Default, Clone)]
-pub struct Mailbox {
+pub(crate) struct Mailbox {
     lanes: HashMap<(usize, u64), VecDeque<Packet>, BuildHasherDefault<LaneHasher>>,
     held: usize,
 }
 
 impl Mailbox {
-    /// An empty mailbox.
-    pub fn new() -> Self {
-        Mailbox::default()
-    }
-
     /// Take the earliest held packet matching `(src, tag)`, if any.
-    pub fn take(&mut self, src: usize, tag: u64) -> Option<Packet> {
+    pub(crate) fn take(&mut self, src: usize, tag: u64) -> Option<Packet> {
         let p = self.lanes.get_mut(&(src, tag))?.pop_front()?;
         self.held -= 1;
         Some(p)
     }
 
     /// Stash a non-matching packet for a later receive.
-    pub fn hold(&mut self, p: Packet) {
+    pub(crate) fn hold(&mut self, p: Packet) {
         self.held += 1;
         self.lanes.entry((p.src, p.tag)).or_default().push_back(p);
     }
 
     /// Number of held packets (used by the driver to detect leftover traffic).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.held
-    }
-
-    /// True iff no packets are held.
-    pub fn is_empty(&self) -> bool {
-        self.held == 0
     }
 }
 
@@ -324,7 +314,7 @@ mod tests {
 
     #[test]
     fn mailbox_matches_src_and_tag_fifo() {
-        let mut m = Mailbox::new();
+        let mut m = Mailbox::default();
         m.hold(pkt(1, 7, 0.0));
         m.hold(pkt(2, 7, 0.0));
         m.hold(pkt(1, 7, 1.0));
@@ -335,7 +325,7 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert!(m.take(2, 7).is_some());
         assert!(m.take(1, 7).is_some());
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
     }
 
     /// Regression test for the O(n) linear-scan `take`: with ~10k
@@ -344,7 +334,7 @@ mod tests {
     /// and per-lane FIFO order must be preserved.
     #[test]
     fn deep_mailbox_preserves_per_lane_fifo_order() {
-        let mut m = Mailbox::new();
+        let mut m = Mailbox::default();
         // 10_000 mismatched packets spread over many (src, tag) lanes.
         for i in 0..10_000usize {
             m.hold(pkt(100 + (i % 97), 1000 + (i % 53) as u64, i as f64));
@@ -381,14 +371,14 @@ mod tests {
     #[test]
     fn single_use_lanes_retain_bounded_memory() {
         const LANES: usize = 512;
-        let mut m = Mailbox::new();
+        let mut m = Mailbox::default();
         for src in 0..LANES {
             m.hold(pkt(src, 9, 0.0));
         }
         for src in 0..LANES {
             assert!(m.take(src, 9).is_some());
         }
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         let index = m.lanes.capacity() * std::mem::size_of::<((usize, u64), VecDeque<Packet>)>();
         let slots: usize = m.lanes.values().map(VecDeque::capacity).sum();
         let retained = index + slots * std::mem::size_of::<Packet>();
@@ -415,7 +405,7 @@ mod tests {
             ops in proptest::collection::vec(
                 (0usize..4, 0u64..3, proptest::arbitrary::any::<bool>()), 0..60),
         ) {
-            let mut m = Mailbox::new();
+            let mut m = Mailbox::default();
             let mut n = 0u32;
             for (i, &(src, tag, take)) in ops.iter().enumerate() {
                 if take {
@@ -445,7 +435,7 @@ mod tests {
                     }
                 }
             }
-            proptest::prop_assert!(m.is_empty() == snap.is_empty());
+            proptest::prop_assert_eq!(m.len(), snap.len());
         }
     }
 }

@@ -36,7 +36,7 @@ pub struct ObsConfig {
     pub events: bool,
     /// Keep per-processor metrics.
     pub metrics: bool,
-    /// Record wall-clock spans with a per-processor [`WallProfiler`]; see
+    /// Record wall-clock spans with a per-processor wall profiler; see
     /// [`crate::Machine::with_wall_profiling`].
     pub wall: bool,
 }
@@ -766,7 +766,7 @@ pub fn chrome_trace_json(
 // Wall-clock profiling
 // ---------------------------------------------------------------------------
 
-/// One closed wall-clock span recorded by a [`WallProfiler`].
+/// One closed wall-clock span recorded by a processor's wall profiler.
 ///
 /// Timestamps are monotonic-clock nanoseconds relative to the profiler's
 /// origin (its construction instant), on the recording processor's own OS
@@ -788,7 +788,7 @@ pub struct WallSpan {
     /// Wall duration, nanoseconds.
     pub dur_ns: u64,
     /// Payload bytes moved inside this span (attributed with
-    /// [`WallProfiler::add_bytes`]; excludes bytes attributed to child
+    /// [`crate::Proc::wall_bytes`]; excludes bytes attributed to child
     /// spans).
     pub bytes: u64,
 }
@@ -815,7 +815,7 @@ impl WallSpan {
 /// span vector is pre-reserved so recording inside a measured hot loop
 /// does not allocate until the reservation is exhausted.
 #[derive(Debug)]
-pub struct WallProfiler {
+pub(crate) struct WallProfiler {
     origin: std::time::Instant,
     spans: Vec<WallSpan>,
     /// Indices into `spans` of the currently open spans, innermost last.
@@ -825,19 +825,13 @@ pub struct WallProfiler {
     unmatched_ends: u32,
 }
 
-impl Default for WallProfiler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl WallProfiler {
     /// Pre-reserved span capacity: enough for the bench hot loops (tens of
     /// spans per execute) without reallocation mid-measurement.
     const RESERVE: usize = 4096;
 
     /// A fresh profiler; its origin is *now*.
-    pub fn new() -> WallProfiler {
+    pub(crate) fn new() -> WallProfiler {
         WallProfiler {
             origin: std::time::Instant::now(),
             spans: Vec::with_capacity(Self::RESERVE),
@@ -853,7 +847,7 @@ impl WallProfiler {
 
     /// Open a nested span named `name`.
     #[inline]
-    pub fn begin(&mut self, name: &'static str) {
+    pub(crate) fn begin(&mut self, name: &'static str) {
         let idx = self.spans.len() as u32;
         let parent = self.open.last().copied();
         let depth = self.open.len() as u32;
@@ -871,7 +865,7 @@ impl WallProfiler {
 
     /// Close the innermost open span.
     #[inline]
-    pub fn end(&mut self) {
+    pub(crate) fn end(&mut self) {
         let now = self.now_ns();
         match self.open.pop() {
             Some(idx) => {
@@ -885,7 +879,7 @@ impl WallProfiler {
     /// Attribute `bytes` of payload movement to the innermost open span
     /// (dropped on the floor when no span is open).
     #[inline]
-    pub fn add_bytes(&mut self, bytes: u64) {
+    pub(crate) fn add_bytes(&mut self, bytes: u64) {
         if let Some(&idx) = self.open.last() {
             self.spans[idx as usize].bytes += bytes;
         }
@@ -894,7 +888,7 @@ impl WallProfiler {
     /// Finish profiling: force-close any spans still open (counting them,
     /// so [`WallProfile::well_formed`] can flag the leak) and freeze the
     /// span list.
-    pub fn finish(mut self) -> WallProfile {
+    pub(crate) fn finish(mut self) -> WallProfile {
         let forced = self.open.len() as u32;
         while !self.open.is_empty() {
             self.end();

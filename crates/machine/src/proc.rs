@@ -190,7 +190,7 @@ impl<'m> Proc<'m> {
             clock,
             rx,
             sched,
-            mailbox: Mailbox::new(),
+            mailbox: Mailbox::default(),
             transport: Transport::new(id, plan, senders),
             words_to: vec![0; nprocs],
             events: obs.events.then(Vec::new),
@@ -250,11 +250,6 @@ impl<'m> Proc<'m> {
     #[inline]
     pub fn grid(&self) -> &ProcGrid {
         self.grid
-    }
-
-    /// This processor's grid coordinates (innermost dimension first).
-    pub fn coords(&self) -> Vec<usize> {
-        self.grid.coords(self.id)
     }
 
     /// This processor's coordinate along grid dimension `dim`.

@@ -205,18 +205,6 @@ impl Breakdown {
     pub fn total_ms(&self) -> f64 {
         self.total_ms
     }
-
-    /// A compact single-line rendering, e.g. for experiment logs.
-    pub fn summary(&self) -> String {
-        let mut parts = Vec::new();
-        for cat in Category::ALL {
-            let v = self.cat_ms(cat);
-            if v > 0.0 {
-                parts.push(format!("{}={:.3}ms", cat.label(), v));
-            }
-        }
-        format!("total={:.3}ms [{}]", self.total_ms, parts.join(" "))
-    }
 }
 
 /// A gauge's value: the last level set and the highest ever set.
@@ -308,13 +296,5 @@ mod tests {
         assert_eq!(out.heaviest_flow(), Some((1, 0, 9)));
         out.comm_matrix = vec![vec![0; 3]; 3];
         assert_eq!(out.heaviest_flow(), None);
-    }
-
-    #[test]
-    fn breakdown_summary_mentions_nonzero_categories_only() {
-        let out = RunOutput::new(vec![()], vec![report_with(Category::ManyToMany, 1e6, 1e6)]);
-        let s = out.breakdown().summary();
-        assert!(s.contains("m2m=1.000ms"), "{s}");
-        assert!(!s.contains("local"), "{s}");
     }
 }

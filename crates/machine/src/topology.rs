@@ -76,16 +76,6 @@ impl ProcGrid {
         &self.dims
     }
 
-    /// Coordinates of processor `id`, innermost dimension first.
-    pub fn coords(&self, id: usize) -> Vec<usize> {
-        debug_assert!(id < self.nprocs);
-        self.dims
-            .iter()
-            .zip(&self.strides)
-            .map(|(&p, &s)| (id / s) % p)
-            .collect()
-    }
-
     /// Coordinate of processor `id` along dimension `i` only.
     #[inline]
     pub fn coord(&self, id: usize, i: usize) -> usize {
@@ -130,12 +120,16 @@ impl fmt::Display for ProcGrid {
 mod tests {
     use super::*;
 
+    fn coords(g: &ProcGrid, id: usize) -> Vec<usize> {
+        (0..g.ndims()).map(|i| g.coord(id, i)).collect()
+    }
+
     #[test]
     fn line_grid_roundtrip() {
         let g = ProcGrid::line(7);
         assert_eq!(g.nprocs(), 7);
         for id in 0..7 {
-            assert_eq!(g.coords(id), vec![id]);
+            assert_eq!(coords(&g, id), vec![id]);
             assert_eq!(g.id(&[id]), id);
         }
     }
@@ -146,7 +140,7 @@ mod tests {
         let g = ProcGrid::new(&[4, 3]);
         assert_eq!(g.nprocs(), 12);
         assert_eq!(g.id(&[2, 1]), 6);
-        assert_eq!(g.coords(6), vec![2, 1]);
+        assert_eq!(coords(&g, 6), vec![2, 1]);
         assert_eq!(g.coord(6, 0), 2);
         assert_eq!(g.coord(6, 1), 1);
     }
@@ -155,7 +149,7 @@ mod tests {
     fn coords_id_roundtrip_3d() {
         let g = ProcGrid::new(&[2, 3, 4]);
         for id in 0..g.nprocs() {
-            assert_eq!(g.id(&g.coords(id)), id);
+            assert_eq!(g.id(&coords(&g, id)), id);
         }
     }
 

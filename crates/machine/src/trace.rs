@@ -30,7 +30,7 @@ impl Span {
 }
 
 /// Single-letter legend used by the Gantt renderer.
-pub fn category_glyph(cat: Category) -> char {
+pub(crate) fn category_glyph(cat: Category) -> char {
     match cat {
         Category::LocalComp => 'L',
         Category::PrefixReductionSum => 'P',
@@ -46,7 +46,7 @@ pub fn category_glyph(cat: Category) -> char {
 /// Each row is one processor; each column covers `total/cols` nanoseconds
 /// and shows the glyph of the category that dominates it (idle time — spans
 /// never recorded — shows as `.`).
-pub fn render_gantt(traces: &[Vec<Span>], cols: usize) -> String {
+pub(crate) fn render_gantt(traces: &[Vec<Span>], cols: usize) -> String {
     assert!(cols > 0, "need at least one column");
     let t_max = traces
         .iter()

@@ -6,9 +6,7 @@ use proptest::prelude::*;
 
 use hpf_packunpack::core::seq::{count_seq, pack_seq, ranks_seq, unpack_seq};
 use hpf_packunpack::core::{pack, unpack, PackOptions, PackScheme, UnpackOptions, UnpackScheme};
-use hpf_packunpack::distarray::{
-    redistribute, ArrayDesc, DimLayout, Dist, GlobalArray, RedistMode,
-};
+use hpf_packunpack::distarray::{redistribute, ArrayDesc, DimLayout, Dist, GlobalArray};
 use hpf_packunpack::machine::collectives::{
     alltoallv, prefix_reduction_sum, A2aSchedule, PrsAlgorithm,
 };
@@ -151,13 +149,11 @@ proptest! {
         }
     }
 
-    /// Redistribution preserves content for arbitrary layout pairs, in both
-    /// wire formats.
+    /// Redistribution preserves content for arbitrary layout pairs.
     #[test]
     fn redistribute_preserves_content(
         cfg in config_strategy(),
         dst_ws in prop::collection::vec(1usize..=4, 3),
-        indexed in any::<bool>(),
     ) {
         let shape = cfg.shape();
         let grid = ProcGrid::new(&cfg.grid_dims());
@@ -169,9 +165,8 @@ proptest! {
         let parts = a.partition(&src);
         let machine = Machine::new(grid, CostModel::cm5());
         let (s, t, pp) = (&src, &dst, &parts);
-        let mode = if indexed { RedistMode::Indexed } else { RedistMode::Detected };
         let out = machine.run(move |proc| {
-            redistribute(proc, s, t, &pp[proc.id()], mode, A2aSchedule::LinearPermutation)
+            redistribute(proc, s, t, &pp[proc.id()], A2aSchedule::LinearPermutation)
         });
         prop_assert_eq!(GlobalArray::assemble(&dst, &out.results), a);
     }

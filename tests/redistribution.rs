@@ -3,7 +3,7 @@
 
 use hpf_packunpack::core::seq::pack_seq;
 use hpf_packunpack::core::{pack, pack_redistributed, MaskPattern, PackOptions, RedistScheme};
-use hpf_packunpack::distarray::{redistribute, ArrayDesc, Dist, GlobalArray, RedistMode};
+use hpf_packunpack::distarray::{redistribute, ArrayDesc, Dist, GlobalArray};
 use hpf_packunpack::machine::collectives::A2aSchedule;
 use hpf_packunpack::machine::{Category, CostModel, Machine, ProcGrid};
 
@@ -23,31 +23,10 @@ fn redistribution_composes() {
     let out = machine.run(move |proc| {
         let local = pp[proc.id()].clone();
         let two_hop = {
-            let x = redistribute(
-                proc,
-                c,
-                m,
-                &local,
-                RedistMode::Detected,
-                A2aSchedule::LinearPermutation,
-            );
-            redistribute(
-                proc,
-                m,
-                b,
-                &x,
-                RedistMode::Detected,
-                A2aSchedule::LinearPermutation,
-            )
+            let x = redistribute(proc, c, m, &local, A2aSchedule::LinearPermutation);
+            redistribute(proc, m, b, &x, A2aSchedule::LinearPermutation)
         };
-        let one_hop = redistribute(
-            proc,
-            c,
-            b,
-            &local,
-            RedistMode::Indexed,
-            A2aSchedule::LinearPermutation,
-        );
+        let one_hop = redistribute(proc, c, b, &local, A2aSchedule::LinearPermutation);
         (two_hop, one_hop)
     });
     for (p, (two, one)) in out.results.iter().enumerate() {
