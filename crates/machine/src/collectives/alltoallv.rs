@@ -412,7 +412,7 @@ pub fn alltoallv_pooled<B: Reusable>(
                 schedule,
                 |proc, dst| {
                     let slot = proc.pool_current::<B>(key, dst);
-                    proc.send_pooled(dst, tags::ALLTOALL, &slot);
+                    proc.send_pooled(dst, tags::ALLTOALL, slot);
                 },
                 // Wall attribution: each received packet's charged wire
                 // words, so the profile reports the exchange's effective

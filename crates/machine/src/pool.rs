@@ -11,7 +11,7 @@
 //! `zero_alloc` suite).
 //!
 //! Ownership protocol (see DESIGN.md §11): every slot is a tiny state
-//! machine —
+//! machine held in one atomic state word —
 //!
 //! ```text
 //!   Free ──checkout (sender)──▶ Empty ──stash (sender)──▶ Staged
@@ -19,12 +19,26 @@
 //!     └───────── put_back (receiver, after decode) ◀─────────┘
 //! ```
 //!
+//! Every step first wins a compare-exchange from the state it requires into
+//! a transient `Busy`, moves the buffer in or out of the slot's cell, and
+//! publishes the next state with a release store. So a step that finds the
+//! slot in any other state panics — in release builds too — instead of
+//! racing, and the buffer is only ever touched by the one party holding
+//! `Busy`. A panic while a slot is `Busy` leaves it `Busy`: every later step
+//! then panics, or (a checkout) waits for a slot that never comes back
+//! (`PoolStall`), so the slot is unusable but never unsound.
+//!
 //! The sender may only check out a `Free` slot; a slot stays `Staged` until
 //! the receiver has decoded it, so a sender re-executing faster than its
 //! receiver consumes blocks (wall-clock only — simulated time is untouched)
 //! instead of clobbering in-flight data. Each `(key, dst, type)` entry holds
 //! two slots used alternately, so a sender can compose iteration `n+1`
-//! while the receiver still holds iteration `n`.
+//! while the receiver still holds iteration `n`. A sender that finds its
+//! slot taken registers a waker and raises the slot's owner-parked flag; a
+//! `put_back` reads the flag after publishing `Free` (both sides SeqCst),
+//! so either the owner's next probe sees the slot free or the `put_back`
+//! sees the flag and wakes it, and a `put_back` nobody waits for takes no
+//! lock.
 //!
 //! A recoverable run logs every frame until the receiver's next epoch
 //! boundary, and a logged payload must never alias a buffer its sender can
@@ -36,12 +50,18 @@
 //! logging transport can crash, its live slots are free whenever a send
 //! returns, so a respawned processor's empty pool behaves exactly as the
 //! crashed one's would have.
+//!
+//! This is one of the three files of the crate that may say `unsafe`
+//! (DESIGN.md §15): the slot's buffer cell. Every `unsafe` block carries a
+//! `// SAFETY:` comment directly above it, which `scripts/ci.sh` checks.
 
 use std::any::{Any, TypeId};
+use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::cost::Words;
 use crate::message::Payload;
 use crate::sched::Scheduler;
 
@@ -59,71 +79,129 @@ impl<T: crate::message::Wire> Reusable for Vec<T> {
     }
 }
 
-/// Where a slot's buffer currently lives.
-enum SlotState<B> {
-    /// Parked in the pool, ready for checkout.
-    Free(B),
-    /// Filled by the sender, awaiting (or in) transit; the receiver will
-    /// take it.
-    Staged(B),
-    /// Checked out: the sender is filling it, or the receiver is decoding
-    /// a taken buffer.
-    Empty,
-}
+/// Parked in the pool, ready for checkout; the cell holds the buffer.
+const FREE: u8 = 0;
+/// Checked out: the sender is filling the buffer, or the receiver is
+/// decoding a taken one; the cell is empty.
+const EMPTY: u8 = 1;
+/// Filled by the sender, awaiting (or in) transit; the cell holds the
+/// buffer and the receiver will take it.
+const STAGED: u8 = 2;
+/// One party is moving the buffer in or out of the cell.
+const BUSY: u8 = 3;
 
 /// One shareable buffer slot. The `Arc<PoolSlot<B>>` itself is the packet
 /// payload: the receiver downcasts it and returns the buffer straight into
 /// the sender's slot.
 pub struct PoolSlot<B> {
-    state: Mutex<SlotState<B>>,
+    /// `FREE`, `EMPTY`, `STAGED` or `BUSY`: who may touch `buf`.
+    state: AtomicU8,
+    /// The buffer, present while `FREE` or `STAGED`. Only the party that
+    /// moved the state word into `BUSY` accesses it.
+    buf: UnsafeCell<Option<B>>,
+    /// Wire words of the staged buffer, recorded by `stash`.
+    words: AtomicUsize,
     /// High-water of charged bytes ever staged in this slot. Memory
     /// accounting charges a slot's *growth* once (the buffer is reused, so
     /// its footprint is its largest staging, never the sum).
     charged: AtomicU64,
-    /// The slot owner's scheduler handle, registered only while the owner
-    /// is parked in back-pressure ([`crate::proc::Proc::pool_checkout`]):
-    /// the receiver's `put_back` — which runs on a different carrier —
-    /// unparks the owner instead of leaving it to spin or poll.
+    /// Raised while the owner is parked in back-pressure
+    /// ([`crate::proc::Proc::pool_checkout`]), after `waker` is set: a
+    /// `put_back` that finds it lowered takes no lock.
+    owner_parked: AtomicBool,
+    /// The slot owner's scheduler handle while it is parked: the receiver's
+    /// `put_back` — which runs on a different carrier — unparks the owner
+    /// instead of leaving it to spin or poll.
     waker: Mutex<Option<(Arc<Scheduler>, usize)>>,
     /// A detached copy made by [`PoolSlot::freeze`]: never checked out
     /// again, re-staged by every `put_back`.
     frozen: bool,
 }
 
+// SAFETY: `buf`, the one field that is not `Sync` by itself, is accessed
+// only by the one thread that moved `state` into `BUSY` (acquiring the
+// previous holder's release store), so sharing a slot moves a `B` between
+// threads and never shares one: `B: Send` suffices. The other fields are
+// atomics, a `Mutex` over `Send + Sync` values, and a `bool` never written
+// after construction.
+unsafe impl<B: Send> Sync for PoolSlot<B> {}
+
+/// Proof that this thread moved a slot's state word into `BUSY`: the only
+/// way to reach the buffer. Dropped without [`Held::release`] — a panic
+/// mid-step — it leaves the slot `BUSY` for good.
+struct Held<'a, B> {
+    slot: &'a PoolSlot<B>,
+}
+
+impl<B> Held<'_, B> {
+    fn buf(&mut self) -> &mut Option<B> {
+        // SAFETY: a `Held` exists only after its thread won the
+        // compare-exchange into `BUSY`, which every other access must also
+        // win first, so no other reference to `buf` exists until `release`
+        // consumes this guard and with it the borrow returned here.
+        unsafe { &mut *self.slot.buf.get() }
+    }
+
+    /// Publish `next`, handing the buffer to whoever acquires it from there.
+    fn release(self, next: u8, order: Ordering) {
+        self.slot.state.store(next, order);
+    }
+}
+
 impl<B: Reusable> PoolSlot<B> {
-    fn new() -> PoolSlot<B> {
+    fn with(state: u8, buf: B, words: Words, frozen: bool) -> PoolSlot<B> {
         PoolSlot {
-            state: Mutex::new(SlotState::Free(B::default())),
+            state: AtomicU8::new(state),
+            buf: UnsafeCell::new(Some(buf)),
+            words: AtomicUsize::new(words),
             charged: AtomicU64::new(0),
+            owner_parked: AtomicBool::new(false),
             waker: Mutex::new(None),
-            frozen: false,
+            frozen,
+        }
+    }
+
+    fn new() -> PoolSlot<B> {
+        PoolSlot::with(FREE, B::default(), 0, false)
+    }
+
+    /// Move the state word from `from` into `BUSY`, or report what it held.
+    fn acquire(&self, from: u8) -> Result<Held<'_, B>, u8> {
+        self.state
+            .compare_exchange(from, BUSY, Ordering::SeqCst, Ordering::SeqCst)
+            .map(|_| Held { slot: self })
+    }
+
+    /// As [`PoolSlot::acquire`], panicking with `what` if the slot is not
+    /// in state `from`.
+    fn acquire_or_panic(&self, from: u8, what: &str) -> Held<'_, B> {
+        match self.acquire(from) {
+            Ok(held) => held,
+            Err(found) => panic!("{what} (pool slot state {found})"),
         }
     }
 
     /// Copy the staged buffer into a frozen slot for the wire and the
     /// replay log, and return this slot's own buffer to `Free` as the
     /// receiver otherwise would (sender side, recoverable runs only) — in
-    /// one step under the slot's lock. The caller is the slot's owner, so
+    /// one step of the state word. The caller is the slot's owner, so
     /// there is no parked owner to wake.
     pub(crate) fn freeze(&self) -> PoolSlot<B> {
-        let mut st = self.state.lock().unwrap();
-        let SlotState::Staged(mut buf) = std::mem::replace(&mut *st, SlotState::Empty) else {
-            panic!("froze a pool slot that is not staged");
-        };
+        let mut held = self.acquire_or_panic(STAGED, "froze a pool slot that is not staged");
+        let buf = held.buf().as_mut().expect("a staged slot holds a buffer");
         let copy = buf.clone();
         buf.reset();
-        *st = SlotState::Free(buf);
-        drop(st);
-        PoolSlot {
-            state: Mutex::new(SlotState::Staged(copy)),
-            frozen: true,
-            ..PoolSlot::new()
-        }
+        held.release(FREE, Ordering::Release);
+        PoolSlot::with(STAGED, copy, self.words.load(Ordering::Relaxed), true)
     }
 
-    /// Register (or clear) the owner's park waker for this slot.
+    /// Register (or clear) the owner's park waker for this slot, then raise
+    /// (or lower) the owner-parked flag: a `put_back` that sees the flag
+    /// raised finds the waker set.
     pub(crate) fn set_waker(&self, waker: Option<(Arc<Scheduler>, usize)>) {
-        *self.waker.lock().unwrap() = waker;
+        let parked = waker.is_some();
+        *self.waker.lock().expect("no step panics holding the waker") = waker;
+        self.owner_parked.store(parked, Ordering::SeqCst);
     }
 
     /// Raise the slot's charged high-water to `bytes`, returning the growth
@@ -137,91 +215,108 @@ impl<B: Reusable> PoolSlot<B> {
     /// Take the buffer if the slot is `Free`; `None` while the previous
     /// send through this slot is still unconsumed.
     pub fn try_checkout(&self) -> Option<B> {
-        let mut st = self.state.lock().unwrap();
-        match std::mem::replace(&mut *st, SlotState::Empty) {
-            SlotState::Free(b) => Some(b),
-            other => {
-                *st = other;
-                None
-            }
-        }
+        let mut held = self.acquire(FREE).ok()?;
+        let buf = held.buf().take();
+        held.release(EMPTY, Ordering::Release);
+        Some(buf.expect("a free slot holds a buffer"))
     }
 
     /// Park a filled buffer for the receiver (sender side, after filling).
+    ///
+    /// # Panics
+    /// If the slot is not checked out.
     pub fn stash(&self, buf: B) {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(matches!(*st, SlotState::Empty), "stash into non-empty slot");
-        *st = SlotState::Staged(buf);
+        let words = buf.wire_words();
+        let mut held =
+            self.acquire_or_panic(EMPTY, "stash into a pool slot that is not checked out");
+        *held.buf() = Some(buf);
+        self.words.store(words, Ordering::Relaxed);
+        held.release(STAGED, Ordering::Release);
     }
 
-    /// Take the staged buffer for decoding (receiver side). Panics if the
-    /// slot is not staged — FIFO delivery guarantees the sender stashed
-    /// before the packet became visible.
+    /// Take the staged buffer for decoding (receiver side).
+    ///
+    /// # Panics
+    /// If the slot is not staged — FIFO delivery guarantees the sender
+    /// stashed before the packet became visible.
     pub fn take_staged(&self) -> B {
-        let mut st = self.state.lock().unwrap();
-        match std::mem::replace(&mut *st, SlotState::Empty) {
-            SlotState::Staged(b) => b,
-            _ => panic!("pool slot taken before it was staged"),
-        }
+        let mut held = self.acquire_or_panic(STAGED, "pool slot taken before it was staged");
+        let buf = held.buf().take();
+        held.release(EMPTY, Ordering::Release);
+        buf.expect("a staged slot holds a buffer")
     }
 
     /// Words the staged buffer will occupy on the wire (sender side,
     /// between `stash` and the actual send).
-    pub(crate) fn staged_words(&self) -> crate::cost::Words {
-        let st = self.state.lock().unwrap();
-        match &*st {
-            SlotState::Staged(b) => b.wire_words(),
-            _ => panic!("staged_words on a slot that is not staged"),
-        }
+    pub(crate) fn staged_words(&self) -> Words {
+        assert_eq!(
+            self.state.load(Ordering::Acquire),
+            STAGED,
+            "staged_words on a pool slot that is not staged"
+        );
+        self.words.load(Ordering::Relaxed)
     }
 
     /// Return a decoded buffer to the pool (receiver side), unparking the
     /// owner if it is waiting on this slot's back-pressure. A frozen slot
     /// keeps its contents and goes back to `Staged`: the replay log may
     /// deliver it to the receiver's next incarnation.
+    ///
+    /// # Panics
+    /// If the slot is not empty (it is free, staged, or another party is
+    /// moving its buffer).
     pub fn put_back(&self, mut buf: B) {
         let next = if self.frozen {
-            SlotState::Staged(buf)
+            STAGED
         } else {
             buf.reset();
-            SlotState::Free(buf)
+            FREE
         };
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(
-            matches!(*st, SlotState::Empty),
-            "put_back into occupied slot"
-        );
-        *st = next;
-        drop(st);
-        let waker = self.waker.lock().unwrap().clone();
-        if let Some((sched, owner)) = waker {
-            sched.unpark(owner);
+        let mut held = self.acquire_or_panic(EMPTY, "put_back into an occupied pool slot");
+        *held.buf() = Some(buf);
+        // SeqCst against the owner's flag-then-probe in `pool_checkout`:
+        // either that probe sees this store, or this load sees the flag.
+        held.release(next, Ordering::SeqCst);
+        if self.owner_parked.load(Ordering::SeqCst) {
+            let waker = self.waker.lock().expect("no step panics holding the waker");
+            if let Some((sched, owner)) = &*waker {
+                sched.unpark(*owner);
+            }
         }
     }
 }
 
-/// What the pool needs of a slot whose buffer type it has forgotten.
-trait ErasedSlot: Any + Send + Sync {
-    /// The slot's charged high-water, bytes.
-    fn charged(&self) -> u64;
-}
-
-impl<B: Reusable> ErasedSlot for PoolSlot<B> {
-    fn charged(&self) -> u64 {
-        self.charged.load(Ordering::Relaxed)
-    }
-}
-
-/// Two slots per `(key, dst, type)`, used alternately.
+/// Two slots per `(key, dst, type)`, used alternately, with the function
+/// that reads their charged high-water once their type is forgotten.
 struct Entry {
-    slots: [Arc<dyn ErasedSlot>; 2],
+    slots: [Arc<dyn Any + Send + Sync>; 2],
     flip: usize,
+    charged: fn(&[Arc<dyn Any + Send + Sync>; 2]) -> u64,
 }
 
 impl Entry {
+    fn new<B: Reusable>() -> Entry {
+        Entry {
+            slots: [
+                Arc::new(PoolSlot::<B>::new()),
+                Arc::new(PoolSlot::<B>::new()),
+            ],
+            flip: 0,
+            charged: |slots| {
+                let charged = |s: &Arc<dyn Any + Send + Sync>| {
+                    let slot: &PoolSlot<B> = s.downcast_ref().expect("pool entry type mismatch");
+                    slot.charged.load(Ordering::Relaxed)
+                };
+                slots.iter().map(charged).sum()
+            },
+        }
+    }
+
+    /// Slot `i`, its `Arc` cloned once.
     fn slot<B: Reusable>(&self, i: usize) -> Arc<PoolSlot<B>> {
-        let slot: Arc<dyn Any + Send + Sync> = Arc::clone(&self.slots[i]) as _;
-        slot.downcast().expect("pool entry type mismatch")
+        Arc::clone(&self.slots[i])
+            .downcast()
+            .expect("pool entry type mismatch")
     }
 }
 
@@ -243,13 +338,7 @@ impl BufferPool {
         let entry = self
             .entries
             .entry((key, dst, TypeId::of::<B>()))
-            .or_insert_with(|| Entry {
-                slots: [
-                    Arc::new(PoolSlot::<B>::new()),
-                    Arc::new(PoolSlot::<B>::new()),
-                ],
-                flip: 0,
-            });
+            .or_insert_with(Entry::new::<B>);
         let slot = entry.slot(entry.flip);
         entry.flip ^= 1;
         slot
@@ -263,7 +352,7 @@ impl BufferPool {
         let mut charged = 0;
         self.entries.retain(|k, e| {
             if k.0 == key {
-                charged += e.slots.iter().map(|s| s.charged()).sum::<u64>();
+                charged += (e.charged)(&e.slots);
             }
             k.0 != key
         });
@@ -272,7 +361,8 @@ impl BufferPool {
 
     /// The slot handed out by the most recent [`BufferPool::next_slot`] for
     /// this `(key, dst, type)` — the one currently in flight. Used by the
-    /// self-message path, where sender and receiver are the same processor.
+    /// exchange that sends it and by the self-message path, where sender
+    /// and receiver are the same processor.
     pub(crate) fn current_slot<B: Reusable>(&self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
         let entry = self
             .entries
@@ -383,6 +473,147 @@ mod tests {
         assert!(!Arc::ptr_eq(&again, &in_flight));
         assert_eq!(again.note_charged(1), 1);
         assert!(Arc::ptr_eq(&kept, &pool.current_slot::<Vec<i32>>(2, 0)));
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("misuse must panic");
+        match err.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(err) => err.downcast_ref::<&str>().unwrap().to_string(),
+        }
+    }
+
+    /// A slot in each state a step may find it in: `Free` (fresh), `Empty`
+    /// (checked out) and `Staged`.
+    fn slots_in_each_state() -> [(&'static str, PoolSlot<Vec<i32>>); 3] {
+        let free = PoolSlot::new();
+        let empty = PoolSlot::new();
+        empty.try_checkout().unwrap();
+        let staged = PoolSlot::new();
+        staged.try_checkout().unwrap();
+        staged.stash(vec![1]);
+        [("free", free), ("empty", empty), ("staged", staged)]
+    }
+
+    /// Each step from a state it does not accept panics, in release builds
+    /// too, and leaves the slot as it found it.
+    #[test]
+    fn misuse_panics_and_leaves_the_slot_untouched() {
+        type Step = fn(&PoolSlot<Vec<i32>>);
+        let steps: [(&str, &str, Step, &str); 4] = [
+            (
+                "stash",
+                "empty",
+                |s| s.stash(vec![9]),
+                "stash into a pool slot that is not checked out",
+            ),
+            (
+                "put_back",
+                "empty",
+                |s| s.put_back(vec![9]),
+                "put_back into an occupied pool slot",
+            ),
+            (
+                "take_staged",
+                "staged",
+                |s| drop(s.take_staged()),
+                "pool slot taken before it was staged",
+            ),
+            (
+                "freeze",
+                "staged",
+                |s| drop(s.freeze()),
+                "froze a pool slot that is not staged",
+            ),
+        ];
+        for (step, accepts, run, expected) in steps {
+            for (state, slot) in slots_in_each_state() {
+                if state == accepts {
+                    continue;
+                }
+                let msg = panic_message(|| run(&slot));
+                assert!(msg.starts_with(expected), "{step} on a {state} slot: {msg}");
+                let after = slot.state.load(Ordering::SeqCst);
+                let before = match state {
+                    "free" => FREE,
+                    "empty" => EMPTY,
+                    _ => STAGED,
+                };
+                assert_eq!(after, before, "{step} on a {state} slot changed it");
+            }
+        }
+        let msg = panic_message(|| {
+            PoolSlot::<Vec<i32>>::new().staged_words();
+        });
+        assert!(
+            msg.contains("staged_words on a pool slot that is not staged"),
+            "{msg}"
+        );
+    }
+
+    static BRITTLE_DROPS: AtomicUsize = AtomicUsize::new(0);
+
+    /// A buffer whose copy panics, so `freeze` fails while it holds `BUSY`.
+    #[derive(Default)]
+    struct Brittle(Vec<i32>);
+
+    impl Clone for Brittle {
+        fn clone(&self) -> Brittle {
+            panic!("brittle buffer")
+        }
+    }
+
+    impl Drop for Brittle {
+        fn drop(&mut self) {
+            BRITTLE_DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Payload for Brittle {
+        fn wire_words(&self) -> Words {
+            self.0.len()
+        }
+        fn clone_payload(&self) -> Box<dyn Any + Send> {
+            unreachable!("a pool slot is never cloned as a payload")
+        }
+    }
+
+    impl Reusable for Brittle {
+        fn reset(&mut self) {
+            self.0.clear();
+        }
+    }
+
+    /// A panic while a slot is `BUSY` leaves it `BUSY`: no step can reach
+    /// the buffer again, a checkout waits for it forever (a `PoolStall` in
+    /// a machine), and dropping the slot drops the buffer once.
+    #[test]
+    fn a_panic_while_busy_leaves_the_slot_unusable() {
+        let slot = PoolSlot::<Brittle>::new();
+        let mut buf = slot.try_checkout().unwrap();
+        buf.0.extend([1, 2, 3]);
+        slot.stash(buf);
+        assert_eq!(panic_message(|| drop(slot.freeze())), "brittle buffer");
+        assert_eq!(slot.state.load(Ordering::SeqCst), BUSY);
+        assert!(slot.try_checkout().is_none());
+        for step in [
+            (|s| drop(s.freeze())) as fn(&PoolSlot<Brittle>),
+            |s| drop(s.take_staged()),
+            |s| s.stash(Brittle::default()),
+            |s| s.put_back(Brittle::default()),
+            |s| {
+                s.staged_words();
+            },
+        ] {
+            let msg = panic_message(|| step(&slot));
+            assert!(msg.contains("pool slot"), "{msg}");
+        }
+        assert_eq!(slot.state.load(Ordering::SeqCst), BUSY);
+        let before = BRITTLE_DROPS.load(Ordering::SeqCst);
+        drop(slot);
+        assert_eq!(BRITTLE_DROPS.load(Ordering::SeqCst), before + 1);
     }
 
     #[test]

@@ -1209,7 +1209,9 @@ impl<'m> Proc<'m> {
         // Slow path: register as the slot's waker and wait. The receiver's
         // `put_back` — on whatever carrier it runs — unparks this processor
         // directly, as does any incoming frame; there is no spinning or
-        // polling anywhere on this path.
+        // polling anywhere on this path. The waker raises the slot's
+        // owner-parked flag before the first probe below, so a `put_back`
+        // that lands in between is seen by one side or the other (§11).
         slot.set_waker(Some((Arc::clone(&self.sched), self.id)));
         let got = self.wait_for(
             None,
@@ -1255,7 +1257,7 @@ impl<'m> Proc<'m> {
     /// what travels is a frozen copy ([`PoolSlot::freeze`]) and `slot` is
     /// free again on return: a replayed frame must find the bytes it was
     /// sent with, which a buffer the sender refills cannot promise.
-    pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, slot: &Arc<PoolSlot<B>>) {
+    pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, slot: Arc<PoolSlot<B>>) {
         debug_assert_ne!(dst, self.id, "self slots are decoded in place, never sent");
         let words = slot.staged_words();
         // A pooled buffer's footprint is its high-water capacity, charged
@@ -1274,7 +1276,7 @@ impl<'m> Proc<'m> {
         let data: Arc<dyn Any + Send + Sync> = if logged {
             Arc::new(slot.freeze())
         } else {
-            Arc::clone(slot) as _
+            slot
         };
         self.send_arc(dst, tag, words, data, logged);
     }

@@ -140,7 +140,7 @@ fn unevenly_executed_plan_is_a_pool_stall() {
                         let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, 1);
                         buf.push(i as i64);
                         slot.stash(buf);
-                        p.send_pooled(1, tags::USER + i, &slot);
+                        p.send_pooled(1, tags::USER + i, slot);
                     }
                 } else {
                     for i in 0..2 {

@@ -3,6 +3,8 @@
 //! be bit-identical — results *and* simulated clocks — to the same program
 //! run without the crash.
 
+use std::sync::Arc;
+
 use hpf_machine::{
     tags, Category, CostModel, EventKind, FaultPlan, Machine, MemAccount, PoolSlot, Proc, ProcGrid,
     RunOutput,
@@ -374,7 +376,7 @@ fn pooled_ring(logged: bool) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
                     assert!(buf.is_empty(), "a returned buffer comes back cleared");
                     buf.extend_from_slice(st);
                     slot.stash(buf);
-                    p.send_pooled(next, tags::USER + i, &slot);
+                    p.send_pooled(next, tags::USER + i, Arc::clone(&slot));
                     if logged {
                         let live = slot.try_checkout().expect("a logged send frees the slot");
                         assert!(live.is_empty(), "the frozen copy took none of its bytes");

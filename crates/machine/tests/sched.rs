@@ -54,7 +54,7 @@ fn mixed_workload(p: &mut Proc) -> Vec<i64> {
     let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, next);
     buf.push(acc[0]);
     slot.stash(buf);
-    p.send_pooled(next, tags::USER + 10, &slot);
+    p.send_pooled(next, tags::USER + 10, slot);
     let pkt = p.recv_packet(prev, tags::USER + 10);
     let inbound = pkt
         .data
@@ -152,41 +152,75 @@ fn all_pool_sizes_produce_the_identical_run() {
     }
 }
 
-/// Buffer-pool back-pressure must park (not spin, not deadlock) even when
-/// a single permit serializes everything: the third checkout of one
-/// (key, dst) entry cannot proceed until the receiver runs and returns a
-/// slot, which only happens because the blocked sender releases its permit.
+/// What processor `src` stashes for its `i`-th pooled send: lengths vary
+/// so a reused buffer is refilled to a different size.
+fn handoff_buffer(src: usize, i: u64) -> Vec<i64> {
+    (0..i % 7 + 1)
+        .map(|k| (src as i64) << 40 | (i as i64) << 3 | k as i64)
+        .collect()
+}
+
+/// Buffer-pool back-pressure must park (not spin, not deadlock) at every
+/// pool size. A ring of three processors makes 3 400 pooled sends each,
+/// and every receiver lags two sends behind its sender: it decodes send
+/// `i − 1` only once send `i` has arrived, so both slots of the sender's
+/// entry are out and its next checkout waits for a `put_back`. Under a
+/// single permit that `put_back` runs only because the blocked sender
+/// released its permit; at two workers or more it runs on another OS
+/// thread. Every decoded buffer must be the one stashed, no checkout may
+/// stall, and the results must not depend on the pool size.
 #[test]
-fn pool_backpressure_parks_under_a_single_permit() {
-    let out = Machine::new(ProcGrid::line(2), CostModel::cm5())
-        .with_workers(1)
-        .run(|p| {
-            let peer = 1 - p.id();
-            let key = hpf_machine::fresh_pool_key();
-            if p.id() == 0 {
-                for i in 0..3u64 {
-                    let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, peer);
-                    buf.push(i as i64 * 7);
+fn pool_backpressure_parks_and_hands_off_exactly_at_every_pool_size() {
+    const SENDS: u64 = 3_400;
+    let decode = |p: &mut Proc, pkt: hpf_machine::Packet, src: usize, i: u64| {
+        let slot = pkt
+            .data
+            .downcast::<PoolSlot<Vec<i64>>>()
+            .expect("pooled send delivers the slot");
+        let buf = slot.take_staged();
+        assert_eq!(buf, handoff_buffer(src, i), "proc {} decode {i}", p.id());
+        let sum = buf.iter().sum::<i64>();
+        slot.put_back(buf);
+        sum
+    };
+    let run = |workers: usize| {
+        Machine::new(ProcGrid::line(3), CostModel::cm5())
+            .with_workers(workers)
+            .try_run(|p| {
+                let key = hpf_machine::fresh_pool_key();
+                let n = p.nprocs();
+                let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
+                let (mut sum, mut decoded) = (0i64, 0u64);
+                let mut held = None;
+                for i in 0..SENDS {
+                    let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, next);
+                    assert!(buf.is_empty(), "a returned buffer comes back cleared");
+                    buf.extend(handoff_buffer(p.id(), i));
                     slot.stash(buf);
-                    p.send_pooled(peer, tags::USER + i, &slot);
+                    p.send_pooled(next, tags::USER + i, slot);
+                    let pkt = p.recv_packet(prev, tags::USER + i);
+                    if let Some((pkt, j)) = held.replace((pkt, i)) {
+                        sum += decode(p, pkt, prev, j);
+                        decoded += 1;
+                    }
                 }
-                0
-            } else {
-                let mut sum = 0i64;
-                for i in 0..3u64 {
-                    let pkt = p.recv_packet(peer, tags::USER + i);
-                    let slot = pkt
-                        .data
-                        .downcast::<PoolSlot<Vec<i64>>>()
-                        .expect("pooled send delivers the slot");
-                    let buf = slot.take_staged();
-                    sum += buf[0];
-                    slot.put_back(buf);
-                }
-                sum
-            }
-        });
-    assert_eq!(out.results, vec![0, 21]);
+                let (pkt, j) = held.take().expect("the last send is held");
+                sum += decode(p, pkt, prev, j);
+                (sum, decoded + 1)
+            })
+            .expect("no checkout stalls")
+            .results
+    };
+    let expected: Vec<(i64, u64)> = (0..3)
+        .map(|p| {
+            let prev = (p + 2) % 3;
+            let sum = (0..SENDS).flat_map(|i| handoff_buffer(prev, i)).sum();
+            (sum, SENDS)
+        })
+        .collect();
+    for workers in [1, 2, 3] {
+        assert_eq!(run(workers), expected, "workers = {workers}");
+    }
 }
 
 /// Two epochs of ring traffic, for the crash-recovery legs.

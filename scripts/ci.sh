@@ -38,6 +38,11 @@ echo "== zero-allocation gate, release profile =="
 # nothing in the profile the benchmark and repro run in, too.
 cargo test -p hpf-core --release -q --test zero_alloc
 
+echo "== pool slot state machine, release profile =="
+# Misuse of a slot (a step from a state it does not accept, or any step
+# after a panic left it busy) must panic with debug assertions off too.
+cargo test -p hpf-machine --release -q --lib pool::
+
 echo "== stack-switched carriers, both profiles =="
 # The switch must be right with and without frame pointers, and with debug
 # assertions on the scheduler's state machine, so the scheduler and failure
@@ -83,10 +88,21 @@ for src in $(find crates/machine/src -name '*.rs' ! -name obs.rs); do
   fi
 done
 # Stacks, the switch and the syscalls under them are carrier.rs's alone; the
-# allocator shim is the other file that may say `unsafe` (DESIGN.md section 15).
+# allocator shim and the pool slot's buffer cell are the other two files that
+# may say `unsafe` (DESIGN.md section 15).
 if grep -rnE 'unsafe|extern "C"|mmap|mprotect|munmap' crates/machine/src \
-  --exclude=carrier.rs --exclude=alloc_counter.rs; then
-  echo "ci: unsafe code or a mapping call outside carrier.rs"; exit 1
+  --exclude=carrier.rs --exclude=alloc_counter.rs --exclude=pool.rs; then
+  echo "ci: unsafe code or a mapping call outside carrier.rs, alloc_counter.rs and pool.rs"; exit 1
+fi
+# In pool.rs every line of code that says `unsafe` sits directly under a
+# comment block holding a `// SAFETY:` argument (DESIGN.md section 11).
+if ! awk '
+  /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY:/) safety = 1; next }
+  /(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)/ && !safety { print FILENAME ":" FNR ": " $0; bad = 1 }
+  { safety = 0 }
+  END { exit bad }
+' crates/machine/src/pool.rs; then
+  echo "ci: an unsafe block in pool.rs without a // SAFETY: comment directly above"; exit 1
 fi
 # One harness per property: allocation counting belongs to the test suites
 # that install the counting allocator, so no library or binary does.
