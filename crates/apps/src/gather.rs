@@ -6,7 +6,6 @@
 //! communication, exactly the Section 4.2 pattern with explicit per-element
 //! requests.
 
-use hpf_distarray::index::assert_u32_indexable;
 use hpf_distarray::DimLayout;
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{Category, Proc, Wire};
@@ -130,6 +129,20 @@ pub fn scatter_add_global<T: Wire + Default + std::ops::AddAssign>(
         }
         proc.charge_ops(ops);
     });
+}
+
+/// How many indices one `u32` wire word can name: `0 ..= u32::MAX`.
+const U32_INDICES: u64 = 1 << 32;
+
+/// Panic unless all `count` indices of a space fit one `u32` wire word: the
+/// check in front of every `as u32` narrowing in this module, made before
+/// anything is sized by the count.
+#[track_caller]
+fn assert_u32_indexable(count: usize, what: &str) {
+    assert!(
+        count as u64 <= U32_INDICES,
+        "{what}: {count} indices, more than the {U32_INDICES} a u32 index can name"
+    );
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! [`GlobalArray::assemble`].
 
 use crate::descriptor::ArrayDesc;
-use crate::index::{delinearize, linearize, volume, MultiIndexIter};
+use crate::index::{linearize, volume, MultiIndexIter};
 
 /// A dense rank-`d` array stored row-major with dimension 0 fastest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,12 +141,6 @@ pub fn local_global_indices(desc: &ArrayDesc, proc_id: usize) -> Vec<Vec<usize>>
     (0..desc.local_len(proc_id))
         .map(|l| desc.global_of_local(proc_id, l))
         .collect()
-}
-
-/// Convenience: delinearize a global linear index against a descriptor's
-/// shape.
-pub fn global_index_of_linear(desc: &ArrayDesc, glin: usize) -> Vec<usize> {
-    delinearize(glin, &desc.shape())
 }
 
 #[cfg(test)]

@@ -90,21 +90,6 @@ impl Iterator for MultiIndexIter {
 
 impl ExactSizeIterator for MultiIndexIter {}
 
-/// How many indices one `u32` wire word can name: `0 ..= u32::MAX`.
-const U32_INDICES: u64 = 1 << 32;
-
-/// Panic unless all `count` indices of a space fit one `u32` wire word:
-/// the one check in front of every `as u32` narrowing of an index-carrying
-/// exchange ([`crate::redistribute`], the intrinsics, the apps), made
-/// before anything is sized by the count.
-#[track_caller]
-pub fn assert_u32_indexable(count: usize, what: &str) {
-    assert!(
-        count as u64 <= U32_INDICES,
-        "{what}: {count} indices, more than the {U32_INDICES} a u32 index can name"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

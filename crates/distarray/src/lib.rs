@@ -41,7 +41,7 @@ mod track;
 
 pub use descriptor::{ArrayDesc, DescError};
 pub use dist::Dist;
-pub use global::{global_index_of_linear, local_from_fn, local_global_indices, GlobalArray};
+pub use global::{local_from_fn, local_global_indices, GlobalArray};
 pub use layout::{DimLayout, LayoutError};
 pub use local::LocalArray;
 pub use redistribute::redistribute;

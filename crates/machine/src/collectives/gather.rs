@@ -1,64 +1,8 @@
-//! Gather / scatter / allgather.
-//!
-//! These are staging primitives: experiments use them to place test data
-//! onto the machine and to pull results off it, typically under
-//! `Category::Other` so they never pollute a timed region. They are linear
-//! (root exchanges one message per member), which is fine for staging.
+//! Allgather: every member ends up with every member's vector (the
+//! sample sort's splitter exchange).
 
 use crate::message::Wire;
 use crate::proc::{tags, Group, Proc};
-
-/// Gather each member's vector to group rank `root`; the root returns all
-/// vectors indexed by source rank, other members return an empty `Vec`.
-pub fn gather_to_root<T: Wire>(
-    proc: &mut Proc,
-    group: &Group,
-    root: usize,
-    data: Vec<T>,
-) -> Vec<Vec<T>> {
-    let n = group.size();
-    assert!(root < n, "root rank out of range");
-    let me = group.my_rank();
-    if me == root {
-        let mut all: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        all[root] = data;
-        for r in (0..n).filter(|&r| r != root) {
-            all[r] = proc.recv(group.id_of(r), tags::GATHER);
-        }
-        all
-    } else {
-        proc.send(group.id_of(root), tags::GATHER, data);
-        Vec::new()
-    }
-}
-
-/// Scatter per-rank vectors from group rank `root`; each member returns its
-/// slice. `parts` is significant only on the root and must have one entry
-/// per member.
-pub fn scatter_from_root<T: Wire>(
-    proc: &mut Proc,
-    group: &Group,
-    root: usize,
-    parts: Vec<Vec<T>>,
-) -> Vec<T> {
-    let n = group.size();
-    assert!(root < n, "root rank out of range");
-    let me = group.my_rank();
-    if me == root {
-        assert_eq!(parts.len(), n, "one part per group member required");
-        let mut mine = Vec::new();
-        for (r, part) in parts.into_iter().enumerate() {
-            if r == root {
-                mine = part;
-            } else {
-                proc.send(group.id_of(r), tags::GATHER, part);
-            }
-        }
-        mine
-    } else {
-        proc.recv(group.id_of(root), tags::GATHER)
-    }
-}
 
 /// Every member contributes a vector and receives all vectors, indexed by
 /// source rank. Ring algorithm: `P-1` rounds forwarding one slot per round.
@@ -88,53 +32,6 @@ mod tests {
     use crate::cost::CostModel;
     use crate::machine::Machine;
     use crate::topology::ProcGrid;
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let machine = Machine::new(ProcGrid::line(5), CostModel::zero());
-        let out = machine.run(|proc| {
-            let g = proc.world();
-            gather_to_root(proc, &g, 2, vec![proc.id() as i32; proc.id() + 1])
-        });
-        let root = &out.results[2];
-        for (r, v) in root.iter().enumerate() {
-            assert_eq!(v, &vec![r as i32; r + 1]);
-        }
-        assert!(out.results[0].is_empty());
-    }
-
-    #[test]
-    fn scatter_distributes_in_rank_order() {
-        let machine = Machine::new(ProcGrid::line(4), CostModel::zero());
-        let out = machine.run(|proc| {
-            let g = proc.world();
-            let parts = if g.my_rank() == 0 {
-                (0..4).map(|r| vec![r * 11]).collect()
-            } else {
-                Vec::new()
-            };
-            scatter_from_root(proc, &g, 0, parts)
-        });
-        for (r, v) in out.results.iter().enumerate() {
-            assert_eq!(v, &vec![r as i32 * 11]);
-        }
-    }
-
-    #[test]
-    fn scatter_gather_roundtrip() {
-        let machine = Machine::new(ProcGrid::line(3), CostModel::zero());
-        let out = machine.run(|proc| {
-            let g = proc.world();
-            let parts = if g.my_rank() == 1 {
-                vec![vec![1i32], vec![2, 2], vec![3, 3, 3]]
-            } else {
-                Vec::new()
-            };
-            let mine = scatter_from_root(proc, &g, 1, parts);
-            gather_to_root(proc, &g, 1, mine)
-        });
-        assert_eq!(out.results[1], vec![vec![1], vec![2, 2], vec![3, 3, 3]]);
-    }
 
     #[test]
     fn allgather_gives_everyone_everything() {

@@ -3,7 +3,8 @@
 //! Everything the paper's algorithms need: the vector prefix-reduction-sum
 //! of Section 5.1 (direct and split algorithms), many-to-many personalized
 //! communication with linear permutation scheduling (Section 7, [9]), and
-//! the broadcast/gather glue used to stage test data onto the machine.
+//! the broadcast, allgather and allreduce that the apps and examples build
+//! on.
 //!
 //! All collectives charge the ambient clock [`Category`](crate::Category) of
 //! the calling processor; callers pick the category (e.g. the ranking stage
@@ -19,9 +20,9 @@ pub use alltoallv::{
     alltoallv, alltoallv_pooled, alltoallv_sparse, alltoallv_two_phase, A2aPlan, A2aSchedule,
 };
 pub use broadcast::broadcast;
-pub use gather::{allgather, gather_to_root, scatter_from_root};
+pub use gather::allgather;
 pub use reduce::{allreduce_sum, allreduce_with};
-pub use scan::{prefix_reduction_sum, prefix_scan_with, PrsAlgorithm};
+pub use scan::{prefix_reduction_sum, PrsAlgorithm};
 
 use crate::message::Wire;
 

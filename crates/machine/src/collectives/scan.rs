@@ -144,56 +144,6 @@ fn direct<T: Num>(proc: &mut Proc, group: &Group, v: &[T]) -> (Vec<T>, Vec<T>) {
     (prefix, total)
 }
 
-/// Element-wise *exclusive* prefix scan across the group under an arbitrary
-/// associative operation, seeded with `identity` on rank 0.
-///
-/// For operations without a subtraction inverse (max, segmented-sum
-/// monoids, …) the direct algorithm's `up - v` trick is unavailable, so
-/// this computes the inclusive Hillis–Steele scan and shifts it one rank
-/// (`⌈log₂ P⌉ + 1` rounds of the whole vector). Returns only the prefix;
-/// pair with [`crate::collectives::allreduce_with`] when the total is also
-/// needed.
-pub fn prefix_scan_with<T: crate::message::Wire>(
-    proc: &mut Proc,
-    group: &Group,
-    v: &[T],
-    identity: T,
-    op: impl Fn(T, T) -> T,
-) -> Vec<T> {
-    let n = group.size();
-    let me = group.my_rank();
-    if n == 1 {
-        return vec![identity; v.len()];
-    }
-    // Inclusive Hillis–Steele under `op` (receive side folds earlier ranks
-    // on the left, preserving rank order for non-commutative ops).
-    let mut acc = v.to_vec();
-    let mut d = 1usize;
-    while d < n {
-        if me + d < n {
-            proc.send(group.id_of(me + d), tags::SCAN, acc.clone());
-        }
-        if me >= d {
-            let their: Vec<T> = proc.recv(group.id_of(me - d), tags::SCAN);
-            for (a, b) in acc.iter_mut().zip(&their) {
-                *a = op(*b, *a);
-            }
-            proc.charge_ops(v.len());
-        }
-        d *= 2;
-    }
-    // Shift by one rank: exclusive_r = inclusive_{r-1}; rank 0 gets the
-    // identity.
-    if me + 1 < n {
-        proc.send(group.id_of(me + 1), tags::SCAN, acc);
-    }
-    if me == 0 {
-        vec![identity; v.len()]
-    } else {
-        proc.recv(group.id_of(me - 1), tags::SCAN)
-    }
-}
-
 /// Even chunk boundaries: chunk `j` of a length-`m` vector split `n` ways is
 /// `[start(j), start(j+1))` where the first `m % n` chunks get one extra
 /// element.
@@ -379,28 +329,6 @@ mod tests {
             PrsAlgorithm::Direct.resolve(256, 1024),
             PrsAlgorithm::Direct
         );
-    }
-
-    #[test]
-    fn prefix_scan_with_matches_serial_for_max() {
-        for p in [1usize, 2, 3, 7, 8] {
-            let machine = Machine::new(ProcGrid::line(p), CostModel::zero());
-            let out = machine.run(move |proc| {
-                let g = proc.world();
-                let v = vec![((proc.id() * 7 + 3) % 10) as i32, proc.id() as i32];
-                prefix_scan_with(proc, &g, &v, i32::MIN, i32::max)
-            });
-            let inputs: Vec<Vec<i32>> = (0..p)
-                .map(|r| vec![((r * 7 + 3) % 10) as i32, r as i32])
-                .collect();
-            let mut run = vec![i32::MIN; 2];
-            for (r, got) in out.results.iter().enumerate() {
-                assert_eq!(got, &run, "p={p} rank {r}");
-                for (a, b) in run.iter_mut().zip(&inputs[r]) {
-                    *a = (*a).max(*b);
-                }
-            }
-        }
     }
 
     #[test]

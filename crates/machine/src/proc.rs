@@ -58,7 +58,7 @@ pub mod tags {
     pub(crate) const REDUCE: u64 = 2;
     /// Broadcast tree edges.
     pub(crate) const BCAST: u64 = 3;
-    /// Gather/scatter/allgather traffic.
+    /// Allgather ring traffic.
     pub(crate) const GATHER: u64 = 4;
     /// Many-to-many personalized communication rounds.
     pub(crate) const ALLTOALL: u64 = 5;

@@ -129,9 +129,12 @@ if grep -rnE 'PoolSnapshot|Checkpoint\b|"recovery\.(epochs|replays|replayed_fram
 fi
 
 # Public items and knobs that no caller used stay gone: the index-pair
-# redistribution mode, chaos's mode flags, and the machine's unused accessors
-# and re-exports.
-if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' crates/ tests/ examples/ README.md DESIGN.md .claude/; then
+# redistribution mode, chaos's mode flags, the machine's unused accessors
+# and re-exports, the Fortran 90 sibling intrinsics crate, and the scan,
+# gather, scatter and index helpers only it or their own tests called.
+if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
+  -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
+  crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
 fi
 if grep -nE '^pub use .*\b(Mailbox|WallProfiler)\b' crates/machine/src/lib.rs; then
