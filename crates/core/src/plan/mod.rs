@@ -269,8 +269,8 @@ impl PackPlan {
 
     /// Gather `(rank, value)` pair messages into pooled per-destination
     /// buffers (one operation per moved element). A warm buffer already
-    /// holds the plan-constant rank skeleton; a cold one (the first two
-    /// executes, one per pool slot) gets it first. Either way the lowered
+    /// holds the plan-constant rank skeleton; a cold one (the first execute,
+    /// whose pool slot is new) gets it first. Either way the lowered
     /// copy program then overwrites **values only**. The buffer for each
     /// destination — this processor's own rank included — is left staged in
     /// its slot for the exchange.

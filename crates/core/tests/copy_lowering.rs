@@ -110,9 +110,10 @@ proptest! {
             let a = local_from_fn(d, proc.id(), |g| g[0] as i64 + 1);
             let b = local_from_fn(d, proc.id(), |g| -(g[0] as i64) - 1000);
             let plan = plan_pack(proc, d, &m, o).unwrap();
-            // Four executes: cold (skeletons built), second slot cold,
-            // then a fully warm positional refill; a final fresh execute
-            // cross-checks that warm refills did not corrupt anything.
+            // Four executes: cold (skeletons built), then warm positional
+            // refills of each destination's one pool slot; a final fresh
+            // execute cross-checks that warm refills did not corrupt
+            // anything.
             let mut got = plan.execute(proc, &a).unwrap();
             plan.execute_into(proc, &a, &mut got).unwrap();
             plan.execute_into(proc, &b, &mut got).unwrap();

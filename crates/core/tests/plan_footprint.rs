@@ -22,14 +22,16 @@
 //!
 //! What a plan *retains* — its `mem.plan` charge — depends on its peers and
 //! its copy ops, and on its elements only where a `Scatter` op walks them
-//! (DESIGN.md §16): a bulk row keeps no index list.
+//! (DESIGN.md §16): a bulk row keeps no index list. What its executes
+//! *stage* — the `mem.pool` high water — is set by the first execute: each
+//! pool entry holds one slot, which every later execute refills (§11).
 
 use hpf_core::ranking::{rank_from_counts, slice_counts, RankShape};
 use hpf_core::{
     plan_pack, plan_unpack, CopyStats, MaskPattern, MaskStats, PackOptions, PackScheme,
     UnpackOptions, UnpackScheme,
 };
-use hpf_distarray::{ArrayDesc, Dist};
+use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
 use hpf_machine::{CostModel, Machine, MemAccount, ProcGrid};
 
@@ -169,5 +171,69 @@ fn bulk_rows_retain_no_index_list() {
                 "L = {l}, processor {p}: {copy:?}"
             );
         }
+    }
+}
+
+/// A PACK or an UNPACK scheme.
+#[derive(Debug, Clone, Copy)]
+enum Scheme {
+    Pack(PackScheme),
+    Unpack(UnpackScheme),
+}
+
+/// Per processor: the `mem.pool` high water of `executes` executes of one
+/// cached plan under `scheme`, on four processors of 256 elements each
+/// under a Bernoulli-0.5 mask.
+fn pool_peak(scheme: Scheme, executes: usize) -> Vec<u64> {
+    const P: usize = 4;
+    const N: usize = 1024;
+    let grid = ProcGrid::line(P);
+    let desc = ArrayDesc::new(&[N], &grid, &[Dist::BlockCyclic(4)]).unwrap();
+    let pattern = MaskPattern::Random {
+        density: 0.5,
+        seed: 7,
+    };
+    let size = pattern.global(&[N]).data().iter().filter(|&&b| b).count();
+    let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
+    let machine = Machine::new(grid, CostModel::cm5()).with_metrics(true);
+    let out = machine.run(|proc| {
+        let m = pattern.local(&desc, proc.id());
+        match scheme {
+            Scheme::Pack(s) => {
+                let a = local_from_fn(&desc, proc.id(), |g| g[0] as i32);
+                let plan = plan_pack(proc, &desc, &m, &PackOptions::new(s)).unwrap();
+                for _ in 0..executes {
+                    plan.execute(proc, &a).unwrap();
+                }
+            }
+            Scheme::Unpack(s) => {
+                let f = local_from_fn(&desc, proc.id(), |_| -1i32);
+                let v: Vec<i32> = (0..vl.local_len(proc.id()))
+                    .map(|l| vl.global_of(proc.id(), l) as i32)
+                    .collect();
+                let plan = plan_unpack(proc, &desc, &m, &vl, &UnpackOptions::new(s)).unwrap();
+                for _ in 0..executes {
+                    plan.execute(proc, &f, &v).unwrap();
+                }
+            }
+        }
+    });
+    let gauge = MemAccount::Pool.gauge_name();
+    out.metrics.iter().map(|m| m.gauges[gauge].max).collect()
+}
+
+/// A cached plan's pool is as large after four executes as after the
+/// first, for all five schemes: the first execute stages one buffer per
+/// destination and the later ones refill it, staging the same bytes.
+#[test]
+fn the_first_execute_sets_the_pool_high_water() {
+    let schemes = PackScheme::ALL
+        .map(Scheme::Pack)
+        .into_iter()
+        .chain(UnpackScheme::ALL.map(Scheme::Unpack));
+    for scheme in schemes {
+        let first = pool_peak(scheme, 1);
+        assert!(first.iter().all(|&b| b > 0), "{scheme:?}: {first:?}");
+        assert_eq!(pool_peak(scheme, 4), first, "{scheme:?}: mem.pool grew");
     }
 }

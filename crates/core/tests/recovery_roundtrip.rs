@@ -24,7 +24,7 @@ fn data_at(gidx: &[usize], salt: i32) -> i32 {
 /// field. A crash in epoch 0 exercises the from-scratch resume (no
 /// checkpoint exists yet); a crash in epoch 1 exercises snapshot restore
 /// plus replay. Each plan executes `executes` times inside its epoch, on
-/// fresh values each time: from the third execute on, every pool slot is
+/// fresh values each time: from the second execute on, every pool slot is
 /// warm and the gathers are the positional refills of the lowered copy
 /// programs, with the whole epoch's frames still in the replay log.
 fn roundtrip(

@@ -1,6 +1,6 @@
-//! Steady-state allocation gate: from the third execution of a cached plan
-//! onward (the two pool slots per destination are warmed alternately, so
-//! warm-up is exactly two iterations), `execute_into` must perform **zero
+//! Steady-state allocation gate: from the second execution of a cached plan
+//! onward (each pool entry holds one slot, which the first execute warms,
+//! so warm-up is exactly one iteration), `execute_into` must perform **zero
 //! heap allocations** on every worker thread — the whole gather → exchange
 //! → decode loop runs out of pooled buffers and reused capacity.
 //!
@@ -32,9 +32,9 @@ use hpf_machine::{CostModel, FaultPlan, Machine, Proc, ProcGrid, RunOutput};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Two warm-up executes fill both slots of every pool entry; the measured
-/// window starts at the third.
-const WARMUP: usize = 2;
+/// One warm-up execute fills the one slot of every pool entry; the measured
+/// window starts at the second.
+const WARMUP: usize = 1;
 /// Measured steady-state executes.
 const STEADY: usize = 4;
 

@@ -54,8 +54,10 @@ pub enum MachineError {
         waiting_on: Vec<usize>,
     },
     /// `proc` waited for the pooled send buffer of plan `key` towards `dst`
-    /// to come back and it never can: every live processor is parked. The
-    /// receiver stalled, or the plan was executed unevenly.
+    /// to come back and it never can: every live processor is parked. An
+    /// entry has one slot, so one message per `(key, dst)` is in flight at
+    /// a time: the receiver stalled, kept the previous message undecoded
+    /// while waiting for the next, or the plan was executed unevenly.
     PoolStall {
         /// The processor waiting for its buffer.
         proc: usize,
@@ -133,7 +135,9 @@ impl fmt::Display for MachineError {
             MachineError::PoolStall { proc, key, dst } => write!(
                 f,
                 "proc {proc}: pool slot (key {key}, dst {dst}) can never come back (every \
-                 processor is parked) — receiver {dst} stalled or plan executed unevenly"
+                 processor is parked; one message per key and destination is in flight) — \
+                 receiver {dst} stalled, kept the previous message undecoded, or plan \
+                 executed unevenly"
             ),
             MachineError::Unreachable {
                 proc,

@@ -28,12 +28,15 @@
 //! then panics, or (a checkout) waits for a slot that never comes back
 //! (`PoolStall`), so the slot is unusable but never unsound.
 //!
-//! The sender may only check out a `Free` slot; a slot stays `Staged` until
-//! the receiver has decoded it, so a sender re-executing faster than its
+//! Each `(key, dst, type)` entry holds **one** slot: one message in flight
+//! per (plan, destination), as with an MPI persistent request. The sender
+//! may only check out a `Free` slot; a slot stays `Staged` until the
+//! receiver has decoded it, so a sender re-executing faster than its
 //! receiver consumes blocks (wall-clock only — simulated time is untouched)
-//! instead of clobbering in-flight data. Each `(key, dst, type)` entry holds
-//! two slots used alternately, so a sender can compose iteration `n+1`
-//! while the receiver still holds iteration `n`. A sender that finds its
+//! instead of clobbering in-flight data. A planned execute decodes all it
+//! receives before it returns, so it never waits on itself; a program that
+//! keeps a pooled message undecoded while waiting for the next one through
+//! the same entry waits for ever, a `PoolStall`. A sender that finds its
 //! slot taken registers a waker and raises the slot's owner-parked flag; a
 //! `put_back` reads the flag after publishing `Free` (both sides SeqCst),
 //! so either the owner's next probe sees the slot free or the `put_back`
@@ -286,35 +289,27 @@ impl<B: Reusable> PoolSlot<B> {
     }
 }
 
-/// Two slots per `(key, dst, type)`, used alternately, with the function
-/// that reads their charged high-water once their type is forgotten.
+/// The one slot of a `(key, dst, type)`, with the function that reads its
+/// charged high-water once its type is forgotten.
 struct Entry {
-    slots: [Arc<dyn Any + Send + Sync>; 2],
-    flip: usize,
-    charged: fn(&[Arc<dyn Any + Send + Sync>; 2]) -> u64,
+    slot: Arc<dyn Any + Send + Sync>,
+    charged: fn(&(dyn Any + Send + Sync)) -> u64,
 }
 
 impl Entry {
     fn new<B: Reusable>() -> Entry {
         Entry {
-            slots: [
-                Arc::new(PoolSlot::<B>::new()),
-                Arc::new(PoolSlot::<B>::new()),
-            ],
-            flip: 0,
-            charged: |slots| {
-                let charged = |s: &Arc<dyn Any + Send + Sync>| {
-                    let slot: &PoolSlot<B> = s.downcast_ref().expect("pool entry type mismatch");
-                    slot.charged.load(Ordering::Relaxed)
-                };
-                slots.iter().map(charged).sum()
+            slot: Arc::new(PoolSlot::<B>::new()),
+            charged: |slot| {
+                let slot: &PoolSlot<B> = slot.downcast_ref().expect("pool entry type mismatch");
+                slot.charged.load(Ordering::Relaxed)
             },
         }
     }
 
-    /// Slot `i`, its `Arc` cloned once.
-    fn slot<B: Reusable>(&self, i: usize) -> Arc<PoolSlot<B>> {
-        Arc::clone(&self.slots[i])
+    /// The slot, its `Arc` cloned once.
+    fn slot<B: Reusable>(&self) -> Arc<PoolSlot<B>> {
+        Arc::clone(&self.slot)
             .downcast()
             .expect("pool entry type mismatch")
     }
@@ -331,17 +326,23 @@ pub(crate) struct BufferPool {
 }
 
 impl BufferPool {
-    /// The slot to use for the next send of a `B` to `dst` under plan
-    /// `key`, advancing the two-slot rotation. Creates (and allocates) the
-    /// entry on first use; steady-state calls only flip an index.
-    pub(crate) fn next_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
-        let entry = self
-            .entries
+    /// The slot for sends of a `B` to `dst` under plan `key`. Creates (and
+    /// allocates) the entry on first use; steady-state calls only look it up.
+    pub(crate) fn get_or_create<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
+        self.entries
             .entry((key, dst, TypeId::of::<B>()))
-            .or_insert_with(Entry::new::<B>);
-        let slot = entry.slot(entry.flip);
-        entry.flip ^= 1;
-        slot
+            .or_insert_with(Entry::new::<B>)
+            .slot()
+    }
+
+    /// The slot of an entry [`BufferPool::get_or_create`] made. Used by the
+    /// exchange that sends it and by the self-message path, where sender
+    /// and receiver are the same processor.
+    pub(crate) fn get<B: Reusable>(&self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
+        self.entries
+            .get(&(key, dst, TypeId::of::<B>()))
+            .expect("pool slot looked up before its first checkout")
+            .slot()
     }
 
     /// Drop every entry of plan `key` — the plan is gone and its buffers
@@ -352,23 +353,11 @@ impl BufferPool {
         let mut charged = 0;
         self.entries.retain(|k, e| {
             if k.0 == key {
-                charged += (e.charged)(&e.slots);
+                charged += (e.charged)(&*e.slot);
             }
             k.0 != key
         });
         charged
-    }
-
-    /// The slot handed out by the most recent [`BufferPool::next_slot`] for
-    /// this `(key, dst, type)` — the one currently in flight. Used by the
-    /// exchange that sends it and by the self-message path, where sender
-    /// and receiver are the same processor.
-    pub(crate) fn current_slot<B: Reusable>(&self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
-        let entry = self
-            .entries
-            .get(&(key, dst, TypeId::of::<B>()))
-            .expect("current_slot before any next_slot");
-        entry.slot(entry.flip ^ 1)
     }
 }
 
@@ -426,19 +415,22 @@ mod tests {
     }
 
     #[test]
-    fn pool_alternates_two_slots_per_destination() {
+    fn pool_keeps_one_slot_per_destination() {
         let mut pool = BufferPool::default();
-        let a = pool.next_slot::<Vec<i32>>(1, 0);
-        let cur_a = pool.current_slot::<Vec<i32>>(1, 0);
-        assert!(Arc::ptr_eq(&a, &cur_a));
-        let b = pool.next_slot::<Vec<i32>>(1, 0);
-        assert!(!Arc::ptr_eq(&a, &b));
-        let c = pool.next_slot::<Vec<i32>>(1, 0);
-        assert!(Arc::ptr_eq(&a, &c), "third checkout reuses the first slot");
+        let a = pool.get_or_create::<Vec<i32>>(1, 0);
+        assert!(Arc::ptr_eq(&a, &pool.get::<Vec<i32>>(1, 0)));
+        let again = pool.get_or_create::<Vec<i32>>(1, 0);
+        assert!(
+            Arc::ptr_eq(&a, &again),
+            "every checkout reuses the one slot"
+        );
         // Different keys, destinations, and types get distinct entries.
-        let other = pool.next_slot::<Vec<i32>>(2, 0);
+        let other = pool.get_or_create::<Vec<i32>>(2, 0);
         assert!(!Arc::ptr_eq(&a, &other));
-        let _typed = pool.next_slot::<Vec<(u32, i32)>>(1, 0);
+        let elsewhere = pool.get_or_create::<Vec<i32>>(1, 1);
+        assert!(!Arc::ptr_eq(&a, &elsewhere));
+        let _typed = pool.get_or_create::<Vec<(u32, i32)>>(1, 0);
+        assert_eq!(pool.entries.len(), 4);
     }
 
     /// Retiring a plan key drops its entries of every destination and type
@@ -447,19 +439,24 @@ mod tests {
     #[test]
     fn retire_drops_one_key_and_reports_its_charge() {
         let mut pool = BufferPool::default();
-        let in_flight = pool.next_slot::<Vec<i32>>(1, 0);
+        let in_flight = pool.get_or_create::<Vec<i32>>(1, 0);
         assert_eq!(in_flight.note_charged(40), 40);
-        assert_eq!(pool.next_slot::<Vec<i32>>(1, 0).note_charged(8), 8);
         assert_eq!(
-            pool.next_slot::<Vec<(u32, i32)>>(1, 3).note_charged(100),
+            pool.get_or_create::<Vec<i32>>(1, 0).note_charged(8),
+            0,
+            "a slot is charged its high water, not the sum of its stagings"
+        );
+        assert_eq!(
+            pool.get_or_create::<Vec<(u32, i32)>>(1, 3)
+                .note_charged(100),
             100
         );
-        let kept = pool.next_slot::<Vec<i32>>(2, 0);
+        let kept = pool.get_or_create::<Vec<i32>>(2, 0);
         kept.note_charged(7);
         in_flight.try_checkout().expect("a fresh slot is free");
         in_flight.stash(vec![5]);
 
-        assert_eq!(pool.retire(1), 148);
+        assert_eq!(pool.retire(1), 140);
         assert_eq!(pool.retire(1), 0, "nothing left to give back");
         assert!(pool.entries.keys().all(|k| k.0 == 2));
         assert_eq!(
@@ -468,11 +465,11 @@ mod tests {
             "the receiver still decodes it"
         );
         assert_eq!(Arc::strong_count(&in_flight), 1, "and frees it when done");
-        // The key starts over: a fresh entry at rotation 0, nothing charged.
-        let again = pool.next_slot::<Vec<i32>>(1, 0);
+        // The key starts over: a fresh entry, nothing charged.
+        let again = pool.get_or_create::<Vec<i32>>(1, 0);
         assert!(!Arc::ptr_eq(&again, &in_flight));
         assert_eq!(again.note_charged(1), 1);
-        assert!(Arc::ptr_eq(&kept, &pool.current_slot::<Vec<i32>>(2, 0)));
+        assert!(Arc::ptr_eq(&kept, &pool.get::<Vec<i32>>(2, 0)));
     }
 
     /// The message of the panic `f` raises.

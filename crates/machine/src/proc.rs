@@ -1189,20 +1189,22 @@ impl<'m> Proc<'m> {
     }
 
     /// Check a reusable send buffer out of this processor's pool for plan
-    /// `key`, destination `dst`. Advances the entry's two-slot rotation.
+    /// `key`, destination `dst`: the entry's one slot, so one message per
+    /// `(key, dst)` is in flight at a time.
     ///
     /// If the slot is still staged or checked out — the receiver has not
-    /// finished with the *previous* execute's send through it — this blocks
+    /// finished with the *previous* send through it — this blocks
     /// (wall-clock only; the simulated clock is untouched) until the
     /// receiver returns the buffer, dispatching incoming frames meanwhile
     /// so progress is never stalled by the wait itself.
     ///
     /// # Panics
     /// With a typed [`MachineError::PoolStall`] when the machine goes
-    /// quiescent first: the receiver stalled, or the plan was executed
+    /// quiescent first: the receiver stalled, kept the previous message
+    /// undecoded while waiting for this one, or the plan was executed
     /// unevenly.
     pub fn pool_checkout<B: Reusable>(&mut self, key: u64, dst: usize) -> (Arc<PoolSlot<B>>, B) {
-        let slot = self.pool.next_slot::<B>(key, dst);
+        let slot = self.pool.get_or_create::<B>(key, dst);
         if let Some(buf) = slot.try_checkout() {
             return (slot, buf);
         }
@@ -1229,11 +1231,15 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// The slot most recently checked out for `(key, dst)` — the one whose
-    /// buffer is currently staged/in flight. The self-message path uses
-    /// this at decode time (sender and receiver are the same processor).
+    /// The slot of `(key, dst)`, which [`Proc::pool_checkout`] has handed
+    /// out — the one whose buffer is staged or in flight. The exchange sends
+    /// it, and the self-message path decodes it (sender and receiver are
+    /// the same processor).
+    ///
+    /// # Panics
+    /// If `(key, dst)` was never checked out.
     pub fn pool_current<B: Reusable>(&self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
-        self.pool.current_slot::<B>(key, dst)
+        self.pool.get::<B>(key, dst)
     }
 
     /// Give plan `key`'s send buffers back: its pool entries are dropped and

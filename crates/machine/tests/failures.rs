@@ -121,8 +121,9 @@ fn a_dead_link_is_unreachable_after_thirty_attempts() {
 }
 
 /// A plan executed unevenly: proc 0 sends three times through one pool
-/// entry's two slots, proc 1 takes delivery of two and returns nothing.
-/// The third checkout can never be served, and the error names both.
+/// entry, proc 1 takes delivery of two and returns nothing. The entry's one
+/// slot carries one message at a time, so the second checkout already
+/// waits for a buffer that can never come back, and the error names both.
 #[test]
 fn unevenly_executed_plan_is_a_pool_stall() {
     let key = fresh_pool_key();
@@ -149,7 +150,48 @@ fn unevenly_executed_plan_is_a_pool_stall() {
                     }
                 }
             })
-            .expect_err("the third checkout waits for a buffer nobody returns")
+            .expect_err("the second checkout waits for a buffer nobody returns")
+    });
+}
+
+/// One message in flight per (plan, destination): proc 1 keeps send `i`
+/// undecoded until send `i + 1` has arrived through the same entry, which
+/// a second slot would have carried. With one slot, proc 0's second
+/// checkout waits on proc 1 while proc 1 waits for that send — a typed
+/// `PoolStall`, not a second buffer.
+#[test]
+fn a_message_kept_until_the_next_arrives_is_a_pool_stall() {
+    let key = fresh_pool_key();
+    let expected = MachineError::PoolStall {
+        proc: 0,
+        key,
+        dst: 1,
+    };
+    assert_always(&expected, |workers| {
+        Machine::new(ProcGrid::line(2), CostModel::zero())
+            .with_workers(workers)
+            .try_run(|p| {
+                const SENDS: u64 = 4;
+                if p.id() == 0 {
+                    for i in 0..SENDS {
+                        let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, 1);
+                        buf.push(i as i64);
+                        slot.stash(buf);
+                        p.send_pooled(1, tags::USER + i, slot);
+                    }
+                } else {
+                    let mut held = None;
+                    for i in 0..SENDS {
+                        let pkt = p.recv_packet(0, tags::USER + i);
+                        let slot = pkt.data.downcast::<PoolSlot<Vec<i64>>>().unwrap();
+                        if let Some(prev) = held.replace(slot) {
+                            let buf = prev.take_staged();
+                            prev.put_back(buf);
+                        }
+                    }
+                }
+            })
+            .expect_err("send i + 1 waits for the slot send i still holds")
     });
 }
 

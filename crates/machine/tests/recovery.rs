@@ -358,10 +358,14 @@ fn unrecoverable_failures_still_surface_as_errors() {
 /// one's entry under the same key.
 const RING_KEY: u64 = 1 << 40;
 
+/// Sends of `pooled_ring` per epoch.
+const RING_SENDS: [u64; 2] = [3, 4];
+
 /// A ring over pooled `Vec<i64>` buffers — whose `reset` really clears,
 /// unlike the shape-keeping wrappers of `hpf-core` — sent 3× and then 4×
-/// through one `(key, dst)` entry, each inside a single epoch: twice round
-/// the entry's two slots while nothing truncates the replay log. When
+/// through one `(key, dst)` entry, each inside a single epoch: the entry's
+/// one slot reused several times while nothing truncates the replay log.
+/// The ring state starts at one value and each send appends one. When
 /// `logged`, the frame travels as a frozen copy, so the live slot must be
 /// free the moment the send returns — no checkout can park on it.
 fn pooled_ring(logged: bool) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
@@ -369,7 +373,7 @@ fn pooled_ring(logged: bool) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
         let mut st: Vec<i64> = vec![p.id() as i64 + 1];
         let n = p.nprocs();
         let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
-        for sends in [3u64, 4] {
+        for sends in RING_SENDS {
             p.epoch(&mut st, |p, st| {
                 for i in 0..sends {
                     let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(RING_KEY, next);
@@ -418,8 +422,14 @@ fn pooled_sends_recover_from_a_crash_at_every_step() {
         .expect("crash-free logged run");
     assert_eq!(clean.results, logged.results);
     assert_clocks_identical(&clean, &logged);
-    let largest = 8 * 8; // epoch 1's last message: 8 i64 values
-    assert!(gauge(&logged, "mem.pool.cur").max >= largest);
+    // The last send is the largest message: the state's first value plus
+    // one per earlier send, 8 bytes (two wire words) each.
+    let largest = 8 * RING_SENDS.iter().sum::<u64>();
+    assert_eq!(
+        gauge(&logged, "mem.pool.cur").max,
+        largest,
+        "a processor's one pool slot is charged its largest staging"
+    );
     assert!(
         gauge(&logged, "mem.payload.cur").max >= largest,
         "the frozen copy is charged to the sender's payload account"

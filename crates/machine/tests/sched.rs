@@ -161,14 +161,15 @@ fn handoff_buffer(src: usize, i: u64) -> Vec<i64> {
 }
 
 /// Buffer-pool back-pressure must park (not spin, not deadlock) at every
-/// pool size. A ring of three processors makes 3 400 pooled sends each,
-/// and every receiver lags two sends behind its sender: it decodes send
-/// `i − 1` only once send `i` has arrived, so both slots of the sender's
-/// entry are out and its next checkout waits for a `put_back`. Under a
-/// single permit that `put_back` runs only because the blocked sender
-/// released its permit; at two workers or more it runs on another OS
-/// thread. Every decoded buffer must be the one stashed, no checkout may
-/// stall, and the results must not depend on the pool size.
+/// pool size. A ring of three processors makes 3 400 pooled sends each
+/// through one entry, whose one slot carries one message at a time. Every
+/// receiver decodes a send as soon as it arrives, so a sender that runs
+/// ahead of its receiver finds the slot still out and its checkout waits
+/// for a `put_back`. Under a single permit that `put_back` runs only
+/// because the blocked sender released its permit; at two workers or more
+/// it runs on another OS thread. Every decoded buffer must be the one
+/// stashed, no checkout may stall, and the results must not depend on the
+/// pool size.
 #[test]
 fn pool_backpressure_parks_and_hands_off_exactly_at_every_pool_size() {
     const SENDS: u64 = 3_400;
@@ -190,8 +191,7 @@ fn pool_backpressure_parks_and_hands_off_exactly_at_every_pool_size() {
                 let key = hpf_machine::fresh_pool_key();
                 let n = p.nprocs();
                 let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
-                let (mut sum, mut decoded) = (0i64, 0u64);
-                let mut held = None;
+                let mut sum = 0i64;
                 for i in 0..SENDS {
                     let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, next);
                     assert!(buf.is_empty(), "a returned buffer comes back cleared");
@@ -199,23 +199,17 @@ fn pool_backpressure_parks_and_hands_off_exactly_at_every_pool_size() {
                     slot.stash(buf);
                     p.send_pooled(next, tags::USER + i, slot);
                     let pkt = p.recv_packet(prev, tags::USER + i);
-                    if let Some((pkt, j)) = held.replace((pkt, i)) {
-                        sum += decode(p, pkt, prev, j);
-                        decoded += 1;
-                    }
+                    sum += decode(p, pkt, prev, i);
                 }
-                let (pkt, j) = held.take().expect("the last send is held");
-                sum += decode(p, pkt, prev, j);
-                (sum, decoded + 1)
+                sum
             })
             .expect("no checkout stalls")
             .results
     };
-    let expected: Vec<(i64, u64)> = (0..3)
+    let expected: Vec<i64> = (0..3)
         .map(|p| {
             let prev = (p + 2) % 3;
-            let sum = (0..SENDS).flat_map(|i| handoff_buffer(prev, i)).sum();
-            (sum, SENDS)
+            (0..SENDS).flat_map(|i| handoff_buffer(prev, i)).sum()
         })
         .collect();
     for workers in [1, 2, 3] {

@@ -53,11 +53,14 @@ echo "== stack-switched carriers, both profiles =="
 cargo test -p hpf-machine -q --test sched --test failures
 cargo test -p hpf-machine --release -q --test failures --test stacks_returned
 
-echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retained bytes vs L) =="
+echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retained bytes vs L; staged bytes vs executes) =="
 # Release mode for the same reason: the P=512 leg plans on 512 carriers.
 # bulk_rows_retain_no_index_list: a full mask's mem.plan charge is the same
 # at L = 2^12 and 2^16, and under a Bernoulli-0.5 mask it is the plans' ops,
 # offsets and peers plus exactly 4 B per index a Scatter op walks.
+# the_first_execute_sets_the_pool_high_water: for all five schemes, four
+# executes of a cached plan leave mem.pool's high water where the first
+# left it (one slot per pool entry).
 cargo test -p hpf-core --release -q --test plan_footprint
 
 echo "== one-shot footprint gate (200 one-shot roundtrips leave gauges, heap and allocation rate flat) =="
@@ -136,6 +139,11 @@ if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
   crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
+fi
+# A pool entry holds one slot, one message in flight per (plan, destination)
+# (DESIGN.md section 11): the two-slot array and its rotation bit stay gone.
+if grep -nE '\bflip\b|; 2\]' crates/machine/src/pool.rs; then
+  echo "ci: the pool's two-slot rotation is back"; exit 1
 fi
 if grep -nE '^pub use .*\b(Mailbox|WallProfiler)\b' crates/machine/src/lib.rs; then
   echo "ci: hpf_machine re-exports its mailbox or wall profiler again"; exit 1
