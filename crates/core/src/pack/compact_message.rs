@@ -28,9 +28,11 @@
 //! and the segment decode (`2/segment + 1/value`) are execute-time.
 
 use hpf_distarray::DimLayout;
-use hpf_machine::{Payload, Reusable, Wire, Words};
+use hpf_machine::{Lendable, Payload, Reusable, Wire, Words};
 
 use crate::plan::composer::{CompactComposer, ComposeCost, Composer, RankEmit};
+use crate::plan::copyprog::{join, CopyOp, Phase, Source};
+use crate::plan::PackPlan;
 use crate::schemes::ScanMethod;
 
 /// A compact-message-scheme message: `(base rank, len)` segment headers
@@ -54,13 +56,6 @@ impl<T> Default for CmsMessage<T> {
     }
 }
 
-impl<T> CmsMessage<T> {
-    /// Total number of values across all segments.
-    pub(crate) fn value_count(&self) -> usize {
-        self.vals.len()
-    }
-}
-
 impl<T: Wire> Payload for CmsMessage<T> {
     fn wire_words(&self) -> Words {
         2 * self.heads.len() + self.vals.len() * T::WORDS
@@ -77,6 +72,13 @@ impl<T: Wire> Reusable for CmsMessage<T> {
     /// destination finds everything in place and the refill is a pure
     /// positional overwrite.
     fn reset(&mut self) {}
+}
+
+/// A lent CMS message is the sender's `a_local` under its plan's gather row,
+/// and the plan's run list for that row is the header skeleton.
+impl<T: Wire> Lendable for CmsMessage<T> {
+    type Elem = T;
+    type Recipe = PackPlan;
 }
 
 /// Shape a pooled message to a route's run list: headers equal to `runs`,
@@ -154,9 +156,41 @@ pub(crate) fn place_segments<T: Wire + Default>(
     ops
 }
 
+/// Place a lent segment message into the local portion of `V`, for the
+/// requested phase: the sender's values `src` land at each segment's local
+/// run through the fused kernel ([`join`]), each segment one `Contig` op of
+/// the placement. The caller charges the decomposition as for a staged
+/// message, from the headers.
+pub(crate) fn join_segments<T: Copy>(
+    layout: &DimLayout,
+    me: usize,
+    heads: &[(u32, u32)],
+    src: Source<'_, T>,
+    out: &mut [T],
+    phase: Phase,
+) -> usize {
+    if phase == Phase::Scatter && !src.scatters() {
+        // Segments are bulk, and so is every op of this row.
+        return 0;
+    }
+    let placement = heads.iter().scan(0u32, |pos, &(base, len)| {
+        let at = layout.local_of(base as usize);
+        debug_assert_eq!(layout.owner(base as usize), me, "misrouted segment");
+        let op = CopyOp::Contig {
+            pos: *pos,
+            at: at as u32,
+            len,
+        };
+        *pos += len;
+        Some(op)
+    });
+    join(src, placement, &[], out, phase)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::copyprog::CopyPrograms;
 
     #[test]
     fn wire_words_match_paper_formula() {
@@ -165,7 +199,6 @@ mod tests {
             heads: vec![(0, 3), (10, 1), (20, 2)],
             vals: vec![1, 2, 3, 4, 5, 6],
         };
-        assert_eq!(msg.value_count(), 6);
         assert_eq!(msg.wire_words(), 6 + 2 * 3);
         assert_eq!(CmsMessage::<i32>::default().wire_words(), 0);
     }
@@ -220,7 +253,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The per-segment `copy_from_slice` equals the per-value
+        /// The per-segment placement equals the per-value
         /// `out[local_of(base + j)] = v` loop on block (`t == 1`), cyclic
         /// (`w == 1`) and block-cyclic layouts, for any sorted rank list of
         /// one owner cut into segments the way the composer cuts them: at
@@ -252,7 +285,27 @@ mod tests {
                     want[layout.local_of(base as usize + j)] = *vals.next().unwrap();
                 }
             }
-            proptest::prop_assert_eq!(out, want);
+            proptest::prop_assert_eq!(&out, &want);
+            // Lent: the same values read in place from a sender's array
+            // through its lowered gather row, by the fused kernel — runs of the array where
+            // `keep` is set, scattered elements where it is not — in one
+            // pass, the two phases in either order.
+            let mut list: Vec<u32> = Vec::new();
+            let mut next = 0u32;
+            for k in 0..msg.vals.len() {
+                next += if keep[k % keep.len()] { 1 } else { 5 };
+                list.push(next);
+            }
+            let mut a = vec![0i32; next as usize + 1];
+            for (&i, &v) in list.iter().zip(&msg.vals) {
+                a[i as usize] = v;
+            }
+            let progs = CopyPrograms::lower(&list, &[0, list.len() as u32]);
+            let mut lent = vec![0; out.len()];
+            for phase in [Phase::Scatter, Phase::Bulk] {
+                join_segments(&layout, me, &msg.heads, progs.source(0, &a), &mut lent, phase);
+            }
+            proptest::prop_assert_eq!(lent, want);
         }
     }
 }

@@ -57,6 +57,11 @@ impl PeerCsr {
         (self.offs[k + 1] - self.offs[k]) as usize
     }
 
+    /// Elements over all rows.
+    pub(crate) fn total(&self) -> usize {
+        *self.offs.last().expect("never empty") as usize
+    }
+
     /// Row index of processor `peer`, if it is populated.
     pub(crate) fn find(&self, peer: usize) -> Option<usize> {
         self.peers.binary_search(&(peer as u32)).ok()

@@ -336,6 +336,128 @@ impl CopyPrograms {
     }
 }
 
+impl CopyOp {
+    /// Whether the op is `Contig`, and its `pos`, `at` and `len`.
+    fn parts(self) -> (bool, usize, usize, usize) {
+        match self {
+            CopyOp::Contig { pos, at, len } => (true, pos as usize, at as usize, len as usize),
+            CopyOp::Scatter { pos, at, len } => (false, pos as usize, at as usize, len as usize),
+        }
+    }
+}
+
+/// A lent message as the receive kernel reads it: one row of the sender's
+/// lowered program over the slice it reads (DESIGN.md §11) — position `k`
+/// is `vals[list[k]]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Source<'a, T> {
+    vals: &'a [T],
+    ops: &'a [CopyOp],
+    /// The family's `Scatter` indices.
+    idx: &'a [u32],
+}
+
+impl<T> Source<'_, T> {
+    /// Whether the row reads anything through an index loop.
+    pub(crate) fn scatters(&self) -> bool {
+        self.ops
+            .iter()
+            .any(|op| matches!(op, CopyOp::Scatter { .. }))
+    }
+}
+
+impl CopyPrograms {
+    /// Row `k` over `vals`.
+    pub(crate) fn source<'a, T>(&'a self, k: usize, vals: &'a [T]) -> Source<'a, T> {
+        Source {
+            vals,
+            ops: self.row(k),
+            idx: &self.idx,
+        }
+    }
+
+    /// The receive kernel with row `k` as the placement:
+    /// `out[list[k']] = src(k')` for the requested phase.
+    pub(crate) fn place<T: Copy>(
+        &self,
+        k: usize,
+        src: Source<'_, T>,
+        out: &mut [T],
+        phase: Phase,
+    ) -> usize {
+        join(src, self.row(k).iter().copied(), &self.idx, out, phase)
+    }
+}
+
+/// The fused receive kernel: `out[dst(k)] = src(k)` for every position `k`
+/// of a lent message, for the requested phase. `dst` is the receiver's
+/// placement, ops that tile the message's positions in order (`dst_idx`
+/// holds their `Scatter` indices), and `src` the sender's row, which tiles
+/// the same positions. The two are walked side by side: where a `Contig` op
+/// meets a `Contig` op their overlap is one `copy_from_slice` (the `Bulk`
+/// phase); every other pairing is the index loop (`Scatter`). It fuses the
+/// sender's gather with the receiver's placement; a staged buffer, which
+/// is the identity program, goes through the placement's own walker
+/// ([`scatter_apply`], the CMS segment copy). Returns the elements the
+/// phase moved.
+pub(crate) fn join<T: Copy>(
+    src: Source<'_, T>,
+    dst: impl IntoIterator<Item = CopyOp>,
+    dst_idx: &[u32],
+    out: &mut [T],
+    phase: Phase,
+) -> usize {
+    let Source {
+        vals,
+        ops,
+        idx: src_idx,
+    } = src;
+    let mut ops = ops.iter().map(|op| op.parts());
+    let mut s = ops.next();
+    let mut moved = 0usize;
+    for d in dst {
+        let (d_contig, d_pos, d_at, d_len) = d.parts();
+        let mut p = d_pos;
+        while p < d_pos + d_len {
+            let (s_contig, s_pos, s_at, s_len) = s.expect("the source covers the placement");
+            if p >= s_pos + s_len {
+                s = ops.next();
+                continue;
+            }
+            let n = (d_pos + d_len).min(s_pos + s_len) - p;
+            let (si, di) = (s_at + (p - s_pos), d_at + (p - d_pos));
+            match (s_contig, d_contig) {
+                (true, true) if phase == Phase::Bulk => {
+                    out[di..di + n].copy_from_slice(&vals[si..si + n]);
+                    moved += n;
+                }
+                (true, true) => {}
+                _ if phase == Phase::Bulk => {}
+                (true, false) => {
+                    for (&o, &v) in dst_idx[di..di + n].iter().zip(&vals[si..si + n]) {
+                        out[o as usize] = v;
+                    }
+                    moved += n;
+                }
+                (false, true) => {
+                    for (o, &i) in out[di..di + n].iter_mut().zip(&src_idx[si..si + n]) {
+                        *o = vals[i as usize];
+                    }
+                    moved += n;
+                }
+                (false, false) => {
+                    for (&o, &i) in dst_idx[di..di + n].iter().zip(&src_idx[si..si + n]) {
+                        out[o as usize] = vals[i as usize];
+                    }
+                    moved += n;
+                }
+            }
+            p += n;
+        }
+    }
+    moved
+}
+
 /// Gather `dst[k] = src[list[k]]` for the requested phase — the pooled
 /// segment-value / reply fill kernel. `dst` must already have the row's
 /// length (the pooled buffers keep their shape across executes, so the
@@ -370,6 +492,46 @@ pub(crate) fn gather_fill<T: Copy>(
         }
     }
     moved
+}
+
+/// Row `k`'s values over `src` in position order, one at a time — the
+/// pair kernels' source, whose other half (the ranks) is per element anyway.
+pub(crate) fn row_values<'a, T: Copy>(
+    progs: &'a CopyPrograms,
+    k: usize,
+    src: &'a [T],
+) -> impl Iterator<Item = T> + 'a {
+    progs.row(k).iter().flat_map(move |&op| {
+        let (contig, _, at, len) = op.parts();
+        let ids = &progs.idx[if contig { 0..0 } else { at..at + len }];
+        (0..len).map(move |j| src[if contig { at + j } else { ids[j] as usize }])
+    })
+}
+
+/// A cold pair message in one pass, in position order: `dst` becomes
+/// `(ranks[k], src[list[k]])` for every position `k`, rank and value
+/// written together.
+pub(crate) fn gather_pairs_fill<T: Copy>(
+    progs: &CopyPrograms,
+    k: usize,
+    ranks: &[u32],
+    src: &[T],
+    dst: &mut Vec<(u32, T)>,
+) -> usize {
+    dst.clear();
+    dst.reserve(ranks.len());
+    for op in progs.row(k) {
+        let (contig, pos, at, len) = op.parts();
+        let ranks = ranks[pos..pos + len].iter().copied();
+        if contig {
+            dst.extend(ranks.zip(src[at..at + len].iter().copied()));
+        } else {
+            let ids = progs.idx[at..at + len].iter();
+            dst.extend(ranks.zip(ids.map(|&i| src[i as usize])));
+        }
+    }
+    debug_assert_eq!(dst.len(), ranks.len(), "the row and its ranks disagree");
+    dst.len()
 }
 
 /// Gather `dst[k].1 = src[list[k]]` for the requested phase, ranks
@@ -623,6 +785,50 @@ pub(super) mod tests {
         })
     }
 
+    /// Run descriptions `(len, stride, descending, junk)`, as one list of
+    /// distinct indices: per run, `junk` scattered elements (none: back to
+    /// back), then the run.
+    type Runs = Vec<(usize, u32, bool, u32)>;
+
+    fn boundary_list(runs: &Runs) -> Vec<u32> {
+        let mut idx: Vec<u32> = Vec::new();
+        let mut next = 0u32;
+        for &(len, stride, descending, junk) in runs {
+            idx.extend((0..junk).map(|k| next + 7 * k + 3));
+            next += 7 * junk + 1;
+            let run = (0..len as u32).map(|k| next + stride * k);
+            if descending && stride > 1 {
+                idx.extend(run.rev());
+            } else {
+                idx.extend(run);
+            }
+            next += stride * len as u32 + 1;
+        }
+        idx
+    }
+
+    /// Runs one below, at and one above every minimum — contiguous and
+    /// strided, back to back or with scattered elements between.
+    fn boundary_runs() -> impl proptest::strategy::Strategy<Value = Runs> {
+        proptest::collection::vec(
+            (
+                proptest::sample::select(boundary_lens()),
+                proptest::sample::select(vec![1u32, 1, 2, 16]),
+                proptest::arbitrary::any::<bool>(),
+                0u32..3,
+            ),
+            1..6,
+        )
+    }
+
+    /// The two-pass reference of a fused receive: gather the sender's list
+    /// into a message, then place the message through the receiver's.
+    fn gather_then_place(src_list: &[u32], dst_list: &[u32], src: &[u32], out: &mut [u32]) {
+        for (&d, v) in dst_list.iter().zip(scalar_gather(src_list, src)) {
+            out[d as usize] = v;
+        }
+    }
+
     fn roundtrip(idx: &[u32]) {
         let progs = lower(idx);
         let bulk = progs.stats().bulk_elements as usize;
@@ -853,7 +1059,90 @@ pub(super) mod tests {
         );
     }
 
+    /// A lent row joined with a placement row, against gathering then
+    /// placing: every pairing of `Contig` and `Scatter` ops, overlaps that
+    /// start and end anywhere — and the staged path, fill then
+    /// `scatter_apply`, to the same result.
+    fn assert_join_matches(src_list: &[u32], dst_list: &[u32]) {
+        let n = src_list.len().min(dst_list.len());
+        let (src_list, dst_list) = (&src_list[..n], &dst_list[..n]);
+        let sender = CopyPrograms::lower(src_list, &[0, n as u32]);
+        let receiver = CopyPrograms::lower(dst_list, &[0, n as u32]);
+        let span = |l: &[u32]| l.iter().max().map_or(0, |&m| m as usize + 1);
+        let src: Vec<u32> = (0..span(src_list) as u32).map(|x| x * 5 + 1).collect();
+        let mut want = vec![0u32; span(dst_list)];
+        gather_then_place(src_list, dst_list, &src, &mut want);
+        let mut lent = vec![0u32; want.len()];
+        let bulk = receiver.place(0, sender.source(0, &src), &mut lent, Phase::Bulk);
+        let rest = receiver.place(0, sender.source(0, &src), &mut lent, Phase::Scatter);
+        assert_eq!(bulk + rest, n, "the phases cover the message");
+        assert_eq!(lent, want, "lent {src_list:?} into {dst_list:?}");
+        let mut buf = vec![0u32; n];
+        for phase in [Phase::Scatter, Phase::Bulk] {
+            gather_fill(&sender, 0, &src, &mut buf, phase);
+        }
+        let mut staged = vec![0u32; want.len()];
+        for phase in [Phase::Scatter, Phase::Bulk] {
+            scatter_apply(&receiver, 0, &buf, &mut staged, phase);
+        }
+        assert_eq!(staged, want);
+    }
+
+    /// The rule's edges on both sides: a run at each minimum ± 1 on one
+    /// side meets the same run, a shifted one, or scattered elements on the
+    /// other.
+    #[test]
+    fn join_meets_runs_at_the_minima() {
+        let run = |at: u32, len: usize| (at..at + len as u32).collect::<Vec<u32>>();
+        for len in boundary_lens() {
+            let scattered: Vec<u32> = (0..len as u32).map(|k| 977 * k % 4099).collect();
+            let shifted: Vec<u32> = [9000].into_iter().chain(run(40, len)).collect();
+            for (a, b) in [
+                (run(3, len), run(100, len)),
+                (run(3, len), scattered.clone()),
+                (scattered.clone(), run(100, len)),
+                (shifted.clone(), run(7, len + 1)),
+                (run(7, len + 1), shifted),
+            ] {
+                assert_join_matches(&a, &b);
+            }
+        }
+    }
+
     proptest::proptest! {
+        /// Two arbitrary lowered rows, joined, equal the two-pass reference.
+        #[test]
+        fn join_matches_gather_then_place(src in boundary_runs(), dst in boundary_runs()) {
+            assert_join_matches(&boundary_list(&src), &boundary_list(&dst));
+        }
+
+        /// The cold one-pass pair fill is the skeleton plus the two-phase
+        /// refill, over arbitrary rows.
+        #[test]
+        fn cold_pair_fill_equals_the_refill(
+            runs in boundary_runs(),
+            cuts in proptest::collection::vec(0usize..300, 0..4),
+            k in 0usize..8,
+        ) {
+            let idx = boundary_list(&runs);
+            let mut offs: Vec<u32> = cuts.iter().map(|c| (c % (idx.len() + 1)) as u32).collect();
+            offs.extend([0, idx.len() as u32]);
+            offs.sort_unstable();
+            let progs = CopyPrograms::lower(&idx, &offs);
+            let k = k % (offs.len() - 1);
+            let row = &idx[offs[k] as usize..offs[k + 1] as usize];
+            let ranks: Vec<u32> = (0..row.len() as u32).map(|r| 3 * r + 1).collect();
+            let span = idx.iter().max().map_or(0, |&m| m as usize + 1);
+            let src: Vec<u32> = (0..span as u32).map(|x| x ^ 0x5a5a).collect();
+            let mut cold = vec![(7, 7)];
+            proptest::prop_assert_eq!(gather_pairs_fill(&progs, k, &ranks, &src, &mut cold), row.len());
+            let mut warm: Vec<(u32, u32)> = ranks.iter().map(|&r| (r, 0)).collect();
+            for phase in [Phase::Bulk, Phase::Scatter] {
+                gather_pairs_refill(&progs, k, &src, &mut warm, phase);
+            }
+            proptest::prop_assert_eq!(cold, warm);
+        }
+
         /// The streaming builder emits exactly the ops of the rescanning
         /// lowering, row offsets and statistics included.
         #[test]
@@ -888,31 +1177,8 @@ pub(super) mod tests {
         /// and back to back, with or without scattered elements between —
         /// where all three walkers run both their kernels.
         #[test]
-        fn boundary_runs_match_scalar(
-            runs in proptest::collection::vec(
-                (
-                    proptest::sample::select(boundary_lens()),
-                    proptest::sample::select(vec![1u32, 1, 2, 16]),
-                    proptest::arbitrary::any::<bool>(),
-                    0u32..3,
-                ),
-                1..6,
-            ),
-        ) {
-            let mut idx: Vec<u32> = Vec::new();
-            let mut next = 0u32;
-            for (len, stride, descending, junk) in runs {
-                // `junk` scattered elements (none: back to back), then the run.
-                idx.extend((0..junk).map(|k| next + 7 * k + 3));
-                next += 7 * junk + 1;
-                let run = (0..len as u32).map(|k| next + stride * k);
-                if descending && stride > 1 {
-                    idx.extend(run.rev());
-                } else {
-                    idx.extend(run);
-                }
-                next += stride * len as u32 + 1;
-            }
+        fn boundary_runs_match_scalar(runs in boundary_runs()) {
+            let idx = boundary_list(&runs);
             roundtrip(&idx);
             let offs = [0, idx.len() as u32];
             proptest::prop_assert_eq!(CopyPrograms::lower(&idx, &offs), lower_rescanning(&idx, &offs));

@@ -48,7 +48,10 @@ pub use copyprog::CopyStats;
 
 use hpf_distarray::{ArrayDesc, DimLayout};
 use hpf_machine::collectives::{alltoallv_pooled, alltoallv_sparse, A2aPlan, A2aSchedule};
-use hpf_machine::{fresh_pool_key, Category, MemAccount, Packet, PoolSlot, Proc, Reusable, Wire};
+use hpf_machine::{
+    fresh_pool_key, Category, Lendable, Loan, MemAccount, Packet, PoolSlot, Proc, Received, Wire,
+    Words,
+};
 
 use crate::error::{PackError, UnpackError};
 use crate::pack::{compact_message, result_layout, CmsMessage, PackOutput};
@@ -60,7 +63,8 @@ use composer::{
     into_rows, Composer, OwnerBlock, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder,
 };
 use copyprog::{
-    gather_fill, gather_pairs_refill, scatter_apply, CopyPrograms, Phase, ProgramBuilder,
+    gather_fill, gather_pairs_fill, gather_pairs_refill, row_values, scatter_apply, CopyPrograms,
+    Phase, ProgramBuilder,
 };
 use poolmsg::{FlatMsg, PairMsg};
 
@@ -83,6 +87,33 @@ pub struct PackPlan {
     /// Buffer-pool key: each plan owns a distinct family of reusable send
     /// buffers in every processor's pool (see DESIGN.md §11).
     pool_key: u64,
+    /// Whether this processor's executes lend `a_local` instead of filling
+    /// send buffers ([`lend_rule`]).
+    lends: bool,
+}
+
+/// Elements a processor sends per execute from which its plan may *lend*
+/// its source instead of copying it into pooled buffers (DESIGN.md §11):
+/// the receiver then reads the sender's slice through the sender's copy
+/// program, so gather and decode — or serve and reply scatter — are one
+/// pass, not two. A lending execute waits for its loans to come back before
+/// it returns, which costs about one park; below this size that wait costs
+/// more than the pass it saves. Measured break-even on a full mask, pinned
+/// to one CPU on one worker (EXPERIMENTS.md, "The receiver runs the sender's
+/// copy program").
+const MIN_LEND: usize = 1024;
+
+/// Whether a plan that sends `sent` elements per execute through programs
+/// of `stats` lends: the transport allows it ([`Proc::can_lend`]), it sends
+/// at least [`MIN_LEND`] elements, and every one of them moves by a bulk
+/// op. Where an index loop moves some, the fused pass saves no copy worth
+/// the wait — the index loop is the cost either way — and reading a
+/// peer's array at decode time instead of one's own at send time made
+/// Bernoulli masks 10–60 % slower (EXPERIMENTS.md). `always` (tests only)
+/// lends whenever the transport allows.
+fn lend_rule(proc: &Proc, sent: usize, stats: &CopyStats, always: bool) -> bool {
+    let bulk = stats.bulk_elements == stats.total_elements;
+    proc.can_lend() && (always || (sent >= MIN_LEND && bulk))
 }
 
 /// Build a [`PackPlan`]: initial scan, ranking collectives, route
@@ -106,6 +137,17 @@ pub fn plan_pack(
     m_local: &[bool],
     opts: &PackOptions,
 ) -> Result<PackPlan, PackError> {
+    plan_pack_at(proc, desc, m_local, opts, false)
+}
+
+/// [`plan_pack`]; `always_lend` as in [`lend_rule`].
+fn plan_pack_at(
+    proc: &mut Proc,
+    desc: &ArrayDesc,
+    m_local: &[bool],
+    opts: &PackOptions,
+    always_lend: bool,
+) -> Result<PackPlan, PackError> {
     let shape = crate::pack::validate_mask(proc, desc, m_local)?;
     let local_len = m_local.len();
     Ok(proc.with_stage("pack.plan", |proc| {
@@ -121,6 +163,7 @@ pub fn plan_pack(
             }
             None => RoutesBuilder::new(RankEmit::Explicit, 0, 0).finish(),
         };
+        let lends = lend_rule(proc, routes.slots.total(), gather.stats(), always_lend);
         let (to, world) = (routes.slots.peers.clone(), proc.world());
         let a2a = match layout {
             Some(_) => A2aPlan::exchange(proc, &world, to),
@@ -137,6 +180,7 @@ pub fn plan_pack(
             gather,
             a2a,
             pool_key: fresh_pool_key(),
+            lends,
         };
         proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
         plan
@@ -179,6 +223,12 @@ impl PackPlan {
         self.size
     }
 
+    /// Whether this processor's executes lend their source instead of
+    /// copying it into send buffers (DESIGN.md §11). Decided at plan time.
+    pub fn lends(&self) -> bool {
+        self.lends
+    }
+
     /// Layout of the result vector (`None` iff `size == 0`).
     pub fn v_layout(&self) -> Option<DimLayout> {
         self.v_layout
@@ -215,7 +265,9 @@ impl PackPlan {
     /// the whole gather → exchange → decode loop performs **zero heap
     /// allocations**: send buffers come from the per-processor pool
     /// (checked out here, returned by the receiving processor's decode) and
-    /// the result vector reuses its capacity.
+    /// the result vector reuses its capacity. A lending plan fills no
+    /// buffer: each receiver reads `a_local` in place, and this returns once
+    /// every receiver has.
     ///
     /// Simulated accounting — charges, events, stage spans — is
     /// bit-identical to `execute`, which is now this method plus a fresh
@@ -241,17 +293,28 @@ impl PackPlan {
         let layout = self.v_layout.expect("size > 0");
         proc.with_stage("pack.execute", |proc| {
             let mut recvs = proc.take_pkt_scratch();
+            let (r, v) = (&mut recvs, &mut out.local_v);
             match self.scheme {
-                PackScheme::Simple | PackScheme::CompactStorage => {
-                    self.gather_pairs(proc, a_local);
-                    self.exchange::<PairMsg<T>>(proc, &mut recvs);
-                    self.decode_pairs(proc, &layout, &mut recvs, &mut out.local_v);
-                }
-                PackScheme::CompactMessage => {
-                    self.gather_segments(proc, a_local);
-                    self.exchange::<CmsMessage<T>>(proc, &mut recvs);
-                    self.decode_segments(proc, &layout, &mut recvs, &mut out.local_v);
-                }
+                PackScheme::Simple | PackScheme::CompactStorage => self.round::<PairMsg<T>, T>(
+                    proc,
+                    a_local,
+                    |k| self.routes.slots.len(k) * <(u32, T)>::WORDS,
+                    |proc| self.gather_pairs(proc, a_local),
+                    |proc| {
+                        self.exchange::<PairMsg<T>>(proc, r);
+                        self.decode_pairs(proc, &layout, r, v);
+                    },
+                ),
+                PackScheme::CompactMessage => self.round::<CmsMessage<T>, T>(
+                    proc,
+                    a_local,
+                    |k| 2 * self.routes.runs(k).len() + self.routes.slots.len(k) * T::WORDS,
+                    |proc| self.gather_segments(proc, a_local),
+                    |proc| {
+                        self.exchange::<CmsMessage<T>>(proc, r);
+                        self.decode_segments(proc, &layout, r, v);
+                    },
+                ),
             }
             proc.restore_pkt_scratch(recvs);
             out.size = self.size;
@@ -260,20 +323,59 @@ impl PackPlan {
         Ok(())
     }
 
-    /// The planned many-to-many over the buffers the gather left staged.
-    fn exchange<B: Reusable>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
+    /// The planned many-to-many over the buffers the gather left staged (or
+    /// the loans it left lent).
+    fn exchange<B: Lendable>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
         proc.with_category(Category::ManyToMany, |proc| {
             alltoallv_pooled::<B>(proc, &self.a2a, self.schedule, self.pool_key, recvs);
         });
     }
 
+    /// One execute's send side, then `rest` — the exchange and the decode.
+    /// A lending plan lends `a_local` to every destination under its route
+    /// row `k`, charging the gather's one operation per element, with
+    /// `words(k)` the wire words row `k`'s message would occupy
+    /// materialised, and runs `rest` inside the lending scope; any other plan
+    /// fills its send buffers with `fill` first.
+    fn round<'a, B, T>(
+        &'a self,
+        proc: &mut Proc,
+        a_local: &'a [T],
+        words: impl Fn(usize) -> Words,
+        fill: impl FnOnce(&mut Proc),
+        rest: impl FnOnce(&mut Proc),
+    ) where
+        B: Lendable<Elem = T, Recipe = PackPlan>,
+    {
+        if !self.lends {
+            fill(proc);
+            return rest(proc);
+        }
+        proc.lending::<B, _>(self.pool_key, |proc, lender| {
+            proc.wall_span("pack.gather", |proc| {
+                proc.with_category(Category::LocalComp, |proc| {
+                    for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
+                        let loan = Loan {
+                            src: a_local,
+                            recipe: self,
+                            row: k,
+                        };
+                        lender.lend(proc, dst as usize, loan, words(k));
+                    }
+                    proc.charge_ops(self.routes.slots.total());
+                })
+            });
+            rest(proc);
+        })
+    }
+
     /// Gather `(rank, value)` pair messages into pooled per-destination
     /// buffers (one operation per moved element). A warm buffer already
-    /// holds the plan-constant rank skeleton; a cold one (the first execute,
-    /// whose pool slot is new) gets it first. Either way the lowered
-    /// copy program then overwrites **values only**. The buffer for each
-    /// destination — this processor's own rank included — is left staged in
-    /// its slot for the exchange.
+    /// holds the plan-constant rank skeleton, and the lowered copy program
+    /// overwrites **values only**; a cold one (the first execute, whose pool
+    /// slot is new) is built in one pass, rank and value together. The
+    /// buffer for each destination — this processor's own rank included —
+    /// is left staged in its slot for the exchange.
     fn gather_pairs<T: Wire + Default>(&self, proc: &mut Proc, a_local: &[T]) {
         proc.wall_span("pack.gather", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
@@ -282,17 +384,21 @@ impl PackPlan {
                     let ranks = self.routes.explicit(k);
                     let (slot, mut buf) =
                         proc.pool_checkout::<PairMsg<T>>(self.pool_key, dst as usize);
-                    if buf.pairs.len() != ranks.len() {
-                        buf.pairs.clear();
-                        buf.pairs.extend(ranks.iter().map(|&r| (r, T::default())));
+                    if buf.pairs.len() == ranks.len() {
+                        debug_assert!(
+                            buf.pairs.iter().zip(ranks).all(|(p, &r)| p.0 == r),
+                            "stale rank skeleton in pooled pair buffer"
+                        );
+                        walk_phases::<T>(proc, |phase| {
+                            gather_pairs_refill(&self.gather, k, a_local, &mut buf.pairs, phase)
+                        });
+                    } else {
+                        proc.wall_span("copy.scatter", |proc| {
+                            let filled =
+                                gather_pairs_fill(&self.gather, k, ranks, a_local, &mut buf.pairs);
+                            proc.wall_bytes((filled * std::mem::size_of::<T>()) as u64);
+                        });
                     }
-                    debug_assert!(
-                        buf.pairs.iter().zip(ranks).all(|(p, &r)| p.0 == r),
-                        "stale rank skeleton in pooled pair buffer"
-                    );
-                    walk_phases::<T>(proc, |phase| {
-                        gather_pairs_refill(&self.gather, k, a_local, &mut buf.pairs, phase)
-                    });
                     moved += ranks.len();
                     slot.stash(buf);
                 }
@@ -328,8 +434,10 @@ impl PackPlan {
         })
     }
 
-    /// Decode pooled pair messages into `out` (Section 6.4.1: `2·E_a`),
-    /// returning each buffer to its sender's slot via [`decode_pooled`].
+    /// Decode pooled pair messages — or read lent sources in place — into
+    /// `out` (Section 6.4.1: `2·E_a`) via [`decode_pooled`]. A lent message's
+    /// ranks are its sender's plan row, its values the sender's `a_local`
+    /// under the sender's gather row.
     fn decode_pairs<T: Wire + Default>(
         &self,
         proc: &mut Proc,
@@ -346,7 +454,16 @@ impl PackPlan {
                     self.pool_key,
                     self.a2a.sends_to(me),
                     recvs,
-                    |_, _, buf| place_pairs(layout, me, &buf.pairs, out),
+                    |_, _, got| match got {
+                        Received::Staged(buf) => {
+                            place_pairs(layout, me, buf.pairs.iter().copied(), out)
+                        }
+                        Received::Lent(Loan { src, recipe, row }) => {
+                            let ranks = recipe.routes.explicit(row).iter().copied();
+                            let vals = row_values(&recipe.gather, row, src);
+                            place_pairs(layout, me, ranks.zip(vals), out)
+                        }
+                    },
                 );
                 debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
                 proc.charge_ops(2 * placed);
@@ -355,9 +472,11 @@ impl PackPlan {
         })
     }
 
-    /// Decode pooled segment messages into `out` (Section 6.4.2:
-    /// `E_a + 2·Gr_i`), returning each buffer to its sender's slot via
-    /// [`decode_pooled`].
+    /// Decode pooled segment messages — or read lent sources in place — into
+    /// `out` (Section 6.4.2: `E_a + 2·Gr_i`) via [`decode_pooled`]. A lent
+    /// message's headers are its sender's run row, its values the sender's
+    /// `a_local` under the sender's gather row, joined with the headers'
+    /// placement in one pass.
     fn decode_segments<T: Wire + Default>(
         &self,
         proc: &mut Proc,
@@ -375,18 +494,28 @@ impl PackPlan {
                     self.pool_key,
                     self.a2a.sends_to(me),
                     recvs,
-                    |proc, _, msg| {
-                        placed += msg.value_count();
-                        // Wall bytes count the values only: the 2-word
-                        // segment headers are index work, not movement.
-                        proc.wall_span("place_segments", |proc| {
-                            proc.wall_bytes((msg.value_count() * std::mem::size_of::<T>()) as u64);
-                            compact_message::place_segments(layout, me, msg, out)
-                        })
+                    |proc, _, got| match got {
+                        Received::Staged(msg) => {
+                            placed += msg.vals.len();
+                            // Wall bytes count the values only: the 2-word
+                            // segment headers are index work, not movement.
+                            proc.wall_span("place_segments", |proc| {
+                                proc.wall_bytes((msg.vals.len() * std::mem::size_of::<T>()) as u64);
+                                compact_message::place_segments(layout, me, msg, out)
+                            })
+                        }
+                        Received::Lent(Loan { src, recipe, row }) => {
+                            let (heads, src) =
+                                (recipe.routes.runs(row), recipe.gather.source(row, src));
+                            let moved = walk_phases::<T>(proc, |phase| {
+                                compact_message::join_segments(layout, me, heads, src, out, phase)
+                            });
+                            placed += moved;
+                            2 * heads.len() + moved
+                        }
                     },
                 );
                 debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
-                let _ = placed;
                 proc.charge_ops(ops);
             })
         })
@@ -405,13 +534,15 @@ fn prepare_out<T: Default + Clone>(out: &mut Vec<T>, local_len: usize) {
     }
 }
 
-/// The shared pooled-decode loop: take the self-staged buffer (it never
-/// crossed the wire), then every received packet's slot, run `place` over
-/// each, and return every buffer to its sender's slot. `place` gets the
-/// sending processor's id (this processor's own for the self slot) and
-/// returns whatever count it wants accumulated — placed values for pair
-/// decodes, model operations for segment decodes.
-fn decode_pooled<B: Reusable, F>(
+/// The shared pooled-decode loop: read the self slot (it never crossed the
+/// wire), then every received packet's slot, and run `place` over what each
+/// carries — a staged buffer, which goes back to its sender's slot after,
+/// or a loan of the sender's source, read in place ([`PoolSlot::receive`]).
+/// `place` gets the sending processor's id (this processor's own for the
+/// self slot) and returns whatever count it wants accumulated — placed
+/// values for pair decodes, model operations for segment decodes. It must
+/// not park: a loan's lender may wait on it.
+fn decode_pooled<B: Lendable, F>(
     proc: &mut Proc,
     pool_key: u64,
     self_staged: bool,
@@ -419,15 +550,13 @@ fn decode_pooled<B: Reusable, F>(
     mut place: F,
 ) -> usize
 where
-    F: FnMut(&mut Proc, usize, &B) -> usize,
+    F: FnMut(&mut Proc, usize, Received<'_, B>) -> usize,
 {
     let me = proc.id();
     let mut acc = 0usize;
     if self_staged {
         let slot = proc.pool_current::<B>(pool_key, me);
-        let buf = slot.take_staged();
-        acc += place(proc, me, &buf);
-        slot.put_back(buf);
+        acc += slot.receive(|got| place(proc, me, got));
     }
     for pkt in recvs.drain(..) {
         let src = pkt.src;
@@ -435,18 +564,18 @@ where
             .data
             .downcast::<PoolSlot<B>>()
             .expect("pooled exchange delivers pool slots");
-        let buf = slot.take_staged();
-        acc += place(proc, src, &buf);
-        slot.put_back(buf);
+        acc += slot.receive(|got| place(proc, src, got));
     }
     acc
 }
 
 /// Walk a lowered copy program: `walk` runs one phase of a `copyprog`
-/// kernel and returns the elements it moved. The bulk ops run under the
-/// `copy.contig` wall frame and the scalar ranges under `copy.scatter`, so
-/// hotspot attribution sees the shift from indexed to bulk movement.
-fn walk_phases<T>(proc: &mut Proc, mut walk: impl FnMut(Phase) -> usize) {
+/// kernel and returns the elements it moved; so does this, over both. The
+/// bulk ops run under the `copy.contig` wall frame and the scalar ranges
+/// under `copy.scatter`, so hotspot attribution sees the shift from indexed
+/// to bulk movement.
+fn walk_phases<T>(proc: &mut Proc, mut walk: impl FnMut(Phase) -> usize) -> usize {
+    let mut total = 0;
     for (frame, phase) in [
         ("copy.contig", Phase::Bulk),
         ("copy.scatter", Phase::Scatter),
@@ -454,12 +583,15 @@ fn walk_phases<T>(proc: &mut Proc, mut walk: impl FnMut(Phase) -> usize) {
         proc.wall_span(frame, |proc| {
             let moved = walk(phase);
             proc.wall_bytes((moved * std::mem::size_of::<T>()) as u64);
+            total += moved;
         });
     }
+    total
 }
 
-/// Place one pair message's `(global rank, value)` entries into the local
-/// slice of `V`; returns the number of values placed.
+/// Place one pair message's `(global rank, value)` entries — a buffer's
+/// pairs, or a lent row's ranks beside its values — into the local slice of
+/// `V`; returns the number of values placed.
 ///
 /// The receiver never learns the sender's rank lists at plan time (adding
 /// an exchange for them would change the simulated wire traffic), so the
@@ -472,19 +604,20 @@ fn walk_phases<T>(proc: &mut Proc, mut walk: impl FnMut(Phase) -> usize) {
 fn place_pairs<T: Wire + Default>(
     layout: &DimLayout,
     me: usize,
-    pairs: &[(u32, T)],
+    pairs: impl IntoIterator<Item = (u32, T)>,
     out: &mut [T],
 ) -> usize {
-    let mut block = OwnerBlock::default();
-    for &(r, v) in pairs {
+    let (mut block, mut placed) = (OwnerBlock::default(), 0);
+    for (r, v) in pairs {
         let r = r as usize;
         if block.misses(r, 1) {
             block.seek(layout, r);
             debug_assert_eq!(block.owner, me, "misrouted element");
         }
         out[block.local_lo + (r - block.lo)] = v;
+        placed += 1;
     }
-    pairs.len()
+    placed
 }
 
 /// Chunk size of the UNPACK field pass, in elements. Read from the kernel
@@ -568,6 +701,9 @@ pub struct UnpackPlan {
     reply_a2a: A2aPlan,
     /// Buffer-pool key for the reply-round send buffers (DESIGN.md §11).
     pool_key: u64,
+    /// Whether this processor's executes lend `v_local` to the requesters
+    /// instead of filling reply buffers ([`lend_rule`]).
+    lends: bool,
 }
 
 /// Build an [`UnpackPlan`]: initial scan, ranking collectives, request
@@ -588,6 +724,18 @@ pub fn plan_unpack(
     m_local: &[bool],
     v_layout: &DimLayout,
     opts: &UnpackOptions,
+) -> Result<UnpackPlan, UnpackError> {
+    plan_unpack_at(proc, desc, m_local, v_layout, opts, false)
+}
+
+/// [`plan_unpack`]; `always_lend` as in [`lend_rule`].
+fn plan_unpack_at(
+    proc: &mut Proc,
+    desc: &ArrayDesc,
+    m_local: &[bool],
+    v_layout: &DimLayout,
+    opts: &UnpackOptions,
+    always_lend: bool,
 ) -> Result<UnpackPlan, UnpackError> {
     let shape = crate::unpack::validate_mask(proc, desc, m_local)?;
     let local_len = m_local.len();
@@ -670,6 +818,11 @@ pub fn plan_unpack(
         // and I await replies from whoever I asked.
         let reply_a2a =
             A2aPlan::from_peers(proc.nprocs(), serve.peers.clone(), targets.peers.clone());
+        // The requesters' scatter rows are theirs; this processor's own
+        // stand in for them: the same mask family, distributed alike.
+        let mut stats = *serve_prog.stats();
+        stats.merge(scatter_prog.stats());
+        let lends = lend_rule(proc, serve.total(), &stats, always_lend);
         let plan = UnpackPlan {
             schedule: opts.schedule,
             size,
@@ -682,6 +835,7 @@ pub fn plan_unpack(
             field_spans: field_spans(m_local),
             reply_a2a,
             pool_key: fresh_pool_key(),
+            lends,
         };
         proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
         Ok(plan)
@@ -692,6 +846,12 @@ impl UnpackPlan {
     /// Global number of selected mask elements (`Size`).
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Whether this processor's executes lend `v_local` to the requesters
+    /// instead of copying it into reply buffers; see [`PackPlan::lends`].
+    pub fn lends(&self) -> bool {
+        self.lends
     }
 
     /// Bytes retained by the plan's index structures (target and serve
@@ -718,6 +878,77 @@ impl UnpackPlan {
         let mut s = *self.serve_prog.stats();
         s.merge(self.scatter_prog.stats());
         s
+    }
+
+    /// Serve: fill each requester's pooled reply buffer along the
+    /// precomputed copy program (one operation per value — the index
+    /// arithmetic was paid at plan time). Requesters with nothing to serve
+    /// get no buffer, matching the reply plan's silent rounds.
+    fn serve<T: Wire + Default>(&self, proc: &mut Proc, v_local: &[T]) {
+        proc.wall_span("unpack.serve", |proc| {
+            proc.with_category(Category::LocalComp, |proc| {
+                for (k, &requester) in self.serve.peers.iter().enumerate() {
+                    let len = self.serve.len(k);
+                    let (slot, mut buf) =
+                        proc.pool_checkout::<FlatMsg<T>>(self.pool_key, requester as usize);
+                    if buf.vals.len() != len {
+                        buf.vals.clear();
+                        buf.vals.resize(len, T::default());
+                    }
+                    walk_phases::<T>(proc, |phase| {
+                        gather_fill(&self.serve_prog, k, v_local, &mut buf.vals, phase)
+                    });
+                    slot.stash(buf);
+                }
+                proc.charge_ops(self.serve.total());
+            })
+        });
+    }
+
+    /// The reply round, then the reply scatter into `A` at the recorded
+    /// element slots: each reply — a buffer, or the owner's `v_local` read in
+    /// place under its serve row — is joined with this processor's scatter
+    /// row in one pass, via the shared pooled-decode loop.
+    fn reply<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>, out: &mut [T]) {
+        proc.with_stage("unpack.reply", |proc| {
+            proc.with_category(Category::ManyToMany, |proc| {
+                alltoallv_pooled::<FlatMsg<T>>(
+                    proc,
+                    &self.reply_a2a,
+                    self.schedule,
+                    self.pool_key,
+                    recvs,
+                );
+            })
+        });
+        proc.wall_span("unpack.scatter", |proc| {
+            proc.with_category(Category::LocalComp, |proc| {
+                let me = proc.id();
+                let ops = decode_pooled::<FlatMsg<T>, _>(
+                    proc,
+                    self.pool_key,
+                    self.reply_a2a.sends_to(me),
+                    recvs,
+                    |proc, src_id, got| {
+                        let k = self.targets.find(src_id).expect("a reply I asked for");
+                        let moved = match got {
+                            Received::Staged(buf) => walk_phases::<T>(proc, |phase| {
+                                scatter_apply(&self.scatter_prog, k, &buf.vals, out, phase)
+                            }),
+                            Received::Lent(Loan { src, recipe, row }) => {
+                                let src = recipe.serve_prog.source(row, src);
+                                walk_phases::<T>(proc, |phase| {
+                                    self.scatter_prog.place(k, src, out, phase)
+                                })
+                            }
+                        };
+                        debug_assert_eq!(moved, self.targets.len(k), "reply length mismatch");
+                        moved
+                    },
+                );
+                proc.charge_ops(ops);
+            })
+        });
     }
 
     /// Execute the plan against fresh field and vector values: copy the
@@ -786,67 +1017,31 @@ impl UnpackPlan {
             if self.size == 0 {
                 return;
             }
-            // Serve: fill each requester's pooled reply buffer along the
-            // precomputed copy program (one operation per value — the
-            // index arithmetic was paid at plan time). Requesters with
-            // nothing to serve get no buffer, matching the reply plan's
-            // silent rounds.
-            proc.wall_span("unpack.serve", |proc| {
-                proc.with_category(Category::LocalComp, |proc| {
-                    let mut ops = 0usize;
-                    for (k, &requester) in self.serve.peers.iter().enumerate() {
-                        let len = self.serve.len(k);
-                        let (slot, mut buf) =
-                            proc.pool_checkout::<FlatMsg<T>>(self.pool_key, requester as usize);
-                        if buf.vals.len() != len {
-                            buf.vals.clear();
-                            buf.vals.resize(len, T::default());
-                        }
-                        walk_phases::<T>(proc, |phase| {
-                            gather_fill(&self.serve_prog, k, v_local, &mut buf.vals, phase)
-                        });
-                        ops += len;
-                        slot.stash(buf);
-                    }
-                    proc.charge_ops(ops);
-                })
-            });
             let mut recvs = proc.take_pkt_scratch();
-            proc.with_stage("unpack.reply", |proc| {
-                proc.with_category(Category::ManyToMany, |proc| {
-                    alltoallv_pooled::<FlatMsg<T>>(
-                        proc,
-                        &self.reply_a2a,
-                        self.schedule,
-                        self.pool_key,
-                        &mut recvs,
-                    );
-                })
-            });
-            // Scatter the replies into A at the recorded element slots
-            // along the per-owner copy programs, returning each buffer to
-            // its sender's slot via the shared pooled-decode loop.
-            proc.wall_span("unpack.scatter", |proc| {
-                proc.with_category(Category::LocalComp, |proc| {
-                    let me = proc.id();
-                    let ops = decode_pooled::<FlatMsg<T>, _>(
-                        proc,
-                        self.pool_key,
-                        self.reply_a2a.sends_to(me),
-                        &mut recvs,
-                        |proc, src, buf| {
-                            let k = self.targets.find(src).expect("a reply I asked for");
-                            let len = self.targets.len(k);
-                            debug_assert_eq!(buf.vals.len(), len, "reply length mismatch");
-                            walk_phases::<T>(proc, |phase| {
-                                scatter_apply(&self.scatter_prog, k, &buf.vals, out, phase)
-                            });
-                            buf.vals.len()
-                        },
-                    );
-                    proc.charge_ops(ops);
-                })
-            });
+            if !self.lends {
+                self.serve(proc, v_local);
+                self.reply(proc, &mut recvs, out);
+            } else {
+                proc.lending::<FlatMsg<T>, _>(self.pool_key, |proc, lender| {
+                    // The serve, lent: `v_local` under each requester's row,
+                    // charged the same one operation per value.
+                    proc.wall_span("unpack.serve", |proc| {
+                        proc.with_category(Category::LocalComp, |proc| {
+                            for (k, &requester) in self.serve.peers.iter().enumerate() {
+                                let loan = Loan {
+                                    src: v_local,
+                                    recipe: self,
+                                    row: k,
+                                };
+                                let words = self.serve.len(k) * T::WORDS;
+                                lender.lend(proc, requester as usize, loan, words);
+                            }
+                            proc.charge_ops(self.serve.total());
+                        })
+                    });
+                    self.reply(proc, &mut recvs, out);
+                });
+            }
             proc.restore_pkt_scratch(recvs);
         });
         Ok(())
@@ -1089,6 +1284,92 @@ mod tests {
         }
     }
 
+    /// Small worlds with every plan lending (`MIN_LEND` and the bulk rule
+    /// lifted): every
+    /// mask of every 1-D array of N ≤ 8 elements on P ∈ {1, 2, 3, 4}
+    /// processors under every block-cyclic layout with P·W | N, through the
+    /// three PACK and two UNPACK schemes as plans executed twice, under all
+    /// three many-to-many schedules, against the sequential oracle. Every
+    /// message — CMS segments, pairs and flat replies, the self-message
+    /// included — is then read in place from its sender's slice.
+    #[test]
+    fn small_worlds_match_the_oracle_when_every_plan_lends() {
+        use crate::seq::{pack_seq, unpack_seq};
+        use hpf_distarray::GlobalArray;
+        use hpf_machine::collectives::A2aSchedule;
+        const SCHEDULES: [A2aSchedule; 3] = [
+            A2aSchedule::LinearPermutation,
+            A2aSchedule::NaivePush,
+            A2aSchedule::PairwiseExchange,
+        ];
+        let mut worlds = 0;
+        for p in 1..=4 {
+            for n in 1..=8usize {
+                for w in (1..=n).filter(|w| n.is_multiple_of(p * w)) {
+                    let schedule = SCHEDULES[worlds % 3];
+                    worlds += 1;
+                    let grid = ProcGrid::line(p);
+                    let desc = ArrayDesc::new(&[n], &grid, &[Dist::BlockCyclic(w)]).unwrap();
+                    let a = GlobalArray::from_fn(&[n], |g| 10 * g[0] as i32 + 1);
+                    let f = GlobalArray::from_fn(&[n], |g| -(g[0] as i32) - 1);
+                    let (d, ap, fp) = (&desc, &a.partition(&desc), &f.partition(&desc));
+                    let (a, f) = (&a, &f);
+                    Machine::new(grid, CostModel::cm5()).run(move |proc| {
+                        let me = proc.id();
+                        for bits in 0..1u32 << n {
+                            let mask = GlobalArray::from_vec(
+                                &[n],
+                                (0..n).map(|i| bits >> i & 1 == 1).collect(),
+                            );
+                            let m = &mask.partition(d)[me];
+                            let packed = pack_seq(a, &mask, None);
+                            let what = format!("N={n} P={p} W={w} mask {bits:b}");
+                            for scheme in PackScheme::ALL {
+                                let opts = PackOptions {
+                                    schedule,
+                                    ..PackOptions::new(scheme)
+                                };
+                                let plan = plan_pack_at(proc, d, m, &opts, true).unwrap();
+                                assert!(plan.lends(), "{what}");
+                                for _ in 0..2 {
+                                    let got = plan.execute(proc, &ap[me]).unwrap();
+                                    assert_eq!(got.size, packed.len(), "{what}");
+                                    for (l, x) in got.local_v.iter().enumerate() {
+                                        let g = got.v_layout.unwrap().global_of(me, l);
+                                        assert_eq!(*x, packed[g], "{what}, {scheme:?}");
+                                    }
+                                }
+                                plan.retire(proc);
+                            }
+                            let v: Vec<i32> =
+                                packed.iter().rev().map(|x| x + 1000).chain([-7]).collect();
+                            let vl =
+                                DimLayout::new_general(v.len(), p, 1 + bits as usize % 3).unwrap();
+                            let want = &unpack_seq(&v, &mask, f).partition(d)[me];
+                            let v_local: Vec<i32> = (0..vl.local_len(me))
+                                .map(|l| v[vl.global_of(me, l)])
+                                .collect();
+                            for scheme in UnpackScheme::ALL {
+                                let opts = UnpackOptions {
+                                    schedule,
+                                    ..UnpackOptions::new(scheme)
+                                };
+                                let plan = plan_unpack_at(proc, d, m, &vl, &opts, true).unwrap();
+                                assert!(plan.lends(), "{what}");
+                                for _ in 0..2 {
+                                    let got = plan.execute(proc, &fp[me], &v_local).unwrap();
+                                    assert_eq!(&got, want, "{what}, {scheme:?}");
+                                }
+                                plan.retire(proc);
+                            }
+                        }
+                    });
+                }
+            }
+        }
+        assert_eq!(worlds, 34);
+    }
+
     proptest::proptest! {
         /// The span derivation alone, on masks made of runs long enough to
         /// hold whole selected chunks and short enough to break them.
@@ -1124,11 +1405,22 @@ mod tests {
                 .map(|r| (r as u32, r as i32 * 7 + 1))
                 .collect();
             let mut out = vec![0; layout.local_len(me)];
-            proptest::prop_assert_eq!(place_pairs(&layout, me, &pairs, &mut out), pairs.len());
+            proptest::prop_assert_eq!(place_pairs(&layout, me, pairs.iter().copied(), &mut out), pairs.len());
             let mut want = vec![0; out.len()];
             for &(r, v) in &pairs {
                 want[layout.local_of(r as usize)] = v;
             }
+            proptest::prop_assert_eq!(&out, &want);
+            // Lent: the ranks beside the values of a sender's array read
+            // through its lowered gather row (a reversal of the value
+            // array, which lowers to one `Scatter` op, or runs of it).
+            let src: Vec<i32> = pairs.iter().rev().map(|p| p.1).collect();
+            let n = src.len() as u32;
+            let list: Vec<u32> = (0..n).map(|k| n - 1 - k).collect();
+            let progs = CopyPrograms::lower(&list, &[0, n]);
+            let lent = pairs.iter().map(|p| p.0).zip(copyprog::row_values(&progs, 0, &src));
+            let mut out = vec![0; layout.local_len(me)];
+            proptest::prop_assert_eq!(place_pairs(&layout, me, lent, &mut out), pairs.len());
             proptest::prop_assert_eq!(out, want);
         }
     }

@@ -13,7 +13,9 @@
 //! simulated metric derived from them — are bit-identical to the cleared
 //! buffers they supersede.
 
-use hpf_machine::{Payload, Reusable, Wire, Words};
+use hpf_machine::{Lendable, Payload, Reusable, Wire, Words};
+
+use super::{PackPlan, UnpackPlan};
 
 /// A pair-scheme message: `(global rank, value)` entries, `1 + T::WORDS`
 /// words each (Section 6.4.1's `2·E_i` for 1-word elements). Replaces the
@@ -47,6 +49,13 @@ impl<T: Wire> Reusable for PairMsg<T> {
     fn reset(&mut self) {}
 }
 
+/// A lent pair message is the sender's `a_local` under its plan's gather
+/// row, with the plan's rank row beside it.
+impl<T: Wire> Lendable for PairMsg<T> {
+    type Elem = T;
+    type Recipe = PackPlan;
+}
+
 /// A flat value-only message for the UNPACK reply round, replacing the
 /// bare `Vec<T>`: same `len · T::WORDS` wire words, but the buffer keeps
 /// its length across `put_back` so the serve kernel refills it
@@ -76,6 +85,12 @@ impl<T: Wire> Payload for FlatMsg<T> {
 impl<T: Wire> Reusable for FlatMsg<T> {
     /// Keep the shaped value array for the next positional refill.
     fn reset(&mut self) {}
+}
+
+/// A lent reply is the owner's `v_local` under its plan's serve row.
+impl<T: Wire> Lendable for FlatMsg<T> {
+    type Elem = T;
+    type Recipe = UnpackPlan;
 }
 
 #[cfg(test)]

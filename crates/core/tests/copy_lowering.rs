@@ -9,7 +9,10 @@
 //! This suite is the end-to-end half of the kernel-identity proof; the
 //! per-kernel half is the in-module proptests that check each walker and
 //! each decode against its per-element reference loop (`plan::copyprog`,
-//! `plan::place_pairs`, `pack::compact_message::place_segments`).
+//! `plan::place_pairs`, `pack::compact_message::place_segments`), and the
+//! fused receive of a lent source against gathering, then placing. Plans
+//! at the lending boundary run here: a processor that lends and one that
+//! does not, side by side in one exchange (DESIGN.md §11).
 
 use proptest::prelude::*;
 
@@ -372,5 +375,101 @@ fn mixed_rows_keep_their_scatter_indices_and_match_the_oracle() {
         let locals: Vec<Vec<i64>> = out.results.into_iter().map(|r| r.1).collect();
         let got = GlobalArray::assemble(&desc, &locals);
         assert_eq!(got.data(), want.data(), "{scheme:?}");
+    }
+}
+
+/// Elements a processor must send per execute for its plan to lend, when
+/// every one moves by a bulk op: the planner's measured `MIN_LEND`.
+const MIN_LEND: usize = 1024;
+
+/// At the lending boundary: full masks of `L` = `MIN_LEND` − 1, `MIN_LEND`
+/// and `MIN_LEND` + 1 elements per processor in blocks that lower to bulk
+/// rows, and a mask under which processors 0 and 1 send all their `L`
+/// elements while 2 and 3 send a handful, so lent and staged messages meet
+/// in one decode. Every PACK and UNPACK scheme, cold and warm, equals the
+/// sequential oracle; a plan lends exactly when its processor sends at
+/// least `MIN_LEND` elements.
+#[test]
+fn plans_at_the_lending_boundary_match_the_oracle() {
+    const P: usize = 4;
+    // `L` elements per processor in blocks of `W`, with `P·W | N`.
+    for (l, w) in [(MIN_LEND - 1, 31), (MIN_LEND, 64), (MIN_LEND + 1, 41)] {
+        let n = P * l;
+        let (grid, desc) = build(P, w, l / w);
+        for mixed in [false, true] {
+            // Mixed: all of processors 0 and 1, every 97th element of the rest.
+            let select = |g: usize| !mixed || desc.owner_of(&[g]).0 < 2 || g.is_multiple_of(97);
+            let m = GlobalArray::from_fn(&[n], |g| select(g[0]));
+            let parts = m.partition(&desc);
+            let a = GlobalArray::from_fn(&[n], |g| 3 * g[0] as i64 + 1);
+            let f = GlobalArray::from_fn(&[n], |g| -(g[0] as i64) - 1);
+            let packed = pack_seq(&a, &m, None);
+            let vl = DimLayout::new_general(packed.len(), P, packed.len().div_ceil(P)).unwrap();
+            let v_local = |me: usize| -> Vec<i64> {
+                (0..vl.local_len(me))
+                    .map(|k| 5 * vl.global_of(me, k) as i64)
+                    .collect()
+            };
+            let v_global: Vec<i64> = (0..packed.len()).map(|g| 5 * g as i64).collect();
+            let unpacked = unpack_seq(&v_global, &m, &f).partition(&desc);
+            let (d, ms, vlr) = (&desc, &parts, &vl);
+            let (ap, fp) = (&a.partition(&desc), &f.partition(&desc));
+            let out = Machine::new(grid.clone(), CostModel::cm5()).run(move |proc| {
+                let me = proc.id();
+                let sends = ms[me].iter().filter(|&&b| b).count();
+                let mut lent = Vec::new();
+                let mut got = Vec::new();
+                for scheme in PackScheme::ALL {
+                    let plan = plan_pack(proc, d, &ms[me], &PackOptions::new(scheme)).unwrap();
+                    assert_eq!(plan.lends(), sends >= MIN_LEND, "L={l}, proc {me}");
+                    lent.push(plan.lends());
+                    let cold = plan.execute(proc, &ap[me]).unwrap();
+                    let mut warm = plan.execute(proc, &ap[me]).unwrap();
+                    plan.execute_into(proc, &ap[me], &mut warm).unwrap();
+                    assert_eq!(cold.local_v, warm.local_v);
+                    got.push(cold.local_v);
+                }
+                let v = v_local(me);
+                let mut back = Vec::new();
+                for scheme in UnpackScheme::ALL {
+                    let plan =
+                        plan_unpack(proc, d, &ms[me], vlr, &UnpackOptions::new(scheme)).unwrap();
+                    lent.push(plan.lends());
+                    let cold = plan.execute(proc, &fp[me], &v).unwrap();
+                    let mut warm = plan.execute(proc, &fp[me], &v).unwrap();
+                    plan.execute_into(proc, &fp[me], &v, &mut warm).unwrap();
+                    assert_eq!(cold, warm);
+                    back.push(cold);
+                }
+                (lent, got, back)
+            });
+            for scheme in 0..PackScheme::ALL.len() {
+                let locals: Vec<Vec<i64>> =
+                    out.results.iter().map(|r| r.1[scheme].clone()).collect();
+                assert_eq!(
+                    assemble(&vl, &locals, packed.len()),
+                    packed,
+                    "L={l} mixed={mixed}"
+                );
+            }
+            for (me, r) in out.results.iter().enumerate() {
+                for got in &r.2 {
+                    assert_eq!(got, &unpacked[me], "L={l} mixed={mixed} proc {me}");
+                }
+            }
+            let lenders: Vec<bool> = out.results.iter().map(|r| r.0[0]).collect();
+            let want = match (mixed, l >= MIN_LEND) {
+                (false, lends) => vec![lends; P],
+                (true, lends) => vec![lends, lends, false, false],
+            };
+            assert_eq!(lenders, want, "L={l} mixed={mixed}");
+            // UNPACK: the owners of a full mask's ranks serve whole rows.
+            if !mixed {
+                assert!(out
+                    .results
+                    .iter()
+                    .all(|r| r.0[3..].iter().all(|&u| u == (l >= MIN_LEND))));
+            }
+        }
     }
 }

@@ -24,7 +24,9 @@
 //! its copy ops, and on its elements only where a `Scatter` op walks them
 //! (DESIGN.md §16): a bulk row keeps no index list. What its executes
 //! *stage* — the `mem.pool` high water — is set by the first execute: each
-//! pool entry holds one slot, which every later execute refills (§11).
+//! pool entry holds one slot, which every later execute refills (§11). A
+//! plan that lends its source stages nothing: its slots hold a loan, no
+//! buffer, and `mem.pool` stays at zero.
 
 use hpf_core::ranking::{rank_from_counts, slice_counts, RankShape};
 use hpf_core::{
@@ -183,17 +185,24 @@ enum Scheme {
 
 /// Per processor: the `mem.pool` high water of `executes` executes of one
 /// cached plan under `scheme`, on four processors of 256 elements each
-/// under a Bernoulli-0.5 mask.
-fn pool_peak(scheme: Scheme, executes: usize) -> Vec<u64> {
+/// under a Bernoulli-0.5 mask — or, `lending`, of 4 096 each under a full
+/// mask in blocks of 64, whose plans lend.
+fn pool_peak(scheme: Scheme, executes: usize, lending: bool) -> Vec<u64> {
     const P: usize = 4;
-    const N: usize = 1024;
     let grid = ProcGrid::line(P);
-    let desc = ArrayDesc::new(&[N], &grid, &[Dist::BlockCyclic(4)]).unwrap();
-    let pattern = MaskPattern::Random {
-        density: 0.5,
-        seed: 7,
+    let (n, w, pattern) = match lending {
+        false => (
+            1024,
+            4,
+            MaskPattern::Random {
+                density: 0.5,
+                seed: 7,
+            },
+        ),
+        true => (P * 4096, 64, MaskPattern::Full),
     };
-    let size = pattern.global(&[N]).data().iter().filter(|&&b| b).count();
+    let desc = ArrayDesc::new(&[n], &grid, &[Dist::BlockCyclic(w)]).unwrap();
+    let size = pattern.global(&[n]).data().iter().filter(|&&b| b).count();
     let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
     let machine = Machine::new(grid, CostModel::cm5()).with_metrics(true);
     let out = machine.run(|proc| {
@@ -202,6 +211,7 @@ fn pool_peak(scheme: Scheme, executes: usize) -> Vec<u64> {
             Scheme::Pack(s) => {
                 let a = local_from_fn(&desc, proc.id(), |g| g[0] as i32);
                 let plan = plan_pack(proc, &desc, &m, &PackOptions::new(s)).unwrap();
+                assert_eq!(plan.lends(), lending);
                 for _ in 0..executes {
                     plan.execute(proc, &a).unwrap();
                 }
@@ -212,6 +222,7 @@ fn pool_peak(scheme: Scheme, executes: usize) -> Vec<u64> {
                     .map(|l| vl.global_of(proc.id(), l) as i32)
                     .collect();
                 let plan = plan_unpack(proc, &desc, &m, &vl, &UnpackOptions::new(s)).unwrap();
+                assert_eq!(plan.lends(), lending);
                 for _ in 0..executes {
                     plan.execute(proc, &f, &v).unwrap();
                 }
@@ -232,8 +243,28 @@ fn the_first_execute_sets_the_pool_high_water() {
         .into_iter()
         .chain(UnpackScheme::ALL.map(Scheme::Unpack));
     for scheme in schemes {
-        let first = pool_peak(scheme, 1);
+        let first = pool_peak(scheme, 1, false);
         assert!(first.iter().all(|&b| b > 0), "{scheme:?}: {first:?}");
-        assert_eq!(pool_peak(scheme, 4), first, "{scheme:?}: mem.pool grew");
+        assert_eq!(
+            pool_peak(scheme, 4, false),
+            first,
+            "{scheme:?}: mem.pool grew"
+        );
+    }
+}
+
+/// A lending plan's slots hold a loan, never a buffer: for all five
+/// schemes, one execute and four leave the `mem.pool` high water at zero.
+#[test]
+fn a_lending_plan_stages_nothing() {
+    let schemes = PackScheme::ALL
+        .map(Scheme::Pack)
+        .into_iter()
+        .chain(UnpackScheme::ALL.map(Scheme::Unpack));
+    for scheme in schemes {
+        for executes in [1, 4] {
+            let peak = pool_peak(scheme, executes, true);
+            assert_eq!(peak, [0; 4], "{scheme:?}, {executes} executes");
+        }
     }
 }

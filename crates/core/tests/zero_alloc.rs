@@ -18,8 +18,10 @@
 //! transport, no link acknowledged: nothing is kept for a retry and the
 //! receiver's delivery buffer is reused). The metrics runs also show that
 //! fault-free pooled execution never deep-copies a payload:
-//! `payload.clone_words` stays zero. `scripts/ci.sh` runs this suite in both
-//! build profiles.
+//! `payload.clone_words` stays zero. A plan large and dense enough to lend
+//! its source (DESIGN.md §11) fills no buffer at all; its lending scope,
+//! loans and rendezvous allocate nothing from the second execute on either.
+//! `scripts/ci.sh` runs this suite in both build profiles.
 
 use hpf_core::{
     plan_pack, plan_unpack, CopyStats, MaskPattern, PackOptions, PackOutput, PackScheme,
@@ -251,6 +253,64 @@ fn unpack_execute_is_allocation_free_in_steady_state() {
                          in {STEADY} steady-state executes"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Lending: a full mask of 4 096 elements per processor in blocks of 64
+/// sends every processor's whole slice, all of it by bulk ops, so every
+/// PACK and UNPACK plan lends. From the second execute on, pack and unpack
+/// allocate nothing, in every mode — a benign recoverable run logs nothing
+/// and lends as a plain one does.
+#[test]
+fn lending_execute_is_allocation_free_in_steady_state() {
+    const L: usize = 4096;
+    let d = ArrayDesc::new(&[P * L], &ProcGrid::line(P), &[Dist::BlockCyclic(64)]).unwrap();
+    for mode in MODES {
+        for (pack, unpack) in PackScheme::ALL
+            .into_iter()
+            .zip(UnpackScheme::ALL.into_iter().cycle())
+        {
+            let (popts, uopts) = (PackOptions::new(pack), UnpackOptions::new(unpack));
+            let what = format!("{pack:?} + {unpack:?} {mode:?}");
+            let (dr, po, uo) = (&d, &popts, &uopts);
+            let out = run(mode, &what, move |proc| {
+                let m = vec![true; L];
+                let a = local_from_fn(dr, proc.id(), |g| g[0] as i32);
+                let f = vec![-1i32; L];
+                let pplan = plan_pack(proc, dr, &m, po).unwrap();
+                let vl = pplan.v_layout().unwrap();
+                let uplan = plan_unpack(proc, dr, &m, &vl, uo).unwrap();
+                assert!(pplan.lends() && uplan.lends(), "every plan lends");
+                let mut v = PackOutput {
+                    local_v: Vec::new(),
+                    size: 0,
+                    v_layout: None,
+                };
+                let mut back = Vec::new();
+                for _ in 0..WARMUP {
+                    pplan.execute_into(proc, &a, &mut v).unwrap();
+                    uplan.execute_into(proc, &f, &v.local_v, &mut back).unwrap();
+                }
+                fence(proc);
+                let (c0, b0) = thread_totals();
+                for _ in 0..STEADY {
+                    pplan.execute_into(proc, &a, &mut v).unwrap();
+                    uplan.execute_into(proc, &f, &v.local_v, &mut back).unwrap();
+                }
+                let (c1, b1) = thread_totals();
+                fence(proc);
+                assert_eq!(back, a, "unpack(pack(a)) under a full mask is a");
+                (c1 - c0, b1 - b0)
+            });
+            for (p, &(allocs, bytes)) in out.results.iter().enumerate() {
+                assert_eq!(
+                    (allocs, bytes),
+                    (0, 0),
+                    "{what}: proc {p} allocated {allocs} times ({bytes} bytes) \
+                     in {STEADY} steady-state lending executes"
+                );
             }
         }
     }

@@ -53,17 +53,18 @@ pub enum MachineError {
         /// slot) or at the first one named twice — a cycle.
         waiting_on: Vec<usize>,
     },
-    /// `proc` waited for the pooled send buffer of plan `key` towards `dst`
-    /// to come back and it never can: every live processor is parked. An
-    /// entry has one slot, so one message per `(key, dst)` is in flight at
-    /// a time: the receiver stalled, kept the previous message undecoded
-    /// while waiting for the next, or the plan was executed unevenly.
+    /// `proc` waited for the pooled send buffer — or the loan — of plan
+    /// `key` towards `dst` to come back and it never can: every live
+    /// processor is parked. An entry has one slot, so one message per
+    /// `(key, dst)` is in flight at a time: the receiver stalled, never read
+    /// a loan, kept the previous message undecoded while waiting for the
+    /// next, or the plan was executed unevenly.
     PoolStall {
-        /// The processor waiting for its buffer.
+        /// The processor waiting for its buffer or its loan.
         proc: usize,
         /// The plan's pool key.
         key: u64,
-        /// The destination that holds the buffer.
+        /// The destination that holds the buffer or the loan.
         dst: usize,
     },
     /// The reliable transport exhausted its retries for one message: the
@@ -136,8 +137,8 @@ impl fmt::Display for MachineError {
                 f,
                 "proc {proc}: pool slot (key {key}, dst {dst}) can never come back (every \
                  processor is parked; one message per key and destination is in flight) — \
-                 receiver {dst} stalled, kept the previous message undecoded, or plan \
-                 executed unevenly"
+                 receiver {dst} stalled, never read a loan, kept the previous message \
+                 undecoded, or plan executed unevenly"
             ),
             MachineError::Unreachable {
                 proc,

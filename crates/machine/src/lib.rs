@@ -64,7 +64,7 @@ pub use fault::{FaultPlan, LinkFaults};
 pub use machine::Machine;
 pub use message::{Packet, Payload, Wire};
 pub use obs::{Event, EventKind, MemAccount, WallProfile, WallSpan};
-pub use pool::{fresh_pool_key, PoolSlot, Reusable};
+pub use pool::{fresh_pool_key, Lendable, Lender, Loan, PoolSlot, Received, Reusable};
 pub use proc::{tags, Group, Proc};
 pub use recovery::RecoveryStats;
 pub use report::{Breakdown, MetricsSnapshot, RunOutput};

@@ -17,6 +17,9 @@
 //!   Free ──checkout (sender)──▶ Empty ──stash (sender)──▶ Staged
 //!     ▲                                                      │
 //!     └───────── put_back (receiver, after decode) ◀─────────┘
+//!
+//!   Free ──lend (sender)──▶ Lent ──receive (receiver, in place)──▶ Free
+//!                             └──revoke (sender, unwinding)──▶ Revoked
 //! ```
 //!
 //! Every step first wins a compare-exchange from the state it requires into
@@ -27,6 +30,16 @@
 //! `Busy`. A panic while a slot is `Busy` leaves it `Busy`: every later step
 //! then panics, or (a checkout) waits for a slot that never comes back
 //! (`PoolStall`), so the slot is unusable but never unsound.
+//!
+//! A large planned send *lends* instead of staging: the slot carries a
+//! [`Loan`] — the sender's own source slice, the plan that says how to read
+//! it, and the row — and the receiver's [`PoolSlot::receive`] reads it in
+//! place while it holds `Busy`, so the data is copied once, straight into
+//! the receiver's output. The borrow crosses carriers, so it lives here and
+//! nowhere else: only [`crate::Proc::lending`] lends, and it returns — by
+//! value or by unwinding — only once every slot it lent is `Free` again or
+//! `Revoked`. A receiver that finds a slot `Revoked` panics without touching
+//! the loan.
 //!
 //! Each `(key, dst, type)` entry holds **one** slot: one message in flight
 //! per (plan, destination), as with an MPI persistent request. The sender
@@ -41,7 +54,7 @@
 //! `put_back` reads the flag after publishing `Free` (both sides SeqCst),
 //! so either the owner's next probe sees the slot free or the `put_back`
 //! sees the flag and wakes it, and a `put_back` nobody waits for takes no
-//! lock.
+//! lock. A lender waits for its loans the same way.
 //!
 //! A recoverable run logs every frame until the receiver's next epoch
 //! boundary, and a logged payload must never alias a buffer its sender can
@@ -49,18 +62,22 @@
 //! ([`PoolSlot::freeze`]): a detached copy of the staged buffer that no
 //! pool hands out, whose `put_back` re-stages it untouched so a replayed
 //! frame decodes again. The live slot goes back to `Free` at the send.
+//! Nothing is lent there ([`crate::Proc::can_lend`]).
 //! That is also why an epoch checkpoint holds nothing of the pool: only a
 //! logging transport can crash, its live slots are free whenever a send
 //! returns, so a respawned processor's empty pool behaves exactly as the
 //! crashed one's would have.
 //!
 //! This is one of the three files of the crate that may say `unsafe`
-//! (DESIGN.md §15): the slot's buffer cell. Every `unsafe` block carries a
-//! `// SAFETY:` comment directly above it, which `scripts/ci.sh` checks.
+//! (DESIGN.md §15): the slot's buffer cell and its loan. Every `unsafe`
+//! block carries a `// SAFETY:` comment directly above it, which
+//! `scripts/ci.sh` checks.
 
 use std::any::{Any, TypeId};
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -90,19 +107,89 @@ const EMPTY: u8 = 1;
 /// Filled by the sender, awaiting (or in) transit; the cell holds the
 /// buffer and the receiver will take it.
 const STAGED: u8 = 2;
-/// One party is moving the buffer in or out of the cell.
+/// One party is moving the buffer in or out of the cell, or the receiver
+/// is reading a loan.
 const BUSY: u8 = 3;
+/// Lent by the sender: the cell holds a loan, which points into the
+/// sender's memory, and the receiver will read it in place.
+const LENT: u8 = 4;
+/// The sender unwound before the receiver read its loan. No step leaves it.
+const REVOKED: u8 = 5;
+
+/// A pool-managed payload that a planned send may also *lend*: instead of
+/// filling the buffer, the sender hands the receiver a [`Loan`] of its own
+/// source and the recipe that reads it.
+pub trait Lendable: Reusable {
+    /// The element type of the lent source slice.
+    type Elem: Sync + 'static;
+    /// What tells the receiver how to read the source: the sender's plan.
+    type Recipe: Sync + 'static;
+}
+
+/// A sender's source as its receiver sees it: the slice, the sender's plan,
+/// and the row of that plan the message is. Reachable only inside
+/// [`PoolSlot::receive`]'s closure, while the lender waits.
+pub struct Loan<'a, B: Lendable> {
+    /// The sender's local slice the message is drawn from.
+    pub src: &'a [B::Elem],
+    /// The sender's plan.
+    pub recipe: &'a B::Recipe,
+    /// Which of the plan's rows the message is.
+    pub row: usize,
+}
+
+impl<B: Lendable> Clone for Loan<'_, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B: Lendable> Copy for Loan<'_, B> {}
+
+/// What a receiver finds in a pooled packet: a buffer the sender filled, or
+/// a loan of the sender's source.
+pub enum Received<'a, B: Lendable> {
+    /// A materialised message.
+    Staged(&'a B),
+    /// The sender's source, read in place.
+    Lent(Loan<'a, B>),
+}
+
+/// A [`Loan`] with its lifetime and types erased, as the slot keeps it.
+#[derive(Clone, Copy)]
+struct RawLoan {
+    src: *const (),
+    len: usize,
+    recipe: *const (),
+    row: usize,
+}
+
+// SAFETY: the two pointers are dereferenced only by `PoolSlot::receive`, on
+// whatever thread the receiver runs, as the `&[B::Elem]` and `&B::Recipe`
+// they were made from; both types are `Sync`, so reading them from another
+// thread is sound for as long as the borrow lives (see `receive`).
+unsafe impl Send for RawLoan {}
+
+/// What a slot's cell holds: the buffer while `Free` or `Staged`, the loan
+/// while `Lent`.
+enum Content<B> {
+    Nothing,
+    Buffer(B),
+    Loan(RawLoan),
+}
 
 /// One shareable buffer slot. The `Arc<PoolSlot<B>>` itself is the packet
 /// payload: the receiver downcasts it and returns the buffer straight into
 /// the sender's slot.
 pub struct PoolSlot<B> {
-    /// `FREE`, `EMPTY`, `STAGED` or `BUSY`: who may touch `buf`.
+    /// `FREE`, `EMPTY`, `STAGED`, `LENT`, `REVOKED` or `BUSY`: who may
+    /// touch `cell`.
     state: AtomicU8,
-    /// The buffer, present while `FREE` or `STAGED`. Only the party that
-    /// moved the state word into `BUSY` accesses it.
-    buf: UnsafeCell<Option<B>>,
-    /// Wire words of the staged buffer, recorded by `stash`.
+    /// The buffer or the loan. Only the party that moved the state word
+    /// into `BUSY` accesses it.
+    cell: UnsafeCell<Content<B>>,
+    /// Wire words of the staged buffer or of the lent message, recorded by
+    /// `stash` or `lend`.
     words: AtomicUsize,
     /// High-water of charged bytes ever staged in this slot. Memory
     /// accounting charges a slot's *growth* once (the buffer is reused, so
@@ -121,28 +208,38 @@ pub struct PoolSlot<B> {
     frozen: bool,
 }
 
-// SAFETY: `buf`, the one field that is not `Sync` by itself, is accessed
+// SAFETY: `cell`, the one field that is not `Sync` by itself, is accessed
 // only by the one thread that moved `state` into `BUSY` (acquiring the
 // previous holder's release store), so sharing a slot moves a `B` between
-// threads and never shares one: `B: Send` suffices. The other fields are
-// atomics, a `Mutex` over `Send + Sync` values, and a `bool` never written
-// after construction.
+// threads and never shares one: `B: Send` suffices. A loan in the cell is
+// two addresses that only `receive` follows, as a `&[B::Elem]` and a
+// `&B::Recipe`, both `Sync` (`Lendable`). The other fields are atomics, a
+// `Mutex` over `Send + Sync` values, and a `bool` never written after
+// construction.
 unsafe impl<B: Send> Sync for PoolSlot<B> {}
 
 /// Proof that this thread moved a slot's state word into `BUSY`: the only
-/// way to reach the buffer. Dropped without [`Held::release`] — a panic
-/// mid-step — it leaves the slot `BUSY` for good.
+/// way to reach the buffer or the loan. Dropped without [`Held::release`] —
+/// a panic mid-step — it leaves the slot `BUSY` for good.
 struct Held<'a, B> {
     slot: &'a PoolSlot<B>,
 }
 
 impl<B> Held<'_, B> {
-    fn buf(&mut self) -> &mut Option<B> {
+    fn cell(&mut self) -> &mut Content<B> {
         // SAFETY: a `Held` exists only after its thread won the
         // compare-exchange into `BUSY`, which every other access must also
-        // win first, so no other reference to `buf` exists until `release`
+        // win first, so no other reference to `cell` exists until `release`
         // consumes this guard and with it the borrow returned here.
-        unsafe { &mut *self.slot.buf.get() }
+        unsafe { &mut *self.slot.cell.get() }
+    }
+
+    /// Move the buffer out of the cell.
+    fn take_buf(&mut self) -> Option<B> {
+        match std::mem::replace(self.cell(), Content::Nothing) {
+            Content::Buffer(buf) => Some(buf),
+            _ => None,
+        }
     }
 
     /// Publish `next`, handing the buffer to whoever acquires it from there.
@@ -155,7 +252,7 @@ impl<B: Reusable> PoolSlot<B> {
     fn with(state: u8, buf: B, words: Words, frozen: bool) -> PoolSlot<B> {
         PoolSlot {
             state: AtomicU8::new(state),
-            buf: UnsafeCell::new(Some(buf)),
+            cell: UnsafeCell::new(Content::Buffer(buf)),
             words: AtomicUsize::new(words),
             charged: AtomicU64::new(0),
             owner_parked: AtomicBool::new(false),
@@ -191,7 +288,9 @@ impl<B: Reusable> PoolSlot<B> {
     /// there is no parked owner to wake.
     pub(crate) fn freeze(&self) -> PoolSlot<B> {
         let mut held = self.acquire_or_panic(STAGED, "froze a pool slot that is not staged");
-        let buf = held.buf().as_mut().expect("a staged slot holds a buffer");
+        let Content::Buffer(buf) = held.cell() else {
+            panic!("a staged slot holds a buffer");
+        };
         let copy = buf.clone();
         buf.reset();
         held.release(FREE, Ordering::Release);
@@ -219,7 +318,7 @@ impl<B: Reusable> PoolSlot<B> {
     /// send through this slot is still unconsumed.
     pub fn try_checkout(&self) -> Option<B> {
         let mut held = self.acquire(FREE).ok()?;
-        let buf = held.buf().take();
+        let buf = held.take_buf();
         held.release(EMPTY, Ordering::Release);
         Some(buf.expect("a free slot holds a buffer"))
     }
@@ -232,7 +331,7 @@ impl<B: Reusable> PoolSlot<B> {
         let words = buf.wire_words();
         let mut held =
             self.acquire_or_panic(EMPTY, "stash into a pool slot that is not checked out");
-        *held.buf() = Some(buf);
+        *held.cell() = Content::Buffer(buf);
         self.words.store(words, Ordering::Relaxed);
         held.release(STAGED, Ordering::Release);
     }
@@ -244,20 +343,21 @@ impl<B: Reusable> PoolSlot<B> {
     /// stashed before the packet became visible.
     pub fn take_staged(&self) -> B {
         let mut held = self.acquire_or_panic(STAGED, "pool slot taken before it was staged");
-        let buf = held.buf().take();
+        let buf = held.take_buf();
         held.release(EMPTY, Ordering::Release);
         buf.expect("a staged slot holds a buffer")
     }
 
-    /// Words the staged buffer will occupy on the wire (sender side,
-    /// between `stash` and the actual send).
-    pub(crate) fn staged_words(&self) -> Words {
-        assert_eq!(
-            self.state.load(Ordering::Acquire),
-            STAGED,
+    /// Words the staged buffer or the loan will occupy on the wire, and
+    /// whether it is a loan (sender side, between `stash` or `lend` and the
+    /// actual send).
+    pub(crate) fn staged_words(&self) -> (Words, bool) {
+        let state = self.state.load(Ordering::Acquire);
+        assert!(
+            state == STAGED || state == LENT,
             "staged_words on a pool slot that is not staged"
         );
-        self.words.load(Ordering::Relaxed)
+        (self.words.load(Ordering::Relaxed), state == LENT)
     }
 
     /// Return a decoded buffer to the pool (receiver side), unparking the
@@ -276,16 +376,206 @@ impl<B: Reusable> PoolSlot<B> {
             FREE
         };
         let mut held = self.acquire_or_panic(EMPTY, "put_back into an occupied pool slot");
-        *held.buf() = Some(buf);
+        *held.cell() = Content::Buffer(buf);
         // SeqCst against the owner's flag-then-probe in `pool_checkout`:
         // either that probe sees this store, or this load sees the flag.
         held.release(next, Ordering::SeqCst);
+        self.wake_owner();
+    }
+
+    /// Unpark the owner if it waits on this slot. Called right after a
+    /// SeqCst store of `Free` (or a frozen slot's `Staged`).
+    fn wake_owner(&self) {
         if self.owner_parked.load(Ordering::SeqCst) {
             let waker = self.waker.lock().expect("no step panics holding the waker");
             if let Some((sched, owner)) = &*waker {
                 sched.unpark(*owner);
             }
         }
+    }
+
+    /// Whether the slot is `Free`: the lender's probe while it waits for a
+    /// loan to come back.
+    fn is_free(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == FREE
+    }
+}
+
+impl<B: Lendable> PoolSlot<B> {
+    /// Lend `loan` through this slot (sender side, instead of checkout +
+    /// fill + stash). Only a [`Lender`] calls this: its scope is what keeps
+    /// the borrow alive until the receiver is done with it.
+    ///
+    /// # Panics
+    /// If the slot is not free.
+    fn lend(&self, loan: Loan<'_, B>, words: Words) {
+        let mut held = self.acquire_or_panic(FREE, "lend through a pool slot that is not free");
+        *held.cell() = Content::Loan(RawLoan {
+            src: loan.src.as_ptr().cast(),
+            len: loan.src.len(),
+            recipe: (loan.recipe as *const B::Recipe).cast(),
+            row: loan.row,
+        });
+        self.words.store(words, Ordering::Relaxed);
+        held.release(LENT, Ordering::Release);
+    }
+
+    /// Read what the packet carries (receiver side): a staged buffer is
+    /// taken, handed to `f` and put back; a loan is handed to `f` in place
+    /// and the slot is `Free` again once `f` returns — or unwinds. `f` must
+    /// not park: the lender may be waiting to revoke the loan.
+    ///
+    /// # Panics
+    /// If the slot is neither staged nor lent — FIFO delivery guarantees
+    /// the sender stashed or lent before the packet became visible — or if
+    /// its lender unwound before this read (then `f` never runs).
+    pub fn receive<R>(&self, f: impl FnOnce(Received<'_, B>) -> R) -> R {
+        loop {
+            match self.state.load(Ordering::Acquire) {
+                STAGED => {
+                    let buf = self.take_staged();
+                    let out = f(Received::Staged(&buf));
+                    self.put_back(buf);
+                    return out;
+                }
+                LENT => {
+                    let Ok(mut held) = self.acquire(LENT) else {
+                        // Revoked in between: the next pass panics.
+                        continue;
+                    };
+                    let Content::Loan(raw) = *held.cell() else {
+                        unreachable!("a lent slot holds a loan");
+                    };
+                    let _back = Returns { held };
+                    // SAFETY: `raw` was made by `lend` from a `&'a [B::Elem]`
+                    // and a `&'a B::Recipe`, and this thread holds `BUSY`, won
+                    // from `LENT`. `lend` is reachable only through a
+                    // `Lender<'a, B>`, which only `lending` (below) creates,
+                    // with `'a` a lifetime parameter of that call; `lending`
+                    // returns or unwinds only after each slot it lent (the
+                    // `Lender` holds their `Arc`s) is `Free` (this read has
+                    // finished: `Returns` stores it) or
+                    // `Revoked` (which waits for a `BUSY` reader to finish
+                    // and is never left for a reader). So the borrow is alive
+                    // for all of `f`, and the loan cannot escape `f`: its
+                    // lifetime is `f`'s own.
+                    let loan = unsafe {
+                        Loan {
+                            src: std::slice::from_raw_parts(raw.src.cast::<B::Elem>(), raw.len),
+                            recipe: &*raw.recipe.cast::<B::Recipe>(),
+                            row: raw.row,
+                        }
+                    };
+                    return f(Received::Lent(loan));
+                }
+                REVOKED => panic!("pool slot loan revoked: its lender unwound before the read"),
+                found => panic!("pool slot taken before it was staged (pool slot state {found})"),
+            }
+        }
+    }
+
+    /// Take back a loan nobody has read yet (sender side, unwinding). A
+    /// reader in the middle of it holds `BUSY`; a copy kernel never parks,
+    /// so that wait is short. A slot that is back (`Free`) or was never
+    /// lent stays as it is.
+    fn revoke(&self) {
+        loop {
+            match self.acquire(LENT) {
+                Ok(held) => return held.release(REVOKED, Ordering::SeqCst),
+                Err(BUSY) => std::thread::yield_now(),
+                Err(_) => return,
+            }
+        }
+    }
+}
+
+/// A finished (or unwinding) read of a loan: the slot is `Free` again,
+/// with an empty buffer in its cell, and its owner, if it waits, is woken.
+struct Returns<'a, B: Reusable> {
+    held: Held<'a, B>,
+}
+
+impl<B: Reusable> Drop for Returns<'_, B> {
+    fn drop(&mut self) {
+        *self.held.cell() = Content::Buffer(B::default());
+        let slot = self.held.slot;
+        slot.state.store(FREE, Ordering::SeqCst);
+        slot.wake_owner();
+    }
+}
+
+/// A marker invariant in `'a`.
+type Invariant<'a> = fn(&'a ()) -> &'a ();
+
+/// The loans of one [`crate::Proc::lending`] scope, all under one plan key.
+/// Invariant in `'a`: a loan lent here borrows for the whole scope, never
+/// for less.
+pub struct Lender<'a, B> {
+    key: u64,
+    /// Each slot lent, with its destination: the scope waits for these
+    /// very slots, whatever becomes of the pool's entries meanwhile.
+    /// Reused scope after scope, so lending allocates nothing once warm.
+    lent: Vec<(usize, Arc<dyn Any + Send + Sync>)>,
+    _scope: PhantomData<(Invariant<'a>, fn() -> B)>,
+}
+
+impl<'a, B: Lendable> Lender<'a, B> {
+    /// Lend `loan` to `dst` through the plan's slot for `dst`, which the
+    /// exchange then sends like a staged one; `words` is what the message
+    /// would occupy materialised, so every charge is a copy's.
+    pub fn lend(
+        &mut self,
+        proc: &mut crate::Proc<'_>,
+        dst: usize,
+        loan: Loan<'a, B>,
+        words: Words,
+    ) {
+        let slot = proc.pool_slot::<B>(self.key, dst);
+        slot.lend(loan, words);
+        self.lent.push((dst, slot));
+    }
+}
+
+/// [`crate::Proc::lending`], beside the read it makes sound: run `f` with a
+/// fresh [`Lender`], then wait until every slot it lent is `Free` again; if
+/// `f` unwinds, or a wait fails, revoke every loan still out before
+/// unwinding or panicking with the failure.
+pub(crate) fn lending<'a, 'm, B: Lendable, R>(
+    proc: &mut crate::Proc<'m>,
+    key: u64,
+    f: impl FnOnce(&mut crate::Proc<'m>, &mut Lender<'a, B>) -> R,
+) -> R {
+    let mut lender = Lender {
+        key,
+        lent: std::mem::take(proc.lent_scratch()),
+        _scope: PhantomData,
+    };
+    let run = catch_unwind(AssertUnwindSafe(|| f(proc, &mut lender)));
+    let slot = |s: &Arc<dyn Any + Send + Sync>| -> Arc<PoolSlot<B>> {
+        Arc::clone(s)
+            .downcast()
+            .expect("a lender lends slots of its type")
+    };
+    let mut back = Ok(());
+    if run.is_ok() {
+        for (dst, lent) in &lender.lent {
+            back = proc.wait_on_slot(&slot(lent), key, *dst, |s| s.is_free().then_some(()));
+            if back.is_err() {
+                break;
+            }
+        }
+    }
+    if run.is_err() || back.is_err() {
+        for (_, lent) in &lender.lent {
+            slot(lent).revoke();
+        }
+    }
+    lender.lent.clear();
+    *proc.lent_scratch() = lender.lent;
+    match (run, back) {
+        (Err(payload), _) => resume_unwind(payload),
+        (Ok(_), Err(e)) => panic_any(e),
+        (Ok(out), Ok(())) => out,
     }
 }
 
@@ -381,7 +671,7 @@ mod tests {
         assert!(slot.try_checkout().is_none(), "empty slot is not free");
         b.push(7);
         slot.stash(b);
-        assert_eq!(slot.staged_words(), 1);
+        assert_eq!(slot.staged_words(), (1, false));
         assert!(slot.try_checkout().is_none(), "staged slot is not free");
         let got = slot.take_staged();
         assert_eq!(got, vec![7]);
@@ -407,7 +697,7 @@ mod tests {
         );
         // Decoded by the receiver, then once more by its respawn.
         for _ in 0..2 {
-            assert_eq!(frozen.staged_words(), 2);
+            assert_eq!(frozen.staged_words(), (2, false));
             let got = frozen.take_staged();
             assert_eq!(got, vec![7, 8]);
             frozen.put_back(got);
@@ -611,6 +901,105 @@ mod tests {
         let before = BRITTLE_DROPS.load(Ordering::SeqCst);
         drop(slot);
         assert_eq!(BRITTLE_DROPS.load(Ordering::SeqCst), before + 1);
+    }
+
+    /// Lent values, read through a recipe of indices.
+    #[derive(Default, Clone)]
+    struct Indexed;
+
+    impl Payload for Indexed {
+        fn wire_words(&self) -> Words {
+            0
+        }
+        fn clone_payload(&self) -> Box<dyn Any + Send> {
+            unreachable!("a loan is never cloned as a payload")
+        }
+    }
+
+    impl Reusable for Indexed {
+        fn reset(&mut self) {}
+    }
+
+    impl Lendable for Indexed {
+        type Elem = i64;
+        type Recipe = Vec<usize>;
+    }
+
+    fn read(got: Received<'_, Indexed>) -> Vec<i64> {
+        let Received::Lent(loan) = got else {
+            panic!("lent, not staged")
+        };
+        loan.recipe
+            .iter()
+            .take(loan.row)
+            .map(|&i| loan.src[i])
+            .collect()
+    }
+
+    /// Free → Lent → (read in place) → Free, the staged words reported as
+    /// a loan's; the same slot lends again, and a read that panics still
+    /// gives the slot back.
+    #[test]
+    fn a_loan_is_read_in_place_and_comes_back() {
+        let (src, recipe) = (vec![10i64, 20, 30], vec![2usize, 0, 1]);
+        let slot = PoolSlot::<Indexed>::new();
+        for row in [3, 2] {
+            let loan = Loan {
+                src: &src,
+                recipe: &recipe,
+                row,
+            };
+            slot.lend(loan, 5);
+            assert_eq!(slot.staged_words(), (5, true));
+            assert!(slot.try_checkout().is_none(), "a lent slot is not free");
+            assert!(!slot.is_free());
+            assert_eq!(slot.receive(read), [30, 10, 20][..row]);
+            assert!(slot.is_free(), "the read gives the slot back");
+        }
+        slot.lend(
+            Loan {
+                src: &src,
+                recipe: &recipe,
+                row: 1,
+            },
+            2,
+        );
+        let msg = panic_message(|| {
+            slot.receive(|_| panic!("reader fails"));
+        });
+        assert_eq!(msg, "reader fails");
+        assert!(slot.is_free(), "an unwinding read gives the slot back too");
+        assert!(slot.try_checkout().is_some(), "with a buffer in its cell");
+    }
+
+    /// A revoked loan is never read: the reader panics before its closure
+    /// runs, and the slot stays revoked. Revoking a loan that came back, or
+    /// a slot never lent, changes nothing; lending through a slot that is
+    /// not free panics and leaves it as it was.
+    #[test]
+    fn a_revoked_loan_is_never_read() {
+        let (src, recipe) = (vec![1i64], vec![0usize]);
+        let loan = Loan {
+            src: &src,
+            recipe: &recipe,
+            row: 1,
+        };
+        let slot = PoolSlot::<Indexed>::new();
+        slot.revoke();
+        assert!(slot.is_free(), "a free slot is not revoked");
+        slot.lend(loan, 2);
+        slot.revoke();
+        let msg = panic_message(|| {
+            slot.receive(|_| unreachable!("a revoked loan was read"));
+        });
+        assert!(msg.contains("revoked"), "{msg}");
+        assert_eq!(slot.state.load(Ordering::SeqCst), REVOKED);
+        let msg = panic_message(|| slot.lend(loan, 2));
+        assert!(
+            msg.starts_with("lend through a pool slot that is not free"),
+            "{msg}"
+        );
+        assert_eq!(slot.state.load(Ordering::SeqCst), REVOKED);
     }
 
     #[test]

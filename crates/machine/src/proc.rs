@@ -20,7 +20,7 @@ use crate::message::{Frame, Mailbox, Packet, Payload, PayloadCharge};
 use crate::obs::{
     record, Event, EventKind, MemAccount, ObsConfig, ProcMetrics, WallProfile, WallProfiler,
 };
-use crate::pool::{BufferPool, PoolSlot, Reusable};
+use crate::pool::{BufferPool, Lendable, Lender, PoolSlot, Reusable};
 use crate::recovery::{EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::{Step, Transport};
 use crate::report::MetricsSnapshot;
@@ -158,6 +158,9 @@ pub struct Proc<'m> {
     wall: Option<WallProfiler>,
     /// Reusable send buffers for planned executes (see [`crate::pool`]).
     pool: BufferPool,
+    /// The slots a lending scope lent ([`Proc::lending`]), kept between
+    /// scopes so that steady-state lending allocates nothing.
+    lent_scratch: Vec<(usize, Arc<dyn Any + Send + Sync>)>,
     /// Scratch space for pooled exchanges' received packets, pre-reserved
     /// so the steady-state execute loop never grows it.
     pkt_scratch: Vec<Packet>,
@@ -197,6 +200,7 @@ impl<'m> Proc<'m> {
             metrics: obs.metrics.then(ProcMetrics::default),
             wall: obs.wall.then(WallProfiler::new),
             pool: BufferPool::default(),
+            lent_scratch: Vec::new(),
             pkt_scratch: Vec::with_capacity(nprocs.min(PKT_SCRATCH_RESERVE)),
             recovery: None,
             resume: None,
@@ -1208,16 +1212,35 @@ impl<'m> Proc<'m> {
         if let Some(buf) = slot.try_checkout() {
             return (slot, buf);
         }
-        // Slow path: register as the slot's waker and wait. The receiver's
-        // `put_back` — on whatever carrier it runs — unparks this processor
-        // directly, as does any incoming frame; there is no spinning or
-        // polling anywhere on this path. The waker raises the slot's
-        // owner-parked flag before the first probe below, so a `put_back`
-        // that lands in between is seen by one side or the other (§11).
+        match self.wait_on_slot(&slot, key, dst, PoolSlot::try_checkout) {
+            Ok(buf) => (slot, buf),
+            Err(e) => panic_any(e),
+        }
+    }
+
+    /// Wait until `probe` finds `slot` as this processor needs it: a buffer
+    /// to check out, or a loan come back. The slow path registers as the
+    /// slot's waker and waits. The receiver's `put_back` or read — on
+    /// whatever carrier it runs — unparks this processor directly, as does
+    /// any incoming frame; there is no spinning or polling anywhere on this
+    /// path. The waker raises the slot's owner-parked flag before the first
+    /// probe below, so a return that lands in between is seen by one side or
+    /// the other (§11). A machine that goes quiescent first is a
+    /// [`MachineError::PoolStall`] naming `(key, dst)`.
+    pub(crate) fn wait_on_slot<B: Reusable, T>(
+        &mut self,
+        slot: &PoolSlot<B>,
+        key: u64,
+        dst: usize,
+        mut probe: impl FnMut(&PoolSlot<B>) -> Option<T>,
+    ) -> Result<T, MachineError> {
+        if let Some(v) = probe(slot) {
+            return Ok(v);
+        }
         slot.set_waker(Some((Arc::clone(&self.sched), self.id)));
         let got = self.wait_for(
             None,
-            |_| slot.try_checkout(),
+            |_| probe(slot),
             |p| MachineError::PoolStall {
                 proc: p.id,
                 key,
@@ -1225,10 +1248,47 @@ impl<'m> Proc<'m> {
             },
         );
         slot.set_waker(None);
-        match got {
-            Ok(buf) => (slot, buf),
-            Err(e) => panic_any(e),
-        }
+        got
+    }
+
+    /// Whether a planned send may lend its source instead of copying it
+    /// ([`Proc::lending`]): not under a logging transport, whose replay log
+    /// must keep the bytes a frame was sent with.
+    pub fn can_lend(&self) -> bool {
+        !self.transport.logs()
+    }
+
+    /// Run `f` as a lending scope for plan `key`. Inside it,
+    /// [`Lender::lend`] puts a loan of data borrowed for `'a` into the
+    /// plan's slot for a destination, in place of a filled buffer; the
+    /// exchange sends it like a staged one, and the receiver reads it in
+    /// place through [`PoolSlot::receive`]. This returns only once every
+    /// loan is back, waiting (wall-clock only) as [`Proc::pool_checkout`]
+    /// waits for a buffer; if `f` unwinds, or the wait fails, every loan
+    /// still out is revoked first, so no receiver can read one after
+    /// `'a` ends (DESIGN.md §11).
+    ///
+    /// # Panics
+    /// With a typed [`MachineError::PoolStall`] naming this processor when
+    /// the machine goes quiescent before a receiver has read its loan, and
+    /// with whatever `f` panicked with.
+    pub fn lending<'a, B: Lendable, R>(
+        &mut self,
+        key: u64,
+        f: impl FnOnce(&mut Self, &mut Lender<'a, B>) -> R,
+    ) -> R {
+        crate::pool::lending(self, key, f)
+    }
+
+    /// The slots the open lending scope has lent, kept between scopes.
+    pub(crate) fn lent_scratch(&mut self) -> &mut Vec<(usize, Arc<dyn Any + Send + Sync>)> {
+        &mut self.lent_scratch
+    }
+
+    /// The slot of `(key, dst)`, created on first use: where a
+    /// [`Lender`] lends.
+    pub(crate) fn pool_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
+        self.pool.get_or_create::<B>(key, dst)
     }
 
     /// The slot of `(key, dst)`, which [`Proc::pool_checkout`] has handed
@@ -1265,13 +1325,15 @@ impl<'m> Proc<'m> {
     /// sent with, which a buffer the sender refills cannot promise.
     pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, slot: Arc<PoolSlot<B>>) {
         debug_assert_ne!(dst, self.id, "self slots are decoded in place, never sent");
-        let words = slot.staged_words();
+        let (words, lent) = slot.staged_words();
         // A pooled buffer's footprint is its high-water capacity, charged
         // once to the pool account as it grows and released when its plan
         // retires ([`Proc::pool_retire`]); until then the buffer is reused.
         // Steady-state sends through a warm slot charge nothing, preserving
-        // the executor's allocation-free hot path.
-        if !(self.events.is_none() && self.metrics.is_none()) {
+        // the executor's allocation-free hot path. A loan holds no buffer:
+        // its bytes are the sender's own array.
+        let observed = self.events.is_some() || self.metrics.is_some();
+        if observed && !lent {
             let growth = slot.note_charged(words as u64 * 4);
             if growth > 0 {
                 let now = self.clock.now_ns();
@@ -1279,6 +1341,7 @@ impl<'m> Proc<'m> {
             }
         }
         let logged = self.transport.logs();
+        assert!(!(logged && lent), "a loan sent under a logging transport");
         let data: Arc<dyn Any + Send + Sync> = if logged {
             Arc::new(slot.freeze())
         } else {

@@ -2,9 +2,13 @@
 //! program errors — mismatched payload types, deadlocks, malformed groups —
 //! rather than corrupting data or hanging forever.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+
 use hpf_machine::{
-    fresh_pool_key, tags, CostModel, FaultPlan, Group, LinkFaults, Machine, MachineError, PoolSlot,
-    ProcGrid,
+    fresh_pool_key, tags, CostModel, FaultPlan, Group, Lendable, LinkFaults, Loan, Machine,
+    MachineError, Payload, PoolSlot, Proc, ProcGrid, Received, Reusable, Words,
 };
 
 #[test]
@@ -193,6 +197,168 @@ fn a_message_kept_until_the_next_arrives_is_a_pool_stall() {
             })
             .expect_err("send i + 1 waits for the slot send i still holds")
     });
+}
+
+/// A message that is only ever lent: `row` values of the lender's slice,
+/// read through its recipe.
+#[derive(Debug, Default, Clone)]
+struct Borrowed;
+
+impl Payload for Borrowed {
+    fn wire_words(&self) -> Words {
+        0
+    }
+    fn clone_payload(&self) -> Box<dyn std::any::Any + Send> {
+        Box::new(Borrowed)
+    }
+}
+
+impl Reusable for Borrowed {
+    fn reset(&mut self) {}
+}
+
+impl Lendable for Borrowed {
+    type Elem = i64;
+    type Recipe = Vec<usize>;
+}
+
+/// Proc 0 lends `src` to proc 1 under `key` and sends it, inside a lending
+/// scope, then runs `then`.
+fn lend_to_1(
+    p: &mut Proc,
+    key: u64,
+    src: &[i64],
+    recipe: &Vec<usize>,
+    then: impl FnOnce(&mut Proc),
+) {
+    p.lending::<Borrowed, _>(key, |p, lender| {
+        let row = src.len();
+        lender.lend(p, 1, Loan { src, recipe, row }, 2 * row);
+        let slot = p.pool_current::<Borrowed>(key, 1);
+        p.send_pooled(1, tags::USER, slot);
+        then(p);
+    });
+}
+
+/// A loan its receiver takes delivery of but never reads can never come
+/// back: the lender's wait is a `PoolStall` that names the lender, the plan
+/// key and the receiver, the instant the machine goes quiescent.
+#[test]
+fn a_loan_nobody_reads_is_a_pool_stall_naming_the_lender() {
+    let key = fresh_pool_key();
+    let expected = MachineError::PoolStall {
+        proc: 0,
+        key,
+        dst: 1,
+    };
+    assert_always(&expected, |workers| {
+        Machine::new(ProcGrid::line(2), CostModel::zero())
+            .with_workers(workers)
+            .try_run(|p| {
+                if p.id() == 0 {
+                    let src = vec![1i64, 2, 3];
+                    lend_to_1(p, key, &src, &vec![0, 1, 2], |_| {});
+                } else {
+                    drop(p.recv_packet(0, tags::USER));
+                }
+            })
+            .expect_err("the lender waits for a loan nobody reads")
+    });
+}
+
+/// The message of a caught panic.
+fn panic_text(err: Box<dyn std::any::Any + Send>) -> String {
+    match err.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(err) => err
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |s| s.to_string()),
+    }
+}
+
+/// A lender that panics with a loan outstanding revokes it while it
+/// unwinds, before its slice is freed: the run fails with the lender's own
+/// typed error, and the receiver, which holds the packet and tries to read
+/// only after the lender is gone, gets a panic instead of the slice.
+#[test]
+fn a_lender_that_panics_revokes_its_loan() {
+    for workers in 1..=3 {
+        let key = fresh_pool_key();
+        let (read, seen) = (AtomicBool::new(false), Mutex::new(String::new()));
+        let err = Machine::new(ProcGrid::line(2), CostModel::zero())
+            .with_workers(workers)
+            .try_run(|p| {
+                if p.id() == 0 {
+                    let src: Vec<i64> = (0..64).collect();
+                    let recipe: Vec<usize> = (0..64).collect();
+                    lend_to_1(p, key, &src, &recipe, |p| {
+                        let _: Vec<i64> = p.recv(1, tags::USER + 1);
+                        panic!("lender boom");
+                    });
+                } else {
+                    let pkt = p.recv_packet(0, tags::USER);
+                    p.send(0, tags::USER + 1, vec![0i64]);
+                    // Wait for a word the lender never sends: its failure
+                    // ends the wait, after it has unwound.
+                    let waited = catch_unwind(AssertUnwindSafe(|| {
+                        let _: Vec<i64> = p.recv(0, tags::USER + 2);
+                    }));
+                    assert!(waited.is_err(), "the lender failed");
+                    let slot = pkt.data.downcast::<PoolSlot<Borrowed>>().unwrap();
+                    let got = catch_unwind(AssertUnwindSafe(|| {
+                        slot.receive(|got| {
+                            read.store(true, Ordering::SeqCst);
+                            match got {
+                                Received::Lent(loan) => loan.src.iter().sum::<i64>(),
+                                Received::Staged(_) => 0,
+                            }
+                        })
+                    }));
+                    *seen.lock().unwrap() = panic_text(got.expect_err("a revoked loan"));
+                }
+            })
+            .expect_err("the lender panicked");
+        match err {
+            MachineError::ProcPanicked { proc: 0, msg } => assert!(msg.contains("lender boom")),
+            other => panic!("workers={workers}: {other}"),
+        }
+        assert!(
+            !read.load(Ordering::SeqCst),
+            "workers={workers}: a revoked loan was read"
+        );
+        let seen = seen.into_inner().unwrap();
+        assert!(seen.contains("revoked"), "workers={workers}: {seen}");
+    }
+}
+
+/// A lender waits for the slots it lent, not for what its pool still
+/// lists: one that retires its plan inside the scope still returns only
+/// after its receiver has read the loan, so its slice — freed right after —
+/// is read while alive, at every pool size.
+#[test]
+fn a_lender_that_retires_its_plan_still_waits_for_its_loans() {
+    for workers in 1..=3 {
+        let key = fresh_pool_key();
+        let out = Machine::new(ProcGrid::line(2), CostModel::zero())
+            .with_workers(workers)
+            .run(|p| {
+                if p.id() == 0 {
+                    let src: Vec<i64> = (1..=16).collect();
+                    let recipe: Vec<usize> = (0..16).collect();
+                    lend_to_1(p, key, &src, &recipe, |p| p.pool_retire(key));
+                    drop(src);
+                    0
+                } else {
+                    let pkt = p.recv_packet(0, tags::USER);
+                    let slot = pkt.data.downcast::<PoolSlot<Borrowed>>().unwrap();
+                    slot.receive(|got| match got {
+                        Received::Lent(loan) => loan.src.iter().sum::<i64>(),
+                        Received::Staged(_) => unreachable!("the send was lent"),
+                    })
+                }
+            });
+        assert_eq!(out.results, [0, 136], "workers={workers}");
+    }
 }
 
 /// The one thing only a clock can show: a processor that blocks its OS

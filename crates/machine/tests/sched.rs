@@ -20,8 +20,8 @@ use hpf_machine::collectives::{
     allreduce_sum, alltoallv, prefix_reduction_sum, A2aSchedule, PrsAlgorithm,
 };
 use hpf_machine::{
-    tags, Category, CostModel, FaultPlan, Machine, MachineError, PoolSlot, Proc, ProcGrid,
-    RunOutput,
+    tags, Category, CostModel, FaultPlan, Lendable, Loan, Machine, MachineError, Payload, PoolSlot,
+    Proc, ProcGrid, Received, Reusable, RunOutput, Words,
 };
 
 /// For `allocation_counters_follow_the_processor`; counting is all it does.
@@ -210,6 +210,108 @@ fn pool_backpressure_parks_and_hands_off_exactly_at_every_pool_size() {
         .map(|p| {
             let prev = (p + 2) % 3;
             (0..SENDS).flat_map(|i| handoff_buffer(prev, i)).sum()
+        })
+        .collect();
+    for workers in [1, 2, 3] {
+        assert_eq!(run(workers), expected, "workers = {workers}");
+    }
+}
+
+/// A message that is only ever lent: its receiver reads `row` values of
+/// the lender's slice through the lender's index recipe.
+#[derive(Debug, Default, Clone)]
+struct Borrowed;
+
+impl Payload for Borrowed {
+    fn wire_words(&self) -> Words {
+        0
+    }
+    fn clone_payload(&self) -> Box<dyn std::any::Any + Send> {
+        Box::new(Borrowed)
+    }
+}
+
+impl Reusable for Borrowed {
+    fn reset(&mut self) {}
+}
+
+impl Lendable for Borrowed {
+    type Elem = i64;
+    type Recipe = Vec<usize>;
+}
+
+/// What processor `src` lends on its `i`-th send: eight values, fresh per
+/// send, in a vector that dies with the send.
+fn lent_source(src: usize, i: u64) -> Vec<i64> {
+    (0..8)
+        .map(|k| (src as i64) << 40 | (i as i64) << 4 | k)
+        .collect()
+}
+
+/// Lending across OS threads at every pool size: a ring of three makes
+/// 10 000 lent sends each through one entry. Each lender's slice lives for
+/// one send only, and its receiver reads it in place, through the lender's
+/// recipe (a reversal), while the lender waits in `Proc::lending` — on
+/// another OS thread from two workers on. Every value read must be the
+/// one the lender held, and no wait may stall.
+#[test]
+fn lent_handoffs_read_the_lenders_slice_at_every_pool_size() {
+    const SENDS: u64 = 10_000;
+    let recipe: Vec<usize> = (0..8).rev().collect();
+    let run = |workers: usize| {
+        Machine::new(ProcGrid::line(3), CostModel::cm5())
+            .with_workers(workers)
+            .try_run(|p| {
+                let key = hpf_machine::fresh_pool_key();
+                let n = p.nprocs();
+                let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
+                let mut sum = 0i64;
+                for i in 0..SENDS {
+                    let src = lent_source(p.id(), i);
+                    let row = (i % 8 + 1) as usize;
+                    sum += p.lending::<Borrowed, _>(key, |p, lender| {
+                        let loan = Loan {
+                            src: &src,
+                            recipe: &recipe,
+                            row,
+                        };
+                        lender.lend(p, next, loan, 2 * row);
+                        let slot = p.pool_current::<Borrowed>(key, next);
+                        p.send_pooled(next, tags::USER + i, slot);
+                        let pkt = p.recv_packet(prev, tags::USER + i);
+                        let slot = pkt.data.downcast::<PoolSlot<Borrowed>>().unwrap();
+                        slot.receive(|got| {
+                            let Received::Lent(loan) = got else {
+                                panic!("proc {}: send {i} was lent", p.id());
+                            };
+                            let read: Vec<i64> = loan.recipe[..loan.row]
+                                .iter()
+                                .map(|&k| loan.src[k])
+                                .collect();
+                            let want = lent_source(prev, i);
+                            let want: Vec<i64> = want.iter().rev().take(row).copied().collect();
+                            assert_eq!(read, want, "proc {} read {i}", p.id());
+                            read.iter().sum::<i64>()
+                        })
+                    });
+                }
+                sum
+            })
+            .expect("no loan stalls")
+            .results
+    };
+    let expected: Vec<i64> = (0..3)
+        .map(|p| {
+            let prev = (p + 2) % 3;
+            (0..SENDS)
+                .map(|i| {
+                    lent_source(prev, i)
+                        .iter()
+                        .rev()
+                        .take((i % 8 + 1) as usize)
+                        .sum::<i64>()
+                })
+                .sum()
         })
         .collect();
     for workers in [1, 2, 3] {
