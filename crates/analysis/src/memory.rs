@@ -2,7 +2,7 @@
 //! events versus a closed-form predicted model (DESIGN.md §13).
 //!
 //! The machine charges every word-carrying structure to a named
-//! [`MemAccount`] in *simulated* time; [`measured_peak`] folds those
+//! [`MemAccount`] in *simulated* time; `measured_peak` folds those
 //! samples into a per-processor running total and reports the machine-wide
 //! high-water mark — which processor, at what simulated time, under which
 //! enclosing stage, and which account held the most bytes at that instant.
@@ -291,7 +291,7 @@ fn pack_exchange_bytes(
 
 /// Predicted peak bytes per processor for UNPACK under `scheme`. The
 /// workload registers field (4L), mask (L), and its local vector slice
-/// (4R_i); the plan is [`unpack_plan_bytes`]; replies stage 4R_i out and
+/// (4R_i); the plan is `unpack_plan_bytes`; replies stage 4R_i out and
 /// deliver 4E_i back in. Both schemes retain the same execute-phase
 /// structures — they differ only in the plan-time request encoding, a
 /// transient the peak never sees.
@@ -372,7 +372,7 @@ pub struct PeakMemory {
     /// Innermost stage enclosing the measured peak.
     pub peak_stage: String,
     /// Total mailbox-ring bytes charged across all processors (excluded
-    /// from the workload peak above; see [`ring_accounting`]).
+    /// from the workload peak above; see `ring_accounting`).
     pub ring_bytes: u64,
     /// Every processor charged its ring byte-exactly.
     pub ring_exact: bool,

@@ -12,7 +12,7 @@
 //! survivors machine-wide into a block-distributed vector, which every
 //! processor re-embeds as its new prefix.
 
-use hpf_core::{PackError, PackOptions, PlanCache};
+use hpf_core::{pack, PackError, PackOptions};
 use hpf_distarray::{ArrayDesc, Dist};
 use hpf_machine::collectives::allreduce_with;
 use hpf_machine::{Category, Proc};
@@ -60,14 +60,6 @@ pub fn run_compaction(
     let mut particles: Vec<i64> = (0..cap).map(|l| (me * cap + l) as i64).collect();
     let mut stats = Vec::with_capacity(steps);
 
-    // The survivor mask is data-dependent and changes every step, so plans
-    // never repeat: every lookup is a miss. The cache is still the right
-    // interface — the step counter is an SPMD-consistent key (identical on
-    // all processors without hashing any local data), and the
-    // `plan.cache.{hit,miss}` counters make the non-reusability measurable
-    // instead of assumed.
-    let mut plans = PlanCache::new();
-
     for step in 0..steps {
         // Advance and absorb, locally.
         let (buffer, mask, alive_local) = proc.with_category(Category::LocalComp, |proc| {
@@ -91,9 +83,10 @@ pub fn run_compaction(
             allreduce_with(proc, &world, &[alive_local as u64], u64::max)[0] as usize
         });
 
-        // Compact machine-wide: plan under the step's mask, then execute.
-        let plan = plans.pack_plan(proc, &desc, &mask, step as u64, opts)?;
-        let packed = plan.execute(proc, &buffer)?;
+        // Compact machine-wide. The survivor mask is data-dependent and
+        // changes every step, so no plan is worth keeping: one-shot `pack`
+        // plans, executes and retires.
+        let packed = pack(proc, &desc, &buffer, &mask, opts)?;
         particles = packed.local_v;
         stats.push(StepStats {
             alive: packed.size,
@@ -180,8 +173,10 @@ mod tests {
         }
     }
 
+    /// Each step's plan goes back before the next: every processor ends
+    /// the run holding no plan bytes and no pool slot.
     #[test]
-    fn per_step_masks_are_all_plan_cache_misses() {
+    fn every_step_gives_its_plan_back() {
         let n = 128usize;
         let steps = 4usize;
         let p = 4usize;
@@ -197,10 +192,11 @@ mod tests {
             )
             .unwrap()
         });
-        let m = out.merged_metrics();
-        // One planning per step per processor, never a repeat.
-        assert_eq!(m.counter("plan.cache.miss"), (steps * p) as u64);
-        assert_eq!(m.counter("plan.cache.hit"), 0);
+        for (id, m) in out.metrics.iter().enumerate() {
+            for gauge in ["mem.plan.cur", "mem.pool.cur"] {
+                assert_eq!(m.gauges[gauge].last, 0, "proc {id}: {gauge}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Parallel sample sort — the classic all-to-many application ([9]'s
+//! Parallel sample sort — the classic all-to-many application (\[9\]'s
 //! motivating pattern), finished with a PACK-style rebalance.
 //!
 //! 1. sort locally;

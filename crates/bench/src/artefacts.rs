@@ -6,7 +6,7 @@
 //!
 //! Every number is simulated time (msec on the CM-5 cost model) or a count,
 //! so an artefact is a function of the tree. The set-ups of Section 7 are
-//! declared once: [`Panel::paper`] is what Figures 3–5 sweep — N = 65 536 on
+//! declared once: `Panel::paper` is what Figures 3–5 sweep — N = 65 536 on
 //! 16 processors and 512 × 512 on 4 × 4 — under [`paper_masks`] at [`SEED`]
 //! over [`block_sizes`]; the other artefacts take one of those panels or
 //! scale it.

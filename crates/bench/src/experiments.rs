@@ -3,7 +3,7 @@
 
 use hpf_core::{
     pack, pack_redistributed, plan_pack, plan_unpack, unpack, CopyStats, MaskPattern, PackOptions,
-    PackScheme, PlanCache, RedistScheme, UnpackOptions, UnpackScheme,
+    PackScheme, RedistScheme, UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist, TrackArray};
 use hpf_machine::{Category, CostModel, Machine, Proc, ProcGrid, RunOutput};
@@ -148,7 +148,7 @@ pub fn measure_run<R>(out: &RunOutput<R>, size: usize) -> Measurement {
     }
 }
 
-/// Amortized plan-reuse measurement: one cached plan executed `executes`
+/// Amortized plan-reuse measurement: one held plan executed `executes`
 /// times (fresh data every iteration) versus `executes` independent full
 /// calls — the mask, and therefore the plan, is fixed across iterations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,13 +157,9 @@ pub struct ReuseMeasurement {
     pub executes: usize,
     /// `executes` independent full calls (plan + execute every time).
     pub fresh: Measurement,
-    /// One planning pass + `executes` cached executes.
+    /// One planning pass + `executes` executes of the held plan.
     pub cached: Measurement,
-    /// `plan.cache.hit` summed over all processors after the cached arm.
-    pub cache_hits: u64,
-    /// `plan.cache.miss` summed over all processors after the cached arm.
-    pub cache_misses: u64,
-    /// Op breakdown of the cached plan's lowered copy programs, merged
+    /// Op breakdown of the held plan's lowered copy programs, merged
     /// across processors (DESIGN.md §16): how much of an execute's value
     /// movement runs as bulk copies instead of scalar indexing.
     pub copy_ops: CopyStats,
@@ -188,17 +184,15 @@ impl ReuseMeasurement {
 }
 
 /// The two arms of a reuse measurement: `arm(cached)` runs the loop once
-/// with full calls and once through a [`PlanCache`], returning `Size` and —
-/// in the cached arm — its plan's copy-program stats. Only the cached arm
-/// runs with metrics, so its `plan.cache.{hit,miss}` counters are observable.
+/// with full calls and once through one held plan, returning `Size` and —
+/// in the cached arm — its plan's copy-program stats.
 fn time_reuse(
     cfg: &ExpConfig,
     executes: usize,
     arm: impl Fn(&mut Proc, bool) -> (usize, CopyStats) + Sync,
 ) -> ReuseMeasurement {
     let fresh = cfg.machine().run(|proc| arm(proc, false));
-    let cached = cfg.machine().with_metrics(true).run(|proc| arm(proc, true));
-    let metrics = cached.merged_metrics();
+    let cached = cfg.machine().run(|proc| arm(proc, true));
     let mut copy_ops = CopyStats::default();
     for (_, stats) in &cached.results {
         copy_ops.merge(stats);
@@ -207,15 +201,14 @@ fn time_reuse(
         executes,
         fresh: measure_run(&fresh, fresh.results[0].0),
         cached: measure_run(&cached, cached.results[0].0),
-        cache_hits: metrics.counter("plan.cache.hit"),
-        cache_misses: metrics.counter("plan.cache.miss"),
         copy_ops,
     }
 }
 
 /// Measure PACK plan reuse under `opts`: `executes` fresh `pack` calls
-/// versus one [`PlanCache`]d plan executed `executes` times, each
-/// iteration on different element values.
+/// versus one held plan executed `executes` times, each iteration on
+/// different element values. The held plan is built right after the clock
+/// reset and retired after the last execute.
 pub fn time_pack_reuse(cfg: &ExpConfig, opts: &PackOptions, executes: usize) -> ReuseMeasurement {
     let desc = cfg.desc();
     let (desc_ref, pattern, shape) = (&desc, cfg.pattern, &cfg.shape);
@@ -225,19 +218,20 @@ pub fn time_pack_reuse(cfg: &ExpConfig, opts: &PackOptions, executes: usize) -> 
         let data: Vec<Vec<i32>> = (0..executes)
             .map(|it| local_from_fn(desc_ref, proc.id(), |g| data_at(it, g)))
             .collect();
-        let mut plans = PlanCache::new();
         proc.clock().reset();
-        let (mut size, mut stats) = (0, CopyStats::default());
+        let plan = cached.then(|| plan_pack(proc, desc_ref, &m, opts).unwrap());
+        let mut size = 0;
         for a in &data {
-            size = if cached {
-                let plan = plans.pack_plan(proc, desc_ref, &m, pattern.fingerprint(), opts);
-                let plan = plan.unwrap();
-                stats = plan.copy_stats();
-                plan.execute(proc, a).unwrap().size
-            } else {
-                pack(proc, desc_ref, a, &m, opts).unwrap().size
+            size = match &plan {
+                Some(plan) => plan.execute(proc, a).unwrap().size,
+                None => pack(proc, desc_ref, a, &m, opts).unwrap().size,
             };
         }
+        let stats = plan.map_or(CopyStats::default(), |plan| {
+            let stats = plan.copy_stats();
+            plan.retire(proc);
+            stats
+        });
         (size, stats)
     })
 }
@@ -261,19 +255,19 @@ pub fn time_unpack_reuse(
         let vs: Vec<Vec<i32>> = (0..executes)
             .map(|it| (0..vl.local_len(me)).map(|l| v_at(it, l)).collect())
             .collect();
-        let mut plans = PlanCache::new();
         proc.clock().reset();
-        let mut stats = CopyStats::default();
+        let plan = cached.then(|| plan_unpack(proc, desc_ref, &m, vl, opts).unwrap());
         for v in &vs {
-            if cached {
-                let plan = plans.unpack_plan(proc, desc_ref, &m, pattern.fingerprint(), vl, opts);
-                let plan = plan.unwrap();
-                stats = plan.copy_stats();
-                plan.execute(proc, &f, v).unwrap();
-            } else {
-                unpack(proc, desc_ref, &m, &f, v, vl, opts).unwrap();
-            }
+            match &plan {
+                Some(plan) => plan.execute(proc, &f, v).unwrap(),
+                None => unpack(proc, desc_ref, &m, &f, v, vl, opts).unwrap(),
+            };
         }
+        let stats = plan.map_or(CopyStats::default(), |plan| {
+            let stats = plan.copy_stats();
+            plan.retire(proc);
+            stats
+        });
         (size, stats)
     })
 }
@@ -491,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_reuse_amortizes_and_counts_hits() {
+    fn plan_reuse_amortizes() {
         let cfg = ExpConfig::new(
             &[256],
             &[4],
@@ -502,14 +496,10 @@ mod tests {
             },
         );
         let r = time_pack_reuse(&cfg, &PackOptions::default(), 8);
-        assert_eq!(r.cache_misses, 4, "one planning miss per processor");
-        assert_eq!(r.cache_hits, 7 * 4, "executes-1 hits per processor");
         assert!(r.reuse_ratio() < 1.0, "ratio {}", r.reuse_ratio());
         // Every packed element leaves through one gather op.
         assert_eq!(r.copy_ops.total_elements, r.cached.size as u64);
         let r = time_unpack_reuse(&cfg, &UnpackOptions::new(UnpackScheme::CompactStorage), 8);
-        assert_eq!(r.cache_misses, 4);
-        assert_eq!(r.cache_hits, 7 * 4);
         assert!(r.reuse_ratio() < 1.0, "ratio {}", r.reuse_ratio());
         // Served from `V` and scattered into the field: twice over.
         assert_eq!(r.copy_ops.total_elements, 2 * r.cached.size as u64);

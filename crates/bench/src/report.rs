@@ -21,7 +21,7 @@ use hpf_machine::{Category, RecoveryStats};
 use crate::{Measurement, ReuseMeasurement};
 
 /// Schema version of the emitted JSON (bump on breaking field changes).
-pub const SCHEMA_VERSION: u64 = 14;
+pub const SCHEMA_VERSION: u64 = 15;
 
 /// The workload groups, in report order, each with the JSON key of the
 /// [`Section`] its entries carry.
@@ -99,8 +99,6 @@ impl Section {
                 ("fresh_per_exec_ms", r.fresh_per_exec_ms().into()),
                 ("cached_per_exec_ms", r.cached_per_exec_ms().into()),
                 ("ratio", r.reuse_ratio().into()),
-                ("cache_hits", r.cache_hits.into()),
-                ("cache_misses", r.cache_misses.into()),
                 (
                     "copy_ops",
                     Json::obj([
@@ -288,7 +286,7 @@ fn stage_slack(group: &str) -> f64 {
 pub type Gate = (&'static str, &'static str, fn(&Entry) -> bool);
 
 /// The gates, entry by entry. DESIGN.md §9.3 lists exactly these.
-pub const GATES: [Gate; 15] = [
+pub const GATES: [Gate; 14] = [
     (
         "group_has_its_section",
         "the entry does not carry exactly the section its group measures",
@@ -357,13 +355,8 @@ pub const GATES: [Gate; 15] = [
     ),
     (
         "reuse_amortizes",
-        "a cached plan's amortized cost exceeds 0.6 of a full call's",
+        "a held plan's amortized cost exceeds 0.6 of a full call's",
         |e| !matches!(&e.section, Section::Reuse(r) if r.reuse_ratio().is_nan() || r.reuse_ratio() > 0.6),
-    ),
-    (
-        "reuse_hits_cache",
-        "plan reuse recorded no cache hit",
-        |e| !matches!(&e.section, Section::Reuse(r) if r.cache_hits == 0),
     ),
     (
         "memory_was_measured",
@@ -469,8 +462,6 @@ mod tests {
                 total_ms: 8.0,
                 ..measurement()
             },
-            cache_hits: 60,
-            cache_misses: 4,
             copy_ops: CopyStats {
                 contig: 4,
                 scatter: 1,
@@ -606,11 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_hits_cache() {
-        assert_eq!(broken(reuse(|r| r.cache_hits = 0)), ["reuse_hits_cache"]);
-    }
-
-    #[test]
     fn memory_was_measured() {
         let e = memory(|p| (p.measured_bytes, p.ratio) = (0, 1.0));
         assert_eq!(broken(e), ["memory_was_measured"]);
@@ -660,11 +646,11 @@ mod tests {
         };
         assert!(healthy.gated().is_ok());
         let report = Report {
-            entries: vec![reuse(|_| {}), reuse(|r| r.cache_hits = 0)],
+            entries: vec![reuse(|_| {}), reuse(|r| r.cached.total_ms = 9.7)],
         };
         let err = report.gated().unwrap_err();
         assert_eq!(err.lines().count(), 1, "{err}");
-        let named = "plan_reuse.pack.sss.w8: gate `reuse_hits_cache` failed";
+        let named = "plan_reuse.pack.sss.w8: gate `reuse_amortizes` failed";
         assert!(err.starts_with(named), "{err}");
     }
 
@@ -707,7 +693,7 @@ mod tests {
         assert_eq!(back, report.to_json());
         // An escaped string, a null section beside a present one, and the
         // one-field-per-line layout; nothing that names a commit or a mode.
-        assert_eq!(back.get("schema_version"), Some(&Json::Num(14.0)));
+        assert_eq!(back.get("schema_version"), Some(&Json::Num(15.0)));
         assert!(back.get("rev").is_none() && back.get("mode").is_none());
         let w = back.get("workloads").and_then(Json::as_arr).unwrap();
         assert_eq!(w[0].get("name").and_then(Json::as_str), Some("a\"b\\"));

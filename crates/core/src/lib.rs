@@ -20,8 +20,8 @@
 //! Both operations are split into a value-independent **planner**
 //! ([`plan_pack`] / [`plan_unpack`]) and a value-only **executor**
 //! ([`PackPlan::execute`] / [`UnpackPlan::execute`]); [`pack`] and
-//! [`unpack`] are thin plan-then-execute wrappers, and a [`PlanCache`]
-//! amortises planning across repeated calls under an unchanged mask — see
+//! [`unpack`] are thin plan-then-execute wrappers. A caller that repeats a
+//! call under an unchanged mask holds the plan and executes it again — see
 //! the [`plan`] module.
 //!
 //! Everything runs on the simulated coarse-grained machine of
@@ -65,6 +65,6 @@ pub use mask::MaskPattern;
 pub use pack::{
     pack, pack_redistributed, pack_with_vector, CmsMessage, MaskStats, PackOutput, RedistScheme,
 };
-pub use plan::{plan_pack, plan_unpack, CopyStats, PackPlan, PlanCache, UnpackPlan};
+pub use plan::{plan_pack, plan_unpack, CopyStats, PackPlan, UnpackPlan};
 pub use schemes::{PackOptions, PackScheme, ScanMethod, UnpackOptions, UnpackScheme};
 pub use unpack::{unpack, unpack_redistributed, RankRequest};

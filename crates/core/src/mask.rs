@@ -34,9 +34,9 @@ pub enum MaskPattern {
 }
 
 /// SplitMix64 — a tiny, high-quality 64-bit mixer; deterministic pointwise
-/// mask generation (and plan-cache key hashing) needs nothing more.
+/// mask generation needs nothing more.
 #[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -85,23 +85,6 @@ impl MaskPattern {
     pub fn local(&self, desc: &ArrayDesc, proc_id: usize) -> Vec<bool> {
         let shape = desc.shape();
         hpf_distarray::local_from_fn(desc, proc_id, |gidx| self.value(gidx, &shape))
-    }
-
-    /// A stable 64-bit fingerprint of the pattern, suitable as the
-    /// `mask_fp` key of a [`crate::PlanCache`]: equal patterns fingerprint
-    /// equally on every processor (the value depends only on the pattern,
-    /// never on a local slice), so cache hits and misses stay collective.
-    pub fn fingerprint(&self) -> u64 {
-        let (tag, a, b) = match *self {
-            MaskPattern::Full => (1u64, 0, 0),
-            MaskPattern::Empty => (2, 0, 0),
-            MaskPattern::Random { density, seed } => (3, density.to_bits(), seed),
-            MaskPattern::FirstHalf => (4, 0, 0),
-            MaskPattern::LowerTriangular => (5, 0, 0),
-        };
-        let mut h = splitmix64(0x4d41_534b ^ tag); // "MASK"
-        h = splitmix64(h ^ splitmix64(a));
-        splitmix64(h ^ splitmix64(b))
     }
 
     /// The paper's five random densities.
@@ -194,35 +177,5 @@ mod tests {
     fn full_and_empty() {
         assert!(MaskPattern::Full.global(&[8]).data().iter().all(|&b| b));
         assert!(MaskPattern::Empty.global(&[8]).data().iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn pattern_fingerprints_do_not_collide() {
-        let patterns = [
-            MaskPattern::Full,
-            MaskPattern::Empty,
-            MaskPattern::FirstHalf,
-            MaskPattern::LowerTriangular,
-            MaskPattern::Random {
-                density: 0.5,
-                seed: 1,
-            },
-            MaskPattern::Random {
-                density: 0.5,
-                seed: 2,
-            },
-            MaskPattern::Random {
-                density: 0.3,
-                seed: 1,
-            },
-        ];
-        let fps: std::collections::HashSet<u64> =
-            patterns.iter().map(|p| p.fingerprint()).collect();
-        assert_eq!(fps.len(), patterns.len(), "fingerprint collision");
-        // Stable across calls (the whole point of a cache key).
-        assert_eq!(
-            MaskPattern::FirstHalf.fingerprint(),
-            MaskPattern::FirstHalf.fingerprint()
-        );
     }
 }

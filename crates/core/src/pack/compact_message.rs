@@ -68,7 +68,7 @@ impl<T: Wire> Payload for CmsMessage<T> {
 
 impl<T: Wire> Reusable for CmsMessage<T> {
     /// Keep both the header skeleton and the shaped value array: a plan's
-    /// routes are fixed, so the next [`ensure_shape`] for the same
+    /// routes are fixed, so the next `ensure_shape` for the same
     /// destination finds everything in place and the refill is a pure
     /// positional overwrite.
     fn reset(&mut self) {}

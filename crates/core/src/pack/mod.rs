@@ -48,8 +48,7 @@ pub struct PackOutput<T> {
 /// [`crate::PackPlan::execute`] and [`crate::PackPlan::retire`]: the call
 /// owns its plan and gives the plan's pooled buffers and memory charges
 /// back before it returns. Callers that pack repeatedly under an unchanged
-/// mask should hold the plan (or a [`crate::PlanCache`]) and execute it
-/// directly.
+/// mask should hold the plan and execute it directly.
 ///
 /// Work is charged to the calling processor's clock:
 /// [`Category::LocalComp`] for scanning, rank computation, and message

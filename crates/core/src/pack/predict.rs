@@ -75,7 +75,7 @@ pub struct MaskStats {
     pub recv_peers: Vec<usize>,
     /// Retained bytes of the PACK plan's lowered gather copy programs per
     /// processor (DESIGN.md §16): ops, row offsets and `Scatter` indices —
-    /// exact, reconstructed by running the same [`CopyPrograms::lower`] over
+    /// exact, reconstructed by running the same `CopyPrograms::lower` over
     /// the same per-destination slot rows the composers produce. Identical
     /// for all three schemes (the gather order is rank order regardless of
     /// message format).
@@ -85,7 +85,7 @@ pub struct MaskStats {
     /// serve programs (over the local `V` indices each requester is owed)
     /// plus the scatter programs (over the same element-slot rows as the
     /// PACK gather), plus the field spans (8 bytes each, from the same
-    /// [`field_spans`] over the processor's local mask).
+    /// `field_spans` over the processor's local mask).
     pub unpack_prog_bytes: Vec<u64>,
 }
 

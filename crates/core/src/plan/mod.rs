@@ -18,12 +18,12 @@
 //!
 //! The split is exact with respect to the Section 6.4 operation model: the
 //! plan-phase and execute-phase `LocalComp` charges sum to precisely the
-//! per-scheme formulas (see [`crate::predict`]), and
+//! per-scheme formulas (see [`crate::MaskStats`]), and
 //! `plan().execute(data)` is bit-identical to the one-shot entry points
 //! (which are now thin wrappers doing exactly `plan` + `execute`).
 //!
 //! Since the copy-program lowering (DESIGN.md §16), a plan's index lists are
-//! [`copyprog::CopyPrograms`], one row per populated peer, which the execute
+//! `copyprog::CopyPrograms`, one row per populated peer, which the execute
 //! kernels walk: `copy_from_slice` runs where the mask allows, the index
 //! loop over the program's own indices where it does not. Lowering is
 //! wall-clock-only: simulated charges are per *value moved*, so every
@@ -34,16 +34,14 @@
 //! indices alike, which is how the SpMV app compresses two aligned arrays
 //! with a single ranking pass.
 //!
-//! [`PlanCache`] memoizes plans across calls keyed by stable fingerprints,
-//! turning repeated pack/unpack under an unchanged mask into pure
-//! executes.
+//! A caller whose mask does not change holds its plan and executes it on
+//! every call, then gives its pool slots and its `mem.plan` charge back
+//! with [`PackPlan::retire`] / [`UnpackPlan::retire`].
 
-mod cache;
 pub(crate) mod composer;
 pub(crate) mod copyprog;
 mod poolmsg;
 
-pub use cache::PlanCache;
 pub use copyprog::CopyStats;
 
 use hpf_distarray::{ArrayDesc, DimLayout};

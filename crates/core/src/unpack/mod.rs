@@ -41,9 +41,9 @@ use crate::schemes::UnpackOptions;
 /// Exactly equivalent to [`crate::plan_unpack`], one
 /// [`crate::UnpackPlan::execute`] and [`crate::UnpackPlan::retire`] (the
 /// call owns its plan and gives its pooled buffers back) — callers that
-/// unpack repeatedly under an unchanged mask should hold the plan (or a
-/// [`crate::PlanCache`]) and execute it directly, which skips the ranking
-/// collectives *and* the rank-request round.
+/// unpack repeatedly under an unchanged mask should hold the plan and
+/// execute it directly, which skips the ranking collectives *and* the
+/// rank-request round.
 pub fn unpack<T: Wire + Default>(
     proc: &mut Proc,
     desc: &ArrayDesc,

@@ -184,7 +184,7 @@ enum Scheme {
 }
 
 /// Per processor: the `mem.pool` high water of `executes` executes of one
-/// cached plan under `scheme`, on four processors of 256 elements each
+/// held plan under `scheme`, on four processors of 256 elements each
 /// under a Bernoulli-0.5 mask — or, `lending`, of 4 096 each under a full
 /// mask in blocks of 64, whose plans lend.
 fn pool_peak(scheme: Scheme, executes: usize, lending: bool) -> Vec<u64> {
@@ -233,7 +233,7 @@ fn pool_peak(scheme: Scheme, executes: usize, lending: bool) -> Vec<u64> {
     out.metrics.iter().map(|m| m.gauges[gauge].max).collect()
 }
 
-/// A cached plan's pool is as large after four executes as after the
+/// A held plan's pool is as large after four executes as after the
 /// first, for all five schemes: the first execute stages one buffer per
 /// destination and the later ones refill it, staging the same bytes.
 #[test]

@@ -1,14 +1,14 @@
 //! Property tests for the planner/executor split: over random layouts,
 //! mask patterns, and schemes, `plan(...).execute(data)` must be
 //! bit-identical to the one-shot `pack`/`unpack` entry points, and a
-//! cached plan re-executed against *fresh* data must match a fresh direct
+//! held plan re-executed against *fresh* data must match a fresh direct
 //! call — the plan is value-independent by construction.
 
 use proptest::prelude::*;
 
 use hpf_core::{
-    pack, plan_pack, plan_unpack, unpack, MaskPattern, PackOptions, PackScheme, PlanCache,
-    ScanMethod, UnpackOptions, UnpackScheme,
+    pack, plan_pack, plan_unpack, unpack, MaskPattern, PackOptions, PackScheme, ScanMethod,
+    UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::{CostModel, Machine, ProcGrid};
@@ -74,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     /// `plan_pack` + `execute` is bit-identical to the one-shot `pack`,
-    /// and re-executing the cached plan against fresh values matches a
+    /// and re-executing the held plan against fresh values matches a
     /// fresh direct call.
     #[test]
     fn planned_pack_matches_direct(
@@ -90,16 +90,11 @@ proptest! {
             let a = local_from_fn(d, proc.id(), |g| data_at(g, 17));
             let b = local_from_fn(d, proc.id(), |g| data_at(g, -5));
 
-            let mut cache = PlanCache::new();
-            let plan = cache
-                .pack_plan(proc, d, &m, pattern.fingerprint(), o)
-                .unwrap();
+            let plan = plan_pack(proc, d, &m, o).unwrap();
             let planned_a = plan.execute(proc, &a).unwrap();
-            // Second lookup is a cache hit; fresh data through the same plan.
-            let plan = cache
-                .pack_plan(proc, d, &m, pattern.fingerprint(), o)
-                .unwrap();
+            // Fresh data through the same plan.
             let planned_b = plan.execute(proc, &b).unwrap();
+            plan.retire(proc);
 
             let direct_a = pack(proc, d, &a, &m, o).unwrap();
             let direct_b = pack(proc, d, &b, &m, o).unwrap();
@@ -113,7 +108,8 @@ proptest! {
     }
 
     /// `plan_unpack` + `execute` is bit-identical to the one-shot
-    /// `unpack`, including cached re-execution against a fresh vector.
+    /// `unpack`, including re-execution of the held plan against a fresh
+    /// vector.
     #[test]
     fn planned_unpack_matches_direct(
         case in any_case(),
@@ -142,15 +138,10 @@ proptest! {
             };
             let (va, vb) = (mkv(7000), mkv(-9000));
 
-            let mut cache = PlanCache::new();
-            let plan = cache
-                .unpack_plan(proc, d, &m, pattern.fingerprint(), vl, o)
-                .unwrap();
+            let plan = plan_unpack(proc, d, &m, vl, o).unwrap();
             let planned_a = plan.execute(proc, &f, &va).unwrap();
-            let plan = cache
-                .unpack_plan(proc, d, &m, pattern.fingerprint(), vl, o)
-                .unwrap();
             let planned_b = plan.execute(proc, &f, &vb).unwrap();
+            plan.retire(proc);
 
             let direct_a = unpack(proc, d, &m, &f, &va, vl, o).unwrap();
             let direct_b = unpack(proc, d, &m, &f, &vb, vl, o).unwrap();
@@ -159,40 +150,6 @@ proptest! {
         for (planned_a, planned_b, direct_a, direct_b) in out.results {
             prop_assert_eq!(planned_a, direct_a);
             prop_assert_eq!(planned_b, direct_b);
-        }
-    }
-
-    /// The standalone planners agree with the cache-built plans on the
-    /// replicated outputs (`size`, layout), for every scheme.
-    #[test]
-    fn standalone_planners_agree_with_cache(
-        case in any_case(),
-        opts in any_pack_opts(),
-    ) {
-        let ((shape, grid_dims, ws), pattern) = case;
-        let (grid, desc) = build(&shape, &grid_dims, &ws);
-        let n: usize = shape.iter().product();
-        let v_layout = DimLayout::new_general(n.max(1), grid.nprocs(), 2).unwrap();
-        let machine = Machine::new(grid, CostModel::cm5());
-        let (d, vl, o) = (&desc, &v_layout, &opts);
-        let out = machine.run(move |proc| {
-            let m = pattern.local(d, proc.id());
-            let p1 = plan_pack(proc, d, &m, o).unwrap();
-            let mut cache = PlanCache::new();
-            let p2 = cache
-                .pack_plan(proc, d, &m, pattern.fingerprint(), o)
-                .unwrap();
-            let uo = UnpackOptions::new(UnpackScheme::CompactStorage);
-            let u1 = plan_unpack(proc, d, &m, vl, &uo).unwrap();
-            let u2 = cache
-                .unpack_plan(proc, d, &m, pattern.fingerprint(), vl, &uo)
-                .unwrap();
-            (p1.size(), p2.size(), p1.v_layout(), p2.v_layout(), u1.size(), u2.size())
-        });
-        for (s1, s2, l1, l2, us1, us2) in out.results {
-            prop_assert_eq!(s1, s2);
-            prop_assert_eq!(l1, l2);
-            prop_assert_eq!(us1, us2);
         }
     }
 }

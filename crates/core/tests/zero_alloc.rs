@@ -1,4 +1,4 @@
-//! Steady-state allocation gate: from the second execution of a cached plan
+//! Steady-state allocation gate: from the second execution of a held plan
 //! onward (each pool entry holds one slot, which the first execute warms,
 //! so warm-up is exactly one iteration), `execute_into` must perform **zero
 //! heap allocations** on every worker thread — the whole gather → exchange

@@ -202,23 +202,6 @@ impl ArrayDesc {
         lin
     }
 
-    /// Stable 64-bit fingerprint of the whole descriptor — rank, every
-    /// per-dimension `(N, P, W)` layout, and the grid shape — used as the
-    /// descriptor half of a plan-cache key. Distinct distributions of the
-    /// same global shape (different block sizes or grid factorizations)
-    /// fingerprint differently.
-    pub fn fingerprint(&self) -> u64 {
-        let mut acc = crate::layout::mix64(0x4445_5343); // "DESC" salt
-        acc = crate::layout::mix_into(acc, self.dims.len() as u64);
-        for d in &self.dims {
-            acc = crate::layout::mix_into(acc, d.fingerprint());
-        }
-        for i in 0..self.grid.ndims() {
-            acc = crate::layout::mix_into(acc, self.grid.dim(i) as u64);
-        }
-        acc
-    }
-
     /// Visit every local slot of processor `proc_id` in local linear order,
     /// passing `(local_linear, global_multi_index)` — without allocating per
     /// element.
@@ -361,33 +344,6 @@ mod tests {
                     visited += 1;
                 });
                 assert_eq!(visited, desc.local_len(p));
-            }
-        }
-    }
-
-    /// Distinct block-cyclic distributions of one global shape get distinct
-    /// descriptor fingerprints on every tested grid size.
-    #[test]
-    fn descriptor_fingerprints_distinguish_distributions() {
-        use std::collections::HashMap;
-        let mut seen: HashMap<u64, String> = HashMap::new();
-        for p in [2usize, 4] {
-            for q in [1usize, 2] {
-                let grid = ProcGrid::new(&[p, q]);
-                for w0 in [1usize, 2, 4] {
-                    for w1 in [1usize, 2, 4] {
-                        let d = ArrayDesc::new_general(
-                            &[16, 16],
-                            &grid,
-                            &[Dist::BlockCyclic(w0), Dist::BlockCyclic(w1)],
-                        )
-                        .unwrap();
-                        let label = format!("{p}x{q} w=({w0},{w1})");
-                        if let Some(prev) = seen.insert(d.fingerprint(), label.clone()) {
-                            panic!("fingerprint collision: {prev} vs {label}");
-                        }
-                    }
-                }
             }
         }
     }

@@ -18,23 +18,6 @@ use std::fmt;
 
 use crate::dist::Dist;
 
-/// SplitMix64 finalizer: the avalanche step used for all stable layout
-/// fingerprints in this crate. Deterministic across runs and platforms.
-#[inline]
-pub(crate) fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Fold `word` into the running fingerprint `acc` (mix-then-combine, so
-/// permutations and splits of the word stream land on different values).
-#[inline]
-pub(crate) fn mix_into(acc: u64, word: u64) -> u64 {
-    mix64(acc ^ mix64(word))
-}
-
 /// Error constructing a layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayoutError {
@@ -204,18 +187,6 @@ impl DimLayout {
     pub fn tile_of_local(&self, l: usize) -> usize {
         l / self.w
     }
-
-    /// Stable 64-bit fingerprint of `(N, P, W)` — the identity of this
-    /// layout for plan-cache keys. Two layouts fingerprint equal iff they
-    /// are the same layout (up to 64-bit hash collisions); the mixing keeps
-    /// distinct block-cyclic splittings of the same `N` apart.
-    pub fn fingerprint(&self) -> u64 {
-        let mut acc = mix64(0x4c41_594f_5554); // "LAYOUT" salt
-        acc = mix_into(acc, self.n as u64);
-        acc = mix_into(acc, self.p as u64);
-        acc = mix_into(acc, self.w as u64);
-        acc
-    }
 }
 
 impl fmt::Display for DimLayout {
@@ -310,35 +281,6 @@ mod tests {
         assert!(DimLayout::new_general(0, 1, 1).is_err());
         assert!(DimLayout::new_general(1, 0, 1).is_err());
         assert!(DimLayout::new_general(1, 1, 0).is_err());
-    }
-
-    /// Cache-key soundness: distinct block-cyclic layouts of the *same*
-    /// global extent must never fingerprint equal on the tested grid sizes.
-    #[test]
-    fn fingerprints_of_same_extent_never_collide() {
-        use std::collections::HashMap;
-        let mut seen: HashMap<u64, (usize, usize, usize)> = HashMap::new();
-        for n in [16usize, 64, 2048] {
-            seen.clear();
-            for p in 1..=16 {
-                for w in 1..=32 {
-                    let Ok(d) = DimLayout::new_general(n, p, w) else {
-                        continue;
-                    };
-                    let fp = d.fingerprint();
-                    if let Some(prev) = seen.insert(fp, (n, p, w)) {
-                        panic!("fingerprint collision: {prev:?} vs {:?}", (n, p, w));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fingerprint_is_stable_across_instances() {
-        let a = DimLayout::new_divisible(16, 4, 2).unwrap();
-        let b = DimLayout::new_divisible(16, 4, 2).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

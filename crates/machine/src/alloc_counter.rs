@@ -8,7 +8,7 @@
 //! itself never installs a global allocator; binaries opt in.
 //!
 //! The counters live in thread-locals, and many virtual processors share
-//! one worker thread, so [`crate::carrier`] saves the outgoing carrier's
+//! one worker thread, so the carrier switch saves the outgoing carrier's
 //! totals and installs the incoming one's at every switch: read inside a
 //! program, [`thread_totals`] is that processor's own.
 

@@ -28,7 +28,7 @@ use crate::proc::{tags, Group, Proc};
 /// Message schedule for [`alltoallv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum A2aSchedule {
-    /// Linear permutation [9]: round `k` pairs `r → (r+k) mod P`.
+    /// Linear permutation \[9\]: round `k` pairs `r → (r+k) mod P`.
     #[default]
     LinearPermutation,
     /// Send everything immediately in rank order, then receive in rank order.
@@ -379,7 +379,7 @@ fn sparse_planned<P: Payload + Default>(
 }
 
 /// The planned rounds over pooled buffers: the allocation-free steady
-/// state of a cached plan's execute loop.
+/// state of a held plan's execute loop.
 ///
 /// The caller has already checked out, filled, and stashed the pool slot
 /// for every destination on `plan.to()` — including its own rank, whose
@@ -472,7 +472,7 @@ use crate::message::Wire;
 /// column; phase 2 delivers within the column. Each processor pays at most
 /// `≈ 2√P` message start-ups instead of `P-1`, at the price of moving every
 /// element twice plus two header words per (source, destination) pair — the
-/// classic trade for exchanges of many tiny messages ([9]'s all-to-many
+/// classic trade for exchanges of many tiny messages (\[9\]'s all-to-many
 /// family). For dense exchanges prefer [`alltoallv`].
 ///
 /// Semantics match [`alltoallv`]: `sends[j]` goes to group rank `j`; the

@@ -2,7 +2,7 @@
 //!
 //! Everything the paper's algorithms need: the vector prefix-reduction-sum
 //! of Section 5.1 (direct and split algorithms), many-to-many personalized
-//! communication with linear permutation scheduling (Section 7, [9]), and
+//! communication with linear permutation scheduling (Section 7, \[9\]), and
 //! the broadcast, allgather and allreduce that the apps and examples build
 //! on.
 //!

@@ -38,7 +38,7 @@ pub struct CostModel {
     pub cn_mu_ns: f64,
     /// Crash recovery: fixed cost of restoring a checkpoint on a respawned
     /// processor, in nanoseconds. These three `recovery_*` terms price the
-    /// recovery protocol (see [`crate::recovery`]) for
+    /// recovery protocol (DESIGN.md §12) for
     /// [`crate::RecoveryStats::replay_ms`] — they
     /// are *never* added to the simulated clock, so a recovered run stays
     /// bit-identical to the fault-free one.
@@ -124,7 +124,7 @@ pub enum Category {
     PrefixReductionSum,
     /// Many-to-many personalized communication in the redistribution stage.
     ManyToMany,
-    /// Communication detection for array redistribution (Section 6.3, [7]).
+    /// Communication detection for array redistribution (Section 6.3, \[7\]).
     RedistDetect,
     /// Data movement of a preliminary array redistribution (Red.1 / Red.2).
     RedistComm,

@@ -150,24 +150,23 @@ impl Machine {
         (txs, rxs, sched)
     }
 
-    /// Enable per-processor tracing: the clock's category spans (see
-    /// [`crate::trace`]) *and* the structured event log (see [`crate::obs`]),
-    /// which together export as Chrome `trace_event` JSON via
+    /// Enable per-processor tracing: the clock's category spans *and* the
+    /// structured event log (DESIGN.md §8), which together export as Chrome `trace_event` JSON via
     /// [`RunOutput::chrome_trace_json`].
     pub fn with_tracing(mut self, tracing: bool) -> Self {
         self.tracing = tracing;
         self
     }
 
-    /// Keep per-processor metrics (counters and gauges — see
-    /// [`crate::obs`]), collected into [`RunOutput::metrics`].
+    /// Keep per-processor metrics (counters and gauges — DESIGN.md §8),
+    /// collected into [`RunOutput::metrics`].
     pub fn with_metrics(mut self, metrics: bool) -> Self {
         self.metrics = metrics;
         self
     }
 
-    /// Enable per-processor wall-clock profiling (see
-    /// [`crate::obs::WallProfiler`]), collected into
+    /// Enable per-processor wall-clock profiling (DESIGN.md §14), collected
+    /// into
     /// [`RunOutput::wall_profiles`]. Wall-side only: simulated clocks,
     /// events, and metrics are byte-identical with or without it. Off by
     /// default so the steady-state execute loop stays allocation-free.
@@ -248,8 +247,8 @@ impl Machine {
     /// *survived*: the run is divided into epochs by the program's
     /// [`Proc::epoch`] calls, every epoch boundary checkpoints each
     /// processor's recoverable state, and peers keep an `Arc`-backed replay
-    /// log of the frames they sent since the receiver's last boundary (see
-    /// [`crate::recovery`]). When a processor crashes, it is restarted on a
+    /// log of the frames they sent since the receiver's last boundary
+    /// (DESIGN.md §12). When a processor crashes, it is restarted on a
     /// new stack from the last checkpoint, replays the logged frames, and
     /// resumes — the recovered run's results *and* simulated clocks are
     /// bit-identical to a fault-free run of the same program.

@@ -170,7 +170,7 @@ pub struct Packet {
 }
 
 /// Cloning a packet bumps the payload refcount — the property the crash
-/// recovery replay log (see [`crate::recovery`]) relies on to retain frames
+/// recovery replay log (DESIGN.md §12) relies on to retain frames
 /// for one epoch at a refcount bump per frame.
 impl Clone for Packet {
     fn clone(&self) -> Self {

@@ -258,14 +258,11 @@ pub(crate) fn record(log: &mut Option<Vec<Event>>, ts_ns: f64, kind: EventKind) 
 // Metrics
 // ---------------------------------------------------------------------------
 
-/// Counters named by the code that bumps them ([`ProcMetrics::add`]); a
-/// snapshot holds the ones its processor touched. What recovery did is a
-/// run-wide count, kept once, in [`crate::RecoveryStats`].
-const NAMED_COUNTERS: [&str; 3] = ["plan.cache.hit", "plan.cache.miss", "sched.wakes_filtered"];
-
 /// One processor's metrics: plain fields, updated through `&mut` by
 /// whichever carrier runs the processor. A checkpoint is a copy, a restore
 /// an assignment, and the names appear once, in [`ProcMetrics::snapshot`].
+/// What recovery did is a run-wide count, kept once, in
+/// [`crate::RecoveryStats`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProcMetrics {
     pub(crate) msg_sent: u64,
@@ -277,6 +274,9 @@ pub(crate) struct ProcMetrics {
     pub(crate) parks: u64,
     pub(crate) wakes: u64,
     pub(crate) spurious_wakes: u64,
+    /// Raw frames that reached this processor while it stayed parked
+    /// awaiting another source, read from the scheduler at teardown.
+    pub(crate) wakes_filtered: u64,
     /// Memory gauges by `MemAccount as usize`: `last` = current bytes,
     /// `max` = peak (DESIGN.md §13). The payload slot's `last` is the level
     /// as of the latest charge; what was released since is in
@@ -288,17 +288,9 @@ pub(crate) struct ProcMetrics {
     /// wherever it was consumed last. Relaxed: a statistic that publishes
     /// no other data.
     pub(crate) payload_released: Arc<AtomicU64>,
-    named: BTreeMap<&'static str, u64>,
 }
 
 impl ProcMetrics {
-    /// Add `n` to the library-named counter `name`, which from then on
-    /// appears in the snapshot (a zero included).
-    pub(crate) fn add(&mut self, name: &'static str, n: u64) {
-        debug_assert!(NAMED_COUNTERS.contains(&name), "{name}: not in the table");
-        *self.named.entry(name).or_insert(0) += n;
-    }
-
     /// The memory gauges, the payload account at its current level.
     fn mem_now(&self) -> [GaugeValue; MemAccount::ALL.len()] {
         let mut mem = self.mem;
@@ -319,11 +311,11 @@ impl ProcMetrics {
     }
 
     /// Freeze into the exported form. This is the name table: every metric
-    /// name a run can report is written here or in [`NAMED_COUNTERS`], and
-    /// DESIGN.md §8 lists exactly these. The transport's counters are not
-    /// kept here: `frames` — every frame the processor put on a ring, where
-    /// `msg.sent` counts charged messages only — and `clock`'s retransmit
-    /// and duplicate counts come from the transport that owns them.
+    /// name a run can report is written here, and DESIGN.md §8 lists
+    /// exactly these. The transport's counters are not kept here: `frames`
+    /// — every frame the processor put on a ring, where `msg.sent` counts
+    /// charged messages only — and `clock`'s retransmit and duplicate
+    /// counts come from the transport that owns them.
     pub(crate) fn snapshot(&self, clock: &ClockReport, frames: u64) -> MetricsSnapshot {
         let fixed = [
             ("msg.sent", self.msg_sent),
@@ -335,14 +327,12 @@ impl ProcMetrics {
             ("sched.parks", self.parks),
             ("sched.wakes", self.wakes),
             ("sched.spurious_wakes", self.spurious_wakes),
+            ("sched.wakes_filtered", self.wakes_filtered),
         ];
         let mem = self.mem_now();
         let gauges = MemAccount::ALL.map(|a| (a.gauge_name(), mem[a as usize]));
         MetricsSnapshot {
-            counters: (fixed.iter().copied())
-                .chain(self.named.iter().map(|(k, v)| (*k, *v)))
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            counters: (fixed.iter()).map(|(k, v)| (k.to_string(), *v)).collect(),
             gauges: (gauges.iter()).map(|(k, v)| (k.to_string(), *v)).collect(),
         }
     }
@@ -997,7 +987,7 @@ mod tests {
     use crate::message::PayloadCharge;
 
     #[test]
-    fn snapshot_reports_fields_gauges_and_touched_names() {
+    fn snapshot_reports_fields_and_gauges() {
         let mut m = ProcMetrics {
             msg_sent: 3,
             ..ProcMetrics::default()
@@ -1005,11 +995,9 @@ mod tests {
         let first = PayloadCharge::new(&mut m, 64);
         drop(first);
         let _held = PayloadCharge::new(&mut m, 40);
-        m.add("plan.cache.hit", 0);
         let snap = m.snapshot(&ClockReport::zero(), 0);
         assert_eq!(snap.counter("msg.sent"), 3);
-        assert_eq!(snap.counters.get("plan.cache.hit"), Some(&0));
-        assert!(!snap.counters.contains_key("plan.cache.miss"));
+        assert_eq!(snap.counters.get("sched.wakes_filtered"), Some(&0));
         assert_eq!(
             snap.gauges["mem.payload.cur"],
             GaugeValue { last: 40, max: 64 }
@@ -1023,9 +1011,9 @@ mod tests {
     fn a_checkpoint_shares_nothing_with_the_metrics_it_copied() {
         let mut old = ProcMetrics {
             msg_sent: 7,
+            wakes_filtered: 1,
             ..ProcMetrics::default()
         };
-        old.add("plan.cache.hit", 1);
         let held = PayloadCharge::new(&mut old, 100);
         let resumed = old.checkpoint();
         drop(held);
@@ -1035,7 +1023,7 @@ mod tests {
         );
         let snap = resumed.snapshot(&ClockReport::zero(), 0);
         assert_eq!(snap.counter("msg.sent"), 7);
-        assert_eq!(snap.counter("plan.cache.hit"), 1);
+        assert_eq!(snap.counter("sched.wakes_filtered"), 1);
         assert_eq!(
             snap.gauges["mem.payload.cur"],
             GaugeValue {
@@ -1053,12 +1041,12 @@ mod tests {
         };
         let (mut a, mut b) = (sent(2), sent(3));
         a.mem[MemAccount::Pool as usize].set(7);
-        b.add("plan.cache.hit", 1);
+        b.wakes_filtered = 1;
         b.mem[MemAccount::Pool as usize].set(4);
         let mut m = a.snapshot(&ClockReport::zero(), 0);
         m.merge(&b.snapshot(&ClockReport::zero(), 0));
         assert_eq!(m.counter("msg.sent"), 5);
-        assert_eq!(m.counter("plan.cache.hit"), 1);
+        assert_eq!(m.counter("sched.wakes_filtered"), 1);
         assert_eq!(m.gauges["mem.pool.cur"].max, 7);
     }
 
@@ -1085,7 +1073,6 @@ mod tests {
         let table: std::collections::BTreeSet<&str> = (fresh.counters.keys())
             .chain(fresh.gauges.keys())
             .map(String::as_str)
-            .chain(NAMED_COUNTERS)
             .collect();
         assert_eq!(documented, table);
     }

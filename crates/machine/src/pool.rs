@@ -87,7 +87,7 @@ use crate::sched::Scheduler;
 
 /// A pool-managed payload: resettable to an empty-but-capacitated state so
 /// the next fill reuses the allocation, and cloneable so that a logged send
-/// can freeze a copy ([`PoolSlot::freeze`]).
+/// can freeze a copy (`PoolSlot::freeze`).
 pub trait Reusable: Payload + Default + Clone {
     /// Clear contents, keeping capacity.
     fn reset(&mut self);

@@ -428,17 +428,6 @@ impl<'m> Proc<'m> {
         }
     }
 
-    /// Increment the named counter by `n` (no-op unless the machine was
-    /// built with metrics). Library layers use this for algorithm-level
-    /// counters (e.g. `plan.cache.hit`) that surface in
-    /// [`crate::RunOutput::merged_metrics`] next to the transport counters;
-    /// `name` must be one DESIGN.md §8 lists.
-    pub fn inc_counter(&mut self, name: &'static str, n: u64) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.add(name, n);
-        }
-    }
-
     /// The group of all processors (world communicator).
     pub fn world(&self) -> Group {
         Group {
@@ -910,8 +899,8 @@ impl<'m> Proc<'m> {
         self.extract::<P>(pkt, src, tag)
     }
 
-    /// Run `body` as one **epoch** — the unit of crash recovery (see
-    /// [`crate::recovery`]). The epoch ends with a machine-wide barrier
+    /// Run `body` as one **epoch** — the unit of crash recovery
+    /// (DESIGN.md §12). The epoch ends with a machine-wide barrier
     /// (transport flush + uncharged clock sync, identical whether or not
     /// recovery is attached), after which the processor's recoverable state
     /// — clock, mailbox, transport counters, metrics, and a clone of
@@ -1161,7 +1150,7 @@ impl<'m> Proc<'m> {
             ..self.clock.report()
         };
         let metrics = self.metrics.take().map(|mut m| {
-            m.add("sched.wakes_filtered", self.sched.wakes_filtered(self.id));
+            m.wakes_filtered = self.sched.wakes_filtered(self.id);
             m.snapshot(&clock, t.frames)
         });
         let wall = self.wall.take().map(WallProfiler::finish);
@@ -1320,7 +1309,7 @@ impl<'m> Proc<'m> {
     /// but the packet payload is the `Arc`-shared slot itself: no buffer
     /// changes hands, and the receiver returns it via
     /// [`PoolSlot::put_back`]. When the frame will be logged for replay,
-    /// what travels is a frozen copy ([`PoolSlot::freeze`]) and `slot` is
+    /// what travels is a frozen copy (`PoolSlot::freeze`) and `slot` is
     /// free again on return: a replayed frame must find the bytes it was
     /// sent with, which a buffer the sender refills cannot promise.
     pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, slot: Arc<PoolSlot<B>>) {

@@ -24,7 +24,7 @@ pub struct RunOutput<R> {
     /// (column); self-messages are zero.
     pub comm_matrix: Vec<Vec<u64>>,
     /// Per-processor structured event logs (empty unless the machine was
-    /// built with tracing enabled — see [`crate::obs`]).
+    /// built with tracing enabled — DESIGN.md §8).
     pub events: Vec<Vec<Event>>,
     /// Per-processor metric snapshots (empty unless the machine was built
     /// with [`crate::Machine::with_metrics`]).
@@ -73,7 +73,7 @@ impl<R> RunOutput<R> {
 
     /// Export the run's traces and structured events as Chrome
     /// `trace_event` JSON, loadable in [Perfetto](https://ui.perfetto.dev)
-    /// or `chrome://tracing` (see [`crate::obs::chrome_trace_json`]).
+    /// or `chrome://tracing` (DESIGN.md §8).
     pub fn chrome_trace_json(&self) -> String {
         crate::obs::chrome_trace_json(&self.traces, &self.events, &self.wall_profiles)
     }
@@ -105,7 +105,7 @@ impl<R> RunOutput<R> {
         max as f64 * totals.len() as f64 / sum as f64
     }
 
-    /// Render the traces as a text Gantt chart (see [`crate::trace`]).
+    /// Render the traces as a text Gantt chart (DESIGN.md §8).
     pub fn gantt(&self, cols: usize) -> String {
         crate::trace::render_gantt(&self.traces, cols)
     }

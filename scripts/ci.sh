@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# Every intra-doc link resolves and no public doc links a private item. The
+# offline proptest shim in third_party/ is left out: its warnings are its own.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest
+
 echo "== cargo test =="
 cargo test --workspace -q
 
@@ -75,7 +80,7 @@ echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retai
 # at L = 2^12 and 2^16, and under a Bernoulli-0.5 mask it is the plans' ops,
 # offsets and peers plus exactly 4 B per index a Scatter op walks.
 # the_first_execute_sets_the_pool_high_water: for all five schemes, four
-# executes of a cached plan leave mem.pool's high water where the first
+# executes of a held plan leave mem.pool's high water where the first
 # left it (one slot per pool entry); a_lending_plan_stages_nothing: a plan
 # that lends its source leaves it at zero.
 cargo test -p hpf-core --release -q --test plan_footprint
@@ -152,9 +157,12 @@ fi
 # Public items and knobs that no caller used stay gone: the index-pair
 # redistribution mode, chaos's mode flags, the machine's unused accessors
 # and re-exports, the Fortran 90 sibling intrinsics crate, and the scan,
-# gather, scatter and index helpers only it or their own tests called.
+# gather, scatter and index helpers only it or their own tests called; the
+# plan cache, its fingerprints and the named-counter registry (a caller
+# holds its plan, DESIGN.md section 10).
 if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
+  -e 'PlanCache|plan\.cache\.|inc_counter|\.fingerprint\(' \
   crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
 fi
