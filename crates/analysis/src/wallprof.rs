@@ -65,15 +65,25 @@ pub struct HotspotReport {
 
 impl HotspotReport {
     /// Aggregate the per-processor profiles of one run: self time, bytes,
-    /// and call counts folded per stage name, ranked by self time.
+    /// and call counts folded per stage name, ranked by self time. Self
+    /// time takes one pass per profile: each span's duration comes off its
+    /// parent's (saturating — timer granularity can make children sum
+    /// slightly past the parent).
     pub fn from_profiles(profiles: &[WallProfile]) -> HotspotReport {
         let mut agg: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
         let mut total_ns = 0u64;
         for p in profiles {
             total_ns += p.total_ns();
-            for (i, s) in p.spans.iter().enumerate() {
+            let mut own: Vec<u64> = p.spans.iter().map(|s| s.dur_ns).collect();
+            for s in &p.spans {
+                if let Some(parent) = s.parent {
+                    let parent = &mut own[parent as usize];
+                    *parent = parent.saturating_sub(s.dur_ns);
+                }
+            }
+            for (s, own) in p.spans.iter().zip(own) {
                 let e = agg.entry(s.name).or_default();
-                e.0 += p.self_ns(i);
+                e.0 += own;
                 e.1 += s.bytes;
                 e.2 += 1;
             }
@@ -147,26 +157,40 @@ mod tests {
 
     #[test]
     fn hotspots_rank_by_self_time_and_partition_the_total() {
-        // execute [0, 12 ms) holds gather [0, 10 ms) and decode [10, 11 ms).
-        let span = |name, parent, start_ns, dur_ns, bytes| WallSpan {
+        // execute [0, 12 ms) holds gather [0, 10 ms) and decode [10, 11 ms);
+        // gather holds copy [1, 7 ms).
+        let span = |name, parent: Option<u32>, depth, start_ns, dur_ns, bytes| WallSpan {
             name,
             parent,
-            depth: parent.map_or(0, |_| 1),
+            depth,
             start_ns,
             dur_ns,
             bytes,
         };
         let profile = WallProfile {
             spans: vec![
-                span("execute", None, 0, 12_000_000, 0),
-                span("gather", Some(0), 0, 10_000_000, 4096),
-                span("decode", Some(0), 10_000_000, 1_000_000, 0),
+                span("execute", None, 0, 0, 12_000_000, 0),
+                span("gather", Some(0), 1, 0, 10_000_000, 4096),
+                span("copy", Some(1), 2, 1_000_000, 6_000_000, 0),
+                span("decode", Some(0), 1, 10_000_000, 1_000_000, 0),
             ],
             ..WallProfile::default()
         };
         assert_eq!(profile.well_formed(), Ok(()));
         let r = HotspotReport::from_profiles(std::slice::from_ref(&profile));
-        assert_eq!(r.hotspots.len(), 3);
+        let own: Vec<(&str, u64)> = (r.hotspots.iter())
+            .map(|h| (h.stage.as_str(), h.self_ns))
+            .collect();
+        assert_eq!(
+            own,
+            [
+                ("copy", 6_000_000),
+                ("gather", 4_000_000),
+                ("decode", 1_000_000),
+                ("execute", 1_000_000)
+            ],
+            "a span's self time is its own, not its grandchildren's"
+        );
         let self_sum: u64 = r.hotspots.iter().map(|h| h.self_ns).sum();
         assert_eq!(self_sum, r.total_ns, "self time partitions the total");
         let gather = r.hotspots.iter().find(|h| h.stage == "gather").unwrap();

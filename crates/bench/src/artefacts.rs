@@ -363,7 +363,7 @@ fn prs(out: &mut String) {
     let time_prs = |p: usize, m: usize, algo: PrsAlgorithm| {
         let machine = Machine::new(ProcGrid::line(p), CostModel::cm5());
         let run = machine.run(move |proc| {
-            proc.clock().set_category(Category::PrefixReductionSum);
+            proc.set_category(Category::PrefixReductionSum);
             let world = proc.world();
             let (prefix, total) = prefix_reduction_sum(proc, &world, &vec![1i32; m], algo);
             assert!(total.iter().all(|&t| t as usize == p) && prefix.len() == m);

@@ -21,6 +21,10 @@
 //! `payload.clone_words` stays zero. A plan large and dense enough to lend
 //! its source (DESIGN.md §11) fills no buffer at all; its lending scope,
 //! loans and rendezvous allocate nothing from the second execute on either.
+//! Traced and wall-profiled, too: each processor records into one stream
+//! of fixed-size records whose chunks are reserved whole, so a traced run
+//! allocates its first chunk before the window opens; a run longer than
+//! one chunk allocates one more per 4 096 records and never moves a record.
 //! `scripts/ci.sh` runs this suite in both build profiles.
 
 use hpf_core::{
@@ -59,12 +63,21 @@ enum Mode {
     /// `Machine::run` under a lossless fault plan: duplicates and delays,
     /// no drop, no hold-back, no crash.
     Faulted,
+    /// `with_tracing(true).with_wall_profiling(true)`: events, category
+    /// spans and wall spans, all into the processor's one recorder.
+    Traced,
 }
 
-const MODES: [Mode; 4] = [Mode::Plain, Mode::Recoverable, Mode::Metrics, Mode::Faulted];
+const MODES: [Mode; 5] = [
+    Mode::Plain,
+    Mode::Recoverable,
+    Mode::Metrics,
+    Mode::Faulted,
+    Mode::Traced,
+];
 
 /// Block size × run mode of both sweeps.
-const CASES: [(usize, Mode); 8] = [
+const CASES: [(usize, Mode); 10] = [
     (1, Mode::Plain),
     (4, Mode::Plain),
     (1, Mode::Recoverable),
@@ -73,6 +86,8 @@ const CASES: [(usize, Mode); 8] = [
     (4, Mode::Metrics),
     (1, Mode::Faulted),
     (4, Mode::Faulted),
+    (1, Mode::Traced),
+    (4, Mode::Traced),
 ];
 
 /// Fence the measured window of a recoverable run. A recoverable run ends
@@ -105,6 +120,10 @@ fn run<R: Send>(mode: Mode, what: &str, program: impl Fn(&mut Proc) -> R + Sync)
                 .with_delay(0.3, 40_000.0);
             machine.with_faults(plan).run(program)
         }
+        Mode::Traced => machine
+            .with_tracing(true)
+            .with_wall_profiling(true)
+            .run(program),
     }
 }
 

@@ -300,7 +300,7 @@ mod tests {
             let machine = Machine::new(ProcGrid::line(p), model);
             let m = 100usize;
             let out = machine.run(move |proc| {
-                proc.clock().set_category(Category::PrefixReductionSum);
+                proc.set_category(Category::PrefixReductionSum);
                 let g = proc.world();
                 let v = vec![1i32; m];
                 prefix_reduction_sum(proc, &g, &v, PrsAlgorithm::Hardware);
@@ -355,7 +355,7 @@ mod tests {
         let time = |p: usize, m: usize, algo: PrsAlgorithm| {
             let machine = Machine::new(ProcGrid::line(p), model);
             let out = machine.run(move |proc| {
-                proc.clock().set_category(Category::PrefixReductionSum);
+                proc.set_category(Category::PrefixReductionSum);
                 let g = proc.world();
                 let v = vec![1i32; m];
                 prefix_reduction_sum(proc, &g, &v, algo);

@@ -183,7 +183,7 @@ impl fmt::Display for Category {
 /// already be later — then the message was waiting in the network and costs
 /// the receiver nothing extra). This is the standard way to realise the
 /// paper's two-level model without global synchronisation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimClock {
     model: CostModel,
     now_ns: f64,
@@ -203,9 +203,6 @@ pub struct SimClock {
     /// When muted, all charges are suppressed (used to move data that a
     /// modelled hardware unit would carry, then charge the model instead).
     muted: bool,
-    /// When tracing, completed category spans plus the start of the open
-    /// span.
-    trace: Option<(Vec<crate::trace::Span>, f64)>,
 }
 
 impl SimClock {
@@ -221,29 +218,6 @@ impl SimClock {
             words_sent: 0,
             startups: 0,
             muted: false,
-            trace: None,
-        }
-    }
-
-    /// Start recording category spans (see [`crate::trace`]).
-    pub(crate) fn enable_trace(&mut self) {
-        self.trace = Some((Vec::new(), self.now_ns));
-    }
-
-    /// Take the recorded spans, closing the open one at the current time.
-    pub(crate) fn take_trace(&mut self) -> Vec<crate::trace::Span> {
-        match self.trace.take() {
-            Some((mut spans, start)) => {
-                if self.now_ns > start {
-                    spans.push(crate::trace::Span {
-                        category: self.category,
-                        start_ns: start,
-                        end_ns: self.now_ns,
-                    });
-                }
-                spans
-            }
-            None => Vec::new(),
         }
     }
 
@@ -260,20 +234,9 @@ impl SimClock {
     }
 
     /// Set the ambient category for subsequent charges; returns the previous
-    /// one so callers can restore it.
-    pub fn set_category(&mut self, cat: Category) -> Category {
-        if cat != self.category {
-            if let Some((spans, start)) = self.trace.as_mut() {
-                if self.now_ns > *start {
-                    spans.push(crate::trace::Span {
-                        category: self.category,
-                        start_ns: *start,
-                        end_ns: self.now_ns,
-                    });
-                }
-                *start = self.now_ns;
-            }
-        }
+    /// one so callers can restore it. A processor's clock changes category
+    /// through [`crate::Proc::set_category`], which also records the edge.
+    pub(crate) fn set_category(&mut self, cat: Category) -> Category {
         std::mem::replace(&mut self.category, cat)
     }
 

@@ -26,7 +26,7 @@
 //!
 //! let machine = Machine::new(ProcGrid::line(4), CostModel::cm5());
 //! let out = machine.run(|proc| {
-//!     proc.clock().set_category(Category::PrefixReductionSum);
+//!     proc.set_category(Category::PrefixReductionSum);
 //!     let world = proc.world();
 //!     let local = vec![proc.id() as i32 + 1; 8];
 //!     let (prefix, total) = prefix_reduction_sum(proc, &world, &local, PrsAlgorithm::Auto);

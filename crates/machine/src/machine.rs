@@ -32,6 +32,7 @@ use crate::cost::{CostModel, SimClock};
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::Frame;
+use crate::obs::Recorder;
 use crate::proc::{Proc, ProcParts};
 use crate::recovery::{RecoveryState, ResumeCtx};
 use crate::report::RunOutput;
@@ -297,11 +298,6 @@ impl Machine {
             })
             .map(Mutex::new)
             .collect();
-        let obs = crate::obs::ObsConfig {
-            events: self.tracing,
-            metrics: self.metrics,
-            wall: self.wall_profiling,
-        };
         // Set by the first fatal failure, which aborts the survivors.
         let poisoned = AtomicBool::new(false);
 
@@ -309,19 +305,20 @@ impl Machine {
         // transport, and leave the outcome (or a successor) in the slot.
         let body = |id: usize| {
             let slot = || slots[id].lock().expect("a slot is only ever assigned");
-            let (rx, resume) = slot().start.take().expect("a carrier starts from its slot");
-            let mut clock = SimClock::new(self.cost);
-            if self.tracing {
-                clock.enable_trace();
-            }
+            let (rx, mut resume) = slot().start.take().expect("a carrier starts from its slot");
+            let recorder = match resume.as_mut() {
+                Some(r) => std::mem::take(&mut r.recorder),
+                None => Recorder::new(self.tracing, self.wall_profiling),
+            };
             let mut proc = Proc::new(
                 id,
                 &self.grid,
-                clock,
+                SimClock::new(self.cost),
                 &txs,
                 rx,
                 Arc::clone(&self.faults),
-                obs,
+                self.metrics,
+                recorder,
                 Arc::clone(&sched),
             );
             if let Some(rec) = &rec {
@@ -357,9 +354,12 @@ impl Machine {
                 let mut slot = slot();
                 if !poisoned.load(Ordering::SeqCst) && slot.respawns < MAX_RESPAWNS {
                     slot.respawns += 1;
+                    let snapshot = rec.take_snapshot(id);
+                    let cursor = snapshot.as_ref().map(|s| s.records);
                     let resume = ResumeCtx {
-                        snapshot: rec.take_snapshot(id),
+                        snapshot,
                         replay: rec.clone_log(id),
+                        recorder: parts.3.respawn(cursor),
                     };
                     slot.start = Some((rx, Some(resume)));
                     return sched.enroll(id);
@@ -391,7 +391,8 @@ impl Machine {
         for (id, slot) in slots.into_iter().enumerate() {
             let slot = slot.into_inner().expect("a slot is only ever assigned");
             match slot.done.expect("every processor finished").0 {
-                Ok((r, (c, trace, comm_row, evs, snap, wp))) => {
+                Ok((r, (c, comm_row, snap, recorder))) => {
+                    let (trace, evs, wp) = recorder.decode(c.now_ns);
                     run.results.push(r);
                     run.clocks.push(c);
                     run.traces.push(trace);

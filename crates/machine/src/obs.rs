@@ -1,14 +1,19 @@
-//! Observability: structured event tracing and per-processor metrics.
+//! Observability: one recorder per processor, structured events and
+//! per-processor metrics.
 //!
-//! The category spans of [`crate::trace`] answer *where did simulated time
-//! go*; this module answers *what happened*. When a machine is built with
-//! tracing enabled, every processor records a per-processor, simulated-time
-//! ordered log of structured [`Event`]s: stage span begin/end markers (named
-//! after the paper's algorithm stages), message sends and receives with
-//! source/destination/volume/sequence, and the reliable transport's
-//! retransmit / duplicate-drop / fault-verdict annotations. The log exports
-//! as Chrome `trace_event` JSON ([`chrome_trace_json`]), loadable in
-//! Perfetto or `chrome://tracing`, alongside the existing text Gantt.
+//! Each processor writes everything it observes into one append-only
+//! stream of fixed-size records, its [`Recorder`]: structured events (stage
+//! span begin/end markers named after the paper's algorithm stages, message
+//! sends and receives with source/destination/volume/sequence, the reliable
+//! transport's retransmit / duplicate-drop / fault-verdict annotations,
+//! memory samples), the clock's category edges, and wall-span edges and
+//! bytes. A record is `(kind, sim_ns, wall_ticks)`, the kind carrying its
+//! payload; a stage edge carries both stamps. At teardown one decoder turns the stream into the
+//! three views a run reports: the event log ([`Event`]s), the category spans
+//! of [`crate::trace`] (*where did simulated time go*) and the
+//! [`WallProfile`]. They export together as Chrome `trace_event` JSON
+//! ([`chrome_trace_json`]), loadable in Perfetto or `chrome://tracing`,
+//! alongside the text Gantt.
 //!
 //! Independently, a machine built with metrics enabled gives each processor
 //! one plain struct of counters and gauges ([`ProcMetrics`]): a processor
@@ -16,7 +21,7 @@
 //! Each is frozen into a [`MetricsSnapshot`] when its processor retires,
 //! and [`crate::RunOutput`] holds and merges them.
 //!
-//! Both facilities are disabled by default and cost one branch per send /
+//! Every facility is disabled by default and costs one branch per send /
 //! receive / stage transition when off.
 
 use std::collections::BTreeMap;
@@ -24,22 +29,9 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::cost::ClockReport;
+use crate::cost::{Category, ClockReport};
 use crate::report::{GaugeValue, MetricsSnapshot};
 use crate::trace::Span;
-
-/// Which observability facilities a machine enables. Both default to off;
-/// see [`crate::Machine::with_tracing`] and [`crate::Machine::with_metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Record structured [`Event`]s (alongside the clock's category spans).
-    pub events: bool,
-    /// Keep per-processor metrics.
-    pub metrics: bool,
-    /// Record wall-clock spans with a per-processor wall profiler; see
-    /// [`crate::Machine::with_wall_profiling`].
-    pub wall: bool,
-}
 
 // ---------------------------------------------------------------------------
 // Events
@@ -244,13 +236,227 @@ pub enum EventKind {
     },
 }
 
-/// Append one event to a processor's log, if it keeps one. The processor
-/// and its reliable transport both record through this, each borrowing the
-/// log for the call.
-#[inline]
-pub(crate) fn record(log: &mut Option<Vec<Event>>, ts_ns: f64, kind: EventKind) {
-    if let Some(events) = log {
-        events.push(Event { ts_ns, kind });
+// ---------------------------------------------------------------------------
+// The recorder
+// ---------------------------------------------------------------------------
+
+/// Records per chunk. A chunk is reserved whole when the one before it is
+/// full and never grows, so no record is ever moved: a processor that
+/// records fewer than `CHUNK` records allocates one chunk, a longer run one
+/// more per `CHUNK` records (and its list of chunks doubles now and then).
+const CHUNK: usize = 4096;
+
+/// What a [`Record`] says.
+#[derive(Debug, Clone, PartialEq)]
+enum Kind {
+    /// A span opened or closed. A stage edge feeds the event log when
+    /// `event` is set; every edge feeds the wall profile when profiling.
+    Edge {
+        opens: bool,
+        name: &'static str,
+        event: bool,
+    },
+    /// Bytes moved inside the innermost open wall span.
+    Bytes(u64),
+    /// The clock's category became this one.
+    Category(Category),
+    /// A structured event.
+    Event(EventKind),
+}
+
+/// One fixed-size record (64 bytes) of a processor's stream: `(kind,
+/// sim_ns, wall_ticks)` — what happened, its simulated time and, on a span
+/// edge of a profiled run, its wall time in nanoseconds since the
+/// recorder's origin (0 on every other record).
+type Record = (Kind, f64, u64);
+
+/// One processor's recorder: the single append-only stream into which it
+/// writes its events, its clock's category edges and its wall-span edges,
+/// and the one decoder ([`Recorder::decode`]) that turns the stream into
+/// [`crate::RunOutput`]'s `traces`, `events` and `wall_profiles` at
+/// teardown. With tracing and wall profiling both off every hook is one
+/// branch. A checkpoint keeps the stream's length ([`Recorder::len`]); a
+/// respawn takes over the crashed incarnation's recorder and truncates it to
+/// that length ([`Recorder::respawn`]), rolling back the crashed attempt.
+#[derive(Debug, Default)]
+pub(crate) struct Recorder {
+    chunks: Vec<Vec<Record>>,
+    /// Tracing: events and category edges are recorded.
+    trace: bool,
+    /// Wall profiling: the instant wall stamps count from.
+    origin: Option<std::time::Instant>,
+    /// A respawn that has not restored its snapshot yet. The restore rolls
+    /// back its simulated side, so until then it records wall edges only.
+    held: bool,
+    /// The first record of this incarnation, where its wall profile starts.
+    incarnation: usize,
+}
+
+impl Recorder {
+    /// A recorder for a machine that traces iff `trace` and profiles wall
+    /// time iff `wall`.
+    pub(crate) fn new(trace: bool, wall: bool) -> Recorder {
+        let origin = wall.then(std::time::Instant::now);
+        Recorder {
+            trace,
+            origin,
+            ..Recorder::default()
+        }
+    }
+
+    /// Whether the machine traces (events and category spans).
+    #[inline]
+    pub(crate) fn traces(&self) -> bool {
+        self.trace
+    }
+
+    /// Whether the machine profiles wall time.
+    #[inline]
+    pub(crate) fn profiles(&self) -> bool {
+        self.origin.is_some()
+    }
+
+    /// Records in the stream: what a checkpoint keeps.
+    pub(crate) fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    #[inline]
+    fn push(&mut self, record: Record) {
+        if self.chunks.last().is_none_or(|chunk| chunk.len() == CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room");
+        chunk.push(record);
+    }
+
+    /// Record one edge of the span `name` at simulated time `sim_ns`; a
+    /// `stage` span feeds the event log too. The wall clock is read only
+    /// when profiling.
+    #[inline]
+    pub(crate) fn edge(&mut self, opens: bool, name: &'static str, sim_ns: f64, stage: bool) {
+        let event = stage && self.trace && !self.held;
+        let wall_ticks = match self.origin {
+            Some(origin) => origin.elapsed().as_nanos() as u64,
+            None if event => 0,
+            None => return,
+        };
+        self.push((Kind::Edge { opens, name, event }, sim_ns, wall_ticks));
+    }
+
+    /// Attribute `bytes` to the innermost open wall span.
+    #[inline]
+    pub(crate) fn bytes(&mut self, bytes: u64) {
+        if self.profiles() {
+            self.push((Kind::Bytes(bytes), 0.0, 0));
+        }
+    }
+
+    /// The clock's category became `cat` at `sim_ns`, if the machine traces.
+    #[inline]
+    pub(crate) fn category(&mut self, cat: Category, sim_ns: f64) {
+        if self.trace && !self.held {
+            self.push((Kind::Category(cat), sim_ns, 0));
+        }
+    }
+
+    /// Append one structured event, if the machine traces.
+    #[inline]
+    pub(crate) fn event(&mut self, ts_ns: f64, kind: EventKind) {
+        if self.trace && !self.held {
+            self.push((Kind::Event(kind), ts_ns, 0));
+        }
+    }
+
+    /// Hand a crashed incarnation's recorder to its respawn: truncated to
+    /// the `cursor` its last checkpoint kept (to nothing without one), and
+    /// held until [`Recorder::resume`] while a snapshot waits to be
+    /// restored. The wall profile restarts at the cut: a respawn's profile
+    /// holds its own spans only.
+    pub(crate) fn respawn(mut self, cursor: Option<usize>) -> Recorder {
+        let keep = cursor.unwrap_or(0);
+        self.chunks.truncate(keep.div_ceil(CHUNK));
+        if let Some(last) = self.chunks.last_mut() {
+            last.truncate(keep - (keep - 1) / CHUNK * CHUNK);
+        }
+        self.held = cursor.is_some();
+        self.incarnation = keep;
+        self
+    }
+
+    /// The snapshot is restored: record the simulated side again.
+    pub(crate) fn resume(&mut self) {
+        self.held = false;
+    }
+
+    /// The one decoder: the category spans (the last closed at `now_ns`, the
+    /// final simulated time), the event log and the wall profile of this
+    /// stream. A wall span still open at the end keeps a zero duration and
+    /// is counted in `forced_closes`.
+    pub(crate) fn decode(&self, now_ns: f64) -> (Vec<Span>, Vec<Event>, WallProfile) {
+        let (mut spans, mut events, mut wall) = (Vec::new(), Vec::new(), WallProfile::default());
+        let (mut category, mut start_ns) = (Category::Other, 0.0);
+        let mut close = |category, start_ns, end_ns| {
+            if end_ns > start_ns {
+                spans.push(Span {
+                    category,
+                    start_ns,
+                    end_ns,
+                });
+            }
+        };
+        let mut open = Vec::new();
+        for (i, (kind, ts_ns, wall_ticks)) in self.chunks.iter().flatten().enumerate() {
+            let (ts_ns, wall_ticks) = (*ts_ns, *wall_ticks);
+            match *kind {
+                Kind::Event(ref kind) => events.push(Event {
+                    ts_ns,
+                    kind: kind.clone(),
+                }),
+                Kind::Category(next) => {
+                    close(category, start_ns, ts_ns);
+                    (category, start_ns) = (next, ts_ns);
+                }
+                Kind::Edge { opens, name, event } => {
+                    if event {
+                        let kind = match opens {
+                            true => EventKind::SpanBegin { name },
+                            false => EventKind::SpanEnd { name },
+                        };
+                        events.push(Event { ts_ns, kind });
+                    }
+                    if !self.profiles() || i < self.incarnation {
+                        continue;
+                    }
+                    if opens {
+                        open.push(wall.spans.len());
+                        wall.spans.push(WallSpan {
+                            name,
+                            parent: open.iter().rev().nth(1).map(|&p| p as u32),
+                            depth: open.len() as u32 - 1,
+                            start_ns: wall_ticks,
+                            dur_ns: 0,
+                            bytes: 0,
+                        });
+                    } else if let Some(s) = open.pop() {
+                        let s = &mut wall.spans[s];
+                        s.dur_ns = wall_ticks.saturating_sub(s.start_ns);
+                    } else {
+                        wall.unmatched_ends += 1;
+                    }
+                }
+                Kind::Bytes(bytes) => {
+                    if let (true, Some(&s)) = (i >= self.incarnation, open.last()) {
+                        wall.spans[s].bytes += bytes;
+                    }
+                }
+            }
+        }
+        if self.trace {
+            close(category, start_ns, now_ns);
+        }
+        wall.forced_closes = open.len() as u32;
+        (spans, events, wall)
     }
 }
 
@@ -471,7 +677,7 @@ fn counter_track(
 /// are indexed by processor id (any may be empty). A non-empty wall profile
 /// adds a fourth thread, `wall`, last: its spans as `X` slices with the
 /// moved bytes and effective GB/s as args. Their timestamps are monotonic
-/// nanoseconds since the profiler's origin — a different timebase, which is
+/// nanoseconds since the recorder's origin — a different timebase, which is
 /// why they live on their own thread and never mix with the simulated rows.
 pub fn chrome_trace_json(
     traces: &[Vec<Span>],
@@ -756,11 +962,11 @@ pub fn chrome_trace_json(
 // Wall-clock profiling
 // ---------------------------------------------------------------------------
 
-/// One closed wall-clock span recorded by a processor's wall profiler.
+/// One closed wall-clock span, decoded from a processor's recorder.
 ///
-/// Timestamps are monotonic-clock nanoseconds relative to the profiler's
-/// origin (its construction instant), on the recording processor's own OS
-/// thread. They share no timebase with the simulated clock and must never
+/// Timestamps are monotonic-clock nanoseconds relative to the recorder's
+/// origin (the instant its processor was first started; a respawn keeps
+/// it). They share no timebase with the simulated clock and must never
 /// be compared against it — see DESIGN.md §14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WallSpan {
@@ -773,7 +979,7 @@ pub struct WallSpan {
     pub parent: Option<u32>,
     /// Nesting depth (0 = root).
     pub depth: u32,
-    /// Begin time, nanoseconds since the profiler's origin.
+    /// Begin time, nanoseconds since the recorder's origin.
     pub start_ns: u64,
     /// Wall duration, nanoseconds.
     pub dur_ns: u64,
@@ -795,109 +1001,13 @@ impl WallSpan {
     }
 }
 
-/// A per-processor wall-clock span recorder — the wall-side twin of the
-/// simulated stage tracer. Each [`crate::Proc`] optionally owns one (see
-/// [`crate::Machine::with_wall_profiling`]); when absent, every profiling
-/// hook is a single `Option` branch, so disabled runs pay ~zero overhead
-/// and the steady-state execute loop stays allocation-free.
-///
-/// Spans nest: `begin`/`end` must pair like brackets on one thread. The
-/// span vector is pre-reserved so recording inside a measured hot loop
-/// does not allocate until the reservation is exhausted.
-#[derive(Debug)]
-pub(crate) struct WallProfiler {
-    origin: std::time::Instant,
-    spans: Vec<WallSpan>,
-    /// Indices into `spans` of the currently open spans, innermost last.
-    open: Vec<u32>,
-    /// `end` calls with no matching `begin` (a bug the nesting check
-    /// surfaces).
-    unmatched_ends: u32,
-}
-
-impl WallProfiler {
-    /// Pre-reserved span capacity: enough for the bench hot loops (tens of
-    /// spans per execute) without reallocation mid-measurement.
-    const RESERVE: usize = 4096;
-
-    /// A fresh profiler; its origin is *now*.
-    pub(crate) fn new() -> WallProfiler {
-        WallProfiler {
-            origin: std::time::Instant::now(),
-            spans: Vec::with_capacity(Self::RESERVE),
-            open: Vec::with_capacity(32),
-            unmatched_ends: 0,
-        }
-    }
-
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    /// Open a nested span named `name`.
-    #[inline]
-    pub(crate) fn begin(&mut self, name: &'static str) {
-        let idx = self.spans.len() as u32;
-        let parent = self.open.last().copied();
-        let depth = self.open.len() as u32;
-        let start_ns = self.now_ns();
-        self.spans.push(WallSpan {
-            name,
-            parent,
-            depth,
-            start_ns,
-            dur_ns: 0,
-            bytes: 0,
-        });
-        self.open.push(idx);
-    }
-
-    /// Close the innermost open span.
-    #[inline]
-    pub(crate) fn end(&mut self) {
-        let now = self.now_ns();
-        match self.open.pop() {
-            Some(idx) => {
-                let span = &mut self.spans[idx as usize];
-                span.dur_ns = now.saturating_sub(span.start_ns);
-            }
-            None => self.unmatched_ends += 1,
-        }
-    }
-
-    /// Attribute `bytes` of payload movement to the innermost open span
-    /// (dropped on the floor when no span is open).
-    #[inline]
-    pub(crate) fn add_bytes(&mut self, bytes: u64) {
-        if let Some(&idx) = self.open.last() {
-            self.spans[idx as usize].bytes += bytes;
-        }
-    }
-
-    /// Finish profiling: force-close any spans still open (counting them,
-    /// so [`WallProfile::well_formed`] can flag the leak) and freeze the
-    /// span list.
-    pub(crate) fn finish(mut self) -> WallProfile {
-        let forced = self.open.len() as u32;
-        while !self.open.is_empty() {
-            self.end();
-        }
-        WallProfile {
-            spans: self.spans,
-            forced_closes: forced,
-            unmatched_ends: self.unmatched_ends,
-        }
-    }
-}
-
 /// One processor's finished wall profile: the closed spans in begin
 /// (pre-)order plus bookkeeping for the nesting check.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WallProfile {
     /// Closed spans, in begin order (a parent precedes its children).
     pub spans: Vec<WallSpan>,
-    /// Spans still open when the profiler was finished (0 in a well-formed
+    /// Spans still open when the stream ended (0 in a well-formed
     /// profile — every `begin` had an `end`).
     pub forced_closes: u32,
     /// `end` calls that had no matching `begin`.
@@ -913,19 +1023,6 @@ impl WallProfile {
             .filter(|s| s.parent.is_none())
             .map(|s| s.dur_ns)
             .sum()
-    }
-
-    /// Span `i`'s *self* time: its duration minus its direct children's
-    /// durations (saturating — timer granularity can make children sum
-    /// slightly past the parent).
-    pub fn self_ns(&self, i: usize) -> u64 {
-        let children: u64 = self
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(i as u32))
-            .map(|s| s.dur_ns)
-            .sum();
-        self.spans[i].dur_ns.saturating_sub(children)
     }
 
     /// Nesting check: every `begin` had an `end`, every `end` a `begin`,
@@ -1178,15 +1275,16 @@ mod tests {
     }
 
     #[test]
-    fn wall_profiler_records_nested_spans() {
-        let mut w = WallProfiler::new();
-        w.begin("outer");
-        w.add_bytes(100);
-        w.begin("inner");
-        w.add_bytes(40);
-        w.end();
-        w.end();
-        let p = w.finish();
+    fn wall_edges_decode_to_nested_spans() {
+        let mut w = Recorder::new(false, true);
+        w.edge(true, "outer", 0.0, false);
+        w.bytes(100);
+        w.edge(true, "inner", 0.0, true);
+        w.bytes(40);
+        w.edge(false, "inner", 0.0, true);
+        w.edge(false, "outer", 0.0, false);
+        let (spans, events, p) = w.decode(5.0);
+        assert!(spans.is_empty() && events.is_empty(), "tracing is off");
         p.well_formed().expect("balanced begins/ends");
         assert_eq!(p.spans.len(), 2);
         let outer = &p.spans[0];
@@ -1202,20 +1300,89 @@ mod tests {
         assert!(inner.start_ns >= outer.start_ns);
         assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
         assert_eq!(p.total_ns(), outer.dur_ns);
-        assert_eq!(p.self_ns(0), outer.dur_ns - inner.dur_ns);
     }
 
     #[test]
     fn wall_profile_flags_unbalanced_spans() {
-        let mut w = WallProfiler::new();
-        w.begin("leaked");
-        let p = w.finish();
+        let mut w = Recorder::new(false, true);
+        w.edge(true, "leaked", 0.0, false);
+        let p = w.decode(0.0).2;
         assert!(p.well_formed().is_err(), "unclosed span must be flagged");
 
-        let mut w = WallProfiler::new();
-        w.end();
-        let p = w.finish();
+        let mut w = Recorder::new(false, true);
+        w.edge(false, "stray", 0.0, false);
+        let p = w.decode(0.0).2;
         assert!(p.well_formed().is_err(), "stray end must be flagged");
+    }
+
+    /// A stage edge carries both stamps and feeds both views; category
+    /// edges partition the timeline up to the final time, a change that
+    /// took no time leaving no span.
+    #[test]
+    fn one_stream_decodes_to_three_views() {
+        let mut r = Recorder::new(true, true);
+        r.edge(true, "rank", 0.0, true);
+        r.category(Category::LocalComp, 0.0);
+        r.category(Category::ManyToMany, 40.0);
+        r.category(Category::Other, 40.0);
+        r.event(50.0, EventKind::Marker { name: "mid" });
+        r.edge(false, "rank", 60.0, true);
+        assert_eq!(std::mem::size_of::<Record>(), 64, "a record's fixed size");
+        let (spans, events, wall) = r.decode(70.0);
+        let cats: Vec<_> = spans
+            .iter()
+            .map(|s| (s.category, s.start_ns, s.end_ns))
+            .collect();
+        assert_eq!(
+            cats,
+            [
+                (Category::LocalComp, 0.0, 40.0),
+                (Category::Other, 40.0, 70.0)
+            ]
+        );
+        let kinds: Vec<_> = events.iter().map(|e| (e.ts_ns, e.kind.clone())).collect();
+        assert_eq!(
+            kinds,
+            [
+                (0.0, EventKind::SpanBegin { name: "rank" }),
+                (50.0, EventKind::Marker { name: "mid" }),
+                (60.0, EventKind::SpanEnd { name: "rank" }),
+            ]
+        );
+        assert_eq!(wall.spans.len(), 1);
+        assert_eq!(wall.well_formed(), Ok(()));
+    }
+
+    /// A respawn truncates to the checkpoint's count, across a chunk
+    /// boundary too; until it resumes it records wall edges only, and its
+    /// wall profile holds its own spans alone.
+    #[test]
+    fn a_respawn_truncates_to_the_cursor_and_holds_until_it_resumes() {
+        for cursor in [0, 3, CHUNK, CHUNK + 1] {
+            let mut r = Recorder::new(true, true);
+            r.edge(true, "dead", 0.0, false);
+            for t in 0..CHUNK + 7 {
+                let ts = t as f64;
+                r.event(ts, EventKind::Marker { name: "m" });
+            }
+            let mut r = r.respawn(Some(cursor));
+            assert_eq!(r.len(), cursor);
+            r.event(1e9, EventKind::Marker { name: "held" });
+            r.category(Category::LocalComp, 1e9);
+            r.edge(true, "respawn", 1e9, true);
+            r.resume();
+            r.edge(false, "respawn", 2e9, true);
+            let (spans, events, wall) = r.decode(2e9);
+            let marks = events.len() - 1;
+            assert_eq!(marks, cursor.saturating_sub(1), "cursor {cursor}");
+            assert!(matches!(events[marks].kind, EventKind::SpanEnd { .. }));
+            assert_eq!(spans.len(), 1, "no category edge was recorded");
+            let names: Vec<_> = wall.spans.iter().map(|s| s.name).collect();
+            assert_eq!(names, ["respawn"]);
+            assert_eq!(wall.well_formed(), Ok(()));
+        }
+        let r = Recorder::new(true, false).respawn(None);
+        assert_eq!((r.len(), r.held), (0, false));
     }
 
     #[test]

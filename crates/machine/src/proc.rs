@@ -17,28 +17,17 @@ use crate::cost::{Category, ClockReport, SimClock, Words};
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::{Frame, Mailbox, Packet, Payload, PayloadCharge};
-use crate::obs::{
-    record, Event, EventKind, MemAccount, ObsConfig, ProcMetrics, WallProfile, WallProfiler,
-};
+use crate::obs::{EventKind, MemAccount, ProcMetrics, Recorder};
 use crate::pool::{BufferPool, Lendable, Lender, PoolSlot, Reusable};
 use crate::recovery::{EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::{Step, Transport};
 use crate::report::MetricsSnapshot;
 use crate::sched::{ParkOutcome, Scheduler};
 use crate::topology::ProcGrid;
-use crate::trace::Span;
 
-/// What a processor hands the driver when it retires: its clock report
-/// and category spans, charged words per destination, event log, metrics
-/// and wall profile.
-pub(crate) type ProcParts = (
-    ClockReport,
-    Vec<Span>,
-    Vec<u64>,
-    Vec<Event>,
-    MetricsSnapshot,
-    WallProfile,
-);
+/// What a processor hands the driver when it retires: its clock report,
+/// charged words per destination, metrics and recorder.
+pub(crate) type ProcParts = (ClockReport, Vec<u64>, MetricsSnapshot, Recorder);
 
 /// Cap on the per-processor packet-scratch pre-reserve. Reserving a full
 /// P-length scratch on every processor is P² machine-wide (~1 GB at
@@ -149,13 +138,10 @@ pub struct Proc<'m> {
     transport: Transport<'m>,
     /// Charged words sent to each destination (self-sends excluded).
     words_to: Vec<u64>,
-    /// Structured event log, present iff the machine traces.
-    events: Option<Vec<Event>>,
+    /// Events, category edges and wall-span edges, in one stream.
+    obs: Recorder,
     /// Counters and gauges, present iff the machine keeps metrics.
     metrics: Option<ProcMetrics>,
-    /// Wall-clock span recorder, present iff wall profiling is enabled.
-    /// Strictly wall-side: it never reads or charges the simulated clock.
-    wall: Option<WallProfiler>,
     /// Reusable send buffers for planned executes (see [`crate::pool`]).
     pool: BufferPool,
     /// The slots a lending scope lent ([`Proc::lending`]), kept between
@@ -183,7 +169,8 @@ impl<'m> Proc<'m> {
         senders: &'m [FrameSender],
         rx: FrameReceiver,
         plan: Arc<FaultPlan>,
-        obs: ObsConfig,
+        metrics: bool,
+        recorder: Recorder,
         sched: Arc<Scheduler>,
     ) -> Self {
         let nprocs = grid.nprocs();
@@ -196,9 +183,8 @@ impl<'m> Proc<'m> {
             mailbox: Mailbox::default(),
             transport: Transport::new(id, plan, senders),
             words_to: vec![0; nprocs],
-            events: obs.events.then(Vec::new),
-            metrics: obs.metrics.then(ProcMetrics::default),
-            wall: obs.wall.then(WallProfiler::new),
+            obs: recorder,
+            metrics: metrics.then(ProcMetrics::default),
             pool: BufferPool::default(),
             lent_scratch: Vec::new(),
             pkt_scratch: Vec::with_capacity(nprocs.min(PKT_SCRATCH_RESERVE)),
@@ -280,12 +266,23 @@ impl<'m> Proc<'m> {
         self.clock.charge_ops(ops);
     }
 
+    /// Set the clock's ambient category for subsequent charges, returning
+    /// the previous one. When tracing, a change closes the running category
+    /// span and opens the next.
+    pub fn set_category(&mut self, cat: Category) -> Category {
+        let prev = self.clock.set_category(cat);
+        if prev != cat {
+            self.obs.category(cat, self.clock.now_ns());
+        }
+        prev
+    }
+
     /// Run `f` with the clock's ambient category set to `cat`, restoring the
     /// previous category afterwards.
     pub fn with_category<R>(&mut self, cat: Category, f: impl FnOnce(&mut Self) -> R) -> R {
-        let prev = self.clock.set_category(cat);
+        let prev = self.set_category(cat);
         let out = f(self);
-        self.clock.set_category(prev);
+        self.set_category(prev);
         out
     }
 
@@ -300,12 +297,6 @@ impl<'m> Proc<'m> {
         out
     }
 
-    /// Append one structured event (no-op unless the machine traces).
-    #[inline]
-    fn record(&mut self, ts_ns: f64, kind: EventKind) {
-        record(&mut self.events, ts_ns, kind);
-    }
-
     /// Record one memory-accounting sample: a [`EventKind::MemSample`]
     /// event when tracing, and — when `owner` is this processor — a
     /// `mem.<account>.cur` gauge update when metrics are on. A sender
@@ -313,14 +304,12 @@ impl<'m> Proc<'m> {
     /// the destination maintains its own gauge at epoch boundaries, where
     /// the interval peak becomes known (see [`Proc::epoch_boundary`]).
     fn mem_sample(&mut self, account: MemAccount, owner: usize, ts_ns: f64, delta_bytes: i64) {
-        self.record(
-            ts_ns,
-            EventKind::MemSample {
-                account,
-                owner,
-                delta_bytes,
-            },
-        );
+        let sample = EventKind::MemSample {
+            account,
+            owner,
+            delta_bytes,
+        };
+        self.obs.event(ts_ns, sample);
         if owner == self.id {
             if let Some(m) = self.metrics.as_mut() {
                 let g = &mut m.mem[account as usize];
@@ -340,7 +329,7 @@ impl<'m> Proc<'m> {
     /// cannot see: plan-time index/segment buffers (`hpf-core`) and user
     /// arrays registered through `distarray`'s `TrackArray` hook.
     pub fn mem_charge(&mut self, account: MemAccount, bytes: u64) {
-        if self.events.is_none() && self.metrics.is_none() {
+        if !self.obs.traces() && self.metrics.is_none() {
             return;
         }
         let now = self.clock.now_ns();
@@ -349,62 +338,47 @@ impl<'m> Proc<'m> {
 
     /// Release bytes previously charged with [`Proc::mem_charge`].
     pub fn mem_release(&mut self, account: MemAccount, bytes: u64) {
-        if self.events.is_none() && self.metrics.is_none() {
+        if !self.obs.traces() && self.metrics.is_none() {
             return;
         }
         let now = self.clock.now_ns();
         self.mem_sample(account, self.id, now, -(bytes as i64));
     }
 
-    /// Run `f` as the named algorithm stage. When tracing is on, the stage
-    /// is bracketed by [`EventKind::SpanBegin`]/[`EventKind::SpanEnd`]
-    /// events; one branch when it is off.
+    /// Run `f` as the named algorithm stage. When tracing, the stage is
+    /// bracketed by [`EventKind::SpanBegin`]/[`EventKind::SpanEnd`] events;
+    /// when profiling, by a wall span of the same name — one begin and one
+    /// end record carrying both stamps. One branch when both are off.
     ///
     /// Stage names are `"."`-separated and stable — they are the join key
     /// between traces, metrics, perf reports, and the paper's section
     /// structure (see DESIGN.md §8).
     pub fn with_stage<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        // Every simulated stage is also bracketed by a wall-clock span when
-        // profiling is on, so wall and simulated views share the same stage
-        // vocabulary without instrumenting call sites twice. Wall recording
-        // never touches the simulated side below.
-        if self.wall.is_none() {
-            return self.with_stage_sim(name, f);
-        }
-        self.wall_span(name, |p| p.with_stage_sim(name, f))
-    }
-
-    /// The simulated half of [`Proc::with_stage`]: the event span.
-    fn with_stage_sim<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        if self.events.is_none() {
+        if !self.obs.traces() && !self.obs.profiles() {
             return f(self);
         }
-        let t0 = self.clock.now_ns();
-        self.record(t0, EventKind::SpanBegin { name });
-        let out = f(self);
-        let t1 = self.clock.now_ns();
-        self.record(t1, EventKind::SpanEnd { name });
-        out
+        self.span(name, true, f)
     }
 
-    /// Run `f` inside a wall-clock span named `name`. A single `Option`
-    /// branch when wall profiling is off — the default, keeping the
-    /// steady-state execute loop's zero-allocation guarantee intact. The
-    /// span records monotonic wall nanoseconds only; the simulated clock,
-    /// event log, and metrics are untouched, so enabling profiling can
-    /// never perturb simulated results.
+    /// Run `f` inside a wall-clock span named `name`. A single branch when
+    /// wall profiling is off — the default, keeping the steady-state execute
+    /// loop's zero-allocation guarantee intact. The span records monotonic
+    /// wall nanoseconds only; the simulated clock, event log, and metrics
+    /// are untouched, so enabling profiling can never perturb simulated
+    /// results.
     #[inline]
     pub fn wall_span<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        if self.wall.is_none() {
+        if !self.obs.profiles() {
             return f(self);
         }
-        if let Some(w) = self.wall.as_mut() {
-            w.begin(name);
-        }
+        self.span(name, false, f)
+    }
+
+    /// The span edges around `f`: a `stage`'s feed the event log as well.
+    fn span<R>(&mut self, name: &'static str, stage: bool, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.obs.edge(true, name, self.clock.now_ns(), stage);
         let out = f(self);
-        if let Some(w) = self.wall.as_mut() {
-            w.end();
-        }
+        self.obs.edge(false, name, self.clock.now_ns(), stage);
         out
     }
 
@@ -413,19 +387,15 @@ impl<'m> Proc<'m> {
     /// No-op unless wall profiling is on.
     #[inline]
     pub fn wall_bytes(&mut self, bytes: u64) {
-        if let Some(w) = self.wall.as_mut() {
-            w.add_bytes(bytes);
-        }
+        self.obs.bytes(bytes);
     }
 
     /// Drop a named point annotation at the current simulated time (e.g. a
     /// collective phase boundary). No-op unless the machine traces.
     #[inline]
     pub fn marker(&mut self, name: &'static str) {
-        if self.events.is_some() {
-            let now = self.clock.now_ns();
-            self.record(now, EventKind::Marker { name });
-        }
+        let now = self.clock.now_ns();
+        self.obs.event(now, EventKind::Marker { name });
     }
 
     /// The group of all processors (world communicator).
@@ -517,34 +487,32 @@ impl<'m> Proc<'m> {
             charge,
         };
         let now = self.clock.now_ns();
-        let seq = self.transport.send(dst, pkt, now, &mut self.events);
+        let seq = self.transport.send(dst, pkt, now, &mut self.obs);
         if words > 0 {
             let bytes = words as i64 * 4;
-            if self.events.is_some() {
-                self.record(
-                    now,
-                    EventKind::Send {
-                        dst,
-                        tag,
-                        words,
-                        seq,
-                        arrival_ns,
-                    },
-                );
+            if self.obs.traces() {
+                let send = EventKind::Send {
+                    dst,
+                    tag,
+                    words,
+                    seq,
+                    arrival_ns,
+                };
+                self.obs.event(now, send);
                 if owned {
                     // In simulated time the in-flight payload occupies the
                     // sender from the send until the (pre-delay) arrival;
                     // the event pair brackets exactly that interval.
                     // Recorded directly — the gauge side is the guard's.
                     for (ts, delta_bytes) in [(now, bytes), (arrival_ns, -bytes)] {
-                        self.record(
-                            ts,
-                            EventKind::MemSample {
-                                account: MemAccount::Payload,
-                                owner: self.id,
-                                delta_bytes,
-                            },
-                        );
+                        let account = MemAccount::Payload;
+                        let owner = self.id;
+                        let sample = EventKind::MemSample {
+                            account,
+                            owner,
+                            delta_bytes,
+                        };
+                        self.obs.event(ts, sample);
                     }
                 }
             }
@@ -642,18 +610,16 @@ impl<'m> Proc<'m> {
         if pkt.src == self.id || pkt.words == 0 || !pkt.arrival_ns.is_finite() {
             return;
         }
-        if self.events.is_some() && !self.clock.is_muted() {
+        if !self.clock.is_muted() {
             let now = self.clock.now_ns();
-            self.record(
-                now,
-                EventKind::Consume {
-                    src: pkt.src,
-                    tag: pkt.tag,
-                    words: pkt.words,
-                    waited_ns: (now - before).max(0.0),
-                    arrival_ns: pkt.arrival_ns,
-                },
-            );
+            let consume = EventKind::Consume {
+                src: pkt.src,
+                tag: pkt.tag,
+                words: pkt.words,
+                waited_ns: (now - before).max(0.0),
+                arrival_ns: pkt.arrival_ns,
+            };
+            self.obs.event(now, consume);
         }
         // The mailbox account was charged at delivery whether or not this
         // consume is muted, so it is released unconditionally. A muted
@@ -739,7 +705,7 @@ impl<'m> Proc<'m> {
             match outcome {
                 ParkOutcome::Token | ParkOutcome::Woken => {}
                 ParkOutcome::Retry => {
-                    self.transport.pump(self.clock.now_ns(), &mut self.events)?;
+                    self.transport.pump(self.clock.now_ns(), &mut self.obs)?;
                 }
                 ParkOutcome::Stuck => return Err(stuck(self)),
             }
@@ -772,7 +738,7 @@ impl<'m> Proc<'m> {
             }
             Frame::Data { seq, pkt } => {
                 let now = self.clock.now_ns();
-                let mut ready = self.transport.on_data(seq, pkt, now, &mut self.events);
+                let mut ready = self.transport.on_data(seq, pkt, now, &mut self.obs);
                 for (s, p) in ready.drain(..) {
                     self.note_delivery(&p, Some(s));
                     self.mailbox.hold(p);
@@ -797,17 +763,13 @@ impl<'m> Proc<'m> {
         if pkt.words == 0 || !pkt.arrival_ns.is_finite() {
             return;
         }
-        if self.events.is_some() {
-            self.record(
-                pkt.arrival_ns,
-                EventKind::Recv {
-                    src: pkt.src,
-                    tag: pkt.tag,
-                    words: pkt.words,
-                    seq,
-                },
-            );
-        }
+        let recv = EventKind::Recv {
+            src: pkt.src,
+            tag: pkt.tag,
+            words: pkt.words,
+            seq,
+        };
+        self.obs.event(pkt.arrival_ns, recv);
         if let Some(m) = self.metrics.as_mut() {
             m.msg_recvd += 1;
         }
@@ -855,14 +817,10 @@ impl<'m> Proc<'m> {
             shift *= 2;
         }
         self.clock.fast_forward(t_max);
-        if self.events.is_some() && t_max > t0 {
-            self.record(
-                t_max,
-                EventKind::Barrier {
-                    owner,
-                    waited_ns: t_max - t0,
-                },
-            );
+        if t_max > t0 {
+            let waited_ns = t_max - t0;
+            self.obs
+                .event(t_max, EventKind::Barrier { owner, waited_ns });
         }
     }
 
@@ -886,7 +844,7 @@ impl<'m> Proc<'m> {
             self.mailbox.hold(pkt);
         } else {
             let now = self.clock.now_ns();
-            self.transport.send_control(dst, pkt, now, &mut self.events);
+            self.transport.send_control(dst, pkt, now, &mut self.obs);
         }
     }
 
@@ -967,19 +925,13 @@ impl<'m> Proc<'m> {
         // Senders charged the account event-side only (owner ≠ recorder),
         // so the gauge learns the interval peak here — an absolute `set` to
         // the pre-truncation words raises `max`, a second to the floor sets
-        // `cur`. The event-side release is recorded before `publish` so the
-        // boundary snapshot already contains it and a crash replay cannot
-        // re-free the same bytes twice.
+        // `cur`, whatever the release did to it. The release is recorded
+        // before `publish`, so the checkpoint's record count covers it and a
+        // crash replay cannot re-free the same bytes twice.
         if log_before != log_after {
+            let freed = (log_before - log_after) as i64 * 4;
             let now = self.clock.now_ns();
-            self.record(
-                now,
-                EventKind::MemSample {
-                    account: MemAccount::ReplayLog,
-                    owner: self.id,
-                    delta_bytes: -((log_before - log_after) as i64 * 4),
-                },
-            );
+            self.mem_sample(MemAccount::ReplayLog, self.id, now, -freed);
         }
         if let Some(m) = self.metrics.as_mut() {
             let g = &mut m.mem[MemAccount::ReplayLog as usize];
@@ -990,11 +942,11 @@ impl<'m> Proc<'m> {
             self.id,
             EpochSnapshot {
                 completed: idx,
-                clock: self.clock.clone(),
+                clock: self.clock,
                 mailbox: self.mailbox.clone(),
                 transport: self.transport.snapshot(),
                 words_to: self.words_to.clone(),
-                events: self.events.clone().unwrap_or_default(),
+                records: self.obs.len(),
                 metrics: self.metrics.as_ref().map(ProcMetrics::checkpoint),
                 user: Box::new(state.clone()),
             },
@@ -1015,9 +967,7 @@ impl<'m> Proc<'m> {
         self.mailbox = snap.mailbox;
         self.transport.restore(snap.transport);
         self.words_to = snap.words_to;
-        if let Some(ev) = self.events.as_mut() {
-            *ev = snap.events;
-        }
+        self.obs.resume();
         if let (Some(m), Some(ms)) = (self.metrics.as_mut(), snap.metrics) {
             *m = ms;
         }
@@ -1038,18 +988,14 @@ impl<'m> Proc<'m> {
     /// which must stay bit-identical to the fault-free run.
     fn inject_replay(&mut self, replay: Vec<(u64, Packet)>, rec: &Arc<RecoveryState>) {
         let now = self.clock.now_ns();
-        self.record(
+        let name = "recovery.replay";
+        self.obs.event(
             now,
             EventKind::Marker {
                 name: "recovery.resume",
             },
         );
-        self.record(
-            now,
-            EventKind::SpanBegin {
-                name: "recovery.replay",
-            },
-        );
+        self.obs.event(now, EventKind::SpanBegin { name });
         let mut frames = 0u64;
         let mut words = 0u64;
         for (seq, pkt) in replay {
@@ -1067,12 +1013,7 @@ impl<'m> Proc<'m> {
             + frames as f64 * m.recovery_replay_tau_ns
             + words as f64 * m.recovery_replay_mu_ns;
         rec.note_replay(frames, words, modelled_ns);
-        self.record(
-            now,
-            EventKind::SpanEnd {
-                name: "recovery.replay",
-            },
-        );
+        self.obs.event(now, EventKind::SpanEnd { name });
     }
 
     /// The retire barrier of [`crate::Machine::run_recoverable`]: no carrier
@@ -1139,9 +1080,10 @@ impl<'m> Proc<'m> {
     }
 
     /// Tear down: read the transport's counters once, into the clock report
-    /// and the `transport.*` metrics, freeze the event log and metrics, and
-    /// hand the channel endpoint back so the driver can keep it alive until
-    /// all processors have joined.
+    /// and the `transport.*` metrics, freeze the metrics, and hand the
+    /// recorder (decoded by the driver, or taken over by a respawn) and the
+    /// channel endpoint back so the driver can keep it alive until all
+    /// processors have joined.
     pub(crate) fn into_parts(mut self) -> (FrameReceiver, ProcParts) {
         let t = &self.transport;
         let clock = ClockReport {
@@ -1153,16 +1095,8 @@ impl<'m> Proc<'m> {
             m.wakes_filtered = self.sched.wakes_filtered(self.id);
             m.snapshot(&clock, t.frames)
         });
-        let wall = self.wall.take().map(WallProfiler::finish);
-        let parts = (
-            clock,
-            self.clock.take_trace(),
-            self.words_to,
-            self.events.take().unwrap_or_default(),
-            metrics.unwrap_or_default(),
-            wall.unwrap_or_default(),
-        );
-        (self.rx, parts)
+        let metrics = metrics.unwrap_or_default();
+        (self.rx, (clock, self.words_to, metrics, self.obs))
     }
 
     /// Receive the raw packet from `src` under `tag`, leaving the payload
@@ -1321,7 +1255,7 @@ impl<'m> Proc<'m> {
         // Steady-state sends through a warm slot charge nothing, preserving
         // the executor's allocation-free hot path. A loan holds no buffer:
         // its bytes are the sender's own array.
-        let observed = self.events.is_some() || self.metrics.is_some();
+        let observed = self.obs.traces() || self.metrics.is_some();
         if observed && !lent {
             let growth = slot.note_charged(words as u64 * 4);
             if growth > 0 {

@@ -37,14 +37,14 @@ use std::sync::Mutex;
 
 use crate::cost::SimClock;
 use crate::message::{Mailbox, Packet};
-use crate::obs::{Event, ProcMetrics};
+use crate::obs::{ProcMetrics, Recorder};
 use crate::reliable::TransportSnapshot;
 
 /// One processor's recoverable state as published at an epoch boundary.
 pub(crate) struct EpochSnapshot {
     /// Index of the epoch this snapshot completed (0-based).
     pub(crate) completed: usize,
-    /// The simulated clock, including its category breakdown and trace.
+    /// The simulated clock, including its category breakdown.
     pub(crate) clock: SimClock,
     /// Unconsumed packets (self-sends and early next-epoch arrivals).
     pub(crate) mailbox: Mailbox,
@@ -52,8 +52,9 @@ pub(crate) struct EpochSnapshot {
     pub(crate) transport: TransportSnapshot,
     /// Charged words sent per destination so far.
     pub(crate) words_to: Vec<u64>,
-    /// Structured event log so far (empty unless tracing).
-    pub(crate) events: Vec<Event>,
+    /// Records in the processor's recorder: a respawn truncates the crashed
+    /// incarnation's stream to this count.
+    pub(crate) records: usize,
     /// A copy of the metrics (None unless metrics are on).
     pub(crate) metrics: Option<ProcMetrics>,
     /// A clone of the `state` the program threads through
@@ -63,11 +64,13 @@ pub(crate) struct EpochSnapshot {
 }
 
 /// What a respawned processor needs to resume: the last snapshot (if any
-/// epoch completed before the crash) and the replay log of frames addressed
-/// to it since that boundary.
+/// epoch completed before the crash), the replay log of frames addressed
+/// to it since that boundary, and the crashed incarnation's recorder,
+/// truncated to the snapshot's record count.
 pub(crate) struct ResumeCtx {
     pub(crate) snapshot: Option<EpochSnapshot>,
     pub(crate) replay: Vec<(u64, Packet)>,
+    pub(crate) recorder: Recorder,
 }
 
 impl ResumeCtx {

@@ -42,7 +42,7 @@
 //! The transport keeps its own books: it appends every frame it sequences
 //! to the replay log ([`crate::recovery`]) before the frame reaches the
 //! wire, records its fault verdicts, retransmissions and duplicate drops in
-//! the owning processor's event log, counts the program-level steps the
+//! the owning processor's recorder, counts the program-level steps the
 //! crash schedule fires at, and owns the frame, retransmit and
 //! duplicate-drop counters, which its snapshot carries across a respawn.
 
@@ -53,7 +53,7 @@ use crate::chan::FrameSender;
 use crate::error::MachineError;
 use crate::fault::{FaultPlan, Verdict};
 use crate::message::{Frame, Packet};
-use crate::obs::{record, Event, EventKind};
+use crate::obs::{EventKind, Recorder};
 use crate::recovery::RecoveryState;
 
 /// Transmission attempts (original + retries) before declaring the peer
@@ -199,9 +199,9 @@ impl<'m> Transport<'m> {
         dst: usize,
         pkt: Packet,
         now_ns: f64,
-        events: &mut Option<Vec<Event>>,
+        obs: &mut Recorder,
     ) -> Option<u64> {
-        self.send_as(self.sequenced, dst, pkt, now_ns, events)
+        self.send_as(self.sequenced, dst, pkt, now_ns, obs)
     }
 
     /// Send one uncharged control packet to `dst`: sequenced iff the
@@ -212,9 +212,9 @@ impl<'m> Transport<'m> {
         dst: usize,
         pkt: Packet,
         now_ns: f64,
-        events: &mut Option<Vec<Event>>,
+        obs: &mut Recorder,
     ) {
-        self.send_as(self.logs(), dst, pkt, now_ns, events);
+        self.send_as(self.logs(), dst, pkt, now_ns, obs);
     }
 
     /// Put a packet on `dst`'s ring: raw unless `sequenced`. A sequenced
@@ -235,7 +235,7 @@ impl<'m> Transport<'m> {
         dst: usize,
         mut pkt: Packet,
         now_ns: f64,
-        events: &mut Option<Vec<Event>>,
+        obs: &mut Recorder,
     ) -> Option<u64> {
         if !sequenced {
             self.senders[dst].send_raw(pkt);
@@ -256,7 +256,7 @@ impl<'m> Transport<'m> {
             };
             self.unacked.insert((dst, seq), stored);
         }
-        self.transmit(dst, seq, pkt, 0, now_ns, events);
+        self.transmit(dst, seq, pkt, 0, now_ns, obs);
         Some(seq)
     }
 
@@ -272,16 +272,12 @@ impl<'m> Transport<'m> {
         pkt: Packet,
         attempt: u32,
         now_ns: f64,
-        events: &mut Option<Vec<Event>>,
+        obs: &mut Recorder,
     ) {
         let verdict = self.plan.verdict(self.me, dst, seq, attempt);
         if verdict != Verdict::Deliver {
             let verdict = verdict.label();
-            record(
-                events,
-                now_ns,
-                EventKind::FaultVerdict { dst, seq, verdict },
-            );
+            obs.event(now_ns, EventKind::FaultVerdict { dst, seq, verdict });
         }
         let twin = match verdict {
             Verdict::Drop => return,
@@ -346,7 +342,7 @@ impl<'m> Transport<'m> {
         seq: u64,
         pkt: Packet,
         now_ns: f64,
-        events: &mut Option<Vec<Event>>,
+        obs: &mut Recorder,
     ) -> Vec<(u64, Packet)> {
         let src = pkt.src;
         if self.plan.link(src, self.me).is_lossy() {
@@ -364,7 +360,7 @@ impl<'m> Transport<'m> {
             } else {
                 now_ns
             };
-            record(events, at, EventKind::DupDrop { src, seq });
+            obs.event(at, EventKind::DupDrop { src, seq });
             return ready;
         }
         if seq > self.expected[src] {
@@ -396,11 +392,7 @@ impl<'m> Transport<'m> {
     /// quiescent, so each was dropped or is held back (on a lossy link; no
     /// other link keeps any). Errors with [`MachineError::Unreachable`]
     /// once a message exhausts its attempts.
-    pub(crate) fn pump(
-        &mut self,
-        now_ns: f64,
-        events: &mut Option<Vec<Event>>,
-    ) -> Result<(), MachineError> {
+    pub(crate) fn pump(&mut self, now_ns: f64, obs: &mut Recorder) -> Result<(), MachineError> {
         let lost: Vec<(usize, u64)> = self.unacked.keys().copied().collect();
         for (dst, seq) in lost {
             let st = self.unacked.get_mut(&(dst, seq)).expect("only acks retire");
@@ -416,8 +408,8 @@ impl<'m> Transport<'m> {
             st.attempts += 1;
             let pkt = st.pkt.clone();
             self.retransmits += 1;
-            record(events, now_ns, EventKind::Retransmit { dst, seq, attempt });
-            self.transmit(dst, seq, pkt, attempt, now_ns, events);
+            obs.event(now_ns, EventKind::Retransmit { dst, seq, attempt });
+            self.transmit(dst, seq, pkt, attempt, now_ns, obs);
         }
         Ok(())
     }
@@ -562,7 +554,7 @@ mod tests {
                 1,
                 out_pkt(0, 7, i as f64, 1, Arc::new(vec![i])),
                 0.0,
-                &mut None,
+                &mut Recorder::default(),
             );
         }
         let got = data_frames(&rxs[1]);
@@ -585,10 +577,10 @@ mod tests {
             1,
             out_pkt(0, 7, 42.0, 1, Arc::new(vec![9i32])),
             0.0,
-            &mut None,
+            &mut Recorder::default(),
         );
         assert!(data_frames(&rxs[1]).is_empty(), "attempt 0 must be dropped");
-        t.pump(0.0, &mut None).unwrap();
+        t.pump(0.0, &mut Recorder::default()).unwrap();
         let got = data_frames(&rxs[1]);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 0);
@@ -604,8 +596,13 @@ mod tests {
         let (txs, rxs) = wires(2);
         let mut t = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
         let buf: Arc<dyn Any + Send + Sync> = Arc::new(vec![5i32, 6]);
-        t.send(1, out_pkt(0, 7, 1.0, 2, Arc::clone(&buf)), 0.0, &mut None);
-        t.pump(0.0, &mut None).unwrap();
+        t.send(
+            1,
+            out_pkt(0, 7, 1.0, 2, Arc::clone(&buf)),
+            0.0,
+            &mut Recorder::default(),
+        );
+        t.pump(0.0, &mut Recorder::default()).unwrap();
         let got = data_frames(&rxs[1]);
         assert_eq!(got.len(), 2, "original plus one retransmission");
         for (_, p) in &got {
@@ -627,7 +624,7 @@ mod tests {
         let rec = Arc::new(RecoveryState::new(2));
         t.attach_log(Arc::clone(&rec), false);
         assert!(!t.logs());
-        let mut log = Some(Vec::new());
+        let mut log = Recorder::new(true, false);
         let pkt = || out_pkt(0, 7, 5.0, 1, Arc::new(vec![1i32]));
         assert_eq!(t.send(1, pkt(), 0.0, &mut log), None);
         t.send_control(1, pkt(), 0.0, &mut log);
@@ -638,7 +635,7 @@ mod tests {
             }
         }
         assert!(rxs[1].try_recv().is_none());
-        assert_eq!((t.frames, log.unwrap().len()), (2, 0));
+        assert_eq!((t.frames, log.len()), (2, 0));
         assert!(!t.has_unacked());
         assert_eq!(t.truncate_log(), (0, 0));
         assert!(rec.clone_log(1).is_empty());
@@ -665,17 +662,22 @@ mod tests {
             Transport::new(1, plan, &txs),
         );
         for i in 0..8i32 {
-            a.send(1, out_pkt(0, 7, 0.0, 1, Arc::new(vec![i])), 0.0, &mut None);
+            a.send(
+                1,
+                out_pkt(0, 7, 0.0, 1, Arc::new(vec![i])),
+                0.0,
+                &mut Recorder::default(),
+            );
         }
         assert!(!a.has_unacked());
-        a.pump(0.0, &mut None).unwrap();
+        a.pump(0.0, &mut Recorder::default()).unwrap();
         assert_eq!(a.retransmits, 0, "nothing is kept, so nothing is retried");
         let wire = data_frames(&rxs[1]);
         assert!(wire.len() > 8, "the plan duplicated some frames");
         assert_eq!(a.frames, wire.len() as u64);
         let mut delivered = Vec::new();
         for (seq, pkt) in wire {
-            let mut ready = b.on_data(seq, pkt, 0.0, &mut None);
+            let mut ready = b.on_data(seq, pkt, 0.0, &mut Recorder::default());
             delivered.extend(ready.drain(..).map(|(s, _)| s));
             b.recycle(ready);
         }
@@ -699,19 +701,19 @@ mod tests {
             .collect();
         let pkt = |src| out_pkt(src, 7, 0.0, 1, Arc::new(vec![1i32]));
         for dst in [1, 2] {
-            t[0].send(dst, pkt(0), 0.0, &mut None);
+            t[0].send(dst, pkt(0), 0.0, &mut Recorder::default());
         }
         assert!(t[0].has_unacked(), "0 → 1 keeps its frame");
-        t[0].pump(0.0, &mut None).unwrap();
+        t[0].pump(0.0, &mut Recorder::default()).unwrap();
         assert_eq!(t[0].retransmits, 1, "only 0 → 1 is retried");
         assert!(data_frames(&rxs[1]).is_empty(), "0 → 1 drops every attempt");
         // The receiver of the lossy link acks; the lossless 0 → 2 and the
         // reverse 1 → 0 post nothing.
         for (seq, pkt) in data_frames(&rxs[2]) {
-            t[2].on_data(seq, pkt, 0.0, &mut None);
+            t[2].on_data(seq, pkt, 0.0, &mut Recorder::default());
         }
-        t[1].on_data(0, pkt(0), 0.0, &mut None);
-        t[0].on_data(0, pkt(1), 0.0, &mut None);
+        t[1].on_data(0, pkt(0), 0.0, &mut Recorder::default());
+        t[0].on_data(0, pkt(1), 0.0, &mut Recorder::default());
         assert_eq!(acks(&rxs[0]), [(1, 0)]);
         assert!(acks(&rxs[1]).is_empty());
         t[0].on_ack(1, 0);
@@ -724,7 +726,7 @@ mod tests {
     fn records_verdict_retransmit_and_dup_events() {
         let (txs, _rxs) = wires(2);
         let mut t = Transport::new(0, Arc::new(plan_dropping_first()), &txs);
-        let mut log = Some(Vec::new());
+        let mut log = Recorder::new(true, false);
         let seq = t.send(
             1,
             out_pkt(0, 7, 0.0, 1, Arc::new(vec![1i32])),
@@ -738,8 +740,7 @@ mod tests {
         t.expected[1] = 5;
         let dup = out_pkt(1, 7, 3.5, 1, Arc::new(vec![0i32]));
         assert!(t.on_data(2, dup, 9.0, &mut log).is_empty());
-        let got: Vec<(f64, EventKind)> = log
-            .unwrap()
+        let got: Vec<(f64, EventKind)> = (log.decode(0.0).1)
             .into_iter()
             .map(|e| (e.ts_ns, e.kind))
             .collect();
@@ -783,7 +784,7 @@ mod tests {
             1,
             out_pkt(0, 7, 10.0, 2, Arc::new(vec![1i32, 2])),
             0.0,
-            &mut None,
+            &mut Recorder::default(),
         );
         let logged = rec.clone_log(1);
         let wire = data_frames(&rxs[1]);
@@ -813,7 +814,7 @@ mod tests {
                 2,
                 out_pkt(t.me, 7, 0.0, words, Arc::new(())),
                 0.0,
-                &mut None,
+                &mut Recorder::default(),
             );
         };
         let (mut a, mut b) = (logging(0, 5), logging(1, 5));
@@ -872,10 +873,10 @@ mod tests {
             1,
             out_pkt(0, 7, 1.0, 1, Arc::new(vec![1i32])),
             0.0,
-            &mut None,
+            &mut Recorder::default(),
         );
         assert_eq!(seqs(&rxs[1]), [0u64; 0], "held back");
-        t.pump(0.0, &mut None).unwrap();
+        t.pump(0.0, &mut Recorder::default()).unwrap();
         assert_eq!(seqs(&rxs[1]), [0], "the retry overtakes it");
         t.on_ack(1, 0);
         assert!(!t.has_unacked());
@@ -883,7 +884,7 @@ mod tests {
             1,
             out_pkt(0, 7, 2.0, 1, Arc::new(vec![2i32])),
             0.0,
-            &mut None,
+            &mut Recorder::default(),
         );
         assert_eq!(seqs(&rxs[1]), [1, 0], "due after two transmissions");
     }
@@ -894,12 +895,16 @@ mod tests {
         let mut t = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
         let pkt = |v: i32| out_pkt(1, 7, 0.0, 1, Arc::new(vec![v]));
         // seq 1 arrives early: buffered.
-        assert!(t.on_data(1, pkt(1), 0.0, &mut None).is_empty());
+        assert!(t
+            .on_data(1, pkt(1), 0.0, &mut Recorder::default())
+            .is_empty());
         // duplicate of seq 1: dropped.
-        assert!(t.on_data(1, pkt(1), 0.0, &mut None).is_empty());
+        assert!(t
+            .on_data(1, pkt(1), 0.0, &mut Recorder::default())
+            .is_empty());
         assert_eq!(t.dup_drops, 1);
         // seq 0 arrives: both become deliverable, in order.
-        let ready = t.on_data(0, pkt(0), 0.0, &mut None);
+        let ready = t.on_data(0, pkt(0), 0.0, &mut Recorder::default());
         assert_eq!(
             ready.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![0, 1],
@@ -911,7 +916,9 @@ mod tests {
             .collect();
         assert_eq!(vals, vec![0, 1]);
         // stale duplicate of seq 0: dropped.
-        assert!(t.on_data(0, pkt(0), 0.0, &mut None).is_empty());
+        assert!(t
+            .on_data(0, pkt(0), 0.0, &mut Recorder::default())
+            .is_empty());
         assert_eq!(t.dup_drops, 2);
     }
 
@@ -931,10 +938,10 @@ mod tests {
             1,
             out_pkt(0, 7, 0.0, 1, Arc::new(vec![1i32])),
             0.0,
-            &mut None,
+            &mut Recorder::default(),
         );
         let err = loop {
-            if let Err(e) = t.pump(0.0, &mut None) {
+            if let Err(e) = t.pump(0.0, &mut Recorder::default()) {
                 break e;
             }
         };
@@ -971,13 +978,13 @@ mod tests {
             // Lossy links, so that the sends leave in-flight state behind.
             let mut t = Transport::new(0, Arc::new(lossy_but_clean()), &txs);
             for &(dst, words) in &sends {
-                t.send(dst, out_pkt(0, 7, 1e6, words, Arc::new(vec![1i32; words])), 0.0, &mut None);
+                t.send(dst, out_pkt(0, 7, 1e6, words, Arc::new(vec![1i32; words])), 0.0, &mut Recorder::default());
             }
             for &(src, n) in &recvs {
                 for _ in 0..n {
                     let seq = t.expected[src];
                     let pkt = out_pkt(src, 7, 0.0, 1, Arc::new(Vec::<i32>::new()));
-                    t.on_data(seq, pkt, 0.0, &mut None);
+                    t.on_data(seq, pkt, 0.0, &mut Recorder::default());
                 }
             }
             (t.send_steps, t.recv_steps) = steps;

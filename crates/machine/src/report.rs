@@ -17,14 +17,14 @@ pub struct RunOutput<R> {
     pub results: Vec<R>,
     /// Each processor's final clock snapshot.
     pub clocks: Vec<ClockReport>,
-    /// Per-processor category spans (empty unless the machine was built
-    /// with tracing enabled).
+    /// Per-processor category spans, decoded from each processor's
+    /// recorder (P empty lists unless the machine traces).
     pub traces: Vec<Vec<crate::trace::Span>>,
     /// Charged words sent from each source (row) to each destination
     /// (column); self-messages are zero.
     pub comm_matrix: Vec<Vec<u64>>,
-    /// Per-processor structured event logs (empty unless the machine was
-    /// built with tracing enabled — DESIGN.md §8).
+    /// Per-processor structured event logs, decoded like `traces` (P empty
+    /// lists unless the machine traces — DESIGN.md §8).
     pub events: Vec<Vec<Event>>,
     /// Per-processor metric snapshots (empty unless the machine was built
     /// with [`crate::Machine::with_metrics`]).
@@ -33,9 +33,10 @@ pub struct RunOutput<R> {
     /// [`crate::Machine::run_recoverable`]; `replays == 0` when no crash
     /// fired).
     pub recovery: Option<RecoveryStats>,
-    /// Per-processor wall-clock profiles (strictly empty unless the machine
-    /// was built with [`crate::Machine::with_wall_profiling`] — wall data
-    /// never leaks into unprofiled runs).
+    /// Per-processor wall-clock profiles, decoded like `traces` (strictly
+    /// empty unless the machine was built with
+    /// [`crate::Machine::with_wall_profiling`] — wall data never leaks into
+    /// unprofiled runs).
     pub wall_profiles: Vec<WallProfile>,
 }
 

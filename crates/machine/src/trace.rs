@@ -2,9 +2,10 @@
 //! clock category, with a text Gantt renderer.
 //!
 //! When tracing is enabled on a [`crate::Machine`], every category
-//! transition on a processor's clock closes the previous span and opens a
-//! new one, so the spans of one processor partition its simulated timeline
-//! exactly. The renderer turns that into the classic stage picture: the
+//! transition on a processor's clock ([`crate::Proc::set_category`]) is a
+//! record in the processor's one stream (see [`crate::obs`]); decoded, each
+//! closes the previous span and opens a new one, so the spans of one
+//! processor partition its simulated timeline exactly. The renderer turns that into the classic stage picture: the
 //! ranking stage's local scan, the prefix-reduction-sum wavefront, and the
 //! many-to-many exchange, per processor.
 

@@ -134,11 +134,11 @@ proptest! {
     fn category_times_sum_to_total(p in 1usize..=6, m in 1usize..64) {
         let machine = Machine::new(ProcGrid::line(p), CostModel::cm5());
         let out = machine.run(move |proc| {
-            proc.clock().set_category(Category::PrefixReductionSum);
+            proc.set_category(Category::PrefixReductionSum);
             let g = proc.world();
             let v = vec![1i32; m];
             prefix_reduction_sum(proc, &g, &v, PrsAlgorithm::Auto);
-            proc.clock().set_category(Category::LocalComp);
+            proc.set_category(Category::LocalComp);
             proc.charge_ops(m);
         });
         for c in &out.clocks {

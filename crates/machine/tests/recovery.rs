@@ -519,3 +519,60 @@ fn relogged_frames_of_a_respawned_sender_are_charged_once() {
     assert_eq!(replay_log_balance(&clean), [0; P]);
     assert_eq!(replay_log_balance(&crashed), [0; P]);
 }
+
+/// Every crash step of either kind, traced and wall-profiled: the respawn
+/// takes over its predecessor's recording truncated to the checkpoint, so
+/// each processor's category spans still tile its whole timeline, its wall
+/// profile (the last incarnation's spans) nests, the replay-log account
+/// balances — the crashed attempt's charges rolled back with the rest — and
+/// what the respawn recorded before restoring is not in the log.
+#[test]
+fn a_traced_profiled_crash_at_every_step_keeps_every_view_whole() {
+    for recv_side in [false, true] {
+        let mut fired = 0;
+        for k in 1u64..20 {
+            let plan = if recv_side {
+                FaultPlan::new(0).with_crash_at_recv(1, k)
+            } else {
+                FaultPlan::new(0).with_crash(1, k)
+            };
+            let what = format!("step {k} recv={recv_side}");
+            let out = machine(plan)
+                .with_tracing(true)
+                .with_wall_profiling(true)
+                .run_recoverable(two_epoch_double_ring)
+                .unwrap_or_else(|e| panic!("{what}: unrecovered: {e}"));
+            if out.recovery.as_ref().unwrap().replays == 0 {
+                break; // past the last step
+            }
+            fired += 1;
+            for (p, spans) in out.traces.iter().enumerate() {
+                let mut at = 0.0;
+                for s in spans {
+                    assert_eq!(s.start_ns, at, "{what}: proc {p} gap or overlap");
+                    assert!(s.end_ns > s.start_ns, "{what}: proc {p} empty span");
+                    at = s.end_ns;
+                }
+                assert_eq!(at, out.clocks[p].now_ns, "{what}: proc {p} ends early");
+            }
+            for (p, w) in out.wall_profiles.iter().enumerate() {
+                assert_eq!(w.well_formed(), Ok(()), "{what}: proc {p}");
+            }
+            assert_eq!(replay_log_balance(&out), [0; P], "{what}");
+            // The respawn charges a fresh ring before it restores the
+            // snapshot, which already holds the first charge: only that one
+            // is left.
+            for (p, evs) in out.events.iter().enumerate() {
+                let ring = MemAccount::MailboxRing;
+                let rings = (evs.iter())
+                    .filter(|e| matches!(e.kind, EventKind::MemSample { account, .. } if account == ring))
+                    .count();
+                assert_eq!(rings, 1, "{what}: proc {p} ring charges");
+            }
+        }
+        assert_eq!(
+            fired, 6,
+            "three sends and three receives per epoch, two epochs"
+        );
+    }
+}

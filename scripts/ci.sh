@@ -105,7 +105,8 @@ if grep -rnE -e '--bin (perf(diff)?|fuzz)\b' crates/ scripts/ README.md DESIGN.m
   echo "ci: a second driver is back (repro and chaos are the bench binaries)"; exit 1
 fi
 # "Lost" and "stuck" are told by quiescence (DESIGN.md section 15); only the
-# wall profiler reads a clock. Unit-test modules close their files.
+# recorder's wall stamps (obs.rs) read a clock. Unit-test modules close their
+# files.
 for src in $(find crates/machine/src -name '*.rs' ! -name obs.rs); do
   if sed '/^#\[cfg(test)\]/,$d' "$src" |
     grep --label="$src" -HnE 'Instant::now|recv_timeout|RTO_|with_test_preset|wait_timeout'; then
@@ -173,6 +174,11 @@ if grep -nE '\bflip\b|; 2\]' crates/machine/src/pool.rs; then
 fi
 if grep -nE '^pub use .*\b(Mailbox|WallProfiler)\b' crates/machine/src/lib.rs; then
   echo "ci: hpf_machine re-exports its mailbox or wall profiler again"; exit 1
+fi
+# One recorder per processor (DESIGN.md section 8): events, category spans and
+# wall spans are one stream, and a checkpoint keeps its length, not a copy.
+if grep -rnE 'WallProfiler|enable_trace|take_trace|events: self\.events\.clone' crates/machine/src; then
+  echo "ci: a second recorder or a checkpoint copy of the event log is back"; exit 1
 fi
 
 echo "== the examples run (README's quick tour) =="
