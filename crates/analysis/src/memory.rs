@@ -183,7 +183,7 @@ fn enclosing_stage(events: &[Event], ts_ns: f64) -> String {
 //   user     what the workload registers: 4L data + L mask words→bytes
 //   plan     the retained peer-indexed rows (peer ids, row offsets, ranks
 //            or runs), the exchange's two peer lists, the lowered copy
-//            programs with their `Scatter` indices and, for UNPACK, the
+//            programs with their `Scatter` walks and, for UNPACK, the
 //            field spans at 8 bytes each (PackPlan/UnpackPlan mem_bytes,
 //            byte for byte; the peer counts and program bytes come exact
 //            from MaskStats, which walks the same routes and runs the same

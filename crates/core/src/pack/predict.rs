@@ -74,14 +74,14 @@ pub struct MaskStats {
     /// PACK senders and UNPACK requesters.
     pub recv_peers: Vec<usize>,
     /// Retained bytes of the PACK plan's lowered gather copy programs per
-    /// processor (DESIGN.md §16): ops, row offsets and `Scatter` indices —
+    /// processor (DESIGN.md §16): ops, row offsets and `Scatter` walks —
     /// exact, reconstructed by running the same `CopyPrograms::lower` over
     /// the same per-destination slot rows the composers produce. Identical
     /// for all three schemes (the gather order is rank order regardless of
     /// message format).
     pub pack_prog_bytes: Vec<u64>,
     /// Retained bytes of the UNPACK plan's lowered copy programs per
-    /// processor — ops, row offsets and `Scatter` indices, as above: the
+    /// processor — ops, row offsets and `Scatter` walks, as above: the
     /// serve programs (over the local `V` indices each requester is owed)
     /// plus the scatter programs (over the same element-slot rows as the
     /// PACK gather), plus the field spans (8 bytes each, from the same

@@ -213,6 +213,7 @@ impl RoutesBuilder {
             slots: vec![0; elems + 1],
             ranks: vec![0; spare(emit == RankEmit::Explicit, elems)],
             runs: vec![(0, 0); spare(emit == RankEmit::Runs, runs)],
+            prog: ProgramBuilder::with_capacity(elems),
             ..RoutesBuilder::default()
         }
     }
@@ -260,13 +261,13 @@ impl RoutesBuilder {
 
     /// Lower the open row's slots up to position `end` and close it.
     fn lower_to(&mut self, end: usize) {
-        self.prog.extend(&self.slots[self.lowered..end]);
-        self.prog.end_row();
+        self.prog.row(&self.slots[self.lowered..end]);
         self.lowered = end;
     }
 
-    /// Seal the rows: the routes and the copy programs of their slot rows,
-    /// which take over the slot vector ([`ProgramBuilder::finish`]).
+    /// Seal the rows: the routes and the copy programs of their slot rows.
+    /// The slot vector goes with the builder: the programs keep only the
+    /// walks of their `Scatter` ranges.
     pub(crate) fn finish(mut self) -> (Routes, CopyPrograms) {
         self.slots.truncate(self.filled);
         self.ranks.truncate(self.filled);
@@ -283,7 +284,7 @@ impl RoutesBuilder {
         // every program against its index list.
         #[cfg(debug_assertions)]
         let relowered = CopyPrograms::lower(&self.slots, &self.slot_offs);
-        let prog = self.prog.finish(self.slots);
+        let prog = self.prog.finish();
         #[cfg(debug_assertions)]
         assert_eq!(prog, relowered);
         let routes = Routes {

@@ -9,25 +9,29 @@
 //! ```text
 //! program  = op*
 //! op       = Contig  { pos, at, len }   list[pos+k] == at + k
-//!          | Scatter { pos, at, len }   list[pos+k] == idx[at+k]
+//!          | Scatter { pos, at, len }   list[pos..pos+len] == walk(steps[at..at+len+3])
+//! walk     = first:u32le step:u8*       first, first + step₁, first + step₁ + step₂, …
 //! ```
 //!
 //! `pos` addresses the *dense* side (the message buffer, tiled front to
 //! back); `at` the *indexed* side (the local array slice the indices point
-//! into) or, for `Scatter`, the family's own `idx`, which keeps only those
-//! ranges' indices. A block-distributed section lowers to a handful of
-//! `Contig` ops — `copy_from_slice`, i.e. `memcpy` — and keeps no index;
-//! everything else (a random mask, a constant stride other than 1) to one
-//! `Scatter` range per row, which is the branch-free index loop
-//! `dst[k] = src[idx[at + k]]`. That loop is the yardstick: it moves an
-//! element in 0.6–0.8 ns, every op costs about one mispredicted branch on
-//! top of its elements, and a bulk op is emitted only where the measured
-//! break-even says it beats the loop it replaces ([`MIN_CONTIG`],
-//! [`MIN_CONTIG_JOINED`]; the table is in EXPERIMENTS.md, "Lower only what
-//! beats the index loop"). Lowering is wall-clock-only
-//! work: it charges **zero** simulated operations, so the Section 6.4
-//! accounting is bit-identical to the scalar path (the op *counts* were
-//! always per value, never per loop shape).
+//! into) or, for `Scatter`, where its walk stands in the family's `steps`:
+//! its first index in four bytes, then one byte per later index, the step
+//! from the index before. A step outside `0..=255` ends the op and starts
+//! the next, so a `Scatter` op costs 3 bytes plus one per index. A
+//! block-distributed section lowers to a handful of `Contig` ops —
+//! `copy_from_slice`, i.e. `memcpy` — and keeps no index; everything else
+//! (a random mask, a constant stride other than 1) to one `Scatter` range
+//! per row, or a few where a gap is wider than a byte, which is the
+//! branch-free index loop `i += steps[k]; dst[k] = src[i]`. That loop is
+//! the yardstick: it moves an element in 0.5–0.8 ns, every op costs about
+//! one mispredicted branch on top of its elements, and a bulk op is
+//! emitted only where the measured break-even says it beats the loop it
+//! replaces ([`MIN_CONTIG`], [`MIN_CONTIG_JOINED`]; the table is in
+//! EXPERIMENTS.md, "Lower only what beats the index loop"). Lowering is
+//! wall-clock-only work: it charges **zero** simulated operations, so the
+//! Section 6.4 accounting is bit-identical to the scalar path (the op
+//! *counts* were always per value, never per loop shape).
 //!
 //! The walkers take a [`Phase`]: ops write to disjoint dense positions, so
 //! the executor runs the bulk ops under a `copy.contig` wall span and the
@@ -57,7 +61,7 @@ const MIN_CONTIG: usize = 32;
 /// `memcpy`, which op for op beats the index loop from 8 elements on.
 const MIN_CONTIG_JOINED: usize = 8;
 
-/// The shortest run either rule above can lower: what `extend` lets through
+/// The shortest run either rule above can lower: what `row` lets through
 /// to [`ProgramBuilder::emit_bulk`].
 const MIN_BULK: u32 = MIN_CONTIG_JOINED as u32;
 const _: () = assert!(MIN_CONTIG_JOINED <= MIN_CONTIG);
@@ -68,8 +72,8 @@ const _: () = assert!(MIN_CONTIG_JOINED <= MIN_CONTIG);
 pub(crate) enum CopyOp {
     /// The indices are the run `at..at + len`: one `copy_from_slice`.
     Contig { pos: u32, at: u32, len: u32 },
-    /// No exploitable structure: the index loop over the family's
-    /// `idx[at..at + len]`.
+    /// No exploitable structure: the index loop over the walk that starts
+    /// at the family's `steps[at]`.
     Scatter { pos: u32, at: u32, len: u32 },
 }
 const _: () = assert!(std::mem::size_of::<CopyOp>() == 16);
@@ -120,8 +124,8 @@ impl CopyStats {
 
 /// The lowered copy programs of one plan family: one program per row of a
 /// peer-indexed index CSR, all in one flat op array with per-row offsets
-/// (only populated peers have a program), and the indices of the `Scatter`
-/// ranges in one flat array in op order. Built once at plan time by a
+/// (only populated peers have a program), and the walks of the `Scatter`
+/// ranges in one flat byte stream in op order. Built once at plan time by a
 /// [`ProgramBuilder`]; walked on every execute by the kernels below, which
 /// take the family and a row number and nothing else. `pos` counts from the start
 /// of the row — the dense side is that peer's message buffer.
@@ -130,8 +134,8 @@ pub(crate) struct CopyPrograms {
     ops: Vec<CopyOp>,
     /// `ops[offs[k]..offs[k + 1]]` is row `k`'s program.
     offs: Vec<u32>,
-    /// The indices the `Scatter` ops walk; no other index is kept.
-    idx: Vec<u32>,
+    /// The walks the `Scatter` ops read; no other index is kept.
+    steps: Vec<u8>,
     stats: CopyStats,
 }
 
@@ -141,7 +145,7 @@ impl Default for CopyPrograms {
         CopyPrograms {
             ops: Vec::new(),
             offs: vec![0],
-            idx: Vec::new(),
+            steps: Vec::new(),
             stats: CopyStats::default(),
         }
     }
@@ -154,12 +158,11 @@ impl CopyPrograms {
     pub(crate) fn lower(idx: &[u32], offs: &[u32]) -> CopyPrograms {
         let mut b = ProgramBuilder::default();
         for row in offs.windows(2) {
-            b.extend(&idx[row[0] as usize..row[1] as usize]);
-            b.end_row();
+            b.row(&idx[row[0] as usize..row[1] as usize]);
         }
-        let progs = b.finish(idx.to_vec());
+        let progs = b.finish();
         // Debug builds check that every row's program spells it out, a
-        // `Scatter` op from its own indices.
+        // `Scatter` op from its own walk.
         #[cfg(debug_assertions)]
         for (k, row) in offs.windows(2).enumerate() {
             assert_eq!(progs.indices(k), idx[row[0] as usize..row[1] as usize]);
@@ -174,10 +177,10 @@ impl CopyPrograms {
 
     /// Bytes the programs retain for the plan's lifetime (charged to
     /// `mem.plan` next to the rows they annotate): ops, row offsets and
-    /// `Scatter` indices.
+    /// the `Scatter` walks.
     pub(crate) fn mem_bytes(&self) -> u64 {
         let ops = self.ops.len() * std::mem::size_of::<CopyOp>();
-        (ops + 4 * (self.offs.len() + self.idx.len())) as u64
+        (ops + 4 * self.offs.len() + self.steps.len()) as u64
     }
 
     /// The op/element breakdown over all rows.
@@ -186,13 +189,14 @@ impl CopyPrograms {
     }
 }
 
-/// Streaming lowering: one program family built index by index, row by row.
+/// Streaming lowering: one program family built row by row, from index
+/// lists ([`Self::row`]) or from runs ([`Self::row_of_runs`]).
 /// Greedy maximal stride-1 runs become `Contig` ops when long enough to beat
 /// the index loop — how long depends on whether the op has scattered
 /// elements for a neighbour, see [`MIN_CONTIG`] and [`MIN_CONTIG_JOINED`] —
 /// and everything else coalesces into `Scatter` ranges (never across a row
-/// boundary). Only the run the last index belongs to is remembered, so
-/// nothing is read twice.
+/// boundary), each encoded as one or more walks. Only the run the last
+/// index belongs to is remembered, so nothing is read twice.
 #[derive(Debug, Default)]
 pub(crate) struct ProgramBuilder {
     out: CopyPrograms,
@@ -204,22 +208,44 @@ pub(crate) struct ProgramBuilder {
     /// The current run: `len` consecutive indices ending at `prev`.
     prev: u32,
     len: u32,
+    /// The `Scatter` op whose walk is being written.
+    open: Option<Walking>,
+}
+
+/// A `Scatter` op still taking indices: its first dense position, where its
+/// walk starts in `steps`, and the last index it took.
+#[derive(Debug, Clone, Copy)]
+struct Walking {
+    pos: u32,
+    at: u32,
+    last: u32,
 }
 
 impl ProgramBuilder {
-    /// Append `idx` to the open row. On a random mask every other index
-    /// ends a run, so "the run goes on" must not become a branch: it is a
-    /// number the optimiser cannot read back as a condition
-    /// ([`std::hint::black_box`]; as a `bool` it compiles to a mispredicted
-    /// branch) that rides in the length's top bit — one range check finds a
-    /// full-size run that ended — and masks the length update.
-    pub(crate) fn extend(&mut self, idx: &[u32]) {
+    /// A builder whose walks hold `n` bytes before they grow: a family of
+    /// `n` indices, all walked, needs that and 3 bytes per op.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut b = ProgramBuilder::default();
+        b.out.steps.reserve(n);
+        b
+    }
+
+    /// Lower one whole row given as its index list, and close it. On a
+    /// random mask every other index ends a run, so "the run goes on" must
+    /// not become a branch: it is a number the optimiser cannot read back
+    /// as a condition ([`std::hint::black_box`]; as a `bool` it compiles to
+    /// a mispredicted branch) that rides in the length's top bit — one range
+    /// check finds a full-size run that ended — and masks the length update.
+    /// The pending scattered elements are read back from `idx` when their
+    /// range is flushed.
+    pub(crate) fn row(&mut self, idx: &[u32]) {
+        debug_assert_eq!(self.pos, 0, "a row fed by runs is still open");
         const TOP: u32 = 1 << 31;
-        let (mut pos, mut prev, mut len) = (self.pos, self.prev, self.len);
+        let (mut pos, mut prev, mut len) = (0u32, 0u32, 0u32);
         for &x in idx {
             let goes_on = std::hint::black_box(u32::from(i64::from(x) - i64::from(prev) == 1));
             let ended = (len | (goes_on * TOP)).wrapping_sub(MIN_BULK);
-            if ended < TOP - MIN_BULK && self.emit_bulk(pos, len, prev) {
+            if ended < TOP - MIN_BULK && self.emit_bulk(pos, len, prev, idx) {
                 len = 0;
             }
             // Go on with the run, or start the next one at `x`.
@@ -227,15 +253,74 @@ impl ProgramBuilder {
             prev = x;
             pos += 1;
         }
+        self.pos = pos;
+        if len >= MIN_BULK {
+            self.emit_bulk(pos, len, prev, idx);
+        }
+        self.close_row(idx);
+    }
+
+    /// Lower one whole row given as runs, `(first, n)` for the indices
+    /// `first..first + n`, and close it. A run that the next one continues
+    /// merges with it; one that ends becomes a `Contig` op if it pays for
+    /// itself, else is walked at once. The common case — a run shorter than
+    /// eight that the open walk goes on with (with a walk open, no run under
+    /// `MIN_CONTIG` is bulk), its step and `n - 1` ones written as one 8-byte
+    /// store — runs on locals; every other case hands the state back to the
+    /// builder.
+    pub(crate) fn row_of_runs(&mut self, runs: impl IntoIterator<Item = (u32, u32)>) {
+        debug_assert_eq!(self.pos, 0, "a row fed as a list is still open");
+        let mut steps = std::mem::take(&mut self.out.steps);
+        let (mut pos, mut prev, mut len) = (0u32, 0u32, 0u32);
+        for (first, n) in runs {
+            if n == 0 || (len > 0 && first == prev.wrapping_add(1)) {
+                (prev, len, pos) = (prev.wrapping_add(n), len + n, pos + n);
+                continue;
+            }
+            let start = prev.wrapping_sub(len.wrapping_sub(1));
+            match &mut self.open {
+                _ if len == 0 => {}
+                Some(w) if len < MIN_BULK && start.wrapping_sub(w.last) <= u32::from(u8::MAX) => {
+                    let at = steps.len();
+                    steps.extend_from_slice(&[(start - w.last) as u8, 1, 1, 1, 1, 1, 1, 1]);
+                    steps.truncate(at + len as usize);
+                    w.last = prev;
+                }
+                _ => {
+                    self.out.steps = steps;
+                    (self.pos, self.prev, self.len) = (pos, prev, len);
+                    self.end_run();
+                    steps = std::mem::take(&mut self.out.steps);
+                }
+            }
+            (prev, len, pos) = (first + (n - 1), n, pos + n);
+        }
+        self.out.steps = steps;
         (self.pos, self.prev, self.len) = (pos, prev, len);
+        self.end_run();
+        self.close_row(&[]);
+    }
+
+    /// The current run of a row fed by runs has ended: emit it as a
+    /// `Contig` op if it pays for itself, else walk it.
+    fn end_run(&mut self) {
+        let (end, len, prev) = (self.pos, self.len, self.prev);
+        if len == 0 || (len >= MIN_BULK && self.emit_bulk(end, len, prev, &[])) {
+            return;
+        }
+        if self.open.is_none() {
+            self.take_back();
+        }
+        self.walk_run(end - len, prev - (len - 1), len);
     }
 
     /// Emit the run of `len` consecutive indices that ends at `prev`, before
-    /// position `end`, if it makes a `Contig` op that pays for itself.
-    fn emit_bulk(&mut self, end: u32, len: u32, prev: u32) -> bool {
+    /// position `end`, if it makes a `Contig` op that pays for itself. `idx`
+    /// is the row, when it was given as a list.
+    fn emit_bulk(&mut self, end: u32, len: u32, prev: u32, idx: &[u32]) -> bool {
         let pos = end - len;
         // No scattered element pending: the op follows a bulk op or starts
-        // the row (`flush_scatter` takes it back if scattered ones follow).
+        // the row (`take_back` undoes it if scattered ones follow).
         let joined = self.scattered == pos;
         let min_contig = if joined {
             MIN_CONTIG_JOINED
@@ -245,7 +330,7 @@ impl ProgramBuilder {
         if len < min_contig as u32 {
             return false;
         }
-        self.flush_scatter(pos);
+        self.flush_scatter(pos, idx);
         let at = prev - (len - 1);
         self.out.ops.push(CopyOp::Contig { pos, at, len });
         self.out.stats.contig += 1;
@@ -254,95 +339,248 @@ impl ProgramBuilder {
         true
     }
 
-    /// Emit the pending scatter range, which ends before position `end`.
-    /// Joined contigs right before it turn out to be followed by scattered
-    /// elements after all — they replaced no `Scatter` op, they split one
-    /// off — and fold back into the range.
-    fn flush_scatter(&mut self, end: u32) {
+    /// Emit the pending scatter range, which ends before position `end`. A
+    /// row given as a list walks it now, from `idx`; a row fed by runs has
+    /// walked it run by run.
+    fn flush_scatter(&mut self, end: u32, idx: &[u32]) {
         if self.scattered < end {
-            let row = *self.out.offs.last().expect("never empty") as usize;
-            while let Some(&CopyOp::Contig { pos, len, .. }) = self.out.ops[row..].last() {
-                if len >= MIN_CONTIG as u32 {
-                    break;
-                }
-                self.out.ops.pop();
-                self.out.stats.contig -= 1;
-                self.out.stats.bulk_elements -= u64::from(len);
-                self.scattered = pos;
+            if self.open.is_none() {
+                let from = self.scattered;
+                self.take_back();
+                self.walk_list(from, &idx[from as usize..end as usize]);
             }
-            self.out.stats.scatter += 1;
-            self.out.ops.push(CopyOp::Scatter {
-                pos: self.scattered,
-                // Its place in what `extend` was fed; `finish` moves it.
-                at: self.out.stats.total_elements as u32 + self.scattered,
-                len: end - self.scattered,
-            });
+            self.close(end);
         }
     }
 
-    /// Close the open row (possibly empty) and start the next.
-    pub(crate) fn end_row(&mut self) {
-        if self.len >= MIN_BULK {
-            self.emit_bulk(self.pos, self.len, self.prev);
+    /// Start the pending scatter range: joined contigs right before it turn
+    /// out to be followed by scattered elements after all — they replaced
+    /// no `Scatter` op, they split one off — and fold back into it, with the
+    /// joined ones before them up to the last full-size one.
+    fn take_back(&mut self) {
+        let row = *self.out.offs.last().expect("never empty") as usize;
+        let short =
+            |op: &CopyOp| matches!(op, CopyOp::Contig { len, .. } if *len < MIN_CONTIG as u32);
+        let kept =
+            (self.out.ops[row..].iter().rposition(|op| !short(op))).map_or(row, |k| row + k + 1);
+        let taken: Vec<CopyOp> = self.out.ops.drain(kept..).collect();
+        for op in taken {
+            let CopyOp::Contig { pos, at, len } = op else {
+                unreachable!("only contigs are taken back")
+            };
+            self.out.stats.contig -= 1;
+            self.out.stats.bulk_elements -= u64::from(len);
+            self.scattered = self.scattered.min(pos);
+            self.walk_run(pos, at, len);
         }
-        self.flush_scatter(self.pos);
+    }
+
+    /// Walk the scattered indices `list`, the first at position `pos`: the
+    /// open walk takes them as far as their steps fit a byte each, and each
+    /// one that does not starts the next.
+    fn walk_list(&mut self, mut pos: u32, mut list: &[u32]) {
+        while !list.is_empty() {
+            let taken = match &mut self.open {
+                Some(w) => push_steps(&mut self.out.steps, &mut w.last, list),
+                None => 0,
+            };
+            let Some(&x) = list.get(taken) else {
+                return;
+            };
+            self.open_walk(pos + taken as u32, x);
+            pos += taken as u32 + 1;
+            list = &list[taken + 1..];
+        }
+    }
+
+    /// Walk the run `first..first + n`, the first at position `pos`.
+    #[inline]
+    fn walk_run(&mut self, pos: u32, first: u32, n: u32) {
+        match self.open {
+            Some(w) if first.wrapping_sub(w.last) <= u32::from(u8::MAX) => {
+                self.out.steps.push((first - w.last) as u8);
+            }
+            _ => self.open_walk(pos, first),
+        }
+        let steps = &mut self.out.steps;
+        steps.resize(steps.len() + n as usize - 1, 1);
+        self.open.as_mut().expect("walking").last = first + (n - 1);
+    }
+
+    /// Close the open walk, if any, and start the next at index `x`, at
+    /// position `pos`: its first index in four bytes.
+    fn open_walk(&mut self, pos: u32, x: u32) {
+        self.close(pos);
+        let at = self.out.steps.len() as u32;
+        self.out.steps.extend_from_slice(&x.to_le_bytes());
+        self.open = Some(Walking { pos, at, last: x });
+    }
+
+    /// Emit the open walk, if any, as the `Scatter` op of the positions
+    /// before `end`.
+    fn close(&mut self, end: u32) {
+        if let Some(Walking { pos, at, .. }) = self.open.take() {
+            self.out.ops.push(CopyOp::Scatter {
+                pos,
+                at,
+                len: end - pos,
+            });
+            self.out.stats.scatter += 1;
+        }
+    }
+
+    /// Flush the open row and start the next.
+    fn close_row(&mut self, idx: &[u32]) {
+        self.flush_scatter(self.pos, idx);
         self.out.stats.total_elements += u64::from(self.pos);
         self.out.offs.push(self.out.ops.len() as u32);
         (self.pos, self.scattered, self.len) = (0, 0, 0);
     }
 
-    /// The programs of every closed row. `fed` is everything `extend` was
-    /// given, in order; the programs keep of it the indices of their
-    /// `Scatter` ranges, moved to its front in op order. A family with no
-    /// `Contig` op keeps `fed` as it is, not a copy of it.
-    pub(crate) fn finish(mut self, mut fed: Vec<u32>) -> CopyPrograms {
+    /// The programs of every closed row.
+    pub(crate) fn finish(mut self) -> CopyPrograms {
         debug_assert_eq!(self.pos, 0, "finish with a row still open");
-        debug_assert_eq!(fed.len() as u64, self.out.stats.total_elements);
-        let mut kept = 0u32;
-        for op in &mut self.out.ops {
-            if let CopyOp::Scatter { at, len, .. } = op {
-                if *at != kept {
-                    fed.copy_within(*at as usize..(*at + *len) as usize, kept as usize);
-                    *at = kept;
-                }
-                kept += *len;
-            }
-        }
-        if self.out.stats.contig > 0 {
-            fed.truncate(kept as usize);
-            fed.shrink_to_fit();
-        }
-        self.out.idx = fed;
+        self.out.steps.shrink_to_fit();
         self.out
     }
 }
 
-impl CopyPrograms {
-    /// The index list row `k`'s program walks; its ops must tile it in order.
-    #[cfg(any(test, debug_assertions))]
-    pub(crate) fn indices(&self, k: usize) -> Vec<u32> {
-        let mut list = Vec::new();
-        for op in self.row(k) {
-            let (CopyOp::Contig { pos, at, len } | CopyOp::Scatter { pos, at, len }) = *op;
-            assert_eq!(pos as usize, list.len(), "the ops do not tile the list");
-            match op {
-                CopyOp::Contig { .. } => list.extend(at..at + len),
-                CopyOp::Scatter { .. } => {
-                    list.extend_from_slice(&self.idx[at as usize..][..len as usize])
-                }
-            }
+/// Append to `steps` the steps from `*last` through `list`, as far as each
+/// fits a byte; returns how many indices that took, the last of them left
+/// in `*last`.
+#[inline]
+fn push_steps(steps: &mut Vec<u8>, last: &mut u32, list: &[u32]) -> usize {
+    let from = steps.len();
+    steps.resize(from + list.len(), 0);
+    let mut taken = 0;
+    // Eight at a time while all eight fit, which the compiler vectorises.
+    for (out, eight) in steps[from..].chunks_exact_mut(8).zip(list.chunks_exact(8)) {
+        let mut d = [0u32; 8];
+        d[0] = eight[0].wrapping_sub(*last);
+        for k in 1..8 {
+            d[k] = eight[k].wrapping_sub(eight[k - 1]);
         }
-        list
+        if d.iter().any(|&step| step > u32::from(u8::MAX)) {
+            break;
+        }
+        for (o, step) in out.iter_mut().zip(d) {
+            *o = step as u8;
+        }
+        *last = eight[7];
+        taken += 8;
+    }
+    for (s, &x) in steps[from + taken..].iter_mut().zip(&list[taken..]) {
+        let step = x.wrapping_sub(*last);
+        if step > u32::from(u8::MAX) {
+            break;
+        }
+        *s = step as u8;
+        *last = x;
+        taken += 1;
+    }
+    steps.truncate(from + taken);
+    taken
+}
+
+/// The walk of the `Scatter` op at `at` over `len` indices: its first index,
+/// and the steps to the later ones.
+fn walk(steps: &[u8], at: u32, len: u32) -> (usize, &[u8]) {
+    let (first, later) = steps[at as usize..][..len as usize + 3].split_at(4);
+    let first = u32::from_le_bytes(first.try_into().expect("four bytes"));
+    (first as usize, later)
+}
+
+/// Call `f(d, i)` for the dense items `dense` of a `Scatter` op with its
+/// indices `i`, which start at `first` and go on by `steps`: the index loop.
+#[inline(always)]
+fn walk_with<D>(
+    dense: impl IntoIterator<Item = D>,
+    (first, steps): (usize, &[u8]),
+    mut f: impl FnMut(D, usize),
+) {
+    let mut dense = dense.into_iter();
+    let mut i = first;
+    if let Some(d) = dense.next() {
+        f(d, i);
+    }
+    for (d, &s) in dense.zip(steps) {
+        i += usize::from(s);
+        f(d, i);
     }
 }
 
-impl CopyOp {
-    /// Whether the op is `Contig`, and its `pos`, `at` and `len`.
-    fn parts(self) -> (bool, usize, usize, usize) {
-        match self {
-            CopyOp::Contig { pos, at, len } => (true, pos as usize, at as usize, len as usize),
-            CopyOp::Scatter { pos, at, len } => (false, pos as usize, at as usize, len as usize),
+/// One op's indices in order, as an iterator: `at, at + 1, …` for a
+/// `Contig` op; for a `Scatter` op its walk, decoded as it is read.
+#[derive(Debug, Clone, Default)]
+struct Cursor<'a> {
+    next: usize,
+    left: usize,
+    /// The steps still to take; `None` for a `Contig` op, whose are all 1.
+    steps: Option<std::slice::Iter<'a, u8>>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(op: CopyOp, steps: &'a [u8]) -> Self {
+        match op {
+            CopyOp::Contig { at, len, .. } => Cursor {
+                next: at as usize,
+                left: len as usize,
+                steps: None,
+            },
+            CopyOp::Scatter { at, len, .. } => {
+                let (first, later) = walk(steps, at, len);
+                Cursor {
+                    next: first,
+                    left: len as usize,
+                    steps: Some(later.iter()),
+                }
+            }
         }
+    }
+
+    /// Pass over the next `n` indices.
+    fn pass(&mut self, n: usize) {
+        if self.steps.is_none() {
+            self.next += n;
+            self.left -= n;
+        } else {
+            self.by_ref().take(n).for_each(drop);
+        }
+    }
+}
+
+impl Iterator for Cursor<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let i = self.next;
+        self.next += match &mut self.steps {
+            None => 1,
+            Some(steps) => steps.next().map_or(0, |&s| usize::from(s)),
+        };
+        Some(i)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl CopyPrograms {
+    /// The indices row `k`'s program walks; its ops must tile them in order.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn indices(&self, k: usize) -> Vec<u32> {
+        let mut list = Vec::new();
+        for &op in self.row(k) {
+            let (CopyOp::Contig { pos, .. } | CopyOp::Scatter { pos, .. }) = op;
+            assert_eq!(pos as usize, list.len(), "the ops do not tile the list");
+            list.extend(Cursor::new(op, &self.steps).map(|i| i as u32));
+        }
+        list
     }
 }
 
@@ -353,8 +591,8 @@ impl CopyOp {
 pub(crate) struct Source<'a, T> {
     vals: &'a [T],
     ops: &'a [CopyOp],
-    /// The family's `Scatter` indices.
-    idx: &'a [u32],
+    /// The family's `Scatter` walks.
+    steps: &'a [u8],
 }
 
 impl<T> Source<'_, T> {
@@ -372,7 +610,7 @@ impl CopyPrograms {
         Source {
             vals,
             ops: self.row(k),
-            idx: &self.idx,
+            steps: &self.steps,
         }
     }
 
@@ -385,14 +623,14 @@ impl CopyPrograms {
         out: &mut [T],
         phase: Phase,
     ) -> usize {
-        join(src, self.row(k).iter().copied(), &self.idx, out, phase)
+        join(src, self.row(k).iter().copied(), &self.steps, out, phase)
     }
 }
 
 /// The fused receive kernel: `out[dst(k)] = src(k)` for every position `k`
 /// of a lent message, for the requested phase. `dst` is the receiver's
-/// placement, ops that tile the message's positions in order (`dst_idx`
-/// holds their `Scatter` indices), and `src` the sender's row, which tiles
+/// placement, ops that tile the message's positions in order (`dst_steps`
+/// holds their `Scatter` walks), and `src` the sender's row, which tiles
 /// the same positions. The two are walked side by side: where a `Contig` op
 /// meets a `Contig` op their overlap is one `copy_from_slice` (the `Bulk`
 /// phase); every other pairing is the index loop (`Scatter`). It fuses the
@@ -403,56 +641,39 @@ impl CopyPrograms {
 pub(crate) fn join<T: Copy>(
     src: Source<'_, T>,
     dst: impl IntoIterator<Item = CopyOp>,
-    dst_idx: &[u32],
+    dst_steps: &[u8],
     out: &mut [T],
     phase: Phase,
 ) -> usize {
-    let Source {
-        vals,
-        ops,
-        idx: src_idx,
-    } = src;
-    let mut ops = ops.iter().map(|op| op.parts());
-    let mut s = ops.next();
+    let Source { vals, ops, steps } = src;
+    let mut ops = ops.iter();
+    let mut s = Cursor::default();
     let mut moved = 0usize;
     for d in dst {
-        let (d_contig, d_pos, d_at, d_len) = d.parts();
-        let mut p = d_pos;
-        while p < d_pos + d_len {
-            let (s_contig, s_pos, s_at, s_len) = s.expect("the source covers the placement");
-            if p >= s_pos + s_len {
-                s = ops.next();
+        let mut d = Cursor::new(d, dst_steps);
+        while d.left > 0 {
+            if s.left == 0 {
+                let op = ops.next().expect("the source covers the placement");
+                s = Cursor::new(*op, steps);
                 continue;
             }
-            let n = (d_pos + d_len).min(s_pos + s_len) - p;
-            let (si, di) = (s_at + (p - s_pos), d_at + (p - d_pos));
-            match (s_contig, d_contig) {
-                (true, true) if phase == Phase::Bulk => {
-                    out[di..di + n].copy_from_slice(&vals[si..si + n]);
-                    moved += n;
-                }
-                (true, true) => {}
-                _ if phase == Phase::Bulk => {}
-                (true, false) => {
-                    for (&o, &v) in dst_idx[di..di + n].iter().zip(&vals[si..si + n]) {
-                        out[o as usize] = v;
-                    }
-                    moved += n;
-                }
-                (false, true) => {
-                    for (o, &i) in out[di..di + n].iter_mut().zip(&src_idx[si..si + n]) {
-                        *o = vals[i as usize];
-                    }
-                    moved += n;
-                }
-                (false, false) => {
-                    for (&o, &i) in dst_idx[di..di + n].iter().zip(&src_idx[si..si + n]) {
-                        out[o as usize] = vals[i as usize];
-                    }
-                    moved += n;
+            let n = d.left.min(s.left);
+            let bulk = d.steps.is_none() && s.steps.is_none();
+            if bulk != (phase == Phase::Bulk) {
+                d.pass(n);
+                s.pass(n);
+                continue;
+            }
+            if bulk {
+                out[d.next..d.next + n].copy_from_slice(&vals[s.next..s.next + n]);
+                d.pass(n);
+                s.pass(n);
+            } else {
+                for (o, i) in d.by_ref().take(n).zip(s.by_ref()) {
+                    out[o] = vals[i];
                 }
             }
-            p += n;
+            moved += n;
         }
     }
     moved
@@ -480,13 +701,8 @@ pub(crate) fn gather_fill<T: Copy>(
             }
             CopyOp::Scatter { pos, at, len } if phase == Phase::Scatter => {
                 moved += len as usize;
-                let ids = &progs.idx[at as usize..at as usize + len as usize];
-                for (d, &i) in dst[pos as usize..pos as usize + len as usize]
-                    .iter_mut()
-                    .zip(ids)
-                {
-                    *d = src[i as usize];
-                }
+                let dst = dst[pos as usize..pos as usize + len as usize].iter_mut();
+                walk_with(dst, walk(&progs.steps, at, len), |d, i| *d = src[i]);
             }
             _ => {}
         }
@@ -501,11 +717,7 @@ pub(crate) fn row_values<'a, T: Copy>(
     k: usize,
     src: &'a [T],
 ) -> impl Iterator<Item = T> + 'a {
-    progs.row(k).iter().flat_map(move |&op| {
-        let (contig, _, at, len) = op.parts();
-        let ids = &progs.idx[if contig { 0..0 } else { at..at + len }];
-        (0..len).map(move |j| src[if contig { at + j } else { ids[j] as usize }])
-    })
+    (progs.row(k).iter()).flat_map(move |&op| Cursor::new(op, &progs.steps).map(move |i| src[i]))
 }
 
 /// A cold pair message in one pass, in position order: `dst` becomes
@@ -521,13 +733,18 @@ pub(crate) fn gather_pairs_fill<T: Copy>(
     dst.clear();
     dst.reserve(ranks.len());
     for op in progs.row(k) {
-        let (contig, pos, at, len) = op.parts();
-        let ranks = ranks[pos..pos + len].iter().copied();
-        if contig {
-            dst.extend(ranks.zip(src[at..at + len].iter().copied()));
-        } else {
-            let ids = progs.idx[at..at + len].iter();
-            dst.extend(ranks.zip(ids.map(|&i| src[i as usize])));
+        match *op {
+            CopyOp::Contig { pos, at, len } => {
+                let (pos, at, len) = (pos as usize, at as usize, len as usize);
+                let vals = src[at..at + len].iter().copied();
+                dst.extend(ranks[pos..pos + len].iter().copied().zip(vals));
+            }
+            CopyOp::Scatter { pos, at, len } => {
+                let ranks = &ranks[pos as usize..pos as usize + len as usize];
+                walk_with(ranks, walk(&progs.steps, at, len), |&r, i| {
+                    dst.push((r, src[i]))
+                });
+            }
         }
     }
     debug_assert_eq!(dst.len(), ranks.len(), "the row and its ranks disagree");
@@ -559,13 +776,8 @@ pub(crate) fn gather_pairs_refill<T: Copy, R>(
             }
             CopyOp::Scatter { pos, at, len } if phase == Phase::Scatter => {
                 moved += len as usize;
-                let ids = &progs.idx[at as usize..at as usize + len as usize];
-                for (d, &i) in dst[pos as usize..pos as usize + len as usize]
-                    .iter_mut()
-                    .zip(ids)
-                {
-                    d.1 = src[i as usize];
-                }
+                let dst = dst[pos as usize..pos as usize + len as usize].iter_mut();
+                walk_with(dst, walk(&progs.steps, at, len), |d, i| d.1 = src[i]);
             }
             _ => {}
         }
@@ -593,13 +805,8 @@ pub(crate) fn scatter_apply<T: Copy>(
             }
             CopyOp::Scatter { pos, at, len } if phase == Phase::Scatter => {
                 moved += len as usize;
-                let ids = &progs.idx[at as usize..at as usize + len as usize];
-                for (&i, &v) in ids
-                    .iter()
-                    .zip(&vals[pos as usize..pos as usize + len as usize])
-                {
-                    out[i as usize] = v;
-                }
+                let vals = &vals[pos as usize..pos as usize + len as usize];
+                walk_with(vals, walk(&progs.steps, at, len), |&v, i| out[i] = v);
             }
             _ => {}
         }
@@ -626,7 +833,8 @@ pub(super) mod tests {
     /// directly after a bulk op or at its row's start needs only
     /// `MIN_CONTIG_JOINED` — an undersized one gives up a single element to
     /// the row's trailing scatter range, which, where it opens, takes back
-    /// the joined contigs before it.
+    /// the joined contigs before it. Each finished row's scatter ranges are
+    /// then walked from the expanded list ([`walk_ranges`]).
     fn lower_rescanning(idx: &[u32], offs: &[u32]) -> CopyPrograms {
         lower_rescanning_with(idx, offs, [MIN_CONTIG, MIN_CONTIG_JOINED])
     }
@@ -638,14 +846,16 @@ pub(super) mod tests {
         offs: &[u32],
         [min_contig, min_joined]: [usize; 2],
     ) -> CopyPrograms {
-        let mut ops: Vec<CopyOp> = Vec::new();
-        let mut stats = CopyStats {
-            total_elements: idx.len() as u64,
-            ..CopyStats::default()
+        let mut out = CopyPrograms {
+            stats: CopyStats {
+                total_elements: idx.len() as u64,
+                ..CopyStats::default()
+            },
+            ..CopyPrograms::default()
         };
-        let (mut op_offs, mut kept) = (vec![0], Vec::new());
         for row in offs.windows(2) {
-            let (first, idx) = (ops.len(), &idx[row[0] as usize..row[1] as usize]);
+            let idx = &idx[row[0] as usize..row[1] as usize];
+            let mut ops: Vec<CopyOp> = Vec::new();
             let n = idx.len();
             let mut i = 0usize;
             while i < n {
@@ -653,7 +863,7 @@ pub(super) mod tests {
                 while i + run < n && i64::from(idx[i + run]) - i64::from(idx[i + run - 1]) == 1 {
                     run += 1;
                 }
-                let joined = !matches!(ops[first..].last(), Some(CopyOp::Scatter { .. }));
+                let joined = !matches!(ops.last(), Some(CopyOp::Scatter { .. }));
                 let min_here = if joined { min_joined } else { min_contig };
                 if run >= min_here {
                     ops.push(CopyOp::Contig {
@@ -661,11 +871,9 @@ pub(super) mod tests {
                         at: idx[i],
                         len: run as u32,
                     });
-                    stats.contig += 1;
-                    stats.bulk_elements += run as u64;
                     i += run;
                 } else {
-                    match ops[first..].last_mut() {
+                    match ops.last_mut() {
                         Some(CopyOp::Scatter { pos, len, .. })
                             if *pos as usize + *len as usize == i =>
                         {
@@ -673,15 +881,11 @@ pub(super) mod tests {
                         }
                         _ => {
                             let mut pos = i as u32;
-                            while let Some(&CopyOp::Contig { pos: at, len, .. }) =
-                                ops[first..].last()
-                            {
+                            while let Some(&CopyOp::Contig { pos: at, len, .. }) = ops.last() {
                                 if len as usize >= min_contig {
                                     break;
                                 }
                                 ops.pop();
-                                stats.contig -= 1;
-                                stats.bulk_elements -= u64::from(len);
                                 pos = at;
                             }
                             ops.push(CopyOp::Scatter {
@@ -689,26 +893,49 @@ pub(super) mod tests {
                                 at: 0,
                                 len: i as u32 + 1 - pos,
                             });
-                            stats.scatter += 1;
                         }
                     }
                     i += 1;
                 }
             }
-            // The row's `Scatter` indices, appended in op order.
-            for op in &mut ops[first..] {
-                if let CopyOp::Scatter { pos, at, len } = op {
-                    *at = kept.len() as u32;
-                    kept.extend_from_slice(&idx[*pos as usize..(*pos + *len) as usize]);
-                }
-            }
-            op_offs.push(ops.len() as u32);
+            walk_ranges(idx, ops, &mut out);
+            out.offs.push(out.ops.len() as u32);
         }
-        CopyPrograms {
-            ops,
-            offs: op_offs,
-            idx: kept,
-            stats,
+        out
+    }
+
+    /// Append a row's ops to `out`, its `Scatter` ranges cut wherever a step
+    /// leaves `0..=255` and written out as walks: the first index in four
+    /// little-endian bytes, then one byte per later index.
+    fn walk_ranges(idx: &[u32], ops: Vec<CopyOp>, out: &mut CopyPrograms) {
+        for op in ops {
+            let CopyOp::Scatter { pos, len, .. } = op else {
+                let CopyOp::Contig { len, .. } = op else {
+                    unreachable!()
+                };
+                out.stats.contig += 1;
+                out.stats.bulk_elements += u64::from(len);
+                out.ops.push(op);
+                continue;
+            };
+            let range = &idx[pos as usize..(pos + len) as usize];
+            let fits = |w: &[u32]| (0..=255).contains(&(i64::from(w[1]) - i64::from(w[0])));
+            let mut start = 0;
+            for end in 1..=range.len() {
+                if end < range.len() && fits(&range[end - 1..=end]) {
+                    continue;
+                }
+                out.ops.push(CopyOp::Scatter {
+                    pos: pos + start as u32,
+                    at: out.steps.len() as u32,
+                    len: (end - start) as u32,
+                });
+                out.stats.scatter += 1;
+                out.steps.extend(range[start].to_le_bytes());
+                let steps = range[start..end].windows(2).map(|w| (w[1] - w[0]) as u8);
+                out.steps.extend(steps);
+                start = end;
+            }
         }
     }
 
@@ -808,12 +1035,13 @@ pub(super) mod tests {
     }
 
     /// Runs one below, at and one above every minimum — contiguous and
-    /// strided, back to back or with scattered elements between.
+    /// strided, by the widest step a byte holds and one past it too, back to
+    /// back or with scattered elements between.
     fn boundary_runs() -> impl proptest::strategy::Strategy<Value = Runs> {
         proptest::collection::vec(
             (
                 proptest::sample::select(boundary_lens()),
-                proptest::sample::select(vec![1u32, 1, 2, 16]),
+                proptest::sample::select(vec![1u32, 1, 2, 16, 255, 256]),
                 proptest::arbitrary::any::<bool>(),
                 0u32..3,
             ),
@@ -861,6 +1089,115 @@ pub(super) mod tests {
         assert_eq!(a, b);
     }
 
+    /// Every walker over `idx` against its scalar reference: the three
+    /// two-phase ones ([`roundtrip`]), the cold pair fill, the value
+    /// iterator, and the fused receive with the row on either side.
+    fn every_walker(idx: &[u32]) {
+        roundtrip(idx);
+        let progs = lower(idx);
+        let span = idx.iter().max().map_or(0, |&m| m as usize + 1);
+        let src: Vec<u32> = (0..span as u32).map(|x| x ^ 0x5a5a).collect();
+        let want = scalar_gather(idx, &src);
+        let ranks: Vec<u32> = (0..idx.len() as u32).map(|r| 3 * r + 1).collect();
+        let mut cold = vec![(7, 7)];
+        assert_eq!(
+            gather_pairs_fill(&progs, 0, &ranks, &src, &mut cold),
+            idx.len()
+        );
+        assert_eq!(
+            cold,
+            ranks.iter().copied().zip(want.clone()).collect::<Vec<_>>()
+        );
+        assert_eq!(row_values(&progs, 0, &src).collect::<Vec<_>>(), want);
+        let n = idx.len() as u32;
+        assert_join_matches(idx, &(0..n).collect::<Vec<_>>());
+        assert_join_matches(idx, &(0..n).map(|k| 3 * k).collect::<Vec<_>>());
+        let mut distinct = idx.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if distinct.len() == idx.len() {
+            // A placement writes each index once, so order cannot matter.
+            assert_join_matches(&(0..n).collect::<Vec<_>>(), idx);
+            assert_join_matches(&(0..n).rev().collect::<Vec<_>>(), idx);
+        }
+    }
+
+    /// The walk's edges, each lowered exactly as the oracle lowers it, spelt
+    /// back out, and run through every walker: steps of 255 and 256, a step
+    /// of 0 (a repeated index), descending runs, a first index near
+    /// `u32::MAX` (no walker runs there: its source would be 16 GiB), rows of
+    /// length 0 and 1, and a step a byte cannot hold right after a contig
+    /// the scatter range took back.
+    #[test]
+    fn walks_at_the_step_edges() {
+        let joined: Vec<u32> = (100..100 + MIN_CONTIG_JOINED as u32).collect();
+        let taken_back: Vec<u32> = joined.iter().copied().chain([107 + 256]).collect();
+        let top = u32::MAX;
+        // (list, `Scatter` ops, `Contig` ops)
+        let cases: [(Vec<u32>, u64, u64); 10] = [
+            (vec![10, 265, 520, 521], 1, 0),
+            (vec![10, 266, 522], 3, 0),
+            (vec![10, 265, 521, 776], 2, 0),
+            (vec![4, 4, 4, 9, 9], 1, 0),
+            (vec![50, 49, 48, 30, 29, 28], 6, 0),
+            (vec![top - 300, top - 45, top - 45, top], 1, 0),
+            (vec![], 0, 0),
+            (vec![17], 1, 0),
+            (joined.clone(), 0, 1),
+            (taken_back, 2, 0),
+        ];
+        for (idx, scatter, contig) in cases {
+            let offs = [0, idx.len() as u32];
+            let progs = CopyPrograms::lower(&idx, &offs);
+            assert_eq!(progs, lower_rescanning(&idx, &offs), "{idx:?}");
+            assert_eq!(progs.indices(0), idx);
+            let stats = progs.stats();
+            assert_eq!((stats.scatter, stats.contig), (scatter, contig), "{idx:?}");
+            let walked = stats.total_elements - stats.bulk_elements;
+            assert_eq!(progs.steps.len() as u64, walked + 3 * scatter, "{idx:?}");
+            if idx.iter().all(|&i| i < 1 << 20) {
+                every_walker(&idx);
+            }
+        }
+    }
+
+    /// A row fed run by run: `(first, n)` for the indices `first..first + n`.
+    fn fed_by_runs(rows: &[Vec<(u32, u32)>]) -> CopyPrograms {
+        let mut b = ProgramBuilder::default();
+        for row in rows {
+            b.row_of_runs(row.iter().copied());
+        }
+        b.finish()
+    }
+
+    /// Rows of runs: each starts `gap` after the previous one's end — a
+    /// negative gap steps back, -1 repeats its last index, 0 continues it,
+    /// 254 and 255 are the widest steps a byte holds and one past — with
+    /// lengths one below, at and one above every minimum.
+    fn run_rows() -> impl proptest::strategy::Strategy<Value = Vec<Vec<(u32, u32)>>> {
+        use proptest::strategy::Strategy;
+        let gaps = vec![-40i64, -1, 0, 0, 0, 1, 2, 40, 254, 255, 5000];
+        let run = (
+            proptest::sample::select(gaps),
+            proptest::sample::select(boundary_lens()),
+        );
+        let row = proptest::collection::vec(run, 0..10);
+        proptest::collection::vec(row, 0..4).prop_map(|rows| {
+            let mut end = 1000i64;
+            let mut out = Vec::new();
+            for row in rows {
+                let mut runs = Vec::new();
+                for (gap, n) in row {
+                    let first = (end + gap).max(0);
+                    runs.push((first as u32, n as u32));
+                    end = first + n as i64;
+                }
+                out.push(runs);
+            }
+            out
+        })
+    }
+
     #[test]
     fn dense_run_lowers_to_one_contig() {
         let idx: Vec<u32> = (100..400).collect();
@@ -871,31 +1208,45 @@ pub(super) mod tests {
         roundtrip(&idx);
     }
 
-    /// A constant stride other than 1 — cyclic, descending — is no
-    /// structure the lowering uses: one `Scatter` range, however long.
+    /// A constant stride other than 1 is no structure the lowering uses: a
+    /// cyclic stride of 16 is one `Scatter` range, however long, walked as
+    /// its first index and a step of 16 per later one. A descending list
+    /// steps back at every index, which no byte holds: one op per index.
     #[test]
     fn constant_strides_lower_to_one_scatter() {
         let cyclic: Vec<u32> = (0..128).map(|k| 5 + 16 * k).collect();
+        let prog = lower(&cyclic);
+        let whole = CopyOp::Scatter {
+            pos: 0,
+            at: 0,
+            len: 128,
+        };
+        assert_eq!(prog.row(0), [whole]);
+        let walk: Vec<u8> = [5, 0, 0, 0].into_iter().chain([16; 127]).collect();
+        assert_eq!(prog.steps, walk, "the first index and 127 steps");
+        assert_eq!(prog.stats().bulk_fraction(), 0.0);
+        roundtrip(&cyclic);
+
         let descending: Vec<u32> = (0..128).map(|k| 1100 - 8 * k).collect();
-        for idx in [cyclic, descending] {
-            let prog = lower(&idx);
-            let whole = CopyOp::Scatter {
-                pos: 0,
-                at: 0,
-                len: 128,
-            };
-            assert_eq!(prog.row(0), [whole]);
-            assert_eq!(prog.idx, idx, "the list is the program's");
-            assert_eq!(prog.stats().bulk_fraction(), 0.0);
-            roundtrip(&idx);
-        }
+        let prog = lower(&descending);
+        let ones: Vec<CopyOp> = (0..128)
+            .map(|k| CopyOp::Scatter {
+                pos: k,
+                at: 4 * k,
+                len: 1,
+            })
+            .collect();
+        assert_eq!(prog.row(0), ones);
+        assert_eq!(prog.stats().scatter, 128);
+        assert_eq!(prog.mem_bytes(), 128 * (16 + 4) + 8);
+        roundtrip(&descending);
     }
 
     #[test]
     fn short_runs_coalesce_into_scatter() {
-        // Alternating pairs: every stride-1 run is length 2 — too short for
-        // a bulk op.
-        let idx: Vec<u32> = (0..64).map(|k| (k % 2) * 1000 + k).collect();
+        // Pairs five apart: every stride-1 run is length 2 — too short for
+        // a bulk op — and every step fits a byte.
+        let idx: Vec<u32> = (0..64).map(|k| 6 * (k / 2) + k % 2).collect();
         let prog = lower(&idx);
         assert_eq!(prog.stats().contig, 0);
         assert_eq!(prog.stats().scatter, 1, "scatter ranges coalesce");
@@ -974,19 +1325,26 @@ pub(super) mod tests {
         assert_eq!(prog.stats().bulk_fraction(), 1.0);
     }
 
-    /// Ops, row offsets and the `Scatter` indices: a dense row keeps no
-    /// index, a row with a `Scatter` range keeps that range's and no other.
+    /// Ops, row offsets and the `Scatter` walks: a dense row keeps no
+    /// index, a row with a `Scatter` range keeps that range's walk — its
+    /// first index in four bytes and one byte per later index — and no
+    /// other. A step a byte cannot hold starts another op and walk.
     #[test]
     fn mem_bytes_counts_ops_and_scatter_indices() {
         let dense: Vec<u32> = (0..100).collect();
         let prog = lower(&dense);
-        assert!(prog.idx.is_empty());
+        assert!(prog.steps.is_empty());
         assert_eq!(prog.mem_bytes(), 16 + 8);
-        let mixed: Vec<u32> = [900, 7, 500].into_iter().chain(0..100).collect();
+        let mixed: Vec<u32> = [7, 200, 455].into_iter().chain(1000..1100).collect();
         let prog = lower(&mixed);
         assert_eq!((prog.stats().contig, prog.stats().scatter), (1, 1));
-        assert_eq!(prog.idx, [900, 7, 500]);
-        assert_eq!(prog.mem_bytes(), 2 * 16 + 8 + 3 * 4);
+        assert_eq!(prog.steps, [7, 0, 0, 0, 193, 255]);
+        assert_eq!(prog.mem_bytes(), 2 * 16 + 8 + (4 + 2));
+        let split: Vec<u32> = [900, 7, 263].into_iter().chain(1000..1100).collect();
+        let prog = lower(&split);
+        assert_eq!((prog.stats().contig, prog.stats().scatter), (1, 3));
+        assert_eq!(prog.steps, [132, 3, 0, 0, 7, 0, 0, 0, 7, 1, 0, 0]);
+        assert_eq!(prog.mem_bytes(), 4 * 16 + 8 + 3 * 4);
     }
 
     /// Rows lower independently: a family's row equals the same list
@@ -1010,7 +1368,11 @@ pub(super) mod tests {
         }
         assert_eq!(family.stats(), &sum);
         assert_eq!(family.stats().contig, 1, "row 2 is one op");
-        assert_eq!(family.stats().scatter, 2, "rows 0 and 3 do not coalesce");
+        assert_eq!(
+            family.stats().scatter,
+            3,
+            "row 0 steps back once (9, then 3), and rows 0 and 3 do not coalesce"
+        );
     }
 
     /// The cases the streaming builder must not lose: a contig right after
@@ -1110,6 +1472,21 @@ pub(super) mod tests {
     }
 
     proptest::proptest! {
+        /// Feeding a row as runs lowers it to exactly the programs of its
+        /// expanded list: ops, walks, row offsets and statistics.
+        #[test]
+        fn runs_lower_as_their_expanded_list(rows in run_rows()) {
+            let mut offs = vec![0u32];
+            let mut idx = Vec::new();
+            for row in &rows {
+                for &(first, n) in row {
+                    idx.extend(first..first + n);
+                }
+                offs.push(idx.len() as u32);
+            }
+            proptest::prop_assert_eq!(fed_by_runs(&rows), CopyPrograms::lower(&idx, &offs));
+        }
+
         /// Two arbitrary lowered rows, joined, equal the two-pass reference.
         #[test]
         fn join_matches_gather_then_place(src in boundary_runs(), dst in boundary_runs()) {

@@ -25,7 +25,8 @@
 //! Since the copy-program lowering (DESIGN.md §16), a plan's index lists are
 //! `copyprog::CopyPrograms`, one row per populated peer, which the execute
 //! kernels walk: `copy_from_slice` runs where the mask allows, the index
-//! loop over the program's own indices where it does not. Lowering is
+//! loop over the program's own walks (a first index, then a byte per step)
+//! where it does not. Lowering is
 //! wall-clock-only: simulated charges are per *value moved*, so every
 //! Section 6.4 metric is unchanged to the bit.
 //!
@@ -782,35 +783,33 @@ fn plan_unpack_at(
             });
             (slots, scatter_prog, incoming)
         };
-        // Owner-side precompute: resolve each requested rank to a local
-        // index into my slice of V (one operation per served rank; the
-        // value fetch itself is charged at execute time), lowering each
-        // requester's row as it is resolved.
+        // Owner-side precompute: resolve each requested run of ranks to a
+        // run of local indices into my slice of V (one operation per served
+        // rank; the value fetch itself is charged at execute time), lowered
+        // as it is resolved: no index list is built.
         let (serve, serve_prog) = proc.with_category(Category::LocalComp, |proc| {
-            let (mut serve, mut prog) = (PeerCsr::empty(), ProgramBuilder::default());
-            let (mut idx, mut block) = (Vec::new(), OwnerBlock::default());
-            for (requester, req) in &incoming {
-                let row = idx.len();
-                idx.reserve(req.expanded_len());
-                req.for_each_run(|base, n| {
-                    if block.misses(base, n) {
-                        block.seek(v_layout, base);
-                    }
-                    // A composer never lets a run cross a block of `V`.
-                    assert!(
-                        !block.misses(base, n) && block.owner == proc.id(),
-                        "misrouted request"
-                    );
-                    let first = block.local_lo + (base - block.lo);
-                    idx.extend((first..first + n).map(|l| l as u32));
-                });
-                prog.extend(&idx[row..]);
-                prog.end_row();
-                serve.peers.push(*requester);
-                serve.offs.push(idx.len() as u32);
-            }
-            proc.charge_ops(idx.len());
-            (serve, prog.finish(idx))
+            proc.wall_span("plan.serve", |proc| {
+                let (mut serve, mut prog) = (PeerCsr::empty(), ProgramBuilder::default());
+                let (mut served, mut block, me) = (0usize, OwnerBlock::default(), proc.id());
+                for (requester, req) in &incoming {
+                    prog.row_of_runs(req.runs().map(|(base, n)| {
+                        if block.misses(base, n) {
+                            block.seek(v_layout, base);
+                        }
+                        // A composer never lets a run cross a block of `V`.
+                        assert!(
+                            !block.misses(base, n) && block.owner == me,
+                            "misrouted request"
+                        );
+                        served += n;
+                        ((block.local_lo + (base - block.lo)) as u32, n as u32)
+                    }));
+                    serve.peers.push(*requester);
+                    serve.offs.push(served as u32);
+                }
+                proc.charge_ops(served);
+                (serve, prog.finish())
+            })
         });
         // Reply directions are locally known: I reply to whoever asked,
         // and I await replies from whoever I asked.
@@ -1105,7 +1104,9 @@ mod tests {
                 (&unpack.scatter_prog, &unpack.targets),
             ] {
                 for k in 0..csr.peers.len() {
-                    let (len, at) = (csr.len(k) as u32, csr.offs[k]);
+                    // Each row before this one is one walk: its first index
+                    // in four bytes, one byte for each later one.
+                    let (len, at) = (csr.len(k) as u32, csr.offs[k] + 3 * k as u32);
                     let whole = CopyOp::Scatter { pos: 0, at, len };
                     assert_eq!(progs.row(k), [whole]);
                     rows += 1;

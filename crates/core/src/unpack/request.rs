@@ -20,21 +20,15 @@ impl Default for RankRequest {
 }
 
 impl RankRequest {
-    /// Total number of ranks requested.
-    pub(crate) fn expanded_len(&self) -> usize {
-        match self {
-            RankRequest::Explicit(v) => v.len(),
-            RankRequest::Runs(runs) => runs.iter().map(|&(_, n)| n as usize).sum(),
-        }
-    }
-
-    /// Visit the requested ranks as `(base, count)` runs in request order;
-    /// an explicit rank is a run of one.
-    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize)) {
-        match self {
-            RankRequest::Explicit(v) => v.iter().for_each(|&r| f(r as usize, 1)),
-            RankRequest::Runs(runs) => runs.iter().for_each(|&(r, n)| f(r as usize, n as usize)),
-        }
+    /// The requested ranks as `(base, count)` runs in request order; an
+    /// explicit rank is a run of one.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (explicit, runs) = match self {
+            RankRequest::Explicit(v) => (&v[..], &[][..]),
+            RankRequest::Runs(runs) => (&[][..], &runs[..]),
+        };
+        let explicit = explicit.iter().map(|&r| (r as usize, 1));
+        explicit.chain(runs.iter().map(|&(r, n)| (r as usize, n as usize)))
     }
 
     /// True iff no ranks are requested.
@@ -67,11 +61,13 @@ mod tests {
     fn request_wire_sizes_differ_by_scheme() {
         let explicit = RankRequest::Explicit(vec![1, 2, 3, 4, 5, 6]);
         let runs = RankRequest::Runs(vec![(1, 6)]);
-        assert_eq!(explicit.expanded_len(), runs.expanded_len());
         assert_eq!(Payload::wire_words(&explicit), 6);
         assert_eq!(Payload::wire_words(&runs), 2);
-        let mut a = Vec::new();
-        runs.for_each_run(|base, n| a.extend(base..base + n));
-        assert_eq!(a, vec![1, 2, 3, 4, 5, 6]);
+        let expanded = |req: &RankRequest| {
+            let runs = req.runs().flat_map(|(base, n)| base..base + n);
+            runs.collect::<Vec<_>>()
+        };
+        assert_eq!(expanded(&runs), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(expanded(&explicit), expanded(&runs));
     }
 }

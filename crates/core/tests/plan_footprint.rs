@@ -129,8 +129,9 @@ fn retained(l: usize, pattern: MaskPattern) -> Vec<(u64, CopyStats)> {
 /// slices per processor at both sizes — `BlockCyclic(1024)` at the smaller
 /// — so that the runs and ops, which a fixed block would multiply with L,
 /// stay put.) Under a Bernoulli-0.5 mask the charge is the plans' ops,
-/// offsets, peers, runs and field span, plus exactly 4 B per index a
-/// `Scatter` op walks.
+/// offsets, peers, runs and field span, plus the `Scatter` ops' walks:
+/// exactly 1 B per index an op walks and 3 B more per op (its first index
+/// takes four).
 #[test]
 fn bulk_rows_retain_no_index_list() {
     let (small, large) = (
@@ -169,7 +170,7 @@ fn bulk_rows_retain_no_index_list() {
             assert!(walked > 0, "processor {p}: {copy:?}");
             assert_eq!(
                 charged,
-                pack + unpack + ops + 4 * walked,
+                pack + unpack + ops + walked + 3 * copy.scatter,
                 "L = {l}, processor {p}: {copy:?}"
             );
         }

@@ -78,7 +78,8 @@ echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retai
 # Release mode for the same reason: the P=512 leg plans on 512 carriers.
 # bulk_rows_retain_no_index_list: a full mask's mem.plan charge is the same
 # at L = 2^12 and 2^16, and under a Bernoulli-0.5 mask it is the plans' ops,
-# offsets and peers plus exactly 4 B per index a Scatter op walks.
+# offsets and peers plus exactly 1 B per index a Scatter op walks and 3 B
+# per Scatter op (a walk is its first index in 4 B, then a byte per step).
 # the_first_execute_sets_the_pool_high_water: for all five schemes, four
 # executes of a held plan leave mem.pool's high water where the first
 # left it (one slot per pool entry); a_lending_plan_stages_nothing: a plan
@@ -93,8 +94,15 @@ echo "== one-shot footprint gate (200 one-shot roundtrips leave gauges, heap and
 cargo test -p hpf-core --release -q --test oneshot_footprint
 
 echo "== one execute path (no mode fork, no build fork) =="
-if grep -rnE 'recovery_enabled|scalar-ref|feature = "simd"|(gather|decode)_[a-z]+_owned|exchange_owned|CopyOp::Strided' crates/ README.md; then
+if grep -rnE 'recovery_enabled|scalar-ref|feature = "simd"|(gather|decode)_[a-z]+_owned|exchange_owned|CopyOp::(Strided|Masked|Delta)' crates/ README.md; then
   echo "ci: a second execute path is back (see DESIGN.md sections 11 and 16)"; exit 1
+fi
+# A Scatter op's indices are one walk, its first index and a byte per step
+# (DESIGN.md section 16): no u32 index list in the copy programs (the unit
+# tests' reference lists are theirs).
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/plan/copyprog.rs |
+  grep --label=crates/core/src/plan/copyprog.rs -HnE 'idx: Vec<u32>'; then
+  echo "ci: a u32 index list is back in the copy programs"; exit 1
 fi
 if grep -rnE 'perf.*--smoke|BENCH_<rev>|BENCH_baseline' crates/ README.md DESIGN.md .claude/ scripts/regen-results.sh; then
   echo "ci: a second perf report is back (results/BENCH.json is the only one)"; exit 1
