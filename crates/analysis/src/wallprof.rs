@@ -35,7 +35,7 @@ pub fn median(samples: &[f64]) -> f64 {
 /// One stage's aggregate across all processors of a profiled run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hotspot {
-    /// Span name, e.g. `"fill_segments"` or `"pack.execute"`.
+    /// Span name, e.g. `"place_segments"` or `"pack.execute"`.
     pub stage: String,
     /// Total *exclusive* wall time: span durations minus direct children.
     pub self_ns: u64,

@@ -3,8 +3,9 @@
 //!
 //! Since the planner/executor split, [`pack`] is a thin wrapper over
 //! [`crate::plan::plan_pack`] + [`crate::plan::PackPlan::execute`]; the
-//! per-scheme modules configure the plan-time composer and own their wire
-//! formats.
+//! per-scheme modules configure the plan-time composer, and CMS owns its
+//! segment kernels. A planned message of any scheme is its values plus the
+//! sender's route row (`plan`'s `poolmsg`).
 
 pub(crate) mod compact_message;
 pub(crate) mod compact_storage;
@@ -13,7 +14,6 @@ mod redist;
 pub(crate) mod simple;
 mod vector_arg;
 
-pub use compact_message::CmsMessage;
 pub use predict::MaskStats;
 pub use redist::{pack_redistributed, RedistScheme};
 pub use vector_arg::pack_with_vector;
@@ -138,8 +138,9 @@ pub(crate) fn result_layout(
 }
 
 /// Decode received `(global rank, value)` pair messages into the local
-/// portion of `V`. Shared by the simple and compact storage schemes
-/// (Section 6.4.1: decomposition costs `2·E_a`).
+/// portion of `V` (Section 6.4.1: decomposition costs `2·E_a`). Only
+/// [`pack_with_vector`]'s one-shot exchange sends materialised pairs; a
+/// planned message is values beside its sender's route row.
 pub(crate) fn decode_pairs<T: Wire + Default>(
     proc: &mut Proc,
     layout: &DimLayout,

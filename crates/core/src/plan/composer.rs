@@ -22,7 +22,7 @@
 //! still sums to the exact Section 6.4 formulas.
 
 use hpf_distarray::DimLayout;
-use hpf_machine::{Category, Proc};
+use hpf_machine::{Category, Proc, Words};
 
 use crate::plan::copyprog::{CopyPrograms, ProgramBuilder};
 use crate::ranking::Ranking;
@@ -125,6 +125,15 @@ impl Routes {
             unreachable!("compact message composes runs")
         };
         &runs[offs[k] as usize..offs[k + 1] as usize]
+    }
+
+    /// Words row `k`'s rank part occupies on the wire (Section 6.4): one
+    /// per element beside its value, or two per run (the segment header).
+    pub(crate) fn rank_words(&self, k: usize) -> Words {
+        match &self.ranks {
+            RankList::Explicit(_) => self.slots.len(k),
+            RankList::Runs { offs, .. } => 2 * (offs[k + 1] - offs[k]) as usize,
+        }
     }
 
     /// Bytes retained by the slot rows and the rank structure.

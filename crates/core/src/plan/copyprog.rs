@@ -680,7 +680,7 @@ pub(crate) fn join<T: Copy>(
 }
 
 /// Gather `dst[k] = src[list[k]]` for the requested phase — the pooled
-/// segment-value / reply fill kernel. `dst` must already have the row's
+/// message fill kernel of PACK's gather and UNPACK's serve. `dst` must already have the row's
 /// length (the pooled buffers keep their shape across executes, so the
 /// steady state is a pure positional overwrite). Like every walker, returns
 /// the number of elements the phase moved.
@@ -710,79 +710,15 @@ pub(crate) fn gather_fill<T: Copy>(
     moved
 }
 
-/// Row `k`'s values over `src` in position order, one at a time — the
-/// pair kernels' source, whose other half (the ranks) is per element anyway.
+/// Row `k`'s values over `src` in position order, one at a time — a lent
+/// pair message's values, whose other half (the ranks) is per element
+/// anyway.
 pub(crate) fn row_values<'a, T: Copy>(
     progs: &'a CopyPrograms,
     k: usize,
     src: &'a [T],
 ) -> impl Iterator<Item = T> + 'a {
     (progs.row(k).iter()).flat_map(move |&op| Cursor::new(op, &progs.steps).map(move |i| src[i]))
-}
-
-/// A cold pair message in one pass, in position order: `dst` becomes
-/// `(ranks[k], src[list[k]])` for every position `k`, rank and value
-/// written together.
-pub(crate) fn gather_pairs_fill<T: Copy>(
-    progs: &CopyPrograms,
-    k: usize,
-    ranks: &[u32],
-    src: &[T],
-    dst: &mut Vec<(u32, T)>,
-) -> usize {
-    dst.clear();
-    dst.reserve(ranks.len());
-    for op in progs.row(k) {
-        match *op {
-            CopyOp::Contig { pos, at, len } => {
-                let (pos, at, len) = (pos as usize, at as usize, len as usize);
-                let vals = src[at..at + len].iter().copied();
-                dst.extend(ranks[pos..pos + len].iter().copied().zip(vals));
-            }
-            CopyOp::Scatter { pos, at, len } => {
-                let ranks = &ranks[pos as usize..pos as usize + len as usize];
-                walk_with(ranks, walk(&progs.steps, at, len), |&r, i| {
-                    dst.push((r, src[i]))
-                });
-            }
-        }
-    }
-    debug_assert_eq!(dst.len(), ranks.len(), "the row and its ranks disagree");
-    dst.len()
-}
-
-/// Gather `dst[k].1 = src[list[k]]` for the requested phase, ranks
-/// untouched — the pair-message fill (the rank skeleton is plan-constant
-/// and survives in the pooled buffer, so only values move).
-pub(crate) fn gather_pairs_refill<T: Copy, R>(
-    progs: &CopyPrograms,
-    k: usize,
-    src: &[T],
-    dst: &mut [(R, T)],
-    phase: Phase,
-) -> usize {
-    let mut moved = 0usize;
-    for op in progs.row(k) {
-        match *op {
-            CopyOp::Contig { pos, at, len } if phase == Phase::Bulk => {
-                moved += len as usize;
-                let vals = &src[at as usize..at as usize + len as usize];
-                for (d, &v) in dst[pos as usize..pos as usize + len as usize]
-                    .iter_mut()
-                    .zip(vals)
-                {
-                    d.1 = v;
-                }
-            }
-            CopyOp::Scatter { pos, at, len } if phase == Phase::Scatter => {
-                moved += len as usize;
-                let dst = dst[pos as usize..pos as usize + len as usize].iter_mut();
-                walk_with(dst, walk(&progs.steps, at, len), |d, i| d.1 = src[i]);
-            }
-            _ => {}
-        }
-    }
-    moved
 }
 
 /// Scatter dense `vals` through the index list for the requested phase:
@@ -1068,15 +1004,6 @@ pub(super) mod tests {
         assert_eq!(bulk + rest, idx.len(), "the phases cover the list");
         assert_eq!(out, scalar_gather(idx, &src));
 
-        let mut pairs: Vec<(u32, u32)> = idx.iter().map(|&i| (i, 0)).collect();
-        gather_pairs_refill(&progs, 0, &src, &mut pairs, Phase::Bulk);
-        gather_pairs_refill(&progs, 0, &src, &mut pairs, Phase::Scatter);
-        assert!(pairs.iter().zip(idx).all(|(p, &i)| p.0 == i));
-        assert_eq!(
-            pairs.iter().map(|p| p.1).collect::<Vec<_>>(),
-            scalar_gather(idx, &src)
-        );
-
         // Scatter back: out[idx[k]] = vals[k] must equal the scalar loop.
         let vals: Vec<u32> = (0..idx.len() as u32).map(|x| x + 100).collect();
         let mut a = vec![0u32; span];
@@ -1089,25 +1016,15 @@ pub(super) mod tests {
         assert_eq!(a, b);
     }
 
-    /// Every walker over `idx` against its scalar reference: the three
-    /// two-phase ones ([`roundtrip`]), the cold pair fill, the value
-    /// iterator, and the fused receive with the row on either side.
+    /// Every walker over `idx` against its scalar reference: the two
+    /// two-phase ones ([`roundtrip`]), the value iterator, and the fused
+    /// receive with the row on either side.
     fn every_walker(idx: &[u32]) {
         roundtrip(idx);
         let progs = lower(idx);
         let span = idx.iter().max().map_or(0, |&m| m as usize + 1);
         let src: Vec<u32> = (0..span as u32).map(|x| x ^ 0x5a5a).collect();
         let want = scalar_gather(idx, &src);
-        let ranks: Vec<u32> = (0..idx.len() as u32).map(|r| 3 * r + 1).collect();
-        let mut cold = vec![(7, 7)];
-        assert_eq!(
-            gather_pairs_fill(&progs, 0, &ranks, &src, &mut cold),
-            idx.len()
-        );
-        assert_eq!(
-            cold,
-            ranks.iter().copied().zip(want.clone()).collect::<Vec<_>>()
-        );
         assert_eq!(row_values(&progs, 0, &src).collect::<Vec<_>>(), want);
         let n = idx.len() as u32;
         assert_join_matches(idx, &(0..n).collect::<Vec<_>>());
@@ -1493,33 +1410,6 @@ pub(super) mod tests {
             assert_join_matches(&boundary_list(&src), &boundary_list(&dst));
         }
 
-        /// The cold one-pass pair fill is the skeleton plus the two-phase
-        /// refill, over arbitrary rows.
-        #[test]
-        fn cold_pair_fill_equals_the_refill(
-            runs in boundary_runs(),
-            cuts in proptest::collection::vec(0usize..300, 0..4),
-            k in 0usize..8,
-        ) {
-            let idx = boundary_list(&runs);
-            let mut offs: Vec<u32> = cuts.iter().map(|c| (c % (idx.len() + 1)) as u32).collect();
-            offs.extend([0, idx.len() as u32]);
-            offs.sort_unstable();
-            let progs = CopyPrograms::lower(&idx, &offs);
-            let k = k % (offs.len() - 1);
-            let row = &idx[offs[k] as usize..offs[k + 1] as usize];
-            let ranks: Vec<u32> = (0..row.len() as u32).map(|r| 3 * r + 1).collect();
-            let span = idx.iter().max().map_or(0, |&m| m as usize + 1);
-            let src: Vec<u32> = (0..span as u32).map(|x| x ^ 0x5a5a).collect();
-            let mut cold = vec![(7, 7)];
-            proptest::prop_assert_eq!(gather_pairs_fill(&progs, k, &ranks, &src, &mut cold), row.len());
-            let mut warm: Vec<(u32, u32)> = ranks.iter().map(|&r| (r, 0)).collect();
-            for phase in [Phase::Bulk, Phase::Scatter] {
-                gather_pairs_refill(&progs, k, &src, &mut warm, phase);
-            }
-            proptest::prop_assert_eq!(cold, warm);
-        }
-
         /// The streaming builder emits exactly the ops of the rescanning
         /// lowering, row offsets and statistics included.
         #[test]
@@ -1552,7 +1442,7 @@ pub(super) mod tests {
         /// … and for rows made of runs one below, at and one above every
         /// minimum — contiguous and strided, at the row's start, at its end
         /// and back to back, with or without scattered elements between —
-        /// where all three walkers run both their kernels.
+        /// where both two-phase walkers run both their kernels.
         #[test]
         fn boundary_runs_match_scalar(runs in boundary_runs()) {
             let idx = boundary_list(&runs);

@@ -45,15 +45,17 @@ mod poolmsg;
 
 pub use copyprog::CopyStats;
 
+use std::sync::Arc;
+
 use hpf_distarray::{ArrayDesc, DimLayout};
 use hpf_machine::collectives::{alltoallv_pooled, alltoallv_sparse, A2aPlan, A2aSchedule};
 use hpf_machine::{
-    fresh_pool_key, Category, Lendable, Loan, MemAccount, Packet, PoolSlot, Proc, Received, Wire,
-    Words,
+    fresh_pool_key, Category, Lendable, Lender, Loan, MemAccount, Packet, PoolSlot, Proc, Received,
+    Wire, Words,
 };
 
 use crate::error::{PackError, UnpackError};
-use crate::pack::{compact_message, result_layout, CmsMessage, PackOutput};
+use crate::pack::{compact_message, result_layout, PackOutput};
 use crate::ranking::rank_from_counts;
 use crate::schemes::{PackOptions, PackScheme, UnpackOptions, UnpackScheme};
 use crate::unpack::RankRequest;
@@ -61,11 +63,8 @@ use crate::unpack::RankRequest;
 use composer::{
     into_rows, Composer, OwnerBlock, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder,
 };
-use copyprog::{
-    gather_fill, gather_pairs_fill, gather_pairs_refill, row_values, scatter_apply, CopyPrograms,
-    Phase, ProgramBuilder,
-};
-use poolmsg::{FlatMsg, PairMsg};
+use copyprog::{gather_fill, row_values, scatter_apply, CopyPrograms, Phase, ProgramBuilder};
+use poolmsg::{FlatMsg, PackMsg, ValueMsg};
 
 /// A reusable, value-independent PACK plan for one `(descriptor, mask,
 /// options)` triple on one processor. Built by [`plan_pack`]; executed any
@@ -77,8 +76,9 @@ pub struct PackPlan {
     size: usize,
     v_layout: Option<DimLayout>,
     local_len: usize,
-    /// One row per populated destination (DESIGN.md §10).
-    routes: Routes,
+    /// One row per populated destination (DESIGN.md §10), shared with every
+    /// staged message, which reads its ranks here.
+    routes: Arc<Routes>,
     /// Per route row: the copy program lowered from its slot list, driving
     /// the execute-time value gather (DESIGN.md §16).
     gather: CopyPrograms,
@@ -175,7 +175,7 @@ fn plan_pack_at(
             size: ranking.size,
             v_layout: layout,
             local_len,
-            routes,
+            routes: Arc::new(routes),
             gather,
             a2a,
             pool_key: fresh_pool_key(),
@@ -292,29 +292,17 @@ impl PackPlan {
         let layout = self.v_layout.expect("size > 0");
         proc.with_stage("pack.execute", |proc| {
             let mut recvs = proc.take_pkt_scratch();
-            let (r, v) = (&mut recvs, &mut out.local_v);
-            match self.scheme {
-                PackScheme::Simple | PackScheme::CompactStorage => self.round::<PairMsg<T>, T>(
-                    proc,
-                    a_local,
-                    |k| self.routes.slots.len(k) * <(u32, T)>::WORDS,
-                    |proc| self.gather_pairs(proc, a_local),
-                    |proc| {
-                        self.exchange::<PairMsg<T>>(proc, r);
-                        self.decode_pairs(proc, &layout, r, v);
-                    },
-                ),
-                PackScheme::CompactMessage => self.round::<CmsMessage<T>, T>(
-                    proc,
-                    a_local,
-                    |k| 2 * self.routes.runs(k).len() + self.routes.slots.len(k) * T::WORDS,
-                    |proc| self.gather_segments(proc, a_local),
-                    |proc| {
-                        self.exchange::<CmsMessage<T>>(proc, r);
-                        self.decode_segments(proc, &layout, r, v);
-                    },
-                ),
-            }
+            let outbox = Outbox {
+                key: self.pool_key,
+                lends: self.lends,
+                rows: &self.routes.slots,
+                progs: &self.gather,
+                src: a_local,
+            };
+            send_round::<PackMsg<T>>(proc, "pack.gather", outbox, self, |proc| {
+                self.exchange::<T>(proc, &mut recvs);
+                self.decode(proc, &layout, &mut recvs, &mut out.local_v);
+            });
             proc.restore_pkt_scratch(recvs);
             out.size = self.size;
             out.v_layout = Some(layout);
@@ -322,161 +310,20 @@ impl PackPlan {
         Ok(())
     }
 
-    /// The planned many-to-many over the buffers the gather left staged (or
-    /// the loans it left lent).
-    fn exchange<B: Lendable>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
+    /// The planned many-to-many over the buffers the send round left staged
+    /// (or the loans it left lent).
+    fn exchange<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
         proc.with_category(Category::ManyToMany, |proc| {
-            alltoallv_pooled::<B>(proc, &self.a2a, self.schedule, self.pool_key, recvs);
+            alltoallv_pooled::<PackMsg<T>>(proc, &self.a2a, self.schedule, self.pool_key, recvs);
         });
     }
 
-    /// One execute's send side, then `rest` — the exchange and the decode.
-    /// A lending plan lends `a_local` to every destination under its route
-    /// row `k`, charging the gather's one operation per element, with
-    /// `words(k)` the wire words row `k`'s message would occupy
-    /// materialised, and runs `rest` inside the lending scope; any other plan
-    /// fills its send buffers with `fill` first.
-    fn round<'a, B, T>(
-        &'a self,
-        proc: &mut Proc,
-        a_local: &'a [T],
-        words: impl Fn(usize) -> Words,
-        fill: impl FnOnce(&mut Proc),
-        rest: impl FnOnce(&mut Proc),
-    ) where
-        B: Lendable<Elem = T, Recipe = PackPlan>,
-    {
-        if !self.lends {
-            fill(proc);
-            return rest(proc);
-        }
-        proc.lending::<B, _>(self.pool_key, |proc, lender| {
-            proc.wall_span("pack.gather", |proc| {
-                proc.with_category(Category::LocalComp, |proc| {
-                    for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
-                        let loan = Loan {
-                            src: a_local,
-                            recipe: self,
-                            row: k,
-                        };
-                        lender.lend(proc, dst as usize, loan, words(k));
-                    }
-                    proc.charge_ops(self.routes.slots.total());
-                })
-            });
-            rest(proc);
-        })
-    }
-
-    /// Gather `(rank, value)` pair messages into pooled per-destination
-    /// buffers (one operation per moved element). A warm buffer already
-    /// holds the plan-constant rank skeleton, and the lowered copy program
-    /// overwrites **values only**; a cold one (the first execute, whose pool
-    /// slot is new) is built in one pass, rank and value together. The
-    /// buffer for each destination — this processor's own rank included —
-    /// is left staged in its slot for the exchange.
-    fn gather_pairs<T: Wire + Default>(&self, proc: &mut Proc, a_local: &[T]) {
-        proc.wall_span("pack.gather", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                let mut moved = 0usize;
-                for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
-                    let ranks = self.routes.explicit(k);
-                    let (slot, mut buf) =
-                        proc.pool_checkout::<PairMsg<T>>(self.pool_key, dst as usize);
-                    if buf.pairs.len() == ranks.len() {
-                        debug_assert!(
-                            buf.pairs.iter().zip(ranks).all(|(p, &r)| p.0 == r),
-                            "stale rank skeleton in pooled pair buffer"
-                        );
-                        walk_phases::<T>(proc, |phase| {
-                            gather_pairs_refill(&self.gather, k, a_local, &mut buf.pairs, phase)
-                        });
-                    } else {
-                        proc.wall_span("copy.scatter", |proc| {
-                            let filled =
-                                gather_pairs_fill(&self.gather, k, ranks, a_local, &mut buf.pairs);
-                            proc.wall_bytes((filled * std::mem::size_of::<T>()) as u64);
-                        });
-                    }
-                    moved += ranks.len();
-                    slot.stash(buf);
-                }
-                proc.charge_ops(moved);
-            })
-        })
-    }
-
-    /// Gather compact-message segments along run-compressed routes into
-    /// pooled buffers (one operation per moved value; the 2-per-segment
-    /// header charge was paid at plan time). The route structure is fixed
-    /// per plan, so refills find the header skeleton and the shaped flat
-    /// value array in place and only walk the copy program.
-    fn gather_segments<T: Wire + Default>(&self, proc: &mut Proc, a_local: &[T]) {
-        proc.wall_span("pack.gather", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                let mut moved = 0usize;
-                for (k, &dst) in self.routes.slots.peers.iter().enumerate() {
-                    let len = self.routes.slots.len(k);
-                    let (slot, mut msg) =
-                        proc.pool_checkout::<CmsMessage<T>>(self.pool_key, dst as usize);
-                    proc.wall_span("fill_segments", |proc| {
-                        compact_message::ensure_shape(&mut msg, self.routes.runs(k), len);
-                        walk_phases::<T>(proc, |phase| {
-                            gather_fill(&self.gather, k, a_local, &mut msg.vals, phase)
-                        });
-                    });
-                    moved += len;
-                    slot.stash(msg);
-                }
-                proc.charge_ops(moved);
-            })
-        })
-    }
-
-    /// Decode pooled pair messages — or read lent sources in place — into
-    /// `out` (Section 6.4.1: `2·E_a`) via [`decode_pooled`]. A lent message's
-    /// ranks are its sender's plan row, its values the sender's `a_local`
-    /// under the sender's gather row.
-    fn decode_pairs<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        layout: &DimLayout,
-        recvs: &mut Vec<Packet>,
-        out: &mut Vec<T>,
-    ) {
-        proc.wall_span("pack.decode", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                let me = proc.id();
-                prepare_out(out, layout.local_len(me));
-                let placed = decode_pooled::<PairMsg<T>, _>(
-                    proc,
-                    self.pool_key,
-                    self.a2a.sends_to(me),
-                    recvs,
-                    |_, _, got| match got {
-                        Received::Staged(buf) => {
-                            place_pairs(layout, me, buf.pairs.iter().copied(), out)
-                        }
-                        Received::Lent(Loan { src, recipe, row }) => {
-                            let ranks = recipe.routes.explicit(row).iter().copied();
-                            let vals = row_values(&recipe.gather, row, src);
-                            place_pairs(layout, me, ranks.zip(vals), out)
-                        }
-                    },
-                );
-                debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
-                proc.charge_ops(2 * placed);
-                proc.wall_bytes((placed * std::mem::size_of::<(u32, T)>()) as u64);
-            })
-        })
-    }
-
-    /// Decode pooled segment messages — or read lent sources in place — into
-    /// `out` (Section 6.4.2: `E_a + 2·Gr_i`) via [`decode_pooled`]. A lent
-    /// message's headers are its sender's run row, its values the sender's
-    /// `a_local` under the sender's gather row, joined with the headers'
-    /// placement in one pass.
-    fn decode_segments<T: Wire + Default>(
+    /// Decode what every sender sent — a staged message's values, or its
+    /// `a_local` read in place under its gather row — into `out` at the
+    /// ranks of the sender's route row, via [`decode_pooled`]. Section 6.4's
+    /// decomposition costs one operation per value plus the row's rank
+    /// words: `2·E_a` for pairs, `E_a + 2·Gr_i` for segments.
+    fn decode<T: Wire + Default>(
         &self,
         proc: &mut Proc,
         layout: &DimLayout,
@@ -488,37 +335,155 @@ impl PackPlan {
                 let me = proc.id();
                 prepare_out(out, layout.local_len(me));
                 let mut placed = 0usize;
-                let ops = decode_pooled::<CmsMessage<T>, _>(
+                let ops = decode_pooled::<PackMsg<T>, _>(
                     proc,
                     self.pool_key,
                     self.a2a.sends_to(me),
                     recvs,
-                    |proc, _, got| match got {
-                        Received::Staged(msg) => {
-                            placed += msg.vals.len();
-                            // Wall bytes count the values only: the 2-word
-                            // segment headers are index work, not movement.
-                            proc.wall_span("place_segments", |proc| {
-                                proc.wall_bytes((msg.vals.len() * std::mem::size_of::<T>()) as u64);
-                                compact_message::place_segments(layout, me, msg, out)
-                            })
-                        }
-                        Received::Lent(Loan { src, recipe, row }) => {
-                            let (heads, src) =
-                                (recipe.routes.runs(row), recipe.gather.source(row, src));
-                            let moved = walk_phases::<T>(proc, |phase| {
-                                compact_message::join_segments(layout, me, heads, src, out, phase)
-                            });
-                            placed += moved;
-                            2 * heads.len() + moved
-                        }
+                    |proc, _, got| {
+                        let (moved, rank_words) = place_message(proc, layout, got, out);
+                        placed += moved;
+                        rank_words + moved
                     },
                 );
                 debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
                 proc.charge_ops(ops);
+                if let RankList::Explicit(_) = self.routes.ranks {
+                    // Every plan of a PACK is one scheme, so every message
+                    // received was pairs, each value read beside its rank.
+                    proc.wall_bytes((placed * std::mem::size_of::<(u32, T)>()) as u64);
+                }
             })
         })
     }
+}
+
+/// One execute's sends: row `k` of `rows` goes to `rows.peers[k]`, read from
+/// `src` through row `k` of `progs`, in buffers pooled under `key`; `lends`
+/// as the plan decided ([`lend_rule`]).
+struct Outbox<'a, T> {
+    key: u64,
+    lends: bool,
+    rows: &'a PeerCsr,
+    progs: &'a CopyPrograms,
+    src: &'a [T],
+}
+
+/// One execute's send side, then `rest` — the exchange and the decode —,
+/// shared by PACK's gather and UNPACK's serve: one operation per element
+/// sent, under the `span` wall frame. A lending plan lends `src` under every
+/// row, charged the wire words its message would occupy materialised, and
+/// runs `rest` inside the lending scope. Any other checks out each
+/// destination's pooled buffer, shapes it to the row ([`ValueMsg::shape`]),
+/// overwrites its values through the row's copy program and stashes it for
+/// the exchange.
+fn send_round<'a, B: ValueMsg>(
+    proc: &mut Proc,
+    span: &'static str,
+    outbox: Outbox<'a, B::Elem>,
+    plan: &'a B::Recipe,
+    rest: impl FnOnce(&mut Proc),
+) where
+    B::Elem: Copy,
+{
+    let Outbox {
+        key,
+        lends,
+        rows,
+        progs,
+        src,
+    } = outbox;
+    let send = |proc: &mut Proc, mut lender: Option<&mut Lender<'a, B>>| {
+        proc.wall_span(span, |proc| {
+            proc.with_category(Category::LocalComp, |proc| {
+                for (k, &dst) in rows.peers.iter().enumerate() {
+                    let dst = dst as usize;
+                    match lender.as_deref_mut() {
+                        Some(lender) => {
+                            let (recipe, row) = (plan, k);
+                            let words = B::words(plan, k);
+                            lender.lend(proc, dst, Loan { src, recipe, row }, words);
+                        }
+                        None => {
+                            let (slot, mut buf) = proc.pool_checkout::<B>(key, dst);
+                            let vals = buf.shape(plan, k);
+                            walk_phases::<B::Elem>(proc, |phase| {
+                                gather_fill(progs, k, src, vals, phase)
+                            });
+                            slot.stash(buf);
+                        }
+                    }
+                }
+                proc.charge_ops(rows.total());
+            })
+        })
+    };
+    if !lends {
+        send(proc, None);
+        return rest(proc);
+    }
+    proc.lending::<B, _>(key, |proc, lender| {
+        send(proc, Some(lender));
+        rest(proc);
+    })
+}
+
+/// Place one PACK message into `out`, the local slice of `V`: a staged
+/// message's values, or its sender's `a_local` read in place under the
+/// sender's gather row, at the ranks of the sender's route row. Pairs go
+/// through [`place_pairs`]; segments through their own copy — a staged
+/// message's values are in rank order, so a segment is one `copy_from_slice`
+/// (driving it through the fused kernel instead cost `exec_small` 4–6 %,
+/// DESIGN.md §16). Returns the values placed and the row's rank words.
+fn place_message<T: Wire + Default>(
+    proc: &mut Proc,
+    layout: &DimLayout,
+    got: Received<'_, PackMsg<T>>,
+    out: &mut [T],
+) -> (usize, Words) {
+    let me = proc.id();
+    let (routes, k) = match &got {
+        Received::Staged(msg) => {
+            let (routes, k) = msg.route.as_ref().expect("a filled message");
+            (&**routes, *k)
+        }
+        Received::Lent(loan) => (&*loan.recipe.routes, loan.row),
+    };
+    let placed = match (&routes.ranks, got) {
+        (RankList::Explicit(_), Received::Staged(msg)) => {
+            let vals = msg.vals.iter().copied();
+            place_pairs(
+                layout,
+                me,
+                routes.explicit(k).iter().copied().zip(vals),
+                out,
+            )
+        }
+        (RankList::Explicit(_), Received::Lent(Loan { src, recipe, row })) => {
+            let vals = row_values(&recipe.gather, row, src);
+            place_pairs(
+                layout,
+                me,
+                routes.explicit(k).iter().copied().zip(vals),
+                out,
+            )
+        }
+        // Wall bytes count the values only: the segment headers are index
+        // work, not movement.
+        (RankList::Runs { .. }, Received::Staged(msg)) => {
+            proc.wall_span("place_segments", |proc| {
+                proc.wall_bytes(std::mem::size_of_val(&msg.vals[..]) as u64);
+                compact_message::place_segments(layout, me, routes.runs(k), &msg.vals, out)
+            })
+        }
+        (RankList::Runs { .. }, Received::Lent(Loan { src, recipe, row })) => {
+            let (runs, src) = (routes.runs(k), recipe.gather.source(row, src));
+            walk_phases::<T>(proc, |phase| {
+                compact_message::join_segments(layout, me, runs, src, out, phase)
+            })
+        }
+    };
+    (placed, routes.rank_words(k))
 }
 
 /// Shape the decode output. `V`'s local slice is fully overwritten by the
@@ -877,31 +842,6 @@ impl UnpackPlan {
         s
     }
 
-    /// Serve: fill each requester's pooled reply buffer along the
-    /// precomputed copy program (one operation per value — the index
-    /// arithmetic was paid at plan time). Requesters with nothing to serve
-    /// get no buffer, matching the reply plan's silent rounds.
-    fn serve<T: Wire + Default>(&self, proc: &mut Proc, v_local: &[T]) {
-        proc.wall_span("unpack.serve", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                for (k, &requester) in self.serve.peers.iter().enumerate() {
-                    let len = self.serve.len(k);
-                    let (slot, mut buf) =
-                        proc.pool_checkout::<FlatMsg<T>>(self.pool_key, requester as usize);
-                    if buf.vals.len() != len {
-                        buf.vals.clear();
-                        buf.vals.resize(len, T::default());
-                    }
-                    walk_phases::<T>(proc, |phase| {
-                        gather_fill(&self.serve_prog, k, v_local, &mut buf.vals, phase)
-                    });
-                    slot.stash(buf);
-                }
-                proc.charge_ops(self.serve.total());
-            })
-        });
-    }
-
     /// The reply round, then the reply scatter into `A` at the recorded
     /// element slots: each reply — a buffer, or the owner's `v_local` read in
     /// place under its serve row — is joined with this processor's scatter
@@ -1014,31 +954,21 @@ impl UnpackPlan {
             if self.size == 0 {
                 return;
             }
+            // The serve: each requester's values, one operation per value
+            // (the index arithmetic was paid at plan time). Requesters with
+            // nothing to serve get no message, matching the reply plan's
+            // silent rounds.
             let mut recvs = proc.take_pkt_scratch();
-            if !self.lends {
-                self.serve(proc, v_local);
-                self.reply(proc, &mut recvs, out);
-            } else {
-                proc.lending::<FlatMsg<T>, _>(self.pool_key, |proc, lender| {
-                    // The serve, lent: `v_local` under each requester's row,
-                    // charged the same one operation per value.
-                    proc.wall_span("unpack.serve", |proc| {
-                        proc.with_category(Category::LocalComp, |proc| {
-                            for (k, &requester) in self.serve.peers.iter().enumerate() {
-                                let loan = Loan {
-                                    src: v_local,
-                                    recipe: self,
-                                    row: k,
-                                };
-                                let words = self.serve.len(k) * T::WORDS;
-                                lender.lend(proc, requester as usize, loan, words);
-                            }
-                            proc.charge_ops(self.serve.total());
-                        })
-                    });
-                    self.reply(proc, &mut recvs, out);
-                });
-            }
+            let outbox = Outbox {
+                key: self.pool_key,
+                lends: self.lends,
+                rows: &self.serve,
+                progs: &self.serve_prog,
+                src: v_local,
+            };
+            send_round::<FlatMsg<T>>(proc, "unpack.serve", outbox, self, |proc| {
+                self.reply(proc, &mut recvs, out)
+            });
             proc.restore_pkt_scratch(recvs);
         });
         Ok(())
@@ -1367,6 +1297,93 @@ mod tests {
             }
         }
         assert_eq!(worlds, 34);
+    }
+
+    /// The one lifetime a staged PACK message adds: its ranks are its
+    /// sender's route row, so the row must outlive the sender's plan. For each
+    /// scheme at P ∈ {2, 3, 4} and pool sizes 1–3, processor 0 executes, then
+    /// retires and drops its plan while every other processor holds 0's
+    /// staged message undecoded. A message forces the order: each receiver
+    /// runs its send round and its exchange, then blocks on a token that 0
+    /// sends only once its plan is gone, and decodes after it. Every
+    /// receiver's `V` equals the oracle's, and once the run is over nothing
+    /// holds 0's routes.
+    #[test]
+    fn a_staged_message_outlives_its_senders_plan() {
+        use crate::seq::pack_seq;
+        use hpf_distarray::GlobalArray;
+        use hpf_machine::tags;
+        use std::sync::Weak;
+        for p in 2..=4 {
+            let n = 12 * p;
+            let grid = ProcGrid::line(p);
+            let desc = ArrayDesc::new(&[n], &grid, &[Dist::BlockCyclic(2)]).unwrap();
+            let a = GlobalArray::from_fn(&[n], |g| 10 * g[0] as i32 + 1);
+            let mask = GlobalArray::from_fn(&[n], |g| g[0] % 3 != 1);
+            let want = pack_seq(&a, &mask, None);
+            let (ap, mp) = (&a.partition(&desc), &mask.partition(&desc));
+            for workers in 1..=3 {
+                for scheme in PackScheme::ALL {
+                    let (d, want) = (&desc, &want);
+                    let machine =
+                        Machine::new(grid.clone(), CostModel::cm5()).with_workers(workers);
+                    let out = machine.run(move |proc| {
+                        let me = proc.id();
+                        let plan = plan_pack(proc, d, &mp[me], &PackOptions::new(scheme)).unwrap();
+                        assert!(!plan.lends());
+                        let layout = plan.v_layout().unwrap();
+                        let mut v = Vec::new();
+                        let mut routes = None;
+                        if me == 0 {
+                            let peers = plan.routes.slots.peers.iter();
+                            let in_flight = peers.filter(|&&d| d != 0).count();
+                            assert_eq!(in_flight, p - 1, "0 sends to every receiver");
+                            let weak = Arc::downgrade(&plan.routes);
+                            let mut got = PackOutput {
+                                local_v: Vec::new(),
+                                size: 0,
+                                v_layout: None,
+                            };
+                            plan.execute_into(proc, &ap[0], &mut got).unwrap();
+                            plan.retire(proc);
+                            assert_eq!(weak.strong_count(), in_flight, "only messages hold it");
+                            for dst in 1..p {
+                                proc.send(dst, tags::USER, vec![1u32]);
+                            }
+                            (v, routes) = (got.local_v, Some(weak));
+                        } else {
+                            let mut recvs = Vec::new();
+                            let outbox = Outbox {
+                                key: plan.pool_key,
+                                lends: false,
+                                rows: &plan.routes.slots,
+                                progs: &plan.gather,
+                                src: &ap[me],
+                            };
+                            send_round::<PackMsg<i32>>(
+                                proc,
+                                "pack.gather",
+                                outbox,
+                                &plan,
+                                |proc| {
+                                    plan.exchange::<i32>(proc, &mut recvs);
+                                    let _gone: Vec<u32> = proc.recv(0, tags::USER);
+                                    plan.decode(proc, &layout, &mut recvs, &mut v);
+                                },
+                            );
+                        }
+                        let what = format!("P={p} workers={workers} {scheme:?} proc {me}");
+                        assert_eq!(v.len(), layout.local_len(me), "{what}");
+                        for (l, x) in v.iter().enumerate() {
+                            assert_eq!(*x, want[layout.global_of(me, l)], "{what}");
+                        }
+                        routes
+                    });
+                    let weak: &Weak<Routes> = out.results[0].as_ref().unwrap();
+                    assert_eq!(weak.strong_count(), 0, "P={p} {scheme:?}: a message leaked");
+                }
+            }
+        }
     }
 
     proptest::proptest! {

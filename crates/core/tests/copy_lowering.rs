@@ -2,14 +2,16 @@
 //! (DESIGN.md §16): across scheme × layout (block / cyclic /
 //! block-cyclic) × mask density × block width, the lowered bulk kernels
 //! must be bit-identical to the sequential Fortran oracle — on the first
-//! (cold, skeleton-building) execute *and* on steady-state refills of the
-//! pooled buffers, where the program-driven positional overwrite is the
-//! only thing touching the wire payloads.
+//! (cold, buffer-shaping) execute *and* on steady-state refills of the
+//! pooled buffers, where the program-driven positional overwrite of the
+//! values is the only thing touching the wire payloads (a PACK buffer's
+//! ranks are its sender's route row).
 //!
 //! This suite is the end-to-end half of the kernel-identity proof; the
 //! per-kernel half is the in-module proptests that check each walker and
 //! each decode against its per-element reference loop (`plan::copyprog`,
-//! `plan::place_pairs`, `pack::compact_message::place_segments`), and the
+//! `plan::place_pairs` over a route row's ranks,
+//! `pack::compact_message::place_segments` over its runs), and the
 //! fused receive of a lent source against gathering, then placing. Plans
 //! at the lending boundary run here: a processor that lends and one that
 //! does not, side by side in one exchange (DESIGN.md §11).
@@ -113,7 +115,7 @@ proptest! {
             let a = local_from_fn(d, proc.id(), |g| g[0] as i64 + 1);
             let b = local_from_fn(d, proc.id(), |g| -(g[0] as i64) - 1000);
             let plan = plan_pack(proc, d, &m, o).unwrap();
-            // Four executes: cold (skeletons built), then warm positional
+            // Four executes: cold (buffers shaped), then warm positional
             // refills of each destination's one pool slot; a final fresh
             // execute cross-checks that warm refills did not corrupt
             // anything.

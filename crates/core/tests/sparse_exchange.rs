@@ -1,18 +1,18 @@
 //! The sparse many-to-many as the paper's algorithms see it: silent pairs
-//! put no frame on any ring, and the message formats of PACK/UNPACK obey
-//! the delivered contract of `alltoallv` — a slot with zero wire words is
-//! not transmitted and arrives as `Default::default()`.
+//! put no frame on any ring, and public payloads — UNPACK's rank requests
+//! and plain word vectors — obey the delivered contract of `alltoallv`: a
+//! slot with zero wire words is not transmitted and arrives as
+//! `Default::default()`.
 
 use hpf_core::{
-    pack, unpack, CmsMessage, MaskPattern, PackOptions, PackScheme, RankRequest, UnpackOptions,
-    UnpackScheme,
+    pack, unpack, MaskPattern, PackOptions, PackScheme, RankRequest, UnpackOptions, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, Dist};
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{CostModel, Machine, ProcGrid};
 
 #[test]
-fn zero_word_requests_and_segment_streams_arrive_as_default() {
+fn zero_word_requests_and_streams_arrive_as_default() {
     const P: usize = 4;
     let out = Machine::new(ProcGrid::line(P), CostModel::cm5()).run(|proc| {
         let g = proc.world();
@@ -23,11 +23,9 @@ fn zero_word_requests_and_segment_streams_arrive_as_default() {
         let mut requests = vec![RankRequest::Runs(Vec::new()); P];
         requests[(me + 1) % P] = RankRequest::Runs(vec![(me as u32, 2)]);
         let requests = alltoallv(proc, &g, requests, A2aSchedule::LinearPermutation);
-        let mut streams: Vec<CmsMessage<i32>> = vec![CmsMessage::default(); P];
-        streams[(me + P - 1) % P] = CmsMessage {
-            heads: vec![(7, 1)],
-            vals: vec![me as i32],
-        };
+        // A stream is one 3-word `(u32, u32, i32)` record or nothing.
+        let mut streams: Vec<Vec<(u32, u32, i32)>> = vec![Vec::new(); P];
+        streams[(me + P - 1) % P] = vec![(7, 1, me as i32)];
         let streams = alltoallv(proc, &g, streams, A2aSchedule::PairwiseExchange);
         (requests, streams)
     });
@@ -42,12 +40,9 @@ fn zero_word_requests_and_segment_streams_arrive_as_default() {
             };
             assert_eq!(requests[src], want, "request {src} -> {me}");
             let want = if (src + P - 1) % P == me {
-                CmsMessage {
-                    heads: vec![(7, 1)],
-                    vals: vec![src as i32],
-                }
+                vec![(7, 1, src as i32)]
             } else {
-                CmsMessage::default()
+                Vec::new()
             };
             assert_eq!(streams[src], want, "stream {src} -> {me}");
         }

@@ -168,10 +168,13 @@ fi
 # and re-exports, the Fortran 90 sibling intrinsics crate, and the scan,
 # gather, scatter and index helpers only it or their own tests called; the
 # plan cache, its fingerprints and the named-counter registry (a caller
-# holds its plan, DESIGN.md section 10).
+# holds its plan, DESIGN.md section 10); the PACK message types that kept a
+# copy of their rank part beside the sender's route row, and their fill
+# kernels (a staged message holds values only, DESIGN.md section 11).
 if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
   -e 'PlanCache|plan\.cache\.|inc_counter|\.fingerprint\(' \
+  -e 'PairMsg|CmsMessage|ensure_shape|gather_pairs_(re)?fill' \
   crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
 fi
