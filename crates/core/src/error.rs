@@ -21,7 +21,9 @@ use hpf_machine::MachineError;
 /// A descriptor too large for the plan IR's integers: local element slots,
 /// CSR offsets and peer ids are `u32`, and global ranks travel as `i32`
 /// words (the CM-5's 4-byte integers, [`hpf_machine::collectives::Num`]).
-/// [`crate::pack_with_vector`] returns it for its `VECTOR` layout as well.
+/// [`crate::pack_with_vector`] returns it for its `VECTOR` layout as well:
+/// the result is laid out like `VECTOR`, and the compact message scheme
+/// narrows result-slice offsets to `u32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TooLarge {
     /// The global element count of the array — or of `VECTOR` — that is over

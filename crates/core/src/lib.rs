@@ -65,4 +65,4 @@ pub use mask::MaskPattern;
 pub use pack::{pack, pack_redistributed, pack_with_vector, MaskStats, PackOutput, RedistScheme};
 pub use plan::{plan_pack, plan_unpack, CopyStats, PackPlan, UnpackPlan};
 pub use schemes::{PackOptions, PackScheme, ScanMethod, UnpackOptions, UnpackScheme};
-pub use unpack::{unpack, unpack_redistributed, RankRequest};
+pub use unpack::{unpack, unpack_redistributed};

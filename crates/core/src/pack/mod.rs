@@ -19,7 +19,7 @@ pub use redist::{pack_redistributed, RedistScheme};
 pub use vector_arg::pack_with_vector;
 
 use hpf_distarray::{ArrayDesc, DimLayout};
-use hpf_machine::{Category, Proc, Wire};
+use hpf_machine::{Proc, Wire};
 
 use crate::error::PackError;
 use crate::ranking::RankShape;
@@ -50,12 +50,11 @@ pub struct PackOutput<T> {
 /// back before it returns. Callers that pack repeatedly under an unchanged
 /// mask should hold the plan and execute it directly.
 ///
-/// Work is charged to the calling processor's clock:
-/// [`Category::LocalComp`] for scanning, rank computation, and message
-/// composition/decomposition; [`Category::PrefixReductionSum`] for the
-/// ranking collectives; [`Category::ManyToMany`] for the redistribution
-/// exchange (plus a one-round plan-time flag exchange under
-/// [`Category::Other`]).
+/// Work is charged to the calling processor's clock, by
+/// [`hpf_machine::Category`]: `LocalComp` for scanning, rank computation, and
+/// message composition/decomposition; `PrefixReductionSum` for the ranking
+/// collectives; `ManyToMany` for the redistribution exchange (plus a
+/// one-round plan-time flag exchange under `Other`).
 pub fn pack<T: Wire + Default>(
     proc: &mut Proc,
     desc: &ArrayDesc,
@@ -70,34 +69,24 @@ pub fn pack<T: Wire + Default>(
     out
 }
 
-/// Validate inputs and extract the ranking shape. All checks use state that
-/// is identical on every processor, so error returns are collective.
+/// Validate inputs: [`validate_mask`], then the array's length. All checks
+/// use state that is identical on every processor, so error returns are
+/// collective.
 pub(crate) fn validate(
     proc: &Proc,
     desc: &ArrayDesc,
-    a_len_of: &[impl Sized],
+    a_local: &[impl Sized],
     m_local: &[bool],
-) -> Result<RankShape, PackError> {
-    for i in 0..desc.ndims() {
-        if !desc.dim(i).divisible() {
-            return Err(PackError::NotDivisible { dim: i });
-        }
-    }
-    crate::error::plannable(desc)?;
+) -> Result<(), PackError> {
+    validate_mask(proc, desc, m_local)?;
     let expected = desc.local_len(proc.id());
-    if a_len_of.len() != expected {
+    if a_local.len() != expected {
         return Err(PackError::ArrayLenMismatch {
             expected,
-            got: a_len_of.len(),
+            got: a_local.len(),
         });
     }
-    if m_local.len() != expected {
-        return Err(PackError::MaskLenMismatch {
-            expected,
-            got: m_local.len(),
-        });
-    }
-    Ok(RankShape::from_desc(desc))
+    Ok(())
 }
 
 /// Mask-only validation for the planner (no array values exist at plan
@@ -135,31 +124,6 @@ pub(crate) fn result_layout(
     }
     let w = block_size.unwrap_or_else(|| size.div_ceil(nprocs)).max(1);
     Some(DimLayout::new_general(size, nprocs, w).expect("positive parameters"))
-}
-
-/// Decode received `(global rank, value)` pair messages into the local
-/// portion of `V` (Section 6.4.1: decomposition costs `2·E_a`). Only
-/// [`pack_with_vector`]'s one-shot exchange sends materialised pairs; a
-/// planned message is values beside its sender's route row.
-pub(crate) fn decode_pairs<T: Wire + Default>(
-    proc: &mut Proc,
-    layout: &DimLayout,
-    recvs: Vec<Vec<(u32, T)>>,
-) -> Vec<T> {
-    proc.with_category(Category::LocalComp, |proc| {
-        let me = proc.id();
-        let mut local_v = vec![T::default(); layout.local_len(me)];
-        let mut placed = 0usize;
-        for msg in recvs {
-            for (rank, value) in msg {
-                debug_assert_eq!(layout.owner(rank as usize), me, "misrouted element");
-                local_v[layout.local_of(rank as usize)] = value;
-                placed += 1;
-            }
-        }
-        proc.charge_ops(2 * placed);
-        local_v
-    })
 }
 
 #[cfg(test)]

@@ -89,16 +89,6 @@ pub(crate) enum RankList {
     },
 }
 
-/// A flat row family taken apart: each `items[offs[k]..offs[k + 1]]` moved
-/// into a vector of its own.
-pub(crate) fn into_rows<T: 'static>(
-    items: Vec<T>,
-    offs: &[u32],
-) -> impl Iterator<Item = Vec<T>> + '_ {
-    let mut items = items.into_iter();
-    (offs.windows(2)).map(move |w| items.by_ref().take((w[1] - w[0]) as usize).collect())
-}
-
 /// One processor's share of a communication plan: per populated
 /// destination, its row of local element slots (one per rank, rank order;
 /// the slots are the row's copy program's) and the global ranks they cover.
@@ -125,6 +115,17 @@ impl Routes {
             unreachable!("compact message composes runs")
         };
         &runs[offs[k] as usize..offs[k + 1] as usize]
+    }
+
+    /// Row `k`'s ranks as `(base, n)` runs in row order; an explicit rank is
+    /// a run of one.
+    pub(crate) fn rank_runs(&self, k: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (explicit, runs) = match &self.ranks {
+            RankList::Explicit(_) => (self.explicit(k), &[][..]),
+            RankList::Runs { .. } => (&[][..], self.runs(k)),
+        };
+        let explicit = explicit.iter().map(|&r| (r as usize, 1));
+        explicit.chain(runs.iter().map(|&(r, n)| (r as usize, n as usize)))
     }
 
     /// Words row `k`'s rank part occupies on the wire (Section 6.4): one

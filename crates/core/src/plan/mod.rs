@@ -58,11 +58,8 @@ use crate::error::{PackError, UnpackError};
 use crate::pack::{compact_message, result_layout, PackOutput};
 use crate::ranking::rank_from_counts;
 use crate::schemes::{PackOptions, PackScheme, UnpackOptions, UnpackScheme};
-use crate::unpack::RankRequest;
 
-use composer::{
-    into_rows, Composer, OwnerBlock, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder,
-};
+use composer::{Composer, OwnerBlock, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder};
 use copyprog::{gather_fill, row_values, scatter_apply, CopyPrograms, Phase, ProgramBuilder};
 use poolmsg::{FlatMsg, PackMsg, ValueMsg};
 
@@ -136,25 +133,41 @@ pub fn plan_pack(
     m_local: &[bool],
     opts: &PackOptions,
 ) -> Result<PackPlan, PackError> {
-    plan_pack_at(proc, desc, m_local, opts, false)
+    plan_pack_at(proc, desc, m_local, opts, None, false)
 }
 
-/// [`plan_pack`]; `always_lend` as in [`lend_rule`].
-fn plan_pack_at(
+/// [`plan_pack`] into `result`, the layout of a result vector longer than
+/// `Size` (`VECTOR`'s, [`crate::pack_with_vector`]), or into
+/// [`result_layout`]'s if `None`; `always_lend` as in [`lend_rule`].
+///
+/// # Errors
+/// [`PackError::VectorTooShort`] (collectively) if `result` holds fewer than
+/// `Size` elements.
+pub(crate) fn plan_pack_at(
     proc: &mut Proc,
     desc: &ArrayDesc,
     m_local: &[bool],
     opts: &PackOptions,
+    result: Option<&DimLayout>,
     always_lend: bool,
 ) -> Result<PackPlan, PackError> {
     let shape = crate::pack::validate_mask(proc, desc, m_local)?;
     let local_len = m_local.len();
-    Ok(proc.with_stage("pack.plan", |proc| {
+    proc.with_stage("pack.plan", |proc| {
         let w0 = shape.w[0];
         let mut composer = pack_composer(opts);
         let counts = composer.scan(proc, m_local, w0);
         let ranking = rank_from_counts(proc, &shape, counts, opts.prs);
-        let layout = result_layout(ranking.size, proc.nprocs(), opts.result_block_size);
+        let size = ranking.size;
+        let layout = match result {
+            None => result_layout(size, proc.nprocs(), opts.result_block_size),
+            // `Size` is replicated: every processor returns here together.
+            Some(r) if size > r.n() => {
+                let capacity = r.n();
+                return Err(PackError::VectorTooShort { size, capacity });
+            }
+            Some(r) => (size > 0).then_some(*r),
+        };
         let (routes, gather) = match &layout {
             Some(layout) => {
                 let composed = composer.compose(proc, &ranking, m_local, w0, layout);
@@ -172,7 +185,7 @@ fn plan_pack_at(
         let plan = PackPlan {
             scheme: opts.scheme,
             schedule: opts.schedule,
-            size: ranking.size,
+            size,
             v_layout: layout,
             local_len,
             routes: Arc::new(routes),
@@ -182,8 +195,8 @@ fn plan_pack_at(
             lends,
         };
         proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
-        plan
-    }))
+        Ok(plan)
+    })
 }
 
 impl PackPlan {
@@ -346,7 +359,11 @@ impl PackPlan {
                         rank_words + moved
                     },
                 );
-                debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
+                // Every rank below `Size` this processor owns is written
+                // once: all of `out` for `pack`, its head under `VECTOR`'s
+                // layout.
+                let owned = DimLayout::new_general(self.size, layout.p(), layout.w());
+                debug_assert_eq!(placed, owned.map_or(0, |o| o.local_len(me)), "V's ranks");
                 proc.charge_ops(ops);
                 if let RankList::Explicit(_) = self.routes.ranks {
                     // Every plan of a PACK is one scheme, so every message
@@ -486,11 +503,12 @@ fn place_message<T: Wire + Default>(
     (placed, routes.rank_words(k))
 }
 
-/// Shape the decode output. `V`'s local slice is fully overwritten by the
-/// decode — every result rank is routed to exactly one processor and every
-/// processor's routes tile `0..Size` — so a right-sized buffer from a
-/// previous execute is reused as-is and only a fresh (or wrongly sized)
-/// one is zero-filled. Every decode path `debug_assert`s the coverage.
+/// Shape the decode output. The decode overwrites every rank below `Size`
+/// of `V`'s local slice — every rank is routed to exactly one processor and
+/// the processors' routes tile `0..Size` — so a right-sized buffer is reused
+/// as-is and only a fresh (or wrongly sized) one is zero-filled. The ranks
+/// past `Size` keep what `out` held: [`crate::pack_with_vector`]'s copy of
+/// `VECTOR`. Every decode path `debug_assert`s the coverage.
 fn prepare_out<T: Default + Clone>(out: &mut Vec<T>, local_len: usize) {
     if out.len() != local_len {
         out.clear();
@@ -725,28 +743,23 @@ fn plan_unpack_at(
         } else {
             let composed = composer.compose(proc, &ranking, m_local, w0, v_layout);
             let (routes, scatter_prog) = proc.wall_span("plan.lower", |_| composed.finish());
-            let Routes { slots, ranks } = routes;
-            // Each owner's rank row moves out of the routes into its
-            // request; only the slot rows outlive the round.
-            let owners = slots.peers.iter().copied();
-            let requests = match ranks {
-                RankList::Explicit(all) => {
-                    let rows = into_rows(all, &slots.offs).map(RankRequest::Explicit);
-                    owners.zip(rows).collect()
-                }
-                RankList::Runs { offs, runs } => owners
-                    .zip(into_rows(runs, &offs).map(RankRequest::Runs))
-                    .collect(),
-            };
-            // The request round: identical wire traffic to the one-shot
-            // path, paid once per plan instead of once per call.
+            // The request round, paid once per plan: each owner is sent its
+            // row of the routes, shared — a PACK message with no values, whose
+            // wire words are the row's ranks. Only the slot rows outlive it.
+            let routes = Arc::new(routes);
+            let requests = (routes.slots.peers.iter().enumerate())
+                .map(|(k, &owner)| {
+                    let (vals, route) = (Vec::new(), Some((Arc::clone(&routes), k)));
+                    (owner, PackMsg::<u32> { vals, route })
+                })
+                .collect();
             let incoming = proc.with_stage("unpack.request", |proc| {
                 proc.with_category(Category::ManyToMany, |proc| {
                     let world = proc.world();
                     alltoallv_sparse(proc, &world, requests, opts.schedule)
                 })
             });
-            (slots, scatter_prog, incoming)
+            (routes.slots.clone(), scatter_prog, incoming)
         };
         // Owner-side precompute: resolve each requested run of ranks to a
         // run of local indices into my slice of V (one operation per served
@@ -757,7 +770,8 @@ fn plan_unpack_at(
                 let (mut serve, mut prog) = (PeerCsr::empty(), ProgramBuilder::default());
                 let (mut served, mut block, me) = (0usize, OwnerBlock::default(), proc.id());
                 for (requester, req) in &incoming {
-                    prog.row_of_runs(req.runs().map(|(base, n)| {
+                    let (routes, k) = req.route.as_ref().expect("a request is a route row");
+                    prog.row_of_runs(routes.rank_runs(*k).map(|(base, n)| {
                         if block.misses(base, n) {
                             block.seek(v_layout, base);
                         }
@@ -1258,7 +1272,7 @@ mod tests {
                                     schedule,
                                     ..PackOptions::new(scheme)
                                 };
-                                let plan = plan_pack_at(proc, d, m, &opts, true).unwrap();
+                                let plan = plan_pack_at(proc, d, m, &opts, None, true).unwrap();
                                 assert!(plan.lends(), "{what}");
                                 for _ in 0..2 {
                                     let got = plan.execute(proc, &ap[me]).unwrap();

@@ -46,8 +46,9 @@ fn size_to<T: Default + Clone>(vals: &mut Vec<T>, len: usize) -> &mut [T] {
 }
 
 /// A PACK message: the values of one route row, in rank order, and the
-/// sender's routes with the row's index — where the ranks are. The default
-/// (no row yet) occupies no wire words and is not transmitted.
+/// sender's routes with the row's index — where the ranks are. With no
+/// values it is UNPACK's rank request (Section 4.2), the row's ranks alone.
+/// The default (no row yet) occupies no wire words and is not transmitted.
 #[derive(Debug, Clone)]
 pub(crate) struct PackMsg<T> {
     /// The row's values, one per rank.
@@ -182,10 +183,19 @@ mod tests {
 
     /// Section 6.4's formats: `len·(1 + W)` words for pairs, `2·G + len·W`
     /// for segments, `W` the element's words; the default occupies none, so
-    /// the exchange does not transmit it.
+    /// the exchange does not transmit it. A message with no values is
+    /// UNPACK's request (Section 4.2): `len` words for explicit ranks, `2·G`
+    /// for runs, over the same ranks.
     #[test]
     fn wire_words_are_the_paper_formats() {
         let (pairs, segments) = (routes(false), routes(true));
+        for (routes, words) in [(&pairs, 3), (&segments, 2 * 2)] {
+            let mut request = msg::<f64>(routes, 0);
+            request.vals.clear();
+            assert_eq!(request.wire_words(), words);
+            let ranks = routes.rank_runs(0).flat_map(|(base, n)| base..base + n);
+            assert_eq!(ranks.collect::<Vec<_>>(), [4, 5, 9]);
+        }
         assert_eq!(msg::<i32>(&pairs, 0).wire_words(), 3 * (1 + 1));
         assert_eq!(msg::<f64>(&pairs, 0).wire_words(), 3 * (1 + 2));
         assert_eq!(msg::<i32>(&segments, 0).wire_words(), 2 * 2 + 3);

@@ -51,8 +51,8 @@ pub fn rank_from_counts(
 }
 
 /// Convenience: the global rank of every selected local element
-/// (`None` where the mask is false). Used by tests and by the simple
-/// storage scheme's record replay.
+/// (`None` where the mask is false). Only tests read it (this module's and
+/// the workspace's `tests/props.rs`); no plan path does.
 pub fn element_ranks(shape: &RankShape, mask: &[bool], ps_f: &[i32]) -> Vec<Option<u32>> {
     let w0 = shape.w[0];
     in_slice_ranks(mask, w0)

@@ -12,15 +12,16 @@
 //! Since the planner/executor split, [`unpack`] is a thin wrapper over
 //! [`crate::plan::plan_unpack`] + [`crate::plan::UnpackPlan::execute`];
 //! the request round is plan-time (it depends only on the mask), the
-//! reply round is execute-time (it moves values).
+//! reply round is execute-time (it moves values). A request is the
+//! requester's route row to the owner, sent as a PACK message with no values:
+//! explicit ranks under the simple scheme (`E` words), `(base, count)` runs
+//! under compact storage (`2·Gs` words).
 
 pub(crate) mod compact_storage;
 mod redist;
-mod request;
 pub(crate) mod simple;
 
 pub use redist::unpack_redistributed;
-pub use request::RankRequest;
 
 use hpf_distarray::{ArrayDesc, DimLayout};
 use hpf_machine::{Proc, Wire};

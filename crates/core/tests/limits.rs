@@ -65,11 +65,12 @@ fn the_limit_itself_is_plannable() {
     assert_eq!(out.results[0], Some(want));
 }
 
-/// `pack_with_vector` sends VECTOR's tail as `(position as u32, value)`
-/// pairs, and the array's size bounds nothing about VECTOR's: a layout of
-/// 2³² positions over a 16-element array used to wrap them silently. It is
-/// refused before the VECTOR slice's length is looked at (it is empty here;
-/// nothing of the layout's size exists), and `LIMIT` positions are not.
+/// `pack_with_vector`'s result is laid out like VECTOR, whose slice offsets
+/// the compact message scheme's placement narrows to `u32`, and the array's
+/// size bounds nothing about VECTOR's: a layout of 2³² positions over a
+/// 16-element array would wrap them. It is refused before the VECTOR
+/// slice's length is looked at (it is empty here; nothing of the layout's
+/// size exists), and `LIMIT` positions are not.
 #[test]
 fn an_oversized_vector_argument_is_refused() {
     let grid = ProcGrid::line(4);

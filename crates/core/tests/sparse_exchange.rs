@@ -1,12 +1,10 @@
 //! The sparse many-to-many as the paper's algorithms see it: silent pairs
-//! put no frame on any ring, and public payloads — UNPACK's rank requests
-//! and plain word vectors — obey the delivered contract of `alltoallv`: a
-//! slot with zero wire words is not transmitted and arrives as
-//! `Default::default()`.
+//! put no frame on any ring, and public payloads — plain word vectors, of
+//! `(base, count)` runs and of 3-word records — obey the delivered contract
+//! of `alltoallv`: a slot with zero wire words is not transmitted and
+//! arrives as `Default::default()`.
 
-use hpf_core::{
-    pack, unpack, MaskPattern, PackOptions, PackScheme, RankRequest, UnpackOptions, UnpackScheme,
-};
+use hpf_core::{pack, unpack, MaskPattern, PackOptions, PackScheme, UnpackOptions, UnpackScheme};
 use hpf_distarray::{local_from_fn, ArrayDesc, Dist};
 use hpf_machine::collectives::{alltoallv, A2aSchedule};
 use hpf_machine::{CostModel, Machine, ProcGrid};
@@ -17,11 +15,10 @@ fn zero_word_requests_and_streams_arrive_as_default() {
     let out = Machine::new(ProcGrid::line(P), CostModel::cm5()).run(|proc| {
         let g = proc.world();
         let me = proc.id();
-        // Every request is empty except `me → me + 1`; the empty ones are
-        // `Runs`, the default is `Explicit` — arrival as the default is
-        // observable.
-        let mut requests = vec![RankRequest::Runs(Vec::new()); P];
-        requests[(me + 1) % P] = RankRequest::Runs(vec![(me as u32, 2)]);
+        // A request is one 2-word `(base, count)` run or nothing: every one
+        // is empty except `me → me + 1`.
+        let mut requests: Vec<Vec<(u32, u32)>> = vec![Vec::new(); P];
+        requests[(me + 1) % P] = vec![(me as u32, 2)];
         let requests = alltoallv(proc, &g, requests, A2aSchedule::LinearPermutation);
         // A stream is one 3-word `(u32, u32, i32)` record or nothing.
         let mut streams: Vec<Vec<(u32, u32, i32)>> = vec![Vec::new(); P];
@@ -32,11 +29,9 @@ fn zero_word_requests_and_streams_arrive_as_default() {
     for (me, (requests, streams)) in out.results.iter().enumerate() {
         for src in 0..P {
             let want = if (src + 1) % P == me {
-                RankRequest::Runs(vec![(src as u32, 2)])
-            } else if src == me {
-                RankRequest::Runs(Vec::new()) // the self slot is moved, not sent
+                vec![(src as u32, 2)]
             } else {
-                RankRequest::default()
+                Vec::new()
             };
             assert_eq!(requests[src], want, "request {src} -> {me}");
             let want = if (src + P - 1) % P == me {

@@ -170,11 +170,14 @@ fi
 # plan cache, its fingerprints and the named-counter registry (a caller
 # holds its plan, DESIGN.md section 10); the PACK message types that kept a
 # copy of their rank part beside the sender's route row, and their fill
-# kernels (a staged message holds values only, DESIGN.md section 11).
+# kernels (a staged message holds values only, DESIGN.md section 11); the
+# rank lists that were not a route row — UNPACK's own request type and the
+# rows cut for it, and the pair decode of PACK(A, M, VECTOR) off the plan.
 if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
   -e 'PlanCache|plan\.cache\.|inc_counter|\.fingerprint\(' \
   -e 'PairMsg|CmsMessage|ensure_shape|gather_pairs_(re)?fill' \
+  -e 'RankRequest|into_rows|decode_pairs' \
   crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
 fi
