@@ -125,9 +125,9 @@ impl SparseMatrix {
         (y_local, y_layout)
     }
 
-    /// Fraction of this processor's dense slots that were nonzero — the
-    /// pre-compression load; after compression every processor holds
-    /// `⌈nnz/P⌉` entries regardless.
+    /// Number of nonzeros this processor holds after compression: its
+    /// block of the packed values, `⌈nnz/P⌉` or fewer, whatever its share
+    /// of the dense matrix held.
     pub fn local_nnz(&self) -> usize {
         self.values.len()
     }

@@ -21,31 +21,13 @@
 //! `plan` module's `poolmsg`). The flat value array is what lets the
 //! execute hot path fill and decode a message with bulk `copy_from_slice`
 //! runs (see [`crate::plan::copyprog`]) — wire accounting is unchanged,
-//! since `Σ (2 + len)` and `2·G + Σ len` are the same sum.
-//!
-//! Under the plan/execute split, the scans and the run composition
-//! (`2/run` segment headers) are plan-time; the value gather (`1/value`)
-//! and the segment decode (`2/segment + 1/value`) are execute-time.
+//! since `Σ (2 + len)` and `2·G + Σ len` are the same sum. The scheme's
+//! plan-time composer and its Section 6.4 costs are on
+//! [`crate::PackScheme::CompactMessage`].
 
 use hpf_distarray::DimLayout;
 
-use crate::plan::composer::{CompactComposer, ComposeCost, Composer, RankEmit};
 use crate::plan::copyprog::{join, CopyOp, Phase, Source};
-use crate::schemes::ScanMethod;
-
-/// The CMS plan-time composer: counter-array storage, run-compressed
-/// ranks, two operations per destination run (the segment header); the
-/// per-value work is all execute-time.
-pub(crate) fn composer(scan_method: ScanMethod) -> Box<dyn Composer> {
-    Box::new(CompactComposer::new(
-        RankEmit::Runs,
-        ComposeCost {
-            per_run: 2,
-            per_elem: 0,
-        },
-        scan_method,
-    ))
-}
 
 /// Place one staged segment message — the values `vals` of the sender's
 /// run row `runs` — into the local portion of `V` (Section 6.4.2:

@@ -2,16 +2,14 @@
 //! the three storage/message schemes of Section 6.
 //!
 //! Since the planner/executor split, [`pack`] is a thin wrapper over
-//! [`crate::plan::plan_pack`] + [`crate::plan::PackPlan::execute`]; the
-//! per-scheme modules configure the plan-time composer, and CMS owns its
-//! segment kernels. A planned message of any scheme is its values plus the
-//! sender's route row (`plan`'s `poolmsg`).
+//! [`crate::plan::plan_pack`] + [`crate::plan::PackPlan::execute`]; each
+//! scheme is a plan-time composer (see [`crate::PackScheme`]), and CMS owns
+//! its segment kernels. A planned message of any scheme is its values plus
+//! the sender's route row (`plan`'s `poolmsg`).
 
 pub(crate) mod compact_message;
-pub(crate) mod compact_storage;
 mod predict;
 mod redist;
-pub(crate) mod simple;
 mod vector_arg;
 
 pub use predict::MaskStats;
@@ -53,8 +51,9 @@ pub struct PackOutput<T> {
 /// Work is charged to the calling processor's clock, by
 /// [`hpf_machine::Category`]: `LocalComp` for scanning, rank computation, and
 /// message composition/decomposition; `PrefixReductionSum` for the ranking
-/// collectives; `ManyToMany` for the redistribution exchange (plus a
-/// one-round plan-time flag exchange under `Other`).
+/// collectives; `ManyToMany` for the redistribution exchange. The plan-time
+/// transposition of the send flags rides the control plane and charges
+/// nothing.
 pub fn pack<T: Wire + Default>(
     proc: &mut Proc,
     desc: &ArrayDesc,

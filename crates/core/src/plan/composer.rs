@@ -14,9 +14,9 @@
 //!
 //! Neither depends on array values, so routes are computed once at plan
 //! time and replayed against fresh data on every execute. The two
-//! composer implementations mirror the paper's storage trade-off:
-//! [`SimpleComposer`] keeps per-element records from a single scan
-//! (SSS), [`CompactComposer`] keeps only the counter array `PS_c` and
+//! [`Composer`] cases mirror the paper's storage trade-off:
+//! [`Composer::Simple`] keeps per-element records from a single scan
+//! (SSS), [`Composer::Compact`] keeps only the counter array `PS_c` and
 //! rebuilds everything with a second scan (CSS/CMS). Per-scheme operation
 //! charges are parameterized by [`ComposeCost`] so the plan+execute split
 //! still sums to the exact Section 6.4 formulas.
@@ -87,6 +87,9 @@ pub(crate) enum RankList {
         /// All `(base rank, length)` runs in destination order.
         runs: Vec<(u32, u32)>,
     },
+    /// No ranks: rows whose receiver knows them because it asked for them
+    /// (UNPACK's serve rows, whose replies carry values only).
+    Implicit,
 }
 
 /// One processor's share of a communication plan: per populated
@@ -123,17 +126,20 @@ impl Routes {
         let (explicit, runs) = match &self.ranks {
             RankList::Explicit(_) => (self.explicit(k), &[][..]),
             RankList::Runs { .. } => (&[][..], self.runs(k)),
+            RankList::Implicit => (&[][..], &[][..]),
         };
         let explicit = explicit.iter().map(|&r| (r as usize, 1));
         explicit.chain(runs.iter().map(|&(r, n)| (r as usize, n as usize)))
     }
 
     /// Words row `k`'s rank part occupies on the wire (Section 6.4): one
-    /// per element beside its value, or two per run (the segment header).
+    /// per element beside its value, two per run (the segment header), or
+    /// none.
     pub(crate) fn rank_words(&self, k: usize) -> Words {
         match &self.ranks {
             RankList::Explicit(_) => self.slots.len(k),
             RankList::Runs { offs, .. } => 2 * (offs[k + 1] - offs[k]) as usize,
+            RankList::Implicit => 0,
         }
     }
 
@@ -142,6 +148,7 @@ impl Routes {
         let ranks = match &self.ranks {
             RankList::Explicit(v) => 4 * v.len(),
             RankList::Runs { offs, runs } => 4 * offs.len() + 8 * runs.len(),
+            RankList::Implicit => 0,
         };
         self.slots.mem_bytes() + ranks as u64
     }
@@ -363,125 +370,80 @@ pub(crate) struct ComposeCost {
 /// A storage scheme's plan-time half: the initial scan (producing the
 /// slice counts the ranking stage consumes) and the composition of
 /// value-independent routes against the final ranking.
-pub(crate) trait Composer {
+pub(crate) enum Composer {
+    /// Simple storage: per-element `(local, slice, initial rank)` records
+    /// from a single scan (`L + 4E` operations), replayed at `per_elem`
+    /// operations each during composition. Always emits explicit ranks.
+    Simple {
+        per_elem: usize,
+        records: Vec<(u32, u32, u32)>,
+    },
+    /// Compact storage: only the counter array `PS_c` survives the initial
+    /// scan (`L + C` operations); composition walks the slices (`C`
+    /// checks), rebuilds the consecutive rank runs from `PS_c`/`PS_f`, and
+    /// recovers the element slots with a second scan (`S` operations under
+    /// the configured [`ScanMethod`]).
+    Compact {
+        emit: RankEmit,
+        cost: ComposeCost,
+        scan_method: ScanMethod,
+        ps_c: Vec<i32>,
+    },
+}
+
+impl Composer {
+    /// Simple storage, replayed at `per_elem` operations per element.
+    pub(crate) fn simple(per_elem: usize) -> Self {
+        let records = Vec::new();
+        Composer::Simple { per_elem, records }
+    }
+
+    /// Compact storage emitting `emit`, charged `cost`, second scan by
+    /// `scan_method`.
+    pub(crate) fn compact(emit: RankEmit, cost: ComposeCost, scan_method: ScanMethod) -> Self {
+        let ps_c = Vec::new();
+        Composer::Compact {
+            emit,
+            cost,
+            scan_method,
+            ps_c,
+        }
+    }
+
     /// Initial scan of the local mask: slice counts, with the scheme's
     /// storage retained in `self`.
-    fn scan(&mut self, proc: &mut Proc, m_local: &[bool], w0: usize) -> Vec<i32>;
+    pub(crate) fn scan(&mut self, proc: &mut Proc, m_local: &[bool], w0: usize) -> Vec<i32> {
+        match self {
+            Composer::Simple { records, .. } => proc.wall_span("scan.simple", |proc| {
+                proc.with_category(Category::LocalComp, |proc| {
+                    let mut counts = vec![0i32; m_local.len() / w0.max(1)];
+                    for (l, &selected) in m_local.iter().enumerate() {
+                        if selected {
+                            let k = l / w0;
+                            records.push((l as u32, k as u32, counts[k] as u32));
+                            counts[k] += 1;
+                        }
+                    }
+                    proc.charge_ops(m_local.len() + 4 * records.len());
+                    counts
+                })
+            }),
+            Composer::Compact { ps_c, .. } => proc.wall_span("scan.compact", |proc| {
+                proc.with_category(Category::LocalComp, |proc| {
+                    let counts = crate::ranking::slice_counts(m_local, w0);
+                    *ps_c = counts.clone();
+                    proc.charge_ops(m_local.len() + ps_c.len());
+                    counts
+                })
+            }),
+        }
+    }
 
     /// Compose the routes — one row per populated destination — from the
     /// retained storage and the final base ranks. `layout` is the
     /// result-vector layout whose owners the routes target. The caller
     /// seals the builder ([`RoutesBuilder::finish`]).
-    fn compose(
-        &mut self,
-        proc: &mut Proc,
-        ranking: &Ranking,
-        m_local: &[bool],
-        w0: usize,
-        layout: &DimLayout,
-    ) -> RoutesBuilder;
-}
-
-/// Simple storage: per-element `(local, slice, initial rank)` records from
-/// a single scan (`L + 4E` operations), replayed at `per_elem` operations
-/// each during composition. Always emits explicit ranks.
-pub(crate) struct SimpleComposer {
-    per_elem: usize,
-    records: Vec<(u32, u32, u32)>,
-}
-
-impl SimpleComposer {
-    pub(crate) fn new(per_elem: usize) -> SimpleComposer {
-        SimpleComposer {
-            per_elem,
-            records: Vec::new(),
-        }
-    }
-}
-
-impl Composer for SimpleComposer {
-    fn scan(&mut self, proc: &mut Proc, m_local: &[bool], w0: usize) -> Vec<i32> {
-        proc.wall_span("scan.simple", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                let mut counts = vec![0i32; m_local.len() / w0.max(1)];
-                for (l, &selected) in m_local.iter().enumerate() {
-                    if selected {
-                        let k = l / w0;
-                        self.records.push((l as u32, k as u32, counts[k] as u32));
-                        counts[k] += 1;
-                    }
-                }
-                proc.charge_ops(m_local.len() + 4 * self.records.len());
-                counts
-            })
-        })
-    }
-
-    fn compose(
-        &mut self,
-        proc: &mut Proc,
-        ranking: &Ranking,
-        _m_local: &[bool],
-        _w0: usize,
-        layout: &DimLayout,
-    ) -> RoutesBuilder {
-        proc.wall_span("compose.simple", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                let elems = self.records.len();
-                let mut routes = RoutesBuilder::new(RankEmit::Explicit, elems, 0);
-                for (at, &(local, slice, init)) in self.records.iter().enumerate() {
-                    let rank = init as usize + ranking.ps_f[slice as usize] as usize;
-                    routes.slots[at] = local;
-                    routes.ranks[at] = rank as u32;
-                    if routes.block.misses(rank, 1) {
-                        routes.leave_block(layout, rank, 1, at);
-                    }
-                }
-                routes.filled = elems;
-                proc.charge_ops(self.per_elem * elems);
-                proc.wall_bytes(elems as u64 * 8);
-                routes
-            })
-        })
-    }
-}
-
-/// Compact storage: only the counter array `PS_c` survives the initial
-/// scan (`L + C` operations); composition walks the slices (`C` checks),
-/// rebuilds the consecutive rank runs from `PS_c`/`PS_f`, and recovers the
-/// element slots with a second scan (`S` operations under the configured
-/// [`ScanMethod`]).
-pub(crate) struct CompactComposer {
-    emit: RankEmit,
-    cost: ComposeCost,
-    scan_method: ScanMethod,
-    ps_c: Vec<i32>,
-}
-
-impl CompactComposer {
-    pub(crate) fn new(emit: RankEmit, cost: ComposeCost, scan_method: ScanMethod) -> Self {
-        CompactComposer {
-            emit,
-            cost,
-            scan_method,
-            ps_c: Vec::new(),
-        }
-    }
-}
-
-impl Composer for CompactComposer {
-    fn scan(&mut self, proc: &mut Proc, m_local: &[bool], w0: usize) -> Vec<i32> {
-        proc.wall_span("scan.compact", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                let counts = crate::ranking::slice_counts(m_local, w0);
-                self.ps_c = counts.clone();
-                proc.charge_ops(m_local.len() + self.ps_c.len());
-                counts
-            })
-        })
-    }
-
-    fn compose(
+    pub(crate) fn compose(
         &mut self,
         proc: &mut Proc,
         ranking: &Ranking,
@@ -489,54 +451,77 @@ impl Composer for CompactComposer {
         w0: usize,
         layout: &DimLayout,
     ) -> RoutesBuilder {
-        proc.wall_span("compose.compact", |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                let (elems, nonempty) = self.ps_c.iter().fold((0, 0), |(e, k), &n| {
-                    (e + n as usize, k + usize::from(n != 0))
-                });
-                let mut routes = RoutesBuilder::new(self.emit, elems, nonempty);
-                let explicit = self.emit == RankEmit::Explicit;
-                // Second scan (Section 6.1): until-collected stops after a
-                // slice's last selected element, whole-slice always costs
-                // the slice width; empty slices are not scanned.
-                let until = self.scan_method == ScanMethod::UntilCollected;
-                let mut scanned = if until { 0 } else { w0 * nonempty };
-                let mut at = 0usize;
-                for (k, slice) in m_local.chunks_exact(w0).enumerate() {
-                    let (first, r0) = (at, ranking.ps_f[k] as usize);
-                    let mut last = 0usize;
-                    for (i, &selected) in slice.iter().enumerate() {
-                        routes.slots[at] = (k * w0 + i) as u32;
-                        if explicit {
-                            routes.ranks[at] = (r0 + (at - first)) as u32;
+        match self {
+            Composer::Simple { per_elem, records } => proc.wall_span("compose.simple", |proc| {
+                proc.with_category(Category::LocalComp, |proc| {
+                    let elems = records.len();
+                    let mut routes = RoutesBuilder::new(RankEmit::Explicit, elems, 0);
+                    for (at, &(local, slice, init)) in records.iter().enumerate() {
+                        let rank = init as usize + ranking.ps_f[slice as usize] as usize;
+                        routes.slots[at] = local;
+                        routes.ranks[at] = rank as u32;
+                        if routes.block.misses(rank, 1) {
+                            routes.leave_block(layout, rank, 1, at);
                         }
-                        at += usize::from(selected);
-                        last = if selected { i + 1 } else { last };
                     }
-                    let n = at - first;
-                    debug_assert_eq!(n, self.ps_c[k] as usize, "slice count disagrees with mask");
-                    scanned += if until { last } else { 0 };
-                    if !explicit {
-                        routes.runs[routes.n_runs] = (r0 as u32, n as u32);
-                        routes.n_runs += usize::from(n != 0);
+                    routes.filled = elems;
+                    proc.charge_ops(*per_elem * elems);
+                    proc.wall_bytes(elems as u64 * 8);
+                    routes
+                })
+            }),
+            Composer::Compact {
+                emit,
+                cost,
+                scan_method,
+                ps_c,
+            } => proc.wall_span("compose.compact", |proc| {
+                proc.with_category(Category::LocalComp, |proc| {
+                    let (elems, nonempty) = ps_c.iter().fold((0, 0), |(e, k), &n| {
+                        (e + n as usize, k + usize::from(n != 0))
+                    });
+                    let mut routes = RoutesBuilder::new(*emit, elems, nonempty);
+                    let explicit = *emit == RankEmit::Explicit;
+                    // Second scan (Section 6.1): until-collected stops after
+                    // a slice's last selected element, whole-slice always
+                    // costs the slice width; empty slices are not scanned.
+                    let until = *scan_method == ScanMethod::UntilCollected;
+                    let mut scanned = if until { 0 } else { w0 * nonempty };
+                    let mut at = 0usize;
+                    for (k, slice) in m_local.chunks_exact(w0).enumerate() {
+                        let (first, r0) = (at, ranking.ps_f[k] as usize);
+                        let mut last = 0usize;
+                        for (i, &selected) in slice.iter().enumerate() {
+                            routes.slots[at] = (k * w0 + i) as u32;
+                            if explicit {
+                                routes.ranks[at] = (r0 + (at - first)) as u32;
+                            }
+                            at += usize::from(selected);
+                            last = if selected { i + 1 } else { last };
+                        }
+                        let n = at - first;
+                        debug_assert_eq!(n, ps_c[k] as usize, "slice count disagrees with mask");
+                        scanned += if until { last } else { 0 };
+                        if !explicit {
+                            routes.runs[routes.n_runs] = (r0 as u32, n as u32);
+                            routes.n_runs += usize::from(n != 0);
+                        }
+                        if routes.block.misses(r0, n) {
+                            routes.leave_block(layout, r0, n, first);
+                        }
                     }
-                    if routes.block.misses(r0, n) {
-                        routes.leave_block(layout, r0, n, first);
-                    }
-                }
-                routes.filled = at;
-                // One check per slice, the second scan, and per destination
-                // run `per_run` plus `per_elem` per element it covers.
-                let runs = nonempty + routes.splits;
-                let ops = self.ps_c.len()
-                    + scanned
-                    + self.cost.per_run * runs
-                    + self.cost.per_elem * elems;
-                proc.charge_ops(ops);
-                proc.wall_bytes(ops as u64 * 4);
-                routes
-            })
-        })
+                    routes.filled = at;
+                    // One check per slice, the second scan, and per
+                    // destination run `per_run` plus `per_elem` per element
+                    // it covers.
+                    let runs = nonempty + routes.splits;
+                    let ops = ps_c.len() + scanned + cost.per_run * runs + cost.per_elem * elems;
+                    proc.charge_ops(ops);
+                    proc.wall_bytes(ops as u64 * 4);
+                    routes
+                })
+            }),
+        }
     }
 }
 
@@ -839,7 +824,7 @@ mod tests {
             let method = if whole { ScanMethod::WholeSlice } else { ScanMethod::UntilCollected };
             let cost = ComposeCost { per_run: 2, per_elem: 3 };
             let ((counts, routes, prog), ops) = on_a_proc(|proc| {
-                let mut composer = CompactComposer::new(emit, cost, method);
+                let mut composer = Composer::compact(emit, cost, method);
                 let counts = composer.scan(proc, &m_local, w0);
                 proc.clock().reset();
                 let (routes, prog) = composer.compose(proc, &ranking, &m_local, w0, &layout).finish();
@@ -864,7 +849,7 @@ mod tests {
         ) {
             let (m_local, ranking, layout) = ranked(&mask, &gaps, w0, p, w_prime);
             let ((counts, routes, prog), ops) = on_a_proc(|proc| {
-                let mut composer = SimpleComposer::new(2);
+                let mut composer = Composer::simple(2);
                 let counts = composer.scan(proc, &m_local, w0);
                 proc.clock().reset();
                 let (routes, prog) = composer.compose(proc, &ranking, &m_local, w0, &layout).finish();

@@ -50,18 +50,20 @@ use std::sync::Arc;
 use hpf_distarray::{ArrayDesc, DimLayout};
 use hpf_machine::collectives::{alltoallv_pooled, alltoallv_sparse, A2aPlan, A2aSchedule};
 use hpf_machine::{
-    fresh_pool_key, Category, Lendable, Lender, Loan, MemAccount, Packet, PoolSlot, Proc, Received,
-    Wire, Words,
+    fresh_pool_key, Category, Lender, Loan, MemAccount, Packet, PoolSlot, Proc, Received, Wire,
+    Words,
 };
 
 use crate::error::{PackError, UnpackError};
 use crate::pack::{compact_message, result_layout, PackOutput};
 use crate::ranking::rank_from_counts;
-use crate::schemes::{PackOptions, PackScheme, UnpackOptions, UnpackScheme};
+use crate::schemes::{PackOptions, PackScheme, ScanMethod, UnpackOptions, UnpackScheme};
 
-use composer::{Composer, OwnerBlock, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder};
+use composer::{
+    ComposeCost, Composer, OwnerBlock, PeerCsr, RankEmit, RankList, Routes, RoutesBuilder,
+};
 use copyprog::{gather_fill, row_values, scatter_apply, CopyPrograms, Phase, ProgramBuilder};
-use poolmsg::{FlatMsg, PackMsg, ValueMsg};
+use poolmsg::RowMsg;
 
 /// A reusable, value-independent PACK plan for one `(descriptor, mask,
 /// options)` triple on one processor. Built by [`plan_pack`]; executed any
@@ -69,22 +71,33 @@ use poolmsg::{FlatMsg, PackMsg, ValueMsg};
 #[derive(Debug, Clone)]
 pub struct PackPlan {
     scheme: PackScheme,
-    schedule: A2aSchedule,
     size: usize,
     v_layout: Option<DimLayout>,
     local_len: usize,
-    /// One row per populated destination (DESIGN.md §10), shared with every
-    /// staged message, which reads its ranks here.
+    /// The gather: route rows to the owners of `V`, read from `a_local`.
+    send: Sender,
+}
+
+/// A plan's send half (DESIGN.md §10, §11): one row per destination, the
+/// copy programs that read each row's values from the source, the exchange
+/// that carries them, and the family of pooled buffers it sends. PACK's
+/// gather sends route rows to the owners of `V`; UNPACK's serve sends serve
+/// rows, which carry no ranks, back to the requesters.
+#[derive(Debug, Clone)]
+pub(crate) struct Sender {
+    /// One row per populated destination, shared with every staged message,
+    /// which reads its ranks (if any) here.
     routes: Arc<Routes>,
-    /// Per route row: the copy program lowered from its slot list, driving
-    /// the execute-time value gather (DESIGN.md §16).
-    gather: CopyPrograms,
+    /// Per row: the copy program lowered from its slot list, driving the
+    /// execute-time value fill (DESIGN.md §16).
+    progs: CopyPrograms,
     a2a: A2aPlan,
+    schedule: A2aSchedule,
     /// Buffer-pool key: each plan owns a distinct family of reusable send
     /// buffers in every processor's pool (see DESIGN.md §11).
     pool_key: u64,
-    /// Whether this processor's executes lend `a_local` instead of filling
-    /// send buffers ([`lend_rule`]).
+    /// Whether this processor's executes lend their source instead of
+    /// filling send buffers ([`lend_rule`]).
     lends: bool,
 }
 
@@ -168,34 +181,29 @@ pub(crate) fn plan_pack_at(
             }
             Some(r) => (size > 0).then_some(*r),
         };
-        let (routes, gather) = match &layout {
+        let (routes, progs) = match &layout {
             Some(layout) => {
                 let composed = composer.compose(proc, &ranking, m_local, w0, layout);
                 proc.wall_span("plan.lower", |_| composed.finish())
             }
             None => RoutesBuilder::new(RankEmit::Explicit, 0, 0).finish(),
         };
-        let lends = lend_rule(proc, routes.slots.total(), gather.stats(), always_lend);
+        let lends = lend_rule(proc, routes.slots.total(), progs.stats(), always_lend);
         let (to, world) = (routes.slots.peers.clone(), proc.world());
         let a2a = match layout {
             Some(_) => A2aPlan::exchange(proc, &world, to),
             // `Size` is replicated: nobody sends, so nobody needs to ask.
             None => A2aPlan::from_peers(proc.nprocs(), to, Vec::new()),
         };
-        let plan = PackPlan {
+        let send = Sender::new(routes, progs, a2a, opts.schedule, lends);
+        proc.mem_charge(MemAccount::Plan, send.mem_bytes());
+        Ok(PackPlan {
             scheme: opts.scheme,
-            schedule: opts.schedule,
             size,
             v_layout: layout,
             local_len,
-            routes: Arc::new(routes),
-            gather,
-            a2a,
-            pool_key: fresh_pool_key(),
-            lends,
-        };
-        proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
-        Ok(plan)
+            send,
+        })
     })
 }
 
@@ -203,13 +211,6 @@ impl PackPlan {
     /// The scheme the plan was composed for.
     pub fn scheme(&self) -> PackScheme {
         self.scheme
-    }
-
-    /// Bytes retained by the plan's index structures (route rows, lowered
-    /// copy programs, and the exchange's peer lists), charged to the `plan`
-    /// memory account at build time and released by [`PackPlan::retire`].
-    fn mem_bytes(&self) -> u64 {
-        self.routes.mem_bytes() + self.gather.mem_bytes() + self.a2a.mem_bytes()
     }
 
     /// Give the plan back once it will not execute again — what one-shot
@@ -220,14 +221,13 @@ impl PackPlan {
     /// (a plan has no [`Proc`] to tell). Local, not collective; clones share
     /// the buffers, so retire the last one.
     pub fn retire(self, proc: &mut Proc) {
-        proc.pool_retire(self.pool_key);
-        proc.mem_release(MemAccount::Plan, self.mem_bytes());
+        self.send.retire(proc, 0);
     }
 
     /// Aggregate op breakdown of the plan's lowered gather programs —
     /// how much of the execute-time value movement runs as bulk copies.
     pub fn copy_stats(&self) -> CopyStats {
-        *self.gather.stats()
+        *self.send.progs.stats()
     }
 
     /// Global number of packed elements (`Size`), replicated everywhere.
@@ -238,7 +238,7 @@ impl PackPlan {
     /// Whether this processor's executes lend their source instead of
     /// copying it into send buffers (DESIGN.md §11). Decided at plan time.
     pub fn lends(&self) -> bool {
-        self.lends
+        self.send.lends
     }
 
     /// Layout of the result vector (`None` iff `size == 0`).
@@ -305,15 +305,8 @@ impl PackPlan {
         let layout = self.v_layout.expect("size > 0");
         proc.with_stage("pack.execute", |proc| {
             let mut recvs = proc.take_pkt_scratch();
-            let outbox = Outbox {
-                key: self.pool_key,
-                lends: self.lends,
-                rows: &self.routes.slots,
-                progs: &self.gather,
-                src: a_local,
-            };
-            send_round::<PackMsg<T>>(proc, "pack.gather", outbox, self, |proc| {
-                self.exchange::<T>(proc, &mut recvs);
+            self.send.send_round(proc, "pack.gather", a_local, |proc| {
+                self.send.exchange::<T>(proc, &mut recvs);
                 self.decode(proc, &layout, &mut recvs, &mut out.local_v);
             });
             proc.restore_pkt_scratch(recvs);
@@ -323,17 +316,9 @@ impl PackPlan {
         Ok(())
     }
 
-    /// The planned many-to-many over the buffers the send round left staged
-    /// (or the loans it left lent).
-    fn exchange<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
-        proc.with_category(Category::ManyToMany, |proc| {
-            alltoallv_pooled::<PackMsg<T>>(proc, &self.a2a, self.schedule, self.pool_key, recvs);
-        });
-    }
-
     /// Decode what every sender sent — a staged message's values, or its
     /// `a_local` read in place under its gather row — into `out` at the
-    /// ranks of the sender's route row, via [`decode_pooled`]. Section 6.4's
+    /// ranks of the sender's route row, via [`Sender::receive`]. Section 6.4's
     /// decomposition costs one operation per value plus the row's rank
     /// words: `2·E_a` for pairs, `E_a + 2·Gr_i` for segments.
     fn decode<T: Wire + Default>(
@@ -348,24 +333,18 @@ impl PackPlan {
                 let me = proc.id();
                 prepare_out(out, layout.local_len(me));
                 let mut placed = 0usize;
-                let ops = decode_pooled::<PackMsg<T>, _>(
-                    proc,
-                    self.pool_key,
-                    self.a2a.sends_to(me),
-                    recvs,
-                    |proc, _, got| {
-                        let (moved, rank_words) = place_message(proc, layout, got, out);
-                        placed += moved;
-                        rank_words + moved
-                    },
-                );
+                let ops = self.send.receive(proc, recvs, |proc, _, got| {
+                    let (moved, rank_words) = place_message(proc, layout, got, out);
+                    placed += moved;
+                    rank_words + moved
+                });
                 // Every rank below `Size` this processor owns is written
                 // once: all of `out` for `pack`, its head under `VECTOR`'s
                 // layout.
                 let owned = DimLayout::new_general(self.size, layout.p(), layout.w());
                 debug_assert_eq!(placed, owned.map_or(0, |o| o.local_len(me)), "V's ranks");
                 proc.charge_ops(ops);
-                if let RankList::Explicit(_) = self.routes.ranks {
+                if let RankList::Explicit(_) = self.send.routes.ranks {
                     // Every plan of a PACK is one scheme, so every message
                     // received was pairs, each value read beside its rank.
                     proc.wall_bytes((placed * std::mem::size_of::<(u32, T)>()) as u64);
@@ -375,74 +354,136 @@ impl PackPlan {
     }
 }
 
-/// One execute's sends: row `k` of `rows` goes to `rows.peers[k]`, read from
-/// `src` through row `k` of `progs`, in buffers pooled under `key`; `lends`
-/// as the plan decided ([`lend_rule`]).
-struct Outbox<'a, T> {
-    key: u64,
-    lends: bool,
-    rows: &'a PeerCsr,
-    progs: &'a CopyPrograms,
-    src: &'a [T],
-}
+impl Sender {
+    /// A send half over `routes`, read through `progs`, exchanged along
+    /// `a2a` under `schedule`, in a fresh family of pooled buffers.
+    fn new(
+        routes: Routes,
+        progs: CopyPrograms,
+        a2a: A2aPlan,
+        schedule: A2aSchedule,
+        lends: bool,
+    ) -> Self {
+        Sender {
+            routes: Arc::new(routes),
+            progs,
+            a2a,
+            schedule,
+            pool_key: fresh_pool_key(),
+            lends,
+        }
+    }
 
-/// One execute's send side, then `rest` — the exchange and the decode —,
-/// shared by PACK's gather and UNPACK's serve: one operation per element
-/// sent, under the `span` wall frame. A lending plan lends `src` under every
-/// row, charged the wire words its message would occupy materialised, and
-/// runs `rest` inside the lending scope. Any other checks out each
-/// destination's pooled buffer, shapes it to the row ([`ValueMsg::shape`]),
-/// overwrites its values through the row's copy program and stashes it for
-/// the exchange.
-fn send_round<'a, B: ValueMsg>(
-    proc: &mut Proc,
-    span: &'static str,
-    outbox: Outbox<'a, B::Elem>,
-    plan: &'a B::Recipe,
-    rest: impl FnOnce(&mut Proc),
-) where
-    B::Elem: Copy,
-{
-    let Outbox {
-        key,
-        lends,
-        rows,
-        progs,
-        src,
-    } = outbox;
-    let send = |proc: &mut Proc, mut lender: Option<&mut Lender<'a, B>>| {
-        proc.wall_span(span, |proc| {
-            proc.with_category(Category::LocalComp, |proc| {
-                for (k, &dst) in rows.peers.iter().enumerate() {
-                    let dst = dst as usize;
-                    match lender.as_deref_mut() {
-                        Some(lender) => {
-                            let (recipe, row) = (plan, k);
-                            let words = B::words(plan, k);
-                            lender.lend(proc, dst, Loan { src, recipe, row }, words);
-                        }
-                        None => {
-                            let (slot, mut buf) = proc.pool_checkout::<B>(key, dst);
-                            let vals = buf.shape(plan, k);
-                            walk_phases::<B::Elem>(proc, |phase| {
-                                gather_fill(progs, k, src, vals, phase)
-                            });
-                            slot.stash(buf);
+    /// Bytes retained by the send half's index structures (rows, lowered
+    /// copy programs, the exchange's peer lists), charged to the `plan`
+    /// memory account at build time with the plan's receive half.
+    fn mem_bytes(&self) -> u64 {
+        self.routes.mem_bytes() + self.progs.mem_bytes() + self.a2a.mem_bytes()
+    }
+
+    /// Drop the family's pool entries and release the plan's `plan` charge:
+    /// these bytes and `recv_bytes`, the receive half's.
+    fn retire(&self, proc: &mut Proc, recv_bytes: u64) {
+        proc.pool_retire(self.pool_key);
+        proc.mem_release(MemAccount::Plan, self.mem_bytes() + recv_bytes);
+    }
+
+    /// One execute's send side, then `rest` — the exchange and the decode —,
+    /// shared by PACK's gather and UNPACK's serve: row `k` goes to
+    /// `routes.slots.peers[k]`, read from `src` through row `k` of `progs`,
+    /// one operation per element sent, under the `span` wall frame. A lending
+    /// plan lends `src` under every row, charged the wire words its message
+    /// would occupy materialised, and runs `rest` inside the lending scope.
+    /// Any other checks out each destination's pooled buffer, shapes it to
+    /// the row ([`RowMsg::shape`]), overwrites its values through the row's
+    /// copy program and stashes it for the exchange.
+    fn send_round<'a, T: Wire + Default>(
+        &'a self,
+        proc: &mut Proc,
+        span: &'static str,
+        src: &'a [T],
+        rest: impl FnOnce(&mut Proc),
+    ) {
+        let rows = &self.routes.slots;
+        let send = |proc: &mut Proc, mut lender: Option<&mut Lender<'a, RowMsg<T>>>| {
+            proc.wall_span(span, |proc| {
+                proc.with_category(Category::LocalComp, |proc| {
+                    for (k, &dst) in rows.peers.iter().enumerate() {
+                        let dst = dst as usize;
+                        match lender.as_deref_mut() {
+                            Some(lender) => {
+                                let words = self.routes.rank_words(k) + rows.len(k) * T::WORDS;
+                                let (recipe, row) = (self, k);
+                                lender.lend(proc, dst, Loan { src, recipe, row }, words);
+                            }
+                            None => {
+                                let (slot, mut buf) =
+                                    proc.pool_checkout::<RowMsg<T>>(self.pool_key, dst);
+                                let vals = buf.shape(self, k);
+                                walk_phases::<T>(proc, |phase| {
+                                    gather_fill(&self.progs, k, src, vals, phase)
+                                });
+                                slot.stash(buf);
+                            }
                         }
                     }
-                }
-                proc.charge_ops(rows.total());
+                    proc.charge_ops(rows.total());
+                })
             })
+        };
+        if !self.lends {
+            send(proc, None);
+            return rest(proc);
+        }
+        proc.lending::<RowMsg<T>, _>(self.pool_key, |proc, lender| {
+            send(proc, Some(lender));
+            rest(proc);
         })
-    };
-    if !lends {
-        send(proc, None);
-        return rest(proc);
     }
-    proc.lending::<B, _>(key, |proc, lender| {
-        send(proc, Some(lender));
-        rest(proc);
-    })
+
+    /// The planned many-to-many over the buffers the send round left staged
+    /// (or the loans it left lent).
+    fn exchange<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
+        proc.with_category(Category::ManyToMany, |proc| {
+            let (a2a, key) = (&self.a2a, self.pool_key);
+            alltoallv_pooled::<RowMsg<T>>(proc, a2a, self.schedule, key, recvs);
+        });
+    }
+
+    /// The shared pooled-decode loop: read the self slot (it never crossed
+    /// the wire), then every received packet's slot, and run `place` over
+    /// what each carries — a staged buffer, which goes back to its sender's
+    /// slot after, or a loan of the sender's source, read in place
+    /// ([`PoolSlot::receive`]). `place` gets the sending processor's id
+    /// (this processor's own for the self slot) and returns whatever count
+    /// it wants accumulated — placed values for pair decodes, model
+    /// operations for segment decodes. It must not park: a loan's lender may
+    /// wait on it.
+    fn receive<T: Wire + Default, F>(
+        &self,
+        proc: &mut Proc,
+        recvs: &mut Vec<Packet>,
+        mut place: F,
+    ) -> usize
+    where
+        F: FnMut(&mut Proc, usize, Received<'_, RowMsg<T>>) -> usize,
+    {
+        let me = proc.id();
+        let mut acc = 0usize;
+        if self.a2a.sends_to(me) {
+            let slot = proc.pool_current::<RowMsg<T>>(self.pool_key, me);
+            acc += slot.receive(|got| place(proc, me, got));
+        }
+        for pkt in recvs.drain(..) {
+            let src = pkt.src;
+            let slot = pkt
+                .data
+                .downcast::<PoolSlot<RowMsg<T>>>()
+                .expect("pooled exchange delivers pool slots");
+            acc += slot.receive(|got| place(proc, src, got));
+        }
+        acc
+    }
 }
 
 /// Place one PACK message into `out`, the local slice of `V`: a staged
@@ -455,7 +496,7 @@ fn send_round<'a, B: ValueMsg>(
 fn place_message<T: Wire + Default>(
     proc: &mut Proc,
     layout: &DimLayout,
-    got: Received<'_, PackMsg<T>>,
+    got: Received<'_, RowMsg<T>>,
     out: &mut [T],
 ) -> (usize, Words) {
     let me = proc.id();
@@ -467,24 +508,6 @@ fn place_message<T: Wire + Default>(
         Received::Lent(loan) => (&*loan.recipe.routes, loan.row),
     };
     let placed = match (&routes.ranks, got) {
-        (RankList::Explicit(_), Received::Staged(msg)) => {
-            let vals = msg.vals.iter().copied();
-            place_pairs(
-                layout,
-                me,
-                routes.explicit(k).iter().copied().zip(vals),
-                out,
-            )
-        }
-        (RankList::Explicit(_), Received::Lent(Loan { src, recipe, row })) => {
-            let vals = row_values(&recipe.gather, row, src);
-            place_pairs(
-                layout,
-                me,
-                routes.explicit(k).iter().copied().zip(vals),
-                out,
-            )
-        }
         // Wall bytes count the values only: the segment headers are index
         // work, not movement.
         (RankList::Runs { .. }, Received::Staged(msg)) => {
@@ -494,10 +517,29 @@ fn place_message<T: Wire + Default>(
             })
         }
         (RankList::Runs { .. }, Received::Lent(Loan { src, recipe, row })) => {
-            let (runs, src) = (routes.runs(k), recipe.gather.source(row, src));
+            let (runs, src) = (routes.runs(k), recipe.progs.source(row, src));
             walk_phases::<T>(proc, |phase| {
                 compact_message::join_segments(layout, me, runs, src, out, phase)
             })
+        }
+        // Every other PACK row is pairs.
+        (_, Received::Staged(msg)) => {
+            let vals = msg.vals.iter().copied();
+            place_pairs(
+                layout,
+                me,
+                routes.explicit(k).iter().copied().zip(vals),
+                out,
+            )
+        }
+        (_, Received::Lent(Loan { src, recipe, row })) => {
+            let vals = row_values(&recipe.progs, row, src);
+            place_pairs(
+                layout,
+                me,
+                routes.explicit(k).iter().copied().zip(vals),
+                out,
+            )
         }
     };
     (placed, routes.rank_words(k))
@@ -514,41 +556,6 @@ fn prepare_out<T: Default + Clone>(out: &mut Vec<T>, local_len: usize) {
         out.clear();
         out.resize(local_len, T::default());
     }
-}
-
-/// The shared pooled-decode loop: read the self slot (it never crossed the
-/// wire), then every received packet's slot, and run `place` over what each
-/// carries — a staged buffer, which goes back to its sender's slot after,
-/// or a loan of the sender's source, read in place ([`PoolSlot::receive`]).
-/// `place` gets the sending processor's id (this processor's own for the
-/// self slot) and returns whatever count it wants accumulated — placed
-/// values for pair decodes, model operations for segment decodes. It must
-/// not park: a loan's lender may wait on it.
-fn decode_pooled<B: Lendable, F>(
-    proc: &mut Proc,
-    pool_key: u64,
-    self_staged: bool,
-    recvs: &mut Vec<Packet>,
-    mut place: F,
-) -> usize
-where
-    F: FnMut(&mut Proc, usize, Received<'_, B>) -> usize,
-{
-    let me = proc.id();
-    let mut acc = 0usize;
-    if self_staged {
-        let slot = proc.pool_current::<B>(pool_key, me);
-        acc += slot.receive(|got| place(proc, me, got));
-    }
-    for pkt in recvs.drain(..) {
-        let src = pkt.src;
-        let slot = pkt
-            .data
-            .downcast::<PoolSlot<B>>()
-            .expect("pooled exchange delivers pool slots");
-        acc += slot.receive(|got| place(proc, src, got));
-    }
-    acc
 }
 
 /// Walk a lowered copy program: `walk` runs one phase of a `copyprog`
@@ -664,28 +671,19 @@ fn copy_field<T: Copy + Default>(spans: &[(u32, u32)], f_local: &[T], out: &mut 
 /// values (the reply round plus local copies).
 #[derive(Debug, Clone)]
 pub struct UnpackPlan {
-    schedule: A2aSchedule,
     size: usize,
     local_len: usize,
     v_local_len: usize,
     /// One row per reply-sender: local element slots awaiting its values.
     targets: PeerCsr,
-    /// One row per requester: the local indices into my `V` slice to serve,
-    /// in request order.
-    serve: PeerCsr,
-    /// Per `serve` row: its lowered copy program (the reply fill).
-    serve_prog: CopyPrograms,
     /// Per `targets` row: its lowered copy program (the reply scatter).
     scatter_prog: CopyPrograms,
     /// What the field pass copies: sorted `(start, len)` stretches of local
     /// memory, everything but the wholly selected chunks ([`field_spans`]).
     field_spans: Vec<(u32, u32)>,
-    reply_a2a: A2aPlan,
-    /// Buffer-pool key for the reply-round send buffers (DESIGN.md §11).
-    pool_key: u64,
-    /// Whether this processor's executes lend `v_local` to the requesters
-    /// instead of filling reply buffers ([`lend_rule`]).
-    lends: bool,
+    /// The serve: one row per requester, without ranks, read from `v_local`
+    /// through the local indices each asked for, in request order.
+    send: Sender,
 }
 
 /// Build an [`UnpackPlan`]: initial scan, ranking collectives, request
@@ -750,7 +748,7 @@ fn plan_unpack_at(
             let requests = (routes.slots.peers.iter().enumerate())
                 .map(|(k, &owner)| {
                     let (vals, route) = (Vec::new(), Some((Arc::clone(&routes), k)));
-                    (owner, PackMsg::<u32> { vals, route })
+                    (owner, RowMsg::<u32> { vals, route })
                 })
                 .collect();
             let incoming = proc.with_stage("unpack.request", |proc| {
@@ -765,7 +763,7 @@ fn plan_unpack_at(
         // run of local indices into my slice of V (one operation per served
         // rank; the value fetch itself is charged at execute time), lowered
         // as it is resolved: no index list is built.
-        let (serve, serve_prog) = proc.with_category(Category::LocalComp, |proc| {
+        let (serve, progs) = proc.with_category(Category::LocalComp, |proc| {
             proc.wall_span("plan.serve", |proc| {
                 let (mut serve, mut prog) = (PeerCsr::empty(), ProgramBuilder::default());
                 let (mut served, mut block, me) = (0usize, OwnerBlock::default(), proc.id());
@@ -792,28 +790,26 @@ fn plan_unpack_at(
         });
         // Reply directions are locally known: I reply to whoever asked,
         // and I await replies from whoever I asked.
-        let reply_a2a =
-            A2aPlan::from_peers(proc.nprocs(), serve.peers.clone(), targets.peers.clone());
+        let a2a = A2aPlan::from_peers(proc.nprocs(), serve.peers.clone(), targets.peers.clone());
         // The requesters' scatter rows are theirs; this processor's own
         // stand in for them: the same mask family, distributed alike.
-        let mut stats = *serve_prog.stats();
+        let mut stats = *progs.stats();
         stats.merge(scatter_prog.stats());
         let lends = lend_rule(proc, serve.total(), &stats, always_lend);
+        let serve = Routes {
+            slots: serve,
+            ranks: RankList::Implicit,
+        };
         let plan = UnpackPlan {
-            schedule: opts.schedule,
             size,
             local_len,
             v_local_len,
             targets,
-            serve,
-            serve_prog,
             scatter_prog,
             field_spans: field_spans(m_local),
-            reply_a2a,
-            pool_key: fresh_pool_key(),
-            lends,
+            send: Sender::new(serve, progs, a2a, opts.schedule, lends),
         };
-        proc.mem_charge(MemAccount::Plan, plan.mem_bytes());
+        proc.mem_charge(MemAccount::Plan, plan.send.mem_bytes() + plan.recv_bytes());
         Ok(plan)
     })
 }
@@ -827,76 +823,53 @@ impl UnpackPlan {
     /// Whether this processor's executes lend `v_local` to the requesters
     /// instead of copying it into reply buffers; see [`PackPlan::lends`].
     pub fn lends(&self) -> bool {
-        self.lends
+        self.send.lends
     }
 
-    /// Bytes retained by the plan's index structures (target and serve
-    /// rows, lowered copy programs, field spans, reply peer lists); see
-    /// [`PackPlan::mem_bytes`].
-    fn mem_bytes(&self) -> u64 {
-        let rows = self.targets.mem_bytes() + self.serve.mem_bytes();
-        let progs = self.serve_prog.mem_bytes() + self.scatter_prog.mem_bytes();
+    /// Bytes retained by the receive half (target rows, scatter programs,
+    /// field spans); the send half counts its own.
+    fn recv_bytes(&self) -> u64 {
         let spans = std::mem::size_of_val(&self.field_spans[..]) as u64;
-        rows + progs + spans + self.reply_a2a.mem_bytes()
+        self.targets.mem_bytes() + self.scatter_prog.mem_bytes() + spans
     }
 
     /// Give the plan back once it will not execute again; see
     /// [`PackPlan::retire`]. It is what one-shot [`crate::unpack`] does
     /// after its execute.
     pub fn retire(self, proc: &mut Proc) {
-        proc.pool_retire(self.pool_key);
-        proc.mem_release(MemAccount::Plan, self.mem_bytes());
+        self.send.retire(proc, self.recv_bytes());
     }
 
     /// Aggregate op breakdown of the plan's lowered serve + scatter
     /// programs; see [`PackPlan::copy_stats`].
     pub fn copy_stats(&self) -> CopyStats {
-        let mut s = *self.serve_prog.stats();
+        let mut s = *self.send.progs.stats();
         s.merge(self.scatter_prog.stats());
         s
     }
 
-    /// The reply round, then the reply scatter into `A` at the recorded
-    /// element slots: each reply — a buffer, or the owner's `v_local` read in
-    /// place under its serve row — is joined with this processor's scatter
-    /// row in one pass, via the shared pooled-decode loop.
-    fn reply<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>, out: &mut [T]) {
-        proc.with_stage("unpack.reply", |proc| {
-            proc.with_category(Category::ManyToMany, |proc| {
-                alltoallv_pooled::<FlatMsg<T>>(
-                    proc,
-                    &self.reply_a2a,
-                    self.schedule,
-                    self.pool_key,
-                    recvs,
-                );
-            })
-        });
+    /// The reply scatter into `A` at the recorded element slots: each reply
+    /// — a buffer, or the owner's `v_local` read in place under its serve
+    /// row — is joined with this processor's scatter row in one pass.
+    fn scatter<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>, out: &mut [T]) {
         proc.wall_span("unpack.scatter", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
-                let me = proc.id();
-                let ops = decode_pooled::<FlatMsg<T>, _>(
-                    proc,
-                    self.pool_key,
-                    self.reply_a2a.sends_to(me),
-                    recvs,
-                    |proc, src_id, got| {
-                        let k = self.targets.find(src_id).expect("a reply I asked for");
-                        let moved = match got {
-                            Received::Staged(buf) => walk_phases::<T>(proc, |phase| {
-                                scatter_apply(&self.scatter_prog, k, &buf.vals, out, phase)
-                            }),
-                            Received::Lent(Loan { src, recipe, row }) => {
-                                let src = recipe.serve_prog.source(row, src);
-                                walk_phases::<T>(proc, |phase| {
-                                    self.scatter_prog.place(k, src, out, phase)
-                                })
-                            }
-                        };
-                        debug_assert_eq!(moved, self.targets.len(k), "reply length mismatch");
-                        moved
-                    },
-                );
+                let ops = self.send.receive(proc, recvs, |proc, src_id, got| {
+                    let k = self.targets.find(src_id).expect("a reply I asked for");
+                    let moved = match got {
+                        Received::Staged(buf) => walk_phases::<T>(proc, |phase| {
+                            scatter_apply(&self.scatter_prog, k, &buf.vals, out, phase)
+                        }),
+                        Received::Lent(Loan { src, recipe, row }) => {
+                            let src = recipe.progs.source(row, src);
+                            walk_phases::<T>(proc, |phase| {
+                                self.scatter_prog.place(k, src, out, phase)
+                            })
+                        }
+                    };
+                    debug_assert_eq!(moved, self.targets.len(k), "reply length mismatch");
+                    moved
+                });
                 proc.charge_ops(ops);
             })
         });
@@ -973,15 +946,10 @@ impl UnpackPlan {
             // nothing to serve get no message, matching the reply plan's
             // silent rounds.
             let mut recvs = proc.take_pkt_scratch();
-            let outbox = Outbox {
-                key: self.pool_key,
-                lends: self.lends,
-                rows: &self.serve,
-                progs: &self.serve_prog,
-                src: v_local,
-            };
-            send_round::<FlatMsg<T>>(proc, "unpack.serve", outbox, self, |proc| {
-                self.reply(proc, &mut recvs, out)
+            self.send.send_round(proc, "unpack.serve", v_local, |proc| {
+                let reply = |proc: &mut Proc| self.send.exchange::<T>(proc, &mut recvs);
+                proc.with_stage("unpack.reply", reply);
+                self.scatter(proc, &mut recvs, out)
             });
             proc.restore_pkt_scratch(recvs);
         });
@@ -989,20 +957,28 @@ impl UnpackPlan {
     }
 }
 
-/// The scheme's plan-time composer for PACK (Section 6 storage schemes).
-fn pack_composer(opts: &PackOptions) -> Box<dyn Composer> {
+/// The scheme's plan-time composer for PACK, charging the Section 6.4
+/// costs on [`PackScheme`]'s variants.
+fn pack_composer(opts: &PackOptions) -> Composer {
+    let compact = |emit, per_run, per_elem| {
+        Composer::compact(emit, ComposeCost { per_run, per_elem }, opts.scan_method)
+    };
     match opts.scheme {
-        PackScheme::Simple => crate::pack::simple::composer(),
-        PackScheme::CompactStorage => crate::pack::compact_storage::composer(opts.scan_method),
-        PackScheme::CompactMessage => crate::pack::compact_message::composer(opts.scan_method),
+        PackScheme::Simple => Composer::simple(1),
+        PackScheme::CompactStorage => compact(RankEmit::Explicit, 1, 1),
+        PackScheme::CompactMessage => compact(RankEmit::Runs, 2, 0),
     }
 }
 
-/// The scheme's plan-time composer for UNPACK.
-fn unpack_composer(opts: &UnpackOptions) -> Box<dyn Composer> {
+/// The scheme's plan-time composer for UNPACK; see [`UnpackScheme`].
+fn unpack_composer(opts: &UnpackOptions) -> Composer {
+    let (per_run, per_elem) = (2, 1);
+    let cost = ComposeCost { per_run, per_elem };
     match opts.scheme {
-        UnpackScheme::Simple => crate::unpack::simple::composer(),
-        UnpackScheme::CompactStorage => crate::unpack::compact_storage::composer(),
+        UnpackScheme::Simple => Composer::simple(2),
+        UnpackScheme::CompactStorage => {
+            Composer::compact(RankEmit::Runs, cost, ScanMethod::UntilCollected)
+        }
     }
 }
 
@@ -1044,7 +1020,7 @@ mod tests {
         let mut rows = 0;
         for (pack, unpack) in plans(pattern) {
             for (progs, csr) in [
-                (&pack.gather, &pack.routes.slots),
+                (&pack.send.progs, &pack.send.routes.slots),
                 (&unpack.scatter_prog, &unpack.targets),
             ] {
                 for k in 0..csr.peers.len() {
@@ -1056,7 +1032,7 @@ mod tests {
                     rows += 1;
                 }
             }
-            let serve = unpack.serve_prog.stats();
+            let serve = unpack.send.progs.stats();
             assert!(
                 serve.bulk_fraction() > 0.9,
                 "serve rows are runs: {serve:?}"
@@ -1073,8 +1049,8 @@ mod tests {
         for pattern in [MaskPattern::Full, MaskPattern::FirstHalf] {
             for (pack, unpack) in plans(pattern) {
                 for (progs, csr) in [
-                    (&pack.gather, &pack.routes.slots),
-                    (&unpack.serve_prog, &unpack.serve),
+                    (&pack.send.progs, &pack.send.routes.slots),
+                    (&unpack.send.progs, &unpack.send.routes.slots),
                     (&unpack.scatter_prog, &unpack.targets),
                 ] {
                     let list: Vec<u32> = (0..csr.peers.len())
@@ -1349,10 +1325,10 @@ mod tests {
                         let mut v = Vec::new();
                         let mut routes = None;
                         if me == 0 {
-                            let peers = plan.routes.slots.peers.iter();
+                            let peers = plan.send.routes.slots.peers.iter();
                             let in_flight = peers.filter(|&&d| d != 0).count();
                             assert_eq!(in_flight, p - 1, "0 sends to every receiver");
-                            let weak = Arc::downgrade(&plan.routes);
+                            let weak = Arc::downgrade(&plan.send.routes);
                             let mut got = PackOutput {
                                 local_v: Vec::new(),
                                 size: 0,
@@ -1367,24 +1343,11 @@ mod tests {
                             (v, routes) = (got.local_v, Some(weak));
                         } else {
                             let mut recvs = Vec::new();
-                            let outbox = Outbox {
-                                key: plan.pool_key,
-                                lends: false,
-                                rows: &plan.routes.slots,
-                                progs: &plan.gather,
-                                src: &ap[me],
-                            };
-                            send_round::<PackMsg<i32>>(
-                                proc,
-                                "pack.gather",
-                                outbox,
-                                &plan,
-                                |proc| {
-                                    plan.exchange::<i32>(proc, &mut recvs);
-                                    let _gone: Vec<u32> = proc.recv(0, tags::USER);
-                                    plan.decode(proc, &layout, &mut recvs, &mut v);
-                                },
-                            );
+                            plan.send.send_round(proc, "pack.gather", &ap[me], |proc| {
+                                plan.send.exchange::<i32>(proc, &mut recvs);
+                                let _gone: Vec<u32> = proc.recv(0, tags::USER);
+                                plan.decode(proc, &layout, &mut recvs, &mut v);
+                            });
                         }
                         let what = format!("P={p} workers={workers} {scheme:?} proc {me}");
                         assert_eq!(v.len(), layout.local_len(me), "{what}");

@@ -5,19 +5,41 @@ use hpf_machine::collectives::{A2aSchedule, PrsAlgorithm};
 /// Storage / message-composition scheme for PACK (Section 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PackScheme {
-    /// **SSS** — simple storage scheme: record per-element information
-    /// (index, tile, initial rank, destination) during the initial scan;
-    /// messages are `(global rank, value)` pairs. One local scan, heavy
-    /// per-element memory traffic (`∝ L + C + 6E_i + 2E_a`).
+    /// **SSS** — simple storage scheme (Sections 6.1 / 6.4.1): the initial
+    /// scan saves every selected element's bookkeeping — the paper lists
+    /// `d + 3` items (a local index per dimension, the tile number, the
+    /// in-slice rank, later the destination), at least four memory
+    /// operations per selected element — and composition replays the
+    /// records against `PS_f` for each element's global rank and
+    /// destination. Messages are `(global rank, value)` pairs, `2·E_i`
+    /// words. Local computation `∝ L + C + 6E_i + 2E_a`: the cheapest scheme
+    /// per *slice* (one scan), the dearest per *element*, so it wins at
+    /// cyclic distribution (`C = L`) and low density and loses as blocks
+    /// grow and density rises. Plan-time: the scan (`L + 4E`), the record
+    /// replay (`1/element`) and the ranking; execute-time: the value gather
+    /// (`1/element`) and the pair decode (`2/element`).
     Simple,
-    /// **CSS** — compact storage scheme: store nothing per element; keep a
-    /// counter array `PS_c` (copy of `PS_0`) and rebuild everything from
-    /// `PS_c`/`PS_f` in a second scan. Messages still `(rank, value)` pairs
-    /// (`∝ 2L + 2C + 3E_i + 2E_a`).
+    /// **CSS** — compact storage scheme (Sections 6.1 / 6.4.1): nothing is
+    /// stored per element. The initial scan keeps the slice counts as the
+    /// *counter array* `PS_c`; after ranking, `PS_c[k]` (how many selected
+    /// elements slice `k` holds) and `PS_f[k]` (the global rank of the
+    /// first) rebuild per slice the consecutive ranks, the destinations
+    /// (the `sendl` vector) and — by a second scan of the non-empty slices
+    /// only — the element slots. Messages are still `(rank, value)` pairs.
+    /// Local computation `∝ 2L + 2C + 3E_i + 2E_a`: an extra scan and slice
+    /// pass buy the removal of the per-element record traffic, so CSS wins
+    /// once blocks are large and density high. Plan-time: both scans, the
+    /// slice walk and the rank expansion (`1/run + 1/element`);
+    /// execute-time: the value gather (`1/element`) and the pair decode
+    /// (`2/element`).
     CompactStorage,
-    /// **CMS** — compact message scheme: CSS storage plus run-compressed
-    /// messages `(base rank, count, values…)` exploiting that ranks within
-    /// a slice are consecutive (`∝ 2L + 2C + 2E_i + 2Gs_i + E_a + 2Gr_i`).
+    /// **CMS** — compact message scheme (Sections 6.2 / 6.4.2): CSS storage
+    /// plus run-compressed messages `(base rank, count, values…)` exploiting
+    /// that ranks within a slice are consecutive
+    /// (`∝ 2L + 2C + 2E_i + 2Gs_i + E_a + 2Gr_i`). Plan-time: the scans and
+    /// the run composition (`2/run`, the segment headers); execute-time: the
+    /// value gather (`1/value`) and the segment decode
+    /// (`2/segment + 1/value`).
     CompactMessage,
 }
 
@@ -43,10 +65,23 @@ impl PackScheme {
 /// request format plays the compact-message role on the request side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnpackScheme {
-    /// **SSS** — per-element rank requests.
+    /// **SSS** — per-element rank requests (Section 6.4.3). As in PACK's
+    /// SSS the initial scan records per-element bookkeeping (`L + 4E`) and
+    /// composition replays it against `PS_f`, but it composes *two* aligned
+    /// lists per element — the global rank to request and the local slot
+    /// awaiting the reply —, so the replay costs `2E`. Requests are explicit
+    /// rank lists (`E` words). Plan-time: the scan, the replay, the request
+    /// round and the owners' request decode; execute-time: only the field
+    /// copy, the value replies and the scatter.
     Simple,
-    /// **CSS** — counter-array storage with run-compressed
-    /// `(base rank, count)` requests.
+    /// **CSS** — counter-array storage as in PACK's CSS, with run-compressed
+    /// `(base rank, count)` requests (Section 6.4.3): consecutive ranks
+    /// within a slice collapse to one run, `2·Gs` words instead of `E` — the
+    /// compact message idea on the READ direction's request stage (a reply
+    /// is values only). Composition re-scans the non-empty slices by method
+    /// 1 (the paper's choice for UNPACK, where the second scan is always
+    /// needed to recover element slots) and charges two operations per run
+    /// plus one per element. Plan and execute split as under SSS.
     CompactStorage,
 }
 

@@ -17,9 +17,7 @@
 //! explicit ranks under the simple scheme (`E` words), `(base, count)` runs
 //! under compact storage (`2·Gs` words).
 
-pub(crate) mod compact_storage;
 mod redist;
-pub(crate) mod simple;
 
 pub use redist::unpack_redistributed;
 

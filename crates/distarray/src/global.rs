@@ -64,11 +64,6 @@ impl<T: Copy> GlobalArray<T> {
         self.data[linearize(idx, &self.shape)]
     }
 
-    /// Element at a global linear index.
-    pub fn get_linear(&self, lin: usize) -> T {
-        self.data[lin]
-    }
-
     /// Set the element at a global multi-index.
     pub fn set(&mut self, idx: &[usize], v: T) {
         let lin = linearize(idx, &self.shape);
@@ -184,7 +179,7 @@ mod tests {
         let mut a = GlobalArray::from_fn(&[3, 3], |_| 0i32);
         a.set(&[2, 1], 42);
         assert_eq!(a.get(&[2, 1]), 42);
-        assert_eq!(a.get_linear(linearize(&[2, 1], &[3, 3])), 42);
+        assert_eq!(a.data()[linearize(&[2, 1], &[3, 3])], 42);
     }
 
     #[test]

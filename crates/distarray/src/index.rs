@@ -34,17 +34,6 @@ pub fn delinearize(mut lin: usize, shape: &[usize]) -> Vec<usize> {
     idx
 }
 
-/// Write the delinearisation of `lin` into `out` without allocating.
-#[inline]
-pub fn delinearize_into(mut lin: usize, shape: &[usize], out: &mut [usize]) {
-    debug_assert_eq!(out.len(), shape.len());
-    for (o, &n) in out.iter_mut().zip(shape) {
-        *o = lin % n;
-        lin /= n;
-    }
-    debug_assert_eq!(lin, 0, "linear index out of bounds");
-}
-
 /// Total element count of a shape.
 #[inline]
 pub fn volume(shape: &[usize]) -> usize {
@@ -109,9 +98,6 @@ mod tests {
         for lin in 0..60 {
             let idx = delinearize(lin, &shape);
             assert_eq!(linearize(&idx, &shape), lin);
-            let mut buf = [0usize; 3];
-            delinearize_into(lin, &shape, &mut buf);
-            assert_eq!(buf.to_vec(), idx);
         }
     }
 

@@ -35,7 +35,6 @@ mod dist;
 mod global;
 pub mod index;
 mod layout;
-mod local;
 mod redistribute;
 mod track;
 
@@ -43,6 +42,5 @@ pub use descriptor::{ArrayDesc, DescError};
 pub use dist::Dist;
 pub use global::{local_from_fn, local_global_indices, GlobalArray};
 pub use layout::{DimLayout, LayoutError};
-pub use local::LocalArray;
 pub use redistribute::redistribute;
 pub use track::TrackArray;

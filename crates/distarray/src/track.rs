@@ -12,8 +12,6 @@
 
 use hpf_machine::{MemAccount, Proc};
 
-use crate::local::LocalArray;
-
 /// A value whose processor-local footprint can be charged to the machine's
 /// `user` memory account.
 pub trait TrackArray {
@@ -45,12 +43,6 @@ impl<T> TrackArray for [T] {
     }
 }
 
-impl<T> TrackArray for LocalArray<T> {
-    fn tracked_bytes(&self) -> u64 {
-        (self.len() * size_of::<T>()) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,8 +52,7 @@ mod tests {
         let v = vec![0u32; 10];
         assert_eq!(v.tracked_bytes(), 40);
         assert_eq!(v.as_slice().tracked_bytes(), 40);
-        let a = LocalArray::from_vec(&[4], vec![0.0f64; 4]);
-        assert_eq!(a.tracked_bytes(), 32);
+        assert_eq!(vec![0.0f64; 4].tracked_bytes(), 32);
         let mask = vec![true; 8];
         assert_eq!(mask.tracked_bytes(), 8);
     }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use hpf_distarray::{redistribute, ArrayDesc, DimLayout, Dist, GlobalArray, LocalArray};
+use hpf_distarray::{redistribute, ArrayDesc, DimLayout, Dist, GlobalArray};
 use hpf_machine::collectives::A2aSchedule;
 use hpf_machine::{CostModel, Machine, ProcGrid};
 
@@ -89,18 +89,5 @@ proptest! {
             redistribute(proc, s, d, &pp[proc.id()], A2aSchedule::LinearPermutation)
         });
         prop_assert_eq!(GlobalArray::assemble(&dst, &out.results), a);
-    }
-
-    /// LocalArray slice iteration covers the data exactly once, in order.
-    #[test]
-    fn local_array_slices_tile_the_data(l0_blocks in 1usize..5, w0 in 1usize..5, l1 in 1usize..4) {
-        let l0 = l0_blocks * w0;
-        let a = LocalArray::from_fn(&[l0, l1], |idx| (idx[0] + 10 * idx[1]) as i32);
-        let mut flat = Vec::new();
-        for s in a.slices(w0) {
-            prop_assert_eq!(s.len(), w0);
-            flat.extend_from_slice(s);
-        }
-        prop_assert_eq!(flat.as_slice(), a.data());
     }
 }

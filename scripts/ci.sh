@@ -172,12 +172,17 @@ fi
 # copy of their rank part beside the sender's route row, and their fill
 # kernels (a staged message holds values only, DESIGN.md section 11); the
 # rank lists that were not a route row — UNPACK's own request type and the
-# rows cut for it, and the pair decode of PACK(A, M, VECTOR) off the plan.
+# rows cut for it, and the pair decode of PACK(A, M, VECTOR) off the plan;
+# the second send half and message type, the composer trait objects, and
+# distarray's per-processor array and index helpers that only their own
+# tests called (one Sender and one pooled message serve both directions,
+# DESIGN.md section 10).
 if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
   -e 'PlanCache|plan\.cache\.|inc_counter|\.fingerprint\(' \
   -e 'PairMsg|CmsMessage|ensure_shape|gather_pairs_(re)?fill' \
   -e 'RankRequest|into_rows|decode_pairs' \
+  -e 'FlatMsg|ValueMsg|Outbox|SimpleComposer|CompactComposer|dyn Composer|LocalArray|delinearize_into|get_linear' \
   crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
 fi
