@@ -349,9 +349,16 @@ pub const GATES: [Gate; 14] = [
         |e| !(e.name.ends_with(".faulted") && (e.m.retransmits == 0 || e.m.dup_drops == 0)),
     ),
     (
+        // Only frames to a possible crash victim are logged: a crash row
+        // whose log stayed empty retained nothing to replay, and a row with
+        // no crash scheduled that retained anything kept what no replay
+        // can read.
         "recovery_log_was_live",
-        "replay-log high-water is 0: peers retained no frames for the victim",
-        |e| !matches!(&e.section, Section::Recovery(r) if r.log_high_water_words == 0),
+        "replay-log high-water is 0 on a crash row, or not 0 on a .faulted row",
+        |e| {
+            !matches!(&e.section, Section::Recovery(r)
+                if (r.log_high_water_words == 0) != e.name.ends_with(".faulted"))
+        },
     ),
     (
         "reuse_amortizes",
@@ -571,7 +578,7 @@ mod tests {
     #[test]
     fn faulted_was_lossy() {
         let faulted = |retransmits, dup_drops| {
-            let mut e = recovery(|r| r.replays = 0);
+            let mut e = recovery(|r| (r.replays, r.log_high_water_words) = (0, 0));
             e.name.push_str(".faulted");
             (e.m.retransmits, e.m.dup_drops) = (retransmits, dup_drops);
             broken(e)
@@ -585,6 +592,15 @@ mod tests {
     fn recovery_log_was_live() {
         let e = recovery(|r| r.log_high_water_words = 0);
         assert_eq!(broken(e), ["recovery_log_was_live"]);
+        // A row with no crash scheduled must retain nothing.
+        let faulted = |words| {
+            let mut e = recovery(|r| (r.replays, r.log_high_water_words) = (0, words));
+            e.name.push_str(".faulted");
+            (e.m.retransmits, e.m.dup_drops) = (1, 1);
+            e
+        };
+        assert_eq!(broken(faulted(0)), [""; 0]);
+        assert_eq!(broken(faulted(120)), ["recovery_log_was_live"]);
     }
 
     #[test]

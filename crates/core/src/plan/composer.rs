@@ -374,9 +374,11 @@ pub(crate) enum Composer {
     /// Simple storage: per-element `(local, slice, initial rank)` records
     /// from a single scan (`L + 4E` operations), replayed at `per_elem`
     /// operations each during composition. Always emits explicit ranks.
+    /// `counts` are the slice counts the scan leaves for the ranking.
     Simple {
         per_elem: usize,
         records: Vec<(u32, u32, u32)>,
+        counts: Vec<i32>,
     },
     /// Compact storage: only the counter array `PS_c` survives the initial
     /// scan (`L + C` operations); composition walks the slices (`C`
@@ -394,8 +396,12 @@ pub(crate) enum Composer {
 impl Composer {
     /// Simple storage, replayed at `per_elem` operations per element.
     pub(crate) fn simple(per_elem: usize) -> Self {
-        let records = Vec::new();
-        Composer::Simple { per_elem, records }
+        let (records, counts) = (Vec::new(), Vec::new());
+        Composer::Simple {
+            per_elem,
+            records,
+            counts,
+        }
     }
 
     /// Compact storage emitting `emit`, charged `cost`, second scan by
@@ -410,32 +416,37 @@ impl Composer {
         }
     }
 
-    /// Initial scan of the local mask: slice counts, with the scheme's
-    /// storage retained in `self`.
-    pub(crate) fn scan(&mut self, proc: &mut Proc, m_local: &[bool], w0: usize) -> Vec<i32> {
+    /// Initial scan of the local mask: the slice counts the ranking reads,
+    /// kept in `self` with the scheme's storage (compact storage's `PS_c`).
+    pub(crate) fn scan(&mut self, proc: &mut Proc, m_local: &[bool], w0: usize) -> &[i32] {
         match self {
-            Composer::Simple { records, .. } => proc.wall_span("scan.simple", |proc| {
-                proc.with_category(Category::LocalComp, |proc| {
-                    let mut counts = vec![0i32; m_local.len() / w0.max(1)];
-                    for (l, &selected) in m_local.iter().enumerate() {
-                        if selected {
-                            let k = l / w0;
-                            records.push((l as u32, k as u32, counts[k] as u32));
-                            counts[k] += 1;
+            Composer::Simple {
+                records, counts, ..
+            } => {
+                proc.wall_span("scan.simple", |proc| {
+                    proc.with_category(Category::LocalComp, |proc| {
+                        *counts = vec![0i32; m_local.len() / w0.max(1)];
+                        for (l, &selected) in m_local.iter().enumerate() {
+                            if selected {
+                                let k = l / w0;
+                                records.push((l as u32, k as u32, counts[k] as u32));
+                                counts[k] += 1;
+                            }
                         }
-                    }
-                    proc.charge_ops(m_local.len() + 4 * records.len());
-                    counts
-                })
-            }),
-            Composer::Compact { ps_c, .. } => proc.wall_span("scan.compact", |proc| {
-                proc.with_category(Category::LocalComp, |proc| {
-                    let counts = crate::ranking::slice_counts(m_local, w0);
-                    *ps_c = counts.clone();
-                    proc.charge_ops(m_local.len() + ps_c.len());
-                    counts
-                })
-            }),
+                        proc.charge_ops(m_local.len() + 4 * records.len());
+                    })
+                });
+                counts
+            }
+            Composer::Compact { ps_c, .. } => {
+                proc.wall_span("scan.compact", |proc| {
+                    proc.with_category(Category::LocalComp, |proc| {
+                        *ps_c = crate::ranking::slice_counts(m_local, w0);
+                        proc.charge_ops(m_local.len() + ps_c.len());
+                    })
+                });
+                ps_c
+            }
         }
     }
 
@@ -452,7 +463,9 @@ impl Composer {
         layout: &DimLayout,
     ) -> RoutesBuilder {
         match self {
-            Composer::Simple { per_elem, records } => proc.wall_span("compose.simple", |proc| {
+            Composer::Simple {
+                per_elem, records, ..
+            } => proc.wall_span("compose.simple", |proc| {
                 proc.with_category(Category::LocalComp, |proc| {
                     let elems = records.len();
                     let mut routes = RoutesBuilder::new(RankEmit::Explicit, elems, 0);
@@ -825,7 +838,7 @@ mod tests {
             let cost = ComposeCost { per_run: 2, per_elem: 3 };
             let ((counts, routes, prog), ops) = on_a_proc(|proc| {
                 let mut composer = Composer::compact(emit, cost, method);
-                let counts = composer.scan(proc, &m_local, w0);
+                let counts = composer.scan(proc, &m_local, w0).to_vec();
                 proc.clock().reset();
                 let (routes, prog) = composer.compose(proc, &ranking, &m_local, w0, &layout).finish();
                 (counts, routes, prog)
@@ -850,7 +863,7 @@ mod tests {
             let (m_local, ranking, layout) = ranked(&mask, &gaps, w0, p, w_prime);
             let ((counts, routes, prog), ops) = on_a_proc(|proc| {
                 let mut composer = Composer::simple(2);
-                let counts = composer.scan(proc, &m_local, w0);
+                let counts = composer.scan(proc, &m_local, w0).to_vec();
                 proc.clock().reset();
                 let (routes, prog) = composer.compose(proc, &ranking, &m_local, w0, &layout).finish();
                 (counts, routes, prog)

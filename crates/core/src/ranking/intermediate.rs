@@ -43,7 +43,7 @@ pub struct BaseRanks {
 pub fn intermediate_steps(
     proc: &mut Proc,
     shape: &RankShape,
-    counts: Vec<i32>,
+    counts: &[i32],
     prs: PrsAlgorithm,
 ) -> BaseRanks {
     let d = shape.d();
@@ -54,18 +54,20 @@ pub fn intermediate_steps(
     );
 
     let mut ps_out: Vec<Vec<i32>> = Vec::with_capacity(d);
-    let mut cur = counts; // PS_i == RS_i on entry to step i
+    // PS_i == RS_i on entry to step i: the counts, then each step's output.
+    let mut carried: Vec<i32> = Vec::new();
     let mut size = 0usize;
 
     for i in 0..d {
+        let cur: &[i32] = if i == 0 { counts } else { &carried };
         // Substep 1: vector prefix-reduction-sum along grid dimension i.
         let group = proc.axis_group(i);
         let (mut ps, mut rs) = proc.with_category(Category::PrefixReductionSum, |proc| {
-            prefix_reduction_sum(proc, &group, &cur, prs)
+            prefix_reduction_sum(proc, &group, cur, prs)
         });
+        let len = cur.len();
 
-        proc.with_category(Category::LocalComp, |proc| {
-            let len = cur.len();
+        let next = proc.with_category(Category::LocalComp, |proc| {
             if i + 1 < d {
                 let seg = shape.t[i] * shape.w[i + 1]; // segment length
                 let block = shape.t[i] * shape.l[i + 1]; // per-upper-index run
@@ -94,7 +96,7 @@ pub fn intermediate_steps(
                 }
                 proc.charge_ops(2 * len + 2 * next.len());
                 ps_out.push(ps);
-                cur = next;
+                Some(next)
             } else {
                 // Step d-1: one segment spanning the whole vector; the
                 // "segment total" is the global Size.
@@ -106,8 +108,12 @@ pub fn intermediate_steps(
                 size = (seed + rs[len - 1]) as usize;
                 proc.charge_ops(2 * len);
                 ps_out.push(ps);
+                None
             }
         });
+        if let Some(next) = next {
+            carried = next;
+        }
     }
 
     BaseRanks { ps: ps_out, size }
@@ -131,7 +137,7 @@ mod tests {
         let out = machine.run(move |proc| {
             let shape = RankShape::from_desc(desc_ref);
             let counts = vec![2i32; 2]; // T_0 = 2 slices, 2 trues each
-            intermediate_steps(proc, &shape, counts, PrsAlgorithm::Direct)
+            intermediate_steps(proc, &shape, &counts, PrsAlgorithm::Direct)
         });
         for (p, br) in out.results.iter().enumerate() {
             assert_eq!(br.size, 16);
@@ -162,7 +168,7 @@ mod tests {
         let out = machine.run(move |proc| {
             let shape = RankShape::from_desc(desc_ref);
             let counts = super::super::initial::slice_counts(&parts_ref[proc.id()], shape.w[0]);
-            intermediate_steps(proc, &shape, counts, PrsAlgorithm::Direct)
+            intermediate_steps(proc, &shape, &counts, PrsAlgorithm::Direct)
         });
         for br in &out.results {
             assert_eq!(br.size, want_size);

@@ -40,7 +40,7 @@ pub struct Ranking {
 pub fn rank_from_counts(
     proc: &mut Proc,
     shape: &RankShape,
-    counts: Vec<i32>,
+    counts: &[i32],
     prs: PrsAlgorithm,
 ) -> Ranking {
     let BaseRanks { ps, size } = proc.with_stage("rank.intermediate", |proc| {
@@ -92,7 +92,7 @@ mod tests {
             let rshape = RankShape::from_desc(desc_ref);
             let mask = &parts_ref[proc.id()];
             let counts = slice_counts(mask, rshape.w[0]);
-            let ranking = rank_from_counts(proc, &rshape, counts, PrsAlgorithm::Auto);
+            let ranking = rank_from_counts(proc, &rshape, &counts, PrsAlgorithm::Auto);
             let ranks = element_ranks(&rshape, mask, &ranking.ps_f);
             (ranking.size, ranks)
         });
@@ -227,7 +227,7 @@ mod tests {
                 let rshape = RankShape::from_desc(desc_ref);
                 let mask = pattern.local(desc_ref, proc.id());
                 let counts = slice_counts(&mask, rshape.w[0]);
-                rank_from_counts(proc, &rshape, counts, PrsAlgorithm::Auto);
+                rank_from_counts(proc, &rshape, &counts, PrsAlgorithm::Auto);
             });
             (
                 out.max_cat_ms(Category::PrefixReductionSum),

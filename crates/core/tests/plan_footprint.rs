@@ -61,7 +61,7 @@ fn plan_bytes(p: usize) -> Vec<(u64, u64)> {
             thread_totals().1 - before
         };
         let mut rank = |proc: &mut hpf_machine::Proc| {
-            rank_from_counts(proc, &shape, slice_counts(&m, shape.w[0]), popts.prs);
+            rank_from_counts(proc, &shape, &slice_counts(&m, shape.w[0]), popts.prs);
         };
         allocated(&mut rank);
         let ranking = allocated(&mut rank);

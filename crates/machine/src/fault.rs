@@ -173,6 +173,14 @@ impl FaultPlan {
         self.crash_at_recv
     }
 
+    /// True iff either crash schedule names processor `p`: the plan's only
+    /// possible victims, the only processors a recovery ever respawns.
+    pub(crate) fn may_crash(&self, p: usize) -> bool {
+        [self.crash, self.crash_at_recv]
+            .iter()
+            .any(|c| c.is_some_and(|(proc, _)| proc == p))
+    }
+
     /// Faults configured for the link `src → dst`.
     pub(crate) fn link(&self, src: usize, dst: usize) -> LinkFaults {
         self.overrides
@@ -317,5 +325,9 @@ mod tests {
             FaultPlan::new(0).with_crash_at_recv(1, 3).crash_at_recv(),
             Some((1, 3))
         );
+        let both = FaultPlan::new(0).with_crash(2, 1).with_crash_at_recv(0, 4);
+        let victims: Vec<usize> = (0..4).filter(|&p| both.may_crash(p)).collect();
+        assert_eq!(victims, [0, 2]);
+        assert!(!plan.may_crash(2), "a faulty link crashes nothing");
     }
 }

@@ -191,8 +191,9 @@ impl Clone for Packet {
 /// control network: they are never fault-injected, never charged, and never
 /// counted as application traffic.
 pub(crate) enum Frame {
-    /// An unsequenced packet: data under a benign plan, and uncharged
-    /// control traffic unless the transport logs.
+    /// An unsequenced packet: data on a link that neither faults nor has
+    /// a possible crash victim at either end, and uncharged control traffic
+    /// unless crash recovery runs on a sequenced link.
     Raw(Packet),
     /// A sequence-numbered data packet on the reliable transport. `seq`
     /// orders all data from one sender, across tags.

@@ -56,17 +56,21 @@
 //! sees the flag and wakes it, and a `put_back` nobody waits for takes no
 //! lock. A lender waits for its loans the same way.
 //!
-//! A recoverable run logs every frame until the receiver's next epoch
-//! boundary, and a logged payload must never alias a buffer its sender can
-//! refill. There the wire and the log carry a **frozen** slot
-//! ([`PoolSlot::freeze`]): a detached copy of the staged buffer that no
-//! pool hands out, whose `put_back` re-stages it untouched so a replayed
-//! frame decodes again. The live slot goes back to `Free` at the send.
-//! Nothing is lent there ([`crate::Proc::can_lend`]).
-//! That is also why an epoch checkpoint holds nothing of the pool: only a
-//! logging transport can crash, its live slots are free whenever a send
-//! returns, so a respawned processor's empty pool behaves exactly as the
-//! crashed one's would have.
+//! A recoverable run logs every frame to a possible crash victim until the
+//! victim's next epoch boundary, and a logged payload must never alias a
+//! buffer its sender can refill; a respawned victim's re-sends are dropped
+//! undecoded as duplicates, so a live slot it sent would never come back.
+//! So on a link with a possible victim at either end the wire and the log
+//! carry a **frozen** slot ([`PoolSlot::freeze`]): a detached copy of the
+//! staged buffer that no pool hands out, whose `put_back` re-stages it
+//! untouched so a replayed frame decodes again. The live slot goes back to
+//! `Free` at the send. A send between two survivors ships the live slot,
+//! as in a plain run. Nothing is lent in a recoverable run
+//! ([`crate::Proc::can_lend`]). That is also why an epoch checkpoint holds
+//! nothing of the pool: only a possible victim can crash, every one of its
+//! sends freezes, so its live slots are free whenever a send returns, and a
+//! respawned processor's empty pool behaves exactly as the crashed one's
+//! would have.
 //!
 //! This is one of the three files of the crate that may say `unsafe`
 //! (DESIGN.md §15): the slot's buffer cell and its loan. Every `unsafe`

@@ -203,8 +203,9 @@ impl<'m> Proc<'m> {
 
     /// Attach shared crash-recovery state (and, on a respawned processor,
     /// the resume context). Called by the driver before the program closure
-    /// runs. The transport gets the replay log (and logs to it unless the
-    /// plan is benign); a respawned processor's also disarms the crash
+    /// runs. The transport gets the replay log (and, unless the plan is
+    /// benign, logs its frames to possible victims there); a respawned
+    /// processor's also disarms the crash
     /// schedule — it already fired. When no epoch had completed before the
     /// crash, the respawn performs its replay immediately: the program
     /// restarts from scratch, peers dedup its re-sent frames by sequence
@@ -516,7 +517,7 @@ impl<'m> Proc<'m> {
                     }
                 }
             }
-            if self.transport.logs() {
+            if self.transport.logs_to(dst) {
                 // The replay log retains a copy of this frame on the
                 // destination's behalf until *its* next epoch boundary:
                 // charged to the destination's account (owner ≠ recorder —
@@ -826,11 +827,11 @@ impl<'m> Proc<'m> {
 
     /// Send without touching the clock: simulator-internal control traffic
     /// (clock sync, flag transposition, retire barrier), carried by the
-    /// modelled control network — sequenced only when the transport logs
-    /// ([`Transport::send_control`]). Zero charged words and a `-∞` arrival
-    /// keep it out of the cost model and of the send, receive and memory
-    /// events; only `msg.frames` and, when sequenced, the transport's
-    /// verdict, retry and duplicate records see it.
+    /// modelled control network — sequenced only under crash recovery on a
+    /// sequenced link ([`Transport::send_control`]). Zero charged words and
+    /// a `-∞` arrival keep it out of the cost model and of the send, receive
+    /// and memory events; only `msg.frames` and, when sequenced, the
+    /// transport's verdict, retry and duplicate records see it.
     pub(crate) fn send_uncharged<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
         let pkt = Packet {
             src: self.id,
@@ -1175,10 +1176,10 @@ impl<'m> Proc<'m> {
     }
 
     /// Whether a planned send may lend its source instead of copying it
-    /// ([`Proc::lending`]): not under a logging transport, whose replay log
-    /// must keep the bytes a frame was sent with.
+    /// ([`Proc::lending`]): not under crash recovery with a plan that is not
+    /// benign, whose replay log must keep the bytes a frame was sent with.
     pub fn can_lend(&self) -> bool {
-        !self.transport.logs()
+        !self.transport.recovering()
     }
 
     /// Run `f` as a lending scope for plan `key`. Inside it,
@@ -1242,10 +1243,12 @@ impl<'m> Proc<'m> {
     /// Identical to [`Proc::send`] in every charged and observed respect,
     /// but the packet payload is the `Arc`-shared slot itself: no buffer
     /// changes hands, and the receiver returns it via
-    /// [`PoolSlot::put_back`]. When the frame will be logged for replay,
-    /// what travels is a frozen copy (`PoolSlot::freeze`) and `slot` is
-    /// free again on return: a replayed frame must find the bytes it was
-    /// sent with, which a buffer the sender refills cannot promise.
+    /// [`PoolSlot::put_back`]. Under crash recovery on a link with a
+    /// possible victim at either end, what travels is a frozen copy
+    /// (`PoolSlot::freeze`) and `slot` is free again on return: a replayed
+    /// frame must find the bytes it was sent with, which a buffer the sender
+    /// refills cannot promise, and a respawned victim's re-send is dropped
+    /// undecoded, so a live slot would never come back.
     pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, slot: Arc<PoolSlot<B>>) {
         debug_assert_ne!(dst, self.id, "self slots are decoded in place, never sent");
         let (words, lent) = slot.staged_words();
@@ -1263,14 +1266,14 @@ impl<'m> Proc<'m> {
                 self.mem_sample(MemAccount::Pool, self.id, now, growth as i64);
             }
         }
-        let logged = self.transport.logs();
-        assert!(!(logged && lent), "a loan sent under a logging transport");
-        let data: Arc<dyn Any + Send + Sync> = if logged {
+        let frozen = self.transport.freezes_to(dst);
+        assert!(!(frozen && lent), "a loan sent on a link that freezes");
+        let data: Arc<dyn Any + Send + Sync> = if frozen {
             Arc::new(slot.freeze())
         } else {
             slot
         };
-        self.send_arc(dst, tag, words, data, logged);
+        self.send_arc(dst, tag, words, data, frozen);
     }
 
     /// Borrow the processor's pre-reserved packet scratch vector (empty,

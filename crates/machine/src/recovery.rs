@@ -8,9 +8,11 @@
 //! sequence, step and retry counters, metrics, and a clone of the user
 //! state) — exactly what a respawn restores, each piece once; run-wide
 //! counts live in [`RecoveryStats`] alone. Peers additionally retain
-//! an `Arc`-backed **replay log** of every sequenced frame sent since the
-//! receiver's last epoch boundary — a refcount bump per frame, truncated at
-//! each boundary. The sender's transport is the log's one writer: its
+//! an `Arc`-backed **replay log** of every frame sent to a possible crash
+//! victim since the victim's last epoch boundary — a refcount bump per
+//! frame, truncated at each boundary. Only a victim is ever respawned, so
+//! only its incoming frames can be replayed: a survivor's log stays empty.
+//! The sender's transport is the log's one writer: its
 //! [`crate::reliable::Transport::send`] appends each frame, with the
 //! arrival it has just drawn, before the frame reaches the wire.
 //!

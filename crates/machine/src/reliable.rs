@@ -1,16 +1,22 @@
 //! The transport: every frame a processor puts on a ring goes through it.
 //!
 //! Every machine runs a [`crate::fault::FaultPlan`], the empty one unless
-//! built `.with_faults(plan)`, and the plan decides how frames travel. Under
-//! a plan that can inject nothing they travel raw ([`Frame::Raw`]): the ring,
-//! like the paper's CM-5 data network, delivers every send once and in
-//! order, and the transport keeps no per-peer state. Under any other plan
-//! every charged message travels as a sequence-numbered [`Frame::Data`],
-//! which the receiver delivers in per-sender sequence order, dropping
-//! duplicates: any non-crash fault schedule is invisible to the program.
-//! Results and simulated clocks are bit-identical to the fault-free run
-//! (a message's delay is drawn once, at first transmission, and replayed by
-//! every retransmission and by the replay log).
+//! built `.with_faults(plan)`, and the plan decides how frames travel — per
+//! link, once, when the transport is built. A frame travels raw
+//! ([`Frame::Raw`]) unless its link needs sequence numbers: the ring, like
+//! the paper's CM-5 data network, delivers every send once and in order.
+//! A link `me → dst` is **sequenced** iff the plan can inject a fault on it
+//! or either end is a possible crash victim ([`FaultPlan::may_crash`]);
+//! its charged messages travel as sequence-numbered [`Frame::Data`], which
+//! the receiver delivers in per-sender sequence order, dropping duplicates:
+//! any non-crash fault schedule is invisible to the program, and a
+//! respawned victim's re-sends and replayed frames are deduplicated. A
+//! frame between two survivors on a link that cannot fault is never
+//! duplicated, never re-sent and never replayed, so it needs no number.
+//! Under a benign plan no link is sequenced and the transport keeps no
+//! per-peer state. Results and simulated clocks are bit-identical to the
+//! fault-free run (a message's delay is drawn once, at first transmission,
+//! and replayed by every retransmission and by the replay log).
 //!
 //! Only a **lossy** link is acknowledged: one whose plan may drop a frame or
 //! hold it back ([`crate::fault::LinkFaults`] with `drop_p > 0` or
@@ -37,11 +43,14 @@
 //! sends on lossy links it can stop: every ack it owes others is posted.
 //! The simulator's other control traffic — clock sync, the flag
 //! transposition of a many-to-many, the retire barrier — is uncharged too,
-//! and sequenced only when the transport logs ([`Transport::send_control`]).
+//! and sequenced only under crash recovery on a sequenced link
+//! ([`Transport::send_control`]).
 //!
-//! The transport keeps its own books: it appends every frame it sequences
-//! to the replay log ([`crate::recovery`]) before the frame reaches the
-//! wire, records its fault verdicts, retransmissions and duplicate drops in
+//! The transport keeps its own books: under crash recovery it appends every
+//! frame addressed to a possible victim to the replay log
+//! ([`crate::recovery`]) before the frame reaches the wire — only a victim
+//! is ever respawned, so only its incoming frames can be replayed — and
+//! records its fault verdicts, retransmissions and duplicate drops in
 //! the owning processor's recorder, counts the program-level steps the
 //! crash schedule fires at, and owns the frame, retransmit and
 //! duplicate-drop counters, which its snapshot carries across a respawn.
@@ -89,17 +98,49 @@ pub(crate) enum Step {
     Recv,
 }
 
+/// How frames between this processor and one peer travel, decided once
+/// from the fault plan (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    /// The plan can inject a fault on `me → peer`: each transmission draws
+    /// a verdict and each message a delay. Elsewhere both are known to be
+    /// `Deliver` and 0.
+    faulty: bool,
+    /// `me → peer` may lose or hold back a frame: a sent frame is kept for
+    /// retransmission until acknowledged.
+    lossy: bool,
+    /// `peer → me` may lose or hold back a frame: this end acknowledges
+    /// every frame it gets from the peer.
+    acks: bool,
+    /// The peer may crash: under recovery a frame to it is logged for
+    /// replay.
+    to_victim: bool,
+    /// Either end may crash: under recovery a pooled send to the peer
+    /// ships a frozen copy, never the live slot.
+    victim: bool,
+}
+
+impl Link {
+    /// Data frames to the peer carry sequence numbers: the plan can inject
+    /// a fault here, or either end may crash. Control frames do too, under
+    /// crash recovery.
+    fn sequenced(&self) -> bool {
+        self.faulty || self.victim
+    }
+}
+
 /// Per-processor transport state (sender and receiver sides).
 pub(crate) struct Transport<'m> {
     me: usize,
     plan: Arc<FaultPlan>,
-    /// True iff data frames travel sequenced: the plan can inject a fault.
-    /// Otherwise the five per-peer vectors below stay empty.
-    sequenced: bool,
+    /// How each peer's link travels, indexed by peer. Empty under a benign
+    /// plan — every frame raw — and so are the five per-peer vectors below.
+    links: Vec<Link>,
     /// Every processor's ring; the channels outlive all sends (the driver
     /// keeps receiver endpoints until every processor has finished).
     senders: &'m [FrameSender],
-    /// The run's replay log under crash recovery.
+    /// The run's replay log under crash recovery (never under a benign
+    /// plan).
     log: Option<Arc<RecoveryState>>,
     /// Next sequence number per destination.
     next_seq: Vec<u64>,
@@ -134,12 +175,25 @@ pub(crate) struct Transport<'m> {
 
 impl<'m> Transport<'m> {
     pub(crate) fn new(me: usize, plan: Arc<FaultPlan>, senders: &'m [FrameSender]) -> Self {
-        let sequenced = !plan.is_benign();
-        let peers = if sequenced { senders.len() } else { 0 };
+        let peers = if plan.is_benign() { 0 } else { senders.len() };
+        let links: Vec<Link> = (0..peers)
+            .map(|peer| {
+                let out = plan.link(me, peer);
+                let to_victim = plan.may_crash(peer);
+                let victim = to_victim || plan.may_crash(me);
+                Link {
+                    faulty: !out.is_benign(),
+                    lossy: out.is_lossy(),
+                    acks: plan.link(peer, me).is_lossy(),
+                    to_victim,
+                    victim,
+                }
+            })
+            .collect();
         Transport {
             me,
             plan,
-            sequenced,
+            links,
             senders,
             log: None,
             next_seq: vec![0; peers],
@@ -158,21 +212,36 @@ impl<'m> Transport<'m> {
         }
     }
 
-    /// Log every frame sequenced from now on to `log`, unless the plan is
-    /// benign: it crashes nothing, so there is nothing to replay. A
-    /// `respawned` processor also disarms the crash schedule: it fired once.
+    /// Run under crash recovery from now on, unless the plan is benign: it
+    /// crashes nothing, so there is nothing to replay. Frames to a possible
+    /// victim go to `log`. A `respawned` processor also disarms the crash
+    /// schedule: it fired once.
     pub(crate) fn attach_log(&mut self, log: Arc<RecoveryState>, respawned: bool) {
-        if self.sequenced {
+        if !self.links.is_empty() {
             self.log = Some(log);
         }
         self.crash_armed = !respawned;
     }
 
-    /// True iff frames sent through this transport go to a replay log:
-    /// recovery is attached and the plan is not benign. Control frames are
-    /// sequenced iff this holds.
-    pub(crate) fn logs(&self) -> bool {
+    /// True iff crash recovery is attached and the plan is not benign —
+    /// machine-wide, whether or not any frame of this processor is logged.
+    pub(crate) fn recovering(&self) -> bool {
         self.log.is_some()
+    }
+
+    /// True iff a frame to `dst` goes to the replay log: recovery is
+    /// attached and `dst` may crash.
+    pub(crate) fn logs_to(&self, dst: usize) -> bool {
+        self.recovering() && self.links[dst].to_victim
+    }
+
+    /// True iff a pooled send to `dst` must ship a frozen copy: recovery is
+    /// attached and either end may crash. A frame to a victim is logged and
+    /// must keep its bytes; a respawned victim's re-sends are dropped
+    /// undecoded as duplicates, so a live slot sent there would never come
+    /// back.
+    pub(crate) fn freezes_to(&self, dst: usize) -> bool {
+        self.recovering() && self.links[dst].victim
     }
 
     /// Count one program-level send or receive, and fail with
@@ -192,8 +261,8 @@ impl<'m> Transport<'m> {
         }
     }
 
-    /// Send one data packet to `dst`: sequenced iff the plan is not benign.
-    /// Returns the sequence number, if one was assigned.
+    /// Send one data packet to `dst`: sequenced iff its link is. Returns
+    /// the sequence number, if one was assigned.
     pub(crate) fn send(
         &mut self,
         dst: usize,
@@ -201,12 +270,14 @@ impl<'m> Transport<'m> {
         now_ns: f64,
         obs: &mut Recorder,
     ) -> Option<u64> {
-        self.send_as(self.sequenced, dst, pkt, now_ns, obs)
+        let sequenced = self.links.get(dst).is_some_and(Link::sequenced);
+        self.send_as(sequenced, dst, pkt, now_ns, obs)
     }
 
-    /// Send one uncharged control packet to `dst`: sequenced iff the
-    /// transport logs, since an unsequenced frame consumed just before a
-    /// crash could not be deduplicated against its replayed copy.
+    /// Send one uncharged control packet to `dst`: sequenced iff recovery
+    /// is attached and the link is sequenced, since an unsequenced frame
+    /// consumed just before a crash could not be deduplicated against its
+    /// replayed copy, nor a respawned victim's re-sent one.
     pub(crate) fn send_control(
         &mut self,
         dst: usize,
@@ -214,7 +285,8 @@ impl<'m> Transport<'m> {
         now_ns: f64,
         obs: &mut Recorder,
     ) {
-        self.send_as(self.logs(), dst, pkt, now_ns, obs);
+        let sequenced = self.recovering() && self.links[dst].sequenced();
+        self.send_as(sequenced, dst, pkt, now_ns, obs);
     }
 
     /// Put a packet on `dst`'s ring: raw unless `sequenced`. A sequenced
@@ -224,11 +296,12 @@ impl<'m> Transport<'m> {
     /// number, so retries replay the same timestamp. On a lossy link the
     /// packet is also kept for retransmission until acknowledged.
     ///
-    /// Under crash recovery the frame is logged *before* it reaches the
-    /// wire: once it is there the receiver may consume it and crash at any
-    /// moment, and the driver's clone of the log must already hold
-    /// everything the victim consumed. The logged copy carries the delayed
-    /// arrival, so a replayed frame is bit-identical to the transmitted one.
+    /// Under crash recovery a frame to a possible victim is logged *before*
+    /// it reaches the wire: once it is there the receiver may consume it and
+    /// crash at any moment, and the driver's clone of the log must already
+    /// hold everything the victim consumed. The logged copy carries the
+    /// delayed arrival, so a replayed frame is bit-identical to the
+    /// transmitted one.
     fn send_as(
         &mut self,
         sequenced: bool,
@@ -243,13 +316,16 @@ impl<'m> Transport<'m> {
             return None;
         }
         debug_assert_eq!(pkt.src, self.me, "a processor only sends its own packets");
+        let link = self.links[dst];
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
-        pkt.arrival_ns += self.plan.delay_ns(self.me, dst, seq);
-        if let Some(log) = &self.log {
+        if link.faulty {
+            pkt.arrival_ns += self.plan.delay_ns(self.me, dst, seq);
+        }
+        if let Some(log) = self.log.as_ref().filter(|_| link.to_victim) {
             log.log_frame(dst, seq, pkt.clone());
         }
-        if self.plan.link(self.me, dst).is_lossy() {
+        if link.lossy {
             let stored = Stored {
                 pkt: pkt.clone(),
                 attempts: 1,
@@ -264,7 +340,8 @@ impl<'m> Transport<'m> {
     /// zero, one or two copies, then every held-back frame the advancing
     /// link counter makes due (each itself a transmission that advances
     /// it). The frames reach `dst`'s ring together, so a receiver that has
-    /// seen the first has the rest queued.
+    /// seen the first has the rest queued. A link that cannot fault
+    /// delivers without a draw.
     fn transmit(
         &mut self,
         dst: usize,
@@ -274,7 +351,11 @@ impl<'m> Transport<'m> {
         now_ns: f64,
         obs: &mut Recorder,
     ) {
-        let verdict = self.plan.verdict(self.me, dst, seq, attempt);
+        let verdict = if self.links[dst].faulty {
+            self.plan.verdict(self.me, dst, seq, attempt)
+        } else {
+            Verdict::Deliver
+        };
         if verdict != Verdict::Deliver {
             let verdict = verdict.label();
             obs.event(now_ns, EventKind::FaultVerdict { dst, seq, verdict });
@@ -345,7 +426,7 @@ impl<'m> Transport<'m> {
         obs: &mut Recorder,
     ) -> Vec<(u64, Packet)> {
         let src = pkt.src;
-        if self.plan.link(src, self.me).is_lossy() {
+        if self.links[src].acks {
             // Always (re-)ack: acks are idempotent, and a respawned sender
             // knows nothing of the one its predecessor got.
             self.put(src, [Frame::Ack { from: self.me, seq }]);
@@ -623,7 +704,7 @@ mod tests {
         let mut t = Transport::new(0, Arc::new(FaultPlan::new(0)), &txs);
         let rec = Arc::new(RecoveryState::new(2));
         t.attach_log(Arc::clone(&rec), false);
-        assert!(!t.logs());
+        assert!(!t.recovering() && !t.logs_to(1) && !t.freezes_to(1));
         let mut log = Recorder::new(true, false);
         let pkt = || out_pkt(0, 7, 5.0, 1, Arc::new(vec![1i32]));
         assert_eq!(t.send(1, pkt(), 0.0, &mut log), None);
@@ -770,16 +851,17 @@ mod tests {
         assert_eq!((t.retransmits, t.dup_drops), (1, 1));
     }
 
-    /// Under recovery a frame is in the replay log by the time it is on
-    /// the wire, with the delayed arrival the wire copy carries.
+    /// Under recovery a frame to a possible victim is in the replay log by
+    /// the time it is on the wire, with the delayed arrival the wire copy
+    /// carries.
     #[test]
     fn a_logged_frame_precedes_its_wire_copy_with_the_same_arrival() {
         let (txs, rxs) = wires(2);
-        let plan = FaultPlan::new(3).with_delay(1.0, 500.0);
+        let plan = FaultPlan::new(3).with_delay(1.0, 500.0).with_crash(1, 99);
         let mut t = Transport::new(0, Arc::new(plan), &txs);
         let rec = Arc::new(RecoveryState::new(2));
         t.attach_log(Arc::clone(&rec), false);
-        assert!(t.logs());
+        assert!(t.logs_to(1));
         t.send(
             1,
             out_pkt(0, 7, 10.0, 2, Arc::new(vec![1i32, 2])),
@@ -803,8 +885,9 @@ mod tests {
     fn a_respawned_senders_frames_are_logged_once() {
         let (txs, _rxs) = wires(3);
         let rec = Arc::new(RecoveryState::new(3));
+        let plan = Arc::new(lossy_but_clean().with_crash_at_recv(2, 99));
         let logging = |me, next_seq| {
-            let mut t = Transport::new(me, Arc::new(lossy_but_clean()), &txs);
+            let mut t = Transport::new(me, Arc::clone(&plan), &txs);
             t.attach_log(Arc::clone(&rec), false);
             t.next_seq[2] = next_seq;
             t
@@ -838,6 +921,90 @@ mod tests {
         // A repeat of a frame the boundary dropped is not retained again.
         send(&mut logging(0, 6), 4);
         assert_eq!(rec.truncate_log(2, &[8, 6, 0]), (1, 0));
+    }
+
+    /// Each frame's kind on a ring, in order: `None` for a raw frame, the
+    /// sequence number of a sequenced one, and acks apart.
+    fn frames_on(rx: &FrameReceiver) -> (Vec<Option<u64>>, Vec<(usize, u64)>) {
+        let (mut data, mut acks) = (Vec::new(), Vec::new());
+        while let Some(f) = rx.try_recv() {
+            match f {
+                Frame::Raw(_) => data.push(None),
+                Frame::Data { seq, .. } => data.push(Some(seq)),
+                Frame::Ack { from, seq } => acks.push((from, seq)),
+                Frame::Poison(_) => panic!("no poison in a transport test"),
+            }
+        }
+        (data, acks)
+    }
+
+    /// Under a crash-only plan with one lossy override, each link travels
+    /// as the table says. Processor 1 may crash; 2 → 3 may drop. One data
+    /// and one control frame per link, recovery attached.
+    #[test]
+    fn only_a_victims_links_are_sequenced_and_only_frames_to_it_logged() {
+        let lossy = crate::fault::LinkFaults {
+            drop_p: f64::MIN_POSITIVE,
+            ..Default::default()
+        };
+        let plan = Arc::new(FaultPlan::new(0).with_crash(1, 99).with_link(2, 3, lossy));
+        let (txs, rxs) = wires(4);
+        let rec = Arc::new(RecoveryState::new(4));
+        let mut t: Vec<Transport> = (0..4)
+            .map(|me| {
+                let mut t = Transport::new(me, Arc::clone(&plan), &txs);
+                t.attach_log(Arc::clone(&rec), false);
+                t
+            })
+            .collect();
+        let both = |t: &mut [Transport], src: usize, dst: usize| {
+            let pkt = || out_pkt(src, 7, 0.0, 1, Arc::new(vec![1i32]));
+            let seq = t[src].send(dst, pkt(), 0.0, &mut Recorder::default());
+            t[src].send_control(dst, pkt(), 0.0, &mut Recorder::default());
+            seq
+        };
+        // Survivor ↔ survivor: raw both ways, kept nowhere.
+        assert_eq!((both(&mut t, 0, 3), both(&mut t, 3, 0)), (None, None));
+        assert_eq!(frames_on(&rxs[3]), (vec![None, None], vec![]));
+        assert_eq!(frames_on(&rxs[0]), (vec![None, None], vec![]));
+        // From the victim: sequenced, so its re-sends are deduplicated,
+        // but never logged — no survivor replays.
+        assert_eq!(both(&mut t, 1, 0), Some(0));
+        assert_eq!(frames_on(&rxs[0]), (vec![Some(0), Some(1)], vec![]));
+        assert!(rec.clone_log(0).is_empty());
+        // To the victim: sequenced and logged, control frame included.
+        assert_eq!(both(&mut t, 0, 1), Some(0));
+        assert_eq!(frames_on(&rxs[1]), (vec![Some(0), Some(1)], vec![]));
+        let logged: Vec<u64> = rec.clone_log(1).iter().map(|(s, _)| *s).collect();
+        assert_eq!(logged, [0, 1]);
+        // The lossy survivor link: sequenced, kept and acknowledged, not
+        // logged; its reverse is raw.
+        assert_eq!(both(&mut t, 2, 3), Some(0));
+        assert!(t[2].has_unacked());
+        assert!(rec.clone_log(3).is_empty());
+        assert_eq!(both(&mut t, 3, 2), None);
+        assert_eq!(frames_on(&rxs[2]), (vec![None, None], vec![]));
+        for (seq, pkt) in data_frames(&rxs[3]) {
+            let mut ready = t[3].on_data(seq, pkt, 0.0, &mut Recorder::default());
+            ready.clear();
+            t[3].recycle(ready);
+        }
+        assert_eq!(frames_on(&rxs[2]), (vec![], vec![(3, 0), (3, 1)]));
+        // A pooled send freezes exactly on the victim's links.
+        let freezes: Vec<(usize, usize)> = (0..4)
+            .flat_map(|s| (0..4).map(move |d| (s, d)))
+            .filter(|&(s, d)| s != d && t[s].freezes_to(d))
+            .collect();
+        assert_eq!(freezes, [(0, 1), (1, 0), (1, 2), (1, 3), (2, 1), (3, 1)]);
+        // Without recovery a victim's link still sequences data, but
+        // control frames travel raw and nothing is logged or frozen.
+        let mut bare = Transport::new(0, Arc::clone(&plan), &txs);
+        let pkt = || out_pkt(0, 7, 0.0, 1, Arc::new(vec![1i32]));
+        assert_eq!(bare.send(1, pkt(), 0.0, &mut Recorder::default()), Some(0));
+        bare.send_control(1, pkt(), 0.0, &mut Recorder::default());
+        assert_eq!(frames_on(&rxs[1]), (vec![Some(0), None], vec![]));
+        assert!(!bare.logs_to(1) && !bare.freezes_to(1));
+        assert_eq!(rec.clone_log(1).len(), 2);
     }
 
     /// A plan whose link 0→1 drops attempt 0 of seq 0 and delivers attempt 1.

@@ -365,14 +365,20 @@ const RING_SENDS: [u64; 2] = [3, 4];
 /// unlike the shape-keeping wrappers of `hpf-core` — sent 3× and then 4×
 /// through one `(key, dst)` entry, each inside a single epoch: the entry's
 /// one slot reused several times while nothing truncates the replay log.
-/// The ring state starts at one value and each send appends one. When
-/// `logged`, the frame travels as a frozen copy, so the live slot must be
-/// free the moment the send returns — no checkout can park on it.
-fn pooled_ring(logged: bool) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
+/// The ring state starts at one value and each send appends one.
+///
+/// Where a run recovers from a plan whose possible crash victims are
+/// `victims`, a send on a link with a victim at either end travels as a
+/// frozen copy, so the live slot must be free the moment the send returns;
+/// any other send ships the live slot itself, which stays staged until its
+/// receiver decodes it. Run on one worker, so no receiver runs before its
+/// sender parks.
+fn pooled_ring(victims: &'static [usize]) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
     move |p| {
         let mut st: Vec<i64> = vec![p.id() as i64 + 1];
         let n = p.nprocs();
         let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
+        let victim_link = victims.contains(&p.id()) || victims.contains(&next);
         for sends in RING_SENDS {
             p.epoch(&mut st, |p, st| {
                 for i in 0..sends {
@@ -381,10 +387,13 @@ fn pooled_ring(logged: bool) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
                     buf.extend_from_slice(st);
                     slot.stash(buf);
                     p.send_pooled(next, tags::USER + i, Arc::clone(&slot));
-                    if logged {
-                        let live = slot.try_checkout().expect("a logged send frees the slot");
-                        assert!(live.is_empty(), "the frozen copy took none of its bytes");
-                        slot.put_back(live);
+                    match slot.try_checkout() {
+                        Some(live) => {
+                            assert!(victim_link, "{} → {next} shipped no live slot", p.id());
+                            assert!(live.is_empty(), "the frozen copy took none of its bytes");
+                            slot.put_back(live);
+                        }
+                        None => assert!(!victim_link, "{} → {next} froze no copy", p.id()),
                     }
                     let inbound = p
                         .recv_packet(prev, tags::USER + i)
@@ -403,8 +412,9 @@ fn pooled_ring(logged: bool) -> impl Fn(&mut Proc) -> Vec<i64> + Sync {
 
 #[test]
 fn pooled_sends_recover_from_a_crash_at_every_step() {
-    let clean = machine(FaultPlan::new(0))
-        .run_recoverable(pooled_ring(false))
+    let one = |plan| machine(plan).with_workers(1);
+    let clean = one(FaultPlan::new(0))
+        .run_recoverable(pooled_ring(&[]))
         .expect("fault-free run");
     let gauge = |out: &RunOutput<Vec<i64>>, name: &str| out.merged_metrics().gauges[name];
     assert_eq!(
@@ -413,12 +423,13 @@ fn pooled_sends_recover_from_a_crash_at_every_step() {
         "unlogged pooled sends ship the live slot: bytes stay on `pool`"
     );
 
-    // A crash step the program never reaches makes the transport sequence
-    // and log without firing: the accounting of a logged pooled send, event
-    // side and gauge side.
-    let logged = machine(FaultPlan::new(0).with_crash(1, 99))
+    // A crash step the program never reaches makes proc 1 a possible
+    // victim without firing: its two links, 0 → 1 and 1 → 2, sequence and
+    // freeze, 0 → 1 logs, and 2 → 3 → 0 ship live slots. The accounting of
+    // a frozen pooled send, event side and gauge side.
+    let logged = one(FaultPlan::new(0).with_crash(1, 99))
         .with_tracing(true)
-        .run_recoverable(pooled_ring(true))
+        .run_recoverable(pooled_ring(&[1]))
         .expect("crash-free logged run");
     assert_eq!(clean.results, logged.results);
     assert_clocks_identical(&clean, &logged);
@@ -435,21 +446,19 @@ fn pooled_sends_recover_from_a_crash_at_every_step() {
         "the frozen copy is charged to the sender's payload account"
     );
     assert_eq!(gauge(&logged, "mem.payload.cur").last, 0);
-    assert!(gauge(&logged, "mem.replay_log.cur").max >= largest);
+    let replay_log = |pid: usize| logged.metrics[pid].gauges["mem.replay_log.cur"].max;
+    assert!(replay_log(1) >= largest);
+    assert_eq!(
+        [0, 2, 3].map(replay_log),
+        [0; 3],
+        "only the victim's incoming frames are logged"
+    );
     assert_eq!(gauge(&logged, "mem.replay_log.cur").last, 0);
-    // Every byte a boundary truncation releases was charged by a sender.
-    let mut log_bytes = [0i64; P];
-    for ev in logged.events.iter().flatten() {
-        if let EventKind::MemSample {
-            account: MemAccount::ReplayLog,
-            owner,
-            delta_bytes,
-        } = ev.kind
-        {
-            log_bytes[owner] += delta_bytes;
-        }
-    }
-    assert_eq!(log_bytes, [0; P], "replay-log charges and releases balance");
+    assert_eq!(
+        replay_log_balance(&logged),
+        [0; P],
+        "replay-log charges and releases balance"
+    );
 
     for recv_side in [false, true] {
         let (mut fired, mut replayed) = (0, 0);
@@ -459,8 +468,8 @@ fn pooled_sends_recover_from_a_crash_at_every_step() {
             } else {
                 FaultPlan::new(0).with_crash(1, k)
             };
-            let crashed = machine(plan)
-                .run_recoverable(pooled_ring(true))
+            let crashed = one(plan)
+                .run_recoverable(pooled_ring(&[1]))
                 .unwrap_or_else(|e| panic!("step {k} (recv={recv_side}) unrecovered: {e}"));
             if crashed.recovery.as_ref().unwrap().replays == 0 {
                 break; // past the last step
@@ -476,6 +485,46 @@ fn pooled_sends_recover_from_a_crash_at_every_step() {
         // A crash at a later receive of an epoch finds frames the victim had
         // decoded: its respawn decodes the same frozen slots once more.
         assert!(!recv_side || replayed > 0, "no consumed frame was replayed");
+    }
+}
+
+/// One plan, two victims: proc 1 crashes at a send and proc 3 at a
+/// receive. Each respawns once, and the run is bit-identical to the
+/// fault-free one — on the plain ring and on the pooled one, whose links
+/// freeze wherever either victim is an end.
+#[test]
+fn a_send_crash_and_a_recv_crash_on_two_processors_both_recover() {
+    let plan = |send, recv| {
+        FaultPlan::new(5)
+            .with_crash(1, send)
+            .with_crash_at_recv(3, recv)
+    };
+    let clean = machine(FaultPlan::new(5))
+        .with_tracing(true)
+        .run_recoverable(two_epoch_double_ring)
+        .expect("fault-free run");
+    let pooled_clean = machine(FaultPlan::new(5))
+        .with_workers(1)
+        .run_recoverable(pooled_ring(&[]))
+        .expect("fault-free run");
+    for (send, recv) in [(2, 5), (5, 2), (4, 4), (1, 6)] {
+        let what = format!("send crash at {send}, recv crash at {recv}");
+        let crashed = machine(plan(send, recv))
+            .with_tracing(true)
+            .run_recoverable(two_epoch_double_ring)
+            .unwrap_or_else(|e| panic!("{what}: unrecovered: {e}"));
+        assert_eq!(crashed.recovery.as_ref().unwrap().replays, 2, "{what}");
+        assert_eq!(clean.results, crashed.results, "{what}");
+        assert_clocks_identical(&clean, &crashed);
+        assert_eq!(replay_log_balance(&crashed), [0; P], "{what}");
+
+        let pooled = machine(plan(send, recv))
+            .with_workers(1)
+            .run_recoverable(pooled_ring(&[1, 3]))
+            .unwrap_or_else(|e| panic!("{what} (pooled): unrecovered: {e}"));
+        assert_eq!(pooled.recovery.as_ref().unwrap().replays, 2, "{what}");
+        assert_eq!(pooled_clean.results, pooled.results, "{what}");
+        assert_clocks_identical(&pooled_clean, &pooled);
     }
 }
 

@@ -93,6 +93,15 @@ echo "== one-shot footprint gate (200 one-shot roundtrips leave gauges, heap and
 # mid-sequence crash under run_recoverable recovers bit-identically.
 cargo test -p hpf-core --release -q --test oneshot_footprint
 
+echo "== crash-recovery sweeps, release profile =="
+# cargo test above ran them unoptimised, and the benchmark's recover_crash
+# runs optimised: every crash step of either kind, on one and two victims,
+# must recover bit-identically there too, with only a victim's links
+# sequenced, logged and frozen (DESIGN.md sections 7 and 12). The roundtrip
+# suite is the 144-case sweep.
+cargo test -p hpf-machine --release -q --test recovery
+cargo test -p hpf-core --release -q --test recovery_roundtrip
+
 echo "== one execute path (no mode fork, no build fork) =="
 if grep -rnE 'recovery_enabled|scalar-ref|feature = "simd"|(gather|decode)_[a-z]+_owned|exchange_owned|CopyOp::(Strided|Masked|Delta)' crates/ README.md; then
   echo "ci: a second execute path is back (see DESIGN.md sections 11 and 16)"; exit 1

@@ -138,7 +138,7 @@ proptest! {
         let out = machine.run(move |proc| {
             let rshape = RankShape::from_desc(d);
             let counts = slice_counts(&mpr[proc.id()], rshape.w[0]);
-            let ranking = rank_from_counts(proc, &rshape, counts, PrsAlgorithm::Auto);
+            let ranking = rank_from_counts(proc, &rshape, &counts, PrsAlgorithm::Auto);
             element_ranks(&rshape, &mpr[proc.id()], &ranking.ps_f)
         });
         for (p, ranks) in out.results.iter().enumerate() {
