@@ -45,10 +45,11 @@ mod poolmsg;
 
 pub use copyprog::CopyStats;
 
-use std::sync::Arc;
+use std::any::Any;
+use std::sync::{Arc, Mutex};
 
 use hpf_distarray::{ArrayDesc, DimLayout};
-use hpf_machine::collectives::{alltoallv_pooled, alltoallv_sparse, A2aPlan, A2aSchedule};
+use hpf_machine::collectives::{alltoallv_slots, alltoallv_sparse, A2aPlan, A2aSchedule};
 use hpf_machine::{
     fresh_pool_key, Category, Lender, Loan, MemAccount, Packet, PoolSlot, Proc, Received, Wire,
     Words,
@@ -75,7 +76,7 @@ pub struct PackPlan {
     v_layout: Option<DimLayout>,
     local_len: usize,
     /// The gather: route rows to the owners of `V`, read from `a_local`.
-    send: Sender,
+    send: Box<Sender>,
 }
 
 /// A plan's send half (DESIGN.md §10, §11): one row per destination, the
@@ -96,9 +97,40 @@ pub(crate) struct Sender {
     /// Buffer-pool key: each plan owns a distinct family of reusable send
     /// buffers in every processor's pool (see DESIGN.md §11).
     pool_key: u64,
+    /// The family's slots as this plan reaches them: one handle per row.
+    handles: Handles,
     /// Whether this processor's executes lend their source instead of
     /// filling send buffers ([`lend_rule`]).
     lends: bool,
+}
+
+/// A plan's pool slots for element type `T`: `[k]` is row `k`'s, so the
+/// send round, the exchange and the self-row decode index them by row.
+type Slots<T> = Vec<Arc<PoolSlot<RowMsg<T>>>>;
+
+/// The handle table of a [`Sender`] (DESIGN.md §11): the [`Slots`] of the
+/// element type it last executed with, and their number, taken from the
+/// processor's pool on the first execute with that type. The pool stays the
+/// owner of every slot; this only saves the search. Behind a lock because an
+/// execute takes `&self`; an execute holds it for one type check.
+#[derive(Debug, Default)]
+struct Handles(Mutex<Option<(Arc<dyn Any + Send + Sync>, usize)>>);
+
+impl Handles {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(Arc<dyn Any + Send + Sync>, usize)>> {
+        self.0
+            .lock()
+            .expect("no execute panics holding the handle table")
+    }
+}
+
+/// A clone holds no handles: it may execute on another processor, or
+/// restore a respawned one whose pool starts empty (DESIGN.md §12), and
+/// takes its own from the pool where it first executes.
+impl Clone for Handles {
+    fn clone(&self) -> Self {
+        Handles::default()
+    }
 }
 
 /// Elements a processor sends per execute from which its plan may *lend*
@@ -241,6 +273,13 @@ impl PackPlan {
         self.send.lends
     }
 
+    /// Pool-slot handles the plan holds on this processor: one per
+    /// destination of its executes, itself included, once it has executed;
+    /// none before, and none in a fresh clone (DESIGN.md §11).
+    pub fn slot_handles(&self) -> usize {
+        self.send.slot_handles()
+    }
+
     /// Layout of the result vector (`None` iff `size == 0`).
     pub fn v_layout(&self) -> Option<DimLayout> {
         self.v_layout
@@ -305,10 +344,11 @@ impl PackPlan {
         let layout = self.v_layout.expect("size > 0");
         proc.with_stage("pack.execute", |proc| {
             let mut recvs = proc.take_pkt_scratch();
-            self.send.send_round(proc, "pack.gather", a_local, |proc| {
-                self.send.exchange::<T>(proc, &mut recvs);
-                self.decode(proc, &layout, &mut recvs, &mut out.local_v);
-            });
+            self.send
+                .send_round(proc, "pack.gather", a_local, |proc, slots| {
+                    self.send.exchange(proc, slots, &mut recvs);
+                    self.decode(proc, &layout, slots, &mut recvs, &mut out.local_v);
+                });
             proc.restore_pkt_scratch(recvs);
             out.size = self.size;
             out.v_layout = Some(layout);
@@ -325,6 +365,7 @@ impl PackPlan {
         &self,
         proc: &mut Proc,
         layout: &DimLayout,
+        slots: &Slots<T>,
         recvs: &mut Vec<Packet>,
         out: &mut Vec<T>,
     ) {
@@ -333,7 +374,7 @@ impl PackPlan {
                 let me = proc.id();
                 prepare_out(out, layout.local_len(me));
                 let mut placed = 0usize;
-                let ops = self.send.receive(proc, recvs, |proc, _, got| {
+                let ops = self.send.receive(proc, slots, recvs, |proc, _, got| {
                     let (moved, rank_words) = place_message(proc, layout, got, out);
                     placed += moved;
                     rank_words + moved
@@ -356,22 +397,57 @@ impl PackPlan {
 
 impl Sender {
     /// A send half over `routes`, read through `progs`, exchanged along
-    /// `a2a` under `schedule`, in a fresh family of pooled buffers.
+    /// `a2a` under `schedule`, in a fresh family of pooled buffers. Boxed,
+    /// so that a plan stays a few words wide: the planners hand it back
+    /// through nested stage closures, every frame on the way holds it, and
+    /// at P = 512 that chain sets how many stack pages each processor
+    /// touches (DESIGN.md §11).
     fn new(
         routes: Routes,
         progs: CopyPrograms,
         a2a: A2aPlan,
         schedule: A2aSchedule,
         lends: bool,
-    ) -> Self {
-        Sender {
+    ) -> Box<Self> {
+        Box::new(Sender {
             routes: Arc::new(routes),
             progs,
             a2a,
             schedule,
             pool_key: fresh_pool_key(),
+            handles: Handles::default(),
             lends,
+        })
+    }
+
+    /// The handle table for element type `T`: the one held, or — on the
+    /// first execute with `T`, or after executing with another type — one
+    /// taken afresh from this processor's pool, one handle per row, and
+    /// held from then on. The one type check of an execute.
+    fn slots<T: Wire + Default>(&self, proc: &mut Proc) -> Arc<Slots<T>> {
+        let mut held = self.handles.lock();
+        if let Some(slots) = held
+            .as_ref()
+            .and_then(|(h, _)| Arc::clone(h).downcast().ok())
+        {
+            return slots;
         }
+        let peers = self.routes.slots.peers.iter();
+        let slots: Arc<Slots<T>> = Arc::new(
+            peers
+                .map(|&dst| proc.pool_slot(self.pool_key, dst as usize))
+                .collect(),
+        );
+        *held = Some((
+            Arc::clone(&slots) as Arc<dyn Any + Send + Sync>,
+            slots.len(),
+        ));
+        slots
+    }
+
+    /// How many handles [`Sender::slots`] holds.
+    fn slot_handles(&self) -> usize {
+        self.handles.lock().as_ref().map_or(0, |h| h.1)
     }
 
     /// Bytes retained by the send half's index structures (rows, lowered
@@ -390,35 +466,36 @@ impl Sender {
 
     /// One execute's send side, then `rest` — the exchange and the decode —,
     /// shared by PACK's gather and UNPACK's serve: row `k` goes to
-    /// `routes.slots.peers[k]`, read from `src` through row `k` of `progs`,
-    /// one operation per element sent, under the `span` wall frame. A lending
+    /// `routes.slots.peers[k]` through the slot `slots[k]` ([`Sender::slots`],
+    /// handed on to `rest`), read from `src` through row `k` of `progs`, one
+    /// operation per element sent, under the `span` wall frame. A lending
     /// plan lends `src` under every row, charged the wire words its message
     /// would occupy materialised, and runs `rest` inside the lending scope.
-    /// Any other checks out each destination's pooled buffer, shapes it to
-    /// the row ([`RowMsg::shape`]), overwrites its values through the row's
-    /// copy program and stashes it for the exchange.
+    /// Any other checks out each row's pooled buffer, shapes it to the row
+    /// ([`RowMsg::shape`]), overwrites its values through the row's copy
+    /// program and stashes it for the exchange.
     fn send_round<'a, T: Wire + Default>(
         &'a self,
         proc: &mut Proc,
         span: &'static str,
         src: &'a [T],
-        rest: impl FnOnce(&mut Proc),
+        rest: impl FnOnce(&mut Proc, &Slots<T>),
     ) {
         let rows = &self.routes.slots;
+        let slots = self.slots::<T>(proc);
         let send = |proc: &mut Proc, mut lender: Option<&mut Lender<'a, RowMsg<T>>>| {
             proc.wall_span(span, |proc| {
                 proc.with_category(Category::LocalComp, |proc| {
-                    for (k, &dst) in rows.peers.iter().enumerate() {
+                    for (k, (&dst, slot)) in rows.peers.iter().zip(slots.iter()).enumerate() {
                         let dst = dst as usize;
                         match lender.as_deref_mut() {
                             Some(lender) => {
                                 let words = self.routes.rank_words(k) + rows.len(k) * T::WORDS;
                                 let (recipe, row) = (self, k);
-                                lender.lend(proc, dst, Loan { src, recipe, row }, words);
+                                lender.lend(dst, slot, Loan { src, recipe, row }, words);
                             }
                             None => {
-                                let (slot, mut buf) =
-                                    proc.pool_checkout::<RowMsg<T>>(self.pool_key, dst);
+                                let mut buf = proc.slot_checkout(slot, self.pool_key, dst);
                                 let vals = buf.shape(self, k);
                                 walk_phases::<T>(proc, |phase| {
                                     gather_fill(&self.progs, k, src, vals, phase)
@@ -433,35 +510,40 @@ impl Sender {
         };
         if !self.lends {
             send(proc, None);
-            return rest(proc);
+            return rest(proc, &slots);
         }
         proc.lending::<RowMsg<T>, _>(self.pool_key, |proc, lender| {
             send(proc, Some(lender));
-            rest(proc);
+            rest(proc, &slots);
         })
     }
 
     /// The planned many-to-many over the buffers the send round left staged
-    /// (or the loans it left lent).
-    fn exchange<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>) {
+    /// (or the loans it left lent) in `slots`.
+    fn exchange<T: Wire + Default>(
+        &self,
+        proc: &mut Proc,
+        slots: &Slots<T>,
+        recvs: &mut Vec<Packet>,
+    ) {
         proc.with_category(Category::ManyToMany, |proc| {
-            let (a2a, key) = (&self.a2a, self.pool_key);
-            alltoallv_pooled::<RowMsg<T>>(proc, a2a, self.schedule, key, recvs);
+            alltoallv_slots(proc, &self.a2a, self.schedule, slots, recvs);
         });
     }
 
-    /// The shared pooled-decode loop: read the self slot (it never crossed
-    /// the wire), then every received packet's slot, and run `place` over
-    /// what each carries — a staged buffer, which goes back to its sender's
-    /// slot after, or a loan of the sender's source, read in place
-    /// ([`PoolSlot::receive`]). `place` gets the sending processor's id
-    /// (this processor's own for the self slot) and returns whatever count
-    /// it wants accumulated — placed values for pair decodes, model
+    /// The shared pooled-decode loop: read the self row's slot in `slots`
+    /// (it never crossed the wire), then every received packet's slot, and
+    /// run `place` over what each carries — a staged buffer, which goes back
+    /// to its sender's slot after, or a loan of the sender's source, read in
+    /// place ([`PoolSlot::receive`]). `place` gets the sending processor's
+    /// id (this processor's own for the self slot) and returns whatever
+    /// count it wants accumulated — placed values for pair decodes, model
     /// operations for segment decodes. It must not park: a loan's lender may
     /// wait on it.
     fn receive<T: Wire + Default, F>(
         &self,
         proc: &mut Proc,
+        slots: &Slots<T>,
         recvs: &mut Vec<Packet>,
         mut place: F,
     ) -> usize
@@ -470,9 +552,8 @@ impl Sender {
     {
         let me = proc.id();
         let mut acc = 0usize;
-        if self.a2a.sends_to(me) {
-            let slot = proc.pool_current::<RowMsg<T>>(self.pool_key, me);
-            acc += slot.receive(|got| place(proc, me, got));
+        if let Ok(own) = self.routes.slots.peers.binary_search(&(me as u32)) {
+            acc += slots[own].receive(|got| place(proc, me, got));
         }
         for pkt in recvs.drain(..) {
             let src = pkt.src;
@@ -683,7 +764,7 @@ pub struct UnpackPlan {
     field_spans: Vec<(u32, u32)>,
     /// The serve: one row per requester, without ranks, read from `v_local`
     /// through the local indices each asked for, in request order.
-    send: Sender,
+    send: Box<Sender>,
 }
 
 /// Build an [`UnpackPlan`]: initial scan, ranking collectives, request
@@ -826,6 +907,11 @@ impl UnpackPlan {
         self.send.lends
     }
 
+    /// Pool-slot handles the plan holds; see [`PackPlan::slot_handles`].
+    pub fn slot_handles(&self) -> usize {
+        self.send.slot_handles()
+    }
+
     /// Bytes retained by the receive half (target rows, scatter programs,
     /// field spans); the send half counts its own.
     fn recv_bytes(&self) -> u64 {
@@ -851,10 +937,16 @@ impl UnpackPlan {
     /// The reply scatter into `A` at the recorded element slots: each reply
     /// — a buffer, or the owner's `v_local` read in place under its serve
     /// row — is joined with this processor's scatter row in one pass.
-    fn scatter<T: Wire + Default>(&self, proc: &mut Proc, recvs: &mut Vec<Packet>, out: &mut [T]) {
+    fn scatter<T: Wire + Default>(
+        &self,
+        proc: &mut Proc,
+        slots: &Slots<T>,
+        recvs: &mut Vec<Packet>,
+        out: &mut [T],
+    ) {
         proc.wall_span("unpack.scatter", |proc| {
             proc.with_category(Category::LocalComp, |proc| {
-                let ops = self.send.receive(proc, recvs, |proc, src_id, got| {
+                let ops = self.send.receive(proc, slots, recvs, |proc, src_id, got| {
                     let k = self.targets.find(src_id).expect("a reply I asked for");
                     let moved = match got {
                         Received::Staged(buf) => walk_phases::<T>(proc, |phase| {
@@ -946,11 +1038,12 @@ impl UnpackPlan {
             // nothing to serve get no message, matching the reply plan's
             // silent rounds.
             let mut recvs = proc.take_pkt_scratch();
-            self.send.send_round(proc, "unpack.serve", v_local, |proc| {
-                let reply = |proc: &mut Proc| self.send.exchange::<T>(proc, &mut recvs);
-                proc.with_stage("unpack.reply", reply);
-                self.scatter(proc, &mut recvs, out)
-            });
+            self.send
+                .send_round(proc, "unpack.serve", v_local, |proc, slots| {
+                    let reply = |proc: &mut Proc| self.send.exchange(proc, slots, &mut recvs);
+                    proc.with_stage("unpack.reply", reply);
+                    self.scatter(proc, slots, &mut recvs, out)
+                });
             proc.restore_pkt_scratch(recvs);
         });
         Ok(())
@@ -1343,11 +1436,12 @@ mod tests {
                             (v, routes) = (got.local_v, Some(weak));
                         } else {
                             let mut recvs = Vec::new();
-                            plan.send.send_round(proc, "pack.gather", &ap[me], |proc| {
-                                plan.send.exchange::<i32>(proc, &mut recvs);
-                                let _gone: Vec<u32> = proc.recv(0, tags::USER);
-                                plan.decode(proc, &layout, &mut recvs, &mut v);
-                            });
+                            plan.send
+                                .send_round(proc, "pack.gather", &ap[me], |proc, slots| {
+                                    plan.send.exchange(proc, slots, &mut recvs);
+                                    let _gone: Vec<u32> = proc.recv(0, tags::USER);
+                                    plan.decode(proc, &layout, slots, &mut recvs, &mut v);
+                                });
                         }
                         let what = format!("P={p} workers={workers} {scheme:?} proc {me}");
                         assert_eq!(v.len(), layout.local_len(me), "{what}");

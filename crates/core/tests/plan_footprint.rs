@@ -26,12 +26,13 @@
 //! *stage* — the `mem.pool` high water — is set by the first execute: each
 //! pool entry holds one slot, which every later execute refills (§11). A
 //! plan that lends its source stages nothing: its slots hold a loan, no
-//! buffer, and `mem.pool` stays at zero.
+//! buffer, and `mem.pool` stays at zero. What it *holds* to reach those
+//! slots is one handle per route row, taken on the first execute (§11).
 
 use hpf_core::ranking::{rank_from_counts, slice_counts, RankShape};
 use hpf_core::{
-    plan_pack, plan_unpack, CopyStats, MaskPattern, MaskStats, PackOptions, PackScheme,
-    UnpackOptions, UnpackScheme,
+    plan_pack, plan_unpack, CopyStats, MaskPattern, MaskStats, PackOptions, PackPlan, PackScheme,
+    UnpackOptions, UnpackPlan, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
@@ -97,6 +98,54 @@ fn plan_allocation_does_not_grow_with_the_machine() {
     assert!(
         gross512 <= 2 * gross64,
         "with ranking: {gross64} B per processor at P = 64 but {gross512} B at P = 512"
+    );
+}
+
+/// A plan's handle table is O(peers), never O(P) (DESIGN.md §11): at
+/// P = 512, after one execute, every processor's PACK plan holds exactly one
+/// pool-slot handle per route row — `Ds_i`, the processors its selected
+/// elements go to, itself included — and its UNPACK plan one per serve row,
+/// `Dr_i`, as [`MaskStats`] counts them from the global mask. Before its
+/// first execute, and in a clone, a plan holds none.
+#[test]
+fn a_plan_holds_one_slot_handle_per_route_row() {
+    const P: usize = 512;
+    let grid = ProcGrid::line(P);
+    let desc = ArrayDesc::new(&[PER_PROC * P], &grid, &[Dist::BlockCyclic(2)]).unwrap();
+    let mask = MaskPattern::Random {
+        density: 0.5,
+        seed: 5,
+    };
+    let stats = MaskStats::from_mask(mask.global(&[PER_PROC * P]).data(), P, 2, None);
+    let out = Machine::new(grid, CostModel::cm5()).run(|proc| {
+        let me = proc.id();
+        let m = mask.local(&desc, me);
+        let pack = plan_pack(proc, &desc, &m, &PackOptions::default()).unwrap();
+        let vl = pack.v_layout().expect("the mask selects elements");
+        let unpack = plan_unpack(proc, &desc, &m, &vl, &UnpackOptions::default()).unwrap();
+        let held =
+            |pack: &PackPlan, unpack: &UnpackPlan| (pack.slot_handles(), unpack.slot_handles());
+        let before = held(&pack, &unpack);
+        let a = local_from_fn(&desc, me, |g| g[0] as i32);
+        let v = pack.execute(proc, &a).unwrap().local_v;
+        unpack.execute(proc, &a, &v).unwrap();
+        (
+            before,
+            held(&pack, &unpack),
+            held(&pack.clone(), &unpack.clone()),
+        )
+    });
+    let mut widest = 0;
+    for (p, (before, after, cloned)) in out.results.into_iter().enumerate() {
+        assert_eq!(before, (0, 0), "processor {p} before its first execute");
+        assert_eq!(cloned, (0, 0), "processor {p}: a clone holds no handles");
+        let rows = (stats.send_peers[p], stats.recv_peers[p]);
+        assert_eq!(after, rows, "processor {p}: one handle per route row");
+        widest = widest.max(after.0.max(after.1));
+    }
+    assert!(
+        widest < P / 8,
+        "{widest} handles on one processor at P = {P}"
     );
 }
 

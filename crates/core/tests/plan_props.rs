@@ -153,3 +153,78 @@ proptest! {
         }
     }
 }
+
+/// One held `PackPlan` and one held `UnpackPlan`, each executed with `i32`,
+/// then `i64`, then `i32` again: every switch takes the other type's pool
+/// slots afresh (DESIGN.md §11), the plan still holds one handle per route
+/// row, and every result equals the sequential oracle — all six scheme
+/// pairs, on a Bernoulli mask whose plans copy and on a full mask whose
+/// plans lend.
+#[test]
+fn one_plan_executes_two_element_types() {
+    use hpf_core::seq::{pack_seq, unpack_seq};
+    use hpf_distarray::GlobalArray;
+    const P: usize = 4;
+    let grid = ProcGrid::line(P);
+    let bernoulli = MaskPattern::Random {
+        density: 0.5,
+        seed: 3,
+    };
+    for (n, w, pattern, lends) in [
+        (64, 2, bernoulli, false),
+        (P * 4096, 64, MaskPattern::Full, true),
+    ] {
+        let desc = ArrayDesc::new(&[n], &grid, &[Dist::BlockCyclic(w)]).unwrap();
+        let mask = pattern.global(&[n]);
+        let a = GlobalArray::from_fn(&[n], |g| 3 * g[0] as i64 - 7);
+        let f = GlobalArray::from_fn(&[n], |g| -(g[0] as i64) - 1);
+        let packed = pack_seq(&a, &mask, None);
+        let vl = DimLayout::new_general(packed.len(), P, packed.len().div_ceil(P)).unwrap();
+        let v: Vec<i64> = packed.iter().rev().copied().collect();
+        let want_a = unpack_seq(&v, &mask, &f).partition(&desc);
+        let (ap, fp, mp) = (
+            a.partition(&desc),
+            f.partition(&desc),
+            mask.partition(&desc),
+        );
+        for (pscheme, uscheme) in PackScheme::ALL
+            .into_iter()
+            .flat_map(|p| UnpackScheme::ALL.map(|u| (p, u)))
+        {
+            let (desc, vl, v, packed) = (&desc, &vl, &v, &packed);
+            let (ap, fp, mp, want_a) = (&ap, &fp, &mp, &want_a);
+            Machine::new(grid.clone(), CostModel::cm5()).run(move |proc| {
+                let me = proc.id();
+                let what = format!("N={n} {pscheme:?} {uscheme:?} proc {me}");
+                let pack = plan_pack(proc, desc, &mp[me], &PackOptions::new(pscheme)).unwrap();
+                let uopts = UnpackOptions::new(uscheme);
+                let unpack = plan_unpack(proc, desc, &mp[me], vl, &uopts).unwrap();
+                assert_eq!((pack.lends(), unpack.lends()), (lends, lends), "{what}");
+                let layout = pack.v_layout().unwrap();
+                let want_v: Vec<i64> = (0..layout.local_len(me))
+                    .map(|l| packed[layout.global_of(me, l)])
+                    .collect();
+                let v_local: Vec<i64> = (0..vl.local_len(me))
+                    .map(|l| v[vl.global_of(me, l)])
+                    .collect();
+                let narrow = |x: &[i64]| x.iter().map(|&e| e as i32).collect::<Vec<_>>();
+                let widen = |x: Vec<i32>| x.into_iter().map(i64::from).collect::<Vec<_>>();
+                let mut handles = None;
+                for wide in [false, true, false] {
+                    let (got_v, got_a) = if wide {
+                        let got_v = pack.execute(proc, &ap[me]).unwrap().local_v;
+                        (got_v, unpack.execute(proc, &fp[me], &v_local).unwrap())
+                    } else {
+                        let got_v = pack.execute(proc, &narrow(&ap[me])).unwrap().local_v;
+                        let got_a = unpack.execute(proc, &narrow(&fp[me]), &narrow(&v_local));
+                        (widen(got_v), widen(got_a.unwrap()))
+                    };
+                    assert_eq!(got_v, want_v, "{what}, wide={wide}: PACK");
+                    assert_eq!(got_a, want_a[me], "{what}, wide={wide}: UNPACK");
+                    let held = (pack.slot_handles(), unpack.slot_handles());
+                    assert_eq!(*handles.get_or_insert(held), held, "{what}");
+                }
+            });
+        }
+    }
+}

@@ -1,10 +1,13 @@
 //! Crash-recovery sweep over a planned PACK → UNPACK roundtrip: for every
 //! send step k (and every receive step k) at which a processor can crash,
 //! the recovered run must be bit-exact — same results, same simulated
-//! clocks — as the fault-free run, for every storage scheme.
+//! clocks — as the fault-free run, for every storage scheme: plans built
+//! in the epoch that executes them, and plans carried from one epoch to the
+//! next in the epoch state.
 
 use hpf_core::{
-    plan_pack, plan_unpack, MaskPattern, PackOptions, PackScheme, UnpackOptions, UnpackScheme,
+    plan_pack, plan_unpack, MaskPattern, PackOptions, PackPlan, PackScheme, UnpackOptions,
+    UnpackPlan, UnpackScheme,
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::{Category, CostModel, FaultPlan, Machine, Proc, ProcGrid, RunOutput};
@@ -64,6 +67,55 @@ fn roundtrip(
     }
 }
 
+/// Checkpointed state of [`carried`]: the plans, the packed vector and the
+/// unpacked result.
+type Carried = (Option<(PackPlan, UnpackPlan)>, Vec<i32>, Vec<i32>);
+
+/// Epoch 0 builds a PACK and an UNPACK plan and executes each once, so that
+/// each holds its pool-slot handles when the boundary snapshots the state;
+/// epoch 1 executes the carried plans three times on fresh values. A
+/// respawned victim restores a clone of the plans, which holds no handles:
+/// its executes take them afresh from its own, empty pool. Were the clone
+/// to share the crashed processor's, a crash at a send step would leave a
+/// slot staged that the respawn could never check out again.
+fn carried(
+    pack_opts: PackOptions,
+    unpack_opts: UnpackOptions,
+) -> impl Fn(&mut Proc) -> (Vec<i32>, Vec<i32>) + Sync {
+    move |proc: &mut Proc| {
+        let grid = ProcGrid::line(P);
+        let desc = ArrayDesc::new(&[24], &grid, &[Dist::BlockCyclic(2)]).unwrap();
+        let m = MaskPattern::Random {
+            density: 0.55,
+            seed: 9,
+        }
+        .local(&desc, proc.id());
+        let mut st: Carried = (None, Vec::new(), Vec::new());
+        proc.epoch(&mut st, |proc, st| {
+            let pack = plan_pack(proc, &desc, &m, &pack_opts).unwrap();
+            let vl = pack.v_layout().expect("mask selects elements");
+            let unpack = plan_unpack(proc, &desc, &m, &vl, &unpack_opts).unwrap();
+            let a = local_from_fn(&desc, proc.id(), |g| data_at(g, 3));
+            let v = pack.execute(proc, &a).unwrap().local_v;
+            let f = local_from_fn(&desc, proc.id(), |g| data_at(g, -3));
+            unpack.execute(proc, &f, &v).unwrap();
+            assert!(pack.slot_handles() + unpack.slot_handles() > 0);
+            st.0 = Some((pack, unpack));
+        });
+        proc.epoch(&mut st, |proc, st| {
+            let (plans, v, out) = (&st.0, &mut st.1, &mut st.2);
+            let (pack, unpack) = plans.as_ref().expect("planned in epoch 0");
+            for i in 0..3 {
+                let a = local_from_fn(&desc, proc.id(), |g| data_at(g, 17 + i));
+                *v = pack.execute(proc, &a).unwrap().local_v;
+                let f = local_from_fn(&desc, proc.id(), |g| data_at(g, -5 - i));
+                *out = unpack.execute(proc, &f, v).unwrap();
+            }
+        });
+        (st.1.clone(), st.2.clone())
+    }
+}
+
 fn machine(faults: FaultPlan) -> Machine {
     Machine::new(ProcGrid::line(P), CostModel::cm5()).with_faults(faults)
 }
@@ -93,8 +145,13 @@ fn sweep(pack_scheme: PackScheme, unpack_scheme: UnpackScheme, executes: i32) {
         UnpackOptions::new(unpack_scheme),
         executes,
     );
+    sweep_program(&program, &format!("{executes} executes"));
+}
+
+/// [`sweep`] over any program of the two-epoch shape.
+fn sweep_program(program: &(impl Fn(&mut Proc) -> (Vec<i32>, Vec<i32>) + Sync), label: &str) {
     let clean = machine(FaultPlan::new(0))
-        .run_recoverable(&program)
+        .run_recoverable(program)
         .expect("fault-free run");
     let victim = 1usize;
     for recv_side in [false, true] {
@@ -106,7 +163,7 @@ fn sweep(pack_scheme: PackScheme, unpack_scheme: UnpackScheme, executes: i32) {
                 FaultPlan::new(0).with_crash(victim, k)
             };
             let crashed = machine(plan)
-                .run_recoverable(&program)
+                .run_recoverable(program)
                 .unwrap_or_else(|e| panic!("step {k} (recv={recv_side}) unrecovered: {e}"));
             let rec = crashed.recovery.as_ref().unwrap();
             if rec.replays == 0 {
@@ -116,7 +173,7 @@ fn sweep(pack_scheme: PackScheme, unpack_scheme: UnpackScheme, executes: i32) {
             }
             fired += 1;
             assert_eq!(rec.replays, 1, "step {k}: one crash, one recovery");
-            let what = format!("{executes} executes, step {k} recv={recv_side}");
+            let what = format!("{label}, step {k} recv={recv_side}");
             assert_bit_exact(&clean, &crashed, &what);
         }
         assert!(fired < 499, "sweep did not terminate");
@@ -149,6 +206,25 @@ fn compact_message_pack_survives_any_crash_step() {
             UnpackScheme::CompactStorage,
             executes,
         );
+    }
+}
+
+/// Plans carried in the epoch state across every crash step, epoch 1's
+/// included, for each PACK scheme with an UNPACK scheme: the respawned
+/// victim's plans resolve their slot handles afresh, and the run is
+/// bit-exact.
+#[test]
+fn plans_carried_across_epochs_survive_any_crash_step() {
+    for (pack_scheme, unpack_scheme) in [
+        (PackScheme::Simple, UnpackScheme::Simple),
+        (PackScheme::CompactStorage, UnpackScheme::CompactStorage),
+        (PackScheme::CompactMessage, UnpackScheme::Simple),
+    ] {
+        let program = carried(
+            PackOptions::new(pack_scheme),
+            UnpackOptions::new(unpack_scheme),
+        );
+        sweep_program(&program, &format!("carried {pack_scheme:?}"));
     }
 }
 

@@ -21,8 +21,10 @@
 //! one-shot or cached — then runs the same planned rounds over the
 //! populated pairs only (DESIGN.md §17).
 
+use std::sync::Arc;
+
 use crate::message::{Packet, Payload};
-use crate::pool::Reusable;
+use crate::pool::{PoolSlot, Reusable};
 use crate::proc::{tags, Group, Proc};
 
 /// Message schedule for [`alltoallv`].
@@ -158,12 +160,6 @@ impl A2aPlan {
         4 * (self.to.len() + self.from.len()) as u64
     }
 
-    /// Whether this rank sends to `rank` (its own included: a staged self
-    /// slot).
-    pub fn sends_to(&self, rank: usize) -> bool {
-        self.to.binary_search(&(rank as u32)).is_ok()
-    }
-
     /// Collective: derive the receive list by transposing the group's
     /// `P × P` send-flag matrix on the control plane. Every member sends its
     /// `to` list as a `⌈P/64⌉`-word bitset row to group rank 0, which returns
@@ -242,11 +238,14 @@ fn scatter_row(cols: &mut [Vec<u64>], i: usize, row: &[u64]) {
 }
 
 /// The one round engine behind every many-to-many: walk `schedule`'s
-/// rounds for group rank `me` of `n`, calling `send(dst)` / `recv(src)` for
+/// rounds for group rank `me` of `n`, calling `send(at)` / `recv(src)` for
 /// the populated directions only — in exactly the order a walk over all
 /// `n − 1` rounds would reach them, but by merging the plan's two sorted
-/// peer lists, so a round whose pairing moves nothing costs nothing. (`C` is
-/// the processor; the tests record the call order in a plain vector.)
+/// peer lists, so a round whose pairing moves nothing costs nothing. A send
+/// is named by its position `at` on `plan.to`, the destination being
+/// `plan.to[at]`, so a caller that holds one thing per destination finds
+/// it without a search. (`C` is the processor; the tests record the call
+/// order in a plain vector.)
 fn planned_rounds<C>(
     proc: &mut C,
     n: usize,
@@ -259,7 +258,8 @@ fn planned_rounds<C>(
     assert_eq!(plan.n, n, "plan must cover the group");
     if schedule == A2aSchedule::PairwiseExchange && n.is_power_of_two() {
         // Round `k` pairs `me ↔ me XOR k`.
-        return xor_rounds(proc, me, n / 2, &plan.to, &plan.from, &mut send, &mut recv);
+        let to = (&plan.to[..], 0);
+        return xor_rounds(proc, me, n / 2, to, &plan.from, &mut send, &mut recv);
     }
     // Round `k` pairs `me → (me + k) mod n` with `(me − k) mod n → me`: the
     // destinations are `to` read upwards from `me`, the sources `from` read
@@ -270,23 +270,23 @@ fn planned_rounds<C>(
         (lo, lo + usize::from(list.get(lo) == Some(&me32)))
     };
     let ((tl, th), (fl, fh)) = (split(&plan.to), split(&plan.from));
-    let mut dsts = plan.to[th..].iter().chain(&plan.to[..tl]).peekable();
+    let mut dsts = (th..plan.to.len()).chain(0..tl).peekable();
     let mut srcs = (plan.from[..fl].iter().rev())
         .chain(plan.from[fh..].iter().rev())
         .peekable();
     if schedule == A2aSchedule::NaivePush {
-        dsts.for_each(|&dst| send(proc, dst as usize));
+        dsts.for_each(|at| send(proc, at));
         srcs.for_each(|&src| recv(proc, src as usize));
         return;
     }
     loop {
-        let k_send = dsts.peek().map(|&&dst| (dst + n32 - me32) % n32);
+        let k_send = dsts.peek().map(|&at| (plan.to[at] + n32 - me32) % n32);
         let k_recv = srcs.peek().map(|&&src| (me32 + n32 - src) % n32);
         let Some(k) = k_send.into_iter().chain(k_recv).min() else {
             return;
         };
         if k_send == Some(k) {
-            send(proc, *dsts.next().expect("peeked") as usize);
+            send(proc, dsts.next().expect("peeked"));
         }
         if k_recv == Some(k) {
             recv(proc, *srcs.next().expect("peeked") as usize);
@@ -295,15 +295,16 @@ fn planned_rounds<C>(
 }
 
 /// The XOR matching's rounds over sorted peer lists. `to` and `from` hold
-/// the peers of one aligned block of `2·half` ranks; the block's lower half
-/// differs from `me` in the `half` bit or it does not, and whichever half
-/// does not comes first in `k = me XOR peer` order — recursively, down to
-/// single ranks, with no scratch and no sort.
+/// the peers of one aligned block of `2·half` ranks, `to` with the position
+/// of its first on the plan's list; the block's lower half differs from
+/// `me` in the `half` bit or it does not, and whichever half does not comes
+/// first in `k = me XOR peer` order — recursively, down to single ranks,
+/// with no scratch and no sort.
 fn xor_rounds<C>(
     proc: &mut C,
     me: usize,
     half: usize,
-    to: &[u32],
+    (to, at): (&[u32], usize),
     from: &[u32],
     send: &mut impl FnMut(&mut C, usize),
     recv: &mut impl FnMut(&mut C, usize),
@@ -313,8 +314,8 @@ fn xor_rounds<C>(
     }
     if half == 0 {
         // One rank: `me` itself (round 0, which does not exist) or a partner.
-        if let Some(&dst) = to.first().filter(|&&p| p as usize != me) {
-            send(proc, dst as usize);
+        if to.first().is_some_and(|&p| p as usize != me) {
+            send(proc, at);
         }
         if let Some(&src) = from.first().filter(|&&p| p as usize != me) {
             recv(proc, src as usize);
@@ -324,7 +325,9 @@ fn xor_rounds<C>(
     let peer0 = to.first().or(from.first()).expect("not both empty");
     let mid = (*peer0 as usize & !(2 * half - 1)) + half;
     let cut = |list: &[u32]| list.partition_point(|&p| (p as usize) < mid);
-    let ((t_lo, t_hi), (f_lo, f_hi)) = (to.split_at(cut(to)), from.split_at(cut(from)));
+    let (t_cut, f_cut) = (cut(to), cut(from));
+    let (t_lo, t_hi) = ((&to[..t_cut], at), (&to[t_cut..], at + t_cut));
+    let (f_lo, f_hi) = from.split_at(f_cut);
     if me & half == 0 {
         xor_rounds(proc, me, half / 2, t_lo, f_lo, send, recv);
         xor_rounds(proc, me, half / 2, t_hi, f_hi, send, recv);
@@ -364,7 +367,8 @@ fn sparse_planned<P: Payload + Default>(
             me,
             plan,
             schedule,
-            |proc, dst| {
+            |proc, at| {
+                let dst = plan.to[at] as usize;
                 let at = find(&sends, dst);
                 let data = std::mem::take(&mut sends[at].1);
                 proc.send(group.id_of(dst), tags::ALLTOALL, data);
@@ -378,27 +382,65 @@ fn sparse_planned<P: Payload + Default>(
     recvs
 }
 
-/// The planned rounds over pooled buffers: the allocation-free steady
-/// state of a held plan's execute loop.
+/// The planned rounds over pooled buffers, the slots named by key: the
+/// exchange of a caller that holds no handles. Each send looks its slot up
+/// in this processor's pool ([`Proc::pool_current`]); otherwise it is
+/// [`alltoallv_slots`], over the same engine.
 ///
 /// The caller has already checked out, filled, and stashed the pool slot
-/// for every destination on `plan.to()` — including its own rank, whose
-/// slot is never sent and is decoded in place (the uncharged self-move of
-/// the boxed variants). Received messages land in `out` as raw
-/// [`Packet`]s whose payload is the *sender's* `Arc<PoolSlot<B>>`; the
-/// decoder downcasts, takes the staged buffer, and returns it with
-/// [`crate::PoolSlot::put_back`] — which is what un-blocks the sender's next
+/// of plan `key` for every destination on the plan's send list, as
+/// [`alltoallv_slots`] describes.
+pub fn alltoallv_pooled<B: Reusable>(
+    proc: &mut Proc,
+    plan: &A2aPlan,
+    schedule: A2aSchedule,
+    key: u64,
+    out: &mut Vec<Packet>,
+) {
+    let slot = |proc: &mut Proc, at: usize| proc.pool_current::<B>(key, plan.to[at] as usize);
+    pooled_rounds(proc, plan, schedule, slot, out);
+}
+
+/// The planned rounds over pooled buffers: the allocation-free steady
+/// state of a held plan's execute loop, sending through the slot handles
+/// the plan holds — `slots[at]` is the slot for the destination at position
+/// `at` on the plan's send list, so no send searches the pool.
+///
+/// The caller has already checked out, filled, and stashed every one of
+/// these slots — including its own rank's, if it is on the list, which is
+/// never sent and is decoded in place (the uncharged self-move of the
+/// boxed variants). Received messages land in `out` as raw [`Packet`]s
+/// whose payload is the *sender's* `Arc<PoolSlot<B>>`; the decoder
+/// downcasts, takes the staged buffer, and returns it with
+/// [`PoolSlot::put_back`] — which is what un-blocks the sender's next
 /// checkout.
 ///
 /// Always runs over the world communicator (group rank = processor id),
 /// and shares the boxed rounds' engine and stage span: the simulated
 /// accounting of a pooled execute is bit-identical to the boxed path (see
 /// DESIGN.md §11).
-pub fn alltoallv_pooled<B: Reusable>(
+///
+/// # Panics
+/// If `slots` does not hold one slot per destination on the plan.
+pub fn alltoallv_slots<B: Reusable>(
     proc: &mut Proc,
     plan: &A2aPlan,
     schedule: A2aSchedule,
-    key: u64,
+    slots: &[Arc<PoolSlot<B>>],
+    out: &mut Vec<Packet>,
+) {
+    assert_eq!(slots.len(), plan.to.len(), "one slot per destination");
+    pooled_rounds(proc, plan, schedule, |_, at| Arc::clone(&slots[at]), out);
+}
+
+/// The one pooled round engine under [`alltoallv_pooled`] and
+/// [`alltoallv_slots`]: `slot(proc, at)` is the slot to send to the
+/// destination at position `at` on the plan's send list.
+fn pooled_rounds<B: Reusable>(
+    proc: &mut Proc,
+    plan: &A2aPlan,
+    schedule: A2aSchedule,
+    mut slot: impl FnMut(&mut Proc, usize) -> Arc<PoolSlot<B>>,
     out: &mut Vec<Packet>,
 ) {
     let (n, me) = (proc.nprocs(), proc.id());
@@ -410,9 +452,9 @@ pub fn alltoallv_pooled<B: Reusable>(
                 me,
                 plan,
                 schedule,
-                |proc, dst| {
-                    let slot = proc.pool_current::<B>(key, dst);
-                    proc.send_pooled(dst, tags::ALLTOALL, slot);
+                |proc, at| {
+                    let slot = slot(proc, at);
+                    proc.send_pooled(plan.to[at] as usize, tags::ALLTOALL, slot);
                 },
                 // Wall attribution: each received packet's charged wire
                 // words, so the profile reports the exchange's effective
@@ -567,7 +609,7 @@ mod tests {
     ) -> Vec<P> {
         let n = sends.len();
         let sends = populated(group, sends, |j, s| {
-            let listed = plan.sends_to(j);
+            let listed = plan.to.binary_search(&(j as u32)).is_ok();
             debug_assert!(
                 listed || s.wire_words() == 0,
                 "silent send slot carries data"
@@ -999,7 +1041,7 @@ mod tests {
                         me,
                         &plan,
                         schedule,
-                        |steps, dst| steps.push(Step::Send(dst)),
+                        |steps, at| steps.push(Step::Send(plan.to[at] as usize)),
                         |steps, src| steps.push(Step::Recv(src)),
                     );
                     proptest::prop_assert_eq!(

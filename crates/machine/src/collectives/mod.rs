@@ -17,7 +17,8 @@ mod reduce;
 mod scan;
 
 pub use alltoallv::{
-    alltoallv, alltoallv_pooled, alltoallv_sparse, alltoallv_two_phase, A2aPlan, A2aSchedule,
+    alltoallv, alltoallv_pooled, alltoallv_slots, alltoallv_sparse, alltoallv_two_phase, A2aPlan,
+    A2aSchedule,
 };
 pub use broadcast::broadcast;
 pub use gather::allgather;

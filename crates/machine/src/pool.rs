@@ -8,7 +8,10 @@
 //! each buffer to the sender's slot after decoding. From the second
 //! execution onward the whole compose+redistribute loop touches no
 //! allocator (verified by the counting allocator in `hpf-core`'s
-//! `zero_alloc` suite).
+//! `zero_alloc` suite). The pool owns every slot, but a held plan looks
+//! its slots up once: it keeps a handle on each
+//! ([`crate::Proc::pool_slot`]) and checks out, lends and sends through
+//! those, so its executes search no map.
 //!
 //! Ownership protocol (see DESIGN.md §11): every slot is a tiny state
 //! machine held in one atomic state word —
@@ -403,6 +406,47 @@ impl<B: Reusable> PoolSlot<B> {
     fn is_free(&self) -> bool {
         self.state.load(Ordering::SeqCst) == FREE
     }
+
+    /// Take back a loan nobody has read yet (sender side, unwinding). A
+    /// reader in the middle of it holds `BUSY`; a copy kernel never parks,
+    /// so that wait is short. A slot that is back (`Free`) or was never
+    /// lent stays as it is.
+    fn revoke(&self) {
+        loop {
+            match self.acquire(LENT) {
+                Ok(held) => return held.release(REVOKED, Ordering::SeqCst),
+                Err(BUSY) => std::thread::yield_now(),
+                Err(_) => return,
+            }
+        }
+    }
+}
+
+/// A slot with its buffer type forgotten: what a wait registers on and
+/// what a lending scope waits for and revokes. A trait object, so that the
+/// processor's one list of lent slots holds every type's without a
+/// downcast.
+pub(crate) trait Waitable: Send + Sync {
+    /// [`PoolSlot::set_waker`].
+    fn set_waker(&self, waker: Option<(Arc<Scheduler>, usize)>);
+    /// [`PoolSlot::is_free`].
+    fn is_free(&self) -> bool;
+    /// [`PoolSlot::revoke`].
+    fn revoke(&self);
+}
+
+impl<B: Reusable> Waitable for PoolSlot<B> {
+    fn set_waker(&self, waker: Option<(Arc<Scheduler>, usize)>) {
+        PoolSlot::set_waker(self, waker);
+    }
+
+    fn is_free(&self) -> bool {
+        PoolSlot::is_free(self)
+    }
+
+    fn revoke(&self) {
+        PoolSlot::revoke(self);
+    }
 }
 
 impl<B: Lendable> PoolSlot<B> {
@@ -477,20 +521,6 @@ impl<B: Lendable> PoolSlot<B> {
             }
         }
     }
-
-    /// Take back a loan nobody has read yet (sender side, unwinding). A
-    /// reader in the middle of it holds `BUSY`; a copy kernel never parks,
-    /// so that wait is short. A slot that is back (`Free`) or was never
-    /// lent stays as it is.
-    fn revoke(&self) {
-        loop {
-            match self.acquire(LENT) {
-                Ok(held) => return held.release(REVOKED, Ordering::SeqCst),
-                Err(BUSY) => std::thread::yield_now(),
-                Err(_) => return,
-            }
-        }
-    }
 }
 
 /// A finished (or unwinding) read of a loan: the slot is `Free` again,
@@ -515,28 +545,21 @@ type Invariant<'a> = fn(&'a ()) -> &'a ();
 /// Invariant in `'a`: a loan lent here borrows for the whole scope, never
 /// for less.
 pub struct Lender<'a, B> {
-    key: u64,
     /// Each slot lent, with its destination: the scope waits for these
     /// very slots, whatever becomes of the pool's entries meanwhile.
     /// Reused scope after scope, so lending allocates nothing once warm.
-    lent: Vec<(usize, Arc<dyn Any + Send + Sync>)>,
+    lent: Vec<(usize, Arc<dyn Waitable>)>,
     _scope: PhantomData<(Invariant<'a>, fn() -> B)>,
 }
 
 impl<'a, B: Lendable> Lender<'a, B> {
-    /// Lend `loan` to `dst` through the plan's slot for `dst`, which the
-    /// exchange then sends like a staged one; `words` is what the message
-    /// would occupy materialised, so every charge is a copy's.
-    pub fn lend(
-        &mut self,
-        proc: &mut crate::Proc<'_>,
-        dst: usize,
-        loan: Loan<'a, B>,
-        words: Words,
-    ) {
-        let slot = proc.pool_slot::<B>(self.key, dst);
+    /// Lend `loan` to `dst` through `slot`, the plan's slot for `dst`
+    /// ([`crate::Proc::pool_slot`]), which the exchange then sends like a
+    /// staged one; `words` is what the message would occupy materialised,
+    /// so every charge is a copy's.
+    pub fn lend(&mut self, dst: usize, slot: &Arc<PoolSlot<B>>, loan: Loan<'a, B>, words: Words) {
         slot.lend(loan, words);
-        self.lent.push((dst, slot));
+        self.lent.push((dst, Arc::clone(slot) as Arc<dyn Waitable>));
     }
 }
 
@@ -550,20 +573,14 @@ pub(crate) fn lending<'a, 'm, B: Lendable, R>(
     f: impl FnOnce(&mut crate::Proc<'m>, &mut Lender<'a, B>) -> R,
 ) -> R {
     let mut lender = Lender {
-        key,
         lent: std::mem::take(proc.lent_scratch()),
         _scope: PhantomData,
     };
     let run = catch_unwind(AssertUnwindSafe(|| f(proc, &mut lender)));
-    let slot = |s: &Arc<dyn Any + Send + Sync>| -> Arc<PoolSlot<B>> {
-        Arc::clone(s)
-            .downcast()
-            .expect("a lender lends slots of its type")
-    };
     let mut back = Ok(());
     if run.is_ok() {
         for (dst, lent) in &lender.lent {
-            back = proc.wait_on_slot(&slot(lent), key, *dst, |s| s.is_free().then_some(()));
+            back = proc.wait_on_slot(&**lent, key, *dst, |s| s.is_free().then_some(()));
             if back.is_err() {
                 break;
             }
@@ -571,7 +588,7 @@ pub(crate) fn lending<'a, 'm, B: Lendable, R>(
     }
     if run.is_err() || back.is_err() {
         for (_, lent) in &lender.lent {
-            slot(lent).revoke();
+            lent.revoke();
         }
     }
     lender.lent.clear();

@@ -18,7 +18,7 @@ use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::{Frame, Mailbox, Packet, Payload, PayloadCharge};
 use crate::obs::{EventKind, MemAccount, ProcMetrics, Recorder};
-use crate::pool::{BufferPool, Lendable, Lender, PoolSlot, Reusable};
+use crate::pool::{BufferPool, Lendable, Lender, PoolSlot, Reusable, Waitable};
 use crate::recovery::{EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::{Step, Transport};
 use crate::report::MetricsSnapshot;
@@ -146,7 +146,7 @@ pub struct Proc<'m> {
     pool: BufferPool,
     /// The slots a lending scope lent ([`Proc::lending`]), kept between
     /// scopes so that steady-state lending allocates nothing.
-    lent_scratch: Vec<(usize, Arc<dyn Any + Send + Sync>)>,
+    lent_scratch: Vec<(usize, Arc<dyn Waitable>)>,
     /// Scratch space for pooled exchanges' received packets, pre-reserved
     /// so the steady-state execute loop never grows it.
     pkt_scratch: Vec<Packet>,
@@ -1133,11 +1133,22 @@ impl<'m> Proc<'m> {
     /// unevenly.
     pub fn pool_checkout<B: Reusable>(&mut self, key: u64, dst: usize) -> (Arc<PoolSlot<B>>, B) {
         let slot = self.pool.get_or_create::<B>(key, dst);
+        let buf = self.slot_checkout(&slot, key, dst);
+        (slot, buf)
+    }
+
+    /// [`Proc::pool_checkout`] through a handle the caller holds: `slot`
+    /// is plan `key`'s slot for `dst`, taken once from
+    /// [`Proc::pool_slot`], so a held plan's execute searches no pool.
+    ///
+    /// # Panics
+    /// As [`Proc::pool_checkout`].
+    pub fn slot_checkout<B: Reusable>(&mut self, slot: &PoolSlot<B>, key: u64, dst: usize) -> B {
         if let Some(buf) = slot.try_checkout() {
-            return (slot, buf);
+            return buf;
         }
-        match self.wait_on_slot(&slot, key, dst, PoolSlot::try_checkout) {
-            Ok(buf) => (slot, buf),
+        match self.wait_on_slot(slot, key, dst, PoolSlot::try_checkout) {
+            Ok(buf) => buf,
             Err(e) => panic_any(e),
         }
     }
@@ -1151,12 +1162,12 @@ impl<'m> Proc<'m> {
     /// probe below, so a return that lands in between is seen by one side or
     /// the other (§11). A machine that goes quiescent first is a
     /// [`MachineError::PoolStall`] naming `(key, dst)`.
-    pub(crate) fn wait_on_slot<B: Reusable, T>(
+    pub(crate) fn wait_on_slot<S: Waitable + ?Sized, T>(
         &mut self,
-        slot: &PoolSlot<B>,
+        slot: &S,
         key: u64,
         dst: usize,
-        mut probe: impl FnMut(&PoolSlot<B>) -> Option<T>,
+        mut probe: impl FnMut(&S) -> Option<T>,
     ) -> Result<T, MachineError> {
         if let Some(v) = probe(slot) {
             return Ok(v);
@@ -1205,13 +1216,18 @@ impl<'m> Proc<'m> {
     }
 
     /// The slots the open lending scope has lent, kept between scopes.
-    pub(crate) fn lent_scratch(&mut self) -> &mut Vec<(usize, Arc<dyn Any + Send + Sync>)> {
+    pub(crate) fn lent_scratch(&mut self) -> &mut Vec<(usize, Arc<dyn Waitable>)> {
         &mut self.lent_scratch
     }
 
-    /// The slot of `(key, dst)`, created on first use: where a
-    /// [`Lender`] lends.
-    pub(crate) fn pool_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
+    /// The slot of `(key, dst)`, created on first use: the handle a held
+    /// plan takes once per destination and then checks out
+    /// ([`Proc::slot_checkout`]), lends ([`Lender::lend`]) and sends
+    /// through. The pool stays its owner: it charges the slot's growth to
+    /// `mem.pool`, names it in a [`MachineError::PoolStall`] and drops it
+    /// at [`Proc::pool_retire`]; a handle kept past that reaches a slot no
+    /// pool knows.
+    pub fn pool_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
         self.pool.get_or_create::<B>(key, dst)
     }
 

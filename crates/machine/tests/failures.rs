@@ -233,8 +233,8 @@ fn lend_to_1(
 ) {
     p.lending::<Borrowed, _>(key, |p, lender| {
         let row = src.len();
-        lender.lend(p, 1, Loan { src, recipe, row }, 2 * row);
-        let slot = p.pool_current::<Borrowed>(key, 1);
+        let slot = p.pool_slot::<Borrowed>(key, 1);
+        lender.lend(1, &slot, Loan { src, recipe, row }, 2 * row);
         p.send_pooled(1, tags::USER, slot);
         then(p);
     });

@@ -275,8 +275,8 @@ fn lent_handoffs_read_the_lenders_slice_at_every_pool_size() {
                             recipe: &recipe,
                             row,
                         };
-                        lender.lend(p, next, loan, 2 * row);
-                        let slot = p.pool_current::<Borrowed>(key, next);
+                        let slot = p.pool_slot::<Borrowed>(key, next);
+                        lender.lend(next, &slot, loan, 2 * row);
                         p.send_pooled(next, tags::USER + i, slot);
                         let pkt = p.recv_packet(prev, tags::USER + i);
                         let slot = pkt.data.downcast::<PoolSlot<Borrowed>>().unwrap();

@@ -200,6 +200,11 @@ fi
 if grep -nE '\bflip\b|; 2\]' crates/machine/src/pool.rs; then
   echo "ci: the pool's two-slot rotation is back"; exit 1
 fi
+# A held plan resolves its pool slots once and holds one handle per route
+# row (DESIGN.md section 11): the planned path never searches the pool.
+if grep -rn 'pool_checkout\|pool_current' crates/core/src; then
+  echo "ci: the planned path looks its pool slots up by key again"; exit 1
+fi
 if grep -nE '^pub use .*\b(Mailbox|WallProfiler)\b' crates/machine/src/lib.rs; then
   echo "ci: hpf_machine re-exports its mailbox or wall profiler again"; exit 1
 fi
@@ -225,6 +230,15 @@ echo "== chaos smoke (random PACK/UNPACK roundtrips vs the oracle, clean, faulte
 chaos_trace="$(mktemp)"
 cargo run -p hpf-bench --release --bin chaos -- --seed 1 --iters 36 --trace-out "$chaos_trace"
 rm -f "$chaos_trace"
+# Same seed, same output: twelve iterations (2, 3, 6, 7, 10 and 11 on two
+# workers) run twice must print the same bytes.
+chaos_a="$(mktemp)" chaos_b="$(mktemp)"
+cargo run -p hpf-bench --release -q --bin chaos -- --seed 1 --iters 12 >"$chaos_a"
+cargo run -p hpf-bench --release -q --bin chaos -- --seed 1 --iters 12 >"$chaos_b"
+if ! diff "$chaos_a" "$chaos_b"; then
+  echo "ci: chaos printed two outputs for one seed"; rm -f "$chaos_a" "$chaos_b"; exit 1
+fi
+rm -f "$chaos_a" "$chaos_b"
 
 echo "== results/ is what this tree prints (the ten artefacts, BENCH.json, critpath.txt) =="
 # ~40 s. The perf report renders only if its gates hold
