@@ -210,9 +210,9 @@ fn run_iteration(rng: &mut Rng, seed: u64, iter: usize, stats: &mut Stats) {
             };
             plan.execute_into(proc, &apr[proc.id()], &mut out).unwrap();
             let first = out.local_v.clone();
-            // Two more executes rotate through both pool slots, so the fault
-            // schedule gets to retransmit an Arc-shared pooled payload while
-            // its slot is being reused.
+            // Two more executes reuse each destination's one slot, so the
+            // fault schedule gets to retransmit an Arc-shared pooled payload
+            // while its slot is being reused.
             for _ in 0..2 {
                 plan.execute_into(proc, &apr[proc.id()], &mut out).unwrap();
                 assert_eq!(out.local_v, first, "re-execute diverged under faults");

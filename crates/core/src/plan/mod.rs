@@ -36,8 +36,8 @@
 //! with a single ranking pass.
 //!
 //! A caller whose mask does not change holds its plan and executes it on
-//! every call, then gives its pool slots and its `mem.plan` charge back
-//! with [`PackPlan::retire`] / [`UnpackPlan::retire`].
+//! every call, then gives its slots' `mem.pool` charge and its `mem.plan`
+//! charge back with [`PackPlan::retire`] / [`UnpackPlan::retire`].
 
 pub(crate) mod composer;
 pub(crate) mod copyprog;
@@ -51,8 +51,7 @@ use std::sync::{Arc, Mutex};
 use hpf_distarray::{ArrayDesc, DimLayout};
 use hpf_machine::collectives::{alltoallv_slots, alltoallv_sparse, A2aPlan, A2aSchedule};
 use hpf_machine::{
-    fresh_pool_key, Category, Lender, Loan, MemAccount, Packet, PoolSlot, Proc, Received, Wire,
-    Words,
+    Category, Lender, Loan, MemAccount, Packet, PoolSlot, Proc, Received, Wire, Words,
 };
 
 use crate::error::{PackError, UnpackError};
@@ -81,7 +80,7 @@ pub struct PackPlan {
 
 /// A plan's send half (DESIGN.md §10, §11): one row per destination, the
 /// copy programs that read each row's values from the source, the exchange
-/// that carries them, and the family of pooled buffers it sends. PACK's
+/// that carries them, and the table of pooled slots it sends through. PACK's
 /// gather sends route rows to the owners of `V`; UNPACK's serve sends serve
 /// rows, which carry no ranks, back to the requesters.
 #[derive(Debug, Clone)]
@@ -94,10 +93,7 @@ pub(crate) struct Sender {
     progs: CopyPrograms,
     a2a: A2aPlan,
     schedule: A2aSchedule,
-    /// Buffer-pool key: each plan owns a distinct family of reusable send
-    /// buffers in every processor's pool (see DESIGN.md §11).
-    pool_key: u64,
-    /// The family's slots as this plan reaches them: one handle per row.
+    /// The plan's own slots: one per row.
     handles: Handles,
     /// Whether this processor's executes lend their source instead of
     /// filling send buffers ([`lend_rule`]).
@@ -108,25 +104,31 @@ pub(crate) struct Sender {
 /// send round, the exchange and the self-row decode index them by row.
 type Slots<T> = Vec<Arc<PoolSlot<RowMsg<T>>>>;
 
-/// The handle table of a [`Sender`] (DESIGN.md §11): the [`Slots`] of the
-/// element type it last executed with, and their number, taken from the
-/// processor's pool on the first execute with that type. The pool stays the
-/// owner of every slot; this only saves the search. Behind a lock because an
-/// execute takes `&self`; an execute holds it for one type check.
+/// The slot table of a [`Sender`] (DESIGN.md §11): the [`Slots`] of the
+/// element type it last executed with, made on its first execute with it.
+/// Behind a lock because an execute takes `&self`, for one type check.
 #[derive(Debug, Default)]
-struct Handles(Mutex<Option<(Arc<dyn Any + Send + Sync>, usize)>>);
+struct Handles(Mutex<Option<Table>>);
+
+/// A [`Slots`] with its type forgotten, its length, and its charge's release.
+#[derive(Debug)]
+struct Table {
+    slots: Arc<dyn Any + Send + Sync>,
+    len: usize,
+    release: fn(&mut Proc, &(dyn Any + Send + Sync)),
+}
 
 impl Handles {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(Arc<dyn Any + Send + Sync>, usize)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Table>> {
         self.0
             .lock()
-            .expect("no execute panics holding the handle table")
+            .expect("no execute panics holding the slot table")
     }
 }
 
-/// A clone holds no handles: it may execute on another processor, or
-/// restore a respawned one whose pool starts empty (DESIGN.md §12), and
-/// takes its own from the pool where it first executes.
+/// A clone holds no slots: it may execute on another processor, or
+/// restore a respawned one (DESIGN.md §12), and makes its own where it
+/// first executes.
 impl Clone for Handles {
     fn clone(&self) -> Self {
         Handles::default()
@@ -246,12 +248,11 @@ impl PackPlan {
     }
 
     /// Give the plan back once it will not execute again — what one-shot
-    /// [`crate::pack`] does after its execute: this processor's pool drops
-    /// the plan's send buffers (one still in flight is freed by its
-    /// receiver's decode) and the `pool` and `plan` memory accounts are
-    /// released of what the plan charged. Dropping a plan does none of this
-    /// (a plan has no [`Proc`] to tell). Local, not collective; clones share
-    /// the buffers, so retire the last one.
+    /// [`crate::pack`] does after its execute: the `pool` and `plan` memory
+    /// accounts are released of what the plan charged. Its slots go with
+    /// their last handle (one in flight, at its receiver's decode), as when
+    /// a plan is dropped, which releases no charge (a plan has no [`Proc`]
+    /// to tell). Local, not collective; each clone holds slots of its own.
     pub fn retire(self, proc: &mut Proc) {
         self.send.retire(proc, 0);
     }
@@ -273,9 +274,9 @@ impl PackPlan {
         self.send.lends
     }
 
-    /// Pool-slot handles the plan holds on this processor: one per
-    /// destination of its executes, itself included, once it has executed;
-    /// none before, and none in a fresh clone (DESIGN.md §11).
+    /// Pool slots the plan holds on this processor: one per destination of
+    /// its executes, itself included, once it has executed; none before,
+    /// and none in a fresh clone (DESIGN.md §11).
     pub fn slot_handles(&self) -> usize {
         self.send.slot_handles()
     }
@@ -314,8 +315,8 @@ impl PackPlan {
     /// [`PackPlan::execute`] writing into a caller-owned output. `out` is
     /// refilled in place; from the second call with the same `out` onward
     /// the whole gather → exchange → decode loop performs **zero heap
-    /// allocations**: send buffers come from the per-processor pool
-    /// (checked out here, returned by the receiving processor's decode) and
+    /// allocations**: send buffers come from the plan's slots (checked out
+    /// here, returned by the receiving processor's decode) and
     /// the result vector reuses its capacity. A lending plan fills no
     /// buffer: each receiver reads `a_local` in place, and this returns once
     /// every receiver has.
@@ -344,10 +345,11 @@ impl PackPlan {
         let layout = self.v_layout.expect("size > 0");
         proc.with_stage("pack.execute", |proc| {
             let mut recvs = proc.take_pkt_scratch();
+            let slots = self.send.slots::<T>(proc);
             self.send
-                .send_round(proc, "pack.gather", a_local, |proc, slots| {
-                    self.send.exchange(proc, slots, &mut recvs);
-                    self.decode(proc, &layout, slots, &mut recvs, &mut out.local_v);
+                .send_round(proc, "pack.gather", a_local, &slots, |proc| {
+                    self.send.exchange(proc, &slots, &mut recvs);
+                    self.decode(proc, &layout, &slots, &mut recvs, &mut out.local_v);
                 });
             proc.restore_pkt_scratch(recvs);
             out.size = self.size;
@@ -397,7 +399,7 @@ impl PackPlan {
 
 impl Sender {
     /// A send half over `routes`, read through `progs`, exchanged along
-    /// `a2a` under `schedule`, in a fresh family of pooled buffers. Boxed,
+    /// `a2a` under `schedule`, with no slots until its first execute. Boxed,
     /// so that a plan stays a few words wide: the planners hand it back
     /// through nested stage closures, every frame on the way holds it, and
     /// at P = 512 that chain sets how many stack pages each processor
@@ -414,40 +416,39 @@ impl Sender {
             progs,
             a2a,
             schedule,
-            pool_key: fresh_pool_key(),
             handles: Handles::default(),
             lends,
         })
     }
 
-    /// The handle table for element type `T`: the one held, or — on the
-    /// first execute with `T`, or after executing with another type — one
-    /// taken afresh from this processor's pool, one handle per row, and
-    /// held from then on. The one type check of an execute.
+    /// The slot table for element type `T`: the one held, or — on the
+    /// first execute with `T`, or after executing with another type, whose
+    /// table's charge goes back then — a fresh one, one slot per row, held
+    /// from then on. The one type check of an execute.
     fn slots<T: Wire + Default>(&self, proc: &mut Proc) -> Arc<Slots<T>> {
         let mut held = self.handles.lock();
         if let Some(slots) = held
             .as_ref()
-            .and_then(|(h, _)| Arc::clone(h).downcast().ok())
+            .and_then(|t| Arc::clone(&t.slots).downcast().ok())
         {
             return slots;
         }
-        let peers = self.routes.slots.peers.iter();
-        let slots: Arc<Slots<T>> = Arc::new(
-            peers
-                .map(|&dst| proc.pool_slot(self.pool_key, dst as usize))
-                .collect(),
-        );
-        *held = Some((
-            Arc::clone(&slots) as Arc<dyn Any + Send + Sync>,
-            slots.len(),
-        ));
+        if let Some(old) = held.take() {
+            (old.release)(proc, &*old.slots);
+        }
+        let rows = self.routes.slots.peers.len();
+        let slots: Arc<Slots<T>> = Arc::new((0..rows).map(|_| Arc::default()).collect());
+        *held = Some(Table {
+            slots: Arc::clone(&slots) as Arc<dyn Any + Send + Sync>,
+            len: rows,
+            release: |p, t| p.release_slots(t.downcast_ref::<Slots<T>>().expect("its own type")),
+        });
         slots
     }
 
-    /// How many handles [`Sender::slots`] holds.
+    /// How many slots [`Sender::slots`] holds: one per row, or none.
     fn slot_handles(&self) -> usize {
-        self.handles.lock().as_ref().map_or(0, |h| h.1)
+        self.handles.lock().as_ref().map_or(0, |t| t.len)
     }
 
     /// Bytes retained by the send half's index structures (rows, lowered
@@ -457,20 +458,22 @@ impl Sender {
         self.routes.mem_bytes() + self.progs.mem_bytes() + self.a2a.mem_bytes()
     }
 
-    /// Drop the family's pool entries and release the plan's `plan` charge:
-    /// these bytes and `recv_bytes`, the receive half's.
+    /// Give the slot table's `pool` charge back and release the plan's
+    /// `plan` charge: these bytes and `recv_bytes`, the receive half's.
     fn retire(&self, proc: &mut Proc, recv_bytes: u64) {
-        proc.pool_retire(self.pool_key);
+        if let Some(table) = self.handles.lock().take() {
+            (table.release)(proc, &*table.slots);
+        }
         proc.mem_release(MemAccount::Plan, self.mem_bytes() + recv_bytes);
     }
 
     /// One execute's send side, then `rest` — the exchange and the decode —,
     /// shared by PACK's gather and UNPACK's serve: row `k` goes to
-    /// `routes.slots.peers[k]` through the slot `slots[k]` ([`Sender::slots`],
-    /// handed on to `rest`), read from `src` through row `k` of `progs`, one
-    /// operation per element sent, under the `span` wall frame. A lending
-    /// plan lends `src` under every row, charged the wire words its message
-    /// would occupy materialised, and runs `rest` inside the lending scope.
+    /// `routes.slots.peers[k]` through the slot `slots[k]` ([`Sender::slots`]),
+    /// read from `src` through row `k` of `progs`, one operation per element
+    /// sent, under the `span` wall frame. A lending plan lends `src` under
+    /// every row, charged the wire words its message would occupy
+    /// materialised, and runs `rest` inside a lending scope over `slots`.
     /// Any other checks out each row's pooled buffer, shapes it to the row
     /// ([`RowMsg::shape`]), overwrites its values through the row's copy
     /// program and stashes it for the exchange.
@@ -479,23 +482,22 @@ impl Sender {
         proc: &mut Proc,
         span: &'static str,
         src: &'a [T],
-        rest: impl FnOnce(&mut Proc, &Slots<T>),
+        slots: &'a Slots<T>,
+        rest: impl FnOnce(&mut Proc),
     ) {
         let rows = &self.routes.slots;
-        let slots = self.slots::<T>(proc);
         let send = |proc: &mut Proc, mut lender: Option<&mut Lender<'a, RowMsg<T>>>| {
             proc.wall_span(span, |proc| {
                 proc.with_category(Category::LocalComp, |proc| {
-                    for (k, (&dst, slot)) in rows.peers.iter().zip(slots.iter()).enumerate() {
-                        let dst = dst as usize;
+                    for (k, (&dst, slot)) in rows.peers.iter().zip(slots).enumerate() {
                         match lender.as_deref_mut() {
                             Some(lender) => {
                                 let words = self.routes.rank_words(k) + rows.len(k) * T::WORDS;
                                 let (recipe, row) = (self, k);
-                                lender.lend(dst, slot, Loan { src, recipe, row }, words);
+                                lender.lend(k, Loan { src, recipe, row }, words);
                             }
                             None => {
-                                let mut buf = proc.slot_checkout(slot, self.pool_key, dst);
+                                let mut buf = proc.slot_checkout(slot, dst as usize);
                                 let vals = buf.shape(self, k);
                                 walk_phases::<T>(proc, |phase| {
                                     gather_fill(&self.progs, k, src, vals, phase)
@@ -510,11 +512,11 @@ impl Sender {
         };
         if !self.lends {
             send(proc, None);
-            return rest(proc, &slots);
+            return rest(proc);
         }
-        proc.lending::<RowMsg<T>, _>(self.pool_key, |proc, lender| {
+        proc.lending(slots, &rows.peers, |proc, lender| {
             send(proc, Some(lender));
-            rest(proc, &slots);
+            rest(proc);
         })
     }
 
@@ -998,7 +1000,7 @@ impl UnpackPlan {
     /// once — and keeps its allocation; any other `out` is cleared and
     /// rebuilt. From the second call with the same `out` onward the copy →
     /// serve → reply → scatter loop performs zero heap allocations — reply
-    /// buffers come from the per-processor pool. Simulated accounting is
+    /// buffers come from the plan's slots. Simulated accounting is
     /// bit-identical to `execute`: the model charges the field pass one
     /// operation per local element however few the host copies.
     pub fn execute_into<T: Wire + Default>(
@@ -1038,11 +1040,12 @@ impl UnpackPlan {
             // nothing to serve get no message, matching the reply plan's
             // silent rounds.
             let mut recvs = proc.take_pkt_scratch();
+            let slots = self.send.slots::<T>(proc);
             self.send
-                .send_round(proc, "unpack.serve", v_local, |proc, slots| {
-                    let reply = |proc: &mut Proc| self.send.exchange(proc, slots, &mut recvs);
+                .send_round(proc, "unpack.serve", v_local, &slots, |proc| {
+                    let reply = |proc: &mut Proc| self.send.exchange(proc, &slots, &mut recvs);
                     proc.with_stage("unpack.reply", reply);
-                    self.scatter(proc, slots, &mut recvs, out)
+                    self.scatter(proc, &slots, &mut recvs, out)
                 });
             proc.restore_pkt_scratch(recvs);
         });
@@ -1436,11 +1439,12 @@ mod tests {
                             (v, routes) = (got.local_v, Some(weak));
                         } else {
                             let mut recvs = Vec::new();
+                            let slots = plan.send.slots::<i32>(proc);
                             plan.send
-                                .send_round(proc, "pack.gather", &ap[me], |proc, slots| {
-                                    plan.send.exchange(proc, slots, &mut recvs);
+                                .send_round(proc, "pack.gather", &ap[me], &slots, |proc| {
+                                    plan.send.exchange(proc, &slots, &mut recvs);
                                     let _gone: Vec<u32> = proc.recv(0, tags::USER);
-                                    plan.decode(proc, &layout, slots, &mut recvs, &mut v);
+                                    plan.decode(proc, &layout, &slots, &mut recvs, &mut v);
                                 });
                         }
                         let what = format!("P={p} workers={workers} {scheme:?} proc {me}");
@@ -1453,6 +1457,46 @@ mod tests {
                     let weak: &Weak<Routes> = out.results[0].as_ref().unwrap();
                     assert_eq!(weak.strong_count(), 0, "P={p} {scheme:?}: a message leaked");
                 }
+            }
+        }
+    }
+
+    /// A plan owns its slots: one executed and then dropped without
+    /// `retire` leaves none alive once its receivers have decoded, checked
+    /// inside the run (a barrier after the drop orders every decode before
+    /// the check). Staging and lending plans, at P ∈ {2, 3, 4}.
+    #[test]
+    fn a_dropped_plan_leaves_no_slot_alive() {
+        use hpf_distarray::GlobalArray;
+        use std::sync::Weak;
+        for p in 2..=4 {
+            let n = 12 * p;
+            let grid = ProcGrid::line(p);
+            let desc = ArrayDesc::new(&[n], &grid, &[Dist::BlockCyclic(2)]).unwrap();
+            let a = GlobalArray::from_fn(&[n], |g| 10 * g[0] as i32 + 1);
+            let mask = GlobalArray::from_fn(&[n], |g| g[0] % 3 != 1);
+            let (d, ap, mp) = (&desc, &a.partition(&desc), &mask.partition(&desc));
+            for lend in [false, true] {
+                Machine::new(grid.clone(), CostModel::cm5()).run(move |proc| {
+                    let me = proc.id();
+                    let opts = PackOptions::new(PackScheme::CompactStorage);
+                    let plan = plan_pack_at(proc, d, &mp[me], &opts, None, lend).unwrap();
+                    assert_eq!(plan.lends(), lend);
+                    plan.execute(proc, &ap[me]).unwrap();
+                    let held = plan.send.handles.lock();
+                    let table = held.as_ref().expect("an executed plan holds slots");
+                    let slots: &Slots<i32> = table.slots.downcast_ref().unwrap();
+                    let weak: Vec<Weak<_>> = slots.iter().map(Arc::downgrade).collect();
+                    drop(held);
+                    assert_eq!(weak.len(), plan.send.routes.slots.peers.len());
+                    drop(plan);
+                    let world = proc.world();
+                    proc.clock_sync_max(&world);
+                    for slot in &weak {
+                        let what = format!("P={p} lend={lend} proc {me}");
+                        assert_eq!(slot.strong_count(), 0, "{what}: a slot outlived its plan");
+                    }
+                });
             }
         }
     }

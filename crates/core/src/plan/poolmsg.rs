@@ -54,10 +54,6 @@ impl<T: Wire> Payload for RowMsg<T> {
         let ranks = self.route.as_ref().map_or(0, |(r, k)| r.rank_words(*k));
         ranks + self.vals.len() * T::WORDS
     }
-
-    fn clone_payload(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(self.clone())
-    }
 }
 
 impl<T: Wire> Reusable for RowMsg<T> {

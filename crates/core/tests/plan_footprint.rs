@@ -23,11 +23,12 @@
 //! What a plan *retains* — its `mem.plan` charge — depends on its peers and
 //! its copy ops, and on its elements only where a `Scatter` op walks them
 //! (DESIGN.md §16): a bulk row keeps no index list. What its executes
-//! *stage* — the `mem.pool` high water — is set by the first execute: each
-//! pool entry holds one slot, which every later execute refills (§11). A
-//! plan that lends its source stages nothing: its slots hold a loan, no
-//! buffer, and `mem.pool` stays at zero. What it *holds* to reach those
-//! slots is one handle per route row, taken on the first execute (§11).
+//! *stage* — the `mem.pool` high water — is set by the first execute: the
+//! plan makes one slot per route row, which every later execute refills
+//! (§11). A plan that lends its source stages nothing: its slots hold a
+//! loan, no buffer, and `mem.pool` stays at zero. A plan that switches
+//! element type gives the old table's charge back. The slots it *holds* are
+//! one per route row, made on the first execute (§11).
 
 use hpf_core::ranking::{rank_from_counts, slice_counts, RankShape};
 use hpf_core::{
@@ -317,4 +318,53 @@ fn a_lending_plan_stages_nothing() {
             assert_eq!(peak, [0; 4], "{scheme:?}, {executes} executes");
         }
     }
+}
+
+/// Per processor: the `mem.pool` bytes still charged when a run ends whose
+/// one CSS PACK plan, on four processors of 256 elements each under a
+/// Bernoulli-0.5 mask, executes once per entry of `wide` — with `i64`
+/// values where it is `true`, `i32` where it is `false` — and then, if
+/// `retire`, retires.
+fn pool_held(wide: &[bool], retire: bool) -> Vec<u64> {
+    const P: usize = 4;
+    let grid = ProcGrid::line(P);
+    let desc = ArrayDesc::new(&[P * 256], &grid, &[Dist::BlockCyclic(4)]).unwrap();
+    let pattern = MaskPattern::Random {
+        density: 0.5,
+        seed: 7,
+    };
+    let machine = Machine::new(grid, CostModel::cm5()).with_metrics(true);
+    let out = machine.run(|proc| {
+        let m = pattern.local(&desc, proc.id());
+        let opts = PackOptions::new(PackScheme::CompactStorage);
+        let plan = plan_pack(proc, &desc, &m, &opts).unwrap();
+        assert!(!plan.lends());
+        for &wide in wide {
+            if wide {
+                plan.execute(proc, &local_from_fn(&desc, proc.id(), |g| g[0] as i64))
+                    .unwrap();
+            } else {
+                plan.execute(proc, &local_from_fn(&desc, proc.id(), |g| g[0] as i32))
+                    .unwrap();
+            }
+        }
+        if retire {
+            plan.retire(proc);
+        }
+    });
+    let gauge = MemAccount::Pool.gauge_name();
+    out.metrics.iter().map(|m| m.gauges[gauge].last).collect()
+}
+
+/// A plan that switches element type gives the old slot table's charge
+/// back: executed with `i32` and then `i64`, it holds what the `i64` table
+/// alone charges, not both tables' bytes, and nothing once it retires.
+#[test]
+fn a_type_switch_gives_the_old_tables_charge_back() {
+    let (narrow, wide) = (pool_held(&[false], false), pool_held(&[true], false));
+    for (n, w) in narrow.iter().zip(&wide) {
+        assert!(0 < *n && n < w, "i32 {narrow:?}, i64 {wide:?}");
+    }
+    assert_eq!(pool_held(&[false, true], false), wide);
+    assert_eq!(pool_held(&[false, true], true), [0; 4]);
 }

@@ -114,7 +114,7 @@ pub fn alltoallv_sparse<P: Payload + Default>(
 /// group ranks: this processor sends a message to every rank in `to` and
 /// receives one from every rank in `from`. A plain [`alltoallv`] derives
 /// it per call; a cached PACK/UNPACK plan captures it once so that every
-/// execute runs [`alltoallv_pooled`] directly. This rank itself may appear
+/// execute runs [`alltoallv_slots`] directly. This rank itself may appear
 /// in both (its slot is moved, never sent); the rounds skip it.
 ///
 /// The lists must be *pairwise consistent* across the group: `j ∈ from`
@@ -382,13 +382,13 @@ fn sparse_planned<P: Payload + Default>(
     recvs
 }
 
-/// The planned rounds over pooled buffers, the slots named by key: the
-/// exchange of a caller that holds no handles. Each send looks its slot up
-/// in this processor's pool ([`Proc::pool_current`]); otherwise it is
-/// [`alltoallv_slots`], over the same engine.
+/// The planned rounds over the keyed adapter's slots: each send looks its
+/// slot up by `key` ([`Proc::pool_current`]); otherwise it is
+/// [`alltoallv_slots`], over the same engine. The adapter exists only for
+/// `benchmark/src/probes.rs`; a plan holds its slots.
 ///
-/// The caller has already checked out, filled, and stashed the pool slot
-/// of plan `key` for every destination on the plan's send list, as
+/// The caller has already checked out, filled, and stashed the slot of
+/// `key` for every destination on the plan's send list, as
 /// [`alltoallv_slots`] describes.
 pub fn alltoallv_pooled<B: Reusable>(
     proc: &mut Proc,
@@ -498,10 +498,6 @@ impl<T: Wire> Payload for Bundled<T> {
             .iter()
             .map(|(_, v)| 2 + v.len() * T::WORDS)
             .sum()
-    }
-
-    fn clone_payload(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(self.clone())
     }
 }
 

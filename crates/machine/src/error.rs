@@ -53,17 +53,15 @@ pub enum MachineError {
         /// slot) or at the first one named twice — a cycle.
         waiting_on: Vec<usize>,
     },
-    /// `proc` waited for the pooled send buffer — or the loan — of plan
-    /// `key` towards `dst` to come back and it never can: every live
-    /// processor is parked. An entry has one slot, so one message per
-    /// `(key, dst)` is in flight at a time: the receiver stalled, never read
-    /// a loan, kept the previous message undecoded while waiting for the
-    /// next, or the plan was executed unevenly.
+    /// `proc` waited for its pooled send buffer — or its loan — towards
+    /// `dst` to come back and it never can: every live processor is parked.
+    /// A slot carries one message at a time, so one message per (plan,
+    /// destination) is in flight: the receiver stalled, never read a loan,
+    /// kept the previous message undecoded while waiting for the next, or
+    /// the plan was executed unevenly.
     PoolStall {
         /// The processor waiting for its buffer or its loan.
         proc: usize,
-        /// The plan's pool key.
-        key: u64,
         /// The destination that holds the buffer or the loan.
         dst: usize,
     },
@@ -133,12 +131,11 @@ impl fmt::Display for MachineError {
                 }
                 Ok(())
             }
-            MachineError::PoolStall { proc, key, dst } => write!(
+            MachineError::PoolStall { proc, dst } => write!(
                 f,
-                "proc {proc}: pool slot (key {key}, dst {dst}) can never come back (every \
-                 processor is parked; one message per key and destination is in flight) — \
-                 receiver {dst} stalled, never read a loan, kept the previous message \
-                 undecoded, or plan executed unevenly"
+                "proc {proc}: pool slot to {dst} can never come back (every processor is \
+                 parked; one message per slot is in flight) — receiver {dst} stalled, never \
+                 read a loan, kept the previous message undecoded, or plan executed unevenly"
             ),
             MachineError::Unreachable {
                 proc,
@@ -206,14 +203,9 @@ mod tests {
         }
         .to_string();
         assert!(u.contains("seq 17") && u.contains("unreachable"), "{u}");
-        let s = MachineError::PoolStall {
-            proc: 1,
-            key: 6,
-            dst: 4,
-        }
-        .to_string();
+        let s = MachineError::PoolStall { proc: 1, dst: 4 }.to_string();
         assert!(
-            s.contains("proc 1") && s.contains("key 6") && s.contains("receiver 4"),
+            s.contains("proc 1") && s.contains("slot to 4") && s.contains("receiver 4"),
             "{s}"
         );
         let l = MachineError::LeftoverMessages { proc: 0, count: 2 }.to_string();

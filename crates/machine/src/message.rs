@@ -11,9 +11,9 @@
 //! every party that needs to keep it — the reliable transport's retransmit
 //! buffer, a broadcast fan-out, a pooled send slot — holds a refcount
 //! instead of a deep copy. The typed receive unwraps the `Arc` when it is
-//! the last holder (the fault-free common case) and only falls back to
-//! [`Payload::clone_payload`] when the transport still holds the buffer for
-//! a possible retransmission; those rare copies are surfaced through the
+//! the last holder (the fault-free common case) and only falls back to a
+//! clone of the payload when the transport still holds the buffer for a
+//! possible retransmission; those rare copies are surfaced through the
 //! `payload.clone_words` metric.
 
 use std::any::Any;
@@ -102,35 +102,23 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
 ///
 /// Blanket-implemented for `Vec<T: Wire>`; message-format structs (e.g. the
 /// compact message scheme's segment stream) implement it directly so that
-/// the charged volume matches the paper's accounting exactly.
-pub trait Payload: Send + Sync + 'static {
+/// the charged volume matches the paper's accounting exactly. `Clone`,
+/// because a typed receive that finds the `Arc` still shared (the transport
+/// is holding the buffer for a possible retransmission) takes a copy.
+pub trait Payload: Clone + Send + Sync + 'static {
     /// Message volume in 4-byte words.
     fn wire_words(&self) -> Words;
-
-    /// A type-erased copy of the payload. Only used when a typed receive
-    /// finds the `Arc` still shared (the transport is holding the buffer
-    /// for a possible retransmission); implementations are one
-    /// `Box::new(self.clone())` line.
-    fn clone_payload(&self) -> Box<dyn Any + Send>;
 }
 
 impl<T: Wire> Payload for Vec<T> {
     fn wire_words(&self) -> Words {
         self.len() * T::WORDS
     }
-
-    fn clone_payload(&self) -> Box<dyn Any + Send> {
-        Box::new(self.clone())
-    }
 }
 
 impl Payload for () {
     fn wire_words(&self) -> Words {
         0
-    }
-
-    fn clone_payload(&self) -> Box<dyn Any + Send> {
-        Box::new(())
     }
 }
 
@@ -140,10 +128,6 @@ impl Payload for () {
 impl<P: Payload> Payload for Arc<P> {
     fn wire_words(&self) -> Words {
         (**self).wire_words()
-    }
-
-    fn clone_payload(&self) -> Box<dyn Any + Send> {
-        Box::new(Arc::clone(self))
     }
 }
 

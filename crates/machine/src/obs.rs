@@ -59,8 +59,8 @@ pub enum MemAccount {
     /// send until arrival (events) / until the last refcount drops (gauge).
     Payload = 1,
     /// Reusable pooled send buffers; each slot charges its high-water
-    /// capacity once, released when its plan retires
-    /// ([`crate::Proc::pool_retire`]) — until then the buffer is reused.
+    /// capacity once, released when its plan gives its slot table up
+    /// ([`crate::Proc::release_slots`]) — until then the buffer is reused.
     Pool = 2,
     /// Crash-recovery replay-log frames retained on behalf of a
     /// destination, charged by the sender to the *destination's* account.

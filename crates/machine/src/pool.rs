@@ -1,17 +1,17 @@
-//! Typed, per-processor buffer pool for allocation-free plan execution.
+//! Reusable send slots for allocation-free plan execution.
 //!
-//! Re-executing a cached communication plan sends the same message shapes
-//! to the same destinations every iteration. Instead of allocating fresh
-//! per-destination buffers each time, the executor checks buffers out of a
-//! pool keyed by `(plan key, destination, payload type)`, fills them in
-//! place, and ships them as [`Arc`]-shared packets; the *receiver* returns
-//! each buffer to the sender's slot after decoding. From the second
-//! execution onward the whole compose+redistribute loop touches no
-//! allocator (verified by the counting allocator in `hpf-core`'s
-//! `zero_alloc` suite). The pool owns every slot, but a held plan looks
-//! its slots up once: it keeps a handle on each
-//! ([`crate::Proc::pool_slot`]) and checks out, lends and sends through
-//! those, so its executes search no map.
+//! Re-executing a held communication plan sends the same message shapes to
+//! the same destinations every time. Instead of allocating fresh
+//! per-destination buffers each time, a plan makes one [`PoolSlot`] per row
+//! on its first execute and keeps it: the executor checks the slot's buffer
+//! out, fills it in place, and ships the slot itself as an [`Arc`]-shared
+//! packet; the *receiver* puts the buffer back into the sender's slot after
+//! decoding. From the second execution onward the whole compose+redistribute
+//! loop touches no allocator (verified by the counting allocator in
+//! `hpf-core`'s `zero_alloc` suite). The plan owns its slot table: it gives
+//! the table's `mem.pool` charge back ([`crate::Proc::release_slots`]) when
+//! it retires or switches element type, and a dropped plan's slots are freed
+//! with the last handle — its own, or a packet's still in flight.
 //!
 //! Ownership protocol (see DESIGN.md §11): every slot is a tiny state
 //! machine held in one atomic state word —
@@ -39,25 +39,26 @@
 //! it, and the row — and the receiver's [`PoolSlot::receive`] reads it in
 //! place while it holds `Busy`, so the data is copied once, straight into
 //! the receiver's output. The borrow crosses carriers, so it lives here and
-//! nowhere else: only [`crate::Proc::lending`] lends, and it returns — by
-//! value or by unwinding — only once every slot it lent is `Free` again or
+//! nowhere else: only [`crate::Proc::lending`] lends, through a [`Lender`]
+//! over the slot table the scope borrows, and it returns — by value or by
+//! unwinding — only once every slot of that table is `Free` again or
 //! `Revoked`. A receiver that finds a slot `Revoked` panics without touching
 //! the loan.
 //!
-//! Each `(key, dst, type)` entry holds **one** slot: one message in flight
-//! per (plan, destination), as with an MPI persistent request. The sender
-//! may only check out a `Free` slot; a slot stays `Staged` until the
-//! receiver has decoded it, so a sender re-executing faster than its
-//! receiver consumes blocks (wall-clock only — simulated time is untouched)
-//! instead of clobbering in-flight data. A planned execute decodes all it
-//! receives before it returns, so it never waits on itself; a program that
-//! keeps a pooled message undecoded while waiting for the next one through
-//! the same entry waits for ever, a `PoolStall`. A sender that finds its
-//! slot taken registers a waker and raises the slot's owner-parked flag; a
-//! `put_back` reads the flag after publishing `Free` (both sides SeqCst),
-//! so either the owner's next probe sees the slot free or the `put_back`
-//! sees the flag and wakes it, and a `put_back` nobody waits for takes no
-//! lock. A lender waits for its loans the same way.
+//! A slot carries **one** message at a time: one message in flight per
+//! (plan, destination), as with an MPI persistent request. The sender may
+//! only check out a `Free` slot; a slot stays `Staged` until the receiver has
+//! decoded it, so a sender re-executing faster than its receiver consumes
+//! blocks (wall-clock only — simulated time is untouched) instead of
+//! clobbering in-flight data. A planned execute decodes all it receives
+//! before it returns, so it never waits on itself; a program that keeps a
+//! pooled message undecoded while waiting for the next one through the same
+//! slot waits for ever, a `PoolStall`. A sender that finds its slot taken
+//! registers a waker and raises the slot's owner-parked flag; a `put_back`
+//! reads the flag after publishing `Free` (both sides SeqCst), so either the
+//! owner's next probe sees the slot free or the `put_back` sees the flag and
+//! wakes it, and a `put_back` nobody waits for takes no lock. A lender waits
+//! for its loans the same way.
 //!
 //! A recoverable run logs every frame to a possible crash victim until the
 //! victim's next epoch boundary, and a logged payload must never alias a
@@ -65,15 +66,19 @@
 //! undecoded as duplicates, so a live slot it sent would never come back.
 //! So on a link with a possible victim at either end the wire and the log
 //! carry a **frozen** slot ([`PoolSlot::freeze`]): a detached copy of the
-//! staged buffer that no pool hands out, whose `put_back` re-stages it
+//! staged buffer that no plan checks out, whose `put_back` re-stages it
 //! untouched so a replayed frame decodes again. The live slot goes back to
 //! `Free` at the send. A send between two survivors ships the live slot,
 //! as in a plain run. Nothing is lent in a recoverable run
 //! ([`crate::Proc::can_lend`]). That is also why an epoch checkpoint holds
-//! nothing of the pool: only a possible victim can crash, every one of its
-//! sends freezes, so its live slots are free whenever a send returns, and a
-//! respawned processor's empty pool behaves exactly as the crashed one's
-//! would have.
+//! no slot: only a possible victim can crash, every one of its sends
+//! freezes, so its live slots are free whenever a send returns, and the
+//! restored clone of a plan, which holds no slots, makes fresh ones that
+//! behave exactly as the crashed incarnation's would have.
+//!
+//! `BufferPool` and [`fresh_pool_key`] are the keyed adapter that
+//! `benchmark/src/probes.rs` still reaches slots through
+//! ([`crate::Proc::pool_checkout`]); no plan uses them.
 //!
 //! This is one of the three files of the crate that may say `unsafe`
 //! (DESIGN.md §15): the slot's buffer cell and its loan. Every `unsafe`
@@ -92,10 +97,10 @@ use crate::cost::Words;
 use crate::message::Payload;
 use crate::sched::Scheduler;
 
-/// A pool-managed payload: resettable to an empty-but-capacitated state so
-/// the next fill reuses the allocation, and cloneable so that a logged send
-/// can freeze a copy (`PoolSlot::freeze`).
-pub trait Reusable: Payload + Default + Clone {
+/// A pooled payload: resettable to an empty-but-capacitated state so the
+/// next fill reuses the allocation. Cloneable as every payload is, so that a
+/// logged send can freeze a copy (`PoolSlot::freeze`).
+pub trait Reusable: Payload + Default {
     /// Clear contents, keeping capacity.
     fn reset(&mut self);
 }
@@ -203,7 +208,7 @@ pub struct PoolSlot<B> {
     /// its footprint is its largest staging, never the sum).
     charged: AtomicU64,
     /// Raised while the owner is parked in back-pressure
-    /// ([`crate::proc::Proc::pool_checkout`]), after `waker` is set: a
+    /// ([`crate::proc::Proc::slot_checkout`]), after `waker` is set: a
     /// `put_back` that finds it lowered takes no lock.
     owner_parked: AtomicBool,
     /// The slot owner's scheduler handle while it is parked: the receiver's
@@ -224,6 +229,12 @@ pub struct PoolSlot<B> {
 // `Mutex` over `Send + Sync` values, and a `bool` never written after
 // construction.
 unsafe impl<B: Send> Sync for PoolSlot<B> {}
+
+impl<B: Reusable> Default for PoolSlot<B> {
+    fn default() -> Self {
+        PoolSlot::new()
+    }
+}
 
 /// Proof that this thread moved a slot's state word into `BUSY`: the only
 /// way to reach the buffer or the loan. Dropped without [`Held::release`] —
@@ -268,7 +279,9 @@ impl<B: Reusable> PoolSlot<B> {
         }
     }
 
-    fn new() -> PoolSlot<B> {
+    /// A `Free` slot with an empty buffer: what a plan makes per row on its
+    /// first execute with an element type, and keeps.
+    pub fn new() -> PoolSlot<B> {
         PoolSlot::with(FREE, B::default(), 0, false)
     }
 
@@ -319,6 +332,11 @@ impl<B: Reusable> PoolSlot<B> {
     pub(crate) fn note_charged(&self, bytes: u64) -> u64 {
         let prev = self.charged.fetch_max(bytes, Ordering::Relaxed);
         bytes.saturating_sub(prev)
+    }
+
+    /// The charged high-water: what giving the slot up releases.
+    pub(crate) fn charged(&self) -> u64 {
+        self.charged.load(Ordering::Relaxed)
     }
 
     /// Take the buffer if the slot is `Free`; `None` while the previous
@@ -384,7 +402,7 @@ impl<B: Reusable> PoolSlot<B> {
         };
         let mut held = self.acquire_or_panic(EMPTY, "put_back into an occupied pool slot");
         *held.cell() = Content::Buffer(buf);
-        // SeqCst against the owner's flag-then-probe in `pool_checkout`:
+        // SeqCst against the owner's flag-then-probe in `wait_on_slot`:
         // either that probe sees this store, or this load sees the flag.
         held.release(next, Ordering::SeqCst);
         self.wake_owner();
@@ -403,7 +421,7 @@ impl<B: Reusable> PoolSlot<B> {
 
     /// Whether the slot is `Free`: the lender's probe while it waits for a
     /// loan to come back.
-    fn is_free(&self) -> bool {
+    pub(crate) fn is_free(&self) -> bool {
         self.state.load(Ordering::SeqCst) == FREE
     }
 
@@ -419,33 +437,6 @@ impl<B: Reusable> PoolSlot<B> {
                 Err(_) => return,
             }
         }
-    }
-}
-
-/// A slot with its buffer type forgotten: what a wait registers on and
-/// what a lending scope waits for and revokes. A trait object, so that the
-/// processor's one list of lent slots holds every type's without a
-/// downcast.
-pub(crate) trait Waitable: Send + Sync {
-    /// [`PoolSlot::set_waker`].
-    fn set_waker(&self, waker: Option<(Arc<Scheduler>, usize)>);
-    /// [`PoolSlot::is_free`].
-    fn is_free(&self) -> bool;
-    /// [`PoolSlot::revoke`].
-    fn revoke(&self);
-}
-
-impl<B: Reusable> Waitable for PoolSlot<B> {
-    fn set_waker(&self, waker: Option<(Arc<Scheduler>, usize)>) {
-        PoolSlot::set_waker(self, waker);
-    }
-
-    fn is_free(&self) -> bool {
-        PoolSlot::is_free(self)
-    }
-
-    fn revoke(&self) {
-        PoolSlot::revoke(self);
     }
 }
 
@@ -499,10 +490,12 @@ impl<B: Lendable> PoolSlot<B> {
                     // and a `&'a B::Recipe`, and this thread holds `BUSY`, won
                     // from `LENT`. `lend` is reachable only through a
                     // `Lender<'a, B>`, which only `lending` (below) creates,
-                    // with `'a` a lifetime parameter of that call; `lending`
-                    // returns or unwinds only after each slot it lent (the
-                    // `Lender` holds their `Arc`s) is `Free` (this read has
-                    // finished: `Returns` stores it) or
+                    // with `'a` a lifetime parameter of that call, over the
+                    // slot table the call borrows; `lending` returns or
+                    // unwinds only after every slot of the table its lender
+                    // holds then (a swap with a nested scope's lender trades
+                    // tables, never drops one) is `Free`
+                    // (this read has finished: `Returns` stores it) or
                     // `Revoked` (which waits for a `BUSY` reader to finish
                     // and is never left for a reader). So the borrow is alive
                     // for all of `f`, and the loan cannot escape `f`: its
@@ -541,58 +534,65 @@ impl<B: Reusable> Drop for Returns<'_, B> {
 /// A marker invariant in `'a`.
 type Invariant<'a> = fn(&'a ()) -> &'a ();
 
-/// The loans of one [`crate::Proc::lending`] scope, all under one plan key.
-/// Invariant in `'a`: a loan lent here borrows for the whole scope, never
-/// for less.
+/// The loans of one [`crate::Proc::lending`] scope, lent through the slot
+/// table it borrows. Invariant in `'a`: a loan lent here borrows for the
+/// whole scope, never for less.
 pub struct Lender<'a, B> {
-    /// Each slot lent, with its destination: the scope waits for these
-    /// very slots, whatever becomes of the pool's entries meanwhile.
-    /// Reused scope after scope, so lending allocates nothing once warm.
-    lent: Vec<(usize, Arc<dyn Waitable>)>,
-    _scope: PhantomData<(Invariant<'a>, fn() -> B)>,
+    /// The scope's slot table: row `k` lends through `table[k]` to
+    /// `dsts[k]`.
+    table: &'a [Arc<PoolSlot<B>>],
+    dsts: &'a [u32],
+    _scope: PhantomData<Invariant<'a>>,
 }
 
 impl<'a, B: Lendable> Lender<'a, B> {
-    /// Lend `loan` to `dst` through `slot`, the plan's slot for `dst`
-    /// ([`crate::Proc::pool_slot`]), which the exchange then sends like a
-    /// staged one; `words` is what the message would occupy materialised,
-    /// so every charge is a copy's.
-    pub fn lend(&mut self, dst: usize, slot: &Arc<PoolSlot<B>>, loan: Loan<'a, B>, words: Words) {
-        slot.lend(loan, words);
-        self.lent.push((dst, Arc::clone(slot) as Arc<dyn Waitable>));
+    /// Lend `loan` through row `k` of the scope's table, which the exchange
+    /// then sends like a staged slot; `words` is what the message would
+    /// occupy materialised, so every charge is a copy's.
+    ///
+    /// # Panics
+    /// If row `k`'s slot is not free.
+    pub fn lend(&mut self, k: usize, loan: Loan<'a, B>, words: Words) {
+        self.table[k].lend(loan, words);
     }
 }
 
 /// [`crate::Proc::lending`], beside the read it makes sound: run `f` with a
-/// fresh [`Lender`], then wait until every slot it lent is `Free` again; if
-/// `f` unwinds, or a wait fails, revoke every loan still out before
-/// unwinding or panicking with the failure.
+/// [`Lender`] over `table`, then wait until every slot of the table is
+/// `Free` again, naming row `k`'s destination `dsts[k]` if that wait
+/// stalls; if `f` unwinds, or a wait fails, revoke every loan still out
+/// before unwinding or panicking with the failure.
 pub(crate) fn lending<'a, 'm, B: Lendable, R>(
     proc: &mut crate::Proc<'m>,
-    key: u64,
+    table: &'a [Arc<PoolSlot<B>>],
+    dsts: &'a [u32],
     f: impl FnOnce(&mut crate::Proc<'m>, &mut Lender<'a, B>) -> R,
 ) -> R {
+    assert_eq!(table.len(), dsts.len(), "one destination per slot");
     let mut lender = Lender {
-        lent: std::mem::take(proc.lent_scratch()),
+        table,
+        dsts,
         _scope: PhantomData,
     };
     let run = catch_unwind(AssertUnwindSafe(|| f(proc, &mut lender)));
+    // `f` may have swapped this scope's lender with a nested scope's of the
+    // same `'a`: every loan went through the table a lender held, so wait
+    // on the one this lender holds now.
+    let Lender { table, dsts, .. } = lender;
     let mut back = Ok(());
     if run.is_ok() {
-        for (dst, lent) in &lender.lent {
-            back = proc.wait_on_slot(&**lent, key, *dst, |s| s.is_free().then_some(()));
+        for (slot, &dst) in table.iter().zip(dsts) {
+            back = proc.wait_on_slot(slot, dst as usize, |s| s.is_free().then_some(()));
             if back.is_err() {
                 break;
             }
         }
     }
     if run.is_err() || back.is_err() {
-        for (_, lent) in &lender.lent {
-            lent.revoke();
+        for slot in table {
+            slot.revoke();
         }
     }
-    lender.lent.clear();
-    *proc.lent_scratch() = lender.lent;
     match (run, back) {
         (Err(payload), _) => resume_unwind(payload),
         (Ok(_), Err(e)) => panic_any(e),
@@ -600,83 +600,41 @@ pub(crate) fn lending<'a, 'm, B: Lendable, R>(
     }
 }
 
-/// The one slot of a `(key, dst, type)`, with the function that reads its
-/// charged high-water once its type is forgotten.
-struct Entry {
-    slot: Arc<dyn Any + Send + Sync>,
-    charged: fn(&(dyn Any + Send + Sync)) -> u64,
-}
-
-impl Entry {
-    fn new<B: Reusable>() -> Entry {
-        Entry {
-            slot: Arc::new(PoolSlot::<B>::new()),
-            charged: |slot| {
-                let slot: &PoolSlot<B> = slot.downcast_ref().expect("pool entry type mismatch");
-                slot.charged.load(Ordering::Relaxed)
-            },
-        }
-    }
-
-    /// The slot, its `Arc` cloned once.
-    fn slot<B: Reusable>(&self) -> Arc<PoolSlot<B>> {
-        Arc::clone(&self.slot)
-            .downcast()
-            .expect("pool entry type mismatch")
-    }
-}
-
-/// A per-processor pool of reusable send buffers.
+/// The keyed adapter's per-processor map from `(key, dst, type)` to one
+/// slot. It exists only for `benchmark/src/probes.rs`, whose probes check
+/// out by key ([`crate::Proc::pool_checkout`]); no plan uses it.
 #[derive(Default)]
 pub(crate) struct BufferPool {
-    /// Ordered, not hashed: one-shot plans insert and retire their entries
-    /// every op, and a hash table re-allocates under that churn at moments
-    /// that follow its per-process random seed, so the bytes an op
-    /// allocates would not repeat from run to run.
-    entries: BTreeMap<(u64, usize, TypeId), Entry>,
+    entries: BTreeMap<(u64, usize, TypeId), Arc<dyn Any + Send + Sync>>,
 }
 
 impl BufferPool {
-    /// The slot for sends of a `B` to `dst` under plan `key`. Creates (and
-    /// allocates) the entry on first use; steady-state calls only look it up.
+    /// The slot for sends of a `B` to `dst` under `key`. Creates (and
+    /// allocates) the entry on first use; later calls only look it up.
     pub(crate) fn get_or_create<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
-        self.entries
-            .entry((key, dst, TypeId::of::<B>()))
-            .or_insert_with(Entry::new::<B>)
-            .slot()
+        let entry = self.entries.entry((key, dst, TypeId::of::<B>()));
+        Arc::clone(entry.or_insert_with(|| Arc::new(PoolSlot::<B>::new())))
+            .downcast()
+            .expect("pool entry type mismatch")
     }
 
-    /// The slot of an entry [`BufferPool::get_or_create`] made. Used by the
-    /// exchange that sends it and by the self-message path, where sender
-    /// and receiver are the same processor.
+    /// The slot of an entry [`BufferPool::get_or_create`] made.
     pub(crate) fn get<B: Reusable>(&self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
-        self.entries
-            .get(&(key, dst, TypeId::of::<B>()))
-            .expect("pool slot looked up before its first checkout")
-            .slot()
-    }
-
-    /// Drop every entry of plan `key` — the plan is gone and its buffers
-    /// with it. Returns the bytes the dropped slots had charged to the
-    /// `pool` account. A slot still in flight lives on in its packet until
-    /// the receiver has decoded it.
-    pub(crate) fn retire(&mut self, key: u64) -> u64 {
-        let mut charged = 0;
-        self.entries.retain(|k, e| {
-            if k.0 == key {
-                charged += (e.charged)(&*e.slot);
-            }
-            k.0 != key
-        });
-        charged
+        Arc::clone(
+            self.entries
+                .get(&(key, dst, TypeId::of::<B>()))
+                .expect("pool slot looked up before its first checkout"),
+        )
+        .downcast()
+        .expect("pool entry type mismatch")
     }
 }
 
 static NEXT_POOL_KEY: AtomicU64 = AtomicU64::new(1);
 
-/// A process-unique pool key. Each plan takes one at planning time; pools
-/// are per-processor, so keys only need to be unique locally — but a global
-/// counter is the simplest way to also keep them unique across plans.
+/// A process-unique key for the keyed adapter ([`crate::Proc::pool_checkout`]),
+/// which exists only for `benchmark/src/probes.rs`; a plan holds its slots
+/// and takes no key.
 pub fn fresh_pool_key() -> u64 {
     NEXT_POOL_KEY.fetch_add(1, Ordering::Relaxed)
 }
@@ -744,43 +702,15 @@ mod tests {
         assert_eq!(pool.entries.len(), 4);
     }
 
-    /// Retiring a plan key drops its entries of every destination and type
-    /// (and only its), reports what their slots had charged, and leaves a
-    /// slot that is still in flight to whoever holds it.
+    /// A slot is charged its high water, not the sum of its stagings, and
+    /// reports that high water to whoever gives it up.
     #[test]
-    fn retire_drops_one_key_and_reports_its_charge() {
-        let mut pool = BufferPool::default();
-        let in_flight = pool.get_or_create::<Vec<i32>>(1, 0);
-        assert_eq!(in_flight.note_charged(40), 40);
-        assert_eq!(
-            pool.get_or_create::<Vec<i32>>(1, 0).note_charged(8),
-            0,
-            "a slot is charged its high water, not the sum of its stagings"
-        );
-        assert_eq!(
-            pool.get_or_create::<Vec<(u32, i32)>>(1, 3)
-                .note_charged(100),
-            100
-        );
-        let kept = pool.get_or_create::<Vec<i32>>(2, 0);
-        kept.note_charged(7);
-        in_flight.try_checkout().expect("a fresh slot is free");
-        in_flight.stash(vec![5]);
-
-        assert_eq!(pool.retire(1), 140);
-        assert_eq!(pool.retire(1), 0, "nothing left to give back");
-        assert!(pool.entries.keys().all(|k| k.0 == 2));
-        assert_eq!(
-            in_flight.take_staged(),
-            vec![5],
-            "the receiver still decodes it"
-        );
-        assert_eq!(Arc::strong_count(&in_flight), 1, "and frees it when done");
-        // The key starts over: a fresh entry, nothing charged.
-        let again = pool.get_or_create::<Vec<i32>>(1, 0);
-        assert!(!Arc::ptr_eq(&again, &in_flight));
-        assert_eq!(again.note_charged(1), 1);
-        assert!(Arc::ptr_eq(&kept, &pool.get::<Vec<i32>>(2, 0)));
+    fn a_slot_is_charged_its_high_water() {
+        let slot = PoolSlot::<Vec<i32>>::new();
+        assert_eq!(slot.note_charged(40), 40);
+        assert_eq!(slot.note_charged(8), 0);
+        assert_eq!(slot.note_charged(100), 60);
+        assert_eq!(slot.charged(), 100);
     }
 
     /// The message of the panic `f` raises.
@@ -883,9 +813,6 @@ mod tests {
         fn wire_words(&self) -> Words {
             self.0.len()
         }
-        fn clone_payload(&self) -> Box<dyn Any + Send> {
-            unreachable!("a pool slot is never cloned as a payload")
-        }
     }
 
     impl Reusable for Brittle {
@@ -931,9 +858,6 @@ mod tests {
     impl Payload for Indexed {
         fn wire_words(&self) -> Words {
             0
-        }
-        fn clone_payload(&self) -> Box<dyn Any + Send> {
-            unreachable!("a loan is never cloned as a payload")
         }
     }
 

@@ -18,7 +18,7 @@ use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::{Frame, Mailbox, Packet, Payload, PayloadCharge};
 use crate::obs::{EventKind, MemAccount, ProcMetrics, Recorder};
-use crate::pool::{BufferPool, Lendable, Lender, PoolSlot, Reusable, Waitable};
+use crate::pool::{BufferPool, Lendable, Lender, PoolSlot, Reusable};
 use crate::recovery::{EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::{Step, Transport};
 use crate::report::MetricsSnapshot;
@@ -142,11 +142,9 @@ pub struct Proc<'m> {
     obs: Recorder,
     /// Counters and gauges, present iff the machine keeps metrics.
     metrics: Option<ProcMetrics>,
-    /// Reusable send buffers for planned executes (see [`crate::pool`]).
+    /// The keyed adapter's slots ([`Proc::pool_checkout`]); a plan holds
+    /// its own.
     pool: BufferPool,
-    /// The slots a lending scope lent ([`Proc::lending`]), kept between
-    /// scopes so that steady-state lending allocates nothing.
-    lent_scratch: Vec<(usize, Arc<dyn Waitable>)>,
     /// Scratch space for pooled exchanges' received packets, pre-reserved
     /// so the steady-state execute loop never grows it.
     pkt_scratch: Vec<Packet>,
@@ -186,7 +184,6 @@ impl<'m> Proc<'m> {
             obs: recorder,
             metrics: metrics.then(ProcMetrics::default),
             pool: BufferPool::default(),
-            lent_scratch: Vec::new(),
             pkt_scratch: Vec::with_capacity(nprocs.min(PKT_SCRATCH_RESERVE)),
             recovery: None,
             resume: None,
@@ -574,10 +571,7 @@ impl<'m> Proc<'m> {
                     if let Some(m) = self.metrics.as_mut() {
                         m.clone_words += words as u64;
                     }
-                    *(*shared)
-                        .clone_payload()
-                        .downcast::<P>()
-                        .expect("clone_payload must preserve the payload type")
+                    (*shared).clone()
                 }
             },
             Err(_) => panic!(
@@ -957,8 +951,9 @@ impl<'m> Proc<'m> {
     /// Respawn restoration: move the boundary snapshot into this processor,
     /// then replay the logged peer frames. Runs at the top of the resume
     /// epoch; the epochs before it were skipped, so nothing here is
-    /// overwritten but the fresh state the respawn started with — its
-    /// buffer pool included, which stays empty (see [`crate::pool`]).
+    /// overwritten but the fresh state the respawn started with; a plan
+    /// restored here holds no slots and makes fresh ones (see
+    /// [`crate::pool`]).
     fn prepare_resume<S: Clone + Send + 'static>(&mut self, ctx: ResumeCtx, state: &mut S) {
         let rec = Arc::clone(self.recovery.as_ref().expect("resume without recovery"));
         let snap = ctx
@@ -1116,9 +1111,21 @@ impl<'m> Proc<'m> {
         pkt
     }
 
-    /// Check a reusable send buffer out of this processor's pool for plan
-    /// `key`, destination `dst`: the entry's one slot, so one message per
-    /// `(key, dst)` is in flight at a time.
+    /// Check a reusable send buffer out of the keyed adapter's slot for
+    /// `(key, dst)`, created on first use: [`Proc::slot_checkout`] through
+    /// a slot looked up by key. The adapter exists only for
+    /// `benchmark/src/probes.rs`; a plan holds its own slots.
+    ///
+    /// # Panics
+    /// As [`Proc::slot_checkout`].
+    pub fn pool_checkout<B: Reusable>(&mut self, key: u64, dst: usize) -> (Arc<PoolSlot<B>>, B) {
+        let slot = self.pool.get_or_create::<B>(key, dst);
+        let buf = self.slot_checkout(&slot, dst);
+        (slot, buf)
+    }
+
+    /// Check the buffer of `slot`, which sends to `dst`, out for filling:
+    /// one message per slot is in flight at a time.
     ///
     /// If the slot is still staged or checked out — the receiver has not
     /// finished with the *previous* send through it — this blocks
@@ -1131,23 +1138,11 @@ impl<'m> Proc<'m> {
     /// quiescent first: the receiver stalled, kept the previous message
     /// undecoded while waiting for this one, or the plan was executed
     /// unevenly.
-    pub fn pool_checkout<B: Reusable>(&mut self, key: u64, dst: usize) -> (Arc<PoolSlot<B>>, B) {
-        let slot = self.pool.get_or_create::<B>(key, dst);
-        let buf = self.slot_checkout(&slot, key, dst);
-        (slot, buf)
-    }
-
-    /// [`Proc::pool_checkout`] through a handle the caller holds: `slot`
-    /// is plan `key`'s slot for `dst`, taken once from
-    /// [`Proc::pool_slot`], so a held plan's execute searches no pool.
-    ///
-    /// # Panics
-    /// As [`Proc::pool_checkout`].
-    pub fn slot_checkout<B: Reusable>(&mut self, slot: &PoolSlot<B>, key: u64, dst: usize) -> B {
+    pub fn slot_checkout<B: Reusable>(&mut self, slot: &PoolSlot<B>, dst: usize) -> B {
         if let Some(buf) = slot.try_checkout() {
             return buf;
         }
-        match self.wait_on_slot(slot, key, dst, PoolSlot::try_checkout) {
+        match self.wait_on_slot(slot, dst, PoolSlot::try_checkout) {
             Ok(buf) => buf,
             Err(e) => panic_any(e),
         }
@@ -1161,13 +1156,12 @@ impl<'m> Proc<'m> {
     /// path. The waker raises the slot's owner-parked flag before the first
     /// probe below, so a return that lands in between is seen by one side or
     /// the other (§11). A machine that goes quiescent first is a
-    /// [`MachineError::PoolStall`] naming `(key, dst)`.
-    pub(crate) fn wait_on_slot<S: Waitable + ?Sized, T>(
+    /// [`MachineError::PoolStall`] naming this processor and `dst`.
+    pub(crate) fn wait_on_slot<B: Reusable, T>(
         &mut self,
-        slot: &S,
-        key: u64,
+        slot: &PoolSlot<B>,
         dst: usize,
-        mut probe: impl FnMut(&S) -> Option<T>,
+        mut probe: impl FnMut(&PoolSlot<B>) -> Option<T>,
     ) -> Result<T, MachineError> {
         if let Some(v) = probe(slot) {
             return Ok(v);
@@ -1176,11 +1170,7 @@ impl<'m> Proc<'m> {
         let got = self.wait_for(
             None,
             |_| probe(slot),
-            |p| MachineError::PoolStall {
-                proc: p.id,
-                key,
-                dst,
-            },
+            |p| MachineError::PoolStall { proc: p.id, dst },
         );
         slot.set_waker(None);
         got
@@ -1193,48 +1183,35 @@ impl<'m> Proc<'m> {
         !self.transport.recovering()
     }
 
-    /// Run `f` as a lending scope for plan `key`. Inside it,
-    /// [`Lender::lend`] puts a loan of data borrowed for `'a` into the
-    /// plan's slot for a destination, in place of a filled buffer; the
-    /// exchange sends it like a staged one, and the receiver reads it in
-    /// place through [`PoolSlot::receive`]. This returns only once every
-    /// loan is back, waiting (wall-clock only) as [`Proc::pool_checkout`]
-    /// waits for a buffer; if `f` unwinds, or the wait fails, every loan
-    /// still out is revoked first, so no receiver can read one after
-    /// `'a` ends (DESIGN.md §11).
+    /// Run `f` as a lending scope over `table`, whose row `k` sends to
+    /// `dsts[k]`. Inside it, [`Lender::lend`] puts a loan of data borrowed
+    /// for `'a` into a row's slot, in place of a filled buffer; the exchange
+    /// sends it like a staged one, and the receiver reads it in place
+    /// through [`PoolSlot::receive`]. This returns only once every slot of
+    /// the table is `Free` again — every loan read, every staged buffer put
+    /// back —, waiting (wall-clock only) as [`Proc::slot_checkout`] waits
+    /// for a buffer; if `f` unwinds, or the wait fails, every loan still out
+    /// is revoked first, so no receiver can read one after `'a` ends
+    /// (DESIGN.md §11). The scope borrows the table, so it outlives every
+    /// loan.
     ///
     /// # Panics
     /// With a typed [`MachineError::PoolStall`] naming this processor when
-    /// the machine goes quiescent before a receiver has read its loan, and
-    /// with whatever `f` panicked with.
+    /// the machine goes quiescent before a slot is back, and with whatever
+    /// `f` panicked with.
     pub fn lending<'a, B: Lendable, R>(
         &mut self,
-        key: u64,
+        table: &'a [Arc<PoolSlot<B>>],
+        dsts: &'a [u32],
         f: impl FnOnce(&mut Self, &mut Lender<'a, B>) -> R,
     ) -> R {
-        crate::pool::lending(self, key, f)
+        crate::pool::lending(self, table, dsts, f)
     }
 
-    /// The slots the open lending scope has lent, kept between scopes.
-    pub(crate) fn lent_scratch(&mut self) -> &mut Vec<(usize, Arc<dyn Waitable>)> {
-        &mut self.lent_scratch
-    }
-
-    /// The slot of `(key, dst)`, created on first use: the handle a held
-    /// plan takes once per destination and then checks out
-    /// ([`Proc::slot_checkout`]), lends ([`Lender::lend`]) and sends
-    /// through. The pool stays its owner: it charges the slot's growth to
-    /// `mem.pool`, names it in a [`MachineError::PoolStall`] and drops it
-    /// at [`Proc::pool_retire`]; a handle kept past that reaches a slot no
-    /// pool knows.
-    pub fn pool_slot<B: Reusable>(&mut self, key: u64, dst: usize) -> Arc<PoolSlot<B>> {
-        self.pool.get_or_create::<B>(key, dst)
-    }
-
-    /// The slot of `(key, dst)`, which [`Proc::pool_checkout`] has handed
-    /// out — the one whose buffer is staged or in flight. The exchange sends
-    /// it, and the self-message path decodes it (sender and receiver are
-    /// the same processor).
+    /// The keyed adapter's slot of `(key, dst)`, which
+    /// [`Proc::pool_checkout`] has handed out — the one whose buffer is
+    /// staged or in flight. [`crate::collectives::alltoallv_pooled`] sends
+    /// it.
     ///
     /// # Panics
     /// If `(key, dst)` was never checked out.
@@ -1242,13 +1219,13 @@ impl<'m> Proc<'m> {
         self.pool.get::<B>(key, dst)
     }
 
-    /// Give plan `key`'s send buffers back: its pool entries are dropped and
-    /// what they charged to the `pool` account is released. For a plan that
-    /// will not execute again (one-shot `pack` / `unpack`); every buffer it
-    /// sent must have been handed to the exchange already — one still in
-    /// flight is freed by its receiver's decode.
-    pub fn pool_retire(&mut self, key: u64) {
-        let charged = self.pool.retire(key);
+    /// Give a slot table up: release what its slots charged to the `pool`
+    /// account, their high water. For a plan that will not execute again
+    /// with this table's element type; the slots themselves are freed with
+    /// their last handle — a packet still in flight holds one until its
+    /// receiver has decoded it.
+    pub fn release_slots<B: Reusable>(&mut self, table: &[Arc<PoolSlot<B>>]) {
+        let charged: u64 = table.iter().map(|slot| slot.charged()).sum();
         if charged > 0 {
             self.mem_release(MemAccount::Pool, charged);
         }
@@ -1270,7 +1247,8 @@ impl<'m> Proc<'m> {
         let (words, lent) = slot.staged_words();
         // A pooled buffer's footprint is its high-water capacity, charged
         // once to the pool account as it grows and released when its plan
-        // retires ([`Proc::pool_retire`]); until then the buffer is reused.
+        // gives the table up ([`Proc::release_slots`]); until then the
+        // buffer is reused.
         // Steady-state sends through a warm slot charge nothing, preserving
         // the executor's allocation-free hot path. A loan holds no buffer:
         // its bytes are the sender's own array.

@@ -4,11 +4,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hpf_machine::{
-    fresh_pool_key, tags, CostModel, FaultPlan, Group, Lendable, LinkFaults, Loan, Machine,
-    MachineError, Payload, PoolSlot, Proc, ProcGrid, Received, Reusable, Words,
+    tags, CostModel, FaultPlan, Group, Lendable, LinkFaults, Loan, Machine, MachineError, Payload,
+    PoolSlot, Proc, ProcGrid, Received, Reusable, Words,
 };
 
 #[test]
@@ -124,18 +124,15 @@ fn a_dead_link_is_unreachable_after_thirty_attempts() {
     });
 }
 
-/// A plan executed unevenly: proc 0 sends three times through one pool
-/// entry, proc 1 takes delivery of two and returns nothing. The entry's one
-/// slot carries one message at a time, so the second checkout already
-/// waits for a buffer that can never come back, and the error names both.
+/// A plan executed unevenly, through the keyed adapter's checkout (its
+/// one test here): proc 0 sends three times through one key, proc 1 takes
+/// delivery of two and returns nothing. The key's one slot carries one
+/// message at a time, so the second checkout already waits for a buffer
+/// that can never come back, and the error names both.
 #[test]
 fn unevenly_executed_plan_is_a_pool_stall() {
-    let key = fresh_pool_key();
-    let expected = MachineError::PoolStall {
-        proc: 0,
-        key,
-        dst: 1,
-    };
+    let key = hpf_machine::fresh_pool_key();
+    let expected = MachineError::PoolStall { proc: 0, dst: 1 };
     assert_always(&expected, |workers| {
         Machine::new(ProcGrid::line(2), CostModel::zero())
             .with_workers(workers)
@@ -159,29 +156,25 @@ fn unevenly_executed_plan_is_a_pool_stall() {
 }
 
 /// One message in flight per (plan, destination): proc 1 keeps send `i`
-/// undecoded until send `i + 1` has arrived through the same entry, which
+/// undecoded until send `i + 1` has arrived through the same slot, which
 /// a second slot would have carried. With one slot, proc 0's second
 /// checkout waits on proc 1 while proc 1 waits for that send — a typed
 /// `PoolStall`, not a second buffer.
 #[test]
 fn a_message_kept_until_the_next_arrives_is_a_pool_stall() {
-    let key = fresh_pool_key();
-    let expected = MachineError::PoolStall {
-        proc: 0,
-        key,
-        dst: 1,
-    };
+    let expected = MachineError::PoolStall { proc: 0, dst: 1 };
     assert_always(&expected, |workers| {
         Machine::new(ProcGrid::line(2), CostModel::zero())
             .with_workers(workers)
             .try_run(|p| {
                 const SENDS: u64 = 4;
                 if p.id() == 0 {
+                    let slot = Arc::new(PoolSlot::<Vec<i64>>::new());
                     for i in 0..SENDS {
-                        let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, 1);
+                        let mut buf = p.slot_checkout(&slot, 1);
                         buf.push(i as i64);
                         slot.stash(buf);
-                        p.send_pooled(1, tags::USER + i, slot);
+                        p.send_pooled(1, tags::USER + i, Arc::clone(&slot));
                     }
                 } else {
                     let mut held = None;
@@ -208,9 +201,6 @@ impl Payload for Borrowed {
     fn wire_words(&self) -> Words {
         0
     }
-    fn clone_payload(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(Borrowed)
-    }
 }
 
 impl Reusable for Borrowed {
@@ -222,42 +212,31 @@ impl Lendable for Borrowed {
     type Recipe = Vec<usize>;
 }
 
-/// Proc 0 lends `src` to proc 1 under `key` and sends it, inside a lending
-/// scope, then runs `then`.
-fn lend_to_1(
-    p: &mut Proc,
-    key: u64,
-    src: &[i64],
-    recipe: &Vec<usize>,
-    then: impl FnOnce(&mut Proc),
-) {
-    p.lending::<Borrowed, _>(key, |p, lender| {
+/// Proc 0 lends `src` to proc 1 through a one-slot table it makes and
+/// sends it, inside a lending scope, then runs `then`.
+fn lend_to_1(p: &mut Proc, src: &[i64], recipe: &Vec<usize>, then: impl FnOnce(&mut Proc)) {
+    let table = [Arc::new(PoolSlot::<Borrowed>::new())];
+    p.lending(&table, &[1], |p, lender| {
         let row = src.len();
-        let slot = p.pool_slot::<Borrowed>(key, 1);
-        lender.lend(1, &slot, Loan { src, recipe, row }, 2 * row);
-        p.send_pooled(1, tags::USER, slot);
+        lender.lend(0, Loan { src, recipe, row }, 2 * row);
+        p.send_pooled(1, tags::USER, Arc::clone(&table[0]));
         then(p);
     });
 }
 
 /// A loan its receiver takes delivery of but never reads can never come
-/// back: the lender's wait is a `PoolStall` that names the lender, the plan
-/// key and the receiver, the instant the machine goes quiescent.
+/// back: the lender's wait is a `PoolStall` that names the lender and the
+/// receiver, the instant the machine goes quiescent.
 #[test]
 fn a_loan_nobody_reads_is_a_pool_stall_naming_the_lender() {
-    let key = fresh_pool_key();
-    let expected = MachineError::PoolStall {
-        proc: 0,
-        key,
-        dst: 1,
-    };
+    let expected = MachineError::PoolStall { proc: 0, dst: 1 };
     assert_always(&expected, |workers| {
         Machine::new(ProcGrid::line(2), CostModel::zero())
             .with_workers(workers)
             .try_run(|p| {
                 if p.id() == 0 {
                     let src = vec![1i64, 2, 3];
-                    lend_to_1(p, key, &src, &vec![0, 1, 2], |_| {});
+                    lend_to_1(p, &src, &vec![0, 1, 2], |_| {});
                 } else {
                     drop(p.recv_packet(0, tags::USER));
                 }
@@ -283,7 +262,6 @@ fn panic_text(err: Box<dyn std::any::Any + Send>) -> String {
 #[test]
 fn a_lender_that_panics_revokes_its_loan() {
     for workers in 1..=3 {
-        let key = fresh_pool_key();
         let (read, seen) = (AtomicBool::new(false), Mutex::new(String::new()));
         let err = Machine::new(ProcGrid::line(2), CostModel::zero())
             .with_workers(workers)
@@ -291,7 +269,7 @@ fn a_lender_that_panics_revokes_its_loan() {
                 if p.id() == 0 {
                     let src: Vec<i64> = (0..64).collect();
                     let recipe: Vec<usize> = (0..64).collect();
-                    lend_to_1(p, key, &src, &recipe, |p| {
+                    lend_to_1(p, &src, &recipe, |p| {
                         let _: Vec<i64> = p.recv(1, tags::USER + 1);
                         panic!("lender boom");
                     });
@@ -331,33 +309,45 @@ fn a_lender_that_panics_revokes_its_loan() {
     }
 }
 
-/// A lender waits for the slots it lent, not for what its pool still
-/// lists: one that retires its plan inside the scope still returns only
-/// after its receiver has read the loan, so its slice — freed right after —
-/// is read while alive, at every pool size.
+/// A lender waits for the slots it lent through, whatever its scope does
+/// meanwhile: one that swaps its lender with a nested scope's, then lends
+/// through the swapped-in table, still returns only after its receiver has
+/// read that loan, at every pool size.
 #[test]
-fn a_lender_that_retires_its_plan_still_waits_for_its_loans() {
+fn a_swapped_lender_still_waits_for_its_loans() {
     for workers in 1..=3 {
-        let key = fresh_pool_key();
+        let read = AtomicBool::new(false);
         let out = Machine::new(ProcGrid::line(2), CostModel::zero())
             .with_workers(workers)
             .run(|p| {
                 if p.id() == 0 {
                     let src: Vec<i64> = (1..=16).collect();
                     let recipe: Vec<usize> = (0..16).collect();
-                    lend_to_1(p, key, &src, &recipe, |p| p.pool_retire(key));
-                    drop(src);
-                    0
+                    let outer = [Arc::new(PoolSlot::<Borrowed>::new())];
+                    let inner = [Arc::new(PoolSlot::<Borrowed>::new())];
+                    p.lending(&outer, &[1], |p, lender| {
+                        p.lending(&inner, &[1], |_, nested| std::mem::swap(lender, nested));
+                        let loan = Loan {
+                            src: &src,
+                            recipe: &recipe,
+                            row: 16,
+                        };
+                        lender.lend(0, loan, 32);
+                        p.send_pooled(1, tags::USER, Arc::clone(&inner[0]));
+                    });
+                    i64::from(read.load(Ordering::SeqCst))
                 } else {
                     let pkt = p.recv_packet(0, tags::USER);
                     let slot = pkt.data.downcast::<PoolSlot<Borrowed>>().unwrap();
-                    slot.receive(|got| match got {
+                    let sum = slot.receive(|got| match got {
                         Received::Lent(loan) => loan.src.iter().sum::<i64>(),
                         Received::Staged(_) => unreachable!("the send was lent"),
-                    })
+                    });
+                    read.store(true, Ordering::SeqCst);
+                    sum
                 }
             });
-        assert_eq!(out.results, [0, 136], "workers={workers}");
+        assert_eq!(out.results, [1, 136], "workers={workers}");
     }
 }
 

@@ -353,19 +353,16 @@ fn unrecoverable_failures_still_surface_as_errors() {
     assert!(errors.iter().all(|e| e == &errors[0]), "{errors:?}");
 }
 
-/// Any key no `fresh_pool_key` of this process reaches; a constant, so a
-/// respawned processor, whose pool starts empty, re-creates the crashed
-/// one's entry under the same key.
-const RING_KEY: u64 = 1 << 40;
-
 /// Sends of `pooled_ring` per epoch.
 const RING_SENDS: [u64; 2] = [3, 4];
 
 /// A ring over pooled `Vec<i64>` buffers — whose `reset` really clears,
 /// unlike the shape-keeping wrappers of `hpf-core` — sent 3× and then 4×
-/// through one `(key, dst)` entry, each inside a single epoch: the entry's
-/// one slot reused several times while nothing truncates the replay log.
-/// The ring state starts at one value and each send appends one.
+/// through one slot, each inside a single epoch: the slot reused several
+/// times while nothing truncates the replay log. The slot is made inside
+/// the program, so a respawned processor starts with a fresh one, as a
+/// restored plan does. The ring state starts at one value and each send
+/// appends one.
 ///
 /// Where a run recovers from a plan whose possible crash victims are
 /// `victims`, a send on a link with a victim at either end travels as a
@@ -379,10 +376,11 @@ fn pooled_ring(victims: &'static [usize]) -> impl Fn(&mut Proc) -> Vec<i64> + Sy
         let n = p.nprocs();
         let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
         let victim_link = victims.contains(&p.id()) || victims.contains(&next);
+        let slot = Arc::new(PoolSlot::<Vec<i64>>::new());
         for sends in RING_SENDS {
             p.epoch(&mut st, |p, st| {
                 for i in 0..sends {
-                    let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(RING_KEY, next);
+                    let mut buf = p.slot_checkout(&slot, next);
                     assert!(buf.is_empty(), "a returned buffer comes back cleared");
                     buf.extend_from_slice(st);
                     slot.stash(buf);

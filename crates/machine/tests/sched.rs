@@ -13,6 +13,8 @@
 //! `mem.payload.cur`, whose final value depends on when the last
 //! Arc-shared packet copy drops at teardown).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
@@ -50,8 +52,8 @@ fn mixed_workload(p: &mut Proc) -> Vec<i64> {
     acc.push(total[0]);
     // One pooled round-trip per ring neighbor: checkout, stash, send, and
     // decode the inbound slot back to its owner.
-    let key = hpf_machine::fresh_pool_key();
-    let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, next);
+    let slot = Arc::new(PoolSlot::<Vec<i64>>::new());
+    let mut buf = p.slot_checkout(&slot, next);
     buf.push(acc[0]);
     slot.stash(buf);
     p.send_pooled(next, tags::USER + 10, slot);
@@ -162,7 +164,7 @@ fn handoff_buffer(src: usize, i: u64) -> Vec<i64> {
 
 /// Buffer-pool back-pressure must park (not spin, not deadlock) at every
 /// pool size. A ring of three processors makes 3 400 pooled sends each
-/// through one entry, whose one slot carries one message at a time. Every
+/// through one slot it makes, which carries one message at a time. Every
 /// receiver decodes a send as soon as it arrives, so a sender that runs
 /// ahead of its receiver finds the slot still out and its checkout waits
 /// for a `put_back`. Under a single permit that `put_back` runs only
@@ -188,16 +190,16 @@ fn pool_backpressure_parks_and_hands_off_exactly_at_every_pool_size() {
         Machine::new(ProcGrid::line(3), CostModel::cm5())
             .with_workers(workers)
             .try_run(|p| {
-                let key = hpf_machine::fresh_pool_key();
+                let slot = Arc::new(PoolSlot::<Vec<i64>>::new());
                 let n = p.nprocs();
                 let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
                 let mut sum = 0i64;
                 for i in 0..SENDS {
-                    let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, next);
+                    let mut buf = p.slot_checkout(&slot, next);
                     assert!(buf.is_empty(), "a returned buffer comes back cleared");
                     buf.extend(handoff_buffer(p.id(), i));
                     slot.stash(buf);
-                    p.send_pooled(next, tags::USER + i, slot);
+                    p.send_pooled(next, tags::USER + i, Arc::clone(&slot));
                     let pkt = p.recv_packet(prev, tags::USER + i);
                     sum += decode(p, pkt, prev, i);
                 }
@@ -226,9 +228,6 @@ impl Payload for Borrowed {
     fn wire_words(&self) -> Words {
         0
     }
-    fn clone_payload(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(Borrowed)
-    }
 }
 
 impl Reusable for Borrowed {
@@ -249,7 +248,7 @@ fn lent_source(src: usize, i: u64) -> Vec<i64> {
 }
 
 /// Lending across OS threads at every pool size: a ring of three makes
-/// 10 000 lent sends each through one entry. Each lender's slice lives for
+/// 10 000 lent sends each through a one-slot table. Each lender's slice lives for
 /// one send only, and its receiver reads it in place, through the lender's
 /// recipe (a reversal), while the lender waits in `Proc::lending` — on
 /// another OS thread from two workers on. Every value read must be the
@@ -262,22 +261,21 @@ fn lent_handoffs_read_the_lenders_slice_at_every_pool_size() {
         Machine::new(ProcGrid::line(3), CostModel::cm5())
             .with_workers(workers)
             .try_run(|p| {
-                let key = hpf_machine::fresh_pool_key();
                 let n = p.nprocs();
                 let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
+                let table = [Arc::new(PoolSlot::<Borrowed>::new())];
                 let mut sum = 0i64;
                 for i in 0..SENDS {
                     let src = lent_source(p.id(), i);
                     let row = (i % 8 + 1) as usize;
-                    sum += p.lending::<Borrowed, _>(key, |p, lender| {
+                    sum += p.lending(&table, &[next as u32], |p, lender| {
                         let loan = Loan {
                             src: &src,
                             recipe: &recipe,
                             row,
                         };
-                        let slot = p.pool_slot::<Borrowed>(key, next);
-                        lender.lend(next, &slot, loan, 2 * row);
-                        p.send_pooled(next, tags::USER + i, slot);
+                        lender.lend(0, loan, 2 * row);
+                        p.send_pooled(next, tags::USER + i, Arc::clone(&table[0]));
                         let pkt = p.recv_packet(prev, tags::USER + i);
                         let slot = pkt.data.downcast::<PoolSlot<Borrowed>>().unwrap();
                         slot.receive(|got| {

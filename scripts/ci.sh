@@ -185,13 +185,17 @@ fi
 # the second send half and message type, the composer trait objects, and
 # distarray's per-processor array and index helpers that only their own
 # tests called (one Sender and one pooled message serve both directions,
-# DESIGN.md section 10).
+# DESIGN.md section 10); the pool's ownership of a plan's slots, the plans'
+# pool keys and the retire that gave their slots back by key, the type-erased
+# list of lent slots, and the payload copy hook that every Clone made
+# redundant (a plan owns its slot table, DESIGN.md section 11).
 if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
   -e 'PlanCache|plan\.cache\.|inc_counter|\.fingerprint\(' \
   -e 'PairMsg|CmsMessage|ensure_shape|gather_pairs_(re)?fill' \
   -e 'RankRequest|into_rows|decode_pairs' \
   -e 'FlatMsg|ValueMsg|Outbox|SimpleComposer|CompactComposer|dyn Composer|LocalArray|delinearize_into|get_linear' \
+  -e '\bpool_slot|pool_retire|Waitable|lent_scratch|\bpool_key|clone_payload' \
   crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
 fi
@@ -200,10 +204,23 @@ fi
 if grep -nE '\bflip\b|; 2\]' crates/machine/src/pool.rs; then
   echo "ci: the pool's two-slot rotation is back"; exit 1
 fi
-# A held plan resolves its pool slots once and holds one handle per route
-# row (DESIGN.md section 11): the planned path never searches the pool.
-if grep -rn 'pool_checkout\|pool_current' crates/core/src; then
-  echo "ci: the planned path looks its pool slots up by key again"; exit 1
+# A plan owns its slot table (DESIGN.md section 11): nothing under crates/
+# reaches a slot by key. The keyed adapter stays for benchmark/src/probes.rs
+# only; its definitions (and fresh_pool_key's unit test) and its one machine
+# test are the only functions that may name it. Comments, and the `use`
+# lines above a file's first function, call nothing.
+if awk '
+  FNR == 1 { cur = "" }
+  /^[[:space:]]*\/\// { next }
+  match($0, /fn [A-Za-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+  /(^|[^A-Za-z_0-9])(fresh_pool_key|pool_checkout|pool_current|alltoallv_pooled)([^A-Za-z_0-9]|$)/ &&
+    cur != "" &&
+    cur !~ /^(fresh_pool_key|pool_checkout|pool_current|alltoallv_pooled|fresh_keys_are_unique|unevenly_executed_plan_is_a_pool_stall)$/ {
+    print FILENAME ":" FNR ": " $0; bad = 1
+  }
+  END { exit !bad }
+' $(find crates -name '*.rs'); then
+  echo "ci: a slot is reached by key outside the adapter the benchmark probes use"; exit 1
 fi
 if grep -nE '^pub use .*\b(Mailbox|WallProfiler)\b' crates/machine/src/lib.rs; then
   echo "ci: hpf_machine re-exports its mailbox or wall profiler again"; exit 1
