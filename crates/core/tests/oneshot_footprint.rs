@@ -5,7 +5,7 @@
 //! ways, density 0.5, for the compact-storage pair and the simple pair —
 //! must leave every memory account, the heap and the allocation rate where
 //! the first ops left them. Before plans could be retired each op stranded
-//! its plan's pool entries and plan bytes: the `plan` and `pool` gauges only
+//! its plan's pool slots and plan bytes: the `plan` and `pool` gauges only
 //! rose, the heap grew by a megabyte per op at the benchmark's size, and from
 //! op ~120 on an op took three to seven times as long.
 //!

@@ -29,6 +29,11 @@
 //! loan, no buffer, and `mem.pool` stays at zero. A plan that switches
 //! element type gives the old table's charge back. The slots it *holds* are
 //! one per route row, made on the first execute (§11).
+//!
+//! What a processor's *stack* holds is host memory too, outside every
+//! `mem.*` account: at P = 512 each 4 KiB page of the deepest frame chain is
+//! 2 MB resident. The roundtrip of the benchmark's `scale_p512` must fit in
+//! two pages per carrier (DESIGN.md §15).
 
 use hpf_core::ranking::{rank_from_counts, slice_counts, RankShape};
 use hpf_core::{
@@ -37,6 +42,7 @@ use hpf_core::{
 };
 use hpf_distarray::{local_from_fn, ArrayDesc, DimLayout, Dist};
 use hpf_machine::alloc_counter::{thread_totals, CountingAllocator};
+use hpf_machine::collectives::A2aSchedule;
 use hpf_machine::{CostModel, Machine, MemAccount, ProcGrid};
 
 #[global_allocator]
@@ -148,6 +154,59 @@ fn a_plan_holds_one_slot_handle_per_route_row() {
         widest < P / 8,
         "{widest} handles on one processor at P = {P}"
     );
+}
+
+/// The deepest carrier stack of the `scale_p512` roundtrip — P = 512, 16
+/// elements each, block-cyclic(4), a Bernoulli-0.5 mask, SSS PACK and UNPACK
+/// on naive-push exchanges, planned and executed once on a fresh one-worker
+/// machine — stays within two 4 KiB pages in release. It takes three if the
+/// driver's teardown shares the carrier's bottom frame with the program, or
+/// if a `Proc` carries its resume context inline (DESIGN.md §15). An
+/// unoptimised build's frames are larger; there it only prints.
+#[test]
+fn the_scale_roundtrip_stack_fits_two_pages() {
+    const P: usize = 512;
+    const BOUND: usize = 8 << 10;
+    let grid = ProcGrid::line(P);
+    let desc = ArrayDesc::new(&[PER_PROC * P], &grid, &[Dist::BlockCyclic(4)]).unwrap();
+    let mask = MaskPattern::Random {
+        density: 0.5,
+        seed: 1,
+    };
+    let popts = PackOptions {
+        schedule: A2aSchedule::NaivePush,
+        ..PackOptions::new(PackScheme::Simple)
+    };
+    let uopts = UnpackOptions {
+        schedule: A2aSchedule::NaivePush,
+        ..UnpackOptions::new(UnpackScheme::Simple)
+    };
+    let machine = Machine::new(grid, CostModel::cm5())
+        .with_workers(1)
+        .with_chan_capacity(P);
+    machine.run(|proc| {
+        let me = proc.id();
+        let (a, m) = (
+            local_from_fn(&desc, me, |g| g[0] as i32),
+            mask.local(&desc, me),
+        );
+        let pack = plan_pack(proc, &desc, &m, &popts).unwrap();
+        let packed = pack.execute(proc, &a).unwrap();
+        let vl = packed.v_layout.expect("the mask selects elements");
+        let unpack = plan_unpack(proc, &desc, &m, &vl, &uopts).unwrap();
+        unpack.execute(proc, &a, &packed.local_v).unwrap()
+    });
+    let (deepest, sum) = machine.stack_resident_bytes();
+    println!(
+        "scale roundtrip at P = {P}: deepest carrier stack {deepest} B resident, {sum} B over all"
+    );
+    assert!(deepest > 0, "the gauge saw no stack");
+    if cfg!(not(debug_assertions)) {
+        assert!(
+            deepest <= BOUND,
+            "the deepest carrier stack holds {deepest} B, over {BOUND} B: each page over is 2 MB at P = {P}"
+        );
+    }
 }
 
 /// Per processor: the `mem.plan` charge of a CMS PACK plan plus a CSS UNPACK

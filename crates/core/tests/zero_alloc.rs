@@ -1,5 +1,5 @@
 //! Steady-state allocation gate: from the second execution of a held plan
-//! onward (each pool entry holds one slot, which the first execute warms,
+//! onward (the plan holds one slot per route row, made by the first execute,
 //! so warm-up is exactly one iteration), `execute_into` must perform **zero
 //! heap allocations** on every worker thread — the whole gather → exchange
 //! → decode loop runs out of pooled buffers and reused capacity.
@@ -38,7 +38,7 @@ use hpf_machine::{CostModel, FaultPlan, Machine, Proc, ProcGrid, RunOutput};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// One warm-up execute fills the one slot of every pool entry; the measured
+/// One warm-up execute makes the plan's one slot per route row; the measured
 /// window starts at the second.
 const WARMUP: usize = 1;
 /// Measured steady-state executes.

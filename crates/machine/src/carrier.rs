@@ -35,6 +35,7 @@ extern "C" {
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
     fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
     fn munmap(addr: *mut u8, len: usize) -> i32;
+    fn mincore(addr: *mut u8, len: usize, vec: *mut u8) -> i32;
 }
 const PROT_NONE: i32 = 0;
 const PROT_READ_WRITE: i32 = 1 | 2;
@@ -171,6 +172,35 @@ impl Drop for Stacks {
     }
 }
 
+/// `(deepest, sum)` over the stacks of every reservation in `pool`: the
+/// host bytes of each carrier's stack that are resident, its guard page
+/// left out. Asks `mincore`, so it reads and touches no page of a stack.
+/// A reservation checked out by a run in flight is not in the pool and is
+/// not counted.
+pub(crate) fn resident_bytes(pool: &StackPool) -> (usize, usize) {
+    let pooled = pool.lock().expect(POOL);
+    let mut pages = Vec::new();
+    let (mut deepest, mut sum) = (0, 0);
+    for stacks in pooled.iter() {
+        let len = stacks.slice - PAGE;
+        pages.resize(len / PAGE, 0u8);
+        for idx in (0..stacks.committed.len()).filter(|&i| stacks.committed[i].get()) {
+            // SAFETY: carrier `idx`'s stack, page-aligned and mapped for as
+            // long as the pool holds its reservation; `pages` has one byte
+            // per page of it, and `mincore` writes only `pages`.
+            let asked = unsafe {
+                let stack = stacks.region.add(idx * stacks.slice + PAGE);
+                mincore(stack, len, pages.as_mut_ptr())
+            };
+            assert_eq!(asked, 0, "mincore over a stack of the pool's own mapping");
+            let bytes = pages.iter().filter(|&&b| b & 1 != 0).count() * PAGE;
+            deepest = deepest.max(bytes);
+            sum += bytes;
+        }
+    }
+    (deepest, sum)
+}
+
 /// Shape only: the address differs run to run.
 impl fmt::Debug for Stacks {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -296,5 +326,45 @@ pub(crate) fn switch_to(next: Option<usize>) {
     let me = table.current.get().expect("switch_to from a worker loop");
     if next != Some(me) {
         table.switch(&table.sps[me], next);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{CostModel, Machine, ProcGrid};
+
+    const ARRAY: usize = 64 << 10;
+
+    /// Processor 1 writes every page of an `ARRAY`-byte local array; the
+    /// others return at once.
+    fn deep_on_one(p: &mut crate::Proc) -> u8 {
+        if p.id() != 1 {
+            return 0;
+        }
+        let mut array = [0u8; ARRAY];
+        for page in array.chunks_mut(super::PAGE) {
+            page[0] = 1;
+        }
+        std::hint::black_box(&mut array)[ARRAY - 1]
+    }
+
+    #[test]
+    fn the_stack_gauge_sees_what_a_program_wrote() {
+        let m = Machine::new(ProcGrid::line(4), CostModel::zero()).with_workers(1);
+        assert_eq!(m.stack_resident_bytes(), (0, 0), "before any run");
+
+        m.run(deep_on_one);
+        let (deepest, sum) = m.stack_resident_bytes();
+        assert!(deepest >= ARRAY, "the deepest stack holds {deepest} B");
+        assert!(sum >= deepest, "{sum} B over all, {deepest} B on one");
+
+        // Touched pages stay until the machine drops, so a second run of
+        // the same program reads no fewer.
+        m.run(deep_on_one);
+        let again = m.stack_resident_bytes();
+        assert!(
+            again.0 >= deepest && again.1 >= sum,
+            "{again:?} after the second run, ({deepest}, {sum}) after the first"
+        );
     }
 }

@@ -24,9 +24,9 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::carrier::StackPool;
+use crate::carrier::{self, StackPool};
 use crate::chan::{default_capacity, frame_channel_with_capacity, FrameReceiver, FrameSender};
 use crate::cost::{CostModel, SimClock};
 use crate::error::MachineError;
@@ -75,9 +75,10 @@ type ProcOk<R> = (R, ProcParts);
 /// One processor's hand-over point between its carrier(s) and the driver.
 struct Slot<R> {
     /// What its next carrier starts from: the channel endpoint and, after
-    /// a survived crash, the resume context. The endpoint outlives a crash
-    /// — frames peers sent meanwhile are still queued in it.
-    start: Option<(FrameReceiver, Option<ResumeCtx>)>,
+    /// a survived crash, the resume context (boxed: only a respawn has one).
+    /// The endpoint outlives a crash — frames peers sent meanwhile are still
+    /// queued in it.
+    start: Option<(FrameReceiver, Option<Box<ResumeCtx>>)>,
     respawns: u32,
     /// Its final outcome. The endpoint is kept beside it until every
     /// processor has finished, so a laggard's late sends (e.g.
@@ -274,6 +275,17 @@ impl Machine {
         self.drive(program, Some(rec)).map_err(|f| primary(f).0)
     }
 
+    /// Resident host bytes of the machine's carrier stacks, as `(deepest
+    /// carrier, sum over carriers)`: what the pages its runs touched hold of
+    /// the host's memory, outside every simulated `mem.*` account. A stack
+    /// keeps its deepest page until the machine's last clone drops, so this
+    /// is the high water of every run so far; a machine that has not run
+    /// reports `(0, 0)`. Counted by `mincore` over the stacks between runs,
+    /// touching none of them; never called on the run path.
+    pub fn stack_resident_bytes(&self) -> (usize, usize) {
+        carrier::resident_bytes(&self.stacks)
+    }
+
     /// Shared driver. With `rec`, scheduled crashes are survived (see
     /// [`Machine::run_recoverable`]). On failure returns every failing
     /// processor's error (with original panic payloads where they exist),
@@ -289,98 +301,40 @@ impl Machine {
     {
         install_quiet_machine_error_hook();
         let (txs, rxs, sched) = self.build_fabric();
-        let slots: Vec<Mutex<Slot<R>>> = rxs
-            .into_iter()
-            .map(|rx| Slot {
-                start: Some((rx, None)),
-                respawns: 0,
-                done: None,
-            })
-            .map(Mutex::new)
-            .collect();
-        // Set by the first fatal failure, which aborts the survivors.
-        let poisoned = AtomicBool::new(false);
+        let driver = Driver {
+            machine: self,
+            slots: rxs
+                .into_iter()
+                .map(|rx| Slot {
+                    start: Some((rx, None)),
+                    respawns: 0,
+                    done: None,
+                })
+                .map(Mutex::new)
+                .collect(),
+            txs,
+            sched,
+            rec,
+            poisoned: AtomicBool::new(false),
+        };
 
-        // One carrier's life, on its own stack: run the program, retire the
-        // transport, and leave the outcome (or a successor) in the slot.
+        // One carrier's life, on its own stack. Its frame holds the
+        // processor and the program's unwind guard and nothing else: the
+        // driver's setup and teardown run in frames of their own, gone
+        // before the program starts and after it returns (DESIGN.md §15).
         let body = |id: usize| {
-            let slot = || slots[id].lock().expect("a slot is only ever assigned");
-            let (rx, mut resume) = slot().start.take().expect("a carrier starts from its slot");
-            let recorder = match resume.as_mut() {
-                Some(r) => std::mem::take(&mut r.recorder),
-                None => Recorder::new(self.tracing, self.wall_profiling),
-            };
-            let mut proc = Proc::new(
-                id,
-                &self.grid,
-                SimClock::new(self.cost),
-                &txs,
-                rx,
-                Arc::clone(&self.faults),
-                self.metrics,
-                recorder,
-                Arc::clone(&sched),
-            );
-            if let Some(rec) = &rec {
-                proc.attach_recovery(Arc::clone(rec), resume);
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-            let outcome: Result<R, Failure> = match result {
-                Ok(r) => {
-                    // Under recovery no processor retires before every one
-                    // has finished its program: a respawned victim re-sends
-                    // frames that only a live peer can acknowledge.
-                    let barrier = rec.as_ref().map_or(Ok(()), |_| proc.retire_barrier());
-                    match barrier.and_then(|()| proc.retire()) {
-                        Ok(()) => match proc.leftover_messages() {
-                            0 => Ok(r),
-                            count => {
-                                Err((MachineError::LeftoverMessages { proc: id, count }, None))
-                            }
-                        },
-                        Err(e) => Err((e, None)),
-                    }
-                }
-                Err(payload) => match payload.downcast::<MachineError>() {
-                    Ok(e) => Err((*e, None)),
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
-                    }
-                },
-            };
-            let (rx, parts) = proc.into_parts();
-            if let (Some(rec), Err((MachineError::ProcCrashed { .. }, _))) = (&rec, &outcome) {
-                let mut slot = slot();
-                if !poisoned.load(Ordering::SeqCst) && slot.respawns < MAX_RESPAWNS {
-                    slot.respawns += 1;
-                    let snapshot = rec.take_snapshot(id);
-                    let cursor = snapshot.as_ref().map(|s| s.records);
-                    let resume = ResumeCtx {
-                        snapshot,
-                        replay: rec.clone_log(id),
-                        recorder: parts.3.respawn(cursor),
-                    };
-                    slot.start = Some((rx, Some(resume)));
-                    return sched.enroll(id);
-                }
-            }
-            if let Err((e, _)) = &outcome {
-                // Poison broadcast: peers blocked in receives abort with
-                // this error as their cause.
-                if !poisoned.swap(true, Ordering::SeqCst) {
-                    for (_, tx) in txs.iter().enumerate().filter(|(pid, _)| *pid != id) {
-                        tx.send_all([Frame::Poison(e.clone())]);
-                    }
-                }
-            }
-            slot().done = Some((outcome.map(|r| (r, parts)), rx));
+            let mut proc = Some(driver.start(id));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                program(proc.as_mut().expect("started above"))
+            }));
+            driver.finish(id, &mut proc, result);
         };
         // The caller is worker 0: a one-worker run creates no thread at all
         // (and allocates from one malloc arena, run after run).
+        let sched = &driver.sched;
         std::thread::scope(|scope| {
             for w in 1..sched.workers() {
-                let (sched, body) = (&sched, &body);
+                let body = &body;
                 scope.spawn(move || sched.run_worker(w, &self.stacks, body));
             }
             sched.run_worker(0, &self.stacks, &body);
@@ -388,7 +342,7 @@ impl Machine {
 
         let mut run = RunOutput::new(Vec::new(), Vec::new());
         let mut failures = Vec::new();
-        for (id, slot) in slots.into_iter().enumerate() {
+        for (id, slot) in driver.slots.into_iter().enumerate() {
             let slot = slot.into_inner().expect("a slot is only ever assigned");
             match slot.done.expect("every processor finished").0 {
                 Ok((r, (c, comm_row, snap, recorder))) => {
@@ -409,8 +363,120 @@ impl Machine {
         if !failures.is_empty() {
             return Err(failures);
         }
-        run.recovery = rec.map(|rec| rec.stats());
+        run.recovery = driver.rec.map(|rec| rec.stats());
         Ok(run)
+    }
+}
+
+/// What one run's carriers share: the channels, the scheduler, the
+/// recovery state and each processor's [`Slot`].
+struct Driver<'m, R> {
+    machine: &'m Machine,
+    slots: Vec<Mutex<Slot<R>>>,
+    txs: Vec<FrameSender>,
+    sched: Arc<Scheduler>,
+    rec: Option<Arc<RecoveryState>>,
+    /// Set by the first fatal failure, which aborts the survivors.
+    poisoned: AtomicBool,
+}
+
+impl<'m, R> Driver<'m, R> {
+    fn slot(&self, id: usize) -> MutexGuard<'_, Slot<R>> {
+        self.slots[id].lock().expect("a slot is only ever assigned")
+    }
+
+    /// A carrier's setup: processor `id` from its slot — a fresh one, or a
+    /// respawn with its resume context — recovery attached. Never inlined,
+    /// so none of it stays in the carrier's bottom frame.
+    #[inline(never)]
+    fn start(&self, id: usize) -> Proc<'_> {
+        let (rx, mut resume) = self
+            .slot(id)
+            .start
+            .take()
+            .expect("a carrier starts from its slot");
+        let m = self.machine;
+        let recorder = match resume.as_mut() {
+            Some(r) => std::mem::take(&mut r.recorder),
+            None => Recorder::new(m.tracing, m.wall_profiling),
+        };
+        let mut proc = Proc::new(
+            id,
+            &m.grid,
+            SimClock::new(m.cost),
+            &self.txs,
+            rx,
+            Arc::clone(&m.faults),
+            m.metrics,
+            recorder,
+            Arc::clone(&self.sched),
+        );
+        if let Some(rec) = &self.rec {
+            proc.attach_recovery(Arc::clone(rec), resume);
+        }
+        proc
+    }
+
+    /// A carrier's teardown once its program returned or unwound: retire
+    /// the transport and leave the outcome — or, after a survived crash, a
+    /// successor — in the slot. Takes the processor out of `proc`, the
+    /// carrier's one copy of it. Never inlined, as [`Driver::start`].
+    #[inline(never)]
+    fn finish<'a>(
+        &'a self,
+        id: usize,
+        proc: &mut Option<Proc<'a>>,
+        result: std::thread::Result<R>,
+    ) {
+        let mut proc = proc.take().expect("finished once");
+        let outcome: Result<R, Failure> = match result {
+            Ok(r) => {
+                // Under recovery no processor retires before every one
+                // has finished its program: a respawned victim re-sends
+                // frames that only a live peer can acknowledge.
+                let barrier = self.rec.as_ref().map_or(Ok(()), |_| proc.retire_barrier());
+                match barrier.and_then(|()| proc.retire()) {
+                    Ok(()) => match proc.leftover_messages() {
+                        0 => Ok(r),
+                        count => Err((MachineError::LeftoverMessages { proc: id, count }, None)),
+                    },
+                    Err(e) => Err((e, None)),
+                }
+            }
+            Err(payload) => match payload.downcast::<MachineError>() {
+                Ok(e) => Err((*e, None)),
+                Err(payload) => {
+                    let msg = panic_message(payload.as_ref());
+                    Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
+                }
+            },
+        };
+        let (rx, parts) = proc.into_parts();
+        if let (Some(rec), Err((MachineError::ProcCrashed { .. }, _))) = (&self.rec, &outcome) {
+            let mut slot = self.slot(id);
+            if !self.poisoned.load(Ordering::SeqCst) && slot.respawns < MAX_RESPAWNS {
+                slot.respawns += 1;
+                let snapshot = rec.take_snapshot(id);
+                let cursor = snapshot.as_ref().map(|s| s.records);
+                let resume = ResumeCtx {
+                    snapshot,
+                    replay: rec.clone_log(id),
+                    recorder: parts.3.respawn(cursor),
+                };
+                slot.start = Some((rx, Some(Box::new(resume))));
+                return self.sched.enroll(id);
+            }
+        }
+        if let Err((e, _)) = &outcome {
+            // Poison broadcast: peers blocked in receives abort with
+            // this error as their cause.
+            if !self.poisoned.swap(true, Ordering::SeqCst) {
+                for (_, tx) in self.txs.iter().enumerate().filter(|(pid, _)| *pid != id) {
+                    tx.send_all([Frame::Poison(e.clone())]);
+                }
+            }
+        }
+        self.slot(id).done = Some((outcome.map(|r| (r, parts)), rx));
     }
 }
 

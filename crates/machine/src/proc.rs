@@ -152,8 +152,9 @@ pub struct Proc<'m> {
     /// under [`crate::Machine::run_recoverable`].
     recovery: Option<Arc<RecoveryState>>,
     /// Pending resume context on a respawned processor; consumed by the
-    /// first [`Proc::epoch`] call at the resume epoch.
-    resume: Option<ResumeCtx>,
+    /// first [`Proc::epoch`] call at the resume epoch. Boxed: every carrier
+    /// holds a `Proc` in its bottom frame, and only a respawn fills this.
+    resume: Option<Box<ResumeCtx>>,
     /// Index of the next epoch this processor will enter.
     epoch_idx: usize,
 }
@@ -208,7 +209,11 @@ impl<'m> Proc<'m> {
     /// restarts from scratch, peers dedup its re-sent frames by sequence
     /// number, and the (never truncated) replay log re-supplies everything
     /// peers had sent it.
-    pub(crate) fn attach_recovery(&mut self, state: Arc<RecoveryState>, resume: Option<ResumeCtx>) {
+    pub(crate) fn attach_recovery(
+        &mut self,
+        state: Arc<RecoveryState>,
+        resume: Option<Box<ResumeCtx>>,
+    ) {
         self.transport
             .attach_log(Arc::clone(&state), resume.is_some());
         self.recovery = Some(state);
@@ -954,7 +959,7 @@ impl<'m> Proc<'m> {
     /// overwritten but the fresh state the respawn started with; a plan
     /// restored here holds no slots and makes fresh ones (see
     /// [`crate::pool`]).
-    fn prepare_resume<S: Clone + Send + 'static>(&mut self, ctx: ResumeCtx, state: &mut S) {
+    fn prepare_resume<S: Clone + Send + 'static>(&mut self, ctx: Box<ResumeCtx>, state: &mut S) {
         let rec = Arc::clone(self.recovery.as_ref().expect("resume without recovery"));
         let snap = ctx
             .snapshot

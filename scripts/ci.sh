@@ -74,7 +74,7 @@ echo "== stack-switched carriers, both profiles =="
 cargo test -p hpf-machine -q --test sched --test failures
 cargo test -p hpf-machine --release -q --test failures --test stacks_returned
 
-echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retained bytes vs L; staged bytes vs executes) =="
+echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retained bytes vs L; staged bytes vs executes; the scale roundtrip's deepest carrier stack at P=512 within two pages) =="
 # Release mode for the same reason: the P=512 leg plans on 512 carriers.
 # bulk_rows_retain_no_index_list: a full mask's mem.plan charge is the same
 # at L = 2^12 and 2^16, and under a Bernoulli-0.5 mask it is the plans' ops,
@@ -82,8 +82,12 @@ echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retai
 # per Scatter op (a walk is its first index in 4 B, then a byte per step).
 # the_first_execute_sets_the_pool_high_water: for all five schemes, four
 # executes of a held plan leave mem.pool's high water where the first
-# left it (one slot per pool entry); a_lending_plan_stages_nothing: a plan
+# left it (one slot per route row); a_lending_plan_stages_nothing: a plan
 # that lends its source leaves it at zero.
+# the_scale_roundtrip_stack_fits_two_pages: the benchmark's scale_p512
+# roundtrip leaves no carrier stack with more than 8 KiB resident
+# (Machine::stack_resident_bytes); each page over is 2 MB at P = 512, and
+# an unoptimised build only prints the figure.
 cargo test -p hpf-core --release -q --test plan_footprint
 
 echo "== one-shot footprint gate (200 one-shot roundtrips leave gauges, heap and allocation rate flat) =="
