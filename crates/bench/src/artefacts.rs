@@ -634,10 +634,11 @@ fn balance(out: &mut String) {
         let mut t = Table::new("Block Size|remote words|imbalance|heaviest flow");
         for w in line.block_sizes() {
             let cms = PackOptions::new(PackScheme::CompactMessage);
-            let (_, run) = run_pack(&line.cfg(w, pattern), None, &cms, Observe::Clocks);
+            let (_, run) = run_pack(&line.cfg(w, pattern), None, &cms, Observe::Events);
             let flow = run.heaviest_flow();
             let heaviest = flow.map_or("-".into(), |(s, t, w)| format!("{s}->{t}:{w}"));
-            let imbalance = format!("{:.2}", run.send_imbalance());
+            let imbalance = run.send_imbalance().expect("an observed run traces");
+            let imbalance = format!("{imbalance:.2}");
             row!(t, w, run.total_words_sent(), imbalance, heaviest);
         }
         out.push_str(&t.render());

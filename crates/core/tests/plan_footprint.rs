@@ -108,6 +108,37 @@ fn plan_allocation_does_not_grow_with_the_machine() {
     );
 }
 
+/// Per processor: the bytes the allocator counts across one whole
+/// `Machine::run` of an empty program on a `p`-processor, one-worker
+/// machine with 16-frame rings — the driver's share on the calling thread
+/// plus each carrier's own up to its program's end (a carrier's counters
+/// start at zero and follow it across switches).
+fn run_bytes_per_proc(p: usize) -> u64 {
+    let machine = Machine::new(ProcGrid::line(p), CostModel::cm5())
+        .with_workers(1)
+        .with_chan_capacity(16);
+    let (_, before) = thread_totals();
+    let out = machine.run(|_| thread_totals().1);
+    let driver = thread_totals().1 - before;
+    (driver + out.results.iter().sum::<u64>()) / p as u64
+}
+
+/// What a processor costs the machine that runs it follows its own traffic,
+/// not the machine's size (DESIGN.md §3): an empty run allocates no more per
+/// processor at P = 512 than at P = 64, give or take `SLACK`. A P-long row
+/// per processor — a per-destination traffic counter was one, 4 KiB each at
+/// P = 512 — or a scratch reserved in proportion to P trips it.
+#[test]
+fn run_allocation_per_processor_does_not_grow_with_the_machine() {
+    const SLACK: u64 = 256;
+    let (small, large) = (run_bytes_per_proc(64), run_bytes_per_proc(512));
+    println!("run bytes per processor, P = 64 -> 512: {small} -> {large}");
+    assert!(
+        large <= small + SLACK,
+        "an empty run allocates {small} B per processor at P = 64 but {large} B at P = 512"
+    );
+}
+
 /// A plan's handle table is O(peers), never O(P) (DESIGN.md §11): at
 /// P = 512, after one execute, every processor's PACK plan holds exactly one
 /// pool-slot handle per route row — `Ds_i`, the processors its selected

@@ -61,7 +61,8 @@ fn assert_identical(
         assert_eq!(ca.words_sent, cb.words_sent, "{what}: words diverged");
         assert_eq!(ca.startups, cb.startups, "{what}: startups diverged");
     }
-    assert_eq!(a.comm_matrix, b.comm_matrix, "{what}: comm matrix diverged");
+    let matrix = |out: &RunOutput<(Vec<i32>, Vec<i32>)>| out.comm_matrix().expect("a traced run");
+    assert_eq!(matrix(a), matrix(b), "{what}: comm matrix diverged");
 }
 
 /// Every scheme pair on a 1-D and a 2-D grid: `check(what, grid, program)`.
@@ -96,8 +97,11 @@ fn for_every_scheme_and_grid(
 #[test]
 fn every_scheme_and_grid_is_identical_across_pool_sizes() {
     for_every_scheme_and_grid(|what, grid, program| {
-        let build =
-            |workers: usize| Machine::new(grid.clone(), CostModel::cm5()).with_workers(workers);
+        let build = |workers: usize| {
+            Machine::new(grid.clone(), CostModel::cm5())
+                .with_tracing(true)
+                .with_workers(workers)
+        };
         let reference = build(1).run(program);
         for workers in [3usize, 8] {
             let out = build(workers).run(program);
@@ -149,6 +153,7 @@ fn the_scale_roundtrip_is_identical_across_pool_sizes() {
         };
         let run = |workers: usize| {
             Machine::new(grid.clone(), CostModel::cm5())
+                .with_tracing(true)
                 .with_workers(workers)
                 .with_chan_capacity(p)
                 .run(program)
@@ -163,7 +168,9 @@ fn the_scale_roundtrip_is_identical_across_pool_sizes() {
 #[test]
 fn every_run_on_one_machine_is_identical() {
     for_every_scheme_and_grid(|what, grid, program| {
-        let machine = Machine::new(grid.clone(), CostModel::cm5()).with_workers(2);
+        let machine = Machine::new(grid.clone(), CostModel::cm5())
+            .with_tracing(true)
+            .with_workers(2);
         let runs: Vec<_> = (0..5).map(|_| machine.run(program)).collect();
         for k in [2, 5] {
             assert_identical(&runs[0], &runs[k - 1], &format!("{what} run {k}"));

@@ -345,12 +345,11 @@ impl Machine {
         for (id, slot) in driver.slots.into_iter().enumerate() {
             let slot = slot.into_inner().expect("a slot is only ever assigned");
             match slot.done.expect("every processor finished").0 {
-                Ok((r, (c, comm_row, snap, recorder))) => {
+                Ok((r, (c, snap, recorder))) => {
                     let (trace, evs, wp) = recorder.decode(c.now_ns);
                     run.results.push(r);
                     run.clocks.push(c);
                     run.traces.push(trace);
-                    run.comm_matrix.push(comm_row);
                     run.events.push(evs);
                     run.metrics.push(snap);
                     if self.wall_profiling {
@@ -363,6 +362,7 @@ impl Machine {
         if !failures.is_empty() {
             return Err(failures);
         }
+        run.traced = self.tracing;
         run.recovery = driver.rec.map(|rec| rec.stats());
         Ok(run)
     }
@@ -461,7 +461,7 @@ impl<'m, R> Driver<'m, R> {
                 let resume = ResumeCtx {
                     snapshot,
                     replay: rec.clone_log(id),
-                    recorder: parts.3.respawn(cursor),
+                    recorder: parts.2.respawn(cursor),
                 };
                 slot.start = Some((rx, Some(Box::new(resume))));
                 return self.sched.enroll(id);

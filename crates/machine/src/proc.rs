@@ -26,15 +26,8 @@ use crate::sched::{ParkOutcome, Scheduler};
 use crate::topology::ProcGrid;
 
 /// What a processor hands the driver when it retires: its clock report,
-/// charged words per destination, metrics and recorder.
-pub(crate) type ProcParts = (ClockReport, Vec<u64>, MetricsSnapshot, Recorder);
-
-/// Cap on the per-processor packet-scratch pre-reserve. Reserving a full
-/// P-length scratch on every processor is P² machine-wide (~1 GB at
-/// P=4096); pooled exchanges rarely buffer more than a round's fan-in, and
-/// any overflow grows the vector on the first execute — before the
-/// steady-state zero-allocation window begins.
-const PKT_SCRATCH_RESERVE: usize = 256;
+/// metrics and recorder.
+pub(crate) type ProcParts = (ClockReport, MetricsSnapshot, Recorder);
 
 /// Tag namespaces. Each collective type uses its own tag so that a program
 /// error (processors disagreeing about which collective comes next) fails
@@ -136,8 +129,6 @@ pub struct Proc<'m> {
     mailbox: Mailbox,
     /// The one way onto the network, for every frame this processor sends.
     transport: Transport<'m>,
-    /// Charged words sent to each destination (self-sends excluded).
-    words_to: Vec<u64>,
     /// Events, category edges and wall-span edges, in one stream.
     obs: Recorder,
     /// Counters and gauges, present iff the machine keeps metrics.
@@ -145,8 +136,9 @@ pub struct Proc<'m> {
     /// The keyed adapter's slots ([`Proc::pool_checkout`]); a plan holds
     /// its own.
     pool: BufferPool,
-    /// Scratch space for pooled exchanges' received packets, pre-reserved
-    /// so the steady-state execute loop never grows it.
+    /// Scratch space for pooled exchanges' received packets. It grows in
+    /// the first pooled exchange and keeps that capacity, so a plan's later
+    /// executes, whose receive list is fixed, never grow it.
     pkt_scratch: Vec<Packet>,
     /// Shared crash-recovery state; present iff the machine is running
     /// under [`crate::Machine::run_recoverable`].
@@ -172,7 +164,6 @@ impl<'m> Proc<'m> {
         recorder: Recorder,
         sched: Arc<Scheduler>,
     ) -> Self {
-        let nprocs = grid.nprocs();
         let mut proc = Proc {
             id,
             grid,
@@ -181,11 +172,10 @@ impl<'m> Proc<'m> {
             sched,
             mailbox: Mailbox::default(),
             transport: Transport::new(id, plan, senders),
-            words_to: vec![0; nprocs],
             obs: recorder,
             metrics: metrics.then(ProcMetrics::default),
             pool: BufferPool::default(),
-            pkt_scratch: Vec::with_capacity(nprocs.min(PKT_SCRATCH_RESERVE)),
+            pkt_scratch: Vec::new(),
             recovery: None,
             resume: None,
             epoch_idx: 0,
@@ -467,7 +457,6 @@ impl<'m> Proc<'m> {
         let arrival_ns = if words == 0 {
             self.clock.now_ns()
         } else {
-            self.words_to[dst] += words as u64;
             self.clock.charge_send(words)
         };
         // The payload-account gauge is charged by a guard riding inside the
@@ -945,7 +934,6 @@ impl<'m> Proc<'m> {
                 clock: self.clock,
                 mailbox: self.mailbox.clone(),
                 transport: self.transport.snapshot(),
-                words_to: self.words_to.clone(),
                 records: self.obs.len(),
                 metrics: self.metrics.as_ref().map(ProcMetrics::checkpoint),
                 user: Box::new(state.clone()),
@@ -967,7 +955,6 @@ impl<'m> Proc<'m> {
         self.clock = snap.clock;
         self.mailbox = snap.mailbox;
         self.transport.restore(snap.transport);
-        self.words_to = snap.words_to;
         self.obs.resume();
         if let (Some(m), Some(ms)) = (self.metrics.as_mut(), snap.metrics) {
             *m = ms;
@@ -1097,7 +1084,7 @@ impl<'m> Proc<'m> {
             m.snapshot(&clock, t.frames)
         });
         let metrics = metrics.unwrap_or_default();
-        (self.rx, (clock, self.words_to, metrics, self.obs))
+        (self.rx, (clock, metrics, self.obs))
     }
 
     /// Receive the raw packet from `src` under `tag`, leaving the payload
@@ -1275,8 +1262,8 @@ impl<'m> Proc<'m> {
         self.send_arc(dst, tag, words, data, frozen);
     }
 
-    /// Borrow the processor's pre-reserved packet scratch vector (empty,
-    /// capacity ≥ P). Callers must hand it back with
+    /// Borrow the processor's packet scratch vector (empty, with the
+    /// capacity earlier exchanges left it). Callers must hand it back with
     /// [`Proc::restore_pkt_scratch`] once drained.
     pub fn take_pkt_scratch(&mut self) -> Vec<Packet> {
         debug_assert!(self.pkt_scratch.is_empty());

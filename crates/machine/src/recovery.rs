@@ -52,8 +52,6 @@ pub(crate) struct EpochSnapshot {
     pub(crate) mailbox: Mailbox,
     /// The transport's counters.
     pub(crate) transport: TransportSnapshot,
-    /// Charged words sent per destination so far.
-    pub(crate) words_to: Vec<u64>,
     /// Records in the processor's recorder: a respawn truncates the crashed
     /// incarnation's stream to this count.
     pub(crate) records: usize,

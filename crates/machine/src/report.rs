@@ -3,10 +3,11 @@
 //! time per category and in total, in milliseconds — and each processor's
 //! metrics in their exported form.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use crate::cost::{Category, ClockReport};
-use crate::obs::{Event, WallProfile};
+use crate::obs::{Event, EventKind, WallProfile};
 use crate::recovery::RecoveryStats;
 
 /// Everything a [`crate::Machine::run`] call produced: per-processor results
@@ -20,9 +21,6 @@ pub struct RunOutput<R> {
     /// Per-processor category spans, decoded from each processor's
     /// recorder (P empty lists unless the machine traces).
     pub traces: Vec<Vec<crate::trace::Span>>,
-    /// Charged words sent from each source (row) to each destination
-    /// (column); self-messages are zero.
-    pub comm_matrix: Vec<Vec<u64>>,
     /// Per-processor structured event logs, decoded like `traces` (P empty
     /// lists unless the machine traces — DESIGN.md §8).
     pub events: Vec<Vec<Event>>,
@@ -38,6 +36,8 @@ pub struct RunOutput<R> {
     /// [`crate::Machine::with_wall_profiling`] — wall data never leaks into
     /// unprofiled runs).
     pub wall_profiles: Vec<WallProfile>,
+    /// Whether the machine traced (`events` is the log, not P empty lists).
+    pub(crate) traced: bool,
 }
 
 impl<R> RunOutput<R> {
@@ -46,12 +46,29 @@ impl<R> RunOutput<R> {
             results,
             clocks,
             traces: Vec::new(),
-            comm_matrix: Vec::new(),
             events: Vec::new(),
             metrics: Vec::new(),
             recovery: None,
             wall_profiles: Vec::new(),
+            traced: false,
         }
+    }
+
+    /// Charged words sent from each source (row) to each destination
+    /// (column), summed from each processor's [`EventKind::Send`] events:
+    /// self-messages are zero, and words sent with the clock muted count.
+    /// `None` unless the machine traced.
+    pub fn comm_matrix(&self) -> Option<Vec<Vec<u64>>> {
+        let p = self.traced.then_some(self.events.len())?;
+        let mut matrix = vec![vec![0; p]; p];
+        for (row, evs) in matrix.iter_mut().zip(&self.events) {
+            for e in evs {
+                if let EventKind::Send { dst, words, .. } = e.kind {
+                    row[dst] += words as u64;
+                }
+            }
+        }
+        Some(matrix)
     }
 
     /// The heaviest single source→destination flow, as
@@ -59,17 +76,13 @@ impl<R> RunOutput<R> {
     ///
     /// Ties are broken deterministically: among equally heavy flows, the
     /// lowest `(src, dst)` in lexicographic order wins, so the figure is
-    /// stable across runs and fit for perf reports.
+    /// stable across runs and fit for perf reports. `None` when nothing
+    /// was sent or the machine did not trace.
     pub fn heaviest_flow(&self) -> Option<(usize, usize, u64)> {
-        self.comm_matrix
-            .iter()
-            .enumerate()
-            .flat_map(|(s, row)| row.iter().enumerate().map(move |(d, &w)| (s, d, w)))
+        (self.comm_matrix()?.into_iter().enumerate())
+            .flat_map(|(s, row)| row.into_iter().enumerate().map(move |(d, w)| (s, d, w)))
             .filter(|&(_, _, w)| w > 0)
-            .fold(None, |best: Option<(usize, usize, u64)>, cand| match best {
-                Some((_, _, bw)) if bw >= cand.2 => best,
-                _ => Some(cand),
-            })
+            .max_by_key(|&(s, d, w)| (w, Reverse((s, d))))
     }
 
     /// Export the run's traces and structured events as Chrome
@@ -96,14 +109,12 @@ impl<R> RunOutput<R> {
 
     /// Coefficient of imbalance of per-processor sent volume:
     /// `max / mean` (1.0 = perfectly balanced; 0.0 if nothing was sent).
-    pub fn send_imbalance(&self) -> f64 {
-        let totals: Vec<u64> = self.comm_matrix.iter().map(|r| r.iter().sum()).collect();
+    /// `None` unless the machine traced.
+    pub fn send_imbalance(&self) -> Option<f64> {
+        let totals: Vec<u64> = self.comm_matrix()?.iter().map(|r| r.iter().sum()).collect();
         let max = totals.iter().copied().max().unwrap_or(0);
-        let sum: u64 = totals.iter().sum();
-        if sum == 0 {
-            return 0.0;
-        }
-        max as f64 * totals.len() as f64 / sum as f64
+        let sum = totals.iter().sum::<u64>().max(1);
+        Some(max as f64 * totals.len() as f64 / sum as f64)
     }
 
     /// Render the traces as a text Gantt chart (DESIGN.md §8).
@@ -286,16 +297,42 @@ mod tests {
         assert_eq!(out.max_time_ms(), 4.0);
     }
 
+    /// A traced run whose processors sent `matrix[src][dst]` words, one
+    /// `Send` event per nonzero entry.
+    fn sent(matrix: &[[usize; 3]; 3]) -> RunOutput<()> {
+        let mut out = RunOutput::new(vec![(), (), ()], Vec::new());
+        out.traced = true;
+        out.events = (matrix.iter())
+            .map(|row| {
+                (row.iter().enumerate())
+                    .filter(|&(_, &w)| w > 0)
+                    .map(|(dst, &words)| Event {
+                        ts_ns: 0.0,
+                        kind: EventKind::Send {
+                            dst,
+                            tag: 0,
+                            words,
+                            seq: None,
+                            arrival_ns: 0.0,
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        out
+    }
+
     #[test]
     fn heaviest_flow_ties_break_to_lowest_src_dst() {
-        let mut out = RunOutput::new(vec![(), (), ()], Vec::new());
         // Three flows share the maximum weight 9: (0,2), (1,0), (2,1).
-        out.comm_matrix = vec![vec![0, 3, 9], vec![9, 0, 1], vec![2, 9, 0]];
+        let out = sent(&[[0, 3, 9], [9, 0, 1], [2, 9, 0]]);
         assert_eq!(out.heaviest_flow(), Some((0, 2, 9)));
         // And with the (0,2) flow lightened, the next-lowest pair wins.
-        out.comm_matrix[0][2] = 1;
+        let out = sent(&[[0, 3, 1], [9, 0, 1], [2, 9, 0]]);
         assert_eq!(out.heaviest_flow(), Some((1, 0, 9)));
-        out.comm_matrix = vec![vec![0; 3]; 3];
+        let out = sent(&[[0; 3]; 3]);
+        assert_eq!(out.comm_matrix(), Some(vec![vec![0; 3]; 3]));
         assert_eq!(out.heaviest_flow(), None);
+        assert_eq!(out.send_imbalance(), Some(0.0));
     }
 }

@@ -339,12 +339,16 @@ fn a_swapped_lender_still_waits_for_its_loans() {
                 } else {
                     let pkt = p.recv_packet(0, tags::USER);
                     let slot = pkt.data.downcast::<PoolSlot<Borrowed>>().unwrap();
-                    let sum = slot.receive(|got| match got {
-                        Received::Lent(loan) => loan.src.iter().sum::<i64>(),
+                    // Marked inside the receive, while the loan is held: once
+                    // it returns, the lender may run on another worker before
+                    // a store after it would land.
+                    slot.receive(|got| match got {
+                        Received::Lent(loan) => {
+                            read.store(true, Ordering::SeqCst);
+                            loan.src.iter().sum::<i64>()
+                        }
                         Received::Staged(_) => unreachable!("the send was lent"),
-                    });
-                    read.store(true, Ordering::SeqCst);
-                    sum
+                    })
                 }
             });
         assert_eq!(out.results, [1, 136], "workers={workers}");
@@ -446,8 +450,7 @@ fn tracing_disabled_yields_empty_traces() {
 
 #[test]
 fn comm_matrix_records_per_pair_traffic() {
-    let m = Machine::new(ProcGrid::line(3), CostModel::cm5());
-    let out = m.run(|p| {
+    let program = |p: &mut Proc| {
         // Ring: each proc sends (id + 1) words to its right neighbour.
         let next = (p.id() + 1) % 3;
         let prev = (p.id() + 2) % 3;
@@ -456,14 +459,22 @@ fn comm_matrix_records_per_pair_traffic() {
         // Plus a free self-message that must not show up.
         p.send(p.id(), tags::USER, vec![0i32; 50]);
         let _: Vec<i32> = p.recv(p.id(), tags::USER);
-    });
-    assert_eq!(out.comm_matrix[0][1], 1);
-    assert_eq!(out.comm_matrix[1][2], 2);
-    assert_eq!(out.comm_matrix[2][0], 3);
-    for (s, row) in out.comm_matrix.iter().enumerate() {
+    };
+    let m = Machine::new(ProcGrid::line(3), CostModel::cm5());
+    let out = m.clone().with_tracing(true).run(program);
+    let matrix = out.comm_matrix().expect("a traced run");
+    assert_eq!(matrix[0][1], 1);
+    assert_eq!(matrix[1][2], 2);
+    assert_eq!(matrix[2][0], 3);
+    for (s, row) in matrix.iter().enumerate() {
         assert_eq!(row[s], 0, "self traffic must not be charged");
     }
     assert_eq!(out.heaviest_flow(), Some((2, 0, 3)));
     // Imbalance: totals are [1, 2, 3], max/mean = 3 / 2 = 1.5.
-    assert!((out.send_imbalance() - 1.5).abs() < 1e-12);
+    assert!((out.send_imbalance().expect("a traced run") - 1.5).abs() < 1e-12);
+    // The matrix is read from the event log: an untraced run has none.
+    let untraced = m.run(program);
+    assert_eq!(untraced.comm_matrix(), None);
+    assert_eq!(untraced.heaviest_flow(), None);
+    assert_eq!(untraced.send_imbalance(), None);
 }

@@ -201,7 +201,8 @@ fn assert_sparse_equals_dense(
         by_src
     });
     assert_eq!(&sparse.results, &dense.results);
-    assert_eq!(&sparse.comm_matrix, &dense.comm_matrix);
+    let matrix = |out: &RunOutput<Vec<Vec<i32>>>| out.comm_matrix().expect("a traced run");
+    assert_eq!(matrix(&sparse), matrix(&dense));
     for (a, b) in sparse.clocks.iter().zip(&dense.clocks) {
         assert_eq!(a.now_ns.to_bits(), b.now_ns.to_bits());
         assert_eq!((a.words_sent, a.startups), (b.words_sent, b.startups));

@@ -85,7 +85,8 @@ fn assert_clocks_identical<R>(a: &RunOutput<R>, b: &RunOutput<R>, what: &str) {
         assert_eq!(ca.words_sent, cb.words_sent, "{what}: words differ");
         assert_eq!(ca.startups, cb.startups, "{what}: startups differ");
     }
-    assert_eq!(a.comm_matrix, b.comm_matrix, "{what}: comm matrix differs");
+    let matrix = |out: &RunOutput<R>| out.comm_matrix().expect("a traced run");
+    assert_eq!(matrix(a), matrix(b), "{what}: comm matrix differs");
 }
 
 /// Per-processor event streams, canonicalized: record order within one log
@@ -339,6 +340,7 @@ fn epoch_ring(p: &mut Proc) -> Vec<i64> {
 fn recovery_respawn_re_enrolls_on_a_small_pool() {
     let m = |faults: FaultPlan, workers: usize| {
         Machine::new(ProcGrid::line(4), CostModel::cm5())
+            .with_tracing(true)
             .with_workers(workers)
             .with_faults(faults)
     };
@@ -372,8 +374,11 @@ fn p1024_smoke_is_identical_across_pool_sizes() {
         let (before, _) = prefix_reduction_sum(p, &g, &[1i64], PrsAlgorithm::Split);
         got[0] + before[0]
     }
-    let build =
-        |workers: usize| Machine::new(ProcGrid::line(P), CostModel::cm5()).with_workers(workers);
+    let build = |workers: usize| {
+        Machine::new(ProcGrid::line(P), CostModel::cm5())
+            .with_tracing(true)
+            .with_workers(workers)
+    };
     let a = build(1).run(program);
     let expected: Vec<i64> = (0..P)
         .map(|id| ((id + P - 1) % P) as i64 + id as i64)
@@ -643,6 +648,7 @@ fn a_reused_machine_runs_every_program_as_a_fresh_one_does() {
                 m.try_run(program)
             };
             out.map(|mut out| {
+                let matrix = out.comm_matrix().expect("a traced run");
                 let mut events = canonical_events(&out);
                 if crash && workers > 1 {
                     // Which frames a replay re-injects, and so which arrive
@@ -651,13 +657,7 @@ fn a_reused_machine_runs_every_program_as_a_fresh_one_does() {
                     events.clear();
                     out.recovery = None;
                 }
-                (
-                    out.results,
-                    out.clocks,
-                    out.comm_matrix,
-                    events,
-                    out.recovery,
-                )
+                (out.results, out.clocks, matrix, events, out.recovery)
             })
         };
         let reused = machine(16, workers);

@@ -74,8 +74,12 @@ echo "== stack-switched carriers, both profiles =="
 cargo test -p hpf-machine -q --test sched --test failures
 cargo test -p hpf-machine --release -q --test failures --test stacks_returned
 
-echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; retained bytes vs L; staged bytes vs executes; the scale roundtrip's deepest carrier stack at P=512 within two pages) =="
+echo "== plan-footprint gate (planning bytes per processor, P=64 vs P=512; run_allocation_per_processor_does_not_grow_with_the_machine: an empty run's bytes per processor, P=64 vs P=512; retained bytes vs L; staged bytes vs executes; the scale roundtrip's deepest carrier stack at P=512 within two pages) =="
 # Release mode for the same reason: the P=512 leg plans on 512 carriers.
+# run_allocation_per_processor_does_not_grow_with_the_machine: what one
+# processor costs a whole Machine::run of an empty program (16-frame rings,
+# one worker) is within 256 B at P = 512 of what it is at P = 64, so no
+# P-long row per processor comes back (DESIGN.md section 3).
 # bulk_rows_retain_no_index_list: a full mask's mem.plan charge is the same
 # at L = 2^12 and 2^16, and under a Bernoulli-0.5 mask it is the plans' ops,
 # offsets and peers plus exactly 1 B per index a Scatter op walks and 3 B
@@ -192,7 +196,10 @@ fi
 # DESIGN.md section 10); the pool's ownership of a plan's slots, the plans'
 # pool keys and the retire that gave their slots back by key, the type-erased
 # list of lent slots, and the payload copy hook that every Clone made
-# redundant (a plan owns its slot table, DESIGN.md section 11).
+# redundant (a plan owns its slot table, DESIGN.md section 11); the
+# per-destination traffic row, the stored comm matrix beside the event log
+# and the P-sized packet-scratch reserve (who sent what is the Send events'
+# to say, DESIGN.md section 3).
 if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'hpf_intrinsics|hpf-intrinsics|prefix_scan_with|gather_to_root|scatter_from_root|global_index_of_linear|index::assert_u32_indexable' \
   -e 'PlanCache|plan\.cache\.|inc_counter|\.fingerprint\(' \
@@ -200,6 +207,7 @@ if grep -rnE -e 'RedistMode|Machine::line|--reuse-plans|--recover\b' \
   -e 'RankRequest|into_rows|decode_pairs' \
   -e 'FlatMsg|ValueMsg|Outbox|SimpleComposer|CompactComposer|dyn Composer|LocalArray|delinearize_into|get_linear' \
   -e '\bpool_slot|pool_retire|Waitable|lent_scratch|\bpool_key|clone_payload' \
+  -e 'words_to|PKT_SCRATCH_RESERVE|pub comm_matrix:' \
   crates/ src/ tests/ examples/ Cargo.toml README.md DESIGN.md .claude/; then
   echo "ci: a removed public item or chaos flag is back"; exit 1
 fi

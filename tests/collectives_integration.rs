@@ -172,7 +172,8 @@ fn tracing_and_comm_matrix_cover_a_pack_run() {
         );
     }
     // The matrix total matches the clock total.
-    let matrix_total: u64 = out.comm_matrix.iter().flatten().sum();
+    let matrix = out.comm_matrix().expect("a traced run");
+    let matrix_total: u64 = matrix.iter().flatten().sum();
     assert_eq!(matrix_total, out.total_words_sent());
     assert!(matrix_total > 0);
     // The Gantt includes all three stages.
